@@ -184,10 +184,9 @@ func (db *DB) replacePlan(key string, old, next *Plan) bool {
 	if !ok {
 		return false
 	}
-	e := el.Value.(*planEntry)
-	if e.plan != old {
+	if el.Value.(*planEntry).plan != old {
 		return false
 	}
-	e.plan = next
+	db.plans.swap(el, next)
 	return true
 }

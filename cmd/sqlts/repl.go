@@ -265,18 +265,20 @@ func hitRate(hits, misses int64) string {
 	return fmt.Sprintf(" (%.1f%% hit rate)", 100*float64(hits)/float64(hits+misses))
 }
 
-// cacheNote summarizes a result's cache outcome for the timing line.
+// cacheNote summarizes a result's cache outcome for the timing line: a
+// cached plan, and a partition that was cached or refreshed per cluster.
 func cacheNote(res *sqlts.Result) string {
-	switch {
-	case res.PlanCached() && res.PartitionCached():
-		return " (plan: cached, partition: cached)"
-	case res.PlanCached():
-		return " (plan: cached)"
-	case res.PartitionCached():
-		return " (partition: cached)"
-	default:
+	var notes []string
+	if res.PlanCached() {
+		notes = append(notes, "plan: cached")
+	}
+	if how := res.PartitionOutcome(); how != "built" {
+		notes = append(notes, "partition: "+how)
+	}
+	if len(notes) == 0 {
 		return ""
 	}
+	return " (" + strings.Join(notes, ", ") + ")"
 }
 
 // execOpts carry the REPL toggles into statement execution.

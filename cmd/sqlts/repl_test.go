@@ -153,6 +153,8 @@ INSERT INTO q VALUES ('2020-01-01', 1), ('2020-01-02', 2), ('2020-01-03', 1);
 \timing on
 SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
+INSERT INTO q VALUES ('2020-01-04', 3);
+SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 \cache
 \q
 `)
@@ -162,19 +164,20 @@ SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 	}
 	got := out.String()
 	for _, want := range []string{
-		"(plan: cached, partition: cached)", // timing note on the repeat
+		"(plan: cached, partition: cached)",                      // timing note on the repeat
+		"(plan: cached, partition: refreshed (1 of 1 clusters))", // and on the run after the INSERT
 		"plan cache:",
 		"partition cache:",
 		"hit rate",
-		"table q: version 3 (3 rows)", // one version bump per inserted row
+		"table q: version 2 (4 rows)", // one version bump per INSERT statement
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("REPL output missing %q:\n%s", want, got)
 		}
 	}
 	// The cold first SELECT must not claim a cache hit.
-	if strings.Count(got, "plan: cached") != 1 {
-		t.Errorf("expected exactly one cached timing note:\n%s", got)
+	if strings.Count(got, "plan: cached") != 2 {
+		t.Errorf("expected exactly two cached timing notes:\n%s", got)
 	}
 }
 

@@ -45,7 +45,7 @@ func (q *Query) reportBody(res *Result, opts RunOptions) string {
 	var b strings.Builder
 	b.WriteString(q.Explain())
 	fmt.Fprintf(&b, "plan: %s (revision %d)\n", planWord(q.planCached), q.plan.revision)
-	fmt.Fprintf(&b, "partition: %s\n", cachedWord(res.partitionCached))
+	fmt.Fprintf(&b, "partition: %s\n", res.partition)
 	if res.vectorized {
 		b.WriteString("execution: vectorized (selection bitmasks)\n")
 	}

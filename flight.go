@@ -166,7 +166,7 @@ func (db *DB) emitEvent(q *Query, opts RunOptions, fl *obs.Flight, res *Result, 
 		ev.PredEvals = res.Stats.PredEvals
 		ev.Rollbacks = res.Stats.Rollbacks
 		ev.Matches = int64(res.Stats.Matches)
-		ev.PartitionCached = res.partitionCached
+		ev.PartitionCached = res.partition.cached
 		ev.Vectorized = res.vectorized
 		ev.Shards = res.shardCount
 	}

@@ -77,6 +77,22 @@ func (s *MaskStats) Add(o *MaskStats) {
 	}
 }
 
+// Sub removes o, which an earlier Add put into s: when a cluster's masks
+// are rebuilt, its old measurement leaves the aggregate and the new one
+// joins it. The counts are integers, so the result is exactly the
+// aggregate a from-scratch build would have reached.
+func (s *MaskStats) Sub(o *MaskStats) {
+	s.Rows -= o.Rows
+	for j, h := range o.ElemHits {
+		s.ElemHits[j] -= h
+	}
+	for j, hs := range o.CondHits {
+		for ci, h := range hs {
+			s.CondHits[j][ci] -= h
+		}
+	}
+}
+
 // MaskSet holds the per-element selection bitmasks of one projected
 // sequence, plus the selectivity stats measured while building them.
 // Like a Projection it covers one cluster, is immutable to executors

@@ -1,0 +1,154 @@
+package storage
+
+import (
+	"errors"
+	"sync"
+)
+
+// Clustering is one immutable generation of a table's CLUSTER BY /
+// SEQUENCE BY partition (paper Figure 1): the rows grouped by the cluster
+// columns, groups in first-appearance order, each group sorted ascending
+// by the sequence columns. With no cluster columns the whole table is one
+// group.
+//
+// Tables are append-only, so a generation is also the base of the next
+// one: Refresh regroups only the rows appended since and re-sorts only the
+// groups they land in. Building from scratch is Refresh on the empty
+// generation NewClustering returns — grouping and sorting have this one
+// implementation.
+type Clustering struct {
+	// Groups holds one row slice per cluster. They never alias mutable
+	// table storage and are never written after the generation is
+	// returned, so they are safe to share read-only across goroutines.
+	Groups [][]Row
+	// Rows is the number of table rows the generation covers: the length
+	// of the snapshot it consumed, and the sum of its group lengths.
+	Rows int
+	// Version is the table data version of that snapshot.
+	Version uint64
+
+	table      *Table
+	cidx, sidx []int
+	keys       *clusterKeys // nil without cluster columns
+}
+
+// clusterKeys is the cluster directory shared by every generation of one
+// lineage: encoded cluster key → group index. An index is the key's rank
+// by first appearance in the append-only row log, so the directory only
+// grows, and concurrent refreshes of one base assign identical indexes
+// whichever runs first.
+type clusterKeys struct {
+	mu sync.Mutex
+	m  map[string]int32
+}
+
+var (
+	errShrunk   = errors.New("storage: table holds fewer rows than its clustering consumed")
+	errDiverged = errors.New("storage: table rows are not an extension of the clustered prefix")
+)
+
+// NewClustering returns the empty generation of t's partition by the named
+// columns: no rows consumed, no groups.
+func (t *Table) NewClustering(clusterBy, sequenceBy []string) (*Clustering, error) {
+	cidx, err := t.resolve(clusterBy)
+	if err != nil {
+		return nil, err
+	}
+	sidx, err := t.resolve(sequenceBy)
+	if err != nil {
+		return nil, err
+	}
+	c := &Clustering{table: t, cidx: cidx, sidx: sidx}
+	if len(cidx) > 0 {
+		c.keys = &clusterKeys{m: map[string]int32{}}
+	}
+	return c, nil
+}
+
+// Table returns the table the clustering partitions.
+func (c *Clustering) Table() *Table { return c.table }
+
+// Refresh derives the generation for the table's current snapshot. Groups
+// that received no appended row are carried over sharing c's row slices;
+// a group that did gets a fresh slice (c stays valid for its readers) and
+// is stable-sorted again, which yields exactly what sorting the whole log
+// would: c's order already breaks ties by log position, and the appended
+// rows follow in log order. New keys become new groups after c's. resorted
+// lists the carried-over groups that were rebuilt this way, in first-touch
+// order; groups at index len(c.Groups) and up are new.
+//
+// An error means no successor could be derived from c — the table shrank
+// or was edited in place, or the appended rows do not compare under the
+// sequence columns — and the caller should build from the empty
+// generation, which reports a sort failure as its own error.
+func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
+	rows, version := c.table.Snapshot()
+	if len(rows) < c.Rows {
+		return nil, nil, errShrunk
+	}
+	next = &Clustering{
+		Groups: c.Groups, Rows: len(rows), Version: version,
+		table: c.table, cidx: c.cidx, sidx: c.sidx, keys: c.keys,
+	}
+	delta := rows[c.Rows:]
+	if len(delta) == 0 {
+		return next, nil, nil
+	}
+	carried := len(c.Groups)
+	var groups [][]Row
+	if c.keys == nil {
+		var prev []Row
+		if carried > 0 {
+			prev, resorted = c.Groups[0], []int{0}
+		}
+		g := make([]Row, 0, len(prev)+len(delta))
+		groups = [][]Row{append(append(g, prev...), delta...)}
+	} else {
+		groups = append(groups, c.Groups...)
+		var copied map[int]bool
+		// One scratch buffer serves every row's key; a key is only
+		// materialized as a string when its group first appears (map probes
+		// on string(scratch) don't allocate).
+		var scratch []byte
+		c.keys.mu.Lock()
+		for _, r := range delta {
+			scratch = appendClusterKey(scratch[:0], r, c.cidx)
+			i, ok := c.keys.m[string(scratch)]
+			if !ok {
+				i = int32(len(c.keys.m))
+				c.keys.m[string(scratch)] = i
+			}
+			gi := int(i)
+			switch {
+			case gi == len(groups):
+				groups = append(groups, nil)
+			case gi > len(groups):
+				// A key this log prefix should have introduced was assigned
+				// later: the rows under c were edited, not appended to.
+				c.keys.mu.Unlock()
+				return nil, nil, errDiverged
+			case gi < carried && !copied[gi]:
+				if copied == nil {
+					copied = map[int]bool{}
+				}
+				copied[gi] = true
+				resorted = append(resorted, gi)
+				groups[gi] = append(make([]Row, 0, len(groups[gi])+1), groups[gi]...)
+			}
+			groups[gi] = append(groups[gi], r)
+		}
+		c.keys.mu.Unlock()
+	}
+	for _, gi := range resorted {
+		if err := SortBySequence(groups[gi], c.sidx); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, g := range groups[carried:] {
+		if err := SortBySequence(g, c.sidx); err != nil {
+			return nil, nil, err
+		}
+	}
+	next.Groups = groups
+	return next, resorted, nil
+}

@@ -211,53 +211,20 @@ func (t *Table) Cluster(clusterBy, sequenceBy []string) ([][]Row, error) {
 }
 
 // ClusterVersion is Cluster over an atomic Snapshot: it additionally
-// returns the data version the partition was built from, so caches can
-// pair the shared [][]Row with the exact table state it reflects. The
-// returned groups never alias mutable table storage (group backing
-// arrays are freshly built), so they are safe to share read-only across
-// goroutines.
+// returns the data version the partition was built from, so callers can
+// pair the shared [][]Row with the exact table state it reflects. It is a
+// from-scratch build — Refresh on the empty Clustering — that keeps
+// nothing for a later refresh. The returned groups never alias mutable
+// table storage, so they are safe to share read-only across goroutines.
 func (t *Table) ClusterVersion(clusterBy, sequenceBy []string) ([][]Row, uint64, error) {
-	cidx, err := t.resolve(clusterBy)
+	c, err := t.NewClustering(clusterBy, sequenceBy)
 	if err != nil {
 		return nil, 0, err
 	}
-	sidx, err := t.resolve(sequenceBy)
-	if err != nil {
+	if c, _, err = c.Refresh(); err != nil {
 		return nil, 0, err
 	}
-	rows, version := t.Snapshot()
-
-	var groups [][]Row
-	if len(cidx) == 0 {
-		if len(rows) > 0 {
-			groups = [][]Row{append([]Row(nil), rows...)}
-		}
-	} else {
-		order := make(map[string]int)
-		// One scratch buffer serves every row's key; group keys are only
-		// materialized as strings when a new group first appears (map
-		// probes on string(scratch) don't allocate).
-		var scratch []byte
-		for _, r := range rows {
-			scratch = appendClusterKey(scratch[:0], r, cidx)
-			gi, ok := order[string(scratch)]
-			if !ok {
-				gi = len(groups)
-				order[string(scratch)] = gi
-				groups = append(groups, nil)
-			}
-			groups[gi] = append(groups[gi], r)
-		}
-	}
-
-	if len(sidx) > 0 {
-		for _, g := range groups {
-			if err := SortBySequence(g, sidx); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	return groups, version, nil
+	return c.Groups, c.Version, nil
 }
 
 // SortBySequence stable-sorts rows ascending by the indexed sequence

@@ -60,6 +60,7 @@ type dbMetrics struct {
 	partitionCacheHits          *obs.Counter
 	partitionCacheMisses        *obs.Counter
 	partitionCacheInvalidations *obs.Counter
+	partitionCacheRefreshes     *obs.Counter
 
 	shardsConfigured   *obs.Gauge
 	shardQueries       *obs.Counter
@@ -154,6 +155,8 @@ func newDBMetrics() *dbMetrics {
 			"Executions that built a cluster partition."),
 		partitionCacheInvalidations: reg.Counter("sqlts_partition_cache_invalidations_total",
 			"Cached partitions replaced because the table version moved (inserts/loads)."),
+		partitionCacheRefreshes: reg.Counter("sqlts_partition_cache_refreshes_total",
+			"Partition misses served by refreshing the stale cached partition per cluster instead of rebuilding it."),
 		shardsConfigured: reg.Gauge("sqlts_shards_configured",
 			"Shard count set via SetShards (0 or 1 = unsharded path)."),
 		shardQueries: reg.Counter("sqlts_shard_queries_total",
@@ -305,7 +308,7 @@ func (db *DB) observeRun(q *Query, opts RunOptions, fl *obs.Flight, res *Result,
 		Matches:         int64(res.Stats.Matches),
 		AdmissionWaitNs: admWait.Nanoseconds(),
 		PlanCached:      q.planCached,
-		PartitionCached: res.partitionCached,
+		PartitionCached: res.partition.cached,
 		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
 		Naive:           q.effectiveExecutor(opts) == NaiveExec,
 		Vectorized:      res.vectorized,

@@ -11,11 +11,14 @@ package sqlts
 //     positive-domain declarations invalidate plans; inserts do not).
 //   - partitionCache: LRU keyed by (table, clusterBy, sequenceBy),
 //     validated against storage.Table's monotonic data version. Inserts
-//     bump the version, so the next query rebuilds; in-flight queries
-//     keep reading the old immutable [][]Row (copy-on-invalidate).
+//     bump the version, so the next query refreshes the entry: only the
+//     clusters the appended rows land in are re-sorted, and only their
+//     projections and masks rebuilt; in-flight queries keep reading the
+//     old immutable generation (copy-on-write per cluster).
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 
@@ -72,10 +75,12 @@ func normalizeSQL(sql string) string {
 // planCache is an LRU of compiled plans keyed by normalized SQL.
 // Entries carry the catalog version they were compiled under; get
 // treats a version mismatch as a miss and evicts the stale entry.
+// onEvict is told of every plan that leaves the cache, after it left.
 type planCache struct {
 	capacity int
 	order    *list.List // front = most recently used
 	entries  map[string]*list.Element
+	onEvict  func(*Plan)
 }
 
 type planEntry struct {
@@ -83,8 +88,8 @@ type planEntry struct {
 	plan *Plan
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}}
+func newPlanCache(capacity int, onEvict func(*Plan)) *planCache {
+	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}, onEvict: onEvict}
 }
 
 // get returns the cached plan for key when its catalog version still
@@ -96,8 +101,7 @@ func (c *planCache) get(key string, catalog uint64) *Plan {
 	}
 	e := el.Value.(*planEntry)
 	if e.plan.catalogVersion != catalog {
-		c.order.Remove(el)
-		delete(c.entries, key)
+		c.remove(el)
 		return nil
 	}
 	c.order.MoveToFront(el)
@@ -109,29 +113,52 @@ func (c *planCache) put(key string, p *Plan) {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*planEntry).plan = p
+		c.swap(el, p)
 		c.order.MoveToFront(el)
 		return
 	}
 	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: p})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
+	c.trim(c.capacity)
+}
+
+// swap replaces the plan an entry holds, evicting the one it held.
+func (c *planCache) swap(el *list.Element, p *Plan) {
+	e := el.Value.(*planEntry)
+	old := e.plan
+	e.plan = p
+	c.onEvict(old)
+}
+
+func (c *planCache) remove(el *list.Element) {
+	e := c.order.Remove(el).(*planEntry)
+	delete(c.entries, e.key)
+	c.onEvict(e.plan)
+}
+
+// trim evicts least-recently-used plans until at most n remain.
+func (c *planCache) trim(n int) {
+	for c.order.Len() > max(n, 0) {
+		c.remove(c.order.Back())
 	}
 }
 
-func (c *planCache) purge() {
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
+// usesKernel reports whether a cached plan runs kernel k.
+func (c *planCache) usesKernel(k *pattern.Kernel) bool {
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if el.Value.(*planEntry).plan.kernel == k {
+			return true
+		}
+	}
+	return false
 }
 
 // partitionCache is an LRU of clustered partitions keyed by
 // (table, clusterBy, sequenceBy). Each entry pins the exact *Table it
-// was built from and that table's data version at build time, so a
-// replaced table (RegisterTable/LoadCSV under the same name) or any
-// Insert invalidates it. The [][]Row payload is immutable and shared
-// read-only by every execution that hits it.
+// was built from and that table's data version, so a replaced table
+// (RegisterTable/LoadCSV under the same name) or any Insert makes it
+// stale. A stale entry over the same table is the base the next query
+// refreshes from. Entries are immutable generations shared read-only by
+// every execution that holds one.
 type partitionCache struct {
 	capacity int
 	order    *list.List
@@ -139,59 +166,99 @@ type partitionCache struct {
 }
 
 type partitionEntry struct {
-	key      string
-	table    *storage.Table
-	version  uint64
-	clusters [][]storage.Row
-	rows     int // total input rows across clusters
+	key string
+	*storage.Clustering
 
-	// projs memoizes per-cluster columnar projections per kernel, built
-	// lazily on first execution of each plan over this partition. The
-	// projection is a pure function of the (immutable) cluster rows, so
-	// sharing it is observationally identical to rebuilding; it just
-	// removes the O(rows) decode from every warm run. Entries pin their
-	// kernels, but both live no longer than the partition (dropped on
-	// invalidation or eviction) and the cache is capacity-bounded.
-	mu    sync.Mutex
-	projs map[*pattern.Kernel][]*storage.Projection
-
-	// masks memoizes per-cluster selection bitmasks per kernel (PR 8):
-	// one MaskSet per cluster, built from the shared projection by the
-	// kernel's vectorized compare loops. Like the projections they are a
-	// pure function of the immutable cluster rows, so warm executions
-	// reuse them and every probe of a mask-covered element collapses to a
-	// bit test. maskAgg keeps the build-time per-condition match counts,
-	// aggregated across clusters, for the stats-fed adaptive optimizer.
-	masks   map[*pattern.Kernel][]*pattern.MaskSet
-	maskAgg map[*pattern.Kernel]*pattern.MaskStats
+	// memo holds, per kernel, the clusters' columnar projections and
+	// selection bitmasks, built lazily on the first execution of each plan
+	// over this partition. Both are pure functions of the (immutable)
+	// cluster rows, so sharing them is observationally identical to
+	// rebuilding; it removes the O(rows) decode and mask build from every
+	// warm run. A refreshed entry adopts its predecessor's memos and
+	// rebuilds only the clusters that changed, on the kernel's next use.
+	mu   sync.Mutex
+	memo map[*pattern.Kernel]*kernelMemo
 }
 
-// projections returns one shared read-only projection per cluster for k,
-// building them on first use. Returns nil when k has nothing compiled
-// (the interpreter path needs no projection).
+// kernelMemo is one kernel's per-cluster state over a partition. Its
+// slices are handed to running queries and shared with the generation the
+// memo was adopted from, so they are replaced, never written, once set.
+type kernelMemo struct {
+	projs []*storage.Projection
+	// masks (PR 8) collapse every probe of a mask-covered element to a bit
+	// test; nil until a vectorized run asks. agg keeps the build-time
+	// per-condition match counts summed over clusters, for the stats-fed
+	// adaptive optimizer.
+	masks []*pattern.MaskSet
+	agg   *pattern.MaskStats
+	// stale lists clusters whose rows changed since projs and masks were
+	// built; clusters past len(projs) have no state yet.
+	stale []int
+}
+
+// memoLocked returns k's memo with a current projection for every
+// cluster (and current masks, if it has masks at all). A first use
+// builds them all; after a refresh only the stale and the new clusters
+// are rebuilt, and their old mask counts leave agg as the new ones join.
+func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
+	m := e.memo[k]
+	if m == nil {
+		m = &kernelMemo{}
+		if e.memo == nil {
+			e.memo = map[*pattern.Kernel]*kernelMemo{}
+		}
+		e.memo[k] = m
+	}
+	n := len(e.Groups)
+	if len(m.stale) == 0 && len(m.projs) == n {
+		return m
+	}
+	projs := make([]*storage.Projection, n)
+	copy(projs, m.projs)
+	var masks []*pattern.MaskSet
+	var agg *pattern.MaskStats
+	if m.masks != nil {
+		masks = make([]*pattern.MaskSet, n)
+		copy(masks, m.masks)
+		agg = &pattern.MaskStats{}
+		agg.Add(m.agg)
+	}
+	rebuild := func(ci int) {
+		projs[ci] = k.NewProjection()
+		projs[ci].SetRows(e.Groups[ci])
+		if masks == nil {
+			return
+		}
+		if ci < len(m.masks) {
+			agg.Sub(m.masks[ci].Stats())
+		}
+		masks[ci] = k.BuildMasks(projs[ci], nil)
+		agg.Add(masks[ci].Stats())
+	}
+	for _, ci := range m.stale {
+		// A cluster re-sorted by several refreshes is listed once per
+		// refresh; one added after the memo was built is covered below.
+		if ci < len(m.projs) && projs[ci] == m.projs[ci] {
+			rebuild(ci)
+		}
+	}
+	for ci := len(m.projs); ci < n; ci++ {
+		rebuild(ci)
+	}
+	m.projs, m.masks, m.agg, m.stale = projs, masks, agg, nil
+	return m
+}
+
+// projections returns one shared read-only projection per cluster for k.
+// Returns nil when k has nothing compiled (the interpreter path needs no
+// projection).
 func (e *partitionEntry) projections(k *pattern.Kernel) []*storage.Projection {
 	if k == nil || k.CompiledElems() == 0 {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.projectionsLocked(k)
-}
-
-func (e *partitionEntry) projectionsLocked(k *pattern.Kernel) []*storage.Projection {
-	if ps, ok := e.projs[k]; ok {
-		return ps
-	}
-	ps := make([]*storage.Projection, len(e.clusters))
-	for i, cl := range e.clusters {
-		ps[i] = k.NewProjection()
-		ps[i].SetRows(cl)
-	}
-	if e.projs == nil {
-		e.projs = map[*pattern.Kernel][]*storage.Projection{}
-	}
-	e.projs[k] = ps
-	return ps
+	return e.memoLocked(k).projs
 }
 
 // masksFor returns one shared read-only MaskSet per cluster for k plus
@@ -203,23 +270,65 @@ func (e *partitionEntry) masksFor(k *pattern.Kernel) ([]*pattern.MaskSet, *patte
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ms, ok := e.masks[k]; ok {
-		return ms, e.maskAgg[k]
+	m := e.memoLocked(k)
+	if m.masks == nil {
+		m.masks = make([]*pattern.MaskSet, len(m.projs))
+		m.agg = &pattern.MaskStats{}
+		for ci, p := range m.projs {
+			m.masks[ci] = k.BuildMasks(p, nil)
+			m.agg.Add(m.masks[ci].Stats())
+		}
 	}
-	ps := e.projectionsLocked(k)
-	ms := make([]*pattern.MaskSet, len(e.clusters))
-	agg := &pattern.MaskStats{}
-	for i := range e.clusters {
-		ms[i] = k.BuildMasks(ps[i], nil)
-		agg.Add(ms[i].Stats())
+	return m.masks, m.agg
+}
+
+// adopt seeds e, the refresh of old, with old's memos, marking the
+// clusters the refresh re-sorted as stale in each. Only kernels that can
+// run again are kept: those of cached plans, and keep, the kernel of the
+// run that triggered the refresh (a long-lived Query handle's plan may
+// have left the plan cache). A memo with more stale marks than clusters
+// is cheaper to rebuild than to carry. Callers hold db.cacheMu, so no
+// plan is evicted between this selection and e entering the cache.
+func (e *partitionEntry) adopt(old *partitionEntry, resorted []int, plans *planCache, keep *pattern.Kernel) {
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	if len(old.memo) == 0 {
+		return
 	}
-	if e.masks == nil {
-		e.masks = map[*pattern.Kernel][]*pattern.MaskSet{}
-		e.maskAgg = map[*pattern.Kernel]*pattern.MaskStats{}
+	e.memo = map[*pattern.Kernel]*kernelMemo{}
+	carry := func(k *pattern.Kernel) {
+		m := old.memo[k]
+		if m == nil || e.memo[k] != nil || len(m.stale)+len(resorted) > len(e.Groups) {
+			return
+		}
+		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
+		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, agg: m.agg, stale: stale}
 	}
-	e.masks[k] = ms
-	e.maskAgg[k] = agg
-	return ms, agg
+	carry(keep)
+	for el := plans.order.Front(); el != nil; el = el.Next() {
+		carry(el.Value.(*planEntry).plan.kernel)
+	}
+}
+
+// forget drops k's memo.
+func (e *partitionEntry) forget(k *pattern.Kernel) {
+	e.mu.Lock()
+	delete(e.memo, k)
+	e.mu.Unlock()
+}
+
+// forgetKernel is the plan cache's eviction hook: the evicted plan's
+// kernel leaves every cached partition's memo, unless another cached plan
+// (an adaptive revision that kept the kernel) still runs it. Without this
+// the memos, which now survive inserts, would grow with every statement
+// text ever compiled. Runs under db.cacheMu.
+func (db *DB) forgetKernel(p *Plan) {
+	if p.kernel == nil || db.plans.usesKernel(p.kernel) {
+		return
+	}
+	for el := db.parts.order.Front(); el != nil; el = el.Next() {
+		el.Value.(*partitionEntry).forget(p.kernel)
+	}
 }
 
 func newPartitionCache(capacity int) *partitionCache {
@@ -244,47 +353,44 @@ func partitionKey(table string, clusterBy, sequenceBy []string) string {
 	return b.String()
 }
 
-// get returns the cached partition when it was built from this exact
-// table at its current version. Callers hold db.cacheMu.
-func (c *partitionCache) get(key string, t *storage.Table) *partitionEntry {
+// get returns the entry stored under key, current or stale, promoting
+// it. Callers hold db.cacheMu.
+func (c *partitionCache) get(key string) *partitionEntry {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*partitionEntry)
-	if e.table != t || e.version != t.Version() {
-		return nil // stale; left in place so put can count the invalidation
-	}
 	c.order.MoveToFront(el)
-	return e
+	return el.Value.(*partitionEntry)
 }
 
-// put stores a freshly built partition and reports whether it replaced
-// a stale entry for the same key (an invalidation rather than a cold
-// miss).
-func (c *partitionCache) put(e *partitionEntry) (invalidated bool) {
+// replace stores e where the caller found old (nil: found nothing) and
+// reports whether it took a stale entry's place — an invalidation rather
+// than a cold miss. When a concurrent run got there first the cache keeps
+// that run's entry and e serves its own run only.
+func (c *partitionCache) replace(old, e *partitionEntry) (invalidated bool) {
 	if c.capacity <= 0 {
 		return false
 	}
 	if el, ok := c.entries[e.key]; ok {
-		old := el.Value.(*partitionEntry)
-		invalidated = old.table != e.table || old.version != e.version
+		if el.Value.(*partitionEntry) != old {
+			return false
+		}
 		el.Value = e
 		c.order.MoveToFront(el)
-		return invalidated
+		return true
 	}
 	c.entries[e.key] = c.order.PushFront(e)
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*partitionEntry).key)
-	}
+	c.trim(c.capacity)
 	return false
 }
 
-func (c *partitionCache) purge() {
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
+// trim evicts least-recently-used partitions until at most n remain.
+func (c *partitionCache) trim(n int) {
+	for c.order.Len() > max(n, 0) {
+		e := c.order.Remove(c.order.Back()).(*partitionEntry)
+		delete(c.entries, e.key)
+	}
 }
 
 // Default cache capacities; tune with SetPlanCacheCapacity and
@@ -336,15 +442,7 @@ func (db *DB) SetPlanCacheCapacity(n int) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
 	db.plans.capacity = n
-	if n <= 0 {
-		db.plans.purge()
-		return
-	}
-	for db.plans.order.Len() > n {
-		oldest := db.plans.order.Back()
-		db.plans.order.Remove(oldest)
-		delete(db.plans.entries, oldest.Value.(*planEntry).key)
-	}
+	db.plans.trim(n)
 }
 
 // SetPartitionCacheCapacity resizes the partition cache (and the
@@ -355,15 +453,7 @@ func (db *DB) SetPartitionCacheCapacity(n int) {
 	defer db.cacheMu.Unlock()
 	db.parts.capacity = n
 	db.shardParts.resize(n)
-	if n <= 0 {
-		db.parts.purge()
-		return
-	}
-	for db.parts.order.Len() > n {
-		oldest := db.parts.order.Back()
-		db.parts.order.Remove(oldest)
-		delete(db.parts.entries, oldest.Value.(*partitionEntry).key)
-	}
+	db.parts.trim(n)
 }
 
 // PurgeCaches empties both serving caches (capacities are kept). Useful
@@ -372,8 +462,8 @@ func (db *DB) SetPartitionCacheCapacity(n int) {
 func (db *DB) PurgeCaches() {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
-	db.plans.purge()
-	db.parts.purge()
+	db.parts.trim(0)
+	db.plans.trim(0)
 	db.shardParts.purge()
 }
 
@@ -398,47 +488,83 @@ func (db *DB) storePlan(key string, p *Plan) {
 	db.cacheMu.Unlock()
 }
 
+// partitionOutcome says how a run came by its partition.
+type partitionOutcome struct {
+	cached bool
+	// refreshed: derived from the stale cached generation by re-sorting
+	// or adding dirty of its clusters. Not a hit — rows were sorted.
+	refreshed       bool
+	dirty, clusters int
+}
+
+func (o partitionOutcome) String() string {
+	if o.refreshed {
+		return fmt.Sprintf("refreshed (%d of %d clusters)", o.dirty, o.clusters)
+	}
+	return cachedWord(o.cached)
+}
+
 // partition returns the clustered partition of t for the plan's
-// clusterBy/sequenceBy, serving it from the cache when the table
-// version still matches. The entry's clusters (and any projections built
-// from them) are shared and must be treated as read-only. cached reports
-// whether the partition came from the cache. A bypass run builds a
-// transient entry that is never stored, so it shares nothing.
-func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, bypass bool) (part *partitionEntry, cached bool, err error) {
-	if bypass {
-		cl, version, err := t.ClusterVersion(clusterBy, sequenceBy)
-		if err != nil {
-			return nil, false, err
+// clusterBy/sequenceBy, serving it from the cache when the table version
+// still matches. A stale entry over the same table is refreshed —
+// storage.Clustering.Refresh re-sorts only the clusters the appended rows
+// land in — and its memos carried over (k is the asking run's kernel; see
+// adopt); anything else is built from the empty clustering. Either way it
+// counts as a miss, and as an invalidation when it replaces the stale
+// entry. The entry's clusters (and any projections built from them) are
+// shared and must be treated as read-only. A bypass run builds a transient
+// entry that is never stored, so it shares nothing.
+func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, k *pattern.Kernel, bypass bool) (*partitionEntry, partitionOutcome, error) {
+	var out partitionOutcome
+	var old *partitionEntry
+	var key string
+	if !bypass {
+		key = partitionKey(t.Name, clusterBy, sequenceBy)
+		db.cacheMu.Lock()
+		old = db.parts.get(key)
+		db.cacheMu.Unlock()
+		if old != nil && old.Table() == t && old.Version == t.Version() {
+			db.metrics.partitionCacheHits.Inc()
+			out.cached = true
+			return old, out, nil
 		}
-		return &partitionEntry{table: t, version: version, clusters: cl, rows: countRows(cl)}, false, nil
+		db.metrics.partitionCacheMisses.Inc()
 	}
-	key := partitionKey(t.Name, clusterBy, sequenceBy)
+	e := &partitionEntry{key: key}
+	var resorted []int
+	if old != nil && old.Table() == t {
+		// An error here (the table shrank, or the appended rows do not
+		// sort) leaves the full build below to succeed or to report it.
+		if c, rs, err := old.Refresh(); err == nil {
+			e.Clustering, resorted = c, rs
+			out.refreshed = true
+			out.dirty = len(rs) + len(c.Groups) - len(old.Groups)
+			out.clusters = len(c.Groups)
+		}
+	}
+	if e.Clustering == nil {
+		c, err := t.NewClustering(clusterBy, sequenceBy)
+		if err != nil {
+			return nil, out, err
+		}
+		if e.Clustering, _, err = c.Refresh(); err != nil {
+			return nil, out, err
+		}
+	}
+	if bypass {
+		return e, out, nil
+	}
 	db.cacheMu.Lock()
-	e := db.parts.get(key, t)
-	db.cacheMu.Unlock()
-	if e != nil {
-		db.metrics.partitionCacheHits.Inc()
-		return e, true, nil
+	if out.refreshed {
+		e.adopt(old, resorted, db.plans, k)
 	}
-	cl, version, err := t.ClusterVersion(clusterBy, sequenceBy)
-	if err != nil {
-		return nil, false, err
-	}
-	db.metrics.partitionCacheMisses.Inc()
-	e = &partitionEntry{key: key, table: t, version: version, clusters: cl, rows: countRows(cl)}
-	db.cacheMu.Lock()
-	invalidated := db.parts.put(e)
+	invalidated := db.parts.replace(old, e)
 	db.cacheMu.Unlock()
 	if invalidated {
 		db.metrics.partitionCacheInvalidations.Inc()
 	}
-	return e, false, nil
-}
-
-func countRows(clusters [][]storage.Row) int {
-	n := 0
-	for _, c := range clusters {
-		n += len(c)
+	if out.refreshed {
+		db.metrics.partitionCacheRefreshes.Inc()
 	}
-	return n
+	return e, out, nil
 }

@@ -3,8 +3,10 @@ package sqlts
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sqlts/internal/storage"
@@ -255,8 +257,8 @@ func TestPartitionCache(t *testing.T) {
 	}
 	equalResults(t, "bypass vs cold", bypass, cold)
 
-	// Insert bumps the version; the next query rebuilds and sees the new
-	// rows (ACME now matches too).
+	// Insert bumps the version; the next query refreshes the partition and
+	// sees the new rows (ACME now matches too).
 	insertSeries(t, db, "ACME", 10000, 10, 12, 9, 9.5)
 	if v := db.Table("quote").Version(); v <= ver0 {
 		t.Errorf("version not bumped: %d -> %d", ver0, v)
@@ -323,6 +325,28 @@ func TestExplainAnalyzeCacheLines(t *testing.T) {
 	if !strings.Contains(text, "plan: cached") || !strings.Contains(text, "partition: cached") {
 		t.Errorf("warm EXPLAIN ANALYZE missing cache-hit lines:\n%s", text)
 	}
+	// After an insert the partition is refreshed, not rebuilt, and the
+	// report and the execute span say how much of it.
+	db.Table("djia").MustInsert(storage.NewDateDays(20100), storage.NewFloat(99.7))
+	res, err = db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refreshed = "partition: refreshed (1 of 1 clusters)"
+	if text = planText(res); !strings.Contains(text, refreshed) {
+		t.Errorf("EXPLAIN ANALYZE after an insert missing %q:\n%s", refreshed, text)
+	}
+	q, err := db.Prepare(doubleBottomSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Table("djia").MustInsert(storage.NewDateDays(20101), storage.NewFloat(99.8))
+	if _, err := q.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if span := q.Trace().String(); !strings.Contains(span, "partition=refreshed (1 of 1 clusters)") {
+		t.Errorf("execute span after an insert:\n%s", span)
+	}
 }
 
 func planText(res *Result) string {
@@ -376,8 +400,9 @@ func TestStreamViaDB(t *testing.T) {
 // goroutines issue the same and different SQL against one shared DB —
 // first over a static table (every cached result must be bit-identical
 // to an uncached reference), then while another goroutine Inserts
-// (forcing partition-cache invalidation; queries must never error or
-// serve rows the reference database doesn't explain). Run under -race.
+// (forcing partition-cache invalidation, served by per-cluster refreshes
+// racing one another over the same stale entries; queries must never error
+// or serve rows the reference database doesn't explain). Run under -race.
 func TestConcurrentServingStress(t *testing.T) {
 	seed := func() *DB {
 		db := quoteDB(t)
@@ -450,27 +475,34 @@ func TestConcurrentServingStress(t *testing.T) {
 	}
 
 	// Phase 2: same traffic while a writer Inserts (one row at a time,
-	// each bumping the table version and invalidating the partition).
+	// each bumping the table version and invalidating the partition). The
+	// writer lets a query finish between two inserts, so that the readers
+	// do meet stale partitions however the goroutines are scheduled.
 	tbl := db.Table("quote")
 	stop := make(chan struct{})
+	var served, gone atomic.Int64
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
+		defer close(stop)
 		for i := 0; i < 40; i++ {
 			tbl.MustInsert(
 				storage.NewString("NEWCO"),
 				storage.NewDateDays(int64(20000+i)),
 				storage.NewFloat(50+float64(i%7)),
 			)
+			for seen := served.Load(); served.Load() == seen && gone.Load() < goroutines; {
+				runtime.Gosched()
+			}
 		}
-		close(stop)
 	}()
 	errs = make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer gone.Add(1)
 			i := 0
 			for {
 				select {
@@ -482,6 +514,7 @@ func TestConcurrentServingStress(t *testing.T) {
 					errs <- err
 					return
 				}
+				served.Add(1)
 				i++
 			}
 		}(g)
@@ -491,6 +524,9 @@ func TestConcurrentServingStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if n := db.metrics.partitionCacheRefreshes.Value(); n == 0 {
+		t.Errorf("40 inserts under query traffic and no partition was refreshed: %+v", db.CacheStats())
 	}
 
 	// After the writer quiesces, the next query must observe every

@@ -53,9 +53,9 @@ func (db *DB) SetShards(n int) {
 func (db *DB) Shards() int { return int(db.nshards.Load()) }
 
 // shardCache is an LRU of sharded table partitions keyed like the flat
-// partition cache. Unlike flat entries, a stale sharded entry is not
-// discarded: it is the base for an incremental Refresh that rebuilds
-// only the shards the appended rows touched.
+// partition cache. As there, a stale entry is not discarded: it is the
+// base for an incremental Refresh, here one that rebuilds only the shards
+// the appended rows touched.
 type shardCache struct {
 	capacity int
 	order    *list.List
@@ -239,7 +239,7 @@ func (q *Query) runSharded(rc *runControl, res *Result, t *storage.Table, opts R
 	if err := rc.checkScanned(scanned); err != nil {
 		return nil, 0, err
 	}
-	res.partitionCached = cached
+	res.partition.cached = cached
 	res.shardCount = sp.NumShards()
 	fl := rc.flightRef()
 	if fl != nil {

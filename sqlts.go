@@ -117,7 +117,6 @@ func New() *DB {
 	db := &DB{
 		tables:     map[string]*storage.Table{},
 		positive:   map[string][]string{},
-		plans:      newPlanCache(defaultPlanCacheCapacity),
 		parts:      newPartitionCache(defaultPartitionCacheCapacity),
 		shardParts: newShardCache(defaultPartitionCacheCapacity),
 		metrics:    newDBMetrics(),
@@ -125,6 +124,7 @@ func New() *DB {
 		slow:       newSlowLog(defaultSlowLogCapacity),
 		traces:     newTraceStore(defaultTraceCapacity),
 	}
+	db.plans = newPlanCache(defaultPlanCacheCapacity, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()
 	db.flight.ring.Store(obs.NewEventRing(defaultEventRingCapacity))
 	db.flight.sample.Store(1)
@@ -182,13 +182,18 @@ func (db *DB) createTable(s *query.CreateTableStmt) error {
 	return nil
 }
 
+// insert applies one INSERT statement all-or-nothing: every row is
+// evaluated first and the batch committed with a single version bump, so
+// a failing statement leaves the table untouched and a succeeding one
+// costs the partition cache one refresh however many rows it carries.
 func (db *DB) insert(s *query.InsertStmt) error {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
 		return fmt.Errorf("sqlts: no table %q", s.Table)
 	}
-	for _, row := range s.Rows {
-		vals := make([]storage.Value, len(row))
+	rows := make([]storage.Row, len(s.Rows))
+	for ri, row := range s.Rows {
+		vals := make(storage.Row, len(row))
 		for i, e := range row {
 			v, err := query.EvalConst(e)
 			if err != nil {
@@ -204,9 +209,10 @@ func (db *DB) insert(s *query.InsertStmt) error {
 			}
 			vals[i] = v
 		}
-		if err := t.Insert(vals...); err != nil {
-			return err
-		}
+		rows[ri] = vals
+	}
+	if err := t.InsertBatch(rows); err != nil {
+		return fmt.Errorf("sqlts: INSERT INTO %s: %w", s.Table, err)
 	}
 	return nil
 }
@@ -392,12 +398,12 @@ type Result struct {
 	// Matches holds the raw match intervals per cluster, for tooling.
 	Matches []ClusterMatches
 
-	clusterStats    []ClusterStat
-	planCached      bool
-	partitionCached bool
-	vectorized      bool
-	shardCount      int
-	maskStats       *pattern.MaskStats
+	clusterStats []ClusterStat
+	planCached   bool
+	partition    partitionOutcome
+	vectorized   bool
+	shardCount   int
+	maskStats    *pattern.MaskStats
 }
 
 // Shards reports the shard count the execution scattered across (0 when
@@ -413,8 +419,16 @@ func (r *Result) Vectorized() bool { return r.vectorized }
 func (r *Result) PlanCached() bool { return r.planCached }
 
 // PartitionCached reports whether the execution reused a cached cluster
-// partition (no re-sort of the table).
-func (r *Result) PartitionCached() bool { return r.partitionCached }
+// partition (no re-sort of the table). A partition refreshed after an
+// insert re-sorted the clusters the new rows landed in, so it is not a
+// hit; PartitionOutcome tells the two misses apart.
+func (r *Result) PartitionCached() bool { return r.partition.cached }
+
+// PartitionOutcome names how the execution came by its cluster partition:
+// "cached", "built", or "refreshed (k of n clusters)" when the stale
+// cached partition was brought up to date by re-sorting or adding k of
+// its n clusters.
+func (r *Result) PartitionOutcome() string { return r.partition.String() }
 
 // ClusterMatches are the matches found within one cluster.
 type ClusterMatches struct {
@@ -853,14 +867,15 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
 		Annotate("rows-scanned", scanned).
 		Annotate("rows", len(res.Rows)).
 		Annotate("plan", cachedWord(q.planCached)).
-		Annotate("partition", cachedWord(res.partitionCached)).
+		Annotate("partition", res.partition.String()).
 		Annotate("stats", res.Stats.String()).
 		End()
 	q.db.observeRun(q, opts, fl, res, scanned, sp.Duration, admWait)
 	return res, nil
 }
 
-// cachedWord renders a cache outcome for spans and EXPLAIN ANALYZE.
+// cachedWord renders a cache outcome for spans and EXPLAIN ANALYZE. A
+// partition has a third outcome, "refreshed": see partitionOutcome.String.
 func cachedWord(hit bool) string {
 	if hit {
 		return "cached"
@@ -932,16 +947,16 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache && !opts.Trace {
 		return q.runSharded(rc, res, t, opts, n)
 	}
-	part, cached, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
+	part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
 	if err != nil {
 		return nil, 0, err
 	}
-	clusters, scanned := part.clusters, part.rows
+	clusters, scanned := part.Groups, part.Rows
 	if err := rc.checkScanned(scanned); err != nil {
 		return nil, 0, err
 	}
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
-	res.partitionCached = cached
+	res.partition = how
 	// Reuse the partition's memoized columnar projections (built on the
 	// first execution of this plan over it): warm runs skip the per-run
 	// O(rows) decode along with the sort.
@@ -979,6 +994,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		ex.SetVectorized(true)
 	}
 	fl := rc.flightRef()
+	res.clusterStats = make([]ClusterStat, 0, len(clusters))
 	for ci, seq := range clusters {
 		if err := faultExecCluster.Fire(); err != nil {
 			return nil, 0, err
@@ -1129,6 +1145,7 @@ func (q *Query) runParallel(rc *runControl, res *Result, clusters [][]storage.Ro
 	if err := rc.check(); err != nil {
 		return nil, err
 	}
+	res.clusterStats = make([]ClusterStat, 0, len(clusters))
 	for ci := range outs {
 		res.Stats.Add(outs[ci].stats)
 		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: ci, Rows: len(clusters[ci]), Stats: outs[ci].stats})
