@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -259,5 +260,101 @@ func TestStreamCancel(t *testing.T) {
 	}
 	if err := st.Close(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Close after cancel: %v; want ErrCanceled", err)
+	}
+}
+
+// TestPureLoopCancel: the pure-mask star loop consumes a star's whole run
+// of hits in one word scan, yet stays interruptible inside it. The query
+// is one cluster of one X row and a 1,000,000-row all-hits *Y run — a
+// single bulk step worth ~976 checkpoints. Warm runs repeat until a
+// cancel (or an operator kill) issued from another goroutine lands:
+// every run before it returns the full result, the one it lands on
+// returns the typed error and no result.
+func TestPureLoopCancel(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const run = 1_000_000
+	db := quoteDB(t)
+	tbl := db.Table("quote")
+	for i := 0; i <= run; i++ {
+		price := 2.0
+		if i == 0 {
+			price = 1
+		}
+		tbl.MustInsert(storage.NewString("S"), storage.NewDateDays(int64(10000+i)), storage.NewFloat(price))
+	}
+	q, err := db.Prepare(`
+		SELECT X.name, COUNT(Y) AS days
+		FROM quote
+		  CLUSTER BY name
+		  SEQUENCE BY date
+		  AS (X, *Y)
+		WHERE X.price = 1 AND Y.price = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := q.RunWith(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Rows) != 1 || ref.Stats.PredEvals != run+1 {
+		t.Fatalf("reference: %d rows, %d pred-evals; want 1 row, %d pred-evals", len(ref.Rows), ref.Stats.PredEvals, run+1)
+	}
+
+	// runUntil repeats the warm query until it fails, with stopper
+	// running beside it from the first run until that failure.
+	runUntil := func(t *testing.T, opts RunOptions, stopper func(failed <-chan struct{})) error {
+		t.Helper()
+		failed := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stopper(failed)
+		}()
+		defer wg.Wait()
+		defer close(failed)
+		for n := 0; n < 1_000_000; n++ {
+			res, err := q.RunWith(opts)
+			if err != nil {
+				if res != nil {
+					t.Fatalf("failed run returned a partial result (%d rows)", len(res.Rows))
+				}
+				return err
+			}
+			resultsEqual(t, fmt.Sprintf("run %d", n), ref, res)
+		}
+		t.Fatal("the stop never landed")
+		return nil
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err := runUntil(t, RunOptions{Context: ctx}, func(<-chan struct{}) { cancel() })
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrKilled) {
+			t.Fatalf("canceled run error = %v; want ErrCanceled wrapping context.Canceled", err)
+		}
+	})
+	t.Run("kill", func(t *testing.T) {
+		err := runUntil(t, RunOptions{}, func(failed <-chan struct{}) {
+			for {
+				select {
+				case <-failed:
+					return
+				default:
+				}
+				for _, s := range db.ActiveQueries() {
+					_ = db.KillQuery(s.ID, "pure-loop kill") // ErrNoSuchQuery: it just finished
+				}
+			}
+		})
+		if !errors.Is(err, ErrKilled) || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("killed run error = %v; want ErrKilled", err)
+		}
+	})
+	if rerun, err := q.RunWith(RunOptions{}); err != nil {
+		t.Fatalf("re-run after cancel and kill: %v", err)
+	} else {
+		resultsEqual(t, "re-run", ref, rerun)
 	}
 }

@@ -188,6 +188,10 @@ type evaluator struct {
 	ownMasks  *pattern.MaskSet
 	nextMasks *pattern.MaskSet
 	fastSkip  bool
+	// allPure extends fastSkip's condition to every element: each one's
+	// mask alone decides its probes, so OPS may run its pure-mask star
+	// loop (findAllStarPure).
+	allPure bool
 	// pure[j] is element j's mask when a bit test alone answers the probe
 	// (vectorized, no cross conditions); nil sends the probe through the
 	// kernel's masked dispatch. Rebuilt by reset, reusing the backing
@@ -292,7 +296,7 @@ func (e *evaluator) eval(j, i int) bool {
 // vectorized mode, building or adopting the selection bitmasks.
 func (e *evaluator) reset(seq []storage.Row) {
 	e.ctx.Seq = seq
-	e.masks, e.fastSkip = nil, false
+	e.masks, e.fastSkip, e.allPure = nil, false, false
 	if e.kern != nil {
 		if e.nextProj != nil && e.nextProj.Len() == len(seq) {
 			e.proj = e.nextProj
@@ -311,13 +315,6 @@ func (e *evaluator) reset(seq []storage.Row) {
 				e.ownMasks = e.kern.BuildMasks(e.proj, e.ownMasks)
 				e.masks = e.ownMasks
 			}
-			// Element 1's failed starts can be skipped in bulk when its
-			// mask alone decides them (no cross conditions) and nothing
-			// needs to observe each probe individually: path tracing
-			// records per-probe points, and fault injection ties its
-			// determinism to the exact eval cadence.
-			e.fastSkip = e.masks.Elem(0) != nil && !e.kern.ElemHasCross(0) &&
-				!e.doTrc && !fault.Active()
 			// Hoist the per-element pure-bit-test decision out of eval's
 			// hot path.
 			m := e.p.Len()
@@ -325,13 +322,23 @@ func (e *evaluator) reset(seq []storage.Row) {
 				e.pure = make([][]uint64, m)
 			}
 			e.pure = e.pure[:m]
+			allPure := true
 			for j := 0; j < m; j++ {
 				if mk := e.masks.Elem(j); mk != nil && !e.kern.ElemHasCross(j) {
 					e.pure[j] = mk
 				} else {
 					e.pure[j] = nil
+					allPure = false
 				}
 			}
+			// Probes a mask alone decides can be answered in bulk when
+			// nothing needs to observe each one individually: path tracing
+			// records per-probe points, and fault injection ties its
+			// determinism to the exact eval cadence. Element 1's mask
+			// covers the failed starts; all of them cover the whole search.
+			bulk := !e.doTrc && !fault.Active()
+			e.fastSkip = bulk && e.pure[0] != nil
+			e.allPure = bulk && allPure
 		}
 	}
 	e.nextMasks = nil
@@ -354,14 +361,33 @@ func (e *evaluator) nextCandidate(i, nn int) int {
 // selection bitmask. Each skipped row would have cost exactly one
 // predicate evaluation and one rollback in every executor (a mismatch at
 // the first element always shifts by one), so the counters — the paper's
-// metric — stay bit-identical to row-at-a-time execution. Cancellation
-// checkpoints fire once per crossed 1024-eval boundary, preserving the
-// row path's responsiveness.
+// metric — stay bit-identical to row-at-a-time execution.
 func (e *evaluator) skipEvals(k int64) {
-	old := e.stats.PredEvals
-	e.stats.PredEvals += k
 	e.stats.Rollbacks += k
-	if old>>10 != e.stats.PredEvals>>10 && (e.check != nil || fault.Active()) {
+	e.stats.PredEvals = e.addEvals(e.stats.PredEvals, k)
+}
+
+// addEvals books k predicate evaluations answered from a mask onto the
+// count evals and returns the new count, running the checkpoint once per
+// 1024-eval boundary crossed: a bulk answer keeps the cancellation and
+// live-progress cadence of k single probes. Search loops that keep the
+// count in a local pass it through here; the small body inlines.
+func (e *evaluator) addEvals(evals, k int64) int64 {
+	if (evals+k)>>10 != evals>>10 {
+		e.checkpoints(evals, k)
+	}
+	return evals + k
+}
+
+// checkpoints is addEvals' slow path, taken when the k evals cross at
+// least one boundary. The new count is stored first, so an unwinding
+// checkpoint leaves it behind.
+func (e *evaluator) checkpoints(evals, k int64) {
+	e.stats.PredEvals = evals + k
+	if e.check == nil && !fault.Active() {
+		return
+	}
+	for n := (evals+k)>>10 - evals>>10; n > 0; n-- {
 		e.checkpoint()
 	}
 }

@@ -126,13 +126,10 @@ func TestOPSEquivalenceStructured(t *testing.T) {
 	}
 }
 
-// TestOPSEquivalenceDoubleBottomShape fuzzes the exact Example 10 element
-// structure over many random walks — the configuration where the
-// star-row/plain-column certification bug was found.
-func TestOPSEquivalenceDoubleBottomShape(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	schema := priceSchema()
-	b := pattern.NewBuilder(schema).WithOptions(pattern.Options{PositiveColumns: []string{"price"}})
+// doubleBottomShape builds the Example 10 element structure (one plain
+// element, seven stars, one plain element) over the price schema.
+func doubleBottomShape() *pattern.Pattern {
+	b := pattern.NewBuilder(priceSchema()).WithOptions(pattern.Options{PositiveColumns: []string{"price"}})
 	flat := func() []pattern.Cond {
 		return []pattern.Cond{b.CmpPrevScaled("price", constraint.Gt, 0.98), b.CmpPrevScaled("price", constraint.Lt, 1.02)}
 	}
@@ -145,7 +142,15 @@ func TestOPSEquivalenceDoubleBottomShape(t *testing.T) {
 		Star("W", flat()...).
 		Star("R", b.CmpPrevScaled("price", constraint.Gt, 1.02)).
 		Elem("S", b.CmpPrevScaled("price", constraint.Le, 1.02))
-	p := b.MustBuild()
+	return b.MustBuild()
+}
+
+// TestOPSEquivalenceDoubleBottomShape fuzzes the exact Example 10 element
+// structure over many random walks — the configuration where the
+// star-row/plain-column certification bug was found.
+func TestOPSEquivalenceDoubleBottomShape(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	p := doubleBottomShape()
 	tables := core.Compute(p)
 
 	trials := 300

@@ -32,6 +32,9 @@ type OPS struct {
 	tables *core.Tables
 	cfg    OPSConfig
 	count  []int
+	// ranPure records whether the last FindAll took findAllStarPure, for
+	// the package's differential tests.
+	ranPure bool
 }
 
 // NewOPS builds an OPS executor for a pattern and its computed tables.
@@ -77,10 +80,16 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.reset(seq)
 	o.stats = Stats{}
 	o.trace = o.trace[:0]
-	if o.tables.HasStar {
-		return o.findAllStar(seq)
+	if !o.tables.HasStar {
+		return o.findAllPlain(seq)
 	}
-	return o.findAllPlain(seq)
+	// The pure-mask loop serves the default executor only; the ablation
+	// configs stay on the generic loop it is differenced against.
+	o.ranPure = o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy}
+	if o.ranPure {
+		return o.findAllStarPure(seq)
+	}
+	return o.findAllStar(seq)
 }
 
 // evalPlain evaluates element j at input i, materializing the implicit
@@ -150,59 +159,63 @@ func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
 	return out, o.stats
 }
 
+// countSpans builds a match's per-element spans from the §5 counters:
+// element k covers tuples count[k-1] .. count[k]-1 of the match, whose
+// first tuple is start (1-based). Every element of a reported match has
+// consumed at least one tuple, so every span is set.
+func countSpans(count []int, start int) []pattern.Span {
+	spans := make([]pattern.Span, len(count)-1)
+	for k := range spans {
+		spans[k] = pattern.Span{Start: start - 1 + count[k], End: start - 2 + count[k+1], Set: true}
+	}
+	return spans
+}
+
 // findAllStar is the §5 star runtime: a per-element cumulative counter
 // array count[] tracks how many input tuples each element consumed, and
 // mismatch rollback resumes at i - count[j-1] + count[shift+next-1] with
-// the counters (and bindings) re-based onto the shifted alignment.
+// the counters (and bindings) re-based onto the shifted alignment. It is
+// the generic loop: every probe goes through eval, so cross conditions,
+// the ablation configs, path tracing and fault injection all run here,
+// and findAllStarPure is differenced against it.
 func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 	var out []Match
 	nn := len(seq)
 	m := o.p.Len()
-	star := o.tables.Star
+	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
+	toNextRow := o.cfg.Policy == SkipToNextRow
+	noCounters, shiftOnly := o.cfg.NoCounters, o.cfg.ShiftOnly
+	lastRowSkip := o.cfg.LastRowSkip && !shiftOnly
+	fastSkip := o.fastSkip
 	count := o.count
 	count[0] = 0
+	// bind[k] is set only for elements the current attempt has entered
+	// (cross conditions read Set), so every exit from an attempt clears
+	// exactly the prefix that attempt set; reset left it all clear.
+	bind := o.ctx.Bind
 
 	i, j, inElem := 1, 1, 0
-	o.clearBinds()
-
-	record := func() (start int) {
-		start = i - count[m] // 1-based first tuple of the match
-		out = append(out, Match{Start: start - 1, End: i - 2, Spans: o.snapshotSpans()})
-		o.stats.Matches++
-		return start
-	}
-	restart := func(at int) {
-		i = at
-		j = 1
-		inElem = 0
-		o.clearBinds()
-	}
-
 	for {
-		if j > m {
-			start := record()
-			if o.cfg.Policy == SkipToNextRow {
-				restart(start + 1)
-			} else {
-				restart(i)
+		if j > m || (i > nn && j == m && star[m] && inElem > 0) {
+			// A match: every element is satisfied, or the input ran out
+			// inside a satisfied trailing star. Its spans are the counters.
+			start := i - count[m] // 1-based first tuple of the match
+			out = append(out, Match{Start: start - 1, End: i - 2, Spans: countSpans(count, start)})
+			o.stats.Matches++
+			if toNextRow {
+				i = start + 1
 			}
+			j, inElem = 1, 0
+			clear(bind)
 			continue
 		}
 		if i > nn {
-			// Input exhausted. If the last element is a satisfied star,
-			// the match is complete; otherwise no later attempt can
-			// finish either (greedy element boundaries are monotone in
-			// the start position), so the search ends.
-			if j == m && star[m] && inElem > 0 {
-				start := record()
-				if o.cfg.Policy == SkipToNextRow && start+1 <= nn {
-					restart(start + 1)
-					continue
-				}
-			}
+			// Input exhausted short of a match: no later attempt can
+			// finish either (greedy element boundaries are monotone in the
+			// start position), so the search ends.
 			break
 		}
-		if j == 1 && inElem == 0 && o.fastSkip {
+		if j == 1 && inElem == 0 && fastSkip {
 			// Same collapse as the plain loop: a fresh attempt failing at
 			// element 1 restarts one row later (next(1) = 0), costing one
 			// eval and one rollback per row, with bindings already clear.
@@ -214,9 +227,9 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 		}
 		if o.eval(j, i) {
 			if inElem == 0 {
-				o.ctx.Bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
+				bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
 			} else {
-				o.ctx.Bind[j-1].End = i - 1
+				bind[j-1].End = i - 1
 			}
 			i++
 			inElem++
@@ -237,45 +250,132 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 		}
 		// §5 mismatch rule 2: roll back via the tables. At this point the
 		// current element has consumed nothing, so i sits at the start of
-		// element j's would-be span.
+		// element j's would-be span and the attempt has set bind[:j-1].
 		o.stats.Rollbacks++
 		mustFire(faultOPSShift)
-		if o.cfg.NoCounters {
-			restart(i - count[j-1] + 1)
+		sh, nx := shift[j], next[j]
+		if shiftOnly && nx > 1 {
+			nx = 1
+		}
+		if noCounters || nx == 0 {
+			// A fresh attempt. shift(j) = j: φ[j][1] = 0 rules out a start
+			// at the failed tuple itself, so it begins one past it; without
+			// counters, one past the failed attempt's start.
+			if noCounters {
+				i -= count[j-1]
+			}
+			i++
+			clear(bind[:j-1])
+			j = 1
 			continue
 		}
-		sh, nx := o.shiftNext(j)
-		if nx == 0 {
-			// shift(j) = j: φ[j][1] = 0 rules out a start at the failed
-			// tuple itself, so the next attempt begins one past it.
-			restart(i + 1)
-			continue
-		}
-		skip := o.cfg.LastRowSkip && !o.cfg.ShiftOnly && o.tables.SkipOK[j]
-		newi := i - count[j-1] + count[sh+nx-1]
+		skip := lastRowSkip && o.tables.SkipOK[j]
+		i += count[sh+nx-1] - count[j-1]
 		base := count[sh]
-		for t := 1; t <= nx-1; t++ {
+		for t := 1; t < nx; t++ {
 			count[t] = count[sh+t] - base
-			o.ctx.Bind[t-1] = o.ctx.Bind[sh+t-1]
+			bind[t-1] = bind[sh+t-1]
 		}
-		for t := nx; t <= m; t++ {
-			o.ctx.Bind[t-1] = pattern.Span{}
-		}
-		i = newi
+		clear(bind[nx-1 : j-1])
 		j = nx
-		inElem = 0
 		if skip {
 			// The failed tuple (at the rolled-back cursor) certainly
-			// satisfies the plain element nx: consume it unexamined.
-			o.ctx.Bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
+			// satisfies the plain element nx: consume it unexamined. A
+			// skip can complete the pattern outright.
+			bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
 			count[j] = count[j-1] + 1
 			i++
 			j++
-			if j > m {
-				// A skip can complete the pattern outright.
-				continue
-			}
 		}
 	}
+	return out, o.stats
+}
+
+// findAllStarPure is findAllStar specialised to the case FindAll selects
+// it for: every element's selection mask alone answers its probes and
+// nothing observes probes one at a time. The mask then already holds
+// every verdict, so a probe is an inline bit test, a failed start's run
+// of zero bits and a star element's run of set bits are one word scan
+// each, and no binding is maintained at all — nothing reads one, and a
+// match's spans are its counters. Every run of k rows books exactly the
+// k evals (and, for failed starts, k rollbacks) the generic loop spends
+// on it, and the checkpoint fires once per 1024-eval boundary crossed,
+// so Stats and cancellation latency are identical to findAllStar's.
+func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
+	var out []Match
+	nn := len(seq)
+	m := o.p.Len()
+	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
+	toNextRow := o.cfg.Policy == SkipToNextRow
+	pure := o.pure
+	count := o.count
+	count[0] = 0
+	var evals, rollbacks int64
+	matches := 0
+
+	i, j, inElem := 1, 1, 0
+	for {
+		if j > m || (i > nn && j == m && inElem > 0) {
+			start := i - count[m]
+			out = append(out, Match{Start: start - 1, End: i - 2, Spans: countSpans(count, start)})
+			matches++
+			if toNextRow {
+				i = start + 1
+			}
+			j, inElem = 1, 0
+			continue
+		}
+		if i > nn {
+			break
+		}
+		mk := pure[j-1]
+		evals = o.addEvals(evals, 1)
+		if r := uint(i - 1); mk[r>>6]>>(r&63)&1 != 0 {
+			if !star[j] {
+				count[j] = count[j-1] + 1
+				i++
+				j++
+				continue
+			}
+			// Consume the star's whole run of set bits. The clear bit (or
+			// end of input) that ends it is left to the next iteration,
+			// which pays the failing probe like any other.
+			end := storage.MaskNextClear(mk, i, nn) // 0-based, so i is the next row
+			evals = o.addEvals(evals, int64(end-i))
+			inElem = end - i + 1
+			count[j] = count[j-1] + inElem
+			i = end + 1
+			continue
+		}
+		if inElem > 0 {
+			j++
+			inElem = 0
+			continue
+		}
+		rollbacks++
+		mustFire(faultOPSShift)
+		nx := next[j]
+		if nx == 0 {
+			i++
+			if j == 1 {
+				// A failed start: so is every row before element 1's next
+				// set bit, at one eval and one rollback each.
+				c := o.nextCandidate(i, nn)
+				rollbacks += int64(c - i)
+				evals = o.addEvals(evals, int64(c-i))
+				i = c
+			}
+			j = 1
+			continue
+		}
+		sh := shift[j]
+		i += count[sh+nx-1] - count[j-1]
+		base := count[sh]
+		for t := 1; t < nx; t++ {
+			count[t] = count[sh+t] - base
+		}
+		j = nx
+	}
+	o.stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
 	return out, o.stats
 }

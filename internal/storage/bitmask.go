@@ -108,6 +108,29 @@ func MaskNextSet(m []uint64, from int) int {
 	return -1
 }
 
+// MaskNextClear returns the lowest clear bit index ≥ from, capped at n:
+// the end of the run of set bits starting at from, over a mask of n
+// valid bits. It returns n when every bit in [from, n) is set and when
+// from ≥ n, so bits at or above n never count, whatever they hold.
+func MaskNextClear(m []uint64, from, n int) int {
+	if from < 0 {
+		from = 0
+	}
+	if from >= n {
+		return n
+	}
+	w := from >> 6
+	if cur := ^m[w] >> uint(from&63); cur != 0 {
+		return min(from+bits.TrailingZeros64(cur), n)
+	}
+	for w++; w<<6 < n; w++ {
+		if m[w] != ^uint64(0) {
+			return min(w<<6+bits.TrailingZeros64(^m[w]), n)
+		}
+	}
+	return n
+}
+
 // MaskShiftDown shifts the first n valid bits of m down by k positions
 // (bit i+k moves to bit i) and clears every bit at or above n-k — the
 // mask analogue of Projection.DropFront, used by streaming prune. Bits
