@@ -292,10 +292,12 @@ func BenchmarkStreaming(b *testing.B) {
 }
 
 // BenchmarkStreamSQL measures the full SQL streaming path — Prepare,
-// OpenStream, per-tuple Push — on the double-bottom workload. This is
-// the path the PR 3 allocation work targets: span and SELECT-row
-// scratch are recycled between matches, so steady-state allocations
-// come only from the per-Push row copy.
+// OpenStream, per-tuple Push — on the double-bottom workload. A warm
+// push allocates nothing (the matcher copies the tuple into a window it
+// owns; routing, span and SELECT-row scratch are reused), so kernel and
+// interp allocate only while the window grows to the series' longest
+// attempt, and many allocates only to create its 2,000 cluster matchers
+// — the dev-loop twin of the benchmark's stream_many workload.
 func BenchmarkStreamSQL(b *testing.B) {
 	prices := workload.DJIA25Years(1)
 	for i := 0; i < 12; i++ {
@@ -343,6 +345,52 @@ func BenchmarkStreamSQL(b *testing.B) {
 	}
 	b.Run("kernel", func(b *testing.B) { run(b, sqlts.StreamOptions{}) })
 	b.Run("interp", func(b *testing.B) { run(b, sqlts.StreamOptions{NoKernel: true}) })
+
+	// 2,000 symbols × 100 rows, date-major: consecutive tuples never
+	// share a cluster. A fresh stream per iteration, because creating the
+	// matchers is part of what a pass over this shape costs.
+	b.Run("many", func(b *testing.B) {
+		const symbols, rows = 2000, 100
+		byName, _ := workload.ClusterWalks("quote", 1, symbols, rows, 50).Snapshot()
+		feed := make([]storage.Row, 0, symbols*rows)
+		for i := 0; i < rows; i++ {
+			for c := 0; c < symbols; c++ {
+				feed = append(feed, byName[c*rows+i])
+			}
+		}
+		db := sqlts.New()
+		db.MustExec(`CREATE TABLE quote (name VARCHAR(8), date DATE, price REAL)`)
+		if err := db.DeclarePositive("quote", "price"); err != nil {
+			b.Fatal(err)
+		}
+		q, err := db.Prepare(ta.DoubleBottomOver("quote", "name", 0.02))
+		if err != nil {
+			b.Fatal(err)
+		}
+		matches := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st, err := q.OpenStream(sqlts.StreamOptions{}, func(storage.Row) error {
+				matches++
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range feed {
+				if err := st.Push(r...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if matches == 0 {
+			b.Fatal("no matches")
+		}
+	})
 }
 
 // BenchmarkTAPatterns measures the ta library's scans end to end through

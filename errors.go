@@ -137,7 +137,9 @@ func (rc *runControl) flightRef() *obs.Flight {
 // SetInterrupt. With a flight registered it also ticks the live
 // predicate-evaluation counter — the engine consults the checkpoint
 // once per engine.CheckpointInterval evals, so the flight's live count
-// trails the exact figure by at most one interval per worker.
+// trails the exact figure by at most one interval per worker. Batch
+// runs only: a stream's matchers each count their own evals, so Stream
+// installs the bare check and ticks the exact delta around every push.
 func (rc *runControl) interrupt() func() error {
 	if rc == nil {
 		return nil

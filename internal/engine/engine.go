@@ -258,10 +258,14 @@ func (e *evaluator) SetInterrupt(check func() error) { e.check = check }
 
 // checkpoint is the amortized interruption/injection slow path, taken
 // once per 1024 evals.
-func (e *evaluator) checkpoint() {
+func (e *evaluator) checkpoint() { checkpoint(e.check) }
+
+// checkpoint fires the engine.eval fault point and consults check (nil
+// for none), unwinding with an Interrupt when either reports an error.
+func checkpoint(check func() error) {
 	mustFire(faultEval)
-	if e.check != nil {
-		if err := e.check(); err != nil {
+	if check != nil {
+		if err := check(); err != nil {
 			panic(Interrupt{Err: err})
 		}
 	}

@@ -192,8 +192,8 @@ func TestKernelDifferential(t *testing.T) {
 }
 
 // TestKernelDifferentialStream differences the incremental matcher:
-// rows arrive one at a time, the projection grows with the buffer and
-// shrinks on prune, and indices are buffer-relative.
+// rows arrive one at a time, the projection grows with the window and is
+// compacted with it, and indices are window slots.
 func TestKernelDifferentialStream(t *testing.T) {
 	iters := 200
 	if testing.Short() {
@@ -209,11 +209,9 @@ func TestKernelDifferentialStream(t *testing.T) {
 			cfg.Policy = SkipToNextRow
 		}
 
-		run := func(attach, vec bool) ([]Match, Stats) {
+		run := func(attach bool) ([]Match, Stats) {
 			var out []Match
-			c := cfg
-			c.Vectorize = vec
-			s := NewStreamer(p, c, func(m Match) { out = append(out, m) })
+			s := NewStreamer(p, cfg, func(m Match) { out = append(out, m) })
 			if attach {
 				s.UseKernel(k)
 			}
@@ -225,8 +223,8 @@ func TestKernelDifferentialStream(t *testing.T) {
 			s.Flush()
 			return out, s.Stats()
 		}
-		im, is := run(false, false)
-		km, ks := run(true, false)
+		im, is := run(false)
+		km, ks := run(true)
 		if !matchesEqual(im, km) {
 			t.Fatalf("seed %d: stream kernel matches diverge\npattern: %s\ninterp: %s\nkernel: %s",
 				seed, explain(p), fmtMatches(im), fmtMatches(km))
@@ -234,17 +232,6 @@ func TestKernelDifferentialStream(t *testing.T) {
 		if is != ks {
 			t.Fatalf("seed %d: stream kernel stats diverge\npattern: %s\ninterp: %+v\nkernel: %+v",
 				seed, explain(p), is, ks)
-		}
-		// Memoized verdict bits (Vectorize) must survive buffer growth and
-		// prune shifts without perturbing matches or counters.
-		vm, vs := run(true, true)
-		if !matchesEqual(im, vm) {
-			t.Fatalf("seed %d: stream memo matches diverge\npattern: %s\ninterp: %s\nmemo: %s",
-				seed, explain(p), fmtMatches(im), fmtMatches(vm))
-		}
-		if is != vs {
-			t.Fatalf("seed %d: stream memo stats diverge\npattern: %s\ninterp: %+v\nmemo: %+v",
-				seed, explain(p), is, vs)
 		}
 	}
 }
@@ -256,7 +243,7 @@ var vecSeedCorpus = []int64{0, 3, 7, 11, 19, 42, 101, 137}
 
 // TestVectorDifferentialSeeds is the seed-corpus differential: fixed
 // seeds, all three executors (interpreter, row kernel, vectorized), one
-// streaming memo pass. Fast enough for `-race` in CI's bench-smoke job.
+// streaming kernel pass. Fast enough for `-race` in CI's bench-smoke job.
 func TestVectorDifferentialSeeds(t *testing.T) {
 	for _, seed := range vecSeedCorpus {
 		r := rand.New(rand.NewSource(seed))
@@ -280,7 +267,7 @@ func TestVectorDifferentialSeeds(t *testing.T) {
 
 		var im, vm []Match
 		si := NewStreamer(p, StreamConfig{MaxBuffer: 24}, func(m Match) { im = append(im, m) })
-		sv := NewStreamer(p, StreamConfig{MaxBuffer: 24, Vectorize: true}, func(m Match) { vm = append(vm, m) })
+		sv := NewStreamer(p, StreamConfig{MaxBuffer: 24}, func(m Match) { vm = append(vm, m) })
 		sv.UseKernel(k)
 		for _, row := range seq {
 			if err := si.Push(row); err != nil {
@@ -293,11 +280,11 @@ func TestVectorDifferentialSeeds(t *testing.T) {
 		si.Flush()
 		sv.Flush()
 		if !matchesEqual(im, vm) {
-			t.Fatalf("corpus %d: stream memo matches diverge\npattern: %s\ninterp: %s\nmemo: %s",
+			t.Fatalf("corpus %d: stream kernel matches diverge\npattern: %s\ninterp: %s\nkernel: %s",
 				seed, pat, fmtMatches(im), fmtMatches(vm))
 		}
 		if si.Stats() != sv.Stats() {
-			t.Fatalf("corpus %d: stream memo stats diverge\npattern: %s\ninterp: %+v\nmemo: %+v",
+			t.Fatalf("corpus %d: stream kernel stats diverge\npattern: %s\ninterp: %+v\nkernel: %+v",
 				seed, pat, si.Stats(), sv.Stats())
 		}
 	}

@@ -30,14 +30,26 @@ type StreamConfig struct {
 	// the same pattern — e.g. one matcher per CLUSTER BY key — instead
 	// of re-running the implication engine per cluster.
 	Tables *core.Tables
-	// Vectorize memoizes per-row verdicts of pure kernel elements (no
-	// opaque predicates, no cross conditions) in selection bitmasks over
-	// the retained window: the shift/next machine re-probes rows it has
-	// rolled back over, and each re-probe becomes a bit test instead of
-	// a closure chain. Matches and Stats are identical either way
-	// (pred-evals count probes, however they are answered).
+	// Vectorize is accepted and ignored. It selected a per-row verdict
+	// memo that never hit (OPS's shift/next exists so that rows are not
+	// re-probed: 0 hits in the double-bottom pin's 11,972 pred-evals) and
+	// was removed; the field stays only because benchmark/layers.go sets
+	// it, and goes with the next benchmark PR (ROADMAP item 1).
 	Vectorize bool
 }
+
+// streamInlineElems is the longest pattern whose counters and bindings
+// live inside the Streamer itself rather than in allocations of their
+// own: a stream reaches one matcher per CLUSTER BY key through one
+// pointer, and each separate object is one more cache miss per push when
+// the keys are many. The paper's longest pattern (Example 10) has 9
+// elements.
+const streamInlineElems = 12
+
+// streamInitRows is a new Streamer's window capacity. It is small because
+// a stream holds one matcher per CLUSTER BY key and most attempts are a
+// few rows long; the window doubles when an attempt outgrows it.
+const streamInitRows = 4
 
 // Streamer is the incremental (push-based) OPS matcher: tuples arrive one
 // at a time and matches are emitted as soon as they complete. It retains
@@ -46,61 +58,103 @@ type StreamConfig struct {
 // stream. This is the paper's continuous-query deployment (§6 runs
 // SQL-TS "on input streams" via user-defined aggregates), with the same
 // shift/next optimization applied incrementally.
+//
+// The window is storage the Streamer owns: rows[i] is a fixed header over
+// slot i's values, and Push copies the tuple's values into slot tail. The
+// live window is rows[head:tail]; pruning only advances head. ctx.Pos,
+// ctx.Bind and the projection all index slots, so a push shifts and
+// rebases nothing. When every slot is used the live values are copied
+// down to slot 0 (compaction) if the dead prefix is at least as long as
+// the live window, and the slot count is doubled otherwise: O(1)
+// amortized per push, and a capacity below four times the longest live
+// window held. Doubling adds a block of slots beside the ones it has
+// and moves no values: a stream's clusters are often short (the
+// benchmark's see 100 tuples and hold a median peak of 34), so growth is
+// not amortized away there and must not re-copy the window.
+//
+// Slot 0 and the "no predecessor" rule: the interpreter and the kernels
+// treat position 0 as having no previous tuple. Slot 0 is probed only
+// when it holds global tuple 0. prune retains the attempt's predecessor
+// (global tuple matchStart-2), no probe lands before the attempt's first
+// tuple, and attempts only move forward; so once head has advanced, every
+// probe lands past slot head, and a compaction moves slot head to slot 0.
 type Streamer struct {
-	p     *pattern.Pattern
-	t     *core.Tables
-	cfg   StreamConfig
-	emit  func(Match)
-	stats Stats
-
-	kern *pattern.Kernel
-	proj *storage.Projection
-
-	// Verdict memo (cfg.Vectorize): per memoizable element, known marks
-	// buffer-relative rows whose verdict has been computed and val holds
-	// it. Both shift down with the prune and grow with the window.
-	memoKnown [][]uint64
-	memoVal   [][]uint64
-
-	spanScratch []pattern.Span // emission buffer when cfg.ReuseSpans
-
-	buf  []storage.Row
-	base int // global 0-based index of buf[0]
+	rows       []storage.Row // rows[i] is slot i, stride values; len is the capacity
+	head, tail int
+	off        int // global 0-based index of the tuple in slot 0
 
 	// Machine state; i is the 1-based global input cursor, j the 1-based
-	// pattern cursor, per the paper's presentation. Binds in ctx are
-	// buffer-relative while evaluating and adjusted at emission.
+	// pattern cursor, per the paper's presentation. Binds in ctx are slot
+	// indexes while evaluating and global at emission. Bind[k] is set only
+	// for elements the current attempt has entered.
 	i, j, inElem int
 	count        []int
 	ctx          pattern.EvalContext
-	closed       bool
+	stats        Stats
+	pruned       int64 // rows dropped from the retained window so far
 
-	pruned int64 // rows dropped from the retained window so far
+	// What every push reads of the configuration. check is the
+	// cooperative cancellation checkpoint (SetInterrupt), consulted every
+	// checkpointMask+1 predicate evaluations.
+	kern   *pattern.Kernel
+	p      *pattern.Pattern
+	t      *core.Tables
+	stride int
+	closed bool
+	check  func() error
+	cfg    StreamConfig
 
-	// check is the cooperative cancellation checkpoint (SetInterrupt),
-	// consulted every checkpointMask+1 predicate evaluations.
-	check func() error
+	// By value: a probe reaches the columns without a hop through a
+	// separately allocated header.
+	proj storage.Projection // decode of rows[:tail], same indexing; used with kern
+
+	// Backing for count and ctx.Bind up to streamInlineElems elements.
+	countBuf [streamInlineElems + 1]int
+	bindBuf  [streamInlineElems]pattern.Span
+
+	emit        func(Match)
+	spanScratch []pattern.Span // emission buffer when cfg.ReuseSpans
 }
 
 // NewStreamer builds an incremental matcher for the pattern. emit is
 // called synchronously from Push/Flush for every completed match, with
 // global (whole-stream) coordinates.
 func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Streamer {
+	s := new(Streamer)
+	s.Init(p, cfg, emit)
+	return s
+}
+
+// Init is NewStreamer for a Streamer embedded by value in its owner's
+// per-cluster state, so that the owner reaches the matcher without a
+// pointer hop. s must be the zero Streamer, and must not be copied
+// afterwards (its counters and bindings may live inside it).
+func (s *Streamer) Init(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) {
 	t := cfg.Tables
 	if t == nil {
 		t = core.ComputeForStream(p)
 	}
-	s := &Streamer{
-		p:     p,
-		t:     t,
-		cfg:   cfg,
-		emit:  emit,
-		i:     1,
-		j:     1,
-		count: make([]int, p.Len()+1),
+	s.p, s.t, s.cfg, s.emit = p, t, cfg, emit
+	s.i, s.j = 1, 1
+	if m := p.Len(); m <= streamInlineElems {
+		s.count, s.ctx.Bind = s.countBuf[:m+1], s.bindBuf[:m]
+	} else {
+		s.count, s.ctx.Bind = make([]int, m+1), make([]pattern.Span, m)
 	}
-	s.ctx.Bind = make([]pattern.Span, p.Len())
-	return s
+	s.stride = p.Schema.Len()
+	s.addSlots(streamInitRows)
+}
+
+// addSlots extends the window store by n slots carved from one block.
+func (s *Streamer) addSlots(n int) {
+	old := len(s.rows)
+	rows := make([]storage.Row, old+n)
+	copy(rows, s.rows)
+	vals := make([]storage.Value, n*s.stride)
+	for i := 0; i < n; i++ {
+		rows[old+i] = vals[i*s.stride : (i+1)*s.stride : (i+1)*s.stride]
+	}
+	s.rows = rows
 }
 
 // UseKernel attaches a compiled predicate kernel: pushed tuples are
@@ -110,24 +164,13 @@ func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Stream
 // compiled elements, leaves the interpreter in place.
 func (s *Streamer) UseKernel(k *pattern.Kernel) {
 	if k == nil || k.CompiledElems() == 0 {
-		s.kern, s.proj = nil, nil
-		s.memoKnown, s.memoVal = nil, nil
+		s.kern, s.proj = nil, storage.Projection{}
 		return
 	}
 	s.kern = k
-	s.proj = k.NewProjection()
-	s.proj.AppendRows(s.buf)
-	if s.cfg.Vectorize {
-		s.memoKnown = make([][]uint64, k.Len())
-		s.memoVal = make([][]uint64, k.Len())
-		words := storage.MaskWords(len(s.buf))
-		for j := 0; j < k.Len(); j++ {
-			if k.ElemMemoizable(j) {
-				s.memoKnown[j] = make([]uint64, words)
-				s.memoVal[j] = make([]uint64, words)
-			}
-		}
-	}
+	s.proj = *k.NewProjection()
+	s.proj.Reserve(len(s.rows))
+	s.proj.AppendRows(s.rows[:s.tail])
 }
 
 // SetInterrupt installs a cooperative cancellation checkpoint, consulted
@@ -136,48 +179,14 @@ func (s *Streamer) UseKernel(k *pattern.Kernel) {
 // return (a mid-Flush interrupt propagates to Flush's caller).
 func (s *Streamer) SetInterrupt(check func() error) { s.check = check }
 
-func (s *Streamer) evalAt(j, i int) bool {
-	s.stats.PredEvals++
-	if s.stats.PredEvals&checkpointMask == 0 && (s.check != nil || fault.Active()) {
-		mustFire(faultEval)
-		if s.check != nil {
-			if err := s.check(); err != nil {
-				panic(Interrupt{Err: err})
-			}
-		}
-	}
-	s.ctx.Seq = s.buf
-	s.ctx.Pos = i - 1 - s.base
-	if s.kern != nil {
-		if s.memoKnown != nil {
-			if mk := s.memoKnown[j-1]; mk != nil {
-				rel := s.ctx.Pos
-				w := rel >> 6
-				if w < len(mk) {
-					bit := uint64(1) << uint(rel&63)
-					if mk[w]&bit != 0 {
-						return s.memoVal[j-1][w]&bit != 0
-					}
-					v := s.kern.EvalElem(j-1, s.proj, &s.ctx)
-					mk[w] |= bit
-					if v {
-						s.memoVal[j-1][w] |= bit
-					}
-					return v
-				}
-			}
-		}
-		return s.kern.EvalElem(j-1, s.proj, &s.ctx)
-	}
-	return s.p.EvalElem(j-1, &s.ctx)
-}
-
 // Stats returns the accumulated runtime counters.
 func (s *Streamer) Stats() Stats { return s.stats }
 
 // BufferLen reports the currently retained window size (for tests and
-// monitoring).
-func (s *Streamer) BufferLen() int { return len(s.buf) }
+// monitoring). With MaxBuffer > 0 it is at most MaxBuffer+1 whenever Push
+// has returned: an attempt is abandoned before it spans more than
+// MaxBuffer tuples, and one predecessor is retained before it.
+func (s *Streamer) BufferLen() int { return s.tail - s.head }
 
 // Pruned reports the cumulative number of rows dropped from the
 // retained window (for the pruned-rows observability counters).
@@ -186,37 +195,30 @@ func (s *Streamer) Pruned() int64 { return s.pruned }
 // Window exposes the retained tuples and the global 0-based index of the
 // first one. Inside an emit callback the window still covers the
 // completed match (pruning happens after the machine settles), so output
-// expressions can be evaluated against it.
-func (s *Streamer) Window() ([]storage.Row, int) { return s.buf, s.base }
-
-// matchStart returns the 1-based global start of the current attempt.
-func (s *Streamer) matchStart() int {
-	return s.i - s.count[s.j-1] - s.inElem
+// expressions can be evaluated against it. The last tuple pushed is
+// always retained. The slice is the Streamer's own storage: it is valid
+// until the next Push.
+func (s *Streamer) Window() ([]storage.Row, int) {
+	return s.rows[s.head:s.tail], s.off + s.head
 }
 
-// Push appends one tuple and advances the machine as far as the input
-// allows, emitting any matches that complete. An installed interrupt
-// (SetInterrupt) or armed engine fault surfaces as Push's error; the
-// machine state is then mid-attempt and the stream should be abandoned.
+// Push appends a copy of one tuple (the caller keeps the row it passed)
+// and advances the machine as far as the input allows, emitting any
+// matches that complete. An installed interrupt (SetInterrupt) or armed
+// engine fault surfaces as Push's error; a later Push resumes the machine
+// where the checkpoint stopped it.
 func (s *Streamer) Push(row storage.Row) error {
-	if s.closed {
-		return fmt.Errorf("engine: Push after Flush")
-	}
 	// With no interrupt installed and no armed fault, nothing in the
 	// machine can raise an Interrupt — skip the recover frame (its cost
 	// is per push, and pushes are µs-scale). Genuine predicate panics
 	// propagate to the caller's containment boundary either way.
 	if s.check == nil && !fault.Active() {
-		s.advance(row)
-		return nil
+		return s.PushContained(row)
 	}
 	return s.pushChecked(row)
 }
 
 func (s *Streamer) pushChecked(row storage.Row) (err error) {
-	if e := faultStreamPush.Fire(); e != nil {
-		return e
-	}
 	if s.check != nil {
 		if e := s.check(); e != nil {
 			return e
@@ -231,28 +233,66 @@ func (s *Streamer) pushChecked(row storage.Row) (err error) {
 			err = in.Err
 		}
 	}()
-	s.advance(row)
-	return nil
+	return s.PushContained(row)
 }
 
-// advance appends the tuple and runs the machine as far as it will go.
-func (s *Streamer) advance(row storage.Row) {
-	s.buf = append(s.buf, row)
+// PushContained is Push for a caller that is its own containment
+// boundary: it has already consulted its cancellation state for this
+// push and recovers an Interrupt panic itself, so the per-push entry
+// check and recover frame are dropped. The engine.stream.push fault
+// point and the in-machine checkpoint stay.
+func (s *Streamer) PushContained(row storage.Row) error {
+	if s.closed {
+		return fmt.Errorf("engine: Push after Flush")
+	}
+	if len(row) != s.stride {
+		return fmt.Errorf("engine: Push arity %d, want %d", len(row), s.stride)
+	}
+	if err := faultStreamPush.Fire(); err != nil {
+		return err
+	}
+	if s.tail == len(s.rows) {
+		s.makeRoom()
+	}
+	slot := s.rows[s.tail]
+	copy(slot, row)
+	s.tail++
+	s.ctx.Seq = s.rows[:s.tail]
 	if s.kern != nil {
-		s.proj.AppendRow(row)
-		if s.memoKnown != nil {
-			if words := storage.MaskWords(len(s.buf)); words > 0 {
-				for j := range s.memoKnown {
-					if s.memoKnown[j] != nil && len(s.memoKnown[j]) < words {
-						s.memoKnown[j] = storage.GrowMask(s.memoKnown[j], words)
-						s.memoVal[j] = storage.GrowMask(s.memoVal[j], words)
-					}
-				}
-			}
-		}
+		s.proj.AppendRow(slot)
 	}
 	s.drain()
 	s.prune()
+	return nil
+}
+
+// makeRoom frees slots in a full store. When the dead prefix is at least
+// as long as the live window it compacts: the live values move down to
+// slot 0 (headers stay), so each copied row is paid for by a push since
+// the last move. Otherwise it doubles the slot count, in place.
+func (s *Streamer) makeRoom() {
+	head, live := s.head, s.tail-s.head
+	if head < live {
+		s.addSlots(len(s.rows))
+		if s.kern != nil {
+			s.proj.Reserve(len(s.rows))
+		}
+		return
+	}
+	for k := 0; k < live; k++ {
+		copy(s.rows[k], s.rows[head+k])
+	}
+	if s.kern != nil {
+		s.proj.DropFront(head)
+	}
+	for k := range s.ctx.Bind {
+		if s.ctx.Bind[k].Set {
+			s.ctx.Bind[k].Start -= head
+			s.ctx.Bind[k].End -= head
+		}
+	}
+	s.off += head
+	s.head, s.tail = 0, live
 }
 
 // PushAll pushes a batch of tuples.
@@ -273,15 +313,14 @@ func (s *Streamer) Flush() {
 	}
 	s.closed = true
 	m := s.p.Len()
-	star := s.t.Star
 	for {
 		s.drain() // returns only when i is past the available input
-		n := s.base + len(s.buf)
-		if s.j == m && star[m] && s.inElem > 0 {
+		if s.j == m && s.t.Star[m] && s.inElem > 0 {
 			// A satisfied trailing star completes at end of stream.
-			start := s.record()
-			if s.cfg.Policy == SkipToNextRow && start+1 <= n {
-				s.restart(start + 1)
+			start := s.record(s.i)
+			if s.cfg.Policy == SkipToNextRow && start < s.off+s.tail {
+				s.i, s.j, s.inElem = start+1, 1, 0
+				clear(s.ctx.Bind)
 				continue
 			}
 		}
@@ -294,149 +333,145 @@ func (s *Streamer) Flush() {
 
 // record emits the completed match (elements 1..m all satisfied; i one
 // past the last consumed tuple) and returns its 1-based global start.
-// Bind spans are buffer-relative internally; the emitted match carries
+// Bind spans are slot indexes internally; the emitted match carries
 // global coordinates.
-func (s *Streamer) record() int {
+func (s *Streamer) record(i int) int {
 	m := s.p.Len()
-	start := s.i - s.count[m]
+	start := i - s.count[m]
 	var spans []pattern.Span
 	if s.cfg.ReuseSpans {
 		if cap(s.spanScratch) < m {
 			s.spanScratch = make([]pattern.Span, m)
 		}
 		spans = s.spanScratch[:m]
-		for k := range spans {
-			spans[k] = pattern.Span{}
-		}
+		clear(spans)
 	} else {
 		spans = make([]pattern.Span, m)
 	}
 	for k, sp := range s.ctx.Bind {
 		if sp.Set {
-			spans[k] = pattern.Span{Start: sp.Start + s.base, End: sp.End + s.base, Set: true}
+			spans[k] = pattern.Span{Start: sp.Start + s.off, End: sp.End + s.off, Set: true}
 		}
 	}
 	s.stats.Matches++
-	s.emit(Match{Start: start - 1, End: s.i - 2, Spans: spans})
+	s.emit(Match{Start: start - 1, End: i - 2, Spans: spans})
 	return start
 }
 
-func (s *Streamer) restart(at int) {
-	s.i = at
-	s.j = 1
-	s.inElem = 0
-	for k := range s.ctx.Bind {
-		s.ctx.Bind[k] = pattern.Span{}
-	}
+// park writes drain's local cursors and counters back.
+func (s *Streamer) park(i, j, inElem int, evals, rollbacks int64) {
+	s.i, s.j, s.inElem = i, j, inElem
+	s.stats.PredEvals, s.stats.Rollbacks = evals, rollbacks
 }
 
-// drain runs the §5 machine while input is available.
+// drain runs the §5 machine while input is available. Cursors, counters
+// and tables live in locals for the run and are parked wherever control
+// can leave it: at a checkpoint, around an emission, on return.
 func (s *Streamer) drain() {
-	m := s.p.Len()
-	star := s.t.Star
-	count := s.count
-	n := func() int { return s.base + len(s.buf) }
+	p, kern, proj, ctx := s.p, s.kern, &s.proj, &s.ctx
+	m := p.Len()
+	star, shift, next := s.t.Star, s.t.Shift, s.t.Next
+	count, bind := s.count, s.ctx.Bind
+	toNextRow := s.cfg.Policy == SkipToNextRow
+	maxBuf, lastRowSkip := s.cfg.MaxBuffer, s.cfg.LastRowSkip
+	off := s.off
+	n := off + s.tail // tuples received so far
+	check := s.check
+	i, j, inElem := s.i, s.j, s.inElem
+	evals, rollbacks := s.stats.PredEvals, s.stats.Rollbacks
 
 	for {
-		if s.j > m {
-			start := s.record()
-			if s.cfg.Policy == SkipToNextRow {
-				s.restart(start + 1)
+		if j > m {
+			s.park(i, j, inElem, evals, rollbacks)
+			start := s.record(i)
+			if toNextRow {
+				i = start + 1
+			}
+			j, inElem = 1, 0
+			clear(bind)
+			continue
+		}
+		if i > n {
+			break // need more input (or Flush)
+		}
+		if maxBuf > 0 && count[j-1]+inElem >= maxBuf {
+			// Safety valve: the attempt spans MaxBuffer tuples; abandon it.
+			clear(bind[:j])
+			i++
+			j, inElem = 1, 0
+			continue
+		}
+		evals++
+		if evals&checkpointMask == 0 && (check != nil || fault.Active()) {
+			s.park(i, j, inElem, evals, rollbacks)
+			checkpoint(check)
+		}
+		slot := i - 1 - off
+		ctx.Pos = slot
+		var ok bool
+		if kern != nil {
+			ok = kern.EvalElem(j-1, proj, ctx)
+		} else {
+			ok = p.EvalElem(j-1, ctx)
+		}
+		if ok {
+			if inElem == 0 {
+				bind[j-1] = pattern.Span{Start: slot, End: slot, Set: true}
 			} else {
-				s.restart(s.i)
+				bind[j-1].End = slot
+			}
+			i++
+			inElem++
+			count[j] = count[j-1] + inElem
+			if !star[j] {
+				j++
+				inElem = 0
 			}
 			continue
 		}
-		if s.i > n() {
-			return // need more input (or Flush)
-		}
-		if s.cfg.MaxBuffer > 0 && s.i-s.matchStart() >= s.cfg.MaxBuffer {
-			// Safety valve: abandon the oversized attempt.
-			s.restart(s.i + 1)
+		if star[j] && inElem > 0 {
+			j++
+			inElem = 0
 			continue
 		}
-		if s.evalAt(s.j, s.i) {
-			rel := s.i - 1 - s.base // buffer-relative index of the tuple
-			if s.inElem == 0 {
-				s.ctx.Bind[s.j-1] = pattern.Span{Start: rel, End: rel, Set: true}
-			} else {
-				s.ctx.Bind[s.j-1].End = rel
-			}
-			s.i++
-			s.inElem++
-			count[s.j] = count[s.j-1] + s.inElem
-			if !star[s.j] {
-				s.j++
-				s.inElem = 0
-			}
-			continue
-		}
-		if star[s.j] && s.inElem > 0 {
-			s.j++
-			s.inElem = 0
-			continue
-		}
-		// Rollback via the tables (identical to the batch executor).
-		s.stats.Rollbacks++
-		sh, nx := s.t.Shift[s.j], s.t.Next[s.j]
+		// Rollback via the tables (identical to the batch executor): the
+		// current element has consumed nothing, so the attempt has set
+		// bind[:j-1].
+		rollbacks++
+		nx := next[j]
 		if nx == 0 {
-			s.restart(s.i + 1)
+			clear(bind[:j-1])
+			i++
+			j = 1
 			continue
 		}
-		skip := s.cfg.LastRowSkip && s.t.SkipOK[s.j]
-		newi := s.i - count[s.j-1] + count[sh+nx-1]
+		sh := shift[j]
+		skip := lastRowSkip && s.t.SkipOK[j]
+		i += count[sh+nx-1] - count[j-1]
 		base := count[sh]
-		for t := 1; t <= nx-1; t++ {
+		for t := 1; t < nx; t++ {
 			count[t] = count[sh+t] - base
-			s.ctx.Bind[t-1] = s.ctx.Bind[sh+t-1]
+			bind[t-1] = bind[sh+t-1]
 		}
-		for t := nx; t <= m; t++ {
-			s.ctx.Bind[t-1] = pattern.Span{}
-		}
-		s.i = newi
-		s.j = nx
-		s.inElem = 0
+		clear(bind[nx-1 : j-1])
+		j = nx
 		if skip {
-			rel := s.i - 1 - s.base
-			s.ctx.Bind[s.j-1] = pattern.Span{Start: rel, End: rel, Set: true}
-			count[s.j] = count[s.j-1] + 1
-			s.i++
-			s.j++
+			slot := i - 1 - off
+			bind[j-1] = pattern.Span{Start: slot, End: slot, Set: true}
+			count[j] = count[j-1] + 1
+			i++
+			j++
 		}
 	}
+	s.park(i, j, inElem, evals, rollbacks)
 }
 
-// prune drops buffer entries before (match start - 1); the extra tuple
+// prune retires window slots before (match start - 1); the extra tuple
 // keeps predecessor references valid at the attempt's first position.
-// Buffer-relative bind spans are rebased.
 func (s *Streamer) prune() {
-	keepFrom := s.matchStart() - 2 // global 0-based index to retain
-	if keepFrom <= s.base {
-		return
-	}
-	drop := keepFrom - s.base
-	if drop >= len(s.buf) {
-		drop = len(s.buf)
-	}
-	s.buf = append(s.buf[:0], s.buf[drop:]...)
-	if s.kern != nil {
-		s.proj.DropFront(drop)
-		if s.memoKnown != nil {
-			n := len(s.buf) + drop // valid bits before the shift
-			for j := range s.memoKnown {
-				if s.memoKnown[j] != nil {
-					storage.MaskShiftDown(s.memoKnown[j], drop, n)
-					storage.MaskShiftDown(s.memoVal[j], drop, n)
-				}
-			}
-		}
-	}
-	s.base += drop
-	s.pruned += int64(drop)
-	for k := range s.ctx.Bind {
-		if s.ctx.Bind[k].Set {
-			s.ctx.Bind[k].Start -= drop
-			s.ctx.Bind[k].End -= drop
-		}
+	keep := s.i - s.count[s.j-1] - s.inElem - 2 - s.off // slot of the attempt's predecessor
+	if keep > s.head {
+		s.pruned += int64(keep - s.head)
+		s.head = keep
 	}
 }

@@ -163,10 +163,11 @@ func (f *Flight) TickMatches(n int64) {
 }
 
 // TickPredEvals advances the live predicate-evaluation counter. The
-// executors tick it from their amortized checkpoints (once per
+// batch executors tick it from their amortized checkpoints (once per
 // checkpoint interval), so the live value trails the exact count by at
 // most one interval per worker; the completion wide event carries the
-// exact figure.
+// exact figure. A stream ticks it after every push by what the push
+// spent, so a streaming flight's value is exact between pushes.
 func (f *Flight) TickPredEvals(n int64) {
 	if f == nil {
 		return

@@ -124,13 +124,6 @@ func (k *Kernel) ElemVectorized(j int) bool { return k.vecs[j].ok }
 // which a mask cannot cover (they inspect earlier bindings).
 func (k *Kernel) ElemHasCross(j int) bool { return k.elems[j].hasCross }
 
-// ElemMemoizable reports whether element j's verdict at a fixed row is
-// a pure function of the projection — compiled (no opaque predicates)
-// and free of cross conditions — so a streaming matcher may cache it.
-func (k *Kernel) ElemMemoizable(j int) bool {
-	return !k.elems[j].fallback && !k.elems[j].hasCross
-}
-
 // sizeMask returns a mask buffer of exactly words words, reusing m's
 // capacity; contents are unspecified (builders overwrite fully).
 func sizeMask(m []uint64, words int) []uint64 {

@@ -14,24 +14,6 @@ import "math/bits"
 // MaskWords returns the number of 64-bit words needed for n rows.
 func MaskWords(n int) int { return (n + 63) / 64 }
 
-// GrowMask extends m to at least words words, preserving content and
-// zeroing the new tail. It reuses capacity when available.
-func GrowMask(m []uint64, words int) []uint64 {
-	if len(m) >= words {
-		return m
-	}
-	if cap(m) >= words {
-		ext := m[len(m):words]
-		for i := range ext {
-			ext[i] = 0
-		}
-		return m[:words]
-	}
-	out := make([]uint64, words)
-	copy(out, m)
-	return out
-}
-
 // MaskHas reports whether bit i is set.
 func MaskHas(m []uint64, i int) bool {
 	return m[i>>6]&(1<<uint(i&63)) != 0
@@ -129,43 +111,4 @@ func MaskNextClear(m []uint64, from, n int) int {
 		}
 	}
 	return n
-}
-
-// MaskShiftDown shifts the first n valid bits of m down by k positions
-// (bit i+k moves to bit i) and clears every bit at or above n-k — the
-// mask analogue of Projection.DropFront, used by streaming prune. Bits
-// above the valid range must not survive the shift: a stale set bit
-// would read as a memoized verdict for a row that has not been probed.
-func MaskShiftDown(m []uint64, k, n int) {
-	if k <= 0 {
-		return
-	}
-	if k >= n {
-		MaskZero(m)
-		return
-	}
-	wk, bk := k>>6, uint(k&63)
-	words := len(m)
-	for i := 0; i < words; i++ {
-		var w uint64
-		if i+wk < words {
-			w = m[i+wk] >> bk
-			if bk != 0 && i+wk+1 < words {
-				w |= m[i+wk+1] << (64 - bk)
-			}
-		}
-		m[i] = w
-	}
-	// Clear bits at or above the new valid length n-k.
-	valid := n - k
-	vw := valid >> 6
-	if vw < words {
-		if rem := uint(valid & 63); rem != 0 {
-			m[vw] &= 1<<rem - 1
-			vw++
-		}
-		for ; vw < words; vw++ {
-			m[vw] = 0
-		}
-	}
 }

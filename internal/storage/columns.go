@@ -13,7 +13,9 @@ import "fmt"
 // A Projection covers one cluster (or one streaming window). Arrays are
 // indexed by schema column number; columns that were not requested stay
 // nil. Reset and DropFront retain capacity so executors can reuse one
-// Projection across clusters and streams can prune without reallocating.
+// Projection across clusters and streams can compact without
+// reallocating; Reserve sizes every column at once from one slab per
+// element type.
 type Projection struct {
 	// Num[c][i] is row i's column c widened to float64 (dates as
 	// days-since-epoch). Nil for columns not projected numerically.
@@ -32,34 +34,62 @@ type Projection struct {
 
 // NewProjection prepares a projection over a width-column schema that
 // will decode numCols numerically and strCols as strings. A column may
-// appear in both lists. Column indexes must be in [0, width).
+// appear in both lists. Column indexes must be in [0, width). The lists
+// are retained, not copied (a stream builds one projection per cluster
+// from its kernel's lists); the caller must not modify them afterwards.
 func NewProjection(width int, numCols, strCols []int) *Projection {
 	p := &Projection{
 		Num:     make([][]float64, width),
 		Str:     make([][]string, width),
 		Null:    make([][]bool, width),
-		numCols: append([]int(nil), numCols...),
-		strCols: append([]int(nil), strCols...),
+		numCols: numCols,
+		strCols: strCols,
 	}
-	for _, c := range append(append([]int(nil), numCols...), strCols...) {
-		if c < 0 || c >= width {
-			panic(fmt.Sprintf("storage: projection column %d out of range [0,%d)", c, width))
-		}
-		if p.Null[c] == nil {
+	for _, cols := range [2][]int{numCols, strCols} {
+		for _, c := range cols {
+			if c < 0 || c >= width {
+				panic(fmt.Sprintf("storage: projection column %d out of range [0,%d)", c, width))
+			}
 			p.Null[c] = []bool{}
 		}
 	}
 	for _, c := range numCols {
-		if p.Num[c] == nil {
-			p.Num[c] = []float64{}
-		}
+		p.Num[c] = []float64{}
 	}
 	for _, c := range strCols {
-		if p.Str[c] == nil {
-			p.Str[c] = []string{}
-		}
+		p.Str[c] = []string{}
 	}
 	return p
+}
+
+// Reserve gives every column room for rows rows, keeping its content:
+// the columns of each element type are carved from one slab, so however
+// many columns are projected a resize costs one allocation per type, and
+// AppendRow allocates nothing until rows is exceeded. A column appended
+// to past rows grows on its own, as without Reserve.
+func (p *Projection) Reserve(rows int) {
+	rows = max(rows, p.n)
+	reserve(p.Num, rows)
+	reserve(p.Str, rows)
+	reserve(p.Null, rows)
+}
+
+// reserve re-carves the non-nil columns of cols from one slab with room
+// for rows rows each, keeping their content.
+func reserve[T any](cols [][]T, rows int) {
+	n := 0
+	for _, col := range cols {
+		if col != nil {
+			n++
+		}
+	}
+	slab := make([]T, n*rows)
+	for c, col := range cols {
+		if col != nil {
+			cols[c] = slab[:copy(slab[:rows], col):rows]
+			slab = slab[rows:]
+		}
+	}
 }
 
 // Len returns the number of projected rows.
@@ -127,7 +157,7 @@ func (p *Projection) SetRows(rows []Row) {
 }
 
 // DropFront discards the first k rows, shifting the remainder down in
-// place (streaming prune). Capacity is retained.
+// place (a streaming window's compaction). Capacity is retained.
 func (p *Projection) DropFront(k int) {
 	if k <= 0 {
 		return

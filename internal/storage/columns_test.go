@@ -87,3 +87,48 @@ func TestProjectionDropFrontAndReuse(t *testing.T) {
 		t.Errorf("SetRows reallocated: cap %d -> %d", before, cap(p.Num[0]))
 	}
 }
+
+// TestProjectionReserve: Reserve keeps what is projected, gives every
+// column the capacity asked for from one slab per element type (so
+// appends up to it allocate nothing), and a column that outgrows it
+// grows on its own without disturbing its slab neighbours.
+func TestProjectionReserve(t *testing.T) {
+	s := projSchema()
+	p := NewProjection(s.Len(), []int{0, 1}, []int{2})
+	row := func(i int) Row {
+		return Row{NewFloat(float64(i)), NewInt(int64(10 * i)), NewString("x"), NewDateDays(0)}
+	}
+	p.AppendRow(row(1))
+	p.AppendRow(Row{Null, NewInt(20), Null, NewDateDays(0)})
+	p.Reserve(8)
+	if p.Len() != 2 || p.Num[0][0] != 1 || p.Num[1][1] != 20 || !p.Null[0][1] || !p.Null[2][1] || p.Str[2][0] != "x" {
+		t.Fatalf("Reserve lost content: num0=%v num1=%v null0=%v str2=%v", p.Num[0], p.Num[1], p.Null[0], p.Str[2])
+	}
+	for _, c := range []int{0, 1} {
+		if cap(p.Num[c]) != 8 || cap(p.Null[c]) != 8 {
+			t.Fatalf("column %d: cap num %d null %d, want 8", c, cap(p.Num[c]), cap(p.Null[c]))
+		}
+	}
+	if cap(p.Str[2]) != 8 || cap(p.Null[2]) != 8 {
+		t.Fatalf("column 2: cap str %d null %d, want 8", cap(p.Str[2]), cap(p.Null[2]))
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 3; i <= 8; i++ {
+			p.AppendRow(row(i))
+		}
+		p.DropFront(6)
+	}); allocs != 0 {
+		t.Fatalf("appends within the reserved capacity allocated %.0f times", allocs)
+	}
+	// AllocsPerRun ran the function twice: rows 7, 8 then 3..8 remain.
+	for i := 0; i < 12; i++ {
+		p.AppendRow(row(100 + i)) // past the reservation
+	}
+	if p.Len() != 14 || p.Num[0][13] != 111 || p.Num[1][13] != 1110 || p.Num[0][0] != 7 {
+		t.Fatalf("after outgrowing the reservation: len=%d num0=%v num1=%v", p.Len(), p.Num[0], p.Num[1])
+	}
+	p.Reserve(4) // never shrinks below what is held
+	if p.Len() != 14 || cap(p.Num[0]) < 14 || p.Num[1][13] != 1110 {
+		t.Fatalf("Reserve below Len: len=%d cap=%d", p.Len(), cap(p.Num[0]))
+	}
+}

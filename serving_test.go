@@ -388,7 +388,7 @@ func TestStreamViaDB(t *testing.T) {
 	if !st2.q.PlanCached() {
 		t.Error("second Stream did not hit the plan cache")
 	}
-	if st.tables != st2.tables {
+	if st.cfg.Tables != st2.cfg.Tables {
 		t.Error("streams over one plan did not share shift/next tables")
 	}
 	if err := st2.Close(); err != nil {

@@ -1,16 +1,15 @@
 package sqlts
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime/debug"
 	"strings"
 	"time"
 
-	"sqlts/internal/core"
 	"sqlts/internal/engine"
 	"sqlts/internal/obs"
-	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
 
@@ -26,11 +25,6 @@ type StreamOptions struct {
 	// NoKernel disables the compiled columnar predicate kernels for this
 	// stream and interprets every probe (see RunOptions.NoKernel).
 	NoKernel bool
-	// NoVectorize disables per-row verdict memoization in the cluster
-	// matchers (the streaming analogue of the batch mask kernels; see
-	// RunOptions.NoVectorize). Matches and statistics are identical
-	// either way.
-	NoVectorize bool
 	// Context, when non-nil, cancels the stream cooperatively: Push
 	// checks it on entry and the per-cluster matchers check it at
 	// amortized checkpoints, so even a single Push that triggers a long
@@ -50,12 +44,18 @@ type Stream struct {
 	q        *Query
 	opts     StreamOptions
 	sink     func(storage.Row) error
-	tables   *core.Tables // stream shift/next tables, shared by all clusters
 	clusters map[string]*clusterStream
 	seqIdx   []int
 	cluIdx   []int
 	sinkErr  error
 	closed   bool
+
+	// What every cluster's matcher is built from: the configuration
+	// (with the stream shift/next tables), one emit callback and one
+	// interrupt (nil without an rc), shared rather than made per cluster.
+	cfg       engine.StreamConfig
+	emit      func(engine.Match)
+	interrupt func() error
 
 	// rc carries the stream's cancellation state (nil without a
 	// Context); failed poisons the stream permanently after a contained
@@ -75,22 +75,43 @@ type Stream struct {
 	// — open streams are in-flight work an operator can see and kill.
 	flight *obs.Flight
 
-	// lastCS/lastClu memoize the previous push's cluster: arrivals
-	// usually stay in one cluster for long runs, so comparing the
-	// cluster-by values against the previous row skips the key-string
-	// build and map lookup (the steady-state path's only allocation).
-	lastCS  *clusterStream
-	lastClu storage.Row
+	// last is the previous push's cluster. Its next link predicts this
+	// push's cluster (see clusterStream.next), which skips the map lookup.
+	last *clusterStream
+
+	// cur is the cluster whose matcher is running (the shared emit
+	// callback's target) and curEvals its PredEvals when the push
+	// entered it, for the flight's exact per-push tick.
+	cur      *clusterStream
+	curEvals int64
+
+	// Scratch reused by every push and emission, so a steady-state push
+	// allocates nothing: the coerced tuple (the matcher copies out of
+	// it), the routing key, and the output row handed to the sink.
+	row    storage.Row
+	keyBuf []byte
+	outRow storage.Row
 }
 
+// clusterStream is one CLUSTER BY key's state, in one allocation so that
+// a push reaches all of it through one pointer: the matcher by value,
+// the routing key, and copies of the previous tuple's SEQUENCE BY values
+// (keyBuf and seqBuf back them when the key is short and there is one
+// sequence column). The copies may not alias a matcher window slot or a
+// pushed row, because both are reused.
 type clusterStream struct {
-	s       *engine.Streamer
-	lastSeq storage.Row // last sequence-by key values
+	s       engine.Streamer
+	key     []byte // storage.AppendRowKey of the CLUSTER BY values
+	lastSeq []storage.Value
+	keyBuf  [24]byte
+	seqBuf  [1]storage.Value
 
-	// Per-match scratch, recycled between emissions to keep the
-	// steady-state streaming path allocation-free.
-	spanScratch []pattern.Span
-	rowScratch  storage.Row
+	// next is the cluster that followed this one the last time this one
+	// was pushed to. Arrivals run in one cluster (next is the cluster
+	// itself) or cycle through the clusters in a fixed order (a feed that
+	// reports every symbol each day), so the cluster after the previous
+	// push's is usually the one it was last time.
+	next *clusterStream
 }
 
 // OpenStream starts a continuous execution of the query. The sink is
@@ -113,11 +134,30 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 		q:        q,
 		opts:     opts,
 		sink:     sink,
-		tables:   q.plan.streamTabs(),
 		clusters: map[string]*clusterStream{},
 		entry:    q.db.stmts.Get(q.plan.key),
 		flight:   fl,
 		rc:       newRunControl(opts.Context, RunOptions{}, fl),
+		row:      make(storage.Row, compiled.Schema.Len()),
+		cfg: engine.StreamConfig{
+			Policy:      engine.SkipPastLastRow,
+			LastRowSkip: opts.LastRowSkip,
+			MaxBuffer:   opts.MaxBuffer,
+			Tables:      q.plan.streamTabs(),
+			// emitMatch consumes Spans synchronously, so the matcher may
+			// recycle them between emissions.
+			ReuseSpans: true,
+		},
+	}
+	if opts.Overlap {
+		st.cfg.Policy = engine.SkipToNextRow
+	}
+	st.emit = func(m engine.Match) { st.emitMatch(st.cur, m) }
+	if st.rc != nil {
+		// The bare check, not rc.interrupt(): a cluster's matcher counts
+		// only its own evals, so Push ticks the flight by the exact
+		// delta instead of by checkpoint intervals.
+		st.interrupt = st.rc.check
 	}
 	for _, col := range compiled.SequenceBy {
 		i, _ := compiled.Schema.ColumnIndex(col)
@@ -155,6 +195,7 @@ func (st *Stream) contain(err *error) {
 		return
 	}
 	if in, ok := r.(engine.Interrupt); ok {
+		st.tickEvals()
 		*err = in.Err
 		return
 	}
@@ -165,9 +206,18 @@ func (st *Stream) contain(err *error) {
 	*err = pe
 }
 
+// tickEvals credits the flight with the predicate evaluations the
+// current cluster's matcher has spent since the push entered it.
+func (st *Stream) tickEvals() {
+	evals := st.cur.s.Stats().PredEvals
+	st.flight.TickPredEvals(evals - st.curEvals)
+	st.curEvals = evals
+}
+
 // Push delivers one tuple (in table column order). It returns the first
 // sink error, an ordering violation, a schema mismatch, the context's
 // typed cancellation error, or the PanicError that poisoned the stream.
+// The values are copied; the caller may reuse them.
 func (st *Stream) Push(vals ...storage.Value) (err error) {
 	if st.closed {
 		return fmt.Errorf("sqlts: Push on a closed stream")
@@ -186,7 +236,7 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	if len(vals) != schema.Len() {
 		return fmt.Errorf("sqlts: Push arity %d, want %d", len(vals), schema.Len())
 	}
-	row := make(storage.Row, len(vals))
+	row := st.row
 	for i, v := range vals {
 		if !v.IsNull() && v.Type() != schema.Columns[i].Type {
 			cv, err := v.Coerce(schema.Columns[i].Type)
@@ -212,39 +262,47 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	if sampled {
 		pushStart = time.Now()
 	}
-	cs := st.lastCS
-	if cs == nil || !sameCluster(st.lastClu, row, st.cluIdx) {
-		key := st.clusterKey(row)
-		cs = st.clusters[key]
+	// The type-tagged key batch clustering uses, built in a reused buffer.
+	st.keyBuf = storage.AppendRowKey(st.keyBuf[:0], row, st.cluIdx)
+	var cs *clusterStream
+	if st.last != nil {
+		cs = st.last.next
+	}
+	if cs == nil || !bytes.Equal(cs.key, st.keyBuf) {
+		cs = st.clusters[string(st.keyBuf)] // does not allocate
 		if cs == nil {
-			cs = st.newClusterStream()
-			st.clusters[key] = cs
+			cs = st.newClusterStream(row)
+			st.clusters[string(st.keyBuf)] = cs
 			m.streamClusters.Inc()
 		}
-		st.lastCS = cs
-	}
-	st.lastClu = row
-	// Enforce SEQUENCE BY arrival order within the cluster.
-	if len(st.seqIdx) > 0 && cs.lastSeq != nil {
-		for _, si := range st.seqIdx {
-			c, err := cs.lastSeq[si].Compare(row[si])
-			if err != nil {
-				return fmt.Errorf("sqlts: sequence-by comparison: %w", err)
-			}
-			if c > 0 {
-				return fmt.Errorf("sqlts: out-of-order tuple for cluster %q: %s after %s",
-					st.clusterKey(row), row[si], cs.lastSeq[si])
-			}
-			if c < 0 {
-				break
-			}
+		if st.last != nil {
+			st.last.next = cs
 		}
 	}
-	cs.lastSeq = row
+	st.last = cs
+	// Enforce SEQUENCE BY arrival order within the cluster.
+	for k, si := range st.seqIdx {
+		c, err := cs.lastSeq[k].Compare(row[si])
+		if err != nil {
+			return fmt.Errorf("sqlts: sequence-by comparison: %w", err)
+		}
+		if c > 0 {
+			return fmt.Errorf("sqlts: out-of-order tuple for cluster %q: %s after %s",
+				st.clusterLabel(row), row[si], cs.lastSeq[k])
+		}
+		if c < 0 {
+			break
+		}
+	}
+	for k, si := range st.seqIdx {
+		cs.lastSeq[k] = row[si]
+	}
+	st.cur, st.curEvals = cs, cs.s.Stats().PredEvals
 	prunedBefore := cs.s.Pruned()
-	if err := cs.s.Push(row); err != nil {
+	if err := cs.s.PushContained(row); err != nil {
 		return err
 	}
+	st.tickEvals()
 	pruned := cs.s.Pruned() - prunedBefore
 	if pruned > 0 {
 		m.streamPrunedRows.Add(pruned)
@@ -259,32 +317,25 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	return st.sinkErr
 }
 
-func (st *Stream) newClusterStream() *clusterStream {
+// newClusterStream builds the state of the cluster whose first tuple is
+// row (which therefore passes the arrival-order check against itself)
+// and whose key is in st.keyBuf.
+func (st *Stream) newClusterStream(row storage.Row) *clusterStream {
 	cs := &clusterStream{}
-	policy := engine.SkipPastLastRow
-	if st.opts.Overlap {
-		policy = engine.SkipToNextRow
+	cs.key = append(cs.keyBuf[:0], st.keyBuf...)
+	cs.lastSeq = cs.seqBuf[:0]
+	for _, si := range st.seqIdx {
+		cs.lastSeq = append(cs.lastSeq, row[si])
 	}
-	cs.s = engine.NewStreamer(st.q.plan.compiled.Pattern, engine.StreamConfig{
-		Policy:      policy,
-		LastRowSkip: st.opts.LastRowSkip,
-		MaxBuffer:   st.opts.MaxBuffer,
-		Tables:      st.tables,
-		Vectorize:   !st.opts.NoKernel && !st.opts.NoVectorize,
-		// This emit callback consumes Spans synchronously, so the
-		// matcher may recycle them between emissions.
-		ReuseSpans: true,
-	}, func(m engine.Match) { st.emitMatch(cs, m) })
-	if st.rc != nil {
-		cs.s.SetInterrupt(st.rc.interrupt())
-	}
+	cs.s.Init(st.q.plan.compiled.Pattern, st.cfg, st.emit)
+	cs.s.SetInterrupt(st.interrupt)
 	if !st.opts.NoKernel {
 		cs.s.UseKernel(st.q.plan.kernel)
 	}
 	return cs
 }
 
-// emitMatch is each cluster matcher's emit callback: it runs
+// emitMatch is every cluster matcher's emit callback: it runs
 // synchronously from Push/Flush for every completed match.
 func (st *Stream) emitMatch(cs *clusterStream, m engine.Match) {
 	if st.sinkErr != nil {
@@ -296,49 +347,36 @@ func (st *Stream) emitMatch(cs *clusterStream, m engine.Match) {
 	// Evaluate output expressions against the matcher's retained
 	// window (still covering the match during emission). References
 	// past the match end (e.g. a trailing X.next) resolve to NULL if
-	// that tuple has not arrived yet — streaming emits eagerly.
+	// that tuple has not arrived yet — streaming emits eagerly. The
+	// spans are the matcher's recycled buffer (ReuseSpans), rebased onto
+	// the window in place.
 	window, base := cs.s.Window()
-	if cap(cs.spanScratch) < len(m.Spans) {
-		cs.spanScratch = make([]pattern.Span, len(m.Spans))
-	}
-	spans := cs.spanScratch[:len(m.Spans)]
-	for k, sp := range m.Spans {
-		spans[k] = pattern.Span{}
-		if sp.Set {
-			spans[k] = pattern.Span{Start: sp.Start - base, End: sp.End - base, Set: true}
+	spans := m.Spans
+	for k := range spans {
+		if spans[k].Set {
+			spans[k].Start -= base
+			spans[k].End -= base
 		}
 	}
-	row, err := st.q.plan.compiled.EvalSelectInto(cs.rowScratch, window, spans)
+	row, err := st.q.plan.compiled.EvalSelectInto(st.outRow, window, spans)
 	if err != nil {
 		st.sinkErr = err
 		return
 	}
-	cs.rowScratch = row
+	st.outRow = row
 	if err := st.sink(row); err != nil {
 		st.sinkErr = err
 	}
 }
 
-// sameCluster reports whether two rows share cluster-by values; any
-// comparison error falls back to the keyed path.
-func sameCluster(prev, cur storage.Row, idx []int) bool {
-	for _, i := range idx {
-		c, err := prev[i].Compare(cur[i])
-		if err != nil || c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (st *Stream) clusterKey(row storage.Row) string {
-	if len(st.cluIdx) == 0 {
-		return ""
-	}
+// clusterLabel renders row's cluster-by values for an error message.
+func (st *Stream) clusterLabel(row storage.Row) string {
 	var b strings.Builder
-	for _, i := range st.cluIdx {
+	for k, i := range st.cluIdx {
+		if k > 0 {
+			b.WriteByte(',')
+		}
 		b.WriteString(row[i].String())
-		b.WriteByte(0)
 	}
 	return b.String()
 }
@@ -378,7 +416,9 @@ func (st *Stream) Close() (err error) {
 func (st *Stream) flushAll() (err error) {
 	defer st.contain(&err)
 	for _, cs := range st.clusters {
+		st.cur, st.curEvals = cs, cs.s.Stats().PredEvals
 		cs.s.Flush()
+		st.tickEvals()
 	}
 	return nil
 }
