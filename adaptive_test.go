@@ -10,6 +10,7 @@ package sqlts_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"sqlts"
 	"sqlts/internal/obs"
@@ -140,6 +141,17 @@ func TestAdaptiveExecutorFlip(t *testing.T) {
 	sn := stmtSnapshot(t, db, sql)
 	if sn.PlanRevision < 1 {
 		t.Fatalf("expected a replan, got revision %d", sn.PlanRevision)
+	}
+
+	// Every record of a flipped Auto run names the executor that ran.
+	db.SetSlowQueryThreshold(time.Nanosecond, nil)
+	if _, err := q.Run(); err != nil {
+		t.Fatal(err)
+	}
+	spans := q.Trace().Spans()
+	span := obs.FormatSpans(spans[len(spans)-1:])
+	if rec := db.SlowLog()[0]; rec.Executor != "naive" || !strings.Contains(span, "executor=naive") {
+		t.Fatalf("flipped run labelled slow-log %q, execute span:\n%s", rec.Executor, span)
 	}
 }
 

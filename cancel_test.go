@@ -103,6 +103,10 @@ func TestCancelDifferential(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("parallel=%v/checkpoint=%d", parallel, k)
+			workers := 1
+			if parallel {
+				workers = 4
+			}
 			t.Run(name, func(t *testing.T) {
 				defer fault.Reset()
 				defer testutil.LeakCheck(t)()
@@ -117,7 +121,7 @@ func TestCancelDifferential(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				res, err := q.RunWith(RunOptions{Context: ctx, Parallel: parallel})
+				res, err := q.RunWith(RunOptions{Context: ctx, MaxWorkers: workers})
 				if res != nil {
 					t.Fatalf("canceled run returned a partial result (%d rows)", len(res.Rows))
 				}
@@ -127,7 +131,7 @@ func TestCancelDifferential(t *testing.T) {
 				fault.Reset()
 				// The cancellation must leave no residue: the same
 				// prepared query re-runs bit-identically.
-				rerun, err := q.RunWith(RunOptions{Parallel: parallel})
+				rerun, err := q.RunWith(RunOptions{MaxWorkers: workers})
 				if err != nil {
 					t.Fatalf("re-run after cancel: %v", err)
 				}
@@ -195,13 +199,13 @@ func TestMaxMatches(t *testing.T) {
 	if ref.Stats.Matches < 2 {
 		t.Fatalf("workload produced %d matches; need >= 2", ref.Stats.Matches)
 	}
-	for _, parallel := range []bool{false, true} {
-		res, err := q.RunWith(RunOptions{MaxMatches: 1, Parallel: parallel})
+	for _, workers := range []int{1, 4} {
+		res, err := q.RunWith(RunOptions{MaxMatches: 1, MaxWorkers: workers})
 		if res != nil {
-			t.Fatalf("parallel=%v: over-budget run returned a result", parallel)
+			t.Fatalf("workers=%d: over-budget run returned a result", workers)
 		}
 		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("parallel=%v: err=%v; want ErrBudgetExceeded", parallel, err)
+			t.Fatalf("workers=%d: err=%v; want ErrBudgetExceeded", workers, err)
 		}
 	}
 	// A budget above the total match count never trips.

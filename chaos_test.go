@@ -28,7 +28,6 @@ var chaosSites = []string{
 	"engine.stream.push",
 	"sqlts.admission",
 	"sqlts.execute.cluster",
-	"sqlts.parallel.worker",
 }
 
 func chaosDB(t testing.TB) (*DB, *Query) {
@@ -123,8 +122,8 @@ func TestChaos(t *testing.T) {
 						defer wg.Done()
 						for i := 0; i < iters; i++ {
 							res, err := q.RunWith(RunOptions{
-								Context:  context.Background(),
-								Parallel: c%2 == 1,
+								Context:    context.Background(),
+								MaxWorkers: 1 + 3*(c%2), // odd clients fan out
 							})
 							if err == nil {
 								okRuns[c]++

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,8 +26,8 @@ import (
 //	\exec NAME    switch executor (ops, naive, ops+skip, ...)
 //	\vectorize    toggle the batch mask kernels (on by default; off
 //	              evaluates probes row-at-a-time — identical results)
-//	\workers [n]  bound parallel/shard fan-out to n workers per
-//	              statement (0 = default, GOMAXPROCS)
+//	\workers [n]  search each statement's clusters on n goroutines
+//	              (0 or 1 = serially)
 //	\counters     toggle the per-query counter line after each SELECT
 //	\stats        print the per-statement statistics table (calls,
 //	              latency quantiles, pred-evals, cache hit rates)
@@ -120,14 +119,14 @@ func repl(db *sqlts.DB, in io.Reader, out io.Writer, kind sqlts.ExecutorKind, ov
 				if arg != "" {
 					n, err := strconv.Atoi(arg)
 					if err != nil || n < 0 {
-						fmt.Fprintf(out, "usage: \\workers [n] (0 = default, GOMAXPROCS)\n")
+						fmt.Fprintf(out, "usage: \\workers [n] (0 or 1 = serial)\n")
 						prompt()
 						continue
 					}
 					workers = n
 				}
-				if workers == 0 {
-					fmt.Fprintf(out, "workers: default (GOMAXPROCS = %d)\n", runtime.GOMAXPROCS(0))
+				if workers <= 1 {
+					fmt.Fprintf(out, "workers: serial\n")
 				} else {
 					fmt.Fprintf(out, "workers: %d\n", workers)
 				}
@@ -290,8 +289,8 @@ type execOpts struct {
 	timing  bool
 	// noVectorize disables the batch mask kernels (RunOptions.NoVectorize).
 	noVectorize bool
-	// workers bounds parallel/shard fan-out (RunOptions.MaxWorkers; 0 =
-	// GOMAXPROCS default).
+	// workers is the cluster-search goroutine count
+	// (RunOptions.MaxWorkers; 0 or 1 = serial).
 	workers int
 	// timeout bounds each statement via RunOptions.Deadline (0 = none).
 	timeout time.Duration

@@ -240,7 +240,7 @@ SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 	}
 	got := out.String()
 	for _, want := range []string{
-		"workers: default (GOMAXPROCS",
+		"workers: serial",
 		"workers: 2",
 		`usage: \workers [n]`,
 		"(1 rows)",

@@ -21,18 +21,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload random seed")
 	years := flag.Int("years", 25, "years of simulated DJIA data")
 	n := flag.Int("n", 50000, "sequence length for sweep/text experiments")
-	jsonPath := flag.String("json", "", "write machine-readable benchmark results (ns/op, allocs, pred-evals) to this file ('-' for stdout) and exit")
-	variant := flag.String("variant", "default", "variant label recorded in -json entries")
-	shardClusters := flag.Int("clusters", 100000, "symbol count for the -json serving-sharded family (0 skips it)")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath, *variant, *seed, *shardClusters); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	run := func(name string, f func() *bench.Report) {
 		if *exp != "all" && *exp != name {

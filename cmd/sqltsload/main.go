@@ -1,6 +1,6 @@
 // Command sqltsload is a wrk-style load generator for the serving path:
-// it builds a many-small-clusters quote table (the shard-parallel
-// executor's target shape), drives the paper's relaxed double-bottom
+// it builds a many-small-clusters quote table (the shape the sharded
+// partition cache targets), drives the paper's relaxed double-bottom
 // query over it from concurrent clients for a fixed duration, and
 // reports throughput plus the p50/p95/p99 latency quantiles recorded by
 // the statement-introspection layer.
@@ -13,9 +13,11 @@
 //
 // Every run re-checks that the match count equals the warm-up run's —
 // a cheap end-to-end guard that the sharded path stays bit-identical
-// under concurrency. -shards 1 drives the flat (unsharded) path for
-// A/B comparisons; -debug serves the DB's /debug surface (including
-// /debug/shards and /debug/queries) for the duration of the run;
+// under concurrency. -shards 1 drives the flat partition cache for A/B
+// comparisons; -workers N > 1 searches each query's clusters on N
+// goroutines (0 or 1 = serially); -debug serves the DB's /debug surface
+// (including /debug/shards and /debug/queries) for the duration of the
+// run;
 // -events streams the per-query wide-event log (JSON lines) to a file,
 // "-" for stdout.
 package main
@@ -40,8 +42,8 @@ func main() {
 	rows := flag.Int("rows", 10, "rows per cluster (planted clusters are lengthened to 24)")
 	plant := flag.Int("plant", 50, "plant a guaranteed double bottom in every Nth cluster (0 = none)")
 	seed := flag.Int64("seed", 1, "workload random seed")
-	shards := flag.Int("shards", 8, "shard count for the scatter-gather executor (1 = flat path)")
-	workers := flag.Int("workers", 0, "per-query worker bound (RunOptions.MaxWorkers; 0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 8, "shard count of the sharded partition cache (1 = flat cache)")
+	workers := flag.Int("workers", 0, "goroutines searching each query's clusters (RunOptions.MaxWorkers; 0 or 1 = serial)")
 	conc := flag.Int("conc", 8, "concurrent client goroutines")
 	duration := flag.Duration("duration", 10*time.Second, "how long to drive load")
 	threshold := flag.Float64("threshold", 0.02, "relaxation threshold for the double-bottom pattern")

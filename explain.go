@@ -50,7 +50,7 @@ func (q *Query) reportBody(res *Result, opts RunOptions) string {
 		b.WriteString("execution: vectorized (selection bitmasks)\n")
 	}
 	if res.shardCount > 1 {
-		fmt.Fprintf(&b, "execution: shard-parallel (%d shards)\n", res.shardCount)
+		fmt.Fprintf(&b, "partition source: sharded cache (%d shards)\n", res.shardCount)
 	}
 	b.WriteString("\nPhases:\n")
 	// Render compile phases once plus the span of the run just measured

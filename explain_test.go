@@ -136,8 +136,8 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// TestClusterStats checks the per-cluster breakdown on both execution
-// paths: every cluster appears (with or without matches) and the
+// TestClusterStats checks the per-cluster breakdown at one and at
+// several workers: every cluster appears (with or without matches) and the
 // per-cluster counters sum to the aggregate.
 func TestClusterStats(t *testing.T) {
 	db := quoteDB(t)
@@ -150,29 +150,29 @@ func TestClusterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		res, err := q.RunWith(RunOptions{Parallel: parallel})
+	for _, workers := range []int{1, 3} {
+		res, err := q.RunWith(RunOptions{MaxWorkers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cs := res.ClusterStats()
 		if len(cs) != 3 {
-			t.Fatalf("parallel=%v: cluster stats = %d entries, want 3", parallel, len(cs))
+			t.Fatalf("workers=%d: cluster stats = %d entries, want 3", workers, len(cs))
 		}
 		var sum = cs[0].Stats
 		rows := cs[0].Rows
 		for i, c := range cs[1:] {
 			if c.Cluster != i+1 {
-				t.Errorf("parallel=%v: cluster order %v", parallel, cs)
+				t.Errorf("workers=%d: cluster order %v", workers, cs)
 			}
 			sum.Add(c.Stats)
 			rows += c.Rows
 		}
 		if sum != res.Stats {
-			t.Errorf("parallel=%v: per-cluster sum %v != aggregate %v", parallel, sum, res.Stats)
+			t.Errorf("workers=%d: per-cluster sum %v != aggregate %v", workers, sum, res.Stats)
 		}
 		if rows != 12 {
-			t.Errorf("parallel=%v: rows = %d, want 12", parallel, rows)
+			t.Errorf("workers=%d: rows = %d, want 12", workers, rows)
 		}
 	}
 }

@@ -2,12 +2,11 @@ package sqlts
 
 // The query flight recorder (live-operations layer): every Run and
 // open Stream registers a Flight in the DB's active-query registry,
-// executors tick its progress counters as they go — per shard on the
-// scatter-gather path — and each completed execution emits one
-// structured wide event. /debug/queries (debug.go) lists the in-flight
-// registrations and accepts a POST kill that lands in the PR 7
-// cancellation path as ErrKilled; /debug/events tails the retained
-// wide-event ring.
+// executors tick its progress counters as they go, and each completed
+// execution emits one structured wide event. /debug/queries (debug.go)
+// lists the in-flight registrations and accepts a POST kill that lands
+// in the PR 7 cancellation path as ErrKilled; /debug/events tails the
+// retained wide-event ring.
 
 import (
 	"errors"
@@ -230,7 +229,7 @@ func (db *DB) emitStreamEvent(st *Stream, runErr error) {
 }
 
 // WriteActiveQueries renders the in-flight table as text with per-query
-// (and per-shard) progress bars, for /debug/queries?format=text and the
+// progress bars, for /debug/queries?format=text and the
 // REPL \queries.
 func (db *DB) WriteActiveQueries(w io.Writer) error {
 	snaps := db.ActiveQueries()
@@ -254,10 +253,6 @@ func (db *DB) WriteActiveQueries(w io.Writer) error {
 		fmt.Fprintf(&b, "     clusters %s %d/%d  rows=%d matches=%d pred-evals=%d\n",
 			progressBar(s.ClustersDone, s.ClustersTotal, 20), s.ClustersDone, s.ClustersTotal,
 			s.RowsScanned, s.Matches, s.PredEvals)
-		for _, sh := range s.Shards {
-			fmt.Fprintf(&b, "       shard %2d %s %d/%d clusters (%d rows)\n",
-				sh.ID, progressBar(sh.Done, sh.Clusters, 20), sh.Done, sh.Clusters, sh.Rows)
-		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

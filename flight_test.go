@@ -159,10 +159,11 @@ func TestFlightProgressMonotonic(t *testing.T) {
 	}
 }
 
-// TestFlightKillHTTP is the end-to-end kill round-trip: a sharded query
-// is held in flight at a fault point, surfaced via GET /debug/queries
-// with its per-shard progress, killed via POST, and the run must return
-// ErrKilled (wrapping ErrCanceled) carrying the endpoint's annotation.
+// TestFlightKillHTTP is the end-to-end kill round-trip: a four-worker
+// query over the sharded cache is held in flight at a fault point,
+// surfaced via GET /debug/queries, killed via POST, and the run must
+// return ErrKilled (wrapping ErrCanceled) carrying the endpoint's
+// annotation.
 func TestFlightKillHTTP(t *testing.T) {
 	defer fault.Reset()
 	defer testutil.LeakCheck(t)()
@@ -173,7 +174,7 @@ func TestFlightKillHTTP(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	if err := fault.Arm("sqlts.parallel.worker", fault.Action{Fn: func() error {
+	if err := fault.Arm("sqlts.execute.cluster", fault.Action{Fn: func() error {
 		once.Do(func() { close(started) })
 		<-release
 		return nil
@@ -186,12 +187,12 @@ func TestFlightKillHTTP(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := q.RunWith(RunOptions{})
+		_, err := q.RunWith(RunOptions{MaxWorkers: 4})
 		errc <- err
 	}()
 	<-started
 
-	// The flight is visible with its shard layout while the workers hold.
+	// The flight is visible while the workers hold.
 	resp, err := http.Get(srv.URL + "/debug/queries")
 	if err != nil {
 		t.Fatal(err)
@@ -210,26 +211,16 @@ func TestFlightKillHTTP(t *testing.T) {
 	if snap.Phase != "running" || snap.ClustersTotal != 12 {
 		t.Errorf("snapshot wrong: phase=%s clusters_total=%d", snap.Phase, snap.ClustersTotal)
 	}
-	if len(snap.Shards) != 4 {
-		t.Fatalf("snapshot lists %d shards, want 4", len(snap.Shards))
-	}
-	var shardClusters int64
-	for _, sh := range snap.Shards {
-		shardClusters += sh.Clusters
-	}
-	if shardClusters != 12 {
-		t.Errorf("per-shard cluster totals sum to %d, want 12", shardClusters)
-	}
 
-	// The text rendering carries per-shard progress bars.
+	// The text rendering carries the progress bar.
 	resp, err = http.Get(srv.URL + "/debug/queries?format=text")
 	if err != nil {
 		t.Fatal(err)
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(text), "shard") || !strings.Contains(string(text), "[") {
-		t.Errorf("text rendering missing shard progress bars:\n%s", text)
+	if !strings.Contains(string(text), "clusters [") {
+		t.Errorf("text rendering missing the progress bar:\n%s", text)
 	}
 
 	// Kill it.
@@ -330,7 +321,7 @@ func TestFlightRaceKill(t *testing.T) {
 					return
 				default:
 				}
-				_, err := q.RunWith(RunOptions{Parallel: true})
+				_, err := q.RunWith(RunOptions{MaxWorkers: 4})
 				if err != nil && !errors.Is(err, ErrKilled) {
 					t.Errorf("run failed with a non-kill error: %v", err)
 					return

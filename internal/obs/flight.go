@@ -3,11 +3,10 @@ package obs
 // The active-query registry: every in-flight execution (and open
 // stream) holds a Flight whose progress counters are ticked by the
 // executors with plain atomic adds, so an operator can see which
-// statement is where — per shard, when the scatter-gather path runs —
-// while it is still executing, and kill it. The package stays
-// engine-agnostic: callers register with plain strings/ints and hand
-// the kill error in as a value; nothing here knows the caller's typed
-// error taxonomy.
+// statement is where while it is still executing, and kill it. The
+// package stays engine-agnostic: callers register with plain
+// strings/ints and hand the kill error in as a value; nothing here knows
+// the caller's typed error taxonomy.
 //
 // Nil receivers are inert on every method, so a disabled recorder hands
 // out nil Flights and the serving path needs no call-site guards.
@@ -46,23 +45,6 @@ func (p FlightPhase) String() string {
 	}
 }
 
-// ShardSpec declares one shard's denominators when a scatter-gather
-// execution attaches per-shard progress to its flight.
-type ShardSpec struct {
-	ID       int
-	Clusters int
-	Rows     int
-}
-
-// shardProgress is the live per-shard counter block; the totals are
-// immutable after SetShards, only done moves.
-type shardProgress struct {
-	id       int
-	clusters int64
-	rows     int64
-	done     atomic.Int64
-}
-
 // killState carries the kill error; a non-nil pointer means the flight
 // was killed.
 type killState struct{ err error }
@@ -84,10 +66,6 @@ type Flight struct {
 	matches       atomic.Int64
 	predEvals     atomic.Int64
 	pushes        atomic.Int64
-
-	// shards is the per-shard progress block, attached once by the
-	// scatter-gather path (nil on flat executions).
-	shards atomic.Pointer[[]*shardProgress]
 
 	// kill is set once by Kill; executors observe it at their
 	// cooperative checkpoints. cancel, when registered, is invoked by
@@ -183,36 +161,6 @@ func (f *Flight) TickPushes(n int64) {
 	f.pushes.Add(n)
 }
 
-// SetShards attaches per-shard progress denominators; the scatter path
-// calls it once per execution before fan-out.
-func (f *Flight) SetShards(specs []ShardSpec) {
-	if f == nil {
-		return
-	}
-	ps := make([]*shardProgress, len(specs))
-	for i, s := range specs {
-		ps[i] = &shardProgress{id: s.ID, clusters: int64(s.Clusters), rows: int64(s.Rows)}
-	}
-	f.shards.Store(&ps)
-}
-
-// ShardDone ticks one completed cluster on the identified shard.
-func (f *Flight) ShardDone(shardID int) {
-	if f == nil {
-		return
-	}
-	ps := f.shards.Load()
-	if ps == nil {
-		return
-	}
-	for _, p := range *ps {
-		if p.id == shardID {
-			p.done.Add(1)
-			return
-		}
-	}
-}
-
 // SetCancel registers the cancel function Kill invokes (a context
 // cancel, typically), so killed context-driven runs stop without
 // waiting for the next cooperative checkpoint.
@@ -255,14 +203,6 @@ func (f *Flight) KillErr() error {
 	return nil
 }
 
-// ShardSnapshot is the JSON-ready per-shard progress of one flight.
-type ShardSnapshot struct {
-	ID       int   `json:"id"`
-	Clusters int64 `json:"clusters"`
-	Done     int64 `json:"done"`
-	Rows     int64 `json:"rows"`
-}
-
 // FlightSnapshot is a point-in-time copy of one flight, JSON-ready for
 // /debug/queries. Counters are read individually atomically; a
 // snapshot taken mid-tick may be internally skewed by in-flight
@@ -283,8 +223,7 @@ type FlightSnapshot struct {
 	PredEvals     int64 `json:"pred_evals"`
 	Pushes        int64 `json:"pushes,omitempty"`
 
-	Killed bool            `json:"killed,omitempty"`
-	Shards []ShardSnapshot `json:"shards,omitempty"`
+	Killed bool `json:"killed,omitempty"`
 }
 
 // Snapshot copies the flight's counters.
@@ -292,7 +231,7 @@ func (f *Flight) Snapshot() FlightSnapshot {
 	if f == nil {
 		return FlightSnapshot{}
 	}
-	out := FlightSnapshot{
+	return FlightSnapshot{
 		ID:           f.id,
 		SQL:          f.sql,
 		Executor:     f.executor,
@@ -309,13 +248,6 @@ func (f *Flight) Snapshot() FlightSnapshot {
 		Pushes:        f.pushes.Load(),
 		Killed:        f.kill.Load() != nil,
 	}
-	if ps := f.shards.Load(); ps != nil {
-		out.Shards = make([]ShardSnapshot, len(*ps))
-		for i, p := range *ps {
-			out.Shards[i] = ShardSnapshot{ID: p.id, Clusters: p.clusters, Done: p.done.Load(), Rows: p.rows}
-		}
-	}
-	return out
 }
 
 // FlightRegistry is the set of in-flight executions. Register/

@@ -15,8 +15,6 @@ func TestFlightNilSafety(t *testing.T) {
 	f.TickMatches(1)
 	f.TickPredEvals(1)
 	f.TickPushes(1)
-	f.SetShards([]ShardSpec{{ID: 0, Clusters: 1, Rows: 1}})
-	f.ShardDone(0)
 	f.SetCancel(func() {})
 	if f.Kill(errors.New("x")) {
 		t.Error("nil flight reported a successful kill")
@@ -76,29 +74,6 @@ func TestFlightKillSemantics(t *testing.T) {
 	}
 }
 
-func TestFlightShardProgress(t *testing.T) {
-	r := NewFlightRegistry()
-	f := r.Register("q", "ops", 1, PhaseRunning)
-	f.SetShards([]ShardSpec{
-		{ID: 0, Clusters: 3, Rows: 30},
-		{ID: 2, Clusters: 2, Rows: 20},
-	})
-	f.ShardDone(2)
-	f.ShardDone(0)
-	f.ShardDone(2)
-	f.ShardDone(7) // unknown shard: ignored
-	s := f.Snapshot()
-	if len(s.Shards) != 2 {
-		t.Fatalf("snapshot lists %d shards, want 2", len(s.Shards))
-	}
-	if s.Shards[0].Done != 1 || s.Shards[0].Clusters != 3 || s.Shards[0].Rows != 30 {
-		t.Errorf("shard 0 progress wrong: %+v", s.Shards[0])
-	}
-	if s.Shards[1].ID != 2 || s.Shards[1].Done != 2 {
-		t.Errorf("shard 2 progress wrong: %+v", s.Shards[1])
-	}
-}
-
 func TestFlightRegistrySnapshotOrder(t *testing.T) {
 	r := NewFlightRegistry()
 	a := r.Register("a", "", 0, PhaseQueued)
@@ -118,27 +93,22 @@ func TestFlightConcurrentTicks(t *testing.T) {
 	r := NewFlightRegistry()
 	f := r.Register("q", "ops", 1, PhaseRunning)
 	f.SetClustersTotal(64)
-	f.SetShards([]ShardSpec{{ID: 0, Clusters: 32}, {ID: 1, Clusters: 32}})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				f.TickClusters(1)
 				f.TickRows(10)
 				f.TickMatches(2)
-				f.ShardDone(w % 2)
 				_ = f.Snapshot()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	s := f.Snapshot()
 	if s.ClustersDone != 64 || s.RowsScanned != 640 || s.Matches != 128 {
 		t.Errorf("counters lost ticks: %+v", s)
-	}
-	if s.Shards[0].Done+s.Shards[1].Done != 64 {
-		t.Errorf("shard dones sum to %d, want 64", s.Shards[0].Done+s.Shards[1].Done)
 	}
 }

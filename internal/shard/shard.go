@@ -3,20 +3,16 @@
 // shards, each owning its own sorted cluster slab, data version, and
 // memoized columnar projections and selection bitmasks. Clusters are
 // independent by construction (the paper's optimization is per-cluster),
-// so the split buys two things:
-//
-//   - Incremental invalidation: tables are append-only, so a Partition
-//     built at version v refreshes to version v' by regrouping only the
-//     appended rows — the shards they land in are rebuilt
-//     (copy-on-invalidate: in-flight readers keep the old slabs), every
-//     other shard is carried over untouched, kernels, masks and all.
-//   - Scatter-gather execution (scatter.go): queries fan out to
-//     per-shard worker pools and stream-merge per-cluster results back
-//     in deterministic global cluster order with bounded buffering.
+// so the split buys incremental invalidation: tables are append-only, so
+// a Partition built at version v refreshes to version v' by regrouping
+// only the appended rows — the shards they land in are rebuilt
+// (copy-on-invalidate: in-flight readers keep the old slabs), every
+// other shard is carried over untouched, kernels, masks and all.
 //
 // Global cluster order (first appearance in the row log) is preserved
-// across sharding, so a sharded execution's rows, statistics, and
-// per-cluster breakdown are bit-identical to the serial path's.
+// across sharding (Cluster.Global), so an execution that visits the
+// clusters in that order produces rows, statistics, and a per-cluster
+// breakdown bit-identical to one over the unsharded partition.
 package shard
 
 import (
@@ -64,6 +60,10 @@ func (s *Shard) Version() uint64 { return s.version }
 
 // NumClusters returns the number of clusters the shard owns.
 func (s *Shard) NumClusters() int { return len(s.clusters) }
+
+// Clusters returns the shard's clusters in ascending global order — the
+// order Projections and Masks index by. The slice is read-only.
+func (s *Shard) Clusters() []Cluster { return s.clusters }
 
 // RowCount returns the total input rows across the shard's clusters.
 func (s *Shard) RowCount() int { return s.rows }
@@ -186,12 +186,6 @@ type Partition struct {
 	rows      int
 	builtRows int // rows of the table consumed by this generation
 	version   uint64
-
-	// layouts memoizes scatter layouts per worker budget (scatter.go);
-	// like the shard memos they are pure functions of the immutable
-	// partition, built lazily under layoutMu.
-	layoutMu sync.Mutex
-	layouts  map[int][]*Group
 }
 
 // RefreshStats describes one incremental refresh.

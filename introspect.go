@@ -43,8 +43,7 @@ func (db *DB) ResetStatementStats() { db.stmts.Reset() }
 // SetStatementStatsCapacity bounds the number of distinct statements
 // tracked (default 256; overflow aggregates into one catch-all entry).
 // 0 disables statement tracking entirely — queries then skip the store
-// update, which is the introspection-off configuration benchmarked in
-// BENCH_PR5.json.
+// update.
 func (db *DB) SetStatementStatsCapacity(n int) { db.stmts.SetCapacity(n) }
 
 // SetTraceSampleRate retains one full lifecycle trace per statement

@@ -30,7 +30,7 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 
 	variants := []RunOptions{
 		{},                    // serial, kernel path
-		{Parallel: true},      // parallel clusters
+		{MaxWorkers: 4},       // four workers
 		{NoKernel: true},      // interpreter
 		{Executor: NaiveExec}, // naive executor (feeds the savings metric)
 		{Overlap: true},       // overlapping occurrences

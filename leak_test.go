@@ -23,7 +23,7 @@ func TestRuntimeSamplerNoLeak(t *testing.T) {
 
 // TestParallelErrorNoLeak: a worker failing (injected error and panic)
 // must not strand the other workers — every goroutine exits even though
-// the dispatch loop stops early.
+// chunk claims stop early.
 func TestParallelErrorNoLeak(t *testing.T) {
 	defer fault.Reset()
 	defer testutil.LeakCheck(t)()
@@ -43,15 +43,15 @@ func TestParallelErrorNoLeak(t *testing.T) {
 		{Err: errors.New("worker failure")},
 		{Panic: "worker panic"},
 	} {
-		if err := fault.Arm("sqlts.parallel.worker", act); err != nil {
+		if err := fault.Arm("sqlts.execute.cluster", act); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.RunWith(RunOptions{Parallel: true}); err == nil {
+		if _, err := q.RunWith(RunOptions{MaxWorkers: 4}); err == nil {
 			t.Fatal("injected worker failure did not surface")
 		}
 		fault.Reset()
 		// And the query still works after.
-		if _, err := q.RunWith(RunOptions{Parallel: true}); err != nil {
+		if _, err := q.RunWith(RunOptions{MaxWorkers: 4}); err != nil {
 			t.Fatalf("run after injected failure: %v", err)
 		}
 	}

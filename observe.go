@@ -158,9 +158,9 @@ func newDBMetrics() *dbMetrics {
 		partitionCacheRefreshes: reg.Counter("sqlts_partition_cache_refreshes_total",
 			"Partition misses served by refreshing the stale cached partition per cluster instead of rebuilding it."),
 		shardsConfigured: reg.Gauge("sqlts_shards_configured",
-			"Shard count set via SetShards (0 or 1 = unsharded path)."),
+			"Shard count set via SetShards (0 or 1 = flat partition cache)."),
 		shardQueries: reg.Counter("sqlts_shard_queries_total",
-			"Query executions served by the shard-parallel scatter-gather path."),
+			"Query executions that read their clusters from the sharded partition cache."),
 		shardCacheHits: reg.Counter("sqlts_shard_cache_hits_total",
 			"Executions that reused a cached sharded partition unchanged."),
 		shardCacheMisses: reg.Counter("sqlts_shard_cache_misses_total",
@@ -271,7 +271,7 @@ func (db *DB) recordPanic(q *Query, opts RunOptions, err error, entry *obs.StmtS
 		TraceID:  traceID,
 		Time:     time.Now(),
 		SQL:      q.plan.sql,
-		Executor: opts.Executor.String(),
+		Executor: q.effectiveExecutor(opts).String(),
 		Report:   fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack),
 	})
 }
@@ -335,7 +335,7 @@ func (db *DB) observeRun(q *Query, opts RunOptions, fl *obs.Flight, res *Result,
 		if fn != nil {
 			fn(SlowQueryInfo{
 				SQL:      q.plan.sql,
-				Executor: opts.Executor.String(),
+				Executor: q.effectiveExecutor(opts).String(),
 				Duration: dur,
 				Rows:     len(res.Rows),
 				Stats:    res.Stats,
@@ -353,7 +353,7 @@ func (db *DB) recordSlow(q *Query, opts RunOptions, res *Result, scanned int, du
 		TraceID:  traceID,
 		Time:     time.Now(),
 		SQL:      q.plan.sql,
-		Executor: opts.Executor.String(),
+		Executor: q.effectiveExecutor(opts).String(),
 		Duration: dur,
 		Rows:     len(res.Rows),
 		Scanned:  scanned,

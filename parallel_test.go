@@ -36,7 +36,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := q.RunWith(RunOptions{Parallel: true})
+	parallel, err := q.RunWith(RunOptions{MaxWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestParallelKernelMatchesInterpreter(t *testing.T) {
 		opts  RunOptions
 	}{
 		{"serial+kernel", RunOptions{}},
-		{"parallel+kernel", RunOptions{Parallel: true}},
-		{"parallel+interp", RunOptions{Parallel: true, NoKernel: true}},
+		{"parallel+kernel", RunOptions{MaxWorkers: 4}},
+		{"parallel+interp", RunOptions{MaxWorkers: 4, NoKernel: true}},
 	} {
 		res, err := q.RunWith(c.opts)
 		if err != nil {

@@ -1,9 +1,9 @@
 package sqlts_test
 
-// Tests for the shard-parallel scatter-gather path (PR 9): results must
-// be bit-identical to the serial path across executors and options,
+// Tests for the sharded partition cache (PR 9): results must be
+// bit-identical to the flat cache's across executors and options,
 // including the paper's pred-evals metric; an insert must invalidate
-// only the shard it lands in; and the path must stay correct under
+// only the shard it lands in; and the cache must stay correct under
 // concurrent readers and an inserter.
 
 import (
@@ -96,7 +96,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	if len(serial.Rows) == 0 {
 		t.Fatal("workload produced no matches; adjust parameters")
 	}
-	parallel := mustRun(t, db, shardTestSQL, sqlts.RunOptions{Parallel: true})
+	parallel := mustRun(t, db, shardTestSQL, sqlts.RunOptions{MaxWorkers: 4})
 	sameResult(t, "parallel", serial, parallel)
 
 	for _, nshards := range []int{2, 3, 8, 64} {
@@ -140,32 +140,33 @@ func TestShardedOptionVariants(t *testing.T) {
 	}
 }
 
-// TestShardedBypasses: NoCache and Trace runs must stay on the flat
-// path (the first bypasses caching, the second needs the serial path
-// buffer) and still produce identical results.
+// TestShardedBypasses: a NoCache run bypasses the sharded cache like the
+// flat one; a Trace run is an ordinary one-worker run over it. Both
+// produce identical results.
 func TestShardedBypasses(t *testing.T) {
 	db, tbl := shardQuoteDB(t, 20)
 	sdb := referenceDB(t, tbl)
 	sdb.SetShards(4)
 	want := mustRun(t, db, shardTestSQL, sqlts.RunOptions{})
 	for _, tc := range []struct {
-		name string
-		opts sqlts.RunOptions
+		name   string
+		opts   sqlts.RunOptions
+		shards int
 	}{
-		{"nocache", sqlts.RunOptions{NoCache: true}},
-		{"trace", sqlts.RunOptions{Trace: true}},
+		{"nocache", sqlts.RunOptions{NoCache: true}, 0},
+		{"trace", sqlts.RunOptions{Trace: true}, 4},
 	} {
 		got := mustRun(t, sdb, shardTestSQL, tc.opts)
-		if got.Shards() != 0 {
-			t.Fatalf("%s: res.Shards() = %d, want 0 (flat path)", tc.name, got.Shards())
+		if got.Shards() != tc.shards {
+			t.Fatalf("%s: res.Shards() = %d, want %d", tc.name, got.Shards(), tc.shards)
 		}
 		sameResult(t, tc.name, want, got)
 	}
 }
 
 // TestShardedPredEvalsPin pins the paper's cost metric on the §7
-// double-bottom corpus: the sharded path must report exactly the
-// serial path's 11,972 predicate evaluations.
+// double-bottom corpus: at any worker count, and over the sharded cache,
+// the run reports exactly 11,972 predicate evaluations.
 func TestShardedPredEvalsPin(t *testing.T) {
 	const pinnedPredEvals = 11972
 	prices := workload.DJIA25Years(1)
@@ -181,8 +182,10 @@ func TestShardedPredEvalsPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := mustRun(t, db, sql, sqlts.RunOptions{})
-	if serial.Stats.PredEvals != pinnedPredEvals {
-		t.Fatalf("serial pred-evals = %d, want %d", serial.Stats.PredEvals, pinnedPredEvals)
+	for _, workers := range []int{1, 2, 3, 8} {
+		if got := mustRun(t, db, sql, sqlts.RunOptions{MaxWorkers: workers}); got.Stats.PredEvals != pinnedPredEvals {
+			t.Fatalf("%d workers: pred-evals = %d, want %d", workers, got.Stats.PredEvals, pinnedPredEvals)
+		}
 	}
 	sdb := sqlts.New()
 	sdb.RegisterTable(tbl)
@@ -346,7 +349,7 @@ func TestDebugShardsSurface(t *testing.T) {
 }
 
 // TestSetShardsOffDropsCache: disabling sharding purges the shard
-// partitions and routes back to the flat path.
+// partitions and routes back to the flat cache.
 func TestSetShardsOffDropsCache(t *testing.T) {
 	db, _ := shardQuoteDB(t, 10)
 	db.SetShards(4)

@@ -1,41 +1,31 @@
 package sqlts
 
-// The shard-parallel serving path (PR 9): SetShards(n) with n ≥ 2 routes
-// pattern queries through internal/shard — each table partition is
-// hash-split into n shards with per-shard versions, sorted cluster
-// slabs, and memoized projections/masks, so an insert re-sorts only the
-// shard it lands in while every other shard (and its warm memos) is
-// carried over pointer-identical. Queries scatter to per-shard worker
-// pools and stream-merge per-cluster results in global cluster order;
-// rows, Stats, and pred-evals are bit-identical to the serial path.
+// The sharded partition cache (PR 9): SetShards(n) with n ≥ 2 makes
+// pattern queries read their clusters from internal/shard — each table
+// partition is hash-split into n shards with per-shard versions, sorted
+// cluster slabs, and memoized projections/masks, so an insert re-sorts
+// only the shard it lands in while every other shard (and its warm
+// memos) is carried over pointer-identical. The clusters reach the same
+// cluster driver (driver.go) in the same global order as the flat
+// cache's, so rows, Stats, and pred-evals are bit-identical.
 
 import (
 	"container/list"
-	"runtime/debug"
 	"sort"
 
-	"sqlts/internal/engine"
-	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
 	"sqlts/internal/shard"
 	"sqlts/internal/storage"
 )
 
-// shardResultBuffer bounds each runner's in-flight cluster results
-// during a scatter (the channel between a runner and the gatherer), so
-// a fast shard cannot buffer an unbounded result backlog while the
-// merge waits on a slow one.
-const shardResultBuffer = 16
-
-// SetShards configures the shard-parallel execution path: with n ≥ 2,
-// pattern queries hash-partition each table's clusters into n shards
-// (cached per (table, clusterBy, sequenceBy) like the flat partition
-// cache, but refreshed incrementally — an insert rebuilds only the
-// shards its rows land in) and execute scatter-gather across them.
-// Results, statistics, and predicate-evaluation counts are identical to
-// the unsharded path; RunOptions.MaxWorkers bounds the fan-out.
-// n ≤ 1 restores the unsharded path and drops cached shard partitions.
-// Runs with NoCache or Trace always use the unsharded path.
+// SetShards configures the sharded partition cache: with n ≥ 2, pattern
+// queries hash-partition each table's clusters into n shards (cached per
+// (table, clusterBy, sequenceBy) like the flat partition cache, but
+// refreshed per shard — an insert rebuilds only the shards its rows land
+// in) and search them in global cluster order. Results, statistics, and
+// predicate-evaluation counts are identical to the flat cache's.
+// n ≤ 1 restores the flat cache and drops cached shard partitions.
+// Runs with NoCache bypass both caches.
 func (db *DB) SetShards(n int) {
 	if n < 0 {
 		n = 0
@@ -176,161 +166,42 @@ func (db *DB) storeShardPartition(key string, t *storage.Table, p *shard.Partiti
 	db.cacheMu.Unlock()
 }
 
-// clusterSearcher adapts one executor to the shard.Searcher contract:
-// per-cluster search, select-clause projection, budget accounting, and
-// the same containment boundary as the parallel path — an
-// engine.Interrupt unwind becomes its typed error, any other panic a
-// *PanicError.
-type clusterSearcher struct {
-	q  *Query
-	rc *runControl
-	ex engine.Executor
-}
-
-func (s *clusterSearcher) Search(global int, rows []storage.Row, proj *storage.Projection, masks *pattern.MaskSet) (out shard.ClusterResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			if in, ok := r.(engine.Interrupt); ok {
-				out.Err = in.Err
-				return
-			}
-			out.Err = &PanicError{Statement: s.q.plan.key, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if err := faultWorker.Fire(); err != nil {
-		out.Err = err
-		return
-	}
-	if err := s.rc.check(); err != nil {
-		out.Err = err
-		return
-	}
-	if proj != nil {
-		s.ex.UseProjection(proj)
-	}
-	if masks != nil {
-		s.ex.UseMasks(masks)
-	}
-	ms, stats := s.ex.FindAll(rows)
-	out.Matches, out.Stats = ms, stats
-	for _, m := range ms {
-		row, err := s.q.plan.compiled.EvalSelect(rows, m.Spans)
-		if err != nil {
-			out.Err = err
-			return
-		}
-		out.Out = append(out.Out, row)
-	}
-	s.rc.addMatches(stats.Matches)
-	return
-}
-
-// runSharded is the scatter-gather execution path: partition shards fan
-// out to per-group worker pools and per-cluster results stream-merge
-// back in global cluster order, so the stitched Result is bit-identical
-// to the serial path's. Runs inside execute's containment boundary.
-func (q *Query) runSharded(rc *runControl, res *Result, t *storage.Table, opts RunOptions, nshards int) (*Result, int, error) {
-	compiled := q.plan.compiled
-	sp, cached, err := q.db.shardedPartition(t, compiled.ClusterBy, compiled.SequenceBy, nshards)
-	if err != nil {
-		return nil, 0, err
-	}
-	scanned := sp.Rows()
-	if err := rc.checkScanned(scanned); err != nil {
-		return nil, 0, err
-	}
-	res.partition.cached = cached
-	res.shardCount = sp.NumShards()
-	fl := rc.flightRef()
-	if fl != nil {
-		specs := make([]obs.ShardSpec, 0, sp.NumShards())
-		for _, s := range sp.Shards() {
-			specs = append(specs, obs.ShardSpec{ID: s.ID(), Clusters: s.NumClusters(), Rows: s.RowCount()})
-		}
-		fl.SetShards(specs)
-		fl.SetClustersTotal(int64(sp.NumClusters()))
-	}
-	if sp.NumClusters() == 0 {
-		return res, scanned, nil
-	}
-	policy := engine.SkipPastLastRow
-	if opts.Overlap {
-		policy = engine.SkipToNextRow
-	}
-	kern := q.plan.kernel
-	if opts.NoKernel {
-		kern = nil
-	}
-	// Warm the per-shard memos on this goroutine first: the initial
-	// projection/mask build runs inside execute's recover boundary (as it
-	// does on the flat path), and the groups' later fetches are pure
-	// memo hits.
-	if kern != nil && kern.CompiledElems() > 0 {
-		for _, s := range sp.Shards() {
-			s.Projections(kern)
-			if !opts.NoVectorize {
-				s.Masks(kern)
-			}
-		}
-	}
-	req := &shard.Request{
-		SQL:           q.plan.sql,
-		Kernel:        kern,
-		NoProjections: opts.NoKernel,
-		NoMasks:       opts.NoVectorize,
-		Buffer:        shardResultBuffer,
-		NewSearcher: func(vectorized bool) shard.Searcher {
-			ex := q.newExecutor(opts, policy)
-			if rc != nil {
-				ex.SetInterrupt(rc.interrupt())
-			}
-			if vectorized {
-				ex.SetVectorized(true)
-			}
-			return &clusterSearcher{q: q, rc: rc, ex: ex}
-		},
-	}
-	if fl != nil {
-		req.OnCluster = func(shardID, global int) { fl.ShardDone(shardID) }
-	}
-	groups := shard.Layout(sp, effectiveWorkers(opts))
-	err = shard.Gather(shard.Runners(groups), req, func(cr shard.ClusterResult) error {
-		if fl != nil {
-			fl.TickClusters(1)
-			fl.TickRows(int64(cr.Rows))
-			fl.TickMatches(int64(cr.Stats.Matches))
-		}
-		res.Stats.Add(cr.Stats)
-		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: cr.Global, Rows: cr.Rows, Stats: cr.Stats})
-		if len(cr.Matches) > 0 {
-			res.Matches = append(res.Matches, ClusterMatches{Cluster: cr.Global, Matches: cr.Matches})
-		}
-		res.Rows = append(res.Rows, cr.Out...)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := rc.check(); err != nil {
-		return nil, 0, err
-	}
-	// Aggregate the per-shard mask-build stats for the adaptive
-	// optimizer. Summing in shard order gives the same totals as the flat
-	// path's cluster-order aggregation (the counters are plain sums).
-	if kern != nil && !opts.NoVectorize && kern.CompiledElems() > 0 && kern.VecElems() > 0 {
-		agg := &pattern.MaskStats{}
-		for _, s := range sp.Shards() {
-			if s.NumClusters() == 0 {
-				continue
-			}
-			if _, st := s.Masks(kern); st != nil {
+// globalOrder lays sp's clusters out in global cluster order — the shape
+// the cluster driver takes — together with their memoized projections
+// and, when vectorize is set, mask sets for kernel k (nil: the
+// interpreter path). The first use of k on a shard builds its memos
+// here, on the query goroutine inside execute's containment. agg sums
+// the per-shard mask-build stats for the adaptive optimizer; the
+// counters are plain sums, so shard order gives the flat cache's totals.
+func globalOrder(sp *shard.Partition, k *pattern.Kernel, vectorize bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, agg *pattern.MaskStats) {
+	n := sp.NumClusters()
+	clusters = make([][]storage.Row, n)
+	for _, s := range sp.Shards() {
+		ps := s.Projections(k)
+		var ms []*pattern.MaskSet
+		if ps != nil && vectorize {
+			var st *pattern.MaskStats
+			if ms, st = s.Masks(k); ms != nil {
+				if masks == nil {
+					masks, agg = make([]*pattern.MaskSet, n), &pattern.MaskStats{}
+				}
 				agg.Add(st)
 			}
 		}
-		res.vectorized = true
-		res.maskStats = agg
+		if ps != nil && projs == nil {
+			projs = make([]*storage.Projection, n)
+		}
+		for i, c := range s.Clusters() {
+			clusters[c.Global] = c.Rows
+			if ps != nil {
+				projs[c.Global] = ps[i]
+			}
+			if ms != nil {
+				masks[c.Global] = ms[i]
+			}
+		}
 	}
-	return res, scanned, nil
+	return clusters, projs, masks, agg
 }
 
 // ShardStat describes one shard of a cached sharded partition.

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -49,13 +48,10 @@ import (
 	"sqlts/internal/storage"
 )
 
-// Fault-injection sites on the serving path (see internal/fault and the
-// engine.* sites): the serial per-cluster boundary and the parallel
-// worker body.
-var (
-	faultExecCluster = fault.New("sqlts.execute.cluster")
-	faultWorker      = fault.New("sqlts.parallel.worker")
-)
+// faultExecCluster is the serving path's fault-injection site (see
+// internal/fault and the engine.* sites): the cluster driver fires it
+// before each cluster's search, at any worker count.
+var faultExecCluster = fault.New("sqlts.execute.cluster")
 
 // DB is an in-memory sequence database: a set of named tables plus
 // per-table metadata (positive-domain column declarations) and the
@@ -78,8 +74,8 @@ type DB struct {
 	parts   *partitionCache
 
 	// shardParts caches sharded table partitions (shards.go); nshards is
-	// the SetShards knob routing pattern queries through the
-	// scatter-gather path when ≥ 2.
+	// the SetShards knob: when ≥ 2, pattern queries take their clusters
+	// from it instead of parts.
 	shardParts *shardCache
 	nshards    atomic.Int64
 
@@ -340,17 +336,14 @@ type RunOptions struct {
 	// instead of the paper's default left-maximal semantics.
 	Overlap bool
 	// Trace records the (i, j) search path (Figure 5); retrieve it with
-	// Query.LastPath. Trace forces serial execution and is the one run
-	// mode that is not safe to use from multiple goroutines on a shared
-	// Query (the path buffer is per-Query).
+	// Query.LastPath. Trace forces one worker and is the one run mode
+	// that is not safe to use from multiple goroutines on a shared Query
+	// (the path buffer is per-Query).
 	Trace bool
-	// Parallel searches clusters concurrently (one goroutine per cluster,
-	// bounded by MaxWorkers). Results are identical to serial execution,
-	// including row order.
-	Parallel bool
-	// MaxWorkers bounds the fan-out of Parallel runs and of the
-	// shard-parallel path (SetShards): at most this many concurrent
-	// cluster searches. 0 keeps the default, GOMAXPROCS.
+	// MaxWorkers is the number of goroutines that search clusters: 0 or 1
+	// searches them serially on the calling goroutine, N > 1 shares them
+	// among N workers (pass runtime.GOMAXPROCS(0) for every core). Results
+	// are identical whatever the count, including row order.
 	MaxWorkers int
 	// NoKernel disables the compiled columnar predicate kernels and
 	// evaluates every probe through the condition interpreter — for
@@ -378,9 +371,10 @@ type RunOptions struct {
 	// Context (0 = none).
 	Deadline time.Duration
 	// MaxMatches aborts the run with ErrBudgetExceeded once more than
-	// this many matches have been found (0 = unlimited). The bound is
-	// checked at cluster boundaries, so the overshoot is at most one
-	// cluster's matches.
+	// this many matches have been found (0 = unlimited). Matches are
+	// added per cluster and the bound is checked at every cluster
+	// boundary, so the overshoot is at most one cluster's matches per
+	// worker.
 	MaxMatches int64
 	// MaxRowsScanned rejects the run with ErrBudgetExceeded when its
 	// input (the table snapshot, or the clustered partition) exceeds
@@ -406,8 +400,8 @@ type Result struct {
 	maskStats    *pattern.MaskStats
 }
 
-// Shards reports the shard count the execution scattered across (0 when
-// it ran the unsharded path).
+// Shards reports the shard count of the sharded partition the execution
+// read its clusters from (0 when it used the flat partition cache).
 func (r *Result) Shards() int { return r.shardCount }
 
 // Vectorized reports whether the execution probed through selection
@@ -450,8 +444,8 @@ type ClusterStat struct {
 }
 
 // ClusterStats returns the per-cluster execution breakdown, in cluster
-// order. It is populated by both the serial and the parallel execution
-// paths; summing the entries' Stats reproduces Result.Stats.
+// order, whatever the worker count; summing the entries' Stats
+// reproduces Result.Stats.
 func (r *Result) ClusterStats() []ClusterStat { return r.clusterStats }
 
 // explainMode selects what Run produces for EXPLAIN statements.
@@ -862,7 +856,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
 		return nil, err
 	}
 	res.planCached = q.planCached
-	sp.Annotate("executor", opts.Executor.String()).
+	sp.Annotate("executor", q.effectiveExecutor(opts).String()).
 		Annotate("clusters", len(res.clusterStats)).
 		Annotate("rows-scanned", scanned).
 		Annotate("rows", len(res.Rows)).
@@ -885,20 +879,14 @@ func cachedWord(hit bool) string {
 
 // execute is the raw execution path: no tracing, no metrics. EXPLAIN
 // ANALYZE uses it directly for the naive-comparison run so diagnostics
-// don't inflate the serving counters. It is also the panic-containment
-// boundary: an engine.Interrupt unwind becomes its typed error, and any
-// other panic — a predicate bug, an injected fault — becomes a
-// *PanicError carrying the statement key and the captured stack, never
-// a partial Result. rc may be nil (an unconstrained run).
+// don't inflate the serving counters. It is also a panic-containment
+// boundary (see Query.recovered) for everything around the cluster
+// search, which contains its own: a failed run returns its typed error,
+// never a partial Result. rc may be nil (an unconstrained run).
 func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, scanned = nil, 0
-			if in, ok := r.(engine.Interrupt); ok {
-				err = in.Err
-				return
-			}
-			err = &PanicError{Statement: q.plan.key, Value: r, Stack: debug.Stack()}
+			res, scanned, err = nil, 0, q.recovered(r)
 		}
 	}()
 	if err := rc.check(); err != nil {
@@ -940,230 +928,58 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return res, len(rows), nil
 	}
 
-	// The shard-parallel path (shards.go) owns its own cache with
-	// incremental per-shard refresh; NoCache and Trace runs stay on the
-	// flat path (the first bypasses caching entirely, the second needs
-	// the serial executor's path buffer).
-	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache && !opts.Trace {
-		return q.runSharded(rc, res, t, opts, n)
+	// Fetch the clusters with this plan's memoized columnar projections
+	// and selection bitmasks (built on the first execution of the plan
+	// over the partition, so warm runs skip the sort, the O(rows) decode
+	// and the mask build). With SetShards the partition comes from the
+	// sharded cache instead of the flat one; NoCache runs bypass both.
+	kern := q.plan.kernel
+	if opts.NoKernel {
+		kern = nil
 	}
-	part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
-	if err != nil {
-		return nil, 0, err
+	var (
+		clusters [][]storage.Row
+		projs    []*storage.Projection
+		masks    []*pattern.MaskSet
+	)
+	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache {
+		sp, cached, err := q.db.shardedPartition(t, compiled.ClusterBy, compiled.SequenceBy, n)
+		if err != nil {
+			return nil, 0, err
+		}
+		scanned = sp.Rows()
+		if err := rc.checkScanned(scanned); err != nil {
+			return nil, 0, err
+		}
+		res.partition.cached = cached
+		res.shardCount = n
+		clusters, projs, masks, res.maskStats = globalOrder(sp, kern, !opts.NoVectorize)
+	} else {
+		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
+		if err != nil {
+			return nil, 0, err
+		}
+		clusters, scanned = part.Groups, part.Rows
+		if err := rc.checkScanned(scanned); err != nil {
+			return nil, 0, err
+		}
+		res.partition = how
+		projs = part.projections(kern)
+		if projs != nil && !opts.NoVectorize {
+			// Mask-build selectivity stats ride along for the adaptive
+			// optimizer.
+			masks, res.maskStats = part.masksFor(kern)
+		}
 	}
-	clusters, scanned := part.Groups, part.Rows
-	if err := rc.checkScanned(scanned); err != nil {
-		return nil, 0, err
-	}
+	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
-	res.partition = how
-	// Reuse the partition's memoized columnar projections (built on the
-	// first execution of this plan over it): warm runs skip the per-run
-	// O(rows) decode along with the sort.
-	var projs []*storage.Projection
-	if !opts.NoKernel {
-		projs = part.projections(q.plan.kernel)
-	}
-	// Likewise the memoized selection bitmasks (PR 8): warm vectorized
-	// runs answer probes with bit tests against masks built once per
-	// (partition, kernel). Mask-build selectivity stats ride along for
-	// the adaptive optimizer.
-	var masks []*pattern.MaskSet
-	if projs != nil && !opts.NoVectorize {
-		masks, res.maskStats = part.masksFor(q.plan.kernel)
-		res.vectorized = masks != nil
-	}
-	policy := engine.SkipPastLastRow
-	if opts.Overlap {
-		policy = engine.SkipToNextRow
-	}
-	if opts.Trace {
-		q.pathMu.Lock()
-		q.lastPath = nil
-		q.pathMu.Unlock()
-	}
-	if opts.Parallel && !opts.Trace && len(clusters) > 1 {
-		out, err := q.runParallel(rc, res, clusters, projs, masks, opts, policy)
-		return out, scanned, err
-	}
-	ex := q.newExecutor(opts, policy)
-	if rc != nil {
-		ex.SetInterrupt(rc.interrupt())
-	}
-	if masks != nil {
-		ex.SetVectorized(true)
-	}
-	fl := rc.flightRef()
-	res.clusterStats = make([]ClusterStat, 0, len(clusters))
-	for ci, seq := range clusters {
-		if err := faultExecCluster.Fire(); err != nil {
-			return nil, 0, err
-		}
-		if err := rc.check(); err != nil {
-			return nil, 0, err
-		}
-		if projs != nil {
-			ex.UseProjection(projs[ci])
-		}
-		if masks != nil {
-			ex.UseMasks(masks[ci])
-		}
-		ms, stats := ex.FindAll(seq)
-		res.Stats.Add(stats)
-		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: ci, Rows: len(seq), Stats: stats})
-		if fl != nil {
-			fl.TickClusters(1)
-			fl.TickRows(int64(len(seq)))
-			fl.TickMatches(int64(stats.Matches))
-		}
-		if opts.Trace {
-			q.pathMu.Lock()
-			q.lastPath = append(q.lastPath, pathOf(ex)...)
-			q.pathMu.Unlock()
-		}
-		if len(ms) > 0 {
-			res.Matches = append(res.Matches, ClusterMatches{Cluster: ci, Matches: ms})
-		}
-		for _, m := range ms {
-			row, err := compiled.EvalSelect(seq, m.Spans)
-			if err != nil {
-				return nil, 0, err
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		rc.addMatches(stats.Matches)
+	if err := q.searchClusters(rc, res, clusters, projs, masks, opts); err != nil {
+		return nil, 0, err
 	}
 	if err := rc.check(); err != nil {
 		return nil, 0, err
 	}
 	return res, scanned, nil
-}
-
-// runParallel searches clusters concurrently. Each worker gets its own
-// executor (executors carry per-search state); per-cluster results are
-// stitched back in cluster order so output is identical to serial runs.
-// Every worker is its own containment boundary: a panic or interrupt in
-// one cluster's search is captured into that cluster's slot, the shared
-// early-stop flag flips, and the remaining workers drain the dispatch
-// channel without starting new clusters — all goroutines always exit.
-func (q *Query) runParallel(rc *runControl, res *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, opts RunOptions, policy engine.SkipPolicy) (*Result, error) {
-	type clusterOut struct {
-		matches []engine.Match
-		rows    []storage.Row
-		stats   engine.Stats
-		err     error
-	}
-	compiled := q.plan.compiled
-	outs := make([]clusterOut, len(clusters))
-	workers := effectiveWorkers(opts)
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	// searchCluster runs one cluster inside its own recover boundary so a
-	// panicking predicate (or injected fault) poisons only its slot.
-	searchCluster := func(ex engine.Executor, ci int) (out clusterOut) {
-		defer func() {
-			if r := recover(); r != nil {
-				if in, ok := r.(engine.Interrupt); ok {
-					out.err = in.Err
-				} else {
-					out.err = &PanicError{Statement: q.plan.key, Value: r, Stack: debug.Stack()}
-				}
-			}
-		}()
-		if err := faultWorker.Fire(); err != nil {
-			out.err = err
-			return out
-		}
-		if err := rc.check(); err != nil {
-			out.err = err
-			return out
-		}
-		seq := clusters[ci]
-		if projs != nil {
-			ex.UseProjection(projs[ci])
-		}
-		if masks != nil {
-			ex.UseMasks(masks[ci])
-		}
-		ms, stats := ex.FindAll(seq)
-		out.matches, out.stats = ms, stats
-		for _, m := range ms {
-			row, err := compiled.EvalSelect(seq, m.Spans)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			out.rows = append(out.rows, row)
-		}
-		rc.addMatches(stats.Matches)
-		return out
-	}
-	// Workers claim clusters off a shared atomic index — dispatch costs
-	// no per-query allocation proportional to the cluster count (a
-	// buffered channel here once meant a len(clusters)-int allocation per
-	// query) — and stop claiming as soon as any worker fails.
-	var next atomic.Int64
-	fl := rc.flightRef()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex := q.newExecutor(opts, policy)
-			if rc != nil {
-				ex.SetInterrupt(rc.interrupt())
-			}
-			if masks != nil {
-				ex.SetVectorized(true)
-			}
-			for {
-				ci := int(next.Add(1) - 1)
-				if ci >= len(clusters) || failed.Load() {
-					return
-				}
-				out := searchCluster(ex, ci)
-				if out.err != nil {
-					failed.Store(true)
-				} else if fl != nil {
-					fl.TickClusters(1)
-					fl.TickRows(int64(len(clusters[ci])))
-					fl.TickMatches(int64(out.stats.Matches))
-				}
-				outs[ci] = out
-			}
-		}()
-	}
-	wg.Wait()
-
-	for ci := range outs {
-		if outs[ci].err != nil {
-			return nil, outs[ci].err
-		}
-	}
-	if err := rc.check(); err != nil {
-		return nil, err
-	}
-	res.clusterStats = make([]ClusterStat, 0, len(clusters))
-	for ci := range outs {
-		res.Stats.Add(outs[ci].stats)
-		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: ci, Rows: len(clusters[ci]), Stats: outs[ci].stats})
-		if len(outs[ci].matches) > 0 {
-			res.Matches = append(res.Matches, ClusterMatches{Cluster: ci, Matches: outs[ci].matches})
-		}
-		res.Rows = append(res.Rows, outs[ci].rows...)
-	}
-	return res, nil
-}
-
-// effectiveWorkers resolves a run's parallel fan-out bound: an explicit
-// MaxWorkers wins, otherwise GOMAXPROCS.
-func effectiveWorkers(opts RunOptions) int {
-	if opts.MaxWorkers > 0 {
-		return opts.MaxWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // effectiveExecutor resolves the executor kind a run will use: an
