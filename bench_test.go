@@ -157,6 +157,38 @@ func BenchmarkDoubleBottom(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildMasks measures the once-per-cluster mask build a
+// never-seen statement pays before its first probe: the Example 10 kernel
+// (nine elements, five distinct condition lists) over the 25-year series
+// (≈ 6,300 rows), reported per row of the cluster as the benchmark's
+// pattern.mask_build_ns_per_row is. "cold" builds into a fresh MaskSet as
+// a cold statement does; "warm" rebuilds into a retained one.
+func BenchmarkBuildMasks(b *testing.B) {
+	seq := doubleBottomSeq(b)
+	kern := bench.DoubleBottomPattern().CompileKernel()
+	proj := kern.NewProjection()
+	proj.SetRows(seq)
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(seq)), "ns/row")
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kern.BuildMasks(proj, nil)
+		}
+		perRow(b)
+	})
+	b.Run("warm", func(b *testing.B) {
+		ms := kern.BuildMasks(proj, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kern.BuildMasks(proj, ms)
+		}
+		perRow(b)
+	})
+}
+
 // TestVectorizedWarmProbeZeroAlloc pins the PR 8 hot-loop guarantee:
 // with the projection and masks prebuilt (the warm serving state), a
 // vectorized search allocates nothing — probes are bit tests and the

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sqlts/internal/constraint"
 	"sqlts/internal/engine"
 	"sqlts/internal/obs"
 )
@@ -29,6 +30,11 @@ var (
 	// timeout.
 	ErrAdmissionRejected = errors.New("sqlts: query rejected by admission control")
 )
+
+// ErrNonFiniteConstant reports a statement one of whose WHERE comparisons
+// folds to a NaN or ±Inf constant (for example X.price < 1e308 * 10).
+// Prepare and Query return it wrapped; no plan is built.
+var ErrNonFiniteConstant error = constraint.ErrNonFinite
 
 // ErrKilled reports a run terminated by an operator (the /debug/queries
 // POST kill or the REPL \kill). It wraps ErrCanceled, so existing

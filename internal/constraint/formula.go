@@ -84,152 +84,83 @@ func (f *Formula) Clone() *Formula {
 	return out
 }
 
-// Satisfiable reports whether any disjunct has a model. For inexact
-// formulas this may overestimate (the dropped constraints could have
-// made it unsatisfiable), which every caller tolerates: the optimizer
-// only uses certain *un*satisfiability, and that direction is sound.
-func (f *Formula) Satisfiable() bool {
-	for _, d := range f.Ds {
-		if d.Satisfiable() {
-			return true
-		}
-	}
-	return false
+// The decisions below each prepare their operands (prepared.go) and ask
+// once; a caller with many questions about the same formulas prepares
+// them itself and asks the Prepared forms.
+
+// Satisfiable reports whether any disjunct has a model; see
+// Prepared.Satisfiable.
+func (f *Formula) Satisfiable() (ok bool) {
+	Prepare([]*Formula{f}, func(ps []*Prepared) { ok = ps[0].Satisfiable() })
+	return ok
 }
 
-// Implies reports p ⇒ q, soundly: every satisfiable disjunct of p must
-// imply some disjunct of q. An inexact premise is fine (weakening the
-// premise preserves the implication); an inexact conclusion can never be
-// certified. (Also incomplete by construction: a disjunct whose models
-// split across several q-disjuncts is not recognized; the optimizer then
-// sees U instead of 1.)
-func (p *Formula) Implies(q *Formula) bool {
-	if q.inexact {
-		return false
-	}
-	for _, d := range p.Ds {
-		if !d.Satisfiable() {
-			continue
-		}
-		ok := false
-		for _, e := range q.Ds {
-			if d.Implies(e) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+// Implies reports p ⇒ q, soundly; see Prepared.Implies.
+func (p *Formula) Implies(q *Formula) (ok bool) {
+	Prepare([]*Formula{p, q}, func(ps []*Prepared) { ok = ps[0].Implies(ps[1]) })
+	return ok
 }
 
-// Excludes reports p ⇒ ¬q: every (p-disjunct, q-disjunct) pair must be
-// jointly unsatisfiable. Sound even for inexact operands (both sides are
-// premises of a joint-unsatisfiability claim).
-func (p *Formula) Excludes(q *Formula) bool {
-	for _, d := range p.Ds {
-		for _, e := range q.Ds {
-			if !d.Excludes(e) {
-				return false
-			}
-		}
-	}
-	return true
+// Excludes reports p ⇒ ¬q; see Prepared.Excludes.
+func (p *Formula) Excludes(q *Formula) (ok bool) {
+	Prepare([]*Formula{p, q}, func(ps []*Prepared) { ok = ps[0].Excludes(ps[1]) })
+	return ok
 }
 
-// negAtomChoices enumerates the DNF of ¬f: one negated atom chosen from
-// each disjunct. It invokes visit with each choice (a conjunction of
-// negated atoms); visit returning false stops early. The return value is
-// false iff the expansion exceeded the cap.
-func (f *Formula) negAtomChoices(visit func(*System) bool) bool {
+// NegImplies reports ¬p ⇒ q; see Prepared.NegImplies.
+func (p *Formula) NegImplies(q *Formula) (ok bool) {
+	Prepare([]*Formula{p, q}, func(ps []*Prepared) { ok = ps[0].NegImplies(ps[1]) })
+	return ok
+}
+
+// Tautology reports whether the formula is valid; see Prepared.Tautology.
+func (p *Formula) Tautology() (ok bool) {
+	Prepare([]*Formula{p}, func(ps []*Prepared) { ok = ps[0].Tautology() })
+	return ok
+}
+
+// negSystems returns the DNF of ¬f: one conjunction per way of choosing
+// one atom from each disjunct, holding the chosen atoms negated. It
+// reports false when their number exceeds combosCap.
+func (f *Formula) negSystems() ([]System, bool) {
 	total := 1
 	for _, d := range f.Ds {
 		n := d.Len()
 		if n == 0 {
 			// ¬TRUE = FALSE: no choices; ∀-properties hold vacuously.
-			return true
+			return nil, true
 		}
 		total *= n
 		if total > combosCap {
-			return false
+			return nil, false
 		}
 	}
+	out := make([]System, total)
+	nums := make([]Atom, 0, total*len(f.Ds)) // backs every out[i].Num
 	choice := make([]int, len(f.Ds))
-	for {
-		sys := &System{}
+	for i := range out {
+		sys, start := &out[i], len(nums)
 		for di, d := range f.Ds {
 			k := choice[di]
 			switch {
 			case k < len(d.Num):
-				sys.AddNum(d.Num[k].Negate())
+				nums = append(nums, d.Num[k].Negate())
 			case k < len(d.Num)+len(d.Str):
 				sys.AddStr(d.Str[k-len(d.Num)].Negate())
 			default:
 				sys.AddOpaque(d.Opaque[k-len(d.Num)-len(d.Str)].Negate())
 			}
 		}
-		if !visit(sys) {
-			return true
-		}
+		sys.Num = nums[start:len(nums):len(nums)]
 		// Advance the mixed-radix counter.
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < f.Ds[i].Len() {
+		for di := range choice {
+			if choice[di]++; choice[di] < f.Ds[di].Len() {
 				break
 			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return true
+			choice[di] = 0
 		}
 	}
-}
-
-// NegImplies reports ¬p ⇒ q, i.e. ¬p ∧ ¬q is unsatisfiable: every
-// combination of one negated atom per disjunct of p and of q must be
-// jointly unsatisfiable. Inexact operands (on either side — the premise
-// here is a *negation*, so weakening p strengthens ¬p) and cap overflow
-// answer false (→ U).
-func (p *Formula) NegImplies(q *Formula) bool {
-	if p.inexact || q.inexact {
-		return false
-	}
-	ok := true
-	complete := p.negAtomChoices(func(np *System) bool {
-		completeQ := q.negAtomChoices(func(nq *System) bool {
-			if And(np, nq).Satisfiable() {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !completeQ {
-			ok = false
-			return false
-		}
-		return ok
-	})
-	return ok && complete
-}
-
-// Tautology reports whether the formula is valid: ¬p unsatisfiable.
-// Inexact formulas are never certified valid.
-func (p *Formula) Tautology() bool {
-	if p.inexact {
-		return false
-	}
-	ok := true
-	complete := p.negAtomChoices(func(np *System) bool {
-		if np.Satisfiable() {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok && complete
+	return out, true
 }
 
 // String renders the DNF with disjuncts sorted for stable output.

@@ -3,36 +3,224 @@ package constraint
 import (
 	"math"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 )
 
-// The numeric solver computes with exact rational arithmetic
-// (math/big.Rat). Floating-point bound composition in the Floyd-Warshall
-// closure is unsound: rounding along different paths can manufacture
-// spurious strict tightenings (e.g. -7 + 6.1 < -0.9 in float64), flipping
-// satisfiability and equality-detection answers. Every float64 constant
-// is exactly representable as a rational, and the closure runs at query
-// compile time over a handful of variables, so exactness costs nothing
-// that matters.
+// The numeric solver computes with exact arithmetic. Floating-point bound
+// composition in the Floyd-Warshall closure is unsound: rounding along
+// different paths can manufacture spurious strict tightenings (e.g.
+// -7 + 6.1 < -0.9 in float64), flipping satisfiability and
+// equality-detection answers.
+//
+// Exactness used to mean math/big.Rat everywhere, on the theory that the
+// closure runs at compile time over a handful of variables and so costs
+// nothing that matters. Measured on a never-seen statement it was half the
+// statement: every bound composition allocated a Rat and ran a GCD, and a
+// pattern's m² implication tests re-closed the same one- and two-atom
+// predicates hundreds of times. Two things make exactness cheap instead:
+//
+//   - Every float64 is a dyadic rational, so all the constants of one
+//     pattern scale to integers over one common power-of-two denominator.
+//     The closure then runs on int64 words with overflow-checked adds:
+//     equal values are equal words, no GCD, no allocation per bound.
+//   - When the constants' exponents spread wider than a word, or a sum
+//     overflows, the whole set of formulas is decided again in big.Rat.
+//     Which arithmetic runs is that observed property of the input and
+//     nothing else; both give the same answers (see arith_test.go).
+//
+// The other half — closing each predicate once instead of once per
+// question — is prepared.go.
 
-// ratOf converts a float constant exactly.
-func ratOf(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+// num is one rational in the arithmetic of the arith that made it: the
+// word w scaled by the arith's power of two, or r when the arith is big.
+// Values are immutable; operations return new ones.
+type num struct {
+	w int64
+	r *big.Rat
+}
+
+// arith is the number system one set of formulas is decided in, plus the
+// storage its closures are cut from. Prepare draws one from a pool and
+// returns it when the decisions are made, so a warm decision allocates
+// almost nothing. It is not safe for concurrent use.
+type arith struct {
+	big bool
+	// exp is the word scale: a word w stands for w·2^exp.
+	exp int
+	// overflow records that a constant or a sum did not fit a word; every
+	// answer computed since is void and the caller re-decides in big.Rat.
+	overflow bool
+	// tmp closes the transient joint systems, one after another.
+	tmp numSolver
+
+	bounds   arena[bound]
+	vars     arena[Var]
+	closed   arena[closed]
+	prepared arena[Prepared]
+	ps       []*Prepared
+}
+
+// arena hands out slices cut from one buffer, which reset makes available
+// again: the storage of everything that lives as long as one run.
+type arena[T any] struct {
+	buf  []T
+	used int
+}
+
+// take returns n elements with no spare capacity, holding whatever an
+// earlier run left there.
+func (a *arena[T]) take(n int) []T {
+	if a.used+n > len(a.buf) {
+		// Slices already handed out keep the old buffer alive.
+		a.buf, a.used = make([]T, max(2*len(a.buf), n, 16)), 0
+	}
+	out := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	return out
+}
+
+// reset readies ar for a run in words scaled by 2^exp, or in big.Rat.
+func (ar *arith) reset(big bool, exp int) {
+	ar.big, ar.exp, ar.overflow = big, exp, false
+	ar.bounds.used, ar.vars.used, ar.closed.used, ar.prepared.used = 0, 0, 0, 0
+	ar.tmp = numSolver{} // its slices were the last run's
+}
+
+// wordBits bounds the magnitude of a scaled constant to 2^wordBits, which
+// leaves negation and the overflow check of one add trivially safe.
+const wordBits = 62
+
+var ratZero = new(big.Rat)
+
+// dyadic splits a finite float into f = mant·2^exp with mant odd (or
+// 0, 0 for zero).
+func dyadic(f float64) (mant int64, exp int) {
+	b := math.Float64bits(f)
+	mant, exp = int64(b&(1<<52-1)), int(b>>52&0x7ff)
+	if exp == 0 {
+		if mant == 0 {
+			return 0, 0
+		}
+		exp = 1 // subnormal: no implicit leading bit
+	} else {
+		mant |= 1 << 52
+	}
+	tz := bits.TrailingZeros64(uint64(mant))
+	mant, exp = mant>>tz, exp-1075+tz
+	if b>>63 != 0 {
+		mant = -mant
+	}
+	return mant, exp
+}
+
+func absLen(mant int64) int {
+	if mant < 0 {
+		mant = -mant
+	}
+	return bits.Len64(uint64(mant))
+}
+
+// wordScale returns the exponent that makes every numeric constant of fs
+// an integer of at most wordBits bits, or false when there is none (the
+// exponents spread too wide, or a constant is not finite) and the
+// formulas must be decided in big.Rat.
+func wordScale(fs []*Formula) (exp int, ok bool) {
+	minExp, maxTop, any := 0, 0, false
+	for _, f := range fs {
+		for _, d := range f.Ds {
+			for _, a := range d.Num {
+				if math.IsInf(a.C, 0) || math.IsNaN(a.C) {
+					return 0, false
+				}
+				mant, exp := dyadic(a.C)
+				if mant == 0 {
+					continue
+				}
+				top := exp + absLen(mant)
+				if !any {
+					minExp, maxTop, any = exp, top, true
+					continue
+				}
+				minExp, maxTop = min(minExp, exp), max(maxTop, top)
+			}
+		}
+	}
+	return minExp, maxTop-minExp <= wordBits
+}
+
+// of converts a float constant exactly.
+func (ar *arith) of(f float64) num {
+	if ar.big {
+		r := new(big.Rat).SetFloat64(f)
+		if r == nil {
+			panic("constraint: non-finite constant in an unvalidated system")
+		}
+		return num{r: r}
+	}
+	mant, exp := dyadic(f)
+	sh := exp - ar.exp
+	if mant != 0 && (sh < 0 || sh+absLen(mant) > wordBits) {
+		ar.overflow = true
+		return num{}
+	}
+	return num{w: mant << uint(sh)}
+}
+
+func (ar *arith) zero() num {
+	if ar.big {
+		return num{r: ratZero}
+	}
+	return num{}
+}
+
+func (ar *arith) add(a, b num) num {
+	if ar.big {
+		return num{r: new(big.Rat).Add(a.r, b.r)}
+	}
+	s := a.w + b.w
+	if (a.w^s)&(b.w^s) < 0 {
+		ar.overflow = true
+	}
+	return num{w: s}
+}
+
+func (ar *arith) neg(a num) num {
+	if ar.big {
+		return num{r: new(big.Rat).Neg(a.r)}
+	}
+	return num{w: -a.w}
+}
+
+func (a num) cmp(b num) int {
+	if a.r != nil {
+		return a.r.Cmp(b.r)
+	}
+	switch {
+	case a.w < b.w:
+		return -1
+	case a.w > b.w:
+		return 1
+	}
+	return 0
+}
+
+func (a num) sign() int {
+	if a.r != nil {
+		return a.r.Sign()
+	}
+	return a.cmp(num{})
+}
 
 // bound is an upper bound on a variable difference: X - Y ≤ c (strict ⇒ <).
 // inf means "no bound".
 type bound struct {
-	c      *big.Rat
+	c      num
 	strict bool
 	inf    bool
 }
 
 var noBound = bound{inf: true}
-
-func boundOf(c float64, strict bool) bound {
-	return bound{c: ratOf(c), strict: strict}
-}
-
-func zeroBound() bound { return bound{c: new(big.Rat)} }
 
 // tighterThan reports whether b is strictly tighter than o.
 func (b bound) tighterThan(o bound) bool {
@@ -42,28 +230,20 @@ func (b bound) tighterThan(o bound) bool {
 	if o.inf {
 		return true
 	}
-	if cmp := b.c.Cmp(o.c); cmp != 0 {
+	if cmp := b.c.cmp(o.c); cmp != 0 {
 		return cmp < 0
 	}
 	return b.strict && !o.strict
-}
-
-// plus composes bounds along a path: (X-Y ≤ a) ∧ (Y-Z ≤ b) ⇒ X-Z ≤ a+b,
-// strict if either is strict.
-func (b bound) plus(o bound) bound {
-	if b.inf || o.inf {
-		return noBound
-	}
-	return bound{c: new(big.Rat).Add(b.c, o.c), strict: b.strict || o.strict}
 }
 
 // numSolver holds the transitive closure of a difference-bound system over
 // a dense set of local variable indices. Index 0 is the implicit "zero"
 // variable used to encode constants: X op C becomes X op zero + C.
 type numSolver struct {
+	ar    *arith
 	n     int
-	bnd   []bound // n*n, row-major: bnd[i*n+j] bounds Xi - Xj
-	remap map[Var]int
+	bnd   []bound  // n*n, row-major: bnd[i*n+j] bounds Xi - Xj
+	vars  []Var    // vars[i-1] is local index i's variable
 	neq   []neqCon // disequalities Xi ≠ Xj + c
 	atoms []Atom   // the original system, for conjoin-and-recheck tests
 	unsat bool
@@ -71,65 +251,82 @@ type numSolver struct {
 
 type neqCon struct {
 	i, j int
-	c    *big.Rat
+	c    num
 }
 
 const zeroIdx = 0
 
-func newNumSolver(atoms []Atom) *numSolver {
-	s := &numSolver{remap: make(map[Var]int), atoms: atoms}
-	s.n = 1 // the zero variable
-	local := func(v Var) int {
-		if i, ok := s.remap[v]; ok {
-			return i
+// index returns v's local index, or -1 when the system does not mention v.
+// Systems have a handful of variables, so a scan beats a map.
+func (s *numSolver) index(v Var) int {
+	for i, u := range s.vars {
+		if u == v {
+			return i + 1
 		}
-		i := s.n
-		s.remap[v] = i
-		s.n++
+	}
+	return -1
+}
+
+func (s *numSolver) local(v Var) int {
+	if v == NoVar {
+		return zeroIdx
+	}
+	if i := s.index(v); i >= 0 {
 		return i
 	}
-	// First pass: allocate indices.
-	for _, a := range atoms {
-		local(a.X)
-		if a.Y != NoVar {
-			local(a.Y)
+	s.vars = append(s.vars, v)
+	return len(s.vars)
+}
+
+// build closes the conjunction of a and b (either may be empty).
+func (s *numSolver) build(ar *arith, a, b []Atom) {
+	s.ar, s.atoms = ar, a
+	s.vars, s.neq, s.unsat = s.vars[:0], s.neq[:0], false
+	if most := 2 * (len(a) + len(b)); cap(s.vars) < most {
+		s.vars = ar.vars.take(most)[:0]
+	}
+	for _, atoms := range [2][]Atom{a, b} {
+		for _, at := range atoms {
+			s.local(at.X)
+			s.local(at.Y)
 		}
 	}
-	s.bnd = make([]bound, s.n*s.n)
+	n := len(s.vars) + 1
+	s.n = n
+	if cap(s.bnd) < n*n {
+		s.bnd = ar.bounds.take(n * n)
+	}
+	s.bnd = s.bnd[:n*n]
 	for i := range s.bnd {
 		s.bnd[i] = noBound
 	}
-	for i := 0; i < s.n; i++ {
-		s.bnd[i*s.n+i] = zeroBound()
+	for i := 0; i < n; i++ {
+		s.bnd[i*n+i] = bound{c: ar.zero()}
 	}
-	for _, a := range atoms {
-		x := s.remap[a.X]
-		y := zeroIdx
-		if a.Y != NoVar {
-			y = s.remap[a.Y]
+	for _, atoms := range [2][]Atom{a, b} {
+		for _, at := range atoms {
+			s.addAtom(s.local(at.X), s.local(at.Y), at.Op, ar.of(at.C))
 		}
-		s.addAtom(x, y, a.Op, a.C)
 	}
 	s.close()
-	return s
 }
 
 // addAtom records X op Y + c as difference bounds.
-func (s *numSolver) addAtom(x, y int, op Op, c float64) {
+func (s *numSolver) addAtom(x, y int, op Op, c num) {
 	switch op {
 	case Le:
-		s.tighten(x, y, boundOf(c, false))
+		s.tighten(x, y, bound{c: c})
 	case Lt:
-		s.tighten(x, y, boundOf(c, true))
+		s.tighten(x, y, bound{c: c, strict: true})
 	case Ge:
-		s.tighten(y, x, boundOf(-c, false))
+		s.tighten(y, x, bound{c: s.ar.neg(c)})
 	case Gt:
-		s.tighten(y, x, boundOf(-c, true))
+		s.tighten(y, x, bound{c: s.ar.neg(c), strict: true})
 	case Eq:
-		s.tighten(x, y, boundOf(c, false))
-		s.tighten(y, x, boundOf(-c, false))
+		s.tighten(x, y, bound{c: c})
+		s.tighten(y, x, bound{c: s.ar.neg(c)})
 	case Ne:
-		s.neq = append(s.neq, neqCon{i: x, j: y, c: ratOf(c)})
+		s.neq = append(s.neq, neqCon{i: x, j: y, c: c})
 	}
 }
 
@@ -143,7 +340,7 @@ func (s *numSolver) tighten(i, j int, b bound) {
 // satisfiability flag. Variable counts in real queries are tiny (one per
 // tuple field role), so O(n³) is fine and exact.
 func (s *numSolver) close() {
-	n := s.n
+	n, ar := s.n, s.ar
 	for k := 0; k < n; k++ {
 		for i := 0; i < n; i++ {
 			ik := s.bnd[i*n+k]
@@ -151,7 +348,14 @@ func (s *numSolver) close() {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				if via := ik.plus(s.bnd[k*n+j]); via.tighterThan(s.bnd[i*n+j]) {
+				// Bounds compose along a path: (X-Y ≤ a) ∧ (Y-Z ≤ b) ⇒
+				// X-Z ≤ a+b, strict if either is strict.
+				kj := s.bnd[k*n+j]
+				if kj.inf {
+					continue
+				}
+				via := bound{c: ar.add(ik.c, kj.c), strict: ik.strict || kj.strict}
+				if via.tighterThan(s.bnd[i*n+j]) {
 					s.bnd[i*n+j] = via
 				}
 			}
@@ -160,7 +364,7 @@ func (s *numSolver) close() {
 	// Negative (or zero-but-strict) self-cycle ⇒ unsatisfiable.
 	for i := 0; i < n; i++ {
 		d := s.bnd[i*n+i]
-		if !d.inf && (d.c.Sign() < 0 || (d.c.Sign() == 0 && d.strict)) {
+		if sg := d.c.sign(); sg < 0 || (sg == 0 && d.strict) {
 			s.unsat = true
 			return
 		}
@@ -177,71 +381,64 @@ func (s *numSolver) close() {
 }
 
 // forcedEqual reports whether the closure forces Xi - Xj = c exactly.
-func (s *numSolver) forcedEqual(i, j int, c *big.Rat) bool {
+func (s *numSolver) forcedEqual(i, j int, c num) bool {
 	up := s.bnd[i*s.n+j] // Xi - Xj ≤ up
 	lo := s.bnd[j*s.n+i] // Xj - Xi ≤ lo, i.e. Xi - Xj ≥ -lo
 	if up.inf || lo.inf || up.strict || lo.strict {
 		return false
 	}
-	negC := new(big.Rat).Neg(c)
-	return up.c.Cmp(c) == 0 && lo.c.Cmp(negC) == 0
+	return up.c.cmp(c) == 0 && lo.c.cmp(s.ar.neg(c)) == 0
 }
-
-// satisfiable reports whether the system has a real solution.
-func (s *numSolver) satisfiable() bool { return !s.unsat }
 
 // diff returns the tightest upper bound on Xa - Xb known to the system;
 // variables not mentioned by the system are unconstrained.
 func (s *numSolver) diff(a, b Var) bound {
 	if a == b {
-		return zeroBound()
+		return bound{c: s.ar.zero()}
 	}
-	var x, y int
-	var ok bool
-	if a == NoVar {
-		x = zeroIdx
-	} else if x, ok = s.remap[a]; !ok {
-		return noBound
+	x, y := zeroIdx, zeroIdx
+	if a != NoVar {
+		if x = s.index(a); x < 0 {
+			return noBound
+		}
 	}
-	if b == NoVar {
-		y = zeroIdx
-	} else if y, ok = s.remap[b]; !ok {
-		return noBound
-	}
-	if x == y {
-		return zeroBound()
+	if b != NoVar {
+		if y = s.index(b); y < 0 {
+			return noBound
+		}
 	}
 	return s.bnd[x*s.n+y]
 }
 
-// impliesAtom reports whether the (satisfiable) system entails atom a.
+// impliesAtom reports whether the closed system entails atom a, by
+// lookups in the closure (a ≠ conclusion closes one conjoined system in
+// the arith's scratch).
 func (s *numSolver) impliesAtom(a Atom) bool {
 	if s.unsat {
 		return true
 	}
 	up := s.diff(a.X, a.Y) // X - Y ≤ up
 	lo := s.diff(a.Y, a.X) // Y - X ≤ lo  ⇒  X - Y ≥ -lo
-	c := ratOf(a.C)
-	negC := new(big.Rat).Neg(c)
+	c := s.ar.of(a.C)
+	negC := s.ar.neg(c)
 	switch a.Op {
 	case Le: // need X - Y ≤ c entailed
-		return !up.inf && up.c.Cmp(c) <= 0
+		return !up.inf && up.c.cmp(c) <= 0
 	case Lt:
-		return !up.inf && (up.c.Cmp(c) < 0 || (up.c.Cmp(c) == 0 && up.strict))
+		return !up.inf && (up.c.cmp(c) < 0 || (up.c.cmp(c) == 0 && up.strict))
 	case Ge: // need X - Y ≥ c, i.e. Y - X ≤ -c
-		return !lo.inf && lo.c.Cmp(negC) <= 0
+		return !lo.inf && lo.c.cmp(negC) <= 0
 	case Gt:
-		return !lo.inf && (lo.c.Cmp(negC) < 0 || (lo.c.Cmp(negC) == 0 && lo.strict))
+		return !lo.inf && (lo.c.cmp(negC) < 0 || (lo.c.cmp(negC) == 0 && lo.strict))
 	case Eq:
-		return !up.inf && !lo.inf && !up.strict && !lo.strict && up.c.Cmp(c) == 0 && lo.c.Cmp(negC) == 0
+		return !up.inf && !lo.inf && !up.strict && !lo.strict && up.c.cmp(c) == 0 && lo.c.cmp(negC) == 0
 	case Ne:
 		// Entailed iff conjoining the complementary equality is
 		// unsatisfiable. This also catches entailment through recorded
 		// disequalities, e.g. {X ≠ Y} ⇒ X ≠ Y.
-		conj := make([]Atom, len(s.atoms), len(s.atoms)+1)
-		copy(conj, s.atoms)
-		conj = append(conj, Atom{X: a.X, Op: Eq, Y: a.Y, C: a.C})
-		return !newNumSolver(conj).satisfiable()
+		tmp := &s.ar.tmp
+		tmp.build(s.ar, s.atoms, []Atom{{X: a.X, Op: Eq, Y: a.Y, C: a.C}})
+		return tmp.unsat
 	default:
 		return false
 	}
@@ -268,25 +465,28 @@ type strNode struct {
 func nodeOfVar(v Var) strNode    { return strNode{v: v} }
 func nodeOfLit(s string) strNode { return strNode{lit: true, s: s} }
 
-func newStrSolver(atoms []StrAtom) *strSolver {
+// newStrSolver closes the conjunction of a and b (either may be empty).
+func newStrSolver(a, b []StrAtom) *strSolver {
 	s := &strSolver{parent: make(map[strNode]strNode)}
-	for _, a := range atoms {
-		x := nodeOfVar(a.X)
-		var y strNode
-		if a.Y == NoVar {
-			y = nodeOfLit(a.Lit)
-		} else {
-			y = nodeOfVar(a.Y)
-		}
-		switch a.Op {
-		case Eq:
-			s.union(x, y)
-		case Ne:
-			s.neq = append(s.neq, [2]strNode{x, y})
-		default:
-			// Ordered string comparisons are handled as opaque atoms by
-			// the compiler; reaching here is a programming error.
-			panic("constraint: ordered string atom in strSolver")
+	for _, atoms := range [2][]StrAtom{a, b} {
+		for _, a := range atoms {
+			x := nodeOfVar(a.X)
+			var y strNode
+			if a.Y == NoVar {
+				y = nodeOfLit(a.Lit)
+			} else {
+				y = nodeOfVar(a.Y)
+			}
+			switch a.Op {
+			case Eq:
+				s.union(x, y)
+			case Ne:
+				s.neq = append(s.neq, [2]strNode{x, y})
+			default:
+				// Ordered string comparisons are handled as opaque atoms by
+				// the compiler; reaching here is a programming error.
+				panic("constraint: ordered string atom in strSolver")
+			}
 		}
 	}
 	s.check()
@@ -340,8 +540,6 @@ func (s *strSolver) check() {
 	}
 }
 
-func (s *strSolver) satisfiable() bool { return !s.unsat }
-
 func (s *strSolver) impliesAtom(a StrAtom) bool {
 	if s.unsat {
 		return true
@@ -380,156 +578,72 @@ func (s *strSolver) impliesAtom(a StrAtom) bool {
 
 // --- opaque atoms ----------------------------------------------------------
 
-// opaqueConflict reports whether the opaque atoms contain a complementary
-// pair (a and ¬a), which makes the conjunction unsatisfiable.
-func opaqueConflict(atoms []OpaqueAtom) bool {
-	seen := make(map[string]bool, len(atoms)) // key → negated
-	for _, a := range atoms {
-		if neg, ok := seen[a.Key]; ok {
-			if neg != a.Negated {
+// opaqueConflict reports whether some atom of a is the complement of some
+// atom of b (a and ¬a), which makes their conjunction unsatisfiable. With
+// a and b the same list it tests one system against itself.
+func opaqueConflict(a, b []OpaqueAtom) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x.Key == y.Key && x.Negated != y.Negated {
 				return true
 			}
-			continue
 		}
-		seen[a.Key] = a.Negated
 	}
 	return false
 }
 
 // --- System-level decisions -------------------------------------------------
 
-// queries counts decision-procedure invocations process-wide (nested
-// sub-queries included). The observability layer diffs it around matrix
-// computation to report how much implication work a compile performed.
+// queries counts conjunction-level decisions process-wide: every closure
+// built and every implication answered from one. The observability layer
+// diffs it around matrix computation to report how much implication work
+// a compile performed.
 var queries atomic.Int64
 
 // Queries returns the process-wide count of solver decision queries.
 func Queries() int64 { return queries.Load() }
 
+// A System is the one-disjunct Formula, and decides as one.
+
 // Satisfiable reports whether the conjunction has a model. Opaque atoms
 // are treated as free booleans, so they make a system unsatisfiable only
 // through a complementary pair.
-func (s *System) Satisfiable() bool {
-	queries.Add(1)
-	if opaqueConflict(s.Opaque) {
-		return false
-	}
-	if len(s.Num) > 0 && !newNumSolver(s.Num).satisfiable() {
-		return false
-	}
-	if len(s.Str) > 0 && !newStrSolver(s.Str).satisfiable() {
-		return false
-	}
-	return true
-}
+func (s *System) Satisfiable() bool { return FromSystem(s).Satisfiable() }
 
 // Tautology reports whether the conjunction is valid (equivalent to TRUE):
 // every atom must individually be a tautology, i.e. its negation must be
 // unsatisfiable. Opaque atoms are never tautologies.
-func (s *System) Tautology() bool {
-	queries.Add(1)
-	if len(s.Opaque) > 0 {
-		return false
-	}
-	for _, a := range s.Num {
-		if (&System{Num: []Atom{a.Negate()}}).Satisfiable() {
-			return false
-		}
-	}
-	for _, a := range s.Str {
-		if (&System{Str: []StrAtom{a.Negate()}}).Satisfiable() {
-			return false
-		}
-	}
-	return true
-}
+func (s *System) Tautology() bool { return FromSystem(s).Tautology() }
 
 // Implies reports p ⇒ q: every model of p satisfies q. An unsatisfiable p
 // implies everything (callers that need the paper's "p ≢ F" guard test
 // Satisfiable separately).
-func (p *System) Implies(q *System) bool {
-	queries.Add(1)
-	if !p.Satisfiable() {
-		return true
-	}
-	var num *numSolver
-	if len(q.Num) > 0 {
-		num = newNumSolver(p.Num)
-	}
-	for _, b := range q.Num {
-		if !num.impliesAtom(b) {
-			return false
-		}
-	}
-	var str *strSolver
-	if len(q.Str) > 0 {
-		str = newStrSolver(p.Str)
-	}
-	for _, b := range q.Str {
-		if !str.impliesAtom(b) {
-			return false
-		}
-	}
-	for _, b := range q.Opaque {
-		if !containsOpaque(p.Opaque, b) {
-			return false
-		}
-	}
-	return true
-}
-
-func containsOpaque(atoms []OpaqueAtom, b OpaqueAtom) bool {
-	for _, a := range atoms {
-		if a == b {
-			return true
-		}
-	}
-	return false
-}
+func (p *System) Implies(q *System) bool { return FromSystem(p).Implies(FromSystem(q)) }
 
 // Excludes reports p ⇒ ¬q, i.e. p ∧ q is unsatisfiable.
-func (p *System) Excludes(q *System) bool {
-	return !And(p, q).Satisfiable()
-}
+func (p *System) Excludes(q *System) bool { return FromSystem(p).Excludes(FromSystem(q)) }
 
 // NegImplies reports ¬p ⇒ q. Since p is a conjunction, ¬p is the
 // disjunction of its atoms' negations, so ¬p ⇒ q iff for every atom a of
-// p, ¬a ⇒ q. An empty p (TRUE) has an unsatisfiable negation, which
-// implies everything.
-func (p *System) NegImplies(q *System) bool {
-	for _, a := range p.Num {
-		if !(&System{Num: []Atom{a.Negate()}}).Implies(q) {
-			return false
-		}
-	}
-	for _, a := range p.Str {
-		if !(&System{Str: []StrAtom{a.Negate()}}).Implies(q) {
-			return false
-		}
-	}
-	for _, a := range p.Opaque {
-		if !(&System{Opaque: []OpaqueAtom{a.Negate()}}).Implies(q) {
-			return false
-		}
-	}
-	return true
-}
+// p and b of q, ¬a ∧ ¬b is unsatisfiable. An empty p (TRUE) has an
+// unsatisfiable negation, which implies everything.
+func (p *System) NegImplies(q *System) bool { return FromSystem(p).NegImplies(FromSystem(q)) }
 
 // NegExcludes reports ¬p ⇒ ¬q, which is the contrapositive of q ⇒ p.
-func (p *System) NegExcludes(q *System) bool {
-	return q.Implies(p)
-}
+func (p *System) NegExcludes(q *System) bool { return q.Implies(p) }
 
-// signalNaN guards against NaN constants sneaking into the solver, where
-// comparisons would silently misbehave. It returns true if c is NaN.
-func signalNaN(c float64) bool { return math.IsNaN(c) }
+// ErrNonFinite reports a numeric atom whose constant is NaN or ±Inf: such
+// a constant is no rational, so the solver cannot bound anything by it.
+var ErrNonFinite = errorString("constraint: non-finite constant in atom")
 
-// Validate checks a system for malformed atoms (NaN constants, ordered
-// string operators). The solvers assume validated input.
+var errStrOrder = errorString("constraint: ordered string atoms are not supported; use an opaque atom")
+
+// Validate checks a system for malformed atoms (non-finite constants,
+// ordered string operators). The solvers assume validated input.
 func (s *System) Validate() error {
 	for _, a := range s.Num {
-		if signalNaN(a.C) {
-			return errNaN
+		if math.IsNaN(a.C) || math.IsInf(a.C, 0) {
+			return ErrNonFinite
 		}
 	}
 	for _, a := range s.Str {
@@ -539,11 +653,6 @@ func (s *System) Validate() error {
 	}
 	return nil
 }
-
-var (
-	errNaN      = errorString("constraint: NaN constant in atom")
-	errStrOrder = errorString("constraint: ordered string atoms are not supported; use an opaque atom")
-)
 
 type errorString string
 

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"sqlts/internal/constraint"
 	"sqlts/internal/logic"
 	"sqlts/internal/pattern"
 )
@@ -35,19 +36,38 @@ type Matrices struct {
 //
 //	θ[j][k] = 1 if p_j ⇒ p_k and p_j ≢ F; 0 if p_j ⇒ ¬p_k; U otherwise
 //	φ[j][k] = 1 if ¬p_j ⇒ p_k; 0 if ¬p_j ⇒ ¬p_k and p_j ≢ T; U otherwise
+//
+// Each element's predicate is closed once (constraint.Prepare); the m²
+// entries are then lookups in those closures plus one joint closure per
+// exclusion test.
 func ComputeMatrices(p *pattern.Pattern) *Matrices {
 	m := p.Len()
-	theta := logic.NewTriMatrix(m, logic.Unknown)
-	phi := logic.NewTriMatrix(m, logic.Unknown)
-	for j := 1; j <= m; j++ {
-		ej := &p.Elems[j-1]
-		for k := 1; k <= j; k++ {
-			ek := &p.Elems[k-1]
-			theta.Set(j, k, thetaEntry(ej, ek))
-			phi.Set(j, k, phiEntry(ej, ek))
-		}
+	preds := make([]*constraint.Formula, m)
+	for i := range p.Elems {
+		preds[i] = p.Elems[i].Sys
 	}
-	return &Matrices{Theta: theta, Phi: phi}
+	var out *Matrices
+	constraint.Prepare(preds, func(ps []*constraint.Prepared) {
+		es := make([]elemPred, m)
+		for i := range es {
+			es[i] = elemPred{Prepared: ps[i], cross: p.Elems[i].HasCross()}
+		}
+		out = &Matrices{Theta: logic.NewTriMatrix(m, logic.Unknown), Phi: logic.NewTriMatrix(m, logic.Unknown)}
+		for j := 1; j <= m; j++ {
+			for k := 1; k <= j; k++ {
+				out.Theta.Set(j, k, thetaEntry(&es[j-1], &es[k-1]))
+				out.Phi.Set(j, k, phiEntry(&es[j-1], &es[k-1]))
+			}
+		}
+	})
+	return out
+}
+
+// elemPred is one element's prepared analyzable predicate L_x and whether
+// the element also has a cross (alignment-dependent) part.
+type elemPred struct {
+	*constraint.Prepared
+	cross bool
 }
 
 // thetaEntry computes one θ entry. With L_x the alignment-independent
@@ -60,11 +80,11 @@ func ComputeMatrices(p *pattern.Pattern) *Matrices {
 //     cannot be predicted);
 //   - the p_j ≢ F guard is checked on L_j (if cross conditions make p_j
 //     unsatisfiable anyway, p_j never succeeds and the entry is unused).
-func thetaEntry(ej, ek *pattern.Element) logic.Value {
-	if ej.Sys.Excludes(ek.Sys) {
+func thetaEntry(ej, ek *elemPred) logic.Value {
+	if ej.Excludes(ek.Prepared) {
 		return logic.False
 	}
-	if !ek.HasCross() && ej.Sys.Satisfiable() && ej.Sys.Implies(ek.Sys) {
+	if !ek.cross && ej.Satisfiable() && ej.Implies(ek.Prepared) {
 		return logic.True
 	}
 	return logic.Unknown
@@ -73,27 +93,27 @@ func thetaEntry(ej, ek *pattern.Element) logic.Value {
 // phiEntry computes one φ entry. When p_j has a cross part, its failure
 // tells us nothing about L_j, so the premise ¬p_j is unusable: the entry
 // can be 1 only for a tautological cross-free p_k, and can never be 0.
-func phiEntry(ej, ek *pattern.Element) logic.Value {
-	if ej.HasCross() {
-		if !ek.HasCross() && ek.Sys.Tautology() {
+func phiEntry(ej, ek *elemPred) logic.Value {
+	if ej.cross {
+		if ek.tautology() {
 			return logic.True
 		}
 		return logic.Unknown
 	}
 	// ¬p_j ⇒ p_k requires certifying all of p_k.
-	if !ek.HasCross() && ej.Sys.NegImplies(ek.Sys) {
+	if !ek.cross && ej.NegImplies(ek.Prepared) {
 		return logic.True
 	}
 	// ¬p_j ⇒ ¬p_k iff p_k ⇒ p_j; certified by L_k ⇒ L_j (premise
 	// weakening is sound). Guard: p_j ≢ T.
-	if !pTautology(ej) && ek.Sys.Implies(ej.Sys) {
+	if !ej.tautology() && ek.Implies(ej.Prepared) {
 		return logic.False
 	}
 	return logic.Unknown
 }
 
-// pTautology reports whether the whole predicate is certainly TRUE: it
+// tautology reports whether the whole predicate is certainly TRUE: it
 // must be cross-free and its analyzable part a tautology.
-func pTautology(e *pattern.Element) bool {
-	return !e.HasCross() && e.Sys.Tautology()
+func (e *elemPred) tautology() bool {
+	return !e.cross && e.Tautology()
 }

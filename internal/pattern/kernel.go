@@ -36,12 +36,20 @@ type Kernel struct {
 	p       *Pattern
 	elems   []elemKernel
 	vecs    []vecElem
+	vconds  []vecCond // the distinct batch conditions vecs index
 	numCols []int
 	strCols []int
+	// nullCols are the projected columns, each once: the ones a MaskSet
+	// keeps a null bitmask of.
+	nullCols []int
 
 	compiled int
 	fallback int
 	vecCnt   int
+	// What one MaskSet of this kernel holds beyond a mask per distinct
+	// condition: masks of elements that combine several (or none),
+	// disjunction scratch masks, and CondHits entries.
+	vecOwn, vecScratch, vecConds int
 }
 
 // CompileKernel builds the kernel program for the pattern. It never
@@ -72,27 +80,18 @@ func (p *Pattern) CompileKernel() *Kernel {
 		}
 		k.elems[idx] = ek
 		// The batch (mask) form compiles independently: disjunctions
-		// vectorize even though the row kernel interprets them, so their
-		// columns must register in the shared projection sets here.
-		vconds := make([]vecCond, 0, len(e.Local))
-		for i := range e.Local {
-			vc, ok := compileVecCond(&e.Local[i], p.MissingPrevTrue, numSet, strSet)
-			if !ok {
-				vconds = nil
-				break
-			}
-			vconds = append(vconds, vc)
-		}
-		if vconds != nil {
-			k.vecs[idx] = vecElem{conds: vconds, ok: true}
-			k.vecCnt++
-		}
+		// vectorize even though the row kernel interprets them.
+		k.addVecElem(idx, e.Local, numSet, strSet)
 	}
 	for c := range numSet {
 		k.numCols = append(k.numCols, c)
+		k.nullCols = append(k.nullCols, c)
 	}
 	for c := range strSet {
 		k.strCols = append(k.strCols, c)
+		if !numSet[c] {
+			k.nullCols = append(k.nullCols, c)
+		}
 	}
 	return k
 }
@@ -179,36 +178,57 @@ func roleDelta(r Role) int {
 	return 0
 }
 
+// The four kernels below return one closure per operator with the
+// comparison written in it, so a probe is one indirect call. Each tests,
+// in this order: the missing-predecessor verdict (d, ld, rd are 0 for the
+// current row and 1 for its predecessor, so only row 0 can lack one),
+// then nulls, which fail, then the comparison.
+
 // numConstKernel compiles field(role,col) op C.
 func numConstKernel(col, d int, mpt bool, op constraint.Op, c float64) condFn {
-	needPrev := d > 0
-	mk := func(cmp func(a float64) bool) condFn {
-		return func(p *storage.Projection, i int) bool {
-			if needPrev {
-				if i == 0 {
-					return mpt
-				}
-				i -= 1
-			}
-			if p.Null[col][i] {
-				return false
-			}
-			return cmp(p.Num[col][i])
-		}
-	}
 	switch op {
 	case constraint.Eq:
-		return mk(func(a float64) bool { return a == c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] == c
+		}
 	case constraint.Ne:
-		return mk(func(a float64) bool { return a != c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] != c
+		}
 	case constraint.Lt:
-		return mk(func(a float64) bool { return a < c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] < c
+		}
 	case constraint.Le:
-		return mk(func(a float64) bool { return a <= c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] <= c
+		}
 	case constraint.Gt:
-		return mk(func(a float64) bool { return a > c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] > c
+		}
 	case constraint.Ge:
-		return mk(func(a float64) bool { return a >= c })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Num[col][i] >= c
+		}
 	default:
 		return nil
 	}
@@ -218,31 +238,55 @@ func numConstKernel(col, d int, mpt bool, op constraint.Op, c float64) condFn {
 // additive NumFieldField form, c 0 for the scaled NumFieldScaled form).
 func numFieldKernel(lcol, ld, rcol, rd int, mpt bool, op constraint.Op, c, coef float64) condFn {
 	needPrev := ld > 0 || rd > 0
-	mk := func(cmp func(a, b float64) bool) condFn {
+	switch op {
+	case constraint.Eq:
 		return func(p *storage.Projection, i int) bool {
 			if needPrev && i == 0 {
 				return mpt
 			}
 			li, ri := i-ld, i-rd
-			if p.Null[lcol][li] || p.Null[rcol][ri] {
-				return false
-			}
-			return cmp(p.Num[lcol][li], coef*p.Num[rcol][ri]+c)
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] == coef*p.Num[rcol][ri]+c
 		}
-	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a, b float64) bool { return a == b })
 	case constraint.Ne:
-		return mk(func(a, b float64) bool { return a != b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] != coef*p.Num[rcol][ri]+c
+		}
 	case constraint.Lt:
-		return mk(func(a, b float64) bool { return a < b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] < coef*p.Num[rcol][ri]+c
+		}
 	case constraint.Le:
-		return mk(func(a, b float64) bool { return a <= b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] <= coef*p.Num[rcol][ri]+c
+		}
 	case constraint.Gt:
-		return mk(func(a, b float64) bool { return a > b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] > coef*p.Num[rcol][ri]+c
+		}
 	case constraint.Ge:
-		return mk(func(a, b float64) bool { return a >= b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Num[lcol][li] >= coef*p.Num[rcol][ri]+c
+		}
 	default:
 		return nil
 	}
@@ -250,34 +294,49 @@ func numFieldKernel(lcol, ld, rcol, rd int, mpt bool, op constraint.Op, c, coef 
 
 // strLitKernel compiles field(role,col) op "lit".
 func strLitKernel(col, d int, mpt bool, op constraint.Op, lit string) condFn {
-	needPrev := d > 0
-	mk := func(cmp func(a string) bool) condFn {
-		return func(p *storage.Projection, i int) bool {
-			if needPrev {
-				if i == 0 {
-					return mpt
-				}
-				i -= 1
-			}
-			if p.Null[col][i] {
-				return false
-			}
-			return cmp(p.Str[col][i])
-		}
-	}
 	switch op {
 	case constraint.Eq:
-		return mk(func(a string) bool { return a == lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] == lit
+		}
 	case constraint.Ne:
-		return mk(func(a string) bool { return a != lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] != lit
+		}
 	case constraint.Lt:
-		return mk(func(a string) bool { return a < lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] < lit
+		}
 	case constraint.Le:
-		return mk(func(a string) bool { return a <= lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] <= lit
+		}
 	case constraint.Gt:
-		return mk(func(a string) bool { return a > lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] > lit
+		}
 	case constraint.Ge:
-		return mk(func(a string) bool { return a >= lit })
+		return func(p *storage.Projection, i int) bool {
+			if i -= d; i < 0 {
+				return mpt
+			}
+			return !p.Null[col][i] && p.Str[col][i] >= lit
+		}
 	default:
 		return nil
 	}
@@ -286,31 +345,55 @@ func strLitKernel(col, d int, mpt bool, op constraint.Op, lit string) condFn {
 // strFieldKernel compiles field op field' over string columns.
 func strFieldKernel(lcol, ld, rcol, rd int, mpt bool, op constraint.Op) condFn {
 	needPrev := ld > 0 || rd > 0
-	mk := func(cmp func(a, b string) bool) condFn {
+	switch op {
+	case constraint.Eq:
 		return func(p *storage.Projection, i int) bool {
 			if needPrev && i == 0 {
 				return mpt
 			}
 			li, ri := i-ld, i-rd
-			if p.Null[lcol][li] || p.Null[rcol][ri] {
-				return false
-			}
-			return cmp(p.Str[lcol][li], p.Str[rcol][ri])
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] == p.Str[rcol][ri]
 		}
-	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a, b string) bool { return a == b })
 	case constraint.Ne:
-		return mk(func(a, b string) bool { return a != b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] != p.Str[rcol][ri]
+		}
 	case constraint.Lt:
-		return mk(func(a, b string) bool { return a < b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] < p.Str[rcol][ri]
+		}
 	case constraint.Le:
-		return mk(func(a, b string) bool { return a <= b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] <= p.Str[rcol][ri]
+		}
 	case constraint.Gt:
-		return mk(func(a, b string) bool { return a > b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] > p.Str[rcol][ri]
+		}
 	case constraint.Ge:
-		return mk(func(a, b string) bool { return a >= b })
+		return func(p *storage.Projection, i int) bool {
+			if needPrev && i == 0 {
+				return mpt
+			}
+			li, ri := i-ld, i-rd
+			return !p.Null[lcol][li] && !p.Null[rcol][ri] && p.Str[lcol][li] >= p.Str[rcol][ri]
+		}
 	default:
 		return nil
 	}

@@ -459,6 +459,11 @@ func (p *Pattern) condFormula(c Cond, alloc *varAlloc) (*constraint.Formula, err
 	default:
 		return nil, fmt.Errorf("condition %s is not local", c)
 	}
+	// A constant folded to NaN or ±Inf is no rational: reject it here, as
+	// an error of the statement, before the solver meets it.
+	if err := sys.Validate(); err != nil {
+		return nil, fmt.Errorf("condition %s: %w", c, err)
+	}
 	return constraint.FromSystem(sys), nil
 }
 

@@ -1,14 +1,31 @@
-// Vectorized kernel compilation: alongside the row-at-a-time closure
-// chains (kernel.go), each compilable local condition also gets a batch
-// form (vecFn) that evaluates the entire projection into a []uint64
-// selection bitmask with a branch-free compare loop. Per element the
-// condition masks AND together (disjunctions OR their per-branch ANDs),
-// producing one mask per element whose bit i answers "does row i satisfy
-// the element's local conditions?" — the same verdict the row chain
-// computes, bit for bit, including the missing-predecessor policy and
-// null handling. Executors then answer probes with a single bit test
-// (plus cross-condition interpretation) and skip runs of zero bits by
-// trailing-zeros iteration.
+// Vectorized kernel compilation: alongside the row-at-a-time closures
+// (kernel.go), each compilable local condition also gets a batch form
+// that evaluates the entire projection into a []uint64 selection
+// bitmask. Per element the condition masks AND together (disjunctions OR
+// their per-branch ANDs), producing one mask per element whose bit i
+// answers "does row i satisfy the element's local conditions?" — the
+// same verdict the row chain computes, bit for bit, including the
+// missing-predecessor policy and null handling. Executors then answer
+// probes with a single bit test (plus cross-condition interpretation)
+// and skip runs of zero bits by trailing-zeros iteration.
+//
+// A never-seen statement probes its masks once, so building them is its
+// cost, and two things keep the build near the memory traffic it needs:
+//
+//   - A batch form is data (vecAtom), not a closure. The comparison loops
+//     (maskConst, maskNumField, maskStrField) are ordinary top-level
+//     functions over sub-sliced columns: the operator is switched on once
+//     per 64-row word, and a row costs a compare, a flag-set and a shift —
+//     no call, no null test, no first-row test. Each projected column's
+//     nulls become a bitmask once per cluster (nullMask), cleared from a
+//     condition's mask word by word, and row 0's missing-predecessor
+//     verdict is one OR after the loops.
+//   - Patterns repeat themselves (Example 10's nine elements hold five
+//     distinct condition lists). A kernel numbers its distinct conditions
+//     and BuildMasks builds each once per cluster; a one-condition element
+//     uses the condition's mask as its own, and elements with the same
+//     list share one mask. MaskStats still reports every element and
+//     every condition, shared or not.
 //
 // Vectorization is strictly wider than row compilation in one way
 // (disjunctions vectorize; the row kernel interprets them) and never
@@ -18,28 +35,47 @@
 package pattern
 
 import (
+	"cmp"
+	"slices"
+
 	"sqlts/internal/constraint"
 	"sqlts/internal/storage"
 )
 
-// vecFn fills dst — a selection bitmask of storage.MaskWords(n) words —
-// with one condition's verdict for every row of the projection. Every
-// word of dst is fully overwritten, so callers need not clear it.
-type vecFn func(p *storage.Projection, dst []uint64, n int)
-
-// vecCond is one local condition's batch form: a single mask builder,
-// or — for disjunctions — per-branch builder chains whose masks AND
-// within a branch and OR across branches.
-type vecCond struct {
-	fn       vecFn
-	branches [][]vecFn
+// vecAtom is the batch form of one atomic condition, the same fields the
+// row kernels of kernel.go close over. It is comparable: equal atoms
+// build equal masks.
+type vecAtom struct {
+	kind     CondKind
+	op       constraint.Op
+	lcol, ld int // left column and its row offset (cur 0, prev 1)
+	rcol, rd int
+	c, coef  float64
+	lit      string
 }
 
-// vecElem is one element's vectorized form; ok is false when any local
-// condition resisted vectorization (opaque predicates).
+// vecCond is one local condition's batch form: a single atom, or — for
+// disjunctions — branches whose atoms AND within a branch and OR across
+// branches.
+type vecCond struct {
+	atom     vecAtom
+	branches [][]vecAtom // non-nil for a disjunction
+}
+
+func (c *vecCond) equal(o *vecCond) bool {
+	return c.atom == o.atom && (c.branches == nil) == (o.branches == nil) &&
+		slices.EqualFunc(c.branches, o.branches, func(a, b []vecAtom) bool { return slices.Equal(a, b) })
+}
+
+// vecElem is one element's vectorized form: its local conditions in
+// order, as indexes into the kernel's distinct conditions. ok is false
+// when any local condition resisted vectorization (opaque predicates).
 type vecElem struct {
-	conds []vecCond
+	conds []int
 	ok    bool
+	// same is the first element with an identical condition list (the
+	// element's own index when there is none before it).
+	same int
 }
 
 // MaskStats are the build-time selectivity measurements of one mask
@@ -96,12 +132,22 @@ func (s *MaskStats) Sub(o *MaskStats) {
 // MaskSet holds the per-element selection bitmasks of one projected
 // sequence, plus the selectivity stats measured while building them.
 // Like a Projection it covers one cluster, is immutable to executors
-// (they only read it), and retains its buffers across rebuilds.
+// (they only read it), and retains its buffers across rebuilds. Elements
+// may share a mask, with each other or with a condition.
 type MaskSet struct {
-	elems   [][]uint64 // nil for elements that are not vectorized
-	rows    int
-	stats   MaskStats
-	scratch [3][]uint64 // cond / branch-AND / builder output
+	elems [][]uint64 // nil for elements that are not vectorized
+	rows  int
+	stats MaskStats
+	// slab backs every mask of the set: one per distinct condition, one
+	// per element that combines several, the disjunction scratch, and one
+	// per projected column for its nulls.
+	slab []uint64
+	// nulls[c] is column c's null bitmask, nil when the column is not
+	// projected or holds no NULL.
+	nulls [][]uint64
+	// hits backs the stats: per-condition counts, then ElemHits, then the
+	// CondHits rows.
+	hits []int64
 }
 
 // Rows returns the number of rows the masks cover.
@@ -124,15 +170,6 @@ func (k *Kernel) ElemVectorized(j int) bool { return k.vecs[j].ok }
 // which a mask cannot cover (they inspect earlier bindings).
 func (k *Kernel) ElemHasCross(j int) bool { return k.elems[j].hasCross }
 
-// sizeMask returns a mask buffer of exactly words words, reusing m's
-// capacity; contents are unspecified (builders overwrite fully).
-func sizeMask(m []uint64, words int) []uint64 {
-	if cap(m) < words {
-		return make([]uint64, words)
-	}
-	return m[:words]
-}
-
 // BuildMasks evaluates every vectorized element of the kernel over the
 // projection into ms (allocating one when nil), returning it. Buffers
 // are reused across builds, so a warmed MaskSet rebuild allocates
@@ -145,46 +182,65 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 	}
 	n := proj.Len()
 	words := storage.MaskWords(n)
-	ne := len(k.elems)
+	ne, nc := len(k.vecs), len(k.vconds)
 	ms.rows = n
-	if len(ms.elems) != ne {
-		ms.elems = make([][]uint64, ne)
+	if len(ms.elems) != ne || len(ms.nulls) != len(proj.Null) {
+		heads := make([][]uint64, ne+len(proj.Null))
+		ms.elems, ms.nulls = heads[:ne:ne], heads[ne:]
+	}
+	if need := (nc + k.vecOwn + k.vecScratch + len(k.nullCols)) * words; cap(ms.slab) < need {
+		ms.slab = make([]uint64, need)
+	}
+	mask := func(i int) []uint64 { return ms.slab[i*words : (i+1)*words : (i+1)*words] }
+	if need := nc + ne + k.vecConds; len(ms.hits) != need {
+		ms.hits = make([]int64, need)
 	}
 	st := &ms.stats
 	st.Rows = int64(n)
-	if len(st.ElemHits) != ne {
-		st.ElemHits = make([]int64, ne)
-	}
+	condHits, rest := ms.hits[:nc], ms.hits[nc:]
+	st.ElemHits, rest = rest[:ne:ne], rest[ne:]
 	if len(st.CondHits) != ne {
 		st.CondHits = make([][]int64, ne)
 	}
-	for i := range ms.scratch {
-		ms.scratch[i] = sizeMask(ms.scratch[i], words)
+
+	for i, c := range k.nullCols {
+		ms.nulls[c] = nullMask(mask(nc+k.vecOwn+k.vecScratch+i), proj.Null[c][:n])
 	}
+	var branch, tmp []uint64
+	if k.vecScratch > 0 {
+		branch, tmp = mask(nc+k.vecOwn), mask(nc+k.vecOwn+1)
+	}
+	for ci := range k.vconds {
+		k.buildCondMask(proj, ms.nulls, &k.vconds[ci], mask(ci), branch, tmp, n)
+		condHits[ci] = storage.MaskPopcount(mask(ci))
+	}
+	own := nc // the next mask an element may take for itself
 	for j := range k.vecs {
 		ve := &k.vecs[j]
-		st.ElemHits[j] = 0
-		st.CondHits[j] = st.CondHits[j][:0]
-		if !ve.ok {
-			ms.elems[j] = nil
-			continue
+		st.CondHits[j], rest = rest[:len(ve.conds):len(ve.conds)], rest[len(ve.conds):]
+		for i, ci := range ve.conds {
+			st.CondHits[j][i] = condHits[ci]
 		}
-		em := sizeMask(ms.elems[j], words)
-		if len(ve.conds) == 0 {
-			storage.MaskFill(em, n)
-		}
-		for ci := range ve.conds {
-			cm := ms.scratch[0]
-			buildCondMask(proj, &ve.conds[ci], cm, ms.scratch[1], ms.scratch[2], n)
-			st.CondHits[j] = append(st.CondHits[j], storage.MaskPopcount(cm))
-			if ci == 0 {
-				copy(em, cm)
+		switch {
+		case !ve.ok:
+			ms.elems[j], st.ElemHits[j] = nil, 0
+		case ve.same != j:
+			ms.elems[j], st.ElemHits[j] = ms.elems[ve.same], st.ElemHits[ve.same]
+		case len(ve.conds) == 1:
+			ms.elems[j], st.ElemHits[j] = mask(ve.conds[0]), condHits[ve.conds[0]]
+		default:
+			em := mask(own)
+			own++
+			if len(ve.conds) == 0 {
+				storage.MaskFill(em, n)
 			} else {
-				storage.MaskAnd(em, cm)
+				copy(em, mask(ve.conds[0]))
+				for _, ci := range ve.conds[1:] {
+					storage.MaskAnd(em, mask(ci))
+				}
 			}
+			ms.elems[j], st.ElemHits[j] = em, storage.MaskPopcount(em)
 		}
-		ms.elems[j] = em
-		st.ElemHits[j] = storage.MaskPopcount(em)
 	}
 	return ms
 }
@@ -192,9 +248,9 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 // buildCondMask evaluates one condition into dst: directly for atomic
 // conditions, OR-of-branch-ANDs for disjunctions (branch and tmp are
 // scratch of the same word count).
-func buildCondMask(p *storage.Projection, c *vecCond, dst, branch, tmp []uint64, n int) {
-	if c.fn != nil {
-		c.fn(p, dst, n)
+func (k *Kernel) buildCondMask(p *storage.Projection, nulls [][]uint64, c *vecCond, dst, branch, tmp []uint64, n int) {
+	if c.branches == nil {
+		c.atom.build(p, nulls, dst, n, k.p.MissingPrevTrue)
 		return
 	}
 	storage.MaskZero(dst)
@@ -204,9 +260,9 @@ func buildCondMask(p *storage.Projection, c *vecCond, dst, branch, tmp []uint64,
 			storage.MaskFill(dst, n)
 			return
 		}
-		br[0](p, branch, n)
-		for _, fn := range br[1:] {
-			fn(p, tmp, n)
+		br[0].build(p, nulls, branch, n, k.p.MissingPrevTrue)
+		for i := range br[1:] {
+			br[1+i].build(p, nulls, tmp, n, k.p.MissingPrevTrue)
 			storage.MaskAnd(branch, tmp)
 		}
 		storage.MaskOr(dst, branch)
@@ -237,57 +293,130 @@ func (k *Kernel) EvalElemMasked(j int, proj *storage.Projection, ms *MaskSet, ct
 	return true
 }
 
-// compileVecCond builds the batch form of one local condition,
-// registering referenced columns in numSet/strSet (sharing the row
-// compiler's sets, so disjunction columns — which the row kernel never
-// registers — still reach the projection).
-func compileVecCond(c *Cond, mpt bool, numSet, strSet map[int]bool) (vecCond, bool) {
-	if c.Kind == OrCond {
-		branches := make([][]vecFn, 0, len(c.Branches))
-		for bi := range c.Branches {
-			br := c.Branches[bi]
-			fns := make([]vecFn, 0, len(br))
-			for i := range br {
-				fn := compileVecFn(&br[i], mpt, numSet, strSet)
-				if fn == nil {
-					return vecCond{}, false
-				}
-				fns = append(fns, fn)
-			}
-			branches = append(branches, fns)
+// addVecElem compiles element idx's local conditions to batch form,
+// numbering each against the kernel's distinct conditions, and registers
+// referenced columns in numSet/strSet (sharing the row compiler's sets,
+// so disjunction columns — which the row kernel never registers — still
+// reach the projection).
+func (k *Kernel) addVecElem(idx int, local []Cond, numSet, strSet map[int]bool) {
+	vcs := make([]vecCond, len(local))
+	for i := range local {
+		var ok bool
+		if vcs[i], ok = compileVecCond(&local[i], numSet, strSet); !ok {
+			return
 		}
-		return vecCond{branches: branches}, true
 	}
-	fn := compileVecFn(c, mpt, numSet, strSet)
-	if fn == nil {
-		return vecCond{}, false
+	conds := make([]int, len(vcs))
+	for i := range vcs {
+		vc := &vcs[i]
+		ci := slices.IndexFunc(k.vconds, func(o vecCond) bool { return vc.equal(&o) })
+		if ci < 0 {
+			ci = len(k.vconds)
+			k.vconds = append(k.vconds, *vc)
+			if vc.branches != nil {
+				k.vecScratch = 2
+			}
+		}
+		conds[i] = ci
 	}
-	return vecCond{fn: fn}, true
+	same := slices.IndexFunc(k.vecs[:idx], func(o vecElem) bool { return o.ok && slices.Equal(o.conds, conds) })
+	if same < 0 {
+		same = idx
+		if len(conds) != 1 {
+			k.vecOwn++
+		}
+	}
+	k.vecs[idx] = vecElem{conds: conds, ok: true, same: same}
+	k.vecCnt++
+	k.vecConds += len(conds)
 }
 
-// compileVecFn mirrors compileCond's dispatch for the batch builders.
-func compileVecFn(c *Cond, mpt bool, numSet, strSet map[int]bool) vecFn {
+// compileVecCond builds the batch form of one local condition.
+func compileVecCond(c *Cond, numSet, strSet map[int]bool) (vecCond, bool) {
+	if c.Kind != OrCond {
+		a, ok := compileVecAtom(c, numSet, strSet)
+		return vecCond{atom: a}, ok
+	}
+	branches := make([][]vecAtom, len(c.Branches))
+	for bi, br := range c.Branches {
+		branches[bi] = make([]vecAtom, len(br))
+		for i := range br {
+			a, ok := compileVecAtom(&br[i], numSet, strSet)
+			if !ok {
+				return vecCond{}, false
+			}
+			branches[bi][i] = a
+		}
+	}
+	return vecCond{branches: branches}, true
+}
+
+// compileVecAtom mirrors compileCond's dispatch for the batch builders.
+func compileVecAtom(c *Cond, numSet, strSet map[int]bool) (vecAtom, bool) {
+	a := vecAtom{kind: c.Kind, op: c.Op, lcol: c.LCol, ld: roleDelta(c.LRole)}
+	if c.Op > constraint.Ge {
+		return a, false
+	}
 	switch c.Kind {
 	case NumFieldConst:
 		numSet[c.LCol] = true
-		return vecNumConst(c.LCol, roleDelta(c.LRole), mpt, c.Op, c.C)
-	case NumFieldField:
+		a.c = c.C
+	case NumFieldField, NumFieldScaled:
 		numSet[c.LCol] = true
 		numSet[c.RCol] = true
-		return vecNumField(c.LCol, roleDelta(c.LRole), c.RCol, roleDelta(c.RRole), mpt, c.Op, c.C, 1)
-	case NumFieldScaled:
-		numSet[c.LCol] = true
-		numSet[c.RCol] = true
-		return vecNumField(c.LCol, roleDelta(c.LRole), c.RCol, roleDelta(c.RRole), mpt, c.Op, 0, c.Coef)
+		a.rcol, a.rd = c.RCol, roleDelta(c.RRole)
+		// One form, field op coef*field' + c, as in numFieldKernel.
+		a.kind, a.c, a.coef = NumFieldField, c.C, 1
+		if c.Kind == NumFieldScaled {
+			a.c, a.coef = 0, c.Coef
+		}
 	case StrFieldLit:
 		strSet[c.LCol] = true
-		return vecStrLit(c.LCol, roleDelta(c.LRole), mpt, c.Op, c.Lit)
+		a.lit = c.Lit
 	case StrFieldField:
 		strSet[c.LCol] = true
 		strSet[c.RCol] = true
-		return vecStrField(c.LCol, roleDelta(c.LRole), c.RCol, roleDelta(c.RRole), mpt, c.Op)
+		a.rcol, a.rd = c.RCol, roleDelta(c.RRole)
 	default:
-		return nil
+		return a, false
+	}
+	return a, true
+}
+
+// build fills dst — a selection bitmask of storage.MaskWords(n) words —
+// with the atom's verdict for every row of the projection, replicating
+// the row kernels of kernel.go exactly: the missing-predecessor verdict
+// (mpt) applies at row 0 before the null check, nulls fail, and the
+// compared expression is the same float/string expression the row
+// closure computes. nulls holds the projection's null bitmasks by
+// column. Every word of dst is fully overwritten.
+func (a *vecAtom) build(p *storage.Projection, nulls [][]uint64, dst []uint64, n int, mpt bool) {
+	if n == 0 {
+		return
+	}
+	// With a predecessor reference the verdicts start at row 1; either
+	// way the columns are sub-sliced so that index 0 is row off.
+	off := 0
+	if a.ld > 0 || a.rd > 0 {
+		off = 1
+	}
+	l0, l1, r0, r1 := off-a.ld, n-a.ld, off-a.rd, n-a.rd
+	switch a.kind {
+	case NumFieldConst:
+		maskConst(dst, p.Num[a.lcol][l0:l1], a.op, a.c, off, n)
+	case NumFieldField:
+		maskNumField(dst, p.Num[a.lcol][l0:l1], p.Num[a.rcol][r0:r1], a.op, a.coef, a.c, off, n)
+	case StrFieldLit:
+		maskConst(dst, p.Str[a.lcol][l0:l1], a.op, a.lit, off, n)
+	case StrFieldField:
+		maskStrField(dst, p.Str[a.lcol][l0:l1], p.Str[a.rcol][r0:r1], a.op, off, n)
+	}
+	clearNulls(dst, nulls[a.lcol], uint(a.ld))
+	if a.kind == NumFieldField || a.kind == StrFieldField {
+		clearNulls(dst, nulls[a.rcol], uint(a.rd))
+	}
+	if off > 0 && mpt {
+		dst[0] |= 1
 	}
 }
 
@@ -300,185 +429,146 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// The builders below replicate the row kernels of kernel.go exactly:
-// the missing-predecessor verdict (mpt) applies at row 0 before the
-// null check, nulls fail, and the compared expression is the same
-// float/string expression the row closure computes.
+// The loops below share one frame. Word w of dst covers rows
+// [64w, 64w+64) clipped to [off, n); x[i] (and y[i]) belong to row off+i,
+// so a word's rows are one sub-slice and a row's bit is its index in it
+// plus sh, the word's first row's bit. Bits outside [off, n) stay clear.
+// The operator is switched on per word; each case is the loop.
 
-// vecNumConst batches field(role,col) op C.
-func vecNumConst(col, d int, mpt bool, op constraint.Op, c float64) vecFn {
-	needPrev := d > 0
-	mk := func(cmp func(a float64) bool) vecFn {
-		return func(p *storage.Projection, dst []uint64, n int) {
-			num, null := p.Num[col], p.Null[col]
-			for base := 0; base < n; base += 64 {
-				end := base + 64
-				if end > n {
-					end = n
-				}
-				var w uint64
-				for i := base; i < end; i++ {
-					ri := i
-					if needPrev {
-						if i == 0 {
-							w |= b2u(mpt)
-							continue
-						}
-						ri = i - 1
-					}
-					w |= (b2u(cmp(num[ri])) &^ b2u(null[ri])) << uint(i-base)
-				}
-				dst[base>>6] = w
+// maskConst sets bit r where x[r-off] op c.
+func maskConst[T cmp.Ordered](dst []uint64, x []T, op constraint.Op, c T, off, n int) {
+	for w := range dst {
+		lo, hi := max(w<<6, off), min(w<<6+64, n)
+		xs, sh := x[lo-off:hi-off], uint(lo-w<<6)
+		var word uint64
+		switch op {
+		case constraint.Eq:
+			for i, v := range xs {
+				word |= b2u(v == c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ne:
+			for i, v := range xs {
+				word |= b2u(v != c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Lt:
+			for i, v := range xs {
+				word |= b2u(v < c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Le:
+			for i, v := range xs {
+				word |= b2u(v <= c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Gt:
+			for i, v := range xs {
+				word |= b2u(v > c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ge:
+			for i, v := range xs {
+				word |= b2u(v >= c) << ((uint(i) + sh) & 63)
 			}
 		}
-	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a float64) bool { return a == c })
-	case constraint.Ne:
-		return mk(func(a float64) bool { return a != c })
-	case constraint.Lt:
-		return mk(func(a float64) bool { return a < c })
-	case constraint.Le:
-		return mk(func(a float64) bool { return a <= c })
-	case constraint.Gt:
-		return mk(func(a float64) bool { return a > c })
-	case constraint.Ge:
-		return mk(func(a float64) bool { return a >= c })
-	default:
-		return nil
+		dst[w] = word
 	}
 }
 
-// vecNumField batches field op coef*field' + c.
-func vecNumField(lcol, ld, rcol, rd int, mpt bool, op constraint.Op, c, coef float64) vecFn {
-	needPrev := ld > 0 || rd > 0
-	mk := func(cmp func(a, b float64) bool) vecFn {
-		return func(p *storage.Projection, dst []uint64, n int) {
-			ln, rn := p.Num[lcol], p.Num[rcol]
-			lnull, rnull := p.Null[lcol], p.Null[rcol]
-			for base := 0; base < n; base += 64 {
-				end := base + 64
-				if end > n {
-					end = n
-				}
-				var w uint64
-				for i := base; i < end; i++ {
-					if needPrev && i == 0 {
-						w |= b2u(mpt)
-						continue
-					}
-					li, ri := i-ld, i-rd
-					ok := b2u(cmp(ln[li], coef*rn[ri]+c)) &^ (b2u(lnull[li]) | b2u(rnull[ri]))
-					w |= ok << uint(i-base)
-				}
-				dst[base>>6] = w
+// maskNumField sets bit r where x[r-off] op coef*y[r-off] + c.
+func maskNumField(dst []uint64, x, y []float64, op constraint.Op, coef, c float64, off, n int) {
+	for w := range dst {
+		lo, hi := max(w<<6, off), min(w<<6+64, n)
+		xs, ys, sh := x[lo-off:hi-off], y[lo-off:hi-off], uint(lo-w<<6)
+		ys = ys[:len(xs)]
+		var word uint64
+		switch op {
+		case constraint.Eq:
+			for i, v := range xs {
+				word |= b2u(v == coef*ys[i]+c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ne:
+			for i, v := range xs {
+				word |= b2u(v != coef*ys[i]+c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Lt:
+			for i, v := range xs {
+				word |= b2u(v < coef*ys[i]+c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Le:
+			for i, v := range xs {
+				word |= b2u(v <= coef*ys[i]+c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Gt:
+			for i, v := range xs {
+				word |= b2u(v > coef*ys[i]+c) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ge:
+			for i, v := range xs {
+				word |= b2u(v >= coef*ys[i]+c) << ((uint(i) + sh) & 63)
 			}
 		}
-	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a, b float64) bool { return a == b })
-	case constraint.Ne:
-		return mk(func(a, b float64) bool { return a != b })
-	case constraint.Lt:
-		return mk(func(a, b float64) bool { return a < b })
-	case constraint.Le:
-		return mk(func(a, b float64) bool { return a <= b })
-	case constraint.Gt:
-		return mk(func(a, b float64) bool { return a > b })
-	case constraint.Ge:
-		return mk(func(a, b float64) bool { return a >= b })
-	default:
-		return nil
+		dst[w] = word
 	}
 }
 
-// vecStrLit batches field(role,col) op "lit".
-func vecStrLit(col, d int, mpt bool, op constraint.Op, lit string) vecFn {
-	needPrev := d > 0
-	mk := func(cmp func(a string) bool) vecFn {
-		return func(p *storage.Projection, dst []uint64, n int) {
-			str, null := p.Str[col], p.Null[col]
-			for base := 0; base < n; base += 64 {
-				end := base + 64
-				if end > n {
-					end = n
-				}
-				var w uint64
-				for i := base; i < end; i++ {
-					ri := i
-					if needPrev {
-						if i == 0 {
-							w |= b2u(mpt)
-							continue
-						}
-						ri = i - 1
-					}
-					w |= (b2u(cmp(str[ri])) &^ b2u(null[ri])) << uint(i-base)
-				}
-				dst[base>>6] = w
+// maskStrField sets bit r where x[r-off] op y[r-off].
+func maskStrField(dst []uint64, x, y []string, op constraint.Op, off, n int) {
+	for w := range dst {
+		lo, hi := max(w<<6, off), min(w<<6+64, n)
+		xs, ys, sh := x[lo-off:hi-off], y[lo-off:hi-off], uint(lo-w<<6)
+		ys = ys[:len(xs)]
+		var word uint64
+		switch op {
+		case constraint.Eq:
+			for i, v := range xs {
+				word |= b2u(v == ys[i]) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ne:
+			for i, v := range xs {
+				word |= b2u(v != ys[i]) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Lt:
+			for i, v := range xs {
+				word |= b2u(v < ys[i]) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Le:
+			for i, v := range xs {
+				word |= b2u(v <= ys[i]) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Gt:
+			for i, v := range xs {
+				word |= b2u(v > ys[i]) << ((uint(i) + sh) & 63)
+			}
+		case constraint.Ge:
+			for i, v := range xs {
+				word |= b2u(v >= ys[i]) << ((uint(i) + sh) & 63)
 			}
 		}
-	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a string) bool { return a == lit })
-	case constraint.Ne:
-		return mk(func(a string) bool { return a != lit })
-	case constraint.Lt:
-		return mk(func(a string) bool { return a < lit })
-	case constraint.Le:
-		return mk(func(a string) bool { return a <= lit })
-	case constraint.Gt:
-		return mk(func(a string) bool { return a > lit })
-	case constraint.Ge:
-		return mk(func(a string) bool { return a >= lit })
-	default:
-		return nil
+		dst[w] = word
 	}
 }
 
-// vecStrField batches field op field' over string columns.
-func vecStrField(lcol, ld, rcol, rd int, mpt bool, op constraint.Op) vecFn {
-	needPrev := ld > 0 || rd > 0
-	mk := func(cmp func(a, b string) bool) vecFn {
-		return func(p *storage.Projection, dst []uint64, n int) {
-			ls, rs := p.Str[lcol], p.Str[rcol]
-			lnull, rnull := p.Null[lcol], p.Null[rcol]
-			for base := 0; base < n; base += 64 {
-				end := base + 64
-				if end > n {
-					end = n
-				}
-				var w uint64
-				for i := base; i < end; i++ {
-					if needPrev && i == 0 {
-						w |= b2u(mpt)
-						continue
-					}
-					li, ri := i-ld, i-rd
-					ok := b2u(cmp(ls[li], rs[ri])) &^ (b2u(lnull[li]) | b2u(rnull[ri]))
-					w |= ok << uint(i-base)
-				}
-				dst[base>>6] = w
-			}
+// nullMask fills m with bit r set where null[r], and returns it, or nil
+// when no row is NULL.
+func nullMask(m []uint64, null []bool) []uint64 {
+	var any uint64
+	for w := range m {
+		var word uint64
+		for i, v := range null[w<<6 : min(w<<6+64, len(null))] {
+			word |= b2u(v) << (uint(i) & 63)
 		}
+		m[w] = word
+		any |= word
 	}
-	switch op {
-	case constraint.Eq:
-		return mk(func(a, b string) bool { return a == b })
-	case constraint.Ne:
-		return mk(func(a, b string) bool { return a != b })
-	case constraint.Lt:
-		return mk(func(a, b string) bool { return a < b })
-	case constraint.Le:
-		return mk(func(a, b string) bool { return a <= b })
-	case constraint.Gt:
-		return mk(func(a, b string) bool { return a > b })
-	case constraint.Ge:
-		return mk(func(a, b string) bool { return a >= b })
-	default:
+	if any == 0 {
 		return nil
+	}
+	return m
+}
+
+// clearNulls clears bit r of dst where the operand d rows back (0 or 1)
+// is NULL: a NULL operand fails every comparison.
+func clearNulls(dst, nulls []uint64, d uint) {
+	var carry uint64
+	for w, word := range nulls {
+		dst[w] &^= word<<d | carry
+		carry = word >> (64 - d)
 	}
 }

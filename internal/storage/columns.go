@@ -150,10 +150,61 @@ func (p *Projection) AppendRows(rows []Row) {
 }
 
 // SetRows resets the projection and decodes rows — the once-per-cluster
-// projection step of batch execution.
+// projection step of batch execution. It sizes every column once
+// (Reserve, when a column lacks room) and decodes column by column: each
+// pass writes one dense array and reads one field of every row.
 func (p *Projection) SetRows(rows []Row) {
 	p.Reset()
-	p.AppendRows(rows)
+	n := len(rows)
+	if short(p.Num, n) || short(p.Str, n) || short(p.Null, n) {
+		p.Reserve(n)
+	}
+	for _, c := range p.numCols {
+		num := p.Num[c][:n]
+		for i, r := range rows {
+			switch v := r[c]; v.typ {
+			case TypeNull:
+				num[i] = 0
+			case TypeDate:
+				num[i] = float64(v.i)
+			default:
+				num[i] = v.Float()
+			}
+		}
+		p.Num[c] = num
+	}
+	for _, c := range p.strCols {
+		str := p.Str[c][:n]
+		for i, r := range rows {
+			if v := r[c]; v.typ == TypeNull {
+				str[i] = ""
+			} else {
+				str[i] = v.Str()
+			}
+		}
+		p.Str[c] = str
+	}
+	for c, null := range p.Null {
+		if null != nil {
+			null = null[:n]
+			for i, r := range rows {
+				null[i] = r[c].IsNull()
+			}
+			p.Null[c] = null
+		}
+	}
+	p.n = n
+}
+
+// short reports whether some projected column of cols lacks room for n
+// rows.
+func short[T any](cols [][]T, n int) bool {
+	for _, col := range cols {
+		if col != nil && cap(col) < n {
+			return true
+		}
+	}
+	return false
 }
 
 // DropFront discards the first k rows, shifting the remainder down in

@@ -1,6 +1,7 @@
 package sqlts
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -441,5 +442,38 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 63.5 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestNonFiniteConstantIsATypedError pins the fix for a folded constant
+// that is no rational: 1e308 * 10 is +Inf, which used to reach the exact
+// solver and panic inside Query. Every shape the analyzer can hand the
+// solver such a constant in is an error of the statement.
+func TestNonFiniteConstantIsATypedError(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+	for _, where := range []string{
+		`X.price < 1e308 * 10 AND Y.price > 1`,
+		`X.price > -1e308 * 10 AND Y.price > 1`,
+		`X.price < Y.price + 1e308 * 10`,
+		`X.price < 1e308 * 10 - 1e308 * 10 AND Y.price > 1`,
+	} {
+		_, err := db.Query(`SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE ` + where)
+		if !errors.Is(err, ErrNonFiniteConstant) {
+			t.Errorf("WHERE %s: err = %v, want ErrNonFiniteConstant", where, err)
+		}
+	}
+	// Statements that keep such a constant away from the solver (a huge
+	// finite bound; an infinite coefficient, which the analyzer leaves to
+	// the evaluator or turns into the ratio bound 1/Inf = 0) just run.
+	for _, where := range []string{
+		`X.price < 1e308 AND Y.price > 1`,
+		`Y.price < 1e308 * 10 * Y.previous.price`,
+		`1e-320 * Y.previous.price < Y.price`,
+	} {
+		res, err := db.Query(`SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE ` + where)
+		if err != nil || len(res.Rows) != 2 {
+			t.Errorf("WHERE %s: rows = %v, err = %v, want 2 rows", where, res, err)
+		}
 	}
 }
