@@ -1,11 +1,8 @@
 package sqlts_test
 
-// Tests for the stats-fed adaptive optimizer (PR 8): measured conjunct
-// selectivity reorders AND-ed local conditions, and measured
-// naive-vs-OPS savings flip the Auto executor — and in both cases the
-// per-statement pred-eval count may only ever drop (reorders are
-// metric-invariant by construction; flips happen only when naive is no
-// worse).
+// Tests for the adaptive optimizer (PR 8): measured naive-vs-OPS savings
+// flip the Auto executor, and the per-statement pred-eval count may only
+// ever drop (flips happen only when naive is no worse).
 
 import (
 	"strings"
@@ -42,61 +39,6 @@ func stmtSnapshot(t *testing.T, db *sqlts.DB, sql string) obs.StmtSnapshot {
 	}
 	t.Fatalf("no statement stats entry for %q", sql)
 	return obs.StmtSnapshot{}
-}
-
-// TestAdaptiveReorderNeverRaisesPredEvals drives a skewed-selectivity
-// statement past the adaptation threshold: the element's conjuncts are
-// written worst-first (the ~100% condition ahead of the ~5% one), so the
-// optimizer must replan with the selective conjunct first. Conjunct
-// order cannot change the paper's metric — probes count per (tuple,
-// element) test — so every post-replan run must report exactly the
-// pred-evals of the original plan, and the plan revision must move.
-func TestAdaptiveReorderNeverRaisesPredEvals(t *testing.T) {
-	db := skewedDB(t, 400)
-	sql := `SELECT X.date FROM t SEQUENCE BY date AS (X, Y)
-		WHERE X.price > 0 AND X.price < 5 AND Y.price > 0`
-
-	var first int64 = -1
-	for i := 0; i < 130; i++ {
-		res, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if first < 0 {
-			first = res.Stats.PredEvals
-		}
-		if res.Stats.PredEvals > first {
-			t.Fatalf("run %d: pred-evals rose after adaptation: %d > %d",
-				i, res.Stats.PredEvals, first)
-		}
-		if res.Stats.PredEvals < first {
-			t.Fatalf("run %d: conjunct reorder changed pred-evals: %d != %d",
-				i, res.Stats.PredEvals, first)
-		}
-	}
-
-	sn := stmtSnapshot(t, db, sql)
-	if sn.PlanRevision < 1 {
-		t.Fatalf("expected an adaptive replan (plan revision ≥ 1), got %d", sn.PlanRevision)
-	}
-	if sn.VectorizedRuns == 0 {
-		t.Fatal("expected vectorized runs to be recorded")
-	}
-	// The replanned statement must advertise its revision in EXPLAIN.
-	q, err := db.Prepare(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(q.Explain(), "adaptive: plan revision") {
-		t.Fatalf("EXPLAIN missing adaptive revision line:\n%s", q.Explain())
-	}
-	// And the reorder must have actually helped: the rate block for the
-	// new revision measures the selective conjunct first.
-	if rates := sn.CondMatchRates; len(rates) > 0 && len(rates[0]) == 2 {
-		if rates[0][0] > rates[0][1] {
-			t.Fatalf("conjuncts not reordered most-selective-first: %v", rates[0])
-		}
-	}
 }
 
 // TestAdaptiveExecutorFlip observes a statement where OPS saves nothing

@@ -184,7 +184,7 @@ func (db *DB) serveEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fmt.Fprintf(w, "%s  [%d] %-8s %s  %s  rows=%d pred-evals=%d\n",
 				ev.Time.Format(time.RFC3339), ev.QueryID, kind,
-				time.Duration(ev.DurationNs).Round(time.Microsecond), oneLine(ev.SQL), ev.Rows, ev.PredEvals)
+				time.Duration(ev.DurationNs).Round(time.Microsecond), truncateSQL(ev.SQL, 120), ev.Rows, ev.PredEvals)
 		}
 		return
 	}

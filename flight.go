@@ -236,7 +236,7 @@ func (db *DB) WriteActiveQueries(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d in-flight quer%s\n", len(snaps), plural(len(snaps), "y", "ies"))
 	for _, s := range snaps {
-		fmt.Fprintf(&b, "\n[%d] %s  %s", s.ID, s.Phase, oneLine(s.SQL))
+		fmt.Fprintf(&b, "\n[%d] %s  %s", s.ID, s.Phase, truncateSQL(s.SQL, 120))
 		if s.Killed {
 			b.WriteString("  (kill pending)")
 		}
@@ -269,14 +269,6 @@ func progressBar(done, total int64, width int) string {
 	}
 	filled := int(done * int64(width) / total)
 	return "[" + strings.Repeat("#", filled) + strings.Repeat(".", width-filled) + "]"
-}
-
-func oneLine(sql string) string {
-	s := strings.Join(strings.Fields(sql), " ")
-	if len(s) > 120 {
-		s = s[:117] + "..."
-	}
-	return s
 }
 
 func plural(n int, one, many string) string {

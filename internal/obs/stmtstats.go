@@ -193,94 +193,9 @@ type QueryObs struct {
 	// bitmasks.
 	Vectorized bool
 	// PlanRevision is the adaptive revision of the plan that served the
-	// run (0 = the plan as compiled from SQL).
+	// run: the executor flips behind it (0 = the plan as compiled from
+	// SQL).
 	PlanRevision int64
-}
-
-// MaskRates accumulates the per-element, per-condition match counts the
-// vectorized mask builds measure, keyed by the plan revision they were
-// measured under. Revisions change the conjunct order, so counts from
-// different revisions must never blend — the store CAS-swaps in a fresh
-// block whenever the observed revision moves (the satellite fix for
-// normalized-SQL keys conflating adaptively diverged plans).
-type MaskRates struct {
-	Revision int64
-
-	builds atomic.Int64
-	rows   atomic.Int64
-	elems  []maskElemCounts
-}
-
-type maskElemCounts struct {
-	hits atomic.Int64
-	cond []atomic.Int64
-}
-
-func newMaskRates(revision int64, condCounts []int) *MaskRates {
-	r := &MaskRates{Revision: revision, elems: make([]maskElemCounts, len(condCounts))}
-	for i, n := range condCounts {
-		r.elems[i].cond = make([]atomic.Int64, n)
-	}
-	return r
-}
-
-// RecordMaskStats folds one run's mask-build counts into the entry's
-// rate block, replacing the block when the plan revision moved.
-func (s *StmtStats) RecordMaskStats(revision, rows int64, elemHits []int64, condHits [][]int64) {
-	if s == nil || rows <= 0 {
-		return
-	}
-	r := s.rates.Load()
-	if r == nil || r.Revision != revision || len(r.elems) != len(elemHits) {
-		shape := make([]int, len(condHits))
-		for i, c := range condHits {
-			shape[i] = len(c)
-		}
-		fresh := newMaskRates(revision, shape)
-		if !s.rates.CompareAndSwap(r, fresh) {
-			return // another goroutine swapped; drop this sample
-		}
-		r = fresh
-	}
-	r.builds.Add(1)
-	r.rows.Add(rows)
-	for i := range r.elems {
-		if i < len(elemHits) {
-			r.elems[i].hits.Add(elemHits[i])
-		}
-		if i < len(condHits) {
-			for c := range r.elems[i].cond {
-				if c < len(condHits[i]) {
-					r.elems[i].cond[c].Add(condHits[i][c])
-				}
-			}
-		}
-	}
-}
-
-// CondMatchRates returns the measured per-condition match rates (hits /
-// rows, in [0,1]) for the given plan revision, or nil when no rates have
-// been observed under it.
-func (s *StmtStats) CondMatchRates(revision int64) [][]float64 {
-	if s == nil {
-		return nil
-	}
-	r := s.rates.Load()
-	if r == nil || r.Revision != revision {
-		return nil
-	}
-	rows := r.rows.Load()
-	if rows <= 0 {
-		return nil
-	}
-	out := make([][]float64, len(r.elems))
-	for i := range r.elems {
-		out[i] = make([]float64, len(r.elems[i].cond))
-		for c := range r.elems[i].cond {
-			out[i][c] = float64(r.elems[i].cond[c].Load()) / float64(rows)
-		}
-	}
-	return out
 }
 
 // Calls returns the number of successful executions recorded.
@@ -343,7 +258,6 @@ type StmtStats struct {
 
 	vectorizedRuns atomic.Int64
 	planRevision   atomic.Int64
-	rates          atomic.Pointer[MaskRates]
 
 	pushes      atomic.Int64
 	pushMatches atomic.Int64
@@ -533,12 +447,10 @@ type StmtSnapshot struct {
 
 	// VectorizedRuns counts executions that probed through selection
 	// bitmasks; PlanRevision is the adaptive revision of the plan last
-	// serving this statement (0 = as compiled). CondMatchRates are the
-	// measured per-element, per-condition match rates feeding the
-	// adaptive conjunct reorder, valid for PlanRevision only.
-	VectorizedRuns int64       `json:"vectorized_runs,omitempty"`
-	PlanRevision   int64       `json:"plan_revision,omitempty"`
-	CondMatchRates [][]float64 `json:"cond_match_rates,omitempty"`
+	// serving this statement: the executor flips behind it (0 = as
+	// compiled).
+	VectorizedRuns int64 `json:"vectorized_runs,omitempty"`
+	PlanRevision   int64 `json:"plan_revision,omitempty"`
 
 	TotalNs int64 `json:"total_ns"`
 	MeanNs  int64 `json:"mean_ns"`
@@ -616,7 +528,6 @@ func (s *StmtStats) Snapshot() StmtSnapshot {
 	}
 	out.VectorizedRuns = s.vectorizedRuns.Load()
 	out.PlanRevision = s.planRevision.Load()
-	out.CondMatchRates = s.CondMatchRates(out.PlanRevision)
 	return out
 }
 

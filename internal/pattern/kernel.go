@@ -47,9 +47,9 @@ type Kernel struct {
 	fallback int
 	vecCnt   int
 	// What one MaskSet of this kernel holds beyond a mask per distinct
-	// condition: masks of elements that combine several (or none),
-	// disjunction scratch masks, and CondHits entries.
-	vecOwn, vecScratch, vecConds int
+	// condition: masks of elements that combine several (or none), and
+	// disjunction scratch masks.
+	vecOwn, vecScratch int
 }
 
 // CompileKernel builds the kernel program for the pattern. It never

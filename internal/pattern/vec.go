@@ -24,8 +24,7 @@
 //     distinct condition lists). A kernel numbers its distinct conditions
 //     and BuildMasks builds each once per cluster; a one-condition element
 //     uses the condition's mask as its own, and elements with the same
-//     list share one mask. MaskStats still reports every element and
-//     every condition, shared or not.
+//     list share one mask.
 //
 // Vectorization is strictly wider than row compilation in one way
 // (disjunctions vectorize; the row kernel interprets them) and never
@@ -78,66 +77,13 @@ type vecElem struct {
 	same int
 }
 
-// MaskStats are the build-time selectivity measurements of one mask
-// build: per-element and per-condition set-bit counts over Rows rows.
-// Condition rates are measured independently (each condition's mask is
-// counted before ANDing), so they are invariant under conjunct
-// reordering — the property the adaptive optimizer relies on to reach a
-// stable order.
-type MaskStats struct {
-	Rows     int64
-	ElemHits []int64
-	CondHits [][]int64
-}
-
-// Add accumulates o into s, growing s's slices as needed (clusters of
-// one partition aggregate into a single per-statement measurement).
-func (s *MaskStats) Add(o *MaskStats) {
-	s.Rows += o.Rows
-	for len(s.ElemHits) < len(o.ElemHits) {
-		s.ElemHits = append(s.ElemHits, 0)
-	}
-	for j, h := range o.ElemHits {
-		s.ElemHits[j] += h
-	}
-	for len(s.CondHits) < len(o.CondHits) {
-		s.CondHits = append(s.CondHits, nil)
-	}
-	for j, hs := range o.CondHits {
-		for len(s.CondHits[j]) < len(hs) {
-			s.CondHits[j] = append(s.CondHits[j], 0)
-		}
-		for ci, h := range hs {
-			s.CondHits[j][ci] += h
-		}
-	}
-}
-
-// Sub removes o, which an earlier Add put into s: when a cluster's masks
-// are rebuilt, its old measurement leaves the aggregate and the new one
-// joins it. The counts are integers, so the result is exactly the
-// aggregate a from-scratch build would have reached.
-func (s *MaskStats) Sub(o *MaskStats) {
-	s.Rows -= o.Rows
-	for j, h := range o.ElemHits {
-		s.ElemHits[j] -= h
-	}
-	for j, hs := range o.CondHits {
-		for ci, h := range hs {
-			s.CondHits[j][ci] -= h
-		}
-	}
-}
-
 // MaskSet holds the per-element selection bitmasks of one projected
-// sequence, plus the selectivity stats measured while building them.
-// Like a Projection it covers one cluster, is immutable to executors
-// (they only read it), and retains its buffers across rebuilds. Elements
-// may share a mask, with each other or with a condition.
+// sequence. Like a Projection it covers one cluster, is immutable to
+// executors (they only read it), and retains its buffers across rebuilds.
+// Elements may share a mask, with each other or with a condition.
 type MaskSet struct {
 	elems [][]uint64 // nil for elements that are not vectorized
 	rows  int
-	stats MaskStats
 	// slab backs every mask of the set: one per distinct condition, one
 	// per element that combines several, the disjunction scratch, and one
 	// per projected column for its nulls.
@@ -145,9 +91,6 @@ type MaskSet struct {
 	// nulls[c] is column c's null bitmask, nil when the column is not
 	// projected or holds no NULL.
 	nulls [][]uint64
-	// hits backs the stats: per-condition counts, then ElemHits, then the
-	// CondHits rows.
-	hits []int64
 }
 
 // Rows returns the number of rows the masks cover.
@@ -157,14 +100,8 @@ func (ms *MaskSet) Rows() int { return ms.rows }
 // vectorized (probes then take the row path).
 func (ms *MaskSet) Elem(j int) []uint64 { return ms.elems[j] }
 
-// Stats returns the selectivity measurements of the last build.
-func (ms *MaskSet) Stats() *MaskStats { return &ms.stats }
-
 // VecElems returns how many elements have a vectorized (mask) form.
 func (k *Kernel) VecElems() int { return k.vecCnt }
-
-// ElemVectorized reports whether element j (0-based) has a mask form.
-func (k *Kernel) ElemVectorized(j int) bool { return k.vecs[j].ok }
 
 // ElemHasCross reports whether element j carries cross conditions,
 // which a mask cannot cover (they inspect earlier bindings).
@@ -192,17 +129,6 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 		ms.slab = make([]uint64, need)
 	}
 	mask := func(i int) []uint64 { return ms.slab[i*words : (i+1)*words : (i+1)*words] }
-	if need := nc + ne + k.vecConds; len(ms.hits) != need {
-		ms.hits = make([]int64, need)
-	}
-	st := &ms.stats
-	st.Rows = int64(n)
-	condHits, rest := ms.hits[:nc], ms.hits[nc:]
-	st.ElemHits, rest = rest[:ne:ne], rest[ne:]
-	if len(st.CondHits) != ne {
-		st.CondHits = make([][]int64, ne)
-	}
-
 	for i, c := range k.nullCols {
 		ms.nulls[c] = nullMask(mask(nc+k.vecOwn+k.vecScratch+i), proj.Null[c][:n])
 	}
@@ -212,22 +138,17 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 	}
 	for ci := range k.vconds {
 		k.buildCondMask(proj, ms.nulls, &k.vconds[ci], mask(ci), branch, tmp, n)
-		condHits[ci] = storage.MaskPopcount(mask(ci))
 	}
 	own := nc // the next mask an element may take for itself
 	for j := range k.vecs {
 		ve := &k.vecs[j]
-		st.CondHits[j], rest = rest[:len(ve.conds):len(ve.conds)], rest[len(ve.conds):]
-		for i, ci := range ve.conds {
-			st.CondHits[j][i] = condHits[ci]
-		}
 		switch {
 		case !ve.ok:
-			ms.elems[j], st.ElemHits[j] = nil, 0
+			ms.elems[j] = nil
 		case ve.same != j:
-			ms.elems[j], st.ElemHits[j] = ms.elems[ve.same], st.ElemHits[ve.same]
+			ms.elems[j] = ms.elems[ve.same]
 		case len(ve.conds) == 1:
-			ms.elems[j], st.ElemHits[j] = mask(ve.conds[0]), condHits[ve.conds[0]]
+			ms.elems[j] = mask(ve.conds[0])
 		default:
 			em := mask(own)
 			own++
@@ -239,7 +160,7 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 					storage.MaskAnd(em, mask(ci))
 				}
 			}
-			ms.elems[j], st.ElemHits[j] = em, storage.MaskPopcount(em)
+			ms.elems[j] = em
 		}
 	}
 	return ms
@@ -328,7 +249,6 @@ func (k *Kernel) addVecElem(idx int, local []Cond, numSet, strSet map[int]bool) 
 	}
 	k.vecs[idx] = vecElem{conds: conds, ok: true, same: same}
 	k.vecCnt++
-	k.vecConds += len(conds)
 }
 
 // compileVecCond builds the batch form of one local condition.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"sqlts/internal/constraint"
@@ -47,18 +46,18 @@ func vecRows(r *rand.Rand, n int, nulls bool) []storage.Row {
 var allOps = []constraint.Op{constraint.Eq, constraint.Ne, constraint.Lt, constraint.Le, constraint.Gt, constraint.Ge}
 
 // checkMasks asserts that every vectorized element's mask equals the row
-// kernel's (and the interpreter's) verdict bit for bit, carries nothing
-// past row n, and is counted right.
+// kernel's (and the interpreter's) verdict bit for bit and carries
+// nothing past row n.
 func checkMasks(t *testing.T, label string, p *Pattern, k *Kernel, rows []storage.Row, proj *storage.Projection, ms *MaskSet) {
 	t.Helper()
 	n := len(rows)
-	if ms.Rows() != n || ms.Stats().Rows != int64(n) {
-		t.Fatalf("%s: masks cover %d rows (stats %d), want %d", label, ms.Rows(), ms.Stats().Rows, n)
+	if ms.Rows() != n {
+		t.Fatalf("%s: masks cover %d rows, want %d", label, ms.Rows(), n)
 	}
 	ctx := &EvalContext{Seq: rows, Bind: make([]Span, p.Len())}
 	for j := range p.Elems {
 		m := ms.Elem(j)
-		if !k.ElemVectorized(j) {
+		if !k.vecs[j].ok {
 			if m != nil {
 				t.Fatalf("%s: element %d is not vectorized but has a mask", label, j)
 			}
@@ -80,9 +79,6 @@ func checkMasks(t *testing.T, label string, p *Pattern, k *Kernel, rows []storag
 		}
 		if got := storage.MaskPopcount(m); got != hits {
 			t.Fatalf("%s: element %d mask has %d bits set, %d of them below row %d", label, j, got, hits, n)
-		}
-		if got := ms.Stats().ElemHits[j]; got != hits {
-			t.Fatalf("%s: element %d ElemHits = %d, want %d", label, j, got, hits)
 		}
 	}
 }
@@ -170,62 +166,51 @@ func sharingPattern(mpt bool) *Pattern {
 	}, Options{MissingPrevTrue: mpt})
 }
 
-// TestSharedMasksReportUnsharedStats: building each distinct condition
-// once, and one mask for elements with the same list, must not show in
-// what the build reports. Every element's mask, ElemHits and CondHits
-// equal those of a kernel compiled from that element alone, which has
-// nothing to share.
-func TestSharedMasksReportUnsharedStats(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, mpt := range []bool{false, true} {
-		p := sharingPattern(mpt)
-		k := p.CompileKernel()
-		if got, want := len(k.vconds), 7; got != want {
-			t.Fatalf("kernel holds %d distinct conditions, want %d", got, want)
-		}
-		for _, n := range []int{1, 64, 200} {
-			rows := vecRows(r, n, true)
-			for i := range rows { // positive prices moving a few percent a row
-				if !rows[i][0].IsNull() {
-					rows[i][0] = storage.NewFloat(100 * (1 + float64(r.Intn(9)-4)/100))
-				}
-			}
-			proj := k.NewProjection()
-			proj.SetRows(rows)
-			ms := k.BuildMasks(proj, nil)
-			checkMasks(t, fmt.Sprintf("shared n=%d mpt=%v", n, mpt), p, k, rows, proj, ms)
-			if &ms.Elem(1)[0] != &ms.Elem(5)[0] || &ms.Elem(2)[0] != &ms.Elem(4)[0] {
-				t.Fatal("elements with one condition list do not share a mask")
-			}
-			for j, e := range p.Elems {
-				alone := MustCompile(vecSchema(), []Element{{Name: e.Name, Local: e.Local}}, Options{MissingPrevTrue: mpt})
-				ak := alone.CompileKernel()
-				aproj := ak.NewProjection()
-				aproj.SetRows(rows)
-				want := ak.BuildMasks(aproj, nil)
-				if !slices.Equal(ms.Elem(j), want.Elem(0)) {
-					t.Fatalf("element %s: shared build's mask differs from its own kernel's", e.Name)
-				}
-				if got, w := ms.Stats().ElemHits[j], want.Stats().ElemHits[0]; got != w {
-					t.Fatalf("element %s: ElemHits %d, unshared %d", e.Name, got, w)
-				}
-				if got, w := ms.Stats().CondHits[j], want.Stats().CondHits[0]; !slices.Equal(got, w) {
-					t.Fatalf("element %s: CondHits %v, unshared %v", e.Name, got, w)
-				}
-			}
-		}
+// example10Pattern is the paper's Example 10 double bottom at the 2 %
+// threshold: nine elements over five distinct condition lists.
+func example10Pattern() *Pattern {
+	fall := FieldScaled(0, Cur, constraint.Lt, 0.98, 0, Prev)
+	rise := FieldScaled(0, Cur, constraint.Gt, 1.02, 0, Prev)
+	flat := []Cond{FieldScaled(0, Prev, constraint.Lt, 1/0.98, 0, Cur), FieldScaled(0, Cur, constraint.Lt, 1.02, 0, Prev)}
+	return MustCompile(vecSchema(), []Element{
+		{Name: "X", Local: []Cond{FieldScaled(0, Cur, constraint.Ge, 0.98, 0, Prev)}},
+		{Name: "Y", Star: true, Local: []Cond{fall}},
+		{Name: "Z", Star: true, Local: flat},
+		{Name: "T", Star: true, Local: []Cond{rise}},
+		{Name: "U", Star: true, Local: flat},
+		{Name: "V", Star: true, Local: []Cond{fall}},
+		{Name: "W", Star: true, Local: flat},
+		{Name: "R", Star: true, Local: []Cond{rise}},
+		{Name: "S", Local: []Cond{FieldScaled(0, Cur, constraint.Le, 1.02, 0, Prev)}},
+	}, Options{})
+}
+
+// TestBuildMasksColdAllocs pins what a never-seen cluster pays for its
+// masks: the MaskSet, the slice heads and the slab, however many elements
+// and conditions the kernel holds.
+func TestBuildMasksColdAllocs(t *testing.T) {
+	p := example10Pattern()
+	k := p.CompileKernel()
+	rows := vecRows(rand.New(rand.NewSource(11)), 10, false)
+	proj := k.NewProjection()
+	proj.SetRows(rows)
+	checkMasks(t, "example 10", p, k, rows, proj, k.BuildMasks(proj, nil))
+	if allocs := testing.AllocsPerRun(20, func() { k.BuildMasks(proj, nil) }); allocs > 3 {
+		t.Fatalf("cold BuildMasks allocated %.1f times, want at most 3", allocs)
 	}
 }
 
 // TestWarmMaskRebuildAllocatesNothing pins the reuse contract of
 // BuildMasks: into a MaskSet the kernel has built before, over a
-// projection no longer than that one, it allocates nothing.
+// projection no longer than that one, it allocates nothing, and what it
+// leaves behind is still every element's mask, shared or not.
 func TestWarmMaskRebuildAllocatesNothing(t *testing.T) {
 	p := sharingPattern(false)
 	k := p.CompileKernel()
 	r := rand.New(rand.NewSource(10))
 	long, short := k.NewProjection(), k.NewProjection()
-	long.SetRows(vecRows(r, 6300, true))
+	rows := vecRows(r, 6300, true)
+	long.SetRows(rows)
 	short.SetRows(vecRows(r, 70, true))
 	ms := k.BuildMasks(long, nil)
 	if allocs := testing.AllocsPerRun(20, func() {
@@ -233,5 +218,9 @@ func TestWarmMaskRebuildAllocatesNothing(t *testing.T) {
 		k.BuildMasks(long, ms)
 	}); allocs != 0 {
 		t.Fatalf("warmed BuildMasks allocated %.1f times per rebuild pair, want 0", allocs)
+	}
+	checkMasks(t, "rebuilt", p, k, rows, long, ms)
+	if &ms.Elem(1)[0] != &ms.Elem(5)[0] || &ms.Elem(2)[0] != &ms.Elem(4)[0] {
+		t.Fatal("elements with one condition list do not share a mask")
 	}
 }

@@ -43,10 +43,9 @@ type Shard struct {
 	clusters []Cluster
 	rows     int
 
-	mu      sync.Mutex
-	projs   map[*pattern.Kernel][]*storage.Projection
-	masks   map[*pattern.Kernel][]*pattern.MaskSet
-	maskAgg map[*pattern.Kernel]*pattern.MaskStats
+	mu    sync.Mutex
+	projs map[*pattern.Kernel][]*storage.Projection
+	masks map[*pattern.Kernel][]*pattern.MaskSet
 }
 
 // ID returns the shard's index within its partition.
@@ -103,32 +102,28 @@ func (s *Shard) projectionsLocked(k *pattern.Kernel) []*storage.Projection {
 	return ps
 }
 
-// Masks returns one shared read-only MaskSet per cluster for k plus the
-// shard-aggregated build-time selectivity stats, building both on first
-// use. Returns nil when the kernel has no vectorizable elements.
-func (s *Shard) Masks(k *pattern.Kernel) ([]*pattern.MaskSet, *pattern.MaskStats) {
+// Masks returns one shared read-only MaskSet per cluster for k, building
+// them on first use. Returns nil when the kernel has no vectorizable
+// elements.
+func (s *Shard) Masks(k *pattern.Kernel) []*pattern.MaskSet {
 	if k == nil || k.VecElems() == 0 {
-		return nil, nil
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ms, ok := s.masks[k]; ok {
-		return ms, s.maskAgg[k]
+		return ms
 	}
 	ps := s.projectionsLocked(k)
 	ms := make([]*pattern.MaskSet, len(s.clusters))
-	agg := &pattern.MaskStats{}
 	for i := range s.clusters {
 		ms[i] = k.BuildMasks(ps[i], nil)
-		agg.Add(ms[i].Stats())
 	}
 	if s.masks == nil {
 		s.masks = map[*pattern.Kernel][]*pattern.MaskSet{}
-		s.maskAgg = map[*pattern.Kernel]*pattern.MaskStats{}
 	}
 	s.masks[k] = ms
-	s.maskAgg[k] = agg
-	return ms, agg
+	return ms
 }
 
 // keyIndex is the cluster directory shared by every generation of one

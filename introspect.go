@@ -304,13 +304,18 @@ func pctOf(part, total int64) string {
 	return fmt.Sprintf("%.0f", 100*float64(part)/float64(total))
 }
 
-// truncateSQL collapses a statement to one line of at most n runes.
+// truncateSQL collapses a statement to one line of at most n runes,
+// cutting between runes: a multi-byte character in a quoted literal is
+// kept whole or dropped, never split.
 func truncateSQL(sql string, n int) string {
 	sql = strings.Join(strings.Fields(sql), " ")
-	if len(sql) <= n {
+	if len(sql) <= n { // no more runes than bytes
 		return sql
 	}
-	return sql[:n-1] + "…"
+	if r := []rune(sql); len(r) > n {
+		return string(r[:n-1]) + "…"
+	}
+	return sql
 }
 
 // statementTotals sums the per-statement counters — the quantities the

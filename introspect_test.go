@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"sqlts/internal/storage"
 )
@@ -381,4 +382,31 @@ func streamSnapshot(t *testing.T, db *DB) (snap struct {
 	snap.StreamMatches = snaps[0].StreamMatches
 	snap.PrunedRows = snaps[0].PrunedRows
 	return snap
+}
+
+// TestTruncateSQL: the one-line form every text surface prints is at most
+// n runes and valid UTF-8 wherever the cut lands.
+func TestTruncateSQL(t *testing.T) {
+	wide := "WHERE X.name = '" + strings.Repeat("日", 10) + "'" // 16 ASCII, ten 3-byte runes, a quote
+	for _, tc := range []struct {
+		name, sql string
+		n         int
+		want      string
+	}{
+		{"under", "SELECT a", 10, "SELECT a"},
+		{"at", "SELECT abc", 10, "SELECT abc"},
+		{"over", "SELECT abcd", 10, "SELECT ab…"},
+		{"collapsed", "SELECT\n\t a ,\n b", 80, "SELECT a , b"},
+		{"straddling", wide, 20, "WHERE X.name = '日日日…"},
+		{"wide at", wide, 27, wide},
+		{"wide over by one", wide + "x", 27, wide[:len(wide)-1] + "…"},
+	} {
+		got := truncateSQL(tc.sql, tc.n)
+		if got != tc.want {
+			t.Errorf("%s: truncateSQL(%q, %d) = %q, want %q", tc.name, tc.sql, tc.n, got, tc.want)
+		}
+		if !utf8.ValidString(got) || utf8.RuneCountInString(got) > tc.n {
+			t.Errorf("%s: %q is invalid UTF-8 or longer than %d runes", tc.name, got, tc.n)
+		}
+	}
 }

@@ -144,7 +144,7 @@ func newDBMetrics() *dbMetrics {
 		vectorizedRuns: reg.Counter("sqlts_vectorized_runs_total",
 			"Query executions that probed through selection bitmasks."),
 		adaptiveReplans: reg.Counter("sqlts_adaptive_replans_total",
-			"Plans re-derived by the stats-fed adaptive optimizer (conjunct reorder or executor flip)."),
+			"Plans re-derived by the adaptive optimizer: Auto executor flips to naive."),
 		planCacheHits: reg.Counter("sqlts_plan_cache_hits_total",
 			"Prepares served a cached plan (compile pipeline skipped)."),
 		planCacheMisses: reg.Counter("sqlts_plan_cache_misses_total",
@@ -314,9 +314,6 @@ func (db *DB) observeRun(q *Query, opts RunOptions, fl *obs.Flight, res *Result,
 		Vectorized:      res.vectorized,
 		PlanRevision:    int64(q.plan.revision),
 	})
-	if ms := res.maskStats; ms != nil && entry != nil {
-		entry.RecordMaskStats(int64(q.plan.revision), ms.Rows, ms.ElemHits, ms.CondHits)
-	}
 	db.maybeAdapt(q, opts, entry)
 	if rate := db.traceSampleRate.Load(); rate > 0 && entry != nil {
 		if tick := entry.SampleTick(); tick%rate == 0 {

@@ -10,6 +10,7 @@ import (
 
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/workload"
 )
 
 // The statements of the refresh differential: two plans with different
@@ -49,7 +50,7 @@ func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 // samePartition asserts that got — a cached, possibly many times
 // refreshed entry — equals want, built from scratch over the same table
 // state: clusters and their order, and for kernel k every cluster's
-// projection and masks and the aggregated mask statistics.
+// projection and masks.
 func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pattern.Kernel) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Version != want.Version {
@@ -61,14 +62,13 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 	if !reflect.DeepEqual(got.projections(k), want.projections(k)) {
 		t.Fatalf("%s: projections differ from a build", label)
 	}
-	gm, gagg := got.masksFor(k)
-	wm, wagg := want.masksFor(k)
+	gm, wm := got.masksFor(k), want.masksFor(k)
 	if len(gm) != len(wm) {
 		t.Fatalf("%s: %d mask sets, want %d", label, len(gm), len(wm))
 	}
 	for ci := range wm {
-		if gm[ci].Rows() != wm[ci].Rows() || !reflect.DeepEqual(gm[ci].Stats(), wm[ci].Stats()) {
-			t.Fatalf("%s: cluster %d mask stats %+v, want %+v", label, ci, gm[ci].Stats(), wm[ci].Stats())
+		if gm[ci].Rows() != wm[ci].Rows() {
+			t.Fatalf("%s: cluster %d masks cover %d rows, want %d", label, ci, gm[ci].Rows(), wm[ci].Rows())
 		}
 		for j := 0; j < k.Len(); j++ {
 			if !reflect.DeepEqual(gm[ci].Elem(j), wm[ci].Elem(j)) {
@@ -76,20 +76,16 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 			}
 		}
 	}
-	if !reflect.DeepEqual(gagg, wagg) {
-		t.Fatalf("%s: aggregated mask stats %+v, want %+v", label, gagg, wagg)
-	}
 }
 
 // generation is what a reader holding a partition entry can see of it.
 type generation struct {
 	e      *partitionEntry
 	groups [][]storage.Row
-	// projs, masks and agg are the entry's state for one kernel, nil
-	// unless it was current when the snapshot was taken.
+	// projs and masks are the entry's state for one kernel, nil unless
+	// it was current when the snapshot was taken.
 	projs []*storage.Projection
 	masks []*pattern.MaskSet
-	agg   pattern.MaskStats
 }
 
 func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
@@ -102,9 +98,6 @@ func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
 	if m := e.memo[k]; m != nil && len(m.stale) == 0 && len(m.projs) == len(e.Groups) {
 		g.projs = append(g.projs, m.projs...)
 		g.masks = append(g.masks, m.masks...)
-		if m.agg != nil {
-			g.agg.Add(m.agg)
-		}
 	}
 	return g
 }
@@ -132,9 +125,6 @@ func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
 	}
 	if !reflect.DeepEqual(m.projs, g.projs) || !reflect.DeepEqual(m.masks, g.masks) {
 		t.Fatalf("%s: the previous generation's memo was rewritten", label)
-	}
-	if m.agg != nil && !reflect.DeepEqual(*m.agg, g.agg) {
-		t.Fatalf("%s: the previous generation's mask stats moved: %+v, were %+v", label, *m.agg, g.agg)
 	}
 }
 
@@ -202,10 +192,10 @@ func (w *refreshWriter) insert(t *testing.T) {
 // TestPartitionRefreshDifferential interleaves random inserts and queries
 // and, after every query, holds the cached — refreshed, many times over —
 // partition against a from-scratch NoCache run: rows, matches, Stats,
-// ClusterStats and mask stats of the result; clusters, projections, masks
-// and maskAgg of the entry. The generation the refresh superseded must
-// read as it did before, and everything the refresh did not touch must be
-// the very same memory.
+// and ClusterStats of the result; clusters, projections and masks of the
+// entry. The generation the refresh superseded must read as it did
+// before, and everything the refresh did not touch must be the very same
+// memory.
 func TestPartitionRefreshDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		db := quoteDB(t)
@@ -236,9 +226,6 @@ func TestPartitionRefreshDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				equalResults(t, label, got, want)
-				if !reflect.DeepEqual(got.maskStats, want.maskStats) {
-					t.Fatalf("%s: mask stats %+v, want %+v", label, got.maskStats, want.maskStats)
-				}
 				cur := cachedPartition(q)
 				samePartition(t, label, cur, scratchPartition(t, q), k)
 
@@ -431,8 +418,7 @@ func TestKernelMemoBounded(t *testing.T) {
 		t.Errorf("%d kernels memoized after the refresh, plan cache holds %d", n, defaultPlanCacheCapacity)
 	}
 
-	// A revision that flips the executor shares the kernel; one that
-	// recompiles it lets the old kernel's memo go.
+	// A revision that flips the executor shares the kernel.
 	plan := q.plan
 	has := func(k *pattern.Kernel) bool {
 		e := cachedPartition(q)
@@ -440,15 +426,80 @@ func TestKernelMemoBounded(t *testing.T) {
 		defer e.mu.Unlock()
 		return e.memo[k] != nil
 	}
-	flipped := derivePlan(plan, nil, true)
+	flipped := derivePlan(plan, true)
 	if !db.replacePlan(plan.key, plan, flipped) || !has(plan.kernel) {
 		t.Error("an executor-flip revision dropped the kernel memo it still uses")
 	}
-	recompiled := derivePlan(flipped, [][]int{nil, nil}, true)
-	if recompiled.kernel == plan.kernel {
-		t.Fatal("derivePlan with a permutation kept the kernel")
+}
+
+// TestFlipKeepsKernelAndMemo drives TestAdaptiveExecutorFlip's statement
+// to its flip over a partition with cached masks: the replan changes the
+// Auto executor and nothing else, so the revision runs the kernel, the
+// projections and the very masks its predecessor built.
+func TestFlipKeepsKernelAndMemo(t *testing.T) {
+	prices := make([]float64, 300) // element 1 rejects every one of them
+	for i := range prices {
+		prices[i] = 10 + float64(i%7)
 	}
-	if !db.replacePlan(plan.key, flipped, recompiled) || has(plan.kernel) {
-		t.Error("a recompiled revision left its predecessor's kernel memoized")
+	db := New()
+	db.RegisterTable(workload.SeriesTable("t", 1000, prices))
+	sql := `SELECT X.date FROM t SEQUENCE BY date AS (X, Y)
+		WHERE X.price > 1000000 AND Y.price > 0`
+
+	q, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Run(); err != nil {
+		t.Fatal(err)
+	}
+	kern := q.plan.kernel
+	memoMasks := func() []*pattern.MaskSet {
+		e := cachedPartition(q)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if m := e.memo[kern]; m != nil {
+			return m.masks
+		}
+		return nil
+	}
+	before := memoMasks()
+	if len(before) != 1 {
+		t.Fatalf("%d cached mask sets before the flip, want 1", len(before))
+	}
+
+	for i := 1; !q.plan.preferNaive; i++ {
+		if i > 200 {
+			t.Fatal("the Auto executor did not flip in 200 runs")
+		}
+		if q, err = db.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+		opts := RunOptions{}
+		if i%2 == 1 {
+			opts.Executor = NaiveExec
+		}
+		if _, err := q.RunWith(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q.plan.kernel != kern {
+		t.Fatal("the flip recompiled the kernel")
+	}
+	res, err := q.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.PartitionCached() || !res.Vectorized() {
+		t.Fatalf("first run of the flipped plan: partition %s, vectorized %v", res.PartitionOutcome(), res.Vectorized())
+	}
+	if after := memoMasks(); len(after) != 1 || &after[0] != &before[0] {
+		t.Fatal("the flip rebuilt the partition's masks")
+	}
+	if n := db.metrics.adaptiveReplans.Value(); n != 1 {
+		t.Errorf("sqlts_adaptive_replans_total = %d, want 1", n)
+	}
+	if sn := db.StatementStats(); len(sn) != 1 || sn[0].PlanRevision != 1 {
+		t.Errorf("statement stats after the flip: %+v", sn)
 	}
 }

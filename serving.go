@@ -113,20 +113,15 @@ func (c *planCache) put(key string, p *Plan) {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		c.swap(el, p)
+		e := el.Value.(*planEntry)
+		old := e.plan
+		e.plan = p
 		c.order.MoveToFront(el)
+		c.onEvict(old)
 		return
 	}
 	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: p})
 	c.trim(c.capacity)
-}
-
-// swap replaces the plan an entry holds, evicting the one it held.
-func (c *planCache) swap(el *list.Element, p *Plan) {
-	e := el.Value.(*planEntry)
-	old := e.plan
-	e.plan = p
-	c.onEvict(old)
 }
 
 func (c *planCache) remove(el *list.Element) {
@@ -140,16 +135,6 @@ func (c *planCache) trim(n int) {
 	for c.order.Len() > max(n, 0) {
 		c.remove(c.order.Back())
 	}
-}
-
-// usesKernel reports whether a cached plan runs kernel k.
-func (c *planCache) usesKernel(k *pattern.Kernel) bool {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if el.Value.(*planEntry).plan.kernel == k {
-			return true
-		}
-	}
-	return false
 }
 
 // partitionCache is an LRU of clustered partitions keyed by
@@ -186,11 +171,8 @@ type partitionEntry struct {
 type kernelMemo struct {
 	projs []*storage.Projection
 	// masks (PR 8) collapse every probe of a mask-covered element to a bit
-	// test; nil until a vectorized run asks. agg keeps the build-time
-	// per-condition match counts summed over clusters, for the stats-fed
-	// adaptive optimizer.
+	// test; nil until a vectorized run asks.
 	masks []*pattern.MaskSet
-	agg   *pattern.MaskStats
 	// stale lists clusters whose rows changed since projs and masks were
 	// built; clusters past len(projs) have no state yet.
 	stale []int
@@ -199,7 +181,7 @@ type kernelMemo struct {
 // memoLocked returns k's memo with a current projection for every
 // cluster (and current masks, if it has masks at all). A first use
 // builds them all; after a refresh only the stale and the new clusters
-// are rebuilt, and their old mask counts leave agg as the new ones join.
+// are rebuilt.
 func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
 	m := e.memo[k]
 	if m == nil {
@@ -216,24 +198,16 @@ func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
 	projs := make([]*storage.Projection, n)
 	copy(projs, m.projs)
 	var masks []*pattern.MaskSet
-	var agg *pattern.MaskStats
 	if m.masks != nil {
 		masks = make([]*pattern.MaskSet, n)
 		copy(masks, m.masks)
-		agg = &pattern.MaskStats{}
-		agg.Add(m.agg)
 	}
 	rebuild := func(ci int) {
 		projs[ci] = k.NewProjection()
 		projs[ci].SetRows(e.Groups[ci])
-		if masks == nil {
-			return
+		if masks != nil {
+			masks[ci] = k.BuildMasks(projs[ci], nil)
 		}
-		if ci < len(m.masks) {
-			agg.Sub(m.masks[ci].Stats())
-		}
-		masks[ci] = k.BuildMasks(projs[ci], nil)
-		agg.Add(masks[ci].Stats())
 	}
 	for _, ci := range m.stale {
 		// A cluster re-sorted by several refreshes is listed once per
@@ -245,7 +219,7 @@ func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
 	for ci := len(m.projs); ci < n; ci++ {
 		rebuild(ci)
 	}
-	m.projs, m.masks, m.agg, m.stale = projs, masks, agg, nil
+	m.projs, m.masks, m.stale = projs, masks, nil
 	return m
 }
 
@@ -261,25 +235,23 @@ func (e *partitionEntry) projections(k *pattern.Kernel) []*storage.Projection {
 	return e.memoLocked(k).projs
 }
 
-// masksFor returns one shared read-only MaskSet per cluster for k plus
-// the aggregated build-time selectivity stats, building both on first
-// use. Returns nil when the kernel has no vectorizable elements.
-func (e *partitionEntry) masksFor(k *pattern.Kernel) ([]*pattern.MaskSet, *pattern.MaskStats) {
+// masksFor returns one shared read-only MaskSet per cluster for k,
+// building them on first use. Returns nil when the kernel has no
+// vectorizable elements.
+func (e *partitionEntry) masksFor(k *pattern.Kernel) []*pattern.MaskSet {
 	if k == nil || k.VecElems() == 0 {
-		return nil, nil
+		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.memoLocked(k)
 	if m.masks == nil {
 		m.masks = make([]*pattern.MaskSet, len(m.projs))
-		m.agg = &pattern.MaskStats{}
 		for ci, p := range m.projs {
 			m.masks[ci] = k.BuildMasks(p, nil)
-			m.agg.Add(m.masks[ci].Stats())
 		}
 	}
-	return m.masks, m.agg
+	return m.masks
 }
 
 // adopt seeds e, the refresh of old, with old's memos, marking the
@@ -302,7 +274,7 @@ func (e *partitionEntry) adopt(old *partitionEntry, resorted []int, plans *planC
 			return
 		}
 		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
-		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, agg: m.agg, stale: stale}
+		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, stale: stale}
 	}
 	carry(keep)
 	for el := plans.order.Front(); el != nil; el = el.Next() {
@@ -318,12 +290,12 @@ func (e *partitionEntry) forget(k *pattern.Kernel) {
 }
 
 // forgetKernel is the plan cache's eviction hook: the evicted plan's
-// kernel leaves every cached partition's memo, unless another cached plan
-// (an adaptive revision that kept the kernel) still runs it. Without this
-// the memos, which now survive inserts, would grow with every statement
-// text ever compiled. Runs under db.cacheMu.
+// kernel leaves every cached partition's memo. (An adaptive revision
+// takes over its predecessor's entry and kernel without an eviction: see
+// replacePlan.) Without this the memos, which now survive inserts, would
+// grow with every statement text ever compiled. Runs under db.cacheMu.
 func (db *DB) forgetKernel(p *Plan) {
-	if p.kernel == nil || db.plans.usesKernel(p.kernel) {
+	if p.kernel == nil {
 		return
 	}
 	for el := db.parts.order.Front(); el != nil; el = el.Next() {

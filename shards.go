@@ -170,22 +170,16 @@ func (db *DB) storeShardPartition(key string, t *storage.Table, p *shard.Partiti
 // the cluster driver takes — together with their memoized projections
 // and, when vectorize is set, mask sets for kernel k (nil: the
 // interpreter path). The first use of k on a shard builds its memos
-// here, on the query goroutine inside execute's containment. agg sums
-// the per-shard mask-build stats for the adaptive optimizer; the
-// counters are plain sums, so shard order gives the flat cache's totals.
-func globalOrder(sp *shard.Partition, k *pattern.Kernel, vectorize bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, agg *pattern.MaskStats) {
+// here, on the query goroutine inside execute's containment.
+func globalOrder(sp *shard.Partition, k *pattern.Kernel, vectorize bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
 	n := sp.NumClusters()
 	clusters = make([][]storage.Row, n)
 	for _, s := range sp.Shards() {
 		ps := s.Projections(k)
 		var ms []*pattern.MaskSet
 		if ps != nil && vectorize {
-			var st *pattern.MaskStats
-			if ms, st = s.Masks(k); ms != nil {
-				if masks == nil {
-					masks, agg = make([]*pattern.MaskSet, n), &pattern.MaskStats{}
-				}
-				agg.Add(st)
+			if ms = s.Masks(k); ms != nil && masks == nil {
+				masks = make([]*pattern.MaskSet, n)
 			}
 		}
 		if ps != nil && projs == nil {
@@ -201,7 +195,7 @@ func globalOrder(sp *shard.Partition, k *pattern.Kernel, vectorize bool) (cluste
 			}
 		}
 	}
-	return clusters, projs, masks, agg
+	return clusters, projs, masks
 }
 
 // ShardStat describes one shard of a cached sharded partition.

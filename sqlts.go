@@ -103,8 +103,8 @@ type DB struct {
 	// unlimited until SetMaxConcurrentQueries.
 	admit admission
 
-	// adaptiveOff disables the stats-fed adaptive optimizer
-	// (adaptive.go); the zero value leaves it on.
+	// adaptiveOff disables the adaptive optimizer (adaptive.go); the
+	// zero value leaves it on.
 	adaptiveOff atomic.Bool
 }
 
@@ -397,7 +397,6 @@ type Result struct {
 	partition    partitionOutcome
 	vectorized   bool
 	shardCount   int
-	maskStats    *pattern.MaskStats
 }
 
 // Shards reports the shard count of the sharded partition the execution
@@ -471,11 +470,12 @@ type Plan struct {
 	kernel   *pattern.Kernel
 	explain  explainMode
 
-	// revision counts adaptive replans of this statement (0 = the plan as
+	// revision counts the executor flips behind this plan (0 = the plan as
 	// compiled from SQL); preferNaive steers Auto executions to the naive
 	// executor when measured savings showed the optimizer doesn't pay.
 	// Both are fixed at derivation time — a Plan stays immutable; the
-	// adaptive optimizer replaces the cache entry with a derived Plan.
+	// adaptive optimizer replaces the cache entry with a derived Plan
+	// that shares everything else, the kernel included.
 	revision    int
 	preferNaive bool
 
@@ -953,7 +953,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		}
 		res.partition.cached = cached
 		res.shardCount = n
-		clusters, projs, masks, res.maskStats = globalOrder(sp, kern, !opts.NoVectorize)
+		clusters, projs, masks = globalOrder(sp, kern, !opts.NoVectorize)
 	} else {
 		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
 		if err != nil {
@@ -966,9 +966,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		res.partition = how
 		projs = part.projections(kern)
 		if projs != nil && !opts.NoVectorize {
-			// Mask-build selectivity stats ride along for the adaptive
-			// optimizer.
-			masks, res.maskStats = part.masksFor(kern)
+			masks = part.masksFor(kern)
 		}
 	}
 	res.vectorized = masks != nil
