@@ -68,7 +68,7 @@ func derivePlan(old *Plan, preferNaive bool) *Plan {
 		kernel:         old.kernel,
 		explain:        old.explain,
 		catalogVersion: old.catalogVersion,
-		compileSpans:   old.compileSpans,
+		trace:          old.trace,
 		revision:       old.revision + 1,
 		preferNaive:    preferNaive,
 	}

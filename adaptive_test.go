@@ -90,10 +90,11 @@ func TestAdaptiveExecutorFlip(t *testing.T) {
 	if _, err := q.Run(); err != nil {
 		t.Fatal(err)
 	}
-	spans := q.Trace().Spans()
-	span := obs.FormatSpans(spans[len(spans)-1:])
-	if rec := db.SlowLog()[0]; rec.Executor != "naive" || !strings.Contains(span, "executor=naive") {
-		t.Fatalf("flipped run labelled slow-log %q, execute span:\n%s", rec.Executor, span)
+	rec, ev := db.SlowLog()[0], db.RecentEvents()[0]
+	if rec.Executor != "naive" || ev.Executor != "naive" || ev.PlanRevision < 1 ||
+		!strings.Contains(rec.Report, "executor=naive") {
+		t.Fatalf("flipped run labelled slow-log %q, event %q (revision %d), report:\n%s",
+			rec.Executor, ev.Executor, ev.PlanRevision, rec.Report)
 	}
 }
 

@@ -187,9 +187,8 @@ func TestAdmissionCancelWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestAdmissionWaitInExplainAnalyze: with a bound configured, the
-// admission phase (and its wait annotation) shows up in the EXPLAIN
-// ANALYZE phase table.
+// TestAdmissionWaitInExplainAnalyze: the analysed run's admission wait is
+// a row of the EXPLAIN ANALYZE phase table, before its execute row.
 func TestAdmissionWaitInExplainAnalyze(t *testing.T) {
 	db, q := admissionDB(t)
 	db.SetMaxConcurrentQueries(2)
@@ -197,7 +196,8 @@ func TestAdmissionWaitInExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "admission") || !strings.Contains(text, "wait=") {
+	adm, exec := strings.Index(text, "\n  admission "), strings.Index(text, "\n  execute ")
+	if adm < 0 || exec < adm {
 		t.Fatalf("EXPLAIN ANALYZE lacks the admission phase:\n%s", text)
 	}
 }

@@ -3,6 +3,7 @@ package sqlts
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -323,8 +324,9 @@ func TestChaosStream(t *testing.T) {
 }
 
 // TestPanicLandsInSlowLog: a contained panic leaves a slow-log record
-// carrying the panic value and the captured stack, plus a retained
-// trace — the forensic trail ISSUE 7 requires.
+// whatever the threshold, carrying the run's event (its duration and
+// error class) with the panic value and the captured stack as the report
+// — the forensic trail ISSUE 7 requires.
 func TestPanicLandsInSlowLog(t *testing.T) {
 	defer fault.Reset()
 	db, q := chaosDB(t)
@@ -337,8 +339,18 @@ func TestPanicLandsInSlowLog(t *testing.T) {
 		t.Fatalf("err = %v; want PanicError", err)
 	}
 	recs := db.SlowLog()
-	if len(recs) == 0 {
-		t.Fatal("no slow-log record for the contained panic")
+	if len(recs) != 1 {
+		t.Fatalf("%d slow-log records for the contained panic, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.DurationNs <= 0 || rec.ErrorKind != "panic" || rec.Error != err.Error() || rec.Slow {
+		t.Errorf("panic record's event = %+v", rec.Event)
+	}
+	if ev := db.RecentEvents()[0]; rec.Event != ev {
+		t.Errorf("panic record's event %+v differs from the ring's %+v", rec.Event, ev)
+	}
+	if js, _ := json.Marshal(rec); !bytes.Contains(js, []byte(`"error_kind":"panic"`)) {
+		t.Errorf("panic record JSON lacks the error class: %s", js)
 	}
 	var buf bytes.Buffer
 	if err := db.WriteSlowLog(&buf, true); err != nil {

@@ -1,8 +1,8 @@
 package sqlts
 
 // The /debug HTTP surface: one mux per DB bundling the Prometheus
-// exposition, the statement-stats table, the slow-query log, retained
-// trace export (text and Chrome trace-event JSON), and net/http/pprof.
+// exposition, the statement-stats table, the slow-query log, the
+// flight recorder (in-flight queries, recent events), and net/http/pprof.
 // Mount it on any server:
 //
 //	go http.ListenAndServe("localhost:6060", db.DebugHandler())
@@ -18,7 +18,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -80,8 +79,6 @@ func (db *DB) StartRuntimeSampler(interval time.Duration) (stop func()) {
 //	/debug/slowlog         retained slow-query log — JSON, ?format=text[&verbose=1]
 //	/debug/queries         in-flight queries — JSON, ?format=text for progress bars; POST id=<n> kills
 //	/debug/events          recent wide events — JSON, ?format=text
-//	/debug/trace/          retained-trace index (JSON)
-//	/debug/trace/<id>      one trace — Chrome trace-event JSON, ?format=text for the phase table
 //	/debug/pprof/*         net/http/pprof (profile, heap, goroutine, ...)
 //
 // The mux holds live references into the DB; serve it on an
@@ -97,7 +94,6 @@ func (db *DB) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/shards", db.serveShards)
 	mux.HandleFunc("/debug/queries", db.serveQueries)
 	mux.HandleFunc("/debug/events", db.serveEvents)
-	mux.HandleFunc("/debug/trace/", db.serveTrace)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -116,7 +112,6 @@ func (db *DB) DebugHandler() http.Handler {
   /debug/shards            cached sharded partitions (JSON)
   /debug/queries           in-flight queries (JSON; ?format=text for progress bars; POST id=<n> kills)
   /debug/events            recent wide events (JSON; ?format=text)
-  /debug/trace/            retained traces (index; /debug/trace/<id> for export)
   /debug/pprof/            Go profiling endpoints
 `)
 	})
@@ -202,46 +197,6 @@ func (db *DB) serveSlowLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		SlowQueries []SlowQueryRecord `json:"slow_queries"`
 	}{db.SlowLog()})
-}
-
-// traceIndexEntry is the JSON shape of one /debug/trace/ index row.
-type traceIndexEntry struct {
-	ID    uint64    `json:"id"`
-	SQL   string    `json:"sql"`
-	Time  time.Time `json:"time"`
-	Slow  bool      `json:"slow,omitempty"`
-	Spans int       `json:"spans"`
-}
-
-func (db *DB) serveTrace(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
-	if rest == "" {
-		out := []traceIndexEntry{}
-		for _, t := range db.RetainedTraces() {
-			out = append(out, traceIndexEntry{ID: t.ID, SQL: t.SQL, Time: t.Time, Slow: t.Slow, Spans: len(t.Spans)})
-		}
-		writeJSON(w, struct {
-			Traces []traceIndexEntry `json:"traces"`
-		}{out})
-		return
-	}
-	id, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		http.Error(w, "trace id must be an integer", http.StatusBadRequest)
-		return
-	}
-	t := db.TraceByID(id)
-	if t == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "trace %d  %s\n%s\n", t.ID, t.SQL, obs.FormatSpans(t.Spans))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	obs.WriteChromeTrace(w, t.Spans)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

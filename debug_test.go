@@ -1,14 +1,17 @@
 package sqlts
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"sqlts/internal/obs"
 )
 
 // TestDebugHandlerSmoke drives every endpoint of the /debug surface
@@ -18,7 +21,8 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
 	db.SetSlowQueryThreshold(time.Nanosecond, nil)
-	db.SetTraceSampleRate(1)
+	var sunk bytes.Buffer
+	db.SetEventSink(obs.NewWriterSink(&sunk))
 	if _, err := db.Query(introspectSQL1); err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +98,12 @@ func TestDebugHandlerSmoke(t *testing.T) {
 		t.Fatalf("/debug/slowlog returned %d", code)
 	}
 	var slow struct {
-		SlowQueries []struct {
-			ID      uint64 `json:"id"`
-			TraceID uint64 `json:"trace_id"`
-			Report  string `json:"report"`
-		} `json:"slow_queries"`
+		SlowQueries []map[string]any `json:"slow_queries"`
 	}
 	if err := json.Unmarshal([]byte(body), &slow); err != nil {
 		t.Fatalf("/debug/slowlog is not valid JSON: %v\n%s", err, body)
 	}
-	if len(slow.SlowQueries) != 1 || slow.SlowQueries[0].TraceID == 0 {
+	if len(slow.SlowQueries) != 1 || slow.SlowQueries[0]["id"] != 1.0 || slow.SlowQueries[0]["report"] == "" {
 		t.Fatalf("/debug/slowlog content wrong:\n%s", body)
 	}
 	code, body = get("/debug/slowlog?format=text&verbose=1")
@@ -111,47 +111,32 @@ func TestDebugHandlerSmoke(t *testing.T) {
 		t.Errorf("/debug/slowlog?format=text&verbose=1: code %d body:\n%s", code, body)
 	}
 
-	// /debug/trace/: index, Chrome export, text export, and errors.
-	code, body = get("/debug/trace/")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace/ returned %d", code)
+	// One run, one record: the sink's line, the ring's entry and the slow
+	// record (less its id and report) are the same JSON object.
+	var fromSink map[string]any
+	if err := json.Unmarshal(sunk.Bytes(), &fromSink); err != nil {
+		t.Fatalf("sink line is not valid JSON: %v\n%s", err, sunk.String())
 	}
-	var idx struct {
-		Traces []struct {
-			ID    uint64 `json:"id"`
-			Spans int    `json:"spans"`
-		} `json:"traces"`
+	code, body = get("/debug/events")
+	var ring struct {
+		Events []map[string]any `json:"events"`
 	}
-	if err := json.Unmarshal([]byte(body), &idx); err != nil {
-		t.Fatalf("/debug/trace/ is not valid JSON: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &ring); err != nil || code != http.StatusOK || len(ring.Events) != 1 {
+		t.Fatalf("/debug/events: code %d err %v body:\n%s", code, err, body)
 	}
-	if len(idx.Traces) == 0 || idx.Traces[0].Spans == 0 {
-		t.Fatalf("/debug/trace/ index wrong:\n%s", body)
+	fromSlow := slow.SlowQueries[0]
+	delete(fromSlow, "id")
+	delete(fromSlow, "report")
+	if !reflect.DeepEqual(fromSink, ring.Events[0]) || !reflect.DeepEqual(fromSink, fromSlow) {
+		t.Errorf("one run, three objects:\n sink    %v\n ring    %v\n slowlog %v", fromSink, ring.Events[0], fromSlow)
 	}
-	id := idx.Traces[0].ID
-	code, body = get(fmt.Sprintf("/debug/trace/%d", id))
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace/%d returned %d", id, code)
+	if fromSink["partition"] != "built" || fromSink["slow"] != true {
+		t.Errorf("event lacks the partition outcome or the slow flag: %v", fromSink)
 	}
-	var events []struct {
-		Name string `json:"name"`
-		Ph   string `json:"ph"`
-	}
-	if err := json.Unmarshal([]byte(body), &events); err != nil {
-		t.Fatalf("trace export is not valid Chrome trace JSON: %v\n%s", err, body)
-	}
-	if len(events) == 0 || events[0].Ph != "X" {
-		t.Errorf("trace export events wrong:\n%s", body)
-	}
-	code, body = get(fmt.Sprintf("/debug/trace/%d?format=text", id))
-	if code != http.StatusOK || !strings.Contains(body, "execute") {
-		t.Errorf("trace text export: code %d body:\n%s", code, body)
-	}
-	if code, _ = get("/debug/trace/999999"); code != http.StatusNotFound {
-		t.Errorf("unknown trace id returned %d, want 404", code)
-	}
-	if code, _ = get("/debug/trace/notanumber"); code != http.StatusBadRequest {
-		t.Errorf("bad trace id returned %d, want 400", code)
+
+	// The per-handle trace endpoints are gone with the trace store.
+	if code, _ = get("/debug/trace/"); code != http.StatusNotFound {
+		t.Errorf("/debug/trace/ returned %d, want 404", code)
 	}
 
 	// /debug/queries: empty in-flight list (the query finished), both

@@ -3,6 +3,7 @@ package sqlts
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"sqlts/internal/engine"
 	"sqlts/internal/obs"
@@ -36,41 +37,47 @@ func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
 	return text, err
 }
 
-// reportBody renders the plan annotated with an already-measured run:
-// cache outcome, phase timings, executor counters, and the per-cluster
-// breakdown. It is the EXPLAIN ANALYZE layout minus the naive
-// comparison, shared with the slow-query log (which must not re-execute
-// anything).
-func (q *Query) reportBody(res *Result, opts RunOptions) string {
+// reportBody renders the plan annotated with an already-measured run,
+// read from its event: cache outcome, phase timings (the plan's compile
+// phases, then this run's admission wait and execute line), executor
+// counters, and — from res, nil for a failed run — the per-cluster
+// breakdown. It is the EXPLAIN ANALYZE layout minus the naive comparison,
+// shared with the slow-query log (which must not re-execute anything).
+func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	var b strings.Builder
 	b.WriteString(q.Explain())
-	fmt.Fprintf(&b, "plan: %s (revision %d)\n", planWord(q.planCached), q.plan.revision)
-	fmt.Fprintf(&b, "partition: %s\n", res.partition)
-	if res.vectorized {
+	fmt.Fprintf(&b, "plan: %s (revision %d)\n", planWord(ev.PlanCached), ev.PlanRevision)
+	if ev.Partition != "" {
+		fmt.Fprintf(&b, "partition: %s\n", ev.Partition)
+	}
+	if ev.Vectorized {
 		b.WriteString("execution: vectorized (selection bitmasks)\n")
 	}
-	if res.shardCount > 1 {
-		fmt.Fprintf(&b, "partition source: sharded cache (%d shards)\n", res.shardCount)
+	if ev.Shards > 1 {
+		fmt.Fprintf(&b, "partition source: sharded cache (%d shards)\n", ev.Shards)
+	}
+	stats := eventStats(ev)
+	execute := &obs.Span{Name: "execute", Duration: time.Duration(ev.DurationNs)}
+	execute.Annotate("executor", ev.Executor)
+	if res == nil {
+		execute.Annotate("error", ev.ErrorKind)
+	} else {
+		execute.Annotate("clusters", ev.Clusters).
+			Annotate("rows-scanned", ev.RowsScanned).
+			Annotate("rows", ev.Rows).
+			Annotate("plan", cachedWord(ev.PlanCached)).
+			Annotate("partition", ev.Partition).
+			Annotate("stats", stats)
 	}
 	b.WriteString("\nPhases:\n")
-	// Render compile phases once plus the span of the run just measured
-	// (the last "execute" span — earlier runs appended their own).
-	spans := q.trace.Spans()
-	lastExec := -1
-	for i, sp := range spans {
-		if sp.Name == "execute" {
-			lastExec = i
-		}
-	}
-	keep := spans[:0:0]
-	for i, sp := range spans {
-		if sp.Name != "execute" || i == lastExec {
-			keep = append(keep, sp)
-		}
-	}
-	b.WriteString(indent(obs.FormatSpans(keep), "  "))
+	b.WriteString(indent(obs.FormatSpans(append(q.plan.trace.Spans(),
+		&obs.Span{Name: "admission", Duration: time.Duration(ev.AdmissionWaitNs)}, execute)), "  "))
 
-	fmt.Fprintf(&b, "Executor %s: %s (%d result rows)\n", q.effectiveExecutor(opts), res.Stats, len(res.Rows))
+	if res == nil {
+		fmt.Fprintf(&b, "Executor %s: failed: %s\n", ev.Executor, ev.Error)
+		return b.String()
+	}
+	fmt.Fprintf(&b, "Executor %s: %s (%d result rows)\n", ev.Executor, stats, ev.Rows)
 	if cs := res.ClusterStats(); len(cs) > 1 {
 		b.WriteString("Clusters:\n")
 		for _, c := range cs {
@@ -81,13 +88,13 @@ func (q *Query) reportBody(res *Result, opts RunOptions) string {
 }
 
 func (q *Query) explainAnalyzeText(opts RunOptions) (string, engine.Stats, error) {
-	res, err := q.runMeasured(opts)
+	res, ev, err := q.runMeasured(opts)
 	if err != nil {
 		return "", engine.Stats{}, err
 	}
 
 	var b strings.Builder
-	b.WriteString(q.reportBody(res, opts))
+	b.WriteString(q.reportBody(&ev, res))
 
 	if q.effectiveExecutor(opts) != NaiveExec {
 		nopts := opts

@@ -1,10 +1,12 @@
 package sqlts
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"sqlts/internal/obs"
 	"sqlts/internal/storage"
 )
 
@@ -103,36 +105,40 @@ func TestExplainAnalyzeViaSQL(t *testing.T) {
 	}
 }
 
-// TestQueryTrace checks that Prepare+Run record the lifecycle spans.
+// TestQueryTrace: the trace is the plan's compile phases, shared by every
+// handle on the plan and untouched by running it; what a run did is in
+// its event.
 func TestQueryTrace(t *testing.T) {
 	db := djiaDoubleBottomDB(t)
 	q, err := db.Prepare(doubleBottomSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	var names []string
 	for _, sp := range q.Trace().Spans() {
-		names[sp.Name] = true
+		names = append(names, sp.Name)
 	}
-	for _, want := range []string{"parse", "analyze", "matrices", "shift/next"} {
-		if !names[want] {
-			t.Errorf("compile trace missing span %q (have %v)", want, names)
-		}
+	if want := []string{"parse", "analyze", "matrices", "shift/next", "kernel"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("compile trace = %v, want %v", names, want)
 	}
-	if names["execute"] {
-		t.Error("execute span before any run")
-	}
-	if _, err := q.Run(); err != nil {
+	res, err := q.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, sp := range q.Trace().Spans() {
-		if sp.Name == "execute" {
-			found = true
-		}
+	if n := len(q.Trace().Spans()); n != len(names) {
+		t.Errorf("a run left %d spans in the plan's trace, want %d", n, len(names))
 	}
-	if !found {
-		t.Error("no execute span after run")
+	hit, err := db.Prepare(doubleBottomSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.PlanCached() || hit.Trace() != q.Trace() {
+		t.Error("a cache-hit Prepare must share the plan's trace")
+	}
+	ev := db.RecentEvents()[0]
+	if ev.Executor != "ops" || ev.DurationNs <= 0 || ev.PredEvals != res.Stats.PredEvals ||
+		ev.Rows != int64(len(res.Rows)) || ev.Partition != res.PartitionOutcome() {
+		t.Errorf("run event = %+v, result stats %v", ev, res.Stats)
 	}
 }
 
@@ -249,9 +255,9 @@ func TestDBMetricsExposition(t *testing.T) {
 func TestSlowQueryHook(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
-	var got []SlowQueryInfo
-	db.SetSlowQueryThreshold(time.Nanosecond, func(info SlowQueryInfo) {
-		got = append(got, info)
+	var got []obs.Event
+	db.SetSlowQueryThreshold(time.Nanosecond, func(ev obs.Event) {
+		got = append(got, ev)
 	})
 	const sql = `SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`
 	if _, err := db.Query(sql); err != nil {
@@ -260,8 +266,8 @@ func TestSlowQueryHook(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("slow-query callbacks = %d, want 1", len(got))
 	}
-	if got[0].SQL != sql || got[0].Duration <= 0 || got[0].Stats.IsZero() {
-		t.Errorf("slow-query info = %+v", got[0])
+	if got[0].SQL != normalizeSQL(sql) || got[0].DurationNs <= 0 || got[0].PredEvals == 0 || !got[0].Slow {
+		t.Errorf("slow-query event = %+v", got[0])
 	}
 
 	// Raising the threshold silences the hook.

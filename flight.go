@@ -41,11 +41,10 @@ type flightState struct {
 	// sink is the pluggable wide-event destination (nil = none);
 	// sample emits 1 event in N to the sink (slow and failed runs
 	// bypass sampling); ring is the retained tail for /debug/events.
-	sink      atomic.Pointer[eventSinkBox]
-	sample    atomic.Int64
-	eventSeq  atomic.Int64
-	ring      atomic.Pointer[obs.EventRing]
-	slowEvent atomic.Int64 // threshold ns for the event's slow flag
+	sink     atomic.Pointer[eventSinkBox]
+	sample   atomic.Int64
+	eventSeq atomic.Int64
+	ring     atomic.Pointer[obs.EventRing]
 }
 
 // SetFlightRecorder enables or disables the active-query registry and
@@ -138,53 +137,14 @@ func (db *DB) RecentEvents() []obs.Event {
 	return db.flight.ring.Load().Snapshot()
 }
 
-// emitEvent assembles and routes one completion wide event. res is nil
-// for failed runs; runErr is nil for successes. Cheap exits first: with
-// the recorder off and no sink installed, this is two atomic loads.
-func (db *DB) emitEvent(q *Query, opts RunOptions, fl *obs.Flight, res *Result, scanned int, dur, admWait time.Duration, runErr error) {
+// routeEvent delivers one event to the ring and, subject to sampling,
+// the sink. Error and slow events bypass sampling. With the recorder off
+// and no sink installed this is two atomic loads.
+func (db *DB) routeEvent(ev *obs.Event) {
+	if !db.flight.off.Load() {
+		db.flight.ring.Load().Add(*ev)
+	}
 	box := db.flight.sink.Load()
-	recorderOn := !db.flight.off.Load()
-	if box == nil && !recorderOn {
-		return
-	}
-	ev := obs.Event{
-		Time:            time.Now(),
-		QueryID:         fl.ID(),
-		SQL:             q.plan.key,
-		Executor:        q.effectiveExecutor(opts).String(),
-		DurationNs:      dur.Nanoseconds(),
-		AdmissionWaitNs: admWait.Nanoseconds(),
-		PlanCached:      q.planCached,
-		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
-		PlanRevision:    int64(q.plan.revision),
-	}
-	if res != nil {
-		ev.Rows = int64(len(res.Rows))
-		ev.RowsScanned = int64(scanned)
-		ev.Clusters = int64(len(res.clusterStats))
-		ev.PredEvals = res.Stats.PredEvals
-		ev.Rollbacks = res.Stats.Rollbacks
-		ev.Matches = int64(res.Stats.Matches)
-		ev.PartitionCached = res.partition.cached
-		ev.Vectorized = res.vectorized
-		ev.Shards = res.shardCount
-	}
-	if runErr != nil {
-		ev.Error = runErr.Error()
-		ev.ErrorKind = classifyError(runErr).String()
-	}
-	if th := db.flight.slowEvent.Load(); th > 0 && dur.Nanoseconds() >= th {
-		ev.Slow = true
-	}
-	db.routeEvent(ev, box, recorderOn)
-}
-
-// routeEvent delivers one assembled event to the ring and, subject to
-// sampling, the sink. Error and slow events bypass sampling.
-func (db *DB) routeEvent(ev obs.Event, box *eventSinkBox, recorderOn bool) {
-	if recorderOn {
-		db.flight.ring.Load().Add(ev)
-	}
 	if box == nil {
 		return
 	}
@@ -194,16 +154,14 @@ func (db *DB) routeEvent(ev obs.Event, box *eventSinkBox, recorderOn bool) {
 		}
 	}
 	db.metrics.eventsEmitted.Inc()
-	box.sink.Emit(ev)
+	box.sink.Emit(*ev)
 }
 
 // emitStreamEvent emits the wide event of one closed stream: the
 // push/match totals with the stream flag set.
 func (db *DB) emitStreamEvent(st *Stream, runErr error) {
-	box := db.flight.sink.Load()
-	recorderOn := !db.flight.off.Load()
-	if box == nil && !recorderOn {
-		return
+	if db.flight.off.Load() && db.flight.sink.Load() == nil {
+		return // st.Stats walks every cluster
 	}
 	stats := st.Stats()
 	ev := obs.Event{
@@ -225,7 +183,7 @@ func (db *DB) emitStreamEvent(st *Stream, runErr error) {
 		ev.Error = runErr.Error()
 		ev.ErrorKind = classifyError(runErr).String()
 	}
-	db.routeEvent(ev, box, recorderOn)
+	db.routeEvent(&ev)
 }
 
 // WriteActiveQueries renders the in-flight table as text with per-query

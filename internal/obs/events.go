@@ -16,7 +16,10 @@ import (
 
 // Event is one completed execution (or closed stream), wide: every
 // counter the run accumulated, the cache/kernel/vectorize/shard flags,
-// and — for failures — the error text and its class.
+// and — for failures — the error text and its class. It is the one
+// record of an execution: the metrics registry, the statement stats,
+// the slow log, the ring, the sink and EXPLAIN ANALYZE's execute line
+// are all fed from this value.
 type Event struct {
 	Time     time.Time `json:"ts"`
 	QueryID  uint64    `json:"query_id,omitempty"`
@@ -24,6 +27,10 @@ type Event struct {
 	Executor string    `json:"executor,omitempty"`
 	Stream   bool      `json:"stream,omitempty"`
 
+	// DurationNs is the time after admission: from the moment the run
+	// held its admission slot (or gave up waiting for one) to the moment
+	// it finished, success or failure. The queue wait is not part of it;
+	// AdmissionWaitNs carries that. For a stream it is open to close.
 	DurationNs      int64 `json:"duration_ns"`
 	AdmissionWaitNs int64 `json:"admission_wait_ns,omitempty"`
 
@@ -35,16 +42,41 @@ type Event struct {
 	Matches     int64 `json:"matches"`
 	Pushes      int64 `json:"pushes,omitempty"`
 
-	PlanCached      bool  `json:"plan_cached"`
-	PartitionCached bool  `json:"partition_cached"`
-	Kernel          bool  `json:"kernel"`
-	Vectorized      bool  `json:"vectorized"`
-	Shards          int   `json:"shards,omitempty"`
-	PlanRevision    int64 `json:"plan_revision,omitempty"`
+	PlanCached      bool `json:"plan_cached"`
+	PartitionCached bool `json:"partition_cached"`
+	// Partition names how a batch run came by its clusters: "cached",
+	// "built" or "refreshed (k of n clusters)". Empty on failures and
+	// streams.
+	Partition    string `json:"partition,omitempty"`
+	Kernel       bool   `json:"kernel"`
+	Vectorized   bool   `json:"vectorized"`
+	Shards       int    `json:"shards,omitempty"`
+	PlanRevision int64  `json:"plan_revision,omitempty"`
 
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	Slow      bool   `json:"slow,omitempty"`
+}
+
+// QueryObs is the statement-stats view of a successful execution. The
+// executor label "naive" is the one label read: naive and optimized
+// pred-evals accumulate apart.
+func (e *Event) QueryObs() QueryObs {
+	return QueryObs{
+		DurNs:           e.DurationNs,
+		Rows:            e.Rows,
+		RowsScanned:     e.RowsScanned,
+		PredEvals:       e.PredEvals,
+		Rollbacks:       e.Rollbacks,
+		Matches:         e.Matches,
+		AdmissionWaitNs: e.AdmissionWaitNs,
+		PlanCached:      e.PlanCached,
+		PartitionCached: e.PartitionCached,
+		Kernel:          e.Kernel,
+		Naive:           e.Executor == "naive",
+		Vectorized:      e.Vectorized,
+		PlanRevision:    e.PlanRevision,
+	}
 }
 
 // EventSink consumes wide events. Emit is called synchronously from

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -123,5 +124,35 @@ func TestErrClassString(t *testing.T) {
 		if c.String() != s {
 			t.Errorf("ErrClass(%d).String() = %q, want %q", c, c.String(), s)
 		}
+	}
+}
+
+// TestEventQueryObs: the statement-stats view carries every QueryObs
+// field over from the event (a field added to QueryObs and not to the
+// conversion stays zero and fails here).
+func TestEventQueryObs(t *testing.T) {
+	ev := Event{
+		Executor: "naive", DurationNs: 1, AdmissionWaitNs: 2, Rows: 3, RowsScanned: 4,
+		PredEvals: 5, Rollbacks: 6, Matches: 7, PlanCached: true, PartitionCached: true,
+		Kernel: true, Vectorized: true, PlanRevision: 8,
+	}
+	got := ev.QueryObs()
+	want := QueryObs{
+		DurNs: 1, AdmissionWaitNs: 2, Rows: 3, RowsScanned: 4, PredEvals: 5, Rollbacks: 6,
+		Matches: 7, PlanCached: true, PartitionCached: true, Kernel: true, Naive: true,
+		Vectorized: true, PlanRevision: 8,
+	}
+	if got != want {
+		t.Fatalf("QueryObs = %+v, want %+v", got, want)
+	}
+	v := reflect.ValueOf(got)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("QueryObs.%s not carried over", v.Type().Field(i).Name)
+		}
+	}
+	ev.Executor = "ops"
+	if ev.QueryObs().Naive {
+		t.Error("an ops run reads as naive")
 	}
 }

@@ -264,9 +264,6 @@ type StmtStats struct {
 	prunedRows  atomic.Int64
 	streamsOpen atomic.Int64
 
-	sampleTick atomic.Int64
-	lastTrace  atomic.Uint64
-
 	lat     LatencyHist
 	pushLat LatencyHist
 }
@@ -387,24 +384,6 @@ func (s *StmtStats) StreamClosed() {
 	s.streamsOpen.Add(-1)
 }
 
-// SampleTick returns the 0-based execution ordinal for trace-sampling
-// decisions (tick%N == 0 keeps a trace ⇒ the first execution and every
-// N-th after it).
-func (s *StmtStats) SampleTick() int64 {
-	if s == nil {
-		return -1
-	}
-	return s.sampleTick.Add(1) - 1
-}
-
-// SetLastTrace records the ID of the most recently retained trace.
-func (s *StmtStats) SetLastTrace(id uint64) {
-	if s == nil {
-		return
-	}
-	s.lastTrace.Store(id)
-}
-
 // StmtSnapshot is a point-in-time copy of one statement's counters,
 // JSON-ready for /debug/statements. Individual fields are read
 // atomically; a snapshot taken while updates are in flight may be
@@ -465,8 +444,6 @@ type StmtSnapshot struct {
 	StreamsOpen   int64 `json:"streams_open,omitempty"`
 	PushP50Ns     int64 `json:"push_p50_ns,omitempty"`
 	PushP99Ns     int64 `json:"push_p99_ns,omitempty"`
-
-	LastTraceID uint64 `json:"last_trace_id,omitempty"`
 }
 
 // Snapshot copies the entry's counters.
@@ -513,8 +490,6 @@ func (s *StmtStats) Snapshot() StmtSnapshot {
 		StreamsOpen:   s.streamsOpen.Load(),
 		PushP50Ns:     s.pushLat.Quantile(0.50),
 		PushP99Ns:     s.pushLat.Quantile(0.99),
-
-		LastTraceID: s.lastTrace.Load(),
 	}
 	if out.Calls > 0 {
 		out.MeanNs = out.TotalNs / out.Calls

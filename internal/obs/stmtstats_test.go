@@ -170,10 +170,6 @@ func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 	nilEntry.RecordPushMatch()
 	nilEntry.StreamOpened()
 	nilEntry.StreamClosed()
-	nilEntry.SetLastTrace(1)
-	if nilEntry.SampleTick() != -1 {
-		t.Error("nil SampleTick must return -1")
-	}
 	if s := nilEntry.Snapshot(); s.Calls != 0 {
 		t.Error("nil Snapshot must be zero")
 	}
@@ -210,8 +206,6 @@ func TestStmtStoreConcurrent(t *testing.T) {
 				})
 				e.RecordPush(int64(i%50)*100, int64(i%3))
 				e.StreamOpened()
-				e.SampleTick()
-				e.SetLastTrace(uint64(i))
 				e.StreamClosed()
 				if i%100 == 0 {
 					_ = st.Snapshots()
@@ -237,14 +231,5 @@ func TestStmtStoreConcurrent(t *testing.T) {
 	e.RecordQuery(QueryObs{Rows: 1})
 	if st.Lookup("after").Snapshot().Rows != 1 {
 		t.Error("store unusable after concurrent reset")
-	}
-}
-
-func TestSampleTickOrdinals(t *testing.T) {
-	e := &StmtStats{key: "s"}
-	for want := int64(0); want < 5; want++ {
-		if got := e.SampleTick(); got != want {
-			t.Fatalf("SampleTick = %d, want %d", got, want)
-		}
 	}
 }

@@ -14,9 +14,9 @@ type Annot struct {
 	Value any
 }
 
-// Span is one timed phase of the query lifecycle. A Span is created by
-// Trace.Start and finished by End; annotations may be attached at any
-// point in between.
+// Span is one timed phase. A Span is created by Trace.Start and
+// finished by End; annotations may be attached at any point in between.
+// A literal Span (Name, Duration, Annots) is a valid FormatSpans row.
 type Span struct {
 	Name     string
 	Start    time.Time
@@ -49,7 +49,8 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// Trace collects the spans of one query's lifecycle, in End order.
+// Trace collects the spans of one plan's compile phases, in End order:
+// written while the plan compiles, read-only once it is shared.
 // A nil *Trace is valid: Start returns a nil span whose methods are
 // no-ops, so instrumented code needs no nil checks.
 type Trace struct {
@@ -66,23 +67,6 @@ func (t *Trace) Start(name string) *Span {
 		return nil
 	}
 	return &Span{Name: name, Start: time.Now(), tr: t}
-}
-
-// Add appends already-finished spans to the trace (shallow copies, so
-// the source spans stay untouched). The serving layer uses it to replay
-// a cached plan's compile-phase spans into the trace of each query the
-// plan serves.
-func (t *Trace) Add(spans ...*Span) {
-	if t == nil || len(spans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, sp := range spans {
-		c := *sp
-		c.tr = t
-		t.spans = append(t.spans, &c)
-	}
 }
 
 // Spans returns the completed spans in completion order.
@@ -103,9 +87,8 @@ func (t *Trace) Spans() []*Span {
 //	analyze     102µs  (elements=9 predicates=12)
 func (t *Trace) String() string { return FormatSpans(t.Spans()) }
 
-// FormatSpans renders a span list as an aligned phase table; callers
-// may filter Spans() first (e.g. EXPLAIN ANALYZE keeps only the latest
-// execute span).
+// FormatSpans renders a span list as an aligned phase table (EXPLAIN
+// ANALYZE appends the analysed run's rows to the plan's compile phases).
 func FormatSpans(spans []*Span) string {
 	width := 0
 	for _, s := range spans {

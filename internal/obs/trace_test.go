@@ -51,36 +51,3 @@ func TestUnfinishedSpanNotListed(t *testing.T) {
 		t.Errorf("unfinished span listed, n=%d", n)
 	}
 }
-
-func TestTraceAdd(t *testing.T) {
-	src := NewTrace()
-	src.Start("parse").Annotate("elements", 3).End()
-	src.Start("kernel").End()
-
-	dst := NewTrace()
-	dst.Start("plan-cache").Annotate("hit", true).End()
-	dst.Add(src.Spans()...)
-
-	spans := dst.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(spans))
-	}
-	if spans[1].Name != "parse" || spans[2].Name != "kernel" {
-		t.Errorf("replayed spans = %q, %q", spans[1].Name, spans[2].Name)
-	}
-	// Add copies: annotating the copy must not touch the source span.
-	if len(spans[1].Annots) != 1 || spans[1].Annots[0].Key != "elements" {
-		t.Errorf("annotations not carried: %+v", spans[1].Annots)
-	}
-	if spans[1] == src.Spans()[0] {
-		t.Error("Add aliased the source span instead of copying")
-	}
-
-	// Nil-safety and no-op cases.
-	var nilTr *Trace
-	nilTr.Add(src.Spans()...) // must not panic
-	dst.Add()
-	if len(dst.Spans()) != 3 {
-		t.Error("empty Add changed the trace")
-	}
-}

@@ -1,10 +1,9 @@
 package sqlts
 
 // Statement-level introspection: per-statement statistics (keyed by the
-// plan cache's normalized SQL), a retained slow-query log, and sampled
-// full traces exportable as Chrome trace-event JSON. Everything here is
-// fed from the serving path (observe.go, stream.go) and surfaced over
-// HTTP by DB.DebugHandler (debug.go), programmatically by the DB
+// plan cache's normalized SQL) and a retained slow-query log. Everything
+// here is fed from the serving path (observe.go, stream.go) and surfaced
+// over HTTP by DB.DebugHandler (debug.go), programmatically by the DB
 // methods below, and interactively by the REPL's \stats and \slowlog.
 
 import (
@@ -23,7 +22,6 @@ import (
 const (
 	defaultStatementCapacity = 256
 	defaultSlowLogCapacity   = 32
-	defaultTraceCapacity     = 64
 )
 
 // StatementStats snapshots the per-statement statistics, hottest first
@@ -36,8 +34,8 @@ func (db *DB) StatementStats() []obs.StmtSnapshot {
 	return db.stmts.Snapshots()
 }
 
-// ResetStatementStats drops all per-statement counters (capacity and
-// sampling knobs are kept).
+// ResetStatementStats drops all per-statement counters (the capacity is
+// kept).
 func (db *DB) ResetStatementStats() { db.stmts.Reset() }
 
 // SetStatementStatsCapacity bounds the number of distinct statements
@@ -46,37 +44,17 @@ func (db *DB) ResetStatementStats() { db.stmts.Reset() }
 // update.
 func (db *DB) SetStatementStatsCapacity(n int) { db.stmts.SetCapacity(n) }
 
-// SetTraceSampleRate retains one full lifecycle trace per statement
-// every n executions (the first execution and every n-th after it),
-// retrievable via TraceByID / RetainedTraces / the /debug/trace
-// endpoint. 0 (the default) disables sampling; slow-query records
-// always retain their trace regardless.
-func (db *DB) SetTraceSampleRate(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.traceSampleRate.Store(int64(n))
-}
-
-// SlowQueryRecord is one retained slow-query-log entry: everything the
-// execution knew about itself, captured at completion time.
+// SlowQueryRecord is one retained slow-query-log entry: the execution's
+// event, as the ring and the sink saw it, numbered and with a report.
 type SlowQueryRecord struct {
 	// ID numbers records in capture order (1-based, monotonic per DB).
 	ID uint64 `json:"id"`
-	// TraceID keys the retained lifecycle trace (DB.TraceByID,
-	// /debug/trace/<id>).
-	TraceID  uint64        `json:"trace_id"`
-	Time     time.Time     `json:"time"`
-	SQL      string        `json:"sql"`
-	Executor string        `json:"executor"`
-	Duration time.Duration `json:"duration_ns"`
-	Rows     int           `json:"rows"`
-	Scanned  int           `json:"rows_scanned"`
-	Stats    engine.Stats  `json:"stats"`
+	obs.Event
 	// Report is the rendered plan annotated with the run's cache
 	// outcome, phase timings, counters and per-cluster breakdown — the
 	// EXPLAIN ANALYZE layout minus the naive-comparison re-run (the log
-	// must not re-execute queries).
+	// must not re-execute queries). For a contained panic it is the
+	// panic value and the captured stack.
 	Report string `json:"report"`
 }
 
@@ -140,7 +118,8 @@ func (l *slowLog) reset() {
 
 // SlowLog returns the retained slow-query records, most recent first.
 // Records are captured whenever an execution meets the
-// SetSlowQueryThreshold duration (with or without a hook function).
+// SetSlowQueryThreshold duration (with or without a hook function) or
+// ends in a contained panic.
 func (db *DB) SlowLog() []SlowQueryRecord { return db.slow.snapshot() }
 
 // SetSlowLogCapacity resizes the slow-query ring (default 32; oldest
@@ -148,93 +127,11 @@ func (db *DB) SlowLog() []SlowQueryRecord { return db.slow.snapshot() }
 // metric and hook keep firing.
 func (db *DB) SetSlowLogCapacity(n int) { db.slow.setCapacity(n) }
 
-// ResetIntrospection clears the statement stats, the slow-query log and
-// the retained traces in one call (knobs and thresholds are kept).
+// ResetIntrospection clears the statement stats and the slow-query log
+// in one call (knobs and thresholds are kept).
 func (db *DB) ResetIntrospection() {
 	db.stmts.Reset()
 	db.slow.reset()
-	db.traces.reset()
-}
-
-// RetainedTrace is one sampled (or slow-query) lifecycle trace held for
-// later inspection and export.
-type RetainedTrace struct {
-	ID   uint64    `json:"id"`
-	SQL  string    `json:"sql"`
-	Time time.Time `json:"time"`
-	// Slow marks traces retained by the slow-query log rather than by
-	// sampling.
-	Slow  bool        `json:"slow,omitempty"`
-	Spans []*obs.Span `json:"-"`
-}
-
-// traceStore retains the last N sampled traces keyed by ID.
-type traceStore struct {
-	mu       sync.Mutex
-	capacity int
-	seq      uint64
-	order    []uint64 // insertion order for eviction
-	traces   map[uint64]*RetainedTrace
-}
-
-func newTraceStore(capacity int) *traceStore {
-	return &traceStore{capacity: capacity, traces: map[uint64]*RetainedTrace{}}
-}
-
-func (ts *traceStore) add(sql string, slow bool, spans []*obs.Span) uint64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.capacity <= 0 {
-		return 0
-	}
-	ts.seq++
-	id := ts.seq
-	ts.traces[id] = &RetainedTrace{ID: id, SQL: sql, Time: time.Now(), Slow: slow, Spans: spans}
-	ts.order = append(ts.order, id)
-	for len(ts.order) > ts.capacity {
-		delete(ts.traces, ts.order[0])
-		ts.order = ts.order[1:]
-	}
-	return id
-}
-
-func (ts *traceStore) get(id uint64) *RetainedTrace {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.traces[id]
-}
-
-func (ts *traceStore) list() []*RetainedTrace {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]*RetainedTrace, 0, len(ts.order))
-	for i := len(ts.order) - 1; i >= 0; i-- {
-		out = append(out, ts.traces[ts.order[i]])
-	}
-	return out
-}
-
-func (ts *traceStore) reset() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.order = nil
-	ts.traces = map[uint64]*RetainedTrace{}
-}
-
-// TraceByID returns a retained trace (sampled or slow-query), or nil.
-func (db *DB) TraceByID(id uint64) *RetainedTrace { return db.traces.get(id) }
-
-// RetainedTraces lists the retained traces, most recent first.
-func (db *DB) RetainedTraces() []*RetainedTrace { return db.traces.list() }
-
-// retainTrace snapshots a query's spans into the trace store and points
-// the statement entry at it.
-func (db *DB) retainTrace(q *Query, entry *obs.StmtStats, slow bool) uint64 {
-	id := db.traces.add(q.plan.sql, slow, q.trace.Spans())
-	if id != 0 {
-		entry.SetLastTrace(id)
-	}
-	return id
 }
 
 // WriteStatementStats renders the statement table as aligned text,
@@ -286,15 +183,25 @@ func (db *DB) WriteSlowLog(w io.Writer, verbose bool) error {
 		b.WriteString("(slow-query log empty — set a threshold with SetSlowQueryThreshold)\n")
 	}
 	for _, r := range recs {
-		fmt.Fprintf(&b, "#%d %s  %s  executor=%s rows=%d scanned=%d %s trace=%d\n  %s\n",
-			r.ID, r.Time.Format(time.RFC3339), r.Duration.Round(time.Microsecond),
-			r.Executor, r.Rows, r.Scanned, r.Stats, r.TraceID, truncateSQL(r.SQL, 120))
+		fmt.Fprintf(&b, "#%d %s  %s  executor=%s rows=%d scanned=%d %s",
+			r.ID, r.Time.Format(time.RFC3339), time.Duration(r.DurationNs).Round(time.Microsecond),
+			r.Executor, r.Rows, r.RowsScanned, eventStats(&r.Event))
+		if r.ErrorKind != "" {
+			fmt.Fprintf(&b, " error=%s", r.ErrorKind)
+		}
+		fmt.Fprintf(&b, "\n  %s\n", truncateSQL(r.SQL, 120))
 		if verbose {
 			b.WriteString(indent(r.Report, "  "))
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// eventStats is the event's search counters in engine.Stats form, for
+// the renderings that print them the way a Result's Stats print.
+func eventStats(ev *obs.Event) engine.Stats {
+	return engine.Stats{PredEvals: ev.PredEvals, Rollbacks: ev.Rollbacks, Matches: int(ev.Matches)}
 }
 
 func pctOf(part, total int64) string {

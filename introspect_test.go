@@ -189,8 +189,12 @@ func TestSlowQueryLogRetention(t *testing.T) {
 		t.Errorf("record order wrong: IDs %d..%d", recs[0].ID, recs[2].ID)
 	}
 	r := recs[0]
-	if r.SQL == "" || r.Executor == "" || r.Duration <= 0 || r.Rows != 1 {
+	if r.SQL == "" || r.Executor == "" || r.DurationNs <= 0 || r.Rows != 1 || !r.Slow {
 		t.Errorf("record fields wrong: %+v", r)
+	}
+	// The record is the run's event, as the ring retained it.
+	if ev := db.RecentEvents()[0]; r.Event != ev {
+		t.Errorf("slow record's event %+v differs from the ring's %+v", r.Event, ev)
 	}
 	// The report is the rendered EXPLAIN ANALYZE layout, captured without
 	// re-executing: plan, cache outcome, phases, counters.
@@ -199,13 +203,11 @@ func TestSlowQueryLogRetention(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, r.Report)
 		}
 	}
-	// Slow queries always retain their trace.
-	if r.TraceID == 0 {
-		t.Fatal("slow record has no trace")
-	}
-	tr := db.TraceByID(r.TraceID)
-	if tr == nil || !tr.Slow || len(tr.Spans) == 0 {
-		t.Fatalf("retained slow trace wrong: %+v", tr)
+	// The execute line is the event's: same executor, rows and counters.
+	exec := fmt.Sprintf("executor=%s clusters=%d rows-scanned=%d rows=%d plan=cached partition=%s stats=PredEvals=%d",
+		r.Executor, r.Clusters, r.RowsScanned, r.Rows, r.Partition, r.PredEvals)
+	if !strings.Contains(r.Report, exec) {
+		t.Errorf("report's execute line is not the event's (%s):\n%s", exec, r.Report)
 	}
 
 	// Shrinking the ring drops the oldest records.
@@ -242,62 +244,8 @@ func TestSlowQueryLogRetention(t *testing.T) {
 		t.Error("retention did not resume after re-enable")
 	}
 	db.ResetIntrospection()
-	if len(db.SlowLog()) != 0 || len(db.RetainedTraces()) != 0 || len(db.StatementStats()) != 0 {
+	if len(db.SlowLog()) != 0 || len(db.StatementStats()) != 0 {
 		t.Error("ResetIntrospection left state behind")
-	}
-}
-
-func TestTraceSampling(t *testing.T) {
-	db := quoteDB(t)
-	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
-	db.SetTraceSampleRate(3)
-
-	q, err := db.Prepare(introspectSQL1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		if _, err := q.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Executions 0, 3 and 6 are sampled: one trace per rate window.
-	traces := db.RetainedTraces()
-	if len(traces) != 3 {
-		t.Fatalf("retained %d traces, want 3 (1-in-3 of 7 runs)", len(traces))
-	}
-	if traces[0].ID <= traces[1].ID {
-		t.Error("traces not most-recent-first")
-	}
-	for _, tr := range traces {
-		if tr.Slow {
-			t.Errorf("sampled trace %d marked slow", tr.ID)
-		}
-		if len(tr.Spans) == 0 {
-			t.Errorf("trace %d has no spans", tr.ID)
-		}
-		if db.TraceByID(tr.ID) != tr {
-			t.Errorf("TraceByID(%d) mismatch", tr.ID)
-		}
-	}
-	// The statement entry points at its most recent trace.
-	snaps := db.StatementStats()
-	if len(snaps) != 1 || snaps[0].LastTraceID != traces[0].ID {
-		t.Errorf("last_trace_id = %d, want %d", snaps[0].LastTraceID, traces[0].ID)
-	}
-
-	// Rate 0 turns sampling off.
-	db.SetTraceSampleRate(0)
-	for i := 0; i < 5; i++ {
-		if _, err := q.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(db.RetainedTraces()); n != 3 {
-		t.Errorf("retained %d traces after disabling, want 3", n)
-	}
-	if db.TraceByID(99999) != nil {
-		t.Error("TraceByID of unknown id must be nil")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"sqlts/internal/engine"
 	"sqlts/internal/obs"
 )
 
@@ -199,162 +198,97 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 // for mounting at /metrics.
 func (db *DB) MetricsHandler() http.Handler { return db.metrics.reg.Handler() }
 
-// SlowQueryInfo describes one query execution that exceeded the
-// slow-query threshold.
-type SlowQueryInfo struct {
-	SQL      string // statement text as prepared
-	Executor string
-	Duration time.Duration
-	Rows     int // result rows
-	Stats    engine.Stats
-}
-
-// SetSlowQueryThreshold installs a slow-query hook: every execution
-// taking d or longer increments sqlts_slow_queries_total and, when fn is
-// non-nil, invokes fn synchronously from the executing goroutine (keep
-// it cheap; copy and hand off for heavy processing). A zero d disables
-// the hook.
-func (db *DB) SetSlowQueryThreshold(d time.Duration, fn func(SlowQueryInfo)) {
+// SetSlowQueryThreshold sets the slow-query threshold: every execution
+// whose duration (obs.Event.DurationNs: time after admission) is d or
+// longer carries Slow in its event, increments sqlts_slow_queries_total,
+// lands in the slow-query log and, when fn is non-nil, is handed to fn
+// synchronously from the executing goroutine (keep it cheap; copy and
+// hand off for heavy processing). A zero d disables all four.
+func (db *DB) SetSlowQueryThreshold(d time.Duration, fn func(obs.Event)) {
 	db.slowMu.Lock()
 	defer db.slowMu.Unlock()
-	db.slowThreshold = d
 	db.slowFn = fn
-	// Wide events reuse the same threshold for their slow flag (and the
-	// sink's sampling bypass).
-	db.flight.slowEvent.Store(d.Nanoseconds())
+	db.slowNs.Store(d.Nanoseconds())
 }
 
-// failRun records one failed execution: the error counter, the typed
-// error-class breakdown (metrics + statement stats), and — for contained
-// panics — the panic counter and a slow-log record carrying the captured
-// stack.
-func (db *DB) failRun(q *Query, opts RunOptions, fl *obs.Flight, err error, dur, admWait time.Duration) {
+// observe feeds every view of one finished execution from its event: the
+// metrics registry, the statement stats (which steer the adaptive
+// optimizer), the wide-event ring and sink, and — for a slow run or a
+// contained panic, which is always worth retaining — the slow-query log.
+// res and err are the run's outcome (res is nil exactly when err is not);
+// they add the rendered report and the panic stack, nothing that is
+// counted.
+func (db *DB) observe(q *Query, opts RunOptions, ev *obs.Event, res *Result, err error) {
 	m := db.metrics
-	m.queryErrors.Inc()
-	class := classifyError(err)
-	switch class {
-	case obs.ErrCanceled:
-		m.queriesCanceled.Inc()
-	case obs.ErrDeadline:
-		m.queriesDeadline.Inc()
-	case obs.ErrBudget:
-		m.queriesBudget.Inc()
-	case obs.ErrPanic:
-		m.queryPanics.Inc()
-	case obs.ErrRejected:
-		m.admissionRejected.Inc()
-	case obs.ErrKilled:
-		// Disjoint from queriesCanceled: a kill wraps the cancel sentinel
-		// but classifies first, so operator kills never inflate the
-		// plain-cancellation counter.
-		m.queriesKilled.Inc()
+	entry := db.stmts.Get(ev.SQL) // nil = statement tracking disabled
+	panicked := false
+	if err != nil {
+		m.queryErrors.Inc()
+		class := classifyError(err)
+		panicked = class == obs.ErrPanic
+		switch class {
+		case obs.ErrCanceled:
+			m.queriesCanceled.Inc()
+		case obs.ErrDeadline:
+			m.queriesDeadline.Inc()
+		case obs.ErrBudget:
+			m.queriesBudget.Inc()
+		case obs.ErrPanic:
+			m.queryPanics.Inc()
+		case obs.ErrRejected:
+			m.admissionRejected.Inc()
+		case obs.ErrKilled:
+			// Disjoint from queriesCanceled: a kill wraps the cancel sentinel
+			// but classifies first, so operator kills never inflate the
+			// plain-cancellation counter.
+			m.queriesKilled.Inc()
+		}
+		entry.RecordError(class)
+		entry.RecordAdmissionWait(ev.AdmissionWaitNs)
+	} else {
+		m.queries.Inc()
+		m.rowsScanned.Add(ev.RowsScanned)
+		m.rowsReturned.Add(ev.Rows)
+		m.predEvals.Add(ev.PredEvals)
+		m.rollbacks.Add(ev.Rollbacks)
+		m.matches.Add(ev.Matches)
+		m.clustersScanned.Add(ev.Clusters)
+		m.queryDuration.Observe(time.Duration(ev.DurationNs).Seconds())
+		if ev.Vectorized {
+			m.vectorizedRuns.Inc()
+		}
+		if ev.Shards > 1 {
+			m.shardQueries.Inc()
+		}
+		entry.RecordQuery(ev.QueryObs())
+		db.maybeAdapt(q, opts, entry)
 	}
-	entry := db.stmts.Get(q.plan.key)
-	entry.RecordError(class)
-	entry.RecordAdmissionWait(admWait.Nanoseconds())
-	if class == obs.ErrPanic {
-		db.recordPanic(q, opts, err, entry)
+	db.routeEvent(ev)
+	if ev.Slow || panicked {
+		db.retainSlow(q, ev, res, err)
 	}
-	db.emitEvent(q, opts, fl, nil, 0, dur, admWait, err)
 }
 
-// recordPanic lands a contained panic in the slow-query log (whatever
-// the threshold: a panic is always worth retaining) with the captured
-// stack as the record's report.
-func (db *DB) recordPanic(q *Query, opts RunOptions, err error, entry *obs.StmtStats) {
+// retainSlow lands a slow run or a contained panic in the slow-query log
+// — the event plus a report: the annotated plan, or the captured stack —
+// and hands a slow run's event to the hook.
+func (db *DB) retainSlow(q *Query, ev *obs.Event, res *Result, err error) {
+	rec := SlowQueryRecord{Event: *ev}
 	var pe *PanicError
-	if !errors.As(err, &pe) {
+	if errors.As(err, &pe) {
+		rec.Report = fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack)
+	} else {
+		rec.Report = q.reportBody(ev, res)
+	}
+	db.slow.add(rec)
+	if !ev.Slow {
 		return
 	}
-	traceID := db.retainTrace(q, entry, true)
-	db.slow.add(SlowQueryRecord{
-		TraceID:  traceID,
-		Time:     time.Now(),
-		SQL:      q.plan.sql,
-		Executor: q.effectiveExecutor(opts).String(),
-		Report:   fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack),
-	})
-}
-
-// observeRun records one finished execution in the metrics registry and
-// the statement-stats store, samples the lifecycle trace, and feeds the
-// slow-query log and hook.
-func (db *DB) observeRun(q *Query, opts RunOptions, fl *obs.Flight, res *Result, scanned int, dur, admWait time.Duration) {
-	m := db.metrics
-	m.queries.Inc()
-	m.rowsScanned.Add(int64(scanned))
-	m.rowsReturned.Add(int64(len(res.Rows)))
-	m.predEvals.Add(res.Stats.PredEvals)
-	m.rollbacks.Add(res.Stats.Rollbacks)
-	m.matches.Add(int64(res.Stats.Matches))
-	m.clustersScanned.Add(int64(len(res.clusterStats)))
-	m.queryDuration.Observe(dur.Seconds())
-	if res.vectorized {
-		m.vectorizedRuns.Inc()
-	}
-	if res.shardCount > 1 {
-		m.shardQueries.Inc()
-	}
-
-	// Statement stats mirror the Result counters exactly: same values,
-	// bucketed by the plan's normalized-SQL key (nil entry = disabled).
-	entry := db.stmts.Get(q.plan.key)
-	entry.RecordQuery(obs.QueryObs{
-		DurNs:           dur.Nanoseconds(),
-		Rows:            int64(len(res.Rows)),
-		RowsScanned:     int64(scanned),
-		PredEvals:       res.Stats.PredEvals,
-		Rollbacks:       res.Stats.Rollbacks,
-		Matches:         int64(res.Stats.Matches),
-		AdmissionWaitNs: admWait.Nanoseconds(),
-		PlanCached:      q.planCached,
-		PartitionCached: res.partition.cached,
-		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
-		Naive:           q.effectiveExecutor(opts) == NaiveExec,
-		Vectorized:      res.vectorized,
-		PlanRevision:    int64(q.plan.revision),
-	})
-	db.maybeAdapt(q, opts, entry)
-	if rate := db.traceSampleRate.Load(); rate > 0 && entry != nil {
-		if tick := entry.SampleTick(); tick%rate == 0 {
-			db.retainTrace(q, entry, false)
-		}
-	}
-
-	db.emitEvent(q, opts, fl, res, scanned, dur, admWait, nil)
-
+	db.metrics.slowQueries.Inc()
 	db.slowMu.Lock()
-	threshold, fn := db.slowThreshold, db.slowFn
+	fn := db.slowFn
 	db.slowMu.Unlock()
-	if threshold > 0 && dur >= threshold {
-		m.slowQueries.Inc()
-		db.recordSlow(q, opts, res, scanned, dur, entry)
-		if fn != nil {
-			fn(SlowQueryInfo{
-				SQL:      q.plan.sql,
-				Executor: q.effectiveExecutor(opts).String(),
-				Duration: dur,
-				Rows:     len(res.Rows),
-				Stats:    res.Stats,
-			})
-		}
+	if fn != nil {
+		fn(*ev)
 	}
-}
-
-// recordSlow captures one over-threshold execution into the slow-query
-// ring: the retained trace, the run's counters, and the rendered report
-// (plan + phases + per-cluster stats — no re-execution happens here).
-func (db *DB) recordSlow(q *Query, opts RunOptions, res *Result, scanned int, dur time.Duration, entry *obs.StmtStats) {
-	traceID := db.retainTrace(q, entry, true)
-	db.slow.add(SlowQueryRecord{
-		TraceID:  traceID,
-		Time:     time.Now(),
-		SQL:      q.plan.sql,
-		Executor: q.effectiveExecutor(opts).String(),
-		Duration: dur,
-		Rows:     len(res.Rows),
-		Scanned:  scanned,
-		Stats:    res.Stats,
-		Report:   q.reportBody(res, opts),
-	})
 }

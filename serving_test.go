@@ -142,15 +142,11 @@ func TestPlanCache(t *testing.T) {
 	if !q3.PlanCached() || q3.plan != q1.plan {
 		t.Error("whitespace variant did not share the cached plan")
 	}
-	// The cached query's trace still carries the compile-phase spans.
-	names := map[string]bool{}
-	for _, sp := range q2.Trace().Spans() {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"plan-cache", "parse", "analyze", "matrices", "shift/next", "kernel"} {
-		if !names[want] {
-			t.Errorf("cached trace missing span %q (have %v)", want, names)
-		}
+	// The compile phases are the plan's: a cached query reads the same
+	// trace, it does not get a copy.
+	if q2.Trace() != q1.Trace() || len(q2.Trace().Spans()) != 5 {
+		t.Errorf("cached query's trace: shared=%v, %d spans (want the plan's 5 compile phases)",
+			q2.Trace() == q1.Trace(), len(q2.Trace().Spans()))
 	}
 
 	cs := db.CacheStats()
@@ -326,7 +322,7 @@ func TestExplainAnalyzeCacheLines(t *testing.T) {
 		t.Errorf("warm EXPLAIN ANALYZE missing cache-hit lines:\n%s", text)
 	}
 	// After an insert the partition is refreshed, not rebuilt, and the
-	// report and the execute span say how much of it.
+	// report and the event say how much of it.
 	db.Table("djia").MustInsert(storage.NewDateDays(20100), storage.NewFloat(99.7))
 	res, err = db.Query(sql)
 	if err != nil {
@@ -341,11 +337,14 @@ func TestExplainAnalyzeCacheLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Table("djia").MustInsert(storage.NewDateDays(20101), storage.NewFloat(99.8))
-	if _, err := q.Run(); err != nil {
+	res, err = q.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if span := q.Trace().String(); !strings.Contains(span, "partition=refreshed (1 of 1 clusters)") {
-		t.Errorf("execute span after an insert:\n%s", span)
+	ev := db.RecentEvents()[0]
+	if want := "refreshed (1 of 1 clusters)"; ev.Partition != want || res.PartitionOutcome() != want || ev.PartitionCached {
+		t.Errorf("after an insert: event partition %q (cached=%v), result %q, want %q",
+			ev.Partition, ev.PartitionCached, res.PartitionOutcome(), want)
 	}
 }
 

@@ -82,17 +82,16 @@ type DB struct {
 	metrics *dbMetrics
 
 	// Statement introspection (introspect.go): per-statement stats keyed
-	// like the plan cache, the retained slow-query log, and sampled
-	// lifecycle traces. traceSampleRate is the 1-in-N per-statement
-	// sampling knob (0 = off).
-	stmts           *obs.StmtStore
-	slow            *slowLog
-	traces          *traceStore
-	traceSampleRate atomic.Int64
+	// like the plan cache, and the retained slow-query log.
+	stmts *obs.StmtStore
+	slow  *slowLog
 
-	slowMu        sync.Mutex
-	slowThreshold time.Duration
-	slowFn        func(SlowQueryInfo)
+	// slowNs is the slow-query threshold in nanoseconds (0 = off), read by
+	// every execution; slowMu guards the hook, fetched only by a run that
+	// is over the threshold.
+	slowNs atomic.Int64
+	slowMu sync.Mutex
+	slowFn func(obs.Event)
 
 	// flight is the query flight recorder (flight.go): the active-query
 	// registry behind /debug/queries and remote kill, plus the wide-event
@@ -118,7 +117,6 @@ func New() *DB {
 		metrics:    newDBMetrics(),
 		stmts:      obs.NewStmtStore(defaultStatementCapacity),
 		slow:       newSlowLog(defaultSlowLogCapacity),
-		traces:     newTraceStore(defaultTraceCapacity),
 	}
 	db.plans = newPlanCache(defaultPlanCacheCapacity, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()
@@ -482,9 +480,10 @@ type Plan struct {
 	// catalogVersion is the DB catalog version the plan was compiled
 	// under; the plan cache revalidates it on every hit.
 	catalogVersion uint64
-	// compileSpans are the finished compile-phase trace spans, replayed
-	// into the trace of every query the plan serves from cache.
-	compileSpans []*obs.Span
+	// trace holds the compile-phase spans (parse … kernel), recorded once
+	// when the plan was compiled and read-only since: every Query the plan
+	// serves shares it.
+	trace *obs.Trace
 
 	// streamTables are the continuous-query shift/next tables, computed
 	// on first OpenStream and shared by all streams over this plan.
@@ -503,14 +502,13 @@ func (p *Plan) streamTabs() *core.Tables {
 	return p.streamTables
 }
 
-// Query is a prepared SQL-TS statement: an immutable shared Plan plus
-// this handle's per-run state (lifecycle trace, search-path buffer).
-// A Query is safe for concurrent RunWith calls except with
-// RunOptions.Trace set.
+// Query is a prepared SQL-TS statement: a handle on an immutable shared
+// Plan. Runs leave nothing behind in it — what an execution did is its
+// obs.Event — except the search path of a RunOptions.Trace run, so a
+// Query is safe for concurrent RunWith calls except with Trace set.
 type Query struct {
 	db         *DB
 	plan       *Plan
-	trace      *obs.Trace
 	planCached bool
 
 	pathMu   sync.Mutex
@@ -525,16 +523,12 @@ type Query struct {
 func (db *DB) Prepare(sql string) (*Query, error) {
 	key := normalizeSQL(sql)
 	if p := db.lookupPlan(key); p != nil {
-		tr := obs.NewTrace()
-		tr.Start("plan-cache").Annotate("hit", true).End()
-		tr.Add(p.compileSpans...)
-		return &Query{db: db, plan: p, trace: tr, planCached: true}, nil
+		return &Query{db: db, plan: p, planCached: true}, nil
 	}
 	// Read the catalog version before compiling: if DDL lands mid-
 	// compile the plan is stamped stale and recompiled on next lookup.
 	catalog := db.catalog.Load()
 	tr := obs.NewTrace()
-	tr.Start("plan-cache").Annotate("hit", false).End()
 	sp := tr.Start("parse")
 	st, err := query.Parse(sql)
 	sp.End()
@@ -561,23 +555,9 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 	plan.explain = mode
 	plan.catalogVersion = catalog
 	plan.key = key
-	plan.compileSpans = compileSpansOf(tr)
+	plan.trace = tr
 	db.storePlan(key, plan)
-	return &Query{db: db, plan: plan, trace: tr}, nil
-}
-
-// compileSpansOf snapshots the compile-phase spans of a fresh compile,
-// dropping the plan-cache lookup span (each served query records its
-// own).
-func compileSpansOf(tr *obs.Trace) []*obs.Span {
-	spans := tr.Spans()
-	keep := spans[:0:0]
-	for _, sp := range spans {
-		if sp.Name != "plan-cache" {
-			keep = append(keep, sp)
-		}
-	}
-	return keep
+	return &Query{db: db, plan: plan}, nil
 }
 
 // compilePlan runs semantic analysis and the OPS compile-time
@@ -633,10 +613,12 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 	return plan, nil
 }
 
-// Trace returns the query's lifecycle trace: compile-phase spans
-// (replayed from the shared plan when it was served from cache, plus a
-// plan-cache lookup span) and one "execute" span per Run.
-func (q *Query) Trace() *obs.Trace { return q.trace }
+// Trace returns the compile-phase spans of the query's plan (parse,
+// analyze, matrices, shift/next, kernel), timed when the plan was
+// compiled. The trace belongs to the shared Plan and is read-only: a
+// cache-hit Prepare returns the same one, and running the query adds
+// nothing to it — an execution's record is its obs.Event.
+func (q *Query) Trace() *obs.Trace { return q.plan.trace }
 
 // PlanCached reports whether this Query was served a cached plan.
 func (q *Query) PlanCached() bool { return q.planCached }
@@ -774,7 +756,8 @@ func (q *Query) RunWith(opts RunOptions) (*Result, error) {
 		res.planCached = q.planCached
 		return res, nil
 	}
-	return q.runMeasured(opts)
+	res, _, err := q.runMeasured(opts)
+	return res, err
 }
 
 // admitContained runs the admission gate inside its own containment
@@ -791,11 +774,11 @@ func (q *Query) admitContained(ctx context.Context) (release func(), wait time.D
 }
 
 // runMeasured executes the query through the full lifecycle — deadline
-// setup, admission, cooperative execution — records the execution span,
-// feeds the metrics registry and fires the slow-query hook. Failures of
-// every class (cancellation, deadline, budget, contained panic,
-// admission rejection, plain errors) are accounted by failRun.
-func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
+// setup, admission, cooperative execution — and builds the execution's
+// one record, its obs.Event, whatever the outcome (success, cancellation,
+// deadline, budget, contained panic, admission rejection, plain error).
+// DB.observe feeds every view from that value.
+func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	ctx := opts.Context
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -807,8 +790,8 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
 	// flight, so an operator kill interrupts even a blocked admission
 	// wait; context-free runs observe the kill flag at their cooperative
 	// checkpoints instead.
-	start := time.Now()
-	fl := q.db.registerFlight(q.plan.key, q.effectiveExecutor(opts).String(), int64(q.plan.revision), obs.PhaseQueued)
+	executor := q.effectiveExecutor(opts).String()
+	fl := q.db.registerFlight(q.plan.key, executor, int64(q.plan.revision), obs.PhaseQueued)
 	if fl != nil {
 		defer q.db.deregisterFlight(fl)
 		if ctx != nil {
@@ -821,54 +804,69 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
 	rc := newRunControl(ctx, opts, fl)
 	// Entry checkpoint: an already-expired context fails deterministically
 	// before any work (or queueing) happens.
-	if err := rc.check(); err != nil {
-		q.db.failRun(q, opts, fl, err, time.Since(start), 0)
-		return nil, err
-	}
-	// The admission gate (and its trace span) is taken only when a bound
-	// is configured or the sqlts.admission fault point is armed: an
-	// unlimited DB pays one atomic load per run, not a span allocation.
+	err := rc.check()
+	// The admission gate is taken only when a bound is configured or the
+	// sqlts.admission fault point is armed: an unlimited DB pays one atomic
+	// load per run.
 	var admWait time.Duration
-	if q.db.admit.on.Load() || fault.Active() {
-		sp := q.trace.Start("admission")
-		release, wait, err := q.admitContained(ctx)
-		sp.Annotate("wait", wait.Round(time.Microsecond).String()).End()
-		admWait = wait
-		if err != nil {
+	if err == nil && (q.db.admit.on.Load() || fault.Active()) {
+		var release func()
+		release, admWait, err = q.admitContained(ctx)
+		if err == nil {
+			defer release()
+		} else if kerr := fl.KillErr(); kerr != nil && errors.Is(err, ErrCanceled) {
 			// A kill during the queue wait surfaces as the context
 			// cancellation the flight's cancel fired; re-check the kill flag
 			// so the typed ErrKilled wins.
-			if kerr := fl.KillErr(); kerr != nil && errors.Is(err, ErrCanceled) {
-				err = kerr
-			}
-			q.db.failRun(q, opts, fl, err, time.Since(start), admWait)
-			return nil, err
+			err = kerr
 		}
-		defer release()
 	}
-
-	fl.SetPhase(obs.PhaseRunning)
-	sp := q.trace.Start("execute")
-	res, scanned, err := q.execute(rc, opts)
+	// The run's duration is the time after admission, failed or not.
+	admitted := time.Now()
+	var (
+		res     *Result
+		scanned int
+	)
+	if err == nil {
+		fl.SetPhase(obs.PhaseRunning)
+		res, scanned, err = q.execute(rc, opts)
+	}
+	now := time.Now()
+	dur := now.Sub(admitted).Nanoseconds()
+	slowNs := q.db.slowNs.Load()
+	ev := obs.Event{
+		Time:            now,
+		QueryID:         fl.ID(),
+		SQL:             q.plan.key,
+		Executor:        executor,
+		DurationNs:      dur,
+		AdmissionWaitNs: admWait.Nanoseconds(),
+		PlanCached:      q.planCached,
+		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
+		PlanRevision:    int64(q.plan.revision),
+		Slow:            slowNs > 0 && dur >= slowNs,
+	}
 	if err != nil {
-		sp.End()
-		q.db.failRun(q, opts, fl, err, time.Since(start), admWait)
-		return nil, err
+		ev.Error = err.Error()
+		ev.ErrorKind = classifyError(err).String()
+	} else {
+		res.planCached = q.planCached
+		ev.Rows = int64(len(res.Rows))
+		ev.RowsScanned = int64(scanned)
+		ev.Clusters = int64(len(res.clusterStats))
+		ev.PredEvals = res.Stats.PredEvals
+		ev.Rollbacks = res.Stats.Rollbacks
+		ev.Matches = int64(res.Stats.Matches)
+		ev.PartitionCached = res.partition.cached
+		ev.Partition = res.partition.String()
+		ev.Vectorized = res.vectorized
+		ev.Shards = res.shardCount
 	}
-	res.planCached = q.planCached
-	sp.Annotate("executor", q.effectiveExecutor(opts).String()).
-		Annotate("clusters", len(res.clusterStats)).
-		Annotate("rows-scanned", scanned).
-		Annotate("rows", len(res.Rows)).
-		Annotate("plan", cachedWord(q.planCached)).
-		Annotate("partition", res.partition.String()).
-		Annotate("stats", res.Stats.String()).
-		End()
-	q.db.observeRun(q, opts, fl, res, scanned, sp.Duration, admWait)
-	return res, nil
+	q.db.observe(q, opts, &ev, res, err)
+	return res, ev, err
 }
 
-// cachedWord renders a cache outcome for spans and EXPLAIN ANALYZE. A
+// cachedWord renders a cache outcome for events and EXPLAIN ANALYZE. A
 // partition has a third outcome, "refreshed": see partitionOutcome.String.
 func cachedWord(hit bool) string {
 	if hit {
@@ -877,7 +875,7 @@ func cachedWord(hit bool) string {
 	return "built"
 }
 
-// execute is the raw execution path: no tracing, no metrics. EXPLAIN
+// execute is the raw execution path: no event, no metrics. EXPLAIN
 // ANALYZE uses it directly for the naive-comparison run so diagnostics
 // don't inflate the serving counters. It is also a panic-containment
 // boundary (see Query.recovered) for everything around the cluster
