@@ -7,11 +7,13 @@ package sqlts
 // out in cluster order, bit-identical to a one-worker run.
 
 import (
+	"encoding/binary"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"sqlts/internal/engine"
+	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
@@ -89,15 +91,71 @@ func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage
 			return err
 		}
 	}
-	res.clusterStats = make([]ClusterStat, 0, n)
 	for i := range frags {
 		f := &frags[i]
 		res.Stats.Add(f.Stats)
-		res.clusterStats = append(res.clusterStats, f.clusterStats...)
+		res.clusters += f.clusters
+		res.clusterLog = append(res.clusterLog, f.clusterLog...)
 		res.Matches = append(res.Matches, f.Matches...)
 		res.Rows = append(res.Rows, f.Rows...)
 	}
 	return nil
+}
+
+// flightFlushRows is how many searched rows a worker lets its progress
+// ticks trail by: the flight's clusters, rows and matches are flushed once
+// that many rows have gone unreported and at chunk end, so on many small
+// clusters the shared counters are not written once per cluster.
+const flightFlushRows = 256
+
+// progress is one worker's unflushed flight ticks.
+type progress struct {
+	fl                      *obs.Flight
+	clusters, rows, matches int64
+}
+
+func (p *progress) flush() {
+	if p.clusters == 0 {
+		return
+	}
+	p.fl.TickClusters(p.clusters)
+	p.fl.TickRows(p.rows)
+	p.fl.TickMatches(p.matches)
+	p.clusters, p.rows, p.matches = 0, 0, 0
+}
+
+// appendClusterStat records one searched cluster in a Result's cluster
+// log: its row count and counters as four uvarints — about four bytes for
+// a ten-row cluster, and nothing for the collector to scan. The cluster's
+// index is its position in the log.
+func appendClusterStat(log []byte, rows int, s engine.Stats) []byte {
+	log = binary.AppendUvarint(log, uint64(rows))
+	log = binary.AppendUvarint(log, uint64(s.PredEvals))
+	log = binary.AppendUvarint(log, uint64(s.Rollbacks))
+	return binary.AppendUvarint(log, uint64(s.Matches))
+}
+
+// ClusterStats returns the per-cluster execution breakdown, in cluster
+// order, whatever the worker count; summing the entries' Stats
+// reproduces Result.Stats. The slice is built from the run's compact log
+// on every call.
+func (r *Result) ClusterStats() []ClusterStat {
+	if r.clusters == 0 {
+		return nil
+	}
+	out := make([]ClusterStat, r.clusters)
+	log := r.clusterLog
+	next := func() uint64 {
+		v, n := binary.Uvarint(log)
+		log = log[n:]
+		return v
+	}
+	for i := range out {
+		out[i] = ClusterStat{Cluster: i, Rows: int(next()), Stats: engine.Stats{
+			PredEvals: int64(next()), Rollbacks: int64(next()), Matches: int(next()),
+		}}
+	}
+	return out
 }
 
 // searchChunk searches clusters[lo:hi] with one executor of its own and
@@ -124,8 +182,13 @@ func (q *Query) searchChunk(rc *runControl, out *Result, clusters [][]storage.Ro
 		ex.SetVectorized(true)
 	}
 	compiled := q.plan.compiled
-	fl := rc.flightRef()
-	out.clusterStats = make([]ClusterStat, 0, hi-lo)
+	width := len(compiled.OutNames)
+	var values engine.Block[storage.Value] // the chunk's output rows are carved from it
+	ticks := progress{fl: rc.flightRef()}
+	defer ticks.flush() // also on the way out of a failed cluster
+	// A ten-row cluster's entry is four bytes; the slack is a lone long
+	// cluster's.
+	out.clusterLog = make([]byte, 0, 4*(hi-lo)+8)
 	for ci := lo; ci < hi; ci++ {
 		if ferr := faultExecCluster.Fire(); ferr != nil {
 			return ferr
@@ -142,11 +205,15 @@ func (q *Query) searchChunk(rc *runControl, out *Result, clusters [][]storage.Ro
 		}
 		ms, stats := ex.FindAll(seq)
 		out.Stats.Add(stats)
-		out.clusterStats = append(out.clusterStats, ClusterStat{Cluster: ci, Rows: len(seq), Stats: stats})
-		if fl != nil {
-			fl.TickClusters(1)
-			fl.TickRows(int64(len(seq)))
-			fl.TickMatches(int64(stats.Matches))
+		out.clusters++
+		out.clusterLog = appendClusterStat(out.clusterLog, len(seq), stats)
+		if ticks.fl != nil {
+			ticks.clusters++
+			ticks.rows += int64(len(seq))
+			ticks.matches += int64(stats.Matches)
+			if ticks.rows >= flightFlushRows {
+				ticks.flush()
+			}
 		}
 		if opts.Trace {
 			q.pathMu.Lock()
@@ -157,7 +224,7 @@ func (q *Query) searchChunk(rc *runControl, out *Result, clusters [][]storage.Ro
 			out.Matches = append(out.Matches, ClusterMatches{Cluster: ci, Matches: ms})
 		}
 		for _, m := range ms {
-			row, serr := compiled.EvalSelect(seq, m.Spans)
+			row, serr := compiled.EvalSelectInto(values.Take(width), seq, m.Spans)
 			if serr != nil {
 				return serr
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,5 +198,75 @@ func TestDriverFailureOrder(t *testing.T) {
 				t.Fatalf("run after the failure: %v", err)
 			}
 		})
+	}
+}
+
+// TestManyClusterRunAllocsFlat: what a warm run allocates does not grow
+// with its cluster count. Ten times the clusters around the same four
+// planted matches — per-cluster stats, flight ticks, executor set-up and
+// result rows all come from per-chunk blocks — cost at most four objects
+// more.
+func TestManyClusterRunAllocsFlat(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	warmAllocs := func(clusters int) float64 {
+		db := New()
+		db.RegisterTable(workload.ClusterWalks("quote", 1, clusters, 8, clusters/4))
+		if err := db.DeclarePositive("quote", "price"); err != nil {
+			t.Fatal(err)
+		}
+		sql := strings.Replace(doubleBottomSQL, "FROM djia", "FROM quote CLUSTER BY name", 1)
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.ClusterStats()) != clusters || res.Stats.Matches != 4 {
+			t.Fatalf("%d clusters searched, %d matches; want %d and 4", len(res.ClusterStats()), res.Stats.Matches, clusters)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := warmAllocs(200), warmAllocs(2000)
+	if many > few+4 {
+		t.Errorf("a warm run over 2,000 clusters allocates %.0f objects, over 200 clusters %.0f: want within 4", many, few)
+	}
+}
+
+// TestFigure5RunAllocs pins the smallest warm op, the paper's Example 4
+// over its fifteen-row Figure 5 series through db.Query (21 predicate
+// evaluations, no match): the per-chunk blocks are sized from what the
+// first match needs, so a run that finds none pays for none.
+func TestFigure5RunAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	db := New()
+	db.RegisterTable(workload.SeriesTable("fig5", 10957, []float64{55, 50, 45, 57, 54, 50, 47, 49, 45, 42, 55, 57, 59, 60, 57}))
+	const sql = `
+		SELECT X.date AS start_date, T.price AS end_price
+		FROM fig5 SEQUENCE BY date AS (X, Y, Z, T)
+		WHERE X.price < X.previous.price
+		  AND Y.price < Y.previous.price AND Y.price > 40 AND Y.price < 50
+		  AND Z.price > Z.previous.price AND Z.price < 52
+		  AND T.price > T.previous.price`
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PredEvals != 21 {
+		t.Fatalf("Figure 5: %v; want 21 pred-evals", res.Stats)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := db.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 15 {
+		t.Errorf("warm Figure 5 db.Query allocates %.1f objects, want at most 15", allocs)
+	} else {
+		t.Logf("warm Figure 5 db.Query: %.1f objects", allocs)
 	}
 }

@@ -1,7 +1,9 @@
 package sqlts
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,13 +80,39 @@ func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "Executor %s: %s (%d result rows)\n", ev.Executor, stats, ev.Rows)
-	if cs := res.ClusterStats(); len(cs) > 1 {
-		b.WriteString("Clusters:\n")
-		for _, c := range cs {
-			fmt.Fprintf(&b, "  cluster %d: rows=%d %s\n", c.Cluster, c.Rows, c.Stats)
-		}
-	}
+	writeClusterTable(&b, res.ClusterStats())
 	return b.String()
+}
+
+// clusterTableRows bounds EXPLAIN ANALYZE's per-cluster table — and with it
+// the report a slow-log record retains — whatever the cluster count.
+const clusterTableRows = 10
+
+// writeClusterTable renders the per-cluster breakdown: every cluster in
+// cluster order when they fit the table, otherwise the heaviest by
+// predicate evaluations under one line of distribution.
+func writeClusterTable(b *strings.Builder, cs []ClusterStat) {
+	if len(cs) < 2 {
+		return
+	}
+	b.WriteString("Clusters:\n")
+	if len(cs) > clusterTableRows {
+		rows := make([]int64, len(cs))
+		evals := make([]int64, len(cs))
+		for i, c := range cs {
+			rows[i], evals[i] = int64(c.Rows), c.Stats.PredEvals
+		}
+		slices.Sort(rows)
+		slices.Sort(evals)
+		mid, last := len(cs)/2, len(cs)-1
+		fmt.Fprintf(b, "  %d clusters: rows min/median/max %d/%d/%d, PredEvals min/median/max %d/%d/%d; the %d heaviest:\n",
+			len(cs), rows[0], rows[mid], rows[last], evals[0], evals[mid], evals[last], clusterTableRows)
+		slices.SortStableFunc(cs, func(x, y ClusterStat) int { return cmp.Compare(y.Stats.PredEvals, x.Stats.PredEvals) })
+		cs = cs[:clusterTableRows]
+	}
+	for _, c := range cs {
+		fmt.Fprintf(b, "  cluster %d: rows=%d %s\n", c.Cluster, c.Rows, c.Stats)
+	}
 }
 
 func (q *Query) explainAnalyzeText(opts RunOptions) (string, engine.Stats, error) {

@@ -1,6 +1,7 @@
 package sqlts
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"sqlts/internal/obs"
 	"sqlts/internal/storage"
+	"sqlts/internal/workload"
 )
 
 // djiaDoubleBottomDB builds the hand-crafted series of
@@ -284,5 +286,48 @@ func TestSlowQueryHook(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "sqlts_slow_queries_total 1") {
 		t.Error("slow query counter wrong")
+	}
+}
+
+// TestExplainAnalyzeClusterTableBounded: the per-cluster table of EXPLAIN
+// ANALYZE — which every slow-log record of the run retains — does not
+// grow with the cluster count. Over 2,000 clusters the report stays under
+// 4 KB: one line of distribution and the ten heaviest clusters, the
+// heaviest of all among them.
+func TestExplainAnalyzeClusterTableBounded(t *testing.T) {
+	db := New()
+	db.RegisterTable(workload.ClusterWalks("quote", 3, 2000, 8, 50))
+	q, err := db.Prepare(driverSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := q.ExplainAnalyze(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(text) >= 4<<10 {
+		t.Errorf("EXPLAIN ANALYZE over 2,000 clusters is %d bytes, want under 4 KB:\n%s", len(text), text)
+	}
+	res, err := q.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := res.ClusterStats()
+	heaviest := cs[0]
+	for _, c := range cs {
+		if c.Stats.PredEvals > heaviest.Stats.PredEvals {
+			heaviest = c
+		}
+	}
+	for _, want := range []string{
+		"2000 clusters: rows min/median/max 8/8/24",
+		fmt.Sprintf("  cluster %d: rows=%d %s\n", heaviest.Cluster, heaviest.Rows, heaviest.Stats),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "\n  cluster "); n != clusterTableRows {
+		t.Errorf("cluster table has %d rows, want %d", n, clusterTableRows)
 	}
 }

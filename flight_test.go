@@ -372,3 +372,77 @@ func TestFlightRaceKill(t *testing.T) {
 		t.Errorf("registry holds %d flights after the storm", n)
 	}
 }
+
+// TestFlightProgressSmallClusters: on clusters far smaller than the tick
+// flush (1,000 of four rows against flightFlushRows) the live progress is
+// batched, not lost. At every cluster boundary the snapshot is monotone,
+// never ahead of the clusters actually finished, never more than the
+// flush threshold of rows behind them, and exact once the run is over —
+// also when the run fails mid-chunk and unwinds.
+func TestFlightProgressSmallClusters(t *testing.T) {
+	defer fault.Reset()
+	const clusters, rows = 1000, 4
+	db := New()
+	db.RegisterTable(workload.ClusterWalks("quote", 9, clusters, rows, 0))
+	q, err := db.Prepare(driverSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("injected at a cluster boundary")
+	for _, failAt := range []int{-1, 0, 1, 613} {
+		var fl *obs.Flight
+		var snaps []obs.FlightSnapshot
+		if err := fault.Arm("sqlts.execute.cluster", fault.Action{Fn: func() error {
+			if fl == nil {
+				for _, s := range db.ActiveQueries() {
+					fl = db.flight.flights.Get(s.ID)
+				}
+			}
+			snaps = append(snaps, fl.Snapshot())
+			if len(snaps)-1 == failAt {
+				return boom
+			}
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := q.RunWith(RunOptions{})
+		fault.Reset()
+		done := clusters // clusters finished when the run ended
+		if failAt >= 0 {
+			done = failAt
+			if !errors.Is(err, boom) {
+				t.Fatalf("fail at %d: run returned %v", failAt, err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != min(done+1, clusters) {
+			t.Fatalf("fail at %d: observed %d cluster boundaries", failAt, len(snaps))
+		}
+		for i, s := range snaps {
+			// The boundary before cluster i: exactly i clusters are finished.
+			if s.ClustersDone > int64(i) || s.RowsScanned > int64(i*rows) {
+				t.Fatalf("boundary %d: progress %d clusters, %d rows is ahead of the truth", i, s.ClustersDone, s.RowsScanned)
+			}
+			if behind := int64(i*rows) - s.RowsScanned; behind >= flightFlushRows {
+				t.Fatalf("boundary %d: rows_scanned %d trails by %d rows, flush threshold %d", i, s.RowsScanned, behind, flightFlushRows)
+			}
+			if s.RowsScanned != s.ClustersDone*rows {
+				t.Fatalf("boundary %d: %d clusters but %d rows ticked", i, s.ClustersDone, s.RowsScanned)
+			}
+			if i > 0 && (s.ClustersDone < snaps[i-1].ClustersDone || s.Matches < snaps[i-1].Matches) {
+				t.Fatalf("boundary %d: progress went backwards", i)
+			}
+		}
+		final := fl.Snapshot()
+		if final.ClustersDone != int64(done) || final.RowsScanned != int64(done*rows) || final.ClustersTotal != clusters {
+			t.Errorf("fail at %d: final progress %d/%d clusters, %d rows; want %d clusters, %d rows",
+				failAt, final.ClustersDone, final.ClustersTotal, final.RowsScanned, done, done*rows)
+		}
+	}
+	if len(db.ActiveQueries()) != 0 {
+		t.Error("registry not drained after the runs")
+	}
+}

@@ -143,7 +143,8 @@ type PathPoint struct {
 // Executor searches a sequence for all pattern occurrences.
 type Executor interface {
 	// FindAll returns all matches in seq under the executor's policy,
-	// along with the search statistics. With an interrupt installed
+	// along with the search statistics. The matches stay valid after later
+	// searches on the same executor. With an interrupt installed
 	// (SetInterrupt), FindAll panics an Interrupt when a checkpoint
 	// reports an error — callers that install one must recover it.
 	FindAll(seq []storage.Row) ([]Match, Stats)
@@ -192,15 +193,24 @@ type evaluator struct {
 	// mask alone decides its probes, so OPS may run its pure-mask star
 	// loop (findAllStarPure).
 	allPure bool
-	// pure[j] is element j's mask when a bit test alone answers the probe
-	// (vectorized, no cross conditions); nil sends the probe through the
-	// kernel's masked dispatch. Rebuilt by reset, reusing the backing
-	// array.
-	pure  [][]uint64
-	stats Stats
-	trace []PathPoint
-	doTrc bool
-	ctx   pattern.EvalContext
+	// pureSlots is the kernel's static table: element j's slot in a mask
+	// set's slab when a bit test alone answers the probe (vectorized, no
+	// cross conditions), -1 when the probe goes through the kernel's masked
+	// dispatch. slab and words are the current masks' (MaskSet.Words): slot
+	// s is slab[s*words:(s+1)*words].
+	pureSlots []int32
+	slab      []uint64
+	words     int
+	// matches and spans are what FindAll reports into: blocks that are
+	// never overwritten (see Block; report keeps one search's matches
+	// contiguous), so a Match stays valid after later searches and a run of
+	// searches allocates per block, not per match.
+	matches []Match
+	spans   Block[pattern.Span]
+	stats   Stats
+	trace   []PathPoint
+	doTrc   bool
+	ctx     pattern.EvalContext
 	// check is the cooperative cancellation checkpoint, consulted every
 	// checkpointMask+1 predicate evaluations; nil when no cancellation
 	// is configured (the default, so uncancellable runs pay only the
@@ -222,7 +232,7 @@ func (e *evaluator) UseKernel(k *pattern.Kernel) {
 		e.masks, e.ownMasks, e.nextMasks = nil, nil, nil
 		return
 	}
-	e.kern = k
+	e.kern, e.pureSlots = k, k.PureSlots()
 }
 
 // SetVectorized enables mask-based probing for subsequent searches: each
@@ -284,9 +294,9 @@ func (e *evaluator) eval(j, i int) bool {
 	e.ctx.Pos = i - 1
 	if e.kern != nil {
 		if e.masks != nil {
-			if mk := e.pure[j-1]; mk != nil {
+			if s := e.pureSlots[j-1]; s >= 0 {
 				r := uint(i - 1)
-				return mk[r>>6]>>(r&63)&1 != 0
+				return e.slab[int(s)*e.words+int(r>>6)]>>(r&63)&1 != 0
 			}
 			return e.kern.EvalElemMasked(j-1, e.proj, e.masks, &e.ctx)
 		}
@@ -295,66 +305,59 @@ func (e *evaluator) eval(j, i int) bool {
 	return e.p.EvalElem(j-1, &e.ctx)
 }
 
-// reset prepares for a new sequence, projecting it once when a kernel is
-// attached (the projection buffers are reused across sequences) and, in
-// vectorized mode, building or adopting the selection bitmasks.
+// reset prepares for a new sequence: in vectorized mode it adopts or
+// builds the selection bitmasks, and it projects the sequence (the
+// projection buffers are reused across sequences) unless nothing will read
+// the projection — supplied masks of a kernel whose every element they
+// answer. Bindings are left as the last search left them: the loops that
+// read them clear them.
 func (e *evaluator) reset(seq []storage.Row) {
 	e.ctx.Seq = seq
 	e.masks, e.fastSkip, e.allPure = nil, false, false
-	if e.kern != nil {
-		if e.nextProj != nil && e.nextProj.Len() == len(seq) {
-			e.proj = e.nextProj
-		} else {
-			if e.ownProj == nil {
-				e.ownProj = e.kern.NewProjection()
-			}
-			e.ownProj.SetRows(seq)
-			e.proj = e.ownProj
-		}
-		e.nextProj = nil
-		if e.vec && e.kern.VecElems() > 0 {
-			if e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
-				e.masks = e.nextMasks
-			} else {
-				e.ownMasks = e.kern.BuildMasks(e.proj, e.ownMasks)
-				e.masks = e.ownMasks
-			}
-			// Hoist the per-element pure-bit-test decision out of eval's
-			// hot path.
-			m := e.p.Len()
-			if cap(e.pure) < m {
-				e.pure = make([][]uint64, m)
-			}
-			e.pure = e.pure[:m]
-			allPure := true
-			for j := 0; j < m; j++ {
-				if mk := e.masks.Elem(j); mk != nil && !e.kern.ElemHasCross(j) {
-					e.pure[j] = mk
-				} else {
-					e.pure[j] = nil
-					allPure = false
-				}
-			}
-			// Probes a mask alone decides can be answered in bulk when
-			// nothing needs to observe each one individually: path tracing
-			// records per-probe points, and fault injection ties its
-			// determinism to the exact eval cadence. Element 1's mask
-			// covers the failed starts; all of them cover the whole search.
-			bulk := !e.doTrc && !fault.Active()
-			e.fastSkip = bulk && e.pure[0] != nil
-			e.allPure = bulk && allPure
-		}
+	if e.kern == nil {
+		e.nextProj, e.nextMasks = nil, nil
+		return
 	}
-	e.nextMasks = nil
-	for k := range e.ctx.Bind {
-		e.ctx.Bind[k] = pattern.Span{}
+	vec := e.vec && e.kern.VecElems() > 0
+	if vec && e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
+		e.masks = e.nextMasks
 	}
+	switch {
+	case e.masks != nil && e.kern.AllPure():
+		e.proj = nil // the supplied masks answer every probe
+	case e.nextProj != nil && e.nextProj.Len() == len(seq):
+		e.proj = e.nextProj
+	default:
+		if e.ownProj == nil {
+			e.ownProj = e.kern.NewProjection()
+		}
+		e.ownProj.SetRows(seq)
+		e.proj = e.ownProj
+	}
+	e.nextProj, e.nextMasks = nil, nil
+	if !vec {
+		return
+	}
+	if e.masks == nil {
+		e.ownMasks = e.kern.BuildMasks(e.proj, e.ownMasks)
+		e.masks = e.ownMasks
+	}
+	e.slab, e.words = e.masks.Words()
+	// Probes a mask alone decides can be answered in bulk when nothing
+	// needs to observe each one individually: path tracing records
+	// per-probe points, and fault injection ties its determinism to the
+	// exact eval cadence. Element 1's mask covers the failed starts; all of
+	// them cover the whole search.
+	bulk := !e.doTrc && !fault.Active()
+	e.fastSkip = bulk && e.pureSlots[0] >= 0
+	e.allPure = bulk && e.kern.AllPure()
 }
 
 // nextCandidate returns the first 1-based position ≥ i whose element-1
 // mask bit is set, or nn+1 when none remains. Only valid under fastSkip.
 func (e *evaluator) nextCandidate(i, nn int) int {
-	c := storage.MaskNextSet(e.masks.Elem(0), i-1)
+	first := int(e.pureSlots[0]) * e.words
+	c := storage.MaskNextSet(e.slab[first:first+e.words], i-1)
 	if c < 0 || c >= nn {
 		return nn + 1
 	}
@@ -396,15 +399,51 @@ func (e *evaluator) checkpoints(evals, k int64) {
 	}
 }
 
-func (e *evaluator) clearBinds() {
-	for k := range e.ctx.Bind {
-		e.ctx.Bind[k] = pattern.Span{}
+// Block hands out slices carved from blocks that are never overwritten:
+// a block is only appended to, and when one lacks room the next starts —
+// twice the size, the first as large as the first request — while the old
+// one is left to the slices that point into it. What Take returned stays
+// valid for as long as it is referenced, and n requests cost O(log n)
+// allocations. The zero value is ready to use.
+type Block[T any] struct{ buf []T }
+
+// Take returns n zeroed elements of the block, capacity clipped.
+func (b *Block[T]) Take(n int) []T {
+	if cap(b.buf)-len(b.buf) < n {
+		b.buf = make([]T, 0, max(n, 2*cap(b.buf)))
 	}
+	at := len(b.buf)
+	b.buf = b.buf[:at+n]
+	return b.buf[at : at+n : at+n]
+}
+
+// report appends a match to the match block and returns where this
+// search's matches begin in it: from, unless the block was full — then the
+// search's matches so far move to a block of twice the size, and earlier
+// searches keep the old one.
+func (e *evaluator) report(from int, m Match) int {
+	if len(e.matches) == cap(e.matches) {
+		nb := make([]Match, len(e.matches)-from, max(1, 2*cap(e.matches)))
+		copy(nb, e.matches[from:])
+		e.matches, from = nb, 0
+	}
+	e.matches = append(e.matches, m)
+	return from
+}
+
+// reported returns the matches this search appended from from on, nil
+// when there are none; capacity is clipped, so appending to the result
+// cannot reach the block.
+func (e *evaluator) reported(from int) []Match {
+	if from == len(e.matches) {
+		return nil
+	}
+	return e.matches[from:len(e.matches):len(e.matches)]
 }
 
 // snapshotSpans copies the current bindings for a reported match.
 func (e *evaluator) snapshotSpans() []pattern.Span {
-	out := make([]pattern.Span, len(e.ctx.Bind))
+	out := e.spans.Take(len(e.ctx.Bind))
 	copy(out, e.ctx.Bind)
 	return out
 }
@@ -437,7 +476,7 @@ func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
 	n.reset(seq)
 	n.stats = Stats{}
 	n.trace = n.trace[:0]
-	var out []Match
+	from := len(n.matches)
 	nn := len(seq)
 	for start := 1; start <= nn; start++ {
 		if n.fastSkip {
@@ -457,18 +496,18 @@ func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
 			continue
 		}
 		n.stats.Matches++
-		out = append(out, Match{Start: start - 1, End: end - 1, Spans: n.snapshotSpans()})
+		from = n.report(from, Match{Start: start - 1, End: end - 1, Spans: n.snapshotSpans()})
 		if n.policy == SkipPastLastRow {
 			start = end // loop increment moves to end+1
 		}
 	}
-	return out, n.stats
+	return n.reported(from), n.stats
 }
 
 // matchAt attempts a greedy match beginning at 1-based position start,
 // returning the 1-based end position on success.
 func (n *Naive) matchAt(start, nn int) (int, bool) {
-	n.clearBinds()
+	clear(n.ctx.Bind)
 	i := start
 	m := n.p.Len()
 	for j := 1; j <= m; j++ {

@@ -472,3 +472,62 @@ func TestExecutorNames(t *testing.T) {
 		t.Error("policy names collide")
 	}
 }
+
+// TestMatchesOutliveLaterSearches: an executor reports into blocks it
+// never overwrites, so what one FindAll returned — the match slice and
+// every span slice in it — still reads the same after hundreds of later
+// searches on the same executor, and appending to a returned slice
+// reaches nothing another search reported. Each search is held against a
+// fresh executor's over the same sequence.
+func TestMatchesOutliveLaterSearches(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	b := pattern.NewBuilder(priceSchema())
+	plain, err := b.Elem("X", b.CmpPrev("price", constraint.Lt)).
+		Elem("Y", b.CmpPrev("price", constraint.Lt)).
+		Elem("Z", b.CmpPrev("price", constraint.Gt)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	star := example8(t, pattern.Options{})
+	pure := NewOPS(star, core.Compute(star), OPSConfig{}) // the pure-mask loop
+	pure.UseKernel(star.CompileKernel())
+	pure.SetVectorized(true)
+	executors := []struct {
+		reused Executor
+		fresh  func() Executor
+	}{
+		{pure, func() Executor { return NewNaive(star, SkipPastLastRow) }},
+		{NewOPS(star, core.Compute(star), OPSConfig{}), func() Executor { return NewOPS(star, core.Compute(star), OPSConfig{}) }},
+		{NewOPS(plain, core.Compute(plain), OPSConfig{Policy: SkipToNextRow}), func() Executor {
+			return NewOPS(plain, core.Compute(plain), OPSConfig{Policy: SkipToNextRow})
+		}},
+		{NewNaive(star, SkipPastLastRow), func() Executor { return NewNaive(star, SkipPastLastRow) }},
+	}
+	for _, ex := range executors {
+		var kept, want [][]Match
+		total := 0
+		for i := 0; i < 300; i++ {
+			seq := randSeq(r, r.Intn(60))
+			got, _ := ex.reused.FindAll(seq)
+			ref, _ := ex.fresh().FindAll(seq)
+			if !matchesEqual(got, ref) {
+				t.Fatalf("%s search %d: %s, a fresh executor finds %s", ex.reused.Name(), i, fmtMatches(got), fmtMatches(ref))
+			}
+			kept, want = append(kept, got), append(want, ref)
+			total += len(got)
+			_ = append(got, Match{Start: -1, End: -1}) // must not land in the block
+		}
+		if total < 300 {
+			t.Fatalf("%s: only %d matches over 300 searches", ex.reused.Name(), total)
+		}
+		if ex.reused == Executor(pure) && !pure.ranPure {
+			t.Fatal("the vectorized OPS executor did not take the pure-mask loop")
+		}
+		for i := range kept {
+			if !matchesEqual(kept[i], want[i]) {
+				t.Fatalf("%s: search %d's matches changed under later searches:\n%s\n%s",
+					ex.reused.Name(), i, fmtMatches(kept[i]), fmtMatches(want[i]))
+			}
+		}
+	}
+}

@@ -108,9 +108,10 @@ func (o *OPS) evalPlain(j, i int) bool {
 // under the skip policy. Indexes i (input) and j (pattern) are 1-based as
 // in the paper.
 func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
-	var out []Match
+	from := len(o.matches)
 	nn := len(seq)
 	m := o.p.Len()
+	clear(o.ctx.Bind) // evalPlain's cross conditions read them
 	i, j := 1, 1
 	for i <= nn && j <= m {
 		if j == 1 && o.fastSkip {
@@ -133,11 +134,11 @@ func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
 			}
 			// Success: t[i-m .. i-1] (1-based) matches.
 			start := i - m
-			spans := make([]pattern.Span, m)
+			spans := o.spans.Take(m)
 			for k := 0; k < m; k++ {
 				spans[k] = pattern.Span{Start: start + k - 1, End: start + k - 1, Set: true}
 			}
-			out = append(out, Match{Start: start - 1, End: i - 2, Spans: spans})
+			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: spans})
 			o.stats.Matches++
 			if o.cfg.Policy == SkipToNextRow {
 				i = start + 1
@@ -156,15 +157,15 @@ func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
 			j = 1
 		}
 	}
-	return out, o.stats
+	return o.reported(from), o.stats
 }
 
 // countSpans builds a match's per-element spans from the §5 counters:
 // element k covers tuples count[k-1] .. count[k]-1 of the match, whose
 // first tuple is start (1-based). Every element of a reported match has
 // consumed at least one tuple, so every span is set.
-func countSpans(count []int, start int) []pattern.Span {
-	spans := make([]pattern.Span, len(count)-1)
+func (o *OPS) countSpans(count []int, start int) []pattern.Span {
+	spans := o.spans.Take(len(count) - 1)
 	for k := range spans {
 		spans[k] = pattern.Span{Start: start - 1 + count[k], End: start - 2 + count[k+1], Set: true}
 	}
@@ -179,7 +180,7 @@ func countSpans(count []int, start int) []pattern.Span {
 // the ablation configs, path tracing and fault injection all run here,
 // and findAllStarPure is differenced against it.
 func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
-	var out []Match
+	from := len(o.matches)
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
@@ -191,8 +192,10 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 	count[0] = 0
 	// bind[k] is set only for elements the current attempt has entered
 	// (cross conditions read Set), so every exit from an attempt clears
-	// exactly the prefix that attempt set; reset left it all clear.
+	// exactly the prefix that attempt set. The last search may have ended
+	// inside one.
 	bind := o.ctx.Bind
+	clear(bind)
 
 	i, j, inElem := 1, 1, 0
 	for {
@@ -200,7 +203,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			// A match: every element is satisfied, or the input ran out
 			// inside a satisfied trailing star. Its spans are the counters.
 			start := i - count[m] // 1-based first tuple of the match
-			out = append(out, Match{Start: start - 1, End: i - 2, Spans: countSpans(count, start)})
+			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
 			o.stats.Matches++
 			if toNextRow {
 				i = start + 1
@@ -288,7 +291,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			j++
 		}
 	}
-	return out, o.stats
+	return o.reported(from), o.stats
 }
 
 // findAllStarPure is findAllStar specialised to the case FindAll selects
@@ -302,12 +305,12 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 // on it, and the checkpoint fires once per 1024-eval boundary crossed,
 // so Stats and cancellation latency are identical to findAllStar's.
 func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
-	var out []Match
+	from := len(o.matches)
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
 	toNextRow := o.cfg.Policy == SkipToNextRow
-	pure := o.pure
+	slab, words, slots := o.slab, o.words, o.pureSlots
 	count := o.count
 	count[0] = 0
 	var evals, rollbacks int64
@@ -317,7 +320,7 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 	for {
 		if j > m || (i > nn && j == m && inElem > 0) {
 			start := i - count[m]
-			out = append(out, Match{Start: start - 1, End: i - 2, Spans: countSpans(count, start)})
+			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
 			matches++
 			if toNextRow {
 				i = start + 1
@@ -328,9 +331,9 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 		if i > nn {
 			break
 		}
-		mk := pure[j-1]
+		mk := int(slots[j-1]) * words // where element j's mask begins
 		evals = o.addEvals(evals, 1)
-		if r := uint(i - 1); mk[r>>6]>>(r&63)&1 != 0 {
+		if r := uint(i - 1); slab[mk+int(r>>6)]>>(r&63)&1 != 0 {
 			if !star[j] {
 				count[j] = count[j-1] + 1
 				i++
@@ -340,7 +343,7 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 			// Consume the star's whole run of set bits. The clear bit (or
 			// end of input) that ends it is left to the next iteration,
 			// which pays the failing probe like any other.
-			end := storage.MaskNextClear(mk, i, nn) // 0-based, so i is the next row
+			end := storage.MaskNextClear(slab[mk:mk+words], i, nn) // 0-based, so i is the next row
 			evals = o.addEvals(evals, int64(end-i))
 			inElem = end - i + 1
 			count[j] = count[j-1] + inElem
@@ -377,5 +380,5 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 		j = nx
 	}
 	o.stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
-	return out, o.stats
+	return o.reported(from), o.stats
 }

@@ -12,6 +12,8 @@
 package pattern
 
 import (
+	"slices"
+
 	"sqlts/internal/constraint"
 	"sqlts/internal/storage"
 )
@@ -46,10 +48,19 @@ type Kernel struct {
 	compiled int
 	fallback int
 	vecCnt   int
-	// What one MaskSet of this kernel holds beyond a mask per distinct
-	// condition: masks of elements that combine several (or none), and
-	// disjunction scratch masks.
-	vecOwn, vecScratch int
+	// vecScratch is how many scratch masks a build needs (two when some
+	// condition is a disjunction).
+	vecScratch int
+
+	// The layout of a MaskSet, fixed at compilation (layoutMasks): slots
+	// masks in all; elemSlot[j] is element j's (-1: not vectorized) and
+	// pureSlot[j] the same when the mask alone answers the element (-1: a
+	// probe needs more); nullSlot[c] is schema column c's null mask (-1:
+	// not projected). allPure: no pureSlot is -1.
+	slots              int
+	elemSlot, pureSlot []int32
+	nullSlot           []int32
+	allPure            bool
 }
 
 // CompileKernel builds the kernel program for the pattern. It never
@@ -93,6 +104,12 @@ func (p *Pattern) CompileKernel() *Kernel {
 			k.nullCols = append(k.nullCols, c)
 		}
 	}
+	// Map order is not an order: kernels over the same columns list them
+	// alike, which is what lets them share scratch projections.
+	slices.Sort(k.numCols)
+	slices.Sort(k.strCols)
+	slices.Sort(k.nullCols)
+	k.layoutMasks()
 	return k
 }
 

@@ -36,6 +36,7 @@ package pattern
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"sqlts/internal/constraint"
 	"sqlts/internal/storage"
@@ -77,20 +78,17 @@ type vecElem struct {
 	same int
 }
 
-// MaskSet holds the per-element selection bitmasks of one projected
-// sequence. Like a Projection it covers one cluster, is immutable to
-// executors (they only read it), and retains its buffers across rebuilds.
-// Elements may share a mask, with each other or with a condition.
+// MaskSet holds the selection bitmasks of one projected sequence: one
+// cluster's. It is immutable to executors (they only read it). What it
+// holds is one slab of the kernel's slot count of masks, each
+// storage.MaskWords(rows) words long, slot after slot; which slot is which
+// element's mask (elements may share one, with each other or with a
+// condition) is the kernel's static table, so a set is a slab and a row
+// count and no per-cluster array of slice headers.
 type MaskSet struct {
-	elems [][]uint64 // nil for elements that are not vectorized
-	rows  int
-	// slab backs every mask of the set: one per distinct condition, one
-	// per element that combines several, the disjunction scratch, and one
-	// per projected column for its nulls.
+	k    *Kernel
 	slab []uint64
-	// nulls[c] is column c's null bitmask, nil when the column is not
-	// projected or holds no NULL.
-	nulls [][]uint64
+	rows int
 }
 
 // Rows returns the number of rows the masks cover.
@@ -98,7 +96,28 @@ func (ms *MaskSet) Rows() int { return ms.rows }
 
 // Elem returns element j's mask, nil when the element is not
 // vectorized (probes then take the row path).
-func (ms *MaskSet) Elem(j int) []uint64 { return ms.elems[j] }
+func (ms *MaskSet) Elem(j int) []uint64 {
+	s := ms.k.elemSlot[j]
+	if s < 0 {
+		return nil
+	}
+	return ms.slot(int(s))
+}
+
+// Words returns the set's slab and the number of words per mask: slot s
+// is slab[s*words : (s+1)*words]. The search loops index it directly with
+// the kernel's PureSlots instead of taking a slice header per element.
+func (ms *MaskSet) Words() (slab []uint64, words int) {
+	return ms.slab, storage.MaskWords(ms.rows)
+}
+
+func (ms *MaskSet) slot(s int) []uint64 {
+	w := storage.MaskWords(ms.rows)
+	return ms.slab[s*w : (s+1)*w : (s+1)*w]
+}
+
+// null returns the null bitmask of projected column c.
+func (ms *MaskSet) null(c int) []uint64 { return ms.slot(int(ms.k.nullSlot[c])) }
 
 // VecElems returns how many elements have a vectorized (mask) form.
 func (k *Kernel) VecElems() int { return k.vecCnt }
@@ -107,71 +126,207 @@ func (k *Kernel) VecElems() int { return k.vecCnt }
 // which a mask cannot cover (they inspect earlier bindings).
 func (k *Kernel) ElemHasCross(j int) bool { return k.elems[j].hasCross }
 
-// BuildMasks evaluates every vectorized element of the kernel over the
-// projection into ms (allocating one when nil), returning it. Buffers
-// are reused across builds, so a warmed MaskSet rebuild allocates
-// nothing. The masks are a pure function of the kernel and the
-// projection's rows; callers may share a built MaskSet read-only across
-// executors exactly like the projection itself.
-func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
-	if ms == nil {
-		ms = &MaskSet{}
-	}
-	n := proj.Len()
-	words := storage.MaskWords(n)
-	ne, nc := len(k.vecs), len(k.vconds)
-	ms.rows = n
-	if len(ms.elems) != ne || len(ms.nulls) != len(proj.Null) {
-		heads := make([][]uint64, ne+len(proj.Null))
-		ms.elems, ms.nulls = heads[:ne:ne], heads[ne:]
-	}
-	if need := (nc + k.vecOwn + k.vecScratch + len(k.nullCols)) * words; cap(ms.slab) < need {
-		ms.slab = make([]uint64, need)
-	}
-	mask := func(i int) []uint64 { return ms.slab[i*words : (i+1)*words : (i+1)*words] }
-	for i, c := range k.nullCols {
-		ms.nulls[c] = nullMask(mask(nc+k.vecOwn+k.vecScratch+i), proj.Null[c][:n])
-	}
-	var branch, tmp []uint64
-	if k.vecScratch > 0 {
-		branch, tmp = mask(nc+k.vecOwn), mask(nc+k.vecOwn+1)
-	}
-	for ci := range k.vconds {
-		k.buildCondMask(proj, ms.nulls, &k.vconds[ci], mask(ci), branch, tmp, n)
-	}
-	own := nc // the next mask an element may take for itself
+// PureSlots returns, per element, the slot of its mask in a MaskSet's
+// slab when the mask alone answers the element's probes (vectorized, no
+// cross conditions), and -1 when a probe needs more. The slice is the
+// kernel's own: read-only.
+func (k *Kernel) PureSlots() []int32 { return k.pureSlot }
+
+// AllPure reports whether every element is answered by its mask alone. A
+// search over such a kernel's masks never reads a projection.
+func (k *Kernel) AllPure() bool { return k.allPure }
+
+// layoutMasks numbers the masks a MaskSet holds, once per kernel: a slot
+// per distinct condition, then one per element that combines several (or
+// none), then one per projected column for its nulls. An element with one
+// condition uses the condition's slot, and elements with the same list
+// share one. Disjunction scratch is the builder's, not the set's.
+func (k *Kernel) layoutMasks() {
+	k.elemSlot = make([]int32, len(k.vecs))
+	k.pureSlot = make([]int32, len(k.vecs))
+	k.allPure = true
+	own := int32(len(k.vconds))
 	for j := range k.vecs {
 		ve := &k.vecs[j]
 		switch {
 		case !ve.ok:
-			ms.elems[j] = nil
+			k.elemSlot[j] = -1
 		case ve.same != j:
-			ms.elems[j] = ms.elems[ve.same]
+			k.elemSlot[j] = k.elemSlot[ve.same]
 		case len(ve.conds) == 1:
-			ms.elems[j] = mask(ve.conds[0])
+			k.elemSlot[j] = int32(ve.conds[0])
 		default:
-			em := mask(own)
+			k.elemSlot[j] = own
 			own++
-			if len(ve.conds) == 0 {
-				storage.MaskFill(em, n)
-			} else {
-				copy(em, mask(ve.conds[0]))
-				for _, ci := range ve.conds[1:] {
-					storage.MaskAnd(em, mask(ci))
-				}
-			}
-			ms.elems[j] = em
+		}
+		k.pureSlot[j] = k.elemSlot[j]
+		if k.elems[j].hasCross {
+			k.pureSlot[j] = -1
+		}
+		k.allPure = k.allPure && k.pureSlot[j] >= 0
+	}
+	k.nullSlot = make([]int32, k.p.Schema.Len())
+	for c := range k.nullSlot {
+		k.nullSlot[c] = -1
+	}
+	for i, c := range k.nullCols {
+		k.nullSlot[c] = own + int32(i)
+	}
+	k.slots = int(own) + len(k.nullCols)
+}
+
+// BuildMasks evaluates every vectorized element of the kernel over the
+// projection into ms (allocating one when nil), returning it: BuildRun's
+// one-cluster case, for a caller that holds the projection. The slab is
+// reused across builds (its spare capacity is the disjunction scratch), so
+// a warmed MaskSet rebuild allocates nothing. The masks are a pure
+// function of the kernel and the projection's rows; callers may share a
+// built MaskSet read-only across executors exactly like the projection
+// itself.
+func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
+	if ms == nil {
+		ms = &MaskSet{}
+	}
+	words := storage.MaskWords(proj.Len())
+	need, spare := k.slots*words, k.vecScratch*words
+	if cap(ms.slab) < need+spare {
+		ms.slab = make([]uint64, need+spare)
+	}
+	ms.k, ms.slab, ms.rows = k, ms.slab[:need], proj.Len()
+	k.fill(ms, proj, ms.slab[need:need+spare])
+	return ms
+}
+
+// BuildRun builds what a partition memo keeps of the run of clusters
+// clusters[lo:hi]: for cluster i a projection of its own in projs[i] when
+// projs is non-nil, and a MaskSet in masks[i] when masks is non-nil (both
+// are indexed like clusters). The run's mask sets are carved from one
+// []MaskSet and one []uint64, and the disjunction scratch is one buffer
+// for the run; a run that keeps no projections decodes every cluster
+// through one scratch projection. Nothing the run allocates is shared with
+// another run, so rebuilding one cluster beside a shared slab writes none
+// of it.
+func (k *Kernel) BuildRun(clusters [][]storage.Row, lo, hi int, projs []*storage.Projection, masks []*MaskSet) {
+	if lo >= hi {
+		return
+	}
+	var (
+		sets          []MaskSet
+		slab, scratch []uint64
+		proj          *storage.Projection
+	)
+	words, longest := 0, 0
+	for _, rows := range clusters[lo:hi] {
+		words += k.slots * storage.MaskWords(len(rows))
+		longest = max(longest, len(rows))
+	}
+	if masks != nil {
+		sets = make([]MaskSet, hi-lo)
+		slab = make([]uint64, words)
+		scratch = make([]uint64, k.vecScratch*storage.MaskWords(longest))
+	}
+	if projs == nil {
+		proj = k.scratchProjection()
+		defer scratchProjections.Put(proj)
+		proj.Grow(longest)
+	}
+	for i := lo; i < hi; i++ {
+		rows := clusters[i]
+		if projs != nil {
+			proj = k.NewProjection()
+			projs[i] = proj
+		}
+		proj.SetRows(rows)
+		if masks != nil {
+			ms := &sets[i-lo]
+			need := k.slots * storage.MaskWords(len(rows))
+			*ms = MaskSet{k: k, slab: slab[:need:need], rows: len(rows)}
+			slab = slab[need:]
+			k.fill(ms, proj, scratch)
+			masks[i] = ms
 		}
 	}
-	return ms
+}
+
+// scratchProjections holds the projections BuildRun decodes through when
+// it keeps none. A never-seen statement builds its masks once, and a
+// refresh rebuilds a handful of clusters, each as a run of its own: the
+// decode buffer is most of what such a run would allocate, and statements
+// over one table mostly read the same few columns, so the buffer of one
+// kernel's run usually fits the next kernel's.
+var scratchProjections sync.Pool
+
+// scratchProjection returns a pooled projection over this kernel's
+// columns, or a new one.
+func (k *Kernel) scratchProjection() *storage.Projection {
+	if p, _ := scratchProjections.Get().(*storage.Projection); p != nil && p.Covers(k.p.Schema.Len(), k.numCols, k.strCols) {
+		return p
+	}
+	return k.NewProjection()
+}
+
+// Memoize completes a memo over clusters: it returns projs and masks with
+// whichever of them is wanted and still nil built for every cluster, in
+// one BuildRun. What is there, or not wanted, is returned as it came.
+func (k *Kernel) Memoize(clusters [][]storage.Row, projs []*storage.Projection, masks []*MaskSet, wantProjs, wantMasks bool) ([]*storage.Projection, []*MaskSet) {
+	var newProjs []*storage.Projection
+	var newMasks []*MaskSet
+	if wantProjs && projs == nil {
+		newProjs = make([]*storage.Projection, len(clusters))
+		projs = newProjs
+	}
+	if wantMasks && masks == nil {
+		newMasks = make([]*MaskSet, len(clusters))
+		masks = newMasks
+	}
+	if newProjs != nil || newMasks != nil {
+		k.BuildRun(clusters, 0, len(clusters), newProjs, newMasks)
+	}
+	return projs, masks
+}
+
+// fill evaluates the kernel's masks over proj into ms, whose slab and row
+// count are already proj's; scratch has room for the kernel's disjunction
+// masks at that length. Every word of the slab is overwritten.
+func (k *Kernel) fill(ms *MaskSet, proj *storage.Projection, scratch []uint64) {
+	n := ms.rows
+	words := storage.MaskWords(n)
+	for _, c := range k.nullCols {
+		nullMask(ms.null(c), proj.Null[c][:n])
+	}
+	var branch, tmp []uint64
+	if k.vecScratch > 0 {
+		branch, tmp = scratch[:words], scratch[words:2*words]
+	}
+	for ci := range k.vconds {
+		k.buildCondMask(proj, ms, &k.vconds[ci], ms.slot(ci), branch, tmp, n)
+	}
+	for j := range k.vecs {
+		// Only an element that combines several conditions (or none) has a
+		// mask of its own to build; the rest read a condition's or another
+		// element's.
+		ve := &k.vecs[j]
+		if !ve.ok || ve.same != j || len(ve.conds) == 1 {
+			continue
+		}
+		em := ms.slot(int(k.elemSlot[j]))
+		if len(ve.conds) == 0 {
+			storage.MaskFill(em, n)
+			continue
+		}
+		copy(em, ms.slot(ve.conds[0]))
+		for _, ci := range ve.conds[1:] {
+			storage.MaskAnd(em, ms.slot(ci))
+		}
+	}
 }
 
 // buildCondMask evaluates one condition into dst: directly for atomic
 // conditions, OR-of-branch-ANDs for disjunctions (branch and tmp are
 // scratch of the same word count).
-func (k *Kernel) buildCondMask(p *storage.Projection, nulls [][]uint64, c *vecCond, dst, branch, tmp []uint64, n int) {
+func (k *Kernel) buildCondMask(p *storage.Projection, ms *MaskSet, c *vecCond, dst, branch, tmp []uint64, n int) {
 	if c.branches == nil {
-		c.atom.build(p, nulls, dst, n, k.p.MissingPrevTrue)
+		c.atom.build(p, ms, dst, n, k.p.MissingPrevTrue)
 		return
 	}
 	storage.MaskZero(dst)
@@ -181,9 +336,9 @@ func (k *Kernel) buildCondMask(p *storage.Projection, nulls [][]uint64, c *vecCo
 			storage.MaskFill(dst, n)
 			return
 		}
-		br[0].build(p, nulls, branch, n, k.p.MissingPrevTrue)
+		br[0].build(p, ms, branch, n, k.p.MissingPrevTrue)
 		for i := range br[1:] {
-			br[1+i].build(p, nulls, tmp, n, k.p.MissingPrevTrue)
+			br[1+i].build(p, ms, tmp, n, k.p.MissingPrevTrue)
 			storage.MaskAnd(branch, tmp)
 		}
 		storage.MaskOr(dst, branch)
@@ -195,7 +350,7 @@ func (k *Kernel) buildCondMask(p *storage.Projection, nulls [][]uint64, c *vecCo
 // any cross conditions. Elements without a mask take the row path
 // (EvalElem). The verdict is identical to EvalElem's in every case.
 func (k *Kernel) EvalElemMasked(j int, proj *storage.Projection, ms *MaskSet, ctx *EvalContext) bool {
-	m := ms.elems[j]
+	m := ms.Elem(j)
 	if m == nil {
 		return k.EvalElem(j, proj, ctx)
 	}
@@ -243,9 +398,6 @@ func (k *Kernel) addVecElem(idx int, local []Cond, numSet, strSet map[int]bool) 
 	same := slices.IndexFunc(k.vecs[:idx], func(o vecElem) bool { return o.ok && slices.Equal(o.conds, conds) })
 	if same < 0 {
 		same = idx
-		if len(conds) != 1 {
-			k.vecOwn++
-		}
 	}
 	k.vecs[idx] = vecElem{conds: conds, ok: true, same: same}
 	k.vecCnt++
@@ -308,9 +460,9 @@ func compileVecAtom(c *Cond, numSet, strSet map[int]bool) (vecAtom, bool) {
 // the row kernels of kernel.go exactly: the missing-predecessor verdict
 // (mpt) applies at row 0 before the null check, nulls fail, and the
 // compared expression is the same float/string expression the row
-// closure computes. nulls holds the projection's null bitmasks by
-// column. Every word of dst is fully overwritten.
-func (a *vecAtom) build(p *storage.Projection, nulls [][]uint64, dst []uint64, n int, mpt bool) {
+// closure computes. ms holds the projection's null bitmasks, built before
+// any condition. Every word of dst is fully overwritten.
+func (a *vecAtom) build(p *storage.Projection, ms *MaskSet, dst []uint64, n int, mpt bool) {
 	if n == 0 {
 		return
 	}
@@ -331,9 +483,9 @@ func (a *vecAtom) build(p *storage.Projection, nulls [][]uint64, dst []uint64, n
 	case StrFieldField:
 		maskStrField(dst, p.Str[a.lcol][l0:l1], p.Str[a.rcol][r0:r1], a.op, off, n)
 	}
-	clearNulls(dst, nulls[a.lcol], uint(a.ld))
+	clearNulls(dst, ms.null(a.lcol), uint(a.ld))
 	if a.kind == NumFieldField || a.kind == StrFieldField {
-		clearNulls(dst, nulls[a.rcol], uint(a.rd))
+		clearNulls(dst, ms.null(a.rcol), uint(a.rd))
 	}
 	if off > 0 && mpt {
 		dst[0] |= 1
@@ -465,22 +617,15 @@ func maskStrField(dst []uint64, x, y []string, op constraint.Op, off, n int) {
 	}
 }
 
-// nullMask fills m with bit r set where null[r], and returns it, or nil
-// when no row is NULL.
-func nullMask(m []uint64, null []bool) []uint64 {
-	var any uint64
+// nullMask fills m with bit r set where null[r].
+func nullMask(m []uint64, null []bool) {
 	for w := range m {
 		var word uint64
 		for i, v := range null[w<<6 : min(w<<6+64, len(null))] {
 			word |= b2u(v) << (uint(i) & 63)
 		}
 		m[w] = word
-		any |= word
 	}
-	if any == 0 {
-		return nil
-	}
-	return m
 }
 
 // clearNulls clears bit r of dst where the operand d rows back (0 or 1)

@@ -143,7 +143,8 @@ type refInfo struct {
 }
 
 // resolveRefs gathers and validates every field reference in an
-// expression against the pattern variables and schema.
+// expression against the pattern variables and schema, and notes on each
+// what it resolved to.
 func (c *Compiled) resolveRefs(e Expr) ([]refInfo, error) {
 	var out []refInfo
 	var err error
@@ -165,6 +166,7 @@ func (c *Compiled) resolveRefs(e Expr) ([]refInfo, error) {
 			err = fmt.Errorf("sql-ts: no column %q in table %s", f.Field, c.Table)
 			return
 		}
+		f.elem, f.col = vi, col
 		out = append(out, refInfo{ref: f, varIdx: vi, col: col})
 	})
 	return out, err
@@ -736,17 +738,20 @@ func (c *Compiled) checkSelectRef(e Expr) error {
 	return err
 }
 
-// checkAggs validates span aggregates in a SELECT item.
+// checkAggs validates span aggregates in a SELECT item and notes on each
+// what its variable and column resolved to.
 func (c *Compiled) checkAggs(e Expr) error {
 	var err error
 	walkAggs(e, func(a *AggExpr) {
 		if err != nil {
 			return
 		}
-		if _, ok := c.varOf[strings.ToUpper(a.Var)]; !ok {
+		vi, ok := c.varOf[strings.ToUpper(a.Var)]
+		if !ok {
 			err = fmt.Errorf("sql-ts: unknown pattern variable %q in %s", a.Var, a)
 			return
 		}
+		a.elem = vi
 		if a.Field == "" {
 			return // COUNT(X)
 		}
@@ -755,6 +760,7 @@ func (c *Compiled) checkAggs(e Expr) error {
 			err = fmt.Errorf("sql-ts: no column %q in table %s", a.Field, c.Table)
 			return
 		}
+		a.col = i
 		t := c.Schema.Columns[i].Type
 		switch a.Fn {
 		case "AVG", "SUM":
@@ -841,10 +847,15 @@ func (c *Compiled) EvalSelectInto(dst storage.Row, seq []storage.Row, spans []pa
 	} else {
 		out = make(storage.Row, len(c.outExprs))
 	}
+	ref := func(f *FieldRef) (storage.Value, bool) { return matchRef(f, seq, spans) }
+	agg := func(a *AggExpr) (storage.Value, error) { return c.matchAgg(a, seq, spans) }
 	for i, e := range c.outExprs {
-		v, err := evalExprAgg(e,
-			func(f *FieldRef) (storage.Value, bool) { return c.matchRef(f, seq, spans) },
-			func(a *AggExpr) (storage.Value, error) { return c.matchAgg(a, seq, spans) })
+		if f, ok := e.(*FieldRef); ok {
+			// The usual item, a bare reference: no tree to walk.
+			out[i], _ = matchRef(f, seq, spans)
+			continue
+		}
+		v, err := evalExprAgg(e, ref, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -857,21 +868,14 @@ func (c *Compiled) EvalSelectInto(dst storage.Row, seq []storage.Row, spans []pa
 // ignored (SQL semantics); an all-NULL span yields NULL, COUNT counts
 // tuples regardless.
 func (c *Compiled) matchAgg(a *AggExpr, seq []storage.Row, spans []pattern.Span) (storage.Value, error) {
-	vi, ok := c.varOf[strings.ToUpper(a.Var)]
-	if !ok {
-		return storage.Null, fmt.Errorf("sql-ts: unknown pattern variable %q", a.Var)
-	}
-	span := spans[vi]
+	span := spans[a.elem]
 	if !span.Set {
 		return storage.Null, nil
 	}
 	if a.Fn == "COUNT" {
 		return storage.NewInt(int64(span.Len())), nil
 	}
-	col, ok := c.Schema.ColumnIndex(a.Field)
-	if !ok {
-		return storage.Null, fmt.Errorf("sql-ts: no column %q", a.Field)
-	}
+	col := a.col
 	var (
 		sum   float64
 		n     int64
@@ -923,16 +927,9 @@ func (c *Compiled) matchAgg(a *AggExpr, seq []storage.Row, spans []pattern.Span)
 // matchRef resolves a field reference against a completed match:
 // FIRST/LAST pin span endpoints; the first previous step from a bare
 // variable moves before the span, the first next step moves after it.
-func (c *Compiled) matchRef(f *FieldRef, seq []storage.Row, spans []pattern.Span) (storage.Value, bool) {
-	vi, ok := c.varOf[strings.ToUpper(f.Var)]
-	if !ok {
-		return storage.Null, false
-	}
-	col, ok := c.Schema.ColumnIndex(f.Field)
-	if !ok {
-		return storage.Null, false
-	}
-	span := spans[vi]
+// Out of range (or an unset span) is not ok and reads as NULL.
+func matchRef(f *FieldRef, seq []storage.Row, spans []pattern.Span) (storage.Value, bool) {
+	span := spans[f.elem]
 	if !span.Set {
 		return storage.Null, false
 	}
@@ -965,7 +962,7 @@ func (c *Compiled) matchRef(f *FieldRef, seq []storage.Row, spans []pattern.Span
 	if idx < 0 || idx >= len(seq) {
 		return storage.Null, false
 	}
-	return seq[idx][col], true
+	return seq[idx][f.col], true
 }
 
 // EvalPlainRow evaluates the WHERE filter and output row for a plain

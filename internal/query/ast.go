@@ -111,6 +111,11 @@ type FieldRef struct {
 	Fn    SpanFn
 	Navs  []Nav
 	Field string
+
+	// elem and col are Var's pattern element and Field's schema column,
+	// resolved once by Analyze for the references of a pattern query so
+	// that evaluating one over a match looks nothing up by name.
+	elem, col int
 }
 
 // AggExpr is a span aggregate over a pattern variable in the SELECT
@@ -121,6 +126,10 @@ type AggExpr struct {
 	Fn    string // AVG, MIN, MAX, SUM, COUNT (upper-cased)
 	Var   string
 	Field string // empty for COUNT(X)
+
+	// elem and col are resolved by Analyze like a FieldRef's; col is unset
+	// for COUNT(X).
+	elem, col int
 }
 
 func (a *AggExpr) expr() {}

@@ -31,21 +31,27 @@ type Cluster struct {
 	Rows   []storage.Row
 }
 
-// Shard owns a hash-slice of a partition's clusters, in ascending
-// global order, plus the per-shard memoization that makes warm runs
-// cheap: one columnar projection and one selection-bitmask set per
-// (kernel, cluster). A Shard is immutable after construction except for
-// the lazily built memo maps (guarded by mu); refreshes never mutate a
-// shard — they replace it.
+// Shard owns a hash-slice of a partition's clusters, in ascending global
+// order, plus the per-shard memoization that makes warm runs cheap: per
+// kernel, one selection-bitmask set per cluster and, where a probe needs
+// one, one columnar projection. A Shard is immutable after construction
+// except for the lazily built memo map (guarded by mu); refreshes never
+// mutate a shard — they replace it.
 type Shard struct {
 	id       int
 	version  uint64 // bumped (from the predecessor's) each rebuild
 	clusters []Cluster
 	rows     int
 
-	mu    sync.Mutex
-	projs map[*pattern.Kernel][]*storage.Projection
-	masks map[*pattern.Kernel][]*pattern.MaskSet
+	mu   sync.Mutex
+	memo map[*pattern.Kernel]*kernelMemo
+}
+
+// kernelMemo is one kernel's state over the shard's clusters, in local
+// cluster order; each slice is nil until a run asks for it.
+type kernelMemo struct {
+	projs []*storage.Projection
+	masks []*pattern.MaskSet
 }
 
 // ID returns the shard's index within its partition.
@@ -61,69 +67,52 @@ func (s *Shard) Version() uint64 { return s.version }
 func (s *Shard) NumClusters() int { return len(s.clusters) }
 
 // Clusters returns the shard's clusters in ascending global order — the
-// order Projections and Masks index by. The slice is read-only.
+// order Memo's slices index by. The slice is read-only.
 func (s *Shard) Clusters() []Cluster { return s.clusters }
 
 // RowCount returns the total input rows across the shard's clusters.
 func (s *Shard) RowCount() int { return s.rows }
 
-// Kernels returns the number of kernels with memoized projections.
+// Kernels returns the number of kernels with memoized state.
 func (s *Shard) Kernels() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.projs)
+	return len(s.memo)
 }
 
-// Projections returns one shared read-only projection per cluster for k
-// (in the shard's local cluster order), building them on first use.
-// Returns nil when k has nothing compiled.
-func (s *Shard) Projections(k *pattern.Kernel) []*storage.Projection {
-	if k == nil || k.CompiledElems() == 0 {
-		return nil
+// Memo returns kernel k's shared read-only state over the shard's
+// clusters (in local cluster order): one projection per cluster when
+// wantProjs, one MaskSet per cluster when wantMasks, nil for what the
+// caller does not read. What the memo lacks is built on first use, in one
+// pass of the kernel's run builder.
+func (s *Shard) Memo(k *pattern.Kernel, wantProjs, wantMasks bool) (projs []*storage.Projection, masks []*pattern.MaskSet) {
+	if k == nil || !wantProjs && !wantMasks {
+		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.projectionsLocked(k)
-}
-
-func (s *Shard) projectionsLocked(k *pattern.Kernel) []*storage.Projection {
-	if ps, ok := s.projs[k]; ok {
-		return ps
+	m := s.memo[k]
+	if m == nil {
+		m = &kernelMemo{}
+		if s.memo == nil {
+			s.memo = map[*pattern.Kernel]*kernelMemo{}
+		}
+		s.memo[k] = m
 	}
-	ps := make([]*storage.Projection, len(s.clusters))
-	for i, cl := range s.clusters {
-		ps[i] = k.NewProjection()
-		ps[i].SetRows(cl.Rows)
+	if wantProjs && m.projs == nil || wantMasks && m.masks == nil {
+		rows := make([][]storage.Row, len(s.clusters))
+		for i, cl := range s.clusters {
+			rows[i] = cl.Rows
+		}
+		m.projs, m.masks = k.Memoize(rows, m.projs, m.masks, wantProjs, wantMasks)
 	}
-	if s.projs == nil {
-		s.projs = map[*pattern.Kernel][]*storage.Projection{}
+	if wantProjs {
+		projs = m.projs
 	}
-	s.projs[k] = ps
-	return ps
-}
-
-// Masks returns one shared read-only MaskSet per cluster for k, building
-// them on first use. Returns nil when the kernel has no vectorizable
-// elements.
-func (s *Shard) Masks(k *pattern.Kernel) []*pattern.MaskSet {
-	if k == nil || k.VecElems() == 0 {
-		return nil
+	if wantMasks {
+		masks = m.masks
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ms, ok := s.masks[k]; ok {
-		return ms
-	}
-	ps := s.projectionsLocked(k)
-	ms := make([]*pattern.MaskSet, len(s.clusters))
-	for i := range s.clusters {
-		ms[i] = k.BuildMasks(ps[i], nil)
-	}
-	if s.masks == nil {
-		s.masks = map[*pattern.Kernel][]*pattern.MaskSet{}
-	}
-	s.masks[k] = ms
-	return ms
+	return projs, masks
 }
 
 // keyIndex is the cluster directory shared by every generation of one

@@ -215,13 +215,17 @@ func TestMemoIdentity(t *testing.T) {
 		t.Fatal("double-bottom pattern compiled no kernel")
 	}
 	s := p.Shards()[0]
-	ps1, ps2 := s.Projections(k), s.Projections(k)
-	if len(ps1) != 1 || ps1[0] != ps2[0] {
-		t.Fatal("Projections not memoized")
+	// Masks alone first: asking for them builds no projection on the side.
+	if ps, ms := s.Memo(k, false, true); ps != nil || len(ms) != 1 {
+		t.Fatalf("Memo(masks only) = %d projections, %d mask sets", len(ps), len(ms))
 	}
-	ms1, ms2 := s.Masks(k), s.Masks(k)
+	ps1, ms1 := s.Memo(k, true, true)
+	ps2, ms2 := s.Memo(k, true, true)
+	if len(ps1) != 1 || ps1[0] != ps2[0] {
+		t.Fatal("projections not memoized")
+	}
 	if len(ms1) != 1 || ms1[0] != ms2[0] {
-		t.Fatal("Masks not memoized")
+		t.Fatal("masks not memoized")
 	}
 	if s.Kernels() != 1 {
 		t.Fatalf("Kernels() = %d, want 1", s.Kernels())
@@ -232,8 +236,8 @@ func TestMemoIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("Refresh reported ok=false")
 	}
-	if got := np.Shards()[0].Projections(k); got[0] != ps1[0] {
-		t.Fatal("memoized projection lost across a no-op refresh")
+	if ps, ms := np.Shards()[0].Memo(k, true, true); ps[0] != ps1[0] || ms[0] != ms1[0] {
+		t.Fatal("memo lost across a no-op refresh")
 	}
 }
 
@@ -243,11 +247,8 @@ func TestProjectionsNilKernel(t *testing.T) {
 	tbl := quoteTable(t, 2, 3)
 	p := buildFrom(t, tbl, 2)
 	for _, s := range p.Shards() {
-		if got := s.Projections(nil); got != nil {
-			t.Fatal("Projections(nil) != nil")
-		}
-		if ms := s.Masks(nil); ms != nil {
-			t.Fatal("Masks(nil) != nil")
+		if ps, ms := s.Memo(nil, true, true); ps != nil || ms != nil {
+			t.Fatal("Memo(nil) built something")
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Projection is a columnar view of a row sequence: for each referenced
 // column, the values decoded once into a flat array — numerics and dates
@@ -62,6 +65,13 @@ func NewProjection(width int, numCols, strCols []int) *Projection {
 	return p
 }
 
+// Covers reports whether the projection was prepared (NewProjection) for
+// exactly these columns over a width-column schema, so that one built for
+// another consumer of the same columns can be reused as scratch.
+func (p *Projection) Covers(width int, numCols, strCols []int) bool {
+	return len(p.Null) == width && slices.Equal(p.numCols, numCols) && slices.Equal(p.strCols, strCols)
+}
+
 // Reserve gives every column room for rows rows, keeping its content:
 // the columns of each element type are carved from one slab, so however
 // many columns are projected a resize costs one allocation per type, and
@@ -72,6 +82,14 @@ func (p *Projection) Reserve(rows int) {
 	reserve(p.Num, rows)
 	reserve(p.Str, rows)
 	reserve(p.Null, rows)
+}
+
+// Grow is Reserve only when some column lacks room for rows rows: a
+// projection that has held as many allocates nothing.
+func (p *Projection) Grow(rows int) {
+	if short(p.Num, rows) || short(p.Str, rows) || short(p.Null, rows) {
+		p.Reserve(rows)
+	}
 }
 
 // reserve re-carves the non-nil columns of cols from one slab with room
@@ -151,14 +169,12 @@ func (p *Projection) AppendRows(rows []Row) {
 
 // SetRows resets the projection and decodes rows — the once-per-cluster
 // projection step of batch execution. It sizes every column once
-// (Reserve, when a column lacks room) and decodes column by column: each
+// (Grow) and decodes column by column: each
 // pass writes one dense array and reads one field of every row.
 func (p *Projection) SetRows(rows []Row) {
 	p.Reset()
 	n := len(rows)
-	if short(p.Num, n) || short(p.Str, n) || short(p.Null, n) {
-		p.Reserve(n)
-	}
+	p.Grow(n)
 	for _, c := range p.numCols {
 		num := p.Num[c][:n]
 		for i, r := range rows {

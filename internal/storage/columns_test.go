@@ -132,3 +132,32 @@ func TestProjectionReserve(t *testing.T) {
 		t.Fatalf("Reserve below Len: len=%d cap=%d", p.Len(), cap(p.Num[0]))
 	}
 }
+
+// TestProjectionGrowAndCovers: Grow re-carves only a projection that
+// lacks the room, and Covers recognises a projection prepared for the same
+// columns — together what lets one decode buffer serve run after run.
+func TestProjectionGrowAndCovers(t *testing.T) {
+	s := projSchema()
+	p := NewProjection(s.Len(), []int{0, 1}, []int{2})
+	p.Grow(64)
+	if cap(p.Num[0]) != 64 || cap(p.Str[2]) != 64 || cap(p.Null[1]) != 64 {
+		t.Fatalf("Grow(64) left caps %d/%d/%d", cap(p.Num[0]), cap(p.Str[2]), cap(p.Null[1]))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.Grow(10); p.Grow(64) }); allocs != 0 {
+		t.Fatalf("Grow within capacity allocated %.0f times", allocs)
+	}
+	for _, c := range []struct {
+		width    int
+		num, str []int
+		want     bool
+	}{
+		{s.Len(), []int{0, 1}, []int{2}, true},
+		{s.Len(), []int{0}, []int{2}, false},
+		{s.Len(), []int{0, 1}, nil, false},
+		{s.Len() + 1, []int{0, 1}, []int{2}, false},
+	} {
+		if got := p.Covers(c.width, c.num, c.str); got != c.want {
+			t.Errorf("Covers(%d, %v, %v) = %v, want %v", c.width, c.num, c.str, got, c.want)
+		}
+	}
+}

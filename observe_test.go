@@ -182,6 +182,11 @@ func TestObservationViewsAgree(t *testing.T) {
 		want.ok++
 		want.rows += ev.Rows
 		want.scanned += ev.RowsScanned
+		// The event's cluster count is the Result's own count, not the length
+		// of a per-cluster table built to be counted: both symbols, every run.
+		if ev.Clusters != 2 {
+			t.Errorf("event counts %d clusters over a two-symbol table: %+v", ev.Clusters, ev)
+		}
 		want.clusters += ev.Clusters
 		want.predEvals += ev.PredEvals
 		want.rollbacks += ev.Rollbacks

@@ -47,10 +47,16 @@ func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 	return e
 }
 
+// runMemo returns what a default run reads of e for kernel k.
+func runMemo(e *partitionEntry, k *pattern.Kernel) ([]*storage.Projection, []*pattern.MaskSet) {
+	projs, masks := memoWants(k, false)
+	return e.memoFor(k, projs, masks)
+}
+
 // samePartition asserts that got — a cached, possibly many times
 // refreshed entry — equals want, built from scratch over the same table
-// state: clusters and their order, and for kernel k every cluster's
-// projection and masks.
+// state: clusters and their order, and for kernel k every cluster's masks
+// and — for a kernel whose probes read one — projection.
 func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pattern.Kernel) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Version != want.Version {
@@ -59,10 +65,14 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
 		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, got.Groups, want.Groups)
 	}
-	if !reflect.DeepEqual(got.projections(k), want.projections(k)) {
+	gp, gm := runMemo(got, k)
+	wp, wm := runMemo(want, k)
+	if !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("%s: projections differ from a build", label)
 	}
-	gm, wm := got.masksFor(k), want.masksFor(k)
+	if k.AllPure() && gp != nil {
+		t.Fatalf("%s: the memo of a kernel its masks answer holds projections", label)
+	}
 	if len(gm) != len(wm) {
 		t.Fatalf("%s: %d mask sets, want %d", label, len(gm), len(wm))
 	}
@@ -82,10 +92,11 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 type generation struct {
 	e      *partitionEntry
 	groups [][]storage.Row
-	// projs and masks are the entry's state for one kernel, nil unless
-	// it was current when the snapshot was taken.
-	projs []*storage.Projection
-	masks []*pattern.MaskSet
+	// projs and masks are the entry's state for one kernel (what of it
+	// the memo held), taken only if it was current at the snapshot.
+	current bool
+	projs   []*storage.Projection
+	masks   []*pattern.MaskSet
 }
 
 func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
@@ -95,7 +106,8 @@ func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.memo[k]; m != nil && len(m.stale) == 0 && len(m.projs) == len(e.Groups) {
+	if m := e.memo[k]; m != nil && len(m.stale) == 0 && m.built == len(e.Groups) {
+		g.current = true
 		g.projs = append(g.projs, m.projs...)
 		g.masks = append(g.masks, m.masks...)
 	}
@@ -114,7 +126,7 @@ func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
 			t.Fatalf("%s: cluster %d of the previous generation changed", label, ci)
 		}
 	}
-	if g.projs == nil {
+	if !g.current {
 		return
 	}
 	g.e.mu.Lock()
@@ -141,10 +153,10 @@ func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry
 			dirty++
 			continue
 		}
-		if g.projs == nil {
+		if !g.current {
 			continue
 		}
-		if m.projs[ci] != g.projs[ci] {
+		if g.projs != nil && m.projs[ci] != g.projs[ci] {
 			t.Fatalf("%s: untouched cluster %d got a new projection", label, ci)
 		}
 		if g.masks != nil && m.masks[ci] != g.masks[ci] {
@@ -293,7 +305,7 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 				db.cacheMu.Lock()
 				e.adopt(base, resorted, db.plans, k)
 				db.cacheMu.Unlock()
-				e.masksFor(k)
+				runMemo(e, k)
 				next[g] = e
 			}(g)
 		}
@@ -501,5 +513,94 @@ func TestFlipKeepsKernelAndMemo(t *testing.T) {
 	}
 	if sn := db.StatementStats(); len(sn) != 1 || sn[0].PlanRevision != 1 {
 		t.Errorf("statement stats after the flip: %+v", sn)
+	}
+}
+
+// TestPureKernelMemoHoldsNoProjections: a kernel whose masks answer every
+// element keeps no projection in the partition memo — the warm search
+// never reads one — until a run that does read them asks; a kernel with a
+// cross condition gets both from its first run. Whatever the memo holds,
+// every run agrees with a NoCache run on rows, Stats, ClusterStats and
+// Matches.
+func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
+	db := New()
+	db.RegisterTable(workload.ClusterWalks("quote", 5, 60, 12, 4))
+	if err := db.DeclarePositive("quote", "price"); err != nil {
+		t.Fatal(err)
+	}
+	held := func(q *Query) (projs, masks int, first *pattern.MaskSet) {
+		e := cachedPartition(q)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		m := e.memo[q.plan.kernel]
+		if m == nil {
+			return 0, 0, nil
+		}
+		if m.masks != nil {
+			first = m.masks[0]
+		}
+		return len(m.projs), len(m.masks), first
+	}
+
+	pure, err := db.Prepare(driverSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := pure.plan.kernel; !k.AllPure() || k.VecElems() != k.Len() {
+		t.Fatal("the driver statement's kernel is not answered by its masks alone")
+	}
+	want, err := pure.RunWith(RunOptions{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.Matches == 0 {
+		t.Fatal("no match: nothing to compare")
+	}
+	got, err := pure.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "default run", got, want)
+	projs, masks, first := held(pure)
+	if projs != 0 || masks != 60 {
+		t.Fatalf("after a default run the memo holds %d projections and %d mask sets, want 0 and 60", projs, masks)
+	}
+
+	got, err = pure.RunWith(RunOptions{NoVectorize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "NoVectorize run", got, want)
+	if got.Vectorized() {
+		t.Fatal("the NoVectorize run probed masks")
+	}
+	projs, masks, again := held(pure)
+	if projs != 60 || masks != 60 || again != first {
+		t.Fatalf("after a NoVectorize run the memo holds %d projections and %d mask sets (same sets: %v), want 60, 60, the same", projs, masks, again == first)
+	}
+	if got, err = pure.Run(); err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "default run over a memo with projections", got, want)
+
+	// Z is compared with X across a star: no single row decides that.
+	cross, err := db.Prepare(`
+		SELECT X.name, Z.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z)
+		WHERE Y.price < Y.previous.price AND Z.price > 1.01*X.price`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cross.plan.kernel.AllPure() {
+		t.Fatal("the cross condition went unnoticed")
+	}
+	if want, err = cross.RunWith(RunOptions{NoCache: true}); err != nil || want.Stats.Matches == 0 {
+		t.Fatalf("cross-condition reference run: %v, %v", want.Stats, err)
+	}
+	if got, err = cross.Run(); err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "cross-condition run", got, want)
+	if projs, masks, _ := held(cross); projs != 60 || masks != 60 {
+		t.Fatalf("a cross-condition kernel's memo holds %d projections and %d mask sets, want 60 and 60", projs, masks)
 	}
 }

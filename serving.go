@@ -19,6 +19,7 @@ package sqlts
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -154,13 +155,14 @@ type partitionEntry struct {
 	key string
 	*storage.Clustering
 
-	// memo holds, per kernel, the clusters' columnar projections and
-	// selection bitmasks, built lazily on the first execution of each plan
-	// over this partition. Both are pure functions of the (immutable)
-	// cluster rows, so sharing them is observationally identical to
-	// rebuilding; it removes the O(rows) decode and mask build from every
-	// warm run. A refreshed entry adopts its predecessor's memos and
-	// rebuilds only the clusters that changed, on the kernel's next use.
+	// memo holds, per kernel, what the search reads of every cluster,
+	// built lazily on the first execution of each plan over this partition:
+	// selection bitmasks, and columnar projections where a probe needs one.
+	// Both are pure functions of the (immutable) cluster rows, so sharing
+	// them is observationally identical to rebuilding; it removes the
+	// O(rows) decode and mask build from every warm run. A refreshed entry
+	// adopts its predecessor's memos and rebuilds only the clusters that
+	// changed, on the kernel's next use.
 	mu   sync.Mutex
 	memo map[*pattern.Kernel]*kernelMemo
 }
@@ -169,20 +171,29 @@ type partitionEntry struct {
 // slices are handed to running queries and shared with the generation the
 // memo was adopted from, so they are replaced, never written, once set.
 type kernelMemo struct {
+	// projs is nil until a run needs projections: a kernel whose masks
+	// answer every element keeps none unless a NoVectorize run asks.
 	projs []*storage.Projection
 	// masks (PR 8) collapse every probe of a mask-covered element to a bit
 	// test; nil until a vectorized run asks.
 	masks []*pattern.MaskSet
-	// stale lists clusters whose rows changed since projs and masks were
-	// built; clusters past len(projs) have no state yet.
+	// built is the number of clusters projs and masks cover (whichever are
+	// held); stale lists the ones among them whose rows changed since.
+	built int
 	stale []int
 }
 
-// memoLocked returns k's memo with a current projection for every
-// cluster (and current masks, if it has masks at all). A first use
-// builds them all; after a refresh only the stale and the new clusters
-// are rebuilt.
-func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
+// memoFor returns k's shared read-only state for a run: one projection per
+// cluster when wantProjs, one MaskSet per cluster when wantMasks, nil for
+// what the run does not read. A first use builds them through the
+// kernel's run builder; after a refresh only the stale and the new
+// clusters are rebuilt, each stale one as a run of its own.
+func (e *partitionEntry) memoFor(k *pattern.Kernel, wantProjs, wantMasks bool) (projs []*storage.Projection, masks []*pattern.MaskSet) {
+	if !wantProjs && !wantMasks {
+		return nil, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	m := e.memo[k]
 	if m == nil {
 		m = &kernelMemo{}
@@ -192,66 +203,47 @@ func (e *partitionEntry) memoLocked(k *pattern.Kernel) *kernelMemo {
 		e.memo[k] = m
 	}
 	n := len(e.Groups)
-	if len(m.stale) == 0 && len(m.projs) == n {
-		return m
-	}
-	projs := make([]*storage.Projection, n)
-	copy(projs, m.projs)
-	var masks []*pattern.MaskSet
-	if m.masks != nil {
-		masks = make([]*pattern.MaskSet, n)
-		copy(masks, m.masks)
-	}
-	rebuild := func(ci int) {
-		projs[ci] = k.NewProjection()
-		projs[ci].SetRows(e.Groups[ci])
-		if masks != nil {
-			masks[ci] = k.BuildMasks(projs[ci], nil)
+	if (m.projs != nil || m.masks != nil) && (len(m.stale) > 0 || m.built < n) {
+		// Bring what the memo holds up to date, into copies: the old arrays
+		// belong to running queries and to the previous generation.
+		if m.projs != nil {
+			m.projs = append(make([]*storage.Projection, 0, n), m.projs...)[:n]
 		}
-	}
-	for _, ci := range m.stale {
+		if m.masks != nil {
+			m.masks = append(make([]*pattern.MaskSet, 0, n), m.masks...)[:n]
+		}
 		// A cluster re-sorted by several refreshes is listed once per
-		// refresh; one added after the memo was built is covered below.
-		if ci < len(m.projs) && projs[ci] == m.projs[ci] {
-			rebuild(ci)
+		// refresh; one added after the memo was built is part of the new run.
+		stale := slices.Clone(m.stale) // adopt may have left it shared with the predecessor's
+		slices.Sort(stale)
+		for _, ci := range slices.Compact(stale) {
+			if ci < m.built {
+				k.BuildRun(e.Groups, ci, ci+1, m.projs, m.masks)
+			}
 		}
+		k.BuildRun(e.Groups, m.built, n, m.projs, m.masks)
 	}
-	for ci := len(m.projs); ci < n; ci++ {
-		rebuild(ci)
+	m.built, m.stale = n, nil
+	// Then what this run reads and the memo lacks, over every cluster.
+	m.projs, m.masks = k.Memoize(e.Groups, m.projs, m.masks, wantProjs, wantMasks)
+	if wantProjs {
+		projs = m.projs
 	}
-	m.projs, m.masks, m.stale = projs, masks, nil
-	return m
+	if wantMasks {
+		masks = m.masks
+	}
+	return projs, masks
 }
 
-// projections returns one shared read-only projection per cluster for k.
-// Returns nil when k has nothing compiled (the interpreter path needs no
-// projection).
-func (e *partitionEntry) projections(k *pattern.Kernel) []*storage.Projection {
-	if k == nil || k.CompiledElems() == 0 {
-		return nil
+// memoWants says what a run over kernel k (nil: the interpreter) reads of
+// a memo: masks when it probes through them, and projections unless those
+// masks answer every element — then no probe reads one.
+func memoWants(k *pattern.Kernel, noVectorize bool) (projs, masks bool) {
+	if k == nil {
+		return false, false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.memoLocked(k).projs
-}
-
-// masksFor returns one shared read-only MaskSet per cluster for k,
-// building them on first use. Returns nil when the kernel has no
-// vectorizable elements.
-func (e *partitionEntry) masksFor(k *pattern.Kernel) []*pattern.MaskSet {
-	if k == nil || k.VecElems() == 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.memoLocked(k)
-	if m.masks == nil {
-		m.masks = make([]*pattern.MaskSet, len(m.projs))
-		for ci, p := range m.projs {
-			m.masks[ci] = k.BuildMasks(p, nil)
-		}
-	}
-	return m.masks
+	masks = !noVectorize && k.VecElems() > 0
+	return !(masks && k.AllPure()), masks
 }
 
 // adopt seeds e, the refresh of old, with old's memos, marking the
@@ -274,7 +266,7 @@ func (e *partitionEntry) adopt(old *partitionEntry, resorted []int, plans *planC
 			return
 		}
 		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
-		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, stale: stale}
+		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, built: m.built, stale: stale}
 	}
 	carry(keep)
 	for el := plans.order.Front(); el != nil; el = el.Next() {

@@ -167,24 +167,22 @@ func (db *DB) storeShardPartition(key string, t *storage.Table, p *shard.Partiti
 }
 
 // globalOrder lays sp's clusters out in global cluster order — the shape
-// the cluster driver takes — together with their memoized projections
-// and, when vectorize is set, mask sets for kernel k (nil: the
-// interpreter path). The first use of k on a shard builds its memos
-// here, on the query goroutine inside execute's containment.
-func globalOrder(sp *shard.Partition, k *pattern.Kernel, vectorize bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
+// the cluster driver takes — together with kernel k's memoized
+// projections and mask sets, whichever of them the run reads (k is nil on
+// the interpreter path, which reads neither). The first use of k on a
+// shard builds its memo here, on the query goroutine inside execute's
+// containment.
+func globalOrder(sp *shard.Partition, k *pattern.Kernel, wantProjs, wantMasks bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
 	n := sp.NumClusters()
 	clusters = make([][]storage.Row, n)
+	if wantProjs {
+		projs = make([]*storage.Projection, n)
+	}
+	if wantMasks {
+		masks = make([]*pattern.MaskSet, n)
+	}
 	for _, s := range sp.Shards() {
-		ps := s.Projections(k)
-		var ms []*pattern.MaskSet
-		if ps != nil && vectorize {
-			if ms = s.Masks(k); ms != nil && masks == nil {
-				masks = make([]*pattern.MaskSet, n)
-			}
-		}
-		if ps != nil && projs == nil {
-			projs = make([]*storage.Projection, n)
-		}
+		ps, ms := s.Memo(k, wantProjs, wantMasks)
 		for i, c := range s.Clusters() {
 			clusters[c.Global] = c.Rows
 			if ps != nil {

@@ -390,11 +390,15 @@ type Result struct {
 	// Matches holds the raw match intervals per cluster, for tooling.
 	Matches []ClusterMatches
 
-	clusterStats []ClusterStat
-	planCached   bool
-	partition    partitionOutcome
-	vectorized   bool
-	shardCount   int
+	// clusterLog holds every searched cluster's row count and counters in
+	// cluster order (appendClusterStat), clusters how many it holds;
+	// ClusterStats expands it for the callers that ask.
+	clusterLog []byte
+	clusters   int
+	planCached bool
+	partition  partitionOutcome
+	vectorized bool
+	shardCount int
 }
 
 // Shards reports the shard count of the sharded partition the execution
@@ -439,11 +443,6 @@ type ClusterStat struct {
 	// Stats are the search counters accumulated within the cluster.
 	Stats engine.Stats
 }
-
-// ClusterStats returns the per-cluster execution breakdown, in cluster
-// order, whatever the worker count; summing the entries' Stats
-// reproduces Result.Stats.
-func (r *Result) ClusterStats() []ClusterStat { return r.clusterStats }
 
 // explainMode selects what Run produces for EXPLAIN statements.
 type explainMode uint8
@@ -853,7 +852,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		res.planCached = q.planCached
 		ev.Rows = int64(len(res.Rows))
 		ev.RowsScanned = int64(scanned)
-		ev.Clusters = int64(len(res.clusterStats))
+		ev.Clusters = int64(res.clusters)
 		ev.PredEvals = res.Stats.PredEvals
 		ev.Rollbacks = res.Stats.Rollbacks
 		ev.Matches = int64(res.Stats.Matches)
@@ -932,9 +931,10 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	// and the mask build). With SetShards the partition comes from the
 	// sharded cache instead of the flat one; NoCache runs bypass both.
 	kern := q.plan.kernel
-	if opts.NoKernel {
-		kern = nil
+	if opts.NoKernel || kern == nil || kern.CompiledElems() == 0 {
+		kern = nil // the executors interpret: nothing to memoize
 	}
+	wantProjs, wantMasks := memoWants(kern, opts.NoVectorize)
 	var (
 		clusters [][]storage.Row
 		projs    []*storage.Projection
@@ -951,7 +951,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		}
 		res.partition.cached = cached
 		res.shardCount = n
-		clusters, projs, masks = globalOrder(sp, kern, !opts.NoVectorize)
+		clusters, projs, masks = globalOrder(sp, kern, wantProjs, wantMasks)
 	} else {
 		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
 		if err != nil {
@@ -962,10 +962,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 			return nil, 0, err
 		}
 		res.partition = how
-		projs = part.projections(kern)
-		if projs != nil && !opts.NoVectorize {
-			masks = part.masksFor(kern)
-		}
+		projs, masks = part.memoFor(kern, wantProjs, wantMasks)
 	}
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
