@@ -69,6 +69,7 @@ func derivePlan(old *Plan, preferNaive bool) *Plan {
 		explain:        old.explain,
 		catalogVersion: old.catalogVersion,
 		trace:          old.trace,
+		shape:          old.shape,
 		revision:       old.revision + 1,
 		preferNaive:    preferNaive,
 	}

@@ -9,6 +9,7 @@ package sqlts_test
 //	go test -bench=BenchmarkDoubleBottom -benchtime=10x
 
 import (
+	"fmt"
 	"testing"
 
 	"sqlts"
@@ -559,4 +560,44 @@ func BenchmarkServing(b *testing.B) {
 		}
 		b.ReportMetric(float64(evals), "pred-evals")
 	})
+}
+
+// BenchmarkDriverBreakEven is the measurement behind the cluster driver's
+// elastic threshold (elasticMinRows in driver.go): the warm double-bottom
+// query over tables from 8 to 20,000 ten-row clusters, and over two
+// 3,000-row clusters (too few to cut into chunks, so the default never
+// fans out there), serially (MaxWorkers 1) and by default (MaxWorkers 0).
+// The default should never lose to serial: below the threshold the two run
+// the same code, and above it a borrowed helper has to repay its start-up
+// and the stitch. docs/PERFORMANCE.md records the table.
+func BenchmarkDriverBreakEven(b *testing.B) {
+	for _, shape := range []struct{ clusters, rows int }{
+		{8, 10}, {50, 10}, {100, 10}, {200, 10}, {400, 10}, {800, 10}, {1200, 10},
+		{1600, 10}, {2000, 10}, {5000, 10}, {20000, 10}, {2, 3000},
+	} {
+		db := sqlts.New()
+		db.RegisterTable(workload.ClusterWalks("quote", 1, shape.clusters, shape.rows, max(1, shape.clusters/40)))
+		if err := db.DeclarePositive("quote", "price"); err != nil {
+			b.Fatal(err)
+		}
+		q, err := db.Prepare(ta.DoubleBottomOver("quote", "name", 0.02))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("clusters=%d/rows=%d/workers=%d", shape.clusters, shape.rows, workers), func(b *testing.B) {
+				opts := sqlts.RunOptions{MaxWorkers: workers}
+				if _, err := q.RunWith(opts); err != nil { // prime the caches, the memo and the shape
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := q.RunWith(opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +31,7 @@ var chaosSites = []string{
 	"engine.ops.shift",
 	"engine.stream.push",
 	"sqlts.admission",
+	"sqlts.driver.yield",
 	"sqlts.execute.cluster",
 }
 
@@ -100,6 +104,9 @@ func TestChaos(t *testing.T) {
 	for _, site := range chaosSites {
 		if site == "engine.stream.push" {
 			continue // exercised by TestChaosStream below
+		}
+		if site == "sqlts.driver.yield" {
+			continue // only borrowed helpers reach it: TestChaosDriverYield below
 		}
 		for _, mode := range modes {
 			t.Run(site+"/"+mode.name, func(t *testing.T) {
@@ -213,8 +220,72 @@ func TestChaos(t *testing.T) {
 				if g := db.metrics.admissionWaiting.Value(); g != 0 {
 					t.Errorf("admission_waiting gauge = %d after chaos; want 0", g)
 				}
+				assertNoSearchers(t)
 			})
 		}
+	}
+}
+
+// TestChaosDriverYield drives the sqlts.driver.yield site, which only a
+// borrowed helper of an elastic run reaches: eight default-option clients
+// over a table tall enough to fan out, on a four-core budget. A delay or
+// an injected error there costs nothing — an error is a helper leaving —
+// and every run returns the full result; an injected panic is contained as
+// a PanicError of the run. Either way no goroutine and no searcher token
+// is left behind.
+func TestChaosDriverYield(t *testing.T) {
+	defer fault.Reset()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, q := driverDB(t, 64, tallRows, 0)
+	want, err := q.RunWith(RunOptions{MaxWorkers: 1, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		act  fault.Action
+	}{
+		{"delay", fault.Action{Delay: 200 * time.Microsecond, Times: 100}},
+		{"error", fault.Action{Err: errChaos}},
+		{"panic", fault.Action{Panic: "chaos injected panic"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			defer fault.Reset()
+			defer testutil.LeakCheck(t)()
+			if err := fault.Arm("sqlts.driver.yield", mode.act); err != nil {
+				t.Fatal(err)
+			}
+			var panics atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < 8; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 3; i++ {
+						res, err := q.Run()
+						var pe *PanicError
+						switch {
+						case err == nil:
+							if !reflect.DeepEqual(want.Rows, res.Rows) || want.Stats != res.Stats {
+								t.Errorf("result differs from the one-lane run: %+v, want %+v", res.Stats, want.Stats)
+							}
+						case mode.name == "panic" && errors.As(err, &pe) && res == nil:
+							panics.Add(1)
+						default:
+							t.Errorf("err = %v (partial result: %v)", err, res != nil)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if faultDriverYield.Fired() == 0 {
+				t.Error("no helper reached the yield point — site off the path?")
+			}
+			if mode.name == "panic" && panics.Load() == 0 {
+				t.Error("panic mode injected no failures")
+			}
+			assertNoSearchers(t)
+		})
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 //	\vectorize    toggle the batch mask kernels (on by default; off
 //	              evaluates probes row-at-a-time — identical results)
 //	\workers [n]  search each statement's clusters on n goroutines
-//	              (0 or 1 = serially)
+//	              (0 = elastic, the default: borrow the cores no other
+//	              query is searching on; 1 = serially)
 //	\counters     toggle the per-query counter line after each SELECT
 //	\stats        print the per-statement statistics table (calls,
 //	              latency quantiles, pred-evals, cache hit rates)
@@ -119,15 +120,18 @@ func repl(db *sqlts.DB, in io.Reader, out io.Writer, kind sqlts.ExecutorKind, ov
 				if arg != "" {
 					n, err := strconv.Atoi(arg)
 					if err != nil || n < 0 {
-						fmt.Fprintf(out, "usage: \\workers [n] (0 or 1 = serial)\n")
+						fmt.Fprintf(out, "usage: \\workers [n] (0 = elastic, 1 = serial)\n")
 						prompt()
 						continue
 					}
 					workers = n
 				}
-				if workers <= 1 {
+				switch workers {
+				case 0:
+					fmt.Fprintf(out, "workers: elastic\n")
+				case 1:
 					fmt.Fprintf(out, "workers: serial\n")
-				} else {
+				default:
 					fmt.Fprintf(out, "workers: %d\n", workers)
 				}
 			case trimmed == `\counters`:
@@ -290,7 +294,7 @@ type execOpts struct {
 	// noVectorize disables the batch mask kernels (RunOptions.NoVectorize).
 	noVectorize bool
 	// workers is the cluster-search goroutine count
-	// (RunOptions.MaxWorkers; 0 or 1 = serial).
+	// (RunOptions.MaxWorkers; 0 = elastic, 1 = serial).
 	workers int
 	// timeout bounds each statement via RunOptions.Deadline (0 = none).
 	timeout time.Duration

@@ -231,6 +231,7 @@ INSERT INTO q VALUES ('2020-01-01', 1), ('2020-01-02', 2), ('2020-01-03', 1);
 \workers 2
 SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 \workers -1
+\workers 1
 \workers 0
 \q
 `)
@@ -240,8 +241,9 @@ SELECT A.p FROM q SEQUENCE BY d AS (A, B) WHERE B.p > A.p;
 	}
 	got := out.String()
 	for _, want := range []string{
-		"workers: serial",
+		"workers: elastic",
 		"workers: 2",
+		"workers: serial",
 		`usage: \workers [n]`,
 		"(1 rows)",
 	} {

@@ -14,8 +14,10 @@
 // Every run re-checks that the match count equals the warm-up run's —
 // a cheap end-to-end guard that the sharded path stays bit-identical
 // under concurrency. -shards 1 drives the flat partition cache for A/B
-// comparisons; -workers N > 1 searches each query's clusters on N
-// goroutines (0 or 1 = serially); -debug serves the DB's /debug surface
+// comparisons; -workers is RunOptions.MaxWorkers: 0, the default, is
+// elastic (each query borrows the cores no other query is searching on),
+// 1 searches each query's clusters serially and N > 1 on exactly N
+// goroutines; -debug serves the DB's /debug surface
 // (including /debug/shards and /debug/queries) for the duration of the
 // run;
 // -events streams the per-query wide-event log (JSON lines) to a file,
@@ -43,7 +45,7 @@ func main() {
 	plant := flag.Int("plant", 50, "plant a guaranteed double bottom in every Nth cluster (0 = none)")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	shards := flag.Int("shards", 8, "shard count of the sharded partition cache (1 = flat cache)")
-	workers := flag.Int("workers", 0, "goroutines searching each query's clusters (RunOptions.MaxWorkers; 0 or 1 = serial)")
+	workers := flag.Int("workers", 0, "goroutines searching each query's clusters (RunOptions.MaxWorkers; 0 = elastic: borrow idle cores, 1 = serial, N = exactly N)")
 	conc := flag.Int("conc", 8, "concurrent client goroutines")
 	duration := flag.Duration("duration", 10*time.Second, "how long to drive load")
 	threshold := flag.Float64("threshold", 0.02, "relaxation threshold for the double-bottom pattern")
@@ -187,8 +189,11 @@ func ms(ns int64) string {
 }
 
 func workersWord(n int) string {
-	if n == 0 {
-		return "default"
+	switch n {
+	case 0:
+		return "elastic"
+	case 1:
+		return "serial"
 	}
 	return fmt.Sprintf("%d", n)
 }

@@ -2,30 +2,52 @@ package sqlts
 
 // The cluster driver: the one way a batch query's clusters reach an
 // executor. SQL-TS searches every CLUSTER BY group independently, so the
-// driver's only parameter is how many workers share the ordered cluster
-// list; whatever the count, rows, Stats, ClusterStats and Matches come
-// out in cluster order, bit-identical to a one-worker run.
+// driver's only parameter is how many lanes — goroutines, each with one
+// executor and one output of its own — share the ordered cluster list;
+// whatever the count, rows, Stats, ClusterStats and Matches come out in
+// cluster order, bit-identical to a one-lane run.
 
 import (
 	"encoding/binary"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"sqlts/internal/engine"
+	"sqlts/internal/fault"
 	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
 
 // chunksPerWorker is how many chunks the cluster list is cut into per
-// worker: more than one so clusters of uneven cost still balance, few
-// enough that claims and per-chunk buffers stay noise beside the search.
+// lane: more than one so clusters of uneven cost still balance and a
+// borrowed helper can be given back early, few enough that claims and
+// marks stay noise beside the search.
 const chunksPerWorker = 4
 
-// chunkSize is the number of consecutive clusters a worker searches per
-// claim: the whole list for one worker, otherwise an even cut into
-// chunksPerWorker chunks per worker.
+// elasticMinRows is the input size below which a default run never fans
+// out: the measured break-even of starting one helper goroutine and
+// stitching two lanes (BenchmarkDriverBreakEven; docs/PERFORMANCE.md has
+// the table).
+const elasticMinRows = 16384
+
+// searchers counts the goroutines of this process that are inside a
+// fanned-out or elastic cluster search: the budget an elastic run borrows
+// idle cores against. A one-lane run that could not have fanned out —
+// MaxWorkers 1, Trace, an input under the elastic threshold — never
+// touches it.
+var searchers atomic.Int64
+
+// faultDriverYield fires before every chunk claim of a borrowed helper; an
+// injected error makes the helper leave as if the process were
+// oversubscribed.
+var faultDriverYield = fault.New("sqlts.driver.yield")
+
+// chunkSize is the number of consecutive clusters a lane searches per
+// claim: the whole list for one lane, otherwise an even cut into
+// chunksPerWorker chunks per lane.
 func chunkSize(clusters, workers int) int {
 	if workers <= 1 {
 		return clusters
@@ -34,81 +56,247 @@ func chunkSize(clusters, workers int) int {
 	return max(1, (clusters+pieces-1)/pieces)
 }
 
-// searchClusters runs the pattern over clusters[i] for every i (with its
-// projection and mask set, when the run has them) and appends the
-// outcome to res in cluster order. Up to opts.MaxWorkers goroutines claim
-// chunks of consecutive clusters off an atomic counter, each chunk into
-// its own fragment, stitched in chunk order once every worker has
-// exited. With one worker — or one chunk — nothing is started: the whole
-// range is searched on the calling goroutine straight into res, which is
-// also how Trace runs. The first failure stops further claims; claimed
-// chunks run out, and the error of the lowest-indexed failed cluster is
-// returned, never a partial result.
-func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, opts RunOptions) error {
+// search is what every lane of one run reads: the query, the run's
+// control and options, and the ordered clusters with their memoized
+// projections and mask sets (nil when the run has none).
+type search struct {
+	q        *Query
+	rc       *runControl
+	opts     RunOptions
+	clusters [][]storage.Row
+	projs    []*storage.Projection
+	masks    []*pattern.MaskSet
+}
+
+// lane is one worker's executor and output. Everything a lane finds is
+// appended to its own blocks across every chunk it claims, one run per
+// chunk (see engine.Block), so nothing is allocated per chunk and nothing
+// is shared between lanes but the claim counter.
+type lane struct {
+	ex       engine.Executor
+	ticks    progress
+	stats    engine.Stats
+	clusters int32
+	chunks   int // chunks searched: a lane with none did no work
+
+	rows    engine.Block[storage.Row]
+	matches engine.Block[ClusterMatches]
+	log     engine.Block[byte]          // putClusterStat entries
+	values  engine.Block[storage.Value] // the output rows are carved from it
+
+	// yielded marks a borrowed helper that left with chunks unclaimed; err
+	// is a panic contained outside any chunk.
+	yielded bool
+	err     error
+
+	// Lanes sit side by side in one slice and write their own fields once a
+	// cluster: the pad keeps a lane's writes off its neighbour's cache line.
+	_ [64]byte
+}
+
+// mark is what one searched chunk left in its lane's blocks: the chunk's
+// runs, which the stitch copies (rows, matches) or keeps (log) in chunk
+// order, or the error that stopped it.
+type mark struct {
+	rows    []storage.Row
+	matches []ClusterMatches
+	log     []byte
+	err     error
+}
+
+// searchClusters runs the pattern over every cluster and puts the outcome
+// in res in cluster order. rows is the input's row count.
+//
+// How many lanes search is RunOptions.MaxWorkers: 1 (and any Trace run) is
+// one lane, N > 1 is N, and 0 is elastic — one lane, plus as many helpers
+// as the process has idle cores for (borrowHelpers) when the input is
+// large enough to repay them. The calling goroutine is always a lane, so N
+// lanes start N-1 goroutines; all have exited when searchClusters returns.
+//
+// One lane searches the whole list as one chunk straight into res.
+// Several claim chunks of consecutive clusters off an atomic counter, and
+// once every lane has exited the chunks' marks are stitched in chunk
+// order. The first failure stops further claims; claimed chunks run out,
+// and the error of the lowest-indexed failed cluster is returned, never a
+// partial result.
+func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, rows int, opts RunOptions) error {
+	s := search{q: q, rc: rc, opts: opts, clusters: clusters, projs: projs, masks: masks}
 	n := len(clusters)
-	workers := opts.MaxWorkers
-	if opts.Trace {
-		workers = 1 // the path buffer is appended in cluster order
+	switch {
+	case opts.Trace:
+		// One lane: the path buffer is appended in cluster order.
 		q.pathMu.Lock()
 		q.lastPath = nil
 		q.pathMu.Unlock()
+	case opts.MaxWorkers > 1:
+		if chunk := chunkSize(n, opts.MaxWorkers); chunk < n {
+			helpers := min(opts.MaxWorkers, (n+chunk-1)/chunk) - 1
+			searchers.Add(int64(helpers) + 1)
+			return s.fanOut(res, helpers, 0)
+		}
+	case opts.MaxWorkers == 0 && n >= 2*chunksPerWorker && rows >= elasticMinRows:
+		helpers, budget := borrowHelpers()
+		res.denied = int32(budget - 1 - helpers)
+		return s.fanOut(res, helpers, budget)
 	}
-	chunk := chunkSize(n, workers)
-	if chunk >= n {
-		return q.searchChunk(rc, res, clusters, projs, masks, 0, n, opts)
-	}
-	nchunks := (n + chunk - 1) / chunk
-	workers = min(workers, nchunks)
+	return s.oneLane(res)
+}
 
-	frags := make([]Result, nchunks)
-	errs := make([]error, nchunks)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// failed is read before the claim, so every claimed chunk is
-			// searched: the chunks that ran are always a prefix, and the
-			// lowest failed cluster does not depend on scheduling.
-			for !failed.Load() {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					return
-				}
-				lo := c * chunk
-				errs[c] = q.searchChunk(rc, &frags[c], clusters, projs, masks, lo, min(lo+chunk, n), opts)
-				if errs[c] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
+// oneLane searches the whole cluster list as one chunk on the calling
+// goroutine; the lane's runs are the result's.
+func (s *search) oneLane(res *Result) error {
+	var l lane
+	var m mark
+	s.start(&l, 1)
+	s.searchChunk(&l, &m, 0, len(s.clusters))
+	if m.err != nil {
+		return m.err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	res.workers = 1
+	res.Stats, res.clusters = l.stats, l.clusters
+	res.Rows, res.Matches = m.rows, m.matches
+	res.oneLog[0] = m.log
+	res.clusterLogs = res.oneLog[:]
+	return nil
+}
+
+// borrowHelpers enters an elastic run in the process-wide searcher count
+// and takes one helper for every core the count leaves idle: a helper is
+// granted only while the count, callers included, is under GOMAXPROCS.
+// Every caller may always search, so the count can pass the budget, but
+// never by helpers. It returns the helpers granted — each holds a token
+// it gives back when it exits, as the caller does — and the budget.
+func borrowHelpers() (helpers, budget int) {
+	budget = runtime.GOMAXPROCS(0)
+	for c := searchers.Add(1); helpers < budget-1 && c < int64(budget); c = searchers.Load() {
+		if searchers.CompareAndSwap(c, c+1) {
+			helpers++
 		}
 	}
-	for i := range frags {
-		f := &frags[i]
-		res.Stats.Add(f.Stats)
-		res.clusters += f.clusters
-		res.clusterLog = append(res.clusterLog, f.clusterLog...)
-		res.Matches = append(res.Matches, f.Matches...)
-		res.Rows = append(res.Rows, f.Rows...)
+	return helpers, budget
+}
+
+// fan is the state the lanes of one fanned-out run share: the claim
+// counter, the failure flag, and one mark per chunk, written by the lane
+// that searched it.
+type fan struct {
+	search
+	chunk, budget int
+	lanes         []lane
+	marks         []mark
+	next          atomic.Int64
+	failed        atomic.Bool
+	wg            sync.WaitGroup
+}
+
+// fanOut searches the clusters on helpers+1 lanes, the caller's included,
+// and stitches their marks into res. Each lane holds a token of the
+// searcher count, taken by the caller of fanOut, and gives it back when it
+// is done. budget > 0 marks the helpers as borrowed: they re-read the
+// searcher count before every claim and leave once the process is
+// oversubscribed, their finished chunks staying in their lanes; the
+// caller's lane claims until no chunk is left. An elastic run that was
+// granted no helper is one lane that keeps its token while it searches.
+// The receiver is a copy: the lanes' goroutines share it, and sharing the
+// caller's own would move that to the heap on the one-lane path too.
+func (s search) fanOut(res *Result, helpers, budget int) error {
+	defer searchers.Add(-1)
+	if helpers == 0 {
+		return s.oneLane(res)
+	}
+	n := len(s.clusters)
+	f := &fan{search: s, chunk: chunkSize(n, helpers+1), budget: budget, lanes: make([]lane, helpers+1)}
+	f.marks = make([]mark, (n+f.chunk-1)/f.chunk)
+	f.wg.Add(helpers)
+	for i := 1; i <= helpers; i++ {
+		go func() {
+			defer f.wg.Done()
+			defer searchers.Add(-1)
+			f.run(&f.lanes[i], budget > 0)
+		}()
+	}
+	f.run(&f.lanes[0], false)
+	f.wg.Wait()
+
+	nrows, nmatches := 0, 0
+	for i := range f.marks {
+		if err := f.marks[i].err; err != nil {
+			return err
+		}
+		nrows += len(f.marks[i].rows)
+		nmatches += len(f.marks[i].matches)
+	}
+	res.borrowed = int32(helpers)
+	for i := range f.lanes {
+		l := &f.lanes[i]
+		if l.err != nil {
+			return l.err
+		}
+		res.Stats.Add(l.stats)
+		res.clusters += l.clusters
+		if l.chunks > 0 {
+			res.workers++
+		}
+		if l.yielded {
+			res.yielded++
+		}
+	}
+	if nrows > 0 {
+		res.Rows = make([]storage.Row, 0, nrows)
+		res.Matches = make([]ClusterMatches, 0, nmatches)
+	}
+	res.clusterLogs = make([][]byte, len(f.marks))
+	for i, m := range f.marks {
+		res.Rows = append(res.Rows, m.rows...)
+		res.Matches = append(res.Matches, m.matches...)
+		res.clusterLogs[i] = m.log
 	}
 	return nil
 }
 
-// flightFlushRows is how many searched rows a worker lets its progress
+// run is one lane's life: claim chunks until none is left or the run has
+// failed — or, a borrowed helper, until the process is oversubscribed. A
+// panic outside any chunk is contained here and fails the run.
+func (f *fan) run(l *lane, borrowed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			l.err = f.q.recovered(r)
+			f.failed.Store(true)
+		}
+	}()
+	// failed is read before the claim, so every claimed chunk is searched:
+	// the chunks that ran are always a prefix, and the lowest failed
+	// cluster does not depend on scheduling.
+	for !f.failed.Load() {
+		if borrowed && (faultDriverYield.Fire() != nil || searchers.Load() > int64(f.budget)) {
+			l.yielded = int(f.next.Load()) < len(f.marks)
+			return
+		}
+		c := int(f.next.Add(1)) - 1
+		if c >= len(f.marks) {
+			return
+		}
+		if l.ex == nil {
+			// Started by its first chunk: a helper that finds the process
+			// oversubscribed, or the chunks gone, has cost a goroutine and
+			// no executor or buffer.
+			f.start(l, len(f.lanes))
+		}
+		lo := c * f.chunk
+		f.searchChunk(l, &f.marks[c], lo, min(lo+f.chunk, len(f.clusters)))
+		if f.marks[c].err != nil {
+			f.failed.Store(true)
+		}
+	}
+}
+
+// flightFlushRows is how many searched rows a lane lets its progress
 // ticks trail by: the flight's clusters, rows and matches are flushed once
 // that many rows have gone unreported and at chunk end, so on many small
 // clusters the shared counters are not written once per cluster.
 const flightFlushRows = 256
 
-// progress is one worker's unflushed flight ticks.
+// progress is one lane's unflushed flight ticks.
 type progress struct {
 	fl                      *obs.Flight
 	clusters, rows, matches int64
@@ -124,115 +312,154 @@ func (p *progress) flush() {
 	p.clusters, p.rows, p.matches = 0, 0, 0
 }
 
-// appendClusterStat records one searched cluster in a Result's cluster
-// log: its row count and counters as four uvarints — about four bytes for
-// a ten-row cluster, and nothing for the collector to scan. The cluster's
-// index is its position in the log.
-func appendClusterStat(log []byte, rows int, s engine.Stats) []byte {
-	log = binary.AppendUvarint(log, uint64(rows))
-	log = binary.AppendUvarint(log, uint64(s.PredEvals))
-	log = binary.AppendUvarint(log, uint64(s.Rollbacks))
-	return binary.AppendUvarint(log, uint64(s.Matches))
+// clusterStatMax is the most bytes one cluster's log entry can take.
+const clusterStatMax = 4 * binary.MaxVarintLen64
+
+// putClusterStat writes one searched cluster's entry of a lane's cluster
+// log into buf, which has room for clusterStatMax bytes, and returns its
+// length: the cluster's row count and counters as four uvarints — about
+// four bytes for a ten-row cluster, and nothing for the collector to
+// scan. The cluster's index is its position in the log.
+func putClusterStat(buf []byte, rows int, s engine.Stats) int {
+	n := binary.PutUvarint(buf, uint64(rows))
+	n += binary.PutUvarint(buf[n:], uint64(s.PredEvals))
+	n += binary.PutUvarint(buf[n:], uint64(s.Rollbacks))
+	return n + binary.PutUvarint(buf[n:], uint64(s.Matches))
 }
 
 // ClusterStats returns the per-cluster execution breakdown, in cluster
-// order, whatever the worker count; summing the entries' Stats
-// reproduces Result.Stats. The slice is built from the run's compact log
-// on every call.
+// order, whatever the lane count; summing the entries' Stats reproduces
+// Result.Stats. The slice is built from the run's compact logs on every
+// call.
 func (r *Result) ClusterStats() []ClusterStat {
 	if r.clusters == 0 {
 		return nil
 	}
-	out := make([]ClusterStat, r.clusters)
-	log := r.clusterLog
-	next := func() uint64 {
-		v, n := binary.Uvarint(log)
-		log = log[n:]
-		return v
-	}
-	for i := range out {
-		out[i] = ClusterStat{Cluster: i, Rows: int(next()), Stats: engine.Stats{
-			PredEvals: int64(next()), Rollbacks: int64(next()), Matches: int(next()),
-		}}
+	out := make([]ClusterStat, 0, r.clusters)
+	for _, log := range r.clusterLogs {
+		next := func() uint64 {
+			v, n := binary.Uvarint(log)
+			log = log[n:]
+			return v
+		}
+		for len(log) > 0 {
+			out = append(out, ClusterStat{Cluster: len(out), Rows: int(next()), Stats: engine.Stats{
+				PredEvals: int64(next()), Rollbacks: int64(next()), Matches: int(next()),
+			}})
+		}
 	}
 	return out
 }
 
-// searchChunk searches clusters[lo:hi] with one executor of its own and
-// appends each cluster's stats, matches and projected rows to out. It is
-// the containment boundary of the search: an engine.Interrupt unwind
-// comes back as its typed error and any other panic as a *PanicError.
-// Before every cluster it fires the sqlts.execute.cluster fault point
-// and takes the cooperative checkpoint (cancellation, kill, MaxMatches).
-func (q *Query) searchChunk(rc *runControl, out *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, lo, hi int, opts RunOptions) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = q.recovered(r)
-		}
-	}()
+// start gives a lane its executor and reserves its share of the result
+// the plan's last run produced, one of lanes equal shares, so that a run
+// shaped like the last allocates each of the lane's buffers once.
+func (s *search) start(l *lane, lanes int) {
 	policy := engine.SkipPastLastRow
-	if opts.Overlap {
+	if s.opts.Overlap {
 		policy = engine.SkipToNextRow
 	}
-	ex := q.newExecutor(opts, policy)
-	if rc != nil {
-		ex.SetInterrupt(rc.interrupt())
+	l.ex = s.q.newExecutor(s.opts, policy)
+	if s.rc != nil {
+		l.ex.SetInterrupt(s.rc.interrupt())
 	}
-	if masks != nil {
-		ex.SetVectorized(true)
+	if s.masks != nil {
+		l.ex.SetVectorized(true)
 	}
-	compiled := q.plan.compiled
+	l.ticks.fl = s.rc.flightRef()
+
+	matches, matched, logBytes := s.q.plan.shape.share(lanes)
+	if logBytes == 0 {
+		// Never run: a ten-row cluster's entry is four bytes; the slack is
+		// a lone long cluster's.
+		logBytes = 4*len(s.clusters)/lanes + 8
+	}
+	l.log.Reserve(logBytes)
+	if matches > 0 {
+		l.ex.Reserve(matches)
+		l.rows.Reserve(matches)
+		l.values.Reserve(matches * len(s.q.plan.compiled.OutNames))
+		l.matches.Reserve(matched)
+	}
+}
+
+// searchChunk searches clusters[lo:hi] on lane l and leaves the chunk's
+// mark in m: the runs of cluster stats, matches and projected rows it
+// appended to the lane's blocks, or the error that stopped it. It is the
+// containment boundary of the search: an engine.Interrupt unwind comes
+// back as its typed error and any other panic as a *PanicError. Before
+// every cluster it fires the sqlts.execute.cluster fault point and takes
+// the cooperative checkpoint (cancellation, kill, MaxMatches).
+func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.err = s.q.recovered(r)
+		}
+	}()
+	defer l.ticks.flush() // also on the way out of a failed cluster
+	compiled := s.q.plan.compiled
 	width := len(compiled.OutNames)
-	var values engine.Block[storage.Value] // the chunk's output rows are carved from it
-	ticks := progress{fl: rc.flightRef()}
-	defer ticks.flush() // also on the way out of a failed cluster
-	// A ten-row cluster's entry is four bytes; the slack is a lone long
-	// cluster's.
-	out.clusterLog = make([]byte, 0, 4*(hi-lo)+8)
+	ex, rc := l.ex, s.rc
+	rows, matches := l.rows.Len(), l.matches.Len()
+	// The log's entries are written straight into the block's spare room
+	// while it has room for the longest one.
+	log, spare := l.log.Spare(l.log.Len(), 0)
 	for ci := lo; ci < hi; ci++ {
-		if ferr := faultExecCluster.Fire(); ferr != nil {
-			return ferr
+		if m.err = faultExecCluster.Fire(); m.err != nil {
+			return
 		}
-		if cerr := rc.check(); cerr != nil {
-			return cerr
+		if m.err = rc.check(); m.err != nil {
+			return
 		}
-		seq := clusters[ci]
-		if projs != nil {
-			ex.UseProjection(projs[ci])
+		seq := s.clusters[ci]
+		if s.projs != nil {
+			ex.UseProjection(s.projs[ci])
 		}
-		if masks != nil {
-			ex.UseMasks(masks[ci])
+		if s.masks != nil {
+			ex.UseMasks(s.masks[ci])
 		}
 		ms, stats := ex.FindAll(seq)
-		out.Stats.Add(stats)
-		out.clusters++
-		out.clusterLog = appendClusterStat(out.clusterLog, len(seq), stats)
-		if ticks.fl != nil {
-			ticks.clusters++
-			ticks.rows += int64(len(seq))
-			ticks.matches += int64(stats.Matches)
-			if ticks.rows >= flightFlushRows {
-				ticks.flush()
+		l.stats.Add(stats)
+		l.clusters++
+		if len(spare) >= clusterStatMax {
+			n := putClusterStat(spare, len(seq), stats)
+			l.log.Extend(n)
+			spare = spare[n:]
+		} else {
+			// Short of room — the tail of a block reserved to the byte:
+			// encode aside, append what it came to, and look again.
+			var buf [clusterStatMax]byte
+			log = l.log.Append(log, buf[:putClusterStat(buf[:], len(seq), stats)]...)
+			log, spare = l.log.Spare(log, 0)
+		}
+		if l.ticks.fl != nil {
+			l.ticks.clusters++
+			l.ticks.rows += int64(len(seq))
+			l.ticks.matches += int64(stats.Matches)
+			if l.ticks.rows >= flightFlushRows {
+				l.ticks.flush()
 			}
 		}
-		if opts.Trace {
-			q.pathMu.Lock()
-			q.lastPath = append(q.lastPath, pathOf(ex)...)
-			q.pathMu.Unlock()
+		if s.opts.Trace {
+			s.q.pathMu.Lock()
+			s.q.lastPath = append(s.q.lastPath, pathOf(ex)...)
+			s.q.pathMu.Unlock()
 		}
 		if len(ms) > 0 {
-			out.Matches = append(out.Matches, ClusterMatches{Cluster: ci, Matches: ms})
+			matches = l.matches.Append(matches, ClusterMatches{Cluster: ci, Matches: ms})
 		}
-		for _, m := range ms {
-			row, serr := compiled.EvalSelectInto(values.Take(width), seq, m.Spans)
-			if serr != nil {
-				return serr
+		for _, found := range ms {
+			row, err := compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
+			if err != nil {
+				m.err = err
+				return
 			}
-			out.Rows = append(out.Rows, row)
+			rows = l.rows.Append(rows, row)
 		}
 		rc.addMatches(stats.Matches)
 	}
-	return nil
+	l.chunks++
+	m.rows, m.matches, m.log = l.rows.Run(rows), l.matches.Run(matches), l.log.Run(log)
 }
 
 // recovered turns a recovered panic value into the run's error: an

@@ -1,12 +1,15 @@
 package sqlts
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sqlts/internal/fault"
@@ -25,12 +28,20 @@ const driverSQL = `
 	  AND Y.price < 0.99 * Y.previous.price
 	  AND Z.price > Z.previous.price`
 
-// driverDB serves a quote table of n thirty-row clusters (none for
+// driverRows is the cluster length of the driver tests' tables; tallRows
+// is a length at which 2*chunksPerWorker clusters — the fewest the elastic
+// default fans out over — already hold elasticMinRows rows.
+const (
+	driverRows = 30
+	tallRows   = elasticMinRows/(2*chunksPerWorker) + 8
+)
+
+// driverDB serves a quote table of n clusters of rowsPer rows (none for
 // n = 0), sharded when shards > 1. The adaptive optimizer is off so the
 // hundreds of runs below all execute the plan as compiled.
-func driverDB(t testing.TB, n, shards int) (*DB, *Query) {
+func driverDB(t testing.TB, n, rowsPer, shards int) (*DB, *Query) {
 	t.Helper()
-	tbl := workload.ClusterWalks("quote", 11, max(n, 1), 30, 5)
+	tbl := workload.ClusterWalks("quote", 11, max(n, 1), rowsPer, 5)
 	if n == 0 {
 		tbl = storage.NewTable("quote", tbl.Schema)
 	}
@@ -48,16 +59,22 @@ func driverDB(t testing.TB, n, shards int) (*DB, *Query) {
 	return db, q
 }
 
-// TestDriverDifferential: whatever the worker count, the partition
-// source, the evaluation mode and the executor, the cluster driver
-// returns rows, Stats, ClusterStats and Matches deep-equal to a
-// one-worker NoCache run. Cluster counts straddle the seams of
-// chunkSize for every worker count tried: where the list stops fitting
-// one cluster per chunk, and a last chunk of one cluster.
-func TestDriverDifferential(t *testing.T) {
-	workers := []int{1, 2, 3, 8}
+// assertNoSearchers fails when the process-wide searcher count has not
+// returned to zero: with no query running, every caller and every helper
+// has given its token back.
+func assertNoSearchers(t testing.TB) {
+	t.Helper()
+	if n := searchers.Load(); n != 0 {
+		t.Errorf("searcher count = %d with no query running; want 0", n)
+	}
+}
+
+// seamCounts returns cluster counts that straddle the seams of chunkSize
+// for every lane count given — where the list stops fitting one cluster
+// per chunk, and a last chunk of one cluster — beside 0 and 1.
+func seamCounts(lanes ...int) []int {
 	counts := map[int]bool{0: true, 1: true}
-	for _, w := range workers[1:] {
+	for _, w := range lanes {
 		seam := w * chunksPerWorker // the largest count with one-cluster chunks
 		for _, n := range []int{seam - 1, seam, seam + 1, 3*seam + 1} {
 			counts[n] = true
@@ -68,13 +85,33 @@ func TestDriverDifferential(t *testing.T) {
 		ns = append(ns, n)
 	}
 	sort.Ints(ns)
+	return ns
+}
 
+// driverConfig is one way of choosing the lane count: RunOptions.MaxWorkers
+// and, for the elastic default, the GOMAXPROCS it borrows against
+// (0 leaves the process's).
+type driverConfig struct{ workers, procs int }
+
+func (c driverConfig) String() string {
+	if c.workers == 0 {
+		return fmt.Sprintf("elastic@%d", c.procs)
+	}
+	return fmt.Sprint(c.workers)
+}
+
+// checkDriverDifferential runs the driver's differential matrix: for every
+// cluster count in ns (clusters of rowsPer rows), executor, partition
+// source, evaluation mode and lane configuration, rows, Stats,
+// ClusterStats and Matches must deep-equal a one-lane NoCache run. It
+// returns how many runs fanned out.
+func checkDriverDifferential(t *testing.T, ns []int, rowsPer int, executors []ExecutorKind, configs []driverConfig) (fanned int) {
+	t.Helper()
 	modes := []RunOptions{{}, {NoVectorize: true}, {NoKernel: true}}
-	executors := []ExecutorKind{Auto, NaiveExec, OPSSkipExec}
 	matched := false
 	for _, n := range ns {
-		_, flat := driverDB(t, n, 0)
-		_, sharded := driverDB(t, n, 3)
+		_, flat := driverDB(t, n, rowsPer, 0)
+		_, sharded := driverDB(t, n, rowsPer, 3)
 		sources := []struct {
 			name    string
 			q       *Query
@@ -85,19 +122,29 @@ func TestDriverDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.ClusterStats()) != n {
-				t.Fatalf("n=%d: reference searched %d clusters", n, len(want.ClusterStats()))
+			if len(want.ClusterStats()) != n || want.workers != 1 {
+				t.Fatalf("n=%d: reference searched %d clusters on %d lanes", n, len(want.ClusterStats()), want.workers)
 			}
 			matched = matched || len(want.Rows) > 0
 			for _, src := range sources {
 				for _, mode := range modes {
-					for _, w := range workers {
+					for _, cfg := range configs {
 						opts := mode
-						opts.Executor, opts.MaxWorkers, opts.NoCache = ex, w, src.noCache
-						label := fmt.Sprintf("n=%d %s %s workers=%d vec=%v kernel=%v", n, src.name, ex, w, !opts.NoVectorize, !opts.NoKernel)
+						opts.Executor, opts.MaxWorkers, opts.NoCache = ex, cfg.workers, src.noCache
+						label := fmt.Sprintf("n=%d %s %s workers=%s vec=%v kernel=%v", n, src.name, ex, cfg, !opts.NoVectorize, !opts.NoKernel)
+						prev := 0
+						if cfg.procs > 0 {
+							prev = runtime.GOMAXPROCS(cfg.procs)
+						}
 						got, err := src.q.RunWith(opts)
+						if cfg.procs > 0 {
+							runtime.GOMAXPROCS(prev)
+						}
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
+						}
+						if got.borrowed > 0 {
+							fanned++
 						}
 						if !reflect.DeepEqual(want.Rows, got.Rows) {
 							t.Fatalf("%s: rows differ (%d vs %d)", label, len(want.Rows), len(got.Rows))
@@ -119,6 +166,198 @@ func TestDriverDifferential(t *testing.T) {
 	if !matched {
 		t.Fatal("workload produced no matches; adjust parameters")
 	}
+	assertNoSearchers(t)
+	return fanned
+}
+
+// elasticConfigs is the default lane count at one, two and four cores.
+var elasticConfigs = []driverConfig{{0, 1}, {0, 2}, {0, 4}}
+
+// checkElasticDifferential is the differential matrix of the elastic
+// default over clusters tall enough that it fans out from
+// 2*chunksPerWorker of them up, around the chunk seams of two and four
+// lanes. Tall clusters make slow tests, so the executor — which the driver
+// only hands clusters to — is the default one alone; the short-cluster
+// matrix of TestDriverDifferential varies it.
+func checkElasticDifferential(t *testing.T, ns ...int) (fanned int) {
+	t.Helper()
+	return checkDriverDifferential(t, ns, tallRows, []ExecutorKind{Auto}, elasticConfigs)
+}
+
+// TestDriverDifferential: whatever the lane count — explicit, or the
+// elastic default at GOMAXPROCS 1, 2 and 4 — the partition source, the
+// evaluation mode and the executor, the cluster driver returns rows,
+// Stats, ClusterStats and Matches deep-equal to a one-lane NoCache run.
+// Cluster counts straddle the seams of chunkSize for every lane count
+// tried. The explicit counts run over short clusters, where the default
+// is below its threshold and must stay on one lane; the default runs again
+// over clusters tall enough that it fans out from 2*chunksPerWorker
+// clusters up.
+func TestDriverDifferential(t *testing.T) {
+	explicit := []driverConfig{{1, 0}, {2, 0}, {3, 0}, {8, 0}}
+	checkDriverDifferential(t, seamCounts(2, 3, 8), driverRows, []ExecutorKind{Auto, NaiveExec, OPSSkipExec}, append(explicit, elasticConfigs...))
+	if checkElasticDifferential(t, 1, 7, 8, 9, 15, 16, 17, 25) == 0 {
+		t.Error("the elastic default never borrowed a helper")
+	}
+}
+
+// TestDriverElasticYield: a borrowed helper that leaves — here forced, by
+// the sqlts.driver.yield fault point, at every k-th claim any helper makes
+// — keeps the chunks it finished in its lane and costs the result nothing:
+// the elastic matrix still deep-equals the one-lane NoCache run, and a run
+// that lost its helper says so.
+func TestDriverElasticYield(t *testing.T) {
+	defer fault.Reset()
+	defer testutil.LeakCheck(t)()
+	for _, k := range []int64{1, 2, 3} {
+		var claims atomic.Int64
+		if err := fault.Arm("sqlts.driver.yield", fault.Action{Fn: func() error {
+			if claims.Add(1)%k == 0 {
+				return errors.New("leave")
+			}
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		// An armed fault point also takes the executors off their bulk
+		// paths, so the matrix is cut to one count a side of each seam.
+		if checkElasticDifferential(t, 8, 17, 25) == 0 {
+			t.Errorf("k=%d: the elastic default never borrowed a helper", k)
+		}
+		if claims.Load() == 0 {
+			t.Errorf("k=%d: no helper reached the yield point", k)
+		}
+	}
+	fault.Reset()
+
+	// A helper that leaves at its first claim searched nothing, and the run
+	// reports one worker, one helper borrowed and one yielded. The caller's
+	// lane is held at its first cluster until the helper has left, so that
+	// chunks are still unclaimed when it does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	left := make(chan struct{})
+	if err := fault.Arm("sqlts.driver.yield", fault.Action{Fn: func() error {
+		close(left)
+		return errors.New("leave")
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm("sqlts.execute.cluster", fault.Action{Times: 1, Fn: func() error {
+		<-left
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	_, q := driverDB(t, 64, tallRows, 0)
+	res, err := q.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.workers != 1 || res.borrowed != 1 || res.yielded != 1 || res.denied != 0 {
+		t.Errorf("workers=%d borrowed=%d yielded=%d denied=%d; want 1, 1, 1, 0", res.workers, res.borrowed, res.yielded, res.denied)
+	}
+}
+
+// TestDriverBudgetReturns: however a run ends — success, a failing
+// cluster, a panicking predicate, an operator kill, a cancelled context —
+// every token it took from the process-wide searcher count is back and no
+// helper goroutine outlives it.
+func TestDriverBudgetReturns(t *testing.T) {
+	defer fault.Reset()
+	defer testutil.LeakCheck(t)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db, q := driverDB(t, 64, tallRows, 0)
+	db.SetFlightRecorder(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errBoom := errors.New("cluster failed")
+	for _, tc := range []struct {
+		name string
+		act  fault.Action
+		opts RunOptions
+		ok   func(error) bool
+	}{
+		{"success", fault.Action{}, RunOptions{}, func(err error) bool { return err == nil }},
+		{"failing cluster", fault.Action{Err: errBoom, After: 20}, RunOptions{}, func(err error) bool { return errors.Is(err, errBoom) }},
+		{"panicking predicate", fault.Action{Panic: "predicate bug", After: 20}, RunOptions{}, func(err error) bool {
+			var pe *PanicError
+			return errors.As(err, &pe)
+		}},
+		{"kill", fault.Action{After: 20, Times: 1, Fn: func() error {
+			for _, f := range db.ActiveQueries() {
+				db.KillQuery(f.ID, "test")
+			}
+			return nil
+		}}, RunOptions{}, func(err error) bool { return errors.Is(err, ErrKilled) }},
+		{"cancelled context", fault.Action{After: 20, Times: 1, Fn: func() error { cancel(); return nil }},
+			RunOptions{Context: ctx}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
+	} {
+		for _, workers := range []int{0, 3} {
+			if tc.name != "success" {
+				if err := fault.Arm("sqlts.execute.cluster", tc.act); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := tc.opts
+			opts.MaxWorkers = workers
+			res, err := q.RunWith(opts)
+			fault.Reset()
+			if !tc.ok(err) || (err != nil && res != nil) {
+				t.Errorf("%s, MaxWorkers %d: err = %v, result %v", tc.name, workers, err, res != nil)
+			}
+			if err == nil && res.borrowed == 0 {
+				t.Errorf("%s, MaxWorkers %d: the run did not fan out", tc.name, workers)
+			}
+			assertNoSearchers(t)
+		}
+	}
+}
+
+// TestDriverBudgetRespected: eight elastic clients on a two-core budget.
+// Every caller may always search and counts itself, and a helper is
+// granted only while the count is under the budget, so at most budget-1
+// helpers are ever out: the count, sampled before every cluster any lane
+// searches, never passes clients + budget - 1, and it settles at zero.
+func TestDriverBudgetRespected(t *testing.T) {
+	defer fault.Reset()
+	defer testutil.LeakCheck(t)()
+	const clients, budget, iters = 8, 2, 6
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(budget))
+	_, q := driverDB(t, 64, tallRows, 0)
+	var peak atomic.Int64
+	if err := fault.Arm("sqlts.execute.cluster", fault.Action{Fn: func() error {
+		n := searchers.Load()
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var borrowed, denied atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				res, err := q.Run()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				borrowed.Add(int64(res.borrowed))
+				denied.Add(int64(res.denied))
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p < 1 || p > clients+budget-1 {
+		t.Errorf("peak searcher count %d with %d clients on a budget of %d; want 1..%d", p, clients, budget, clients+budget-1)
+	}
+	if got := borrowed.Load() + denied.Load(); got != clients*iters*(budget-1) {
+		t.Errorf("%d helpers borrowed + %d denied = %d; want one decision per run, %d", borrowed.Load(), denied.Load(), got, clients*iters*(budget-1))
+	}
+	assertNoSearchers(t)
 }
 
 // TestDriverFailureOrder: with four workers, a failure in a later
@@ -152,7 +391,7 @@ func TestDriverFailureOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			defer testutil.LeakCheck(t)()
-			_, q := driverDB(t, n, 0)
+			_, q := driverDB(t, n, driverRows, 0)
 
 			var mu sync.Mutex
 			arrived, alone := 0, 0
@@ -204,36 +443,124 @@ func TestDriverFailureOrder(t *testing.T) {
 // TestManyClusterRunAllocsFlat: what a warm run allocates does not grow
 // with its cluster count. Ten times the clusters around the same four
 // planted matches — per-cluster stats, flight ticks, executor set-up and
-// result rows all come from per-chunk blocks — cost at most four objects
-// more.
+// result rows all come from the lane's blocks, reserved from the plan's
+// last run — cost not one object more, on one lane or on two. The second
+// lane's price is fixed too: its executor, its six reserved blocks, the
+// fan and its goroutine, the stitched slices, and what the lane the
+// matches happen to fall to refills because its share was half of them.
 func TestManyClusterRunAllocsFlat(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	warmAllocs := func(clusters int) float64 {
+	warmAllocs := func(clusters, workers int) float64 {
 		db := New()
 		db.RegisterTable(workload.ClusterWalks("quote", 1, clusters, 8, clusters/4))
 		if err := db.DeclarePositive("quote", "price"); err != nil {
 			t.Fatal(err)
 		}
-		sql := strings.Replace(doubleBottomSQL, "FROM djia", "FROM quote CLUSTER BY name", 1)
-		res, err := db.Query(sql)
+		q, err := db.Prepare(strings.Replace(doubleBottomSQL, "FROM djia", "FROM quote CLUSTER BY name", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.ClusterStats()) != clusters || res.Stats.Matches != 4 {
-			t.Fatalf("%d clusters searched, %d matches; want %d and 4", len(res.ClusterStats()), res.Stats.Matches, clusters)
+		opts := RunOptions{MaxWorkers: workers}
+		res, err := q.RunWith(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.ClusterStats()) != clusters || res.Stats.Matches != 4 || int(res.borrowed) != workers-1 {
+			t.Fatalf("%d clusters searched on %d lanes, %d matches; want %d, %d and 4", len(res.ClusterStats()), res.borrowed+1, res.Stats.Matches, clusters, workers)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := db.Query(sql); err != nil {
+			if _, err := q.RunWith(opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	few, many := warmAllocs(200), warmAllocs(2000)
-	if many > few+4 {
-		t.Errorf("a warm run over 2,000 clusters allocates %.0f objects, over 200 clusters %.0f: want within 4", many, few)
+	few, many := warmAllocs(200, 1), warmAllocs(2000, 1)
+	if many > few || many > 17 {
+		t.Errorf("a warm one-lane run over 2,000 clusters allocates %.0f objects, over 200 clusters %.0f: want the same, and at most 17", many, few)
 	}
+	if two := warmAllocs(2000, 2); two > many+32 {
+		t.Errorf("a warm two-lane run over 2,000 clusters allocates %.0f objects, a one-lane run %.0f: want within 32", two, many)
+	}
+}
+
+// TestResultShapeIsAdvisory: the shape a plan remembers of its last result
+// only sizes the next run's buffers. One handle's result grows across
+// inserts (0, then 3, then 400 matches) and shrinks and grows between
+// runs (Overlap alternating on the same handle); every run returns what a
+// NoCache run through another plan returns, on one lane and on two, and
+// reserves exactly what the run before it produced — never a high-water
+// mark — split evenly when two lanes share it.
+func TestResultShapeIsAdvisory(t *testing.T) {
+	db := quoteDB(t)
+	db.SetAdaptive(false)
+	for c := 0; c < 12; c++ {
+		insertSeries(t, db, fmt.Sprintf("F%02d", c), 10000, 10, 10, 10, 10)
+	}
+	q, err := db.Prepare(driverSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference plan: same table, another DB, so another shape.
+	refDB := New()
+	refDB.RegisterTable(db.Table("quote"))
+	if err := refDB.DeclarePositive("quote", "price"); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refDB.Prepare(driverSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shape := q.plan.shape
+	var last [3]int // what the run before produced: matches, matched clusters, log bytes
+	run := func(label string, overlap bool, wantMatches int) {
+		t.Helper()
+		want, err := ref.RunWith(RunOptions{Overlap: overlap, MaxWorkers: 1, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stats.Matches != wantMatches {
+			t.Fatalf("%s: the reference finds %d matches, the test wants %d", label, want.Stats.Matches, wantMatches)
+		}
+		for _, workers := range []int{1, 2} {
+			m, c, l := shape.share(1)
+			if got := [3]int{m, c, l}; got != last {
+				t.Errorf("%s, %d lanes: the run would reserve %v, the run before produced %v", label, workers, got, last)
+			}
+			m2, c2, l2 := shape.share(2)
+			if m2 != (m+1)/2 || c2 != (c+1)/2 || l2 != (l+1)/2 {
+				t.Errorf("%s: a lane of two would reserve (%d %d %d) of (%d %d %d)", label, m2, c2, l2, m, c, l)
+			}
+			got, err := q.RunWith(RunOptions{Overlap: overlap, MaxWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Rows, got.Rows) || want.Stats != got.Stats ||
+				!reflect.DeepEqual(want.Matches, got.Matches) || !reflect.DeepEqual(want.ClusterStats(), got.ClusterStats()) {
+				t.Fatalf("%s, %d lanes: result differs from the NoCache run (%+v, want %+v)", label, workers, got.Stats, want.Stats)
+			}
+			logBytes := 0
+			for _, log := range got.clusterLogs {
+				logBytes += len(log)
+			}
+			last = [3]int{got.Stats.Matches, len(got.Matches), logBytes}
+		}
+	}
+	run("no match yet", false, 0)
+	for c := 0; c < 3; c++ {
+		insertSeries(t, db, fmt.Sprintf("F%02d", c), 10004, 11, 9, 10)
+	}
+	run("three matches", false, 3)
+	for c := 0; c < 397; c++ {
+		// One occurrence left-maximal, two overlapping.
+		insertSeries(t, db, fmt.Sprintf("Z%03d", c), 10000, 10, 11, 9, 10, 8, 9)
+	}
+	run("400 matches", false, 400)
+	run("overlap on", true, 797)
+	run("overlap off", false, 400)
+	run("overlap on again", true, 797)
 }
 
 // TestFigure5RunAllocs pins the smallest warm op, the paper's Example 4

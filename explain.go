@@ -64,11 +64,19 @@ func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	if res == nil {
 		execute.Annotate("error", ev.ErrorKind)
 	} else {
+		// "denied" is the answer to "why did it run on one core": the
+		// others were busy.
+		workers := fmt.Sprintf("%d (%d borrowed, %d yielded", ev.Workers, ev.HelpersBorrowed, ev.HelpersYielded)
+		if ev.HelpersDenied > 0 {
+			workers += fmt.Sprintf(", %d denied: no idle core", ev.HelpersDenied)
+		}
+		workers += ")"
 		execute.Annotate("clusters", ev.Clusters).
 			Annotate("rows-scanned", ev.RowsScanned).
 			Annotate("rows", ev.Rows).
 			Annotate("plan", cachedWord(ev.PlanCached)).
 			Annotate("partition", ev.Partition).
+			Annotate("workers", workers).
 			Annotate("stats", stats)
 	}
 	b.WriteString("\nPhases:\n")

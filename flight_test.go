@@ -119,7 +119,7 @@ func TestFlightProgressMonotonic(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.RunWith(RunOptions{}); err != nil {
+	if _, err := q.RunWith(RunOptions{MaxWorkers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	fault.Reset()

@@ -162,6 +162,9 @@ type Executor interface {
 	// SetInterrupt installs a cooperative cancellation checkpoint,
 	// consulted once every 1024 predicate evaluations (nil disables).
 	SetInterrupt(check func() error)
+	// Reserve sizes the executor's match and span blocks for searches
+	// expected to find that many matches in all; advisory, and optional.
+	Reserve(matches int)
 	// Name identifies the executor in benchmark output.
 	Name() string
 }
@@ -181,18 +184,10 @@ type evaluator struct {
 	nextProj *storage.Projection
 	// Vectorized probing (SetVectorized): masks holds the per-element
 	// selection bitmasks of the current sequence — either ownMasks (built
-	// by reset) or a caller-supplied shared set (UseMasks). fastSkip is
-	// set when element 1's mask alone decides failed starts, letting the
-	// search loops skip runs of zero bits in bulk (see skipEvals).
-	vec       bool
+	// by reset) or a caller-supplied shared set (UseMasks).
 	masks     *pattern.MaskSet
 	ownMasks  *pattern.MaskSet
 	nextMasks *pattern.MaskSet
-	fastSkip  bool
-	// allPure extends fastSkip's condition to every element: each one's
-	// mask alone decides its probes, so OPS may run its pure-mask star
-	// loop (findAllStarPure).
-	allPure bool
 	// pureSlots is the kernel's static table: element j's slot in a mask
 	// set's slab when a bit test alone answers the probe (vectorized, no
 	// cross conditions), -1 when the probe goes through the kernel's masked
@@ -202,15 +197,22 @@ type evaluator struct {
 	slab      []uint64
 	words     int
 	// matches and spans are what FindAll reports into: blocks that are
-	// never overwritten (see Block; report keeps one search's matches
-	// contiguous), so a Match stays valid after later searches and a run of
-	// searches allocates per block, not per match.
-	matches []Match
+	// never overwritten (see Block; one search's matches are one run), so a
+	// Match stays valid after later searches and a run of searches
+	// allocates per block, not per match.
+	matches Block[Match]
 	spans   Block[pattern.Span]
-	stats   Stats
-	trace   []PathPoint
-	doTrc   bool
-	ctx     pattern.EvalContext
+	// The flags sit together so that they share one word, beside the
+	// counters every probe touches. vec is SetVectorized's switch and doTrc
+	// path tracing's. fastSkip is set when element 1's mask alone decides
+	// failed starts, letting the search loops skip runs of zero bits in
+	// bulk (see skipEvals); allPure extends that condition to every
+	// element: each one's mask alone decides its probes, so OPS may run its
+	// pure-mask star loop (findAllStarPure).
+	vec, doTrc, fastSkip, allPure bool
+	stats                         Stats
+	trace                         []PathPoint
+	ctx                           pattern.EvalContext
 	// check is the cooperative cancellation checkpoint, consulted every
 	// checkpointMask+1 predicate evaluations; nil when no cancellation
 	// is configured (the default, so uncancellable runs pay only the
@@ -400,45 +402,99 @@ func (e *evaluator) checkpoints(evals, k int64) {
 }
 
 // Block hands out slices carved from blocks that are never overwritten:
-// a block is only appended to, and when one lacks room the next starts —
-// twice the size, the first as large as the first request — while the old
-// one is left to the slices that point into it. What Take returned stays
-// valid for as long as it is referenced, and n requests cost O(log n)
-// allocations. The zero value is ready to use.
-type Block[T any] struct{ buf []T }
+// a block is only appended to, and when one lacks room the next starts
+// while the old one is left to the slices that point into it. What Take
+// or Run returned stays valid for as long as it is referenced. Unreserved
+// — the zero value — a new block is twice the size of the last (the first
+// as large as the first request), so n requests cost O(log n) allocations.
+type Block[T any] struct {
+	buf []T
+	// step is a reserved block's next refill size, 0 while unreserved.
+	step int
+}
+
+// Reserve starts a block of n elements, the caller's estimate of what is
+// about to be handed out — the size of the last run of the same plan — so
+// that a run that meets the estimate costs one allocation. A reserved
+// block that runs out refills by a quarter of the estimate, and each
+// refill is a quarter larger than the one before, never by doubling:
+// overrunning by one element costs a quarter more memory, not twice, and
+// overrunning many times over still costs O(log n) allocations. n <= 0
+// reserves nothing.
+func (b *Block[T]) Reserve(n int) {
+	if n > 0 {
+		b.buf, b.step = make([]T, 0, n), (n+3)/4
+	}
+}
+
+// room makes sure n more elements fit behind the run that starts at from
+// in the current block and returns where the run starts afterwards: at
+// from, or at 0 of a new block the run was moved to.
+func (b *Block[T]) room(from, n int) int {
+	if cap(b.buf)-len(b.buf) >= n {
+		return from
+	}
+	run := b.buf[from:]
+	grow := 2*cap(b.buf) - len(run)
+	if b.step > 0 {
+		grow = b.step
+		b.step += (b.step + 3) / 4
+	}
+	b.buf = make([]T, len(run), len(run)+max(n, grow))
+	copy(b.buf, run)
+	return 0
+}
 
 // Take returns n zeroed elements of the block, capacity clipped.
 func (b *Block[T]) Take(n int) []T {
-	if cap(b.buf)-len(b.buf) < n {
-		b.buf = make([]T, 0, max(n, 2*cap(b.buf)))
-	}
-	at := len(b.buf)
+	at := b.room(len(b.buf), n)
 	b.buf = b.buf[:at+n]
 	return b.buf[at : at+n : at+n]
 }
 
-// report appends a match to the match block and returns where this
-// search's matches begin in it: from, unless the block was full — then the
-// search's matches so far move to a block of twice the size, and earlier
-// searches keep the old one.
-func (e *evaluator) report(from int, m Match) int {
-	if len(e.matches) == cap(e.matches) {
-		nb := make([]Match, len(e.matches)-from, max(1, 2*cap(e.matches)))
-		copy(nb, e.matches[from:])
-		e.matches, from = nb, 0
-	}
-	e.matches = append(e.matches, m)
+// Len is where a run begun now starts: the from of its first Append.
+func (b *Block[T]) Len() int { return len(b.buf) }
+
+// Append adds v to the run that starts at from — the elements appended
+// since Len returned from — keeping the run contiguous: when the block is
+// full the run so far moves to the next block and earlier runs keep the
+// old one. It returns where the run starts now.
+func (b *Block[T]) Append(from int, v ...T) int {
+	from = b.room(from, len(v))
+	b.buf = append(b.buf, v...)
 	return from
 }
 
-// reported returns the matches this search appended from from on, nil
-// when there are none; capacity is clipped, so appending to the result
-// cannot reach the block.
-func (e *evaluator) reported(from int) []Match {
-	if from == len(e.matches) {
+// Spare is Append for a writer that fills the block's memory itself: it
+// makes room for n more elements behind the run that starts at from and
+// returns where the run starts now and the unused capacity behind it, at
+// least n elements long (with n = 0, whatever the block has left). Extend
+// then adds as many of them to the run as the writer filled.
+func (b *Block[T]) Spare(from, n int) (int, []T) {
+	if cap(b.buf)-len(b.buf) < n {
+		from = b.room(from, n)
+	}
+	return from, b.buf[len(b.buf):cap(b.buf)]
+}
+
+// Extend adds the first n elements of the last Spare to the run.
+func (b *Block[T]) Extend(n int) { b.buf = b.buf[:len(b.buf)+n] }
+
+// Run returns the run that starts at from, nil when it is empty; capacity
+// is clipped, so appending to the result cannot reach the block.
+func (b *Block[T]) Run(from int) []T {
+	if from == len(b.buf) {
 		return nil
 	}
-	return e.matches[from:len(e.matches):len(e.matches)]
+	return b.buf[from:len(b.buf):len(b.buf)]
+}
+
+// Reserve sizes the blocks FindAll reports into for a run of searches
+// expected to find the given number of matches in all (see Block.Reserve).
+// Call it before the first FindAll.
+func (e *evaluator) Reserve(matches int) {
+	e.matches.Reserve(matches)
+	e.spans.Reserve(matches * len(e.ctx.Bind))
 }
 
 // snapshotSpans copies the current bindings for a reported match.
@@ -476,7 +532,7 @@ func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
 	n.reset(seq)
 	n.stats = Stats{}
 	n.trace = n.trace[:0]
-	from := len(n.matches)
+	from := n.matches.Len()
 	nn := len(seq)
 	for start := 1; start <= nn; start++ {
 		if n.fastSkip {
@@ -496,12 +552,12 @@ func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
 			continue
 		}
 		n.stats.Matches++
-		from = n.report(from, Match{Start: start - 1, End: end - 1, Spans: n.snapshotSpans()})
+		from = n.matches.Append(from, Match{Start: start - 1, End: end - 1, Spans: n.snapshotSpans()})
 		if n.policy == SkipPastLastRow {
 			start = end // loop increment moves to end+1
 		}
 	}
-	return n.reported(from), n.stats
+	return n.matches.Run(from), n.stats
 }
 
 // matchAt attempts a greedy match beginning at 1-based position start,

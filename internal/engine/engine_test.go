@@ -492,6 +492,10 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 	pure := NewOPS(star, core.Compute(star), OPSConfig{}) // the pure-mask loop
 	pure.UseKernel(star.CompileKernel())
 	pure.SetVectorized(true)
+	// Reserved for far fewer matches than the searches find: the blocks
+	// refill by the reserved policy, which must keep the same promise.
+	reserved := NewOPS(star, core.Compute(star), OPSConfig{})
+	reserved.Reserve(7)
 	executors := []struct {
 		reused Executor
 		fresh  func() Executor
@@ -502,6 +506,7 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 			return NewOPS(plain, core.Compute(plain), OPSConfig{Policy: SkipToNextRow})
 		}},
 		{NewNaive(star, SkipPastLastRow), func() Executor { return NewNaive(star, SkipPastLastRow) }},
+		{reserved, func() Executor { return NewOPS(star, core.Compute(star), OPSConfig{}) }},
 	}
 	for _, ex := range executors {
 		var kept, want [][]Match
@@ -528,6 +533,94 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 				t.Fatalf("%s: search %d's matches changed under later searches:\n%s\n%s",
 					ex.reused.Name(), i, fmtMatches(kept[i]), fmtMatches(want[i]))
 			}
+		}
+	}
+}
+
+// TestBlockReserve pins the two refill policies of a Block. Unreserved it
+// doubles. Reserved, a run that meets the estimate is one allocation, and
+// one that outgrows it refills by a quarter of the estimate, each refill a
+// quarter larger than the last, never by doubling — while runs stay
+// contiguous and earlier runs keep their elements.
+func TestBlockReserve(t *testing.T) {
+	var plain Block[int]
+	plain.Take(3)
+	plain.Take(1)
+	if got := cap(plain.buf); got != 6 {
+		t.Errorf("an unreserved block refilled to %d elements after a first block of 3, want 6", got)
+	}
+
+	var b Block[int]
+	b.Reserve(100)
+	first := b.Take(100)
+	if cap(b.buf) != 100 || b.step != 25 {
+		t.Fatalf("Reserve(100): block of %d, refill step %d; want 100 and 25", cap(b.buf), b.step)
+	}
+	for i := range first {
+		first[i] = i
+	}
+	b.Take(1)
+	if got := cap(b.buf); got != 25 {
+		t.Errorf("the first refill of a block reserved for 100 holds %d, want 25", got)
+	}
+	// A run that outgrows its block moves whole, with room for a refill
+	// behind it; the run before it stays where it was.
+	from := b.Len()
+	for i := 0; i < 60; i++ {
+		from = b.Append(from, 1000+i)
+	}
+	run := b.Run(from)
+	if len(run) != 60 || cap(run) != 60 {
+		t.Fatalf("a run of 60 appends is %d long, capacity %d", len(run), cap(run))
+	}
+	for i, v := range run {
+		if v != 1000+i {
+			t.Fatalf("run[%d] = %d after the run moved blocks, want %d", i, v, 1000+i)
+		}
+	}
+	for i, v := range first {
+		if v != i {
+			t.Fatalf("an earlier Take's element %d changed to %d", i, v)
+		}
+	}
+	// Far past the estimate the refills grow geometrically, a quarter at a
+	// time: a thousand times the estimate is a few dozen blocks, and none
+	// is as large as everything handed out before it.
+	blocks, handed, last := 0, 161, cap(b.buf)
+	for ; handed < 100000; handed++ {
+		b.Take(1)
+		if c := cap(b.buf); c != last {
+			blocks, last = blocks+1, c
+			if c >= handed {
+				t.Fatalf("a refill of %d elements after %d handed out doubles the block", c, handed)
+			}
+		}
+	}
+	if blocks < 10 || blocks > 40 {
+		t.Errorf("%d refills to hand out 100,000 elements from a block reserved for 100", blocks)
+	}
+	if b.Run(b.Len()) != nil {
+		t.Error("an empty run is not nil")
+	}
+	// Spare/Extend is Append for a writer that fills the memory itself: the
+	// room asked for is there, and a run that outgrows the block moves with
+	// what was written into it.
+	from = b.Len()
+	for i := 0; i < 5000; i++ {
+		var spare []int
+		if from, spare = b.Spare(from, 3); len(spare) < 3 {
+			t.Fatalf("Spare(3) returned room for %d", len(spare))
+		}
+		spare[0], spare[1] = i, -i
+		b.Extend(2)
+	}
+	run = b.Run(from)
+	if len(run) != 10000 {
+		t.Fatalf("5,000 two-element extensions make a run of %d", len(run))
+	}
+	for i := 0; i < 5000; i++ {
+		if run[2*i] != i || run[2*i+1] != -i {
+			t.Fatalf("run[%d:%d] = %v after the run moved blocks, want [%d %d]", 2*i, 2*i+2, run[2*i:2*i+2], i, -i)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func (o *OPS) evalPlain(j, i int) bool {
 // under the skip policy. Indexes i (input) and j (pattern) are 1-based as
 // in the paper.
 func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
-	from := len(o.matches)
+	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
 	clear(o.ctx.Bind) // evalPlain's cross conditions read them
@@ -138,7 +138,7 @@ func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
 			for k := 0; k < m; k++ {
 				spans[k] = pattern.Span{Start: start + k - 1, End: start + k - 1, Set: true}
 			}
-			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: spans})
+			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: spans})
 			o.stats.Matches++
 			if o.cfg.Policy == SkipToNextRow {
 				i = start + 1
@@ -157,7 +157,7 @@ func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
 			j = 1
 		}
 	}
-	return o.reported(from), o.stats
+	return o.matches.Run(from), o.stats
 }
 
 // countSpans builds a match's per-element spans from the §5 counters:
@@ -180,7 +180,7 @@ func (o *OPS) countSpans(count []int, start int) []pattern.Span {
 // the ablation configs, path tracing and fault injection all run here,
 // and findAllStarPure is differenced against it.
 func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
-	from := len(o.matches)
+	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
@@ -203,7 +203,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			// A match: every element is satisfied, or the input ran out
 			// inside a satisfied trailing star. Its spans are the counters.
 			start := i - count[m] // 1-based first tuple of the match
-			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
+			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
 			o.stats.Matches++
 			if toNextRow {
 				i = start + 1
@@ -291,7 +291,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			j++
 		}
 	}
-	return o.reported(from), o.stats
+	return o.matches.Run(from), o.stats
 }
 
 // findAllStarPure is findAllStar specialised to the case FindAll selects
@@ -305,7 +305,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 // on it, and the checkpoint fires once per 1024-eval boundary crossed,
 // so Stats and cancellation latency are identical to findAllStar's.
 func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
-	from := len(o.matches)
+	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
@@ -320,7 +320,7 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 	for {
 		if j > m || (i > nn && j == m && inElem > 0) {
 			start := i - count[m]
-			from = o.report(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
+			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
 			matches++
 			if toNextRow {
 				i = start + 1
@@ -380,5 +380,5 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 		j = nx
 	}
 	o.stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
-	return o.reported(from), o.stats
+	return o.matches.Run(from), o.stats
 }

@@ -53,6 +53,18 @@ type Event struct {
 	Shards       int    `json:"shards,omitempty"`
 	PlanRevision int64  `json:"plan_revision,omitempty"`
 
+	// Workers is how many goroutines, the caller's included, searched at
+	// least one chunk of a batch run's clusters. HelpersBorrowed is how
+	// many the run started beside the caller, HelpersDenied how many more
+	// an elastic run (RunOptions.MaxWorkers 0) wanted but found no idle
+	// core for — it ran on one core because the others were busy — and
+	// HelpersYielded how many borrowed helpers left before the chunks ran
+	// out because the process became oversubscribed.
+	Workers         int `json:"workers,omitempty"`
+	HelpersBorrowed int `json:"helpers_borrowed,omitempty"`
+	HelpersDenied   int `json:"helpers_denied,omitempty"`
+	HelpersYielded  int `json:"helpers_yielded,omitempty"`
+
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	Slow      bool   `json:"slow,omitempty"`

@@ -38,6 +38,26 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// CounterVec is one counter family split by a single label over a fixed
+// set of values, each value a Counter of its own.
+type CounterVec struct {
+	label    string
+	values   []string
+	counters []Counter
+}
+
+// With returns the counter of one label value. It panics on a value the
+// family was not registered with: the set is part of the family's
+// declaration, not data.
+func (v *CounterVec) With(value string) *Counter {
+	for i, name := range v.values {
+		if name == value {
+			return &v.counters[i]
+		}
+	}
+	panic(fmt.Sprintf("obs: counter family has no %s=%q", v.label, value))
+}
+
 // Gauge is a metric that can go up and down.
 type Gauge struct {
 	v atomic.Int64
@@ -118,6 +138,7 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
+	kindCounterVec
 )
 
 type metric struct {
@@ -127,6 +148,7 @@ type metric struct {
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
+	v    *CounterVec
 }
 
 // Registry is a set of named metrics. Instrument lookups are idempotent:
@@ -147,6 +169,23 @@ func NewRegistry() *Registry {
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.lookup(name, help, kindCounter)
 	return m.c
+}
+
+// CounterVec returns the named counter family, registering it on first
+// use with its label and that label's values; every value is exposed,
+// zero or not.
+func (r *Registry) CounterVec(name, help, label string, values ...string) *CounterVec {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.metrics[name]; ok {
+		if m.kind != kindCounterVec {
+			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
+		}
+		return m.v
+	}
+	v := &CounterVec{label: label, values: values, counters: make([]Counter, len(values))}
+	r.metrics[name] = &metric{name: name, help: help, kind: kindCounterVec, v: v}
+	return v
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -235,6 +274,11 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		case kindCounter:
 			fmt.Fprintf(&b, "# TYPE %s counter\n", m.name)
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.c.Value())
+		case kindCounterVec:
+			fmt.Fprintf(&b, "# TYPE %s counter\n", m.name)
+			for i, value := range m.v.values {
+				fmt.Fprintf(&b, "%s{%s=%q} %d\n", m.name, m.v.label, value, m.v.counters[i].Value())
+			}
 		case kindGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", m.name)
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.g.Value())

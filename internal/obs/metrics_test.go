@@ -127,6 +127,7 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sqlts_queries_total", "Queries executed.").Add(3)
 	r.Gauge("sqlts_active", "Active things.").Set(2)
+	r.CounterVec("sqlts_helpers_total", "Helpers.", "outcome", "borrowed", "denied").With("denied").Add(4)
 	h := r.Histogram("sqlts_latency_seconds", "Latency.", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.005)
@@ -139,6 +140,10 @@ func TestExpositionGolden(t *testing.T) {
 	want := `# HELP sqlts_active Active things.
 # TYPE sqlts_active gauge
 sqlts_active 2
+# HELP sqlts_helpers_total Helpers.
+# TYPE sqlts_helpers_total counter
+sqlts_helpers_total{outcome="borrowed"} 0
+sqlts_helpers_total{outcome="denied"} 4
 # HELP sqlts_latency_seconds Latency.
 # TYPE sqlts_latency_seconds histogram
 sqlts_latency_seconds_bucket{le="0.001"} 1

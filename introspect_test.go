@@ -204,8 +204,8 @@ func TestSlowQueryLogRetention(t *testing.T) {
 		}
 	}
 	// The execute line is the event's: same executor, rows and counters.
-	exec := fmt.Sprintf("executor=%s clusters=%d rows-scanned=%d rows=%d plan=cached partition=%s stats=PredEvals=%d",
-		r.Executor, r.Clusters, r.RowsScanned, r.Rows, r.Partition, r.PredEvals)
+	exec := fmt.Sprintf("executor=%s clusters=%d rows-scanned=%d rows=%d plan=cached partition=%s workers=%d (%d borrowed, %d yielded) stats=PredEvals=%d",
+		r.Executor, r.Clusters, r.RowsScanned, r.Rows, r.Partition, r.Workers, r.HelpersBorrowed, r.HelpersYielded, r.PredEvals)
 	if !strings.Contains(r.Report, exec) {
 		t.Errorf("report's execute line is not the event's (%s):\n%s", exec, r.Report)
 	}

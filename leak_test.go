@@ -54,6 +54,7 @@ func TestParallelErrorNoLeak(t *testing.T) {
 		if _, err := q.RunWith(RunOptions{MaxWorkers: 4}); err != nil {
 			t.Fatalf("run after injected failure: %v", err)
 		}
+		assertNoSearchers(t)
 	}
 }
 

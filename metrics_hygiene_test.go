@@ -1,8 +1,10 @@
 package sqlts
 
 import (
+	"fmt"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -36,8 +38,19 @@ func TestMetricsHygiene(t *testing.T) {
 	instruments := 0
 	for i := 0; i < v.NumField(); i++ {
 		switch v.Field(i).Type().String() {
-		case "*obs.Counter", "*obs.Gauge", "*obs.Histogram":
+		case "*obs.Counter", "*obs.Gauge", "*obs.Histogram", "*obs.CounterVec":
 			instruments++
+		}
+	}
+	// A labelled family is one family however many values its label takes,
+	// and every value is exposed from the start.
+	var text strings.Builder
+	if err := db.WriteMetrics(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, outcome := range []string{"borrowed", "denied", "yielded"} {
+		if line := fmt.Sprintf("sqlts_driver_helpers_total{outcome=%q} 0\n", outcome); !strings.Contains(text.String(), line) {
+			t.Errorf("exposition lacks %q", line)
 		}
 	}
 	if instruments != len(families) {

@@ -53,6 +53,7 @@ type dbMetrics struct {
 
 	vectorizedRuns  *obs.Counter
 	adaptiveReplans *obs.Counter
+	driverHelpers   *obs.CounterVec
 
 	planCacheHits               *obs.Counter
 	planCacheMisses             *obs.Counter
@@ -144,6 +145,9 @@ func newDBMetrics() *dbMetrics {
 			"Query executions that probed through selection bitmasks."),
 		adaptiveReplans: reg.Counter("sqlts_adaptive_replans_total",
 			"Plans re-derived by the adaptive optimizer: Auto executor flips to naive."),
+		driverHelpers: reg.CounterVec("sqlts_driver_helpers_total",
+			"Helper goroutines of the cluster driver: borrowed (started beside the caller), denied (an elastic run found no idle core for one) and yielded (a borrowed helper left early because the process became oversubscribed).",
+			"outcome", "borrowed", "denied", "yielded"),
 		planCacheHits: reg.Counter("sqlts_plan_cache_hits_total",
 			"Prepares served a cached plan (compile pipeline skipped)."),
 		planCacheMisses: reg.Counter("sqlts_plan_cache_misses_total",
@@ -259,6 +263,11 @@ func (db *DB) observe(q *Query, opts RunOptions, ev *obs.Event, res *Result, err
 		}
 		if ev.Shards > 1 {
 			m.shardQueries.Inc()
+		}
+		if ev.HelpersBorrowed+ev.HelpersDenied > 0 { // a yield follows a borrow
+			m.driverHelpers.With("borrowed").Add(int64(ev.HelpersBorrowed))
+			m.driverHelpers.With("denied").Add(int64(ev.HelpersDenied))
+			m.driverHelpers.With("yielded").Add(int64(ev.HelpersYielded))
 		}
 		entry.RecordQuery(ev.QueryObs())
 		db.maybeAdapt(q, opts, entry)

@@ -124,6 +124,7 @@ func TestObservationViewsAgree(t *testing.T) {
 	type sums struct {
 		ok, failed, slow, vectorized, sharded           int64
 		rows, scanned, clusters                         int64
+		borrowed, denied, yielded                       int64
 		predEvals, rollbacks, matches                   int64
 		durNs                                           int64
 		canceled, deadline, budget, panics, rej, killed int64
@@ -188,6 +189,14 @@ func TestObservationViewsAgree(t *testing.T) {
 			t.Errorf("event counts %d clusters over a two-symbol table: %+v", ev.Clusters, ev)
 		}
 		want.clusters += ev.Clusters
+		// Every successful batch run says how many lanes searched, and a
+		// helper is a lane beside the caller's.
+		if ev.Workers < 1 || ev.Workers > 1+ev.HelpersBorrowed {
+			t.Errorf("event reports %d workers with %d helpers borrowed: %+v", ev.Workers, ev.HelpersBorrowed, ev)
+		}
+		want.borrowed += int64(ev.HelpersBorrowed)
+		want.denied += int64(ev.HelpersDenied)
+		want.yielded += int64(ev.HelpersYielded)
 		want.predEvals += ev.PredEvals
 		want.rollbacks += ev.Rollbacks
 		want.matches += ev.Matches
@@ -229,6 +238,9 @@ func TestObservationViewsAgree(t *testing.T) {
 		want.partitionSeen = want.partitionSeen || strings.HasPrefix(ev.Partition, "refreshed (1 of 2")
 		want.queuedOK = want.queuedOK || ev.AdmissionWaitNs > 0
 	}
+	if want.borrowed == 0 {
+		t.Error("mix lacks a run that fanned out")
+	}
 	if !want.partitionSeen || !want.queuedOK || !want.rejectedWaited {
 		t.Errorf("mix lacks a refreshed partition (%v), a queued success (%v) or a rejection whose duration excludes its wait (%v)",
 			want.partitionSeen, want.queuedOK, want.rejectedWaited)
@@ -251,6 +263,9 @@ func TestObservationViewsAgree(t *testing.T) {
 		{"sqlts_slow_queries_total", m.slowQueries.Value(), want.slow},
 		{"sqlts_vectorized_runs_total", m.vectorizedRuns.Value(), want.vectorized},
 		{"sqlts_shard_queries_total", m.shardQueries.Value(), want.sharded},
+		{`sqlts_driver_helpers_total{outcome="borrowed"}`, m.driverHelpers.With("borrowed").Value(), want.borrowed},
+		{`sqlts_driver_helpers_total{outcome="denied"}`, m.driverHelpers.With("denied").Value(), want.denied},
+		{`sqlts_driver_helpers_total{outcome="yielded"}`, m.driverHelpers.With("yielded").Value(), want.yielded},
 		{"sqlts_queries_canceled_total", m.queriesCanceled.Value(), want.canceled},
 		{"sqlts_query_deadline_exceeded_total", m.queriesDeadline.Value(), want.deadline},
 		{"sqlts_query_budget_exceeded_total", m.queriesBudget.Value(), want.budget},
@@ -401,7 +416,7 @@ func TestExplainAnalyzeReportsItsOwnRun(t *testing.T) {
 		}()
 	}
 	line := "executor=ops clusters=6 rows-scanned=9000 rows=" + strconv.Itoa(len(ops.Rows)) +
-		" plan=built partition=cached stats=" + ops.Stats.String()
+		" plan=built partition=cached workers=1 (0 borrowed, 0 yielded) stats=" + ops.Stats.String()
 	for i := 0; i < 25; i++ {
 		text, err := q.ExplainAnalyze(RunOptions{})
 		if err != nil {

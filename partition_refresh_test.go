@@ -251,7 +251,7 @@ func TestPartitionRefreshDifferential(t *testing.T) {
 				refreshes++
 				prev.unchanged(t, label, k)
 				dirty := prev.carriedOver(t, label, cur, k)
-				if got.partition.dirty != dirty || got.partition.clusters != len(cur.Groups) {
+				if int(got.partition.dirty) != dirty || int(got.partition.clusters) != len(cur.Groups) {
 					t.Fatalf("%s: outcome %q, but %d of %d clusters are new memory",
 						label, got.PartitionOutcome(), dirty, len(cur.Groups))
 				}

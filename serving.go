@@ -458,7 +458,7 @@ type partitionOutcome struct {
 	// refreshed: derived from the stale cached generation by re-sorting
 	// or adding dirty of its clusters. Not a hit — rows were sorted.
 	refreshed       bool
-	dirty, clusters int
+	dirty, clusters int32
 }
 
 func (o partitionOutcome) String() string {
@@ -502,8 +502,8 @@ func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, k *pat
 		if c, rs, err := old.Refresh(); err == nil {
 			e.Clustering, resorted = c, rs
 			out.refreshed = true
-			out.dirty = len(rs) + len(c.Groups) - len(old.Groups)
-			out.clusters = len(c.Groups)
+			out.dirty = int32(len(rs) + len(c.Groups) - len(old.Groups))
+			out.clusters = int32(len(c.Groups))
 		}
 	}
 	if e.Clustering == nil {

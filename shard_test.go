@@ -154,7 +154,7 @@ func TestShardedBypasses(t *testing.T) {
 		shards int
 	}{
 		{"nocache", sqlts.RunOptions{NoCache: true}, 0},
-		{"trace", sqlts.RunOptions{Trace: true}, 4},
+		{"trace", sqlts.RunOptions{Trace: true, MaxWorkers: 1}, 4},
 	} {
 		got := mustRun(t, sdb, shardTestSQL, tc.opts)
 		if got.Shards() != tc.shards {

@@ -338,10 +338,15 @@ type RunOptions struct {
 	// that is not safe to use from multiple goroutines on a shared Query
 	// (the path buffer is per-Query).
 	Trace bool
-	// MaxWorkers is the number of goroutines that search clusters: 0 or 1
-	// searches them serially on the calling goroutine, N > 1 shares them
-	// among N workers (pass runtime.GOMAXPROCS(0) for every core). Results
-	// are identical whatever the count, including row order.
+	// MaxWorkers is the number of goroutines that search clusters. 0, the
+	// default, is elastic: the calling goroutine searches, and a run over
+	// enough clusters and rows to repay it borrows one helper goroutine
+	// for every core that no other search of this process is using,
+	// giving each back at a chunk boundary once the process has more
+	// searches than cores. 1 searches serially on the calling goroutine;
+	// N > 1 shares the clusters among exactly N goroutines, the caller's
+	// included, whatever else runs. Results are identical whatever the
+	// count, including row order.
 	MaxWorkers int
 	// NoKernel disables the compiled columnar predicate kernels and
 	// evaluates every probe through the condition interpreter — for
@@ -390,20 +395,32 @@ type Result struct {
 	// Matches holds the raw match intervals per cluster, for tooling.
 	Matches []ClusterMatches
 
-	// clusterLog holds every searched cluster's row count and counters in
-	// cluster order (appendClusterStat), clusters how many it holds;
-	// ClusterStats expands it for the callers that ask.
-	clusterLog []byte
-	clusters   int
-	planCached bool
-	partition  partitionOutcome
-	vectorized bool
-	shardCount int
+	// clusterLogs hold every searched cluster's row count and counters in
+	// cluster order (putClusterStat) — one log per chunk of the run, in
+	// chunk order, each a piece of the lane's block that searched it —
+	// and clusters how many they hold; ClusterStats expands them for the
+	// callers that ask. oneLog backs clusterLogs for a one-lane run, so
+	// that it costs no allocation.
+	clusterLogs [][]byte
+	oneLog      [1][]byte
+	// The counts below are 32 bits wide to keep a Result, which every run
+	// allocates, in the size class it had before the driver's four.
+	clusters   int32
+	shardCount int32
+	// workers is how many lanes searched at least one chunk; borrowed how
+	// many helper goroutines the run started, denied how many more an
+	// elastic run would have taken had cores been idle, and yielded how
+	// many borrowed helpers left early because the process became
+	// oversubscribed.
+	workers, borrowed, denied, yielded int32
+	partition                          partitionOutcome
+	planCached                         bool
+	vectorized                         bool
 }
 
 // Shards reports the shard count of the sharded partition the execution
 // read its clusters from (0 when it used the flat partition cache).
-func (r *Result) Shards() int { return r.shardCount }
+func (r *Result) Shards() int { return int(r.shardCount) }
 
 // Vectorized reports whether the execution probed through selection
 // bitmasks (batch mask kernels) rather than row-at-a-time evaluation.
@@ -484,10 +501,51 @@ type Plan struct {
 	// serves shares it.
 	trace *obs.Trace
 
+	// shape is the size of the plan's last successful result, which the
+	// next run's lanes reserve their buffers from; the plan's adaptive
+	// revisions share it. nil for a plain SELECT.
+	shape *resultShape
+
 	// streamTables are the continuous-query shift/next tables, computed
 	// on first OpenStream and shared by all streams over this plan.
 	streamOnce   sync.Once
 	streamTables *core.Tables
+}
+
+// resultShape is what a plan remembers of its last successful run: how
+// many matches it found (each is one output row), in how many clusters,
+// and how long its cluster log was. It is advisory — a run reserves from
+// it and grows past it like any other (engine.Block.Reserve) — so the
+// three numbers need not be of one run, and a run that finds them
+// unchanged writes nothing.
+type resultShape struct {
+	matches, matched, logBytes atomic.Int64
+}
+
+// remember records res as the plan's latest result.
+func (s *resultShape) remember(res *Result) {
+	logBytes := 0
+	for _, log := range res.clusterLogs {
+		logBytes += len(log)
+	}
+	set := func(at *atomic.Int64, v int) {
+		if at.Load() != int64(v) {
+			at.Store(int64(v))
+		}
+	}
+	set(&s.matches, res.Stats.Matches)
+	set(&s.matched, len(res.Matches))
+	set(&s.logBytes, logBytes)
+}
+
+// share returns one lane's share of the remembered shape when lanes of
+// them divide the clusters: an equal part, rounded up.
+func (s *resultShape) share(lanes int) (matches, matched, logBytes int) {
+	matches, matched, logBytes = int(s.matches.Load()), int(s.matched.Load()), int(s.logBytes.Load())
+	if lanes > 1 {
+		matches, matched, logBytes = (matches+lanes-1)/lanes, (matched+lanes-1)/lanes, (logBytes+lanes-1)/lanes
+	}
+	return matches, matched, logBytes
 }
 
 // SQL returns the statement text the plan was compiled from.
@@ -606,6 +664,7 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 		sp.Annotate("compiled-elements", plan.kernel.CompiledElems()).
 			Annotate("fallback-elements", plan.kernel.FallbackElems()).
 			End()
+		plan.shape = new(resultShape)
 		db.metrics.kernelCompiled.Add(int64(plan.kernel.CompiledElems()))
 		db.metrics.kernelFallback.Add(int64(plan.kernel.FallbackElems()))
 	}
@@ -859,7 +918,11 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		ev.PartitionCached = res.partition.cached
 		ev.Partition = res.partition.String()
 		ev.Vectorized = res.vectorized
-		ev.Shards = res.shardCount
+		ev.Shards = int(res.shardCount)
+		ev.Workers = int(res.workers)
+		ev.HelpersBorrowed = int(res.borrowed)
+		ev.HelpersDenied = int(res.denied)
+		ev.HelpersYielded = int(res.yielded)
 	}
 	q.db.observe(q, opts, &ev, res, err)
 	return res, ev, err
@@ -950,7 +1013,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 			return nil, 0, err
 		}
 		res.partition.cached = cached
-		res.shardCount = n
+		res.shardCount = int32(n)
 		clusters, projs, masks = globalOrder(sp, kern, wantProjs, wantMasks)
 	} else {
 		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
@@ -966,9 +1029,10 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	}
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
-	if err := q.searchClusters(rc, res, clusters, projs, masks, opts); err != nil {
+	if err := q.searchClusters(rc, res, clusters, projs, masks, scanned, opts); err != nil {
 		return nil, 0, err
 	}
+	q.plan.shape.remember(res)
 	if err := rc.check(); err != nil {
 		return nil, 0, err
 	}

@@ -45,10 +45,13 @@ type Stream struct {
 	opts     StreamOptions
 	sink     func(storage.Row) error
 	clusters map[string]*clusterStream
-	seqIdx   []int
-	cluIdx   []int
-	sinkErr  error
-	closed   bool
+	// order holds the cluster streams in first-arrival order — the batch
+	// query's cluster order — which is the order Close flushes them in.
+	order   []*clusterStream
+	seqIdx  []int
+	cluIdx  []int
+	sinkErr error
+	closed  bool
 
 	// What every cluster's matcher is built from: the configuration
 	// (with the stream shift/next tables), one emit callback and one
@@ -273,6 +276,7 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 		if cs == nil {
 			cs = st.newClusterStream(row)
 			st.clusters[string(st.keyBuf)] = cs
+			st.order = append(st.order, cs)
 			m.streamClusters.Inc()
 		}
 		if st.last != nil {
@@ -410,12 +414,14 @@ func (st *Stream) Close() (err error) {
 	return st.sinkErr
 }
 
-// flushAll flushes the cluster matchers inside the containment boundary
-// (a trailing-star completion evaluates predicates, which may hit the
+// flushAll flushes the cluster matchers, in first-arrival order so that
+// the rows a trailing star completes at Close come out in the order the
+// batch query returns them, inside the containment boundary (a
+// trailing-star completion evaluates predicates, which may hit the
 // interrupt checkpoint or panic).
 func (st *Stream) flushAll() (err error) {
 	defer st.contain(&err)
-	for _, cs := range st.clusters {
+	for _, cs := range st.order {
 		st.cur, st.curEvals = cs, cs.s.Stats().PredEvals
 		cs.s.Flush()
 		st.tickEvals()
@@ -426,7 +432,7 @@ func (st *Stream) flushAll() (err error) {
 // Stats aggregates runtime counters across all clusters.
 func (st *Stream) Stats() engine.Stats {
 	var out engine.Stats
-	for _, cs := range st.clusters {
+	for _, cs := range st.order {
 		out.Add(cs.s.Stats())
 	}
 	return out

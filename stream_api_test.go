@@ -232,3 +232,78 @@ func TestStreamDoubleBottomLive(t *testing.T) {
 		t.Errorf("expected at least the 4 planted double bottoms, got %d", len(live))
 	}
 }
+
+// TestStreamCloseOrderDeterministic: the rows a trailing star completes
+// only at Close are delivered in first-arrival cluster order — the order
+// the batch query returns the same rows in — and so identically on every
+// run. 200 clusters each end inside a falling run, so every match is
+// completed by the flush.
+func TestStreamCloseOrderDeterministic(t *testing.T) {
+	const clusters = 200
+	const sql = `
+		SELECT X.name, COUNT(Y) AS days
+		FROM quote
+		  CLUSTER BY name
+		  SEQUENCE BY date
+		  AS (X, *Y)
+		WHERE X.price > X.previous.price
+		  AND Y.price < Y.previous.price`
+	series := func(c int) []float64 {
+		out := []float64{10, 12}
+		for k := 0; k <= c%4; k++ { // a falling tail of one to four days
+			out = append(out, 11-float64(k))
+		}
+		return out
+	}
+	db := quoteDB(t)
+	for c := 0; c < clusters; c++ {
+		// Names whose sort order is not their arrival order.
+		insertSeries(t, db, fmt.Sprintf("S%03d", (c*37)%clusters), 10000, series(c)...)
+	}
+	q, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := q.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range batch.Rows {
+		want = append(want, fmtRow(row))
+	}
+	if len(want) != clusters {
+		t.Fatalf("batch returned %d rows, want one per cluster (%d)", len(want), clusters)
+	}
+	for run := 0; run < 10; run++ {
+		var got []string
+		beforeClose := 0
+		st, err := q.OpenStream(StreamOptions{}, func(row storage.Row) error {
+			got = append(got, fmtRow(row))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for day := 0; day < 6; day++ { // date-major: the clusters interleave
+			for c := 0; c < clusters; c++ {
+				if s := series(c); day < len(s) {
+					if err := st.Push(storage.NewString(fmt.Sprintf("S%03d", (c*37)%clusters)),
+						storage.NewDateDays(int64(10000+day)), storage.NewFloat(s[day])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		beforeClose = len(got)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if beforeClose != 0 {
+			t.Fatalf("run %d: %d rows were delivered before Close; the test wants them all from the flush", run, beforeClose)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d: Close delivered %d rows in an order other than the batch query's %d", run, len(got), len(want))
+		}
+	}
+}
