@@ -31,7 +31,7 @@ func priceRowsOf(prices []float64) []storage.Row {
 	return out
 }
 
-func runExecutor(b *testing.B, ex engine.Executor, seq []storage.Row) {
+func runExecutor(b *testing.B, ex engine.Executor, seq []storage.Row) int64 {
 	b.Helper()
 	var evals int64
 	b.ResetTimer()
@@ -40,6 +40,16 @@ func runExecutor(b *testing.B, ex engine.Executor, seq []storage.Row) {
 		evals = stats.PredEvals
 	}
 	b.ReportMetric(float64(evals), "pred-evals")
+	return evals
+}
+
+// runPerEval is runExecutor that also reports the engine layer's figure
+// of merit: wall time per predicate evaluation.
+func runPerEval(b *testing.B, ex engine.Executor, seq []storage.Row) {
+	b.Helper()
+	if evals := runExecutor(b, ex, seq); evals > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(evals), "ns/eval")
+	}
 }
 
 // --- E1: §3.1 KMP text search --------------------------------------------------
@@ -142,19 +152,36 @@ func BenchmarkDoubleBottom(b *testing.B) {
 	})
 	// "*-vec" answer probes through selection bitmasks (PR 8): the kernel
 	// batch-evaluates every local condition into per-element masks up
-	// front, probes become bit tests, and element-1 zero runs are
-	// bulk-skipped. Pred-evals are identical to the row-at-a-time runs.
+	// front and probes become bit tests. Naive bulk-skips element-1 zero
+	// runs; OPS runs its pure-mask loop, whose pair scan resolves every
+	// failed start up to the next row where X holds and Y holds on the row
+	// after in one word loop, and which books a star run and the probe
+	// that ends it in one step. Pred-evals are identical to the
+	// row-at-a-time runs.
 	b.Run("ops-vec", func(b *testing.B) {
 		ex := engine.NewOPS(p, t, engine.OPSConfig{})
 		ex.UseKernel(kern)
 		ex.SetVectorized(true)
-		runExecutor(b, ex, seq)
+		runPerEval(b, ex, seq)
 	})
 	b.Run("naive-vec", func(b *testing.B) {
 		ex := engine.NewNaive(p, engine.SkipPastLastRow)
 		ex.UseKernel(kern)
 		ex.SetVectorized(true)
-		runExecutor(b, ex, seq)
+		runPerEval(b, ex, seq)
+	})
+	// "ops-vec-dense" is the pair scan's worst case: X holds everywhere and
+	// *Y (a rise) on about half the rows, so most scans stop at once.
+	dense := func() *pattern.Pattern {
+		db := pattern.NewBuilder(p.Schema)
+		db.Elem("X").Star("Y", db.CmpPrev("price", constraint.Gt))
+		return db.MustBuild()
+	}()
+	b.Run("ops-vec-dense", func(b *testing.B) {
+		ex := engine.NewOPS(dense, core.Compute(dense), engine.OPSConfig{})
+		ex.UseKernel(dense.CompileKernel())
+		ex.SetVectorized(true)
+		runPerEval(b, ex, seq)
 	})
 }
 

@@ -268,97 +268,104 @@ func TestStreamCancel(t *testing.T) {
 }
 
 // TestPureLoopCancel: the pure-mask star loop consumes a star's whole run
-// of hits in one word scan, yet stays interruptible inside it. The query
-// is one cluster of one X row and a 1,000,000-row all-hits *Y run — a
-// single bulk step worth ~976 checkpoints. Warm runs repeat until a
-// cancel (or an operator kill) issued from another goroutine lands:
-// every run before it returns the full result, the one it lands on
-// returns the typed error and no result.
+// of hits in one word scan, and a run of failed starts in one pair scan,
+// yet stays interruptible inside both. One query is one cluster of one X
+// row and a 1,000,000-row all-hits *Y run — a single bulk step worth ~976
+// checkpoints; the other ("pair …") is 5,000 rows where X holds and *Y
+// fails on the next row, then one Y row — 9,998 evals in one pair scan.
+// Warm runs repeat until a cancel (or an operator kill) issued from
+// another goroutine lands: every run before it returns the full result,
+// the one it lands on returns the typed error and no result.
 func TestPureLoopCancel(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const run = 1_000_000
-	db := quoteDB(t)
-	tbl := db.Table("quote")
-	for i := 0; i <= run; i++ {
-		price := 2.0
-		if i == 0 {
-			price = 1
+	for _, fx := range []struct {
+		prefix string
+		rows   int
+		price  func(i int) float64
+		evals  int64
+	}{
+		{"", 1_000_001, func(i int) float64 { return float64(min(i, 1) + 1) }, 1_000_001},
+		{"pair ", 5_001, func(i int) float64 { return float64(i/5000 + 1) }, 10_000},
+	} {
+		db := quoteDB(t)
+		tbl := db.Table("quote")
+		for i := 0; i < fx.rows; i++ {
+			tbl.MustInsert(storage.NewString("S"), storage.NewDateDays(int64(10000+i)), storage.NewFloat(fx.price(i)))
 		}
-		tbl.MustInsert(storage.NewString("S"), storage.NewDateDays(int64(10000+i)), storage.NewFloat(price))
-	}
-	q, err := db.Prepare(`
-		SELECT X.name, COUNT(Y) AS days
-		FROM quote
-		  CLUSTER BY name
-		  SEQUENCE BY date
-		  AS (X, *Y)
-		WHERE X.price = 1 AND Y.price = 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := q.RunWith(RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Rows) != 1 || ref.Stats.PredEvals != run+1 {
-		t.Fatalf("reference: %d rows, %d pred-evals; want 1 row, %d pred-evals", len(ref.Rows), ref.Stats.PredEvals, run+1)
-	}
+		q, err := db.Prepare(`
+			SELECT X.name, COUNT(Y) AS days
+			FROM quote
+			  CLUSTER BY name
+			  SEQUENCE BY date
+			  AS (X, *Y)
+			WHERE X.price = 1 AND Y.price = 2`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := q.RunWith(RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Rows) != 1 || ref.Stats.PredEvals != fx.evals {
+			t.Fatalf("%sreference: %d rows, %d pred-evals; want 1 row, %d pred-evals", fx.prefix, len(ref.Rows), ref.Stats.PredEvals, fx.evals)
+		}
 
-	// runUntil repeats the warm query until it fails, with stopper
-	// running beside it from the first run until that failure.
-	runUntil := func(t *testing.T, opts RunOptions, stopper func(failed <-chan struct{})) error {
-		t.Helper()
-		failed := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stopper(failed)
-		}()
-		defer wg.Wait()
-		defer close(failed)
-		for n := 0; n < 1_000_000; n++ {
-			res, err := q.RunWith(opts)
-			if err != nil {
-				if res != nil {
-					t.Fatalf("failed run returned a partial result (%d rows)", len(res.Rows))
+		// runUntil repeats the warm query until it fails, with stopper
+		// running beside it from the first run until that failure.
+		runUntil := func(t *testing.T, opts RunOptions, stopper func(failed <-chan struct{})) error {
+			t.Helper()
+			failed := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stopper(failed)
+			}()
+			defer wg.Wait()
+			defer close(failed)
+			for n := 0; n < 1_000_000; n++ {
+				res, err := q.RunWith(opts)
+				if err != nil {
+					if res != nil {
+						t.Fatalf("failed run returned a partial result (%d rows)", len(res.Rows))
+					}
+					return err
 				}
-				return err
+				resultsEqual(t, fmt.Sprintf("run %d", n), ref, res)
 			}
-			resultsEqual(t, fmt.Sprintf("run %d", n), ref, res)
+			t.Fatal("the stop never landed")
+			return nil
 		}
-		t.Fatal("the stop never landed")
-		return nil
-	}
 
-	t.Run("cancel", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		err := runUntil(t, RunOptions{Context: ctx}, func(<-chan struct{}) { cancel() })
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrKilled) {
-			t.Fatalf("canceled run error = %v; want ErrCanceled wrapping context.Canceled", err)
-		}
-	})
-	t.Run("kill", func(t *testing.T) {
-		err := runUntil(t, RunOptions{}, func(failed <-chan struct{}) {
-			for {
-				select {
-				case <-failed:
-					return
-				default:
-				}
-				for _, s := range db.ActiveQueries() {
-					_ = db.KillQuery(s.ID, "pure-loop kill") // ErrNoSuchQuery: it just finished
-				}
+		t.Run(fx.prefix+"cancel", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			err := runUntil(t, RunOptions{Context: ctx}, func(<-chan struct{}) { cancel() })
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrKilled) {
+				t.Fatalf("canceled run error = %v; want ErrCanceled wrapping context.Canceled", err)
 			}
 		})
-		if !errors.Is(err, ErrKilled) || !errors.Is(err, ErrCanceled) {
-			t.Fatalf("killed run error = %v; want ErrKilled", err)
+		t.Run(fx.prefix+"kill", func(t *testing.T) {
+			err := runUntil(t, RunOptions{}, func(failed <-chan struct{}) {
+				for {
+					select {
+					case <-failed:
+						return
+					default:
+					}
+					for _, s := range db.ActiveQueries() {
+						_ = db.KillQuery(s.ID, "pure-loop kill") // ErrNoSuchQuery: it just finished
+					}
+				}
+			})
+			if !errors.Is(err, ErrKilled) || !errors.Is(err, ErrCanceled) {
+				t.Fatalf("killed run error = %v; want ErrKilled", err)
+			}
+		})
+		if rerun, err := q.RunWith(RunOptions{}); err != nil {
+			t.Fatalf("%sre-run after cancel and kill: %v", fx.prefix, err)
+		} else {
+			resultsEqual(t, fx.prefix+"re-run", ref, rerun)
 		}
-	})
-	if rerun, err := q.RunWith(RunOptions{}); err != nil {
-		t.Fatalf("re-run after cancel and kill: %v", err)
-	} else {
-		resultsEqual(t, "re-run", ref, rerun)
 	}
 }

@@ -71,9 +71,17 @@ type search struct {
 // lane is one worker's executor and output. Everything a lane finds is
 // appended to its own blocks across every chunk it claims, one run per
 // chunk (see engine.Block), so nothing is allocated per chunk and nothing
-// is shared between lanes but the claim counter.
+// is shared between lanes but the claim counter. The caller's lane is the
+// result's: its blocks are reserved from the plan's last run and become
+// the result's memory. A helper's lane is scratch that its fan keeps in
+// the plan's pool between runs (fanPool): the stitch copies what it found
+// into the caller's lane, so a warm fanned-out run allocates what a
+// one-lane run does, plus the stitched slices and a goroutine per helper,
+// whether its helpers searched or not.
 type lane struct {
 	ex       engine.Executor
+	key      executorKey // what a helper's kept ex was built for
+	started  bool        // set up for the current run
 	ticks    progress
 	stats    engine.Stats
 	clusters int32
@@ -96,12 +104,14 @@ type lane struct {
 
 // mark is what one searched chunk left in its lane's blocks: the chunk's
 // runs, which the stitch copies (rows, matches) or keeps (log) in chunk
-// order, or the error that stopped it.
+// order, or the error that stopped it. helper marks a chunk a helper
+// searched, whose runs are scratch until the stitch copies them.
 type mark struct {
 	rows    []storage.Row
 	matches []ClusterMatches
 	log     []byte
 	err     error
+	helper  bool
 }
 
 // searchClusters runs the pattern over every cluster and puts the outcome
@@ -147,7 +157,7 @@ func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage
 func (s *search) oneLane(res *Result) error {
 	var l lane
 	var m mark
-	s.start(&l, 1)
+	s.start(&l, s.rc.interrupt())
 	s.searchChunk(&l, &m, 0, len(s.clusters))
 	if m.err != nil {
 		return m.err
@@ -177,11 +187,13 @@ func borrowHelpers() (helpers, budget int) {
 }
 
 // fan is the state the lanes of one fanned-out run share: the claim
-// counter, the failure flag, and one mark per chunk, written by the lane
-// that searched it.
+// counter, the failure flag, the run's checkpoint, and one mark per chunk,
+// written by the lane that searched it. Between runs the plan's fanPool
+// keeps it, with its helper lanes.
 type fan struct {
 	search
 	chunk, budget int
+	check         func() error
 	lanes         []lane
 	marks         []mark
 	next          atomic.Int64
@@ -197,16 +209,27 @@ type fan struct {
 // oversubscribed, their finished chunks staying in their lanes; the
 // caller's lane claims until no chunk is left. An elastic run that was
 // granted no helper is one lane that keeps its token while it searches.
-// The receiver is a copy: the lanes' goroutines share it, and sharing the
-// caller's own would move that to the heap on the one-lane path too.
+// The fan comes from the plan's pool and goes back once the run has
+// succeeded. The receiver is a copy: the fan holds it for the lanes'
+// goroutines, and the caller's own would move to the heap on the one-lane
+// path too.
 func (s search) fanOut(res *Result, helpers, budget int) error {
 	defer searchers.Add(-1)
 	if helpers == 0 {
 		return s.oneLane(res)
 	}
 	n := len(s.clusters)
-	f := &fan{search: s, chunk: chunkSize(n, helpers+1), budget: budget, lanes: make([]lane, helpers+1)}
-	f.marks = make([]mark, (n+f.chunk-1)/f.chunk)
+	f := s.q.plan.fans.get(helpers + 1)
+	f.search, f.budget, f.check = s, budget, s.rc.interrupt()
+	f.chunk = chunkSize(n, helpers+1)
+	if k := (n + f.chunk - 1) / f.chunk; cap(f.marks) >= k {
+		f.marks = f.marks[:k]
+	} else {
+		f.marks = make([]mark, k)
+	}
+	// The caller's lane is set up before any helper can claim: whoever
+	// searches, the stitch gathers the result in its blocks.
+	f.start(&f.lanes[0], f.check)
 	f.wg.Add(helpers)
 	for i := 1; i <= helpers; i++ {
 		go func() {
@@ -217,7 +240,18 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 	}
 	f.run(&f.lanes[0], false)
 	f.wg.Wait()
+	err := f.stitch(res, helpers)
+	if err == nil {
+		s.q.plan.fans.put(f, res)
+	}
+	return err
+}
 
+// stitch puts the outcome of a fanned-out run whose lanes have all exited
+// into res: the error of the lowest-indexed failed chunk, or the chunks'
+// rows, matches and cluster logs in chunk order, a helper's first copied
+// into the caller's lane (lane.keep).
+func (f *fan) stitch(res *Result, helpers int) error {
 	nrows, nmatches := 0, 0
 	for i := range f.marks {
 		if err := f.marks[i].err; err != nil {
@@ -246,12 +280,89 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 		res.Matches = make([]ClusterMatches, 0, nmatches)
 	}
 	res.clusterLogs = make([][]byte, len(f.marks))
-	for i, m := range f.marks {
+	for i := range f.marks {
+		m := &f.marks[i]
+		if m.helper {
+			f.lanes[0].keep(m)
+		}
 		res.Rows = append(res.Rows, m.rows...)
 		res.Matches = append(res.Matches, m.matches...)
 		res.clusterLogs[i] = m.log
 	}
 	return nil
+}
+
+// keep copies a chunk a helper searched into l, the caller's lane, and
+// points m at the copies: the output rows' values, the matches with their
+// spans, and the cluster log. The helper's blocks are scratch that the
+// plan's next fanned-out run overwrites; l's hold the whole result when
+// the run is shaped like the plan's last, so keeping allocates nothing.
+func (l *lane) keep(m *mark) {
+	for i, row := range m.rows {
+		v := l.values.Take(len(row))
+		copy(v, row)
+		m.rows[i] = v
+	}
+	for i := range m.matches {
+		m.matches[i].Matches = l.ex.Adopt(m.matches[i].Matches)
+	}
+	if len(m.log) > 0 {
+		from := l.log.Append(l.log.Len(), m.log...)
+		m.log = l.log.Run(from)
+	}
+}
+
+// fanPool keeps a plan's fans between its fanned-out runs, so that their
+// helper lanes' executors and scratch blocks are built once, not per run.
+// It holds at most GOMAXPROCS fans: as many as can run at once.
+type fanPool struct {
+	mu   sync.Mutex
+	free []*fan
+}
+
+// get returns a kept fan, or a new one, with lanes lanes.
+func (p *fanPool) get(lanes int) *fan {
+	var f *fan
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if f == nil {
+		f = new(fan)
+	}
+	if c := cap(f.lanes); c < lanes {
+		f.lanes = append(f.lanes[:c], make([]lane, lanes-c)...)
+	}
+	f.lanes = f.lanes[:lanes]
+	return f
+}
+
+// put keeps f, whose run succeeded with res, for the plan's next
+// fanned-out run. It lets go of everything res holds — the caller's lane —
+// and of the partition the run searched, and readies every helper's lane
+// for a run like this one now, searched or not, so that what a helper
+// needs is allocated by this run and not by whichever later run it first
+// gets a core in. A failed run's fan is not kept: its lanes may have
+// stopped anywhere.
+func (p *fanPool) put(f *fan, res *Result) {
+	matches, matched, logBytes := shapeOf(res)
+	for i := 1; i < len(f.lanes); i++ {
+		l := &f.lanes[i]
+		f.prepare(l, len(f.lanes), matches, matched, logBytes)
+		*l = lane{ex: l.ex, key: l.key, rows: l.rows, matches: l.matches, log: l.log, values: l.values}
+	}
+	f.lanes[0] = lane{}
+	f.search, f.check = search{}, nil
+	clear(f.marks)
+	f.next.Store(0)
+	p.mu.Lock()
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, f)
+	}
+	p.mu.Unlock()
 }
 
 // run is one lane's life: claim chunks until none is left or the run has
@@ -276,13 +387,14 @@ func (f *fan) run(l *lane, borrowed bool) {
 		if c >= len(f.marks) {
 			return
 		}
-		if l.ex == nil {
-			// Started by its first chunk: a helper that finds the process
+		if !l.started {
+			// Set up by its first chunk: a helper that finds the process
 			// oversubscribed, or the chunks gone, has cost a goroutine and
-			// no executor or buffer.
-			f.start(l, len(f.lanes))
+			// nothing else.
+			f.startHelper(l, len(f.lanes), f.check)
 		}
 		lo := c * f.chunk
+		f.marks[c].helper = l != &f.lanes[0]
 		f.searchChunk(l, &f.marks[c], lo, min(lo+f.chunk, len(f.clusters)))
 		if f.marks[c].err != nil {
 			f.failed.Store(true)
@@ -351,29 +463,13 @@ func (r *Result) ClusterStats() []ClusterStat {
 	return out
 }
 
-// start gives a lane its executor and reserves its share of the result
-// the plan's last run produced, one of lanes equal shares, so that a run
-// shaped like the last allocates each of the lane's buffers once.
-func (s *search) start(l *lane, lanes int) {
-	policy := engine.SkipPastLastRow
-	if s.opts.Overlap {
-		policy = engine.SkipToNextRow
-	}
-	l.ex = s.q.newExecutor(s.opts, policy)
-	if s.rc != nil {
-		l.ex.SetInterrupt(s.rc.interrupt())
-	}
-	if s.masks != nil {
-		l.ex.SetVectorized(true)
-	}
-	l.ticks.fl = s.rc.flightRef()
-
-	matches, matched, logBytes := s.q.plan.shape.share(lanes)
-	if logBytes == 0 {
-		// Never run: a ten-row cluster's entry is four bytes; the slack is
-		// a lone long cluster's.
-		logBytes = 4*len(s.clusters)/lanes + 8
-	}
+// start gives the caller's lane a new executor and reserves the result the
+// plan's last run produced, so that a run shaped like the last allocates
+// each of the lane's buffers once, however many lanes search: they are
+// the result's, and a fanned-out run's helpers' finds are copied in.
+func (s *search) start(l *lane, check func() error) {
+	l.ex = s.q.newExecutor(s.opts, s.executorKey().policy())
+	matches, matched, logBytes := s.reserve()
 	l.log.Reserve(logBytes)
 	if matches > 0 {
 		l.ex.Reserve(matches)
@@ -381,6 +477,73 @@ func (s *search) start(l *lane, lanes int) {
 		l.values.Reserve(matches * len(s.q.plan.compiled.OutNames))
 		l.matches.Reserve(matched)
 	}
+	s.begin(l, check)
+}
+
+// startHelper readies a helper's kept lane, one of lanes, for this run
+// from the plan's last result; the fan's put has done so already unless
+// the options or the result changed since.
+func (s *search) startHelper(l *lane, lanes int, check func() error) {
+	matches, matched, logBytes := s.reserve()
+	s.prepare(l, lanes, matches, matched, logBytes)
+	s.begin(l, check)
+}
+
+// prepare gives a helper's lane, one of lanes, an executor for this
+// search's options — the one it kept, unless they differ — and empties its
+// blocks, to be overwritten, with room for its part of a result of
+// matches output rows in matched clusters and a cluster log of logBytes.
+// The part is twice an equal share, capped at the whole: chunks may fall
+// unevenly without a refill, and a wide fan's helpers do not each hold the
+// whole result. A block that once outgrew its room keeps what it grew to.
+func (s *search) prepare(l *lane, lanes, matches, matched, logBytes int) {
+	if key := s.executorKey(); l.ex == nil || l.key != key {
+		l.ex, l.key = s.q.newExecutor(s.opts, key.policy()), key
+	}
+	part := func(n int) int { return min(n, 2*((n+lanes-1)/lanes)) }
+	l.ex.Recycle(part(matches))
+	l.rows.Reset(part(matches))
+	l.matches.Reset(part(matched))
+	l.log.Reset(part(logBytes))
+	l.values.Reset(part(matches) * len(s.q.plan.compiled.OutNames))
+}
+
+// begin points a set-up lane at this run: its checkpoint, its masks, its
+// flight.
+func (s *search) begin(l *lane, check func() error) {
+	l.ex.SetInterrupt(check)
+	l.ex.SetVectorized(s.masks != nil)
+	l.ticks.fl = s.rc.flightRef()
+	l.started = true
+}
+
+// reserve is what a lane sizes its buffers for: the plan's last result.
+func (s *search) reserve() (matches, matched, logBytes int) {
+	matches, matched, logBytes = s.q.plan.shape.sizes()
+	if logBytes == 0 {
+		// Never run: a ten-row cluster's entry is four bytes; the slack is
+		// a lone long cluster's.
+		logBytes = 4*len(s.clusters) + 8
+	}
+	return matches, matched, logBytes
+}
+
+// executorKey is what newExecutor builds from besides the plan; a helper's
+// kept executor serves every run that agrees on it.
+type executorKey struct {
+	kind              ExecutorKind
+	overlap, noKernel bool
+}
+
+func (s *search) executorKey() executorKey {
+	return executorKey{s.q.effectiveExecutor(s.opts), s.opts.Overlap, s.opts.NoKernel}
+}
+
+func (k executorKey) policy() engine.SkipPolicy {
+	if k.overlap {
+		return engine.SkipToNextRow
+	}
+	return engine.SkipPastLastRow
 }
 
 // searchChunk searches clusters[lo:hi] on lane l and leaves the chunk's

@@ -165,6 +165,15 @@ type Executor interface {
 	// Reserve sizes the executor's match and span blocks for searches
 	// expected to find that many matches in all; advisory, and optional.
 	Reserve(matches int)
+	// Adopt copies matches another executor found, spans included, into
+	// this executor's blocks and returns the copy, which stays valid like
+	// this executor's own matches.
+	Adopt(ms []Match) []Match
+	// Recycle readies the executor for another run once nothing references
+	// a match it reported: its blocks are emptied, with room for that many
+	// matches, for later searches to overwrite, and it lets go of the
+	// sequence, masks and interrupt it last searched with.
+	Recycle(matches int)
 	// Name identifies the executor in benchmark output.
 	Name() string
 }
@@ -489,12 +498,47 @@ func (b *Block[T]) Run(from int) []T {
 	return b.buf[from:len(b.buf):len(b.buf)]
 }
 
+// Reset empties the current block for reuse, with room for at least n
+// elements and unreserved: later runs overwrite its memory, so nothing may
+// reference a run it handed out. What it held is zeroed, so it pins
+// nothing the elements pointed at.
+func (b *Block[T]) Reset(n int) {
+	clear(b.buf)
+	if cap(b.buf) < n {
+		b.buf = make([]T, 0, n)
+	}
+	b.buf, b.step = b.buf[:0], 0
+}
+
 // Reserve sizes the blocks FindAll reports into for a run of searches
 // expected to find the given number of matches in all (see Block.Reserve).
 // Call it before the first FindAll.
 func (e *evaluator) Reserve(matches int) {
 	e.matches.Reserve(matches)
 	e.spans.Reserve(matches * len(e.ctx.Bind))
+}
+
+// Adopt implements Executor.
+func (e *evaluator) Adopt(ms []Match) []Match {
+	from := e.matches.Len()
+	for _, m := range ms {
+		spans := e.spans.Take(len(m.Spans))
+		copy(spans, m.Spans)
+		m.Spans = spans
+		from = e.matches.Append(from, m)
+	}
+	return e.matches.Run(from)
+}
+
+// Recycle implements Executor. The projection and masks the evaluator
+// built for itself stay: they are its scratch, rebuilt per sequence.
+func (e *evaluator) Recycle(matches int) {
+	e.matches.Reset(matches)
+	e.spans.Reset(matches * len(e.ctx.Bind))
+	e.ctx.Seq = nil
+	e.proj, e.masks, e.slab = nil, nil, nil
+	e.nextProj, e.nextMasks = nil, nil
+	e.check = nil
 }
 
 // snapshotSpans copies the current bindings for a reported match.

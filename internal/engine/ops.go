@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
@@ -31,10 +33,12 @@ type OPS struct {
 	evaluator
 	tables *core.Tables
 	cfg    OPSConfig
-	count  []int
-	// ranPure records whether the last FindAll took findAllStarPure, for
-	// the package's differential tests.
-	ranPure bool
+	// ranPure records whether the last FindAll took findAllStarPure, and
+	// pairRows how many rows its pair scans have resolved in all, for the
+	// package's differential tests. ranPure shares cfg's word.
+	ranPure  bool
+	count    []int
+	pairRows int64
 }
 
 // NewOPS builds an OPS executor for a pattern and its computed tables.
@@ -80,16 +84,82 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.reset(seq)
 	o.stats = Stats{}
 	o.trace = o.trace[:0]
-	if !o.tables.HasStar {
-		return o.findAllPlain(seq)
-	}
 	// The pure-mask loop serves the default executor only; the ablation
 	// configs stay on the generic loop it is differenced against.
-	o.ranPure = o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy}
-	if o.ranPure {
-		return o.findAllStarPure(seq)
+	l := selectLoop(o.tables, o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy})
+	o.ranPure = l >= loopPureSkip
+	switch l {
+	case loopPlain:
+		return o.findAllPlain(seq)
+	case loopGeneric:
+		return o.findAllStar(seq)
 	}
-	return o.findAllStar(seq)
+	return o.findAllStarPure(seq, l == loopPurePair)
+}
+
+// loop is a search loop of OPS.FindAll.
+type loop uint8
+
+const (
+	loopPlain    loop = iota // findAllPlain: the pattern has no star
+	loopGeneric              // findAllStar: some probe needs more than a mask
+	loopPureSkip             // findAllStarPure skipping element 1's zero runs
+	loopPurePair             // findAllStarPure with the pair scan
+)
+
+// selectLoop is FindAll's choice of loop for a pattern with tables t; pure
+// reports whether every element's mask alone answers its probes, nothing
+// observes probes one at a time and the config is the default one. The
+// pure loop runs the pair scan when element 2 cannot fail an attempt in
+// any other way than one that resumes at element 1 on the next row:
+// element 1 is plain, and shift(2) = next(2) = 1.
+func selectLoop(t *core.Tables, pure bool) loop {
+	switch {
+	case !t.HasStar:
+		return loopPlain
+	case !pure:
+		return loopGeneric
+	case t.M >= 2 && !t.Star[1] && t.Shift[2] == 1 && t.Next[2] == 1:
+		return loopPurePair
+	}
+	return loopPureSkip
+}
+
+// SearchLoop names the loop a default vectorized OPS run over kernel k
+// takes for pattern p with tables t, and why when it is not the fastest
+// one: EXPLAIN prints it. It reads FindAll's own selection.
+func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel) string {
+	pure := k != nil && k.CompiledElems() > 0 && k.AllPure()
+	switch selectLoop(t, pure) {
+	case loopPlain:
+		return "plain (no star)"
+	case loopPurePair:
+		return "pure-mask, pair scan"
+	case loopPureSkip:
+		switch {
+		case t.M < 2:
+			return "pure-mask, element-1 skip (m = 1)"
+		case t.Star[1]:
+			return "pure-mask, element-1 skip (element 1 is a star)"
+		case t.Next[2] != 1:
+			return fmt.Sprintf("pure-mask, element-1 skip (next(2) = %d)", t.Next[2])
+		}
+		return fmt.Sprintf("pure-mask, element-1 skip (shift(2) = %d)", t.Shift[2])
+	}
+	for i := range p.Elems {
+		if p.Elems[i].HasCross() {
+			return "generic (cross condition on " + p.Elems[i].Name + ")"
+		}
+	}
+	if k == nil || k.CompiledElems() == 0 {
+		return "generic (no compiled kernel)"
+	}
+	for j, s := range k.PureSlots() {
+		if s < 0 {
+			return "generic (" + p.Elems[j].Name + " not mask-compiled)"
+		}
+	}
+	return "generic"
 }
 
 // evalPlain evaluates element j at input i, materializing the implicit
@@ -297,39 +367,62 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 // findAllStarPure is findAllStar specialised to the case FindAll selects
 // it for: every element's selection mask alone answers its probes and
 // nothing observes probes one at a time. The mask then already holds
-// every verdict, so a probe is an inline bit test, a failed start's run
-// of zero bits and a star element's run of set bits are one word scan
-// each, and no binding is maintained at all — nothing reads one, and a
-// match's spans are its counters. Every run of k rows books exactly the
-// k evals (and, for failed starts, k rollbacks) the generic loop spends
-// on it, and the checkpoint fires once per 1024-eval boundary crossed,
-// so Stats and cancellation latency are identical to findAllStar's.
-func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
+// every verdict, so a probe is an inline bit test, a run of failed starts
+// and a star element's run of set bits are one word scan each, and no
+// binding is maintained at all — nothing reads one, and a match's spans
+// are its counters. Every bulk step books exactly the evals (and, for
+// failed starts, the rollbacks) the generic loop spends on its rows, and
+// the checkpoint fires once per 1024-eval boundary crossed, so Stats and
+// cancellation latency are identical to findAllStar's.
+//
+// With pair set (selectLoop's gate) a fresh attempt at row r fails in one
+// of two ways: X misses r (one eval), or X holds and element 2 misses
+// r+1 (two evals), and either way the next attempt starts at r+1. So the
+// attempts before the next row where X holds and element 2 holds on the
+// row after are failed starts that cost one eval each plus one per X bit,
+// and one rollback each: storage.MaskNextPair finds that row. Without
+// pair only X's mask is scanned, which is the element-1 skip.
+func (o *OPS) findAllStarPure(seq []storage.Row, pair bool) ([]Match, Stats) {
 	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
 	toNextRow := o.cfg.Policy == SkipToNextRow
 	slab, words, slots := o.slab, o.words, o.pureSlots
+	x := slab[int(slots[0])*words:][:words]
+	var y []uint64
+	if pair {
+		y = slab[int(slots[1])*words:][:words]
+	}
 	count := o.count
 	count[0] = 0
-	var evals, rollbacks int64
+	var evals, rollbacks, scanned int64
 	matches := 0
 
-	i, j, inElem := 1, 1, 0
+	i, j := 1, 1
 	for {
-		if j > m || (i > nn && j == m && inElem > 0) {
+		if j > m {
 			start := i - count[m]
 			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
 			matches++
 			if toNextRow {
 				i = start + 1
 			}
-			j, inElem = 1, 0
+			j = 1
 			continue
 		}
 		if i > nn {
 			break
+		}
+		if j == 1 {
+			// A fresh attempt: every start before the candidate row c fails.
+			c, xs := storage.MaskNextPair(x, y, i-1, nn) // 0-based, so c+1 is its 1-based row
+			if k := c + 1 - i; k > 0 {
+				scanned += int64(k)
+				rollbacks += int64(k)
+				evals = o.addEvals(evals, int64(k+xs))
+				i = c + 1
+			}
 		}
 		mk := int(slots[j-1]) * words // where element j's mask begins
 		evals = o.addEvals(evals, 1)
@@ -340,19 +433,18 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 				j++
 				continue
 			}
-			// Consume the star's whole run of set bits. The clear bit (or
-			// end of input) that ends it is left to the next iteration,
-			// which pays the failing probe like any other.
+			// Consume the star's whole run of set bits. The clear bit that
+			// ends it, unless the input does, is its failing probe, and the
+			// next element starts on that row: one step either way.
 			end := storage.MaskNextClear(slab[mk:mk+words], i, nn) // 0-based, so i is the next row
-			evals = o.addEvals(evals, int64(end-i))
-			inElem = end - i + 1
-			count[j] = count[j-1] + inElem
+			k := end - i
+			if end < nn {
+				k++
+			}
+			evals = o.addEvals(evals, int64(k))
+			count[j] = count[j-1] + end - i + 1
 			i = end + 1
-			continue
-		}
-		if inElem > 0 {
 			j++
-			inElem = 0
 			continue
 		}
 		rollbacks++
@@ -360,14 +452,6 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 		nx := next[j]
 		if nx == 0 {
 			i++
-			if j == 1 {
-				// A failed start: so is every row before element 1's next
-				// set bit, at one eval and one rollback each.
-				c := o.nextCandidate(i, nn)
-				rollbacks += int64(c - i)
-				evals = o.addEvals(evals, int64(c-i))
-				i = c
-			}
 			j = 1
 			continue
 		}
@@ -378,6 +462,9 @@ func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
 			count[t] = count[sh+t] - base
 		}
 		j = nx
+	}
+	if pair {
+		o.pairRows += scanned
 	}
 	o.stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
 	return o.matches.Run(from), o.stats

@@ -12,12 +12,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sqlts/internal/constraint"
 	"sqlts/internal/core"
 	"sqlts/internal/fault"
 	"sqlts/internal/pattern"
+	"sqlts/internal/query"
 	"sqlts/internal/storage"
 )
 
@@ -100,11 +104,16 @@ func pureSeq(r *rand.Rand, n int) []storage.Row {
 	return seq
 }
 
+// pairRowsSeen sums the rows pureCheck's vectorized executors resolved in
+// pair scans.
+var pairRowsSeen int64
+
 // pureCheck runs one (pattern, sequence, policy) through the three OPS
 // evaluation modes and naive, and reports whether the vectorized
 // executor took the pure loop — which it must exactly when the pattern
 // has a star and every element has a mask (UseKernel declines a kernel
-// with no compiled row chain, which leaves the interpreter in place).
+// with no compiled row chain, which leaves the interpreter in place) —
+// and ran no pair scan unless selectLoop's gate is open.
 func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row, policy SkipPolicy) bool {
 	t.Helper()
 	tab := core.Compute(p)
@@ -133,11 +142,15 @@ func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row
 		t.Fatalf("%s: pure loop taken = %v, want %v (HasStar %v, %d of %d elements vectorized, %d compiled)\npattern: %s",
 			label, ov.ranPure, want, tab.HasStar, k.VecElems(), p.Len(), k.CompiledElems(), pat)
 	}
+	if ov.pairRows > 0 && selectLoop(tab, true) != loopPurePair {
+		t.Fatalf("%s: a pair scan ran with the gate closed (shift(2) = %d, next(2) = %d)\npattern: %s", label, tab.Shift[2], tab.Next[2], pat)
+	}
+	pairRowsSeen += ov.pairRows
 	return ov.ranPure
 }
 
 func TestPureLoopDifferential(t *testing.T) {
-	taken := 0
+	taken, paired := 0, pairRowsSeen
 	for seed := 0; seed < 700; seed++ {
 		r := rand.New(rand.NewSource(int64(7000 + seed)))
 		n := pureLens[seed/2%len(pureLens)]
@@ -191,10 +204,128 @@ func TestPureLoopDifferential(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("pure loop taken %d times", taken)
+	// The pair scan's corners, over price codes: 1 satisfies X, 2 satisfies
+	// Y, 0 and 3 neither. Each runs at every length and at 5,000 rows.
+	pb := func(elems ...pattern.Element) *pattern.Pattern {
+		p, err := pattern.Compile(priceSchema(), elems, pattern.Options{})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return p
+	}
+	is := func(v float64) []pattern.Cond {
+		return []pattern.Cond{pattern.FieldConst(0, pattern.Cur, constraint.Eq, v)}
+	}
+	rise := []pattern.Cond{pattern.FieldField(0, pattern.Cur, constraint.Gt, 0, pattern.Prev, 0)}
+	codes := func(n int, code func(i int) float64) []storage.Row {
+		seq := make([]storage.Row, n)
+		for i := range seq {
+			seq[i] = storage.Row{storage.NewFloat(code(i))}
+		}
+		return seq
+	}
+	xy := pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Star: true, Local: is(2)}) // m = 2
+	pairCorners := []struct {
+		name string
+		p    *pattern.Pattern
+		seq  func(n int) []storage.Row // nil: random codes
+		gate bool
+	}{
+		// X on every third row with Y failing after it, and true pairs
+		// across the seams at 62/63, 63/64 and 127/128.
+		{"pair on a word seam", xy, func(n int) []storage.Row {
+			return codes(n, func(i int) float64 {
+				switch {
+				case i == 62 || i == 63 || i == 127:
+					return 1
+				case i == 64 || i == 128:
+					return 2
+				case i%3 == 0:
+					return 1
+				}
+				return 0
+			})
+		}, true},
+		{"X only on the last row", xy, func(n int) []storage.Row {
+			return codes(n, func(i int) float64 {
+				if i == n-1 {
+					return 1
+				}
+				return 0
+			})
+		}, true},
+		// Every row is a failed start of two evals, the last of one.
+		{"X all-ones, Y all-zeros", pb(pattern.Element{Name: "X"}, pattern.Element{Name: "Y", Star: true, Local: is(7)}), nil, true},
+		{"plain element 2", pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Local: is(2)}, pattern.Element{Name: "Z", Star: true, Local: is(3)}), nil, true},
+		{"m = 2, random codes", xy, nil, true},
+		// Y failing on r+1 means X fails there too: next(2) = 0 closes the gate.
+		{"repeated predicate", pb(pattern.Element{Name: "X", Local: rise}, pattern.Element{Name: "Y", Star: true, Local: rise}, pattern.Element{Name: "Z", Local: is(1)}), nil, false},
+	}
+	for _, c := range pairCorners {
+		tab := core.Compute(c.p)
+		if got := selectLoop(tab, true) == loopPurePair; got != c.gate {
+			t.Fatalf("%s: pair gate open = %v, want %v (shift(2) = %d, next(2) = %d)", c.name, got, c.gate, tab.Shift[2], tab.Next[2])
+		}
+		for li, n := range append(pureLens, 5000) {
+			var seq []storage.Row
+			if c.seq != nil {
+				seq = c.seq(n)
+			} else {
+				r := rand.New(rand.NewSource(int64(li)))
+				seq = codes(n, func(int) float64 { return float64(r.Intn(4)) })
+			}
+			for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
+				if pureCheck(t, fmt.Sprintf("%s n=%d %v", c.name, n, policy), c.p, seq, policy) {
+					taken++
+				}
+			}
+		}
+	}
+
+	t.Logf("pure loop taken %d times, pair scans resolved %d rows", taken, pairRowsSeen-paired)
 	if taken < 1000 {
 		t.Fatalf("the pure loop ran %d times; the differential must cover at least 1000", taken)
 	}
+	if pairRowsSeen-paired < 100_000 {
+		t.Fatalf("the pair scans resolved %d rows; the differential must cover at least 100,000", pairRowsSeen-paired)
+	}
+}
+
+// FuzzPureLoop runs pureCheck on what the seed draws from the
+// differential's generators: purePattern over pureSeq for an even seed,
+// repeatPattern over walkSeq for an odd one, n%2048 rows long. The seed
+// corpus is in testdata/fuzz/FuzzPureLoop.
+//
+// pureSeq's NULLs are replaced by the lowest value of their column's
+// domain: the θ/φ entries are derived as if no operand were NULL, and
+// within seconds the fuzzer finds sequences where OPS then reports
+// matches naive does not, whatever the loop (ROADMAP's NULL item has a
+// three-row case).
+func FuzzPureLoop(f *testing.F) {
+	fill := storage.Row{storage.NewFloat(1), storage.NewInt(1), storage.NewString("a"), storage.NewDateDays(100)}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, toNextRow bool) {
+		r := rand.New(rand.NewSource(seed))
+		rows := int(n % 2048)
+		var p *pattern.Pattern
+		var seq []storage.Row
+		if seed%2 == 0 {
+			p, seq = purePattern(t, r), pureSeq(r, rows)
+			for _, row := range seq {
+				for c, v := range row {
+					if v.IsNull() {
+						row[c] = fill[c]
+					}
+				}
+			}
+		} else {
+			p, seq = repeatPattern(t, r), walkSeq(r, rows)
+		}
+		policy := SkipPastLastRow
+		if toNextRow {
+			policy = SkipToNextRow
+		}
+		pureCheck(t, fmt.Sprintf("seed %d n=%d %v", seed, rows, policy), p, seq, policy)
+	})
 }
 
 // TestPureLoopFallsBack pins the selection: path tracing and any armed
@@ -275,6 +406,84 @@ func TestPureLoopFallsBack(t *testing.T) {
 	}
 }
 
+// TestSearchLoopLineAgreesWithRun: for each statement of the root
+// package's EXPLAIN goldens (golden_test.go), the golden's "search loop:"
+// line is SearchLoop's, and a default vectorized OPS run of the statement
+// takes the loop it names: the pure loop exactly for "pure-mask", pair
+// scans exactly for "pair scan".
+func TestSearchLoopLineAgreesWithRun(t *testing.T) {
+	quote := storage.MustSchema(
+		storage.Column{Name: "name", Type: storage.TypeString},
+		storage.Column{Name: "date", Type: storage.TypeDate},
+		storage.Column{Name: "price", Type: storage.TypeFloat},
+	)
+	djia := storage.MustSchema(
+		storage.Column{Name: "date", Type: storage.TypeDate},
+		storage.Column{Name: "price", Type: storage.TypeFloat},
+	)
+	for _, c := range []struct {
+		golden string
+		schema *storage.Schema
+		sql    string
+	}{
+		{"example1", quote, `SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y, Z)
+			WHERE Y.price > 1.15 * X.price AND Z.price < 0.80 * Y.price`},
+		{"example4", quote, `SELECT X.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y, Z, T, U)
+			WHERE X.name = 'IBM' AND Y.price < X.price AND Z.price < Y.price AND 40 < Z.price AND Z.price < 50
+			  AND T.price > Z.price AND T.price < 52 AND U.price > T.price`},
+		{"example8", quote, `SELECT X.name, FIRST(X).date, LAST(Z).date FROM quote CLUSTER BY name SEQUENCE BY date AS (*X, *Y, *Z)
+			WHERE X.price > X.previous.price AND Y.price < Y.previous.price AND Z.price > Z.previous.price`},
+		{"example10", djia, `SELECT X.next.date, X.next.price, S.previous.date, S.previous.price FROM djia SEQUENCE BY date
+			AS (X, *Y, *Z, *T, *U, *V, *W, *R, S)
+			WHERE X.price >= 0.98 * X.previous.price AND Y.price < 0.98 * Y.previous.price
+			  AND 0.98 * Z.previous.price < Z.price AND Z.price < 1.02 * Z.previous.price
+			  AND T.price > 1.02 * T.previous.price AND 0.98 * U.previous.price < U.price
+			  AND U.price < 1.02 * U.previous.price AND V.price < 0.98 * V.previous.price
+			  AND 0.98 * W.previous.price < W.price AND W.price < 1.02 * W.previous.price
+			  AND R.price > 1.02 * R.previous.price AND S.price <= 1.02 * S.previous.price`},
+	} {
+		st, err := query.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := query.Analyze(st.(*query.SelectStmt), c.schema, query.AnalyzeOptions{PositiveColumns: []string{"price"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compiled.Pattern
+		tab, k := core.Compute(p), p.CompileKernel()
+		line := "search loop: " + SearchLoop(p, tab, k)
+		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "explain_"+c.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(golden), "\n"+line+"\n") {
+			t.Fatalf("%s: the golden has no line %q", c.golden, line)
+		}
+
+		// A walk with IBM's name on every row, so every element can hold.
+		walk := walkSeq(rand.New(rand.NewSource(1)), 2000)
+		seq := make([]storage.Row, len(walk))
+		for i, w := range walk {
+			if c.schema == quote {
+				seq[i] = storage.Row{storage.NewString("IBM"), storage.NewDateDays(int64(i)), w[0]}
+			} else {
+				seq[i] = storage.Row{storage.NewDateDays(int64(i)), w[0]}
+			}
+		}
+		o := NewOPS(p, tab, OPSConfig{})
+		o.UseKernel(k)
+		o.SetVectorized(true)
+		o.FindAll(seq)
+		if pure := strings.HasPrefix(line, "search loop: pure-mask"); o.ranPure != pure {
+			t.Fatalf("%s: %q, but the pure loop ran = %v", c.golden, line, o.ranPure)
+		}
+		if pair := strings.HasSuffix(line, "pair scan"); (o.pairRows > 0) != pair {
+			t.Fatalf("%s: %q, but the pair scans resolved %d rows", c.golden, line, o.pairRows)
+		}
+	}
+}
+
 // longRunFixture is a plain element, a zeros-row element-1 zero run, and
 // a star over an ones-row run of hits that reaches the end of input:
 // price 0 fails A, price 1 starts a match, price 2 feeds the star.
@@ -298,91 +507,136 @@ func longRunFixture(t *testing.T, zeros, ones int) (*pattern.Pattern, []storage.
 	return p, seq
 }
 
+// pairRunFixture is longRunFixture's pattern over n rows where A holds
+// and B fails on the next row, then one B row: n-1 failed starts of two
+// evals each, which one pair scan resolves, and a two-row match.
+func pairRunFixture(t *testing.T, n int) (*pattern.Pattern, []storage.Row) {
+	p, _ := longRunFixture(t, 0, 0)
+	seq := make([]storage.Row, n+1)
+	for i := range seq {
+		seq[i] = storage.Row{storage.NewFloat(1)}
+	}
+	seq[n] = storage.Row{storage.NewFloat(2)}
+	return p, seq
+}
+
 // TestPureLoopCheckpointCadence: evals answered in bulk keep the
 // one-checkpoint-per-1024-evals cadence. A 5,000-row element-1 zero run
-// and a 5,000-row star run each cross four boundaries in one step; the
+// and a 5,000-row star run each cross four boundaries in one step, and
+// 5,000 rows of failed two-eval starts cross nine in one pair scan; the
 // interrupt must be consulted exactly PredEvals>>10 times, by the pure
 // loop and by the generic loop's and naive's zero-run skip alike.
 func TestPureLoopCheckpointCadence(t *testing.T) {
-	p, seq := longRunFixture(t, 5000, 5000)
-	tab := core.Compute(p)
-	k := p.CompileKernel()
-
-	vecOPS := func(cfg OPSConfig) *OPS {
-		o := NewOPS(p, tab, cfg)
-		o.UseKernel(k)
-		o.SetVectorized(true)
-		return o
-	}
-	pureOPS := vecOPS(OPSConfig{})
-	genericOPS := vecOPS(OPSConfig{LastRowSkip: true}) // an ablation config keeps the generic loop
-	naive := NewNaive(p, SkipPastLastRow)
-	naive.UseKernel(k)
-	naive.SetVectorized(true)
-	for _, c := range []struct {
-		name string
-		ex   Executor
+	zp, zseq := longRunFixture(t, 5000, 5000)
+	pp, pseq := pairRunFixture(t, 5000)
+	for _, fx := range []struct {
+		name       string
+		p          *pattern.Pattern
+		seq        []storage.Row
+		start, end int
+		evals      int64
+		pairRows   int64
 	}{
-		{"ops-vec (pure loop)", pureOPS},
-		{"ops+skip-vec (generic loop)", genericOPS},
-		{"naive-vec", naive},
-		{"ops (interpreter)", NewOPS(p, tab, OPSConfig{})},
+		{"zero run, star run", zp, zseq, 5000, 10000, 10001, 5000},
+		{"pair scan", pp, pseq, 4999, 5000, 10000, 4999},
 	} {
-		calls := int64(0)
-		c.ex.SetInterrupt(func() error { calls++; return nil })
-		ms, st := c.ex.FindAll(seq)
-		if len(ms) != 1 || ms[0].Start != 5000 || ms[0].End != 10000 {
-			t.Fatalf("%s: matches %s", c.name, fmtMatches(ms))
+		p := fx.p
+		tab := core.Compute(p)
+		k := p.CompileKernel()
+
+		vecOPS := func(cfg OPSConfig) *OPS {
+			o := NewOPS(p, tab, cfg)
+			o.UseKernel(k)
+			o.SetVectorized(true)
+			return o
 		}
-		if st.PredEvals != 10001 {
-			t.Fatalf("%s: %d pred-evals, want 10001", c.name, st.PredEvals)
+		pureOPS := vecOPS(OPSConfig{})
+		genericOPS := vecOPS(OPSConfig{LastRowSkip: true}) // an ablation config keeps the generic loop
+		naive := NewNaive(p, SkipPastLastRow)
+		naive.UseKernel(k)
+		naive.SetVectorized(true)
+		for _, c := range []struct {
+			name string
+			ex   Executor
+		}{
+			{"ops-vec (pure loop)", pureOPS},
+			{"ops+skip-vec (generic loop)", genericOPS},
+			{"naive-vec", naive},
+			{"ops (interpreter)", NewOPS(p, tab, OPSConfig{})},
+		} {
+			calls := int64(0)
+			c.ex.SetInterrupt(func() error { calls++; return nil })
+			ms, st := c.ex.FindAll(fx.seq)
+			if len(ms) != 1 || ms[0].Start != fx.start || ms[0].End != fx.end {
+				t.Fatalf("%s, %s: matches %s", fx.name, c.name, fmtMatches(ms))
+			}
+			if st.PredEvals != fx.evals {
+				t.Fatalf("%s, %s: %d pred-evals, want %d", fx.name, c.name, st.PredEvals, fx.evals)
+			}
+			if calls != st.PredEvals>>10 {
+				t.Errorf("%s, %s: interrupt consulted %d times over %d pred-evals, want %d", fx.name, c.name, calls, st.PredEvals, st.PredEvals>>10)
+			}
 		}
-		if calls != st.PredEvals>>10 {
-			t.Errorf("%s: interrupt consulted %d times over %d pred-evals, want %d", c.name, calls, st.PredEvals, st.PredEvals>>10)
+		if !pureOPS.ranPure || genericOPS.ranPure {
+			t.Fatalf("%s: loop selection: pure=%v generic=%v", fx.name, pureOPS.ranPure, genericOPS.ranPure)
 		}
-	}
-	if !pureOPS.ranPure || genericOPS.ranPure {
-		t.Fatalf("loop selection: pure=%v generic=%v", pureOPS.ranPure, genericOPS.ranPure)
+		if pureOPS.pairRows != fx.pairRows {
+			t.Fatalf("%s: the pair scans resolved %d rows, want %d", fx.name, pureOPS.pairRows, fx.pairRows)
+		}
 	}
 }
 
 // TestPureLoopInterrupt: an interrupt raised at the k-th checkpoint of a
-// single 1,000,000-row star run unwinds the pure loop with that error —
-// the run is one word scan, but it is not one uninterruptible step.
+// single 1,000,000-row star run, or of a single pair scan over 5,000 rows,
+// unwinds the pure loop with that error — each is one word scan, but not
+// one uninterruptible step.
 func TestPureLoopInterrupt(t *testing.T) {
-	p, seq := longRunFixture(t, 0, 1_000_000)
-	o := NewOPS(p, core.Compute(p), OPSConfig{})
-	o.UseKernel(p.CompileKernel())
-	o.SetVectorized(true)
-	stop := errors.New("stop")
-	for _, at := range []int64{1, 2, 500, 976} {
-		calls := int64(0)
-		o.SetInterrupt(func() error {
-			calls++
-			if calls == at {
-				return stop
-			}
-			return nil
-		})
-		err := func() (err error) {
-			defer func() {
-				if it, ok := recover().(Interrupt); ok {
-					err = it.Err
+	sp, sseq := longRunFixture(t, 0, 1_000_000)
+	pp, pseq := pairRunFixture(t, 5000)
+	for _, fx := range []struct {
+		name  string
+		p     *pattern.Pattern
+		seq   []storage.Row
+		at    []int64
+		end   int
+		evals int64
+	}{
+		{"star run", sp, sseq, []int64{1, 2, 500, 976}, 1_000_000, 1_000_001},
+		{"pair scan", pp, pseq, []int64{1, 2, 9}, 5000, 10000},
+	} {
+		o := NewOPS(fx.p, core.Compute(fx.p), OPSConfig{})
+		o.UseKernel(fx.p.CompileKernel())
+		o.SetVectorized(true)
+		stop := errors.New("stop")
+		for _, at := range fx.at {
+			calls := int64(0)
+			o.SetInterrupt(func() error {
+				calls++
+				if calls == at {
+					return stop
 				}
+				return nil
+			})
+			err := func() (err error) {
+				defer func() {
+					if it, ok := recover().(Interrupt); ok {
+						err = it.Err
+					}
+				}()
+				o.FindAll(fx.seq)
+				return nil
 			}()
-			o.FindAll(seq)
-			return nil
-		}()
-		if !errors.Is(err, stop) || calls != at {
-			t.Fatalf("interrupt at checkpoint %d: err=%v after %d calls", at, err, calls)
+			if !errors.Is(err, stop) || calls != at {
+				t.Fatalf("%s: interrupt at checkpoint %d: err=%v after %d calls", fx.name, at, err, calls)
+			}
+			if !o.ranPure {
+				t.Fatalf("%s: the long run did not take the pure loop", fx.name)
+			}
 		}
-		if !o.ranPure {
-			t.Fatal("the long run did not take the pure loop")
+		o.SetInterrupt(nil)
+		ms, st := o.FindAll(fx.seq)
+		if len(ms) != 1 || ms[0].End != fx.end || st.PredEvals != fx.evals {
+			t.Fatalf("%s: uninterrupted rerun: %s %+v", fx.name, fmtMatches(ms), st)
 		}
-	}
-	o.SetInterrupt(nil)
-	ms, st := o.FindAll(seq)
-	if len(ms) != 1 || ms[0].End != 1_000_000 || st.PredEvals != 1_000_001 {
-		t.Fatalf("uninterrupted rerun: %s %+v", fmtMatches(ms), st)
 	}
 }

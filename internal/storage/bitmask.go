@@ -112,3 +112,40 @@ func MaskNextClear(m []uint64, from, n int) int {
 	}
 	return n
 }
+
+// MaskNextPair returns the lowest row r ≥ from with r+1 < n whose x bit
+// is set and whose successor's y bit is set, or n-1 when there is none,
+// and xs, the number of x bits set in [from, r). A nil y is all ones, so
+// r is then x's next set bit below n-1 and xs is 0. Both masks hold n
+// valid bits; nothing at or above n counts, whatever it holds.
+func MaskNextPair(x, y []uint64, from, n int) (r, xs int) {
+	last := n - 1 // rows below last are the ones with a successor
+	if from < 0 {
+		from = 0
+	}
+	if from >= last {
+		return last, 0
+	}
+	lo := ^uint64(0) << uint(from&63) // drops the first word's rows below from
+	for w := from >> 6; w<<6 < last; w++ {
+		xw := x[w] & lo
+		if tail := last - w<<6; tail < 64 {
+			xw &= 1<<uint(tail) - 1
+		}
+		c := xw
+		if y != nil {
+			succ := y[w] >> 1
+			if (w+1)<<6 < n {
+				succ |= y[w+1] << 63
+			}
+			c &= succ
+		}
+		if c != 0 {
+			z := bits.TrailingZeros64(c)
+			return w<<6 + z, xs + bits.OnesCount64(xw&(1<<uint(z)-1))
+		}
+		xs += bits.OnesCount64(xw)
+		lo = ^uint64(0)
+	}
+	return last, xs
+}

@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // maskOf builds a mask wide enough for n bits with the listed bits set.
 func maskOf(n int, set ...int) []uint64 {
@@ -125,6 +129,71 @@ func TestMaskNextClearExhaustive(t *testing.T) {
 					if got := MaskNextClear(m, from, n); got != want {
 						t.Fatalf("n=%d run=[%d,%d) from=%d: got %d, want %d", n, lo, hi, from, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaskNextPairExhaustive checks every (from, n) up to three words
+// against a bit-at-a-time scan, over random, all-ones and all-zeros masks,
+// single pairs that straddle the word seams, and a nil y. The masks are
+// cut to MaskWords(n) words, so a read past them panics, and the bits
+// above n are random, so one that counts shows up.
+func TestMaskNextPairExhaustive(t *testing.T) {
+	const words = 3
+	r := rand.New(rand.NewSource(1))
+	random := func(density int) []uint64 {
+		m := make([]uint64, words)
+		for i := 0; i < words*64; i++ {
+			if r.Intn(density) == 0 {
+				MaskSetBit(m, i)
+			}
+		}
+		return m
+	}
+	ones := maskRange(words*64, 0, words*64)
+	zeros := maskOf(words * 64)
+	pair := func(at int) (x, y []uint64) { return maskOf(words*64, at), maskOf(words*64, at+1) }
+	type masks struct {
+		name string
+		x, y []uint64
+	}
+	cases := []masks{
+		{"ones/ones", ones, ones}, {"ones/zeros", ones, zeros}, {"zeros/ones", zeros, ones},
+		{"zeros/zeros", zeros, zeros}, {"ones/nil", ones, nil}, {"zeros/nil", zeros, nil},
+	}
+	for _, at := range []int{0, 62, 63, 64, 126, 127, 128, 190} {
+		x, y := pair(at)
+		cases = append(cases, masks{fmt.Sprintf("pair at %d", at), x, y})
+	}
+	for k := 0; k < 6; k++ {
+		d := []int{2, 4, 16}[k%3]
+		cases = append(cases, masks{fmt.Sprintf("random 1/%d", d), random(d), random(d)}, masks{"random x/nil", random(d), nil})
+	}
+	ref := func(x, y []uint64, from, n int) (int, int) {
+		xs := 0
+		for row := max(from, 0); row+1 < n; row++ {
+			if MaskHas(x, row) {
+				if y == nil || MaskHas(y, row+1) {
+					return row, xs
+				}
+				xs++
+			}
+		}
+		return n - 1, xs
+	}
+	for _, c := range cases {
+		for n := 0; n <= words*64; n++ {
+			w := MaskWords(n)
+			x, y := c.x[:w:w], c.y
+			if y != nil {
+				y = y[:w:w]
+			}
+			for from := -1; from <= n+1; from++ {
+				wr, wxs := ref(x, y, from, n)
+				if gr, gxs := MaskNextPair(x, y, from, n); gr != wr || gxs != wxs {
+					t.Fatalf("%s n=%d from=%d: got (%d, %d), want (%d, %d)", c.name, n, from, gr, gxs, wr, wxs)
 				}
 			}
 		}

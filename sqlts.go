@@ -505,6 +505,9 @@ type Plan struct {
 	// next run's lanes reserve their buffers from; the plan's adaptive
 	// revisions share it. nil for a plain SELECT.
 	shape *resultShape
+	// fans keeps the helper lanes of the plan's fanned-out runs between
+	// runs: scratch, which no result references (see lane).
+	fans fanPool
 
 	// streamTables are the continuous-query shift/next tables, computed
 	// on first OpenStream and shared by all streams over this plan.
@@ -524,28 +527,29 @@ type resultShape struct {
 
 // remember records res as the plan's latest result.
 func (s *resultShape) remember(res *Result) {
-	logBytes := 0
-	for _, log := range res.clusterLogs {
-		logBytes += len(log)
-	}
+	matches, matched, logBytes := shapeOf(res)
 	set := func(at *atomic.Int64, v int) {
 		if at.Load() != int64(v) {
 			at.Store(int64(v))
 		}
 	}
-	set(&s.matches, res.Stats.Matches)
-	set(&s.matched, len(res.Matches))
+	set(&s.matches, matches)
+	set(&s.matched, matched)
 	set(&s.logBytes, logBytes)
 }
 
-// share returns one lane's share of the remembered shape when lanes of
-// them divide the clusters: an equal part, rounded up.
-func (s *resultShape) share(lanes int) (matches, matched, logBytes int) {
-	matches, matched, logBytes = int(s.matches.Load()), int(s.matched.Load()), int(s.logBytes.Load())
-	if lanes > 1 {
-		matches, matched, logBytes = (matches+lanes-1)/lanes, (matched+lanes-1)/lanes, (logBytes+lanes-1)/lanes
+// shapeOf is the shape of res: its matches, the clusters they are in, and
+// the bytes of its cluster log.
+func shapeOf(res *Result) (matches, matched, logBytes int) {
+	for _, log := range res.clusterLogs {
+		logBytes += len(log)
 	}
-	return matches, matched, logBytes
+	return res.Stats.Matches, len(res.Matches), logBytes
+}
+
+// sizes returns the remembered shape.
+func (s *resultShape) sizes() (matches, matched, logBytes int) {
+	return int(s.matches.Load()), int(s.matched.Load()), int(s.logBytes.Load())
 }
 
 // SQL returns the statement text the plan was compiled from.
@@ -760,6 +764,7 @@ func (q *Query) Explain() string {
 		fmt.Fprintf(&b, "vectorized: %d/%d elements mask-compiled\n",
 			kernel.VecElems(), p.Len())
 	}
+	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel))
 	if q.plan.revision > 0 {
 		pref := "ops"
 		if q.plan.preferNaive {
