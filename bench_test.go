@@ -600,7 +600,8 @@ func BenchmarkServing(b *testing.B) {
 func BenchmarkDriverBreakEven(b *testing.B) {
 	for _, shape := range []struct{ clusters, rows int }{
 		{8, 10}, {50, 10}, {100, 10}, {200, 10}, {400, 10}, {800, 10}, {1200, 10},
-		{1600, 10}, {2000, 10}, {5000, 10}, {20000, 10}, {2, 3000},
+		{1600, 10}, {2000, 10}, {2500, 10}, {3300, 10}, {4000, 10}, {5000, 10},
+		{20000, 10}, {2, 3000},
 	} {
 		db := sqlts.New()
 		db.RegisterTable(workload.ClusterWalks("quote", 1, shape.clusters, shape.rows, max(1, shape.clusters/40)))

@@ -310,54 +310,16 @@ func TestPureLoopCancel(t *testing.T) {
 			t.Fatalf("%sreference: %d rows, %d pred-evals; want 1 row, %d pred-evals", fx.prefix, len(ref.Rows), ref.Stats.PredEvals, fx.evals)
 		}
 
-		// runUntil repeats the warm query until it fails, with stopper
-		// running beside it from the first run until that failure.
-		runUntil := func(t *testing.T, opts RunOptions, stopper func(failed <-chan struct{})) error {
-			t.Helper()
-			failed := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				stopper(failed)
-			}()
-			defer wg.Wait()
-			defer close(failed)
-			for n := 0; n < 1_000_000; n++ {
-				res, err := q.RunWith(opts)
-				if err != nil {
-					if res != nil {
-						t.Fatalf("failed run returned a partial result (%d rows)", len(res.Rows))
-					}
-					return err
-				}
-				resultsEqual(t, fmt.Sprintf("run %d", n), ref, res)
-			}
-			t.Fatal("the stop never landed")
-			return nil
-		}
-
 		t.Run(fx.prefix+"cancel", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			err := runUntil(t, RunOptions{Context: ctx}, func(<-chan struct{}) { cancel() })
+			err := runUntilStopped(t, q, ref, RunOptions{Context: ctx}, func(<-chan struct{}) { cancel() })
 			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrKilled) {
 				t.Fatalf("canceled run error = %v; want ErrCanceled wrapping context.Canceled", err)
 			}
 		})
 		t.Run(fx.prefix+"kill", func(t *testing.T) {
-			err := runUntil(t, RunOptions{}, func(failed <-chan struct{}) {
-				for {
-					select {
-					case <-failed:
-						return
-					default:
-					}
-					for _, s := range db.ActiveQueries() {
-						_ = db.KillQuery(s.ID, "pure-loop kill") // ErrNoSuchQuery: it just finished
-					}
-				}
-			})
+			err := runUntilStopped(t, q, ref, RunOptions{}, killEveryQuery(db))
 			if !errors.Is(err, ErrKilled) || !errors.Is(err, ErrCanceled) {
 				t.Fatalf("killed run error = %v; want ErrKilled", err)
 			}
@@ -366,6 +328,51 @@ func TestPureLoopCancel(t *testing.T) {
 			t.Fatalf("%sre-run after cancel and kill: %v", fx.prefix, err)
 		} else {
 			resultsEqual(t, fx.prefix+"re-run", ref, rerun)
+		}
+	}
+}
+
+// runUntilStopped repeats a warm run of q until it fails, with stopper
+// running beside it from the first run until that failure: every run
+// before it must equal ref, and the failed one must return no result.
+func runUntilStopped(t *testing.T, q *Query, ref *Result, opts RunOptions, stopper func(failed <-chan struct{})) error {
+	t.Helper()
+	failed := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		stopper(failed)
+	}()
+	defer wg.Wait()
+	defer close(failed)
+	for n := 0; n < 1_000_000; n++ {
+		res, err := q.RunWith(opts)
+		if err != nil {
+			if res != nil {
+				t.Fatalf("failed run returned a partial result (%d rows)", len(res.Rows))
+			}
+			return err
+		}
+		resultsEqual(t, fmt.Sprintf("run %d", n), ref, res)
+	}
+	t.Fatal("the stop never landed")
+	return nil
+}
+
+// killEveryQuery is a stopper for runUntilStopped that kills whatever db
+// has in flight until the run fails.
+func killEveryQuery(db *DB) func(failed <-chan struct{}) {
+	return func(failed <-chan struct{}) {
+		for {
+			select {
+			case <-failed:
+				return
+			default:
+			}
+			for _, s := range db.ActiveQueries() {
+				_ = db.KillQuery(s.ID, "test kill") // ErrNoSuchQuery: it just finished
+			}
 		}
 	}
 }

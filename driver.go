@@ -8,7 +8,6 @@ package sqlts
 // cluster order, bit-identical to a one-lane run.
 
 import (
-	"encoding/binary"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -16,8 +15,8 @@ import (
 
 	"sqlts/internal/engine"
 	"sqlts/internal/fault"
-	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
+	"sqlts/internal/query"
 	"sqlts/internal/storage"
 )
 
@@ -31,7 +30,7 @@ const chunksPerWorker = 4
 // out: the measured break-even of starting one helper goroutine and
 // stitching two lanes (BenchmarkDriverBreakEven; docs/PERFORMANCE.md has
 // the table).
-const elasticMinRows = 16384
+const elasticMinRows = 32768
 
 // searchers counts the goroutines of this process that are inside a
 // fanned-out or elastic cluster search: the budget an elastic run borrows
@@ -78,19 +77,30 @@ type search struct {
 // into the caller's lane, so a warm fanned-out run allocates what a
 // one-lane run does, plus the stitched slices and a goroutine per helper,
 // whether its helpers searched or not.
+//
+// A lane is also the sink its executor hands every chunk's clusters to
+// (engine.RunSink), so it lives on the heap: in its fan, or — a one-lane
+// run's — in soloLanes between runs.
 type lane struct {
 	ex       engine.Executor
 	key      executorKey // what a helper's kept ex was built for
 	started  bool        // set up for the current run
-	ticks    progress
 	stats    engine.Stats
 	clusters int32
 	chunks   int // chunks searched: a lane with none did no work
 
 	rows    engine.Block[storage.Row]
 	matches engine.Block[ClusterMatches]
-	log     engine.Block[byte]          // putClusterStat entries
+	log     engine.Block[byte]          // the cluster log (engine.Run.Log)
 	values  engine.Block[storage.Value] // the output rows are carved from it
+
+	// What the sink reads: the run's control and compiled statement, the
+	// chunk handed to the executor, the index of its first cluster, and
+	// where its runs of rows and matches start in the blocks.
+	rc                    *runControl
+	compiled              *query.Compiled
+	run                   engine.Run
+	lo, rowsAt, matchesAt int
 
 	// yielded marks a borrowed helper that left with chunks unclaimed; err
 	// is a panic contained outside any chunk.
@@ -152,22 +162,28 @@ func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage
 	return s.oneLane(res)
 }
 
+// soloLanes keeps the lanes of one-lane runs between runs, emptied: a lane
+// must be on the heap to be its executor's sink, and a run that allocated
+// one would cost an object more than the search does.
+var soloLanes = sync.Pool{New: func() any { return new(lane) }}
+
 // oneLane searches the whole cluster list as one chunk on the calling
 // goroutine; the lane's runs are the result's.
 func (s *search) oneLane(res *Result) error {
-	var l lane
+	l := soloLanes.Get().(*lane)
 	var m mark
-	s.start(&l, s.rc.interrupt())
-	s.searchChunk(&l, &m, 0, len(s.clusters))
-	if m.err != nil {
-		return m.err
+	s.start(l, s.rc.interrupt())
+	s.searchChunk(l, &m, 0, len(s.clusters))
+	if m.err == nil {
+		res.workers = 1
+		res.Stats, res.clusters = l.stats, l.clusters
+		res.Rows, res.Matches = m.rows, m.matches
+		res.oneLog[0] = m.log
+		res.clusterLogs = res.oneLog[:]
 	}
-	res.workers = 1
-	res.Stats, res.clusters = l.stats, l.clusters
-	res.Rows, res.Matches = m.rows, m.matches
-	res.oneLog[0] = m.log
-	res.clusterLogs = res.oneLog[:]
-	return nil
+	*l = lane{} // its blocks are the result's
+	soloLanes.Put(l)
+	return m.err
 }
 
 // borrowHelpers enters an elastic run in the process-wide searcher count
@@ -402,43 +418,6 @@ func (f *fan) run(l *lane, borrowed bool) {
 	}
 }
 
-// flightFlushRows is how many searched rows a lane lets its progress
-// ticks trail by: the flight's clusters, rows and matches are flushed once
-// that many rows have gone unreported and at chunk end, so on many small
-// clusters the shared counters are not written once per cluster.
-const flightFlushRows = 256
-
-// progress is one lane's unflushed flight ticks.
-type progress struct {
-	fl                      *obs.Flight
-	clusters, rows, matches int64
-}
-
-func (p *progress) flush() {
-	if p.clusters == 0 {
-		return
-	}
-	p.fl.TickClusters(p.clusters)
-	p.fl.TickRows(p.rows)
-	p.fl.TickMatches(p.matches)
-	p.clusters, p.rows, p.matches = 0, 0, 0
-}
-
-// clusterStatMax is the most bytes one cluster's log entry can take.
-const clusterStatMax = 4 * binary.MaxVarintLen64
-
-// putClusterStat writes one searched cluster's entry of a lane's cluster
-// log into buf, which has room for clusterStatMax bytes, and returns its
-// length: the cluster's row count and counters as four uvarints — about
-// four bytes for a ten-row cluster, and nothing for the collector to
-// scan. The cluster's index is its position in the log.
-func putClusterStat(buf []byte, rows int, s engine.Stats) int {
-	n := binary.PutUvarint(buf, uint64(rows))
-	n += binary.PutUvarint(buf[n:], uint64(s.PredEvals))
-	n += binary.PutUvarint(buf[n:], uint64(s.Rollbacks))
-	return n + binary.PutUvarint(buf[n:], uint64(s.Matches))
-}
-
 // ClusterStats returns the per-cluster execution breakdown, in cluster
 // order, whatever the lane count; summing the entries' Stats reproduces
 // Result.Stats. The slice is built from the run's compact logs on every
@@ -449,15 +428,10 @@ func (r *Result) ClusterStats() []ClusterStat {
 	}
 	out := make([]ClusterStat, 0, r.clusters)
 	for _, log := range r.clusterLogs {
-		next := func() uint64 {
-			v, n := binary.Uvarint(log)
-			log = log[n:]
-			return v
-		}
 		for len(log) > 0 {
-			out = append(out, ClusterStat{Cluster: len(out), Rows: int(next()), Stats: engine.Stats{
-				PredEvals: int64(next()), Rollbacks: int64(next()), Matches: int(next()),
-			}})
+			c := ClusterStat{Cluster: len(out)}
+			c.Rows, c.Stats, log = engine.NextClusterStat(log)
+			out = append(out, c)
 		}
 	}
 	return out
@@ -508,12 +482,12 @@ func (s *search) prepare(l *lane, lanes, matches, matched, logBytes int) {
 	l.values.Reset(part(matches) * len(s.q.plan.compiled.OutNames))
 }
 
-// begin points a set-up lane at this run: its checkpoint, its masks, its
-// flight.
+// begin points a set-up lane at this run: its checkpoint, its masks, and
+// what its sink reads.
 func (s *search) begin(l *lane, check func() error) {
 	l.ex.SetInterrupt(check)
 	l.ex.SetVectorized(s.masks != nil)
-	l.ticks.fl = s.rc.flightRef()
+	l.rc, l.compiled = s.rc, s.q.plan.compiled
 	l.started = true
 }
 
@@ -550,79 +524,77 @@ func (k executorKey) policy() engine.SkipPolicy {
 // mark in m: the runs of cluster stats, matches and projected rows it
 // appended to the lane's blocks, or the error that stopped it. It is the
 // containment boundary of the search: an engine.Interrupt unwind comes
-// back as its typed error and any other panic as a *PanicError. Before
-// every cluster it fires the sqlts.execute.cluster fault point and takes
-// the cooperative checkpoint (cancellation, kill, MaxMatches).
+// back as its typed error and any other panic as a *PanicError. It takes
+// the cooperative checkpoint (cancellation, kill, MaxMatches) once, and
+// hands the chunk to the executor as one engine.Run with the lane as its
+// sink: the executor's run loop is what fires the sqlts.execute.cluster
+// fault point and takes the checkpoint again before every cluster, when it
+// searches cluster by cluster (lane.Enter), and the lane evaluates SELECT
+// over every cluster's matches as they are found (lane.Found).
 func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.err = s.q.recovered(r)
 		}
 	}()
-	defer l.ticks.flush() // also on the way out of a failed cluster
-	compiled := s.q.plan.compiled
-	width := len(compiled.OutNames)
-	ex, rc := l.ex, s.rc
-	rows, matches := l.rows.Len(), l.matches.Len()
-	// The log's entries are written straight into the block's spare room
-	// while it has room for the longest one.
-	log, spare := l.log.Spare(l.log.Len(), 0)
-	for ci := lo; ci < hi; ci++ {
-		if m.err = faultExecCluster.Fire(); m.err != nil {
-			return
-		}
-		if m.err = rc.check(); m.err != nil {
-			return
-		}
-		seq := s.clusters[ci]
-		if s.projs != nil {
-			ex.UseProjection(s.projs[ci])
-		}
-		if s.masks != nil {
-			ex.UseMasks(s.masks[ci])
-		}
-		ms, stats := ex.FindAll(seq)
-		l.stats.Add(stats)
-		l.clusters++
-		if len(spare) >= clusterStatMax {
-			n := putClusterStat(spare, len(seq), stats)
-			l.log.Extend(n)
-			spare = spare[n:]
-		} else {
-			// Short of room — the tail of a block reserved to the byte:
-			// encode aside, append what it came to, and look again.
-			var buf [clusterStatMax]byte
-			log = l.log.Append(log, buf[:putClusterStat(buf[:], len(seq), stats)]...)
-			log, spare = l.log.Spare(log, 0)
-		}
-		if l.ticks.fl != nil {
-			l.ticks.clusters++
-			l.ticks.rows += int64(len(seq))
-			l.ticks.matches += int64(stats.Matches)
-			if l.ticks.rows >= flightFlushRows {
-				l.ticks.flush()
-			}
-		}
-		if s.opts.Trace {
-			s.q.pathMu.Lock()
-			s.q.lastPath = append(s.q.lastPath, pathOf(ex)...)
-			s.q.pathMu.Unlock()
-		}
-		if len(ms) > 0 {
-			matches = l.matches.Append(matches, ClusterMatches{Cluster: ci, Matches: ms})
-		}
-		for _, found := range ms {
-			row, err := compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
-			if err != nil {
-				m.err = err
-				return
-			}
-			rows = l.rows.Append(rows, row)
-		}
-		rc.addMatches(stats.Matches)
+	if m.err = s.rc.check(); m.err != nil {
+		return
 	}
+	l.lo, l.rowsAt, l.matchesAt = lo, l.rows.Len(), l.matches.Len()
+	l.run = engine.Run{Seqs: s.clusters[lo:hi], Log: &l.log, Sink: l}
+	if s.projs != nil {
+		l.run.Projs = s.projs[lo:hi]
+	}
+	if s.masks != nil {
+		l.run.Masks = s.masks[lo:hi]
+	}
+	if m.err = l.ex.FindRun(&l.run); m.err != nil {
+		return
+	}
+	if s.opts.Trace {
+		s.q.pathMu.Lock()
+		s.q.lastPath = append(s.q.lastPath, pathOf(l.ex)...)
+		s.q.pathMu.Unlock()
+	}
+	l.stats.Add(l.run.Stats)
+	l.clusters += int32(hi - lo)
 	l.chunks++
-	m.rows, m.matches, m.log = l.rows.Run(rows), l.matches.Run(matches), l.log.Run(log)
+	m.rows, m.matches, m.log = l.rows.Run(l.rowsAt), l.matches.Run(l.matchesAt), l.run.Entries
+}
+
+// Enter implements engine.RunSink: before each cluster the per-cluster loop
+// searches, the sqlts.execute.cluster fault point and the checkpoint.
+func (l *lane) Enter(int) error {
+	if err := faultExecCluster.Fire(); err != nil {
+		return err
+	}
+	return l.rc.check()
+}
+
+// Found implements engine.RunSink: the chunk's i-th cluster matched, so its
+// matches join the lane's and its output rows are evaluated into the
+// lane's blocks.
+func (l *lane) Found(i int, ms []engine.Match, st engine.Stats) error {
+	seq, width := l.run.Seqs[i], len(l.compiled.OutNames)
+	l.matchesAt = l.matches.Append(l.matchesAt, ClusterMatches{Cluster: l.lo + i, Matches: ms})
+	for _, found := range ms {
+		row, err := l.compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
+		if err != nil {
+			return err
+		}
+		l.rowsAt = l.rows.Append(l.rowsAt, row)
+	}
+	l.rc.addMatches(st.Matches)
+	return nil
+}
+
+// Tick implements engine.RunSink: the run's flight, if it has one, learns
+// of the clusters searched since the last tick.
+func (l *lane) Tick(clusters, rows, matches int64) {
+	fl := l.rc.flightRef()
+	fl.TickClusters(clusters)
+	fl.TickRows(rows)
+	fl.TickMatches(matches)
 }
 
 // recovered turns a recovered panic value into the run's error: an

@@ -162,7 +162,8 @@ func (rc *runControl) interrupt() func() error {
 
 // check is the cooperative cancellation checkpoint: a typed error means
 // the run must stop. It is installed into executors via SetInterrupt and
-// called directly at coarse-grained points (per cluster, per push). The
+// called directly at coarse-grained points (per chunk, per cluster on the
+// per-cluster run loop, per push). The
 // split keeps check itself inlinable — the select below would block
 // inlining, so unconstrained runs (nil rc, or a context that can never
 // be canceled) pay only an inlined comparison at every call site.

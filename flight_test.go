@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlts/internal/engine"
 	"sqlts/internal/fault"
 	"sqlts/internal/obs"
 	"sqlts/internal/testutil"
@@ -374,7 +375,7 @@ func TestFlightRaceKill(t *testing.T) {
 }
 
 // TestFlightProgressSmallClusters: on clusters far smaller than the tick
-// flush (1,000 of four rows against flightFlushRows) the live progress is
+// flush (1,000 of four rows against engine.TickRows) the live progress is
 // batched, not lost. At every cluster boundary the snapshot is monotone,
 // never ahead of the clusters actually finished, never more than the
 // flush threshold of rows behind them, and exact once the run is over —
@@ -426,8 +427,8 @@ func TestFlightProgressSmallClusters(t *testing.T) {
 			if s.ClustersDone > int64(i) || s.RowsScanned > int64(i*rows) {
 				t.Fatalf("boundary %d: progress %d clusters, %d rows is ahead of the truth", i, s.ClustersDone, s.RowsScanned)
 			}
-			if behind := int64(i*rows) - s.RowsScanned; behind >= flightFlushRows {
-				t.Fatalf("boundary %d: rows_scanned %d trails by %d rows, flush threshold %d", i, s.RowsScanned, behind, flightFlushRows)
+			if behind := int64(i*rows) - s.RowsScanned; behind >= engine.TickRows {
+				t.Fatalf("boundary %d: rows_scanned %d trails by %d rows, flush threshold %d", i, s.RowsScanned, behind, engine.TickRows)
 			}
 			if s.RowsScanned != s.ClustersDone*rows {
 				t.Fatalf("boundary %d: %d clusters but %d rows ticked", i, s.ClustersDone, s.RowsScanned)

@@ -148,6 +148,11 @@ type Executor interface {
 	// (SetInterrupt), FindAll panics an Interrupt when a checkpoint
 	// reports an error — callers that install one must recover it.
 	FindAll(seq []storage.Row) ([]Match, Stats)
+	// FindRun searches a chunk of clusters in order, as FindAll would one
+	// at a time, writing each cluster's log entry and handing its matches
+	// to the run's sink (see Run). An error from the sink stops it, and an
+	// installed interrupt unwinds it the way it unwinds FindAll.
+	FindRun(r *Run) error
 	// UseProjection supplies a prebuilt columnar projection of the next
 	// FindAll sequence (see evaluator.UseProjection); a no-op when no
 	// kernel is attached.
@@ -573,9 +578,16 @@ func (n *Naive) Path() []PathPoint { return n.trace }
 
 // FindAll implements Executor.
 func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
+	n.trace = n.trace[:0]
+	return n.find(seq)
+}
+
+// FindRun implements Executor: the generic run loop.
+func (n *Naive) FindRun(r *Run) error { return n.runEach(n, r) }
+
+func (n *Naive) find(seq []storage.Row) ([]Match, Stats) {
 	n.reset(seq)
 	n.stats = Stats{}
-	n.trace = n.trace[:0]
 	from := n.matches.Len()
 	nn := len(seq)
 	for start := 1; start <= nn; start++ {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
@@ -33,13 +34,22 @@ type OPS struct {
 	evaluator
 	tables *core.Tables
 	cfg    OPSConfig
-	// ranPure records whether the last FindAll took findAllStarPure, and
-	// pairRows how many rows its pair scans have resolved in all, for the
-	// package's differential tests. ranPure shares cfg's word.
+	// ranPure records whether the last FindAll or FindRun took the pure
+	// loop, and pairRows how many rows its pair scans have resolved in all,
+	// for the package's differential tests. ranPure shares cfg's word.
 	ranPure  bool
 	count    []int
 	pairRows int64
 }
+
+// closedClusters counts the clusters FindRun has booked in closed form in
+// this process, a chunk at a time.
+var closedClusters atomic.Int64
+
+// ClosedClusters returns how many clusters OPS.FindRun has booked in closed
+// form in this process: for tests that must know a run took the chunk-wide
+// pure loop.
+func ClosedClusters() int64 { return closedClusters.Load() }
 
 // NewOPS builds an OPS executor for a pattern and its computed tables.
 func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
@@ -81,9 +91,13 @@ func (o *OPS) shiftNext(j int) (int, int) {
 
 // FindAll implements Executor.
 func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
+	o.trace = o.trace[:0]
+	return o.find(seq)
+}
+
+func (o *OPS) find(seq []storage.Row) ([]Match, Stats) {
 	o.reset(seq)
 	o.stats = Stats{}
-	o.trace = o.trace[:0]
 	// The pure-mask loop serves the default executor only; the ablation
 	// configs stay on the generic loop it is differenced against.
 	l := selectLoop(o.tables, o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy})
@@ -383,21 +397,39 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 // and one rollback each: storage.MaskNextPair finds that row. Without
 // pair only X's mask is scanned, which is the element-1 skip.
 func (o *OPS) findAllStarPure(seq []storage.Row, pair bool) ([]Match, Stats) {
+	x, y := o.scanMasks(o.slab, o.words, pair)
+	c, xs := storage.MaskNextPair(x, y, 0, len(seq))
+	ms, _ := o.searchPure(len(seq), x, y, c, xs, 0)
+	return ms, o.stats
+}
+
+// scanMasks returns element 1's mask in a slab of masks words long, and
+// element 2's with pair set (nil without): what a fresh attempt's scan
+// reads.
+func (o *OPS) scanMasks(slab []uint64, words int, pair bool) (x, y []uint64) {
+	x = slab[int(o.pureSlots[0])*words:][:words]
+	if pair {
+		y = slab[int(o.pureSlots[1])*words:][:words]
+	}
+	return x, y
+}
+
+// searchPure is findAllStarPure's loop over the current masks, nn rows
+// long, entered with the first fresh attempt's scan done: (c, xs) is
+// MaskNextPair(x, y, 0, nn), which searchPure books but does not repeat.
+// evals is the count the checkpoints run on — the search's own from
+// FindAll, the chunk's from FindRun — and is returned advanced by what the
+// search spent; o.stats gets the search's counters.
+func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match, int64) {
 	from := o.matches.Len()
-	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
 	toNextRow := o.cfg.Policy == SkipToNextRow
 	slab, words, slots := o.slab, o.words, o.pureSlots
-	x := slab[int(slots[0])*words:][:words]
-	var y []uint64
-	if pair {
-		y = slab[int(slots[1])*words:][:words]
-	}
 	count := o.count
 	count[0] = 0
-	var evals, rollbacks, scanned int64
-	matches := 0
+	var rollbacks, scanned int64
+	start, matches := evals, 0
 
 	i, j := 1, 1
 	for {
@@ -416,7 +448,12 @@ func (o *OPS) findAllStarPure(seq []storage.Row, pair bool) ([]Match, Stats) {
 		}
 		if j == 1 {
 			// A fresh attempt: every start before the candidate row c fails.
-			c, xs := storage.MaskNextPair(x, y, i-1, nn) // 0-based, so c+1 is its 1-based row
+			// c is 0-based, so c+1 is its 1-based row. Every attempt starts
+			// past the one before, so only the first can start at or before
+			// the last scan's c: the entry scan's.
+			if i-1 > c {
+				c, xs = storage.MaskNextPair(x, y, i-1, nn)
+			}
 			if k := c + 1 - i; k > 0 {
 				scanned += int64(k)
 				rollbacks += int64(k)
@@ -463,9 +500,92 @@ func (o *OPS) findAllStarPure(seq []storage.Row, pair bool) ([]Match, Stats) {
 		}
 		j = nx
 	}
-	if pair {
+	if y != nil {
 		o.pairRows += scanned
 	}
-	o.stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
-	return o.matches.Run(from), o.stats
+	o.stats = Stats{PredEvals: evals - start, Rollbacks: rollbacks, Matches: matches}
+	return o.matches.Run(from), evals
+}
+
+// FindRun implements Executor. Wherever FindAll would run findAllStarPure
+// — the same selectLoop gate, with bulk probing allowed for the whole run
+// — it runs the pure loop across the chunk, on one eval count, so the
+// checkpoint runs once per 1024 evals of the chunk; otherwise, and for the
+// ablation configs, the generic run loop. The pure loop calls neither the
+// sink's Enter nor a checkpoint per cluster, and ticks the flight at the
+// end of the cluster a checkpoint fell in and at the end of the chunk.
+//
+// Per cluster it runs the first fresh attempt's scan, inline when the
+// cluster's masks are one word. When the scan
+// reaches the last row, no attempt gets past element 2 (with the pair
+// scan) or past element 1 (without), so with m ≥ 2 nothing matches, and
+// the cluster's counters follow from the scan alone: searchPure would book
+// n-1 failed starts (n-1+xs evals, n-1 rollbacks) and probe X on the last
+// row — one eval, and one more rollback when X fails there. Otherwise
+// searchPure is entered at the candidate row with the scan's result.
+func (o *OPS) FindRun(r *Run) error {
+	l := selectLoop(o.tables, o.bulkRun(r) && o.cfg == OPSConfig{Policy: o.cfg.Policy})
+	if l < loopPureSkip {
+		return o.runEach(o, r)
+	}
+	o.ranPure = true
+	pair, closed := l == loopPurePair, o.p.Len() >= 2
+	sx, sy := int(o.pureSlots[0]), 0 // X's and Y's slots
+	if pair {
+		sy = int(o.pureSlots[1])
+	}
+	w := newLogWriter(r.Log)
+	var p progress
+	defer p.tick(r.Sink)
+	var total Stats
+	var evals, ticked, closedRun, closedPairRows int64
+	for i, seq := range r.Seqs {
+		n := len(seq)
+		slab, words := r.Masks[i].Words()
+		var c, xs int
+		if words == 1 {
+			// The common short cluster: the scan of one word, inline.
+			yw := ^uint64(0)
+			if pair {
+				yw = slab[sy]
+			}
+			c, xs = storage.MaskPairWord(slab[sx], yw, n)
+		} else {
+			x, y := o.scanMasks(slab, words, pair)
+			c, xs = storage.MaskNextPair(x, y, 0, n)
+		}
+		var st Stats
+		if closed && c == n-1 && n > 0 {
+			evals = o.addEvals(evals, int64(n+xs))
+			st = Stats{PredEvals: int64(n + xs), Rollbacks: int64(n - 1)}
+			if slab[sx*words+c>>6]>>(c&63)&1 == 0 {
+				st.Rollbacks++
+			}
+			closedPairRows += int64(n - 1)
+			closedRun++
+		} else {
+			x, y := o.scanMasks(slab, words, pair)
+			o.slab, o.words = slab, words
+			var ms []Match
+			ms, evals = o.searchPure(n, x, y, c, xs, evals)
+			st = o.stats
+			if len(ms) > 0 {
+				if err := r.Sink.Found(i, ms, st); err != nil {
+					return err
+				}
+			}
+		}
+		total.Add(st)
+		w.put(n, st)
+		if p.add(n, st); evals>>10 != ticked>>10 {
+			p.tick(r.Sink)
+			ticked = evals
+		}
+	}
+	if pair {
+		o.pairRows += closedPairRows
+	}
+	r.Stats, r.Entries = total, w.run()
+	closedClusters.Add(closedRun)
+	return nil
 }

@@ -149,3 +149,16 @@ func MaskNextPair(x, y []uint64, from, n int) (r, xs int) {
 	}
 	return last, xs
 }
+
+// MaskPairWord is MaskNextPair from row 0 over masks of one word: x and y
+// are the words of masks of n rows, 1 ≤ n ≤ 64, and y is all ones for
+// MaskNextPair's nil y. Small enough to inline into a loop over many short
+// sequences, which would otherwise pay a call and a word loop per scan.
+func MaskPairWord(x, y uint64, n int) (r, xs int) {
+	x &= 1<<uint(n-1) - 1 // the rows with a successor
+	if c := x & (y >> 1); c != 0 {
+		r = bits.TrailingZeros64(c)
+		return r, bits.OnesCount64(x & (1<<uint(r) - 1))
+	}
+	return n - 1, bits.OnesCount64(x)
+}

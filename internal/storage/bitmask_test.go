@@ -139,7 +139,8 @@ func TestMaskNextClearExhaustive(t *testing.T) {
 // against a bit-at-a-time scan, over random, all-ones and all-zeros masks,
 // single pairs that straddle the word seams, and a nil y. The masks are
 // cut to MaskWords(n) words, so a read past them panics, and the bits
-// above n are random, so one that counts shows up.
+// above n are random, so one that counts shows up. MaskPairWord must
+// agree from row 0 wherever the masks are one word.
 func TestMaskNextPairExhaustive(t *testing.T) {
 	const words = 3
 	r := rand.New(rand.NewSource(1))
@@ -194,6 +195,18 @@ func TestMaskNextPairExhaustive(t *testing.T) {
 				wr, wxs := ref(x, y, from, n)
 				if gr, gxs := MaskNextPair(x, y, from, n); gr != wr || gxs != wxs {
 					t.Fatalf("%s n=%d from=%d: got (%d, %d), want (%d, %d)", c.name, n, from, gr, gxs, wr, wxs)
+				}
+			}
+			if n >= 1 && n <= 64 {
+				// The one-word scan reads the whole word: the bits at and
+				// above n must not count.
+				yw := ^uint64(0)
+				if c.y != nil {
+					yw = c.y[0]
+				}
+				wr, wxs := ref(x, y, 0, n)
+				if gr, gxs := MaskPairWord(c.x[0], yw, n); gr != wr || gxs != wxs {
+					t.Fatalf("%s n=%d: MaskPairWord got (%d, %d), want (%d, %d)", c.name, n, gr, gxs, wr, wxs)
 				}
 			}
 		}

@@ -49,8 +49,9 @@ import (
 )
 
 // faultExecCluster is the serving path's fault-injection site (see
-// internal/fault and the engine.* sites): the cluster driver fires it
-// before each cluster's search, at any worker count.
+// internal/fault and the engine.* sites): a lane fires it before each
+// cluster the executor's per-cluster run loop searches, at any worker
+// count. An armed fault point keeps every run on that loop.
 var faultExecCluster = fault.New("sqlts.execute.cluster")
 
 // DB is an in-memory sequence database: a set of named tables plus
@@ -367,7 +368,8 @@ type RunOptions struct {
 
 	// Context, when non-nil, cancels the run cooperatively: executors
 	// consult it at amortized checkpoints (every 1024 predicate
-	// evaluations) and at every cluster boundary. A canceled run returns
+	// evaluations) and before every chunk of clusters a lane searches —
+	// and every cluster, on the per-cluster loop. A canceled run returns
 	// ErrCanceled (or ErrDeadlineExceeded) and no partial Result.
 	Context context.Context
 	// Deadline bounds this run's wall-clock time, layered on top of
@@ -375,9 +377,9 @@ type RunOptions struct {
 	Deadline time.Duration
 	// MaxMatches aborts the run with ErrBudgetExceeded once more than
 	// this many matches have been found (0 = unlimited). Matches are
-	// added per cluster and the bound is checked at every cluster
-	// boundary, so the overshoot is at most one cluster's matches per
-	// worker.
+	// added per cluster and the bound is checked where Context is, and
+	// once more when the search is over: a run past it never returns a
+	// result, however little further it searched.
 	MaxMatches int64
 	// MaxRowsScanned rejects the run with ErrBudgetExceeded when its
 	// input (the table snapshot, or the clustered partition) exceeds
@@ -396,10 +398,10 @@ type Result struct {
 	Matches []ClusterMatches
 
 	// clusterLogs hold every searched cluster's row count and counters in
-	// cluster order (putClusterStat) — one log per chunk of the run, in
-	// chunk order, each a piece of the lane's block that searched it —
-	// and clusters how many they hold; ClusterStats expands them for the
-	// callers that ask. oneLog backs clusterLogs for a one-lane run, so
+	// cluster order (the engine's cluster log, engine.NextClusterStat) —
+	// one log per chunk of the run, in chunk order, each a piece of the
+	// lane's block that searched it — and clusters how many they hold;
+	// ClusterStats expands them for the callers that ask. oneLog backs clusterLogs for a one-lane run, so
 	// that it costs no allocation.
 	clusterLogs [][]byte
 	oneLog      [1][]byte
