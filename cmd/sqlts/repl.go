@@ -24,8 +24,6 @@ import (
 //	\tables       list tables
 //	\explain      toggle plan printing
 //	\exec NAME    switch executor (ops, naive, ops+skip, ...)
-//	\vectorize    toggle the batch mask kernels (on by default; off
-//	              evaluates probes row-at-a-time — identical results)
 //	\workers [n]  search each statement's clusters on n goroutines
 //	              (0 = elastic, the default: borrow the cores no other
 //	              query is searching on; 1 = serially)
@@ -54,7 +52,6 @@ func repl(db *sqlts.DB, in io.Reader, out io.Writer, kind sqlts.ExecutorKind, ov
 	explain := false
 	stats := false
 	timing := false
-	vectorize := true
 	workers := 0
 	var timeout time.Duration
 
@@ -112,9 +109,6 @@ func repl(db *sqlts.DB, in io.Reader, out io.Writer, kind sqlts.ExecutorKind, ov
 			case trimmed == `\explain`:
 				explain = !explain
 				fmt.Fprintf(out, "explain: %v\n", explain)
-			case trimmed == `\vectorize`:
-				vectorize = !vectorize
-				fmt.Fprintf(out, "vectorize: %v\n", onOff(vectorize))
 			case trimmed == `\workers` || strings.HasPrefix(trimmed, `\workers `):
 				arg := strings.TrimSpace(strings.TrimPrefix(trimmed, `\workers`))
 				if arg != "" {
@@ -229,7 +223,7 @@ func repl(db *sqlts.DB, in io.Reader, out io.Writer, kind sqlts.ExecutorKind, ov
 		buf.Reset()
 		if err := execStatements(db, src, out, execOpts{
 			kind: kind, overlap: overlap, explain: explain, stats: stats, timing: timing,
-			noVectorize: !vectorize, workers: workers, timeout: timeout, setCancel: setCancel,
+			workers: workers, timeout: timeout, setCancel: setCancel,
 		}); err != nil {
 			fmt.Fprintln(out, "error:", err)
 		}
@@ -291,8 +285,6 @@ type execOpts struct {
 	explain bool
 	stats   bool
 	timing  bool
-	// noVectorize disables the batch mask kernels (RunOptions.NoVectorize).
-	noVectorize bool
 	// workers is the cluster-search goroutine count
 	// (RunOptions.MaxWorkers; 0 = elastic, 1 = serial).
 	workers int
@@ -332,8 +324,7 @@ func execStatements(db *sqlts.DB, src string, out io.Writer, opts execOpts) erro
 				opts.setCancel(cancel)
 			}
 			res, err := q.RunWith(sqlts.RunOptions{
-				Executor: opts.kind, Overlap: opts.overlap,
-				NoVectorize: opts.noVectorize, MaxWorkers: opts.workers,
+				Executor: opts.kind, Overlap: opts.overlap, MaxWorkers: opts.workers,
 				Context: ctx, Deadline: opts.timeout,
 			})
 			if opts.setCancel != nil {

@@ -510,7 +510,7 @@ type executorKey struct {
 }
 
 func (s *search) executorKey() executorKey {
-	return executorKey{s.q.effectiveExecutor(s.opts), s.opts.Overlap, s.opts.NoKernel}
+	return executorKey{s.opts.Executor, s.opts.Overlap, s.opts.NoKernel}
 }
 
 func (k executorKey) policy() engine.SkipPolicy {

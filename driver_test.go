@@ -29,6 +29,14 @@ const driverSQL = `
 	  AND Y.price < 0.99 * Y.previous.price
 	  AND Z.price > Z.previous.price`
 
+// driverStatements are the statements of the driver's differential:
+// driverSQL, whose masks answer every element, and the same pattern with
+// X's condition squared — a product of columns, which no mask holds — so
+// that X's probes take the row path (EvalElemMasked falls back to
+// EvalElem) beside Y's and Z's bit tests.
+var driverStatements = []string{driverSQL, strings.Replace(driverSQL,
+	"X.price >= X.previous.price", "X.price * X.price >= X.previous.price * X.previous.price", 1)}
+
 // driverRows is the cluster length of the driver tests' tables; tallRows
 // is a length at which 2*chunksPerWorker clusters — the fewest the elastic
 // default fans out over — already hold elasticMinRows rows.
@@ -38,8 +46,7 @@ const (
 )
 
 // driverDB serves a quote table of n clusters of rowsPer rows (none for
-// n = 0), sharded when shards > 1. The adaptive optimizer is off so the
-// hundreds of runs below all execute the plan as compiled.
+// n = 0), sharded when shards > 1, and prepares driverSQL over it.
 func driverDB(t testing.TB, n, rowsPer, shards int) (*DB, *Query) {
 	t.Helper()
 	tbl := workload.ClusterWalks("quote", 11, max(n, 1), rowsPer, 5)
@@ -51,7 +58,6 @@ func driverDB(t testing.TB, n, rowsPer, shards int) (*DB, *Query) {
 	if err := db.DeclarePositive("quote", "price"); err != nil {
 		t.Fatal(err)
 	}
-	db.SetAdaptive(false)
 	db.SetShards(shards)
 	q, err := db.Prepare(driverSQL)
 	if err != nil {
@@ -102,62 +108,77 @@ func (c driverConfig) String() string {
 }
 
 // checkDriverDifferential runs the driver's differential matrix: for every
-// cluster count in ns (clusters of rowsPer rows), executor, partition
-// source, evaluation mode and lane configuration, rows, Stats,
-// ClusterStats and Matches must deep-equal a one-lane NoCache run. It
-// returns how many runs fanned out.
-func checkDriverDifferential(t *testing.T, ns []int, rowsPer int, executors []ExecutorKind, configs []driverConfig) (fanned int) {
+// statement of stmts (indexes into driverStatements), cluster count in ns
+// (clusters of rowsPer rows), executor, partition source, evaluation mode
+// (the plan's kernel, or the interpreter) and lane configuration, rows,
+// Stats, ClusterStats and Matches must deep-equal a one-lane NoCache run.
+// It returns how many runs fanned out.
+func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, executors []ExecutorKind, configs []driverConfig) (fanned int) {
 	t.Helper()
-	modes := []RunOptions{{}, {NoVectorize: true}, {NoKernel: true}}
+	modes := []RunOptions{{}, {NoKernel: true}}
 	matched := false
 	for _, n := range ns {
-		_, flat := driverDB(t, n, rowsPer, 0)
-		_, sharded := driverDB(t, n, rowsPer, 3)
-		sources := []struct {
-			name    string
-			q       *Query
-			noCache bool
-		}{{"flat", flat, false}, {"sharded", sharded, false}, {"nocache", flat, true}}
-		for _, ex := range executors {
-			want, err := flat.RunWith(RunOptions{Executor: ex, MaxWorkers: 1, NoCache: true})
+		flatDB, _ := driverDB(t, n, rowsPer, 0)
+		shardedDB, _ := driverDB(t, n, rowsPer, 3)
+		for _, si := range stmts {
+			sql := driverStatements[si]
+			flat, err := flatDB.Prepare(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.ClusterStats()) != n || want.workers != 1 {
-				t.Fatalf("n=%d: reference searched %d clusters on %d lanes", n, len(want.ClusterStats()), want.workers)
+			sharded, err := shardedDB.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
 			}
-			matched = matched || len(want.Rows) > 0
-			for _, src := range sources {
-				for _, mode := range modes {
-					for _, cfg := range configs {
-						opts := mode
-						opts.Executor, opts.MaxWorkers, opts.NoCache = ex, cfg.workers, src.noCache
-						label := fmt.Sprintf("n=%d %s %s workers=%s vec=%v kernel=%v", n, src.name, ex, cfg, !opts.NoVectorize, !opts.NoKernel)
-						prev := 0
-						if cfg.procs > 0 {
-							prev = runtime.GOMAXPROCS(cfg.procs)
-						}
-						got, err := src.q.RunWith(opts)
-						if cfg.procs > 0 {
-							runtime.GOMAXPROCS(prev)
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if got.borrowed > 0 {
-							fanned++
-						}
-						if !reflect.DeepEqual(want.Rows, got.Rows) {
-							t.Fatalf("%s: rows differ (%d vs %d)", label, len(want.Rows), len(got.Rows))
-						}
-						if want.Stats != got.Stats {
-							t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
-						}
-						if !reflect.DeepEqual(want.ClusterStats(), got.ClusterStats()) {
-							t.Fatalf("%s: per-cluster stats differ", label)
-						}
-						if !reflect.DeepEqual(want.Matches, got.Matches) {
-							t.Fatalf("%s: cluster matches differ", label)
+			if k := flat.plan.kernel; (k.VecElems() == k.Len()) != (si == 0) {
+				t.Fatalf("statement %d: %d of %d elements mask-compiled", si, k.VecElems(), k.Len())
+			}
+			sources := []struct {
+				name    string
+				q       *Query
+				noCache bool
+			}{{"flat", flat, false}, {"sharded", sharded, false}, {"nocache", flat, true}}
+			for _, ex := range executors {
+				want, err := flat.RunWith(RunOptions{Executor: ex, MaxWorkers: 1, NoCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.ClusterStats()) != n || want.workers != 1 {
+					t.Fatalf("n=%d: reference searched %d clusters on %d lanes", n, len(want.ClusterStats()), want.workers)
+				}
+				matched = matched || len(want.Rows) > 0
+				for _, src := range sources {
+					for _, mode := range modes {
+						for _, cfg := range configs {
+							opts := mode
+							opts.Executor, opts.MaxWorkers, opts.NoCache = ex, cfg.workers, src.noCache
+							label := fmt.Sprintf("statement %d n=%d %s %s workers=%s kernel=%v", si, n, src.name, ex, cfg, !opts.NoKernel)
+							prev := 0
+							if cfg.procs > 0 {
+								prev = runtime.GOMAXPROCS(cfg.procs)
+							}
+							got, err := src.q.RunWith(opts)
+							if cfg.procs > 0 {
+								runtime.GOMAXPROCS(prev)
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if got.borrowed > 0 {
+								fanned++
+							}
+							if !reflect.DeepEqual(want.Rows, got.Rows) {
+								t.Fatalf("%s: rows differ (%d vs %d)", label, len(want.Rows), len(got.Rows))
+							}
+							if want.Stats != got.Stats {
+								t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
+							}
+							if !reflect.DeepEqual(want.ClusterStats(), got.ClusterStats()) {
+								t.Fatalf("%s: per-cluster stats differ", label)
+							}
+							if !reflect.DeepEqual(want.Matches, got.Matches) {
+								t.Fatalf("%s: cluster matches differ", label)
+							}
 						}
 					}
 				}
@@ -177,17 +198,19 @@ var elasticConfigs = []driverConfig{{0, 1}, {0, 2}, {0, 4}}
 // checkElasticDifferential is the differential matrix of the elastic
 // default over clusters tall enough that it fans out from
 // 2*chunksPerWorker of them up, around the chunk seams of two and four
-// lanes. Tall clusters make slow tests, so the executor — which the driver
-// only hands clusters to — is the default one alone; the short-cluster
-// matrix of TestDriverDifferential varies it.
+// lanes. Tall clusters make slow tests, so the executor and the statement
+// — which the driver only hands clusters to — are the default one and
+// driverSQL alone; the short-cluster matrix of TestDriverDifferential
+// varies both.
 func checkElasticDifferential(t *testing.T, ns ...int) (fanned int) {
 	t.Helper()
-	return checkDriverDifferential(t, ns, tallRows, []ExecutorKind{Auto}, elasticConfigs)
+	return checkDriverDifferential(t, []int{0}, ns, tallRows, []ExecutorKind{Auto}, elasticConfigs)
 }
 
 // TestDriverDifferential: whatever the lane count — explicit, or the
 // elastic default at GOMAXPROCS 1, 2 and 4 — the partition source, the
-// evaluation mode and the executor, the cluster driver returns rows,
+// evaluation mode, the executor and whether masks answer every element or
+// leave one to the row path, the cluster driver returns rows,
 // Stats, ClusterStats and Matches deep-equal to a one-lane NoCache run.
 // Cluster counts straddle the seams of chunkSize for every lane count
 // tried. The explicit counts run over short clusters, where the default
@@ -196,7 +219,7 @@ func checkElasticDifferential(t *testing.T, ns ...int) (fanned int) {
 // clusters up.
 func TestDriverDifferential(t *testing.T) {
 	explicit := []driverConfig{{1, 0}, {2, 0}, {3, 0}, {8, 0}}
-	checkDriverDifferential(t, seamCounts(2, 3, 8), driverRows, []ExecutorKind{Auto, NaiveExec, OPSSkipExec}, append(explicit, elasticConfigs...))
+	checkDriverDifferential(t, []int{0, 1}, seamCounts(2, 3, 8), driverRows, []ExecutorKind{Auto, NaiveExec, OPSSkipExec}, append(explicit, elasticConfigs...))
 	if checkElasticDifferential(t, 1, 7, 8, 9, 15, 16, 17, 25) == 0 {
 		t.Error("the elastic default never borrowed a helper")
 	}
@@ -496,7 +519,6 @@ func TestManyClusterRunAllocsFlat(t *testing.T) {
 // mark — whatever the lane count: the caller's lane holds the result.
 func TestResultShapeIsAdvisory(t *testing.T) {
 	db := quoteDB(t)
-	db.SetAdaptive(false)
 	for c := 0; c < 12; c++ {
 		insertSeries(t, db, fmt.Sprintf("F%02d", c), 10000, 10, 10, 10, 10)
 	}

@@ -48,7 +48,7 @@ func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
 func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	var b strings.Builder
 	b.WriteString(q.Explain())
-	fmt.Fprintf(&b, "plan: %s (revision %d)\n", planWord(ev.PlanCached), ev.PlanRevision)
+	fmt.Fprintf(&b, "plan: %s\n", planWord(ev.PlanCached))
 	if ev.Partition != "" {
 		fmt.Fprintf(&b, "partition: %s\n", ev.Partition)
 	}
@@ -132,7 +132,7 @@ func (q *Query) explainAnalyzeText(opts RunOptions) (string, engine.Stats, error
 	var b strings.Builder
 	b.WriteString(q.reportBody(&ev, res))
 
-	if q.effectiveExecutor(opts) != NaiveExec {
+	if opts.Executor != NaiveExec {
 		nopts := opts
 		nopts.Executor = NaiveExec
 		// Diagnostic re-run: no admission slot, no metrics, and the

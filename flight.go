@@ -85,11 +85,11 @@ func (db *DB) KillQuery(id uint64, reason string) error {
 // registerFlight registers one run in the active-query registry (nil
 // when the recorder is off). The caller deregisters via deferred
 // Deregister.
-func (db *DB) registerFlight(key, executor string, planRevision int64, phase obs.FlightPhase) *obs.Flight {
+func (db *DB) registerFlight(key, executor string, phase obs.FlightPhase) *obs.Flight {
 	if db.flight.off.Load() {
 		return nil
 	}
-	fl := db.flight.flights.Register(key, executor, planRevision, phase)
+	fl := db.flight.flights.Register(key, executor, 0, phase)
 	db.metrics.flightsActive.Inc()
 	return fl
 }
@@ -199,11 +199,7 @@ func (db *DB) WriteActiveQueries(w io.Writer) error {
 			b.WriteString("  (kill pending)")
 		}
 		b.WriteByte('\n')
-		fmt.Fprintf(&b, "     elapsed %s  executor=%s", time.Duration(s.ElapsedNs).Round(time.Millisecond), s.Executor)
-		if s.PlanRevision > 0 {
-			fmt.Fprintf(&b, "  rev=%d", s.PlanRevision)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "     elapsed %s  executor=%s\n", time.Duration(s.ElapsedNs).Round(time.Millisecond), s.Executor)
 		if s.Pushes > 0 || s.Phase == "streaming" {
 			fmt.Fprintf(&b, "     pushes=%d matches=%d pred-evals=%d\n", s.Pushes, s.Matches, s.PredEvals)
 			continue

@@ -47,11 +47,10 @@ type Event struct {
 	// Partition names how a batch run came by its clusters: "cached",
 	// "built" or "refreshed (k of n clusters)". Empty on failures and
 	// streams.
-	Partition    string `json:"partition,omitempty"`
-	Kernel       bool   `json:"kernel"`
-	Vectorized   bool   `json:"vectorized"`
-	Shards       int    `json:"shards,omitempty"`
-	PlanRevision int64  `json:"plan_revision,omitempty"`
+	Partition  string `json:"partition,omitempty"`
+	Kernel     bool   `json:"kernel"`
+	Vectorized bool   `json:"vectorized"`
+	Shards     int    `json:"shards,omitempty"`
 
 	// Workers is how many goroutines, the caller's included, searched at
 	// least one chunk of a batch run's clusters. HelpersBorrowed is how
@@ -87,7 +86,6 @@ func (e *Event) QueryObs() QueryObs {
 		Kernel:          e.Kernel,
 		Naive:           e.Executor == "naive",
 		Vectorized:      e.Vectorized,
-		PlanRevision:    e.PlanRevision,
 	}
 }
 

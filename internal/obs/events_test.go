@@ -134,13 +134,13 @@ func TestEventQueryObs(t *testing.T) {
 	ev := Event{
 		Executor: "naive", DurationNs: 1, AdmissionWaitNs: 2, Rows: 3, RowsScanned: 4,
 		PredEvals: 5, Rollbacks: 6, Matches: 7, PlanCached: true, PartitionCached: true,
-		Kernel: true, Vectorized: true, PlanRevision: 8,
+		Kernel: true, Vectorized: true,
 	}
 	got := ev.QueryObs()
 	want := QueryObs{
 		DurNs: 1, AdmissionWaitNs: 2, Rows: 3, RowsScanned: 4, PredEvals: 5, Rollbacks: 6,
 		Matches: 7, PlanCached: true, PartitionCached: true, Kernel: true, Naive: true,
-		Vectorized: true, PlanRevision: 8,
+		Vectorized: true,
 	}
 	if got != want {
 		t.Fatalf("QueryObs = %+v, want %+v", got, want)

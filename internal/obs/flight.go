@@ -56,7 +56,6 @@ type Flight struct {
 	id       uint64
 	sql      string
 	executor string
-	revision int64
 	start    time.Time
 
 	phase         atomic.Int32
@@ -208,13 +207,12 @@ func (f *Flight) KillErr() error {
 // snapshot taken mid-tick may be internally skewed by in-flight
 // deltas.
 type FlightSnapshot struct {
-	ID           uint64    `json:"id"`
-	SQL          string    `json:"sql"`
-	Executor     string    `json:"executor,omitempty"`
-	PlanRevision int64     `json:"plan_revision,omitempty"`
-	Phase        string    `json:"phase"`
-	StartTime    time.Time `json:"start_time"`
-	ElapsedNs    int64     `json:"elapsed_ns"`
+	ID        uint64    `json:"id"`
+	SQL       string    `json:"sql"`
+	Executor  string    `json:"executor,omitempty"`
+	Phase     string    `json:"phase"`
+	StartTime time.Time `json:"start_time"`
+	ElapsedNs int64     `json:"elapsed_ns"`
 
 	ClustersTotal int64 `json:"clusters_total"`
 	ClustersDone  int64 `json:"clusters_done"`
@@ -232,13 +230,12 @@ func (f *Flight) Snapshot() FlightSnapshot {
 		return FlightSnapshot{}
 	}
 	return FlightSnapshot{
-		ID:           f.id,
-		SQL:          f.sql,
-		Executor:     f.executor,
-		PlanRevision: f.revision,
-		Phase:        FlightPhase(f.phase.Load()).String(),
-		StartTime:    f.start,
-		ElapsedNs:    time.Since(f.start).Nanoseconds(),
+		ID:        f.id,
+		SQL:       f.sql,
+		Executor:  f.executor,
+		Phase:     FlightPhase(f.phase.Load()).String(),
+		StartTime: f.start,
+		ElapsedNs: time.Since(f.start).Nanoseconds(),
 
 		ClustersTotal: f.clustersTotal.Load(),
 		ClustersDone:  f.clustersDone.Load(),
@@ -264,8 +261,10 @@ func NewFlightRegistry() *FlightRegistry {
 	return &FlightRegistry{flights: map[uint64]*Flight{}}
 }
 
-// Register creates and tracks a flight.
-func (r *FlightRegistry) Register(sql, executor string, planRevision int64, phase FlightPhase) *Flight {
+// Register creates and tracks a flight. The int64 argument is unused: it
+// carried a plan revision, and plans are no longer revised; it stays
+// until the benchmark harness, which calls Register, drops it.
+func (r *FlightRegistry) Register(sql, executor string, _ int64, phase FlightPhase) *Flight {
 	if r == nil {
 		return nil
 	}
@@ -273,7 +272,6 @@ func (r *FlightRegistry) Register(sql, executor string, planRevision int64, phas
 		id:       r.seq.Add(1),
 		sql:      sql,
 		executor: executor,
-		revision: planRevision,
 		start:    time.Now(),
 	}
 	f.phase.Store(int32(phase))

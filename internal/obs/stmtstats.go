@@ -192,37 +192,6 @@ type QueryObs struct {
 	// Vectorized reports whether the run probed through selection
 	// bitmasks.
 	Vectorized bool
-	// PlanRevision is the adaptive revision of the plan that served the
-	// run: the executor flips behind it (0 = the plan as compiled from
-	// SQL).
-	PlanRevision int64
-}
-
-// Calls returns the number of successful executions recorded.
-func (s *StmtStats) Calls() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.calls.Load()
-}
-
-// OPSSavingsObserved returns the measured per-call pred-eval savings of
-// OPS over naive as a fraction (1 - opt/naive), and whether both
-// executors have been observed for this statement.
-func (s *StmtStats) OPSSavingsObserved() (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	nc, oc := s.naiveCalls.Load(), s.optCalls.Load()
-	if nc == 0 || oc == 0 {
-		return 0, false
-	}
-	naiveAvg := float64(s.naivePredEvals.Load()) / float64(nc)
-	optAvg := float64(s.optPredEvals.Load()) / float64(oc)
-	if naiveAvg <= 0 {
-		return 0, false
-	}
-	return 1 - optAvg/naiveAvg, true
 }
 
 // StmtStats accumulates counters for one statement. All fields are
@@ -257,7 +226,6 @@ type StmtStats struct {
 	optPredEvals   atomic.Int64
 
 	vectorizedRuns atomic.Int64
-	planRevision   atomic.Int64
 
 	pushes      atomic.Int64
 	pushMatches atomic.Int64
@@ -308,7 +276,6 @@ func (s *StmtStats) RecordQuery(o QueryObs) {
 	if o.Vectorized {
 		s.vectorizedRuns.Add(1)
 	}
-	s.planRevision.Store(o.PlanRevision)
 	s.admWaitNs.Add(o.AdmissionWaitNs)
 	s.lat.Observe(o.DurNs)
 }
@@ -422,14 +389,13 @@ type StmtSnapshot struct {
 	// per-call predicate evaluations OPS saves over naive — computable
 	// once the statement has been run under both executors (EXPLAIN
 	// ANALYZE's diagnostic re-run does not count; see RunOptions.Executor).
+	// Both averages run over every call since the entry was created,
+	// whatever version of the table each call read.
 	OPSSavingsPct float64 `json:"ops_savings_pct,omitempty"`
 
 	// VectorizedRuns counts executions that probed through selection
-	// bitmasks; PlanRevision is the adaptive revision of the plan last
-	// serving this statement: the executor flips behind it (0 = as
-	// compiled).
+	// bitmasks.
 	VectorizedRuns int64 `json:"vectorized_runs,omitempty"`
-	PlanRevision   int64 `json:"plan_revision,omitempty"`
 
 	TotalNs int64 `json:"total_ns"`
 	MeanNs  int64 `json:"mean_ns"`
@@ -502,7 +468,6 @@ func (s *StmtStats) Snapshot() StmtSnapshot {
 		}
 	}
 	out.VectorizedRuns = s.vectorizedRuns.Load()
-	out.PlanRevision = s.planRevision.Load()
 	return out
 }
 

@@ -265,26 +265,6 @@ func (k *Kernel) scratchProjection() *storage.Projection {
 	return k.NewProjection()
 }
 
-// Memoize completes a memo over clusters: it returns projs and masks with
-// whichever of them is wanted and still nil built for every cluster, in
-// one BuildRun. What is there, or not wanted, is returned as it came.
-func (k *Kernel) Memoize(clusters [][]storage.Row, projs []*storage.Projection, masks []*MaskSet, wantProjs, wantMasks bool) ([]*storage.Projection, []*MaskSet) {
-	var newProjs []*storage.Projection
-	var newMasks []*MaskSet
-	if wantProjs && projs == nil {
-		newProjs = make([]*storage.Projection, len(clusters))
-		projs = newProjs
-	}
-	if wantMasks && masks == nil {
-		newMasks = make([]*MaskSet, len(clusters))
-		masks = newMasks
-	}
-	if newProjs != nil || newMasks != nil {
-		k.BuildRun(clusters, 0, len(clusters), newProjs, newMasks)
-	}
-	return projs, masks
-}
-
 // fill evaluates the kernel's masks over proj into ms, whose slab and row
 // count are already proj's; scratch has room for the kernel's disjunction
 // masks at that length. Every word of the slab is overwritten.

@@ -48,7 +48,7 @@ type Shard struct {
 }
 
 // kernelMemo is one kernel's state over the shard's clusters, in local
-// cluster order; each slice is nil until a run asks for it.
+// cluster order.
 type kernelMemo struct {
 	projs []*storage.Projection
 	masks []*pattern.MaskSet
@@ -81,38 +81,37 @@ func (s *Shard) Kernels() int {
 }
 
 // Memo returns kernel k's shared read-only state over the shard's
-// clusters (in local cluster order): one projection per cluster when
-// wantProjs, one MaskSet per cluster when wantMasks, nil for what the
-// caller does not read. What the memo lacks is built on first use, in one
-// pass of the kernel's run builder.
-func (s *Shard) Memo(k *pattern.Kernel, wantProjs, wantMasks bool) (projs []*storage.Projection, masks []*pattern.MaskSet) {
-	if k == nil || !wantProjs && !wantMasks {
+// clusters (in local cluster order), nil for a nil kernel: one MaskSet per
+// cluster when an element of k is mask-compiled, and one projection per
+// cluster unless k's masks answer every element — the shape the flat
+// partition cache keeps. The first use builds both in one pass of the
+// kernel's run builder.
+func (s *Shard) Memo(k *pattern.Kernel) (projs []*storage.Projection, masks []*pattern.MaskSet) {
+	if k == nil {
 		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.memo[k]
 	if m == nil {
+		rows := make([][]storage.Row, len(s.clusters))
+		for i, cl := range s.clusters {
+			rows[i] = cl.Rows
+		}
 		m = &kernelMemo{}
+		if !k.AllPure() {
+			m.projs = make([]*storage.Projection, len(rows))
+		}
+		if k.VecElems() > 0 {
+			m.masks = make([]*pattern.MaskSet, len(rows))
+		}
+		k.BuildRun(rows, 0, len(rows), m.projs, m.masks)
 		if s.memo == nil {
 			s.memo = map[*pattern.Kernel]*kernelMemo{}
 		}
 		s.memo[k] = m
 	}
-	if wantProjs && m.projs == nil || wantMasks && m.masks == nil {
-		rows := make([][]storage.Row, len(s.clusters))
-		for i, cl := range s.clusters {
-			rows[i] = cl.Rows
-		}
-		m.projs, m.masks = k.Memoize(rows, m.projs, m.masks, wantProjs, wantMasks)
-	}
-	if wantProjs {
-		projs = m.projs
-	}
-	if wantMasks {
-		masks = m.masks
-	}
-	return projs, masks
+	return m.projs, m.masks
 }
 
 // keyIndex is the cluster directory shared by every generation of one

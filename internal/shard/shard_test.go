@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sqlts/internal/bench"
+	"sqlts/internal/pattern"
 	"sqlts/internal/shard"
 	"sqlts/internal/storage"
 	"sqlts/internal/workload"
@@ -197,9 +198,10 @@ func TestRefreshShrunkenInput(t *testing.T) {
 	}
 }
 
-// TestMemoIdentity: projections and masks are built once per (shard,
-// kernel) and shared thereafter — including across a refresh that did
-// not touch the shard.
+// TestMemoIdentity: masks — and projections only for a kernel whose masks
+// do not answer every element — are built once per (shard, kernel) and
+// shared thereafter, including across a refresh that did not touch the
+// shard.
 func TestMemoIdentity(t *testing.T) {
 	prices := workload.DJIA25Years(7)
 	rows := make([]storage.Row, len(prices))
@@ -214,21 +216,31 @@ func TestMemoIdentity(t *testing.T) {
 	if k == nil {
 		t.Fatal("double-bottom pattern compiled no kernel")
 	}
-	s := p.Shards()[0]
-	// Masks alone first: asking for them builds no projection on the side.
-	if ps, ms := s.Memo(k, false, true); ps != nil || len(ms) != 1 {
-		t.Fatalf("Memo(masks only) = %d projections, %d mask sets", len(ps), len(ms))
+	if !k.AllPure() {
+		t.Fatal("the double bottom's masks do not answer every element")
 	}
-	ps1, ms1 := s.Memo(k, true, true)
-	ps2, ms2 := s.Memo(k, true, true)
-	if len(ps1) != 1 || ps1[0] != ps2[0] {
-		t.Fatal("projections not memoized")
+	s := p.Shards()[0]
+	ps1, ms1 := s.Memo(k)
+	ps2, ms2 := s.Memo(k)
+	if ps1 != nil || ps2 != nil {
+		t.Fatal("the memo of a kernel its masks answer holds projections")
 	}
 	if len(ms1) != 1 || ms1[0] != ms2[0] {
 		t.Fatal("masks not memoized")
 	}
-	if s.Kernels() != 1 {
-		t.Fatalf("Kernels() = %d, want 1", s.Kernels())
+
+	// A kernel whose masks leave an element to the row path keeps both.
+	cross := bench.DoubleBottomPattern()
+	cross.Elems[1].CrossConds = append(cross.Elems[1].CrossConds,
+		pattern.Cross("true", func(*pattern.EvalContext) bool { return true }))
+	kc := cross.CompileKernel()
+	pc1, mc1 := s.Memo(kc)
+	pc2, mc2 := s.Memo(kc)
+	if len(pc1) != 1 || pc1[0] != pc2[0] || len(mc1) != 1 || mc1[0] != mc2[0] {
+		t.Fatal("projections and masks of a cross-condition kernel not memoized")
+	}
+	if s.Kernels() != 2 {
+		t.Fatalf("Kernels() = %d, want 2", s.Kernels())
 	}
 
 	// A refresh with no delta carries the shard — and its memos — over.
@@ -236,7 +248,10 @@ func TestMemoIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("Refresh reported ok=false")
 	}
-	if ps, ms := np.Shards()[0].Memo(k, true, true); ps[0] != ps1[0] || ms[0] != ms1[0] {
+	if _, ms := np.Shards()[0].Memo(k); ms[0] != ms1[0] {
+		t.Fatal("memo lost across a no-op refresh")
+	}
+	if ps, ms := np.Shards()[0].Memo(kc); ps[0] != pc1[0] || ms[0] != mc1[0] {
 		t.Fatal("memo lost across a no-op refresh")
 	}
 }
@@ -247,7 +262,7 @@ func TestProjectionsNilKernel(t *testing.T) {
 	tbl := quoteTable(t, 2, 3)
 	p := buildFrom(t, tbl, 2)
 	for _, s := range p.Shards() {
-		if ps, ms := s.Memo(nil, true, true); ps != nil || ms != nil {
+		if ps, ms := s.Memo(nil); ps != nil || ms != nil {
 			t.Fatal("Memo(nil) built something")
 		}
 	}

@@ -51,9 +51,8 @@ type dbMetrics struct {
 	kernelCompiled *obs.Counter
 	kernelFallback *obs.Counter
 
-	vectorizedRuns  *obs.Counter
-	adaptiveReplans *obs.Counter
-	driverHelpers   *obs.CounterVec
+	vectorizedRuns *obs.Counter
+	driverHelpers  *obs.CounterVec
 
 	planCacheHits               *obs.Counter
 	planCacheMisses             *obs.Counter
@@ -143,8 +142,6 @@ func newDBMetrics() *dbMetrics {
 			"Pattern elements left on the interpreter (opaque or disjunctive conditions)."),
 		vectorizedRuns: reg.Counter("sqlts_vectorized_runs_total",
 			"Query executions that probed through selection bitmasks."),
-		adaptiveReplans: reg.Counter("sqlts_adaptive_replans_total",
-			"Plans re-derived by the adaptive optimizer: Auto executor flips to naive."),
 		driverHelpers: reg.CounterVec("sqlts_driver_helpers_total",
 			"Helper goroutines of the cluster driver: borrowed (started beside the caller), denied (an elastic run found no idle core for one) and yielded (a borrowed helper left early because the process became oversubscribed).",
 			"outcome", "borrowed", "denied", "yielded"),
@@ -216,13 +213,12 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration, fn func(obs.Event)) {
 }
 
 // observe feeds every view of one finished execution from its event: the
-// metrics registry, the statement stats (which steer the adaptive
-// optimizer), the wide-event ring and sink, and — for a slow run or a
-// contained panic, which is always worth retaining — the slow-query log.
-// res and err are the run's outcome (res is nil exactly when err is not);
-// they add the rendered report and the panic stack, nothing that is
-// counted.
-func (db *DB) observe(q *Query, opts RunOptions, ev *obs.Event, res *Result, err error) {
+// metrics registry, the statement stats, the wide-event ring and sink,
+// and — for a slow run or a contained panic, which is always worth
+// retaining — the slow-query log. res and err are the run's outcome (res
+// is nil exactly when err is not); they add the rendered report and the
+// panic stack, nothing that is counted.
+func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
 	m := db.metrics
 	entry := db.stmts.Get(ev.SQL) // nil = statement tracking disabled
 	panicked := false
@@ -270,7 +266,6 @@ func (db *DB) observe(q *Query, opts RunOptions, ev *obs.Event, res *Result, err
 			m.driverHelpers.With("yielded").Add(int64(ev.HelpersYielded))
 		}
 		entry.RecordQuery(ev.QueryObs())
-		db.maybeAdapt(q, opts, entry)
 	}
 	db.routeEvent(ev)
 	if ev.Slow || panicked {

@@ -54,7 +54,7 @@ func TestObservationViewsAgree(t *testing.T) {
 	// Successes: both statements under every evaluation mode, cold and
 	// warm, with an insert in between (a refreshed partition).
 	for _, sql := range []string{introspectSQL1, introspectSQL2} {
-		for _, opts := range []RunOptions{{}, {MaxWorkers: 4}, {NoKernel: true}, {Executor: NaiveExec}, {NoVectorize: true}, {NoCache: true}} {
+		for _, opts := range []RunOptions{{}, {MaxWorkers: 4}, {NoKernel: true}, {Executor: NaiveExec}, {NoCache: true}} {
 			run(sql, opts, "")
 		}
 	}
@@ -116,8 +116,8 @@ func TestObservationViewsAgree(t *testing.T) {
 	run(introspectSQL1, RunOptions{}, "")
 
 	events := sink.events
-	if len(events) != 24 {
-		t.Fatalf("captured %d events, want 24", len(events))
+	if len(events) != 22 {
+		t.Fatalf("captured %d events, want 22", len(events))
 	}
 
 	// What the captured events sum to.
@@ -209,7 +209,6 @@ func TestObservationViewsAgree(t *testing.T) {
 		s.Matches += ev.Matches
 		s.TotalNs += ev.DurationNs
 		s.MaxNs = max(s.MaxNs, ev.DurationNs)
-		s.PlanRevision = ev.PlanRevision
 		if ev.PlanCached {
 			s.PlanCacheHits++
 		}
@@ -382,7 +381,7 @@ func TestPreparedQueryHoldsNoRunState(t *testing.T) {
 // made — its executor and its counters — not the latest run on the handle.
 func TestExplainAnalyzeReportsItsOwnRun(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	db, q := chaosDB(t)
+	_, q := chaosDB(t)
 	ops, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -394,8 +393,6 @@ func TestExplainAnalyzeReportsItsOwnRun(t *testing.T) {
 	if ops.Stats == naive.Stats {
 		t.Fatal("the statement does not tell the executors apart")
 	}
-	db.SetAdaptive(false) // the naive runs below must not flip Auto
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

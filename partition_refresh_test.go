@@ -47,12 +47,6 @@ func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 	return e
 }
 
-// runMemo returns what a default run reads of e for kernel k.
-func runMemo(e *partitionEntry, k *pattern.Kernel) ([]*storage.Projection, []*pattern.MaskSet) {
-	projs, masks := memoWants(k, false)
-	return e.memoFor(k, projs, masks)
-}
-
 // samePartition asserts that got — a cached, possibly many times
 // refreshed entry — equals want, built from scratch over the same table
 // state: clusters and their order, and for kernel k every cluster's masks
@@ -65,8 +59,8 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
 		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, got.Groups, want.Groups)
 	}
-	gp, gm := runMemo(got, k)
-	wp, wm := runMemo(want, k)
+	gp, gm := got.memoFor(k)
+	wp, wm := want.memoFor(k)
 	if !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("%s: projections differ from a build", label)
 	}
@@ -305,7 +299,7 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 				db.cacheMu.Lock()
 				e.adopt(base, resorted, db.plans, k)
 				db.cacheMu.Unlock()
-				runMemo(e, k)
+				e.memoFor(k)
 				next[g] = e
 			}(g)
 		}
@@ -390,9 +384,8 @@ func TestInsertAtomic(t *testing.T) {
 
 // TestKernelMemoBounded: the per-kernel memo of a partition entry follows
 // the plan cache. More distinct statements than the plan cache holds leave
-// at most a cache's worth of kernels memoized, an insert and a refresh do
-// not bring the evicted ones back, and an adaptive revision that keeps its
-// predecessor's kernel keeps the kernel's memo.
+// at most a cache's worth of kernels memoized, and an insert and a refresh
+// do not bring the evicted ones back.
 func TestKernelMemoBounded(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
@@ -429,117 +422,51 @@ func TestKernelMemoBounded(t *testing.T) {
 	if n := memoized(); n > defaultPlanCacheCapacity {
 		t.Errorf("%d kernels memoized after the refresh, plan cache holds %d", n, defaultPlanCacheCapacity)
 	}
-
-	// A revision that flips the executor shares the kernel.
-	plan := q.plan
-	has := func(k *pattern.Kernel) bool {
-		e := cachedPartition(q)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.memo[k] != nil
-	}
-	flipped := derivePlan(plan, true)
-	if !db.replacePlan(plan.key, plan, flipped) || !has(plan.kernel) {
-		t.Error("an executor-flip revision dropped the kernel memo it still uses")
-	}
 }
 
-// TestFlipKeepsKernelAndMemo drives TestAdaptiveExecutorFlip's statement
-// to its flip over a partition with cached masks: the replan changes the
-// Auto executor and nothing else, so the revision runs the kernel, the
-// projections and the very masks its predecessor built.
-func TestFlipKeepsKernelAndMemo(t *testing.T) {
-	prices := make([]float64, 300) // element 1 rejects every one of them
-	for i := range prices {
-		prices[i] = 10 + float64(i%7)
-	}
-	db := New()
-	db.RegisterTable(workload.SeriesTable("t", 1000, prices))
-	sql := `SELECT X.date FROM t SEQUENCE BY date AS (X, Y)
-		WHERE X.price > 1000000 AND Y.price > 0`
-
-	q, err := db.Prepare(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Run(); err != nil {
-		t.Fatal(err)
-	}
-	kern := q.plan.kernel
-	memoMasks := func() []*pattern.MaskSet {
-		e := cachedPartition(q)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if m := e.memo[kern]; m != nil {
-			return m.masks
-		}
-		return nil
-	}
-	before := memoMasks()
-	if len(before) != 1 {
-		t.Fatalf("%d cached mask sets before the flip, want 1", len(before))
-	}
-
-	for i := 1; !q.plan.preferNaive; i++ {
-		if i > 200 {
-			t.Fatal("the Auto executor did not flip in 200 runs")
-		}
-		if q, err = db.Prepare(sql); err != nil {
-			t.Fatal(err)
-		}
-		opts := RunOptions{}
-		if i%2 == 1 {
-			opts.Executor = NaiveExec
-		}
-		if _, err := q.RunWith(opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q.plan.kernel != kern {
-		t.Fatal("the flip recompiled the kernel")
-	}
-	res, err := q.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.PartitionCached() || !res.Vectorized() {
-		t.Fatalf("first run of the flipped plan: partition %s, vectorized %v", res.PartitionOutcome(), res.Vectorized())
-	}
-	if after := memoMasks(); len(after) != 1 || &after[0] != &before[0] {
-		t.Fatal("the flip rebuilt the partition's masks")
-	}
-	if n := db.metrics.adaptiveReplans.Value(); n != 1 {
-		t.Errorf("sqlts_adaptive_replans_total = %d, want 1", n)
-	}
-	if sn := db.StatementStats(); len(sn) != 1 || sn[0].PlanRevision != 1 {
-		t.Errorf("statement stats after the flip: %+v", sn)
-	}
-}
-
-// TestPureKernelMemoHoldsNoProjections: a kernel whose masks answer every
-// element keeps no projection in the partition memo — the warm search
-// never reads one — until a run that does read them asks; a kernel with a
-// cross condition gets both from its first run. Whatever the memo holds,
-// every run agrees with a NoCache run on rows, Stats, ClusterStats and
-// Matches.
+// TestPureKernelMemoHoldsNoProjections: a memo's shape is its kernel's,
+// whatever the run. A kernel whose masks answer every element keeps no
+// projection in the partition memo — its search never reads one — after a
+// default, a traced, a fanned-out, an overlapping and a naive run, and
+// after an insert refreshed the partition; an interpreter run leaves the
+// memo as it was. A kernel with a cross condition gets projections and
+// masks from its first run. Every run agrees with a NoCache run on rows,
+// Stats, ClusterStats and Matches.
 func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 	db := New()
 	db.RegisterTable(workload.ClusterWalks("quote", 5, 60, 12, 4))
 	if err := db.DeclarePositive("quote", "price"); err != nil {
 		t.Fatal(err)
 	}
-	held := func(q *Query) (projs, masks int, first *pattern.MaskSet) {
+	// held is what the cached partition's memo of q's kernel holds, beside
+	// the partition's cluster count.
+	held := func(q *Query) (clusters, projs, masks int, first *pattern.MaskSet) {
 		e := cachedPartition(q)
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		m := e.memo[q.plan.kernel]
 		if m == nil {
-			return 0, 0, nil
+			return len(e.Groups), 0, 0, nil
 		}
-		if m.masks != nil {
+		if len(m.masks) > 0 {
 			first = m.masks[0]
 		}
-		return len(m.projs), len(m.masks), first
+		return len(e.Groups), len(m.projs), len(m.masks), first
+	}
+	run := func(q *Query, label string, opts RunOptions) *Result {
+		t.Helper()
+		ref := opts
+		ref.NoCache = true
+		want, err := q.RunWith(ref)
+		if err != nil {
+			t.Fatalf("%s, NoCache: %v", label, err)
+		}
+		got, err := q.RunWith(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		equalResults(t, label, got, want)
+		return got
 	}
 
 	pure, err := db.Prepare(driverSQL)
@@ -549,39 +476,40 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 	if k := pure.plan.kernel; !k.AllPure() || k.VecElems() != k.Len() {
 		t.Fatal("the driver statement's kernel is not answered by its masks alone")
 	}
-	want, err := pure.RunWith(RunOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Stats.Matches == 0 {
+	if res := run(pure, "first run", RunOptions{}); res.Stats.Matches == 0 {
 		t.Fatal("no match: nothing to compare")
 	}
-	got, err := pure.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "default run", got, want)
-	projs, masks, first := held(pure)
-	if projs != 0 || masks != 60 {
-		t.Fatalf("after a default run the memo holds %d projections and %d mask sets, want 0 and 60", projs, masks)
+	_, _, _, first := held(pure)
+	for _, tc := range []struct {
+		label string
+		opts  RunOptions
+	}{
+		{"default run", RunOptions{}},
+		{"traced run", RunOptions{Trace: true}},
+		{"four-worker run", RunOptions{MaxWorkers: 4}},
+		{"overlapping run", RunOptions{Overlap: true}},
+		{"naive run", RunOptions{Executor: NaiveExec}},
+		{"interpreter run", RunOptions{NoKernel: true}},
+	} {
+		run(pure, tc.label, tc.opts)
+		if n, projs, masks, again := held(pure); n != 60 || projs != 0 || masks != n || again != first {
+			t.Fatalf("after a %s the memo holds %d projections and %d mask sets over %d clusters (same sets: %v), want 0, 60 and the same",
+				tc.label, projs, masks, n, again == first)
+		}
 	}
 
-	got, err = pure.RunWith(RunOptions{NoVectorize: true})
-	if err != nil {
+	// s03 is cluster 3: the refresh re-sorts it and carries cluster 0 over.
+	row := storage.Row{storage.NewString("s03"), storage.NewDateDays(100), storage.NewFloat(101)}
+	if err := db.Table("quote").InsertBatch([]storage.Row{row}); err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, "NoVectorize run", got, want)
-	if got.Vectorized() {
-		t.Fatal("the NoVectorize run probed masks")
+	if res := run(pure, "run after an insert", RunOptions{}); res.PartitionOutcome() != "refreshed (1 of 60 clusters)" {
+		t.Fatalf("partition after the insert: %s", res.PartitionOutcome())
 	}
-	projs, masks, again := held(pure)
-	if projs != 60 || masks != 60 || again != first {
-		t.Fatalf("after a NoVectorize run the memo holds %d projections and %d mask sets (same sets: %v), want 60, 60, the same", projs, masks, again == first)
+	if n, projs, masks, again := held(pure); projs != 0 || masks != n || again != first {
+		t.Fatalf("after a refresh the memo holds %d projections and %d mask sets over %d clusters (same first set: %v), want 0, %d and the same",
+			projs, masks, n, again == first, n)
 	}
-	if got, err = pure.Run(); err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "default run over a memo with projections", got, want)
 
 	// Z is compared with X across a star: no single row decides that.
 	cross, err := db.Prepare(`
@@ -593,14 +521,10 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 	if cross.plan.kernel.AllPure() {
 		t.Fatal("the cross condition went unnoticed")
 	}
-	if want, err = cross.RunWith(RunOptions{NoCache: true}); err != nil || want.Stats.Matches == 0 {
-		t.Fatalf("cross-condition reference run: %v, %v", want.Stats, err)
+	if res := run(cross, "cross-condition run", RunOptions{}); res.Stats.Matches == 0 {
+		t.Fatal("the cross-condition statement matched nothing")
 	}
-	if got, err = cross.Run(); err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "cross-condition run", got, want)
-	if projs, masks, _ := held(cross); projs != 60 || masks != 60 {
-		t.Fatalf("a cross-condition kernel's memo holds %d projections and %d mask sets, want 60 and 60", projs, masks)
+	if n, projs, masks, _ := held(cross); projs != n || masks != n {
+		t.Fatalf("a cross-condition kernel's memo holds %d projections and %d mask sets over %d clusters, want both", projs, masks, n)
 	}
 }

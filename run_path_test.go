@@ -31,7 +31,6 @@ func runPathDB(t testing.TB, clusters int) (*DB, *Query, int) {
 	if err := db.DeclarePositive("quote", "price"); err != nil {
 		t.Fatal(err)
 	}
-	db.SetAdaptive(false)
 	q, err := db.Prepare(strings.Replace(doubleBottomSQL, "FROM djia", "FROM quote CLUSTER BY name", 1))
 	if err != nil {
 		t.Fatal(err)

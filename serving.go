@@ -170,12 +170,14 @@ type partitionEntry struct {
 // kernelMemo is one kernel's per-cluster state over a partition. Its
 // slices are handed to running queries and shared with the generation the
 // memo was adopted from, so they are replaced, never written, once set.
+// Which of them a memo holds is its kernel's (memoWants), from the first
+// use on.
 type kernelMemo struct {
-	// projs is nil until a run needs projections: a kernel whose masks
-	// answer every element keeps none unless a NoVectorize run asks.
+	// projs is nil for a kernel whose masks answer every element: its
+	// search never reads a projection.
 	projs []*storage.Projection
 	// masks (PR 8) collapse every probe of a mask-covered element to a bit
-	// test; nil until a vectorized run asks.
+	// test; nil for a kernel with no mask-compiled element.
 	masks []*pattern.MaskSet
 	// built is the number of clusters projs and masks cover (whichever are
 	// held); stale lists the ones among them whose rows changed since.
@@ -183,12 +185,14 @@ type kernelMemo struct {
 	stale []int
 }
 
-// memoFor returns k's shared read-only state for a run: one projection per
-// cluster when wantProjs, one MaskSet per cluster when wantMasks, nil for
-// what the run does not read. A first use builds them through the
-// kernel's run builder; after a refresh only the stale and the new
-// clusters are rebuilt, each stale one as a run of its own.
-func (e *partitionEntry) memoFor(k *pattern.Kernel, wantProjs, wantMasks bool) (projs []*storage.Projection, masks []*pattern.MaskSet) {
+// memoFor returns k's shared read-only state for a run over it (k nil:
+// the interpreter, which reads none): the projections and mask sets
+// memoWants(k) names, one per cluster, nil for the other. A first use
+// builds them in one pass of the kernel's run builder; after a refresh
+// only the stale and the new clusters are rebuilt, each stale one as a
+// run of its own.
+func (e *partitionEntry) memoFor(k *pattern.Kernel) (projs []*storage.Projection, masks []*pattern.MaskSet) {
+	wantProjs, wantMasks := memoWants(k)
 	if !wantProjs && !wantMasks {
 		return nil, nil
 	}
@@ -203,13 +207,14 @@ func (e *partitionEntry) memoFor(k *pattern.Kernel, wantProjs, wantMasks bool) (
 		e.memo[k] = m
 	}
 	n := len(e.Groups)
-	if (m.projs != nil || m.masks != nil) && (len(m.stale) > 0 || m.built < n) {
-		// Bring what the memo holds up to date, into copies: the old arrays
-		// belong to running queries and to the previous generation.
-		if m.projs != nil {
+	if m.projs == nil && m.masks == nil || len(m.stale) > 0 || m.built < n {
+		// Build a new memo, or bring an old one up to date into copies: the
+		// old arrays belong to running queries and to the previous
+		// generation.
+		if wantProjs {
 			m.projs = append(make([]*storage.Projection, 0, n), m.projs...)[:n]
 		}
-		if m.masks != nil {
+		if wantMasks {
 			m.masks = append(make([]*pattern.MaskSet, 0, n), m.masks...)[:n]
 		}
 		// A cluster re-sorted by several refreshes is listed once per
@@ -222,28 +227,19 @@ func (e *partitionEntry) memoFor(k *pattern.Kernel, wantProjs, wantMasks bool) (
 			}
 		}
 		k.BuildRun(e.Groups, m.built, n, m.projs, m.masks)
+		m.built, m.stale = n, nil
 	}
-	m.built, m.stale = n, nil
-	// Then what this run reads and the memo lacks, over every cluster.
-	m.projs, m.masks = k.Memoize(e.Groups, m.projs, m.masks, wantProjs, wantMasks)
-	if wantProjs {
-		projs = m.projs
-	}
-	if wantMasks {
-		masks = m.masks
-	}
-	return projs, masks
+	return m.projs, m.masks
 }
 
-// memoWants says what a run over kernel k (nil: the interpreter) reads of
-// a memo: masks when it probes through them, and projections unless those
-// masks answer every element — then no probe reads one.
-func memoWants(k *pattern.Kernel, noVectorize bool) (projs, masks bool) {
+// memoWants is the shape of kernel k's memo (nil: the interpreter, which
+// has none): masks when any element is mask-compiled, and projections
+// unless those masks answer every element — then no probe reads one.
+func memoWants(k *pattern.Kernel) (projs, masks bool) {
 	if k == nil {
 		return false, false
 	}
-	masks = !noVectorize && k.VecElems() > 0
-	return !(masks && k.AllPure()), masks
+	return !k.AllPure(), k.VecElems() > 0
 }
 
 // adopt seeds e, the refresh of old, with old's memos, marking the
@@ -282,10 +278,12 @@ func (e *partitionEntry) forget(k *pattern.Kernel) {
 }
 
 // forgetKernel is the plan cache's eviction hook: the evicted plan's
-// kernel leaves every cached partition's memo. (An adaptive revision
-// takes over its predecessor's entry and kernel without an eviction: see
-// replacePlan.) Without this the memos, which now survive inserts, would
-// grow with every statement text ever compiled. Runs under db.cacheMu.
+// kernel leaves every cached partition's memo. A kernel belongs to exactly
+// one plan for that plan's life (a plan is compiled once and never
+// re-derived), so once the plan leaves the cache only long-lived Query
+// handles can run the kernel again, and they rebuild what they read.
+// Without this the memos, which survive inserts, would grow with every
+// statement text ever compiled. Runs under db.cacheMu.
 func (db *DB) forgetKernel(p *Plan) {
 	if p.kernel == nil {
 		return

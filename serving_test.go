@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sqlts/internal/storage"
+	"sqlts/internal/workload"
 )
 
 // equalResults asserts bit-identical results: columns, rows, matches,
@@ -184,6 +185,58 @@ func TestPlanCache(t *testing.T) {
 	}
 	if q6.PlanCached() {
 		t.Error("plan cache served a hit with capacity 0")
+	}
+}
+
+// TestAutoKeepsOPSAfterTableGrowth: a plan runs as it was compiled, so
+// what earlier runs over another version of the table cost never changes
+// which executor Auto means. One naive run over the first 40 days of the
+// walk (89 evals), then the other 6,260 days inserted: every Auto run
+// after that costs exactly what an explicit OPS run costs.
+func TestAutoKeepsOPSAfterTableGrowth(t *testing.T) {
+	const prefix = 40
+	prices := workload.DJIA25Years(1)
+	tbl := workload.SeriesTable("djia", 2557, prices[:prefix])
+	db := New()
+	db.RegisterTable(tbl)
+	if err := db.DeclarePositive("djia", "price"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Prepare(doubleBottomSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.RunWith(RunOptions{Executor: NaiveExec}); err != nil {
+		t.Fatal(err)
+	}
+	rest := make([]storage.Row, 0, len(prices)-prefix)
+	for i, p := range prices[prefix:] {
+		rest = append(rest, storage.Row{storage.NewDateDays(int64(2557 + prefix + i)), storage.NewFloat(p)})
+	}
+	if err := tbl.InsertBatch(rest); err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.RunWith(RunOptions{Executor: OPSExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 128; run++ {
+		// Prepared per run, as db.Query does, so a plan the cache swapped
+		// in would serve it.
+		q, err := db.Prepare(doubleBottomSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("Auto run %d (call %d of the statement): %v, explicit OPS %v", run, run+2, got.Stats, want.Stats)
+		}
+		if strings.Contains(q.Explain(), "adaptive:") {
+			t.Fatalf("Auto run %d: EXPLAIN reports an adaptive revision:\n%s", run, q.Explain())
+		}
 	}
 }
 

@@ -127,7 +127,6 @@ func TestShardedOptionVariants(t *testing.T) {
 		name string
 		opts sqlts.RunOptions
 	}{
-		{"novectorize", sqlts.RunOptions{NoVectorize: true}},
 		{"nokernel", sqlts.RunOptions{NoKernel: true}},
 		{"overlap", sqlts.RunOptions{Overlap: true}},
 		{"naive", sqlts.RunOptions{Executor: sqlts.NaiveExec}},

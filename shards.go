@@ -168,13 +168,14 @@ func (db *DB) storeShardPartition(key string, t *storage.Table, p *shard.Partiti
 
 // globalOrder lays sp's clusters out in global cluster order — the shape
 // the cluster driver takes — together with kernel k's memoized
-// projections and mask sets, whichever of them the run reads (k is nil on
+// projections and mask sets, whichever of them its memo holds (k is nil on
 // the interpreter path, which reads neither). The first use of k on a
 // shard builds its memo here, on the query goroutine inside execute's
 // containment.
-func globalOrder(sp *shard.Partition, k *pattern.Kernel, wantProjs, wantMasks bool) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
+func globalOrder(sp *shard.Partition, k *pattern.Kernel) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
 	n := sp.NumClusters()
 	clusters = make([][]storage.Row, n)
+	wantProjs, wantMasks := memoWants(k)
 	if wantProjs {
 		projs = make([]*storage.Projection, n)
 	}
@@ -182,7 +183,7 @@ func globalOrder(sp *shard.Partition, k *pattern.Kernel, wantProjs, wantMasks bo
 		masks = make([]*pattern.MaskSet, n)
 	}
 	for _, s := range sp.Shards() {
-		ps, ms := s.Memo(k, wantProjs, wantMasks)
+		ps, ms := s.Memo(k)
 		for i, c := range s.Clusters() {
 			clusters[c.Global] = c.Rows
 			if ps != nil {

@@ -102,10 +102,6 @@ type DB struct {
 	// admit is the concurrent-query admission gate (admission.go);
 	// unlimited until SetMaxConcurrentQueries.
 	admit admission
-
-	// adaptiveOff disables the adaptive optimizer (adaptive.go); the
-	// zero value leaves it on.
-	adaptiveOff atomic.Bool
 }
 
 // New creates an empty database.
@@ -296,8 +292,10 @@ func (db *DB) DeclarePositive(table string, cols ...string) error {
 // ExecutorKind selects the runtime algorithm for a prepared query.
 type ExecutorKind uint8
 
-// Executor kinds. Auto uses OPS (the optimized executor); the others are
-// for experiments and benchmarks.
+// Executor kinds. Auto and OPSExec are the same executor, OPS (the
+// optimized one): a plan's shift/next tables follow from its pattern
+// alone, and nothing a run observes changes which executor Auto means.
+// The others are for experiments and benchmarks.
 const (
 	Auto ExecutorKind = iota
 	NaiveExec
@@ -354,11 +352,6 @@ type RunOptions struct {
 	// experiments and differential testing; results and statistics are
 	// identical either way.
 	NoKernel bool
-	// NoVectorize disables the batch mask kernels and answers every probe
-	// row-at-a-time (the compiled chains still apply unless NoKernel is
-	// also set) — for experiments and differential testing; results and
-	// statistics are identical either way.
-	NoVectorize bool
 	// NoCache bypasses the partition cache for this run: the cluster
 	// sort always re-runs and the result is not stored. (Plan caching
 	// happens at Prepare time; disable it with SetPlanCacheCapacity(0).)
@@ -401,8 +394,8 @@ type Result struct {
 	// cluster order (the engine's cluster log, engine.NextClusterStat) —
 	// one log per chunk of the run, in chunk order, each a piece of the
 	// lane's block that searched it — and clusters how many they hold;
-	// ClusterStats expands them for the callers that ask. oneLog backs clusterLogs for a one-lane run, so
-	// that it costs no allocation.
+	// ClusterStats expands them for the callers that ask. oneLog backs
+	// clusterLogs for a one-lane run, so that it costs no allocation.
 	clusterLogs [][]byte
 	oneLog      [1][]byte
 	// The counts below are 32 bits wide to keep a Result, which every run
@@ -486,15 +479,6 @@ type Plan struct {
 	kernel   *pattern.Kernel
 	explain  explainMode
 
-	// revision counts the executor flips behind this plan (0 = the plan as
-	// compiled from SQL); preferNaive steers Auto executions to the naive
-	// executor when measured savings showed the optimizer doesn't pay.
-	// Both are fixed at derivation time — a Plan stays immutable; the
-	// adaptive optimizer replaces the cache entry with a derived Plan
-	// that shares everything else, the kernel included.
-	revision    int
-	preferNaive bool
-
 	// catalogVersion is the DB catalog version the plan was compiled
 	// under; the plan cache revalidates it on every hit.
 	catalogVersion uint64
@@ -504,8 +488,7 @@ type Plan struct {
 	trace *obs.Trace
 
 	// shape is the size of the plan's last successful result, which the
-	// next run's lanes reserve their buffers from; the plan's adaptive
-	// revisions share it. nil for a plain SELECT.
+	// next run's lanes reserve their buffers from. nil for a plain SELECT.
 	shape *resultShape
 	// fans keeps the helper lanes of the plan's fanned-out runs between
 	// runs: scratch, which no result references (see lane).
@@ -767,13 +750,6 @@ func (q *Query) Explain() string {
 			kernel.VecElems(), p.Len())
 	}
 	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel))
-	if q.plan.revision > 0 {
-		pref := "ops"
-		if q.plan.preferNaive {
-			pref = "naive"
-		}
-		fmt.Fprintf(&b, "adaptive: plan revision %d (auto executor: %s)\n", q.plan.revision, pref)
-	}
 	b.WriteByte('\n')
 	b.WriteString(q.plan.tables.Explain())
 	return b.String()
@@ -855,8 +831,8 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	// flight, so an operator kill interrupts even a blocked admission
 	// wait; context-free runs observe the kill flag at their cooperative
 	// checkpoints instead.
-	executor := q.effectiveExecutor(opts).String()
-	fl := q.db.registerFlight(q.plan.key, executor, int64(q.plan.revision), obs.PhaseQueued)
+	executor := opts.Executor.String()
+	fl := q.db.registerFlight(q.plan.key, executor, obs.PhaseQueued)
 	if fl != nil {
 		defer q.db.deregisterFlight(fl)
 		if ctx != nil {
@@ -908,7 +884,6 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		AdmissionWaitNs: admWait.Nanoseconds(),
 		PlanCached:      q.planCached,
 		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
-		PlanRevision:    int64(q.plan.revision),
 		Slow:            slowNs > 0 && dur >= slowNs,
 	}
 	if err != nil {
@@ -931,7 +906,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		ev.HelpersDenied = int(res.denied)
 		ev.HelpersYielded = int(res.yielded)
 	}
-	q.db.observe(q, opts, &ev, res, err)
+	q.db.observe(q, &ev, res, err)
 	return res, ev, err
 }
 
@@ -1004,7 +979,6 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	if opts.NoKernel || kern == nil || kern.CompiledElems() == 0 {
 		kern = nil // the executors interpret: nothing to memoize
 	}
-	wantProjs, wantMasks := memoWants(kern, opts.NoVectorize)
 	var (
 		clusters [][]storage.Row
 		projs    []*storage.Projection
@@ -1021,7 +995,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		}
 		res.partition.cached = cached
 		res.shardCount = int32(n)
-		clusters, projs, masks = globalOrder(sp, kern, wantProjs, wantMasks)
+		clusters, projs, masks = globalOrder(sp, kern)
 	} else {
 		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
 		if err != nil {
@@ -1032,7 +1006,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 			return nil, 0, err
 		}
 		res.partition = how
-		projs, masks = part.memoFor(kern, wantProjs, wantMasks)
+		projs, masks = part.memoFor(kern)
 	}
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
@@ -1046,24 +1020,13 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	return res, scanned, nil
 }
 
-// effectiveExecutor resolves the executor kind a run will use: an
-// explicit choice always wins; Auto follows the plan's adaptive
-// preference (preferNaive is set when measured savings showed OPS
-// doesn't pay for this statement).
-func (q *Query) effectiveExecutor(opts RunOptions) ExecutorKind {
-	if opts.Executor == Auto && q.plan.preferNaive {
-		return NaiveExec
-	}
-	return opts.Executor
-}
-
 func (q *Query) newExecutor(opts RunOptions, policy engine.SkipPolicy) engine.Executor {
 	p := q.plan.compiled.Pattern
 	kern := q.plan.kernel
 	if opts.NoKernel {
 		kern = nil
 	}
-	switch q.effectiveExecutor(opts) {
+	switch opts.Executor {
 	case NaiveExec:
 		n := engine.NewNaive(p, policy)
 		n.UseKernel(kern)

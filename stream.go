@@ -132,7 +132,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	if compiled.Pattern == nil {
 		return nil, fmt.Errorf("sqlts: OpenStream requires a sequence pattern query")
 	}
-	fl := q.db.registerFlight(q.plan.key, "stream", int64(q.plan.revision), obs.PhaseStreaming)
+	fl := q.db.registerFlight(q.plan.key, "stream", obs.PhaseStreaming)
 	st := &Stream{
 		q:        q,
 		opts:     opts,
