@@ -35,8 +35,7 @@ const elasticMinRows = 32768
 // searchers counts the goroutines of this process that are inside a
 // fanned-out or elastic cluster search: the budget an elastic run borrows
 // idle cores against. A one-lane run that could not have fanned out —
-// MaxWorkers 1, Trace, an input under the elastic threshold — never
-// touches it.
+// MaxWorkers 1, an input under the elastic threshold — never touches it.
 var searchers atomic.Int64
 
 // faultDriverYield fires before every chunk claim of a borrowed helper; an
@@ -56,14 +55,13 @@ func chunkSize(clusters, workers int) int {
 }
 
 // search is what every lane of one run reads: the query, the run's
-// control and options, and the ordered clusters with their memoized
-// projections and mask sets (nil when the run has none).
+// control and options, and the ordered clusters with their memoized mask
+// sets (nil when the run has none).
 type search struct {
 	q        *Query
 	rc       *runControl
 	opts     RunOptions
 	clusters [][]storage.Row
-	projs    []*storage.Projection
 	masks    []*pattern.MaskSet
 }
 
@@ -127,11 +125,11 @@ type mark struct {
 // searchClusters runs the pattern over every cluster and puts the outcome
 // in res in cluster order. rows is the input's row count.
 //
-// How many lanes search is RunOptions.MaxWorkers: 1 (and any Trace run) is
-// one lane, N > 1 is N, and 0 is elastic — one lane, plus as many helpers
-// as the process has idle cores for (borrowHelpers) when the input is
-// large enough to repay them. The calling goroutine is always a lane, so N
-// lanes start N-1 goroutines; all have exited when searchClusters returns.
+// How many lanes search is RunOptions.MaxWorkers: 1 is one lane, N > 1 is
+// N, and 0 is elastic — one lane, plus as many helpers as the process has
+// idle cores for (borrowHelpers) when the input is large enough to repay
+// them. The calling goroutine is always a lane, so N lanes start N-1
+// goroutines; all have exited when searchClusters returns.
 //
 // One lane searches the whole list as one chunk straight into res.
 // Several claim chunks of consecutive clusters off an atomic counter, and
@@ -139,15 +137,10 @@ type mark struct {
 // order. The first failure stops further claims; claimed chunks run out,
 // and the error of the lowest-indexed failed cluster is returned, never a
 // partial result.
-func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, rows int, opts RunOptions) error {
-	s := search{q: q, rc: rc, opts: opts, clusters: clusters, projs: projs, masks: masks}
+func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage.Row, masks []*pattern.MaskSet, rows int, opts RunOptions) error {
+	s := search{q: q, rc: rc, opts: opts, clusters: clusters, masks: masks}
 	n := len(clusters)
 	switch {
-	case opts.Trace:
-		// One lane: the path buffer is appended in cluster order.
-		q.pathMu.Lock()
-		q.lastPath = nil
-		q.pathMu.Unlock()
 	case opts.MaxWorkers > 1:
 		if chunk := chunkSize(n, opts.MaxWorkers); chunk < n {
 			helpers := min(opts.MaxWorkers, (n+chunk-1)/chunk) - 1
@@ -542,19 +535,11 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	}
 	l.lo, l.rowsAt, l.matchesAt = lo, l.rows.Len(), l.matches.Len()
 	l.run = engine.Run{Seqs: s.clusters[lo:hi], Log: &l.log, Sink: l}
-	if s.projs != nil {
-		l.run.Projs = s.projs[lo:hi]
-	}
 	if s.masks != nil {
 		l.run.Masks = s.masks[lo:hi]
 	}
 	if m.err = l.ex.FindRun(&l.run); m.err != nil {
 		return
-	}
-	if s.opts.Trace {
-		s.q.pathMu.Lock()
-		s.q.lastPath = append(s.q.lastPath, pathOf(l.ex)...)
-		s.q.pathMu.Unlock()
 	}
 	l.stats.Add(l.run.Stats)
 	l.clusters += int32(hi - lo)

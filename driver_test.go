@@ -32,8 +32,8 @@ const driverSQL = `
 // driverStatements are the statements of the driver's differential:
 // driverSQL, whose masks answer every element, and the same pattern with
 // X's condition squared — a product of columns, which no mask holds — so
-// that X's probes take the row path (EvalElemMasked falls back to
-// EvalElem) beside Y's and Z's bit tests.
+// that X's probes take the interpreter (EvalElemMasked falls back to
+// Pattern.EvalElem) beside Y's and Z's bit tests.
 var driverStatements = []string{driverSQL, strings.Replace(driverSQL,
 	"X.price >= X.previous.price", "X.price * X.price >= X.previous.price * X.previous.price", 1)}
 

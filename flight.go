@@ -38,13 +38,10 @@ type flightState struct {
 	flights *obs.FlightRegistry
 	off     atomic.Bool
 
-	// sink is the pluggable wide-event destination (nil = none);
-	// sample emits 1 event in N to the sink (slow and failed runs
-	// bypass sampling); ring is the retained tail for /debug/events.
-	sink     atomic.Pointer[eventSinkBox]
-	sample   atomic.Int64
-	eventSeq atomic.Int64
-	ring     atomic.Pointer[obs.EventRing]
+	// sink is the pluggable wide-event destination (nil = none); ring is
+	// the retained tail for /debug/events.
+	sink atomic.Pointer[eventSinkBox]
+	ring *obs.EventRing
 }
 
 // SetFlightRecorder enables or disables the active-query registry and
@@ -54,10 +51,6 @@ type flightState struct {
 func (db *DB) SetFlightRecorder(on bool) {
 	db.flight.off.Store(!on)
 }
-
-// FlightRecorderEnabled reports whether new executions register
-// flights.
-func (db *DB) FlightRecorderEnabled() bool { return !db.flight.off.Load() }
 
 // ActiveQueries snapshots the in-flight executions (queries and open
 // streams), oldest first.
@@ -104,10 +97,9 @@ func (db *DB) deregisterFlight(fl *obs.Flight) {
 }
 
 // SetEventSink installs the wide-event destination: one JSON-able
-// obs.Event per completed query/stream is handed to it (sampled per
-// SetEventSampleRate; slow and failed runs always emit). nil removes
-// the sink. Events also land in the in-memory ring for /debug/events
-// whenever the flight recorder is on, sink or not.
+// obs.Event per completed query/stream is handed to it. nil removes the
+// sink. Events also land in the in-memory ring for /debug/events whenever
+// the flight recorder is on, sink or not.
 func (db *DB) SetEventSink(s obs.EventSink) {
 	if s == nil {
 		db.flight.sink.Store(nil)
@@ -116,42 +108,21 @@ func (db *DB) SetEventSink(s obs.EventSink) {
 	db.flight.sink.Store(&eventSinkBox{sink: s})
 }
 
-// SetEventSampleRate emits 1 event in n to the sink (n ≤ 1 = every
-// event). Slow and failed executions bypass sampling — those are the
-// events an operator greps for.
-func (db *DB) SetEventSampleRate(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.flight.sample.Store(int64(n))
-}
-
-// SetEventRingCapacity resizes the retained wide-event tail served by
-// /debug/events (default 256; 0 disables retention).
-func (db *DB) SetEventRingCapacity(n int) {
-	db.flight.ring.Load().SetCapacity(n)
-}
-
-// RecentEvents returns the retained wide events, most recent first.
+// RecentEvents returns the retained wide events (the last 256), most
+// recent first.
 func (db *DB) RecentEvents() []obs.Event {
-	return db.flight.ring.Load().Snapshot()
+	return db.flight.ring.Snapshot()
 }
 
-// routeEvent delivers one event to the ring and, subject to sampling,
-// the sink. Error and slow events bypass sampling. With the recorder off
-// and no sink installed this is two atomic loads.
+// routeEvent delivers one event to the ring and the sink. With the
+// recorder off and no sink installed this is two atomic loads.
 func (db *DB) routeEvent(ev *obs.Event) {
 	if !db.flight.off.Load() {
-		db.flight.ring.Load().Add(*ev)
+		db.flight.ring.Add(*ev)
 	}
 	box := db.flight.sink.Load()
 	if box == nil {
 		return
-	}
-	if n := db.flight.sample.Load(); n > 1 && ev.Error == "" && !ev.Slow {
-		if db.flight.eventSeq.Add(1)%n != 0 {
-			return
-		}
 	}
 	db.metrics.eventsEmitted.Inc()
 	box.sink.Emit(*ev)

@@ -185,14 +185,16 @@ type Executor interface {
 
 // evaluator wraps shared evaluation machinery: predicate dispatch,
 // statistics, optional path tracing, and cross-condition binding setup.
-// When a kernel is attached (UseKernel), probes run through the compiled
-// columnar chains; otherwise they interpret the pattern directly. Both
-// paths produce identical matches and identical Stats.
+// When a kernel is attached (UseKernel), probes read its compiled
+// conditions — row by row, or as selection bitmasks; otherwise they
+// interpret the pattern directly. All paths produce identical matches and
+// identical Stats.
 type evaluator struct {
 	p    *pattern.Pattern
 	kern *pattern.Kernel
-	// proj is the projection probes read from: either ownProj (built by
-	// reset) or a caller-supplied shared projection (UseProjection).
+	// proj is the projection row probes read from: either ownProj (built by
+	// reset) or a caller-supplied shared projection (UseProjection); nil
+	// when supplied masks answer the probes.
 	proj     *storage.Projection
 	ownProj  *storage.Projection
 	nextProj *storage.Projection
@@ -203,7 +205,7 @@ type evaluator struct {
 	ownMasks  *pattern.MaskSet
 	nextMasks *pattern.MaskSet
 	// pureSlots is the kernel's static table: element j's slot in a mask
-	// set's slab when a bit test alone answers the probe (vectorized, no
+	// set's slab when a bit test alone answers the probe (compiled, no
 	// cross conditions), -1 when the probe goes through the kernel's masked
 	// dispatch. slab and words are the current masks' (MaskSet.Words): slot
 	// s is slab[s*words:(s+1)*words].
@@ -240,7 +242,7 @@ func newEvaluator(p *pattern.Pattern) evaluator {
 
 // UseKernel attaches a compiled predicate kernel: subsequent searches
 // decode each sequence into a columnar projection once and evaluate
-// elements through the kernel's specialized chains. A nil kernel (or one
+// compiled elements from the kernel's conditions. A nil kernel (or one
 // with no compiled elements) leaves the interpreter in place.
 func (e *evaluator) UseKernel(k *pattern.Kernel) {
 	if k == nil || k.CompiledElems() == 0 {
@@ -314,7 +316,7 @@ func (e *evaluator) eval(j, i int) bool {
 				r := uint(i - 1)
 				return e.slab[int(s)*e.words+int(r>>6)]>>(r&63)&1 != 0
 			}
-			return e.kern.EvalElemMasked(j-1, e.proj, e.masks, &e.ctx)
+			return e.kern.EvalElemMasked(j-1, e.masks, &e.ctx)
 		}
 		return e.kern.EvalElem(j-1, e.proj, &e.ctx)
 	}
@@ -324,9 +326,9 @@ func (e *evaluator) eval(j, i int) bool {
 // reset prepares for a new sequence: in vectorized mode it adopts or
 // builds the selection bitmasks, and it projects the sequence (the
 // projection buffers are reused across sequences) unless nothing will read
-// the projection — supplied masks of a kernel whose every element they
-// answer. Bindings are left as the last search left them: the loops that
-// read them clear them.
+// the projection — supplied masks, which answer every compiled element,
+// the interpreter taking the rest. Bindings are left as the last search
+// left them: the loops that read them clear them.
 func (e *evaluator) reset(seq []storage.Row) {
 	e.ctx.Seq = seq
 	e.masks, e.fastSkip, e.allPure = nil, false, false
@@ -334,13 +336,12 @@ func (e *evaluator) reset(seq []storage.Row) {
 		e.nextProj, e.nextMasks = nil, nil
 		return
 	}
-	vec := e.vec && e.kern.VecElems() > 0
-	if vec && e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
+	if e.vec && e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
 		e.masks = e.nextMasks
 	}
 	switch {
-	case e.masks != nil && e.kern.AllPure():
-		e.proj = nil // the supplied masks answer every probe
+	case e.masks != nil:
+		e.proj = nil // the supplied masks answer every compiled element
 	case e.nextProj != nil && e.nextProj.Len() == len(seq):
 		e.proj = e.nextProj
 	default:
@@ -351,7 +352,7 @@ func (e *evaluator) reset(seq []storage.Row) {
 		e.proj = e.ownProj
 	}
 	e.nextProj, e.nextMasks = nil, nil
-	if !vec {
+	if !e.vec {
 		return
 	}
 	if e.masks == nil {
@@ -576,16 +577,12 @@ func (n *Naive) Trace() { n.doTrc = true }
 // Path returns the recorded search path.
 func (n *Naive) Path() []PathPoint { return n.trace }
 
-// FindAll implements Executor.
-func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
-	n.trace = n.trace[:0]
-	return n.find(seq)
-}
-
 // FindRun implements Executor: the generic run loop.
 func (n *Naive) FindRun(r *Run) error { return n.runEach(n, r) }
 
-func (n *Naive) find(seq []storage.Row) ([]Match, Stats) {
+// FindAll implements Executor.
+func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
+	n.trace = n.trace[:0]
 	n.reset(seq)
 	n.stats = Stats{}
 	from := n.matches.Len()

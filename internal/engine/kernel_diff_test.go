@@ -1,17 +1,18 @@
 package engine
 
-// Differential tests for the compiled predicate kernels (PR 3): every
-// executor must produce byte-identical matches AND identical Stats —
-// pred-evals in particular, since they are the paper's reported metric —
-// whether probes run through the condition interpreter or through the
-// columnar kernel chains. Random patterns cover the tricky corners:
-// prev-roles probed at position 0, NULLs in the data, disjunctive and
-// opaque conditions (interpreter fallback), string columns, dates, and
-// star elements.
+// Differential tests for the compiled predicate kernels: every executor
+// must produce byte-identical matches AND identical Stats — pred-evals in
+// particular, since they are the paper's reported metric — whether probes
+// run through the condition interpreter, through the kernel's row path or
+// through its masks. Random patterns cover the tricky corners: prev-roles
+// probed at position 0, NULLs in the data, disjunctive conditions, opaque
+// conditions (interpreter fallback), string columns, dates, and star
+// elements.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sqlts/internal/constraint"
@@ -31,9 +32,9 @@ func diffSchema() *storage.Schema {
 	)
 }
 
-// diffCond draws one random condition. Opaque and disjunctive
-// conditions force the whole element onto the interpreter, so their
-// frequency controls how often the fallback path is differenced.
+// diffCond draws one random condition. An opaque condition forces the
+// whole element onto the interpreter, so its frequency controls how often
+// the fallback path is differenced.
 func diffCond(r *rand.Rand) pattern.Cond {
 	ops := []constraint.Op{constraint.Eq, constraint.Ne, constraint.Lt, constraint.Le, constraint.Gt, constraint.Ge}
 	op := ops[r.Intn(len(ops))]
@@ -73,10 +74,29 @@ func diffCond(r *rand.Rand) pattern.Cond {
 	}
 }
 
+// diffOr draws a disjunction whose branches mix kinds and read the
+// predecessor, so that its atoms meet row 0's missing predecessor.
+func diffOr(r *rand.Rand) pattern.Cond {
+	ops := []constraint.Op{constraint.Eq, constraint.Ne, constraint.Lt, constraint.Le, constraint.Gt, constraint.Ge}
+	op := ops[r.Intn(len(ops))]
+	return pattern.Or(
+		[]pattern.Cond{pattern.FieldField(0, pattern.Prev, op, 1, pattern.Cur, float64(r.Intn(3)-1))},
+		[]pattern.Cond{
+			pattern.FieldStr(2, pattern.Prev, constraint.Eq, string(rune('a'+r.Intn(3)))),
+			pattern.FieldConst(1, pattern.Cur, op, float64(1+r.Intn(6))),
+		},
+	)
+}
+
 // diffPattern draws a random pattern over diffSchema: 2–5 elements,
 // 0–3 local conditions each, occasional stars and cross conditions.
 func diffPattern(t testing.TB, r *rand.Rand) *pattern.Pattern {
 	t.Helper()
+	return diffCompile(t, r, diffElems(r))
+}
+
+// diffElems draws diffPattern's elements.
+func diffElems(r *rand.Rand) []pattern.Element {
 	m := 2 + r.Intn(4)
 	elems := make([]pattern.Element, m)
 	for i := range elems {
@@ -98,6 +118,13 @@ func diffPattern(t testing.TB, r *rand.Rand) *pattern.Pattern {
 		}
 		elems[i] = e
 	}
+	return elems
+}
+
+// diffCompile compiles elems over diffSchema under a missing-predecessor
+// policy drawn from r.
+func diffCompile(t testing.TB, r *rand.Rand, elems []pattern.Element) *pattern.Pattern {
+	t.Helper()
 	p, err := pattern.Compile(diffSchema(), elems, pattern.Options{MissingPrevTrue: r.Intn(2) == 0})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -193,16 +220,25 @@ func TestKernelDifferential(t *testing.T) {
 
 // TestKernelDifferentialStream differences the incremental matcher:
 // rows arrive one at a time, the projection grows with the window and is
-// compacted with it, and indices are window slots.
+// compacted with it, and indices are window slots. Every pattern holds a
+// disjunction reading the predecessor in one element, which the kernel's
+// row path evaluates unless the element also holds an opaque condition.
 func TestKernelDifferentialStream(t *testing.T) {
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
+	compiledOr := 0
 	for seed := 0; seed < iters; seed++ {
 		r := rand.New(rand.NewSource(int64(1000 + seed)))
-		p := diffPattern(t, r)
+		elems := diffElems(r)
+		or := r.Intn(len(elems))
+		elems[or].Local = append(elems[or].Local, diffOr(r))
+		p := diffCompile(t, r, elems)
 		k := p.CompileKernel()
+		if k.ElemCompiled(or) {
+			compiledOr++
+		}
 		seq := diffSeq(r, 40+r.Intn(120))
 		cfg := StreamConfig{MaxBuffer: []int{0, 0, 16}[r.Intn(3)]}
 		if r.Intn(2) == 0 {
@@ -233,6 +269,66 @@ func TestKernelDifferentialStream(t *testing.T) {
 			t.Fatalf("seed %d: stream kernel stats diverge\npattern: %s\ninterp: %+v\nkernel: %+v",
 				seed, explain(p), is, ks)
 		}
+	}
+	if compiledOr < iters/2 {
+		t.Fatalf("the disjunctive element was compiled in %d of %d patterns", compiledOr, iters)
+	}
+}
+
+// TestKernelRowFormIffMask is the compile invariant of the one predicate
+// compiler over the differentials' pattern generators: an element has a
+// row form exactly when it has a mask, and it has neither exactly when a
+// local condition — or a disjunct of one — is opaque.
+func TestKernelRowFormIffMask(t *testing.T) {
+	opaque := func(c pattern.Cond) bool {
+		if c.Kind == pattern.OpaqueCond {
+			return true
+		}
+		for _, br := range c.Branches {
+			for _, bc := range br {
+				if bc.Kind == pattern.OpaqueCond {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	compiled := 0
+	for seed := 0; seed < 400; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		var p *pattern.Pattern
+		switch seed % 4 {
+		case 0:
+			p = diffPattern(t, r)
+		case 1:
+			elems := diffElems(r)
+			elems[0].Local = append(elems[0].Local, diffOr(r))
+			p = diffCompile(t, r, elems)
+		case 2:
+			p = purePattern(t, r)
+		default:
+			p = repeatPattern(t, r)
+		}
+		k := p.CompileKernel()
+		proj := k.NewProjection()
+		proj.SetRows(diffSeq(r, 70))
+		ms := k.BuildMasks(proj, nil)
+		if k.CompiledElems() != k.VecElems() || k.CompiledElems()+k.FallbackElems() != p.Len() {
+			t.Fatalf("seed %d: %d compiled, %d with a mask, %d interpreted of %d", seed, k.CompiledElems(), k.VecElems(), k.FallbackElems(), p.Len())
+		}
+		for j := range p.Elems {
+			wantRow := !slices.ContainsFunc(p.Elems[j].Local, opaque)
+			if k.ElemCompiled(j) != wantRow || (ms.Elem(j) != nil) != wantRow {
+				t.Fatalf("seed %d element %d: row form %v, mask %v, want both %v\npattern: %s",
+					seed, j, k.ElemCompiled(j), ms.Elem(j) != nil, wantRow, explain(p))
+			}
+			if wantRow {
+				compiled++
+			}
+		}
+	}
+	if compiled < 400 {
+		t.Fatalf("%d compiled elements in all; the invariant must cover at least 400", compiled)
 	}
 }
 

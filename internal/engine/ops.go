@@ -92,10 +92,6 @@ func (o *OPS) shiftNext(j int) (int, int) {
 // FindAll implements Executor.
 func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.trace = o.trace[:0]
-	return o.find(seq)
-}
-
-func (o *OPS) find(seq []storage.Row) ([]Match, Stats) {
 	o.reset(seq)
 	o.stats = Stats{}
 	// The pure-mask loop serves the default executor only; the ablation

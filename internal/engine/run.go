@@ -13,11 +13,10 @@ import (
 // clusters are searched in order; a cluster's index in the sink's calls is
 // its index in Seqs.
 type Run struct {
-	// Seqs are the clusters' sequences; Projs and Masks, when not nil, hold
-	// each cluster's prebuilt projection and selection bitmasks (see
-	// UseProjection and UseMasks), indexed like Seqs.
+	// Seqs are the clusters' sequences; Masks, when not nil, holds each
+	// cluster's prebuilt selection bitmasks (see UseMasks), indexed like
+	// Seqs.
 	Seqs  [][]storage.Row
-	Projs []*storage.Projection
 	Masks []*pattern.MaskSet
 	// Log is the block the run's cluster log is appended to: one entry per
 	// searched cluster (putClusterStat), the run of them in Entries.
@@ -71,20 +70,12 @@ func (p *progress) tick(sink RunSink) {
 	*p = progress{}
 }
 
-// finder is one executor's search of one sequence: FindAll, except that a
-// traced run's path runs on from the last search instead of restarting.
-type finder interface {
-	find(seq []storage.Row) ([]Match, Stats)
-}
-
 // runEach is the generic run loop, the one every executor has: before each
 // cluster it calls the sink's Enter, then hands the executor the cluster's
-// projection and masks, searches it with f, writes its log entry and hands
-// its matches to the sink's Found. A traced run's path is the
-// concatenation of the clusters' paths, in cluster order. The flight is
-// ticked every TickRows rows and at the end, also when the run fails.
-func (e *evaluator) runEach(f finder, r *Run) error {
-	e.trace = e.trace[:0]
+// masks, searches it with f's FindAll, writes its log entry and hands its
+// matches to the sink's Found. The flight is ticked every TickRows rows
+// and at the end, also when the run fails.
+func (e *evaluator) runEach(f Executor, r *Run) error {
 	w := newLogWriter(r.Log)
 	var p progress
 	defer p.tick(r.Sink)
@@ -93,13 +84,10 @@ func (e *evaluator) runEach(f finder, r *Run) error {
 		if err := r.Sink.Enter(i); err != nil {
 			return err
 		}
-		if r.Projs != nil {
-			e.nextProj = r.Projs[i]
-		}
 		if r.Masks != nil {
 			e.nextMasks = r.Masks[i]
 		}
-		ms, st := f.find(seq)
+		ms, st := f.FindAll(seq)
 		total.Add(st)
 		w.put(len(seq), st)
 		if len(ms) > 0 {

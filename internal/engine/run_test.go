@@ -114,10 +114,12 @@ func (s *runSink) Tick(clusters, rows, matches int64) {
 // mk, and cluster by cluster with FindAll on another, and fails unless the
 // sink was handed every cluster with a match — matches, spans and Stats —
 // and ticked every cluster, row and match, the run's Stats and log are the
-// clusters', and an OPS's pair scans resolved the same rows. It returns how
-// many clusters the run booked in closed form and whether it took the
+// clusters', and an OPS's pair scans resolved the same rows. Over supplied
+// masks neither executor may project a cluster: the masks answer every
+// compiled element and the interpreter the rest. It returns how many
+// clusters the run booked in closed form and whether it took the
 // chunk-wide pure loop, which calls no Enter.
-func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) (closed int64, pure bool) {
+func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]storage.Row, masks []*pattern.MaskSet) (closed int64, pure bool) {
 	t.Helper()
 	ref := mk()
 	var want []foundCluster
@@ -125,9 +127,6 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	var wantStats Stats
 	rows := 0
 	for i, seq := range clusters {
-		if projs != nil {
-			ref.UseProjection(projs[i])
-		}
 		if masks != nil {
 			ref.UseMasks(masks[i])
 		}
@@ -143,7 +142,7 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	ex := mk()
 	sink := &runSink{}
 	var log Block[byte]
-	r := Run{Seqs: clusters, Projs: projs, Masks: masks, Log: &log, Sink: sink}
+	r := Run{Seqs: clusters, Masks: masks, Log: &log, Sink: sink}
 	before := ClosedClusters()
 	if err := ex.FindRun(&r); err != nil {
 		t.Fatalf("%s: FindRun: %v", label, err)
@@ -178,38 +177,49 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	if sink.entered != 0 && closed != 0 {
 		t.Fatalf("%s: the per-cluster loop booked %d clusters in closed form", label, closed)
 	}
+	if masks != nil && (projected(ref) || projected(ex)) {
+		t.Fatalf("%s: a search over supplied masks projected a cluster", label)
+	}
 	return closed, len(clusters) > 0 && sink.entered == 0
 }
 
-// runMemo builds a memo's masks over clusters with one BuildRun, and the
-// projections too with projs set; with refresh set, one cluster is rebuilt
-// as a run of its own, as a partition refresh does, so the chunk's masks
-// come from two slabs.
-func runMemo(k *pattern.Kernel, clusters [][]storage.Row, projs, refresh bool) ([]*storage.Projection, []*pattern.MaskSet) {
-	if k.CompiledElems() == 0 || len(clusters) == 0 {
-		return nil, nil
+// projected reports whether ex, an OPS or a Naive, has decoded a sequence
+// into a projection of its own or been handed one.
+func projected(ex Executor) bool {
+	var e *evaluator
+	switch x := ex.(type) {
+	case *OPS:
+		e = &x.evaluator
+	case *Naive:
+		e = &x.evaluator
 	}
-	var ps []*storage.Projection
-	if projs {
-		ps = make([]*storage.Projection, len(clusters))
+	return e.ownProj != nil || e.proj != nil
+}
+
+// runMemo builds a memo's masks over clusters with one BuildRun; with
+// refresh set, one cluster is rebuilt as a run of its own, as a partition
+// refresh does, so the chunk's masks come from two slabs.
+func runMemo(k *pattern.Kernel, clusters [][]storage.Row, refresh bool) []*pattern.MaskSet {
+	if k.CompiledElems() == 0 || len(clusters) == 0 {
+		return nil
 	}
 	ms := make([]*pattern.MaskSet, len(clusters))
-	k.BuildRun(clusters, 0, len(clusters), ps, ms)
+	k.BuildRun(clusters, 0, len(clusters), ms)
 	if refresh {
 		c := len(clusters) / 2
-		k.BuildRun(clusters, c, c+1, nil, ms)
+		k.BuildRun(clusters, c, c+1, ms)
 	}
-	return ps, ms
+	return ms
 }
 
 // runChecks runs runCheck for pattern p over clusters on both skip
 // policies: the default vectorized OPS, an ablation config and naive over
 // the same masks, and OPS interpreting. It returns the clusters the runs
 // booked in closed form and how many runs took the pure loop.
-func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]storage.Row, projs, refresh bool) (closed int64, pure int) {
+func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]storage.Row, refresh bool) (closed int64, pure int) {
 	t.Helper()
 	tab, k := core.Compute(p), p.CompileKernel()
-	ps, ms := runMemo(k, clusters, projs, refresh)
+	ms := runMemo(k, clusters, refresh)
 	for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
 		vec := func(cfg OPSConfig) func() Executor {
 			return func() Executor {
@@ -233,7 +243,7 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 			}},
 			{"ops", func() Executor { return NewOPS(p, tab, OPSConfig{Policy: policy}) }},
 		} {
-			cl, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ps, ms)
+			cl, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ms)
 			closed += cl
 			if pu {
 				pure++
@@ -320,7 +330,7 @@ func TestRunLoopDifferential(t *testing.T) {
 		} else {
 			p, seq = repeatPattern(t, r), walkSeq(r, n)
 		}
-		add(runChecks(t, fmt.Sprintf("seed %d", seed), p, cutClusters(r, seq), seed%3 == 0, seed%4 == 1))
+		add(runChecks(t, fmt.Sprintf("seed %d", seed), p, cutClusters(r, seq), seed%4 == 1))
 	}
 
 	pb := func(elems ...pattern.Element) *pattern.Pattern {
@@ -375,7 +385,7 @@ func TestRunLoopDifferential(t *testing.T) {
 			t.Fatalf("%s: the pure loop is %d, want %d", c.name, got, c.loop)
 		}
 		for _, refresh := range []bool{false, true} {
-			cl, pu := runChecks(t, fmt.Sprintf("%s refresh=%v", c.name, refresh), c.p, c.clusters, false, refresh)
+			cl, pu := runChecks(t, fmt.Sprintf("%s refresh=%v", c.name, refresh), c.p, c.clusters, refresh)
 			if pu != 2 {
 				t.Fatalf("%s: the pure loop ran %d times of 2", c.name, pu)
 			}
@@ -421,7 +431,7 @@ func FuzzRunLoop(f *testing.F) {
 				from = i + 1
 			}
 		}
-		runChecks(t, fmt.Sprintf("seed %d n=%d cuts=%x", seed, rows, cuts), p, clusters, seed%3 == 0, seed%4 == 1)
+		runChecks(t, fmt.Sprintf("seed %d n=%d cuts=%x", seed, rows, cuts), p, clusters, seed%4 == 1)
 	})
 }
 
@@ -440,7 +450,7 @@ func tenRowChunk(t *testing.T) (*OPS, [][]storage.Row, []*pattern.MaskSet) {
 	})
 	clusters := split(seq, 10)
 	k := p.CompileKernel()
-	_, masks := runMemo(k, clusters, false, false)
+	masks := runMemo(k, clusters, false)
 	o := NewOPS(p, core.Compute(p), OPSConfig{})
 	o.UseKernel(k)
 	o.SetVectorized(true)

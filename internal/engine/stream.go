@@ -158,8 +158,9 @@ func (s *Streamer) addSlots(n int) {
 }
 
 // UseKernel attaches a compiled predicate kernel: pushed tuples are
-// decoded into columnar buffers incrementally and probes run through the
-// kernel's specialized chains. Call before the first Push (rows already
+// decoded into columnar buffers incrementally and probes of compiled
+// elements read them through the kernel's conditions, row by row (a
+// disjunction included). Call before the first Push (rows already
 // buffered are projected on attach). A nil kernel, or one with no
 // compiled elements, leaves the interpreter in place.
 func (s *Streamer) UseKernel(k *pattern.Kernel) {

@@ -1,23 +1,23 @@
-// Vectorized kernel compilation: alongside the row-at-a-time closures
-// (kernel.go), each compilable local condition also gets a batch form
-// that evaluates the entire projection into a []uint64 selection
-// bitmask. Per element the condition masks AND together (disjunctions OR
-// their per-branch ANDs), producing one mask per element whose bit i
-// answers "does row i satisfy the element's local conditions?" — the
-// same verdict the row chain computes, bit for bit, including the
-// missing-predecessor policy and null handling. Executors then answer
-// probes with a single bit test (plus cross-condition interpretation)
-// and skip runs of zero bits by trailing-zeros iteration.
+// Selection bitmasks: the batch evaluator of a kernel's atoms (kernel.go
+// has the row one). Each condition evaluates the entire projection into a
+// []uint64 selection bitmask. Per element the condition masks AND together
+// (disjunctions OR their per-branch ANDs), producing one mask per element
+// whose bit i answers "does row i satisfy the element's local
+// conditions?" — the verdict EvalElem computes from the same atoms, bit
+// for bit, including the missing-predecessor policy and null handling.
+// Executors then answer probes with a single bit test (plus
+// cross-condition interpretation) and skip runs of zero bits by
+// trailing-zeros iteration.
 //
 // A never-seen statement probes its masks once, so building them is its
 // cost, and two things keep the build near the memory traffic it needs:
 //
-//   - A batch form is data (vecAtom), not a closure. The comparison loops
-//     (maskConst, maskNumField, maskStrField) are ordinary top-level
-//     functions over sub-sliced columns: the operator is switched on once
-//     per 64-row word, and a row costs a compare, a flag-set and a shift —
-//     no call, no null test, no first-row test. Each projected column's
-//     nulls become a bitmask once per cluster (nullMask), cleared from a
+//   - An atom is data, not a closure. The comparison loops (maskConst,
+//     maskNumField, maskStrField) are ordinary top-level functions over
+//     sub-sliced columns: the operator is switched on once per 64-row
+//     word, and a row costs a compare, a flag-set and a shift — no call,
+//     no null test, no first-row test. Each projected column's nulls
+//     become a bitmask once per cluster (nullMask), cleared from a
 //     condition's mask word by word, and row 0's missing-predecessor
 //     verdict is one OR after the loops.
 //   - Patterns repeat themselves (Example 10's nine elements hold five
@@ -26,11 +26,9 @@
 //     uses the condition's mask as its own, and elements with the same
 //     list share one mask.
 //
-// Vectorization is strictly wider than row compilation in one way
-// (disjunctions vectorize; the row kernel interprets them) and never
-// narrower: any element whose local conditions all vec-compile is
-// vectorizable. Opaque predicates never vectorize — they are arbitrary
-// functions, so their verdicts cannot be precomputed soundly.
+// Every compiled element has a mask. Opaque predicates have no atoms —
+// they are arbitrary functions, so their verdicts cannot be precomputed
+// soundly — and an element holding one is interpreted.
 package pattern
 
 import (
@@ -42,9 +40,9 @@ import (
 	"sqlts/internal/storage"
 )
 
-// vecAtom is the batch form of one atomic condition, the same fields the
-// row kernels of kernel.go close over. It is comparable: equal atoms
-// build equal masks.
+// vecAtom is the compiled form of one atomic condition, which both the
+// row path (holds) and the mask builder (build) evaluate. It is
+// comparable: equal atoms build equal masks.
 type vecAtom struct {
 	kind     CondKind
 	op       constraint.Op
@@ -54,7 +52,7 @@ type vecAtom struct {
 	lit      string
 }
 
-// vecCond is one local condition's batch form: a single atom, or — for
+// vecCond is one local condition's compiled form: a single atom, or — for
 // disjunctions — branches whose atoms AND within a branch and OR across
 // branches.
 type vecCond struct {
@@ -65,17 +63,6 @@ type vecCond struct {
 func (c *vecCond) equal(o *vecCond) bool {
 	return c.atom == o.atom && (c.branches == nil) == (o.branches == nil) &&
 		slices.EqualFunc(c.branches, o.branches, func(a, b []vecAtom) bool { return slices.Equal(a, b) })
-}
-
-// vecElem is one element's vectorized form: its local conditions in
-// order, as indexes into the kernel's distinct conditions. ok is false
-// when any local condition resisted vectorization (opaque predicates).
-type vecElem struct {
-	conds []int
-	ok    bool
-	// same is the first element with an identical condition list (the
-	// element's own index when there is none before it).
-	same int
 }
 
 // MaskSet holds the selection bitmasks of one projected sequence: one
@@ -94,8 +81,8 @@ type MaskSet struct {
 // Rows returns the number of rows the masks cover.
 func (ms *MaskSet) Rows() int { return ms.rows }
 
-// Elem returns element j's mask, nil when the element is not
-// vectorized (probes then take the row path).
+// Elem returns element j's mask, nil when the element is not compiled
+// (probes then take the interpreter).
 func (ms *MaskSet) Elem(j int) []uint64 {
 	s := ms.k.elemSlot[j]
 	if s < 0 {
@@ -119,15 +106,12 @@ func (ms *MaskSet) slot(s int) []uint64 {
 // null returns the null bitmask of projected column c.
 func (ms *MaskSet) null(c int) []uint64 { return ms.slot(int(ms.k.nullSlot[c])) }
 
-// VecElems returns how many elements have a vectorized (mask) form.
-func (k *Kernel) VecElems() int { return k.vecCnt }
-
 // ElemHasCross reports whether element j carries cross conditions,
 // which a mask cannot cover (they inspect earlier bindings).
 func (k *Kernel) ElemHasCross(j int) bool { return k.elems[j].hasCross }
 
 // PureSlots returns, per element, the slot of its mask in a MaskSet's
-// slab when the mask alone answers the element's probes (vectorized, no
+// slab when the mask alone answers the element's probes (compiled, no
 // cross conditions), and -1 when a probe needs more. The slice is the
 // kernel's own: read-only.
 func (k *Kernel) PureSlots() []int32 { return k.pureSlot }
@@ -142,25 +126,25 @@ func (k *Kernel) AllPure() bool { return k.allPure }
 // condition uses the condition's slot, and elements with the same list
 // share one. Disjunction scratch is the builder's, not the set's.
 func (k *Kernel) layoutMasks() {
-	k.elemSlot = make([]int32, len(k.vecs))
-	k.pureSlot = make([]int32, len(k.vecs))
+	k.elemSlot = make([]int32, len(k.elems))
+	k.pureSlot = make([]int32, len(k.elems))
 	k.allPure = true
-	own := int32(len(k.vconds))
-	for j := range k.vecs {
-		ve := &k.vecs[j]
+	own := int32(len(k.conds))
+	for j := range k.elems {
+		e := &k.elems[j]
 		switch {
-		case !ve.ok:
+		case !e.ok:
 			k.elemSlot[j] = -1
-		case ve.same != j:
-			k.elemSlot[j] = k.elemSlot[ve.same]
-		case len(ve.conds) == 1:
-			k.elemSlot[j] = int32(ve.conds[0])
+		case e.same != j:
+			k.elemSlot[j] = k.elemSlot[e.same]
+		case len(e.conds) == 1:
+			k.elemSlot[j] = int32(e.conds[0])
 		default:
 			k.elemSlot[j] = own
 			own++
 		}
 		k.pureSlot[j] = k.elemSlot[j]
-		if k.elems[j].hasCross {
+		if e.hasCross {
 			k.pureSlot[j] = -1
 		}
 		k.allPure = k.allPure && k.pureSlot[j] >= 0
@@ -175,7 +159,7 @@ func (k *Kernel) layoutMasks() {
 	k.slots = int(own) + len(k.nullCols)
 }
 
-// BuildMasks evaluates every vectorized element of the kernel over the
+// BuildMasks evaluates every compiled element of the kernel over the
 // projection into ms (allocating one when nil), returning it: BuildRun's
 // one-cluster case, for a caller that holds the projection. The slab is
 // reused across builds (its spare capacity is the disjunction scratch), so
@@ -198,62 +182,46 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 }
 
 // BuildRun builds what a partition memo keeps of the run of clusters
-// clusters[lo:hi]: for cluster i a projection of its own in projs[i] when
-// projs is non-nil, and a MaskSet in masks[i] when masks is non-nil (both
-// are indexed like clusters). The run's mask sets are carved from one
-// []MaskSet and one []uint64, and the disjunction scratch is one buffer
-// for the run; a run that keeps no projections decodes every cluster
-// through one scratch projection. Nothing the run allocates is shared with
-// another run, so rebuilding one cluster beside a shared slab writes none
-// of it.
-func (k *Kernel) BuildRun(clusters [][]storage.Row, lo, hi int, projs []*storage.Projection, masks []*MaskSet) {
+// clusters[lo:hi]: a MaskSet for cluster i in masks[i] (masks is indexed
+// like clusters). The run's mask sets are carved from one []MaskSet and
+// one []uint64, the disjunction scratch is one buffer for the run, and
+// every cluster is decoded through one scratch projection, which nothing
+// keeps: a search over the masks reads none. Nothing the run allocates is
+// shared with another run, so rebuilding one cluster beside a shared slab
+// writes none of it.
+func (k *Kernel) BuildRun(clusters [][]storage.Row, lo, hi int, masks []*MaskSet) {
 	if lo >= hi {
 		return
 	}
-	var (
-		sets          []MaskSet
-		slab, scratch []uint64
-		proj          *storage.Projection
-	)
 	words, longest := 0, 0
 	for _, rows := range clusters[lo:hi] {
 		words += k.slots * storage.MaskWords(len(rows))
 		longest = max(longest, len(rows))
 	}
-	if masks != nil {
-		sets = make([]MaskSet, hi-lo)
-		slab = make([]uint64, words)
-		scratch = make([]uint64, k.vecScratch*storage.MaskWords(longest))
-	}
-	if projs == nil {
-		proj = k.scratchProjection()
-		defer scratchProjections.Put(proj)
-		proj.Grow(longest)
-	}
+	sets := make([]MaskSet, hi-lo)
+	slab := make([]uint64, words)
+	scratch := make([]uint64, k.vecScratch*storage.MaskWords(longest))
+	proj := k.scratchProjection()
+	defer scratchProjections.Put(proj)
+	proj.Grow(longest)
 	for i := lo; i < hi; i++ {
 		rows := clusters[i]
-		if projs != nil {
-			proj = k.NewProjection()
-			projs[i] = proj
-		}
 		proj.SetRows(rows)
-		if masks != nil {
-			ms := &sets[i-lo]
-			need := k.slots * storage.MaskWords(len(rows))
-			*ms = MaskSet{k: k, slab: slab[:need:need], rows: len(rows)}
-			slab = slab[need:]
-			k.fill(ms, proj, scratch)
-			masks[i] = ms
-		}
+		ms := &sets[i-lo]
+		need := k.slots * storage.MaskWords(len(rows))
+		*ms = MaskSet{k: k, slab: slab[:need:need], rows: len(rows)}
+		slab = slab[need:]
+		k.fill(ms, proj, scratch)
+		masks[i] = ms
 	}
 }
 
-// scratchProjections holds the projections BuildRun decodes through when
-// it keeps none. A never-seen statement builds its masks once, and a
-// refresh rebuilds a handful of clusters, each as a run of its own: the
-// decode buffer is most of what such a run would allocate, and statements
-// over one table mostly read the same few columns, so the buffer of one
-// kernel's run usually fits the next kernel's.
+// scratchProjections holds the projections BuildRun decodes through. A
+// never-seen statement builds its masks once, and a refresh rebuilds a
+// handful of clusters, each as a run of its own: the decode buffer is most
+// of what such a run would allocate, and statements over one table mostly
+// read the same few columns, so the buffer of one kernel's run usually
+// fits the next kernel's.
 var scratchProjections sync.Pool
 
 // scratchProjection returns a pooled projection over this kernel's
@@ -278,24 +246,24 @@ func (k *Kernel) fill(ms *MaskSet, proj *storage.Projection, scratch []uint64) {
 	if k.vecScratch > 0 {
 		branch, tmp = scratch[:words], scratch[words:2*words]
 	}
-	for ci := range k.vconds {
-		k.buildCondMask(proj, ms, &k.vconds[ci], ms.slot(ci), branch, tmp, n)
+	for ci := range k.conds {
+		k.buildCondMask(proj, ms, &k.conds[ci], ms.slot(ci), branch, tmp, n)
 	}
-	for j := range k.vecs {
+	for j := range k.elems {
 		// Only an element that combines several conditions (or none) has a
 		// mask of its own to build; the rest read a condition's or another
 		// element's.
-		ve := &k.vecs[j]
-		if !ve.ok || ve.same != j || len(ve.conds) == 1 {
+		e := &k.elems[j]
+		if !e.ok || e.same != j || len(e.conds) == 1 {
 			continue
 		}
 		em := ms.slot(int(k.elemSlot[j]))
-		if len(ve.conds) == 0 {
+		if len(e.conds) == 0 {
 			storage.MaskFill(em, n)
 			continue
 		}
-		copy(em, ms.slot(ve.conds[0]))
-		for _, ci := range ve.conds[1:] {
+		copy(em, ms.slot(e.conds[0]))
+		for _, ci := range e.conds[1:] {
 			storage.MaskAnd(em, ms.slot(ci))
 		}
 	}
@@ -327,63 +295,53 @@ func (k *Kernel) buildCondMask(p *storage.Projection, ms *MaskSet, c *vecCond, d
 
 // EvalElemMasked evaluates element j at ctx.Pos using its selection
 // bitmask: a bit test for the local conditions plus interpretation of
-// any cross conditions. Elements without a mask take the row path
-// (EvalElem). The verdict is identical to EvalElem's in every case.
-func (k *Kernel) EvalElemMasked(j int, proj *storage.Projection, ms *MaskSet, ctx *EvalContext) bool {
+// any cross conditions. An element without a mask — one that is not
+// compiled — is interpreted, so no probe reads a projection. The verdict
+// is identical to EvalElem's in every case.
+func (k *Kernel) EvalElemMasked(j int, ms *MaskSet, ctx *EvalContext) bool {
 	m := ms.Elem(j)
 	if m == nil {
-		return k.EvalElem(j, proj, ctx)
+		return k.p.EvalElem(j, ctx)
 	}
-	if !storage.MaskHas(m, ctx.Pos) {
-		return false
-	}
-	e := &k.elems[j]
-	if e.hasCross {
-		cc := k.p.Elems[j].CrossConds
-		for ci := range cc {
-			if !cc[ci].CtxFn(ctx) {
-				return false
-			}
-		}
-	}
-	return true
+	return storage.MaskHas(m, ctx.Pos) && (!k.elems[j].hasCross || k.crossHolds(j, ctx))
 }
 
-// addVecElem compiles element idx's local conditions to batch form,
-// numbering each against the kernel's distinct conditions, and registers
-// referenced columns in numSet/strSet (sharing the row compiler's sets,
-// so disjunction columns — which the row kernel never registers — still
-// reach the projection).
-func (k *Kernel) addVecElem(idx int, local []Cond, numSet, strSet map[int]bool) {
-	vcs := make([]vecCond, len(local))
-	for i := range local {
+// addElem compiles element idx's local conditions, numbering each against
+// the kernel's distinct conditions, and registers the columns they read in
+// numSet/strSet. An element with a condition that has no atom form is left
+// uncompiled.
+func (k *Kernel) addElem(idx int, numSet, strSet map[int]bool) {
+	e, ek := &k.p.Elems[idx], &k.elems[idx]
+	ek.hasCross = e.HasCross()
+	vcs := make([]vecCond, len(e.Local))
+	for i := range e.Local {
 		var ok bool
-		if vcs[i], ok = compileVecCond(&local[i], numSet, strSet); !ok {
+		if vcs[i], ok = compileVecCond(&e.Local[i], numSet, strSet); !ok {
 			return
 		}
 	}
 	conds := make([]int, len(vcs))
 	for i := range vcs {
 		vc := &vcs[i]
-		ci := slices.IndexFunc(k.vconds, func(o vecCond) bool { return vc.equal(&o) })
+		ci := slices.IndexFunc(k.conds, func(o vecCond) bool { return vc.equal(&o) })
 		if ci < 0 {
-			ci = len(k.vconds)
-			k.vconds = append(k.vconds, *vc)
+			ci = len(k.conds)
+			k.conds = append(k.conds, *vc)
 			if vc.branches != nil {
 				k.vecScratch = 2
 			}
 		}
 		conds[i] = ci
 	}
-	same := slices.IndexFunc(k.vecs[:idx], func(o vecElem) bool { return o.ok && slices.Equal(o.conds, conds) })
+	same := slices.IndexFunc(k.elems[:idx], func(o elemKernel) bool { return o.ok && slices.Equal(o.conds, conds) })
 	if same < 0 {
 		same = idx
 	}
-	k.vecs[idx] = vecElem{conds: conds, ok: true, same: same}
-	k.vecCnt++
+	ek.conds, ek.ok, ek.same = conds, true, same
+	k.compiled++
 }
 
-// compileVecCond builds the batch form of one local condition.
+// compileVecCond builds the compiled form of one local condition.
 func compileVecCond(c *Cond, numSet, strSet map[int]bool) (vecCond, bool) {
 	if c.Kind != OrCond {
 		a, ok := compileVecAtom(c, numSet, strSet)
@@ -403,7 +361,8 @@ func compileVecCond(c *Cond, numSet, strSet map[int]bool) (vecCond, bool) {
 	return vecCond{branches: branches}, true
 }
 
-// compileVecAtom mirrors compileCond's dispatch for the batch builders.
+// compileVecAtom builds the atom of one typed comparison; opaque and
+// cross conditions have none.
 func compileVecAtom(c *Cond, numSet, strSet map[int]bool) (vecAtom, bool) {
 	a := vecAtom{kind: c.Kind, op: c.Op, lcol: c.LCol, ld: roleDelta(c.LRole)}
 	if c.Op > constraint.Ge {
@@ -417,7 +376,7 @@ func compileVecAtom(c *Cond, numSet, strSet map[int]bool) (vecAtom, bool) {
 		numSet[c.LCol] = true
 		numSet[c.RCol] = true
 		a.rcol, a.rd = c.RCol, roleDelta(c.RRole)
-		// One form, field op coef*field' + c, as in numFieldKernel.
+		// One form, field op coef*field' + c.
 		a.kind, a.c, a.coef = NumFieldField, c.C, 1
 		if c.Kind == NumFieldScaled {
 			a.c, a.coef = 0, c.Coef
@@ -435,13 +394,58 @@ func compileVecAtom(c *Cond, numSet, strSet map[int]bool) (vecAtom, bool) {
 	return a, true
 }
 
+// holds is the atom's verdict at row i of the projection, the row path's
+// one evaluation of a condition. The missing-predecessor verdict (mpt)
+// comes first — ld and rd are 0 for the current row and 1 for its
+// predecessor, so only row 0 can lack one — then nulls, which fail, then
+// the comparison: the order and expressions build evaluates per word.
+func (a *vecAtom) holds(p *storage.Projection, i int, mpt bool) bool {
+	li, ri := i-a.ld, i-a.rd
+	if li < 0 || ri < 0 {
+		return mpt
+	}
+	if p.Null[a.lcol][li] {
+		return false
+	}
+	switch a.kind {
+	case NumFieldConst:
+		return cmpNum(p.Num[a.lcol][li], a.c, a.op)
+	case NumFieldField:
+		return !p.Null[a.rcol][ri] && cmpNum(p.Num[a.lcol][li], a.coef*p.Num[a.rcol][ri]+a.c, a.op)
+	case StrFieldLit:
+		return cmpStr(p.Str[a.lcol][li], a.lit, a.op)
+	}
+	return !p.Null[a.rcol][ri] && cmpStr(p.Str[a.lcol][li], p.Str[a.rcol][ri], a.op)
+}
+
+// holds is the condition's verdict at row i: its atom's, or for a
+// disjunction whether every atom of some branch holds, as buildCondMask
+// ORs the branches' ANDs.
+func (c *vecCond) holds(p *storage.Projection, i int, mpt bool) bool {
+	if c.branches == nil {
+		return c.atom.holds(p, i, mpt)
+	}
+	for _, br := range c.branches {
+		all := true
+		for k := range br {
+			if !br[k].holds(p, i, mpt) {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
 // build fills dst — a selection bitmask of storage.MaskWords(n) words —
-// with the atom's verdict for every row of the projection, replicating
-// the row kernels of kernel.go exactly: the missing-predecessor verdict
-// (mpt) applies at row 0 before the null check, nulls fail, and the
-// compared expression is the same float/string expression the row
-// closure computes. ms holds the projection's null bitmasks, built before
-// any condition. Every word of dst is fully overwritten.
+// with the atom's verdict for every row of the projection, as holds gives
+// it row by row: the missing-predecessor verdict (mpt) applies at row 0
+// before the null check, nulls fail, and the compared expression is the
+// same float/string expression. ms holds the projection's null bitmasks,
+// built before any condition. Every word of dst is fully overwritten.
 func (a *vecAtom) build(p *storage.Projection, ms *MaskSet, dst []uint64, n int, mpt bool) {
 	if n == 0 {
 		return

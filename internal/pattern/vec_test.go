@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -48,21 +47,30 @@ func vecRows(r *rand.Rand, n int, nulls bool) []storage.Row {
 
 var allOps = []constraint.Op{constraint.Eq, constraint.Ne, constraint.Lt, constraint.Le, constraint.Gt, constraint.Ge}
 
-// checkMasks asserts that every vectorized element's mask equals the row
-// kernel's (and the interpreter's) verdict bit for bit and carries
-// nothing past row n.
+// checkMasks asserts that every distinct condition's mask holds, row by
+// row, the verdict the row path computes from the same atoms; that every
+// compiled element's mask equals the row kernel's and the interpreter's
+// verdict bit for bit; and that no mask carries anything past row n.
 func checkMasks(t *testing.T, label string, p *Pattern, k *Kernel, rows []storage.Row, proj *storage.Projection, ms *MaskSet) {
 	t.Helper()
 	n := len(rows)
 	if ms.Rows() != n {
 		t.Fatalf("%s: masks cover %d rows, want %d", label, ms.Rows(), n)
 	}
+	for ci := range k.conds {
+		m := ms.slot(ci)
+		for i := 0; i < n; i++ {
+			if row, bit := k.conds[ci].holds(proj, i, p.MissingPrevTrue), storage.MaskHas(m, i); row != bit {
+				t.Fatalf("%s: condition %d row %d: mask %v, row verdict %v", label, ci, i, bit, row)
+			}
+		}
+	}
 	ctx := &EvalContext{Seq: rows, Bind: make([]Span, p.Len())}
 	for j := range p.Elems {
 		m := ms.Elem(j)
-		if !k.vecs[j].ok {
+		if !k.ElemCompiled(j) {
 			if m != nil {
-				t.Fatalf("%s: element %d is not vectorized but has a mask", label, j)
+				t.Fatalf("%s: element %d is not compiled but has a mask", label, j)
 			}
 			continue
 		}
@@ -87,9 +95,11 @@ func checkMasks(t *testing.T, label string, p *Pattern, k *Kernel, rows []storag
 }
 
 // TestMaskBuildersMatchRowKernels is the differential of the batch loops
-// against the row closures: every condition kind × operator × cur/prev
-// role combination × missing-predecessor policy × with and without NULLs,
-// at lengths on both sides of every word boundary.
+// against the row path over the same atoms, and of both against the
+// interpreter: every condition kind — disjunctions included, one with an
+// empty branch — × operator × cur/prev role combination ×
+// missing-predecessor policy × with and without NULLs, at lengths on both
+// sides of every word boundary.
 func TestMaskBuildersMatchRowKernels(t *testing.T) {
 	roles := []Role{Cur, Prev}
 	type shape struct {
@@ -104,6 +114,12 @@ func TestMaskBuildersMatchRowKernels(t *testing.T) {
 		{"NumFieldScaled", func(op constraint.Op, l, r Role) Cond { return FieldScaled(0, l, op, 2, 1, r) }, true},
 		{"StrFieldLit", func(op constraint.Op, l, _ Role) Cond { return FieldStr(2, l, op, "a") }, false},
 		{"StrFieldField", func(op constraint.Op, l, r Role) Cond { return FieldStrField(2, l, op, 3, r) }, true},
+		{"OrCond", func(op constraint.Op, l, r Role) Cond {
+			return Or([]Cond{FieldField(0, l, op, 1, r, 0.5)}, []Cond{FieldStr(2, r, op, "a"), FieldConst(1, l, op, 1)})
+		}, true},
+		{"OrCond/empty", func(op constraint.Op, l, r Role) Cond {
+			return Or([]Cond{FieldStrField(2, l, op, 3, r), FieldScaled(0, r, op, 2, 1, l)}, nil)
+		}, true},
 	}
 	r := rand.New(rand.NewSource(8))
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 6300} {
@@ -130,8 +146,8 @@ func TestMaskBuildersMatchRowKernels(t *testing.T) {
 				}
 				p := MustCompile(vecSchema(), elems, Options{MissingPrevTrue: mpt})
 				k := p.CompileKernel()
-				if k.VecElems() != len(elems) {
-					t.Fatalf("%d of %d elements vectorized", k.VecElems(), len(elems))
+				if k.CompiledElems() != len(elems) || k.VecElems() != len(elems) {
+					t.Fatalf("%d of %d elements compiled, %d with a mask", k.CompiledElems(), len(elems), k.VecElems())
 				}
 				proj := k.NewProjection()
 				proj.SetRows(rows)
@@ -145,7 +161,7 @@ func TestMaskBuildersMatchRowKernels(t *testing.T) {
 // sharingPattern repeats condition lists the way Example 10 does, beside
 // the shapes sharing must not disturb: a disjunction (twice), a
 // two-condition element whose conditions other elements hold singly, an
-// element with no conditions, and one that does not vectorize.
+// element with no conditions, and one that is not compiled.
 func sharingPattern(mpt bool) *Pattern {
 	fall := FieldScaled(0, Cur, constraint.Lt, 0.98, 0, Prev)
 	rise := FieldScaled(0, Cur, constraint.Gt, 1.02, 0, Prev)
@@ -228,16 +244,6 @@ func TestWarmMaskRebuildAllocatesNothing(t *testing.T) {
 	}
 }
 
-// sameProjection compares two projections column by column, a NaN equal
-// to itself.
-func sameProjection(a, b *storage.Projection) bool {
-	sameNum := func(x, y []float64) bool {
-		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
-	}
-	return a.Len() == b.Len() && slices.EqualFunc(a.Num, b.Num, sameNum) &&
-		reflect.DeepEqual(a.Str, b.Str) && reflect.DeepEqual(a.Null, b.Null)
-}
-
 // TestRunBuilderMatchesPerCluster holds BuildRun — one []MaskSet and one
 // slab for a run of clusters, one scratch projection, shared disjunction
 // scratch — to its one-cluster case: over seeded kernels (all-pure,
@@ -274,8 +280,8 @@ func TestRunBuilderMatchesPerCluster(t *testing.T) {
 			t.Fatalf("%s: AllPure() = %v, want %v", kc.name, k.AllPure(), kc.allPure)
 		}
 		for j, s := range k.PureSlots() {
-			if want := k.vecs[j].ok && !k.ElemHasCross(j); (s >= 0) != want {
-				t.Fatalf("%s: element %d pure slot %d, vectorized-without-cross %v", kc.name, j, s, want)
+			if want := k.ElemCompiled(j) && !k.ElemHasCross(j); (s >= 0) != want {
+				t.Fatalf("%s: element %d pure slot %d, compiled-without-cross %v", kc.name, j, s, want)
 			}
 		}
 		for _, nulls := range []bool{false, true} {
@@ -283,80 +289,71 @@ func TestRunBuilderMatchesPerCluster(t *testing.T) {
 			for i, n := range lengths {
 				clusters[i] = vecRows(r, n, nulls)
 			}
-			for _, keep := range []bool{false, true} {
-				label := fmt.Sprintf("%s nulls=%v projections=%v", kc.name, nulls, keep)
-				var projs []*storage.Projection
-				if keep {
-					projs = make([]*storage.Projection, len(clusters))
+			label := fmt.Sprintf("%s nulls=%v", kc.name, nulls)
+			masks := make([]*MaskSet, len(clusters))
+			// The run is the middle of the list: its neighbours stay unbuilt.
+			lo, hi := 1, len(clusters)-1
+			k.BuildRun(clusters, lo, hi, masks)
+			if masks[0] != nil || masks[hi] != nil {
+				t.Fatalf("%s: BuildRun built outside its run", label)
+			}
+			for ci := lo; ci < hi; ci++ {
+				own := k.NewProjection()
+				own.SetRows(clusters[ci])
+				want, got := k.BuildMasks(own, nil), masks[ci]
+				checkMasks(t, label, kc.p, k, clusters[ci], own, got)
+				if !slices.Equal(got.slab, want.slab) {
+					t.Fatalf("%s: cluster %d (%d rows): slab differs from BuildMasks:\n%x\n%x", label, ci, len(clusters[ci]), got.slab, want.slab)
 				}
-				masks := make([]*MaskSet, len(clusters))
-				// The run is the middle of the list: its neighbours stay unbuilt.
-				lo, hi := 1, len(clusters)-1
-				k.BuildRun(clusters, lo, hi, projs, masks)
-				if masks[0] != nil || masks[hi] != nil || keep && (projs[0] != nil || projs[hi] != nil) {
-					t.Fatalf("%s: BuildRun built outside its run", label)
-				}
-				for ci := lo; ci < hi; ci++ {
-					own := k.NewProjection()
-					own.SetRows(clusters[ci])
-					want, got := k.BuildMasks(own, nil), masks[ci]
-					checkMasks(t, label, kc.p, k, clusters[ci], own, got)
-					if !slices.Equal(got.slab, want.slab) {
-						t.Fatalf("%s: cluster %d (%d rows): slab differs from BuildMasks:\n%x\n%x", label, ci, len(clusters[ci]), got.slab, want.slab)
-					}
-					for j := 0; j < k.Len(); j++ {
-						if !slices.Equal(got.Elem(j), want.Elem(j)) {
-							t.Fatalf("%s: cluster %d element %d differs from BuildMasks", label, ci, j)
-						}
-					}
-					for _, c := range k.nullCols {
-						if !slices.Equal(got.null(c), want.null(c)) {
-							t.Fatalf("%s: cluster %d column %d null mask differs from BuildMasks", label, ci, c)
-						}
-					}
-					if keep && !sameProjection(projs[ci], own) {
-						t.Fatalf("%s: cluster %d kept projection differs from its own decode", label, ci)
+				for j := 0; j < k.Len(); j++ {
+					if !slices.Equal(got.Elem(j), want.Elem(j)) {
+						t.Fatalf("%s: cluster %d element %d differs from BuildMasks", label, ci, j)
 					}
 				}
+				for _, c := range k.nullCols {
+					if !slices.Equal(got.null(c), want.null(c)) {
+						t.Fatalf("%s: cluster %d column %d null mask differs from BuildMasks", label, ci, c)
+					}
+				}
+			}
 
-				// Rebuild one cluster beside the shared slab, readers on it.
-				before := make([][]uint64, len(masks))
-				for ci := lo; ci < hi; ci++ {
-					before[ci] = slices.Clone(masks[ci].slab)
-				}
-				stop := make(chan struct{})
-				var readers sync.WaitGroup
-				for g := 0; g < 2; g++ {
-					readers.Add(1)
-					go func() {
-						defer readers.Done()
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							for ci := lo; ci < hi; ci++ {
-								for j := 0; j < k.Len(); j++ {
-									storage.MaskPopcount(masks[ci].Elem(j))
-								}
+			// Rebuild one cluster beside the shared slab, readers on it.
+			before := make([][]uint64, len(masks))
+			for ci := lo; ci < hi; ci++ {
+				before[ci] = slices.Clone(masks[ci].slab)
+			}
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for ci := lo; ci < hi; ci++ {
+							for j := 0; j < k.Len(); j++ {
+								storage.MaskPopcount(masks[ci].Elem(j))
 							}
 						}
-					}()
-				}
-				rebuilt := make([]*MaskSet, len(clusters))
-				for ci := lo; ci < hi; ci++ {
-					k.BuildRun(clusters, ci, ci+1, nil, rebuilt)
-				}
-				close(stop)
-				readers.Wait()
-				for ci := lo; ci < hi; ci++ {
-					if rebuilt[ci] == masks[ci] || !slices.Equal(rebuilt[ci].slab, before[ci]) {
-						t.Fatalf("%s: cluster %d rebuilt alone: not a new, equal set", label, ci)
 					}
-					if !slices.Equal(masks[ci].slab, before[ci]) {
-						t.Fatalf("%s: rebuilding cluster %d wrote the shared slab", label, ci)
-					}
+				}()
+			}
+			rebuilt := make([]*MaskSet, len(clusters))
+			for ci := lo; ci < hi; ci++ {
+				k.BuildRun(clusters, ci, ci+1, rebuilt)
+			}
+			close(stop)
+			readers.Wait()
+			for ci := lo; ci < hi; ci++ {
+				if rebuilt[ci] == masks[ci] || !slices.Equal(rebuilt[ci].slab, before[ci]) {
+					t.Fatalf("%s: cluster %d rebuilt alone: not a new, equal set", label, ci)
+				}
+				if !slices.Equal(masks[ci].slab, before[ci]) {
+					t.Fatalf("%s: rebuilding cluster %d wrote the shared slab", label, ci)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package shard is the layer between the serving caches and the
 // executors: it hash-partitions a table's CLUSTER BY groups into N
 // shards, each owning its own sorted cluster slab, data version, and
-// memoized columnar projections and selection bitmasks. Clusters are
+// memoized selection bitmasks. Clusters are
 // independent by construction (the paper's optimization is per-cluster),
 // so the split buys incremental invalidation: tables are append-only, so
 // a Partition built at version v refreshes to version v' by regrouping
@@ -33,10 +33,9 @@ type Cluster struct {
 
 // Shard owns a hash-slice of a partition's clusters, in ascending global
 // order, plus the per-shard memoization that makes warm runs cheap: per
-// kernel, one selection-bitmask set per cluster and, where a probe needs
-// one, one columnar projection. A Shard is immutable after construction
-// except for the lazily built memo map (guarded by mu); refreshes never
-// mutate a shard — they replace it.
+// kernel, one selection-bitmask set per cluster, in local cluster order. A
+// Shard is immutable after construction except for the lazily built memo
+// map (guarded by mu); refreshes never mutate a shard — they replace it.
 type Shard struct {
 	id       int
 	version  uint64 // bumped (from the predecessor's) each rebuild
@@ -44,14 +43,7 @@ type Shard struct {
 	rows     int
 
 	mu   sync.Mutex
-	memo map[*pattern.Kernel]*kernelMemo
-}
-
-// kernelMemo is one kernel's state over the shard's clusters, in local
-// cluster order.
-type kernelMemo struct {
-	projs []*storage.Projection
-	masks []*pattern.MaskSet
+	memo map[*pattern.Kernel][]*pattern.MaskSet
 }
 
 // ID returns the shard's index within its partition.
@@ -80,38 +72,30 @@ func (s *Shard) Kernels() int {
 	return len(s.memo)
 }
 
-// Memo returns kernel k's shared read-only state over the shard's
-// clusters (in local cluster order), nil for a nil kernel: one MaskSet per
-// cluster when an element of k is mask-compiled, and one projection per
-// cluster unless k's masks answer every element — the shape the flat
-// partition cache keeps. The first use builds both in one pass of the
-// kernel's run builder.
-func (s *Shard) Memo(k *pattern.Kernel) (projs []*storage.Projection, masks []*pattern.MaskSet) {
-	if k == nil {
-		return nil, nil
+// Memo returns kernel k's shared read-only mask sets over the shard's
+// clusters (in local cluster order), nil for a nil kernel or one with no
+// compiled element — the shape the flat partition cache keeps. The first
+// use builds them in one pass of the kernel's run builder.
+func (s *Shard) Memo(k *pattern.Kernel) []*pattern.MaskSet {
+	if k == nil || k.CompiledElems() == 0 {
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.memo[k]
-	if m == nil {
+	masks := s.memo[k]
+	if masks == nil {
 		rows := make([][]storage.Row, len(s.clusters))
 		for i, cl := range s.clusters {
 			rows[i] = cl.Rows
 		}
-		m = &kernelMemo{}
-		if !k.AllPure() {
-			m.projs = make([]*storage.Projection, len(rows))
-		}
-		if k.VecElems() > 0 {
-			m.masks = make([]*pattern.MaskSet, len(rows))
-		}
-		k.BuildRun(rows, 0, len(rows), m.projs, m.masks)
+		masks = make([]*pattern.MaskSet, len(rows))
+		k.BuildRun(rows, 0, len(rows), masks)
 		if s.memo == nil {
-			s.memo = map[*pattern.Kernel]*kernelMemo{}
+			s.memo = map[*pattern.Kernel][]*pattern.MaskSet{}
 		}
-		s.memo[k] = m
+		s.memo[k] = masks
 	}
-	return m.projs, m.masks
+	return masks
 }
 
 // keyIndex is the cluster directory shared by every generation of one
@@ -175,7 +159,7 @@ type Partition struct {
 type RefreshStats struct {
 	// Shards is the partition's shard count; Dirty of them were rebuilt
 	// (the shards appended rows landed in), the rest carried over
-	// untouched with their memoized projections and masks.
+	// untouched with their memoized masks.
 	Shards int
 	Dirty  int
 	// NewClusters and NewRows count what the delta added.
@@ -247,7 +231,7 @@ func Build(rows []storage.Row, version uint64, cidx, sidx []int, nshards int) (*
 // scratch). Only shards the appended rows land in are rebuilt: their
 // touched clusters get fresh, re-sorted row slices (old slabs stay
 // valid for in-flight readers) and their memo maps start empty. Every
-// other shard — slab, projections, masks — is shared with this
+// other shard — slab and masks — is shared with this
 // generation. The result is bit-identical to Build over the full input:
 // stable re-sort of (sorted old rows + appended rows in log order)
 // equals stable sort of all rows in log order.

@@ -198,8 +198,8 @@ func TestRefreshShrunkenInput(t *testing.T) {
 	}
 }
 
-// TestMemoIdentity: masks — and projections only for a kernel whose masks
-// do not answer every element — are built once per (shard, kernel) and
+// TestMemoIdentity: masks — and never a projection, whether or not the
+// masks answer every element — are built once per (shard, kernel) and
 // shared thereafter, including across a refresh that did not touch the
 // shard.
 func TestMemoIdentity(t *testing.T) {
@@ -220,27 +220,37 @@ func TestMemoIdentity(t *testing.T) {
 		t.Fatal("the double bottom's masks do not answer every element")
 	}
 	s := p.Shards()[0]
-	ps1, ms1 := s.Memo(k)
-	ps2, ms2 := s.Memo(k)
-	if ps1 != nil || ps2 != nil {
-		t.Fatal("the memo of a kernel its masks answer holds projections")
-	}
+	ms1, ms2 := s.Memo(k), s.Memo(k)
 	if len(ms1) != 1 || ms1[0] != ms2[0] {
 		t.Fatal("masks not memoized")
 	}
 
-	// A kernel whose masks leave an element to the row path keeps both.
+	// A kernel with a cross condition, and one with an opaque element: the
+	// masks answer what they hold, the interpreter the rest, so their memos
+	// hold masks too and nothing else.
 	cross := bench.DoubleBottomPattern()
 	cross.Elems[1].CrossConds = append(cross.Elems[1].CrossConds,
 		pattern.Cross("true", func(*pattern.EvalContext) bool { return true }))
-	kc := cross.CompileKernel()
-	pc1, mc1 := s.Memo(kc)
-	pc2, mc2 := s.Memo(kc)
-	if len(pc1) != 1 || pc1[0] != pc2[0] || len(mc1) != 1 || mc1[0] != mc2[0] {
-		t.Fatal("projections and masks of a cross-condition kernel not memoized")
+	opaque := bench.DoubleBottomPattern()
+	opaque.Elems[0].Local = append(opaque.Elems[0].Local,
+		pattern.Opaque("true", func(_, _ storage.Row) bool { return true }))
+	var kernels []*pattern.Kernel
+	for _, kp := range []*pattern.Pattern{cross, opaque} {
+		kc := kp.CompileKernel()
+		if kc.AllPure() {
+			t.Fatal("a cross or opaque element went unnoticed")
+		}
+		mc1, mc2 := s.Memo(kc), s.Memo(kc)
+		if len(mc1) != 1 || mc1[0] != mc2[0] {
+			t.Fatal("masks of a cross-condition or opaque-element kernel not memoized")
+		}
+		kernels = append(kernels, kc)
 	}
-	if s.Kernels() != 2 {
-		t.Fatalf("Kernels() = %d, want 2", s.Kernels())
+	if s.Kernels() != 3 {
+		t.Fatalf("Kernels() = %d, want 3", s.Kernels())
+	}
+	if projs := projectionsIn(reflect.ValueOf(s)); projs != 0 {
+		t.Fatalf("the shard's memos hold %d projections", projs)
 	}
 
 	// A refresh with no delta carries the shard — and its memos — over.
@@ -248,21 +258,59 @@ func TestMemoIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("Refresh reported ok=false")
 	}
-	if _, ms := np.Shards()[0].Memo(k); ms[0] != ms1[0] {
+	if ms := np.Shards()[0].Memo(k); ms[0] != ms1[0] {
 		t.Fatal("memo lost across a no-op refresh")
 	}
-	if ps, ms := np.Shards()[0].Memo(kc); ps[0] != pc1[0] || ms[0] != mc1[0] {
-		t.Fatal("memo lost across a no-op refresh")
+	for _, kc := range kernels {
+		if ms := np.Shards()[0].Memo(kc); ms[0] != s.Memo(kc)[0] {
+			t.Fatal("memo lost across a no-op refresh")
+		}
 	}
 }
 
-// TestProjectionsNilKernel: nil or empty kernels produce no projections
-// and no masks.
+// projectionsIn counts the storage.Projection values reachable from v
+// through pointers, slices, maps and struct fields, each pointer followed
+// once.
+func projectionsIn(v reflect.Value) int {
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value) int
+	walk = func(v reflect.Value) int {
+		n := 0
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				n = walk(v.Elem())
+			}
+		case reflect.Interface:
+			n = walk(v.Elem())
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				n += walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				n += walk(it.Key()) + walk(it.Value())
+			}
+		case reflect.Struct:
+			if v.Type() == reflect.TypeOf(storage.Projection{}) {
+				return 1
+			}
+			for i := 0; i < v.NumField(); i++ {
+				n += walk(v.Field(i))
+			}
+		}
+		return n
+	}
+	return walk(v)
+}
+
+// TestProjectionsNilKernel: nil or empty kernels produce no masks.
 func TestProjectionsNilKernel(t *testing.T) {
 	tbl := quoteTable(t, 2, 3)
 	p := buildFrom(t, tbl, 2)
 	for _, s := range p.Shards() {
-		if ps, ms := s.Memo(nil); ps != nil || ms != nil {
+		if ms := s.Memo(nil); ms != nil {
 			t.Fatal("Memo(nil) built something")
 		}
 	}

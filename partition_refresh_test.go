@@ -49,8 +49,7 @@ func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 
 // samePartition asserts that got — a cached, possibly many times
 // refreshed entry — equals want, built from scratch over the same table
-// state: clusters and their order, and for kernel k every cluster's masks
-// and — for a kernel whose probes read one — projection.
+// state: clusters and their order, and for kernel k every cluster's masks.
 func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pattern.Kernel) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Version != want.Version {
@@ -59,14 +58,7 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
 		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, got.Groups, want.Groups)
 	}
-	gp, gm := got.memoFor(k)
-	wp, wm := want.memoFor(k)
-	if !reflect.DeepEqual(gp, wp) {
-		t.Fatalf("%s: projections differ from a build", label)
-	}
-	if k.AllPure() && gp != nil {
-		t.Fatalf("%s: the memo of a kernel its masks answer holds projections", label)
-	}
+	gm, wm := got.memoFor(k), want.memoFor(k)
 	if len(gm) != len(wm) {
 		t.Fatalf("%s: %d mask sets, want %d", label, len(gm), len(wm))
 	}
@@ -86,10 +78,9 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 type generation struct {
 	e      *partitionEntry
 	groups [][]storage.Row
-	// projs and masks are the entry's state for one kernel (what of it
-	// the memo held), taken only if it was current at the snapshot.
+	// masks are the entry's state for one kernel, taken only if it was
+	// current at the snapshot.
 	current bool
-	projs   []*storage.Projection
 	masks   []*pattern.MaskSet
 }
 
@@ -102,7 +93,6 @@ func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
 	defer e.mu.Unlock()
 	if m := e.memo[k]; m != nil && len(m.stale) == 0 && m.built == len(e.Groups) {
 		g.current = true
-		g.projs = append(g.projs, m.projs...)
 		g.masks = append(g.masks, m.masks...)
 	}
 	return g
@@ -129,14 +119,14 @@ func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
 	if m == nil {
 		return // the plan left the plan cache and took its memo along
 	}
-	if !reflect.DeepEqual(m.projs, g.projs) || !reflect.DeepEqual(m.masks, g.masks) {
+	if !reflect.DeepEqual(m.masks, g.masks) {
 		t.Fatalf("%s: the previous generation's memo was rewritten", label)
 	}
 }
 
 // carriedOver asserts that next shares, pointer for pointer, every cluster
-// of g the refresh did not touch — rows, projection and masks — and
-// returns how many clusters it re-sorted or added.
+// of g the refresh did not touch — rows and masks — and returns how many
+// clusters it re-sorted or added.
 func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry, k *pattern.Kernel) (dirty int) {
 	t.Helper()
 	next.mu.Lock()
@@ -149,9 +139,6 @@ func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry
 		}
 		if !g.current {
 			continue
-		}
-		if g.projs != nil && m.projs[ci] != g.projs[ci] {
-			t.Fatalf("%s: untouched cluster %d got a new projection", label, ci)
 		}
 		if g.masks != nil && m.masks[ci] != g.masks[ci] {
 			t.Fatalf("%s: untouched cluster %d got new masks", label, ci)
@@ -198,8 +185,7 @@ func (w *refreshWriter) insert(t *testing.T) {
 // TestPartitionRefreshDifferential interleaves random inserts and queries
 // and, after every query, holds the cached — refreshed, many times over —
 // partition against a from-scratch NoCache run: rows, matches, Stats,
-// and ClusterStats of the result; clusters, projections and masks of the
-// entry. The generation the refresh superseded must read as it did
+// and ClusterStats of the result; clusters and masks of the entry. The generation the refresh superseded must read as it did
 // before, and everything the refresh did not touch must be the very same
 // memory.
 func TestPartitionRefreshDifferential(t *testing.T) {
@@ -424,14 +410,53 @@ func TestKernelMemoBounded(t *testing.T) {
 	}
 }
 
-// TestPureKernelMemoHoldsNoProjections: a memo's shape is its kernel's,
-// whatever the run. A kernel whose masks answer every element keeps no
-// projection in the partition memo — its search never reads one — after a
-// default, a traced, a fanned-out, an overlapping and a naive run, and
-// after an insert refreshed the partition; an interpreter run leaves the
-// memo as it was. A kernel with a cross condition gets projections and
-// masks from its first run. Every run agrees with a NoCache run on rows,
-// Stats, ClusterStats and Matches.
+// projectionsIn counts the storage.Projection values reachable from v
+// through pointers, slices, maps and struct fields, each pointer followed
+// once.
+func projectionsIn(v reflect.Value) int {
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value) int
+	walk = func(v reflect.Value) int {
+		n := 0
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				n = walk(v.Elem())
+			}
+		case reflect.Interface:
+			n = walk(v.Elem())
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				n += walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				n += walk(it.Key()) + walk(it.Value())
+			}
+		case reflect.Struct:
+			if v.Type() == reflect.TypeOf(storage.Projection{}) {
+				return 1
+			}
+			for i := 0; i < v.NumField(); i++ {
+				n += walk(v.Field(i))
+			}
+		}
+		return n
+	}
+	return walk(v)
+}
+
+// TestPureKernelMemoHoldsNoProjections: no batch memo holds a projection,
+// whatever its kernel and whatever the run — the masks answer every
+// compiled element and the interpreter the rest. The partition memo of a
+// kernel whose masks answer every element holds one mask set per cluster
+// and nothing a projection is reachable from after a default, a
+// fanned-out, an overlapping and a naive run, and after an insert
+// refreshed the partition; an interpreter run leaves the memo as it was.
+// So do the memos of a kernel with a cross condition and of one with an
+// opaque element, flat and sharded. Every run agrees with a NoCache run on
+// rows, Stats, ClusterStats and Matches.
 func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 	db := New()
 	db.RegisterTable(workload.ClusterWalks("quote", 5, 60, 12, 4))
@@ -451,7 +476,7 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		if len(m.masks) > 0 {
 			first = m.masks[0]
 		}
-		return len(e.Groups), len(m.projs), len(m.masks), first
+		return len(e.Groups), projectionsIn(reflect.ValueOf(e.memo)), len(m.masks), first
 	}
 	run := func(q *Query, label string, opts RunOptions) *Result {
 		t.Helper()
@@ -485,7 +510,6 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		opts  RunOptions
 	}{
 		{"default run", RunOptions{}},
-		{"traced run", RunOptions{Trace: true}},
 		{"four-worker run", RunOptions{MaxWorkers: 4}},
 		{"overlapping run", RunOptions{Overlap: true}},
 		{"naive run", RunOptions{Executor: NaiveExec}},
@@ -511,20 +535,48 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 			projs, masks, n, again == first, n)
 	}
 
-	// Z is compared with X across a star: no single row decides that.
-	cross, err := db.Prepare(`
-		SELECT X.name, Z.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z)
-		WHERE Y.price < Y.previous.price AND Z.price > 1.01*X.price`)
-	if err != nil {
+	// Z is compared with X across a star: no single row decides that. And
+	// X's condition squared is a product of columns, which no mask holds.
+	sharded := New()
+	sharded.RegisterTable(db.Table("quote"))
+	if err := sharded.DeclarePositive("quote", "price"); err != nil {
 		t.Fatal(err)
 	}
-	if cross.plan.kernel.AllPure() {
-		t.Fatal("the cross condition went unnoticed")
-	}
-	if res := run(cross, "cross-condition run", RunOptions{}); res.Stats.Matches == 0 {
-		t.Fatal("the cross-condition statement matched nothing")
-	}
-	if n, projs, masks, _ := held(cross); projs != n || masks != n {
-		t.Fatalf("a cross-condition kernel's memo holds %d projections and %d mask sets over %d clusters, want both", projs, masks, n)
+	sharded.SetShards(3)
+	for _, tc := range []struct{ label, sql string }{
+		{"cross-condition", `
+			SELECT X.name, Z.date FROM quote CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z)
+			WHERE Y.price < Y.previous.price AND Z.price > 1.01*X.price`},
+		{"opaque-element", driverStatements[1]},
+	} {
+		q, err := db.Prepare(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := q.plan.kernel; k.AllPure() || k.CompiledElems() == 0 {
+			t.Fatalf("%s: the kernel is all-pure or compiles nothing", tc.label)
+		}
+		if res := run(q, tc.label+" run", RunOptions{}); res.Stats.Matches == 0 {
+			t.Fatalf("the %s statement matched nothing", tc.label)
+		}
+		if n, projs, masks, _ := held(q); projs != 0 || masks != n {
+			t.Fatalf("a %s kernel's memo holds %d projections and %d mask sets over %d clusters, want 0 and %d", tc.label, projs, masks, n, n)
+		}
+		sq, err := sharded.Prepare(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sq.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sharded.cacheMu.Lock()
+		for _, el := range sharded.shardParts.entries {
+			for _, s := range el.Value.(*shardEntry).part.Shards() {
+				if s.Memo(sq.plan.kernel) == nil || projectionsIn(reflect.ValueOf(s)) != 0 {
+					t.Errorf("%s: shard %d's memo holds no masks or a projection", tc.label, s.ID())
+				}
+			}
+		}
+		sharded.cacheMu.Unlock()
 	}
 }

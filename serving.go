@@ -13,8 +13,8 @@ package sqlts
 //     validated against storage.Table's monotonic data version. Inserts
 //     bump the version, so the next query refreshes the entry: only the
 //     clusters the appended rows land in are re-sorted, and only their
-//     projections and masks rebuilt; in-flight queries keep reading the
-//     old immutable generation (copy-on-write per cluster).
+//     masks rebuilt; in-flight queries keep reading the old immutable
+//     generation (copy-on-write per cluster).
 
 import (
 	"container/list"
@@ -157,44 +157,36 @@ type partitionEntry struct {
 
 	// memo holds, per kernel, what the search reads of every cluster,
 	// built lazily on the first execution of each plan over this partition:
-	// selection bitmasks, and columnar projections where a probe needs one.
-	// Both are pure functions of the (immutable) cluster rows, so sharing
-	// them is observationally identical to rebuilding; it removes the
-	// O(rows) decode and mask build from every warm run. A refreshed entry
-	// adopts its predecessor's memos and rebuilds only the clusters that
-	// changed, on the kernel's next use.
+	// selection bitmasks, which answer every compiled element (the
+	// interpreter takes the rest, so no probe reads a projection). They are
+	// a pure function of the (immutable) cluster rows, so sharing them is
+	// observationally identical to rebuilding; it removes the O(rows) decode
+	// and mask build from every warm run. A refreshed entry adopts its
+	// predecessor's memos and rebuilds only the clusters that changed, on
+	// the kernel's next use.
 	mu   sync.Mutex
 	memo map[*pattern.Kernel]*kernelMemo
 }
 
 // kernelMemo is one kernel's per-cluster state over a partition. Its
-// slices are handed to running queries and shared with the generation the
+// masks are handed to running queries and shared with the generation the
 // memo was adopted from, so they are replaced, never written, once set.
-// Which of them a memo holds is its kernel's (memoWants), from the first
-// use on.
 type kernelMemo struct {
-	// projs is nil for a kernel whose masks answer every element: its
-	// search never reads a projection.
-	projs []*storage.Projection
-	// masks (PR 8) collapse every probe of a mask-covered element to a bit
-	// test; nil for a kernel with no mask-compiled element.
 	masks []*pattern.MaskSet
-	// built is the number of clusters projs and masks cover (whichever are
-	// held); stale lists the ones among them whose rows changed since.
+	// built is the number of clusters masks covers; stale lists the ones
+	// among them whose rows changed since.
 	built int
 	stale []int
 }
 
-// memoFor returns k's shared read-only state for a run over it (k nil:
-// the interpreter, which reads none): the projections and mask sets
-// memoWants(k) names, one per cluster, nil for the other. A first use
+// memoFor returns k's shared read-only mask sets for a run over it, one
+// per cluster (k nil: the interpreter, which reads none). A first use
 // builds them in one pass of the kernel's run builder; after a refresh
 // only the stale and the new clusters are rebuilt, each stale one as a
 // run of its own.
-func (e *partitionEntry) memoFor(k *pattern.Kernel) (projs []*storage.Projection, masks []*pattern.MaskSet) {
-	wantProjs, wantMasks := memoWants(k)
-	if !wantProjs && !wantMasks {
-		return nil, nil
+func (e *partitionEntry) memoFor(k *pattern.Kernel) []*pattern.MaskSet {
+	if k == nil {
+		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -207,39 +199,24 @@ func (e *partitionEntry) memoFor(k *pattern.Kernel) (projs []*storage.Projection
 		e.memo[k] = m
 	}
 	n := len(e.Groups)
-	if m.projs == nil && m.masks == nil || len(m.stale) > 0 || m.built < n {
-		// Build a new memo, or bring an old one up to date into copies: the
-		// old arrays belong to running queries and to the previous
+	if m.masks == nil || len(m.stale) > 0 || m.built < n {
+		// Build a new memo, or bring an old one up to date into a copy: the
+		// old array belongs to running queries and to the previous
 		// generation.
-		if wantProjs {
-			m.projs = append(make([]*storage.Projection, 0, n), m.projs...)[:n]
-		}
-		if wantMasks {
-			m.masks = append(make([]*pattern.MaskSet, 0, n), m.masks...)[:n]
-		}
+		m.masks = append(make([]*pattern.MaskSet, 0, n), m.masks...)[:n]
 		// A cluster re-sorted by several refreshes is listed once per
 		// refresh; one added after the memo was built is part of the new run.
 		stale := slices.Clone(m.stale) // adopt may have left it shared with the predecessor's
 		slices.Sort(stale)
 		for _, ci := range slices.Compact(stale) {
 			if ci < m.built {
-				k.BuildRun(e.Groups, ci, ci+1, m.projs, m.masks)
+				k.BuildRun(e.Groups, ci, ci+1, m.masks)
 			}
 		}
-		k.BuildRun(e.Groups, m.built, n, m.projs, m.masks)
+		k.BuildRun(e.Groups, m.built, n, m.masks)
 		m.built, m.stale = n, nil
 	}
-	return m.projs, m.masks
-}
-
-// memoWants is the shape of kernel k's memo (nil: the interpreter, which
-// has none): masks when any element is mask-compiled, and projections
-// unless those masks answer every element — then no probe reads one.
-func memoWants(k *pattern.Kernel) (projs, masks bool) {
-	if k == nil {
-		return false, false
-	}
-	return !k.AllPure(), k.VecElems() > 0
+	return m.masks
 }
 
 // adopt seeds e, the refresh of old, with old's memos, marking the
@@ -262,7 +239,7 @@ func (e *partitionEntry) adopt(old *partitionEntry, resorted []int, plans *planC
 			return
 		}
 		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
-		e.memo[k] = &kernelMemo{projs: m.projs, masks: m.masks, built: m.built, stale: stale}
+		e.memo[k] = &kernelMemo{masks: m.masks, built: m.built, stale: stale}
 	}
 	carry(keep)
 	for el := plans.order.Front(); el != nil; el = el.Next() {
@@ -355,8 +332,8 @@ func (c *partitionCache) trim(n int) {
 	}
 }
 
-// Default cache capacities; tune with SetPlanCacheCapacity and
-// SetPartitionCacheCapacity.
+// Default cache capacities; tune the plan cache's with
+// SetPlanCacheCapacity.
 const (
 	defaultPlanCacheCapacity      = 256
 	defaultPartitionCacheCapacity = 64
@@ -405,17 +382,6 @@ func (db *DB) SetPlanCacheCapacity(n int) {
 	defer db.cacheMu.Unlock()
 	db.plans.capacity = n
 	db.plans.trim(n)
-}
-
-// SetPartitionCacheCapacity resizes the partition cache (and the
-// sharded-partition cache, which shares the capacity); 0 disables
-// partition caching entirely.
-func (db *DB) SetPartitionCacheCapacity(n int) {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	db.parts.capacity = n
-	db.shardParts.resize(n)
-	db.parts.trim(n)
 }
 
 // PurgeCaches empties both serving caches (capacities are kept). Useful
@@ -473,8 +439,8 @@ func (o partitionOutcome) String() string {
 // land in — and its memos carried over (k is the asking run's kernel; see
 // adopt); anything else is built from the empty clustering. Either way it
 // counts as a miss, and as an invalidation when it replaces the stale
-// entry. The entry's clusters (and any projections built from them) are
-// shared and must be treated as read-only. A bypass run builds a transient
+// entry. The entry's clusters (and the masks built from them) are shared
+// and must be treated as read-only. A bypass run builds a transient
 // entry that is never stored, so it shares nothing.
 func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, k *pattern.Kernel, bypass bool) (*partitionEntry, partitionOutcome, error) {
 	var out partitionOutcome

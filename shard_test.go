@@ -140,8 +140,8 @@ func TestShardedOptionVariants(t *testing.T) {
 }
 
 // TestShardedBypasses: a NoCache run bypasses the sharded cache like the
-// flat one; a Trace run is an ordinary one-worker run over it. Both
-// produce identical results.
+// flat one; a one-worker run is an ordinary run over it. Both produce
+// identical results.
 func TestShardedBypasses(t *testing.T) {
 	db, tbl := shardQuoteDB(t, 20)
 	sdb := referenceDB(t, tbl)
@@ -153,7 +153,7 @@ func TestShardedBypasses(t *testing.T) {
 		shards int
 	}{
 		{"nocache", sqlts.RunOptions{NoCache: true}, 0},
-		{"trace", sqlts.RunOptions{Trace: true, MaxWorkers: 1}, 4},
+		{"one worker", sqlts.RunOptions{MaxWorkers: 1}, 4},
 	} {
 		got := mustRun(t, sdb, shardTestSQL, tc.opts)
 		if got.Shards() != tc.shards {

@@ -3,7 +3,7 @@ package sqlts
 // The sharded partition cache (PR 9): SetShards(n) with n ≥ 2 makes
 // pattern queries read their clusters from internal/shard — each table
 // partition is hash-split into n shards with per-shard versions, sorted
-// cluster slabs, and memoized projections/masks, so an insert re-sorts
+// cluster slabs, and memoized masks, so an insert re-sorts
 // only the shard it lands in while every other shard (and its warm
 // memos) is carried over pointer-identical. The clusters reach the same
 // cluster driver (driver.go) in the same global order as the flat
@@ -95,19 +95,6 @@ func (c *shardCache) put(e *shardEntry) {
 	}
 }
 
-func (c *shardCache) resize(n int) {
-	c.capacity = n
-	if n <= 0 {
-		c.purge()
-		return
-	}
-	for c.order.Len() > n {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*shardEntry).key)
-	}
-}
-
 func (c *shardCache) purge() {
 	c.order.Init()
 	c.entries = map[string]*list.Element{}
@@ -167,46 +154,38 @@ func (db *DB) storeShardPartition(key string, t *storage.Table, p *shard.Partiti
 }
 
 // globalOrder lays sp's clusters out in global cluster order — the shape
-// the cluster driver takes — together with kernel k's memoized
-// projections and mask sets, whichever of them its memo holds (k is nil on
-// the interpreter path, which reads neither). The first use of k on a
-// shard builds its memo here, on the query goroutine inside execute's
+// the cluster driver takes — together with kernel k's memoized mask sets
+// (k is nil on the interpreter path, which reads none). The first use of k
+// on a shard builds its memo here, on the query goroutine inside execute's
 // containment.
-func globalOrder(sp *shard.Partition, k *pattern.Kernel) (clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet) {
+func globalOrder(sp *shard.Partition, k *pattern.Kernel) (clusters [][]storage.Row, masks []*pattern.MaskSet) {
 	n := sp.NumClusters()
 	clusters = make([][]storage.Row, n)
-	wantProjs, wantMasks := memoWants(k)
-	if wantProjs {
-		projs = make([]*storage.Projection, n)
-	}
-	if wantMasks {
+	if k != nil {
 		masks = make([]*pattern.MaskSet, n)
 	}
 	for _, s := range sp.Shards() {
-		ps, ms := s.Memo(k)
+		ms := s.Memo(k)
 		for i, c := range s.Clusters() {
 			clusters[c.Global] = c.Rows
-			if ps != nil {
-				projs[c.Global] = ps[i]
-			}
 			if ms != nil {
 				masks[c.Global] = ms[i]
 			}
 		}
 	}
-	return clusters, projs, masks
+	return clusters, masks
 }
 
 // ShardStat describes one shard of a cached sharded partition.
 type ShardStat struct {
 	ID int `json:"id"`
 	// Version counts the shard's rebuilds: an unchanged version across
-	// refreshes proves the shard (and its memoized projections/masks)
+	// refreshes proves the shard (and its memoized masks)
 	// was carried over, not rebuilt.
 	Version  uint64 `json:"version"`
 	Clusters int    `json:"clusters"`
 	Rows     int    `json:"rows"`
-	// Kernels is the number of plans with memoized projections on this
+	// Kernels is the number of plans with memoized masks on this
 	// shard.
 	Kernels int `json:"kernels"`
 }

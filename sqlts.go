@@ -117,8 +117,7 @@ func New() *DB {
 	}
 	db.plans = newPlanCache(defaultPlanCacheCapacity, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()
-	db.flight.ring.Store(obs.NewEventRing(defaultEventRingCapacity))
-	db.flight.sample.Store(1)
+	db.flight.ring = obs.NewEventRing(defaultEventRingCapacity)
 	return db
 }
 
@@ -332,11 +331,6 @@ type RunOptions struct {
 	// Overlap reports overlapping occurrences (engine.SkipToNextRow)
 	// instead of the paper's default left-maximal semantics.
 	Overlap bool
-	// Trace records the (i, j) search path (Figure 5); retrieve it with
-	// Query.LastPath. Trace forces one worker and is the one run mode
-	// that is not safe to use from multiple goroutines on a shared Query
-	// (the path buffer is per-Query).
-	Trace bool
 	// MaxWorkers is the number of goroutines that search clusters. 0, the
 	// default, is elastic: the calling goroutine searches, and a run over
 	// enough clusters and rows to repay it borrows one helper goroutine
@@ -347,8 +341,8 @@ type RunOptions struct {
 	// included, whatever else runs. Results are identical whatever the
 	// count, including row order.
 	MaxWorkers int
-	// NoKernel disables the compiled columnar predicate kernels and
-	// evaluates every probe through the condition interpreter — for
+	// NoKernel disables the compiled predicate kernel and evaluates every
+	// probe through the condition interpreter — for
 	// experiments and differential testing; results and statistics are
 	// identical either way.
 	NoKernel bool
@@ -416,10 +410,6 @@ type Result struct {
 // Shards reports the shard count of the sharded partition the execution
 // read its clusters from (0 when it used the flat partition cache).
 func (r *Result) Shards() int { return int(r.shardCount) }
-
-// Vectorized reports whether the execution probed through selection
-// bitmasks (batch mask kernels) rather than row-at-a-time evaluation.
-func (r *Result) Vectorized() bool { return r.vectorized }
 
 // PlanCached reports whether the execution served a plan from the plan
 // cache (no parse/analyze/optimize work was done for it).
@@ -550,15 +540,11 @@ func (p *Plan) streamTabs() *core.Tables {
 
 // Query is a prepared SQL-TS statement: a handle on an immutable shared
 // Plan. Runs leave nothing behind in it — what an execution did is its
-// obs.Event — except the search path of a RunOptions.Trace run, so a
-// Query is safe for concurrent RunWith calls except with Trace set.
+// obs.Event — so a Query is safe for concurrent use.
 type Query struct {
 	db         *DB
 	plan       *Plan
 	planCached bool
-
-	pathMu   sync.Mutex
-	lastPath []engine.PathPoint
 }
 
 // Prepare parses, analyzes and optimizes a SELECT or EXPLAIN [ANALYZE]
@@ -740,14 +726,11 @@ func (q *Query) Explain() string {
 		b.WriteByte('\n')
 	}
 	if kernel != nil {
-		fmt.Fprintf(&b, "kernel: %d/%d elements compiled to columnar chains",
-			kernel.CompiledElems(), p.Len())
+		fmt.Fprintf(&b, "kernel: %d/%d elements compiled to selection masks", kernel.CompiledElems(), p.Len())
 		if n := kernel.FallbackElems(); n > 0 {
 			fmt.Fprintf(&b, " (%d interpreter fallback)", n)
 		}
 		b.WriteByte('\n')
-		fmt.Fprintf(&b, "vectorized: %d/%d elements mask-compiled\n",
-			kernel.VecElems(), p.Len())
 	}
 	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel))
 	b.WriteByte('\n')
@@ -769,14 +752,6 @@ func (q *Query) ExplainGraph(j int) string {
 
 // Run executes the query with default options (OPS, left-maximal).
 func (q *Query) Run() (*Result, error) { return q.RunWith(RunOptions{}) }
-
-// LastPath returns the search path recorded by the last RunWith call that
-// set Trace (concatenated across clusters).
-func (q *Query) LastPath() []engine.PathPoint {
-	q.pathMu.Lock()
-	defer q.pathMu.Unlock()
-	return q.lastPath
-}
 
 // RunWith executes the query with explicit options. For a prepared
 // EXPLAIN the result is the rendered plan (one "QUERY PLAN" text
@@ -970,18 +945,17 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return res, len(rows), nil
 	}
 
-	// Fetch the clusters with this plan's memoized columnar projections
-	// and selection bitmasks (built on the first execution of the plan
-	// over the partition, so warm runs skip the sort, the O(rows) decode
-	// and the mask build). With SetShards the partition comes from the
-	// sharded cache instead of the flat one; NoCache runs bypass both.
+	// Fetch the clusters with this plan's memoized selection bitmasks
+	// (built on the first execution of the plan over the partition, so warm
+	// runs skip the sort, the O(rows) decode and the mask build). With
+	// SetShards the partition comes from the sharded cache instead of the
+	// flat one; NoCache runs bypass both.
 	kern := q.plan.kernel
 	if opts.NoKernel || kern == nil || kern.CompiledElems() == 0 {
 		kern = nil // the executors interpret: nothing to memoize
 	}
 	var (
 		clusters [][]storage.Row
-		projs    []*storage.Projection
 		masks    []*pattern.MaskSet
 	)
 	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache {
@@ -995,7 +969,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		}
 		res.partition.cached = cached
 		res.shardCount = int32(n)
-		clusters, projs, masks = globalOrder(sp, kern)
+		clusters, masks = globalOrder(sp, kern)
 	} else {
 		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
 		if err != nil {
@@ -1006,11 +980,11 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 			return nil, 0, err
 		}
 		res.partition = how
-		projs, masks = part.memoFor(kern)
+		masks = part.memoFor(kern)
 	}
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
-	if err := q.searchClusters(rc, res, clusters, projs, masks, scanned, opts); err != nil {
+	if err := q.searchClusters(rc, res, clusters, masks, scanned, opts); err != nil {
 		return nil, 0, err
 	}
 	q.plan.shape.remember(res)
@@ -1026,48 +1000,22 @@ func (q *Query) newExecutor(opts RunOptions, policy engine.SkipPolicy) engine.Ex
 	if opts.NoKernel {
 		kern = nil
 	}
+	cfg := engine.OPSConfig{Policy: policy}
 	switch opts.Executor {
 	case NaiveExec:
 		n := engine.NewNaive(p, policy)
 		n.UseKernel(kern)
-		if opts.Trace {
-			n.Trace()
-		}
 		return n
 	case OPSShiftOnlyExec:
-		o := engine.NewOPS(p, q.plan.tables, engine.OPSConfig{Policy: policy, ShiftOnly: true})
-		o.UseKernel(kern)
-		return o
+		cfg.ShiftOnly = true
 	case OPSNoCountersExec:
-		o := engine.NewOPS(p, q.plan.tables, engine.OPSConfig{Policy: policy, NoCounters: true})
-		o.UseKernel(kern)
-		return o
+		cfg.NoCounters = true
 	case OPSSkipExec:
-		o := engine.NewOPS(p, q.plan.tables, engine.OPSConfig{Policy: policy, LastRowSkip: true})
-		o.UseKernel(kern)
-		if opts.Trace {
-			o.Trace()
-		}
-		return o
-	default:
-		o := engine.NewOPS(p, q.plan.tables, engine.OPSConfig{Policy: policy})
-		o.UseKernel(kern)
-		if opts.Trace {
-			o.Trace()
-		}
-		return o
+		cfg.LastRowSkip = true
 	}
-}
-
-func pathOf(ex engine.Executor) []engine.PathPoint {
-	switch e := ex.(type) {
-	case *engine.Naive:
-		return e.Path()
-	case *engine.OPS:
-		return e.Path()
-	default:
-		return nil
-	}
+	o := engine.NewOPS(p, q.plan.tables, cfg)
+	o.UseKernel(kern)
+	return o
 }
 
 // Format renders a result as an aligned text table, for the CLI and
