@@ -10,6 +10,7 @@ package sqlts_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sqlts"
@@ -94,7 +95,9 @@ func BenchmarkCompile(b *testing.B) {
 			}
 			// This family measures the compile pipeline itself, so the
 			// plan cache must not short-circuit it (BenchmarkServing
-			// covers the cached path).
+			// covers the cached path). Capacity 0 also shares no pattern
+			// between statements: every Prepare compiles the matrices,
+			// tables and kernel.
 			db.SetPlanCacheCapacity(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -587,6 +590,78 @@ func BenchmarkServing(b *testing.B) {
 		}
 		b.ReportMetric(float64(evals), "pred-evals")
 	})
+}
+
+// coldStatements primes a DB over the double-bottom series of
+// BenchmarkServing — table, partition and one plan of the template — and
+// returns it with statement i ≥ 0 of the template: a text never seen
+// before for every i (the primed plan is statement -1). With distinct,
+// statement i's pattern has a constant of its own, X.price > -(i+2) (true
+// of every row, so every statement finds the same matches); otherwise the
+// statements differ only in an alias, and all have the primed plan's
+// pattern, that of X.price > -1.
+func coldStatements(b *testing.B, distinct bool) (*sqlts.DB, func(i int) string) {
+	b.Helper()
+	prices := workload.DJIA25Years(1)
+	for i := 0; i < 12; i++ {
+		workload.PlantDoubleBottom(prices, 1+(i+1)*len(prices)/13)
+	}
+	db := sqlts.New()
+	db.RegisterTable(workload.SeriesTable("djia", 2557, prices))
+	if err := db.DeclarePositive("djia", "price"); err != nil {
+		b.Fatal(err)
+	}
+	template := ta.DoubleBottom("djia", 0.02)
+	sql := func(i int) string {
+		alias, bound := fmt.Sprintf("start_%d", i+1), 1
+		if distinct {
+			alias, bound = "start_date", i+2
+		}
+		s := strings.Replace(template, "AS start_date", "AS "+alias, 1)
+		return strings.Replace(s, "WHERE ", fmt.Sprintf("WHERE X.price > -%d AND ", bound), 1)
+	}
+	if _, err := db.Query(sql(-1)); err != nil {
+		b.Fatal(err)
+	}
+	return db, sql
+}
+
+// runCold runs never-seen statements over a cached partition, each
+// compiled (the plan cache misses every one) and run once.
+func runCold(b *testing.B, db *sqlts.DB, sql func(i int) string) {
+	b.Helper()
+	var evals int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(sql(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.PlanCached() || !res.PartitionCached() {
+			b.Fatal("a cold statement hit the plan cache or missed the partition")
+		}
+		evals = res.Stats.PredEvals
+	}
+	b.ReportMetric(float64(evals), "pred-evals")
+}
+
+// BenchmarkColdSharedPattern is the cold_plan op: every statement text is
+// new, but its pattern is that of cached plans, so the statement compiles
+// only its SELECT list and finds the pattern's matrices, tables, kernel
+// and partition masks built (see DB.Prepare).
+func BenchmarkColdSharedPattern(b *testing.B) {
+	db, sql := coldStatements(b, false)
+	runCold(b, db, sql)
+}
+
+// BenchmarkColdDistinctPatterns is BenchmarkColdSharedPattern with a new
+// pattern constant in every statement: every pattern lookup misses, so
+// each statement pays the whole compile and its mask build, and the lookup
+// must cost no more than its token key.
+func BenchmarkColdDistinctPatterns(b *testing.B) {
+	db, sql := coldStatements(b, true)
+	runCold(b, db, sql)
 }
 
 // BenchmarkDriverBreakEven is the measurement behind the cluster driver's

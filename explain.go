@@ -48,7 +48,7 @@ func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
 func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	var b strings.Builder
 	b.WriteString(q.Explain())
-	fmt.Fprintf(&b, "plan: %s\n", planWord(ev.PlanCached))
+	fmt.Fprintf(&b, "plan: %s\n", planWord(ev.PlanCached, ev.PatternCached))
 	if ev.Partition != "" {
 		fmt.Fprintf(&b, "partition: %s\n", ev.Partition)
 	}
@@ -152,10 +152,14 @@ func (q *Query) explainAnalyzeText(opts RunOptions) (string, engine.Stats, error
 	return b.String(), res.Stats, nil
 }
 
-// planWord renders the plan-cache outcome for EXPLAIN ANALYZE.
-func planWord(hit bool) string {
+// planWord renders the plan-cache outcome for EXPLAIN ANALYZE: a plan
+// compiled for the run may have found its pattern compiled already.
+func planWord(hit, patternHit bool) string {
 	if hit {
 		return "cached"
+	}
+	if patternHit {
+		return "compiled (pattern cached)"
 	}
 	return "compiled"
 }

@@ -44,6 +44,11 @@ type Event struct {
 
 	PlanCached      bool `json:"plan_cached"`
 	PartitionCached bool `json:"partition_cached"`
+	// PatternCached marks a plan compiled for this run whose pattern —
+	// matrices, shift/next tables and kernel — was shared with a cached
+	// plan of the same FROM … WHERE rather than computed. It sits in the
+	// padding after the other cache flags, so an event is no larger for it.
+	PatternCached bool `json:"pattern_cached,omitempty"`
 	// Partition names how a batch run came by its clusters: "cached",
 	// "built" or "refreshed (k of n clusters)". Empty on failures and
 	// streams.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestWriterSinkJSONLines(t *testing.T) {
@@ -154,5 +155,20 @@ func TestEventQueryObs(t *testing.T) {
 	ev.Executor = "ops"
 	if ev.QueryObs().Naive {
 		t.Error("an ops run reads as naive")
+	}
+}
+
+// TestEventSizeUnchangedByPatternCached: the pattern-cache flag lives in
+// the padding after the other two cache flags, so every run's event — the
+// ring holds 256 of them — is no larger than before it.
+func TestEventSizeUnchangedByPatternCached(t *testing.T) {
+	var ev Event
+	if a, b := unsafe.Offsetof(ev.PartitionCached), unsafe.Offsetof(ev.PatternCached); b != a+1 {
+		t.Errorf("PatternCached at offset %d, want %d (right after PartitionCached)", b, a+1)
+	}
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if n := unsafe.Sizeof(ev); n != 256 {
+			t.Errorf("obs.Event is %d bytes, want 256", n)
+		}
 	}
 }

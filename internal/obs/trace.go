@@ -69,6 +69,17 @@ func (t *Trace) Start(name string) *Span {
 	return &Span{Name: name, Start: time.Now(), tr: t}
 }
 
+// Add appends finished spans, read-only from then on (a pattern shared by
+// several plans lends each its compile spans).
+func (t *Trace) Add(spans ...*Span) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.spans = append(t.spans, spans...)
+	t.mu.Unlock()
+}
+
 // Spans returns the completed spans in completion order.
 func (t *Trace) Spans() []*Span {
 	if t == nil {

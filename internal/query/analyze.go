@@ -18,6 +18,12 @@ type AnalyzeOptions struct {
 	// enabling the §6 ratio transform for X op C*Y conditions (e.g.
 	// declare "price" positive for the double-bottom query).
 	PositiveColumns []string
+	// Shared, when set, is the analysis of a statement with this one's
+	// PatternKey under the same schema and options. Its pattern is this
+	// statement's (see SelectStmt.PatternKey), so Analyze takes it instead
+	// of compiling the WHERE clause again, and analyses the SELECT list
+	// only.
+	Shared *Compiled
 }
 
 // Compiled is an analyzed, executable SQL-TS SELECT.
@@ -72,6 +78,10 @@ func Analyze(st *SelectStmt, schema *storage.Schema, opts AnalyzeOptions) (*Comp
 		}
 		c.varOf[key] = i
 		c.stars = append(c.stars, pv.Star)
+	}
+	if sh := opts.Shared; sh != nil {
+		c.Pattern, c.alwaysEmpty = sh.Pattern, sh.alwaysEmpty
+		return c, c.compileSelectItems(st)
 	}
 
 	elems := make([]pattern.Element, len(st.Pattern))

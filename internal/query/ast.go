@@ -26,6 +26,15 @@ type SelectStmt struct {
 	SequenceBy []string
 	Pattern    []PatternVar
 	Where      Expr // nil when absent
+
+	// PatternKey is the statement's tokens from FROM to its end, each
+	// written as kind byte, text and NUL. Equal keys parse to equal FROM,
+	// CLUSTER BY, SEQUENCE BY, AS and WHERE clauses, whatever the SELECT
+	// list, so two statements with equal keys over one schema analyse to
+	// the same pattern. It is "" when a string literal holds a NUL byte,
+	// which would make the encoding ambiguous: such a statement shares
+	// nothing.
+	PatternKey string
 }
 
 // SelectItem is one output expression with an optional alias.

@@ -3,12 +3,16 @@ package query
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lex tokenizes a SQL-TS statement. Comments run from "--" to end of
 // line. String literals use single quotes with ” as the escape.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	// A token with the blanks around it takes three bytes or more of a
+	// typical statement, so this is the one allocation of most statements
+	// without string literals.
+	toks := make([]Token, 0, len(src)/3+1)
 	line, col := 1, 1
 	i := 0
 	n := len(src)
@@ -39,9 +43,8 @@ func Lex(src string) ([]Token, error) {
 				advance(1)
 			}
 			text := src[start:i]
-			upper := strings.ToUpper(text)
-			if keywords[upper] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: upper, Line: startLine, Col: startCol})
+			if kw, ok := keyword(text); ok {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Line: startLine, Col: startCol})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: text, Line: startLine, Col: startCol})
 			}
@@ -109,7 +112,7 @@ func Lex(src string) ([]Token, error) {
 			switch c {
 			case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.', ';':
 				advance(1)
-				toks = append(toks, Token{Kind: TokOp, Text: string(c), Line: startLine, Col: startCol})
+				toks = append(toks, Token{Kind: TokOp, Text: src[i-1 : i], Line: startLine, Col: startCol})
 			default:
 				return nil, errf(line, col, "unexpected character %q", string(c))
 			}
@@ -117,6 +120,31 @@ func Lex(src string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
 	return toks, nil
+}
+
+// keyword returns the upper-case keyword that text spells in any case. A
+// short ASCII word, which every keyword is, is looked up without
+// allocating; a longer or non-ASCII word goes through strings.ToUpper,
+// whose Unicode case mapping decides.
+func keyword(text string) (string, bool) {
+	var buf [16]byte
+	if len(text) <= len(buf) {
+		ascii := true
+		for i := 0; i < len(text) && ascii; i++ {
+			c := text[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+			ascii = c < utf8.RuneSelf
+		}
+		if ascii {
+			kw, ok := keywords[string(buf[:len(text)])]
+			return kw, ok
+		}
+	}
+	kw, ok := keywords[strings.ToUpper(text)]
+	return kw, ok
 }
 
 func isIdentStart(r rune) bool {

@@ -131,6 +131,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 			break
 		}
 	}
+	from := p.pos
 	if _, err := p.expect(TokKeyword, "FROM"); err != nil {
 		return nil, err
 	}
@@ -178,7 +179,28 @@ clauses:
 		}
 		st.Where = e
 	}
+	st.PatternKey = tokenKey(p.toks[from:p.pos])
 	return st, nil
+}
+
+// tokenKey writes toks as kind byte, text and NUL each, in one
+// allocation; "" when a token's text holds a NUL (see PatternKey).
+func tokenKey(toks []Token) string {
+	n := 0
+	for _, t := range toks {
+		if strings.IndexByte(t.Text, 0) >= 0 {
+			return ""
+		}
+		n += len(t.Text) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, t := range toks {
+		b.WriteByte(byte(t.Kind))
+		b.WriteString(t.Text)
+		b.WriteByte(0)
+	}
+	return b.String()
 }
 
 // explainStmt parses EXPLAIN [ANALYZE] select.

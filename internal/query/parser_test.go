@@ -285,3 +285,30 @@ func TestParseScriptTrailing(t *testing.T) {
 		t.Error("missing separator accepted")
 	}
 }
+
+// TestLexKeywordsAnyCase: a keyword is recognised in any case, and its
+// token text is the upper-case keyword; other words stay identifiers with
+// their text as written. Lexing allocates only the token slice, however
+// many tokens there are.
+func TestLexKeywordsAnyCase(t *testing.T) {
+	for src, want := range map[string]Token{
+		"select":             {Kind: TokKeyword, Text: "SELECT"},
+		"SeQuEnCe":           {Kind: TokKeyword, Text: "SEQUENCE"},
+		"selects":            {Kind: TokIdent, Text: "selects"},
+		"price":              {Kind: TokIdent, Text: "price"},
+		"a_very_long_name_1": {Kind: TokIdent, Text: "a_very_long_name_1"},
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := toks[0]; got.Kind != want.Kind || got.Text != want.Text {
+			t.Errorf("Lex(%q) = %v %q, want %v %q", src, got.Kind, got.Text, want.Kind, want.Text)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_, _ = Lex("SELECT X.name FROM quote AS (X, Y) WHERE Y.price > 1.15*X.price AND Y.price<X.next.price")
+	}); n > 2 {
+		t.Errorf("Lex allocates %v times for a statement without string literals, want at most 2", n)
+	}
+}

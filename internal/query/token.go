@@ -40,17 +40,24 @@ func (t Token) String() string {
 	}
 }
 
-// keywords recognized by the lexer (always reported upper-case).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AS": true,
-	"CLUSTER": true, "SEQUENCE": true, "BY": true,
-	"AND": true, "OR": true, "NOT": true,
-	"CREATE": true, "TABLE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "FIRST": true, "LAST": true,
-	"EXPLAIN": true, "ANALYZE": true,
-	"PREVIOUS": true, "NEXT": true,
-	"TRUE": true, "FALSE": true, "NULL": true,
-}
+// keywords recognized by the lexer (always reported upper-case), each
+// mapped to itself so that a token's text is this one string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AS",
+		"CLUSTER", "SEQUENCE", "BY",
+		"AND", "OR", "NOT",
+		"CREATE", "TABLE", "INSERT", "INTO",
+		"VALUES", "FIRST", "LAST",
+		"EXPLAIN", "ANALYZE",
+		"PREVIOUS", "NEXT",
+		"TRUE", "FALSE", "NULL",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
 
 // SyntaxError is a parse or lex error with position information.
 type SyntaxError struct {

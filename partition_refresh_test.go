@@ -37,7 +37,7 @@ func cachedPartition(q *Query) *partitionEntry {
 func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 	t.Helper()
 	c := q.plan.compiled
-	e, how, err := q.db.partition(q.db.Table(c.Table), c.ClusterBy, c.SequenceBy, q.plan.kernel, true)
+	e, how, err := q.db.partition(q.db.Table(c.Table), c.ClusterBy, c.SequenceBy, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 
 // samePartition asserts that got — a cached, possibly many times
 // refreshed entry — equals want, built from scratch over the same table
-// state: clusters and their order, and for kernel k every cluster's masks.
-func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pattern.Kernel) {
+// state: clusters and their order, and for pattern a every cluster's masks.
+func samePartition(t *testing.T, label string, got, want *partitionEntry, a *patternArtifact) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Version != want.Version {
 		t.Fatalf("%s: %d rows at version %d, want %d at %d", label, got.Rows, got.Version, want.Rows, want.Version)
@@ -58,7 +58,7 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
 		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, got.Groups, want.Groups)
 	}
-	gm, wm := got.memoFor(k), want.memoFor(k)
+	gm, wm := got.memoFor(a), want.memoFor(a)
 	if len(gm) != len(wm) {
 		t.Fatalf("%s: %d mask sets, want %d", label, len(gm), len(wm))
 	}
@@ -66,7 +66,7 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 		if gm[ci].Rows() != wm[ci].Rows() {
 			t.Fatalf("%s: cluster %d masks cover %d rows, want %d", label, ci, gm[ci].Rows(), wm[ci].Rows())
 		}
-		for j := 0; j < k.Len(); j++ {
+		for j := 0; j < a.kernel.Len(); j++ {
 			if !reflect.DeepEqual(gm[ci].Elem(j), wm[ci].Elem(j)) {
 				t.Fatalf("%s: cluster %d element %d mask differs from a build", label, ci, j)
 			}
@@ -78,20 +78,20 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, k *pat
 type generation struct {
 	e      *partitionEntry
 	groups [][]storage.Row
-	// masks are the entry's state for one kernel, taken only if it was
+	// masks are the entry's state for one pattern, taken only if it was
 	// current at the snapshot.
 	current bool
 	masks   []*pattern.MaskSet
 }
 
-func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
+func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
 	g := generation{e: e}
 	for _, rows := range e.Groups {
 		g.groups = append(g.groups, append([]storage.Row(nil), rows...))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.memo[k]; m != nil && len(m.stale) == 0 && m.built == len(e.Groups) {
+	if m := e.memo[a]; m != nil && len(m.stale) == 0 && m.built == len(e.Groups) {
 		g.current = true
 		g.masks = append(g.masks, m.masks...)
 	}
@@ -100,7 +100,7 @@ func snapshotGeneration(e *partitionEntry, k *pattern.Kernel) generation {
 
 // unchanged asserts the refresh that superseded g wrote nothing a reader
 // of g could see.
-func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
+func (g generation) unchanged(t *testing.T, label string, a *patternArtifact) {
 	t.Helper()
 	if len(g.e.Groups) != len(g.groups) {
 		t.Fatalf("%s: previous generation has %d clusters, had %d", label, len(g.e.Groups), len(g.groups))
@@ -115,7 +115,7 @@ func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
 	}
 	g.e.mu.Lock()
 	defer g.e.mu.Unlock()
-	m := g.e.memo[k]
+	m := g.e.memo[a]
 	if m == nil {
 		return // the plan left the plan cache and took its memo along
 	}
@@ -127,11 +127,11 @@ func (g generation) unchanged(t *testing.T, label string, k *pattern.Kernel) {
 // carriedOver asserts that next shares, pointer for pointer, every cluster
 // of g the refresh did not touch — rows and masks — and returns how many
 // clusters it re-sorted or added.
-func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry, k *pattern.Kernel) (dirty int) {
+func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry, a *patternArtifact) (dirty int) {
 	t.Helper()
 	next.mu.Lock()
 	defer next.mu.Unlock()
-	m := next.memo[k]
+	m := next.memo[a]
 	for ci := range next.Groups {
 		if ci >= len(g.groups) || &next.Groups[ci][0] != &g.e.Groups[ci][0] {
 			dirty++
@@ -204,7 +204,7 @@ func TestPartitionRefreshDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				k := q.plan.kernel
+				k := q.plan.art
 				var prev generation
 				if e := cachedPartition(q); e != nil {
 					prev = snapshotGeneration(e, k)
@@ -260,7 +260,7 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := q.plan.kernel
+	k := q.plan.art
 	for round := 0; round < 40; round++ {
 		if _, err := q.Run(); err != nil {
 			t.Fatal(err)
@@ -283,7 +283,7 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 				}
 				e := &partitionEntry{key: base.key, Clustering: c}
 				db.cacheMu.Lock()
-				e.adopt(base, resorted, db.plans, k)
+				e.adopt(base, resorted)
 				db.cacheMu.Unlock()
 				e.memoFor(k)
 				next[g] = e
@@ -469,7 +469,7 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		e := cachedPartition(q)
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		m := e.memo[q.plan.kernel]
+		m := e.memo[q.plan.art]
 		if m == nil {
 			return len(e.Groups), 0, 0, nil
 		}

@@ -1,14 +1,20 @@
 package sqlts
 
 // The concurrent serving path: one immutable compiled Plan shared by
-// every goroutine that issues the same SQL, plus two DB-level caches
-// that amortize the paper's compile-time work (GSW implication queries,
-// θ/φ matrices, shift/next tables, predicate kernels) and the O(n log n)
+// every goroutine that issues the same SQL, plus DB-level caches that
+// amortize the paper's compile-time work (GSW implication queries, θ/φ
+// matrices, shift/next tables, predicate kernels) and the O(n log n)
 // CLUSTER BY / SEQUENCE BY sort across repeated executions:
 //
 //   - planCache: LRU keyed by whitespace-normalized SQL text, validated
 //     against the DB catalog version (DDL, table registration and
 //     positive-domain declarations invalidate plans; inserts do not).
+//   - patterns: the compiled patterns of the cached plans, keyed by the
+//     catalog version and the statement's FROM … WHERE tokens, so a
+//     statement text never seen before whose pattern is cached compiles
+//     only its SELECT list. It holds no entry of its own: an artifact is
+//     in it exactly while a cached plan holds it (holdPattern,
+//     forgetKernel).
 //   - partitionCache: LRU keyed by (table, clusterBy, sequenceBy),
 //     validated against storage.Table's monotonic data version. Inserts
 //     bump the version, so the next query refreshes the entry: only the
@@ -76,11 +82,13 @@ func normalizeSQL(sql string) string {
 // planCache is an LRU of compiled plans keyed by normalized SQL.
 // Entries carry the catalog version they were compiled under; get
 // treats a version mismatch as a miss and evicts the stale entry.
-// onEvict is told of every plan that leaves the cache, after it left.
+// onStore is told of every plan that enters the cache, onEvict of every
+// plan that leaves it, after it left.
 type planCache struct {
 	capacity int
 	order    *list.List // front = most recently used
 	entries  map[string]*list.Element
+	onStore  func(*Plan)
 	onEvict  func(*Plan)
 }
 
@@ -89,8 +97,8 @@ type planEntry struct {
 	plan *Plan
 }
 
-func newPlanCache(capacity int, onEvict func(*Plan)) *planCache {
-	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}, onEvict: onEvict}
+func newPlanCache(capacity int, onStore, onEvict func(*Plan)) *planCache {
+	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}, onStore: onStore, onEvict: onEvict}
 }
 
 // get returns the cached plan for key when its catalog version still
@@ -118,10 +126,14 @@ func (c *planCache) put(key string, p *Plan) {
 		old := e.plan
 		e.plan = p
 		c.order.MoveToFront(el)
+		// Store before evicting: when old and p share a pattern, it never
+		// looks unheld.
+		c.onStore(p)
 		c.onEvict(old)
 		return
 	}
 	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: p})
+	c.onStore(p)
 	c.trim(c.capacity)
 }
 
@@ -155,17 +167,18 @@ type partitionEntry struct {
 	key string
 	*storage.Clustering
 
-	// memo holds, per kernel, what the search reads of every cluster,
-	// built lazily on the first execution of each plan over this partition:
-	// selection bitmasks, which answer every compiled element (the
-	// interpreter takes the rest, so no probe reads a projection). They are
-	// a pure function of the (immutable) cluster rows, so sharing them is
-	// observationally identical to rebuilding; it removes the O(rows) decode
-	// and mask build from every warm run. A refreshed entry adopts its
-	// predecessor's memos and rebuilds only the clusters that changed, on
-	// the kernel's next use.
+	// memo holds, per pattern, what its kernel reads of every cluster,
+	// built lazily on the first execution of a plan of the pattern over
+	// this partition: selection bitmasks, which answer every compiled
+	// element (the interpreter takes the rest, so no probe reads a
+	// projection). They are a pure function of the (immutable) cluster
+	// rows, so sharing them is observationally identical to rebuilding; it
+	// removes the O(rows) decode and mask build from every warm run and
+	// from every new statement text whose pattern is cached. A refreshed
+	// entry adopts its predecessor's memos and rebuilds only the clusters
+	// that changed, on the pattern's next use.
 	mu   sync.Mutex
-	memo map[*pattern.Kernel]*kernelMemo
+	memo map[*patternArtifact]*kernelMemo
 }
 
 // kernelMemo is one kernel's per-cluster state over a partition. Its
@@ -179,24 +192,32 @@ type kernelMemo struct {
 	stale []int
 }
 
-// memoFor returns k's shared read-only mask sets for a run over it, one
-// per cluster (k nil: the interpreter, which reads none). A first use
-// builds them in one pass of the kernel's run builder; after a refresh
-// only the stale and the new clusters are rebuilt, each stale one as a
-// run of its own.
-func (e *partitionEntry) memoFor(k *pattern.Kernel) []*pattern.MaskSet {
-	if k == nil {
+// memoFor returns a's kernel's shared read-only mask sets for a run over
+// it, one per cluster (a nil: the interpreter, which reads none). A first
+// use builds them in one pass of the kernel's run builder; after a
+// refresh only the stale and the new clusters are rebuilt, each stale one
+// as a run of its own. The entry keeps what it built only while a cached
+// plan holds a: a run of a plan no longer (or never) cached builds masks
+// for itself alone.
+func (e *partitionEntry) memoFor(a *patternArtifact) []*pattern.MaskSet {
+	if a == nil {
 		return nil
 	}
+	k := a.kernel
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m := e.memo[k]
+	m := e.memo[a]
 	if m == nil {
 		m = &kernelMemo{}
-		if e.memo == nil {
-			e.memo = map[*pattern.Kernel]*kernelMemo{}
+		// Read under e.mu: an eviction that drops a's last plan after this
+		// forgets the memo stored here (forget takes e.mu), and one before
+		// it keeps it from being stored.
+		if a.refs.Load() > 0 {
+			if e.memo == nil {
+				e.memo = map[*patternArtifact]*kernelMemo{}
+			}
+			e.memo[a] = m
 		}
-		e.memo[k] = m
 	}
 	n := len(e.Groups)
 	if m.masks == nil || len(m.stale) > 0 || m.built < n {
@@ -220,53 +241,80 @@ func (e *partitionEntry) memoFor(k *pattern.Kernel) []*pattern.MaskSet {
 }
 
 // adopt seeds e, the refresh of old, with old's memos, marking the
-// clusters the refresh re-sorted as stale in each. Only kernels that can
-// run again are kept: those of cached plans, and keep, the kernel of the
-// run that triggered the refresh (a long-lived Query handle's plan may
-// have left the plan cache). A memo with more stale marks than clusters
-// is cheaper to rebuild than to carry. Callers hold db.cacheMu, so no
-// plan is evicted between this selection and e entering the cache.
-func (e *partitionEntry) adopt(old *partitionEntry, resorted []int, plans *planCache, keep *pattern.Kernel) {
+// clusters the refresh re-sorted as stale in each. Only the memos of
+// patterns a cached plan holds are kept, and a memo with more stale marks
+// than clusters is cheaper to rebuild than to carry. Callers hold
+// db.cacheMu, so no plan is evicted between this selection and e entering
+// the cache.
+func (e *partitionEntry) adopt(old *partitionEntry, resorted []int) {
 	old.mu.Lock()
 	defer old.mu.Unlock()
-	if len(old.memo) == 0 {
-		return
-	}
-	e.memo = map[*pattern.Kernel]*kernelMemo{}
-	carry := func(k *pattern.Kernel) {
-		m := old.memo[k]
-		if m == nil || e.memo[k] != nil || len(m.stale)+len(resorted) > len(e.Groups) {
-			return
+	for a, m := range old.memo {
+		if a.refs.Load() == 0 || len(m.stale)+len(resorted) > len(e.Groups) {
+			continue
+		}
+		if e.memo == nil {
+			e.memo = map[*patternArtifact]*kernelMemo{}
 		}
 		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
-		e.memo[k] = &kernelMemo{masks: m.masks, built: m.built, stale: stale}
-	}
-	carry(keep)
-	for el := plans.order.Front(); el != nil; el = el.Next() {
-		carry(el.Value.(*planEntry).plan.kernel)
+		e.memo[a] = &kernelMemo{masks: m.masks, built: m.built, stale: stale}
 	}
 }
 
-// forget drops k's memo.
-func (e *partitionEntry) forget(k *pattern.Kernel) {
+// forget drops a's memo.
+func (e *partitionEntry) forget(a *patternArtifact) {
 	e.mu.Lock()
-	delete(e.memo, k)
+	delete(e.memo, a)
 	e.mu.Unlock()
 }
 
-// forgetKernel is the plan cache's eviction hook: the evicted plan's
-// kernel leaves every cached partition's memo. A kernel belongs to exactly
-// one plan for that plan's life (a plan is compiled once and never
-// re-derived), so once the plan leaves the cache only long-lived Query
-// handles can run the kernel again, and they rebuild what they read.
-// Without this the memos, which survive inserts, would grow with every
-// statement text ever compiled. Runs under db.cacheMu.
-func (db *DB) forgetKernel(p *Plan) {
-	if p.kernel == nil {
+// sharedPattern returns the artifact a cached plan holds under key, or
+// nil.
+func (db *DB) sharedPattern(key patternKey) *patternArtifact {
+	if key.tokens == "" {
+		return nil
+	}
+	db.cacheMu.Lock()
+	a := db.patterns[key]
+	db.cacheMu.Unlock()
+	return a
+}
+
+// holdPattern is the plan cache's store hook: the stored plan holds its
+// pattern, which becomes the one later compiles of its key find. That is
+// also how a pattern whose last plan was evicted while another plan was
+// compiling against it comes back. When two compiles of one key raced,
+// the first stored keeps the key and the other artifact serves its own
+// plans only. Runs under db.cacheMu.
+func (db *DB) holdPattern(p *Plan) {
+	a := p.art
+	if a == nil {
 		return
 	}
+	a.refs.Add(1)
+	if _, taken := db.patterns[a.key]; !taken && a.key.tokens != "" {
+		db.patterns[a.key] = a
+	}
+}
+
+// forgetKernel is the plan cache's eviction hook: the evicted plan lets
+// go of its pattern, and when no cached plan holds the pattern any more it
+// leaves the pattern map and its kernel leaves every cached partition's
+// memo. A kernel belongs to the plans that share its pattern, so from
+// then on only long-lived Query handles can run it, and they build what
+// they read for themselves. Without this the memos, which survive
+// inserts, would grow with every pattern ever compiled. Runs under
+// db.cacheMu.
+func (db *DB) forgetKernel(p *Plan) {
+	a := p.art
+	if a == nil || a.refs.Add(-1) > 0 {
+		return
+	}
+	if db.patterns[a.key] == a {
+		delete(db.patterns, a.key)
+	}
 	for el := db.parts.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*partitionEntry).forget(p.kernel)
+		el.Value.(*partitionEntry).forget(a)
 	}
 }
 
@@ -376,7 +424,8 @@ func (db *DB) CacheStats() CacheStats {
 }
 
 // SetPlanCacheCapacity resizes the plan cache (entries beyond the new
-// capacity are dropped oldest-first); 0 disables plan caching entirely.
+// capacity are dropped oldest-first); 0 disables plan caching entirely,
+// and with it the sharing of compiled patterns between statements.
 func (db *DB) SetPlanCacheCapacity(n int) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
@@ -384,7 +433,8 @@ func (db *DB) SetPlanCacheCapacity(n int) {
 	db.plans.trim(n)
 }
 
-// PurgeCaches empties both serving caches (capacities are kept). Useful
+// PurgeCaches empties the serving caches (capacities are kept), and with
+// the plans every pattern they shared. Useful
 // for cold-path measurements and tests; production code never needs it
 // — versioning invalidates precisely.
 func (db *DB) PurgeCaches() {
@@ -436,13 +486,12 @@ func (o partitionOutcome) String() string {
 // clusterBy/sequenceBy, serving it from the cache when the table version
 // still matches. A stale entry over the same table is refreshed —
 // storage.Clustering.Refresh re-sorts only the clusters the appended rows
-// land in — and its memos carried over (k is the asking run's kernel; see
-// adopt); anything else is built from the empty clustering. Either way it
-// counts as a miss, and as an invalidation when it replaces the stale
-// entry. The entry's clusters (and the masks built from them) are shared
+// land in — and its memos carried over (see adopt); anything else is
+// built from the empty clustering. Either way it counts as a miss, and as
+// an invalidation when it replaces the stale entry. The entry's clusters (and the masks built from them) are shared
 // and must be treated as read-only. A bypass run builds a transient
 // entry that is never stored, so it shares nothing.
-func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, k *pattern.Kernel, bypass bool) (*partitionEntry, partitionOutcome, error) {
+func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, bypass bool) (*partitionEntry, partitionOutcome, error) {
 	var out partitionOutcome
 	var old *partitionEntry
 	var key string
@@ -484,7 +533,7 @@ func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, k *pat
 	}
 	db.cacheMu.Lock()
 	if out.refreshed {
-		e.adopt(old, resorted, db.plans, k)
+		e.adopt(old, resorted)
 	}
 	invalidated := db.parts.replace(old, e)
 	db.cacheMu.Unlock()

@@ -185,8 +185,8 @@ type ShardStat struct {
 	Version  uint64 `json:"version"`
 	Clusters int    `json:"clusters"`
 	Rows     int    `json:"rows"`
-	// Kernels is the number of plans with memoized masks on this
-	// shard.
+	// Kernels is the number of kernels with memoized masks on this
+	// shard: one per pattern, whatever number of plans share it.
 	Kernels int `json:"kernels"`
 }
 

@@ -70,9 +70,10 @@ type DB struct {
 	// per-table data versions instead (see storage.Table.Version).
 	catalog atomic.Uint64
 
-	cacheMu sync.Mutex
-	plans   *planCache
-	parts   *partitionCache
+	cacheMu  sync.Mutex
+	plans    *planCache
+	patterns map[patternKey]*patternArtifact // the cached plans' patterns (serving.go)
+	parts    *partitionCache
 
 	// shardParts caches sharded table partitions (shards.go); nshards is
 	// the SetShards knob: when ≥ 2, pattern queries take their clusters
@@ -109,13 +110,14 @@ func New() *DB {
 	db := &DB{
 		tables:     map[string]*storage.Table{},
 		positive:   map[string][]string{},
+		patterns:   map[patternKey]*patternArtifact{},
 		parts:      newPartitionCache(defaultPartitionCacheCapacity),
 		shardParts: newShardCache(defaultPartitionCacheCapacity),
 		metrics:    newDBMetrics(),
 		stmts:      obs.NewStmtStore(defaultStatementCapacity),
 		slow:       newSlowLog(defaultSlowLogCapacity),
 	}
-	db.plans = newPlanCache(defaultPlanCacheCapacity, db.forgetKernel)
+	db.plans = newPlanCache(defaultPlanCacheCapacity, db.holdPattern, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()
 	db.flight.ring = obs.NewEventRing(defaultEventRingCapacity)
 	return db
@@ -456,25 +458,34 @@ const (
 )
 
 // Plan is the immutable compiled form of one SQL-TS statement: the
-// analyzed select, the pattern with its predicate systems, the θ/φ
-// matrices distilled into shift/next tables, and the compiled predicate
-// kernel. Every field is read-only after compilation, so one Plan is
-// shared by all goroutines executing the same SQL concurrently; all
-// per-run mutable state lives in Query and in per-run executors.
+// analyzed select, and the compiled pattern — predicate systems, the θ/φ
+// matrices distilled into shift/next tables, and the predicate kernel —
+// which it shares with every cached plan of the same FROM … WHERE (see
+// patternArtifact). Every field is read-only after compilation, so one
+// Plan is shared by all goroutines executing the same SQL concurrently;
+// all per-run mutable state lives in Query and in per-run executors.
 type Plan struct {
 	sql      string
 	key      string // normalized SQL — the plan-cache and statement-stats key
 	compiled *query.Compiled
-	tables   *core.Tables
-	kernel   *pattern.Kernel
 	explain  explainMode
+
+	// art is the plan's compiled pattern (nil for a plain SELECT); tables
+	// and kernel are art's, kept here for the run path. patternCached says
+	// the compile found art shared by a cached plan instead of building it.
+	art           *patternArtifact
+	tables        *core.Tables
+	kernel        *pattern.Kernel
+	patternCached bool
 
 	// catalogVersion is the DB catalog version the plan was compiled
 	// under; the plan cache revalidates it on every hit.
 	catalogVersion uint64
 	// trace holds the compile-phase spans (parse … kernel), recorded once
 	// when the plan was compiled and read-only since: every Query the plan
-	// serves shares it.
+	// serves shares it. A plan that found its pattern shared lists the
+	// pattern's phases as they were timed when it was built, annotated
+	// pattern=cached.
 	trace *obs.Trace
 
 	// shape is the size of the plan's last successful result, which the
@@ -483,11 +494,72 @@ type Plan struct {
 	// fans keeps the helper lanes of the plan's fanned-out runs between
 	// runs: scratch, which no result references (see lane).
 	fans fanPool
+}
 
-	// streamTables are the continuous-query shift/next tables, computed
-	// on first OpenStream and shared by all streams over this plan.
+// patternArtifact is what a statement compiles from its pattern alone
+// (paper §4–5: θ, φ, shift and next are functions of the pattern): the
+// analysed pattern, its shift/next tables, its kernel and, on the first
+// OpenStream, its continuous-query tables. It is keyed by the catalog
+// version and the statement's FROM … end tokens (query.SelectStmt's
+// PatternKey), so statements that differ only in their SELECT list, an
+// alias or EXPLAIN share one — and with it the WHERE clause's analysis
+// and one set of partition memos. It lives as long as a cached plan holds
+// it (see DB.holdPattern).
+type patternArtifact struct {
+	key patternKey
+	// analysis is the analysed statement that built the artifact; its
+	// Pattern is the artifact's, and an analysis of the same key starts
+	// from it (query.AnalyzeOptions.Shared).
+	analysis *query.Compiled
+	tables   *core.Tables
+	kernel   *pattern.Kernel
+
+	// spans are the matrices, shift/next and kernel spans of the compile
+	// that built the artifact; cachedSpans are their copies annotated
+	// pattern=cached, made for the first plan that finds it.
+	spans       [3]*obs.Span
+	cachedOnce  sync.Once
+	cachedSpans [3]*obs.Span
+
 	streamOnce   sync.Once
 	streamTables *core.Tables
+
+	// refs counts the cached plans holding the artifact. It changes under
+	// db.cacheMu; a partition keeps a memo only for an artifact with refs.
+	refs atomic.Int32
+}
+
+// patternKey identifies a pattern artifact: equal keys analyse to equal
+// patterns (see query.SelectStmt.PatternKey). An empty tokens shares
+// nothing.
+type patternKey struct {
+	catalog uint64
+	tokens  string
+}
+
+// hitSpans returns the artifact's compile spans as a plan that found it
+// lists them.
+func (a *patternArtifact) hitSpans() []*obs.Span {
+	a.cachedOnce.Do(func() {
+		for i, s := range a.spans {
+			if s == nil {
+				continue
+			}
+			c := *s
+			c.Annots = append(s.Annots[:len(s.Annots):len(s.Annots)], obs.Annot{Key: "pattern", Value: "cached"})
+			a.cachedSpans[i] = &c
+		}
+	})
+	return a.cachedSpans[:]
+}
+
+// streamTabs lazily computes the stream shift/next tables once per
+// pattern: every stream over every plan sharing it reads the same ones.
+func (a *patternArtifact) streamTabs() *core.Tables {
+	a.streamOnce.Do(func() {
+		a.streamTables = core.ComputeForStream(a.analysis.Pattern)
+	})
+	return a.streamTables
 }
 
 // resultShape is what a plan remembers of its last successful run: how
@@ -530,14 +602,6 @@ func (s *resultShape) sizes() (matches, matched, logBytes int) {
 // SQL returns the statement text the plan was compiled from.
 func (p *Plan) SQL() string { return p.sql }
 
-// streamTabs lazily computes the stream shift/next tables once per plan.
-func (p *Plan) streamTabs() *core.Tables {
-	p.streamOnce.Do(func() {
-		p.streamTables = core.ComputeForStream(p.compiled.Pattern)
-	})
-	return p.streamTables
-}
-
 // Query is a prepared SQL-TS statement: a handle on an immutable shared
 // Plan. Runs leave nothing behind in it — what an execution did is its
 // obs.Event — so a Query is safe for concurrent use.
@@ -557,9 +621,6 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 	if p := db.lookupPlan(key); p != nil {
 		return &Query{db: db, plan: p, planCached: true}, nil
 	}
-	// Read the catalog version before compiling: if DDL lands mid-
-	// compile the plan is stamped stale and recompiled on next lookup.
-	catalog := db.catalog.Load()
 	tr := obs.NewTrace()
 	sp := tr.Start("parse")
 	st, err := query.Parse(sql)
@@ -585,27 +646,35 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 		return nil, err
 	}
 	plan.explain = mode
-	plan.catalogVersion = catalog
 	plan.key = key
 	plan.trace = tr
 	db.storePlan(key, plan)
 	return &Query{db: db, plan: plan}, nil
 }
 
-// compilePlan runs semantic analysis and the OPS compile-time
-// pipeline, recording one trace span per phase.
+// compilePlan runs semantic analysis and, unless a cached plan of the
+// same FROM … WHERE already holds its pattern, the OPS compile-time
+// pipeline, recording one trace span per phase. A statement whose
+// pattern is cached analyses its SELECT list only.
 func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Plan, error) {
+	// The catalog version is read with the schema it stamps: DDL landing
+	// after this compiles a plan that is stale on its next lookup.
 	db.mu.RLock()
 	t := db.tables[strings.ToLower(sel.Table)]
 	positive := append([]string(nil), db.positive[strings.ToLower(sel.Table)]...)
+	catalog := db.catalog.Load()
 	db.mu.RUnlock()
 	if t == nil {
 		return nil, fmt.Errorf("sqlts: no table %q", sel.Table)
 	}
+	key := patternKey{catalog: catalog, tokens: sel.PatternKey}
+	shared := db.sharedPattern(key)
+	opts := query.AnalyzeOptions{PositiveColumns: positive}
+	if shared != nil {
+		opts.Shared = shared.analysis
+	}
 	sp := tr.Start("analyze")
-	compiled, err := query.Analyze(sel, t.Schema, query.AnalyzeOptions{
-		PositiveColumns: positive,
-	})
+	compiled, err := query.Analyze(sel, t.Schema, opts)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -621,29 +690,48 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 		sp.Annotate("elements", p.Len()).Annotate("predicates", atoms)
 	}
 	sp.End()
-	plan := &Plan{sql: sql, compiled: compiled}
-	if p := compiled.Pattern; p != nil {
-		q0 := constraint.Queries()
-		sp = tr.Start("matrices")
-		m := core.ComputeMatrices(p)
-		sp.Annotate("dim", fmt.Sprintf("%dx%d", p.Len(), p.Len())).
-			Annotate("implication-checks", constraint.Queries()-q0).
-			End()
-		sp = tr.Start("shift/next")
-		plan.tables = core.TablesFrom(p, m)
-		sp.Annotate("avg-shift", fmt.Sprintf("%.2f", plan.tables.AvgShift())).
-			Annotate("avg-next", fmt.Sprintf("%.2f", plan.tables.AvgNext())).
-			End()
-		sp = tr.Start("kernel")
-		plan.kernel = p.CompileKernel()
-		sp.Annotate("compiled-elements", plan.kernel.CompiledElems()).
-			Annotate("fallback-elements", plan.kernel.FallbackElems()).
-			End()
+	plan := &Plan{sql: sql, compiled: compiled, catalogVersion: catalog}
+	if compiled.Pattern != nil {
+		a := shared
+		if a != nil {
+			plan.patternCached = true
+			tr.Add(a.hitSpans()...)
+		} else {
+			a = db.compilePattern(key, compiled, tr)
+		}
+		plan.art, plan.tables, plan.kernel = a, a.tables, a.kernel
 		plan.shape = new(resultShape)
-		db.metrics.kernelCompiled.Add(int64(plan.kernel.CompiledElems()))
-		db.metrics.kernelFallback.Add(int64(plan.kernel.FallbackElems()))
 	}
 	return plan, nil
+}
+
+// compilePattern builds the artifact of an analysed pattern statement:
+// θ/φ matrices, shift/next tables and kernel, one trace span each.
+func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.Trace) *patternArtifact {
+	p := analysis.Pattern
+	a := &patternArtifact{key: key, analysis: analysis}
+	q0 := constraint.Queries()
+	sp := tr.Start("matrices")
+	m := core.ComputeMatrices(p)
+	sp.Annotate("dim", fmt.Sprintf("%dx%d", p.Len(), p.Len())).
+		Annotate("implication-checks", constraint.Queries()-q0).
+		End()
+	a.spans[0] = sp
+	sp = tr.Start("shift/next")
+	a.tables = core.TablesFrom(p, m)
+	sp.Annotate("avg-shift", fmt.Sprintf("%.2f", a.tables.AvgShift())).
+		Annotate("avg-next", fmt.Sprintf("%.2f", a.tables.AvgNext())).
+		End()
+	a.spans[1] = sp
+	sp = tr.Start("kernel")
+	a.kernel = p.CompileKernel()
+	sp.Annotate("compiled-elements", a.kernel.CompiledElems()).
+		Annotate("fallback-elements", a.kernel.FallbackElems()).
+		End()
+	a.spans[2] = sp
+	db.metrics.kernelCompiled.Add(int64(a.kernel.CompiledElems()))
+	db.metrics.kernelFallback.Add(int64(a.kernel.FallbackElems()))
+	return a
 }
 
 // Trace returns the compile-phase spans of the query's plan (parse,
@@ -858,6 +946,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		DurationNs:      dur,
 		AdmissionWaitNs: admWait.Nanoseconds(),
 		PlanCached:      q.planCached,
+		PatternCached:   !q.planCached && q.plan.patternCached,
 		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
 		Slow:            slowNs > 0 && dur >= slowNs,
 	}
@@ -950,9 +1039,9 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	// runs skip the sort, the O(rows) decode and the mask build). With
 	// SetShards the partition comes from the sharded cache instead of the
 	// flat one; NoCache runs bypass both.
-	kern := q.plan.kernel
+	kern, art := q.plan.kernel, q.plan.art
 	if opts.NoKernel || kern == nil || kern.CompiledElems() == 0 {
-		kern = nil // the executors interpret: nothing to memoize
+		kern, art = nil, nil // the executors interpret: nothing to memoize
 	}
 	var (
 		clusters [][]storage.Row
@@ -971,7 +1060,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		res.shardCount = int32(n)
 		clusters, masks = globalOrder(sp, kern)
 	} else {
-		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, q.plan.kernel, opts.NoCache)
+		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -980,7 +1069,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 			return nil, 0, err
 		}
 		res.partition = how
-		masks = part.memoFor(kern)
+		masks = part.memoFor(art)
 	}
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))

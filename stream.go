@@ -124,9 +124,10 @@ type clusterStream struct {
 // — it is recycled for the next match; sinks that retain it must copy
 // (storage.Row.Clone).
 //
-// The stream shift/next tables are computed once per plan and shared by
-// every stream (and every per-cluster matcher) over it, so repeated
-// OpenStream calls on a cached plan skip that work too.
+// The stream shift/next tables are computed once per pattern and shared
+// by every stream (and every per-cluster matcher) over every plan that
+// shares it, so repeated OpenStream calls on a cached plan skip that work
+// too.
 func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*Stream, error) {
 	compiled := q.plan.compiled
 	if compiled.Pattern == nil {
@@ -146,7 +147,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 			Policy:      engine.SkipPastLastRow,
 			LastRowSkip: opts.LastRowSkip,
 			MaxBuffer:   opts.MaxBuffer,
-			Tables:      q.plan.streamTabs(),
+			Tables:      q.plan.art.streamTabs(),
 			// emitMatch consumes Spans synchronously, so the matcher may
 			// recycle them between emissions.
 			ReuseSpans: true,
