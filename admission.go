@@ -93,16 +93,17 @@ func (db *DB) admitQuery(ctx context.Context) (release func(), wait time.Duratio
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	var timer *time.Timer
+	// The wait is timed from before the timer is armed, so a run rejected
+	// at the timeout reports a wait of at least the timeout.
+	start := time.Now()
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
+		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		expired = timer.C
 	}
 	db.metrics.admissionWaiting.Add(1)
 	defer db.metrics.admissionWaiting.Add(-1)
-	start := time.Now()
 	select {
 	case sem <- struct{}{}:
 		wait = time.Since(start)

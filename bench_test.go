@@ -334,7 +334,7 @@ func BenchmarkAblationNoCounters(b *testing.B) {
 func BenchmarkStreaming(b *testing.B) {
 	seq := doubleBottomSeq(b)
 	p := bench.DoubleBottomPattern()
-	t := core.ComputeForStream(p)
+	t := core.Compute(p)
 	b.Run("batch", func(b *testing.B) {
 		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{}), seq)
 	})
@@ -357,10 +357,10 @@ func BenchmarkStreaming(b *testing.B) {
 // BenchmarkStreamSQL measures the full SQL streaming path — Prepare,
 // OpenStream, per-tuple Push — on the double-bottom workload. A warm
 // push allocates nothing (the matcher copies the tuple into a window it
-// owns; routing, span and SELECT-row scratch are reused), so kernel and
-// interp allocate only while the window grows to the series' longest
-// attempt, and many allocates only to create its 2,000 cluster matchers
-// — the dev-loop twin of the benchmark's stream_many workload.
+// owns; routing, span and SELECT-row scratch are reused), so kernel
+// allocates only while the window grows to the series' longest attempt,
+// and many allocates only to create its 2,000 cluster matchers — the
+// dev-loop twin of the benchmark's stream_many workload.
 func BenchmarkStreamSQL(b *testing.B) {
 	prices := workload.DJIA25Years(1)
 	for i := 0; i < 12; i++ {
@@ -378,9 +378,9 @@ func BenchmarkStreamSQL(b *testing.B) {
 	// The stream is opened once and each iteration pushes the whole
 	// series (with advancing dates), so the numbers are the steady-state
 	// per-series cost: no setup, no table computation, just Push.
-	run := func(b *testing.B, opts sqlts.StreamOptions) {
+	b.Run("kernel", func(b *testing.B) {
 		matches := 0
-		st, err := q.OpenStream(opts, func(storage.Row) error {
+		st, err := q.OpenStream(sqlts.StreamOptions{}, func(storage.Row) error {
 			matches++
 			return nil
 		})
@@ -405,9 +405,7 @@ func BenchmarkStreamSQL(b *testing.B) {
 		if matches == 0 {
 			b.Fatal("no matches")
 		}
-	}
-	b.Run("kernel", func(b *testing.B) { run(b, sqlts.StreamOptions{}) })
-	b.Run("interp", func(b *testing.B) { run(b, sqlts.StreamOptions{NoKernel: true}) })
+	})
 
 	// 2,000 symbols × 100 rows, date-major: consecutive tuples never
 	// share a cluster. A fresh stream per iteration, because creating the

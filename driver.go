@@ -498,12 +498,12 @@ func (s *search) reserve() (matches, matched, logBytes int) {
 // executorKey is what newExecutor builds from besides the plan; a helper's
 // kept executor serves every run that agrees on it.
 type executorKey struct {
-	kind              ExecutorKind
-	overlap, noKernel bool
+	kind    ExecutorKind
+	overlap bool
 }
 
 func (s *search) executorKey() executorKey {
-	return executorKey{s.opts.Executor, s.opts.Overlap, s.opts.NoKernel}
+	return executorKey{s.opts.Executor, s.opts.Overlap}
 }
 
 func (k executorKey) policy() engine.SkipPolicy {

@@ -109,13 +109,11 @@ func (c driverConfig) String() string {
 
 // checkDriverDifferential runs the driver's differential matrix: for every
 // statement of stmts (indexes into driverStatements), cluster count in ns
-// (clusters of rowsPer rows), executor, partition source, evaluation mode
-// (the plan's kernel, or the interpreter) and lane configuration, rows,
-// Stats, ClusterStats and Matches must deep-equal a one-lane NoCache run.
-// It returns how many runs fanned out.
+// (clusters of rowsPer rows), executor, partition source and lane
+// configuration, rows, Stats, ClusterStats and Matches must deep-equal a
+// one-lane NoCache run. It returns how many runs fanned out.
 func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, executors []ExecutorKind, configs []driverConfig) (fanned int) {
 	t.Helper()
-	modes := []RunOptions{{}, {NoKernel: true}}
 	matched := false
 	for _, n := range ns {
 		flatDB, _ := driverDB(t, n, rowsPer, 0)
@@ -148,37 +146,34 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 				}
 				matched = matched || len(want.Rows) > 0
 				for _, src := range sources {
-					for _, mode := range modes {
-						for _, cfg := range configs {
-							opts := mode
-							opts.Executor, opts.MaxWorkers, opts.NoCache = ex, cfg.workers, src.noCache
-							label := fmt.Sprintf("statement %d n=%d %s %s workers=%s kernel=%v", si, n, src.name, ex, cfg, !opts.NoKernel)
-							prev := 0
-							if cfg.procs > 0 {
-								prev = runtime.GOMAXPROCS(cfg.procs)
-							}
-							got, err := src.q.RunWith(opts)
-							if cfg.procs > 0 {
-								runtime.GOMAXPROCS(prev)
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if got.borrowed > 0 {
-								fanned++
-							}
-							if !reflect.DeepEqual(want.Rows, got.Rows) {
-								t.Fatalf("%s: rows differ (%d vs %d)", label, len(want.Rows), len(got.Rows))
-							}
-							if want.Stats != got.Stats {
-								t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
-							}
-							if !reflect.DeepEqual(want.ClusterStats(), got.ClusterStats()) {
-								t.Fatalf("%s: per-cluster stats differ", label)
-							}
-							if !reflect.DeepEqual(want.Matches, got.Matches) {
-								t.Fatalf("%s: cluster matches differ", label)
-							}
+					for _, cfg := range configs {
+						opts := RunOptions{Executor: ex, MaxWorkers: cfg.workers, NoCache: src.noCache}
+						label := fmt.Sprintf("statement %d n=%d %s %s workers=%s", si, n, src.name, ex, cfg)
+						prev := 0
+						if cfg.procs > 0 {
+							prev = runtime.GOMAXPROCS(cfg.procs)
+						}
+						got, err := src.q.RunWith(opts)
+						if cfg.procs > 0 {
+							runtime.GOMAXPROCS(prev)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if got.borrowed > 0 {
+							fanned++
+						}
+						if !reflect.DeepEqual(want.Rows, got.Rows) {
+							t.Fatalf("%s: rows differ (%d vs %d)", label, len(want.Rows), len(got.Rows))
+						}
+						if want.Stats != got.Stats {
+							t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
+						}
+						if !reflect.DeepEqual(want.ClusterStats(), got.ClusterStats()) {
+							t.Fatalf("%s: per-cluster stats differ", label)
+						}
+						if !reflect.DeepEqual(want.Matches, got.Matches) {
+							t.Fatalf("%s: cluster matches differ", label)
 						}
 					}
 				}

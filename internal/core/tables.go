@@ -20,7 +20,17 @@ type Tables struct {
 	Phi     *logic.TriMatrix
 	S       *logic.TriMatrix // plain patterns only; nil for star patterns
 	Shift   []int
-	Next    []int
+	// Next[j] is where the search resumes in the pattern after failing at
+	// element j: with sh = Shift[j], elements 1 .. Next[j]-1 of the attempt
+	// shifted by sh are known to hold, and 0 starts afresh one row past the
+	// failed one. Star-free patterns carry §4.2's values, where Next[j] can
+	// be j-sh+1: the failed tuple itself is then known to satisfy element
+	// j-sh. Every loop reads that case by one rule: it resumes at element
+	// j-sh and consumes the failed tuple as that element unexamined, the
+	// step a SkipOK entry takes. §5's walk never yields it (Next[j] ≤ j-sh
+	// on a star pattern), and on a star-free one count[k] = k, so §5's
+	// rollback arithmetic then lands exactly where §4.2.1's does.
+	Next []int
 	// SkipOK marks failure positions where the failed tuple is known to
 	// satisfy element Next[j] (a plain element) and may be consumed
 	// without re-testing — the star analogue of the plain pattern's
@@ -67,34 +77,10 @@ func TablesFrom(p *pattern.Pattern, m *Matrices) *Tables {
 	return t
 }
 
-// ComputeForStream computes tables with the star-runtime conventions for
-// any pattern, star-free ones included. The incremental (streaming)
-// executor uses the §5 counter machinery uniformly, and the plain-pattern
-// next = j-shift+1 convention is incompatible with it (it would read a
-// count entry the runtime has not maintained), so graph-based shift/next
-// are used throughout; on star-free patterns they agree with the §4.2
-// values except that next may be one smaller (re-testing instead of
-// skipping), which the SkipOK flag recovers at runtime.
+// ComputeForStream is Compute: streams read the tables batch does. It
+// remains only for the benchmark harness, which calls it.
 func ComputeForStream(p *pattern.Pattern) *Tables {
-	m := ComputeMatrices(p)
-	n := p.Len()
-	t := &Tables{
-		M:     n,
-		Star:  make([]bool, n+1),
-		Theta: m.Theta,
-		Phi:   m.Phi,
-	}
-	for i := range p.Elems {
-		t.Star[i+1] = p.Elems[i].Star
-		t.HasStar = t.HasStar || p.Elems[i].Star
-	}
-	t.Shift = make([]int, n+1)
-	t.Next = make([]int, n+1)
-	t.SkipOK = make([]bool, n+1)
-	for j := 1; j <= n; j++ {
-		t.Shift[j], t.Next[j], t.SkipOK[j] = starShiftNext(j, m, t.Star)
-	}
-	return t
+	return Compute(p)
 }
 
 // ComputeSyntactic computes the optimizer tables using only syntactic
@@ -122,24 +108,7 @@ func ComputeSyntactic(p *pattern.Pattern) *Tables {
 			}
 		}
 	}
-	m := &Matrices{Theta: theta, Phi: phi}
-	t := &Tables{M: n, Star: make([]bool, n+1), Theta: theta, Phi: phi}
-	for i := range p.Elems {
-		t.Star[i+1] = p.Elems[i].Star
-		t.HasStar = t.HasStar || p.Elems[i].Star
-	}
-	if t.HasStar {
-		t.Shift = make([]int, n+1)
-		t.Next = make([]int, n+1)
-		t.SkipOK = make([]bool, n+1)
-		for j := 1; j <= n; j++ {
-			t.Shift[j], t.Next[j], t.SkipOK[j] = starShiftNext(j, m, t.Star)
-		}
-	} else {
-		t.S = ComputeS(m)
-		t.Shift, t.Next = plainShiftNext(m, t.S)
-	}
-	return t
+	return TablesFrom(p, &Matrices{Theta: theta, Phi: phi})
 }
 
 // AvgShift returns the average shift value, the paper's §8 heuristic

@@ -1,6 +1,7 @@
 // Package engine implements the runtime side of SQL-TS pattern search:
 // the naive baseline executor, the OPS executor driven by the compile-time
-// shift/next tables of the core package (plain and star variants), and
+// shift/next tables of the core package (one §5 runtime for star and
+// star-free patterns alike), and
 // the classic Knuth–Morris–Pratt text matcher the paper generalizes.
 //
 // All executors implement identical match semantics (greedy one-or-more

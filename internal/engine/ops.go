@@ -17,19 +17,22 @@ type OPSConfig struct {
 	// the win comes from not re-checking known-true prefixes (ablation).
 	ShiftOnly bool
 	// NoCounters disables the §5 count[] rollback for star patterns and
-	// restarts naively one past the failed attempt's start (ablation).
+	// restarts naively one past the failed attempt's start (ablation). A
+	// star-free pattern's tables are §4.2's, which it leaves in force.
 	NoCounters bool
 	// LastRowSkip enables the reproduction's extension to the star
 	// runtime: when the compile-time walk proves the failed tuple
 	// satisfies the plain element it rolls back to (core.Tables.SkipOK),
 	// consume it without re-testing — the star analogue of the plain
-	// pattern's next = j-shift+1 case.
+	// pattern's next = j-shift+1 case, which star-free tables encode
+	// already.
 	LastRowSkip bool
 }
 
 // OPS is the optimized executor driven by the compile-time shift/next
-// tables: the paper's Optimized Pattern Search algorithm (§4.2.1 for
-// plain patterns, §5 for patterns with star elements).
+// tables: the paper's Optimized Pattern Search algorithm. Its loops are
+// §5's for every pattern: on a star-free one count[k] = k, and §4.2's
+// tables are read through the rule on core.Tables.Next.
 type OPS struct {
 	evaluator
 	tables *core.Tables
@@ -81,14 +84,6 @@ func (o *OPS) Trace() { o.doTrc = true }
 // Path returns the recorded search path.
 func (o *OPS) Path() []PathPoint { return o.trace }
 
-func (o *OPS) shiftNext(j int) (int, int) {
-	sh, nx := o.tables.Shift[j], o.tables.Next[j]
-	if o.cfg.ShiftOnly && nx > 1 {
-		nx = 1
-	}
-	return sh, nx
-}
-
 // FindAll implements Executor.
 func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.trace = o.trace[:0]
@@ -98,10 +93,7 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	// configs stay on the generic loop it is differenced against.
 	l := selectLoop(o.tables, o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy})
 	o.ranPure = l >= loopPureSkip
-	switch l {
-	case loopPlain:
-		return o.findAllPlain(seq)
-	case loopGeneric:
+	if l == loopGeneric {
 		return o.findAllStar(seq)
 	}
 	return o.findAllStarPure(seq, l == loopPurePair)
@@ -111,8 +103,7 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 type loop uint8
 
 const (
-	loopPlain    loop = iota // findAllPlain: the pattern has no star
-	loopGeneric              // findAllStar: some probe needs more than a mask
+	loopGeneric  loop = iota // findAllStar: some probe needs more than a mask
 	loopPureSkip             // findAllStarPure skipping element 1's zero runs
 	loopPurePair             // findAllStarPure with the pair scan
 )
@@ -125,8 +116,6 @@ const (
 // element 1 is plain, and shift(2) = next(2) = 1.
 func selectLoop(t *core.Tables, pure bool) loop {
 	switch {
-	case !t.HasStar:
-		return loopPlain
 	case !pure:
 		return loopGeneric
 	case t.M >= 2 && !t.Star[1] && t.Shift[2] == 1 && t.Next[2] == 1:
@@ -141,8 +130,6 @@ func selectLoop(t *core.Tables, pure bool) loop {
 func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel) string {
 	pure := k != nil && k.CompiledElems() > 0 && k.AllPure()
 	switch selectLoop(t, pure) {
-	case loopPlain:
-		return "plain (no star)"
 	case loopPurePair:
 		return "pure-mask, pair scan"
 	case loopPureSkip:
@@ -172,74 +159,6 @@ func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel) string {
 	return "generic"
 }
 
-// evalPlain evaluates element j at input i, materializing the implicit
-// single-tuple bindings first when the element has cross conditions.
-func (o *OPS) evalPlain(j, i int) bool {
-	if o.p.Elems[j-1].HasCross() {
-		for k := 1; k < j; k++ {
-			pos := i - j + k - 1 // 0-based input index of element k
-			o.ctx.Bind[k-1] = pattern.Span{Start: pos, End: pos, Set: true}
-		}
-	}
-	return o.eval(j, i)
-}
-
-// findAllPlain is the §4.2.1 algorithm extended to report every match
-// under the skip policy. Indexes i (input) and j (pattern) are 1-based as
-// in the paper.
-func (o *OPS) findAllPlain(seq []storage.Row) ([]Match, Stats) {
-	from := o.matches.Len()
-	nn := len(seq)
-	m := o.p.Len()
-	clear(o.ctx.Bind) // evalPlain's cross conditions read them
-	i, j := 1, 1
-	for i <= nn && j <= m {
-		if j == 1 && o.fastSkip {
-			// A mismatch at element 1 always resolves to shift=1/next=0 —
-			// one eval, one rollback, advance one row — so a run of zero
-			// bits in element 1's mask collapses to bulk accounting.
-			if c := o.nextCandidate(i, nn); c > i {
-				o.skipEvals(int64(c - i))
-				i = c
-				if i > nn {
-					break
-				}
-			}
-		}
-		if o.evalPlain(j, i) {
-			i++
-			j++
-			if j <= m {
-				continue
-			}
-			// Success: t[i-m .. i-1] (1-based) matches.
-			start := i - m
-			spans := o.spans.Take(m)
-			for k := 0; k < m; k++ {
-				spans[k] = pattern.Span{Start: start + k - 1, End: start + k - 1, Set: true}
-			}
-			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: spans})
-			o.stats.Matches++
-			if o.cfg.Policy == SkipToNextRow {
-				i = start + 1
-			}
-			j = 1
-			continue
-		}
-		// Mismatch at (i, j): apply the shift/next tables.
-		o.stats.Rollbacks++
-		mustFire(faultOPSShift)
-		sh, nx := o.shiftNext(j)
-		i = i - j + sh + nx
-		j = nx
-		if j == 0 {
-			i++
-			j = 1
-		}
-	}
-	return o.matches.Run(from), o.stats
-}
-
 // countSpans builds a match's per-element spans from the §5 counters:
 // element k covers tuples count[k-1] .. count[k]-1 of the match, whose
 // first tuple is start (1-based). Every element of a reported match has
@@ -252,21 +171,21 @@ func (o *OPS) countSpans(count []int, start int) []pattern.Span {
 	return spans
 }
 
-// findAllStar is the §5 star runtime: a per-element cumulative counter
-// array count[] tracks how many input tuples each element consumed, and
-// mismatch rollback resumes at i - count[j-1] + count[shift+next-1] with
-// the counters (and bindings) re-based onto the shifted alignment. It is
-// the generic loop: every probe goes through eval, so cross conditions,
-// the ablation configs, path tracing and fault injection all run here,
-// and findAllStarPure is differenced against it.
+// findAllStar is the §5 runtime: a per-element cumulative counter array
+// count[] tracks how many input tuples each element consumed, and mismatch
+// rollback resumes at i - count[j-1] + count[shift+next-1] with the
+// counters (and bindings) re-based onto the shifted alignment. It is the
+// generic loop: every probe goes through eval, so cross conditions, the
+// ablation configs, path tracing and fault injection all run here, and
+// findAllStarPure is differenced against it.
 func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
 	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
 	toNextRow := o.cfg.Policy == SkipToNextRow
-	noCounters, shiftOnly := o.cfg.NoCounters, o.cfg.ShiftOnly
-	lastRowSkip := o.cfg.LastRowSkip && !shiftOnly
+	noCounters, shiftOnly := o.cfg.NoCounters && o.tables.HasStar, o.cfg.ShiftOnly
+	lastRowSkip := o.cfg.LastRowSkip && !shiftOnly && o.tables.SkipOK != nil
 	fastSkip := o.fastSkip
 	count := o.count
 	count[0] = 0
@@ -299,9 +218,10 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			break
 		}
 		if j == 1 && inElem == 0 && fastSkip {
-			// Same collapse as the plain loop: a fresh attempt failing at
-			// element 1 restarts one row later (next(1) = 0), costing one
-			// eval and one rollback per row, with bindings already clear.
+			// A fresh attempt failing at element 1 restarts one row later
+			// (next(1) = 0), costing one eval and one rollback per row, with
+			// bindings already clear: a run of zero bits in element 1's mask
+			// collapses to bulk accounting.
 			if c := o.nextCandidate(i, nn); c > i {
 				o.skipEvals(int64(c - i))
 				i = c
@@ -353,6 +273,9 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			continue
 		}
 		skip := lastRowSkip && o.tables.SkipOK[j]
+		if nx == j-sh+1 { // see core.Tables.Next
+			nx, skip = j-sh, true
+		}
 		i += count[sh+nx-1] - count[j-1]
 		base := count[sh]
 		for t := 1; t < nx; t++ {
@@ -489,12 +412,21 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 			continue
 		}
 		sh := shift[j]
+		consume := nx == j-sh+1 // see core.Tables.Next
+		if consume {
+			nx = j - sh
+		}
 		i += count[sh+nx-1] - count[j-1]
 		base := count[sh]
 		for t := 1; t < nx; t++ {
 			count[t] = count[sh+t] - base
 		}
 		j = nx
+		if consume {
+			count[j] = count[j-1] + 1
+			i++
+			j++
+		}
 	}
 	if y != nil {
 		o.pairRows += scanned

@@ -320,7 +320,8 @@ func TestRunLoopDifferential(t *testing.T) {
 		closed += c
 		pure += p
 	}
-	for seed := 0; seed < 120; seed++ {
+	// Seeds from 120 on draw the same shapes star-free.
+	for seed := 0; seed < 180; seed++ {
 		r := rand.New(rand.NewSource(int64(9100 + seed)))
 		n := 200 + r.Intn(400)
 		var p *pattern.Pattern
@@ -329,6 +330,9 @@ func TestRunLoopDifferential(t *testing.T) {
 			p, seq = purePattern(t, r), pureSeq(r, n)
 		} else {
 			p, seq = repeatPattern(t, r), walkSeq(r, n)
+		}
+		if seed >= 120 {
+			p = starFree(p)
 		}
 		add(runChecks(t, fmt.Sprintf("seed %d", seed), p, cutClusters(r, seq), seed%4 == 1))
 	}
@@ -345,6 +349,10 @@ func TestRunLoopDifferential(t *testing.T) {
 	}
 	rise := []pattern.Cond{pattern.FieldField(0, pattern.Cur, constraint.Gt, 0, pattern.Prev, 0)}
 	xy := pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Star: true, Local: is(2)})
+	consume := pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Local: []pattern.Cond{pattern.FieldConst(0, pattern.Cur, constraint.Ne, 1)}})
+	if tab := core.Compute(consume); tab.Shift[2] != 1 || tab.Next[2] != 2 {
+		t.Fatalf("the consume fixture has shift(2) = %d, next(2) = %d, want 1 and 2", tab.Shift[2], tab.Next[2])
+	}
 	random := func(seed int64) func(int) float64 {
 		r := rand.New(rand.NewSource(seed))
 		return func(int) float64 { return float64(r.Intn(4)) }
@@ -380,6 +388,12 @@ func TestRunLoopDifferential(t *testing.T) {
 			split(walkSeq(rand.New(rand.NewSource(7)), 5*3000), 5), loopPureSkip, func(c int64) bool { return c > 0 }},
 		{"double bottom, ten-row clusters", doubleBottomShape(),
 			split(calmWalk(rand.New(rand.NewSource(8)), 10*3000), 10), loopPurePair, func(c int64) bool { return c > 2*2000 }},
+		// Star-free: three plain elements take the pair scan, and Y ≠ 1
+		// failing on a row means X holds there — next(2) = 2, the tuple
+		// consumed as X — which takes the element-1 skip.
+		{"star-free pair scan", pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Local: is(2)}, pattern.Element{Name: "Z", Local: is(3)}),
+			split(codes(10*300, random(9)), 10), loopPurePair, func(c int64) bool { return c > 0 }},
+		{"star-free consume", consume, split(codes(10*300, random(10)), 10), loopPureSkip, nil},
 	} {
 		if got := selectLoop(core.Compute(c.p), true); got != c.loop {
 			t.Fatalf("%s: the pure loop is %d, want %d", c.name, got, c.loop)
@@ -407,9 +421,9 @@ func TestRunLoopDifferential(t *testing.T) {
 
 // FuzzRunLoop cuts what the seed draws from the differential's generators
 // — purePattern over pureSeq for an even seed, repeatPattern over walkSeq
-// for an odd one, n%2048 rows long — into clusters at the boundaries the
-// cuts' bits choose, and runs runChecks on them. The seed corpus is in
-// testdata/fuzz/FuzzRunLoop.
+// for an odd one, n%2048 rows long, star-free when n's top bit is set —
+// into clusters at the boundaries the cuts' bits choose, and runs
+// runChecks on them. The seed corpus is in testdata/fuzz/FuzzRunLoop.
 func FuzzRunLoop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, cuts uint64) {
 		r := rand.New(rand.NewSource(seed))
@@ -420,6 +434,9 @@ func FuzzRunLoop(f *testing.F) {
 			p, seq = purePattern(t, r), pureSeq(r, rows)
 		} else {
 			p, seq = repeatPattern(t, r), walkSeq(r, rows)
+		}
+		if n&0x8000 != 0 {
+			p = starFree(p)
 		}
 		// Bit k of cuts ends a cluster after the row at k (mod 64) of every
 		// 64-row stretch; the last cluster ends with the input.

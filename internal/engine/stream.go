@@ -24,11 +24,12 @@ type StreamConfig struct {
 	// for sinks that consume spans synchronously. Sinks that retain a
 	// Match past the emit callback must copy Spans (or leave this off).
 	ReuseSpans bool
-	// Tables supplies precomputed stream tables (core.ComputeForStream).
-	// When nil, NewStreamer computes them. The tables are read-only at
-	// run time, so one computation can be shared by every Streamer of
-	// the same pattern — e.g. one matcher per CLUSTER BY key — instead
-	// of re-running the implication engine per cluster.
+	// Tables supplies the pattern's precomputed tables (core.Compute), the
+	// ones the batch executor reads. When nil, NewStreamer computes them.
+	// The tables are read-only at run time, so one computation can be
+	// shared by every Streamer of the same pattern — e.g. one matcher per
+	// CLUSTER BY key — instead of re-running the implication engine per
+	// cluster.
 	Tables *core.Tables
 	// Vectorize is accepted and ignored. It selected a per-row verdict
 	// memo that never hit (OPS's shift/next exists so that rows are not
@@ -132,7 +133,7 @@ func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Stream
 func (s *Streamer) Init(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) {
 	t := cfg.Tables
 	if t == nil {
-		t = core.ComputeForStream(p)
+		t = core.Compute(p)
 	}
 	s.p, s.t, s.cfg, s.emit = p, t, cfg, emit
 	s.i, s.j = 1, 1
@@ -374,7 +375,7 @@ func (s *Streamer) drain() {
 	star, shift, next := s.t.Star, s.t.Shift, s.t.Next
 	count, bind := s.count, s.ctx.Bind
 	toNextRow := s.cfg.Policy == SkipToNextRow
-	maxBuf, lastRowSkip := s.cfg.MaxBuffer, s.cfg.LastRowSkip
+	maxBuf, lastRowSkip := s.cfg.MaxBuffer, s.cfg.LastRowSkip && s.t.SkipOK != nil
 	off := s.off
 	n := off + s.tail // tuples received so far
 	check := s.check
@@ -448,6 +449,9 @@ func (s *Streamer) drain() {
 		}
 		sh := shift[j]
 		skip := lastRowSkip && s.t.SkipOK[j]
+		if nx == j-sh+1 { // see core.Tables.Next
+			nx, skip = j-sh, true
+		}
 		i += count[sh+nx-1] - count[j-1]
 		base := count[sh]
 		for t := 1; t < nx; t++ {

@@ -128,13 +128,12 @@ func sawtoothFixture(t testing.TB) (*pattern.Pattern, []storage.Row) {
 
 // TestStreamWindowDifferential: over compactions and growths, a Streamer
 // with the kernel attached, a Streamer interpreting, and the batch OPS
-// executor agree on matches, spans, PredEvals and Rollbacks. The batch
-// leg runs where batch has a counterpart: with no MaxBuffer (batch never
-// abandons an attempt) and, under LastRowSkip, on star patterns (batch's
-// plain loop has no such extension). The sawtooth fixture must compact
-// at least three times and grow at least twice in every unbounded stream;
-// the random patterns, most of which never hold a long window, are held
-// to a total.
+// executor, all reading the same tables, agree on matches, spans,
+// PredEvals and Rollbacks. The batch leg runs wherever batch has a
+// counterpart: with no MaxBuffer (batch never abandons an attempt). The
+// sawtooth fixture must compact at least three times and grow at least
+// twice in every unbounded stream; the random patterns, most of which
+// never hold a long window, are held to a total.
 func TestStreamWindowDifferential(t *testing.T) {
 	type fixture struct {
 		name     string
@@ -169,7 +168,7 @@ func TestStreamWindowDifferential(t *testing.T) {
 	compactions, growths := 0, 0
 	for _, f := range fixtures {
 		k := f.p.CompileKernel()
-		tab := core.ComputeForStream(f.p)
+		tab := core.Compute(f.p)
 		for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
 			for _, skip := range []bool{false, true} {
 				for _, maxBuf := range []int{0, 8, 24} {
@@ -192,9 +191,6 @@ func TestStreamWindowDifferential(t *testing.T) {
 					}
 					if f.sawtooth && (ki.compactions < 3 || ki.growths < 2) {
 						t.Fatalf("%s: %d compactions and %d growths, want at least 3 and 2", label, ki.compactions, ki.growths)
-					}
-					if skip && !tab.HasStar {
-						continue
 					}
 					bm, bs := NewOPS(f.p, tab, OPSConfig{Policy: policy, LastRowSkip: skip}).FindAll(f.seq)
 					if !matchesEqual(bm, ki.matches) || bs != ki.stats {

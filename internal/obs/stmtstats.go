@@ -183,7 +183,7 @@ type QueryObs struct {
 	PlanCached      bool
 	PartitionCached bool
 	// Kernel reports whether compiled predicate kernels evaluated probes
-	// (false = interpreter run, via NoKernel or full fallback).
+	// (false = interpreter run: the pattern compiled no element).
 	Kernel bool
 	// Naive marks runs of the naive executor; pred-evals of naive and
 	// optimized runs accumulate separately so the paper's savings metric

@@ -21,18 +21,17 @@ const (
 
 // TestStatementTotalsMatchResults is the differential acceptance test:
 // the statement-stats totals must agree exactly with the summed Result
-// counters across serial, parallel, kernel, interpreter, naive and
-// overlap executions — the introspection layer observes the serving
-// path, it must not change or approximate it.
+// counters across serial, parallel, naive and overlap executions — the
+// introspection layer observes the serving path, it must not change or
+// approximate it.
 func TestStatementTotalsMatchResults(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
 	insertSeries(t, db, "IBM", 10000, 10, 12, 9, 7, 14, 16, 12)
 
 	variants := []RunOptions{
-		{},                    // serial, kernel path
+		{},                    // serial
 		{MaxWorkers: 4},       // four workers
-		{NoKernel: true},      // interpreter
 		{Executor: NaiveExec}, // naive executor (feeds the savings metric)
 		{Overlap: true},       // overlapping occurrences
 	}
@@ -90,14 +89,11 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 	if got.PartHits != want.PartHits {
 		t.Errorf("partition cache hits: stats %d, results %d", got.PartHits, want.PartHits)
 	}
-	// Every call is either a kernel or an interpreter run; the NoKernel
-	// variants are necessarily interpreter runs.
-	if got.KernelRuns+got.InterpRuns != want.Calls {
-		t.Errorf("kernel %d + interpreter %d runs != %d calls",
+	// Every call is either a kernel or an interpreter run, and both
+	// statements compile every element, so each is a kernel run.
+	if got.KernelRuns != want.Calls || got.InterpRuns != 0 {
+		t.Errorf("kernel %d + interpreter %d runs, want %d + 0",
 			got.KernelRuns, got.InterpRuns, want.Calls)
-	}
-	if got.InterpRuns < 2 {
-		t.Errorf("interpreter runs %d, want >= 2 (the NoKernel variants)", got.InterpRuns)
 	}
 	// Two statements → two entries; the case/whitespace-normalized keys.
 	if len(got.sortKeys) != 2 {

@@ -51,10 +51,10 @@ func TestObservationViewsAgree(t *testing.T) {
 		}
 	}
 
-	// Successes: both statements under every evaluation mode, cold and
-	// warm, with an insert in between (a refreshed partition).
+	// Successes: both statements under every run mode, cold and warm, with
+	// an insert in between (a refreshed partition).
 	for _, sql := range []string{introspectSQL1, introspectSQL2} {
-		for _, opts := range []RunOptions{{}, {MaxWorkers: 4}, {NoKernel: true}, {Executor: NaiveExec}, {NoCache: true}} {
+		for _, opts := range []RunOptions{{}, {MaxWorkers: 4}, {Executor: NaiveExec}, {NoCache: true}} {
 			run(sql, opts, "")
 		}
 	}
@@ -116,8 +116,8 @@ func TestObservationViewsAgree(t *testing.T) {
 	run(introspectSQL1, RunOptions{}, "")
 
 	events := sink.events
-	if len(events) != 22 {
-		t.Fatalf("captured %d events, want 22", len(events))
+	if len(events) != 20 {
+		t.Fatalf("captured %d events, want 20", len(events))
 	}
 
 	// What the captured events sum to.

@@ -2,8 +2,10 @@ package sqlts
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"sqlts/internal/engine"
 	"sqlts/internal/storage"
 	"sqlts/internal/workload"
 )
@@ -61,10 +63,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// interpreted searches q's clusters with an OPS executor that has no
+// kernel attached, so that every probe goes through the condition
+// interpreter: the reference the serving path's kernel runs are held to.
+func interpreted(t testing.TB, q *Query) (engine.Stats, []ClusterMatches) {
+	t.Helper()
+	c := q.plan.compiled
+	part, _, err := q.db.partition(q.db.Table(c.Table), c.ClusterBy, c.SequenceBy, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := engine.NewOPS(c.Pattern, q.plan.tables, engine.OPSConfig{})
+	var st engine.Stats
+	var cms []ClusterMatches
+	for i, seq := range part.Groups {
+		ms, s := o.FindAll(seq)
+		st.Add(s)
+		if len(ms) > 0 {
+			cms = append(cms, ClusterMatches{Cluster: i, Matches: ms})
+		}
+	}
+	return st, cms
+}
+
 // TestParallelKernelMatchesInterpreter crosses the two execution axes:
-// serial vs parallel and kernel vs interpreter must all agree on rows
-// and on pred-evals (the paper's metric is execution-strategy
-// independent).
+// serial and parallel runs of the plan's kernel must agree with the
+// interpreter on rows, matches and counters (the paper's metric is
+// execution-strategy independent).
 func TestParallelKernelMatchesInterpreter(t *testing.T) {
 	db := quoteDB(t)
 	for s := 0; s < 24; s++ {
@@ -86,20 +111,22 @@ func TestParallelKernelMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := q.RunWith(RunOptions{NoKernel: true})
+	ref, err := q.RunWith(RunOptions{MaxWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Rows) == 0 {
 		t.Fatal("workload produced no matches; adjust parameters")
 	}
+	if st, ms := interpreted(t, q); st != ref.Stats || !reflect.DeepEqual(ms, ref.Matches) {
+		t.Fatalf("the interpreter found %+v over %d matched clusters, the kernel %+v over %d", st, len(ms), ref.Stats, len(ref.Matches))
+	}
 	for _, c := range []struct {
 		label string
 		opts  RunOptions
 	}{
-		{"serial+kernel", RunOptions{}},
-		{"parallel+kernel", RunOptions{MaxWorkers: 4}},
-		{"parallel+interp", RunOptions{MaxWorkers: 4, NoKernel: true}},
+		{"elastic", RunOptions{}},
+		{"parallel", RunOptions{MaxWorkers: 4}},
 	} {
 		res, err := q.RunWith(c.opts)
 		if err != nil {

@@ -513,7 +513,6 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		{"four-worker run", RunOptions{MaxWorkers: 4}},
 		{"overlapping run", RunOptions{Overlap: true}},
 		{"naive run", RunOptions{Executor: NaiveExec}},
-		{"interpreter run", RunOptions{NoKernel: true}},
 	} {
 		run(pure, tc.label, tc.opts)
 		if n, projs, masks, again := held(pure); n != 60 || projs != 0 || masks != n || again != first {

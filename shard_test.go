@@ -127,7 +127,6 @@ func TestShardedOptionVariants(t *testing.T) {
 		name string
 		opts sqlts.RunOptions
 	}{
-		{"nokernel", sqlts.RunOptions{NoKernel: true}},
 		{"overlap", sqlts.RunOptions{Overlap: true}},
 		{"naive", sqlts.RunOptions{Executor: sqlts.NaiveExec}},
 		{"maxworkers1", sqlts.RunOptions{MaxWorkers: 1}},

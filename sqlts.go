@@ -343,11 +343,6 @@ type RunOptions struct {
 	// included, whatever else runs. Results are identical whatever the
 	// count, including row order.
 	MaxWorkers int
-	// NoKernel disables the compiled predicate kernel and evaluates every
-	// probe through the condition interpreter — for
-	// experiments and differential testing; results and statistics are
-	// identical either way.
-	NoKernel bool
 	// NoCache bypasses the partition cache for this run: the cluster
 	// sort always re-runs and the result is not stored. (Plan caching
 	// happens at Prepare time; disable it with SetPlanCacheCapacity(0).)
@@ -498,8 +493,8 @@ type Plan struct {
 
 // patternArtifact is what a statement compiles from its pattern alone
 // (paper §4–5: θ, φ, shift and next are functions of the pattern): the
-// analysed pattern, its shift/next tables, its kernel and, on the first
-// OpenStream, its continuous-query tables. It is keyed by the catalog
+// analysed pattern, its shift/next tables — which batch runs and streams
+// both read — and its kernel. It is keyed by the catalog
 // version and the statement's FROM … end tokens (query.SelectStmt's
 // PatternKey), so statements that differ only in their SELECT list, an
 // alias or EXPLAIN share one — and with it the WHERE clause's analysis
@@ -520,9 +515,6 @@ type patternArtifact struct {
 	spans       [3]*obs.Span
 	cachedOnce  sync.Once
 	cachedSpans [3]*obs.Span
-
-	streamOnce   sync.Once
-	streamTables *core.Tables
 
 	// refs counts the cached plans holding the artifact. It changes under
 	// db.cacheMu; a partition keeps a memo only for an artifact with refs.
@@ -551,15 +543,6 @@ func (a *patternArtifact) hitSpans() []*obs.Span {
 		}
 	})
 	return a.cachedSpans[:]
-}
-
-// streamTabs lazily computes the stream shift/next tables once per
-// pattern: every stream over every plan sharing it reads the same ones.
-func (a *patternArtifact) streamTabs() *core.Tables {
-	a.streamOnce.Do(func() {
-		a.streamTables = core.ComputeForStream(a.analysis.Pattern)
-	})
-	return a.streamTables
 }
 
 // resultShape is what a plan remembers of its last successful run: how
@@ -947,7 +930,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		AdmissionWaitNs: admWait.Nanoseconds(),
 		PlanCached:      q.planCached,
 		PatternCached:   !q.planCached && q.plan.patternCached,
-		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
+		Kernel:          q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
 		Slow:            slowNs > 0 && dur >= slowNs,
 	}
 	if err != nil {
@@ -1040,7 +1023,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	// SetShards the partition comes from the sharded cache instead of the
 	// flat one; NoCache runs bypass both.
 	kern, art := q.plan.kernel, q.plan.art
-	if opts.NoKernel || kern == nil || kern.CompiledElems() == 0 {
+	if kern == nil || kern.CompiledElems() == 0 {
 		kern, art = nil, nil // the executors interpret: nothing to memoize
 	}
 	var (
@@ -1084,11 +1067,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 }
 
 func (q *Query) newExecutor(opts RunOptions, policy engine.SkipPolicy) engine.Executor {
-	p := q.plan.compiled.Pattern
-	kern := q.plan.kernel
-	if opts.NoKernel {
-		kern = nil
-	}
+	p, kern := q.plan.compiled.Pattern, q.plan.kernel
 	cfg := engine.OPSConfig{Policy: policy}
 	switch opts.Executor {
 	case NaiveExec:

@@ -22,9 +22,6 @@ type StreamOptions struct {
 	// MaxBuffer bounds the per-cluster retained window (0 = unbounded);
 	// matches longer than the bound are abandoned.
 	MaxBuffer int
-	// NoKernel disables the compiled columnar predicate kernels for this
-	// stream and interprets every probe (see RunOptions.NoKernel).
-	NoKernel bool
 	// Context, when non-nil, cancels the stream cooperatively: Push
 	// checks it on entry and the per-cluster matchers check it at
 	// amortized checkpoints, so even a single Push that triggers a long
@@ -42,7 +39,6 @@ type StreamOptions struct {
 // unbounded past).
 type Stream struct {
 	q        *Query
-	opts     StreamOptions
 	sink     func(storage.Row) error
 	clusters map[string]*clusterStream
 	// order holds the cluster streams in first-arrival order — the batch
@@ -54,7 +50,7 @@ type Stream struct {
 	closed  bool
 
 	// What every cluster's matcher is built from: the configuration
-	// (with the stream shift/next tables), one emit callback and one
+	// (with the plan's shift/next tables), one emit callback and one
 	// interrupt (nil without an rc), shared rather than made per cluster.
 	cfg       engine.StreamConfig
 	emit      func(engine.Match)
@@ -124,10 +120,8 @@ type clusterStream struct {
 // — it is recycled for the next match; sinks that retain it must copy
 // (storage.Row.Clone).
 //
-// The stream shift/next tables are computed once per pattern and shared
-// by every stream (and every per-cluster matcher) over every plan that
-// shares it, so repeated OpenStream calls on a cached plan skip that work
-// too.
+// Every per-cluster matcher reads the plan's own shift/next tables, the
+// ones its batch runs read, so opening a stream computes none.
 func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*Stream, error) {
 	compiled := q.plan.compiled
 	if compiled.Pattern == nil {
@@ -136,7 +130,6 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	fl := q.db.registerFlight(q.plan.key, "stream", obs.PhaseStreaming)
 	st := &Stream{
 		q:        q,
-		opts:     opts,
 		sink:     sink,
 		clusters: map[string]*clusterStream{},
 		entry:    q.db.stmts.Get(q.plan.key),
@@ -147,7 +140,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 			Policy:      engine.SkipPastLastRow,
 			LastRowSkip: opts.LastRowSkip,
 			MaxBuffer:   opts.MaxBuffer,
-			Tables:      q.plan.art.streamTabs(),
+			Tables:      q.plan.tables,
 			// emitMatch consumes Spans synchronously, so the matcher may
 			// recycle them between emissions.
 			ReuseSpans: true,
@@ -334,9 +327,7 @@ func (st *Stream) newClusterStream(row storage.Row) *clusterStream {
 	}
 	cs.s.Init(st.q.plan.compiled.Pattern, st.cfg, st.emit)
 	cs.s.SetInterrupt(st.interrupt)
-	if !st.opts.NoKernel {
-		cs.s.UseKernel(st.q.plan.kernel)
-	}
+	cs.s.UseKernel(st.q.plan.kernel)
 	return cs
 }
 
