@@ -359,8 +359,9 @@ func BenchmarkStreaming(b *testing.B) {
 // push allocates nothing (the matcher copies the tuple into a window it
 // owns; routing, span and SELECT-row scratch are reused), so kernel
 // allocates only while the window grows to the series' longest attempt,
-// and many allocates only to create its 2,000 cluster matchers — the
-// dev-loop twin of the benchmark's stream_many workload.
+// and many allocates only to create its cluster matchers and grow their
+// windows. many/clusters=2000 is the dev-loop twin of the benchmark's
+// stream_many workload.
 func BenchmarkStreamSQL(b *testing.B) {
 	prices := workload.DJIA25Years(1)
 	for i := 0; i < 12; i++ {
@@ -407,51 +408,69 @@ func BenchmarkStreamSQL(b *testing.B) {
 		}
 	})
 
-	// 2,000 symbols × 100 rows, date-major: consecutive tuples never
-	// share a cluster. A fresh stream per iteration, because creating the
-	// matchers is part of what a pass over this shape costs.
+	// The same 200,000 tuples over 20, 200 and 2,000 symbols, date-major:
+	// consecutive tuples never share a cluster, and at 2,000 symbols this
+	// is the benchmark's stream_many feed. The values are laid out once, in
+	// arrival order, as that feed's are, so a push reads its input
+	// sequentially and only the per-cluster state is cold. A fresh stream
+	// per iteration, because creating the matchers is part of what a pass
+	// over this shape costs.
 	b.Run("many", func(b *testing.B) {
-		const symbols, rows = 2000, 100
-		byName, _ := workload.ClusterWalks("quote", 1, symbols, rows, 50).Snapshot()
-		feed := make([]storage.Row, 0, symbols*rows)
-		for i := 0; i < rows; i++ {
-			for c := 0; c < symbols; c++ {
-				feed = append(feed, byName[c*rows+i])
-			}
+		for _, symbols := range []int{20, 200, 2000} {
+			b.Run(fmt.Sprintf("clusters=%d", symbols), func(b *testing.B) {
+				benchStreamMany(b, symbols, 200_000/symbols)
+			})
 		}
-		db := sqlts.New()
-		db.MustExec(`CREATE TABLE quote (name VARCHAR(8), date DATE, price REAL)`)
-		if err := db.DeclarePositive("quote", "price"); err != nil {
-			b.Fatal(err)
+	})
+}
+
+// benchStreamMany pushes symbols × rows double-bottom tuples, date-major,
+// through one fresh stream per iteration and reports ns/push.
+func benchStreamMany(b *testing.B, symbols, rows int) {
+	byName, _ := workload.ClusterWalks("quote", 1, symbols, rows, 50).Snapshot()
+	vals := make([]storage.Value, 0, len(byName)*3)
+	for i := 0; i < rows; i++ {
+		for c := 0; c < symbols; c++ {
+			vals = append(vals, byName[c*rows+i]...)
 		}
-		q, err := db.Prepare(ta.DoubleBottomOver("quote", "name", 0.02))
+	}
+	feed := make([][]storage.Value, len(byName))
+	for i := range feed {
+		feed[i] = vals[i*3 : (i+1)*3 : (i+1)*3]
+	}
+	db := sqlts.New()
+	db.MustExec(`CREATE TABLE quote (name VARCHAR(8), date DATE, price REAL)`)
+	if err := db.DeclarePositive("quote", "price"); err != nil {
+		b.Fatal(err)
+	}
+	q, err := db.Prepare(ta.DoubleBottomOver("quote", "name", 0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	matches := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := q.OpenStream(sqlts.StreamOptions{}, func(storage.Row) error {
+			matches++
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		matches := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := q.OpenStream(sqlts.StreamOptions{}, func(storage.Row) error {
-				matches++
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range feed {
-				if err := st.Push(r...); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Close(); err != nil {
+		for _, v := range feed {
+			if err := st.Push(v...); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if matches == 0 {
-			b.Fatal("no matches")
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(feed)), "ns/push")
+	if matches == 0 {
+		b.Fatal("no matches")
+	}
 }
 
 // BenchmarkTAPatterns measures the ta library's scans end to end through

@@ -132,7 +132,7 @@ func (db *DB) routeEvent(ev *obs.Event) {
 // push/match totals with the stream flag set.
 func (db *DB) emitStreamEvent(st *Stream, runErr error) {
 	if db.flight.off.Load() && db.flight.sink.Load() == nil {
-		return // st.Stats walks every cluster
+		return // no ring and no sink would see it
 	}
 	stats := st.Stats()
 	ev := obs.Event{

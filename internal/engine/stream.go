@@ -25,53 +25,59 @@ type StreamConfig struct {
 	// Match past the emit callback must copy Spans (or leave this off).
 	ReuseSpans bool
 	// Tables supplies the pattern's precomputed tables (core.Compute), the
-	// ones the batch executor reads. When nil, NewStreamer computes them.
+	// ones the batch executor reads. When nil, the matcher computes them.
 	// The tables are read-only at run time, so one computation can be
-	// shared by every Streamer of the same pattern — e.g. one matcher per
-	// CLUSTER BY key — instead of re-running the implication engine per
-	// cluster.
+	// shared by every matcher of the same pattern instead of re-running
+	// the implication engine per matcher.
 	Tables *core.Tables
 	// Vectorize is accepted and ignored. It selected a per-row verdict
 	// memo that never hit (OPS's shift/next exists so that rows are not
 	// re-probed: 0 hits in the double-bottom pin's 11,972 pred-evals) and
 	// was removed; the field stays only because benchmark/layers.go sets
-	// it, and goes with the next benchmark PR (ROADMAP item 1).
+	// it, and goes with the next benchmark PR (ROADMAP item 4).
 	Vectorize bool
 }
 
-// streamInlineElems is the longest pattern whose counters and bindings
-// live inside the Streamer itself rather than in allocations of their
-// own: a stream reaches one matcher per CLUSTER BY key through one
-// pointer, and each separate object is one more cache miss per push when
-// the keys are many. The paper's longest pattern (Example 10) has 9
-// elements.
-const streamInlineElems = 12
-
-// streamInitRows is a new Streamer's window capacity. It is small because
-// a stream holds one matcher per CLUSTER BY key and most attempts are a
+// streamInitRows is a new cluster's window capacity. It is small because
+// a stream holds one window per CLUSTER BY key and most attempts are a
 // few rows long; the window doubles when an attempt outgrows it.
 const streamInitRows = 4
 
-// Streamer is the incremental (push-based) OPS matcher: tuples arrive one
-// at a time and matches are emitted as soon as they complete. It retains
-// only the window from just before the current match attempt's start, so
-// memory is proportional to the longest live match attempt, not to the
-// stream. This is the paper's continuous-query deployment (§6 runs
-// SQL-TS "on input streams" via user-defined aggregates), with the same
-// shift/next optimization applied incrementally.
+// StreamArena is the incremental (push-based) OPS matcher of a stream
+// whose tuples are routed to many clusters: tuples arrive one at a time,
+// each to a cluster, and matches are emitted as soon as they complete.
+// This is the paper's continuous-query deployment (§6 runs SQL-TS "on
+// input streams" via user-defined aggregates), with the same shift/next
+// optimization applied incrementally, per cluster.
 //
-// The window is storage the Streamer owns: rows[i] is a fixed header over
-// slot i's values, and Push copies the tuple's values into slot tail. The
-// live window is rows[head:tail]; pruning only advances head. ctx.Pos,
-// ctx.Bind and the projection all index slots, so a push shifts and
-// rebases nothing. When every slot is used the live values are copied
-// down to slot 0 (compaction) if the dead prefix is at least as long as
-// the live window, and the slot count is doubled otherwise: O(1)
-// amortized per push, and a capacity below four times the longest live
-// window held. Doubling adds a block of slots beside the ones it has
-// and moves no values: a stream's clusters are often short (the
-// benchmark's see 100 tuples and hold a median peak of 34), so growth is
-// not amortized away there and must not re-copy the window.
+// What every cluster's search reads of the configuration — the pattern,
+// its tables, the kernel, the StreamConfig, the emit callback, the
+// interrupt, the tuple width and the kernel's projected columns — is
+// here, once. A cluster is an id from Add into three dense arrays: a
+// streamRec (its cursors, its successor and its window), its count[]
+// and its bindings, the §5 machine's only other state. A push to a cold
+// cluster reads those, which a feed that cycles through its clusters
+// reads in address order, and then its window's slot (through
+// streamRec.top, not the slot's header) and projected column rows, and
+// nothing more. Counters (Stats, Pruned) are the arena's, summed over
+// its clusters.
+//
+// A cluster retains only the window from just before its current match
+// attempt's start, so memory is proportional to the longest live match
+// attempt, not to the stream. Slot i has a fixed header over its values;
+// Push copies the tuple's values into slot tail. The live window is slots
+// [head, tail); pruning only advances head. ctx.Pos, ctx.Bind and
+// the projected columns all index slots, so a push shifts and rebases
+// nothing. When every slot is used the live values are copied down to
+// slot 0 (compaction) if the dead prefix is at least as long as the live
+// window, and the slot count is doubled otherwise: O(1) amortized per
+// push, and a capacity below four times the longest live window held.
+// Doubling adds a block of slots beside the ones the window has and moves
+// no values — a stream's clusters are often short (the benchmark's see
+// 100 tuples and hold a median peak of 34), so growth is not amortized
+// away there and must not re-copy the window — while the headers and the
+// projected columns, 33 of a slot's 153 bytes on the double bottom, are
+// re-allocated at twice the size.
 //
 // Slot 0 and the "no predecessor" rule: the interpreter and the kernels
 // treat position 0 as having no previous tuple. Slot 0 is probed only
@@ -79,150 +85,231 @@ const streamInitRows = 4
 // (global tuple matchStart-2), no probe lands before the attempt's first
 // tuple, and attempts only move forward; so once head has advanced, every
 // probe lands past slot head, and a compaction moves slot head to slot 0.
-type Streamer struct {
-	rows       []storage.Row // rows[i] is slot i, stride values; len is the capacity
-	head, tail int
-	off        int // global 0-based index of the tuple in slot 0
+type StreamArena struct {
+	recs []streamRec
+	// counts holds each cluster's count (m+1 from id*(m+1)) and binds
+	// its bindings (m from id*m).
+	counts []int
+	binds  []pattern.Span
+	stats  Stats
+	pruned int64 // rows dropped from the retained windows so far
 
-	// Machine state; i is the 1-based global input cursor, j the 1-based
-	// pattern cursor, per the paper's presentation. Binds in ctx are slot
-	// indexes while evaluating and global at emission. Bind[k] is set only
-	// for elements the current attempt has entered.
-	i, j, inElem int
-	count        []int
-	ctx          pattern.EvalContext
-	stats        Stats
-	pruned       int64 // rows dropped from the retained window so far
+	// The configuration. check is the cooperative cancellation checkpoint
+	// (SetInterrupt), consulted every checkpointMask+1 predicate
+	// evaluations.
+	p        *pattern.Pattern
+	t        *core.Tables
+	kern     *pattern.Kernel
+	cfg      StreamConfig
+	emit     func(Match)
+	check    func() error
+	m, width int // pattern elements, tuple values
 
-	// What every push reads of the configuration. check is the
-	// cooperative cancellation checkpoint (SetInterrupt), consulted every
-	// checkpointMask+1 predicate evaluations.
-	kern   *pattern.Kernel
-	p      *pattern.Pattern
-	t      *core.Tables
-	stride int
-	closed bool
-	check  func() error
-	cfg    StreamConfig
+	// The kernel's projected columns, in the order a window's columns
+	// hold their regions.
+	numCols, nullCols, strCols []int
 
-	// By value: a probe reaches the columns without a hop through a
-	// separately allocated header.
-	proj storage.Projection // decode of rows[:tail], same indexing; used with kern
-
-	// Backing for count and ctx.Bind up to streamInlineElems elements.
-	countBuf [streamInlineElems + 1]int
-	bindBuf  [streamInlineElems]pattern.Span
-
-	emit        func(Match)
+	// The probe view of the cluster being advanced (enter): ctx.Seq and
+	// ctx.Bind, count, and proj's projected column headers point into its
+	// window, so the kernel's one row probe reads a stream cluster as it
+	// reads any projection.
+	ctx         pattern.EvalContext
+	count       []int
+	proj        storage.Projection
 	spanScratch []pattern.Span // emission buffer when cfg.ReuseSpans
 }
 
-// NewStreamer builds an incremental matcher for the pattern. emit is
-// called synchronously from Push/Flush for every completed match, with
-// global (whole-stream) coordinates.
-func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Streamer {
-	s := new(Streamer)
-	s.Init(p, cfg, emit)
-	return s
+// streamRec is one cluster's record. Machine state: i is the 1-based
+// global input cursor and j the 1-based pattern cursor, per the paper's
+// presentation; inElem counts the tuples the current element has taken.
+// Binds are slot indexes while evaluating and global at emission.
+// Bind[k] is set only for elements the current attempt has entered.
+type streamRec struct {
+	i, off     int // off is the global 0-based index of the tuple in slot 0
+	j, inElem  int32
+	head, tail int32 // the live window is slots [head, tail)
+	// next is the owner's routing state (Next): the rest of what routing
+	// reads of a cluster — its key values and its last SEQUENCE BY values
+	// — is the last tuple pushed, which its window always retains (Last).
+	next   int32
+	closed bool
+
+	// The window: rows[s] is slot s's header over its values, one per
+	// slot of the capacity; cols are the kernel's projected columns. top
+	// is the values of the slots from topLo to the capacity, the block the
+	// last doubling added, so that a push there copies its tuple without
+	// reading the slot's header.
+	rows  []storage.Row
+	top   []storage.Value
+	topLo int32
+	cols  windowColumns
 }
 
-// Init is NewStreamer for a Streamer embedded by value in its owner's
-// per-cluster state, so that the owner reaches the matcher without a
-// pointer hop. s must be the zero Streamer, and must not be copied
-// afterwards (its counters and bindings may live inside it).
-func (s *Streamer) Init(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) {
+// windowColumns is a window's projected columns: a region of capacity
+// values per column of the arena's numCols, nullCols and strCols.
+type windowColumns struct {
+	num  []float64
+	null []bool
+	strs []string
+}
+
+// NewStreamArena builds an empty arena for the pattern. emit is called
+// synchronously from Push/Flush for every completed match, with global
+// (whole-cluster-stream) coordinates; the owner knows which cluster it
+// pushed or flushed.
+func NewStreamArena(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *StreamArena {
+	a := new(StreamArena)
+	a.init(p, cfg, emit)
+	return a
+}
+
+func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) {
 	t := cfg.Tables
 	if t == nil {
 		t = core.Compute(p)
 	}
-	s.p, s.t, s.cfg, s.emit = p, t, cfg, emit
-	s.i, s.j = 1, 1
-	if m := p.Len(); m <= streamInlineElems {
-		s.count, s.ctx.Bind = s.countBuf[:m+1], s.bindBuf[:m]
-	} else {
-		s.count, s.ctx.Bind = make([]int, m+1), make([]pattern.Span, m)
-	}
-	s.stride = p.Schema.Len()
-	s.addSlots(streamInitRows)
-}
-
-// addSlots extends the window store by n slots carved from one block.
-func (s *Streamer) addSlots(n int) {
-	old := len(s.rows)
-	rows := make([]storage.Row, old+n)
-	copy(rows, s.rows)
-	vals := make([]storage.Value, n*s.stride)
-	for i := 0; i < n; i++ {
-		rows[old+i] = vals[i*s.stride : (i+1)*s.stride : (i+1)*s.stride]
-	}
-	s.rows = rows
+	a.p, a.t, a.cfg, a.emit = p, t, cfg, emit
+	a.m, a.width = p.Len(), p.Schema.Len()
 }
 
 // UseKernel attaches a compiled predicate kernel: pushed tuples are
-// decoded into columnar buffers incrementally and probes of compiled
-// elements read them through the kernel's conditions, row by row (a
-// disjunction included). Call before the first Push (rows already
+// decoded into the window's columns as they arrive and probes of
+// compiled elements read them through the kernel's conditions, row by
+// row (a disjunction included). Call before the first Push (rows already
 // buffered are projected on attach). A nil kernel, or one with no
 // compiled elements, leaves the interpreter in place.
-func (s *Streamer) UseKernel(k *pattern.Kernel) {
-	if k == nil || k.CompiledElems() == 0 {
-		s.kern, s.proj = nil, storage.Projection{}
-		return
+func (a *StreamArena) UseKernel(k *pattern.Kernel) {
+	a.kern, a.proj = nil, storage.Projection{}
+	a.numCols, a.nullCols, a.strCols = nil, nil, nil
+	if k != nil && k.CompiledElems() > 0 {
+		a.kern, a.proj = k, *k.NewProjection()
+		for c := range a.proj.Null {
+			if a.proj.Num[c] != nil {
+				a.numCols = append(a.numCols, c)
+			}
+			if a.proj.Null[c] != nil {
+				a.nullCols = append(a.nullCols, c)
+			}
+			if a.proj.Str[c] != nil {
+				a.strCols = append(a.strCols, c)
+			}
+		}
 	}
-	s.kern = k
-	s.proj = *k.NewProjection()
-	s.proj.Reserve(len(s.rows))
-	s.proj.AppendRows(s.rows[:s.tail])
+	for id := range a.recs {
+		r := &a.recs[id]
+		r.cols = a.newColumns(len(r.rows))
+		if a.kern != nil {
+			a.enter(int32(id))
+			for t, row := range r.rows[:r.tail] {
+				a.proj.SetRow(t, row)
+			}
+		}
+	}
 }
 
 // SetInterrupt installs a cooperative cancellation checkpoint, consulted
 // once every 1024 predicate evaluations. A non-nil error unwinds the
 // machine with an Interrupt panic, which Push recovers into its error
 // return (a mid-Flush interrupt propagates to Flush's caller).
-func (s *Streamer) SetInterrupt(check func() error) { s.check = check }
+func (a *StreamArena) SetInterrupt(check func() error) { a.check = check }
 
-// Stats returns the accumulated runtime counters.
-func (s *Streamer) Stats() Stats { return s.stats }
-
-// BufferLen reports the currently retained window size (for tests and
-// monitoring). With MaxBuffer > 0 it is at most MaxBuffer+1 whenever Push
-// has returned: an attempt is abandoned before it spans more than
-// MaxBuffer tuples, and one predecessor is retained before it.
-func (s *Streamer) BufferLen() int { return s.tail - s.head }
-
-// Pruned reports the cumulative number of rows dropped from the
-// retained window (for the pruned-rows observability counters).
-func (s *Streamer) Pruned() int64 { return s.pruned }
-
-// Window exposes the retained tuples and the global 0-based index of the
-// first one. Inside an emit callback the window still covers the
-// completed match (pruning happens after the machine settles), so output
-// expressions can be evaluated against it. The last tuple pushed is
-// always retained. The slice is the Streamer's own storage: it is valid
-// until the next Push.
-func (s *Streamer) Window() ([]storage.Row, int) {
-	return s.rows[s.head:s.tail], s.off + s.head
+// Add creates a cluster with an empty window and returns its id: ids are
+// dense, in creation order.
+func (a *StreamArena) Add() int32 {
+	id := int32(len(a.recs))
+	if len(a.recs) == cap(a.recs) {
+		// Double the arrays exactly: append's own growth adds a quarter at
+		// a time at the sizes a many-cluster stream reaches, re-copying
+		// them several times over.
+		n := max(1, 2*len(a.recs))
+		a.recs = append(make([]streamRec, 0, n), a.recs...)
+		a.counts = append(make([]int, 0, n*(a.m+1)), a.counts...)
+		a.binds = append(make([]pattern.Span, 0, n*a.m), a.binds...)
+	}
+	a.recs = append(a.recs, streamRec{i: 1, j: 1, next: -1})
+	a.counts = append(a.counts, make([]int, a.m+1)...)
+	a.binds = append(a.binds, make([]pattern.Span, a.m)...)
+	a.grow(&a.recs[id])
+	return id
 }
 
-// Push appends a copy of one tuple (the caller keeps the row it passed)
-// and advances the machine as far as the input allows, emitting any
-// matches that complete. An installed interrupt (SetInterrupt) or armed
-// engine fault surfaces as Push's error; a later Push resumes the machine
-// where the checkpoint stopped it.
-func (s *Streamer) Push(row storage.Row) error {
+// Len returns the number of clusters.
+func (a *StreamArena) Len() int { return len(a.recs) }
+
+// Next returns the cluster the owner recorded as cluster id's successor
+// (SetNext), -1 for none: a stream routes a tuple there first, because
+// arrivals run in one cluster or cycle through the clusters in a fixed
+// order.
+func (a *StreamArena) Next(id int32) int32 { return a.recs[id].next }
+
+// SetNext records next as cluster id's successor.
+func (a *StreamArena) SetNext(id, next int32) { a.recs[id].next = next }
+
+// Stats returns the runtime counters accumulated over every cluster.
+func (a *StreamArena) Stats() Stats { return a.stats }
+
+// Pruned reports the cumulative number of rows dropped from the
+// retained windows (for the pruned-rows observability counters).
+func (a *StreamArena) Pruned() int64 { return a.pruned }
+
+// BufferLen reports cluster id's retained window size. With MaxBuffer >
+// 0 it is at most MaxBuffer+1 whenever Push has returned: an attempt is
+// abandoned before it spans more than MaxBuffer tuples, and one
+// predecessor is retained before it.
+func (a *StreamArena) BufferLen(id int32) int {
+	r := &a.recs[id]
+	return int(r.tail - r.head)
+}
+
+// Window exposes cluster id's retained tuples and the global 0-based
+// index of the first one. Inside an emit callback the window still
+// covers the completed match (pruning happens after the machine
+// settles), so output expressions can be evaluated against it. The last
+// tuple pushed is always retained. The slice is the arena's own storage:
+// it is valid until the next Push.
+func (a *StreamArena) Window(id int32) ([]storage.Row, int) {
+	r := &a.recs[id]
+	return r.rows[r.head:r.tail], r.off + int(r.head)
+}
+
+// Last returns the last tuple pushed to cluster id, nil before the
+// first. It is the window's own slot: valid until the next Push.
+func (a *StreamArena) Last(id int32) storage.Row {
+	r := &a.recs[id]
+	if r.tail == 0 {
+		return nil
+	}
+	return a.slot(r, r.tail-1)
+}
+
+// slot returns slot s of r's window, from the top block when it is there.
+func (a *StreamArena) slot(r *streamRec, s int32) storage.Row {
+	if s < r.topLo {
+		return r.rows[s]
+	}
+	k := int(s-r.topLo) * a.width
+	return r.top[k : k+a.width : k+a.width]
+}
+
+// Push appends a copy of one tuple to cluster id (the caller keeps the
+// row it passed) and advances the cluster's machine as far as the input
+// allows, emitting any matches that complete. An installed interrupt
+// (SetInterrupt) or armed engine fault surfaces as Push's error; a later
+// Push resumes the machine where the checkpoint stopped it.
+func (a *StreamArena) Push(id int32, row storage.Row) error {
 	// With no interrupt installed and no armed fault, nothing in the
 	// machine can raise an Interrupt — skip the recover frame (its cost
 	// is per push, and pushes are µs-scale). Genuine predicate panics
 	// propagate to the caller's containment boundary either way.
-	if s.check == nil && !fault.Active() {
-		return s.PushContained(row)
+	if a.check == nil && !fault.Active() {
+		return a.PushContained(id, row)
 	}
-	return s.pushChecked(row)
+	return a.pushChecked(id, row)
 }
 
-func (s *Streamer) pushChecked(row storage.Row) (err error) {
-	if s.check != nil {
-		if e := s.check(); e != nil {
+func (a *StreamArena) pushChecked(id int32, row storage.Row) (err error) {
+	if a.check != nil {
+		if e := a.check(); e != nil {
 			return e
 		}
 	}
@@ -235,7 +322,7 @@ func (s *Streamer) pushChecked(row storage.Row) (err error) {
 			err = in.Err
 		}
 	}()
-	return s.PushContained(row)
+	return a.PushContained(id, row)
 }
 
 // PushContained is Push for a caller that is its own containment
@@ -243,86 +330,161 @@ func (s *Streamer) pushChecked(row storage.Row) (err error) {
 // push and recovers an Interrupt panic itself, so the per-push entry
 // check and recover frame are dropped. The engine.stream.push fault
 // point and the in-machine checkpoint stay.
-func (s *Streamer) PushContained(row storage.Row) error {
-	if s.closed {
+func (a *StreamArena) PushContained(id int32, row storage.Row) error {
+	r := &a.recs[id]
+	if r.closed {
 		return fmt.Errorf("engine: Push after Flush")
 	}
-	if len(row) != s.stride {
-		return fmt.Errorf("engine: Push arity %d, want %d", len(row), s.stride)
+	if len(row) != a.width {
+		return fmt.Errorf("engine: Push arity %d, want %d", len(row), a.width)
 	}
 	if err := faultStreamPush.Fire(); err != nil {
 		return err
 	}
-	if s.tail == len(s.rows) {
-		s.makeRoom()
+	if int(r.tail) == len(r.rows) {
+		a.makeRoom(id)
 	}
-	slot := s.rows[s.tail]
-	copy(slot, row)
-	s.tail++
-	s.ctx.Seq = s.rows[:s.tail]
-	if s.kern != nil {
-		s.proj.AppendRow(slot)
+	copy(a.slot(r, r.tail), row)
+	r.tail++
+	a.enter(id)
+	if a.kern != nil {
+		a.proj.SetRow(int(r.tail)-1, row)
 	}
-	s.drain()
-	s.prune()
+	a.drain(r)
+	a.prune(r)
 	return nil
 }
 
-// makeRoom frees slots in a full store. When the dead prefix is at least
-// as long as the live window it compacts: the live values move down to
-// slot 0 (headers stay), so each copied row is paid for by a push since
-// the last move. Otherwise it doubles the slot count, in place.
-func (s *Streamer) makeRoom() {
-	head, live := s.head, s.tail-s.head
+// bindsOf returns cluster id's bindings.
+func (a *StreamArena) bindsOf(id int32) []pattern.Span {
+	o := int(id) * a.m
+	return a.binds[o : o+a.m : o+a.m]
+}
+
+// newColumns returns zeroed projected columns for capacity slots.
+func (a *StreamArena) newColumns(capacity int) windowColumns {
+	var c windowColumns
+	if n := len(a.numCols) * capacity; n > 0 {
+		c.num = make([]float64, n)
+	}
+	if n := len(a.nullCols) * capacity; n > 0 {
+		c.null = make([]bool, n)
+	}
+	if n := len(a.strCols) * capacity; n > 0 {
+		c.strs = make([]string, n)
+	}
+	return c
+}
+
+// copyColumns copies rows [from, from+n) of every projected column of
+// src (at capacity srcCap) to rows [0, n) of dst's (at capacity dstCap):
+// a compaction when they are one window's, a growth's carry-over when
+// they are not.
+func (a *StreamArena) copyColumns(dst windowColumns, dstCap int, src windowColumns, srcCap, from, n int) {
+	copyRegions(dst.num, dstCap, src.num, srcCap, len(a.numCols), from, n)
+	copyRegions(dst.null, dstCap, src.null, srcCap, len(a.nullCols), from, n)
+	copyRegions(dst.strs, dstCap, src.strs, srcCap, len(a.strCols), from, n)
+}
+
+// copyRegions copies rows [from, from+n) of each of cols regions of src,
+// srcCap long each, to rows [0, n) of dst's, dstCap long each.
+func copyRegions[T any](dst []T, dstCap int, src []T, srcCap, cols, from, n int) {
+	for k := 0; k < cols; k++ {
+		copy(dst[k*dstCap:k*dstCap+n], src[k*srcCap+from:k*srcCap+from+n])
+	}
+}
+
+// enter points the probe view at cluster id: its count and bindings, its
+// tuples, and (with a kernel) each projected column, over the window's
+// capacity so that Projection.SetRow decodes the next tuple into its slot.
+func (a *StreamArena) enter(id int32) {
+	r := &a.recs[id]
+	o := int(id) * (a.m + 1)
+	a.count = a.counts[o : o+a.m+1 : o+a.m+1]
+	a.ctx.Bind = a.bindsOf(id)
+	a.ctx.Seq = r.rows[:r.tail]
+	if a.kern == nil {
+		return
+	}
+	c := len(r.rows)
+	for k, col := range a.numCols {
+		a.proj.Num[col] = r.cols.num[k*c : (k+1)*c : (k+1)*c]
+	}
+	for k, col := range a.nullCols {
+		a.proj.Null[col] = r.cols.null[k*c : (k+1)*c : (k+1)*c]
+	}
+	for k, col := range a.strCols {
+		a.proj.Str[col] = r.cols.strs[k*c : (k+1)*c : (k+1)*c]
+	}
+}
+
+// grow doubles r's capacity (or gives a new record its first slots): a
+// block of as many slots as it has is added beside the ones it has, and
+// the headers and columns are re-allocated with the live rows copied
+// over.
+func (a *StreamArena) grow(r *streamRec) {
+	old := len(r.rows)
+	n := max(streamInitRows, 2*old)
+	rows := make([]storage.Row, n)
+	copy(rows, r.rows)
+	vals := make([]storage.Value, (n-old)*a.width)
+	for i := old; i < n; i++ {
+		k := (i - old) * a.width
+		rows[i] = vals[k : k+a.width : k+a.width]
+	}
+	cols := a.newColumns(n)
+	a.copyColumns(cols, n, r.cols, old, 0, int(r.tail))
+	r.rows, r.cols = rows, cols
+	r.top, r.topLo = vals, int32(old)
+}
+
+// makeRoom frees slots in cluster id's full window. When the dead prefix
+// is at least as long as the live window it compacts: the live values
+// and column rows move down to slot 0 (headers stay), so each copied row
+// is paid for by a push since the last move. Otherwise it doubles the
+// slot count (grow).
+func (a *StreamArena) makeRoom(id int32) {
+	r := &a.recs[id]
+	head, live := int(r.head), int(r.tail-r.head)
 	if head < live {
-		s.addSlots(len(s.rows))
-		if s.kern != nil {
-			s.proj.Reserve(len(s.rows))
-		}
+		a.grow(r)
 		return
 	}
 	for k := 0; k < live; k++ {
-		copy(s.rows[k], s.rows[head+k])
+		copy(r.rows[k], r.rows[head+k])
 	}
-	if s.kern != nil {
-		s.proj.DropFront(head)
-	}
-	for k := range s.ctx.Bind {
-		if s.ctx.Bind[k].Set {
-			s.ctx.Bind[k].Start -= head
-			s.ctx.Bind[k].End -= head
+	c := len(r.rows)
+	a.copyColumns(r.cols, c, r.cols, c, head, live)
+	bind := a.bindsOf(id)
+	for k := range bind {
+		if sp := &bind[k]; sp.Set {
+			sp.Start -= head
+			sp.End -= head
 		}
 	}
-	s.off += head
-	s.head, s.tail = 0, live
+	r.off += head
+	r.head, r.tail = 0, int32(live)
 }
 
-// PushAll pushes a batch of tuples.
-func (s *Streamer) PushAll(rows []storage.Row) error {
-	for _, r := range rows {
-		if err := s.Push(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush signals end of stream: a satisfied trailing star element
-// completes its match. The streamer cannot be pushed to afterwards.
-func (s *Streamer) Flush() {
-	if s.closed {
+// Flush signals the end of cluster id's stream: a satisfied trailing
+// star element completes its match. The cluster cannot be pushed to
+// afterwards.
+func (a *StreamArena) Flush(id int32) {
+	r := &a.recs[id]
+	if r.closed {
 		return
 	}
-	s.closed = true
-	m := s.p.Len()
+	r.closed = true
+	a.enter(id)
+	m := a.m
 	for {
-		s.drain() // returns only when i is past the available input
-		if s.j == m && s.t.Star[m] && s.inElem > 0 {
+		a.drain(r) // returns only when i is past the available input
+		if int(r.j) == m && a.t.Star[m] && r.inElem > 0 {
 			// A satisfied trailing star completes at end of stream.
-			start := s.record(s.i)
-			if s.cfg.Policy == SkipToNextRow && start < s.off+s.tail {
-				s.i, s.j, s.inElem = start+1, 1, 0
-				clear(s.ctx.Bind)
+			start := a.record(r, r.i)
+			if a.cfg.Policy == SkipToNextRow && start < r.off+int(r.tail) {
+				r.i, r.j, r.inElem = start+1, 1, 0
+				clear(a.ctx.Bind)
 				continue
 			}
 		}
@@ -333,59 +495,60 @@ func (s *Streamer) Flush() {
 	}
 }
 
-// record emits the completed match (elements 1..m all satisfied; i one
+// record emits r's completed match (elements 1..m all satisfied; i one
 // past the last consumed tuple) and returns its 1-based global start.
 // Bind spans are slot indexes internally; the emitted match carries
 // global coordinates.
-func (s *Streamer) record(i int) int {
-	m := s.p.Len()
-	start := i - s.count[m]
+func (a *StreamArena) record(r *streamRec, i int) int {
+	m := a.m
+	start := i - a.count[m]
 	var spans []pattern.Span
-	if s.cfg.ReuseSpans {
-		if cap(s.spanScratch) < m {
-			s.spanScratch = make([]pattern.Span, m)
+	if a.cfg.ReuseSpans {
+		if cap(a.spanScratch) < m {
+			a.spanScratch = make([]pattern.Span, m)
 		}
-		spans = s.spanScratch[:m]
+		spans = a.spanScratch[:m]
 		clear(spans)
 	} else {
 		spans = make([]pattern.Span, m)
 	}
-	for k, sp := range s.ctx.Bind {
+	for k, sp := range a.ctx.Bind {
 		if sp.Set {
-			spans[k] = pattern.Span{Start: sp.Start + s.off, End: sp.End + s.off, Set: true}
+			spans[k] = pattern.Span{Start: sp.Start + r.off, End: sp.End + r.off, Set: true}
 		}
 	}
-	s.stats.Matches++
-	s.emit(Match{Start: start - 1, End: i - 2, Spans: spans})
+	a.stats.Matches++
+	a.emit(Match{Start: start - 1, End: i - 2, Spans: spans})
 	return start
 }
 
 // park writes drain's local cursors and counters back.
-func (s *Streamer) park(i, j, inElem int, evals, rollbacks int64) {
-	s.i, s.j, s.inElem = i, j, inElem
-	s.stats.PredEvals, s.stats.Rollbacks = evals, rollbacks
+func (a *StreamArena) park(r *streamRec, i, j, inElem int, evals, rollbacks int64) {
+	r.i, r.j, r.inElem = i, int32(j), int32(inElem)
+	a.stats.PredEvals, a.stats.Rollbacks = evals, rollbacks
 }
 
-// drain runs the §5 machine while input is available. Cursors, counters
-// and tables live in locals for the run and are parked wherever control
-// can leave it: at a checkpoint, around an emission, on return.
-func (s *Streamer) drain() {
-	p, kern, proj, ctx := s.p, s.kern, &s.proj, &s.ctx
-	m := p.Len()
-	star, shift, next := s.t.Star, s.t.Shift, s.t.Next
-	count, bind := s.count, s.ctx.Bind
-	toNextRow := s.cfg.Policy == SkipToNextRow
-	maxBuf, lastRowSkip := s.cfg.MaxBuffer, s.cfg.LastRowSkip && s.t.SkipOK != nil
-	off := s.off
-	n := off + s.tail // tuples received so far
-	check := s.check
-	i, j, inElem := s.i, s.j, s.inElem
-	evals, rollbacks := s.stats.PredEvals, s.stats.Rollbacks
+// drain runs r's §5 machine while input is available; the probe view is
+// r's (enter). Cursors, counters and tables live in locals for the run
+// and are parked wherever control can leave it: at a checkpoint, around
+// an emission, on return.
+func (a *StreamArena) drain(r *streamRec) {
+	p, kern, proj, ctx := a.p, a.kern, &a.proj, &a.ctx
+	m := a.m
+	star, shift, next := a.t.Star, a.t.Shift, a.t.Next
+	count, bind := a.count, a.ctx.Bind
+	toNextRow := a.cfg.Policy == SkipToNextRow
+	maxBuf, lastRowSkip := a.cfg.MaxBuffer, a.cfg.LastRowSkip && a.t.SkipOK != nil
+	off := r.off
+	n := off + int(r.tail) // tuples received so far
+	check := a.check
+	i, j, inElem := r.i, int(r.j), int(r.inElem)
+	evals, rollbacks := a.stats.PredEvals, a.stats.Rollbacks
 
 	for {
 		if j > m {
-			s.park(i, j, inElem, evals, rollbacks)
-			start := s.record(i)
+			a.park(r, i, j, inElem, evals, rollbacks)
+			start := a.record(r, i)
 			if toNextRow {
 				i = start + 1
 			}
@@ -405,7 +568,7 @@ func (s *Streamer) drain() {
 		}
 		evals++
 		if evals&checkpointMask == 0 && (check != nil || fault.Active()) {
-			s.park(i, j, inElem, evals, rollbacks)
+			a.park(r, i, j, inElem, evals, rollbacks)
 			checkpoint(check)
 		}
 		slot := i - 1 - off
@@ -448,7 +611,7 @@ func (s *Streamer) drain() {
 			continue
 		}
 		sh := shift[j]
-		skip := lastRowSkip && s.t.SkipOK[j]
+		skip := lastRowSkip && a.t.SkipOK[j]
 		if nx == j-sh+1 { // see core.Tables.Next
 			nx, skip = j-sh, true
 		}
@@ -468,15 +631,58 @@ func (s *Streamer) drain() {
 			j++
 		}
 	}
-	s.park(i, j, inElem, evals, rollbacks)
+	a.park(r, i, j, inElem, evals, rollbacks)
 }
 
-// prune retires window slots before (match start - 1); the extra tuple
-// keeps predecessor references valid at the attempt's first position.
-func (s *Streamer) prune() {
-	keep := s.i - s.count[s.j-1] - s.inElem - 2 - s.off // slot of the attempt's predecessor
-	if keep > s.head {
-		s.pruned += int64(keep - s.head)
-		s.head = keep
+// prune retires r's window slots before (match start - 1); the extra
+// tuple keeps predecessor references valid at the attempt's first
+// position.
+func (a *StreamArena) prune(r *streamRec) {
+	keep := r.i - a.count[r.j-1] - int(r.inElem) - 2 - r.off // slot of the attempt's predecessor
+	if keep > int(r.head) {
+		a.pruned += int64(keep - int(r.head))
+		r.head = int32(keep)
 	}
 }
+
+// Streamer is the incremental matcher of one stream: a StreamArena with
+// one cluster.
+type Streamer struct {
+	a StreamArena
+}
+
+// NewStreamer builds an incremental matcher for the pattern. emit is
+// called synchronously from Push/Flush for every completed match, with
+// global (whole-stream) coordinates.
+func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Streamer {
+	s := new(Streamer)
+	s.a.init(p, cfg, emit)
+	s.a.Add()
+	return s
+}
+
+// UseKernel attaches a compiled predicate kernel (StreamArena.UseKernel).
+func (s *Streamer) UseKernel(k *pattern.Kernel) { s.a.UseKernel(k) }
+
+// Stats returns the accumulated runtime counters.
+func (s *Streamer) Stats() Stats { return s.a.stats }
+
+// BufferLen reports the currently retained window size
+// (StreamArena.BufferLen).
+func (s *Streamer) BufferLen() int { return s.a.BufferLen(0) }
+
+// Window exposes the retained tuples and the global 0-based index of the
+// first one (StreamArena.Window).
+func (s *Streamer) Window() ([]storage.Row, int) { return s.a.Window(0) }
+
+// Push appends a copy of one tuple and advances the machine
+// (StreamArena.Push).
+func (s *Streamer) Push(row storage.Row) error { return s.a.Push(0, row) }
+
+// PushContained is Push for a caller that is its own containment
+// boundary (StreamArena.PushContained).
+func (s *Streamer) PushContained(row storage.Row) error { return s.a.PushContained(0, row) }
+
+// Flush signals end of stream: a satisfied trailing star element
+// completes its match. The streamer cannot be pushed to afterwards.
+func (s *Streamer) Flush() { s.a.Flush(0) }

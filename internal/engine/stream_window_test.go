@@ -15,6 +15,9 @@ import (
 	"sqlts/internal/storage"
 )
 
+// rec is the Streamer's one cluster record.
+func (s *Streamer) rec() *streamRec { return &s.a.recs[0] }
+
 // windowRun pushes seq through one Streamer and reports what the window
 // did: a push that changed the capacity is a growth, one that moved the
 // origin (the global index of slot 0) without one is a compaction.
@@ -34,14 +37,14 @@ func runWindow(t *testing.T, label string, p *pattern.Pattern, k *pattern.Kernel
 	s.UseKernel(k)
 	peak := 0
 	for i, row := range seq {
-		capacity, origin := len(s.rows), s.off
+		capacity, origin := len(s.rec().rows), s.rec().off
 		if err := s.Push(row); err != nil {
 			t.Fatalf("%s: push %d: %v", label, i, err)
 		}
 		switch {
-		case len(s.rows) != capacity:
+		case len(s.rec().rows) != capacity:
 			out.growths++
-		case s.off != origin:
+		case s.rec().off != origin:
 			out.compactions++
 		}
 		live := s.BufferLen()
@@ -51,8 +54,8 @@ func runWindow(t *testing.T, label string, p *pattern.Pattern, k *pattern.Kernel
 		}
 		// The live window is what is left of the last push's before its
 		// prune, so the capacity is held against that.
-		if len(s.rows) > max(streamInitRows, 4*(peak+1)) {
-			t.Fatalf("%s: capacity %d after push %d, longest live window %d", label, len(s.rows), i, peak)
+		if len(s.rec().rows) > max(streamInitRows, 4*(peak+1)) {
+			t.Fatalf("%s: capacity %d after push %d, longest live window %d", label, len(s.rec().rows), i, peak)
 		}
 		if w, base := s.Window(); len(w) != live || base+live != i+1 {
 			t.Fatalf("%s: window of %d from %d after push %d, BufferLen %d", label, len(w), base, i, live)
@@ -278,15 +281,15 @@ func TestStreamPredecessorAfterCompaction(t *testing.T) {
 		}
 		compactions, probedAtZero := 0, 0
 		for i := 0; i < n; i++ {
-			origin := s.off
+			origin := s.rec().off
 			if err := s.Push(storage.Row{storage.NewFloat(float64(n - i))}); err != nil {
 				t.Fatal(err)
 			}
-			if s.off != origin {
+			if s.rec().off != origin {
 				compactions++
 				// The tuple just pushed was probed right after the move. It
 				// sits past slot 0, which holds its retained predecessor.
-				if s.tail-1 == 0 {
+				if s.rec().tail-1 == 0 {
 					probedAtZero++
 				}
 			}

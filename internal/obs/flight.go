@@ -152,7 +152,9 @@ func (f *Flight) TickPredEvals(n int64) {
 	f.predEvals.Add(n)
 }
 
-// TickPushes advances a streaming flight's push counter.
+// TickPushes advances a streaming flight's push counter. A push is one
+// row, so a stream ticks only this and its snapshots count the pushes
+// among the rows scanned.
 func (f *Flight) TickPushes(n int64) {
 	if f == nil {
 		return
@@ -229,6 +231,7 @@ func (f *Flight) Snapshot() FlightSnapshot {
 	if f == nil {
 		return FlightSnapshot{}
 	}
+	pushes := f.pushes.Load()
 	return FlightSnapshot{
 		ID:        f.id,
 		SQL:       f.sql,
@@ -239,10 +242,10 @@ func (f *Flight) Snapshot() FlightSnapshot {
 
 		ClustersTotal: f.clustersTotal.Load(),
 		ClustersDone:  f.clustersDone.Load(),
-		RowsScanned:   f.rowsScanned.Load(),
+		RowsScanned:   f.rowsScanned.Load() + pushes,
 		Matches:       f.matches.Load(),
 		PredEvals:     f.predEvals.Load(),
-		Pushes:        f.pushes.Load(),
+		Pushes:        pushes,
 		Killed:        f.kill.Load() != nil,
 	}
 }

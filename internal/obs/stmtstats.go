@@ -321,7 +321,9 @@ func (s *StmtStats) RecordPush(durNs, pruned int64) {
 		return
 	}
 	s.pushes.Add(1)
-	s.prunedRows.Add(pruned)
+	if pruned != 0 {
+		s.prunedRows.Add(pruned)
+	}
 	if durNs >= 0 {
 		s.pushLat.Observe(durNs)
 	}

@@ -13,12 +13,12 @@ import (
 // Values on every probe, which is where the interpreter spends most of
 // its time.
 //
-// A Projection covers one cluster (or one streaming window). Arrays are
-// indexed by schema column number; columns that were not requested stay
-// nil. Reset and DropFront retain capacity so executors can reuse one
-// Projection across clusters and streams can compact without
-// reallocating; Reserve sizes every column at once from one slab per
-// element type.
+// A Projection covers one cluster (or one streaming window, whose
+// columns the stream points at its window's own and decodes a row at a
+// time with SetRow). Arrays are indexed by schema column number; columns
+// that were not requested stay nil. Reset retains capacity so executors
+// can reuse one Projection across clusters; Reserve sizes every column at
+// once from one slab per element type.
 type Projection struct {
 	// Num[c][i] is row i's column c widened to float64 (dates as
 	// days-since-epoch). Nil for columns not projected numerically.
@@ -75,8 +75,7 @@ func (p *Projection) Covers(width int, numCols, strCols []int) bool {
 // Reserve gives every column room for rows rows, keeping its content:
 // the columns of each element type are carved from one slab, so however
 // many columns are projected a resize costs one allocation per type, and
-// AppendRow allocates nothing until rows is exceeded. A column appended
-// to past rows grows on its own, as without Reserve.
+// SetRows allocates nothing until rows is exceeded.
 func (p *Projection) Reserve(rows int) {
 	rows = max(rows, p.n)
 	reserve(p.Num, rows)
@@ -129,42 +128,53 @@ func (p *Projection) Reset() {
 	p.n = 0
 }
 
-// AppendRow decodes one row into the columnar buffers. The row must
-// match the schema the projection's columns were validated against:
-// numeric projections accept INTEGER, REAL, DATE, or NULL.
-func (p *Projection) AppendRow(r Row) {
+// SetRow decodes row r into row i of every projected column, which
+// must be at least i+1 long; Len is unchanged. It is SetRows for one row
+// of columns a caller points at storage of its own (a streaming window's
+// columns, one row per push).
+func (p *Projection) SetRow(i int, r Row) {
 	for _, c := range p.numCols {
-		v := r[c]
-		switch v.typ {
-		case TypeNull:
-			p.Num[c] = append(p.Num[c], 0)
-		case TypeDate:
-			p.Num[c] = append(p.Num[c], float64(v.i))
-		default:
-			p.Num[c] = append(p.Num[c], v.Float())
-		}
+		v := &r[c]
+		p.Num[c][i] = numOf(v)
+		p.Null[c][i] = v.typ == TypeNull
 	}
 	for _, c := range p.strCols {
-		v := r[c]
-		if v.typ == TypeNull {
-			p.Str[c] = append(p.Str[c], "")
-		} else {
-			p.Str[c] = append(p.Str[c], v.Str())
-		}
+		v := &r[c]
+		p.Str[c][i] = strOf(v)
+		p.Null[c][i] = v.typ == TypeNull
 	}
-	for c, mask := range p.Null {
-		if mask != nil {
-			p.Null[c] = append(mask, r[c].IsNull())
-		}
-	}
-	p.n++
 }
 
-// AppendRows decodes a batch of rows.
-func (p *Projection) AppendRows(rows []Row) {
-	for _, r := range rows {
-		p.AppendRow(r)
+// numOf is *v as a numeric column holds it: a number widened to float64,
+// a date as its days since the epoch, NULL as 0 (its null flag says
+// which). It takes a pointer so that the type tag is read in place: a
+// Value passed by value is spilled with a byte store that a wider load
+// then reads back, which the store buffer cannot forward.
+func numOf(v *Value) float64 {
+	switch v.typ {
+	case TypeFloat, TypeNull: // NULL's payload is zero
+		return v.f
+	case TypeInt, TypeDate:
+		return float64(v.i)
 	}
+	return notProjected(v.typ)
+}
+
+// strOf is *v as a string column holds it: NULL as "".
+func strOf(v *Value) string {
+	if v.typ != TypeString && v.typ != TypeNull {
+		notProjected(v.typ)
+	}
+	return v.s // NULL's payload is zero
+}
+
+// notProjected panics on a value its projected column cannot hold (the
+// schema's types rule it out). It is out of line, and typed as numOf's
+// result, so that numOf and strOf stay cheap enough to inline.
+//
+//go:noinline
+func notProjected(t Type) float64 {
+	panic("storage: cannot project a " + t.String() + " value")
 }
 
 // SetRows resets the projection and decodes rows — the once-per-cluster
@@ -178,25 +188,14 @@ func (p *Projection) SetRows(rows []Row) {
 	for _, c := range p.numCols {
 		num := p.Num[c][:n]
 		for i, r := range rows {
-			switch v := r[c]; v.typ {
-			case TypeNull:
-				num[i] = 0
-			case TypeDate:
-				num[i] = float64(v.i)
-			default:
-				num[i] = v.Float()
-			}
+			num[i] = numOf(&r[c])
 		}
 		p.Num[c] = num
 	}
 	for _, c := range p.strCols {
 		str := p.Str[c][:n]
 		for i, r := range rows {
-			if v := r[c]; v.typ == TypeNull {
-				str[i] = ""
-			} else {
-				str[i] = v.Str()
-			}
+			str[i] = strOf(&r[c])
 		}
 		p.Str[c] = str
 	}
@@ -221,29 +220,4 @@ func short[T any](cols [][]T, n int) bool {
 		}
 	}
 	return false
-}
-
-// DropFront discards the first k rows, shifting the remainder down in
-// place (a streaming window's compaction). Capacity is retained.
-func (p *Projection) DropFront(k int) {
-	if k <= 0 {
-		return
-	}
-	if k > p.n {
-		k = p.n
-	}
-	for _, c := range p.numCols {
-		s := p.Num[c]
-		p.Num[c] = s[:copy(s, s[k:])]
-	}
-	for _, c := range p.strCols {
-		s := p.Str[c]
-		p.Str[c] = s[:copy(s, s[k:])]
-	}
-	for c, mask := range p.Null {
-		if mask != nil {
-			p.Null[c] = mask[:copy(mask, mask[k:])]
-		}
-	}
-	p.n -= k
 }

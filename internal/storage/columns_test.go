@@ -19,7 +19,7 @@ func TestProjectionDecode(t *testing.T) {
 		{Null, NewInt(-2), Null, NewDateDays(101)},
 		{NewFloat(3), Null, NewString("b"), Null},
 	}
-	p.AppendRows(rows)
+	p.SetRows(rows)
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", p.Len())
 	}
@@ -56,9 +56,19 @@ func TestProjectionDecode(t *testing.T) {
 	if p.Str[0] != nil || p.Num[2] != nil {
 		t.Error("unreferenced columns were materialized")
 	}
+	// SetRow decodes one row in place, as SetRows decodes it, and leaves
+	// Len alone.
+	p.SetRow(1, rows[2])
+	p.SetRow(2, rows[1])
+	if p.Len() != 3 || p.Num[0][1] != 3 || !p.Null[1][1] || p.Str[2][1] != "b" ||
+		p.Num[1][2] != -2 || !p.Null[0][2] || p.Str[2][2] != "" || !p.Null[2][2] || p.Num[0][0] != 1.5 {
+		t.Errorf("after SetRow: num0=%v num1=%v null0=%v null1=%v str2=%v", p.Num[0], p.Num[1], p.Null[0], p.Null[1], p.Str[2])
+	}
 }
 
-func TestProjectionDropFrontAndReuse(t *testing.T) {
+// TestProjectionSetRowsReuse: SetRows resets in place, and capacity is
+// retained across clusters.
+func TestProjectionSetRowsReuse(t *testing.T) {
 	s := projSchema()
 	p := NewProjection(s.Len(), []int{0}, nil)
 	rows := []Row{
@@ -67,18 +77,12 @@ func TestProjectionDropFrontAndReuse(t *testing.T) {
 		{NewFloat(3), NewInt(0), NewString(""), NewDateDays(0)},
 		{NewFloat(4), NewInt(0), NewString(""), NewDateDays(0)},
 	}
-	p.AppendRows(rows)
-	p.DropFront(2)
-	if p.Len() != 2 || p.Num[0][0] != 3 || p.Num[0][1] != 4 {
-		t.Fatalf("after DropFront: len=%d Num[0]=%v", p.Len(), p.Num[0])
-	}
-	p.DropFront(0) // no-op
-	if p.Len() != 2 {
-		t.Fatalf("DropFront(0) changed length to %d", p.Len())
-	}
-
-	// SetRows resets in place; capacity is retained across clusters.
+	p.SetRows(rows)
 	before := cap(p.Num[0])
+	p.SetRows(rows[2:])
+	if p.Len() != 2 || p.Num[0][0] != 3 || p.Num[0][1] != 4 {
+		t.Fatalf("after SetRows: len=%d Num[0]=%v", p.Len(), p.Num[0])
+	}
 	p.SetRows(rows[:3])
 	if p.Len() != 3 || p.Num[0][0] != 1 {
 		t.Fatalf("after SetRows: len=%d Num[0]=%v", p.Len(), p.Num[0])
@@ -89,17 +93,16 @@ func TestProjectionDropFrontAndReuse(t *testing.T) {
 }
 
 // TestProjectionReserve: Reserve keeps what is projected, gives every
-// column the capacity asked for from one slab per element type (so
-// appends up to it allocate nothing), and a column that outgrows it
-// grows on its own without disturbing its slab neighbours.
+// column the capacity asked for from one slab per element type (so a
+// decode of up to that many rows allocates nothing), and never shrinks a
+// column below what it holds.
 func TestProjectionReserve(t *testing.T) {
 	s := projSchema()
 	p := NewProjection(s.Len(), []int{0, 1}, []int{2})
 	row := func(i int) Row {
 		return Row{NewFloat(float64(i)), NewInt(int64(10 * i)), NewString("x"), NewDateDays(0)}
 	}
-	p.AppendRow(row(1))
-	p.AppendRow(Row{Null, NewInt(20), Null, NewDateDays(0)})
+	p.SetRows([]Row{row(1), {Null, NewInt(20), Null, NewDateDays(0)}})
 	p.Reserve(8)
 	if p.Len() != 2 || p.Num[0][0] != 1 || p.Num[1][1] != 20 || !p.Null[0][1] || !p.Null[2][1] || p.Str[2][0] != "x" {
 		t.Fatalf("Reserve lost content: num0=%v num1=%v null0=%v str2=%v", p.Num[0], p.Num[1], p.Null[0], p.Str[2])
@@ -112,23 +115,22 @@ func TestProjectionReserve(t *testing.T) {
 	if cap(p.Str[2]) != 8 || cap(p.Null[2]) != 8 {
 		t.Fatalf("column 2: cap str %d null %d, want 8", cap(p.Str[2]), cap(p.Null[2]))
 	}
-	if allocs := testing.AllocsPerRun(1, func() {
-		for i := 3; i <= 8; i++ {
-			p.AppendRow(row(i))
-		}
-		p.DropFront(6)
-	}); allocs != 0 {
-		t.Fatalf("appends within the reserved capacity allocated %.0f times", allocs)
+	var rows []Row
+	for i := 3; i <= 10; i++ {
+		rows = append(rows, row(i))
 	}
-	// AllocsPerRun ran the function twice: rows 7, 8 then 3..8 remain.
-	for i := 0; i < 12; i++ {
-		p.AppendRow(row(100 + i)) // past the reservation
+	if allocs := testing.AllocsPerRun(1, func() { p.SetRows(rows) }); allocs != 0 {
+		t.Fatalf("a decode within the reserved capacity allocated %.0f times", allocs)
 	}
-	if p.Len() != 14 || p.Num[0][13] != 111 || p.Num[1][13] != 1110 || p.Num[0][0] != 7 {
+	for i := 0; i < 6; i++ {
+		rows = append(rows, row(100+i)) // past the reservation
+	}
+	p.SetRows(rows)
+	if p.Len() != 14 || p.Num[0][13] != 105 || p.Num[1][13] != 1050 || p.Num[0][0] != 3 {
 		t.Fatalf("after outgrowing the reservation: len=%d num0=%v num1=%v", p.Len(), p.Num[0], p.Num[1])
 	}
 	p.Reserve(4) // never shrinks below what is held
-	if p.Len() != 14 || cap(p.Num[0]) < 14 || p.Num[1][13] != 1110 {
+	if p.Len() != 14 || cap(p.Num[0]) < 14 || p.Num[1][13] != 1050 {
 		t.Fatalf("Reserve below Len: len=%d cap=%d", p.Len(), cap(p.Num[0]))
 	}
 }

@@ -142,7 +142,7 @@ func TestPatternCacheSharesArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables = append(tables, st.cfg.Tables)
+		tables = append(tables, st.q.plan.tables)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -440,7 +440,7 @@ func TestStreamViaDB(t *testing.T) {
 	if !st2.q.PlanCached() {
 		t.Error("second Stream did not hit the plan cache")
 	}
-	if st.cfg.Tables != st2.cfg.Tables {
+	if st.q.plan.tables != st2.q.plan.tables {
 		t.Error("streams over one plan did not share shift/next tables")
 	}
 	if err := st2.Close(); err != nil {

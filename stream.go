@@ -1,7 +1,6 @@
 package sqlts
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime/debug"
@@ -33,28 +32,24 @@ type StreamOptions struct {
 // Stream is a continuous (push-based) execution of a prepared SQL-TS
 // query: tuples are pushed in arrival order and the SELECT output row of
 // every completed match is delivered to the sink immediately. Tuples are
-// routed to one incremental matcher per CLUSTER BY key; within each
-// cluster the SEQUENCE BY values must arrive in non-decreasing order
-// (out-of-order input is rejected — a continuous query cannot re-sort an
-// unbounded past).
+// routed to one incremental matcher per CLUSTER BY key, all of them one
+// engine.StreamArena: one configuration, and per cluster a compact record
+// and a window; within each cluster the SEQUENCE BY values must arrive in
+// non-decreasing order (out-of-order input is rejected — a continuous
+// query cannot re-sort an unbounded past).
 type Stream struct {
-	q        *Query
-	sink     func(storage.Row) error
-	clusters map[string]*clusterStream
-	// order holds the cluster streams in first-arrival order — the batch
-	// query's cluster order — which is the order Close flushes them in.
-	order   []*clusterStream
-	seqIdx  []int
-	cluIdx  []int
-	sinkErr error
-	closed  bool
-
-	// What every cluster's matcher is built from: the configuration
-	// (with the plan's shift/next tables), one emit callback and one
-	// interrupt (nil without an rc), shared rather than made per cluster.
-	cfg       engine.StreamConfig
-	emit      func(engine.Match)
-	interrupt func() error
+	q    *Query
+	m    *dbMetrics
+	sink func(storage.Row) error
+	// arena holds every cluster's matcher, with ids dense in first-arrival
+	// order — the batch query's cluster order, which is the order Close
+	// flushes them in. clusters maps a routing key to its id.
+	arena    *engine.StreamArena
+	clusters map[string]int32
+	seqIdx   []int
+	cluIdx   []int
+	sinkErr  error
+	closed   bool
 
 	// rc carries the stream's cancellation state (nil without a
 	// Context); failed poisons the stream permanently after a contained
@@ -74,15 +69,20 @@ type Stream struct {
 	// — open streams are in-flight work an operator can see and kill.
 	flight *obs.Flight
 
-	// last is the previous push's cluster. Its next link predicts this
-	// push's cluster (see clusterStream.next), which skips the map lookup.
-	last *clusterStream
+	// last is the previous push's cluster (-1 before the first push). Its
+	// recorded successor (engine.StreamArena.Next) predicts this push's
+	// cluster, which skips building the key and the map lookup: arrivals
+	// run in one cluster (the successor is the cluster itself) or cycle
+	// through the clusters in a fixed order (a feed that reports every
+	// symbol each day), so the cluster after the previous push's is
+	// usually the one it was last time.
+	last int32
 
-	// cur is the cluster whose matcher is running (the shared emit
-	// callback's target) and curEvals its PredEvals when the push
-	// entered it, for the flight's exact per-push tick.
-	cur      *clusterStream
-	curEvals int64
+	// cur is the cluster whose matcher is running (the emit callback's
+	// target) and evals the arena's PredEvals when the flight was last
+	// ticked, for the flight's exact per-push tick.
+	cur   int32
+	evals int64
 
 	// Scratch reused by every push and emission, so a steady-state push
 	// allocates nothing: the coerced tuple (the matcher copies out of
@@ -90,27 +90,6 @@ type Stream struct {
 	row    storage.Row
 	keyBuf []byte
 	outRow storage.Row
-}
-
-// clusterStream is one CLUSTER BY key's state, in one allocation so that
-// a push reaches all of it through one pointer: the matcher by value,
-// the routing key, and copies of the previous tuple's SEQUENCE BY values
-// (keyBuf and seqBuf back them when the key is short and there is one
-// sequence column). The copies may not alias a matcher window slot or a
-// pushed row, because both are reused.
-type clusterStream struct {
-	s       engine.Streamer
-	key     []byte // storage.AppendRowKey of the CLUSTER BY values
-	lastSeq []storage.Value
-	keyBuf  [24]byte
-	seqBuf  [1]storage.Value
-
-	// next is the cluster that followed this one the last time this one
-	// was pushed to. Arrivals run in one cluster (next is the cluster
-	// itself) or cycle through the clusters in a fixed order (a feed that
-	// reports every symbol each day), so the cluster after the previous
-	// push's is usually the one it was last time.
-	next *clusterStream
 }
 
 // OpenStream starts a continuous execution of the query. The sink is
@@ -130,31 +109,34 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	fl := q.db.registerFlight(q.plan.key, "stream", obs.PhaseStreaming)
 	st := &Stream{
 		q:        q,
+		m:        q.db.metrics,
 		sink:     sink,
-		clusters: map[string]*clusterStream{},
+		clusters: map[string]int32{},
 		entry:    q.db.stmts.Get(q.plan.key),
 		flight:   fl,
 		rc:       newRunControl(opts.Context, RunOptions{}, fl),
+		last:     -1,
 		row:      make(storage.Row, compiled.Schema.Len()),
-		cfg: engine.StreamConfig{
-			Policy:      engine.SkipPastLastRow,
-			LastRowSkip: opts.LastRowSkip,
-			MaxBuffer:   opts.MaxBuffer,
-			Tables:      q.plan.tables,
-			// emitMatch consumes Spans synchronously, so the matcher may
-			// recycle them between emissions.
-			ReuseSpans: true,
-		},
+	}
+	cfg := engine.StreamConfig{
+		Policy:      engine.SkipPastLastRow,
+		LastRowSkip: opts.LastRowSkip,
+		MaxBuffer:   opts.MaxBuffer,
+		Tables:      q.plan.tables,
+		// emitMatch consumes Spans synchronously, so the matcher may
+		// recycle them between emissions.
+		ReuseSpans: true,
 	}
 	if opts.Overlap {
-		st.cfg.Policy = engine.SkipToNextRow
+		cfg.Policy = engine.SkipToNextRow
 	}
-	st.emit = func(m engine.Match) { st.emitMatch(st.cur, m) }
+	st.arena = engine.NewStreamArena(compiled.Pattern, cfg, st.emitMatch)
+	st.arena.UseKernel(q.plan.kernel)
 	if st.rc != nil {
-		// The bare check, not rc.interrupt(): a cluster's matcher counts
-		// only its own evals, so Push ticks the flight by the exact
-		// delta instead of by checkpoint intervals.
-		st.interrupt = st.rc.check
+		// The bare check, not rc.interrupt(): Push ticks the flight by
+		// the exact delta of the arena's evals instead of by checkpoint
+		// intervals.
+		st.arena.SetInterrupt(st.rc.check)
 	}
 	for _, col := range compiled.SequenceBy {
 		i, _ := compiled.Schema.ColumnIndex(col)
@@ -164,7 +146,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 		i, _ := compiled.Schema.ColumnIndex(col)
 		st.cluIdx = append(st.cluIdx, i)
 	}
-	q.db.metrics.streamsOpen.Inc()
+	st.m.streamsOpen.Inc()
 	st.entry.StreamOpened()
 	return st, nil
 }
@@ -198,17 +180,17 @@ func (st *Stream) contain(err *error) {
 	}
 	pe := &PanicError{Statement: st.q.plan.key, Value: r, Stack: debug.Stack()}
 	st.failed = pe
-	st.q.db.metrics.queryPanics.Inc()
+	st.m.queryPanics.Inc()
 	st.entry.RecordError(obs.ErrPanic)
 	*err = pe
 }
 
 // tickEvals credits the flight with the predicate evaluations the
-// current cluster's matcher has spent since the push entered it.
+// matchers have spent since it was last ticked.
 func (st *Stream) tickEvals() {
-	evals := st.cur.s.Stats().PredEvals
-	st.flight.TickPredEvals(evals - st.curEvals)
-	st.curEvals = evals
+	evals := st.arena.Stats().PredEvals
+	st.flight.TickPredEvals(evals - st.evals)
+	st.evals = evals
 }
 
 // Push delivers one tuple (in table column order). It returns the first
@@ -245,10 +227,10 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 		row[i] = v
 	}
 
-	m := st.q.db.metrics
+	m := st.m
 	m.streamPushes.Inc()
+	// A push is a row: the flight derives its rows from its pushes.
 	st.flight.TickPushes(1)
-	st.flight.TickRows(1)
 	// Per-push latency is sampled 1 push in 16: pushes are ~µs-scale, so
 	// two clock reads on every one would be a measurable tax on the
 	// steady-state streaming path. Push and pruned-row *counts* are
@@ -259,49 +241,44 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	if sampled {
 		pushStart = time.Now()
 	}
-	// The type-tagged key batch clustering uses, built in a reused buffer.
-	st.keyBuf = storage.AppendRowKey(st.keyBuf[:0], row, st.cluIdx)
-	var cs *clusterStream
-	if st.last != nil {
-		cs = st.last.next
-	}
-	if cs == nil || !bytes.Equal(cs.key, st.keyBuf) {
-		cs = st.clusters[string(st.keyBuf)] // does not allocate
-		if cs == nil {
-			cs = st.newClusterStream(row)
-			st.clusters[string(st.keyBuf)] = cs
-			st.order = append(st.order, cs)
-			m.streamClusters.Inc()
-		}
-		if st.last != nil {
-			st.last.next = cs
+	// Route to the previous push's cluster's successor when the tuple's
+	// CLUSTER BY values are those of that cluster's last tuple, and
+	// through the map otherwise.
+	id, prev := int32(-1), storage.Row(nil)
+	if st.last >= 0 {
+		if id = st.arena.Next(st.last); id >= 0 {
+			prev = st.arena.Last(id)
 		}
 	}
-	st.last = cs
-	// Enforce SEQUENCE BY arrival order within the cluster.
-	for k, si := range st.seqIdx {
-		c, err := cs.lastSeq[k].Compare(row[si])
-		if err != nil {
-			return fmt.Errorf("sqlts: sequence-by comparison: %w", err)
-		}
-		if c > 0 {
-			return fmt.Errorf("sqlts: out-of-order tuple for cluster %q: %s after %s",
-				st.clusterLabel(row), row[si], cs.lastSeq[k])
-		}
-		if c < 0 {
-			break
+	if prev == nil || !st.sameCluster(prev, row) {
+		id = st.route(row)
+		prev = st.arena.Last(id)
+	}
+	st.last = id
+	// Enforce SEQUENCE BY arrival order within the cluster, against the
+	// last tuple its window retains (none for a new cluster).
+	if prev != nil {
+		for _, si := range st.seqIdx {
+			c, err := prev[si].Compare(row[si])
+			if err != nil {
+				return fmt.Errorf("sqlts: sequence-by comparison: %w", err)
+			}
+			if c > 0 {
+				return fmt.Errorf("sqlts: out-of-order tuple for cluster %q: %s after %s",
+					st.clusterLabel(row), row[si], prev[si])
+			}
+			if c < 0 {
+				break
+			}
 		}
 	}
-	for k, si := range st.seqIdx {
-		cs.lastSeq[k] = row[si]
-	}
-	st.cur, st.curEvals = cs, cs.s.Stats().PredEvals
-	prunedBefore := cs.s.Pruned()
-	if err := cs.s.PushContained(row); err != nil {
+	st.cur = id
+	prunedBefore := st.arena.Pruned()
+	if err := st.arena.PushContained(id, row); err != nil {
 		return err
 	}
 	st.tickEvals()
-	pruned := cs.s.Pruned() - prunedBefore
+	pruned := st.arena.Pruned() - prunedBefore
 	if pruned > 0 {
 		m.streamPrunedRows.Add(pruned)
 	}
@@ -315,29 +292,42 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	return st.sinkErr
 }
 
-// newClusterStream builds the state of the cluster whose first tuple is
-// row (which therefore passes the arrival-order check against itself)
-// and whose key is in st.keyBuf.
-func (st *Stream) newClusterStream(row storage.Row) *clusterStream {
-	cs := &clusterStream{}
-	cs.key = append(cs.keyBuf[:0], st.keyBuf...)
-	cs.lastSeq = cs.seqBuf[:0]
-	for _, si := range st.seqIdx {
-		cs.lastSeq = append(cs.lastSeq, row[si])
+// sameCluster reports whether row's CLUSTER BY values are prev's, as the
+// routing key compares them.
+func (st *Stream) sameCluster(prev, row storage.Row) bool {
+	for _, c := range st.cluIdx {
+		if !prev[c].SameKey(row[c]) {
+			return false
+		}
 	}
-	cs.s.Init(st.q.plan.compiled.Pattern, st.cfg, st.emit)
-	cs.s.SetInterrupt(st.interrupt)
-	cs.s.UseKernel(st.q.plan.kernel)
-	return cs
+	return true
+}
+
+// route finds row's cluster through the map, by the type-tagged key
+// batch clustering uses (built in a reused buffer), creating the cluster
+// on its first tuple, and makes it the predicted successor of the
+// previous push's cluster.
+func (st *Stream) route(row storage.Row) int32 {
+	st.keyBuf = storage.AppendRowKey(st.keyBuf[:0], row, st.cluIdx)
+	id, ok := st.clusters[string(st.keyBuf)] // does not allocate
+	if !ok {
+		id = st.arena.Add()
+		st.clusters[string(st.keyBuf)] = id
+		st.m.streamClusters.Inc()
+	}
+	if st.last >= 0 {
+		st.arena.SetNext(st.last, id)
+	}
+	return id
 }
 
 // emitMatch is every cluster matcher's emit callback: it runs
 // synchronously from Push/Flush for every completed match.
-func (st *Stream) emitMatch(cs *clusterStream, m engine.Match) {
+func (st *Stream) emitMatch(m engine.Match) {
 	if st.sinkErr != nil {
 		return
 	}
-	st.q.db.metrics.streamMatches.Inc()
+	st.m.streamMatches.Inc()
 	st.entry.RecordPushMatch()
 	st.flight.TickMatches(1)
 	// Evaluate output expressions against the matcher's retained
@@ -346,7 +336,7 @@ func (st *Stream) emitMatch(cs *clusterStream, m engine.Match) {
 	// that tuple has not arrived yet — streaming emits eagerly. The
 	// spans are the matcher's recycled buffer (ReuseSpans), rebased onto
 	// the window in place.
-	window, base := cs.s.Window()
+	window, base := st.arena.Window(st.cur)
 	spans := m.Spans
 	for k := range spans {
 		if spans[k].Set {
@@ -386,8 +376,8 @@ func (st *Stream) Close() (err error) {
 	}
 	st.closed = true
 	defer func() {
-		st.q.db.metrics.streamClusters.Add(-int64(len(st.clusters)))
-		st.q.db.metrics.streamsOpen.Dec()
+		st.m.streamClusters.Add(-int64(st.arena.Len()))
+		st.m.streamsOpen.Dec()
 		st.entry.StreamClosed()
 		st.q.db.deregisterFlight(st.flight)
 		st.q.db.emitStreamEvent(st, err)
@@ -413,19 +403,13 @@ func (st *Stream) Close() (err error) {
 // interrupt checkpoint or panic).
 func (st *Stream) flushAll() (err error) {
 	defer st.contain(&err)
-	for _, cs := range st.order {
-		st.cur, st.curEvals = cs, cs.s.Stats().PredEvals
-		cs.s.Flush()
+	for id := range int32(st.arena.Len()) {
+		st.cur = id
+		st.arena.Flush(id)
 		st.tickEvals()
 	}
 	return nil
 }
 
-// Stats aggregates runtime counters across all clusters.
-func (st *Stream) Stats() engine.Stats {
-	var out engine.Stats
-	for _, cs := range st.order {
-		out.Add(cs.s.Stats())
-	}
-	return out
-}
+// Stats returns the runtime counters accumulated across all clusters.
+func (st *Stream) Stats() engine.Stats { return st.arena.Stats() }

@@ -7,11 +7,14 @@ package sqlts
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"sqlts/internal/obs"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 const upTickSQL = `
@@ -124,8 +127,8 @@ func TestStreamFlightPredEvals(t *testing.T) {
 			t.Fatal("no pred-evals after 50 pushes")
 		}
 		active := db.ActiveQueries()
-		if len(active) != 1 || active[0].PredEvals != want || active[0].Pushes != int64(i+1) {
-			t.Fatalf("after %d pushes: flights %+v, want one with %d pred-evals", i+1, active, want)
+		if len(active) != 1 || active[0].PredEvals != want || active[0].Pushes != int64(i+1) || active[0].RowsScanned != int64(i+1) {
+			t.Fatalf("after %d pushes: flights %+v, want one with %d pred-evals, pushes and rows", i+1, active, want)
 		}
 	}
 	// The same figure through the endpoint an operator reads.
@@ -188,5 +191,212 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if matches != 0 {
 		t.Fatalf("%d matches on a flat feed", matches)
+	}
+}
+
+// interleavingSQL has a star and predecessor references, so attempts
+// roll back and, on long falling runs, outgrow a MaxBuffer of 8.
+const interleavingSQL = `
+	SELECT X.name, X.date, FIRST(Y).date AS fall_start, Z.date AS turn
+	FROM quote CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z)
+	WHERE X.price >= X.previous.price
+	  AND Y.price < Y.previous.price
+	  AND Z.price > Z.previous.price`
+
+// TestStreamInterleavingInvariant: a stream's output and counters are a
+// function of each cluster's own tuple sequence, not of how the clusters
+// interleave. 302 clusters (among them a NULL key and the string 'NULL',
+// and clusters whose first tuple arrives mid-stream) are pushed
+// round-robin by date, in seeded random runs, and cluster after cluster.
+// Under each option the three orders emit the same rows (as a multiset)
+// and the same pred-evals, rollbacks and matches; without MaxBuffer or
+// LastRowSkip, which batch has no counterpart of, they equal the batch
+// query's rows and pred-evals too.
+func TestStreamInterleavingInvariant(t *testing.T) {
+	type tuple struct {
+		name storage.Value
+		day  int64
+		px   float64
+	}
+	r := rand.New(rand.NewSource(31))
+	var clusters [][]tuple
+	for c := 0; c < 302; c++ {
+		name := storage.NewString(fmt.Sprintf("S%03d", c))
+		switch c {
+		case 300:
+			name = storage.Null
+		case 301:
+			name = storage.NewString("NULL")
+		}
+		// Staggered first days: in date order a fifth of the clusters
+		// start after every other cluster has been seen.
+		day, px := int64(1000+(c%5)*15), 50.0
+		var seq []tuple
+		for n := 3 + r.Intn(38); n > 0; n-- {
+			seq = append(seq, tuple{name, day, px})
+			day++
+			px *= 1 + 0.03*(r.Float64()-0.55)
+		}
+		clusters = append(clusters, seq)
+	}
+
+	roundRobin := func() (out []tuple) {
+		for day := int64(1000); ; day++ {
+			more := false
+			for _, seq := range clusters {
+				for _, tp := range seq {
+					if tp.day == day {
+						out = append(out, tp)
+					}
+				}
+				more = more || seq[len(seq)-1].day > day
+			}
+			if !more {
+				return out
+			}
+		}
+	}
+	randomRuns := func() (out []tuple) {
+		r := rand.New(rand.NewSource(5))
+		next := make([]int, len(clusters))
+		for live := len(clusters); live > 0; {
+			c := r.Intn(len(clusters))
+			for run := 1 + r.Intn(5); run > 0 && next[c] < len(clusters[c]); run-- {
+				out = append(out, clusters[c][next[c]])
+				if next[c]++; next[c] == len(clusters[c]) {
+					live--
+				}
+			}
+		}
+		return out
+	}
+	contiguous := func() (out []tuple) {
+		for _, seq := range clusters {
+			out = append(out, seq...)
+		}
+		return out
+	}
+	orders := []struct {
+		name   string
+		tuples []tuple
+	}{{"round-robin", roundRobin()}, {"random-runs", randomRuns()}, {"contiguous", contiguous()}}
+
+	// Rows are compared with each value's type, so the NULL cluster and
+	// the 'NULL' cluster cannot stand in for each other.
+	rowKey := func(row storage.Row) string {
+		var b []byte
+		for _, v := range row {
+			b = fmt.Appendf(b, "%d:%s|", v.Type(), v)
+		}
+		return string(b)
+	}
+	db := quoteDB(t)
+	for _, o := range orders[:1] {
+		for _, tp := range o.tuples {
+			db.Table("quote").MustInsert(tp.name, storage.NewDateDays(tp.day), storage.NewFloat(tp.px))
+		}
+	}
+	q, err := db.Prepare(interleavingSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []struct {
+		name  string
+		opts  StreamOptions
+		batch *RunOptions
+	}{
+		{"default", StreamOptions{}, &RunOptions{}},
+		{"overlap", StreamOptions{Overlap: true}, &RunOptions{Overlap: true}},
+		{"last-row-skip", StreamOptions{LastRowSkip: true}, nil},
+		{"max-buffer-8", StreamOptions{MaxBuffer: 8}, nil},
+	} {
+		var ref map[string]int
+		var refStats string
+		for _, o := range orders {
+			got := map[string]int{}
+			st, err := q.OpenStream(opt.opts, func(row storage.Row) error {
+				got[rowKey(row)]++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tp := range o.tuples {
+				if err := st.Push(tp.name, storage.NewDateDays(tp.day), storage.NewFloat(tp.px)); err != nil {
+					t.Fatalf("%s/%s: push %d: %v", opt.name, o.name, i, err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s := st.Stats()
+			stats := fmt.Sprintf("pred-evals %d, rollbacks %d, matches %d", s.PredEvals, s.Rollbacks, s.Matches)
+			if s.Matches == 0 || s.Rollbacks == 0 {
+				t.Fatalf("%s/%s: %s: the fixture must match and roll back", opt.name, o.name, stats)
+			}
+			if ref == nil {
+				ref, refStats = got, stats
+				if opt.batch != nil {
+					res, err := q.RunWith(*opt.batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := map[string]int{}
+					for _, row := range res.Rows {
+						want[rowKey(row)]++
+					}
+					if fmt.Sprint(want) != fmt.Sprint(got) || res.Stats.PredEvals != s.PredEvals {
+						t.Errorf("%s: stream %d rows, %d pred-evals; batch %d rows, %d pred-evals",
+							opt.name, s.Matches, s.PredEvals, len(res.Rows), res.Stats.PredEvals)
+					}
+				}
+				continue
+			}
+			if stats != refStats {
+				t.Errorf("%s/%s: %s, %s: %s", opt.name, o.name, stats, orders[0].name, refStats)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Errorf("%s/%s: rows differ from %s's", opt.name, o.name, orders[0].name)
+			}
+		}
+	}
+}
+
+// TestStreamClusterFootprint pins what an open stream holds per cluster:
+// 10,000 clusters of one tuple each, measured as live heap after a
+// collection. A cluster is a record in the stream's dense array, its
+// count[] and bindings, a four-slot window and a map entry.
+func TestStreamClusterFootprint(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector adds shadow memory to every allocation")
+	}
+	const clusters = 10000
+	names := make([]storage.Value, clusters)
+	for c := range names {
+		names[c] = storage.NewString(fmt.Sprintf("S%05d", c))
+	}
+	db := quoteDB(t)
+	st, err := db.Stream(upTickSQL, StreamOptions{}, func(storage.Row) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for c := range names {
+		if err := st.Push(names[c], storage.NewDateDays(1), storage.NewFloat(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perCluster := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clusters
+	t.Logf("%.0f B of live heap per cluster", perCluster)
+	if perCluster > 1100 {
+		t.Errorf("%.0f B of live heap per one-tuple cluster, want at most 1,100", perCluster)
+	}
+	runtime.KeepAlive(names)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
