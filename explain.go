@@ -47,7 +47,7 @@ func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
 // shared with the slow-query log (which must not re-execute anything).
 func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	var b strings.Builder
-	b.WriteString(q.Explain())
+	b.WriteString(q.explain(opsConfigs[ev.Executor]))
 	fmt.Fprintf(&b, "plan: %s\n", planWord(ev.PlanCached, ev.PatternCached))
 	if ev.Partition != "" {
 		fmt.Fprintf(&b, "partition: %s\n", ev.Partition)

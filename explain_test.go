@@ -62,6 +62,27 @@ func TestExplainAnalyzeDoubleBottom(t *testing.T) {
 	if !strings.Contains(text, "Matches=1") {
 		t.Errorf("expected exactly one double bottom in output:\n%s", text)
 	}
+
+	// The search loop line names the loop the run's executor took; plain
+	// EXPLAIN names the default executor's.
+	pair := "search loop: pure-mask, pair scan\n"
+	if !strings.Contains(q.Explain(), pair) {
+		t.Errorf("EXPLAIN has no line %q:\n%s", pair, q.Explain())
+	}
+	for kind, want := range map[ExecutorKind]string{
+		OPSExec:           pair,
+		OPSShiftOnlyExec:  pair,
+		OPSNoCountersExec: "search loop: pure-mask, element-1 skip (element 2 restarts without counters)\n",
+		OPSSkipExec:       "search loop: pure-mask, element-1 skip (element 2's failed tuple is consumed)\n",
+	} {
+		text, err := q.ExplainAnalyze(RunOptions{Executor: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, want) || !strings.Contains(text, "Executor "+kind.String()+":") {
+			t.Errorf("EXPLAIN ANALYZE under %s has no line %q:\n%s", kind, want, text)
+		}
+	}
 }
 
 // TestExplainAnalyzeViaSQL routes EXPLAIN [ANALYZE] through DB.Query and

@@ -25,11 +25,12 @@ type Tables struct {
 	// shifted by sh are known to hold, and 0 starts afresh one row past the
 	// failed one. Star-free patterns carry §4.2's values, where Next[j] can
 	// be j-sh+1: the failed tuple itself is then known to satisfy element
-	// j-sh. Every loop reads that case by one rule: it resumes at element
-	// j-sh and consumes the failed tuple as that element unexamined, the
-	// step a SkipOK entry takes. §5's walk never yields it (Next[j] ≤ j-sh
-	// on a star pattern), and on a star-free one count[k] = k, so §5's
-	// rollback arithmetic then lands exactly where §4.2.1's does.
+	// j-sh. One rule reads that case: resume at element j-sh and consume
+	// the failed tuple as that element unexamined, the step a SkipOK entry
+	// takes; the engine's step builder (newSteps) is the one place that
+	// applies it. §5's walk never yields it (Next[j] ≤ j-sh on a star
+	// pattern), and on a star-free one count[k] = k, so §5's rollback
+	// arithmetic then lands exactly where §4.2.1's does.
 	Next []int
 	// SkipOK marks failure positions where the failed tuple is known to
 	// satisfy element Next[j] (a plain element) and may be consumed

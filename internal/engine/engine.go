@@ -237,8 +237,16 @@ type evaluator struct {
 	check func() error
 }
 
-func newEvaluator(p *pattern.Pattern) evaluator {
-	return evaluator{p: p, ctx: pattern.EvalContext{Bind: make([]pattern.Span, p.Len())}}
+func newEvaluator(p *pattern.Pattern) evaluator { return evaluator{p: p} }
+
+// bindings returns the search's bindings, made by the first search that
+// keeps any: an OPS executor (one is built per run) that only takes the
+// pure loop never makes them.
+func (e *evaluator) bindings() []pattern.Span {
+	if e.ctx.Bind == nil {
+		e.ctx.Bind = make([]pattern.Span, e.p.Len())
+	}
+	return e.ctx.Bind
 }
 
 // UseKernel attaches a compiled predicate kernel: subsequent searches
@@ -522,7 +530,7 @@ func (b *Block[T]) Reset(n int) {
 // Call it before the first FindAll.
 func (e *evaluator) Reserve(matches int) {
 	e.matches.Reserve(matches)
-	e.spans.Reserve(matches * len(e.ctx.Bind))
+	e.spans.Reserve(matches * e.p.Len())
 }
 
 // Adopt implements Executor.
@@ -541,7 +549,7 @@ func (e *evaluator) Adopt(ms []Match) []Match {
 // built for itself stay: they are its scratch, rebuilt per sequence.
 func (e *evaluator) Recycle(matches int) {
 	e.matches.Reset(matches)
-	e.spans.Reset(matches * len(e.ctx.Bind))
+	e.spans.Reset(matches * e.p.Len())
 	e.ctx.Seq = nil
 	e.proj, e.masks, e.slab = nil, nil, nil
 	e.nextProj, e.nextMasks = nil, nil
@@ -550,7 +558,7 @@ func (e *evaluator) Recycle(matches int) {
 
 // snapshotSpans copies the current bindings for a reported match.
 func (e *evaluator) snapshotSpans() []pattern.Span {
-	out := e.spans.Take(len(e.ctx.Bind))
+	out := e.spans.Take(e.p.Len())
 	copy(out, e.ctx.Bind)
 	return out
 }
@@ -617,7 +625,7 @@ func (n *Naive) FindAll(seq []storage.Row) ([]Match, Stats) {
 // matchAt attempts a greedy match beginning at 1-based position start,
 // returning the 1-based end position on success.
 func (n *Naive) matchAt(start, nn int) (int, bool) {
-	clear(n.ctx.Bind)
+	clear(n.bindings())
 	i := start
 	m := n.p.Len()
 	for j := 1; j <= m; j++ {

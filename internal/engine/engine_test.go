@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sqlts/internal/constraint"
@@ -272,6 +273,83 @@ func TestOPSAblationsEquivalence(t *testing.T) {
 				t.Fatalf("trial %d cfg %+v: matches differ\npattern %s\nnaive: %s\nops: %s\nseq: %v",
 					trial, cfg, explain(p), fmtMatches(nm), fmtMatches(om), seqVals(seq))
 			}
+		}
+	}
+}
+
+// TestRollbackSteps pins the step table newSteps derives for the paper's
+// Examples 1, 4, 8 and 10 under the default config and each ablation —
+// the ops, ops-shift-only, ops-no-counters and ops+skip executors' — and
+// checks that a stream reads the batch executor's steps and that rollback
+// re-bases count[] by a step as §5 does. A step is {from, resume, back,
+// consume}; entry 0 is unused.
+func TestRollbackSteps(t *testing.T) {
+	fresh := func(from int) step { return step{from, 0, false, false} }
+	back := func(from int) step { return step{from, 0, true, false} }
+	to := func(from, resume int) step { return step{from, resume, false, false} }
+	take := func(from, resume int) step { return step{from, resume, false, true} }
+	// Example 1 is star-free with next(2) = next(3) = 2: the consume rule
+	// at element 2, which ShiftOnly's clamp removes.
+	ex1 := []step{{}, fresh(1), take(1, 1), to(1, 2)}
+	// Example 4 is star-free and every next ≤ 1: no config changes it.
+	ex4 := []step{{}, fresh(1), to(1, 1), to(1, 1), to(1, 1), to(3, 1)}
+	// Example 8 has SkipOK nowhere; NoCounters restarts every step.
+	ex8 := []step{{}, fresh(1), to(1, 1), fresh(3)}
+	// Example 10 has SkipOK at elements 2 and 6.
+	ex10 := []step{{}, fresh(1), to(1, 1), to(2, 1), to(2, 1), to(3, 1), to(5, 1), to(4, 1), to(4, 1), to(4, 1)}
+	want := map[string]map[string][]step{
+		"example1": {
+			"ops":             ex1,
+			"ops-shift-only":  {{}, fresh(1), to(1, 1), to(1, 1)},
+			"ops-no-counters": ex1,
+			"ops+skip":        ex1,
+		},
+		"example4": {"ops": ex4, "ops-shift-only": ex4, "ops-no-counters": ex4, "ops+skip": ex4},
+		"example8": {
+			"ops":             ex8,
+			"ops-shift-only":  ex8,
+			"ops-no-counters": {{}, back(1), back(1), back(3)},
+			"ops+skip":        ex8,
+		},
+		"example10": {
+			"ops":             ex10,
+			"ops-shift-only":  ex10,
+			"ops-no-counters": {{}, back(1), back(1), back(2), back(2), back(3), back(5), back(4), back(4), back(4)},
+			"ops+skip":        {{}, fresh(1), take(1, 1), to(2, 1), to(2, 1), to(3, 1), take(5, 1), to(4, 1), to(4, 1), to(4, 1)},
+		},
+	}
+	for _, ex := range paperExamples(t) {
+		tab := core.Compute(ex.p)
+		for _, cfg := range append([]OPSConfig{{}}, ablations(SkipPastLastRow)...) {
+			o := NewOPS(ex.p, tab, cfg)
+			if w := want[ex.golden][o.Name()]; !slices.Equal(o.steps, w) {
+				t.Errorf("%s %s: steps\n%v, want\n%v", ex.golden, o.Name(), o.steps, w)
+			}
+		}
+		for _, cfg := range []OPSConfig{{}, {LastRowSkip: true}} {
+			s := NewStreamer(ex.p, StreamConfig{Tables: tab, LastRowSkip: cfg.LastRowSkip}, func(Match) {})
+			if o := NewOPS(ex.p, tab, cfg); !slices.Equal(s.a.steps, o.steps) {
+				t.Errorf("%s: the stream's steps %v, %s's %v", ex.golden, s.a.steps, o.Name(), o.steps)
+			}
+		}
+	}
+
+	// rollback after a mismatch at element 5 of an attempt that began at
+	// row 12 and whose elements 1-4 took 2, 3, 1 and 2 tuples, so the
+	// cursor is at row 20 (count[5] is stale).
+	for _, c := range []struct {
+		s     step
+		i, j  int
+		count []int
+	}{
+		{fresh(5), 21, 1, []int{0, 2, 5, 6, 8, 99}},
+		{to(1, 4), 20, 4, []int{0, 3, 4, 6, 8, 99}},
+		{to(2, 2), 18, 2, []int{0, 1, 5, 6, 8, 99}},
+		{take(2, 3), 21, 4, []int{0, 1, 3, 4, 8, 9}},
+	} {
+		count := []int{0, 2, 5, 6, 8, 99}
+		if i, j := c.s.rollback(count, 20, 5); i != c.i || j != c.j || !slices.Equal(count, c.count) {
+			t.Errorf("%v: row %d, element %d, count %v; want %d, %d, %v", c.s, i, j, count, c.i, c.j, c.count)
 		}
 	}
 }

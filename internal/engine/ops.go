@@ -29,6 +29,64 @@ type OPSConfig struct {
 	LastRowSkip bool
 }
 
+// step is §5 mismatch rule 2 for element j under one executor
+// configuration: what a search does when element j fails having consumed
+// nothing. §5 makes it a function of j alone; only the count[] re-basing
+// depends on the run (rollback).
+type step struct {
+	from, resume int  // shift(j); the element to resume at, 0 for a fresh attempt
+	back         bool // a fresh attempt starts one past the failed attempt's start (NoCounters)
+	consume      bool // the failed tuple is taken as element resume, unexamined
+}
+
+// newSteps derives each element's step from t under cfg, in the order the
+// §5 runtime has always applied them: the ShiftOnly clamp before the rule
+// on core.Tables.Next (this is the one place it is applied), LastRowSkip
+// off under ShiftOnly, and NoCounters on star patterns only.
+func newSteps(t *core.Tables, cfg OPSConfig) []step {
+	steps := make([]step, t.M+1)
+	for j := 1; j <= t.M; j++ {
+		sh, nx := t.Shift[j], t.Next[j]
+		if cfg.ShiftOnly {
+			nx = min(nx, 1)
+		}
+		s := step{from: sh, resume: nx}
+		switch {
+		case cfg.NoCounters && t.HasStar:
+			s.resume, s.back = 0, true
+		case nx == j-sh+1:
+			s.resume, s.consume = j-sh, true
+		case nx > 0:
+			s.consume = cfg.LastRowSkip && !cfg.ShiftOnly && t.SkipOK != nil && t.SkipOK[j]
+		}
+		steps[j] = s
+	}
+	return steps
+}
+
+// rollback takes step s after a mismatch at element j with the cursor at
+// row i, re-basing count[] onto the alignment shifted by s.from, and
+// returns the row and element the search resumes at. A fresh attempt
+// begins one past row i: for a back step the caller first moves i back to
+// the failed attempt's start. A consume step books the failed tuple as
+// element j's, which the shift carries over as element s.resume.
+func (s step) rollback(count []int, i, j int) (int, int) {
+	n := s.resume
+	if n == 0 {
+		return i + 1, 1
+	}
+	if s.consume {
+		count[j] = count[j-1] + 1
+		n++
+	}
+	i += count[s.from+n-1] - count[j-1]
+	base := count[s.from]
+	for t := range n {
+		count[t] = count[s.from+t] - base
+	}
+	return i, n
+}
+
 // OPS is the optimized executor driven by the compile-time shift/next
 // tables: the paper's Optimized Pattern Search algorithm. Its loops are
 // §5's for every pattern: on a star-free one count[k] = k, and §4.2's
@@ -37,10 +95,17 @@ type OPS struct {
 	evaluator
 	tables *core.Tables
 	cfg    OPSConfig
+	// pair is set when element 2 cannot fail an attempt in any other way
+	// than one that resumes at element 1 on the next row: element 1 is
+	// plain, and element 2's step resumes at element 1 on the failed row,
+	// testing it. The pure loop then runs the pair scan.
+	pair bool
 	// ranPure records whether the last FindAll or FindRun took the pure
 	// loop, and pairRows how many rows its pair scans have resolved in all,
-	// for the package's differential tests. ranPure shares cfg's word.
+	// for the package's differential tests. pair and ranPure share cfg's
+	// word.
 	ranPure  bool
+	steps    []step
 	count    []int
 	pairRows int64
 }
@@ -56,10 +121,13 @@ func ClosedClusters() int64 { return closedClusters.Load() }
 
 // NewOPS builds an OPS executor for a pattern and its computed tables.
 func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
+	steps := newSteps(tables, cfg)
 	return &OPS{
 		evaluator: newEvaluator(p),
 		tables:    tables,
 		cfg:       cfg,
+		steps:     steps,
+		pair:      tables.M >= 2 && !tables.Star[1] && steps[2] == step{from: 1, resume: 1},
 		count:     make([]int, p.Len()+1),
 	}
 }
@@ -89,59 +157,34 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.trace = o.trace[:0]
 	o.reset(seq)
 	o.stats = Stats{}
-	// The pure-mask loop serves the default executor only; the ablation
-	// configs stay on the generic loop it is differenced against.
-	l := selectLoop(o.tables, o.allPure && o.cfg == OPSConfig{Policy: o.cfg.Policy})
-	o.ranPure = l >= loopPureSkip
-	if l == loopGeneric {
+	o.ranPure = o.allPure
+	if !o.allPure {
 		return o.findAllStar(seq)
 	}
-	return o.findAllStarPure(seq, l == loopPurePair)
+	return o.findAllStarPure(seq, o.pair)
 }
 
-// loop is a search loop of OPS.FindAll.
-type loop uint8
-
-const (
-	loopGeneric  loop = iota // findAllStar: some probe needs more than a mask
-	loopPureSkip             // findAllStarPure skipping element 1's zero runs
-	loopPurePair             // findAllStarPure with the pair scan
-)
-
-// selectLoop is FindAll's choice of loop for a pattern with tables t; pure
-// reports whether every element's mask alone answers its probes, nothing
-// observes probes one at a time and the config is the default one. The
-// pure loop runs the pair scan when element 2 cannot fail an attempt in
-// any other way than one that resumes at element 1 on the next row:
-// element 1 is plain, and shift(2) = next(2) = 1.
-func selectLoop(t *core.Tables, pure bool) loop {
+// SearchLoop names the loop a vectorized run over kernel k of an OPS
+// executor configured by cfg takes for pattern p with tables t, and why
+// when it is not the fastest one: EXPLAIN prints it for the default
+// configuration and EXPLAIN ANALYZE for the run's. It reads FindAll's own
+// selection.
+func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel, cfg OPSConfig) string {
+	o := NewOPS(p, t, cfg)
 	switch {
-	case !pure:
-		return loopGeneric
-	case t.M >= 2 && !t.Star[1] && t.Shift[2] == 1 && t.Next[2] == 1:
-		return loopPurePair
-	}
-	return loopPureSkip
-}
-
-// SearchLoop names the loop a default vectorized OPS run over kernel k
-// takes for pattern p with tables t, and why when it is not the fastest
-// one: EXPLAIN prints it. It reads FindAll's own selection.
-func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel) string {
-	pure := k != nil && k.CompiledElems() > 0 && k.AllPure()
-	switch selectLoop(t, pure) {
-	case loopPurePair:
+	case k == nil || k.CompiledElems() == 0 || !k.AllPure(): // generic: why, below
+	case o.pair:
 		return "pure-mask, pair scan"
-	case loopPureSkip:
-		switch {
-		case t.M < 2:
-			return "pure-mask, element-1 skip (m = 1)"
-		case t.Star[1]:
-			return "pure-mask, element-1 skip (element 1 is a star)"
-		case t.Next[2] != 1:
-			return fmt.Sprintf("pure-mask, element-1 skip (next(2) = %d)", t.Next[2])
-		}
-		return fmt.Sprintf("pure-mask, element-1 skip (shift(2) = %d)", t.Shift[2])
+	case t.M < 2:
+		return "pure-mask, element-1 skip (m = 1)"
+	case t.Star[1]:
+		return "pure-mask, element-1 skip (element 1 is a star)"
+	case o.steps[2].back:
+		return "pure-mask, element-1 skip (element 2 restarts without counters)"
+	case t.Next[2] != 1:
+		return fmt.Sprintf("pure-mask, element-1 skip (next(2) = %d)", t.Next[2])
+	default: // element 2's step resumes at element 1, consuming the failed row
+		return "pure-mask, element-1 skip (element 2's failed tuple is consumed)"
 	}
 	for i := range p.Elems {
 		if p.Elems[i].HasCross() {
@@ -173,19 +216,17 @@ func (o *OPS) countSpans(count []int, start int) []pattern.Span {
 
 // findAllStar is the §5 runtime: a per-element cumulative counter array
 // count[] tracks how many input tuples each element consumed, and mismatch
-// rollback resumes at i - count[j-1] + count[shift+next-1] with the
-// counters (and bindings) re-based onto the shifted alignment. It is the
-// generic loop: every probe goes through eval, so cross conditions, the
-// ablation configs, path tracing and fault injection all run here, and
-// findAllStarPure is differenced against it.
+// rollback takes the failed element's step (step.rollback), resuming at
+// i - count[j-1] + count[shift+next-1] with the counters (and bindings)
+// re-based onto the shifted alignment. It is the generic loop: every probe
+// goes through eval, so cross conditions, path tracing and fault injection
+// all run here, and findAllStarPure is differenced against it.
 func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 	from := o.matches.Len()
 	nn := len(seq)
 	m := o.p.Len()
-	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
+	star, steps := o.tables.Star, o.steps
 	toNextRow := o.cfg.Policy == SkipToNextRow
-	noCounters, shiftOnly := o.cfg.NoCounters && o.tables.HasStar, o.cfg.ShiftOnly
-	lastRowSkip := o.cfg.LastRowSkip && !shiftOnly && o.tables.SkipOK != nil
 	fastSkip := o.fastSkip
 	count := o.count
 	count[0] = 0
@@ -193,7 +234,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 	// (cross conditions read Set), so every exit from an attempt clears
 	// exactly the prefix that attempt set. The last search may have ended
 	// inside one.
-	bind := o.ctx.Bind
+	bind := o.bindings()
 	clear(bind)
 
 	i, j, inElem := 1, 1, 0
@@ -251,47 +292,22 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 			inElem = 0
 			continue
 		}
-		// §5 mismatch rule 2: roll back via the tables. At this point the
-		// current element has consumed nothing, so i sits at the start of
-		// element j's would-be span and the attempt has set bind[:j-1].
+		// §5 mismatch rule 2: roll back by element j's step. At this point
+		// the current element has consumed nothing, so i sits at the start
+		// of element j's would-be span and the attempt has set bind[:j-1].
 		o.stats.Rollbacks++
 		mustFire(faultOPSShift)
-		sh, nx := shift[j], next[j]
-		if shiftOnly && nx > 1 {
-			nx = 1
+		s := steps[j]
+		keep := max(s.resume-1, 0) // bindings the shifted alignment carries over
+		copy(bind[:keep], bind[s.from:])
+		clear(bind[keep : j-1])
+		if s.back {
+			i -= count[j-1]
 		}
-		if noCounters || nx == 0 {
-			// A fresh attempt. shift(j) = j: φ[j][1] = 0 rules out a start
-			// at the failed tuple itself, so it begins one past it; without
-			// counters, one past the failed attempt's start.
-			if noCounters {
-				i -= count[j-1]
-			}
-			i++
-			clear(bind[:j-1])
-			j = 1
-			continue
-		}
-		skip := lastRowSkip && o.tables.SkipOK[j]
-		if nx == j-sh+1 { // see core.Tables.Next
-			nx, skip = j-sh, true
-		}
-		i += count[sh+nx-1] - count[j-1]
-		base := count[sh]
-		for t := 1; t < nx; t++ {
-			count[t] = count[sh+t] - base
-			bind[t-1] = bind[sh+t-1]
-		}
-		clear(bind[nx-1 : j-1])
-		j = nx
-		if skip {
-			// The failed tuple (at the rolled-back cursor) certainly
-			// satisfies the plain element nx: consume it unexamined. A
-			// skip can complete the pattern outright.
-			bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
-			count[j] = count[j-1] + 1
-			i++
-			j++
+		if i, j = s.rollback(count, i, j); s.consume {
+			// The failed tuple, row i-1, was taken as element j-1: that
+			// can complete the pattern outright.
+			bind[j-2] = pattern.Span{Start: i - 2, End: i - 2, Set: true}
 		}
 	}
 	return o.matches.Run(from), o.stats
@@ -308,7 +324,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 // the checkpoint fires once per 1024-eval boundary crossed, so Stats and
 // cancellation latency are identical to findAllStar's.
 //
-// With pair set (selectLoop's gate) a fresh attempt at row r fails in one
+// With pair set (OPS.pair) a fresh attempt at row r fails in one
 // of two ways: X misses r (one eval), or X holds and element 2 misses
 // r+1 (two evals), and either way the next attempt starts at r+1. So the
 // attempts before the next row where X holds and element 2 holds on the
@@ -342,7 +358,7 @@ func (o *OPS) scanMasks(slab []uint64, words int, pair bool) (x, y []uint64) {
 func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match, int64) {
 	from := o.matches.Len()
 	m := o.p.Len()
-	star, shift, next := o.tables.Star, o.tables.Shift, o.tables.Next
+	star, steps := o.tables.Star, o.steps
 	toNextRow := o.cfg.Policy == SkipToNextRow
 	slab, words, slots := o.slab, o.words, o.pureSlots
 	count := o.count
@@ -405,28 +421,11 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 		}
 		rollbacks++
 		mustFire(faultOPSShift)
-		nx := next[j]
-		if nx == 0 {
-			i++
-			j = 1
-			continue
+		s := steps[j]
+		if s.back {
+			i -= count[j-1]
 		}
-		sh := shift[j]
-		consume := nx == j-sh+1 // see core.Tables.Next
-		if consume {
-			nx = j - sh
-		}
-		i += count[sh+nx-1] - count[j-1]
-		base := count[sh]
-		for t := 1; t < nx; t++ {
-			count[t] = count[sh+t] - base
-		}
-		j = nx
-		if consume {
-			count[j] = count[j-1] + 1
-			i++
-			j++
-		}
+		i, j = s.rollback(count, i, j)
 	}
 	if y != nil {
 		o.pairRows += scanned
@@ -436,12 +435,12 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 }
 
 // FindRun implements Executor. Wherever FindAll would run findAllStarPure
-// — the same selectLoop gate, with bulk probing allowed for the whole run
-// — it runs the pure loop across the chunk, on one eval count, so the
-// checkpoint runs once per 1024 evals of the chunk; otherwise, and for the
-// ablation configs, the generic run loop. The pure loop calls neither the
-// sink's Enter nor a checkpoint per cluster, and ticks the flight at the
-// end of the cluster a checkpoint fell in and at the end of the chunk.
+// — with bulk probing allowed for the whole run — it runs the pure loop
+// across the chunk, on one eval count, so the checkpoint runs once per
+// 1024 evals of the chunk; otherwise the generic run loop. The pure loop
+// calls neither the sink's Enter nor a checkpoint per cluster, and ticks
+// the flight at the end of the cluster a checkpoint fell in and at the end
+// of the chunk.
 //
 // Per cluster it runs the first fresh attempt's scan, inline when the
 // cluster's masks are one word. When the scan
@@ -452,12 +451,11 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 // row — one eval, and one more rollback when X fails there. Otherwise
 // searchPure is entered at the candidate row with the scan's result.
 func (o *OPS) FindRun(r *Run) error {
-	l := selectLoop(o.tables, o.bulkRun(r) && o.cfg == OPSConfig{Policy: o.cfg.Policy})
-	if l < loopPureSkip {
+	if !o.bulkRun(r) {
 		return o.runEach(o, r)
 	}
 	o.ranPure = true
-	pair, closed := l == loopPurePair, o.p.Len() >= 2
+	pair, closed := o.pair, o.p.Len() >= 2
 	sx, sy := int(o.pureSlots[0]), 0 // X's and Y's slots
 	if pair {
 		sy = int(o.pureSlots[1])

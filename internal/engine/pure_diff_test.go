@@ -108,12 +108,19 @@ func pureSeq(r *rand.Rand, n int) []storage.Row {
 // pair scans.
 var pairRowsSeen int64
 
+// ablations are the OPS configurations other than the default one under
+// policy: the three ablation executors'.
+func ablations(policy SkipPolicy) []OPSConfig {
+	return []OPSConfig{{Policy: policy, ShiftOnly: true}, {Policy: policy, NoCounters: true}, {Policy: policy, LastRowSkip: true}}
+}
+
 // pureCheck runs one (pattern, sequence, policy) through the three OPS
-// evaluation modes and naive, and reports whether the vectorized
-// executor took the pure loop — which it must exactly when every element
+// evaluation modes and naive, and each ablation config vectorized against
+// interpreted, and reports whether the vectorized executor took the pure
+// loop — which it must, under every config, exactly when every element
 // has a mask, star or none (UseKernel declines a kernel with no compiled
 // row chain, which leaves the interpreter in place) — and ran no pair
-// scan unless selectLoop's gate is open.
+// scan unless its steps open the pair gate.
 func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row, policy SkipPolicy) bool {
 	t.Helper()
 	tab := core.Compute(p)
@@ -142,8 +149,21 @@ func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row
 		t.Fatalf("%s: pure loop taken = %v, want %v (%d of %d elements vectorized, %d compiled)\npattern: %s",
 			label, ov.ranPure, want, k.VecElems(), p.Len(), k.CompiledElems(), pat)
 	}
-	if ov.pairRows > 0 && selectLoop(tab, true) != loopPurePair {
+	if ov.pairRows > 0 && !ov.pair {
 		t.Fatalf("%s: a pair scan ran with the gate closed (shift(2) = %d, next(2) = %d)\npattern: %s", label, tab.Shift[2], tab.Next[2], pat)
+	}
+	for _, cfg := range ablations(policy) {
+		ai := NewOPS(p, tab, cfg)
+		av := NewOPS(p, tab, cfg)
+		av.UseKernel(k)
+		av.SetVectorized(true)
+		diffCheck(t, label+" "+av.Name()+"-vec", pat, ai, av, seq)
+		if av.ranPure != ov.ranPure {
+			t.Fatalf("%s: %s took the pure loop = %v, the default config %v\npattern: %s", label, av.Name(), av.ranPure, ov.ranPure, pat)
+		}
+		if av.pairRows > 0 && !av.pair {
+			t.Fatalf("%s: %s ran a pair scan with the gate closed (step(2) = %+v)\npattern: %s", label, av.Name(), av.steps[2], pat)
+		}
 	}
 	pairRowsSeen += ov.pairRows
 	return ov.ranPure
@@ -263,7 +283,7 @@ func TestPureLoopDifferential(t *testing.T) {
 	}
 	for _, c := range pairCorners {
 		tab := core.Compute(c.p)
-		if got := selectLoop(tab, true) == loopPurePair; got != c.gate {
+		if got := NewOPS(c.p, tab, OPSConfig{}).pair; got != c.gate {
 			t.Fatalf("%s: pair gate open = %v, want %v (shift(2) = %d, next(2) = %d)", c.name, got, c.gate, tab.Shift[2], tab.Next[2])
 		}
 		for li, n := range append(pureLens, 5000) {
@@ -333,8 +353,8 @@ func FuzzPureLoop(f *testing.F) {
 }
 
 // TestPureLoopFallsBack pins the selection: path tracing and any armed
-// fault point keep the same pattern on the generic loop, which records
-// the path and fires engine.ops.shift as before.
+// fault point keep the same pattern on the generic loop, under every OPS
+// config, which records the path and fires engine.ops.shift as before.
 func TestPureLoopFallsBack(t *testing.T) {
 	defer fault.Reset()
 	// Example 8's three stars over a series with rollbacks beyond element
@@ -393,12 +413,21 @@ func TestPureLoopFallsBack(t *testing.T) {
 		fault.Reset()
 	}
 
-	// The ablation configs never take it either.
-	for _, cfg := range []OPSConfig{{ShiftOnly: true}, {NoCounters: true}, {LastRowSkip: true}} {
-		o := vec(cfg)
-		o.FindAll(seq)
-		if o.ranPure {
-			t.Fatalf("%s took the pure loop", o.Name())
+	// The ablation configs take it too, and path tracing keeps each of
+	// them on the generic loop with the same result.
+	for _, cfg := range ablations(SkipPastLastRow) {
+		o, traced := vec(cfg), vec(cfg)
+		traced.Trace()
+		om, os := o.FindAll(seq)
+		tm, ts := traced.FindAll(seq)
+		if !o.ranPure {
+			t.Fatalf("%s did not take the pure loop", o.Name())
+		}
+		if traced.ranPure {
+			t.Fatalf("%s with Trace() on took the pure loop", o.Name())
+		}
+		if !matchesEqual(om, tm) || os != ts {
+			t.Fatalf("%s: traced run diverges: %+v vs %+v", o.Name(), ts, os)
 		}
 	}
 
@@ -410,12 +439,17 @@ func TestPureLoopFallsBack(t *testing.T) {
 	}
 }
 
-// TestSearchLoopLineAgreesWithRun: for each statement of the root
-// package's EXPLAIN goldens (golden_test.go), the golden's "search loop:"
-// line is SearchLoop's, and a default vectorized OPS run of the statement
-// takes the loop it names: the pure loop exactly for "pure-mask", pair
-// scans exactly for "pair scan".
-func TestSearchLoopLineAgreesWithRun(t *testing.T) {
+// paperExample is a statement of the root package's EXPLAIN goldens
+// (golden_test.go): one of the paper's worked examples, compiled.
+type paperExample struct {
+	golden string
+	p      *pattern.Pattern
+	quote  bool // over quote(name, date, price), else djia(date, price)
+}
+
+// paperExamples compiles Examples 1, 4, 8 and 10 as the goldens do.
+func paperExamples(t *testing.T) []paperExample {
+	t.Helper()
 	quote := storage.MustSchema(
 		storage.Column{Name: "name", Type: storage.TypeString},
 		storage.Column{Name: "date", Type: storage.TypeDate},
@@ -425,6 +459,7 @@ func TestSearchLoopLineAgreesWithRun(t *testing.T) {
 		storage.Column{Name: "date", Type: storage.TypeDate},
 		storage.Column{Name: "price", Type: storage.TypeFloat},
 	)
+	var out []paperExample
 	for _, c := range []struct {
 		golden string
 		schema *storage.Schema
@@ -454,36 +489,56 @@ func TestSearchLoopLineAgreesWithRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := compiled.Pattern
+		out = append(out, paperExample{c.golden, compiled.Pattern, c.schema == quote})
+	}
+	return out
+}
+
+// TestSearchLoopLineAgreesWithRun: for each statement of the root
+// package's EXPLAIN goldens, the golden's "search loop:" line is
+// SearchLoop's for the default config, and under every OPS config — the
+// ops, ops-shift-only, ops-no-counters and ops+skip executors' — a
+// vectorized run of the statement takes the loop SearchLoop names for
+// that config: the pure loop exactly for "pure-mask", pair scans exactly
+// for "pair scan".
+func TestSearchLoopLineAgreesWithRun(t *testing.T) {
+	for _, ex := range paperExamples(t) {
+		p := ex.p
 		tab, k := core.Compute(p), p.CompileKernel()
-		line := "search loop: " + SearchLoop(p, tab, k)
-		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "explain_"+c.golden+".golden"))
+		line := "search loop: " + SearchLoop(p, tab, k, OPSConfig{})
+		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "explain_"+ex.golden+".golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(string(golden), "\n"+line+"\n") {
-			t.Fatalf("%s: the golden has no line %q", c.golden, line)
+			t.Fatalf("%s: the golden has no line %q", ex.golden, line)
 		}
 
 		// A walk with IBM's name on every row, so every element can hold.
 		walk := walkSeq(rand.New(rand.NewSource(1)), 2000)
 		seq := make([]storage.Row, len(walk))
 		for i, w := range walk {
-			if c.schema == quote {
+			if ex.quote {
 				seq[i] = storage.Row{storage.NewString("IBM"), storage.NewDateDays(int64(i)), w[0]}
 			} else {
 				seq[i] = storage.Row{storage.NewDateDays(int64(i)), w[0]}
 			}
 		}
-		o := NewOPS(p, tab, OPSConfig{})
-		o.UseKernel(k)
-		o.SetVectorized(true)
-		o.FindAll(seq)
-		if pure := strings.HasPrefix(line, "search loop: pure-mask"); o.ranPure != pure {
-			t.Fatalf("%s: %q, but the pure loop ran = %v", c.golden, line, o.ranPure)
-		}
-		if pair := strings.HasSuffix(line, "pair scan"); (o.pairRows > 0) != pair {
-			t.Fatalf("%s: %q, but the pair scans resolved %d rows", c.golden, line, o.pairRows)
+		for _, cfg := range append([]OPSConfig{{}}, ablations(SkipPastLastRow)...) {
+			o := NewOPS(p, tab, cfg)
+			o.UseKernel(k)
+			o.SetVectorized(true)
+			o.FindAll(seq)
+			line := "search loop: " + SearchLoop(p, tab, k, cfg)
+			if pure := strings.HasPrefix(line, "search loop: pure-mask"); o.ranPure != pure {
+				t.Fatalf("%s %s: %q, but the pure loop ran = %v", ex.golden, o.Name(), line, o.ranPure)
+			}
+			if pair := strings.HasSuffix(line, "pair scan"); (o.pairRows > 0) != pair {
+				t.Fatalf("%s %s: %q, but the pair scans resolved %d rows", ex.golden, o.Name(), line, o.pairRows)
+			}
+			if want := "search loop: pure-mask, element-1 skip (element 2's failed tuple is consumed)"; ex.golden == "example10" && cfg.LastRowSkip && line != want {
+				t.Fatalf("%s %s: %q, want %q", ex.golden, o.Name(), line, want)
+			}
 		}
 	}
 }
@@ -529,7 +584,8 @@ func pairRunFixture(t *testing.T, n int) (*pattern.Pattern, []storage.Row) {
 // and a 5,000-row star run each cross four boundaries in one step, and
 // 5,000 rows of failed two-eval starts cross nine in one pair scan; the
 // interrupt must be consulted exactly PredEvals>>10 times, by the pure
-// loop and by the generic loop's and naive's zero-run skip alike.
+// loop and naive's zero-run skip alike, as by the generic loop (traced,
+// so one probe at a time) and the interpreter.
 func TestPureLoopCheckpointCadence(t *testing.T) {
 	zp, zseq := longRunFixture(t, 5000, 5000)
 	pp, pseq := pairRunFixture(t, 5000)
@@ -555,7 +611,8 @@ func TestPureLoopCheckpointCadence(t *testing.T) {
 			return o
 		}
 		pureOPS := vecOPS(OPSConfig{})
-		genericOPS := vecOPS(OPSConfig{LastRowSkip: true}) // an ablation config keeps the generic loop
+		genericOPS := vecOPS(OPSConfig{})
+		genericOPS.Trace() // path tracing keeps the generic loop
 		naive := NewNaive(p, SkipPastLastRow)
 		naive.UseKernel(k)
 		naive.SetVectorized(true)
@@ -564,7 +621,7 @@ func TestPureLoopCheckpointCadence(t *testing.T) {
 			ex   Executor
 		}{
 			{"ops-vec (pure loop)", pureOPS},
-			{"ops+skip-vec (generic loop)", genericOPS},
+			{"ops-vec traced (generic loop)", genericOPS},
 			{"naive-vec", naive},
 			{"ops (interpreter)", NewOPS(p, tab, OPSConfig{})},
 		} {

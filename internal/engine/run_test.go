@@ -213,9 +213,12 @@ func runMemo(k *pattern.Kernel, clusters [][]storage.Row, refresh bool) []*patte
 }
 
 // runChecks runs runCheck for pattern p over clusters on both skip
-// policies: the default vectorized OPS, an ablation config and naive over
-// the same masks, and OPS interpreting. It returns the clusters the runs
-// booked in closed form and how many runs took the pure loop.
+// policies: the default vectorized OPS, each ablation config vectorized
+// and naive over the same masks, and OPS interpreting. Every vectorized
+// OPS config takes the chunk-wide pure loop exactly when the default one
+// does, and the others never do. It returns the clusters the default
+// vectorized runs booked in closed form and how many of them took the
+// pure loop.
 func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]storage.Row, refresh bool) (closed int64, pure int) {
 	t.Helper()
 	tab, k := core.Compute(p), p.CompileKernel()
@@ -229,12 +232,21 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 				return o
 			}
 		}
+		cl, pu := runCheck(t, fmt.Sprintf("%s ops-vec %v", label, policy), vec(OPSConfig{Policy: policy}), clusters, ms)
+		closed += cl
+		if pu {
+			pure++
+		}
+		for _, cfg := range ablations(policy) {
+			name := fmt.Sprintf("%s %s-vec %v", label, NewOPS(p, tab, cfg).Name(), policy)
+			if _, apu := runCheck(t, name, vec(cfg), clusters, ms); apu != pu {
+				t.Fatalf("%s: took the chunk-wide pure loop = %v, the default config %v", name, apu, pu)
+			}
+		}
 		for _, c := range []struct {
 			name string
 			mk   func() Executor
 		}{
-			{"ops-vec", vec(OPSConfig{Policy: policy})},
-			{"ops+skip-vec", vec(OPSConfig{Policy: policy, LastRowSkip: true})},
 			{"naive-vec", func() Executor {
 				n := NewNaive(p, policy)
 				n.UseKernel(k)
@@ -243,13 +255,8 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 			}},
 			{"ops", func() Executor { return NewOPS(p, tab, OPSConfig{Policy: policy}) }},
 		} {
-			cl, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ms)
-			closed += cl
-			if pu {
-				pure++
-				if c.name != "ops-vec" {
-					t.Fatalf("%s %s %v: took the chunk-wide pure loop", label, c.name, policy)
-				}
+			if _, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ms); pu {
+				t.Fatalf("%s %s %v: took the chunk-wide pure loop", label, c.name, policy)
 			}
 		}
 	}
@@ -361,42 +368,42 @@ func TestRunLoopDifferential(t *testing.T) {
 		name     string
 		p        *pattern.Pattern
 		clusters [][]storage.Row
-		loop     loop
+		pair     bool
 		closed   func(int64) bool
 	}{
-		{"one-row clusters", xy, split(codes(500, random(1)), 1), loopPurePair, func(c int64) bool { return c == 2*500 }},
-		{"63-row clusters", xy, split(codes(63*40, random(2)), 63), loopPurePair, nil},
-		{"64-row clusters", xy, split(codes(64*40, random(3)), 64), loopPurePair, nil},
-		{"65-row clusters", xy, split(codes(65*40, random(4)), 65), loopPurePair, nil},
+		{"one-row clusters", xy, split(codes(500, random(1)), 1), true, func(c int64) bool { return c == 2*500 }},
+		{"63-row clusters", xy, split(codes(63*40, random(2)), 63), true, nil},
+		{"64-row clusters", xy, split(codes(64*40, random(3)), 64), true, nil},
+		{"65-row clusters", xy, split(codes(65*40, random(4)), 65), true, nil},
 		// Sparse X rows: most ten-row clusters hold no candidate at all.
 		{"ten-row clusters, sparse X", xy, split(codes(10*2000, func(i int) float64 {
 			return float64(min(i*7919%37, 2) % 3)
-		}), 10), loopPurePair, func(c int64) bool { return c > 1000 }},
+		}), 10), true, func(c int64) bool { return c > 1000 }},
 		// X on a cluster's second-to-last row, Y on its last: the candidate
 		// is the last pair, so no cluster is closed, and each one matches.
 		{"candidate on the last pair", xy, split(codes(12*300, func(i int) float64 {
 			return map[int]float64{10: 1, 11: 2}[i%12]
-		}), 12), loopPurePair, func(c int64) bool { return c == 0 }},
+		}), 12), true, func(c int64) bool { return c == 0 }},
 		// Every row is a failed start of two evals; every cluster is closed.
 		{"X all ones, Y all zeros", pb(pattern.Element{Name: "X"}, pattern.Element{Name: "Y", Star: true, Local: is(7)}),
-			split(codes(10*300, random(5)), 10), loopPurePair, func(c int64) bool { return c == 2*300 }},
+			split(codes(10*300, random(5)), 10), true, func(c int64) bool { return c == 2*300 }},
 		// m = 1: a cluster's last row can match, so none is closed.
 		{"m = 1 star", pb(pattern.Element{Name: "A", Star: true, Local: is(1)}),
-			split(codes(10*300, random(6)), 10), loopPureSkip, func(c int64) bool { return c == 0 }},
+			split(codes(10*300, random(6)), 10), false, func(c int64) bool { return c == 0 }},
 		// next(2) = 0: the element-1 skip, closed where X has no row but the last.
 		{"element-1 skip", pb(pattern.Element{Name: "X", Local: rise}, pattern.Element{Name: "Y", Star: true, Local: rise}, pattern.Element{Name: "Z", Local: is(1)}),
-			split(walkSeq(rand.New(rand.NewSource(7)), 5*3000), 5), loopPureSkip, func(c int64) bool { return c > 0 }},
+			split(walkSeq(rand.New(rand.NewSource(7)), 5*3000), 5), false, func(c int64) bool { return c > 0 }},
 		{"double bottom, ten-row clusters", doubleBottomShape(),
-			split(calmWalk(rand.New(rand.NewSource(8)), 10*3000), 10), loopPurePair, func(c int64) bool { return c > 2*2000 }},
+			split(calmWalk(rand.New(rand.NewSource(8)), 10*3000), 10), true, func(c int64) bool { return c > 2*2000 }},
 		// Star-free: three plain elements take the pair scan, and Y ≠ 1
 		// failing on a row means X holds there — next(2) = 2, the tuple
 		// consumed as X — which takes the element-1 skip.
 		{"star-free pair scan", pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Local: is(2)}, pattern.Element{Name: "Z", Local: is(3)}),
-			split(codes(10*300, random(9)), 10), loopPurePair, func(c int64) bool { return c > 0 }},
-		{"star-free consume", consume, split(codes(10*300, random(10)), 10), loopPureSkip, nil},
+			split(codes(10*300, random(9)), 10), true, func(c int64) bool { return c > 0 }},
+		{"star-free consume", consume, split(codes(10*300, random(10)), 10), false, nil},
 	} {
-		if got := selectLoop(core.Compute(c.p), true); got != c.loop {
-			t.Fatalf("%s: the pure loop is %d, want %d", c.name, got, c.loop)
+		if got := NewOPS(c.p, core.Compute(c.p), OPSConfig{}).pair; got != c.pair {
+			t.Fatalf("%s: the pure loop's pair scan = %v, want %v", c.name, got, c.pair)
 		}
 		for _, refresh := range []bool{false, true} {
 			cl, pu := runChecks(t, fmt.Sprintf("%s refresh=%v", c.name, refresh), c.p, c.clusters, refresh)
@@ -589,7 +596,7 @@ func TestRunLoopInterrupt(t *testing.T) {
 // been ticked.
 func TestRunLoopEnterStops(t *testing.T) {
 	o, clusters, masks := tenRowChunk(t)
-	o.cfg.LastRowSkip = true // an ablation config: the per-cluster loop
+	o.Trace() // path tracing: the per-cluster loop
 	stop := errors.New("stop")
 	sink := &runSink{enter: func(i int) error {
 		if i == 300 {

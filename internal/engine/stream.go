@@ -99,6 +99,7 @@ type StreamArena struct {
 	// evaluations.
 	p        *pattern.Pattern
 	t        *core.Tables
+	steps    []step
 	kern     *pattern.Kernel
 	cfg      StreamConfig
 	emit     func(Match)
@@ -169,6 +170,7 @@ func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, emit func(Match
 		t = core.Compute(p)
 	}
 	a.p, a.t, a.cfg, a.emit = p, t, cfg, emit
+	a.steps = newSteps(t, OPSConfig{LastRowSkip: cfg.LastRowSkip})
 	a.m, a.width = p.Len(), p.Schema.Len()
 }
 
@@ -535,10 +537,10 @@ func (a *StreamArena) park(r *streamRec, i, j, inElem int, evals, rollbacks int6
 func (a *StreamArena) drain(r *streamRec) {
 	p, kern, proj, ctx := a.p, a.kern, &a.proj, &a.ctx
 	m := a.m
-	star, shift, next := a.t.Star, a.t.Shift, a.t.Next
+	star, steps := a.t.Star, a.steps
 	count, bind := a.count, a.ctx.Bind
 	toNextRow := a.cfg.Policy == SkipToNextRow
-	maxBuf, lastRowSkip := a.cfg.MaxBuffer, a.cfg.LastRowSkip && a.t.SkipOK != nil
+	maxBuf := a.cfg.MaxBuffer
 	off := r.off
 	n := off + int(r.tail) // tuples received so far
 	check := a.check
@@ -599,36 +601,17 @@ func (a *StreamArena) drain(r *streamRec) {
 			inElem = 0
 			continue
 		}
-		// Rollback via the tables (identical to the batch executor): the
-		// current element has consumed nothing, so the attempt has set
-		// bind[:j-1].
+		// Roll back by element j's step (as the batch executor does; a
+		// stream has no back step): the current element has consumed
+		// nothing, so the attempt has set bind[:j-1].
 		rollbacks++
-		nx := next[j]
-		if nx == 0 {
-			clear(bind[:j-1])
-			i++
-			j = 1
-			continue
-		}
-		sh := shift[j]
-		skip := lastRowSkip && a.t.SkipOK[j]
-		if nx == j-sh+1 { // see core.Tables.Next
-			nx, skip = j-sh, true
-		}
-		i += count[sh+nx-1] - count[j-1]
-		base := count[sh]
-		for t := 1; t < nx; t++ {
-			count[t] = count[sh+t] - base
-			bind[t-1] = bind[sh+t-1]
-		}
-		clear(bind[nx-1 : j-1])
-		j = nx
-		if skip {
-			slot := i - 1 - off
-			bind[j-1] = pattern.Span{Start: slot, End: slot, Set: true}
-			count[j] = count[j-1] + 1
-			i++
-			j++
+		s := steps[j]
+		keep := max(s.resume-1, 0)
+		copy(bind[:keep], bind[s.from:])
+		clear(bind[keep : j-1])
+		if i, j = s.rollback(count, i, j); s.consume {
+			slot := i - 2 - off
+			bind[j-2] = pattern.Span{Start: slot, End: slot, Set: true}
 		}
 	}
 	a.park(r, i, j, inElem, evals, rollbacks)

@@ -59,8 +59,10 @@ func TestStreamEquivalenceRandom(t *testing.T) {
 }
 
 // TestStreamEvalCountMatchesBatch: the incremental machine reads the
-// batch executor's tables and performs the same predicate evaluations, on
-// every pattern, star-free ones included.
+// batch executor's tables and steps and reports the same matches and
+// performs the same predicate evaluations and rollbacks, on every
+// pattern, star-free ones included, under both policies with the
+// last-row skip off and on.
 func TestStreamEvalCountMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	plain := 0
@@ -74,17 +76,22 @@ func TestStreamEvalCountMatchesBatch(t *testing.T) {
 			plain++
 		}
 		seq := walkSeq(r, 50+r.Intn(100))
-		_, bs := NewOPS(p, tab, OPSConfig{Policy: SkipPastLastRow}).FindAll(seq)
-		sm := NewStreamer(p, StreamConfig{Tables: tab}, func(Match) {})
-		for _, row := range seq {
-			if err := sm.Push(row); err != nil {
-				t.Fatal(err)
+		for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
+			for _, skip := range []bool{false, true} {
+				bm, bs := NewOPS(p, tab, OPSConfig{Policy: policy, LastRowSkip: skip}).FindAll(seq)
+				var ms []Match
+				sm := NewStreamer(p, StreamConfig{Policy: policy, LastRowSkip: skip, Tables: tab}, func(m Match) { ms = append(ms, m) })
+				for _, row := range seq {
+					if err := sm.Push(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sm.Flush()
+				if !matchesEqual(ms, bm) || sm.Stats() != bs {
+					t.Fatalf("trial %d (%v, last-row skip %v): stream %+v %s != batch %+v %s\npattern %s",
+						trial, policy, skip, sm.Stats(), fmtMatches(ms), bs, fmtMatches(bm), explain(p))
+				}
 			}
-		}
-		sm.Flush()
-		if sm.Stats().PredEvals != bs.PredEvals {
-			t.Fatalf("trial %d: stream evals %d != batch evals %d\npattern %s",
-				trial, sm.Stats().PredEvals, bs.PredEvals, explain(p))
 		}
 	}
 	if plain < 100 {

@@ -767,7 +767,11 @@ func (q *Query) Tables() *core.Tables { return q.plan.tables }
 
 // Explain renders the compiled plan: the pattern, its predicate systems,
 // and the optimizer matrices and arrays.
-func (q *Query) Explain() string {
+func (q *Query) Explain() string { return q.explain(engine.OPSConfig{}) }
+
+// explain is Explain with the search loop an OPS executor configured by
+// cfg takes.
+func (q *Query) explain(cfg engine.OPSConfig) string {
 	var b strings.Builder
 	if q.plan.compiled.Pattern == nil {
 		b.WriteString("plain relational scan (no sequence pattern)\n")
@@ -803,7 +807,7 @@ func (q *Query) Explain() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel))
+	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel, cfg))
 	b.WriteByte('\n')
 	b.WriteString(q.plan.tables.Explain())
 	return b.String()
@@ -1066,21 +1070,24 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	return res, scanned, nil
 }
 
+// opsConfigs holds each ablation executor's OPS configuration by name (an
+// ExecutorKind's String, an event's Executor); every other executor but
+// naive runs the default one.
+var opsConfigs = map[string]engine.OPSConfig{
+	OPSShiftOnlyExec.String():  {ShiftOnly: true},
+	OPSNoCountersExec.String(): {NoCounters: true},
+	OPSSkipExec.String():       {LastRowSkip: true},
+}
+
 func (q *Query) newExecutor(opts RunOptions, policy engine.SkipPolicy) engine.Executor {
 	p, kern := q.plan.compiled.Pattern, q.plan.kernel
-	cfg := engine.OPSConfig{Policy: policy}
-	switch opts.Executor {
-	case NaiveExec:
+	if opts.Executor == NaiveExec {
 		n := engine.NewNaive(p, policy)
 		n.UseKernel(kern)
 		return n
-	case OPSShiftOnlyExec:
-		cfg.ShiftOnly = true
-	case OPSNoCountersExec:
-		cfg.NoCounters = true
-	case OPSSkipExec:
-		cfg.LastRowSkip = true
 	}
+	cfg := opsConfigs[opts.Executor.String()]
+	cfg.Policy = policy
 	o := engine.NewOPS(p, q.plan.tables, cfg)
 	o.UseKernel(kern)
 	return o
