@@ -155,6 +155,17 @@ only_in 'the rollback rule or an ablation config is read outside the step builde
 absent 'the pure loops are gated on the OPS configuration again' \
 	-E '[!=]=[[:space:]]*(engine\.)?OPSConfig\{' -- '*.go' ':!*_test.go'
 
+guard 'One partition cache'
+# Pattern queries take their clusters and masks from one cache, the
+# partition cache (DB.partition, then memoFor). The sharded partition
+# cache read slower than it on every measured workload and was deleted;
+# SetShards is a no-op. internal/shard stays for the benchmark harness's
+# shard.* probes only. Tests may name what they check is gone.
+absent 'internal/shard is imported outside the benchmark harness and the package itself' \
+	'"sqlts/internal/shard"' -- '*.go' ':!benchmark/' ':!internal/shard/'
+absent 'the sharded serving path is back' \
+	-E 'shardParts|shardCache|globalOrder|ShardInfo|serveShards|sqlts_shard' -- '*.go' ':!*_test.go' ':!benchmark/' ':!internal/shard/'
+
 if [ -n "$failed" ]; then
 	echo "failed guards:$failed" >&2
 	exit 1

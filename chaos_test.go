@@ -236,7 +236,7 @@ func TestChaos(t *testing.T) {
 func TestChaosDriverYield(t *testing.T) {
 	defer fault.Reset()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	_, q := driverDB(t, 64, tallRows, 0)
+	_, q := driverDB(t, 64, tallRows)
 	want, err := q.RunWith(RunOptions{MaxWorkers: 1, NoCache: true})
 	if err != nil {
 		t.Fatal(err)

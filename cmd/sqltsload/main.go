@@ -1,27 +1,25 @@
 // Command sqltsload is a wrk-style load generator for the serving path:
-// it builds a many-small-clusters quote table (the shape the sharded
-// partition cache targets), drives the paper's relaxed double-bottom
-// query over it from concurrent clients for a fixed duration, and
-// reports throughput plus the p50/p95/p99 latency quantiles recorded by
-// the statement-introspection layer.
+// it builds a many-small-clusters quote table, drives the paper's
+// relaxed double-bottom query over it from concurrent clients for a
+// fixed duration, and reports throughput plus the p50/p95/p99 latency
+// quantiles recorded by the statement-introspection layer. The queries
+// take the path every DB serves: the plan cache, the partition cache
+// and the cluster driver.
 //
 // Usage:
 //
 //	sqltsload [-clusters 100000] [-rows 10] [-plant 50] [-seed 1]
-//	          [-shards 8] [-workers 0] [-conc 8] [-duration 10s]
+//	          [-workers 0] [-conc 8] [-duration 10s]
 //	          [-threshold 0.02] [-debug addr] [-events file]
 //
 // Every run re-checks that the match count equals the warm-up run's —
-// a cheap end-to-end guard that the sharded path stays bit-identical
-// under concurrency. -shards 1 drives the flat partition cache for A/B
-// comparisons; -workers is RunOptions.MaxWorkers: 0, the default, is
-// elastic (each query borrows the cores no other query is searching on),
-// 1 searches each query's clusters serially and N > 1 on exactly N
-// goroutines; -debug serves the DB's /debug surface
-// (including /debug/shards and /debug/queries) for the duration of the
-// run;
-// -events streams the per-query wide-event log (JSON lines) to a file,
-// "-" for stdout.
+// a cheap end-to-end guard that the serving path stays bit-identical
+// under concurrency. -workers is RunOptions.MaxWorkers: 0, the default,
+// is elastic (each query borrows the cores no other query is searching
+// on), 1 searches each query's clusters serially and N > 1 on exactly N
+// goroutines; -debug serves the DB's /debug surface (including
+// /debug/queries) for the duration of the run; -events streams the
+// per-query wide-event log (JSON lines) to a file, "-" for stdout.
 package main
 
 import (
@@ -44,7 +42,6 @@ func main() {
 	rows := flag.Int("rows", 10, "rows per cluster (planted clusters are lengthened to 24)")
 	plant := flag.Int("plant", 50, "plant a guaranteed double bottom in every Nth cluster (0 = none)")
 	seed := flag.Int64("seed", 1, "workload random seed")
-	shards := flag.Int("shards", 8, "shard count of the sharded partition cache (1 = flat cache)")
 	workers := flag.Int("workers", 0, "goroutines searching each query's clusters (RunOptions.MaxWorkers; 0 = elastic: borrow idle cores, 1 = serial, N = exactly N)")
 	conc := flag.Int("conc", 8, "concurrent client goroutines")
 	duration := flag.Duration("duration", 10*time.Second, "how long to drive load")
@@ -53,13 +50,13 @@ func main() {
 	events := flag.String("events", "", "write the wide-event log (JSON lines) to this file; \"-\" = stdout")
 	flag.Parse()
 
-	if err := run(*clusters, *rows, *plant, *seed, *shards, *workers, *conc, *duration, *threshold, *debug, *events); err != nil {
+	if err := run(*clusters, *rows, *plant, *seed, *workers, *conc, *duration, *threshold, *debug, *events); err != nil {
 		fmt.Fprintln(os.Stderr, "sqltsload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(clusters, rows, plant int, seed int64, shards, workers, conc int, duration time.Duration, threshold float64, debug, events string) error {
+func run(clusters, rows, plant int, seed int64, workers, conc int, duration time.Duration, threshold float64, debug, events string) error {
 	db := sqlts.New()
 
 	var sink *obs.WriterSink
@@ -83,7 +80,6 @@ func run(clusters, rows, plant int, seed int64, shards, workers, conc int, durat
 	if err := db.DeclarePositive("quote", "price"); err != nil {
 		return err
 	}
-	db.SetShards(shards)
 	fmt.Printf("table: %d clusters, %d rows (built in %s)\n", clusters, t.Len(), time.Since(buildStart).Round(time.Millisecond))
 
 	if debug != "" {
@@ -92,7 +88,7 @@ func run(clusters, rows, plant int, seed int64, shards, workers, conc int, durat
 				fmt.Fprintln(os.Stderr, "sqltsload: debug server:", err)
 			}
 		}()
-		fmt.Printf("debug surface on http://%s/ (see /debug/shards)\n", debug)
+		fmt.Printf("debug surface on http://%s/ (see /debug/queries)\n", debug)
 	}
 
 	q, err := db.Prepare(ta.DoubleBottomOver("quote", "name", threshold))
@@ -101,15 +97,15 @@ func run(clusters, rows, plant int, seed int64, shards, workers, conc int, durat
 	}
 	opts := sqlts.RunOptions{MaxWorkers: workers}
 
-	// Warm-up: primes the plan and shard-partition caches and fixes the
+	// Warm-up: primes the plan and partition caches and fixes the
 	// reference match count every timed run is checked against.
 	warmStart := time.Now()
 	ref, err := q.RunWith(opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("warm-up: %d matches, %d pred-evals, %d shards, %s\n",
-		ref.Stats.Matches, ref.Stats.PredEvals, ref.Shards(), time.Since(warmStart).Round(time.Millisecond))
+	fmt.Printf("warm-up: %d matches, %d pred-evals, %s\n",
+		ref.Stats.Matches, ref.Stats.PredEvals, time.Since(warmStart).Round(time.Millisecond))
 
 	var (
 		stop    atomic.Bool
@@ -144,8 +140,8 @@ func run(clusters, rows, plant int, seed int64, shards, workers, conc int, durat
 	elapsed := time.Since(loadStart)
 
 	n := queries.Load()
-	fmt.Printf("\n%d queries in %s (%d clients, shards=%d, workers=%s)\n",
-		n, elapsed.Round(time.Millisecond), conc, shards, workersWord(workers))
+	fmt.Printf("\n%d queries in %s (%d clients, workers=%s)\n",
+		n, elapsed.Round(time.Millisecond), conc, workersWord(workers))
 	if f := failed.Load(); f > 0 {
 		fmt.Printf("FAILED: %d queries errored or drifted\n", f)
 	}

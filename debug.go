@@ -91,7 +91,6 @@ func (db *DB) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("/debug/statements", db.serveStatements)
 	mux.HandleFunc("/debug/slowlog", db.serveSlowLog)
-	mux.HandleFunc("/debug/shards", db.serveShards)
 	mux.HandleFunc("/debug/queries", db.serveQueries)
 	mux.HandleFunc("/debug/events", db.serveEvents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -109,7 +108,6 @@ func (db *DB) DebugHandler() http.Handler {
   /metrics                 Prometheus exposition
   /debug/statements        per-statement stats (JSON; ?format=text)
   /debug/slowlog           slow-query log (JSON; ?format=text&verbose=1)
-  /debug/shards            cached sharded partitions (JSON)
   /debug/queries           in-flight queries (JSON; ?format=text for progress bars; POST id=<n> kills)
   /debug/events            recent wide events (JSON; ?format=text)
   /debug/pprof/            Go profiling endpoints
@@ -127,13 +125,6 @@ func (db *DB) serveStatements(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		Statements []obs.StmtSnapshot `json:"statements"`
 	}{db.StatementStats()})
-}
-
-func (db *DB) serveShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
-		Configured int                  `json:"configured_shards"`
-		Partitions []ShardPartitionInfo `json:"partitions"`
-	}{db.Shards(), db.ShardInfo()})
 }
 
 // serveQueries is the flight-recorder endpoint: GET lists the in-flight

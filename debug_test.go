@@ -46,7 +46,7 @@ func TestDebugHandlerSmoke(t *testing.T) {
 
 	// Index page lists the surface.
 	code, body := get("/")
-	if code != http.StatusOK || !strings.Contains(body, "/debug/statements") {
+	if code != http.StatusOK || !strings.Contains(body, "/debug/statements") || strings.Contains(body, "/debug/shards") {
 		t.Errorf("index: code %d body:\n%s", code, body)
 	}
 
@@ -137,6 +137,10 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	// The per-handle trace endpoints are gone with the trace store.
 	if code, _ = get("/debug/trace/"); code != http.StatusNotFound {
 		t.Errorf("/debug/trace/ returned %d, want 404", code)
+	}
+	// The sharded partition cache was deleted with its endpoint.
+	if code, _ = get("/debug/shards"); code != http.StatusNotFound {
+		t.Errorf("/debug/shards returned %d, want 404", code)
 	}
 
 	// /debug/queries: empty in-flight list (the query finished), both

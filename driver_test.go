@@ -46,8 +46,8 @@ const (
 )
 
 // driverDB serves a quote table of n clusters of rowsPer rows (none for
-// n = 0), sharded when shards > 1, and prepares driverSQL over it.
-func driverDB(t testing.TB, n, rowsPer, shards int) (*DB, *Query) {
+// n = 0) and prepares driverSQL over it.
+func driverDB(t testing.TB, n, rowsPer int) (*DB, *Query) {
 	t.Helper()
 	tbl := workload.ClusterWalks("quote", 11, max(n, 1), rowsPer, 5)
 	if n == 0 {
@@ -58,7 +58,6 @@ func driverDB(t testing.TB, n, rowsPer, shards int) (*DB, *Query) {
 	if err := db.DeclarePositive("quote", "price"); err != nil {
 		t.Fatal(err)
 	}
-	db.SetShards(shards)
 	q, err := db.Prepare(driverSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +115,10 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 	t.Helper()
 	matched := false
 	for _, n := range ns {
-		flatDB, _ := driverDB(t, n, rowsPer, 0)
-		shardedDB, _ := driverDB(t, n, rowsPer, 3)
+		flatDB, _ := driverDB(t, n, rowsPer)
 		for _, si := range stmts {
 			sql := driverStatements[si]
 			flat, err := flatDB.Prepare(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := shardedDB.Prepare(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +129,7 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 				name    string
 				q       *Query
 				noCache bool
-			}{{"flat", flat, false}, {"sharded", sharded, false}, {"nocache", flat, true}}
+			}{{"flat", flat, false}, {"nocache", flat, true}}
 			for _, ex := range executors {
 				want, err := flat.RunWith(RunOptions{Executor: ex, MaxWorkers: 1, NoCache: true})
 				if err != nil {
@@ -267,7 +261,7 @@ func TestDriverElasticYield(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, q := driverDB(t, 64, tallRows, 0)
+	_, q := driverDB(t, 64, tallRows)
 	res, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +279,7 @@ func TestDriverBudgetReturns(t *testing.T) {
 	defer fault.Reset()
 	defer testutil.LeakCheck(t)()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	db, q := driverDB(t, 64, tallRows, 0)
+	db, q := driverDB(t, 64, tallRows)
 	db.SetFlightRecorder(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -342,7 +336,7 @@ func TestDriverBudgetRespected(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const clients, budget, iters = 8, 2, 6
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(budget))
-	_, q := driverDB(t, 64, tallRows, 0)
+	_, q := driverDB(t, 64, tallRows)
 	var peak atomic.Int64
 	if err := fault.Arm("sqlts.execute.cluster", fault.Action{Fn: func() error {
 		n := searchers.Load()
@@ -410,7 +404,7 @@ func TestDriverFailureOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			defer testutil.LeakCheck(t)()
-			_, q := driverDB(t, n, driverRows, 0)
+			_, q := driverDB(t, n, driverRows)
 
 			var mu sync.Mutex
 			arrived, alone := 0, 0
@@ -590,7 +584,7 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 // forth between goroutines, and keeps no more than GOMAXPROCS of them.
 func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 	defer fault.Reset()
-	_, q := driverDB(t, 64, driverRows, 0)
+	_, q := driverDB(t, 64, driverRows)
 	render := func(res *Result) string { return fmt.Sprint(res.Rows, res.Matches, res.ClusterStats()) }
 	var want [2]string
 	for overlap := range want {

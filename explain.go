@@ -47,16 +47,13 @@ func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
 // shared with the slow-query log (which must not re-execute anything).
 func (q *Query) reportBody(ev *obs.Event, res *Result) string {
 	var b strings.Builder
-	b.WriteString(q.explain(opsConfigs[ev.Executor]))
+	b.WriteString(q.explain(ev.Executor))
 	fmt.Fprintf(&b, "plan: %s\n", planWord(ev.PlanCached, ev.PatternCached))
 	if ev.Partition != "" {
 		fmt.Fprintf(&b, "partition: %s\n", ev.Partition)
 	}
 	if ev.Vectorized {
 		b.WriteString("execution: vectorized (selection bitmasks)\n")
-	}
-	if ev.Shards > 1 {
-		fmt.Fprintf(&b, "partition source: sharded cache (%d shards)\n", ev.Shards)
 	}
 	stats := eventStats(ev)
 	execute := &obs.Span{Name: "execute", Duration: time.Duration(ev.DurationNs)}

@@ -70,6 +70,7 @@ func TestExplainAnalyzeDoubleBottom(t *testing.T) {
 		t.Errorf("EXPLAIN has no line %q:\n%s", pair, q.Explain())
 	}
 	for kind, want := range map[ExecutorKind]string{
+		NaiveExec:         "search loop: naive, element-1 skip\n",
 		OPSExec:           pair,
 		OPSShiftOnlyExec:  pair,
 		OPSNoCountersExec: "search loop: pure-mask, element-1 skip (element 2 restarts without counters)\n",

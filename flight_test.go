@@ -161,16 +161,13 @@ func TestFlightProgressMonotonic(t *testing.T) {
 }
 
 // TestFlightKillHTTP is the end-to-end kill round-trip: a four-worker
-// query over the sharded cache is held in flight at a fault point,
-// surfaced via GET /debug/queries, killed via POST, and the run must
-// return ErrKilled (wrapping ErrCanceled) carrying the endpoint's
-// annotation.
+// query is held in flight at a fault point, surfaced via GET
+// /debug/queries, killed via POST, and the run must return ErrKilled
+// (wrapping ErrCanceled) carrying the endpoint's annotation.
 func TestFlightKillHTTP(t *testing.T) {
 	defer fault.Reset()
 	defer testutil.LeakCheck(t)()
 	db, q := cancelDB(t, 12, 200)
-	db.SetShards(4)
-	defer db.SetShards(0)
 
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -202,6 +202,17 @@ func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel, cfg OPSCo
 	return "generic"
 }
 
+// NaiveSearchLoop names the loop a vectorized naive run over kernel k
+// takes, as SearchLoop does for OPS: it resolves runs of failed starts
+// from element 1's mask when that mask alone decides them, and otherwise
+// tries every start.
+func NaiveSearchLoop(k *pattern.Kernel) string {
+	if k != nil && k.PureSlots()[0] >= 0 {
+		return "naive, element-1 skip"
+	}
+	return "naive, every start"
+}
+
 // countSpans builds a match's per-element spans from the §5 counters:
 // element k covers tuples count[k-1] .. count[k]-1 of the match, whose
 // first tuple is start (1-based). Every element of a reported match has

@@ -15,7 +15,7 @@ import (
 )
 
 // Event is one completed execution (or closed stream), wide: every
-// counter the run accumulated, the cache/kernel/vectorize/shard flags,
+// counter the run accumulated, the cache/kernel/vectorize flags,
 // and — for failures — the error text and its class. It is the one
 // record of an execution: the metrics registry, the statement stats,
 // the slow log, the ring, the sink and EXPLAIN ANALYZE's execute line
@@ -55,7 +55,6 @@ type Event struct {
 	Partition  string `json:"partition,omitempty"`
 	Kernel     bool   `json:"kernel"`
 	Vectorized bool   `json:"vectorized"`
-	Shards     int    `json:"shards,omitempty"`
 
 	// Workers is how many goroutines, the caller's included, searched at
 	// least one chunk of a batch run's clusters. HelpersBorrowed is how

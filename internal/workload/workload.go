@@ -130,7 +130,7 @@ func PlantDoubleBottom(prices []float64, at int) []float64 {
 
 // ClusterWalks builds a quote(name, date, price) table with `clusters`
 // independent symbols of `rows` geometric-walk points each — the
-// many-small-clusters shape the shard-parallel executor targets. Every
+// many-small-clusters shape the cluster driver serves. Every
 // plantEvery-th symbol (starting with the first; 0 disables planting)
 // is lengthened to 24 points and seeded with one guaranteed relaxed
 // double bottom, so match counts are deterministic and nonzero at any

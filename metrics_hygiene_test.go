@@ -10,8 +10,9 @@ import (
 
 // TestMetricsHygiene enforces the registry's naming and registration
 // discipline: every family matches the sqlts_ naming scheme, no family
-// appears twice, and every instrument field of dbMetrics owns its own
-// family — two fields accidentally registered under one name would
+// appears twice, no family of the deleted sharded partition cache
+// (sqlts_shard*) is back, and every instrument field of dbMetrics owns its
+// own family — two fields accidentally registered under one name would
 // silently share a counter.
 func TestMetricsHygiene(t *testing.T) {
 	db := New()
@@ -28,6 +29,9 @@ func TestMetricsHygiene(t *testing.T) {
 		}
 		if seen[name] {
 			t.Errorf("family %q listed twice", name)
+		}
+		if strings.HasPrefix(name, "sqlts_shard") {
+			t.Errorf("family %q belongs to the deleted sharded partition cache", name)
 		}
 		seen[name] = true
 	}

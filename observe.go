@@ -61,15 +61,6 @@ type dbMetrics struct {
 	partitionCacheInvalidations *obs.Counter
 	partitionCacheRefreshes     *obs.Counter
 
-	shardsConfigured   *obs.Gauge
-	shardQueries       *obs.Counter
-	shardCacheHits     *obs.Counter
-	shardCacheMisses   *obs.Counter
-	shardBuilds        *obs.Counter
-	shardRefreshes     *obs.Counter
-	shardShardsRebuilt *obs.Counter
-	shardShardsReused  *obs.Counter
-
 	flightsActive     *obs.Gauge
 	queriesKilled     *obs.Counter
 	queriesKilledSent *obs.Counter
@@ -157,22 +148,6 @@ func newDBMetrics() *dbMetrics {
 			"Cached partitions replaced because the table version moved (inserts/loads)."),
 		partitionCacheRefreshes: reg.Counter("sqlts_partition_cache_refreshes_total",
 			"Partition misses served by refreshing the stale cached partition per cluster instead of rebuilding it."),
-		shardsConfigured: reg.Gauge("sqlts_shards_configured",
-			"Shard count set via SetShards (0 or 1 = flat partition cache)."),
-		shardQueries: reg.Counter("sqlts_shard_queries_total",
-			"Query executions that read their clusters from the sharded partition cache."),
-		shardCacheHits: reg.Counter("sqlts_shard_cache_hits_total",
-			"Executions that reused a cached sharded partition unchanged."),
-		shardCacheMisses: reg.Counter("sqlts_shard_cache_misses_total",
-			"Executions that built or refreshed a sharded partition."),
-		shardBuilds: reg.Counter("sqlts_shard_builds_total",
-			"Sharded partitions built from scratch (cold, replaced table, or shard-count change)."),
-		shardRefreshes: reg.Counter("sqlts_shard_refreshes_total",
-			"Sharded partitions refreshed incrementally after appends."),
-		shardShardsRebuilt: reg.Counter("sqlts_shard_shards_rebuilt_total",
-			"Shards re-sorted by incremental refreshes (the shards appended rows landed in)."),
-		shardShardsReused: reg.Counter("sqlts_shard_shards_reused_total",
-			"Shards carried over untouched by incremental refreshes (memoized projections/masks kept)."),
 		flightsActive: reg.Gauge("sqlts_flights_active",
 			"Executions currently registered in the active-query registry."),
 		queriesKilled: reg.Counter("sqlts_queries_killed_total",
@@ -256,9 +231,6 @@ func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
 		m.queryDuration.Observe(time.Duration(ev.DurationNs).Seconds())
 		if ev.Vectorized {
 			m.vectorizedRuns.Inc()
-		}
-		if ev.Shards > 1 {
-			m.shardQueries.Inc()
 		}
 		if ev.HelpersBorrowed+ev.HelpersDenied > 0 { // a yield follows a borrow
 			m.driverHelpers.With("borrowed").Add(int64(ev.HelpersBorrowed))

@@ -122,7 +122,7 @@ func TestObservationViewsAgree(t *testing.T) {
 
 	// What the captured events sum to.
 	type sums struct {
-		ok, failed, slow, vectorized, sharded           int64
+		ok, failed, slow, vectorized                    int64
 		rows, scanned, clusters                         int64
 		borrowed, denied, yielded                       int64
 		predEvals, rollbacks, matches                   int64
@@ -228,9 +228,6 @@ func TestObservationViewsAgree(t *testing.T) {
 			want.vectorized++
 			s.VectorizedRuns++
 		}
-		if ev.Shards > 1 {
-			want.sharded++
-		}
 		if ev.Partition == "" || ev.PartitionCached != (ev.Partition == "cached") {
 			t.Errorf("successful event's partition outcome %q (cached=%v): %+v", ev.Partition, ev.PartitionCached, ev)
 		}
@@ -261,7 +258,6 @@ func TestObservationViewsAgree(t *testing.T) {
 		{"sqlts_clusters_scanned_total", m.clustersScanned.Value(), want.clusters},
 		{"sqlts_slow_queries_total", m.slowQueries.Value(), want.slow},
 		{"sqlts_vectorized_runs_total", m.vectorizedRuns.Value(), want.vectorized},
-		{"sqlts_shard_queries_total", m.shardQueries.Value(), want.sharded},
 		{`sqlts_driver_helpers_total{outcome="borrowed"}`, m.driverHelpers.With("borrowed").Value(), want.borrowed},
 		{`sqlts_driver_helpers_total{outcome="denied"}`, m.driverHelpers.With("denied").Value(), want.denied},
 		{`sqlts_driver_helpers_total{outcome="yielded"}`, m.driverHelpers.With("yielded").Value(), want.yielded},

@@ -442,8 +442,13 @@ func (db *DB) PurgeCaches() {
 	defer db.cacheMu.Unlock()
 	db.parts.trim(0)
 	db.plans.trim(0)
-	db.shardParts.purge()
 }
+
+// SetShards does nothing: pattern queries read their clusters from the
+// one partition cache whatever it is given. The sharded partition cache
+// it configured read slower on every measured workload and was deleted;
+// the method remains so that callers built against it keep compiling.
+func (db *DB) SetShards(int) {}
 
 // lookupPlan consults the plan cache. A hit returns a Plan that is
 // still valid under the current catalog version.

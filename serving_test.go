@@ -353,6 +353,47 @@ func TestPartitionCacheTableReplaced(t *testing.T) {
 	}
 }
 
+// TestSetShardsChangesNothing: SetShards is a no-op. A DB told to shard
+// serves cold, warm, NoCache and post-insert runs from the one partition
+// cache exactly as a DB never told: the same results, the same partition
+// outcomes and the same cache counters.
+func TestSetShardsChangesNothing(t *testing.T) {
+	plain, sharded := quoteDB(t), quoteDB(t)
+	sharded.SetShards(8)
+	dbs := []*DB{plain, sharded}
+	for _, db := range dbs {
+		insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+		insertSeries(t, db, "IBM", 10000, 81, 80.5, 84, 83)
+	}
+	step := func(label string, opts RunOptions) {
+		t.Helper()
+		var res [2]*Result
+		for i, db := range dbs {
+			q, err := db.Prepare(servingSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i], err = q.RunWith(opts); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		equalResults(t, label, res[1], res[0])
+		if a, b := res[0].PartitionOutcome(), res[1].PartitionOutcome(); a != b {
+			t.Fatalf("%s: partition %q after SetShards(8), %q without", label, b, a)
+		}
+	}
+	step("cold run", RunOptions{})
+	step("warm run", RunOptions{})
+	step("NoCache run", RunOptions{NoCache: true})
+	for _, db := range dbs {
+		insertSeries(t, db, "ACME", 10000, 10, 12, 9, 9.5)
+	}
+	step("post-insert run", RunOptions{})
+	if a, b := plain.CacheStats(), sharded.CacheStats(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("cache stats %+v after SetShards(8), %+v without", b, a)
+	}
+}
+
 // TestExplainAnalyzeCacheLines checks that EXPLAIN ANALYZE reports the
 // cache outcome of its run.
 func TestExplainAnalyzeCacheLines(t *testing.T) {

@@ -75,12 +75,6 @@ type DB struct {
 	patterns map[patternKey]*patternArtifact // the cached plans' patterns (serving.go)
 	parts    *partitionCache
 
-	// shardParts caches sharded table partitions (shards.go); nshards is
-	// the SetShards knob: when ≥ 2, pattern queries take their clusters
-	// from it instead of parts.
-	shardParts *shardCache
-	nshards    atomic.Int64
-
 	metrics *dbMetrics
 
 	// Statement introspection (introspect.go): per-statement stats keyed
@@ -108,14 +102,13 @@ type DB struct {
 // New creates an empty database.
 func New() *DB {
 	db := &DB{
-		tables:     map[string]*storage.Table{},
-		positive:   map[string][]string{},
-		patterns:   map[patternKey]*patternArtifact{},
-		parts:      newPartitionCache(defaultPartitionCacheCapacity),
-		shardParts: newShardCache(defaultPartitionCacheCapacity),
-		metrics:    newDBMetrics(),
-		stmts:      obs.NewStmtStore(defaultStatementCapacity),
-		slow:       newSlowLog(defaultSlowLogCapacity),
+		tables:   map[string]*storage.Table{},
+		positive: map[string][]string{},
+		patterns: map[patternKey]*patternArtifact{},
+		parts:    newPartitionCache(defaultPartitionCacheCapacity),
+		metrics:  newDBMetrics(),
+		stmts:    obs.NewStmtStore(defaultStatementCapacity),
+		slow:     newSlowLog(defaultSlowLogCapacity),
 	}
 	db.plans = newPlanCache(defaultPlanCacheCapacity, db.holdPattern, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()
@@ -391,8 +384,7 @@ type Result struct {
 	oneLog      [1][]byte
 	// The counts below are 32 bits wide to keep a Result, which every run
 	// allocates, in the size class it had before the driver's four.
-	clusters   int32
-	shardCount int32
+	clusters int32
 	// workers is how many lanes searched at least one chunk; borrowed how
 	// many helper goroutines the run started, denied how many more an
 	// elastic run would have taken had cores been idle, and yielded how
@@ -403,10 +395,6 @@ type Result struct {
 	planCached                         bool
 	vectorized                         bool
 }
-
-// Shards reports the shard count of the sharded partition the execution
-// read its clusters from (0 when it used the flat partition cache).
-func (r *Result) Shards() int { return int(r.shardCount) }
 
 // PlanCached reports whether the execution served a plan from the plan
 // cache (no parse/analyze/optimize work was done for it).
@@ -767,11 +755,11 @@ func (q *Query) Tables() *core.Tables { return q.plan.tables }
 
 // Explain renders the compiled plan: the pattern, its predicate systems,
 // and the optimizer matrices and arrays.
-func (q *Query) Explain() string { return q.explain(engine.OPSConfig{}) }
+func (q *Query) Explain() string { return q.explain(OPSExec.String()) }
 
-// explain is Explain with the search loop an OPS executor configured by
-// cfg takes.
-func (q *Query) explain(cfg engine.OPSConfig) string {
+// explain is Explain with the search loop the named executor (an
+// ExecutorKind's String, an event's Executor) takes.
+func (q *Query) explain(executor string) string {
 	var b strings.Builder
 	if q.plan.compiled.Pattern == nil {
 		b.WriteString("plain relational scan (no sequence pattern)\n")
@@ -807,7 +795,11 @@ func (q *Query) explain(cfg engine.OPSConfig) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "search loop: %s\n", engine.SearchLoop(p, q.plan.tables, kernel, cfg))
+	loop := engine.NaiveSearchLoop(kernel)
+	if executor != NaiveExec.String() {
+		loop = engine.SearchLoop(p, q.plan.tables, kernel, opsConfigs[executor])
+	}
+	fmt.Fprintf(&b, "search loop: %s\n", loop)
 	b.WriteByte('\n')
 	b.WriteString(q.plan.tables.Explain())
 	return b.String()
@@ -951,7 +943,6 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		ev.PartitionCached = res.partition.cached
 		ev.Partition = res.partition.String()
 		ev.Vectorized = res.vectorized
-		ev.Shards = int(res.shardCount)
 		ev.Workers = int(res.workers)
 		ev.HelpersBorrowed = int(res.borrowed)
 		ev.HelpersDenied = int(res.denied)
@@ -1023,41 +1014,22 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 
 	// Fetch the clusters with this plan's memoized selection bitmasks
 	// (built on the first execution of the plan over the partition, so warm
-	// runs skip the sort, the O(rows) decode and the mask build). With
-	// SetShards the partition comes from the sharded cache instead of the
-	// flat one; NoCache runs bypass both.
-	kern, art := q.plan.kernel, q.plan.art
-	if kern == nil || kern.CompiledElems() == 0 {
-		kern, art = nil, nil // the executors interpret: nothing to memoize
+	// runs skip the sort, the O(rows) decode and the mask build); NoCache
+	// runs bypass the partition cache.
+	art := q.plan.art
+	if q.plan.kernel == nil || q.plan.kernel.CompiledElems() == 0 {
+		art = nil // the executors interpret: nothing to memoize
 	}
-	var (
-		clusters [][]storage.Row
-		masks    []*pattern.MaskSet
-	)
-	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache {
-		sp, cached, err := q.db.shardedPartition(t, compiled.ClusterBy, compiled.SequenceBy, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		scanned = sp.Rows()
-		if err := rc.checkScanned(scanned); err != nil {
-			return nil, 0, err
-		}
-		res.partition.cached = cached
-		res.shardCount = int32(n)
-		clusters, masks = globalOrder(sp, kern)
-	} else {
-		part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
-		if err != nil {
-			return nil, 0, err
-		}
-		clusters, scanned = part.Groups, part.Rows
-		if err := rc.checkScanned(scanned); err != nil {
-			return nil, 0, err
-		}
-		res.partition = how
-		masks = part.memoFor(art)
+	part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
+	if err != nil {
+		return nil, 0, err
 	}
+	clusters, scanned := part.Groups, part.Rows
+	if err := rc.checkScanned(scanned); err != nil {
+		return nil, 0, err
+	}
+	res.partition = how
+	masks := part.memoFor(art)
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
 	if err := q.searchClusters(rc, res, clusters, masks, scanned, opts); err != nil {
