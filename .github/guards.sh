@@ -58,10 +58,11 @@ only_in() {
 }
 
 # once MESSAGE CALL BUILDER: CALL appears in exactly one function of the
-# non-test Go files, the one FILE: DECLARATION line BUILDER names, once.
+# root package's non-test Go files, the one FILE: DECLARATION line BUILDER
+# names, once. A declaration line is not a call.
 once() {
 	local msg=$1 call=$2 builder=$3
-	where=$(awk -v c="$call" '/^func /{fn=$0} index($0, c){print FILENAME ": " fn}' $(git ls-files ':(glob)*.go' ':(exclude,glob)*_test.go'))
+	where=$(awk -v c="$call" '/^func /{fn=$0; next} index($0, c){print FILENAME ": " fn}' $(git ls-files ':(glob)*.go' ':(exclude,glob)*_test.go'))
 	if [ "$where" != "$builder" ]; then
 		fail "$msg"
 		echo "$where" >&2
@@ -165,6 +166,20 @@ absent 'internal/shard is imported outside the benchmark harness and the package
 	'"sqlts/internal/shard"' -- '*.go' ':!benchmark/' ':!internal/shard/'
 absent 'the sharded serving path is back' \
 	-E 'shardParts|shardCache|globalOrder|ShardInfo|serveShards|sqlts_shard' -- '*.go' ':!*_test.go' ':!benchmark/' ':!internal/shard/'
+
+guard 'A warm statement is found by its text'
+# A cached plan is found under the text it was compiled from, so a warm
+# statement is not normalized: the normalizer runs only when that lookup
+# misses, inside the plan lookup. The partition key is computed once per
+# plan, when it is compiled, and every one-lane run of a plan takes the
+# executor the plan keeps (Plan.solo); the process-wide lane pool that
+# built an executor per run is gone.
+once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
+	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
+once 'the partition key is computed outside the plan compile, or more than once:' 'partitionKey(' \
+	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Plan, error) {'
+absent 'the process-wide pool of one-lane run lanes is back' \
+	'soloLanes' -- '*.go'
 
 if [ -n "$failed" ]; then
 	echo "failed guards:$failed" >&2

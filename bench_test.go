@@ -611,13 +611,17 @@ func BenchmarkServing(b *testing.B) {
 
 // coldStatements primes a DB over the double-bottom series of
 // BenchmarkServing — table, partition and one plan of the template — and
-// returns it with statement i ≥ 0 of the template: a text never seen
-// before for every i (the primed plan is statement -1). With distinct,
-// statement i's pattern has a constant of its own, X.price > -(i+2) (true
-// of every row, so every statement finds the same matches); otherwise the
+// returns it with statement i ≥ 0 of the template: a text the plan cache
+// does not hold for every i (the primed plan is statement -1). With a
+// magnitude, statement i's pattern has a constant of its own,
+// X.price > -(magnitude + i mod band) (true of every row, so every
+// statement finds the same matches), where the band is twice the plan
+// cache's capacity: a statement, and its pattern with it, has left the
+// cache before its text comes round again, and the constants keep their
+// number of digits however many statements run. With magnitude 0 the
 // statements differ only in an alias, and all have the primed plan's
 // pattern, that of X.price > -1.
-func coldStatements(b *testing.B, distinct bool) (*sqlts.DB, func(i int) string) {
+func coldStatements(b *testing.B, magnitude int) (*sqlts.DB, func(i int) string) {
 	b.Helper()
 	prices := workload.DJIA25Years(1)
 	for i := 0; i < 12; i++ {
@@ -629,10 +633,11 @@ func coldStatements(b *testing.B, distinct bool) (*sqlts.DB, func(i int) string)
 		b.Fatal(err)
 	}
 	template := ta.DoubleBottom("djia", 0.02)
+	band := 2 * db.CacheStats().PlanCapacity
 	sql := func(i int) string {
 		alias, bound := fmt.Sprintf("start_%d", i+1), 1
-		if distinct {
-			alias, bound = "start_date", i+2
+		if magnitude > 0 {
+			alias, bound = "start_date", magnitude+i%band
 		}
 		s := strings.Replace(template, "AS start_date", "AS "+alias, 1)
 		return strings.Replace(s, "WHERE ", fmt.Sprintf("WHERE X.price > -%d AND ", bound), 1)
@@ -668,17 +673,25 @@ func runCold(b *testing.B, db *sqlts.DB, sql func(i int) string) {
 // only its SELECT list and finds the pattern's matrices, tables, kernel
 // and partition masks built (see DB.Prepare).
 func BenchmarkColdSharedPattern(b *testing.B) {
-	db, sql := coldStatements(b, false)
+	db, sql := coldStatements(b, 0)
 	runCold(b, db, sql)
 }
 
-// BenchmarkColdDistinctPatterns is BenchmarkColdSharedPattern with a new
-// pattern constant in every statement: every pattern lookup misses, so
-// each statement pays the whole compile and its mask build, and the lookup
-// must cost no more than its token key.
+// BenchmarkColdDistinctPatterns is BenchmarkColdSharedPattern with a
+// pattern constant of its own in every statement: every pattern lookup
+// misses, so each statement pays the whole compile and its mask build, and
+// the lookup must cost no more than its token key. One sub-benchmark per
+// magnitude of the constant, each in a band of one number of digits: a
+// 3-digit constant keeps the implication closure on machine words, and 4-
+// and 5-digit ones at 3,000 and 30,000 push it onto big.Rat (0.98's
+// mantissa and a constant of 2,048 or more span more than 62 bits).
 func BenchmarkColdDistinctPatterns(b *testing.B) {
-	db, sql := coldStatements(b, true)
-	runCold(b, db, sql)
+	for _, m := range []struct{ digits, magnitude int }{{3, 100}, {4, 3000}, {5, 30000}} {
+		b.Run(fmt.Sprintf("digits=%d", m.digits), func(b *testing.B) {
+			db, sql := coldStatements(b, m.magnitude)
+			runCold(b, db, sql)
+		})
+	}
 }
 
 // BenchmarkDriverBreakEven is the measurement behind the cluster driver's

@@ -78,10 +78,12 @@ type search struct {
 //
 // A lane is also the sink its executor hands every chunk's clusters to
 // (engine.RunSink), so it lives on the heap: in its fan, or — a one-lane
-// run's — in soloLanes between runs.
+// run's — in its plan (Plan.solo) between runs. Every lane keeps its
+// executor from run to run; the caller's lets go of the blocks it filled,
+// which are the result's (keepExecutor).
 type lane struct {
 	ex       engine.Executor
-	key      executorKey // what a helper's kept ex was built for
+	key      executorKey // what the kept ex was built for
 	started  bool        // set up for the current run
 	stats    engine.Stats
 	clusters int32
@@ -155,15 +157,19 @@ func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage
 	return s.oneLane(res)
 }
 
-// soloLanes keeps the lanes of one-lane runs between runs, emptied: a lane
-// must be on the heap to be its executor's sink, and a run that allocated
-// one would cost an object more than the search does.
-var soloLanes = sync.Pool{New: func() any { return new(lane) }}
-
 // oneLane searches the whole cluster list as one chunk on the calling
-// goroutine; the lane's runs are the result's.
+// goroutine; the lane's runs are the result's. The lane is the plan's kept
+// one, with the executor its last one-lane run built, unless the plan has
+// none yet or another run holds it: then this run builds its own, and the
+// plan keeps whichever comes back first. A lane must be on the heap to be
+// its executor's sink, so a run that allocated one would cost an object
+// more than the search does, and the executor several more.
 func (s *search) oneLane(res *Result) error {
-	l := soloLanes.Get().(*lane)
+	solo := &s.q.plan.solo
+	l := solo.Swap(nil)
+	if l == nil {
+		l = new(lane)
+	}
 	var m mark
 	s.start(l, s.rc.interrupt())
 	s.searchChunk(l, &m, 0, len(s.clusters))
@@ -173,10 +179,26 @@ func (s *search) oneLane(res *Result) error {
 		res.Rows, res.Matches = m.rows, m.matches
 		res.oneLog[0] = m.log
 		res.clusterLogs = res.oneLog[:]
+		// A plan keeps the lane from its second run on, so that one run
+		// once, as every never-seen statement is, holds no executor while it
+		// is cached. A failed run's lane is not kept: its executor may have
+		// stopped anywhere.
+		if s.q.plan.shape.ran() {
+			l.keepExecutor()
+			solo.CompareAndSwap(nil, l)
+		}
 	}
-	*l = lane{} // its blocks are the result's
-	soloLanes.Put(l)
 	return m.err
+}
+
+// keepExecutor empties the caller's lane of a successful run, whose blocks
+// and whose executor's match and span blocks are the result's, for its
+// plan's next run: the lane keeps only its executor, which lets go of
+// them, never clearing them, and of the run's clusters, masks and
+// checkpoint.
+func (l *lane) keepExecutor() {
+	l.ex.Release()
+	*l = lane{ex: l.ex, key: l.key}
 }
 
 // borrowHelpers enters an elastic run in the process-wide searcher count
@@ -350,11 +372,11 @@ func (p *fanPool) get(lanes int) *fan {
 }
 
 // put keeps f, whose run succeeded with res, for the plan's next
-// fanned-out run. It lets go of everything res holds — the caller's lane —
-// and of the partition the run searched, and readies every helper's lane
-// for a run like this one now, searched or not, so that what a helper
-// needs is allocated by this run and not by whichever later run it first
-// gets a core in. A failed run's fan is not kept: its lanes may have
+// fanned-out run. It lets go of everything res holds — the caller's lane,
+// which keeps only its executor — and of the partition the run searched,
+// and readies every helper's lane for a run like this one now, searched or
+// not, so that what a helper needs is allocated by this run and not by
+// whichever later run it first gets a core in. A failed run's fan is not kept: its lanes may have
 // stopped anywhere.
 func (p *fanPool) put(f *fan, res *Result) {
 	matches, matched, logBytes := shapeOf(res)
@@ -363,7 +385,7 @@ func (p *fanPool) put(f *fan, res *Result) {
 		f.prepare(l, len(f.lanes), matches, matched, logBytes)
 		*l = lane{ex: l.ex, key: l.key, rows: l.rows, matches: l.matches, log: l.log, values: l.values}
 	}
-	f.lanes[0] = lane{}
+	f.lanes[0].keepExecutor()
 	f.search, f.check = search{}, nil
 	clear(f.marks)
 	f.next.Store(0)
@@ -430,12 +452,13 @@ func (r *Result) ClusterStats() []ClusterStat {
 	return out
 }
 
-// start gives the caller's lane a new executor and reserves the result the
-// plan's last run produced, so that a run shaped like the last allocates
-// each of the lane's buffers once, however many lanes search: they are
-// the result's, and a fanned-out run's helpers' finds are copied in.
+// start gives the caller's lane an executor for this search's options —
+// the one it kept, unless they differ — and reserves the result the plan's
+// last run produced, so that a run shaped like the last allocates each of
+// the lane's buffers once, however many lanes search: they are the
+// result's, and a fanned-out run's helpers' finds are copied in.
 func (s *search) start(l *lane, check func() error) {
-	l.ex = s.q.newExecutor(s.opts, s.executorKey().policy())
+	s.executor(l)
 	matches, matched, logBytes := s.reserve()
 	l.log.Reserve(logBytes)
 	if matches > 0 {
@@ -464,15 +487,21 @@ func (s *search) startHelper(l *lane, lanes int, check func() error) {
 // unevenly without a refill, and a wide fan's helpers do not each hold the
 // whole result. A block that once outgrew its room keeps what it grew to.
 func (s *search) prepare(l *lane, lanes, matches, matched, logBytes int) {
-	if key := s.executorKey(); l.ex == nil || l.key != key {
-		l.ex, l.key = s.q.newExecutor(s.opts, key.policy()), key
-	}
+	s.executor(l)
 	part := func(n int) int { return min(n, 2*((n+lanes-1)/lanes)) }
 	l.ex.Recycle(part(matches))
 	l.rows.Reset(part(matches))
 	l.matches.Reset(part(matched))
 	l.log.Reset(part(logBytes))
 	l.values.Reset(part(matches) * len(s.q.plan.compiled.OutNames))
+}
+
+// executor gives l an executor for this search's options: the one it
+// kept, unless it was built for others.
+func (s *search) executor(l *lane) {
+	if key := s.executorKey(); l.ex == nil || l.key != key {
+		l.ex, l.key = s.q.newExecutor(s.opts, key.policy()), key
+	}
 }
 
 // begin points a set-up lane at this run: its checkpoint, its masks, and
@@ -495,7 +524,7 @@ func (s *search) reserve() (matches, matched, logBytes int) {
 	return matches, matched, logBytes
 }
 
-// executorKey is what newExecutor builds from besides the plan; a helper's
+// executorKey is what newExecutor builds from besides the plan; a lane's
 // kept executor serves every run that agrees on it.
 type executorKey struct {
 	kind    ExecutorKind

@@ -180,6 +180,11 @@ type Executor interface {
 	// matches, for later searches to overwrite, and it lets go of the
 	// sequence, masks and interrupt it last searched with.
 	Recycle(matches int)
+	// Release readies the executor for another run while a result still
+	// references the matches it reported: it lets go of its match and span
+	// blocks, which it neither clears nor writes again, and of the
+	// sequence, masks and interrupt it last searched with.
+	Release()
 	// Name identifies the executor in benchmark output.
 	Name() string
 }
@@ -240,8 +245,8 @@ type evaluator struct {
 func newEvaluator(p *pattern.Pattern) evaluator { return evaluator{p: p} }
 
 // bindings returns the search's bindings, made by the first search that
-// keeps any: an OPS executor (one is built per run) that only takes the
-// pure loop never makes them.
+// keeps any: an OPS executor that only takes the pure loop never makes
+// them.
 func (e *evaluator) bindings() []pattern.Span {
 	if e.ctx.Bind == nil {
 		e.ctx.Bind = make([]pattern.Span, e.p.Len())
@@ -550,6 +555,18 @@ func (e *evaluator) Adopt(ms []Match) []Match {
 func (e *evaluator) Recycle(matches int) {
 	e.matches.Reset(matches)
 	e.spans.Reset(matches * e.p.Len())
+	e.letGo()
+}
+
+// Release implements Executor. Like Recycle, it keeps the evaluator's own
+// projection and masks.
+func (e *evaluator) Release() {
+	e.matches, e.spans = Block[Match]{}, Block[pattern.Span]{}
+	e.letGo()
+}
+
+// letGo drops what the evaluator's last run searched with.
+func (e *evaluator) letGo() {
 	e.ctx.Seq = nil
 	e.proj, e.masks, e.slab = nil, nil, nil
 	e.nextProj, e.nextMasks = nil, nil

@@ -128,7 +128,11 @@ func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
 		cfg:       cfg,
 		steps:     steps,
 		pair:      tables.M >= 2 && !tables.Star[1] && steps[2] == step{from: 1, resume: 1},
-		count:     make([]int, p.Len()+1),
+		// count is written at every rollback. Its capacity fills whole
+		// cache lines, so that an executor kept from run to run, which runs
+		// on whichever core its next run does, shares no line with what
+		// another core is writing.
+		count: make([]int, p.Len()+1, (p.Len()+8)&^7),
 	}
 }
 

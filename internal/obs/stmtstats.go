@@ -11,6 +11,7 @@ package obs
 // (QueryObs), and snapshots come back as JSON-taggable values.
 
 import (
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -495,13 +496,14 @@ type StmtStore struct {
 	capacity atomic.Int64
 	count    atomic.Int64
 	overflow atomic.Pointer[StmtStats]
+	seed     maphash.Seed // of the shard hash
 	shards   [stmtShards]stmtShard
 }
 
 // NewStmtStore creates a store tracking at most capacity distinct
 // statements (0 disables tracking).
 func NewStmtStore(capacity int) *StmtStore {
-	st := &StmtStore{}
+	st := &StmtStore{seed: maphash.MakeSeed()}
 	st.capacity.Store(int64(capacity))
 	for i := range st.shards {
 		st.shards[i].entries = map[string]*StmtStats{}
@@ -509,14 +511,9 @@ func NewStmtStore(capacity int) *StmtStore {
 	return st
 }
 
-// fnv1a is the shard hash (inlined to keep Get allocation-free).
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+// shard returns key's shard.
+func (st *StmtStore) shard(key string) *stmtShard {
+	return &st.shards[maphash.String(st.seed, key)%stmtShards]
 }
 
 // Get returns the entry for key, creating it on first use. At capacity
@@ -527,7 +524,7 @@ func (st *StmtStore) Get(key string) *StmtStats {
 	if cap <= 0 {
 		return nil
 	}
-	sh := &st.shards[fnv1a(key)%stmtShards]
+	sh := st.shard(key)
 	sh.mu.RLock()
 	e := sh.entries[key]
 	sh.mu.RUnlock()
@@ -556,7 +553,7 @@ func (st *StmtStore) Get(key string) *StmtStats {
 
 // Lookup returns the entry for key without creating one.
 func (st *StmtStore) Lookup(key string) *StmtStats {
-	sh := &st.shards[fnv1a(key)%stmtShards]
+	sh := st.shard(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.entries[key]

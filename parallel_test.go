@@ -69,7 +69,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func interpreted(t testing.TB, q *Query) (engine.Stats, []ClusterMatches) {
 	t.Helper()
 	c := q.plan.compiled
-	part, _, err := q.db.partition(q.db.Table(c.Table), c.ClusterBy, c.SequenceBy, true)
+	part, _, err := q.db.partition(q.db.Table(c.Table), q.plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,18 +26,16 @@ var refreshSQL = []string{
 // cachedPartition returns the partition entry the cache holds for q's
 // clustering, current or stale.
 func cachedPartition(q *Query) *partitionEntry {
-	c := q.plan.compiled
 	q.db.cacheMu.Lock()
 	defer q.db.cacheMu.Unlock()
-	return q.db.parts.get(partitionKey(c.Table, c.ClusterBy, c.SequenceBy))
+	return q.db.parts.get(q.plan.partKey)
 }
 
 // scratchPartition builds q's partition from the empty clustering, the
 // way a NoCache run does.
 func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 	t.Helper()
-	c := q.plan.compiled
-	e, how, err := q.db.partition(q.db.Table(c.Table), c.ClusterBy, c.SequenceBy, true)
+	e, how, err := q.db.partition(q.db.Table(q.plan.compiled.Table), q.plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}

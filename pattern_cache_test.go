@@ -265,7 +265,7 @@ func TestPatternCacheEviction(t *testing.T) {
 	if registered(db, shared) || patternCount(db) != 0 || shared.refs.Load() != 0 {
 		t.Fatalf("PurgeCaches left %d patterns (refs %d)", patternCount(db), shared.refs.Load())
 	}
-	db.storePlan(normalizeSQL(sql), p)
+	db.storePlan(string(normalizeSQL(nil, sql)), p)
 	if !registered(db, shared) || shared.refs.Load() != 1 {
 		t.Fatalf("storing the raced plan: registered %v, refs %d", registered(db, shared), shared.refs.Load())
 	}

@@ -6,9 +6,13 @@ package sqlts
 // matrices, shift/next tables, predicate kernels) and the O(n log n)
 // CLUSTER BY / SEQUENCE BY sort across repeated executions:
 //
-//   - planCache: LRU keyed by whitespace-normalized SQL text, validated
-//     against the DB catalog version (DDL, table registration and
-//     positive-domain declarations invalidate plans; inserts do not).
+//   - planCache: LRU keyed by whitespace-normalized SQL text and by the
+//     text its plan was compiled from, so a statement sent again as it
+//     was costs one map lookup and only a variant is normalized first;
+//     validated against the DB catalog version (DDL, table registration
+//     and positive-domain declarations invalidate plans; inserts do not).
+//     A plan also keeps what every run would otherwise re-derive: its
+//     partition key, and one executor for its one-lane runs (Plan.solo).
 //   - patterns: the compiled patterns of the cached plans, keyed by the
 //     catalog version and the statement's FROM … WHERE tokens, so a
 //     statement text never seen before whose pattern is cached compiles
@@ -33,57 +37,82 @@ import (
 	"sqlts/internal/storage"
 )
 
-// normalizeSQL is the plan-cache (and statement-stats) key function: it
-// collapses runs of whitespace to single spaces, trims the ends, and
-// case-folds ASCII letters, so formatting and case variants of one
-// query share a cache entry (the language resolves keywords, table and
-// column names case-insensitively). Quoted strings pass through
-// untouched — 'INTC' and 'intc' are different values. No parsing
-// happens here — on a cache hit the whole parse/analyze/optimize
-// pipeline is skipped.
-func normalizeSQL(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
-	inQuote := false
-	space := false
+// normalizeSQL appends the plan-cache (and statement-stats) key of sql to
+// dst: runs of whitespace collapse to single spaces, the ends are trimmed,
+// and ASCII letters are case-folded, so formatting and case variants of
+// one query share a cache entry (the language resolves keywords, table
+// and column names case-insensitively). Quoted strings are copied whole —
+// 'INTC' and 'intc' are different values — and an unterminated one runs
+// to the end. No parsing happens here — on a cache hit the whole
+// parse/analyze/optimize pipeline is skipped. The key of a key is itself,
+// which is what lets the plan cache hold a statement's own text beside its
+// key (planCache).
+func normalizeSQL(dst []byte, sql string) []byte {
+	// The key is never longer than sql: a space stands for a run of one
+	// or more whitespace bytes, and every other byte for itself.
+	start := len(dst)
+	dst = slices.Grow(dst, len(sql))[:start+len(sql)]
+	out := dst[start:]
+	n, space := 0, false
 	for i := 0; i < len(sql); i++ {
 		c := sql[i]
-		if inQuote {
-			b.WriteByte(c)
-			if c == '\'' {
-				inQuote = false
-			}
+		fold := sqlFold[c]
+		if fold == sqlSpace {
+			space = true
 			continue
 		}
-		switch c {
-		case ' ', '\t', '\n', '\r', '\f', '\v':
-			space = true
-		case '\'':
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			inQuote = true
-			b.WriteByte(c)
-		default:
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			b.WriteByte(c)
+		if space && n > 0 {
+			out[n] = ' '
+			n++
 		}
+		space = false
+		if fold == sqlQuote {
+			end := len(sql)
+			if j := strings.IndexByte(sql[i+1:], '\''); j >= 0 {
+				end = i + j + 2
+			}
+			n += copy(out[n:], sql[i:end])
+			i = end - 1
+			continue
+		}
+		out[n] = byte(fold)
+		n++
 	}
-	return b.String()
+	return dst[:start+n]
 }
 
-// planCache is an LRU of compiled plans keyed by normalized SQL.
-// Entries carry the catalog version they were compiled under; get
-// treats a version mismatch as a miss and evicts the stale entry.
-// onStore is told of every plan that enters the cache, onEvict of every
-// plan that leaves it, after it left.
+// sqlFold is normalizeSQL's byte table: what a byte outside a quoted
+// string becomes — itself, or its lower case for an ASCII capital — or
+// sqlSpace for the six whitespace bytes and sqlQuote for the quote that
+// opens a string.
+var sqlFold = func() (t [256]uint16) {
+	for c := range t {
+		t[c] = uint16(c)
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c] = uint16(c + 'a' - 'A')
+	}
+	for _, c := range " \t\n\r\f\v" {
+		t[c] = sqlSpace
+	}
+	t['\''] = sqlQuote
+	return t
+}()
+
+const (
+	sqlSpace = 256 + iota
+	sqlQuote
+)
+
+// planCache is an LRU of compiled plans keyed by normalized SQL. An entry
+// is in the map twice: under its normalized key, and under the text its
+// plan was compiled from, so that a statement sent again as it was finds
+// its plan without being normalized. The two never name two entries:
+// normalizing is idempotent, so a text equal to some entry's key
+// normalizes to that key. Entries carry the catalog version they were
+// compiled under; get treats a version mismatch as a miss and evicts the
+// stale entry. onStore is told of every plan that enters the cache,
+// onEvict of every plan that leaves it, after it left.
 type planCache struct {
 	capacity int
 	order    *list.List // front = most recently used
@@ -93,7 +122,7 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key  string
+	key  string // normalized; the entry's other key is plan.sql
 	plan *Plan
 }
 
@@ -101,11 +130,13 @@ func newPlanCache(capacity int, onStore, onEvict func(*Plan)) *planCache {
 	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}, onStore: onStore, onEvict: onEvict}
 }
 
-// get returns the cached plan for key when its catalog version still
-// matches, promoting it to most recently used. Callers hold db.cacheMu.
-func (c *planCache) get(key string, catalog uint64) *Plan {
-	el, ok := c.entries[key]
-	if !ok {
+// get returns the plan of el, what the map holds under a normalized key or
+// the text an entry's plan was compiled from (nil: nothing), when its
+// catalog version still matches, promoting it to most recently used. The
+// caller indexes the map itself, so that a key it holds as bytes is not
+// copied into a string. Callers hold db.cacheMu.
+func (c *planCache) get(el *list.Element, catalog uint64) *Plan {
+	if el == nil {
 		return nil
 	}
 	e := el.Value.(*planEntry)
@@ -122,9 +153,14 @@ func (c *planCache) put(key string, p *Plan) {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
+		// The entry's text key moves to p's.
 		e := el.Value.(*planEntry)
 		old := e.plan
+		if old.sql != key {
+			delete(c.entries, old.sql)
+		}
 		e.plan = p
+		c.entries[p.sql] = el
 		c.order.MoveToFront(el)
 		// Store before evicting: when old and p share a pattern, it never
 		// looks unheld.
@@ -132,7 +168,8 @@ func (c *planCache) put(key string, p *Plan) {
 		c.onEvict(old)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: p})
+	el := c.order.PushFront(&planEntry{key: key, plan: p})
+	c.entries[key], c.entries[p.sql] = el, el
 	c.onStore(p)
 	c.trim(c.capacity)
 }
@@ -140,6 +177,7 @@ func (c *planCache) put(key string, p *Plan) {
 func (c *planCache) remove(el *list.Element) {
 	e := c.order.Remove(el).(*planEntry)
 	delete(c.entries, e.key)
+	delete(c.entries, e.plan.sql)
 	c.onEvict(e.plan)
 }
 
@@ -324,9 +362,18 @@ func newPartitionCache(capacity int) *partitionCache {
 
 // partitionKey identifies one clustering of one table. Column names are
 // lower-cased (resolution is case-insensitive) so spelling variants of
-// the same clustering share an entry.
+// the same clustering share an entry. A plan computes its key once, when
+// it is compiled (Plan.partKey).
 func partitionKey(table string, clusterBy, sequenceBy []string) string {
+	n := len(table) + 1
+	for _, c := range clusterBy {
+		n += 1 + len(c)
+	}
+	for _, s := range sequenceBy {
+		n += 1 + len(s)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(strings.ToLower(table))
 	for _, c := range clusterBy {
 		b.WriteByte(0)
@@ -450,19 +497,38 @@ func (db *DB) PurgeCaches() {
 // the method remains so that callers built against it keep compiling.
 func (db *DB) SetShards(int) {}
 
-// lookupPlan consults the plan cache. A hit returns a Plan that is
-// still valid under the current catalog version.
-func (db *DB) lookupPlan(key string) *Plan {
+// lookupPlan consults the plan cache: under the statement's own text,
+// which is how a statement sent again as it was finds its plan, and only
+// then under its normalized form, which is how a case or whitespace
+// variant finds it. A hit returns a Plan that is still valid under the
+// current catalog version; a miss returns the normalized form, the key
+// the compiled plan is to be stored under.
+func (db *DB) lookupPlan(sql string) (p *Plan, key string) {
 	catalog := db.catalog.Load()
 	db.cacheMu.Lock()
-	p := db.plans.get(key, catalog)
+	p = db.plans.get(db.plans.entries[sql], catalog)
 	db.cacheMu.Unlock()
+	if p == nil {
+		// A statement that fits the buffer is normalized on the stack, so
+		// a variant's hit allocates nothing and a miss only its key.
+		var buf [2048]byte
+		norm := normalizeSQL(buf[:0], sql)
+		key = sql
+		if string(norm) != sql {
+			db.cacheMu.Lock()
+			p = db.plans.get(db.plans.entries[string(norm)], catalog)
+			db.cacheMu.Unlock()
+			if p == nil {
+				key = string(norm)
+			}
+		}
+	}
 	if p != nil {
 		db.metrics.planCacheHits.Inc()
 	} else {
 		db.metrics.planCacheMisses.Inc()
 	}
-	return p
+	return p, key
 }
 
 func (db *DB) storePlan(key string, p *Plan) {
@@ -487,21 +553,21 @@ func (o partitionOutcome) String() string {
 	return cachedWord(o.cached)
 }
 
-// partition returns the clustered partition of t for the plan's
-// clusterBy/sequenceBy, serving it from the cache when the table version
-// still matches. A stale entry over the same table is refreshed —
+// partition returns the clustered partition of t for p's clusterBy and
+// sequenceBy, cached under p's partition key, serving it from the cache
+// when the table version still matches. A stale entry over the same table is refreshed —
 // storage.Clustering.Refresh re-sorts only the clusters the appended rows
 // land in — and its memos carried over (see adopt); anything else is
 // built from the empty clustering. Either way it counts as a miss, and as
 // an invalidation when it replaces the stale entry. The entry's clusters (and the masks built from them) are shared
 // and must be treated as read-only. A bypass run builds a transient
 // entry that is never stored, so it shares nothing.
-func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, bypass bool) (*partitionEntry, partitionOutcome, error) {
+func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry, partitionOutcome, error) {
 	var out partitionOutcome
 	var old *partitionEntry
 	var key string
 	if !bypass {
-		key = partitionKey(t.Name, clusterBy, sequenceBy)
+		key = p.partKey
 		db.cacheMu.Lock()
 		old = db.parts.get(key)
 		db.cacheMu.Unlock()
@@ -525,7 +591,7 @@ func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, bypass
 		}
 	}
 	if e.Clustering == nil {
-		c, err := t.NewClustering(clusterBy, sequenceBy)
+		c, err := t.NewClustering(p.compiled.ClusterBy, p.compiled.SequenceBy)
 		if err != nil {
 			return nil, out, err
 		}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqlts/internal/storage"
 	"sqlts/internal/workload"
@@ -52,9 +54,260 @@ func TestNormalizeSQL(t *testing.T) {
 		{"select X.A from Q", "select x.a from q"},
 	}
 	for _, c := range cases {
-		if got := normalizeSQL(c.in); got != c.want {
+		if got := string(normalizeSQL(nil, c.in)); got != c.want {
 			t.Errorf("normalizeSQL(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// normalizeSQLOracle is the plan-cache key function as it was first
+// written, one byte at a time through a strings.Builder: the reference
+// FuzzNormalizeSQL holds normalizeSQL to.
+func normalizeSQLOracle(sql string) string {
+	var b strings.Builder
+	b.Grow(len(sql))
+	inQuote := false
+	space := false
+	for i := 0; i < len(sql); i++ {
+		c := sql[i]
+		if inQuote {
+			b.WriteByte(c)
+			if c == '\'' {
+				inQuote = false
+			}
+			continue
+		}
+		switch c {
+		case ' ', '\t', '\n', '\r', '\f', '\v':
+			space = true
+		case '\'':
+			if space && b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			space = false
+			inQuote = true
+			b.WriteByte(c)
+		default:
+			if space && b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			space = false
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// FuzzNormalizeSQL: normalizeSQL appends what the oracle returns behind
+// whatever its buffer holds, and a key normalizes to itself — the property
+// that lets the plan cache keep a statement's own text beside its key.
+func FuzzNormalizeSQL(f *testing.F) {
+	for _, s := range []string{
+		servingSQL,
+		"SELECT 'a  B' FROM q WHERE X.name = 'INTC'",
+		"SELECT 'it''s', '' FROM q",
+		"SELECT X.a FROM q WHERE X.name = 'unterminated \t CASE",
+		"' leading quote",
+		" \t\n\r\f\v",
+		"a\tb\nc\rd\fe\vf g",
+		"SELECT Ä.Ö, 'Ünï\u00a0CODE' FROM Ω \xff\xfe\x00 Z",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		want := normalizeSQLOracle(sql)
+		got := normalizeSQL([]byte("key:"), sql)
+		if string(got) != "key:"+want {
+			t.Fatalf("normalizeSQL(%q) = %q, want %q", sql, got[min(len(got), 4):], want)
+		}
+		if again := string(normalizeSQL(nil, want)); again != want {
+			t.Fatalf("normalizing the key %q again gives %q", want, again)
+		}
+	})
+}
+
+// checkPlanKeys asserts the plan cache's map holds every entry under its
+// normalized key and its text, and nothing else, and returns the keys.
+func checkPlanKeys(t *testing.T, db *DB) []string {
+	t.Helper()
+	db.cacheMu.Lock()
+	defer db.cacheMu.Unlock()
+	want := 0
+	for el := db.plans.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*planEntry)
+		text := e.plan.sql
+		if db.plans.entries[e.key] != el || db.plans.entries[text] != el {
+			t.Errorf("entry %q is not in the map under its key and its text %q", e.key, text)
+		}
+		if n := string(normalizeSQL(nil, text)); n != e.key {
+			t.Errorf("entry %q holds the text %q, which normalizes to %q", e.key, text, n)
+		}
+		want += 2
+		if text == e.key {
+			want--
+		}
+	}
+	keys := make([]string, 0, len(db.plans.entries))
+	for k := range db.plans.entries {
+		keys = append(keys, k)
+	}
+	if len(keys) != want {
+		t.Errorf("the plan map holds %d keys for %d entries: %q", len(keys), db.plans.order.Len(), keys)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestPlanTextKeys: a plan-cache entry is found by the text its plan was
+// compiled from and by its normalized key, which a variant's text is
+// normalized to; both keys come and go with the entry.
+func TestPlanTextKeys(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+	prepare := func(sql string, cached bool) *Query {
+		t.Helper()
+		q, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.PlanCached() != cached {
+			t.Fatalf("Prepare reports PlanCached %v, want %v:\n%s", q.PlanCached(), cached, sql)
+		}
+		return q
+	}
+	both := func(sql string) []string {
+		k := []string{sql, string(normalizeSQL(nil, sql))}
+		sort.Strings(k)
+		return k
+	}
+	variant := "select x.NAME from QUOTE  cluster by name SEQUENCE BY date as (x, y, z)\n" +
+		"\twhere y.price > 1.15*x.price and z.price < 0.80*y.price  "
+	key := string(normalizeSQL(nil, servingSQL))
+	if string(normalizeSQL(nil, variant)) != key || variant == servingSQL || key == servingSQL {
+		t.Fatal("the variant, the text and the key must be three texts of one key")
+	}
+
+	q := prepare(servingSQL, false)
+	if got := checkPlanKeys(t, db); !reflect.DeepEqual(got, both(servingSQL)) {
+		t.Fatalf("one compiled statement: keys %q, want its text and its key", got)
+	}
+	for _, sql := range []string{servingSQL, variant, key, servingSQL} {
+		if prepare(sql, true).plan != q.plan {
+			t.Fatalf("%q did not find the compiled plan", sql)
+		}
+	}
+	if got := checkPlanKeys(t, db); !reflect.DeepEqual(got, both(servingSQL)) {
+		t.Fatalf("a variant's hit changed the keys to %q", got)
+	}
+
+	// A catalog change makes the exact text recompile, and the recompiled
+	// plan takes over both keys.
+	if err := db.DeclarePositive("quote", "price"); err != nil {
+		t.Fatal(err)
+	}
+	q2 := prepare(servingSQL, false)
+	if q2.plan == q.plan {
+		t.Fatal("DeclarePositive: the exact text was served the stale plan")
+	}
+	db.RegisterTable(db.Table("quote"))
+	q3 := prepare(servingSQL, false)
+	if q3.plan == q2.plan {
+		t.Fatal("RegisterTable: the exact text was served the stale plan")
+	}
+	if prepare(variant, true).plan != q3.plan || prepare(servingSQL, true).plan != q3.plan {
+		t.Fatal("the recompiled plan is not found by the text and the variant")
+	}
+	// The stale path also runs from a variant, which then owns the text key.
+	if err := db.DeclarePositive("quote", "price"); err != nil {
+		t.Fatal(err)
+	}
+	q4 := prepare(variant, false)
+	if got := checkPlanKeys(t, db); !reflect.DeepEqual(got, both(variant)) {
+		t.Fatalf("a variant recompiled after a catalog change: keys %q, want its text and key", got)
+	}
+	if prepare(servingSQL, true).plan != q4.plan {
+		t.Fatal("the original text does not find the variant's plan")
+	}
+
+	// A quoted literal is part of the key, case and all.
+	upper := strings.Replace(servingSQL, "WHERE", "WHERE X.name = 'INTC' AND", 1)
+	lower := strings.Replace(upper, "'INTC'", "'intc'", 1)
+	qu, ql := prepare(upper, false), prepare(lower, false)
+	if qu.plan == ql.plan || prepare(upper, true).plan != qu.plan || prepare(lower, true).plan != ql.plan {
+		t.Fatal("'INTC' and 'intc' share a plan")
+	}
+	for sql, rows := range map[*Query]int{qu: 1, ql: 0} {
+		if res, err := sql.Run(); err != nil || len(res.Rows) != rows {
+			t.Fatalf("%s: %v rows, error %v; want %d rows", sql.plan.sql, res, err, rows)
+		}
+	}
+	checkPlanKeys(t, db)
+
+	// At capacity 1 a new statement evicts the entry with both its keys.
+	prepare(variant, true)
+	db.SetPlanCacheCapacity(1)
+	if got := checkPlanKeys(t, db); !reflect.DeepEqual(got, both(variant)) {
+		t.Fatalf("capacity 1 keeps keys %q, want the most recent entry's", got)
+	}
+	prepare(upper, false)
+	if got := checkPlanKeys(t, db); !reflect.DeepEqual(got, both(upper)) {
+		t.Fatalf("after an eviction at capacity 1 the keys are %q, want only the new statement's", got)
+	}
+	db.PurgeCaches()
+	if got := checkPlanKeys(t, db); len(got) != 0 {
+		t.Fatalf("PurgeCaches left keys %q", got)
+	}
+	// Capacity 0 stores nothing.
+	db.SetPlanCacheCapacity(0)
+	for i := 0; i < 2; i++ {
+		prepare(servingSQL, false)
+		prepare(variant, false)
+	}
+	if got := checkPlanKeys(t, db); len(got) != 0 {
+		t.Fatalf("capacity 0 stored keys %q", got)
+	}
+
+	// Clients sending the text, the variant and the key race a catalog
+	// writer through a cache of two entries; every run finds the one
+	// match, and the map ends with two keys per entry at most.
+	db.SetPlanCacheCapacity(2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			db.RegisterTable(db.Table("quote"))
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(stop)
+	}()
+	texts := []string{servingSQL, variant, key, upper}
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := db.Query(texts[i%len(texts)])
+				if err != nil || len(res.Rows) != 1 {
+					t.Errorf("%q: %v rows, error %v; want 1 row", texts[i%len(texts)], res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := checkPlanKeys(t, db); len(got) > 4 {
+		t.Fatalf("a cache of two entries holds keys %q", got)
 	}
 }
 

@@ -444,14 +444,19 @@ const (
 // analyzed select, and the compiled pattern — predicate systems, the θ/φ
 // matrices distilled into shift/next tables, and the predicate kernel —
 // which it shares with every cached plan of the same FROM … WHERE (see
-// patternArtifact). Every field is read-only after compilation, so one
-// Plan is shared by all goroutines executing the same SQL concurrently;
-// all per-run mutable state lives in Query and in per-run executors.
+// patternArtifact). Every field is read-only after compilation but the
+// scratch its runs keep — the last result's shape and the kept lanes,
+// each taken by one run at a time — so one Plan is shared by all
+// goroutines executing the same SQL concurrently; all per-run mutable
+// state lives in the lanes and executors a run takes or builds.
 type Plan struct {
-	sql      string
+	sql      string // the text compiled — the plan cache's second key for it
 	key      string // normalized SQL — the plan-cache and statement-stats key
 	compiled *query.Compiled
 	explain  explainMode
+	// partKey is the partition cache's key for the plan's clustering, ""
+	// for a plain SELECT.
+	partKey string
 
 	// art is the plan's compiled pattern (nil for a plain SELECT); tables
 	// and kernel are art's, kept here for the run path. patternCached says
@@ -474,9 +479,11 @@ type Plan struct {
 	// shape is the size of the plan's last successful result, which the
 	// next run's lanes reserve their buffers from. nil for a plain SELECT.
 	shape *resultShape
-	// fans keeps the helper lanes of the plan's fanned-out runs between
-	// runs: scratch, which no result references (see lane).
+	// fans keeps the lanes of the plan's fanned-out runs between runs, and
+	// solo the lane of its one-lane runs, each with its executor; what a
+	// kept lane holds is scratch, which no result references (see lane).
 	fans fanPool
+	solo atomic.Pointer[lane]
 }
 
 // patternArtifact is what a statement compiles from its pattern alone
@@ -565,6 +572,10 @@ func shapeOf(res *Result) (matches, matched, logBytes int) {
 	return res.Stats.Matches, len(res.Matches), logBytes
 }
 
+// ran reports whether a run over at least one cluster has been
+// remembered: such a run logs at least a byte.
+func (s *resultShape) ran() bool { return s.logBytes.Load() != 0 }
+
 // sizes returns the remembered shape.
 func (s *resultShape) sizes() (matches, matched, logBytes int) {
 	return int(s.matches.Load()), int(s.matched.Load()), int(s.logBytes.Load())
@@ -585,11 +596,12 @@ type Query struct {
 // Prepare parses, analyzes and optimizes a SELECT or EXPLAIN [ANALYZE]
 // SELECT statement. Repeated Prepares of the same (whitespace-
 // normalized) text are served from the DB's plan cache and skip the
-// entire compile pipeline; the cache revalidates against the catalog
-// version, so DDL and DeclarePositive force recompilation.
+// entire compile pipeline — the exact text of a cached plan without even
+// being normalized; the cache revalidates against the catalog version, so
+// DDL and DeclarePositive force recompilation.
 func (db *DB) Prepare(sql string) (*Query, error) {
-	key := normalizeSQL(sql)
-	if p := db.lookupPlan(key); p != nil {
+	p, key := db.lookupPlan(sql)
+	if p != nil {
 		return &Query{db: db, plan: p, planCached: true}, nil
 	}
 	tr := obs.NewTrace()
@@ -672,6 +684,7 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 		}
 		plan.art, plan.tables, plan.kernel = a, a.tables, a.kernel
 		plan.shape = new(resultShape)
+		plan.partKey = partitionKey(t.Name, compiled.ClusterBy, compiled.SequenceBy)
 	}
 	return plan, nil
 }
@@ -1020,7 +1033,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	if q.plan.kernel == nil || q.plan.kernel.CompiledElems() == 0 {
 		art = nil // the executors interpret: nothing to memoize
 	}
-	part, how, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
+	part, how, err := q.db.partition(t, q.plan, opts.NoCache)
 	if err != nil {
 		return nil, 0, err
 	}
