@@ -181,6 +181,24 @@ once 'the partition key is computed outside the plan compile, or more than once:
 absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 
+guard 'One of each observation primitive'
+# internal/obs holds one latency histogram (obs.Histogram: lock-free, its
+# count the sum of its buckets) behind the registry's three _seconds
+# families and both statement histograms, and one bounded ring (obs.Ring)
+# behind /debug/events and the slow log. The runtime gauges are read by
+# the registry's collect hook at every exposition, and a slow event
+# reaches callers only through the event sink. Tests may name what they
+# check is gone.
+absent 'a second histogram or ring, a runtime sampler or a slow-event hook is back' \
+	-E 'LatencyHist|type slowLog|StartRuntimeSampler|slowFn' -- '*.go' ':!*_test.go'
+# shellcheck disable=SC2046 # the file list is a word list
+locked=$(awk '/^type Histogram struct/{h=1} h && /sync\.(RW)?Mutex/{print FILENAME ":" FNR ":" $0} h && /^}/{h=0}' \
+	$(git ls-files ':(glob)internal/obs/*.go' ':(exclude,glob)internal/obs/*_test.go'))
+if [ -n "$locked" ]; then
+	echo "$locked" >&2
+	fail 'obs.Histogram holds a mutex: an observation must stay lock-free'
+fi
+
 if [ -n "$failed" ]; then
 	echo "failed guards:$failed" >&2
 	exit 1

@@ -107,7 +107,7 @@ func (db *DB) admitQuery(ctx context.Context) (release func(), wait time.Duratio
 	select {
 	case sem <- struct{}{}:
 		wait = time.Since(start)
-		db.metrics.admissionWait.Observe(wait.Seconds())
+		db.metrics.admissionWait.Observe(wait.Nanoseconds())
 		return release, wait, nil
 	case <-expired:
 		// The rejection counter is incremented by failRun (which sees

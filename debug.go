@@ -6,75 +6,22 @@ package sqlts
 // Mount it on any server:
 //
 //	go http.ListenAndServe("localhost:6060", db.DebugHandler())
-//
-// A background runtime sampler (goroutines, heap, GC pauses) feeds the
-// same registry; /metrics scrapes also sample on demand so the gauges
-// are fresh even without the background goroutine.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"sqlts/internal/obs"
 )
 
-// SampleRuntime reads the Go runtime's memory and scheduler statistics
-// into the registry's sqlts_goroutines / sqlts_heap_* / sqlts_gc_*
-// gauges. It is called automatically by the background sampler and on
-// every /metrics scrape of the debug mux; call it directly before
-// WriteMetrics for fresh gauges elsewhere.
-func (db *DB) SampleRuntime() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m := db.metrics
-	m.goroutines.Set(int64(runtime.NumGoroutine()))
-	m.heapAlloc.Set(int64(ms.HeapAlloc))
-	m.heapObjects.Set(int64(ms.HeapObjects))
-	m.gcCycles.Set(int64(ms.NumGC))
-	m.gcPauseTotal.Set(int64(ms.PauseTotalNs))
-}
-
-// StartRuntimeSampler samples the runtime gauges every interval until
-// the returned stop function is called. Stop is idempotent and does not
-// return until the sampler goroutine has exited, so a caller that stops
-// the sampler can immediately assert on goroutine counts.
-func (db *DB) StartRuntimeSampler(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	db.SampleRuntime()
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				db.SampleRuntime()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
-}
-
 // DebugHandler returns an http.Handler exposing the DB's introspection
 // surface:
 //
-//	/metrics               Prometheus exposition (runtime gauges sampled per scrape)
+//	/metrics               Prometheus exposition (runtime gauges read per scrape)
 //	/debug/statements      per-statement stats — JSON, ?format=text for the table
 //	/debug/slowlog         retained slow-query log — JSON, ?format=text[&verbose=1]
 //	/debug/queries         in-flight queries — JSON, ?format=text for progress bars; POST id=<n> kills
@@ -85,10 +32,7 @@ func (db *DB) StartRuntimeSampler(interval time.Duration) (stop func()) {
 // operator-only listener.
 func (db *DB) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		db.SampleRuntime()
-		db.MetricsHandler().ServeHTTP(w, r)
-	})
+	mux.Handle("/metrics", db.MetricsHandler())
 	mux.HandleFunc("/debug/statements", db.serveStatements)
 	mux.HandleFunc("/debug/slowlog", db.serveSlowLog)
 	mux.HandleFunc("/debug/queries", db.serveQueries)

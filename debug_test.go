@@ -20,7 +20,7 @@ import (
 func TestDebugHandlerSmoke(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
-	db.SetSlowQueryThreshold(time.Nanosecond, nil)
+	db.SetSlowQueryThreshold(time.Nanosecond)
 	var sunk bytes.Buffer
 	db.SetEventSink(obs.NewWriterSink(&sunk))
 	if _, err := db.Query(introspectSQL1); err != nil {
@@ -204,27 +204,4 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	if code, _ = get("/nosuch"); code != http.StatusNotFound {
 		t.Errorf("unknown path returned %d, want 404", code)
 	}
-}
-
-func TestRuntimeSampler(t *testing.T) {
-	db := New()
-	stop := db.StartRuntimeSampler(time.Millisecond)
-	defer stop()
-	time.Sleep(5 * time.Millisecond)
-	var b strings.Builder
-	if err := db.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"sqlts_goroutines", "sqlts_heap_alloc_bytes", "sqlts_gc_cycles_total"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	// The gauges hold real (non-zero) runtime values.
-	if strings.Contains(out, "sqlts_goroutines 0\n") {
-		t.Error("goroutine gauge still zero after sampling")
-	}
-	stop()
-	stop() // idempotent
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sqlts/internal/obs"
 	"sqlts/internal/storage"
 	"sqlts/internal/workload"
 )
@@ -275,32 +274,33 @@ func TestDBMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestSlowQueryHook checks threshold crossing and the callback payload.
+// TestSlowQueryHook checks threshold crossing and the event a sink that
+// filters ev.Slow receives.
 func TestSlowQueryHook(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
-	var got []obs.Event
-	db.SetSlowQueryThreshold(time.Nanosecond, func(ev obs.Event) {
-		got = append(got, ev)
-	})
+	slow := &slowFilter{}
+	db.SetEventSink(slow)
+	db.SetSlowQueryThreshold(time.Nanosecond)
 	const sql = `SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
+	got := slow.events
 	if len(got) != 1 {
-		t.Fatalf("slow-query callbacks = %d, want 1", len(got))
+		t.Fatalf("slow events = %d, want 1", len(got))
 	}
 	if got[0].SQL != string(normalizeSQL(nil, sql)) || got[0].DurationNs <= 0 || got[0].PredEvals == 0 || !got[0].Slow {
 		t.Errorf("slow-query event = %+v", got[0])
 	}
 
-	// Raising the threshold silences the hook.
-	db.SetSlowQueryThreshold(time.Hour, nil)
+	// Raising the threshold: the next run's event is not slow.
+	db.SetSlowQueryThreshold(time.Hour)
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Errorf("hook fired with %v threshold", time.Hour)
+	if len(slow.events) != 1 {
+		t.Errorf("a run was slow under a %v threshold", time.Hour)
 	}
 	var b strings.Builder
 	if err := db.WriteMetrics(&b); err != nil {

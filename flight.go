@@ -111,7 +111,8 @@ func (db *DB) SetEventSink(s obs.EventSink) {
 // RecentEvents returns the retained wide events (the last 256), most
 // recent first.
 func (db *DB) RecentEvents() []obs.Event {
-	return db.flight.ring.Snapshot()
+	events, _ := db.flight.ring.Snapshot()
+	return events
 }
 
 // routeEvent delivers one event to the ring and the sink. With the
@@ -128,27 +129,26 @@ func (db *DB) routeEvent(ev *obs.Event) {
 	box.sink.Emit(*ev)
 }
 
-// emitStreamEvent emits the wide event of one closed stream: the
-// push/match totals with the stream flag set.
+// emitStreamEvent emits the wide event of one closed stream, built from
+// the stream itself: its lifetime, its pushes (a push is a row) and its
+// matcher totals, with the stream flag set.
 func (db *DB) emitStreamEvent(st *Stream, runErr error) {
 	if db.flight.off.Load() && db.flight.sink.Load() == nil {
 		return // no ring and no sink would see it
 	}
 	stats := st.Stats()
+	pushes := int64(st.pushSeq)
 	ev := obs.Event{
-		Time:      time.Now(),
-		QueryID:   st.flight.ID(),
-		SQL:       st.q.plan.key,
-		Stream:    true,
-		PredEvals: stats.PredEvals,
-		Rollbacks: stats.Rollbacks,
-		Matches:   int64(stats.Matches),
-	}
-	if fl := st.flight; fl != nil {
-		snap := fl.Snapshot()
-		ev.DurationNs = snap.ElapsedNs
-		ev.Pushes = snap.Pushes
-		ev.RowsScanned = snap.RowsScanned
+		Time:        time.Now(),
+		QueryID:     st.flight.ID(),
+		SQL:         st.q.plan.key,
+		Stream:      true,
+		DurationNs:  time.Since(st.opened).Nanoseconds(),
+		Pushes:      pushes,
+		RowsScanned: pushes,
+		PredEvals:   stats.PredEvals,
+		Rollbacks:   stats.Rollbacks,
+		Matches:     int64(stats.Matches),
 	}
 	if runErr != nil {
 		ev.Error = runErr.Error()

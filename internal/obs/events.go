@@ -3,7 +3,7 @@ package obs
 // The structured wide-event log: one self-contained JSON record per
 // completed query carrying the full counter set, so post-hoc analysis
 // is grep/jq over a file instead of eyeballing the slow log. Events
-// flow through a pluggable EventSink; EventRing retains the most
+// flow through a pluggable EventSink; an EventRing retains the most
 // recent ones in memory for /debug/events.
 
 import (
@@ -136,93 +136,89 @@ func (s *WriterSink) Err() error {
 	return s.err
 }
 
-// EventRing retains the most recent events in a fixed-capacity ring
-// for /debug/events. The zero capacity disables retention. All methods
-// are safe for concurrent use; a nil ring is inert.
-type EventRing struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	n     int
-	total int64
+// Ring retains the most recent items in a fixed-capacity ring: the
+// wide-event tail of /debug/events and the slow-query log. Every Add is
+// numbered, from 1, whether or not it is retained, and the numbering
+// survives SetCapacity and Reset; zero capacity disables retention. All
+// methods are safe for concurrent use; a nil ring is inert.
+type Ring[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	next int    // the slot the next Add writes
+	n    int    // retained items
+	seq  uint64 // items ever added
 }
+
+// NewRing creates a ring retaining up to capacity items.
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, max(capacity, 0))}
+}
+
+// EventRing is the ring of wide events.
+type EventRing = Ring[Event]
 
 // NewEventRing creates a ring retaining up to capacity events.
-func NewEventRing(capacity int) *EventRing {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &EventRing{buf: make([]Event, capacity)}
-}
+func NewEventRing(capacity int) *EventRing { return NewRing[Event](capacity) }
 
-// Add records one event, evicting the oldest at capacity.
-func (r *EventRing) Add(e Event) {
+// Add records one item, numbered one past the last, evicting the oldest
+// at capacity.
+func (r *Ring[T]) Add(v T) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
+	r.seq++
 	if len(r.buf) == 0 {
 		return
 	}
-	r.buf[r.next] = e
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.n = min(r.n+1, len(r.buf))
 }
 
-// Snapshot returns the retained events, most recent first.
-func (r *EventRing) Snapshot() []Event {
+// Snapshot returns the retained items, most recent first, and the
+// sequence number of the last Add. The retained items are the last ones
+// added, so item i's sequence number is last−i.
+func (r *Ring[T]) Snapshot() (items []T, last uint64) {
 	if r == nil {
-		return nil
+		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.next-1-i+len(r.buf))%len(r.buf)])
+	out := make([]T, r.n)
+	for i := range out {
+		out[i] = r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
 	}
-	return out
+	return out, r.seq
 }
 
-// Total returns the number of events ever added (retained or evicted).
-func (r *EventRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// SetCapacity resizes the ring, keeping the most recent events that
-// fit.
-func (r *EventRing) SetCapacity(capacity int) {
+// SetCapacity resizes the ring, keeping the most recent items that fit.
+func (r *Ring[T]) SetCapacity(capacity int) {
 	if r == nil {
 		return
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	recent := r.Snapshot()
+	capacity = max(capacity, 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = make([]Event, capacity)
-	r.next, r.n = 0, 0
-	if capacity == 0 {
+	keep := min(r.n, capacity)
+	buf := make([]T, capacity)
+	for i := range keep { // oldest kept first
+		buf[i] = r.buf[(r.next-keep+i+len(r.buf))%len(r.buf)]
+	}
+	r.buf, r.n, r.next = buf, keep, 0
+	if keep < capacity {
+		r.next = keep
+	}
+}
+
+// Reset drops the retained items; the numbering continues.
+func (r *Ring[T]) Reset() {
+	if r == nil {
 		return
 	}
-	if len(recent) > capacity {
-		recent = recent[:capacity]
-	}
-	// recent is most-recent-first; reinsert oldest-first.
-	for i := len(recent) - 1; i >= 0; i-- {
-		r.buf[r.next] = recent[i]
-		r.next = (r.next + 1) % capacity
-		if r.n < capacity {
-			r.n++
-		}
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	clear(r.buf)
+	r.n, r.next = 0, 0
 }

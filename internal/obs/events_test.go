@@ -66,7 +66,7 @@ func TestEventRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(Event{Rows: int64(i)})
 	}
-	snap := r.Snapshot()
+	snap, total := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("ring retained %d, want 3", len(snap))
 	}
@@ -76,39 +76,50 @@ func TestEventRing(t *testing.T) {
 			t.Errorf("snap[%d].Rows = %d, want %d", i, snap[i].Rows, want)
 		}
 	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
+	if total != 5 {
+		t.Errorf("Total = %d, want 5", total)
 	}
 
 	// Shrinking keeps the most recent; growing keeps everything.
 	r.SetCapacity(2)
-	snap = r.Snapshot()
+	snap, _ = r.Snapshot()
 	if len(snap) != 2 || snap[0].Rows != 4 || snap[1].Rows != 3 {
 		t.Fatalf("after shrink: %+v", snap)
 	}
 	r.SetCapacity(10)
-	if snap = r.Snapshot(); len(snap) != 2 || snap[0].Rows != 4 {
+	if snap, _ = r.Snapshot(); len(snap) != 2 || snap[0].Rows != 4 {
 		t.Fatalf("after grow: %+v", snap)
 	}
 	r.Add(Event{Rows: 9})
-	if snap = r.Snapshot(); snap[0].Rows != 9 || len(snap) != 3 {
+	if snap, _ = r.Snapshot(); snap[0].Rows != 9 || len(snap) != 3 {
 		t.Fatalf("add after resize: %+v", snap)
+	}
+
+	// Reset drops the items and keeps the numbering.
+	r.Reset()
+	if snap, total = r.Snapshot(); len(snap) != 0 || total != 6 {
+		t.Fatalf("after reset: %+v, total %d", snap, total)
+	}
+	r.Add(Event{Rows: 10})
+	if snap, total = r.Snapshot(); len(snap) != 1 || snap[0].Rows != 10 || total != 7 {
+		t.Fatalf("add after reset: %+v, total %d", snap, total)
 	}
 
 	// Zero capacity disables retention but keeps counting.
 	r.SetCapacity(0)
 	r.Add(Event{})
-	if len(r.Snapshot()) != 0 {
-		t.Error("zero-capacity ring retained an event")
+	if snap, total = r.Snapshot(); len(snap) != 0 || total != 8 {
+		t.Errorf("zero-capacity ring retained %d events, total %d", len(snap), total)
 	}
 
 	// Nil ring is inert.
 	var nr *EventRing
 	nr.Add(Event{})
-	if nr.Snapshot() != nil || nr.Total() != 0 {
+	if snap, total := nr.Snapshot(); snap != nil || total != 0 {
 		t.Error("nil ring not inert")
 	}
 	nr.SetCapacity(4)
+	nr.Reset()
 }
 
 func TestErrClassString(t *testing.T) {

@@ -1,18 +1,22 @@
-// Package obs is the observability layer of sqlts: a process-wide
-// metrics registry (counters, gauges, histograms) with a Prometheus
-// text-format exporter, and a lightweight span tracer that records the
-// phases of the query compile/execute lifecycle.
+// Package obs is the observability layer of sqlts: a metrics registry
+// (counters, gauges, latency histograms) with a Prometheus text-format
+// exporter, per-statement statistics, wide events with the ring that
+// retains them, the flight registry of in-flight executions, and a
+// lightweight span tracer that records the phases of the query
+// compile/execute lifecycle.
 //
-// The package is stdlib-only. Instruments are safe for concurrent use:
-// counters and gauges are lock-free atomics; histograms take a short
-// mutex per observation. Registries are cheap — the DB type creates one
-// per database, and tests create throwaway ones.
+// The package is stdlib-only. Instruments are safe for concurrent use
+// and lock-free: counters, gauges and histogram buckets are atomics.
+// Registries are cheap — the DB type creates one per database, and tests
+// create throwaway ones.
 package obs
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,53 +82,111 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram counts observations into cumulative buckets, Prometheus
-// style: an observation v lands in every bucket with upper bound ≥ v,
-// plus the implicit +Inf bucket.
+// Histogram is the one latency histogram of the package, lock-free: an
+// observation of ns nanoseconds lands in the first bucket whose upper
+// bound is ≥ ns (le is inclusive, per Prometheus) or in the implicit +Inf
+// bucket. It keeps no count of its own — the count is the sum of the
+// buckets — so an exposition that races an observation still prints a
+// _count equal to its +Inf bucket. The buckets are an array, so a
+// histogram embedded in another value costs no allocation of its own. A
+// nil receiver is a no-op.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // strictly increasing upper bounds, +Inf implicit
-	counts []uint64  // len(bounds)+1; last is the +Inf bucket
-	sum    float64
-	count  uint64
+	bounds  []int64                     // strictly increasing upper bounds in ns, at most maxBounds; +Inf implicit
+	buckets [maxBounds + 1]atomic.Int64 // the first len(bounds)+1 are used, the last of them +Inf
+	sum     atomic.Int64                // ns
+	max     atomic.Int64                // ns
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v (le is inclusive)
-	h.counts[i]++
-	h.sum += v
-	h.count++
+// maxBounds is the most bounds a Histogram takes: the statement
+// histograms' (latBounds).
+const maxBounds = 48
+
+// Observe records one duration in nanoseconds (a negative one as 0).
+func (h *Histogram) Observe(ns int64) {
+	if h == nil {
+		return
+	}
+	ns = max(ns, 0)
+	i, _ := slices.BinarySearch(h.bounds, ns) // first bound ≥ ns
+	h.buckets[i].Add(1)
+	h.sum.Add(ns)
+	for m := h.max.Load(); ns > m && !h.max.CompareAndSwap(m, ns); m = h.max.Load() {
+	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for i := range len(h.bounds) + 1 {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
+// Sum returns the total observed nanoseconds.
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
 }
 
-// snapshot returns cumulative bucket counts (aligned with bounds, then
-// +Inf), the sum, and the count.
-func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cum := make([]uint64, len(h.counts))
-	var run uint64
-	for i, c := range h.counts {
-		run += c
+// Max returns the largest observation in nanoseconds.
+func (h *Histogram) Max() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.max.Load()
+}
+
+// Quantile estimates the q-th quantile (0 < q ≤ 1) in nanoseconds by
+// linear interpolation within the landing bucket, the largest observation
+// capping the top. Returns 0 with no observations. Concurrent
+// observations may skew an in-flight estimate slightly; each bucket read
+// is individually atomic.
+func (h *Histogram) Quantile(q float64) int64 {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	target := min(max(int64(q*float64(total)), 1), total)
+	var cum int64
+	for i := range len(h.bounds) + 1 {
+		n := h.buckets[i].Load()
+		if n == 0 {
+			continue
+		}
+		if cum+n >= target {
+			var lo int64
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			hi := h.max.Load()
+			if i < len(h.bounds) && h.bounds[i] < hi {
+				hi = h.bounds[i]
+			}
+			hi = max(hi, lo)
+			frac := float64(target-cum) / float64(n)
+			return lo + int64(frac*float64(hi-lo))
+		}
+		cum += n
+	}
+	return h.max.Load()
+}
+
+// cumulative returns the cumulative bucket counts, aligned with bounds and
+// then +Inf, reading each bucket once: the last is the count.
+func (h *Histogram) cumulative() []int64 {
+	cum := make([]int64, len(h.bounds)+1)
+	var run int64
+	for i := range cum {
+		run += h.buckets[i].Load()
 		cum[i] = run
 	}
-	return cum, h.sum, h.count
+	return cum
 }
 
 // DefBuckets are the default latency buckets, in seconds (25µs … 10s).
@@ -157,6 +219,7 @@ type metric struct {
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
+	collect func() // run at the start of every exposition (nil = none)
 }
 
 // NewRegistry creates an empty registry.
@@ -194,9 +257,10 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.g
 }
 
-// Histogram returns the named histogram, registering it on first use
-// with the given bucket upper bounds (nil = DefBuckets). Bounds must be
-// strictly increasing; the +Inf bucket is implicit.
+// Histogram returns the named latency histogram, registering it on first
+// use with the given bucket upper bounds in seconds (nil = DefBuckets).
+// Bounds must be strictly increasing in whole nanoseconds; the +Inf
+// bucket is implicit. It is exposed in seconds.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -209,15 +273,17 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
+	if len(bounds) > maxBounds {
+		panic(fmt.Sprintf("obs: histogram %q has more than %d buckets", name, maxBounds))
+	}
+	ns := make([]int64, len(bounds))
+	for i, b := range bounds {
+		ns[i] = int64(math.Round(b * 1e9))
+		if i > 0 && ns[i] <= ns[i-1] {
 			panic(fmt.Sprintf("obs: histogram %q buckets not strictly increasing", name))
 		}
 	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+	h := &Histogram{bounds: ns}
 	r.metrics[name] = &metric{name: name, help: help, kind: kindHistogram, h: h}
 	return h
 }
@@ -242,6 +308,16 @@ func (r *Registry) lookup(name, help string, kind metricKind) *metric {
 	return m
 }
 
+// OnCollect installs fn to run at the start of every exposition (WriteTo,
+// and so Handler), for instruments read from elsewhere at scrape time
+// rather than updated as events happen, such as runtime gauges. A later
+// call replaces the hook.
+func (r *Registry) OnCollect(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collect = fn
+}
+
 // Families returns the registered metric names, sorted.
 func (r *Registry) Families() []string {
 	r.mu.RLock()
@@ -255,8 +331,15 @@ func (r *Registry) Families() []string {
 }
 
 // WriteTo renders the registry in the Prometheus text exposition format
-// (version 0.0.4), families sorted by name for deterministic output.
+// (version 0.0.4), families sorted by name for deterministic output,
+// after running the collect hook.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+	r.mu.RLock()
+	collect := r.collect
+	r.mu.RUnlock()
+	if collect != nil {
+		collect()
+	}
 	r.mu.RLock()
 	ms := make([]*metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
@@ -284,12 +367,13 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.g.Value())
 		case kindHistogram:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", m.name)
-			cum, sum, count := m.h.snapshot()
+			cum := m.h.cumulative()
 			for i, bound := range m.h.bounds {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, formatFloat(bound), cum[i])
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, seconds(bound), cum[i])
 			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum[len(cum)-1])
-			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatFloat(sum))
+			count := cum[len(cum)-1]
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, count)
+			fmt.Fprintf(&b, "%s_sum %s\n", m.name, seconds(m.h.Sum()))
 			fmt.Fprintf(&b, "%s_count %d\n", m.name, count)
 		}
 	}
@@ -306,8 +390,9 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// seconds renders ns nanoseconds as seconds.
+func seconds(ns int64) string {
+	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
 func escapeHelp(s string) string {

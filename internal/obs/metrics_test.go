@@ -66,20 +66,22 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// le is inclusive: an observation equal to a bound lands in that
 	// bucket, per the Prometheus convention.
 	for _, v := range []float64{0.5, 1, 1.5, 2, 5, 7} {
-		h.Observe(v)
+		h.Observe(int64(v * 1e9))
 	}
-	cum, sum, count := h.snapshot()
-	want := []uint64{2, 4, 5, 6} // ≤1, ≤2, ≤5, +Inf (cumulative)
+	cum := h.cumulative()
+	want := []int64{2, 4, 5, 6} // ≤1, ≤2, ≤5, +Inf (cumulative)
 	for i, w := range want {
 		if cum[i] != w {
 			t.Errorf("bucket %d = %d, want %d (cum=%v)", i, cum[i], w, cum)
 		}
 	}
-	if sum != 17 || count != 6 {
-		t.Errorf("sum=%v count=%d, want 17, 6", sum, count)
+	if sum, count := h.Sum(), h.Count(); sum != 17e9 || count != 6 {
+		t.Errorf("sum=%v count=%d, want 17e9, 6", sum, count)
 	}
 }
 
+// TestHistogramConcurrent: observations from many goroutines all count,
+// and an exposition racing them prints a _count equal to its +Inf bucket.
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "", []float64{10})
@@ -92,6 +94,22 @@ func TestHistogramConcurrent(t *testing.T) {
 				h.Observe(1)
 			}
 		}()
+	}
+	for i := 0; i < 20; i++ {
+		var b strings.Builder
+		r.WriteTo(&b)
+		var inf, count string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `lat_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "lat_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("exposition racing observations: +Inf bucket %q, _count %q", inf, count)
+		}
 	}
 	wg.Wait()
 	if got := h.Count(); got != 4000 {
@@ -129,9 +147,9 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("sqlts_active", "Active things.").Set(2)
 	r.CounterVec("sqlts_helpers_total", "Helpers.", "outcome", "borrowed", "denied").With("denied").Add(4)
 	h := r.Histogram("sqlts_latency_seconds", "Latency.", []float64{0.001, 0.01})
-	h.Observe(0.0005)
-	h.Observe(0.005)
-	h.Observe(0.5)
+	h.Observe(500e3) // ns
+	h.Observe(5e6)
+	h.Observe(500e6)
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {

@@ -17,13 +17,13 @@ import (
 	"sync/atomic"
 )
 
-// latBounds are the latency bucket upper bounds in nanoseconds:
-// geometric from 1µs with ratio 1.5, 48 buckets (≈1µs … ≈190s), plus an
-// implicit overflow bucket. Ratio 1.5 bounds the worst-case quantile
-// error at ~25% before interpolation, which is plenty for p50/p95/p99
-// dashboards while keeping Observe a short binary search.
+// latBounds are the statement histograms' bucket upper bounds in
+// nanoseconds: geometric from 1µs with ratio 1.5, 48 buckets (≈1µs …
+// ≈190s), plus the implicit overflow bucket. Ratio 1.5 bounds the
+// worst-case quantile error at ~25% before interpolation, which is plenty
+// for p50/p95/p99 dashboards while keeping Observe a short binary search.
 var latBounds = func() []int64 {
-	b := make([]int64, 48)
+	b := make([]int64, maxBounds)
 	v := 1000.0
 	for i := range b {
 		b[i] = int64(v)
@@ -31,105 +31,6 @@ var latBounds = func() []int64 {
 	}
 	return b
 }()
-
-// LatencyHist is a lock-free log-bucketed latency histogram. The zero
-// value is ready to use. All methods are safe for concurrent use; a nil
-// receiver is a no-op, so disabled stores need no call-site guards.
-type LatencyHist struct {
-	buckets [49]atomic.Int64 // latBounds buckets + overflow
-	count   atomic.Int64
-	sum     atomic.Int64 // total nanoseconds
-	max     atomic.Int64
-}
-
-// Observe records one duration in nanoseconds.
-func (h *LatencyHist) Observe(ns int64) {
-	if h == nil {
-		return
-	}
-	if ns < 0 {
-		ns = 0
-	}
-	i := sort.Search(len(latBounds), func(i int) bool { return ns <= latBounds[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		m := h.max.Load()
-		if ns <= m || h.max.CompareAndSwap(m, ns) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *LatencyHist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total observed nanoseconds.
-func (h *LatencyHist) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Max returns the largest observation in nanoseconds.
-func (h *LatencyHist) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Quantile estimates the q-th quantile (0 < q ≤ 1) in nanoseconds by
-// linear interpolation within the landing bucket. Returns 0 with no
-// observations. Concurrent observations may skew an in-flight estimate
-// slightly; each bucket read is individually atomic.
-func (h *LatencyHist) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if cum+n >= target {
-			var lo int64
-			if i > 0 {
-				lo = latBounds[i-1]
-			}
-			hi := h.max.Load()
-			if i < len(latBounds) && latBounds[i] < hi {
-				hi = latBounds[i]
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := float64(target-cum) / float64(n)
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return h.max.Load()
-}
 
 // ErrClass classifies a failed execution for per-statement accounting.
 // The classes mirror the caller's typed error taxonomy without importing
@@ -233,8 +134,14 @@ type StmtStats struct {
 	prunedRows  atomic.Int64
 	streamsOpen atomic.Int64
 
-	lat     LatencyHist
-	pushLat LatencyHist
+	lat     Histogram
+	pushLat Histogram
+}
+
+func newStmtStats(key string) *StmtStats {
+	s := &StmtStats{key: key}
+	s.lat.bounds, s.pushLat.bounds = latBounds, latBounds
+	return s
 }
 
 // Key returns the statement key (normalized SQL) the entry aggregates.
@@ -313,15 +220,22 @@ func (s *StmtStats) RecordAdmissionWait(ns int64) {
 	s.admWaitNs.Add(ns)
 }
 
-// RecordPush folds one stream push into the entry: rows pruned from the
-// retained window, plus the push latency when it was sampled (a
-// negative durNs means this push's latency was not measured — push and
-// pruned counts stay exact, the latency histogram subsamples).
-func (s *StmtStats) RecordPush(durNs, pruned int64) {
+// RecordPush counts one stream push: a tuple that reached the matcher.
+func (s *StmtStats) RecordPush() {
 	if s == nil {
 		return
 	}
 	s.pushes.Add(1)
+}
+
+// RecordPushCost folds what one stream push cost into the entry: rows
+// pruned from the retained window, plus the push latency when it was
+// sampled (a negative durNs means this push's latency was not measured —
+// pruned counts stay exact, the latency histogram subsamples).
+func (s *StmtStats) RecordPushCost(durNs, pruned int64) {
+	if s == nil {
+		return
+	}
 	if pruned != 0 {
 		s.prunedRows.Add(pruned)
 	}
@@ -545,7 +459,7 @@ func (st *StmtStore) Get(key string) *StmtStats {
 	if st.count.Load() >= cap {
 		return st.overflowEntry()
 	}
-	e = &StmtStats{key: key}
+	e = newStmtStats(key)
 	sh.entries[key] = e
 	st.count.Add(1)
 	return e
@@ -563,7 +477,7 @@ func (st *StmtStore) overflowEntry() *StmtStats {
 	if e := st.overflow.Load(); e != nil {
 		return e
 	}
-	e := &StmtStats{key: OverflowKey}
+	e := newStmtStats(OverflowKey)
 	if st.overflow.CompareAndSwap(nil, e) {
 		return e
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // TestLatencyHistQuantiles checks the quantile estimator against a
-// known distribution: the log-bucketed histogram with ratio 1.5 and
-// linear interpolation must land within one bucket (≤50% relative
-// error, usually far less) of the exact quantile.
+// known distribution: the statement histogram's log buckets with ratio
+// 1.5 and linear interpolation must land within one bucket (≤50%
+// relative error, usually far less) of the exact quantile.
 func TestLatencyHistQuantiles(t *testing.T) {
-	var h LatencyHist
+	h := &Histogram{bounds: latBounds}
 	// Uniform 1µs..10ms in 1µs steps: exact quantiles are trivial.
 	const n = 10000
 	for i := 1; i <= n; i++ {
@@ -56,7 +56,7 @@ func TestLatencyHistQuantiles(t *testing.T) {
 }
 
 func TestLatencyHistEdgeCases(t *testing.T) {
-	var h LatencyHist
+	h := &Histogram{bounds: latBounds}
 	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Max() != 0 {
 		t.Error("empty histogram must report zeros")
 	}
@@ -67,14 +67,14 @@ func TestLatencyHistEdgeCases(t *testing.T) {
 	}
 	// A single huge observation lands in the overflow bucket; the
 	// quantile must come back as the tracked max, not a bucket bound.
-	var h2 LatencyHist
+	h2 := &Histogram{bounds: latBounds}
 	const huge = int64(500e9) // past the ~190s top bound
 	h2.Observe(huge)
 	if got := h2.Quantile(0.99); got != huge {
 		t.Errorf("overflow-bucket quantile = %d, want %d", got, huge)
 	}
 	// Nil receivers are no-ops everywhere.
-	var hn *LatencyHist
+	var hn *Histogram
 	hn.Observe(1)
 	if hn.Count() != 0 || hn.Quantile(0.5) != 0 || hn.Sum() != 0 || hn.Max() != 0 {
 		t.Error("nil histogram must report zeros")
@@ -166,7 +166,8 @@ func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 	var nilEntry *StmtStats
 	nilEntry.RecordQuery(QueryObs{})
 	nilEntry.RecordError(ErrOther)
-	nilEntry.RecordPush(1, 1)
+	nilEntry.RecordPush()
+	nilEntry.RecordPushCost(1, 1)
 	nilEntry.RecordPushMatch()
 	nilEntry.StreamOpened()
 	nilEntry.StreamClosed()
@@ -204,7 +205,8 @@ func TestStmtStoreConcurrent(t *testing.T) {
 					Kernel:    i%2 == 0,
 					Naive:     i%3 == 0,
 				})
-				e.RecordPush(int64(i%50)*100, int64(i%3))
+				e.RecordPush()
+				e.RecordPushCost(int64(i%50)*100, int64(i%3))
 				e.StreamOpened()
 				e.StreamClosed()
 				if i%100 == 0 {

@@ -15,7 +15,7 @@ import (
 //	defer testutil.LeakCheck(t)()
 //
 // at the top of any test that starts goroutines (parallel execution,
-// streams, the runtime sampler). The check polls for up to two seconds
+// streams, admission waits). The check polls for up to two seconds
 // before declaring a leak, since legitimately finished goroutines can
 // take a few scheduler ticks to be descheduled; on failure it dumps all
 // goroutine stacks so the leaked one is identifiable.

@@ -11,7 +11,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sqlts/internal/engine"
@@ -58,80 +57,27 @@ type SlowQueryRecord struct {
 	Report string `json:"report"`
 }
 
-// slowLog is a fixed-capacity ring of the most recent slow queries.
-type slowLog struct {
-	mu       sync.Mutex
-	capacity int
-	seq      uint64
-	recs     []SlowQueryRecord // ring, oldest at head when full
-}
-
-func newSlowLog(capacity int) *slowLog {
-	return &slowLog{capacity: capacity}
-}
-
-func (l *slowLog) add(rec SlowQueryRecord) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.capacity <= 0 {
-		return 0
-	}
-	l.seq++
-	rec.ID = l.seq
-	if len(l.recs) < l.capacity {
-		l.recs = append(l.recs, rec)
-	} else {
-		copy(l.recs, l.recs[1:])
-		l.recs[len(l.recs)-1] = rec
-	}
-	return rec.ID
-}
-
-// snapshot returns the retained records, most recent first.
-func (l *slowLog) snapshot() []SlowQueryRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SlowQueryRecord, len(l.recs))
-	for i, r := range l.recs {
-		out[len(out)-1-i] = r
-	}
-	return out
-}
-
-func (l *slowLog) setCapacity(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	l.capacity = n
-	if len(l.recs) > n {
-		l.recs = append([]SlowQueryRecord(nil), l.recs[len(l.recs)-n:]...)
-	}
-}
-
-func (l *slowLog) reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = nil
-}
-
 // SlowLog returns the retained slow-query records, most recent first.
 // Records are captured whenever an execution meets the
-// SetSlowQueryThreshold duration (with or without a hook function) or
-// ends in a contained panic.
-func (db *DB) SlowLog() []SlowQueryRecord { return db.slow.snapshot() }
+// SetSlowQueryThreshold duration or ends in a contained panic.
+func (db *DB) SlowLog() []SlowQueryRecord {
+	recs, last := db.slow.Snapshot()
+	for i := range recs {
+		recs[i].ID = last - uint64(i)
+	}
+	return recs
+}
 
 // SetSlowLogCapacity resizes the slow-query ring (default 32; oldest
 // records are dropped first). 0 disables retention — the threshold
-// metric and hook keep firing.
-func (db *DB) SetSlowLogCapacity(n int) { db.slow.setCapacity(n) }
+// metric and the events' Slow flag stay.
+func (db *DB) SetSlowLogCapacity(n int) { db.slow.SetCapacity(n) }
 
 // ResetIntrospection clears the statement stats and the slow-query log
 // in one call (knobs and thresholds are kept).
 func (db *DB) ResetIntrospection() {
 	db.stmts.Reset()
-	db.slow.reset()
+	db.slow.Reset()
 }
 
 // WriteStatementStats renders the statement table as aligned text,

@@ -169,7 +169,7 @@ func TestStatementStatsDisabled(t *testing.T) {
 func TestSlowQueryLogRetention(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
-	db.SetSlowQueryThreshold(time.Nanosecond, nil) // everything is slow
+	db.SetSlowQueryThreshold(time.Nanosecond) // everything is slow
 
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(introspectSQL1); err != nil {
@@ -223,7 +223,7 @@ func TestSlowQueryLogRetention(t *testing.T) {
 		t.Errorf("after wrap: IDs %d,%d want 5,4", recs[0].ID, recs[1].ID)
 	}
 
-	// Capacity 0 disables retention (the hook/counter path stays live).
+	// Capacity 0 disables retention (the slow flag and counter stay live).
 	db.SetSlowLogCapacity(0)
 	if _, err := db.Query(introspectSQL1); err != nil {
 		t.Fatal(err)

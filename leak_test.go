@@ -3,23 +3,11 @@ package sqlts
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"sqlts/internal/fault"
 	"sqlts/internal/storage"
 	"sqlts/internal/testutil"
 )
-
-// TestRuntimeSamplerNoLeak: stop() is synchronous — the sampler
-// goroutine is gone the moment it returns, and stopping twice is safe.
-func TestRuntimeSamplerNoLeak(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	db := New()
-	stop := db.StartRuntimeSampler(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	stop() // idempotent
-}
 
 // TestParallelErrorNoLeak: a worker failing (injected error and panic)
 // must not strand the other workers — every goroutine exits even though

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"time"
 
 	"sqlts/internal/obs"
@@ -12,7 +13,9 @@ import (
 
 // dbMetrics bundles the instruments every DB feeds while serving
 // queries and streams. Instruments live in an obs.Registry exposed via
-// DB.Metrics / DB.MetricsHandler in the Prometheus text format.
+// DB.Metrics / DB.MetricsHandler in the Prometheus text format; the
+// runtime gauges are read by the registry's collect hook on every
+// exposition.
 type dbMetrics struct {
 	reg *obs.Registry
 
@@ -69,7 +72,7 @@ type dbMetrics struct {
 
 func newDBMetrics() *dbMetrics {
 	reg := obs.NewRegistry()
-	return &dbMetrics{
+	m := &dbMetrics{
 		reg: reg,
 		queries: reg.Counter("sqlts_queries_total",
 			"SELECT statements executed (EXPLAIN ANALYZE runs included)."),
@@ -118,15 +121,15 @@ func newDBMetrics() *dbMetrics {
 		streamPrunedRows: reg.Counter("sqlts_stream_pruned_rows_total",
 			"Rows dropped from stream retained windows by pruning."),
 		goroutines: reg.Gauge("sqlts_goroutines",
-			"Goroutines at the last runtime sample."),
+			"Goroutines, read at exposition."),
 		heapAlloc: reg.Gauge("sqlts_heap_alloc_bytes",
-			"Live heap bytes at the last runtime sample."),
+			"Live heap bytes, read at exposition."),
 		heapObjects: reg.Gauge("sqlts_heap_objects",
-			"Live heap objects at the last runtime sample."),
+			"Live heap objects, read at exposition."),
 		gcCycles: reg.Gauge("sqlts_gc_cycles_total",
-			"Completed GC cycles at the last runtime sample."),
+			"Completed GC cycles, read at exposition."),
 		gcPauseTotal: reg.Gauge("sqlts_gc_pause_total_ns",
-			"Cumulative GC stop-the-world pause at the last runtime sample."),
+			"Cumulative GC stop-the-world pause, read at exposition."),
 		kernelCompiled: reg.Counter("sqlts_kernel_elements_compiled_total",
 			"Pattern elements compiled to columnar predicate kernels at Prepare."),
 		kernelFallback: reg.Counter("sqlts_kernel_elements_fallback_total",
@@ -157,6 +160,20 @@ func newDBMetrics() *dbMetrics {
 		eventsEmitted: reg.Counter("sqlts_events_emitted_total",
 			"Wide events delivered to the configured event sink."),
 	}
+	reg.OnCollect(m.sampleRuntime)
+	return m
+}
+
+// sampleRuntime reads the Go runtime's memory and scheduler statistics
+// into the sqlts_goroutines / sqlts_heap_* / sqlts_gc_* gauges.
+func (m *dbMetrics) sampleRuntime() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m.goroutines.Set(int64(runtime.NumGoroutine()))
+	m.heapAlloc.Set(int64(ms.HeapAlloc))
+	m.heapObjects.Set(int64(ms.HeapObjects))
+	m.gcCycles.Set(int64(ms.NumGC))
+	m.gcPauseTotal.Set(int64(ms.PauseTotalNs))
 }
 
 // Metrics returns the database's metrics registry. Callers may register
@@ -164,7 +181,7 @@ func newDBMetrics() *dbMetrics {
 func (db *DB) Metrics() *obs.Registry { return db.metrics.reg }
 
 // WriteMetrics renders the registry in the Prometheus text exposition
-// format.
+// format, runtime gauges read as it is written.
 func (db *DB) WriteMetrics(w io.Writer) error {
 	_, err := db.metrics.reg.WriteTo(w)
 	return err
@@ -176,14 +193,11 @@ func (db *DB) MetricsHandler() http.Handler { return db.metrics.reg.Handler() }
 
 // SetSlowQueryThreshold sets the slow-query threshold: every execution
 // whose duration (obs.Event.DurationNs: time after admission) is d or
-// longer carries Slow in its event, increments sqlts_slow_queries_total,
-// lands in the slow-query log and, when fn is non-nil, is handed to fn
-// synchronously from the executing goroutine (keep it cheap; copy and
-// hand off for heavy processing). A zero d disables all four.
-func (db *DB) SetSlowQueryThreshold(d time.Duration, fn func(obs.Event)) {
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	db.slowFn = fn
+// longer carries Slow in its event, increments sqlts_slow_queries_total
+// and lands in the slow-query log. A zero d disables all three. To act on
+// slow runs as they finish, filter ev.Slow in the EventSink, which
+// receives every event synchronously.
+func (db *DB) SetSlowQueryThreshold(d time.Duration) {
 	db.slowNs.Store(d.Nanoseconds())
 }
 
@@ -228,7 +242,7 @@ func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
 		m.rollbacks.Add(ev.Rollbacks)
 		m.matches.Add(ev.Matches)
 		m.clustersScanned.Add(ev.Clusters)
-		m.queryDuration.Observe(time.Duration(ev.DurationNs).Seconds())
+		m.queryDuration.Observe(ev.DurationNs)
 		if ev.Vectorized {
 			m.vectorizedRuns.Inc()
 		}
@@ -245,9 +259,8 @@ func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
 	}
 }
 
-// retainSlow lands a slow run or a contained panic in the slow-query log
-// — the event plus a report: the annotated plan, or the captured stack —
-// and hands a slow run's event to the hook.
+// retainSlow lands a slow run or a contained panic in the slow-query log:
+// the event plus a report, the annotated plan or the captured stack.
 func (db *DB) retainSlow(q *Query, ev *obs.Event, res *Result, err error) {
 	rec := SlowQueryRecord{Event: *ev}
 	var pe *PanicError
@@ -256,15 +269,8 @@ func (db *DB) retainSlow(q *Query, ev *obs.Event, res *Result, err error) {
 	} else {
 		rec.Report = q.reportBody(ev, res)
 	}
-	db.slow.add(rec)
-	if !ev.Slow {
-		return
-	}
-	db.metrics.slowQueries.Inc()
-	db.slowMu.Lock()
-	fn := db.slowFn
-	db.slowMu.Unlock()
-	if fn != nil {
-		fn(*ev)
+	db.slow.Add(rec)
+	if ev.Slow {
+		db.metrics.slowQueries.Inc()
 	}
 }

@@ -80,14 +80,11 @@ type DB struct {
 	// Statement introspection (introspect.go): per-statement stats keyed
 	// like the plan cache, and the retained slow-query log.
 	stmts *obs.StmtStore
-	slow  *slowLog
+	slow  *obs.Ring[SlowQueryRecord]
 
 	// slowNs is the slow-query threshold in nanoseconds (0 = off), read by
-	// every execution; slowMu guards the hook, fetched only by a run that
-	// is over the threshold.
+	// every execution.
 	slowNs atomic.Int64
-	slowMu sync.Mutex
-	slowFn func(obs.Event)
 
 	// flight is the query flight recorder (flight.go): the active-query
 	// registry behind /debug/queries and remote kill, plus the wide-event
@@ -108,7 +105,7 @@ func New() *DB {
 		parts:    newPartitionCache(defaultPartitionCacheCapacity),
 		metrics:  newDBMetrics(),
 		stmts:    obs.NewStmtStore(defaultStatementCapacity),
-		slow:     newSlowLog(defaultSlowLogCapacity),
+		slow:     obs.NewRing[SlowQueryRecord](defaultSlowLogCapacity),
 	}
 	db.plans = newPlanCache(defaultPlanCacheCapacity, db.holdPattern, db.forgetKernel)
 	db.flight.flights = obs.NewFlightRegistry()

@@ -59,10 +59,13 @@ type Stream struct {
 	failed error
 
 	// entry is the statement-stats bucket pushes and matches accumulate
-	// into (nil when statement tracking is disabled); pushSeq drives the
-	// 1-in-16 push-latency sampling.
+	// into (nil when statement tracking is disabled). pushSeq counts the
+	// pushes that reached the matcher, and drives the 1-in-16 push-latency
+	// sampling; opened is when the stream opened. The closing event reads
+	// both.
 	entry   *obs.StmtStats
 	pushSeq uint64
+	opened  time.Time
 
 	// flight is the stream's active-query registration (nil with the
 	// recorder off). It stays registered for the stream's whole lifetime
@@ -115,6 +118,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 		entry:    q.db.stmts.Get(q.plan.key),
 		flight:   fl,
 		rc:       newRunControl(opts.Context, RunOptions{}, fl),
+		opened:   time.Now(),
 		last:     -1,
 		row:      make(storage.Row, compiled.Schema.Len()),
 	}
@@ -227,17 +231,12 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 		row[i] = v
 	}
 
-	m := st.m
-	m.streamPushes.Inc()
-	// A push is a row: the flight derives its rows from its pushes.
-	st.flight.TickPushes(1)
 	// Per-push latency is sampled 1 push in 16: pushes are ~µs-scale, so
 	// two clock reads on every one would be a measurable tax on the
 	// steady-state streaming path. Push and pruned-row *counts* are
 	// exact; only the latency histograms subsample.
 	var pushStart time.Time
 	sampled := st.pushSeq&15 == 0
-	st.pushSeq++
 	if sampled {
 		pushStart = time.Now()
 	}
@@ -273,6 +272,13 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 		}
 	}
 	st.cur = id
+	// The tuple reaches the matcher: it is one push in every view, counted
+	// here and nowhere else. A push is a row: the flight derives its rows
+	// from its pushes.
+	st.pushSeq++
+	st.m.streamPushes.Inc()
+	st.flight.TickPushes(1)
+	st.entry.RecordPush()
 	prunedBefore := st.arena.Pruned()
 	if err := st.arena.PushContained(id, row); err != nil {
 		return err
@@ -280,15 +286,14 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	st.tickEvals()
 	pruned := st.arena.Pruned() - prunedBefore
 	if pruned > 0 {
-		m.streamPrunedRows.Add(pruned)
+		st.m.streamPrunedRows.Add(pruned)
 	}
 	durNs := int64(-1) // negative = latency not sampled this push
 	if sampled {
-		d := time.Since(pushStart)
-		m.streamPushDuration.Observe(d.Seconds())
-		durNs = d.Nanoseconds()
+		durNs = time.Since(pushStart).Nanoseconds()
+		st.m.streamPushDuration.Observe(durNs)
 	}
-	st.entry.RecordPush(durNs, pruned)
+	st.entry.RecordPushCost(durNs, pruned)
 	return st.sinkErr
 }
 
