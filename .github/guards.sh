@@ -105,15 +105,25 @@ absent 'the batch path carries projections again' \
 	'Projs' -- internal/engine/run.go driver.go serving.go
 
 guard 'One §5 runtime'
-# Every pattern, star-free ones included, runs the §5 loops (the generic,
-# element-1-skip and pair-scan loops, and the stream's drain), which read
+# Every pattern, star-free ones included, runs the §5 loops, which read
 # §4.2's tables through the one rule on core.Tables.Next; streams read the
-# plan's own tables. The plain search loop, the second per-pattern table
-# set for streams and the NoKernel run and stream options were deleted.
+# plan's own tables. There are two loops: the row loop (evaluator.advance),
+# which batch runs once per cluster and a stream once per push, and batch's
+# pure-mask fast path (searchPure: the element-1 skip and the pair scan).
+# So step.rollback is called from those two only; the stream's drain and
+# the batch findAllStar, two copies of the row loop, were merged into it.
+# The plain search loop, the second per-pattern table set for streams and
+# the NoKernel run and stream options were deleted. A line whose first
+# character other than a blank is a slash (a comment) is exempt.
 absent 'a second search loop, stream table set or interpreter switch is back' \
 	-E 'findAllPlain|evalPlain|loopPlain|streamTabs|streamTables|NoKernel' -- '*.go' ':!*_test.go' ':!benchmark/'
 absent 'ComputeForStream is called outside the core package and the benchmark harness' \
 	'ComputeForStream(' -- '*.go' ':!internal/core/' ':!benchmark/'
+only_in 'step.rollback is called outside the row loop and the pure-mask loop: a second row loop is back' \
+	'^[[:space:]]*[^[:space:]/].*\.rollback\(' \
+	"$(git ls-files ':(glob)internal/engine/*.go' ':(exclude,glob)internal/engine/*_test.go' | tr '\n' ' ')" \
+	'func (e *evaluator) advance(c *cursor, steps []step, star []bool, count []int, n, off, limit int) bool {' \
+	'func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match, int64) {'
 
 guard 'GOMAXPROCS is read in the elastic branch only'
 # runtime.GOMAXPROCS(0) takes the scheduler lock. The driver may call it in
@@ -145,8 +155,8 @@ absent 'BuildMasks called outside internal/pattern and internal/engine' \
 
 guard 'One rollback, decided once per table entry'
 # §5 mismatch rule 2 is derived in one place, the step builder newSteps,
-# from the tables and the executor's fixed configuration; the generic,
-# pure and stream loops read only the steps, and every OPS configuration
+# from the tables and the executor's fixed configuration; the row loop
+# and the pure loop read only the steps, and every OPS configuration
 # takes the pure loops (Name only prints the configuration). A line whose
 # first character other than a blank is a slash (a comment) is exempt.
 only_in 'the rollback rule or an ablation config is read outside the step builder' \

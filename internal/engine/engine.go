@@ -299,27 +299,30 @@ func (e *evaluator) UseProjection(proj *storage.Projection) {
 func (e *evaluator) SetInterrupt(check func() error) { e.check = check }
 
 // checkpoint is the amortized interruption/injection slow path, taken
-// once per 1024 evals.
-func (e *evaluator) checkpoint() { checkpoint(e.check) }
-
-// checkpoint fires the engine.eval fault point and consults check (nil
-// for none), unwinding with an Interrupt when either reports an error.
-func checkpoint(check func() error) {
+// once per 1024 evals: it fires the engine.eval fault point and consults
+// the interrupt, unwinding with an Interrupt when either reports an error.
+func (e *evaluator) checkpoint() {
 	mustFire(faultEval)
-	if check != nil {
-		if err := check(); err != nil {
+	if e.check != nil {
+		if err := e.check(); err != nil {
 			panic(Interrupt{Err: err})
 		}
 	}
 }
 
+// nearCheckpoint reports whether the next eval runs the checkpoint: the
+// row loop parks its cursor first (advance).
+func (e *evaluator) nearCheckpoint() bool { return (e.stats.PredEvals+1)&checkpointMask == 0 }
+
 // eval tests pattern element j (1-based) against input tuple i (1-based)
-// and updates the counters.
+// and updates the counters. The checkpoint runs before the probe is
+// counted, so a search it stops and a later one resumes counts the probe
+// once.
 func (e *evaluator) eval(j, i int) bool {
-	e.stats.PredEvals++
-	if e.stats.PredEvals&checkpointMask == 0 && (e.check != nil || fault.Active()) {
+	if e.nearCheckpoint() && (e.check != nil || fault.Active()) {
 		e.checkpoint()
 	}
+	e.stats.PredEvals++
 	if e.doTrc {
 		e.trace = append(e.trace, PathPoint{I: i, J: j})
 	}

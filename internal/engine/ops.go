@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"sqlts/internal/core"
+	"sqlts/internal/fault"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
@@ -162,10 +163,18 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.reset(seq)
 	o.stats = Stats{}
 	o.ranPure = o.allPure
-	if !o.allPure {
-		return o.findAllStar(seq)
+	if o.allPure {
+		return o.findAllStarPure(seq, o.pair)
 	}
-	return o.findAllStarPure(seq, o.pair)
+	from, m := o.matches.Len(), o.p.Len()
+	star, count := o.tables.Star, o.count
+	count[0] = 0
+	clear(o.bindings()) // the last search may have ended inside an attempt
+	c := cursor{i: 1, j: 1}
+	for o.advance(&c, o.steps, star, count, len(seq), 0, 0) || c.ended(star) {
+		from = o.matches.Append(from, o.take(&c, count, o.spans.Take(m), o.cfg.Policy))
+	}
+	return o.matches.Run(from), o.stats
 }
 
 // SearchLoop names the loop a vectorized run over kernel k of an OPS
@@ -217,78 +226,89 @@ func NaiveSearchLoop(k *pattern.Kernel) string {
 	return "naive, every start"
 }
 
-// countSpans builds a match's per-element spans from the §5 counters:
-// element k covers tuples count[k-1] .. count[k]-1 of the match, whose
-// first tuple is start (1-based). Every element of a reported match has
-// consumed at least one tuple, so every span is set.
-func (o *OPS) countSpans(count []int, start int) []pattern.Span {
-	spans := o.spans.Take(len(count) - 1)
-	for k := range spans {
-		spans[k] = pattern.Span{Start: start - 1 + count[k], End: start - 2 + count[k+1], Set: true}
-	}
-	return spans
+// cursor is where a §5 search stands: i is the 1-based input cursor and j
+// the 1-based pattern cursor, per the paper's presentation, and inElem
+// counts the tuples the current element has taken. With count[] and the
+// bindings it is the machine's whole state, so a search that has run out
+// of rows is parked in it, not finished.
+type cursor struct {
+	i         int
+	j, inElem int32
 }
 
-// findAllStar is the §5 runtime: a per-element cumulative counter array
-// count[] tracks how many input tuples each element consumed, and mismatch
-// rollback takes the failed element's step (step.rollback), resuming at
-// i - count[j-1] + count[shift+next-1] with the counters (and bindings)
-// re-based onto the shifted alignment. It is the generic loop: every probe
-// goes through eval, so cross conditions, path tracing and fault injection
-// all run here, and findAllStarPure is differenced against it.
-func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
-	from := o.matches.Len()
-	nn := len(seq)
-	m := o.p.Len()
-	star, steps := o.tables.Star, o.steps
-	toNextRow := o.cfg.Policy == SkipToNextRow
-	fastSkip := o.fastSkip
-	count := o.count
-	count[0] = 0
+// ended is the end-of-input rule: whether a search parked at c completes
+// a match once its input has ended, which it does inside a satisfied
+// trailing star.
+func (c *cursor) ended(star []bool) bool {
+	m := len(star) - 1
+	return int(c.j) == m && star[m] && c.inElem > 0
+}
+
+// advance is the §5 row loop, batch's and every stream's: count[] tracks
+// how many tuples each element consumed, and a mismatch rolls back by the
+// failed element's step (step.rollback), re-basing the counters and
+// bindings onto the shifted alignment. It runs cursor c over rows up to n
+// and returns true at a completed match (take records it), or false parked
+// once it runs out of rows. Batch calls it over a cluster, a stream on
+// every push; the end of input is the caller's (cursor.ended).
+//
+// The evaluator's sequence starts at row off+1 (0 in batch, the window's
+// offset in a stream); probes and bindings are relative to it. The rest
+// are inputs: fastSkip runs the element-1 skip, a step's back flag the
+// NoCounters restart, and limit > 0 abandons an attempt that has taken
+// limit rows (a stream's MaxBuffer). Every probe goes through eval, so
+// cross conditions, path tracing and fault injection run here, and the
+// pure loop is differenced against it. The cursor is parked wherever the
+// search can stop — on return, before a checkpoint, at the shift fault
+// point — so an interrupted search resumes with each probe and rollback
+// counted once.
+func (e *evaluator) advance(c *cursor, steps []step, star []bool, count []int, n, off, limit int) bool {
+	m := len(star) - 1
 	// bind[k] is set only for elements the current attempt has entered
 	// (cross conditions read Set), so every exit from an attempt clears
-	// exactly the prefix that attempt set. The last search may have ended
-	// inside one.
-	bind := o.bindings()
-	clear(bind)
-
-	i, j, inElem := 1, 1, 0
+	// exactly the prefix that attempt set.
+	bind := e.ctx.Bind
+	i, j, inElem := c.i, int(c.j), int(c.inElem)
 	for {
-		if j > m || (i > nn && j == m && star[m] && inElem > 0) {
-			// A match: every element is satisfied, or the input ran out
-			// inside a satisfied trailing star. Its spans are the counters.
-			start := i - count[m] // 1-based first tuple of the match
-			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
-			o.stats.Matches++
-			if toNextRow {
-				i = start + 1
-			}
-			j, inElem = 1, 0
-			clear(bind)
-			continue
+		if j > m { // a match: every element is satisfied
+			*c = cursor{i, int32(j), int32(inElem)}
+			return true
 		}
-		if i > nn {
-			// Input exhausted short of a match: no later attempt can
-			// finish either (greedy element boundaries are monotone in the
-			// start position), so the search ends.
-			break
+		if i > n {
+			// Out of rows: park for more. At the end of input no later
+			// attempt can finish either (greedy element boundaries are
+			// monotone in the start position), so only cursor.ended's rule
+			// completes a match there.
+			*c = cursor{i, int32(j), int32(inElem)}
+			return false
 		}
-		if j == 1 && inElem == 0 && fastSkip {
+		if j == 1 && inElem == 0 && e.fastSkip {
 			// A fresh attempt failing at element 1 restarts one row later
 			// (next(1) = 0), costing one eval and one rollback per row, with
 			// bindings already clear: a run of zero bits in element 1's mask
 			// collapses to bulk accounting.
-			if c := o.nextCandidate(i, nn); c > i {
-				o.skipEvals(int64(c - i))
-				i = c
+			if k := e.nextCandidate(i-off, n-off) + off; k > i {
+				e.skipEvals(int64(k - i))
+				i = k
 				continue // re-enter the input-exhausted check
 			}
 		}
-		if o.eval(j, i) {
+		if limit > 0 && count[j-1]+inElem >= limit {
+			// Safety valve: the attempt spans limit tuples; abandon it.
+			clear(bind[:j])
+			i++
+			j, inElem = 1, 0
+			continue
+		}
+		if e.nearCheckpoint() {
+			*c = cursor{i, int32(j), int32(inElem)}
+		}
+		if e.eval(j, i-off) {
+			slot := i - 1 - off
 			if inElem == 0 {
-				bind[j-1] = pattern.Span{Start: i - 1, End: i - 1, Set: true}
+				bind[j-1] = pattern.Span{Start: slot, End: slot, Set: true}
 			} else {
-				bind[j-1].End = i - 1
+				bind[j-1].End = slot
 			}
 			i++
 			inElem++
@@ -310,8 +330,7 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 		// §5 mismatch rule 2: roll back by element j's step. At this point
 		// the current element has consumed nothing, so i sits at the start
 		// of element j's would-be span and the attempt has set bind[:j-1].
-		o.stats.Rollbacks++
-		mustFire(faultOPSShift)
+		e.stats.Rollbacks++
 		s := steps[j]
 		keep := max(s.resume-1, 0) // bindings the shifted alignment carries over
 		copy(bind[:keep], bind[s.from:])
@@ -322,22 +341,47 @@ func (o *OPS) findAllStar(seq []storage.Row) ([]Match, Stats) {
 		if i, j = s.rollback(count, i, j); s.consume {
 			// The failed tuple, row i-1, was taken as element j-1: that
 			// can complete the pattern outright.
-			bind[j-2] = pattern.Span{Start: i - 2, End: i - 2, Set: true}
+			slot := i - 2 - off
+			bind[j-2] = pattern.Span{Start: slot, End: slot, Set: true}
+		}
+		if fault.Active() {
+			*c = cursor{i, int32(j), 0}
+			mustFireSlow(faultOPSShift)
 		}
 	}
-	return o.matches.Run(from), o.stats
 }
 
-// findAllStarPure is findAllStar specialised to the case FindAll selects
-// it for: every element's selection mask alone answers its probes and
-// nothing observes probes one at a time. The mask then already holds
-// every verdict, so a probe is an inline bit test, a run of failed starts
-// and a star element's run of set bits are one word scan each, and no
-// binding is maintained at all — nothing reads one, and a match's spans
-// are its counters. Every bulk step books exactly the evals (and, for
-// failed starts, the rollbacks) the generic loop spends on its rows, and
+// take records the match cursor c has completed and moves c to the next
+// attempt by the skip policy (§5's restart rule): past the match's last
+// row, or one past its first with SkipToNextRow. The match's spans are
+// written into spans from the counters: element k covers tuples
+// count[k-1] .. count[k]-1 of the match. Every element of a completed
+// match has consumed at least one tuple, so every span is set.
+func (e *evaluator) take(c *cursor, count []int, spans []pattern.Span, policy SkipPolicy) Match {
+	i := c.i
+	start := i - count[len(count)-1] // 1-based first tuple of the match
+	for k := range spans {
+		spans[k] = pattern.Span{Start: start - 1 + count[k], End: start - 2 + count[k+1], Set: true}
+	}
+	e.stats.Matches++
+	if policy == SkipToNextRow {
+		c.i = start + 1
+	}
+	c.j, c.inElem = 1, 0
+	clear(e.ctx.Bind)
+	return Match{Start: start - 1, End: i - 2, Spans: spans}
+}
+
+// findAllStarPure is the row loop (advance) specialised to the case
+// FindAll selects it for: every element's selection mask alone answers
+// its probes and nothing observes probes one at a time. The mask then
+// already holds every verdict, so a probe is an inline bit test, a run of
+// failed starts and a star element's run of set bits are one word scan
+// each, and no binding is maintained at all — nothing reads one, and a
+// match's spans are its counters. Every bulk step books exactly the evals (and, for
+// failed starts, the rollbacks) the row loop spends on its rows, and
 // the checkpoint fires once per 1024-eval boundary crossed, so Stats and
-// cancellation latency are identical to findAllStar's.
+// cancellation latency are identical to the row loop's.
 //
 // With pair set (OPS.pair) a fresh attempt at row r fails in one
 // of two ways: X misses r (one eval), or X holds and element 2 misses
@@ -374,23 +418,19 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 	from := o.matches.Len()
 	m := o.p.Len()
 	star, steps := o.tables.Star, o.steps
-	toNextRow := o.cfg.Policy == SkipToNextRow
 	slab, words, slots := o.slab, o.words, o.pureSlots
 	count := o.count
 	count[0] = 0
 	var rollbacks, scanned int64
-	start, matches := evals, 0
+	start := evals
+	o.stats.Matches = 0
 
 	i, j := 1, 1
 	for {
 		if j > m {
-			start := i - count[m]
-			from = o.matches.Append(from, Match{Start: start - 1, End: i - 2, Spans: o.countSpans(count, start)})
-			matches++
-			if toNextRow {
-				i = start + 1
-			}
-			j = 1
+			at := cursor{i: i, j: int32(j)}
+			from = o.matches.Append(from, o.take(&at, count, o.spans.Take(m), o.cfg.Policy))
+			i, j = at.i, 1
 			continue
 		}
 		if i > nn {
@@ -445,7 +485,7 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 	if y != nil {
 		o.pairRows += scanned
 	}
-	o.stats = Stats{PredEvals: evals - start, Rollbacks: rollbacks, Matches: matches}
+	o.stats = Stats{PredEvals: evals - start, Rollbacks: rollbacks, Matches: o.stats.Matches}
 	return o.matches.Run(from), evals
 }
 

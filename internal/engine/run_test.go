@@ -430,7 +430,8 @@ func TestRunLoopDifferential(t *testing.T) {
 // — purePattern over pureSeq for an even seed, repeatPattern over walkSeq
 // for an odd one, n%2048 rows long, star-free when n's top bit is set —
 // into clusters at the boundaries the cuts' bits choose, and runs
-// runChecks on them. The seed corpus is in testdata/fuzz/FuzzRunLoop.
+// runChecks and streamCheck on them. The seed corpus is in
+// testdata/fuzz/FuzzRunLoop.
 func FuzzRunLoop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, cuts uint64) {
 		r := rand.New(rand.NewSource(seed))
@@ -455,8 +456,56 @@ func FuzzRunLoop(f *testing.F) {
 				from = i + 1
 			}
 		}
-		runChecks(t, fmt.Sprintf("seed %d n=%d cuts=%x", seed, rows, cuts), p, clusters, seed%4 == 1)
+		label := fmt.Sprintf("seed %d n=%d cuts=%x", seed, rows, cuts)
+		runChecks(t, label, p, clusters, seed%4 == 1)
+		streamCheck(t, label, p, clusters)
 	})
+}
+
+// streamCheck pushes clusters round-robin through one StreamArena with
+// the kernel attached, a row of each live cluster in turn, then flushes
+// each, and fails unless every cluster's matches, and the arena's Stats,
+// are what FindAll finds cluster by cluster under the default OPSConfig.
+func streamCheck(t testing.TB, label string, p *pattern.Pattern, clusters [][]storage.Row) {
+	t.Helper()
+	tab := core.Compute(p)
+	got := make([][]Match, len(clusters))
+	var cur int32
+	a := NewStreamArena(p, StreamConfig{Tables: tab}, func(m Match) { got[cur] = append(got[cur], m) })
+	a.UseKernel(p.CompileKernel())
+	live := make([]int32, len(clusters))
+	for id := range live {
+		live[id] = a.Add()
+	}
+	for row := 0; len(live) > 0; row++ {
+		next := live[:0]
+		for _, id := range live {
+			cur = id
+			if err := a.Push(id, clusters[id][row]); err != nil {
+				t.Fatalf("%s: push to cluster %d: %v", label, id, err)
+			}
+			if row+1 < len(clusters[id]) {
+				next = append(next, id)
+			}
+		}
+		live = next
+	}
+	for id := range clusters {
+		cur = int32(id)
+		a.Flush(cur)
+	}
+	ref := NewOPS(p, tab, OPSConfig{})
+	var want Stats
+	for id, seq := range clusters {
+		ms, st := ref.FindAll(seq)
+		want.Add(st)
+		if !matchesEqual(got[id], ms) {
+			t.Fatalf("%s: stream cluster %d matched %s, FindAll %s", label, id, fmtMatches(got[id]), fmtMatches(ms))
+		}
+	}
+	if a.Stats() != want {
+		t.Fatalf("%s: the stream's stats are %+v, the clusters' %+v", label, a.Stats(), want)
+	}
 }
 
 // tenRowChunk is 10,000 ten-row clusters of longRunFixture's pattern (A =

@@ -50,17 +50,18 @@ const streamInitRows = 4
 // input streams" via user-defined aggregates), with the same shift/next
 // optimization applied incrementally, per cluster.
 //
-// What every cluster's search reads of the configuration — the pattern,
-// its tables, the kernel, the StreamConfig, the emit callback, the
-// interrupt, the tuple width and the kernel's projected columns — is
-// here, once. A cluster is an id from Add into three dense arrays: a
-// streamRec (its cursors, its successor and its window), its count[]
-// and its bindings, the §5 machine's only other state. A push to a cold
-// cluster reads those, which a feed that cycles through its clusters
-// reads in address order, and then its window's slot (through
-// streamRec.top, not the slot's header) and projected column rows, and
-// nothing more. Counters (Stats, Pruned) are the arena's, summed over
-// its clusters.
+// A push runs batch's row loop (evaluator.advance) until it parks, and
+// Flush ends the input. What every cluster's search reads of the
+// configuration is here, once: the evaluator (pattern, kernel, interrupt,
+// counters), the steps, the StreamConfig, the emit callback, the tuple
+// width and the kernel's projected columns. A cluster is an id from Add
+// into three dense arrays: a streamRec (its cursor, its successor and its
+// window), its count[] and its bindings, the §5 machine's only other
+// state. A push to a cold cluster reads those, which a feed that cycles
+// through its clusters reads in address order, and then its window's slot
+// (through streamRec.top, not the slot's header) and projected column
+// rows, and nothing more. Counters (Stats, Pruned) are the arena's,
+// summed over its clusters.
 //
 // A cluster retains only the window from just before its current match
 // attempt's start, so memory is proportional to the longest live match
@@ -91,43 +92,35 @@ type StreamArena struct {
 	// its bindings (m from id*m).
 	counts []int
 	binds  []pattern.Span
-	stats  Stats
 	pruned int64 // rows dropped from the retained windows so far
 
-	// The configuration. check is the cooperative cancellation checkpoint
-	// (SetInterrupt), consulted every checkpointMask+1 predicate
-	// evaluations.
-	p        *pattern.Pattern
+	// ev probes and counts for every cluster. The probe view is the
+	// cluster being advanced (enter): ev.ctx, count and ev.proj's column
+	// headers point into its window, so the kernel's one row probe reads a
+	// stream cluster as it reads any projection.
+	ev    evaluator
+	count []int
+
+	// The configuration.
 	t        *core.Tables
 	steps    []step
-	kern     *pattern.Kernel
 	cfg      StreamConfig
 	emit     func(Match)
-	check    func() error
 	m, width int // pattern elements, tuple values
 
 	// The kernel's projected columns, in the order a window's columns
 	// hold their regions.
 	numCols, nullCols, strCols []int
 
-	// The probe view of the cluster being advanced (enter): ctx.Seq and
-	// ctx.Bind, count, and proj's projected column headers point into its
-	// window, so the kernel's one row probe reads a stream cluster as it
-	// reads any projection.
-	ctx         pattern.EvalContext
-	count       []int
-	proj        storage.Projection
 	spanScratch []pattern.Span // emission buffer when cfg.ReuseSpans
 }
 
-// streamRec is one cluster's record. Machine state: i is the 1-based
-// global input cursor and j the 1-based pattern cursor, per the paper's
-// presentation; inElem counts the tuples the current element has taken.
-// Binds are slot indexes while evaluating and global at emission.
-// Bind[k] is set only for elements the current attempt has entered.
+// streamRec is one cluster's record. Its cursor's input cursor i is
+// global; its bindings are slot indexes, and Bind[k] is set only for
+// elements the current attempt has entered.
 type streamRec struct {
-	i, off     int // off is the global 0-based index of the tuple in slot 0
-	j, inElem  int32
+	cursor
+	off        int   // the global 0-based index of the tuple in slot 0
 	head, tail int32 // the live window is slots [head, tail)
 	// next is the owner's routing state (Next): the rest of what routing
 	// reads of a cluster — its key values and its last SEQUENCE BY values
@@ -169,9 +162,12 @@ func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, emit func(Match
 	if t == nil {
 		t = core.Compute(p)
 	}
-	a.p, a.t, a.cfg, a.emit = p, t, cfg, emit
+	a.ev, a.t, a.cfg, a.emit = newEvaluator(p), t, cfg, emit
 	a.steps = newSteps(t, OPSConfig{LastRowSkip: cfg.LastRowSkip})
 	a.m, a.width = p.Len(), p.Schema.Len()
+	if cfg.ReuseSpans {
+		a.spanScratch = make([]pattern.Span, a.m)
+	}
 }
 
 // UseKernel attaches a compiled predicate kernel: pushed tuples are
@@ -181,18 +177,19 @@ func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, emit func(Match
 // buffered are projected on attach). A nil kernel, or one with no
 // compiled elements, leaves the interpreter in place.
 func (a *StreamArena) UseKernel(k *pattern.Kernel) {
-	a.kern, a.proj = nil, storage.Projection{}
+	a.ev.kern, a.ev.proj = nil, nil
 	a.numCols, a.nullCols, a.strCols = nil, nil, nil
 	if k != nil && k.CompiledElems() > 0 {
-		a.kern, a.proj = k, *k.NewProjection()
-		for c := range a.proj.Null {
-			if a.proj.Num[c] != nil {
+		proj := k.NewProjection()
+		a.ev.kern, a.ev.proj = k, proj
+		for c := range proj.Null {
+			if proj.Num[c] != nil {
 				a.numCols = append(a.numCols, c)
 			}
-			if a.proj.Null[c] != nil {
+			if proj.Null[c] != nil {
 				a.nullCols = append(a.nullCols, c)
 			}
-			if a.proj.Str[c] != nil {
+			if proj.Str[c] != nil {
 				a.strCols = append(a.strCols, c)
 			}
 		}
@@ -200,10 +197,10 @@ func (a *StreamArena) UseKernel(k *pattern.Kernel) {
 	for id := range a.recs {
 		r := &a.recs[id]
 		r.cols = a.newColumns(len(r.rows))
-		if a.kern != nil {
+		if a.ev.kern != nil {
 			a.enter(int32(id))
 			for t, row := range r.rows[:r.tail] {
-				a.proj.SetRow(t, row)
+				a.ev.proj.SetRow(t, row)
 			}
 		}
 	}
@@ -213,7 +210,7 @@ func (a *StreamArena) UseKernel(k *pattern.Kernel) {
 // once every 1024 predicate evaluations. A non-nil error unwinds the
 // machine with an Interrupt panic, which Push recovers into its error
 // return (a mid-Flush interrupt propagates to Flush's caller).
-func (a *StreamArena) SetInterrupt(check func() error) { a.check = check }
+func (a *StreamArena) SetInterrupt(check func() error) { a.ev.check = check }
 
 // Add creates a cluster with an empty window and returns its id: ids are
 // dense, in creation order.
@@ -228,7 +225,7 @@ func (a *StreamArena) Add() int32 {
 		a.counts = append(make([]int, 0, n*(a.m+1)), a.counts...)
 		a.binds = append(make([]pattern.Span, 0, n*a.m), a.binds...)
 	}
-	a.recs = append(a.recs, streamRec{i: 1, j: 1, next: -1})
+	a.recs = append(a.recs, streamRec{cursor: cursor{i: 1, j: 1}, next: -1})
 	a.counts = append(a.counts, make([]int, a.m+1)...)
 	a.binds = append(a.binds, make([]pattern.Span, a.m)...)
 	a.grow(&a.recs[id])
@@ -248,7 +245,7 @@ func (a *StreamArena) Next(id int32) int32 { return a.recs[id].next }
 func (a *StreamArena) SetNext(id, next int32) { a.recs[id].next = next }
 
 // Stats returns the runtime counters accumulated over every cluster.
-func (a *StreamArena) Stats() Stats { return a.stats }
+func (a *StreamArena) Stats() Stats { return a.ev.stats }
 
 // Pruned reports the cumulative number of rows dropped from the
 // retained windows (for the pruned-rows observability counters).
@@ -303,15 +300,15 @@ func (a *StreamArena) Push(id int32, row storage.Row) error {
 	// machine can raise an Interrupt — skip the recover frame (its cost
 	// is per push, and pushes are µs-scale). Genuine predicate panics
 	// propagate to the caller's containment boundary either way.
-	if a.check == nil && !fault.Active() {
+	if a.ev.check == nil && !fault.Active() {
 		return a.PushContained(id, row)
 	}
 	return a.pushChecked(id, row)
 }
 
 func (a *StreamArena) pushChecked(id int32, row storage.Row) (err error) {
-	if a.check != nil {
-		if e := a.check(); e != nil {
+	if a.ev.check != nil {
+		if e := a.ev.check(); e != nil {
 			return e
 		}
 	}
@@ -349,10 +346,12 @@ func (a *StreamArena) PushContained(id int32, row storage.Row) error {
 	copy(a.slot(r, r.tail), row)
 	r.tail++
 	a.enter(id)
-	if a.kern != nil {
-		a.proj.SetRow(int(r.tail)-1, row)
+	if a.ev.kern != nil {
+		a.ev.proj.SetRow(int(r.tail)-1, row)
 	}
-	a.drain(r)
+	for a.advance(r) {
+		a.record(r)
+	}
 	a.prune(r)
 	return nil
 }
@@ -403,20 +402,21 @@ func (a *StreamArena) enter(id int32) {
 	r := &a.recs[id]
 	o := int(id) * (a.m + 1)
 	a.count = a.counts[o : o+a.m+1 : o+a.m+1]
-	a.ctx.Bind = a.bindsOf(id)
-	a.ctx.Seq = r.rows[:r.tail]
-	if a.kern == nil {
+	a.ev.ctx.Bind = a.bindsOf(id)
+	a.ev.ctx.Seq = r.rows[:r.tail]
+	proj := a.ev.proj
+	if proj == nil {
 		return
 	}
 	c := len(r.rows)
 	for k, col := range a.numCols {
-		a.proj.Num[col] = r.cols.num[k*c : (k+1)*c : (k+1)*c]
+		proj.Num[col] = r.cols.num[k*c : (k+1)*c : (k+1)*c]
 	}
 	for k, col := range a.nullCols {
-		a.proj.Null[col] = r.cols.null[k*c : (k+1)*c : (k+1)*c]
+		proj.Null[col] = r.cols.null[k*c : (k+1)*c : (k+1)*c]
 	}
 	for k, col := range a.strCols {
-		a.proj.Str[col] = r.cols.strs[k*c : (k+1)*c : (k+1)*c]
+		proj.Str[col] = r.cols.strs[k*c : (k+1)*c : (k+1)*c]
 	}
 }
 
@@ -469,8 +469,8 @@ func (a *StreamArena) makeRoom(id int32) {
 }
 
 // Flush signals the end of cluster id's stream: a satisfied trailing
-// star element completes its match. The cluster cannot be pushed to
-// afterwards.
+// star element completes its match (cursor.ended). The cluster cannot be
+// pushed to afterwards.
 func (a *StreamArena) Flush(id int32) {
 	r := &a.recs[id]
 	if r.closed {
@@ -478,143 +478,26 @@ func (a *StreamArena) Flush(id int32) {
 	}
 	r.closed = true
 	a.enter(id)
-	m := a.m
-	for {
-		a.drain(r) // returns only when i is past the available input
-		if int(r.j) == m && a.t.Star[m] && r.inElem > 0 {
-			// A satisfied trailing star completes at end of stream.
-			start := a.record(r, r.i)
-			if a.cfg.Policy == SkipToNextRow && start < r.off+int(r.tail) {
-				r.i, r.j, r.inElem = start+1, 1, 0
-				clear(a.ctx.Bind)
-				continue
-			}
-		}
-		// Greedy element boundaries are monotone in the start position,
-		// so once the input exhausts mid-attempt no later attempt can
-		// complete either (same argument as the batch executor).
-		break
+	for a.advance(r) || r.ended(a.t.Star) {
+		a.record(r)
 	}
 }
 
-// record emits r's completed match (elements 1..m all satisfied; i one
-// past the last consumed tuple) and returns its 1-based global start.
-// Bind spans are slot indexes internally; the emitted match carries
-// global coordinates.
-func (a *StreamArena) record(r *streamRec, i int) int {
-	m := a.m
-	start := i - a.count[m]
-	var spans []pattern.Span
-	if a.cfg.ReuseSpans {
-		if cap(a.spanScratch) < m {
-			a.spanScratch = make([]pattern.Span, m)
-		}
-		spans = a.spanScratch[:m]
-		clear(spans)
-	} else {
-		spans = make([]pattern.Span, m)
-	}
-	for k, sp := range a.ctx.Bind {
-		if sp.Set {
-			spans[k] = pattern.Span{Start: sp.Start + r.off, End: sp.End + r.off, Set: true}
-		}
-	}
-	a.stats.Matches++
-	a.emit(Match{Start: start - 1, End: i - 2, Spans: spans})
-	return start
+// advance runs the row loop on r, whose probe view is entered, over the
+// tuples it has received, reading the configuration's steps and buffer
+// limit: it returns true at a completed match, false parked.
+func (a *StreamArena) advance(r *streamRec) bool {
+	return a.ev.advance(&r.cursor, a.steps, a.t.Star, a.count, r.off+int(r.tail), r.off, a.cfg.MaxBuffer)
 }
 
-// park writes drain's local cursors and counters back.
-func (a *StreamArena) park(r *streamRec, i, j, inElem int, evals, rollbacks int64) {
-	r.i, r.j, r.inElem = i, int32(j), int32(inElem)
-	a.stats.PredEvals, a.stats.Rollbacks = evals, rollbacks
-}
-
-// drain runs r's §5 machine while input is available; the probe view is
-// r's (enter). Cursors, counters and tables live in locals for the run
-// and are parked wherever control can leave it: at a checkpoint, around
-// an emission, on return.
-func (a *StreamArena) drain(r *streamRec) {
-	p, kern, proj, ctx := a.p, a.kern, &a.proj, &a.ctx
-	m := a.m
-	star, steps := a.t.Star, a.steps
-	count, bind := a.count, a.ctx.Bind
-	toNextRow := a.cfg.Policy == SkipToNextRow
-	maxBuf := a.cfg.MaxBuffer
-	off := r.off
-	n := off + int(r.tail) // tuples received so far
-	check := a.check
-	i, j, inElem := r.i, int(r.j), int(r.inElem)
-	evals, rollbacks := a.stats.PredEvals, a.stats.Rollbacks
-
-	for {
-		if j > m {
-			a.park(r, i, j, inElem, evals, rollbacks)
-			start := a.record(r, i)
-			if toNextRow {
-				i = start + 1
-			}
-			j, inElem = 1, 0
-			clear(bind)
-			continue
-		}
-		if i > n {
-			break // need more input (or Flush)
-		}
-		if maxBuf > 0 && count[j-1]+inElem >= maxBuf {
-			// Safety valve: the attempt spans MaxBuffer tuples; abandon it.
-			clear(bind[:j])
-			i++
-			j, inElem = 1, 0
-			continue
-		}
-		evals++
-		if evals&checkpointMask == 0 && (check != nil || fault.Active()) {
-			a.park(r, i, j, inElem, evals, rollbacks)
-			checkpoint(check)
-		}
-		slot := i - 1 - off
-		ctx.Pos = slot
-		var ok bool
-		if kern != nil {
-			ok = kern.EvalElem(j-1, proj, ctx)
-		} else {
-			ok = p.EvalElem(j-1, ctx)
-		}
-		if ok {
-			if inElem == 0 {
-				bind[j-1] = pattern.Span{Start: slot, End: slot, Set: true}
-			} else {
-				bind[j-1].End = slot
-			}
-			i++
-			inElem++
-			count[j] = count[j-1] + inElem
-			if !star[j] {
-				j++
-				inElem = 0
-			}
-			continue
-		}
-		if star[j] && inElem > 0 {
-			j++
-			inElem = 0
-			continue
-		}
-		// Roll back by element j's step (as the batch executor does; a
-		// stream has no back step): the current element has consumed
-		// nothing, so the attempt has set bind[:j-1].
-		rollbacks++
-		s := steps[j]
-		keep := max(s.resume-1, 0)
-		copy(bind[:keep], bind[s.from:])
-		clear(bind[keep : j-1])
-		if i, j = s.rollback(count, i, j); s.consume {
-			slot := i - 2 - off
-			bind[j-2] = pattern.Span{Start: slot, End: slot, Set: true}
-		}
+// record emits r's completed match, in global coordinates, and moves r's
+// cursor to the next attempt (evaluator.take).
+func (a *StreamArena) record(r *streamRec) {
+	spans := a.spanScratch
+	if !a.cfg.ReuseSpans {
+		spans = make([]pattern.Span, a.m)
 	}
-	a.park(r, i, j, inElem, evals, rollbacks)
+	a.emit(a.ev.take(&r.cursor, a.count, spans, a.cfg.Policy))
 }
 
 // prune retires r's window slots before (match start - 1); the extra
@@ -648,7 +531,7 @@ func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Stream
 func (s *Streamer) UseKernel(k *pattern.Kernel) { s.a.UseKernel(k) }
 
 // Stats returns the accumulated runtime counters.
-func (s *Streamer) Stats() Stats { return s.a.stats }
+func (s *Streamer) Stats() Stats { return s.a.Stats() }
 
 // BufferLen reports the currently retained window size
 // (StreamArena.BufferLen).

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"sqlts/internal/constraint"
 	"sqlts/internal/core"
+	"sqlts/internal/fault"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
@@ -199,6 +201,74 @@ func TestStreamCrossConditions(t *testing.T) {
 		if !matchesEqual(nm, sm) {
 			t.Fatalf("trial %d: cross-condition stream diverged\nnaive:  %s\nstream: %s\nseq: %v",
 				trial, fmtMatches(nm), fmtMatches(sm), seqVals(seq))
+		}
+	}
+}
+
+// TestStreamResumeAfterInterrupt: a stream that one in-machine checkpoint
+// (engine.eval) or one rollback (engine.ops.shift) interrupted during a
+// push resumes on its next push where the interrupt stopped it, with the
+// stopped probe and rollback counted once: over 100 seeded patterns that
+// each spend at least 2,048 pred-evals and match, its matches and Stats
+// equal an uninterrupted stream's, under both policies, interpreting and
+// with the kernel.
+func TestStreamResumeAfterInterrupt(t *testing.T) {
+	defer fault.Reset()
+	stop := errors.New("stop")
+	r := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 100; trial++ {
+		cfg := StreamConfig{Policy: SkipPolicy(trial % 2)}
+		var kern *pattern.Kernel
+		var p *pattern.Pattern
+		var seq []storage.Row
+		var want []Match
+		var pushed, wantStats Stats
+		for pushed.PredEvals < 2048 || pushed.Rollbacks == 0 || len(want) == 0 {
+			p = structuredPattern(t, r, pattern.Options{})
+			if trial%4 >= 2 {
+				kern = p.CompileKernel()
+			}
+			seq = walkSeq(r, 2100+r.Intn(1000))
+			want = nil
+			s := NewStreamer(p, cfg, func(m Match) { want = append(want, m) })
+			s.UseKernel(kern)
+			for _, row := range seq {
+				if err := s.Push(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pushed = s.Stats()
+			s.Flush()
+			wantStats = s.Stats()
+		}
+		// The k-th hit of each point falls in a push: checkpoint k runs
+		// before the (1024k)th pred-eval, and the shift point fires at every
+		// rollback.
+		for _, c := range []struct {
+			point string
+			hits  int64
+		}{{"engine.eval", pushed.PredEvals >> 10}, {"engine.ops.shift", pushed.Rollbacks}} {
+			k := r.Int63n(c.hits)
+			if err := fault.Arm(c.point, fault.Action{Err: stop, After: k, Times: 1}); err != nil {
+				t.Fatal(err)
+			}
+			var got []Match
+			s := NewStreamer(p, cfg, func(m Match) { got = append(got, m) })
+			s.UseKernel(kern)
+			stopped := 0
+			for _, row := range seq {
+				if err := s.Push(row); errors.Is(err, stop) {
+					stopped++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Flush()
+			fault.Reset()
+			if stopped != 1 || !matchesEqual(got, want) || s.Stats() != wantStats {
+				t.Fatalf("trial %d, %s after %d hits: %d pushes stopped, resumed %+v %s, uninterrupted %+v %s\npattern %s",
+					trial, c.point, k, stopped, s.Stats(), fmtMatches(got), wantStats, fmtMatches(want), explain(p))
+			}
 		}
 	}
 }
