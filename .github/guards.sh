@@ -145,6 +145,13 @@ for call in 'ComputeMatrices(' 'CompileKernel('; do
 		'sqlts.go: func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.Trace) *patternArtifact {'
 done
 
+# A statement's pattern is looked up once, from its tokens, before its
+# FROM … WHERE is parsed (DB.parse, through query.ParseShared's lookup),
+# and the compile takes the artifact that lookup found: a lookup in the
+# compile is a second one on the hit path.
+once 'the pattern lookup is made outside the statement parse, or more than once:' 'sharedPattern(' \
+	'sqlts.go: func (db *DB) parse(sql string) (sel *query.SelectStmt, mode explainMode, hit *patternArtifact, err error) {'
+
 guard 'One memo builder'
 # The partition memos are built by the kernel's run builder
 # (pattern.Kernel.BuildRun). Its one-cluster case, BuildMasks, is for the
@@ -187,7 +194,7 @@ guard 'A warm statement is found by its text'
 once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
 	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
 once 'the partition key is computed outside the plan compile, or more than once:' 'partitionKey(' \
-	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Plan, error) {'
+	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string, tr *obs.Trace) (*Plan, error) {'
 absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 

@@ -20,6 +20,7 @@ import (
 	"sqlts/internal/engine"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 	"sqlts/internal/workload"
 	"sqlts/ta"
 )
@@ -621,7 +622,7 @@ func BenchmarkServing(b *testing.B) {
 // number of digits however many statements run. With magnitude 0 the
 // statements differ only in an alias, and all have the primed plan's
 // pattern, that of X.price > -1.
-func coldStatements(b *testing.B, magnitude int) (*sqlts.DB, func(i int) string) {
+func coldStatements(b testing.TB, magnitude int) (*sqlts.DB, func(i int) string) {
 	b.Helper()
 	prices := workload.DJIA25Years(1)
 	for i := 0; i < 12; i++ {
@@ -675,6 +676,42 @@ func runCold(b *testing.B, db *sqlts.DB, sql func(i int) string) {
 func BenchmarkColdSharedPattern(b *testing.B) {
 	db, sql := coldStatements(b, 0)
 	runCold(b, db, sql)
+}
+
+// TestColdSharedPatternAllocs pins the objects BenchmarkColdSharedPattern's
+// op allocates: db.Query of a never-seen text whose pattern cached plans
+// hold, which lexes, finds the pattern by its FROM … WHERE tokens, parses
+// and analyses its SELECT list, and runs over the cached partition. The
+// pin was set where the lookup before parsing put it, with a margin of
+// four objects; it must never loosen, only tighten.
+func TestColdSharedPatternAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	db, sql := coldStatements(t, 0)
+	const runs = 100
+	texts := make([]string, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range texts {
+		texts[i] = sql(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		res, err := db.Query(texts[i])
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PlanCached() || !res.PartitionCached() || res.Stats.PredEvals != 11972 {
+			t.Fatalf("a cold statement: plan cached %v, partition cached %v, %d pred-evals",
+				res.PlanCached(), res.PartitionCached(), res.Stats.PredEvals)
+		}
+	})
+	const limit = 87
+	if allocs > limit {
+		t.Errorf("a cold statement over a cached pattern allocates %.1f objects, want at most %d", allocs, limit)
+	} else {
+		t.Logf("a cold statement over a cached pattern: %.1f objects", allocs)
+	}
 }
 
 // BenchmarkColdDistinctPatterns is BenchmarkColdSharedPattern with a

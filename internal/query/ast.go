@@ -33,7 +33,8 @@ type SelectStmt struct {
 	// list, so two statements with equal keys over one schema analyse to
 	// the same pattern. It is "" when a string literal holds a NUL byte,
 	// which would make the encoding ambiguous: such a statement shares
-	// nothing.
+	// nothing. A statement whose key ParseShared's lookup found holds the
+	// found statement's clauses and key string, unparsed.
 	PatternKey string
 }
 

@@ -3,18 +3,30 @@ package query
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"sqlts/internal/storage"
 )
 
 // Parse parses one SQL-TS statement.
-func Parse(src string) (Stmt, error) {
-	toks, err := Lex(src)
-	if err != nil {
+func Parse(src string) (Stmt, error) { return ParseShared(src, nil) }
+
+// ParseShared is Parse with a lookup of the statement's FROM … WHERE: a
+// SELECT hands tail its tokens from FROM to the end of input, a final
+// ';' left out, in the encoding of SelectStmt.PatternKey (tail is not
+// called when the tokens have no key). When tail returns a statement,
+// the result takes its FROM, CLUSTER BY, SEQUENCE BY, AS and WHERE
+// clauses and its PatternKey instead of parsing them: the key being one
+// of a statement that parsed, the tokens parse to those very clauses,
+// and without an error. The returned clauses are shared, so nothing may
+// change a parsed statement. A nil tail parses as Parse does.
+func ParseShared(src string, tail func(key []byte) *SelectStmt) (Stmt, error) {
+	p := newParser()
+	defer p.release()
+	if err := p.lex(src); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	st, err := p.statement()
+	st, err := p.statement(tail)
 	if err != nil {
 		return nil, err
 	}
@@ -27,14 +39,14 @@ func Parse(src string) (Stmt, error) {
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Stmt, error) {
-	toks, err := Lex(src)
-	if err != nil {
+	p := newParser()
+	defer p.release()
+	if err := p.lex(src); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	var out []Stmt
 	for !p.at(TokEOF, "") {
-		st, err := p.statement()
+		st, err := p.statement(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -49,17 +61,100 @@ func ParseScript(src string) ([]Stmt, error) {
 	return out, nil
 }
 
+// parser is a parse in progress. What it holds besides the parse's
+// result — tokens, string literal texts, the pattern key buffer — is
+// written and dropped by every parse, and nothing it returns points
+// into it, so parsers are recycled, and a parse allocates for its tree.
 type parser struct {
-	toks []Token
+	src  string
+	toks []tok
+	lits []string // the texts of string literals with an escaped quote
 	pos  int
+
+	// key holds the pattern key of toks[from:keyEnd], from a SELECT's
+	// FROM, once one was written (see patternKey); keyEnd is 0 when it
+	// holds none.
+	key    []byte
+	keyEnd int
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// A recycled parser keeps a token slice of at most maxKeptTokens tokens
+// and a key buffer of at most maxKeptKey bytes.
+const (
+	maxKeptTokens = 1 << 14
+	maxKeptKey    = 1 << 16
+)
+
+func newParser() *parser { return parsers.Get().(*parser) }
+
+// release recycles p, dropping what it points at.
+func (p *parser) release() {
+	toks, lits, key := p.toks[:0], p.lits[:0], p.key[:0]
+	clear(p.lits)
+	if cap(toks) > maxKeptTokens {
+		toks = nil
+	}
+	if cap(key) > maxKeptKey {
+		key = nil
+	}
+	*p = parser{toks: toks, lits: lits, key: key}
+	parsers.Put(p)
+}
+
+// writeKey writes the key of toks[from:end] into p.key; false when the
+// tokens have none (see PatternKey).
+func (p *parser) writeKey(from, end int) bool {
+	b := p.key[:0]
+	for i := from; i < end; i++ {
+		t := &p.toks[i]
+		text := p.text(t)
+		if t.kind == TokString && strings.IndexByte(text, 0) >= 0 {
+			p.keyEnd = 0
+			return false
+		}
+		b = append(b, byte(t.kind))
+		b = append(b, text...)
+		b = append(b, 0)
+	}
+	p.key, p.keyEnd = b, end
+	return true
+}
+
+// sharedTail offers the statement's tokens from FROM, at p.pos, to the
+// end of input to tail (see ParseShared). On a hit it moves p.pos to the
+// end and returns the statement whose clauses the tokens spell.
+func (p *parser) sharedTail(tail func(key []byte) *SelectStmt) *SelectStmt {
+	end := len(p.toks) - 1 // the EOF token
+	if last := &p.toks[end-1]; last.kind == TokOp && p.text(last) == ";" {
+		end--
+	}
+	if !p.writeKey(p.pos, end) {
+		return nil
+	}
+	sh := tail(p.key)
+	if sh != nil {
+		p.pos = end
+	}
+	return sh
+}
+
+// patternKey is the PatternKey of the tokens from toks[from] to p.pos:
+// the key sharedTail wrote when it covers them, else a new one.
+func (p *parser) patternKey(from int) string {
+	if p.keyEnd != p.pos && !p.writeKey(from, p.pos) {
+		return ""
+	}
+	return string(p.key)
+}
+
+func (p *parser) cur() Token  { return p.token(p.pos) }
+func (p *parser) next() Token { p.pos++; return p.token(p.pos - 1) }
 
 func (p *parser) at(kind TokenKind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && (text == "" || t.Text == text)
+	t := &p.toks[p.pos]
+	return t.kind == kind && (text == "" || p.text(t) == text)
 }
 
 func (p *parser) accept(kind TokenKind, text string) bool {
@@ -92,12 +187,13 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 	return t, errf(t.Line, t.Col, "expected %q, found %s", want, t)
 }
 
-func (p *parser) statement() (Stmt, error) {
+// statement parses one statement; tail is ParseShared's, nil elsewhere.
+func (p *parser) statement(tail func(key []byte) *SelectStmt) (Stmt, error) {
 	switch {
 	case p.at(TokKeyword, "SELECT"):
-		return p.selectStmt()
+		return p.selectStmt(tail)
 	case p.at(TokKeyword, "EXPLAIN"):
-		return p.explainStmt()
+		return p.explainStmt(tail)
 	case p.at(TokKeyword, "CREATE"):
 		return p.createStmt()
 	case p.at(TokKeyword, "INSERT"):
@@ -108,7 +204,7 @@ func (p *parser) statement() (Stmt, error) {
 	}
 }
 
-func (p *parser) selectStmt() (*SelectStmt, error) {
+func (p *parser) selectStmt(tail func(key []byte) *SelectStmt) (*SelectStmt, error) {
 	if _, err := p.expect(TokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
@@ -132,6 +228,13 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		}
 	}
 	from := p.pos
+	if tail != nil && p.at(TokKeyword, "FROM") {
+		if sh := p.sharedTail(tail); sh != nil {
+			st.Table, st.ClusterBy, st.SequenceBy = sh.Table, sh.ClusterBy, sh.SequenceBy
+			st.Pattern, st.Where, st.PatternKey = sh.Pattern, sh.Where, sh.PatternKey
+			return st, nil
+		}
+	}
 	if _, err := p.expect(TokKeyword, "FROM"); err != nil {
 		return nil, err
 	}
@@ -179,32 +282,12 @@ clauses:
 		}
 		st.Where = e
 	}
-	st.PatternKey = tokenKey(p.toks[from:p.pos])
+	st.PatternKey = p.patternKey(from)
 	return st, nil
 }
 
-// tokenKey writes toks as kind byte, text and NUL each, in one
-// allocation; "" when a token's text holds a NUL (see PatternKey).
-func tokenKey(toks []Token) string {
-	n := 0
-	for _, t := range toks {
-		if strings.IndexByte(t.Text, 0) >= 0 {
-			return ""
-		}
-		n += len(t.Text) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, t := range toks {
-		b.WriteByte(byte(t.Kind))
-		b.WriteString(t.Text)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
 // explainStmt parses EXPLAIN [ANALYZE] select.
-func (p *parser) explainStmt() (*ExplainStmt, error) {
+func (p *parser) explainStmt(tail func(key []byte) *SelectStmt) (*ExplainStmt, error) {
 	if _, err := p.expect(TokKeyword, "EXPLAIN"); err != nil {
 		return nil, err
 	}
@@ -213,7 +296,7 @@ func (p *parser) explainStmt() (*ExplainStmt, error) {
 		t := p.cur()
 		return nil, errf(t.Line, t.Col, "EXPLAIN expects a SELECT statement, found %s", t)
 	}
-	sel, err := p.selectStmt()
+	sel, err := p.selectStmt(tail)
 	if err != nil {
 		return nil, err
 	}
@@ -411,22 +494,32 @@ func (p *parser) notExpr() (Expr, error) {
 	return p.cmpExpr()
 }
 
-var cmpOps = map[string]string{"=": "=", "<>": "<>", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+// cmpOp returns the comparison operator t spells, "!=" as "<>", or "".
+func cmpOp(t Token) string {
+	if t.Kind != TokOp {
+		return ""
+	}
+	switch t.Text {
+	case "=", "<>", "<", "<=", ">", ">=":
+		return t.Text
+	case "!=":
+		return "<>"
+	}
+	return ""
+}
 
 func (p *parser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == TokOp {
-		if op, ok := cmpOps[p.cur().Text]; ok {
-			p.pos++
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+	if op := cmpOp(p.cur()); op != "" {
+		p.pos++
+		r, err := p.addExpr()
+		if err != nil {
+			return nil, err
 		}
+		return &BinaryExpr{Op: op, L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -512,7 +605,7 @@ func (p *parser) primary() (Expr, error) {
 		return p.fieldTail(&FieldRef{Var: id.Text, Fn: fn}, t)
 	case t.Kind == TokIdent:
 		p.pos++
-		if isAggName(t.Text) && p.at(TokOp, "(") {
+		if p.at(TokOp, "(") && isAggName(t.Text) {
 			return p.aggCall(t)
 		}
 		if !p.at(TokOp, ".") && !p.at(TokOp, "->") {
@@ -535,10 +628,12 @@ func (p *parser) primary() (Expr, error) {
 	}
 }
 
+// isAggName reports whether s names an aggregate, in any case.
 func isAggName(s string) bool {
-	switch strings.ToUpper(s) {
-	case "AVG", "MIN", "MAX", "SUM", "COUNT":
-		return true
+	for _, fn := range [...]string{"AVG", "MIN", "MAX", "SUM", "COUNT"} {
+		if strings.EqualFold(s, fn) {
+			return true
+		}
 	}
 	return false
 }

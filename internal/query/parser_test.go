@@ -56,6 +56,57 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexNonASCII: a Unicode letter starts a word and a Unicode letter,
+// digit or '_' continues one, so a non-ASCII identifier is one token with
+// its text as written; keywords are ASCII, so no non-ASCII word is one.
+// A character no token starts with is named as written in the error, and
+// a byte that does not begin UTF-8 by its value. Columns count bytes.
+func TestLexNonASCII(t *testing.T) {
+	for src, want := range map[string][]string{
+		"SELECT prix_é FROM t": {"SELECT", "prix_é", "FROM", "t", ""},
+		"SELECT é FROM t":      {"SELECT", "é", "FROM", "t", ""},
+		"Größe٣_x>été":         {"Größe٣_x", ">", "été", ""},
+		"ſelect":               {"ſelect", ""},
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Errorf("Lex(%q): %v", src, err)
+			continue
+		}
+		var got []string
+		for _, tk := range toks {
+			got = append(got, tk.Text)
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("Lex(%q) = %q, want %q", src, got, want)
+		}
+		if k := toks[0].Kind; (k == TokKeyword) != (toks[0].Text == "SELECT") {
+			t.Errorf("Lex(%q): the first token is of kind %v", src, k)
+		}
+	}
+	for src, want := range map[string]string{
+		"'naïve' ´":           `sql-ts: line 1:10: unexpected character "´"`,
+		"SELECT a € b":        `sql-ts: line 1:10: unexpected character "€"`,
+		"SELECT a\n  \xff b":  `sql-ts: line 2:3: invalid UTF-8 byte 0xff`,
+		"SELECT ٣a":           `sql-ts: line 1:8: unexpected character "٣"`,
+		"x = 'déjà vu' AND 🙂": `sql-ts: line 1:21: unexpected character "🙂"`,
+	} {
+		if _, err := Lex(src); err == nil || err.Error() != want {
+			t.Errorf("Lex(%q) = %v, want %s", src, err, want)
+		}
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
+		}
+	}
+	st, err := Parse("SELECT X.prix_é FROM t AS (X) WHERE X.prix_é > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := Render(st); !strings.Contains(r, "X.prix_é") {
+		t.Errorf("rendered %q", r)
+	}
+}
+
 func TestParseSelectFull(t *testing.T) {
 	st, err := Parse(`
 		SELECT X.name, FIRST(X).date AS sdate, LAST(Z).date AS edate

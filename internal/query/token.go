@@ -40,24 +40,19 @@ func (t Token) String() string {
 	}
 }
 
-// keywords recognized by the lexer (always reported upper-case), each
-// mapped to itself so that a token's text is this one string.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, kw := range []string{
-		"SELECT", "FROM", "WHERE", "AS",
-		"CLUSTER", "SEQUENCE", "BY",
-		"AND", "OR", "NOT",
-		"CREATE", "TABLE", "INSERT", "INTO",
-		"VALUES", "FIRST", "LAST",
-		"EXPLAIN", "ANALYZE",
-		"PREVIOUS", "NEXT",
-		"TRUE", "FALSE", "NULL",
-	} {
-		m[kw] = kw
-	}
-	return m
-}()
+// keywords recognized by the lexer, in any case; a keyword token's text
+// is its upper-case spelling here. Each is an ASCII word of 2 to 8 letters
+// (see keyword).
+var keywords = []string{
+	"SELECT", "FROM", "WHERE", "AS",
+	"CLUSTER", "SEQUENCE", "BY",
+	"AND", "OR", "NOT",
+	"CREATE", "TABLE", "INSERT", "INTO",
+	"VALUES", "FIRST", "LAST",
+	"EXPLAIN", "ANALYZE",
+	"PREVIOUS", "NEXT",
+	"TRUE", "FALSE", "NULL",
+}
 
 // SyntaxError is a parse or lex error with position information.
 type SyntaxError struct {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sqlts/internal/obs"
-	"sqlts/internal/query"
 	"sqlts/internal/storage"
 )
 
@@ -250,11 +249,11 @@ func TestPatternCacheEviction(t *testing.T) {
 	// A compile finds the pattern, every plan holding it is evicted, and
 	// then the compiled plan is stored: the pattern is back.
 	sql := "SELECT X.name AS raced " + servingFrom
-	st, err := query.Parse(sql)
+	sel, _, hit, err := db.parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := db.compilePlan(st.(*query.SelectStmt), sql, obs.NewTrace())
+	p, err := db.compilePlan(sel, hit, sql, obs.NewTrace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ package sqlts
 //     A plan also keeps what every run would otherwise re-derive: its
 //     partition key, and one executor for its one-lane runs (Plan.solo).
 //   - patterns: the compiled patterns of the cached plans, keyed by the
-//     catalog version and the statement's FROM … WHERE tokens, so a
-//     statement text never seen before whose pattern is cached compiles
-//     only its SELECT list. It holds no entry of its own: an artifact is
+//     catalog version and the statement's FROM … WHERE tokens, which are
+//     looked up before they are parsed (DB.parse), so a statement text
+//     never seen before whose pattern is cached parses and compiles only
+//     its SELECT list. It holds no entry of its own: an artifact is
 //     in it exactly while a cached plan holds it (holdPattern,
 //     forgetKernel).
 //   - partitionCache: LRU keyed by (table, clusterBy, sequenceBy),
@@ -306,14 +307,11 @@ func (e *partitionEntry) forget(a *patternArtifact) {
 	e.mu.Unlock()
 }
 
-// sharedPattern returns the artifact a cached plan holds under key, or
-// nil.
-func (db *DB) sharedPattern(key patternKey) *patternArtifact {
-	if key.tokens == "" {
-		return nil
-	}
+// sharedPattern returns the artifact a cached plan holds under the
+// catalog version and the FROM … WHERE tokens' key, or nil.
+func (db *DB) sharedPattern(catalog uint64, tokens []byte) *patternArtifact {
 	db.cacheMu.Lock()
-	a := db.patterns[key]
+	a := db.patterns[patternKey{catalog: catalog, tokens: string(tokens)}]
 	db.cacheMu.Unlock()
 	return a
 }

@@ -595,7 +595,8 @@ type Query struct {
 // normalized) text are served from the DB's plan cache and skip the
 // entire compile pipeline — the exact text of a cached plan without even
 // being normalized; the cache revalidates against the catalog version, so
-// DDL and DeclarePositive force recompilation.
+// DDL and DeclarePositive force recompilation. A new text whose FROM …
+// WHERE a cached plan shares parses and analyses its SELECT list only.
 func (db *DB) Prepare(sql string) (*Query, error) {
 	p, key := db.lookupPlan(sql)
 	if p != nil {
@@ -603,25 +604,12 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 	}
 	tr := obs.NewTrace()
 	sp := tr.Start("parse")
-	st, err := query.Parse(sql)
+	sel, mode, hit, err := db.parse(sql)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	mode := explainNone
-	sel, ok := st.(*query.SelectStmt)
-	if !ok {
-		ex, isExplain := st.(*query.ExplainStmt)
-		if !isExplain {
-			return nil, fmt.Errorf("sqlts: Prepare expects a SELECT statement")
-		}
-		sel = ex.Sel
-		mode = explainPlan
-		if ex.Analyze {
-			mode = explainAnalyze
-		}
-	}
-	plan, err := db.compilePlan(sel, sql, tr)
+	plan, err := db.compilePlan(sel, hit, sql, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -632,11 +620,42 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 	return &Query{db: db, plan: plan}, nil
 }
 
-// compilePlan runs semantic analysis and, unless a cached plan of the
-// same FROM … WHERE already holds its pattern, the OPS compile-time
-// pipeline, recording one trace span per phase. A statement whose
-// pattern is cached analyses its SELECT list only.
-func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Plan, error) {
+// parse parses a SELECT or EXPLAIN [ANALYZE] SELECT statement. Its
+// tokens from FROM on are looked up in the pattern map under the current
+// catalog version before they are parsed: on a hit the statement takes
+// the clauses of the artifact's statement, and hit is the artifact.
+func (db *DB) parse(sql string) (sel *query.SelectStmt, mode explainMode, hit *patternArtifact, err error) {
+	catalog := db.catalog.Load()
+	st, err := query.ParseShared(sql, func(key []byte) *query.SelectStmt {
+		if hit = db.sharedPattern(catalog, key); hit != nil {
+			return hit.analysis.Stmt
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	sel, ok := st.(*query.SelectStmt)
+	if !ok {
+		ex, isExplain := st.(*query.ExplainStmt)
+		if !isExplain {
+			return nil, 0, nil, fmt.Errorf("sqlts: Prepare expects a SELECT statement")
+		}
+		sel, mode = ex.Sel, explainPlan
+		if ex.Analyze {
+			mode = explainAnalyze
+		}
+	}
+	return sel, mode, hit, nil
+}
+
+// compilePlan runs semantic analysis and, unless hit — the artifact
+// parse found for the statement's pattern — is of the catalog version
+// the compile reads, the OPS compile-time pipeline, recording one trace
+// span per phase. A statement whose pattern is cached analyses its
+// SELECT list only. A hit of another catalog version is a miss: sel is a
+// whole statement either way.
+func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string, tr *obs.Trace) (*Plan, error) {
 	// The catalog version is read with the schema it stamps: DDL landing
 	// after this compiles a plan that is stale on its next lookup.
 	db.mu.RLock()
@@ -647,11 +666,12 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 	if t == nil {
 		return nil, fmt.Errorf("sqlts: no table %q", sel.Table)
 	}
-	key := patternKey{catalog: catalog, tokens: sel.PatternKey}
-	shared := db.sharedPattern(key)
+	if hit != nil && hit.key.catalog != catalog {
+		hit = nil
+	}
 	opts := query.AnalyzeOptions{PositiveColumns: positive}
-	if shared != nil {
-		opts.Shared = shared.analysis
+	if hit != nil {
+		opts.Shared = hit.analysis
 	}
 	sp := tr.Start("analyze")
 	compiled, err := query.Analyze(sel, t.Schema, opts)
@@ -672,12 +692,12 @@ func (db *DB) compilePlan(sel *query.SelectStmt, sql string, tr *obs.Trace) (*Pl
 	sp.End()
 	plan := &Plan{sql: sql, compiled: compiled, catalogVersion: catalog}
 	if compiled.Pattern != nil {
-		a := shared
+		a := hit
 		if a != nil {
 			plan.patternCached = true
 			tr.Add(a.hitSpans()...)
 		} else {
-			a = db.compilePattern(key, compiled, tr)
+			a = db.compilePattern(patternKey{catalog: catalog, tokens: sel.PatternKey}, compiled, tr)
 		}
 		plan.art, plan.tables, plan.kernel = a, a.tables, a.kernel
 		plan.shape = new(resultShape)

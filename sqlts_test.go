@@ -350,6 +350,30 @@ func TestSQLInsertAndDates(t *testing.T) {
 	}
 }
 
+// TestNonASCIIColumn: a table whose names are not ASCII is created,
+// filled and searched through SQL, and a name is found in any case.
+func TestNonASCIIColumn(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE cours (société VARCHAR(8), jour DATE, prix_é REAL)`)
+	db.MustExec(`
+		INSERT INTO cours VALUES
+		  ('Ærø', '1999-01-25', 60), ('Ærø', '1999-01-26', 69), ('Ærø', '1999-01-27', 50),
+		  ('Öl', '1999-01-25', 10), ('Öl', '1999-01-26', 11), ('Öl', '1999-01-27', 12)`)
+	res, err := db.Query(`
+		SELECT X.société, Y.jour, Z.PRIX_É FROM cours CLUSTER BY SOCIÉTÉ SEQUENCE BY jour
+		AS (X, Y, Z) WHERE Y.prix_é > 1.10 * X.prix_é AND Z.prix_é < 0.8 * Y.prix_é`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Ærø" || res.Rows[0][1].String() != "1999-01-26" ||
+		res.Rows[0][2].Float() != 50 {
+		t.Fatalf("rows = %v, want one row (Ærø, 1999-01-26, 50)", res.Rows)
+	}
+	if got := strings.Join(res.Columns, ","); got != "X.société,Y.jour,Z.PRIX_É" {
+		t.Errorf("columns = %s", got)
+	}
+}
+
 // TestOverlapOption checks SkipToNextRow through the public API.
 func TestOverlapOption(t *testing.T) {
 	db := quoteDB(t)
