@@ -73,10 +73,20 @@ once() {
 
 guard 'No per-cluster loop in the driver'
 # The cluster loop lives in the engine: a lane hands each chunk to its
-# executor as one engine.Run (Executor.FindRun). A FindAll call in
-# driver.go is a per-cluster loop growing back.
-absent "driver.go calls FindAll: the cluster loop belongs to the engine's run loops" \
-	'\.FindAll(' -- driver.go
+# executor as one engine.Run (Executor.FindRun), and EXPLAIN ANALYZE's
+# diagnostic pass hands it each cluster as a one-cluster Run. A FindAll
+# call in driver.go or explain.go is a per-cluster loop growing back.
+absent "driver.go or explain.go calls FindAll: the cluster loop belongs to the engine's run loops" \
+	'\.FindAll(' -- driver.go explain.go
+
+guard 'One record per execution'
+# What an execution did is its obs.Event. The per-cluster cluster log that
+# every batch run wrote for EXPLAIN ANALYZE's table (engine.Run.Log, its
+# writer and decoder, Result.ClusterStats) was deleted: the table is
+# measured by EXPLAIN ANALYZE's own diagnostic pass. The benchmark harness
+# is exempt.
+absent 'the cluster log or Result.ClusterStats is back' \
+	-E 'logWriter|putClusterStat|NextClusterStat|clusterLogs|\bClusterStats\(' -- '*.go' ':!benchmark/'
 
 guard 'No per-handle trace store'
 # The per-Query lifecycle trace was deleted with its store, sampling knob

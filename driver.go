@@ -4,8 +4,8 @@ package sqlts
 // executor. SQL-TS searches every CLUSTER BY group independently, so the
 // driver's only parameter is how many lanes — goroutines, each with one
 // executor and one output of its own — share the ordered cluster list;
-// whatever the count, rows, Stats, ClusterStats and Matches come out in
-// cluster order, bit-identical to a one-lane run.
+// whatever the count, rows, Stats and Matches come out in cluster order,
+// bit-identical to a one-lane run.
 
 import (
 	"runtime"
@@ -91,7 +91,6 @@ type lane struct {
 
 	rows    engine.Block[storage.Row]
 	matches engine.Block[ClusterMatches]
-	log     engine.Block[byte]          // the cluster log (engine.Run.Log)
 	values  engine.Block[storage.Value] // the output rows are carved from it
 
 	// What the sink reads: the run's control and compiled statement, the
@@ -113,13 +112,12 @@ type lane struct {
 }
 
 // mark is what one searched chunk left in its lane's blocks: the chunk's
-// runs, which the stitch copies (rows, matches) or keeps (log) in chunk
-// order, or the error that stopped it. helper marks a chunk a helper
-// searched, whose runs are scratch until the stitch copies them.
+// runs of rows and matches, which the stitch gathers in chunk order, or
+// the error that stopped it. helper marks a chunk a helper searched, whose
+// runs are scratch until the stitch copies them.
 type mark struct {
 	rows    []storage.Row
 	matches []ClusterMatches
-	log     []byte
 	err     error
 	helper  bool
 }
@@ -177,13 +175,11 @@ func (s *search) oneLane(res *Result) error {
 		res.workers = 1
 		res.Stats, res.clusters = l.stats, l.clusters
 		res.Rows, res.Matches = m.rows, m.matches
-		res.oneLog[0] = m.log
-		res.clusterLogs = res.oneLog[:]
 		// A plan keeps the lane from its second run on, so that one run
 		// once, as every never-seen statement is, holds no executor while it
 		// is cached. A failed run's lane is not kept: its executor may have
 		// stopped anywhere.
-		if s.q.plan.shape.ran() {
+		if s.q.plan.ran.Load() {
 			l.keepExecutor()
 			solo.CompareAndSwap(nil, l)
 		}
@@ -280,8 +276,8 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 
 // stitch puts the outcome of a fanned-out run whose lanes have all exited
 // into res: the error of the lowest-indexed failed chunk, or the chunks'
-// rows, matches and cluster logs in chunk order, a helper's first copied
-// into the caller's lane (lane.keep).
+// rows and matches in chunk order, a helper's first copied into the
+// caller's lane (lane.keep).
 func (f *fan) stitch(res *Result, helpers int) error {
 	nrows, nmatches := 0, 0
 	for i := range f.marks {
@@ -310,7 +306,6 @@ func (f *fan) stitch(res *Result, helpers int) error {
 		res.Rows = make([]storage.Row, 0, nrows)
 		res.Matches = make([]ClusterMatches, 0, nmatches)
 	}
-	res.clusterLogs = make([][]byte, len(f.marks))
 	for i := range f.marks {
 		m := &f.marks[i]
 		if m.helper {
@@ -318,16 +313,15 @@ func (f *fan) stitch(res *Result, helpers int) error {
 		}
 		res.Rows = append(res.Rows, m.rows...)
 		res.Matches = append(res.Matches, m.matches...)
-		res.clusterLogs[i] = m.log
 	}
 	return nil
 }
 
 // keep copies a chunk a helper searched into l, the caller's lane, and
-// points m at the copies: the output rows' values, the matches with their
-// spans, and the cluster log. The helper's blocks are scratch that the
-// plan's next fanned-out run overwrites; l's hold the whole result when
-// the run is shaped like the plan's last, so keeping allocates nothing.
+// points m at the copies: the output rows' values and the matches with
+// their spans. The helper's blocks are scratch that the plan's next
+// fanned-out run overwrites; l's hold the whole result when the run is
+// shaped like the last, so keeping allocates nothing.
 func (l *lane) keep(m *mark) {
 	for i, row := range m.rows {
 		v := l.values.Take(len(row))
@@ -336,10 +330,6 @@ func (l *lane) keep(m *mark) {
 	}
 	for i := range m.matches {
 		m.matches[i].Matches = l.ex.Adopt(m.matches[i].Matches)
-	}
-	if len(m.log) > 0 {
-		from := l.log.Append(l.log.Len(), m.log...)
-		m.log = l.log.Run(from)
 	}
 }
 
@@ -379,11 +369,10 @@ func (p *fanPool) get(lanes int) *fan {
 // whichever later run it first gets a core in. A failed run's fan is not kept: its lanes may have
 // stopped anywhere.
 func (p *fanPool) put(f *fan, res *Result) {
-	matches, matched, logBytes := shapeOf(res)
 	for i := 1; i < len(f.lanes); i++ {
 		l := &f.lanes[i]
-		f.prepare(l, len(f.lanes), matches, matched, logBytes)
-		*l = lane{ex: l.ex, key: l.key, rows: l.rows, matches: l.matches, log: l.log, values: l.values}
+		f.prepare(l, len(f.lanes), res.Stats.Matches, len(res.Matches))
+		*l = lane{ex: l.ex, key: l.key, rows: l.rows, matches: l.matches, values: l.values}
 	}
 	f.lanes[0].keepExecutor()
 	f.search, f.check = search{}, nil
@@ -433,35 +422,15 @@ func (f *fan) run(l *lane, borrowed bool) {
 	}
 }
 
-// ClusterStats returns the per-cluster execution breakdown, in cluster
-// order, whatever the lane count; summing the entries' Stats reproduces
-// Result.Stats. The slice is built from the run's compact logs on every
-// call.
-func (r *Result) ClusterStats() []ClusterStat {
-	if r.clusters == 0 {
-		return nil
-	}
-	out := make([]ClusterStat, 0, r.clusters)
-	for _, log := range r.clusterLogs {
-		for len(log) > 0 {
-			c := ClusterStat{Cluster: len(out)}
-			c.Rows, c.Stats, log = engine.NextClusterStat(log)
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // start gives the caller's lane an executor for this search's options —
-// the one it kept, unless they differ — and reserves the result the plan's
-// last run produced, so that a run shaped like the last allocates each of
-// the lane's buffers once, however many lanes search: they are the
-// result's, and a fanned-out run's helpers' finds are copied in.
+// the one it kept, unless they differ — and reserves the result the last
+// run of the plan's pattern produced, so that a run shaped like the last
+// allocates each of the lane's buffers once, however many lanes search:
+// they are the result's, and a fanned-out run's helpers' finds are copied
+// in.
 func (s *search) start(l *lane, check func() error) {
 	s.executor(l)
-	matches, matched, logBytes := s.reserve()
-	l.log.Reserve(logBytes)
-	if matches > 0 {
+	if matches, matched := s.q.plan.art.shape.sizes(); matches > 0 {
 		l.ex.Reserve(matches)
 		l.rows.Reserve(matches)
 		l.values.Reserve(matches * len(s.q.plan.compiled.OutNames))
@@ -471,28 +440,27 @@ func (s *search) start(l *lane, check func() error) {
 }
 
 // startHelper readies a helper's kept lane, one of lanes, for this run
-// from the plan's last result; the fan's put has done so already unless
-// the options or the result changed since.
+// from the last result of the plan's pattern; the fan's put has done so
+// already unless the options or the result changed since.
 func (s *search) startHelper(l *lane, lanes int, check func() error) {
-	matches, matched, logBytes := s.reserve()
-	s.prepare(l, lanes, matches, matched, logBytes)
+	matches, matched := s.q.plan.art.shape.sizes()
+	s.prepare(l, lanes, matches, matched)
 	s.begin(l, check)
 }
 
 // prepare gives a helper's lane, one of lanes, an executor for this
 // search's options — the one it kept, unless they differ — and empties its
 // blocks, to be overwritten, with room for its part of a result of
-// matches output rows in matched clusters and a cluster log of logBytes.
-// The part is twice an equal share, capped at the whole: chunks may fall
-// unevenly without a refill, and a wide fan's helpers do not each hold the
-// whole result. A block that once outgrew its room keeps what it grew to.
-func (s *search) prepare(l *lane, lanes, matches, matched, logBytes int) {
+// matches output rows in matched clusters. The part is twice an equal
+// share, capped at the whole: chunks may fall unevenly without a refill,
+// and a wide fan's helpers do not each hold the whole result. A block that
+// once outgrew its room keeps what it grew to.
+func (s *search) prepare(l *lane, lanes, matches, matched int) {
 	s.executor(l)
 	part := func(n int) int { return min(n, 2*((n+lanes-1)/lanes)) }
 	l.ex.Recycle(part(matches))
 	l.rows.Reset(part(matches))
 	l.matches.Reset(part(matched))
-	l.log.Reset(part(logBytes))
 	l.values.Reset(part(matches) * len(s.q.plan.compiled.OutNames))
 }
 
@@ -511,17 +479,6 @@ func (s *search) begin(l *lane, check func() error) {
 	l.ex.SetVectorized(s.masks != nil)
 	l.rc, l.compiled = s.rc, s.q.plan.compiled
 	l.started = true
-}
-
-// reserve is what a lane sizes its buffers for: the plan's last result.
-func (s *search) reserve() (matches, matched, logBytes int) {
-	matches, matched, logBytes = s.q.plan.shape.sizes()
-	if logBytes == 0 {
-		// Never run: a ten-row cluster's entry is four bytes; the slack is
-		// a lone long cluster's.
-		logBytes = 4*len(s.clusters) + 8
-	}
-	return matches, matched, logBytes
 }
 
 // executorKey is what newExecutor builds from besides the plan; a lane's
@@ -543,10 +500,10 @@ func (k executorKey) policy() engine.SkipPolicy {
 }
 
 // searchChunk searches clusters[lo:hi] on lane l and leaves the chunk's
-// mark in m: the runs of cluster stats, matches and projected rows it
-// appended to the lane's blocks, or the error that stopped it. It is the
-// containment boundary of the search: an engine.Interrupt unwind comes
-// back as its typed error and any other panic as a *PanicError. It takes
+// mark in m: the runs of matches and projected rows it appended to the
+// lane's blocks, or the error that stopped it. It is the containment
+// boundary of the search: an engine.Interrupt unwind comes back as its
+// typed error and any other panic as a *PanicError. It takes
 // the cooperative checkpoint (cancellation, kill, MaxMatches) once, and
 // hands the chunk to the executor as one engine.Run with the lane as its
 // sink: the executor's run loop is what fires the sqlts.execute.cluster
@@ -563,7 +520,7 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 		return
 	}
 	l.lo, l.rowsAt, l.matchesAt = lo, l.rows.Len(), l.matches.Len()
-	l.run = engine.Run{Seqs: s.clusters[lo:hi], Log: &l.log, Sink: l}
+	l.run = engine.Run{Seqs: s.clusters[lo:hi], Sink: l}
 	if s.masks != nil {
 		l.run.Masks = s.masks[lo:hi]
 	}
@@ -573,7 +530,7 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	l.stats.Add(l.run.Stats)
 	l.clusters += int32(hi - lo)
 	l.chunks++
-	m.rows, m.matches, m.log = l.rows.Run(l.rowsAt), l.matches.Run(l.matchesAt), l.run.Entries
+	m.rows, m.matches = l.rows.Run(l.rowsAt), l.matches.Run(l.matchesAt)
 }
 
 // Enter implements engine.RunSink: before each cluster the per-cluster loop

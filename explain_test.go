@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlts/internal/engine"
 	"sqlts/internal/storage"
 	"sqlts/internal/workload"
 )
@@ -165,9 +166,49 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// TestClusterStats checks the per-cluster breakdown at one and at
-// several workers: every cluster appears (with or without matches) and the
-// per-cluster counters sum to the aggregate.
+// clusterReference is what EXPLAIN ANALYZE's per-cluster table of q must
+// list: every cluster of q's partition searched on its own by a
+// kernel-free OPS executor, the interpreter the serving path is held to.
+func clusterReference(t testing.TB, q *Query) []clusterStat {
+	t.Helper()
+	c := q.plan.compiled
+	part, _, err := q.db.partition(q.db.Table(c.Table), q.plan, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs []clusterStat
+	for i, seq := range part.Groups {
+		_, st := engine.NewOPS(c.Pattern, q.plan.tables, engine.OPSConfig{}).FindAll(seq)
+		cs = append(cs, clusterStat{cluster: i, rows: len(seq), stats: st})
+	}
+	return cs
+}
+
+// explainClusters returns the per-cluster lines of an EXPLAIN ANALYZE
+// text and the counters of its Executor line.
+func explainClusters(t testing.TB, text string) (clusters []string, executor engine.Stats) {
+	t.Helper()
+	found := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "  cluster ") {
+			clusters = append(clusters, line)
+		}
+		if _, err := fmt.Sscanf(line, "Executor ops: PredEvals=%d Rollbacks=%d Matches=%d",
+			&executor.PredEvals, &executor.Rollbacks, &executor.Matches); err == nil {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("EXPLAIN ANALYZE has no Executor line:\n%s", text)
+	}
+	return clusters, executor
+}
+
+// TestClusterStats checks EXPLAIN ANALYZE's per-cluster table at one and
+// at three workers, and after an insert refreshed the partition: with ten
+// clusters or fewer every cluster is listed in order, matches or not, with
+// the rows and counters it has searched on its own, and the rows' counters
+// sum to the Executor line's.
 func TestClusterStats(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
@@ -179,31 +220,42 @@ func TestClusterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		res, err := q.RunWith(RunOptions{MaxWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := res.ClusterStats()
-		if len(cs) != 3 {
-			t.Fatalf("workers=%d: cluster stats = %d entries, want 3", workers, len(cs))
-		}
-		var sum = cs[0].Stats
-		rows := cs[0].Rows
-		for i, c := range cs[1:] {
-			if c.Cluster != i+1 {
-				t.Errorf("workers=%d: cluster order %v", workers, cs)
+	check := func(label string, wantRows int) {
+		t.Helper()
+		ref := clusterReference(t, q)
+		for _, workers := range []int{1, 3} {
+			text, err := q.ExplainAnalyze(RunOptions{MaxWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-			sum.Add(c.Stats)
-			rows += c.Rows
-		}
-		if sum != res.Stats {
-			t.Errorf("workers=%d: per-cluster sum %v != aggregate %v", workers, sum, res.Stats)
-		}
-		if rows != 12 {
-			t.Errorf("workers=%d: rows = %d, want 12", workers, rows)
+			lines, executor := explainClusters(t, text)
+			if len(lines) != len(ref) {
+				t.Fatalf("%s, workers=%d: %d cluster lines, want %d:\n%s", label, workers, len(lines), len(ref), text)
+			}
+			var sum engine.Stats
+			rows := 0
+			for i, c := range ref {
+				if want := fmt.Sprintf("  cluster %d: rows=%d %s", i, c.rows, c.stats); lines[i] != want {
+					t.Errorf("%s, workers=%d: line %d is %q, want %q", label, workers, i, lines[i], want)
+				}
+				sum.Add(c.stats)
+				rows += c.rows
+			}
+			if sum != executor {
+				t.Errorf("%s, workers=%d: per-cluster sum %v != Executor line %v", label, workers, sum, executor)
+			}
+			if rows != wantRows {
+				t.Errorf("%s, workers=%d: rows = %d, want %d", label, workers, rows, wantRows)
+			}
 		}
 	}
+	check("three clusters", 12)
+	insertSeries(t, db, "IBM", 10004, 97, 70)
+	insertSeries(t, db, "DELL", 10000, 20, 24, 18, 19)
+	if text, _ := q.ExplainAnalyze(RunOptions{}); !strings.Contains(text, "partition: refreshed") {
+		t.Fatalf("the inserts did not refresh the partition:\n%s", text)
+	}
+	check("after a refresh", 18)
 }
 
 // TestDBMetricsExposition drives a query plus a stream and checks the
@@ -311,11 +363,11 @@ func TestSlowQueryHook(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeClusterTableBounded: the per-cluster table of EXPLAIN
-// ANALYZE — which every slow-log record of the run retains — does not
-// grow with the cluster count. Over 2,000 clusters the report stays under
-// 4 KB: one line of distribution and the ten heaviest clusters, the
-// heaviest of all among them.
+// TestExplainAnalyzeClusterTableBounded: EXPLAIN ANALYZE's per-cluster
+// table does not grow with the cluster count. Over 2,000 clusters the
+// report stays under 4 KB at one and at three workers, and after an insert
+// refreshed the partition: one line of distribution and the ten heaviest
+// clusters, the heaviest of all among them.
 func TestExplainAnalyzeClusterTableBounded(t *testing.T) {
 	db := New()
 	db.RegisterTable(workload.ClusterWalks("quote", 3, 2000, 8, 50))
@@ -323,33 +375,44 @@ func TestExplainAnalyzeClusterTableBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := q.ExplainAnalyze(RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(text) >= 4<<10 {
-		t.Errorf("EXPLAIN ANALYZE over 2,000 clusters is %d bytes, want under 4 KB:\n%s", len(text), text)
-	}
-	res, err := q.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := res.ClusterStats()
-	heaviest := cs[0]
-	for _, c := range cs {
-		if c.Stats.PredEvals > heaviest.Stats.PredEvals {
-			heaviest = c
+	check := func(label, distribution string) {
+		t.Helper()
+		ref := clusterReference(t, q)
+		heaviest := ref[0]
+		for _, c := range ref {
+			if c.stats.PredEvals > heaviest.stats.PredEvals {
+				heaviest = c
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			text, err := q.ExplainAnalyze(RunOptions{MaxWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(text) >= 4<<10 {
+				t.Errorf("%s, workers=%d: EXPLAIN ANALYZE over 2,000 clusters is %d bytes, want under 4 KB:\n%s", label, workers, len(text), text)
+			}
+			for _, want := range []string{
+				distribution,
+				fmt.Sprintf("  cluster %d: rows=%d %s\n", heaviest.cluster, heaviest.rows, heaviest.stats),
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("%s, workers=%d: EXPLAIN ANALYZE output missing %q:\n%s", label, workers, want, text)
+				}
+			}
+			if lines, _ := explainClusters(t, text); len(lines) != clusterTableRows {
+				t.Errorf("%s, workers=%d: cluster table has %d rows, want %d", label, workers, len(lines), clusterTableRows)
+			}
 		}
 	}
-	for _, want := range []string{
-		"2000 clusters: rows min/median/max 8/8/24",
-		fmt.Sprintf("  cluster %d: rows=%d %s\n", heaviest.Cluster, heaviest.Rows, heaviest.Stats),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, text)
-		}
+	check("2,000 clusters", "2000 clusters: rows min/median/max 8/8/24")
+	tbl := db.Table("quote")
+	rows, _ := tbl.Snapshot()
+	for i := 0; i < 40; i++ { // cluster 0 grows from 24 rows to 64
+		tbl.MustInsert(rows[0][0], storage.NewDateDays(int64(40000+i)), storage.NewFloat(float64(50+i%3)))
 	}
-	if n := strings.Count(text, "\n  cluster "); n != clusterTableRows {
-		t.Errorf("cluster table has %d rows, want %d", n, clusterTableRows)
+	if text, _ := q.ExplainAnalyze(RunOptions{}); !strings.Contains(text, "partition: refreshed (1 of 2000 clusters)") {
+		t.Fatalf("the inserts did not refresh one cluster:\n%s", text)
 	}
+	check("after a refresh", "2000 clusters: rows min/median/max 8/8/64")
 }

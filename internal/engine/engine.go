@@ -150,8 +150,8 @@ type Executor interface {
 	// reports an error — callers that install one must recover it.
 	FindAll(seq []storage.Row) ([]Match, Stats)
 	// FindRun searches a chunk of clusters in order, as FindAll would one
-	// at a time, writing each cluster's log entry and handing its matches
-	// to the run's sink (see Run). An error from the sink stops it, and an
+	// at a time, summing their counters and handing their matches to the
+	// run's sink (see Run). An error from the sink stops it, and an
 	// installed interrupt unwinds it the way it unwinds FindAll.
 	FindRun(r *Run) error
 	// UseProjection supplies a prebuilt columnar projection of the next
@@ -496,21 +496,6 @@ func (b *Block[T]) Append(from int, v ...T) int {
 	b.buf = append(b.buf, v...)
 	return from
 }
-
-// Spare is Append for a writer that fills the block's memory itself: it
-// makes room for n more elements behind the run that starts at from and
-// returns where the run starts now and the unused capacity behind it, at
-// least n elements long (with n = 0, whatever the block has left). Extend
-// then adds as many of them to the run as the writer filled.
-func (b *Block[T]) Spare(from, n int) (int, []T) {
-	if cap(b.buf)-len(b.buf) < n {
-		from = b.room(from, n)
-	}
-	return from, b.buf[len(b.buf):cap(b.buf)]
-}
-
-// Extend adds the first n elements of the last Spare to the run.
-func (b *Block[T]) Extend(n int) { b.buf = b.buf[:len(b.buf)+n] }
 
 // Run returns the run that starts at from, nil when it is empty; capacity
 // is clipped, so appending to the result cannot reach the block.

@@ -680,25 +680,4 @@ func TestBlockReserve(t *testing.T) {
 	if b.Run(b.Len()) != nil {
 		t.Error("an empty run is not nil")
 	}
-	// Spare/Extend is Append for a writer that fills the memory itself: the
-	// room asked for is there, and a run that outgrows the block moves with
-	// what was written into it.
-	from = b.Len()
-	for i := 0; i < 5000; i++ {
-		var spare []int
-		if from, spare = b.Spare(from, 3); len(spare) < 3 {
-			t.Fatalf("Spare(3) returned room for %d", len(spare))
-		}
-		spare[0], spare[1] = i, -i
-		b.Extend(2)
-	}
-	run = b.Run(from)
-	if len(run) != 10000 {
-		t.Fatalf("5,000 two-element extensions make a run of %d", len(run))
-	}
-	for i := 0; i < 5000; i++ {
-		if run[2*i] != i || run[2*i+1] != -i {
-			t.Fatalf("run[%d:%d] = %v after the run moved blocks, want [%d %d]", 2*i, 2*i+2, run[2*i:2*i+2], i, -i)
-		}
-	}
 }

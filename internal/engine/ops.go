@@ -515,7 +515,6 @@ func (o *OPS) FindRun(r *Run) error {
 	if pair {
 		sy = int(o.pureSlots[1])
 	}
-	w := newLogWriter(r.Log)
 	var p progress
 	defer p.tick(r.Sink)
 	var total Stats
@@ -557,7 +556,6 @@ func (o *OPS) FindRun(r *Run) error {
 			}
 		}
 		total.Add(st)
-		w.put(n, st)
 		if p.add(n, st); evals>>10 != ticked>>10 {
 			p.tick(r.Sink)
 			ticked = evals
@@ -566,7 +564,7 @@ func (o *OPS) FindRun(r *Run) error {
 	if pair {
 		o.pairRows += closedPairRows
 	}
-	r.Stats, r.Entries = total, w.run()
+	r.Stats = total
 	closedClusters.Add(closedRun)
 	return nil
 }

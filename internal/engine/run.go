@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
-
 	"sqlts/internal/fault"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
@@ -18,16 +16,12 @@ type Run struct {
 	// Seqs.
 	Seqs  [][]storage.Row
 	Masks []*pattern.MaskSet
-	// Log is the block the run's cluster log is appended to: one entry per
-	// searched cluster (putClusterStat), the run of them in Entries.
-	Log *Block[byte]
 	// Sink is handed what the search finds.
 	Sink RunSink
 
-	// Stats sums the counters of every cluster searched, and Entries is the
-	// run of the log FindRun wrote, both set by a FindRun that succeeds.
-	Stats   Stats
-	Entries []byte
+	// Stats sums the counters of every cluster searched, set by a FindRun
+	// that succeeds.
+	Stats Stats
 }
 
 // RunSink is what a Run hands its clusters to. It is an interface, not a
@@ -72,11 +66,10 @@ func (p *progress) tick(sink RunSink) {
 
 // runEach is the generic run loop, the one every executor has: before each
 // cluster it calls the sink's Enter, then hands the executor the cluster's
-// masks, searches it with f's FindAll, writes its log entry and hands its
-// matches to the sink's Found. The flight is ticked every TickRows rows
-// and at the end, also when the run fails.
+// masks, searches it with f's FindAll and hands its matches to the sink's
+// Found. The flight is ticked every TickRows rows and at the end, also
+// when the run fails.
 func (e *evaluator) runEach(f Executor, r *Run) error {
-	w := newLogWriter(r.Log)
 	var p progress
 	defer p.tick(r.Sink)
 	var total Stats
@@ -89,7 +82,6 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 		}
 		ms, st := f.FindAll(seq)
 		total.Add(st)
-		w.put(len(seq), st)
 		if len(ms) > 0 {
 			if err := r.Sink.Found(i, ms, st); err != nil {
 				return err
@@ -99,7 +91,7 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 			p.tick(r.Sink)
 		}
 	}
-	r.Stats, r.Entries = total, w.run()
+	r.Stats = total
 	return nil
 }
 
@@ -109,76 +101,3 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 func (e *evaluator) bulkRun(r *Run) bool {
 	return r.Masks != nil && e.kern != nil && e.vec && e.kern.AllPure() && !e.doTrc && !fault.Active()
 }
-
-// The cluster log is a run's per-cluster stats, one entry per searched
-// cluster in cluster order: the cluster's row count, PredEvals, Rollbacks
-// and Matches as four uvarints — about four bytes for a ten-row cluster,
-// and nothing for the collector to scan. A cluster's index is its position
-// in the log.
-
-// clusterStatMax is the most bytes one entry can take.
-const clusterStatMax = 4 * binary.MaxVarintLen64
-
-// putClusterStat writes one cluster's entry into buf, which has room for
-// clusterStatMax bytes, and returns its length.
-func putClusterStat(buf []byte, rows int, s Stats) int {
-	n := binary.PutUvarint(buf, uint64(rows))
-	n += binary.PutUvarint(buf[n:], uint64(s.PredEvals))
-	n += binary.PutUvarint(buf[n:], uint64(s.Rollbacks))
-	return n + binary.PutUvarint(buf[n:], uint64(s.Matches))
-}
-
-// NextClusterStat decodes the first entry of a cluster log and returns it
-// with the rest of the log.
-func NextClusterStat(log []byte) (rows int, s Stats, rest []byte) {
-	next := func() uint64 {
-		v, n := binary.Uvarint(log)
-		log = log[n:]
-		return v
-	}
-	rows = int(next())
-	s = Stats{PredEvals: int64(next()), Rollbacks: int64(next()), Matches: int(next())}
-	return rows, s, log
-}
-
-// logWriter appends a run's entries to a block: straight into the block's
-// spare room while it has room for the entry.
-type logWriter struct {
-	b     *Block[byte]
-	from  int
-	spare []byte
-}
-
-func newLogWriter(b *Block[byte]) logWriter {
-	from, spare := b.Spare(b.Len(), 0)
-	return logWriter{b: b, from: from, spare: spare}
-}
-
-// put appends one cluster's entry. A short cluster's — four one-byte
-// uvarints — is written in place by the inlined part.
-func (w *logWriter) put(rows int, s Stats) {
-	if uint64(rows)|uint64(s.PredEvals)|uint64(s.Rollbacks)|uint64(s.Matches) < 0x80 && len(w.spare) >= 4 {
-		w.spare[0], w.spare[1], w.spare[2], w.spare[3] = byte(rows), byte(s.PredEvals), byte(s.Rollbacks), byte(s.Matches)
-		w.spare = w.spare[4:]
-		w.b.Extend(4)
-		return
-	}
-	w.putLong(rows, s)
-}
-
-func (w *logWriter) putLong(rows int, s Stats) {
-	if len(w.spare) >= clusterStatMax {
-		n := putClusterStat(w.spare, rows, s)
-		w.b.Extend(n)
-		w.spare = w.spare[n:]
-		return
-	}
-	// Short of room — the tail of a block reserved to the byte: encode
-	// aside, append what it came to, and look again.
-	var buf [clusterStatMax]byte
-	w.from = w.b.Append(w.from, buf[:putClusterStat(buf[:], rows, s)]...)
-	w.from, w.spare = w.b.Spare(w.from, 0)
-}
-
-// run returns the entries written.
-func (w *logWriter) run() []byte { return w.b.Run(w.from) }

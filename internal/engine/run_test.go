@@ -2,15 +2,14 @@ package engine
 
 // Tests of the run loops (FindRun): a chunk of clusters searched as one
 // Run must leave what searching them one FindAll at a time leaves — every
-// cluster's matches, spans and counters, the cluster log's bytes, the pair
-// scans' rows — on the chunk-wide pure loop, where most clusters are booked
-// in closed form, and on the generic per-cluster loop alike.
+// cluster's matches, spans and counters, the pair scans' rows — on the
+// chunk-wide pure loop, where most clusters are booked in closed form, and
+// on the generic per-cluster loop alike. So must each cluster searched as a
+// one-cluster Run, as EXPLAIN ANALYZE's breakdown searches them.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -19,62 +18,6 @@ import (
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 )
-
-// refLog is the cluster log's reference encoding: four uvarints per entry.
-func refLog(log []byte, rows int, s Stats) []byte {
-	for _, v := range []uint64{uint64(rows), uint64(s.PredEvals), uint64(s.Rollbacks), uint64(s.Matches)} {
-		log = binary.AppendUvarint(log, v)
-	}
-	return log
-}
-
-// TestClusterLogRoundTrip: the log writer's entries are the reference
-// encoding byte for byte and decode to what was written, at every uvarint
-// length seam; and a block reserved to the byte — the plan's last log —
-// takes a run whose last entry ends exactly at its end without a refill,
-// the last entries encoded aside.
-func TestClusterLogRoundTrip(t *testing.T) {
-	vals := []int64{0, 127, 128, 16383, 16384, math.MaxInt64}
-	var entries []Stats
-	var rowCounts []int
-	for i, v := range vals {
-		entries = append(entries, Stats{PredEvals: v, Rollbacks: vals[(i+1)%len(vals)], Matches: int(vals[(i+2)%len(vals)])})
-		rowCounts = append(rowCounts, int(vals[(i+3)%len(vals)]))
-	}
-	for k := range 20 { // ten-row clusters: the common four-byte entry
-		entries = append(entries, Stats{PredEvals: int64(10 + k), Rollbacks: 9})
-		rowCounts = append(rowCounts, 10)
-	}
-	var want []byte
-	for i, s := range entries {
-		want = refLog(want, rowCounts[i], s)
-	}
-
-	for _, reserve := range []int{0, len(want), len(want) + 3} {
-		var b Block[byte]
-		b.Reserve(reserve)
-		b.Append(b.Len(), 7, 7, 7) // an earlier run in the block
-		w := newLogWriter(&b)
-		for i, s := range entries {
-			w.put(rowCounts[i], s)
-		}
-		got := w.run()
-		if string(got) != string(want) {
-			t.Fatalf("reserve %d: the log is %x, want %x", reserve, got, want)
-		}
-		if reserve == len(want)+3 && (cap(b.buf) != reserve || len(b.buf) != reserve) {
-			t.Fatalf("reserved to the byte: the block is %d of %d bytes, want %d of %d — it refilled", len(b.buf), cap(b.buf), reserve, reserve)
-		}
-		for i, log := 0, got; len(log) > 0; i++ {
-			var rows int
-			var s Stats
-			rows, s, log = NextClusterStat(log)
-			if rows != rowCounts[i] || s != entries[i] {
-				t.Fatalf("reserve %d: entry %d decodes to %d rows %+v, want %d rows %+v", reserve, i, rows, s, rowCounts[i], entries[i])
-			}
-		}
-	}
-}
 
 // runSink records what a run hands its sink; enter, when set, is what
 // Enter returns.
@@ -113,8 +56,9 @@ func (s *runSink) Tick(clusters, rows, matches int64) {
 // runCheck searches clusters as one Run with FindRun on an executor from
 // mk, and cluster by cluster with FindAll on another, and fails unless the
 // sink was handed every cluster with a match — matches, spans and Stats —
-// and ticked every cluster, row and match, the run's Stats and log are the
-// clusters', and an OPS's pair scans resolved the same rows. Over supplied
+// and ticked every cluster, row and match, the run's Stats are the
+// clusters', an OPS's pair scans resolved the same rows, and a one-cluster
+// Run of each cluster on a third executor books the counters FindAll does. Over supplied
 // masks neither executor may project a cluster: the masks answer every
 // compiled element and the interpreter the rest. It returns how many
 // clusters the run booked in closed form and whether it took the
@@ -123,7 +67,7 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	t.Helper()
 	ref := mk()
 	var want []foundCluster
-	var wantLog []byte
+	var each []Stats
 	var wantStats Stats
 	rows := 0
 	for i, seq := range clusters {
@@ -134,15 +78,14 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 		if len(ms) > 0 {
 			want = append(want, foundCluster{i, ms, st})
 		}
-		wantLog = refLog(wantLog, len(seq), st)
+		each = append(each, st)
 		wantStats.Add(st)
 		rows += len(seq)
 	}
 
 	ex := mk()
 	sink := &runSink{}
-	var log Block[byte]
-	r := Run{Seqs: clusters, Masks: masks, Log: &log, Sink: sink}
+	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
 	before := ClosedClusters()
 	if err := ex.FindRun(&r); err != nil {
 		t.Fatalf("%s: FindRun: %v", label, err)
@@ -151,8 +94,18 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	if r.Stats != wantStats {
 		t.Fatalf("%s: the run's stats are %+v, the clusters' %+v", label, r.Stats, wantStats)
 	}
-	if string(r.Entries) != string(wantLog) {
-		t.Fatalf("%s: the run's log is %x, the clusters' %x", label, r.Entries, wantLog)
+	one := mk()
+	for i := range clusters {
+		r := Run{Seqs: clusters[i : i+1], Sink: &runSink{}}
+		if masks != nil {
+			r.Masks = masks[i : i+1]
+		}
+		if err := one.FindRun(&r); err != nil {
+			t.Fatalf("%s: FindRun of cluster %d alone: %v", label, i, err)
+		}
+		if r.Stats != each[i] {
+			t.Fatalf("%s: cluster %d searched alone books %+v, FindAll %+v", label, i, r.Stats, each[i])
+		}
 	}
 	if len(sink.found) != len(want) {
 		t.Fatalf("%s: %d clusters found, want %d", label, len(sink.found), len(want))
@@ -539,8 +492,7 @@ func TestRunLoopCheckpointCadence(t *testing.T) {
 	calls := int64(0)
 	o.SetInterrupt(func() error { calls++; return nil })
 	sink := &tickLog{}
-	var log Block[byte]
-	r := Run{Seqs: clusters, Masks: masks, Log: &log, Sink: sink}
+	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
 	before := ClosedClusters()
 	if err := o.FindRun(&r); err != nil {
 		t.Fatal(err)
@@ -576,9 +528,9 @@ func (s *tickLog) Tick(clusters, rows, matches int64) {
 }
 
 // TestRunLoopInterrupt: an error at the k-th checkpoint of the chunk-wide
-// pure loop unwinds it inside the cluster the checkpoint fell in: the log
-// holds exactly the clusters before it, no later cluster is handed to the
-// sink, and the flight was never ticked past them.
+// pure loop unwinds it inside the cluster the checkpoint fell in: the
+// flight is ticked with exactly the clusters before it, and no later
+// cluster is handed to the sink.
 func TestRunLoopInterrupt(t *testing.T) {
 	o, clusters, masks := tenRowChunk(t)
 	// Where each cluster's evals end on the chunk's count.
@@ -603,8 +555,7 @@ func TestRunLoopInterrupt(t *testing.T) {
 			return nil
 		})
 		sink := &runSink{}
-		var log Block[byte]
-		r := Run{Seqs: clusters, Masks: masks, Log: &log, Sink: sink}
+		r := Run{Seqs: clusters, Masks: masks, Sink: sink}
 		err := func() (err error) {
 			defer func() {
 				if it, ok := recover().(Interrupt); ok {
@@ -622,19 +573,12 @@ func TestRunLoopInterrupt(t *testing.T) {
 		for ends[at] < k<<10 {
 			at++
 		}
-		entries := 0
-		for rest := log.Run(0); len(rest) > 0; entries++ {
-			_, _, rest = NextClusterStat(rest)
-		}
-		if entries != at {
-			t.Fatalf("checkpoint %d fell in cluster %d, but the log holds %d clusters", k, at, entries)
-		}
 		for _, f := range sink.found {
 			if f.i >= at {
 				t.Fatalf("checkpoint %d fell in cluster %d, but cluster %d was handed to the sink", k, at, f.i)
 			}
 		}
-		if sink.ticks.clusters > int64(at) {
+		if sink.ticks.clusters != int64(at) {
 			t.Fatalf("checkpoint %d fell in cluster %d, but %d clusters were ticked", k, at, sink.ticks.clusters)
 		}
 	}
@@ -653,8 +597,7 @@ func TestRunLoopEnterStops(t *testing.T) {
 		}
 		return nil
 	}}
-	var log Block[byte]
-	r := Run{Seqs: clusters, Masks: masks, Log: &log, Sink: sink}
+	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
 	if err := o.FindRun(&r); !errors.Is(err, stop) {
 		t.Fatalf("err = %v", err)
 	}

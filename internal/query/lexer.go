@@ -42,8 +42,10 @@ func Lex(src string) ([]Token, error) {
 		return nil, err
 	}
 	out := make([]Token, len(p.toks))
+	c := columns{src: src}
 	for i := range out {
 		out[i] = p.token(i)
+		out[i].Col = c.at(out[i].Line, out[i].Col)
 	}
 	return out, nil
 }
@@ -81,7 +83,7 @@ func (p *parser) token(i int) Token {
 // lex sets p to src's tokens, reusing p's slices.
 func (p *parser) lex(src string) error {
 	if len(src) > math.MaxInt32 {
-		return errf(1, 1, "statement of %d bytes is too long", len(src))
+		return p.errf(1, 1, "statement of %d bytes is too long", len(src))
 	}
 	// A token with the blanks around it takes three bytes or more of a
 	// typical statement.
@@ -90,7 +92,7 @@ func (p *parser) lex(src string) error {
 		toks = make([]tok, 0, want)
 	}
 	p.src, p.lits = src, p.lits[:0]
-	// The column is a byte offset from the start of the line.
+	// The column is a byte offset from the start of the line (see columns).
 	line, lineStart := 1, 0
 	i, n := 0, len(src)
 	for i < n {
@@ -110,7 +112,7 @@ func (p *parser) lex(src string) error {
 			if c >= utf8.RuneSelf {
 				r, size := utf8.DecodeRuneInString(src[i:])
 				if !isIdentStart(r) {
-					return badChar(line, i-lineStart+1, r, size, src[i])
+					return p.badChar(line, i-lineStart+1, r, size, src[i])
 				}
 				i += size
 			} else {
@@ -140,7 +142,7 @@ func (p *parser) lex(src string) error {
 			for {
 				k := strings.IndexByte(src[i:], '\'')
 				if k < 0 {
-					return errf(int(t.line), int(t.col), "unterminated string literal")
+					return p.errf(int(t.line), int(t.col), "unterminated string literal")
 				}
 				if nl := strings.LastIndexByte(src[i:i+k], '\n'); nl >= 0 {
 					line, lineStart = line+strings.Count(src[i:i+k], "\n"), i+nl+1
@@ -175,11 +177,32 @@ func (p *parser) lex(src string) error {
 				toks = push(toks, TokOp, start, i, line, lineStart)
 				continue
 			}
-			return errf(line, start-lineStart+1, "unexpected character %q", string(c))
+			return p.errf(line, start-lineStart+1, "unexpected character %q", string(c))
 		}
 	}
 	p.toks = push(toks, TokEOF, n, n, line, lineStart)
 	return nil
+}
+
+// columns converts positions in a statement from the byte columns the
+// lexer keeps to the character columns a SyntaxError and Lex's tokens
+// report. It walks forward from the statement's start, so a run of
+// positions converted in source order costs one pass over the text.
+type columns struct {
+	src          string
+	lines, start int // the lines passed, and the offset the next starts at
+	bytes, chars int // what of that line has been converted
+}
+
+// at returns the character column of byte column col of line.
+func (c *columns) at(line, col int) int {
+	for ; c.lines+1 < line; c.lines++ {
+		c.start += strings.IndexByte(c.src[c.start:], '\n') + 1
+		c.bytes, c.chars = 0, 0
+	}
+	c.chars += utf8.RuneCountInString(c.src[c.start+c.bytes : c.start+col-1])
+	c.bytes = col - 1
+	return c.chars + 1
 }
 
 // push appends the token of kind at src[start:end], start on the line
@@ -236,11 +259,11 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // badChar is the error for a character no token starts with: the rune
 // as written, or the byte when it does not begin valid UTF-8.
-func badChar(line, col int, r rune, size int, b byte) error {
+func (p *parser) badChar(line, col int, r rune, size int, b byte) error {
 	if r == utf8.RuneError && size == 1 {
-		return errf(line, col, "invalid UTF-8 byte 0x%02x", b)
+		return p.errf(line, col, "invalid UTF-8 byte 0x%02x", b)
 	}
-	return errf(line, col, "unexpected character %q", string(r))
+	return p.errf(line, col, "unexpected character %q", string(r))
 }
 
 // keywordSlots holds at each keyword's slot (see keywordSlot) its index

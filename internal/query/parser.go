@@ -32,7 +32,7 @@ func ParseShared(src string, tail func(key []byte) *SelectStmt) (Stmt, error) {
 	}
 	p.accept(TokOp, ";")
 	if !p.at(TokEOF, "") {
-		return nil, errf(p.cur().Line, p.cur().Col, "unexpected %s after statement", p.cur())
+		return nil, p.errf(p.cur().Line, p.cur().Col, "unexpected %s after statement", p.cur())
 	}
 	return st, nil
 }
@@ -56,7 +56,7 @@ func ParseScript(src string) ([]Stmt, error) {
 		}
 	}
 	if !p.at(TokEOF, "") {
-		return nil, errf(p.cur().Line, p.cur().Col, "unexpected %s after statement", p.cur())
+		return nil, p.errf(p.cur().Line, p.cur().Col, "unexpected %s after statement", p.cur())
 	}
 	return out, nil
 }
@@ -182,9 +182,9 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 		default:
 			want = "token"
 		}
-		return t, errf(t.Line, t.Col, "expected %s, found %s", want, t)
+		return t, p.errf(t.Line, t.Col, "expected %s, found %s", want, t)
 	}
-	return t, errf(t.Line, t.Col, "expected %q, found %s", want, t)
+	return t, p.errf(t.Line, t.Col, "expected %q, found %s", want, t)
 }
 
 // statement parses one statement; tail is ParseShared's, nil elsewhere.
@@ -200,7 +200,7 @@ func (p *parser) statement(tail func(key []byte) *SelectStmt) (Stmt, error) {
 		return p.insertStmt()
 	default:
 		t := p.cur()
-		return nil, errf(t.Line, t.Col, "expected SELECT, EXPLAIN, CREATE or INSERT, found %s", t)
+		return nil, p.errf(t.Line, t.Col, "expected SELECT, EXPLAIN, CREATE or INSERT, found %s", t)
 	}
 }
 
@@ -294,7 +294,7 @@ func (p *parser) explainStmt(tail func(key []byte) *SelectStmt) (*ExplainStmt, e
 	st := &ExplainStmt{Analyze: p.accept(TokKeyword, "ANALYZE")}
 	if !p.at(TokKeyword, "SELECT") {
 		t := p.cur()
-		return nil, errf(t.Line, t.Col, "EXPLAIN expects a SELECT statement, found %s", t)
+		return nil, p.errf(t.Line, t.Col, "EXPLAIN expects a SELECT statement, found %s", t)
 	}
 	sel, err := p.selectStmt(tail)
 	if err != nil {
@@ -380,7 +380,7 @@ func (p *parser) createStmt() (*CreateTableStmt, error) {
 func (p *parser) typeName() (storage.Type, error) {
 	t := p.cur()
 	if t.Kind != TokIdent && t.Kind != TokKeyword {
-		return storage.TypeNull, errf(t.Line, t.Col, "expected type name, found %s", t)
+		return storage.TypeNull, p.errf(t.Line, t.Col, "expected type name, found %s", t)
 	}
 	p.pos++
 	name := strings.ToUpper(t.Text)
@@ -404,7 +404,7 @@ func (p *parser) typeName() (storage.Type, error) {
 	case "BOOLEAN", "BOOL":
 		return storage.TypeBool, nil
 	default:
-		return storage.TypeNull, errf(t.Line, t.Col, "unknown type %q", t.Text)
+		return storage.TypeNull, p.errf(t.Line, t.Col, "unknown type %q", t.Text)
 	}
 }
 
@@ -574,7 +574,7 @@ func (p *parser) primary() (Expr, error) {
 		p.pos++
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, errf(t.Line, t.Col, "bad number %q: %v", t.Text, err)
+			return nil, p.errf(t.Line, t.Col, "bad number %q: %v", t.Text, err)
 		}
 		return &NumberLit{Text: t.Text, Value: v, IsInt: !strings.ContainsAny(t.Text, ".eE")}, nil
 	case t.Kind == TokString:
@@ -624,7 +624,7 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return e, nil
 	default:
-		return nil, errf(t.Line, t.Col, "unexpected %s in expression", t)
+		return nil, p.errf(t.Line, t.Col, "unexpected %s in expression", t)
 	}
 }
 
@@ -659,7 +659,7 @@ func (p *parser) aggCall(name Token) (Expr, error) {
 		return nil, err
 	}
 	if agg.Fn != "COUNT" && agg.Field == "" {
-		return nil, errf(name.Line, name.Col, "%s needs a field argument, e.g. %s(%s.price)", agg.Fn, agg.Fn, agg.Var)
+		return nil, p.errf(name.Line, name.Col, "%s needs a field argument, e.g. %s(%s.price)", agg.Fn, agg.Fn, agg.Var)
 	}
 	return agg, nil
 }
@@ -682,18 +682,18 @@ func (p *parser) fieldTail(ref *FieldRef, at Token) (Expr, error) {
 		case t.Kind == TokIdent:
 			p.pos++
 			if ref.Field != "" {
-				return nil, errf(t.Line, t.Col, "unexpected %s after field %q", t, ref.Field)
+				return nil, p.errf(t.Line, t.Col, "unexpected %s after field %q", t, ref.Field)
 			}
 			ref.Field = t.Text
 		default:
-			return nil, errf(t.Line, t.Col, "expected field name or previous/next, found %s", t)
+			return nil, p.errf(t.Line, t.Col, "expected field name or previous/next, found %s", t)
 		}
 		if ref.Field != "" {
 			break
 		}
 	}
 	if ref.Field == "" {
-		return nil, errf(at.Line, at.Col, "reference %q is missing a field name", ref.Var)
+		return nil, p.errf(at.Line, at.Col, "reference %q is missing a field name", ref.Var)
 	}
 	return ref, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -60,7 +61,8 @@ func TestLexErrors(t *testing.T) {
 // digit or '_' continues one, so a non-ASCII identifier is one token with
 // its text as written; keywords are ASCII, so no non-ASCII word is one.
 // A character no token starts with is named as written in the error, and
-// a byte that does not begin UTF-8 by its value. Columns count bytes.
+// a byte that does not begin UTF-8 by its value. Columns count
+// characters, in a lex error, a parse error and Lex's tokens alike.
 func TestLexNonASCII(t *testing.T) {
 	for src, want := range map[string][]string{
 		"SELECT prix_é FROM t": {"SELECT", "prix_é", "FROM", "t", ""},
@@ -85,11 +87,11 @@ func TestLexNonASCII(t *testing.T) {
 		}
 	}
 	for src, want := range map[string]string{
-		"'naïve' ´":           `sql-ts: line 1:10: unexpected character "´"`,
+		"'naïve' ´":           `sql-ts: line 1:9: unexpected character "´"`,
 		"SELECT a € b":        `sql-ts: line 1:10: unexpected character "€"`,
 		"SELECT a\n  \xff b":  `sql-ts: line 2:3: invalid UTF-8 byte 0xff`,
 		"SELECT ٣a":           `sql-ts: line 1:8: unexpected character "٣"`,
-		"x = 'déjà vu' AND 🙂": `sql-ts: line 1:21: unexpected character "🙂"`,
+		"x = 'déjà vu' AND 🙂": `sql-ts: line 1:19: unexpected character "🙂"`,
 	} {
 		if _, err := Lex(src); err == nil || err.Error() != want {
 			t.Errorf("Lex(%q) = %v, want %s", src, err, want)
@@ -97,6 +99,25 @@ func TestLexNonASCII(t *testing.T) {
 		if _, err := Parse(src); err == nil || err.Error() != want {
 			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
 		}
+	}
+	for src, want := range map[string]string{
+		"SELECT prix_é, FROM t":     `sql-ts: line 1:16: unexpected "FROM" in expression`,
+		"SELECT été\n  FROM ñ ,, x": `sql-ts: line 2:10: unexpected "," after statement`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
+		}
+	}
+	toks, err := Lex("Größe٣_x>été\n é 'ñ'' x' ü")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []string
+	for _, tk := range toks {
+		cols = append(cols, fmt.Sprintf("%d:%d", tk.Line, tk.Col))
+	}
+	if got, want := strings.Join(cols, " "), "1:1 1:9 1:10 2:2 2:4 2:12 2:13"; got != want {
+		t.Errorf("Lex's token positions are %s, want %s", got, want)
 	}
 	st, err := Parse("SELECT X.prix_é FROM t AS (X) WHERE X.prix_é > 1")
 	if err != nil {

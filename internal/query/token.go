@@ -21,7 +21,8 @@ const (
 	TokOp     // punctuation and operators
 )
 
-// Token is one lexical token with its source position (1-based line/col).
+// Token is one lexical token with its source position: 1-based line, and
+// column in characters.
 type Token struct {
 	Kind TokenKind
 	Text string // keywords are upper-cased; identifiers keep original case
@@ -54,7 +55,8 @@ var keywords = []string{
 	"TRUE", "FALSE", "NULL",
 }
 
-// SyntaxError is a parse or lex error with position information.
+// SyntaxError is a parse or lex error with position information: 1-based
+// line, and column in characters.
 type SyntaxError struct {
 	Line, Col int
 	Msg       string
@@ -64,6 +66,9 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sql-ts: line %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-func errf(line, col int, format string, args ...any) error {
-	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+// errf is the SyntaxError at byte column col of line in the statement p
+// lexes, reported at its character column.
+func (p *parser) errf(line, col int, format string, args ...any) error {
+	c := columns{src: p.src}
+	return &SyntaxError{Line: line, Col: c.at(line, col), Msg: fmt.Sprintf(format, args...)}
 }

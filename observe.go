@@ -204,10 +204,9 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration) {
 // observe feeds every view of one finished execution from its event: the
 // metrics registry, the statement stats, the wide-event ring and sink,
 // and — for a slow run or a contained panic, which is always worth
-// retaining — the slow-query log. res and err are the run's outcome (res
-// is nil exactly when err is not); they add the rendered report and the
+// retaining — the slow-query log. err is the run's error; it adds the
 // panic stack, nothing that is counted.
-func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
+func (db *DB) observe(q *Query, ev *obs.Event, err error) {
 	m := db.metrics
 	entry := db.stmts.Get(ev.SQL) // nil = statement tracking disabled
 	panicked := false
@@ -255,19 +254,19 @@ func (db *DB) observe(q *Query, ev *obs.Event, res *Result, err error) {
 	}
 	db.routeEvent(ev)
 	if ev.Slow || panicked {
-		db.retainSlow(q, ev, res, err)
+		db.retainSlow(q, ev, err)
 	}
 }
 
 // retainSlow lands a slow run or a contained panic in the slow-query log:
 // the event plus a report, the annotated plan or the captured stack.
-func (db *DB) retainSlow(q *Query, ev *obs.Event, res *Result, err error) {
+func (db *DB) retainSlow(q *Query, ev *obs.Event, err error) {
 	rec := SlowQueryRecord{Event: *ev}
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		rec.Report = fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack)
 	} else {
-		rec.Report = q.reportBody(ev, res)
+		rec.Report = q.reportBody(ev)
 	}
 	db.slow.Add(rec)
 	if ev.Slow {

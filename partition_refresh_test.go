@@ -182,8 +182,9 @@ func (w *refreshWriter) insert(t *testing.T) {
 
 // TestPartitionRefreshDifferential interleaves random inserts and queries
 // and, after every query, holds the cached — refreshed, many times over —
-// partition against a from-scratch NoCache run: rows, matches, Stats,
-// and ClusterStats of the result; clusters and masks of the entry. The generation the refresh superseded must read as it did
+// partition against a from-scratch NoCache run: rows, matches and Stats
+// of the result; clusters and masks of the entry. The generation the
+// refresh superseded must read as it did
 // before, and everything the refresh did not touch must be the very same
 // memory.
 func TestPartitionRefreshDifferential(t *testing.T) {
@@ -453,8 +454,8 @@ func projectionsIn(v reflect.Value) int {
 // fanned-out, an overlapping and a naive run, and after an insert
 // refreshed the partition; an interpreter run leaves the memo as it was.
 // So do the memos of a kernel with a cross condition and of one with an
-// opaque element. Every run agrees with a NoCache run on rows, Stats,
-// ClusterStats and Matches.
+// opaque element. Every run agrees with a NoCache run on rows, Stats and
+// Matches.
 func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 	db := New()
 	db.RegisterTable(workload.ClusterWalks("quote", 5, 60, 12, 4))

@@ -371,16 +371,8 @@ type Result struct {
 	// Matches holds the raw match intervals per cluster, for tooling.
 	Matches []ClusterMatches
 
-	// clusterLogs hold every searched cluster's row count and counters in
-	// cluster order (the engine's cluster log, engine.NextClusterStat) —
-	// one log per chunk of the run, in chunk order, each a piece of the
-	// lane's block that searched it — and clusters how many they hold;
-	// ClusterStats expands them for the callers that ask. oneLog backs
-	// clusterLogs for a one-lane run, so that it costs no allocation.
-	clusterLogs [][]byte
-	oneLog      [1][]byte
-	// The counts below are 32 bits wide to keep a Result, which every run
-	// allocates, in the size class it had before the driver's four.
+	// clusters is how many clusters the run searched. The counts are 32
+	// bits wide to keep a Result, which every run allocates, small.
 	clusters int32
 	// workers is how many lanes searched at least one chunk; borrowed how
 	// many helper goroutines the run started, denied how many more an
@@ -416,18 +408,6 @@ type ClusterMatches struct {
 	Matches []engine.Match
 }
 
-// ClusterStat is the execution breakdown for one cluster: input size and
-// runtime counters. Unlike Matches, every searched cluster appears here,
-// matches or not, so skew across clusters is visible.
-type ClusterStat struct {
-	// Cluster is the 0-based cluster index in first-appearance order.
-	Cluster int
-	// Rows is the number of input rows in the cluster.
-	Rows int
-	// Stats are the search counters accumulated within the cluster.
-	Stats engine.Stats
-}
-
 // explainMode selects what Run produces for EXPLAIN statements.
 type explainMode uint8
 
@@ -442,8 +422,8 @@ const (
 // matrices distilled into shift/next tables, and the predicate kernel —
 // which it shares with every cached plan of the same FROM … WHERE (see
 // patternArtifact). Every field is read-only after compilation but the
-// scratch its runs keep — the last result's shape and the kept lanes,
-// each taken by one run at a time — so one Plan is shared by all
+// run bit and the scratch its runs keep — the kept lanes, each taken by
+// one run at a time — so one Plan is shared by all
 // goroutines executing the same SQL concurrently; all per-run mutable
 // state lives in the lanes and executors a run takes or builds.
 type Plan struct {
@@ -473,9 +453,9 @@ type Plan struct {
 	// pattern=cached.
 	trace *obs.Trace
 
-	// shape is the size of the plan's last successful result, which the
-	// next run's lanes reserve their buffers from. nil for a plain SELECT.
-	shape *resultShape
+	// ran is set by the plan's first successful run: a plan keeps a
+	// one-lane run's executor from its second run on (see search.oneLane).
+	ran atomic.Bool
 	// fans keeps the lanes of the plan's fanned-out runs between runs, and
 	// solo the lane of its one-lane runs, each with its executor; what a
 	// kept lane holds is scratch, which no result references (see lane).
@@ -500,6 +480,11 @@ type patternArtifact struct {
 	analysis *query.Compiled
 	tables   *core.Tables
 	kernel   *pattern.Kernel
+	// shape is the size of the last successful result of a plan over the
+	// artifact, which the next run's lanes reserve their buffers from:
+	// matches and their clusters depend on FROM … WHERE alone, so a new
+	// plan over a cached pattern starts from its pattern's last result.
+	shape resultShape
 
 	// spans are the matrices, shift/next and kernel spans of the compile
 	// that built the artifact; cachedSpans are their copies annotated
@@ -537,45 +522,39 @@ func (a *patternArtifact) hitSpans() []*obs.Span {
 	return a.cachedSpans[:]
 }
 
-// resultShape is what a plan remembers of its last successful run: how
-// many matches it found (each is one output row), in how many clusters,
-// and how long its cluster log was. It is advisory — a run reserves from
-// it and grows past it like any other (engine.Block.Reserve) — so the
-// three numbers need not be of one run, and a run that finds them
-// unchanged writes nothing.
+// resultShape is what a pattern remembers of its last successful run: how
+// many matches it found (each is one output row) and in how many clusters.
+// It is advisory — a run reserves from it and grows past it like any
+// other (engine.Block.Reserve) — so the two numbers need not be of one
+// run, and a run that finds them unchanged writes nothing.
 type resultShape struct {
-	matches, matched, logBytes atomic.Int64
+	matches, matched atomic.Int64
 }
 
-// remember records res as the plan's latest result.
+// remember records res as the pattern's latest result.
 func (s *resultShape) remember(res *Result) {
-	matches, matched, logBytes := shapeOf(res)
 	set := func(at *atomic.Int64, v int) {
 		if at.Load() != int64(v) {
 			at.Store(int64(v))
 		}
 	}
-	set(&s.matches, matches)
-	set(&s.matched, matched)
-	set(&s.logBytes, logBytes)
+	set(&s.matches, res.Stats.Matches)
+	set(&s.matched, len(res.Matches))
 }
-
-// shapeOf is the shape of res: its matches, the clusters they are in, and
-// the bytes of its cluster log.
-func shapeOf(res *Result) (matches, matched, logBytes int) {
-	for _, log := range res.clusterLogs {
-		logBytes += len(log)
-	}
-	return res.Stats.Matches, len(res.Matches), logBytes
-}
-
-// ran reports whether a run over at least one cluster has been
-// remembered: such a run logs at least a byte.
-func (s *resultShape) ran() bool { return s.logBytes.Load() != 0 }
 
 // sizes returns the remembered shape.
-func (s *resultShape) sizes() (matches, matched, logBytes int) {
-	return int(s.matches.Load()), int(s.matched.Load()), int(s.logBytes.Load())
+func (s *resultShape) sizes() (matches, matched int) {
+	return int(s.matches.Load()), int(s.matched.Load())
+}
+
+// masks returns part's selection bitmasks for the plan's pattern, built
+// by the first run of a plan of the pattern over part and memoized since,
+// or nil when the plan's executors interpret: there is nothing to memoize.
+func (p *Plan) masks(part *partitionEntry) []*pattern.MaskSet {
+	if p.kernel == nil || p.kernel.CompiledElems() == 0 {
+		return nil
+	}
+	return part.memoFor(p.art)
 }
 
 // SQL returns the statement text the plan was compiled from.
@@ -700,7 +679,6 @@ func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql strin
 			a = db.compilePattern(patternKey{catalog: catalog, tokens: sel.PatternKey}, compiled, tr)
 		}
 		plan.art, plan.tables, plan.kernel = a, a.tables, a.kernel
-		plan.shape = new(resultShape)
 		plan.partKey = partitionKey(t.Name, compiled.ClusterBy, compiled.SequenceBy)
 	}
 	return plan, nil
@@ -978,7 +956,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		ev.HelpersDenied = int(res.denied)
 		ev.HelpersYielded = int(res.yielded)
 	}
-	q.db.observe(q, &ev, res, err)
+	q.db.observe(q, &ev, err)
 	return res, ev, err
 }
 
@@ -1046,10 +1024,6 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	// (built on the first execution of the plan over the partition, so warm
 	// runs skip the sort, the O(rows) decode and the mask build); NoCache
 	// runs bypass the partition cache.
-	art := q.plan.art
-	if q.plan.kernel == nil || q.plan.kernel.CompiledElems() == 0 {
-		art = nil // the executors interpret: nothing to memoize
-	}
 	part, how, err := q.db.partition(t, q.plan, opts.NoCache)
 	if err != nil {
 		return nil, 0, err
@@ -1059,13 +1033,16 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return nil, 0, err
 	}
 	res.partition = how
-	masks := part.memoFor(art)
+	masks := q.plan.masks(part)
 	res.vectorized = masks != nil
 	rc.flightRef().SetClustersTotal(int64(len(clusters)))
 	if err := q.searchClusters(rc, res, clusters, masks, scanned, opts); err != nil {
 		return nil, 0, err
 	}
-	q.plan.shape.remember(res)
+	q.plan.art.shape.remember(res)
+	if !q.plan.ran.Load() {
+		q.plan.ran.Store(true)
+	}
 	if err := rc.check(); err != nil {
 		return nil, 0, err
 	}
