@@ -208,6 +208,16 @@ once 'the partition key is computed outside the plan compile, or more than once:
 absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 
+guard 'A refresh costs its delta'
+# A partition's clusters and their memoized mask sets are held in 64-entry
+# blocks (storage.Blocks): a refresh copies the block index and the blocks
+# it writes, and the driver, the engine's run loops and EXPLAIN ANALYZE's
+# diagnostic pass walk a range of the blocks (engine.Run's Lo and Hi). A
+# flat list of clusters or of mask sets on the serving path is the
+# whole-index copy per refresh growing back.
+absent 'a flat cluster or mask-set list is back on the serving path' \
+	-E '\[\]\[\]storage\.Row|\[\]\*pattern\.MaskSet' -- driver.go serving.go sqlts.go explain.go internal/engine/run.go
+
 guard 'One of each observation primitive'
 # internal/obs holds one latency histogram (obs.Histogram: lock-free, its
 # count the sum of its buckets) behind the registry's three _seconds

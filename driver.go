@@ -56,13 +56,13 @@ func chunkSize(clusters, workers int) int {
 
 // search is what every lane of one run reads: the query, the run's
 // control and options, and the ordered clusters with their memoized mask
-// sets (nil when the run has none).
+// sets (empty when the run has none), in the partition's blocks.
 type search struct {
 	q        *Query
 	rc       *runControl
 	opts     RunOptions
-	clusters [][]storage.Row
-	masks    []*pattern.MaskSet
+	clusters storage.Blocks[[]storage.Row]
+	masks    storage.Blocks[*pattern.MaskSet]
 }
 
 // lane is one worker's executor and output. Everything a lane finds is
@@ -94,12 +94,12 @@ type lane struct {
 	values  engine.Block[storage.Value] // the output rows are carved from it
 
 	// What the sink reads: the run's control and compiled statement, the
-	// chunk handed to the executor, the index of its first cluster, and
-	// where its runs of rows and matches start in the blocks.
-	rc                    *runControl
-	compiled              *query.Compiled
-	run                   engine.Run
-	lo, rowsAt, matchesAt int
+	// chunk handed to the executor, and where its runs of rows and matches
+	// start in the blocks.
+	rc                *runControl
+	compiled          *query.Compiled
+	run               engine.Run
+	rowsAt, matchesAt int
 
 	// yielded marks a borrowed helper that left with chunks unclaimed; err
 	// is a panic contained outside any chunk.
@@ -137,9 +137,8 @@ type mark struct {
 // order. The first failure stops further claims; claimed chunks run out,
 // and the error of the lowest-indexed failed cluster is returned, never a
 // partial result.
-func (q *Query) searchClusters(rc *runControl, res *Result, clusters [][]storage.Row, masks []*pattern.MaskSet, rows int, opts RunOptions) error {
-	s := search{q: q, rc: rc, opts: opts, clusters: clusters, masks: masks}
-	n := len(clusters)
+func (s search) searchClusters(res *Result, rows int) error {
+	n, opts := s.clusters.Len(), s.opts
 	switch {
 	case opts.MaxWorkers > 1:
 		if chunk := chunkSize(n, opts.MaxWorkers); chunk < n {
@@ -170,7 +169,7 @@ func (s *search) oneLane(res *Result) error {
 	}
 	var m mark
 	s.start(l, s.rc.interrupt())
-	s.searchChunk(l, &m, 0, len(s.clusters))
+	s.searchChunk(l, &m, 0, s.clusters.Len())
 	if m.err == nil {
 		res.workers = 1
 		res.Stats, res.clusters = l.stats, l.clusters
@@ -245,7 +244,7 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 	if helpers == 0 {
 		return s.oneLane(res)
 	}
-	n := len(s.clusters)
+	n := s.clusters.Len()
 	f := s.q.plan.fans.get(helpers + 1)
 	f.search, f.budget, f.check = s, budget, s.rc.interrupt()
 	f.chunk = chunkSize(n, helpers+1)
@@ -415,7 +414,7 @@ func (f *fan) run(l *lane, borrowed bool) {
 		}
 		lo := c * f.chunk
 		f.marks[c].helper = l != &f.lanes[0]
-		f.searchChunk(l, &f.marks[c], lo, min(lo+f.chunk, len(f.clusters)))
+		f.searchChunk(l, &f.marks[c], lo, min(lo+f.chunk, f.clusters.Len()))
 		if f.marks[c].err != nil {
 			f.failed.Store(true)
 		}
@@ -476,7 +475,7 @@ func (s *search) executor(l *lane) {
 // what its sink reads.
 func (s *search) begin(l *lane, check func() error) {
 	l.ex.SetInterrupt(check)
-	l.ex.SetVectorized(s.masks != nil)
+	l.ex.SetVectorized(s.masks.Len() > 0)
 	l.rc, l.compiled = s.rc, s.q.plan.compiled
 	l.started = true
 }
@@ -499,7 +498,7 @@ func (k executorKey) policy() engine.SkipPolicy {
 	return engine.SkipPastLastRow
 }
 
-// searchChunk searches clusters[lo:hi] on lane l and leaves the chunk's
+// searchChunk searches clusters [lo, hi) on lane l and leaves the chunk's
 // mark in m: the runs of matches and projected rows it appended to the
 // lane's blocks, or the error that stopped it. It is the containment
 // boundary of the search: an engine.Interrupt unwind comes back as its
@@ -519,11 +518,8 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	if m.err = s.rc.check(); m.err != nil {
 		return
 	}
-	l.lo, l.rowsAt, l.matchesAt = lo, l.rows.Len(), l.matches.Len()
-	l.run = engine.Run{Seqs: s.clusters[lo:hi], Sink: l}
-	if s.masks != nil {
-		l.run.Masks = s.masks[lo:hi]
-	}
+	l.rowsAt, l.matchesAt = l.rows.Len(), l.matches.Len()
+	l.run = engine.Run{Clusters: s.clusters, Masks: s.masks, Lo: lo, Hi: hi, Sink: l}
 	if m.err = l.ex.FindRun(&l.run); m.err != nil {
 		return
 	}
@@ -546,8 +542,8 @@ func (l *lane) Enter(int) error {
 // matches join the lane's and its output rows are evaluated into the
 // lane's blocks.
 func (l *lane) Found(i int, ms []engine.Match, st engine.Stats) error {
-	seq, width := l.run.Seqs[i], len(l.compiled.OutNames)
-	l.matchesAt = l.matches.Append(l.matchesAt, ClusterMatches{Cluster: l.lo + i, Matches: ms})
+	seq, width := l.run.Clusters.At(i), len(l.compiled.OutNames)
+	l.matchesAt = l.matches.Append(l.matchesAt, ClusterMatches{Cluster: i, Matches: ms})
 	for _, found := range ms {
 		row, err := l.compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
 		if err != nil {

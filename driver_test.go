@@ -676,7 +676,7 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 	var rows []storage.Row
 	for _, cm := range matches {
 		for _, m := range cm.Matches {
-			row, err := c.EvalSelectInto(make(storage.Row, len(c.OutNames)), part.Groups[cm.Cluster], m.Spans)
+			row, err := c.EvalSelectInto(make(storage.Row, len(c.OutNames)), part.Groups.At(cm.Cluster), m.Spans)
 			if err != nil {
 				t.Fatal(err)
 			}

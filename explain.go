@@ -135,27 +135,24 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	masks := q.plan.masks(part)
+	masks, vectorized := q.plan.masks(part)
 	policy := executorKey{opts.Executor, opts.Overlap}.policy()
 	exs := []engine.Executor{q.newExecutor(opts, policy)}
 	if opts.Executor != NaiveExec {
 		exs = append(exs, q.newExecutor(RunOptions{Executor: NaiveExec}, policy))
 	}
-	cs = make([]clusterStat, len(part.Groups))
-	r := engine.Run{Sink: diagnosticSink{rc}}
+	cs = make([]clusterStat, part.Groups.Len())
+	r := engine.Run{Clusters: part.Groups, Masks: masks, Sink: diagnosticSink{rc}}
 	for k, ex := range exs {
 		ex.SetInterrupt(rc.interrupt())
-		ex.SetVectorized(masks != nil)
-		for i, seq := range part.Groups {
-			r.Seqs = part.Groups[i : i+1]
-			if masks != nil {
-				r.Masks = masks[i : i+1]
-			}
+		ex.SetVectorized(vectorized)
+		for i := range cs {
+			r.Lo, r.Hi = i, i+1
 			if err := ex.FindRun(&r); err != nil {
 				return nil, engine.Stats{}, err
 			}
 			if k == 0 {
-				cs[i] = clusterStat{cluster: i, rows: len(seq), stats: r.Stats}
+				cs[i] = clusterStat{cluster: i, rows: len(part.Groups.At(i)), stats: r.Stats}
 			} else {
 				naive.Add(r.Stats)
 			}

@@ -177,7 +177,7 @@ func clusterReference(t testing.TB, q *Query) []clusterStat {
 		t.Fatal(err)
 	}
 	var cs []clusterStat
-	for i, seq := range part.Groups {
+	for i, seq := range part.Groups.Slice() {
 		_, st := engine.NewOPS(c.Pattern, q.plan.tables, engine.OPSConfig{}).FindAll(seq)
 		cs = append(cs, clusterStat{cluster: i, rows: len(seq), stats: st})
 	}

@@ -491,7 +491,7 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 
 // FindRun implements Executor. Wherever FindAll would run findAllStarPure
 // — with bulk probing allowed for the whole run — it runs the pure loop
-// across the chunk, on one eval count, so the checkpoint runs once per
+// across the chunk, block by block, on one eval count, so the checkpoint runs once per
 // 1024 evals of the chunk; otherwise the generic run loop. The pure loop
 // calls neither the sink's Enter nor a checkpoint per cluster, and ticks
 // the flight at the end of the cluster a checkpoint fell in and at the end
@@ -519,47 +519,51 @@ func (o *OPS) FindRun(r *Run) error {
 	defer p.tick(r.Sink)
 	var total Stats
 	var evals, ticked, closedRun, closedPairRows int64
-	for i, seq := range r.Seqs {
-		n := len(seq)
-		slab, words := r.Masks[i].Words()
-		var c, xs int
-		if words == 1 {
-			// The common short cluster: the scan of one word, inline.
-			yw := ^uint64(0)
-			if pair {
-				yw = slab[sy]
+	for lo := r.Lo; lo < r.Hi; {
+		seqs, masks := r.Clusters.Span(lo, r.Hi), r.Masks.Span(lo, r.Hi)
+		for k, seq := range seqs {
+			n := len(seq)
+			slab, words := masks[k].Words()
+			var c, xs int
+			if words == 1 {
+				// The common short cluster: the scan of one word, inline.
+				yw := ^uint64(0)
+				if pair {
+					yw = slab[sy]
+				}
+				c, xs = storage.MaskPairWord(slab[sx], yw, n)
+			} else {
+				x, y := o.scanMasks(slab, words, pair)
+				c, xs = storage.MaskNextPair(x, y, 0, n)
 			}
-			c, xs = storage.MaskPairWord(slab[sx], yw, n)
-		} else {
-			x, y := o.scanMasks(slab, words, pair)
-			c, xs = storage.MaskNextPair(x, y, 0, n)
-		}
-		var st Stats
-		if closed && c == n-1 && n > 0 {
-			evals = o.addEvals(evals, int64(n+xs))
-			st = Stats{PredEvals: int64(n + xs), Rollbacks: int64(n - 1)}
-			if slab[sx*words+c>>6]>>(c&63)&1 == 0 {
-				st.Rollbacks++
-			}
-			closedPairRows += int64(n - 1)
-			closedRun++
-		} else {
-			x, y := o.scanMasks(slab, words, pair)
-			o.slab, o.words = slab, words
-			var ms []Match
-			ms, evals = o.searchPure(n, x, y, c, xs, evals)
-			st = o.stats
-			if len(ms) > 0 {
-				if err := r.Sink.Found(i, ms, st); err != nil {
-					return err
+			var st Stats
+			if closed && c == n-1 && n > 0 {
+				evals = o.addEvals(evals, int64(n+xs))
+				st = Stats{PredEvals: int64(n + xs), Rollbacks: int64(n - 1)}
+				if slab[sx*words+c>>6]>>(c&63)&1 == 0 {
+					st.Rollbacks++
+				}
+				closedPairRows += int64(n - 1)
+				closedRun++
+			} else {
+				x, y := o.scanMasks(slab, words, pair)
+				o.slab, o.words = slab, words
+				var ms []Match
+				ms, evals = o.searchPure(n, x, y, c, xs, evals)
+				st = o.stats
+				if len(ms) > 0 {
+					if err := r.Sink.Found(lo+k, ms, st); err != nil {
+						return err
+					}
 				}
 			}
+			total.Add(st)
+			if p.add(n, st); evals>>10 != ticked>>10 {
+				p.tick(r.Sink)
+				ticked = evals
+			}
 		}
-		total.Add(st)
-		if p.add(n, st); evals>>10 != ticked>>10 {
-			p.tick(r.Sink)
-			ticked = evals
-		}
+		lo += len(seqs)
 	}
 	if pair {
 		o.pairRows += closedPairRows

@@ -8,14 +8,15 @@ import (
 
 // Run is a chunk of consecutive clusters for FindRun, and what searching it
 // left: the one way a caller drives clusters through an executor. The
-// clusters are searched in order; a cluster's index in the sink's calls is
-// its index in Seqs.
+// clusters [Lo, Hi) of Clusters are searched in order, block by block; a
+// cluster's index in the sink's calls is its index in Clusters.
 type Run struct {
-	// Seqs are the clusters' sequences; Masks, when not nil, holds each
+	// Clusters holds the clusters' sequences; Masks, when not empty, each
 	// cluster's prebuilt selection bitmasks (see UseMasks), indexed like
-	// Seqs.
-	Seqs  [][]storage.Row
-	Masks []*pattern.MaskSet
+	// Clusters.
+	Clusters storage.Blocks[[]storage.Row]
+	Masks    storage.Blocks[*pattern.MaskSet]
+	Lo, Hi   int
 	// Sink is handed what the search finds.
 	Sink RunSink
 
@@ -64,32 +65,36 @@ func (p *progress) tick(sink RunSink) {
 	*p = progress{}
 }
 
-// runEach is the generic run loop, the one every executor has: before each
-// cluster it calls the sink's Enter, then hands the executor the cluster's
-// masks, searches it with f's FindAll and hands its matches to the sink's
-// Found. The flight is ticked every TickRows rows and at the end, also
-// when the run fails.
+// runEach is the generic run loop, the one every executor has: block by
+// block, before each cluster it calls the sink's Enter, then hands the
+// executor the cluster's masks, searches it with f's FindAll and hands its
+// matches to the sink's Found. The flight is ticked every TickRows rows
+// and at the end, also when the run fails.
 func (e *evaluator) runEach(f Executor, r *Run) error {
 	var p progress
 	defer p.tick(r.Sink)
 	var total Stats
-	for i, seq := range r.Seqs {
-		if err := r.Sink.Enter(i); err != nil {
-			return err
-		}
-		if r.Masks != nil {
-			e.nextMasks = r.Masks[i]
-		}
-		ms, st := f.FindAll(seq)
-		total.Add(st)
-		if len(ms) > 0 {
-			if err := r.Sink.Found(i, ms, st); err != nil {
+	for lo := r.Lo; lo < r.Hi; {
+		seqs, masks := r.Clusters.Span(lo, r.Hi), r.Masks.Span(lo, r.Hi)
+		for k, seq := range seqs {
+			if err := r.Sink.Enter(lo + k); err != nil {
 				return err
 			}
+			if masks != nil {
+				e.nextMasks = masks[k]
+			}
+			ms, st := f.FindAll(seq)
+			total.Add(st)
+			if len(ms) > 0 {
+				if err := r.Sink.Found(lo+k, ms, st); err != nil {
+					return err
+				}
+			}
+			if p.add(len(seq), st); p.rows >= TickRows {
+				p.tick(r.Sink)
+			}
 		}
-		if p.add(len(seq), st); p.rows >= TickRows {
-			p.tick(r.Sink)
-		}
+		lo += len(seqs)
 	}
 	r.Stats = total
 	return nil
@@ -99,5 +104,5 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 // answered by a mask alone and nothing observes probes one at a time: the
 // condition reset sets allPure on, read once for the whole run.
 func (e *evaluator) bulkRun(r *Run) bool {
-	return r.Masks != nil && e.kern != nil && e.vec && e.kern.AllPure() && !e.doTrc && !fault.Active()
+	return r.Masks.Len() > 0 && e.kern != nil && e.vec && e.kern.AllPure() && !e.doTrc && !fault.Active()
 }

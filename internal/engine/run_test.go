@@ -57,9 +57,10 @@ func (s *runSink) Tick(clusters, rows, matches int64) {
 // mk, and cluster by cluster with FindAll on another, and fails unless the
 // sink was handed every cluster with a match — matches, spans and Stats —
 // and ticked every cluster, row and match, the run's Stats are the
-// clusters', an OPS's pair scans resolved the same rows, and a one-cluster
-// Run of each cluster on a third executor books the counters FindAll does. Over supplied
-// masks neither executor may project a cluster: the masks answer every
+// clusters', an OPS's pair scans resolved the same rows, a one-cluster
+// Run of each cluster on a third executor books the counters FindAll does,
+// and two Runs cut off the block seams find what the whole one does. Over
+// supplied masks neither executor may project a cluster: the masks answer every
 // compiled element and the interpreter the rest. It returns how many
 // clusters the run booked in closed form and whether it took the
 // chunk-wide pure loop, which calls no Enter.
@@ -85,7 +86,9 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 
 	ex := mk()
 	sink := &runSink{}
-	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
+	all := chunk(clusters, masks, nil)
+	r := all
+	r.Sink = sink
 	before := ClosedClusters()
 	if err := ex.FindRun(&r); err != nil {
 		t.Fatalf("%s: FindRun: %v", label, err)
@@ -96,15 +99,32 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 	}
 	one := mk()
 	for i := range clusters {
-		r := Run{Seqs: clusters[i : i+1], Sink: &runSink{}}
-		if masks != nil {
-			r.Masks = masks[i : i+1]
-		}
+		r := all
+		r.Lo, r.Hi, r.Sink = i, i+1, &runSink{}
 		if err := one.FindRun(&r); err != nil {
 			t.Fatalf("%s: FindRun of cluster %d alone: %v", label, i, err)
 		}
 		if r.Stats != each[i] {
 			t.Fatalf("%s: cluster %d searched alone books %+v, FindAll %+v", label, i, r.Stats, each[i])
+		}
+	}
+	// Two runs cut off the block seams, as a driver's chunks fall, hand
+	// the sink what the whole run does, under the clusters' own indexes.
+	halves, halfStats := &runSink{}, Stats{}
+	for _, cut := range [][2]int{{0, len(clusters) / 3}, {len(clusters) / 3, len(clusters)}} {
+		r := all
+		r.Lo, r.Hi, r.Sink = cut[0], cut[1], halves
+		if err := one.FindRun(&r); err != nil {
+			t.Fatalf("%s: FindRun of clusters [%d, %d): %v", label, cut[0], cut[1], err)
+		}
+		halfStats.Add(r.Stats)
+	}
+	if halfStats != wantStats || len(halves.found) != len(want) {
+		t.Fatalf("%s: two runs found %d clusters and booked %+v, want %d and %+v", label, len(halves.found), halfStats, len(want), wantStats)
+	}
+	for k, f := range halves.found {
+		if w := want[k]; f.i != w.i || f.st != w.st || !matchesEqual(f.ms, w.ms) {
+			t.Fatalf("%s: two runs found cluster %d %+v, want cluster %d %+v", label, f.i, f.st, w.i, w.st)
 		}
 	}
 	if len(sink.found) != len(want) {
@@ -149,18 +169,39 @@ func projected(ex Executor) bool {
 	return e.ownProj != nil || e.proj != nil
 }
 
+// chunk is clusters with their masks (nil: none) as one Run over them all,
+// handing its sink to sink.
+func chunk(clusters [][]storage.Row, masks []*pattern.MaskSet, sink RunSink) Run {
+	return Run{Clusters: blocksOf(clusters), Masks: blocksOf(masks), Hi: len(clusters), Sink: sink}
+}
+
+// blocksOf returns a storage.Blocks of a copy of s's elements.
+func blocksOf[T any](s []T) storage.Blocks[T] {
+	e := storage.Blocks[T]{}.Edit(len(s))
+	for i, v := range s {
+		e.Set(i, v)
+	}
+	return e.Done()
+}
+
 // runMemo builds a memo's masks over clusters with one BuildRun; with
-// refresh set, one cluster is rebuilt as a run of its own, as a partition
-// refresh does, so the chunk's masks come from two slabs.
+// refresh set, every seventh cluster is rebuilt as one more run, as a
+// partition refresh rebuilds its stale clusters, so the chunk's masks come
+// from two slabs.
 func runMemo(k *pattern.Kernel, clusters [][]storage.Row, refresh bool) []*pattern.MaskSet {
 	if k.CompiledElems() == 0 || len(clusters) == 0 {
 		return nil
 	}
 	ms := make([]*pattern.MaskSet, len(clusters))
-	k.BuildRun(clusters, 0, len(clusters), ms)
+	sets := k.BuildRun(len(clusters), func(j int) []storage.Row { return clusters[j] })
+	for i := range sets {
+		ms[i] = &sets[i]
+	}
 	if refresh {
-		c := len(clusters) / 2
-		k.BuildRun(clusters, c, c+1, ms)
+		again := k.BuildRun((len(clusters)+6)/7, func(j int) []storage.Row { return clusters[7*j] })
+		for j := range again {
+			ms[7*j] = &again[j]
+		}
 	}
 	return ms
 }
@@ -492,7 +533,7 @@ func TestRunLoopCheckpointCadence(t *testing.T) {
 	calls := int64(0)
 	o.SetInterrupt(func() error { calls++; return nil })
 	sink := &tickLog{}
-	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
+	r := chunk(clusters, masks, sink)
 	before := ClosedClusters()
 	if err := o.FindRun(&r); err != nil {
 		t.Fatal(err)
@@ -555,7 +596,7 @@ func TestRunLoopInterrupt(t *testing.T) {
 			return nil
 		})
 		sink := &runSink{}
-		r := Run{Seqs: clusters, Masks: masks, Sink: sink}
+		r := chunk(clusters, masks, sink)
 		err := func() (err error) {
 			defer func() {
 				if it, ok := recover().(Interrupt); ok {
@@ -597,7 +638,7 @@ func TestRunLoopEnterStops(t *testing.T) {
 		}
 		return nil
 	}}
-	r := Run{Seqs: clusters, Masks: masks, Sink: sink}
+	r := chunk(clusters, masks, sink)
 	if err := o.FindRun(&r); !errors.Is(err, stop) {
 		t.Fatalf("err = %v", err)
 	}

@@ -181,45 +181,45 @@ func (k *Kernel) BuildMasks(proj *storage.Projection, ms *MaskSet) *MaskSet {
 	return ms
 }
 
-// BuildRun builds what a partition memo keeps of the run of clusters
-// clusters[lo:hi]: a MaskSet for cluster i in masks[i] (masks is indexed
-// like clusters). The run's mask sets are carved from one []MaskSet and
-// one []uint64, the disjunction scratch is one buffer for the run, and
-// every cluster is decoded through one scratch projection, which nothing
-// keeps: a search over the masks reads none. Nothing the run allocates is
-// shared with another run, so rebuilding one cluster beside a shared slab
-// writes none of it.
-func (k *Kernel) BuildRun(clusters [][]storage.Row, lo, hi int, masks []*MaskSet) {
-	if lo >= hi {
-		return
+// BuildRun builds what a partition memo keeps of a run of n clusters, the
+// rows of the run's j-th cluster being rows(j): their mask sets, in one
+// []MaskSet in run order. The sets' masks are carved from one []uint64,
+// the disjunction scratch is one buffer for the run, and every cluster is
+// decoded through one scratch projection, which nothing keeps: a search
+// over the masks reads none. Nothing the run allocates is shared with
+// another run, so rebuilding some clusters beside a shared slab writes
+// none of it.
+func (k *Kernel) BuildRun(n int, rows func(j int) []storage.Row) []MaskSet {
+	if n <= 0 {
+		return nil
 	}
 	words, longest := 0, 0
-	for _, rows := range clusters[lo:hi] {
-		words += k.slots * storage.MaskWords(len(rows))
-		longest = max(longest, len(rows))
+	for j := 0; j < n; j++ {
+		r := len(rows(j))
+		words += k.slots * storage.MaskWords(r)
+		longest = max(longest, r)
 	}
-	sets := make([]MaskSet, hi-lo)
+	sets := make([]MaskSet, n)
 	slab := make([]uint64, words)
 	scratch := make([]uint64, k.vecScratch*storage.MaskWords(longest))
 	proj := k.scratchProjection()
 	defer scratchProjections.Put(proj)
 	proj.Grow(longest)
-	for i := lo; i < hi; i++ {
-		rows := clusters[i]
-		proj.SetRows(rows)
-		ms := &sets[i-lo]
-		need := k.slots * storage.MaskWords(len(rows))
-		*ms = MaskSet{k: k, slab: slab[:need:need], rows: len(rows)}
+	for j := range sets {
+		r := rows(j)
+		proj.SetRows(r)
+		need := k.slots * storage.MaskWords(len(r))
+		sets[j] = MaskSet{k: k, slab: slab[:need:need], rows: len(r)}
 		slab = slab[need:]
-		k.fill(ms, proj, scratch)
-		masks[i] = ms
+		k.fill(&sets[j], proj, scratch)
 	}
+	return sets
 }
 
 // scratchProjections holds the projections BuildRun decodes through. A
 // never-seen statement builds its masks once, and a refresh rebuilds a
-// handful of clusters, each as a run of its own: the decode buffer is most
-// of what such a run would allocate, and statements over one table mostly
+// handful of clusters as one run: the decode buffer is most of what such
+// a run would allocate, and statements over one table mostly
 // read the same few columns, so the buffer of one kernel's run usually
 // fits the next kernel's.
 var scratchProjections sync.Pool

@@ -252,9 +252,9 @@ func TestWarmMaskRebuildAllocatesNothing(t *testing.T) {
 // and without NULLs, every slot of every cluster's set (each element's
 // mask, each intermediate condition's, each column's null mask) equals
 // BuildMasks over a projection of that cluster alone, word for word, and
-// the static tables say what the set says. Then a cluster is rebuilt as a
-// run of its own while readers walk the shared slab: nothing of the slab
-// may be written (meaningful under -race).
+// the static tables say what the set says. Then every other cluster is
+// rebuilt as one run over their indexes while readers walk the shared
+// slab: nothing of the slab may be written (meaningful under -race).
 func TestRunBuilderMatchesPerCluster(t *testing.T) {
 	crossed := MustCompile(vecSchema(), []Element{
 		{Name: "X", Local: []Cond{FieldConst(0, Cur, constraint.Ge, 1)}},
@@ -293,9 +293,12 @@ func TestRunBuilderMatchesPerCluster(t *testing.T) {
 			masks := make([]*MaskSet, len(clusters))
 			// The run is the middle of the list: its neighbours stay unbuilt.
 			lo, hi := 1, len(clusters)-1
-			k.BuildRun(clusters, lo, hi, masks)
-			if masks[0] != nil || masks[hi] != nil {
-				t.Fatalf("%s: BuildRun built outside its run", label)
+			sets := k.BuildRun(hi-lo, func(j int) []storage.Row { return clusters[lo+j] })
+			if len(sets) != hi-lo {
+				t.Fatalf("%s: BuildRun built %d sets for a run of %d", label, len(sets), hi-lo)
+			}
+			for j := range sets {
+				masks[lo+j] = &sets[j]
 			}
 			for ci := lo; ci < hi; ci++ {
 				own := k.NewProjection()
@@ -342,16 +345,21 @@ func TestRunBuilderMatchesPerCluster(t *testing.T) {
 					}
 				}()
 			}
-			rebuilt := make([]*MaskSet, len(clusters))
-			for ci := lo; ci < hi; ci++ {
-				k.BuildRun(clusters, ci, ci+1, rebuilt)
+			// Every other cluster of the run, rebuilt as one run over their
+			// indexes, as a partition refresh rebuilds its stale clusters.
+			var stale []int
+			for ci := lo; ci < hi; ci += 2 {
+				stale = append(stale, ci)
 			}
+			again := k.BuildRun(len(stale), func(j int) []storage.Row { return clusters[stale[j]] })
 			close(stop)
 			readers.Wait()
-			for ci := lo; ci < hi; ci++ {
-				if rebuilt[ci] == masks[ci] || !slices.Equal(rebuilt[ci].slab, before[ci]) {
-					t.Fatalf("%s: cluster %d rebuilt alone: not a new, equal set", label, ci)
+			for j, ci := range stale {
+				if &again[j] == masks[ci] || !slices.Equal(again[j].slab, before[ci]) {
+					t.Fatalf("%s: cluster %d rebuilt: not a new, equal set", label, ci)
 				}
+			}
+			for ci := lo; ci < hi; ci++ {
 				if !slices.Equal(masks[ci].slab, before[ci]) {
 					t.Fatalf("%s: rebuilding cluster %d wrote the shared slab", label, ci)
 				}

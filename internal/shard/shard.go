@@ -84,12 +84,11 @@ func (s *Shard) Memo(k *pattern.Kernel) []*pattern.MaskSet {
 	defer s.mu.Unlock()
 	masks := s.memo[k]
 	if masks == nil {
-		rows := make([][]storage.Row, len(s.clusters))
-		for i, cl := range s.clusters {
-			rows[i] = cl.Rows
+		sets := k.BuildRun(len(s.clusters), func(j int) []storage.Row { return s.clusters[j].Rows })
+		masks = make([]*pattern.MaskSet, len(sets))
+		for i := range sets {
+			masks[i] = &sets[i]
 		}
-		masks = make([]*pattern.MaskSet, len(rows))
-		k.BuildRun(rows, 0, len(rows), masks)
 		if s.memo == nil {
 			s.memo = map[*pattern.Kernel][]*pattern.MaskSet{}
 		}

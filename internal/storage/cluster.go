@@ -17,10 +17,13 @@ import (
 // generation NewClustering returns — grouping and sorting have this one
 // implementation.
 type Clustering struct {
-	// Groups holds one row slice per cluster. They never alias mutable
-	// table storage and are never written after the generation is
-	// returned, so they are safe to share read-only across goroutines.
-	Groups [][]Row
+	// Groups holds one row slice per cluster, in blocks: a refresh copies
+	// the block index and the blocks of the groups it changes, and shares
+	// the rest with its base. The row slices never alias mutable table
+	// storage, and neither they nor the blocks are written after the
+	// generation is returned, so they are safe to share read-only across
+	// goroutines.
+	Groups Blocks[[]Row]
 	// Rows is the number of table rows the generation covers: the length
 	// of the snapshot it consumed, and the sum of its group lengths.
 	Rows int
@@ -69,13 +72,14 @@ func (t *Table) NewClustering(clusterBy, sequenceBy []string) (*Clustering, erro
 func (c *Clustering) Table() *Table { return c.table }
 
 // Refresh derives the generation for the table's current snapshot. Groups
-// that received no appended row are carried over sharing c's row slices;
-// a group that did gets a fresh slice (c stays valid for its readers) and
-// is stable-sorted again, which yields exactly what sorting the whole log
+// that received no appended row are carried over sharing c's row slices,
+// and blocks of such groups c's blocks; a group that did gets a fresh
+// slice in a fresh block (c stays valid for its readers) and is
+// stable-sorted again, which yields exactly what sorting the whole log
 // would: c's order already breaks ties by log position, and the appended
-// rows follow in log order. New keys become new groups after c's. resorted
-// lists the carried-over groups that were rebuilt this way, in first-touch
-// order; groups at index len(c.Groups) and up are new.
+// rows follow in log order. New keys become new groups after c's.
+// resorted lists the carried-over groups that were rebuilt this way, in
+// first-touch order; groups at index c.Groups.Len() and up are new.
 //
 // An error means no successor could be derived from c — the table shrank
 // or was edited in place, or the appended rows do not compare under the
@@ -94,22 +98,27 @@ func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
 	if len(delta) == 0 {
 		return next, nil, nil
 	}
-	carried := len(c.Groups)
-	var groups [][]Row
+	carried := c.Groups.Len()
+	var ed Editor[[]Row]
 	if c.keys == nil {
+		ed = c.Groups.Edit(1)
 		var prev []Row
 		if carried > 0 {
-			prev, resorted = c.Groups[0], []int{0}
+			ed.Touch(0)
+			prev, resorted = c.Groups.At(0), []int{0}
 		}
 		g := make([]Row, 0, len(prev)+len(delta))
-		groups = [][]Row{append(append(g, prev...), delta...)}
+		ed.Set(0, append(append(g, prev...), delta...))
 	} else {
-		groups = append(groups, c.Groups...)
-		var copied map[int]bool
+		// The first pass finds every appended row's group, the second
+		// appends the rows, once the editor knows which blocks change.
+		var gbuf [16]int32
+		gis, n := gbuf[:0], carried
 		// One scratch buffer serves every row's key; a key is only
 		// materialized as a string when its group first appears (map probes
 		// on string(scratch) don't allocate).
-		var scratch []byte
+		var kbuf [64]byte
+		scratch := kbuf[:0]
 		c.keys.mu.Lock()
 		for _, r := range delta {
 			scratch = appendClusterKey(scratch[:0], r, c.cidx)
@@ -118,37 +127,46 @@ func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
 				i = int32(len(c.keys.m))
 				c.keys.m[string(scratch)] = i
 			}
-			gi := int(i)
 			switch {
-			case gi == len(groups):
-				groups = append(groups, nil)
-			case gi > len(groups):
+			case int(i) == n:
+				n++
+			case int(i) > n:
 				// A key this log prefix should have introduced was assigned
 				// later: the rows under c were edited, not appended to.
 				c.keys.mu.Unlock()
 				return nil, nil, errDiverged
-			case gi < carried && !copied[gi]:
-				if copied == nil {
-					copied = map[int]bool{}
-				}
-				copied[gi] = true
-				resorted = append(resorted, gi)
-				groups[gi] = append(make([]Row, 0, len(groups[gi])+1), groups[gi]...)
 			}
-			groups[gi] = append(groups[gi], r)
+			gis = append(gis, i)
 		}
 		c.keys.mu.Unlock()
+		ed = c.Groups.Edit(n)
+		for _, gi := range gis {
+			if int(gi) < carried {
+				ed.Touch(int(gi))
+			}
+		}
+		for k, r := range delta {
+			gi := int(gis[k])
+			g := ed.At(gi)
+			// A carried group still holding its base's rows is copied before
+			// its first append.
+			if gi < carried && &g[0] == &c.Groups.At(gi)[0] {
+				resorted = append(resorted, gi)
+				g = append(make([]Row, 0, len(g)+1), g...)
+			}
+			ed.Set(gi, append(g, r))
+		}
 	}
 	for _, gi := range resorted {
-		if err := SortBySequence(groups[gi], c.sidx); err != nil {
+		if err := SortBySequence(ed.At(gi), c.sidx); err != nil {
 			return nil, nil, err
 		}
 	}
-	for _, g := range groups[carried:] {
-		if err := SortBySequence(g, c.sidx); err != nil {
+	next.Groups = ed.Done()
+	for gi := carried; gi < next.Groups.Len(); gi++ {
+		if err := SortBySequence(next.Groups.At(gi), c.sidx); err != nil {
 			return nil, nil, err
 		}
 	}
-	next.Groups = groups
 	return next, resorted, nil
 }

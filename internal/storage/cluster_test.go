@@ -45,60 +45,90 @@ func sameBacking(a, b []Row) bool { return len(a) == len(b) && &a[0] == &b[0] }
 // clusters, into new ones, with out-of-order and duplicate sequence keys,
 // with and without CLUSTER BY — equals a from-scratch build after every
 // step, shares every untouched cluster's rows with its base, reports
-// exactly the clusters it re-sorted, and leaves the base as it was.
+// exactly the clusters it re-sorted, and leaves the base as it was. It
+// starts from three names and from one row in each of 63, 64, 65 and 129
+// clusters, so new keys land in full, nearly full and partly filled last
+// blocks: a block of clusters none of which changed is its base's, and
+// one holding a changed or new cluster is not.
 func TestPartitionRefreshMatchesBuild(t *testing.T) {
-	for _, clusterBy := range [][]string{{"name"}, nil} {
-		r := rand.New(rand.NewSource(13))
-		tbl := NewTable("quote", quoteSchema(t))
-		names := []string{"A", "B", "C"}
-		sequenceBy := []string{"date"}
-		gen, err := tbl.NewClustering(clusterBy, sequenceBy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 60; step++ {
-			if r.Intn(3) == 0 {
-				names = append(names, fmt.Sprintf("N%d", step))
-			}
-			for b := r.Intn(3); b >= 0; b-- {
-				// A batch may be empty: the version moves, the rows don't.
-				if err := tbl.InsertBatch(randomQuotes(r, names, r.Intn(7))); err != nil {
-					t.Fatal(err)
+	for _, clusters := range []int{3, 63, 64, 65, 129} {
+		for _, clusterBy := range [][]string{{"name"}, nil} {
+			r := rand.New(rand.NewSource(13))
+			tbl := NewTable("quote", quoteSchema(t))
+			names := []string{"A", "B", "C"}
+			if clusters > 3 {
+				names = names[:0]
+				for i := 0; i < clusters; i++ {
+					names = append(names, fmt.Sprintf("S%03d", i))
+					tbl.MustInsert(NewString(names[i]), NewDateDays(20), NewFloat(1))
 				}
 			}
-			baseGroups := append([][]Row(nil), gen.Groups...)
-			var baseRows [][]Row
-			for _, g := range gen.Groups {
-				baseRows = append(baseRows, append([]Row(nil), g...))
-			}
-			next, resorted, err := gen.Refresh()
+			sequenceBy := []string{"date"}
+			gen, err := tbl.NewClustering(clusterBy, sequenceBy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if next.Rows != tbl.Len() || next.Version != tbl.Version() {
-				t.Fatalf("step %d: refresh covers %d rows at version %d, table has %d at %d",
-					step, next.Rows, next.Version, tbl.Len(), tbl.Version())
-			}
-			if want := scratchClustering(t, tbl, next.Rows, clusterBy, sequenceBy); !reflect.DeepEqual(next.Groups, want) {
-				t.Fatalf("step %d (cluster by %v): refresh differs from a build:\n%v\n%v", step, clusterBy, next.Groups, want)
-			}
-			dirty := map[int]bool{}
-			for _, gi := range resorted {
-				if dirty[gi] || gi >= len(baseGroups) {
-					t.Fatalf("step %d: resorted = %v over %d carried clusters", step, resorted, len(baseGroups))
+			intoShared := 0
+			for step := 0; step < 60; step++ {
+				label := fmt.Sprintf("%d clusters, cluster by %v, step %d", clusters, clusterBy, step)
+				if r.Intn(3) == 0 {
+					names = append(names, fmt.Sprintf("N%d", step))
 				}
-				dirty[gi] = true
-			}
-			for i := range baseGroups {
-				if shared := sameBacking(next.Groups[i], baseGroups[i]); shared == dirty[i] {
-					t.Fatalf("step %d: cluster %d shares its base's rows = %v, reported re-sorted = %v", step, i, shared, dirty[i])
+				for b := r.Intn(3); b >= 0; b-- {
+					// A batch may be empty: the version moves, the rows don't.
+					if err := tbl.InsertBatch(randomQuotes(r, names, r.Intn(7))); err != nil {
+						t.Fatal(err)
+					}
 				}
+				base := gen.Groups
+				baseRows := base.Slice()
+				for i, g := range baseRows {
+					baseRows[i] = append([]Row(nil), g...)
+				}
+				next, resorted, err := gen.Refresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.Rows != tbl.Len() || next.Version != tbl.Version() {
+					t.Fatalf("%s: refresh covers %d rows at version %d, table has %d at %d",
+						label, next.Rows, next.Version, tbl.Len(), tbl.Version())
+				}
+				if got, want := next.Groups.Slice(), scratchClustering(t, tbl, next.Rows, clusterBy, sequenceBy); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: refresh differs from a build:\n%v\n%v", label, got, want)
+				}
+				dirty := map[int]bool{}
+				for _, gi := range resorted {
+					if dirty[gi] || gi >= base.Len() {
+						t.Fatalf("%s: resorted = %v over %d carried clusters", label, resorted, base.Len())
+					}
+					dirty[gi] = true
+				}
+				for i := 0; i < base.Len(); i++ {
+					if shared := sameBacking(next.Groups.At(i), base.At(i)); shared == dirty[i] {
+						t.Fatalf("%s: cluster %d shares its base's rows = %v, reported re-sorted = %v", label, i, shared, dirty[i])
+					}
+				}
+				for lo := 0; lo < base.Len(); lo += BlockLen {
+					touched := next.Groups.Len() > base.Len() && lo+BlockLen > base.Len()
+					for i := lo; i < min(lo+BlockLen, base.Len()); i++ {
+						touched = touched || dirty[i]
+					}
+					if shared := next.Groups.Block(lo) == base.Block(lo); shared == touched {
+						t.Fatalf("%s: the block at cluster %d is shared = %v, holds a changed or new cluster = %v", label, lo, shared, touched)
+					}
+				}
+				if base.Len()%BlockLen != 0 && next.Groups.Len() > base.Len() {
+					intoShared++
+				}
+				// The reader still holding the base sees it unchanged.
+				if !reflect.DeepEqual(gen.Groups.Slice(), baseRows) {
+					t.Fatalf("%s: refresh wrote into its base", label)
+				}
+				gen = next
 			}
-			// The reader still holding the base sees it unchanged.
-			if !reflect.DeepEqual(gen.Groups, baseRows) {
-				t.Fatalf("step %d: refresh wrote into its base", step)
+			if clusterBy != nil && intoShared == 0 {
+				t.Errorf("%d clusters: no refresh added a cluster to a partly filled block", clusters)
 			}
-			gen = next
 		}
 	}
 }
@@ -136,7 +166,7 @@ func TestPartitionRefreshFallback(t *testing.T) {
 	edited := build(tbl)
 	tbl.MustInsert(NewString("C"), NewDateDays(1), NewFloat(1))
 	tbl.MustInsert(NewString("D"), NewDateDays(1), NewFloat(1))
-	if next, _, err := edited.Refresh(); err != nil || len(next.Groups) != 4 {
+	if next, _, err := edited.Refresh(); err != nil || next.Groups.Len() != 4 {
 		t.Fatalf("refresh: %v, %v", next, err)
 	}
 	tbl.Rows = []Row{tbl.Rows[0], tbl.Rows[1], tbl.Rows[3]}
@@ -152,8 +182,8 @@ func TestPartitionRefreshFallback(t *testing.T) {
 	if _, _, err := base.Refresh(); err == nil {
 		t.Error("refresh sorted a NULL sequence key among dates")
 	}
-	if len(base.Groups) != 1 || len(base.Groups[0]) != 1 {
-		t.Errorf("failed refresh changed its base: %v", base.Groups)
+	if base.Groups.Len() != 1 || len(base.Groups.At(0)) != 1 {
+		t.Errorf("failed refresh changed its base: %v", base.Groups.Slice())
 	}
 	if _, _, err := tbl.ClusterVersion([]string{"name"}, []string{"date"}); err == nil {
 		t.Error("the full build accepted what the refresh refused")
@@ -228,7 +258,7 @@ func TestPartitionRefreshConcurrent(t *testing.T) {
 			if want[c.Rows] == nil {
 				want[c.Rows] = scratchClustering(t, tbl, c.Rows, clusterBy, sequenceBy)
 			}
-			if !reflect.DeepEqual(c.Groups, want[c.Rows]) {
+			if !reflect.DeepEqual(c.Groups.Slice(), want[c.Rows]) {
 				t.Fatalf("goroutine %d: generation over %d rows differs from a build", g, c.Rows)
 			}
 		}

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -212,10 +212,12 @@ func (t *Table) Cluster(clusterBy, sequenceBy []string) ([][]Row, error) {
 
 // ClusterVersion is Cluster over an atomic Snapshot: it additionally
 // returns the data version the partition was built from, so callers can
-// pair the shared [][]Row with the exact table state it reflects. It is a
+// pair the groups with the exact table state they reflect. It is a
 // from-scratch build — Refresh on the empty Clustering — that keeps
-// nothing for a later refresh. The returned groups never alias mutable
-// table storage, so they are safe to share read-only across goroutines.
+// nothing for a later refresh, and it returns a flattened copy of the
+// build's blocked group list (Clustering.Groups). The groups never alias
+// mutable table storage, so they are safe to share read-only across
+// goroutines.
 func (t *Table) ClusterVersion(clusterBy, sequenceBy []string) ([][]Row, uint64, error) {
 	c, err := t.NewClustering(clusterBy, sequenceBy)
 	if err != nil {
@@ -224,7 +226,7 @@ func (t *Table) ClusterVersion(clusterBy, sequenceBy []string) ([][]Row, uint64,
 	if c, _, err = c.Refresh(); err != nil {
 		return nil, 0, err
 	}
-	return c.Groups, c.Version, nil
+	return c.Groups.Slice(), c.Version, nil
 }
 
 // SortBySequence stable-sorts rows ascending by the indexed sequence
@@ -236,18 +238,18 @@ func SortBySequence(rows []Row, sidx []int) error {
 		return nil
 	}
 	var sortErr error
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b Row) int {
 		for _, ci := range sidx {
-			c, err := rows[a][ci].Compare(rows[b][ci])
+			c, err := a[ci].Compare(b[ci])
 			if err != nil {
 				sortErr = err
-				return false
+				return 0
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	return sortErr
 }

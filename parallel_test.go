@@ -76,7 +76,7 @@ func interpreted(t testing.TB, q *Query) (engine.Stats, []ClusterMatches) {
 	o := engine.NewOPS(c.Pattern, q.plan.tables, engine.OPSConfig{})
 	var st engine.Stats
 	var cms []ClusterMatches
-	for i, seq := range part.Groups {
+	for i, seq := range part.Groups.Slice() {
 		ms, s := o.FindAll(seq)
 		st.Add(s)
 		if len(ms) > 0 {

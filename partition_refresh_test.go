@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 	"sqlts/internal/workload"
 )
 
@@ -53,19 +55,20 @@ func samePartition(t *testing.T, label string, got, want *partitionEntry, a *pat
 	if got.Rows != want.Rows || got.Version != want.Version {
 		t.Fatalf("%s: %d rows at version %d, want %d at %d", label, got.Rows, got.Version, want.Rows, want.Version)
 	}
-	if !reflect.DeepEqual(got.Groups, want.Groups) {
-		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, got.Groups, want.Groups)
+	if g, w := got.Groups.Slice(), want.Groups.Slice(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: clusters differ from a build:\n%v\n%v", label, g, w)
 	}
 	gm, wm := got.memoFor(a), want.memoFor(a)
-	if len(gm) != len(wm) {
-		t.Fatalf("%s: %d mask sets, want %d", label, len(gm), len(wm))
+	if gm.Len() != wm.Len() {
+		t.Fatalf("%s: %d mask sets, want %d", label, gm.Len(), wm.Len())
 	}
-	for ci := range wm {
-		if gm[ci].Rows() != wm[ci].Rows() {
-			t.Fatalf("%s: cluster %d masks cover %d rows, want %d", label, ci, gm[ci].Rows(), wm[ci].Rows())
+	for ci := 0; ci < wm.Len(); ci++ {
+		g, w := gm.At(ci), wm.At(ci)
+		if g.Rows() != w.Rows() {
+			t.Fatalf("%s: cluster %d masks cover %d rows, want %d", label, ci, g.Rows(), w.Rows())
 		}
 		for j := 0; j < a.kernel.Len(); j++ {
-			if !reflect.DeepEqual(gm[ci].Elem(j), wm[ci].Elem(j)) {
+			if !reflect.DeepEqual(g.Elem(j), w.Elem(j)) {
 				t.Fatalf("%s: cluster %d element %d mask differs from a build", label, ci, j)
 			}
 		}
@@ -77,21 +80,22 @@ type generation struct {
 	e      *partitionEntry
 	groups [][]storage.Row
 	// masks are the entry's state for one pattern, taken only if it was
-	// current at the snapshot.
-	current bool
-	masks   []*pattern.MaskSet
+	// current at the snapshot, and its blocks.
+	current    bool
+	masks      []*pattern.MaskSet
+	maskBlocks storage.Blocks[*pattern.MaskSet]
 }
 
 func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
 	g := generation{e: e}
-	for _, rows := range e.Groups {
+	for _, rows := range e.Groups.Slice() {
 		g.groups = append(g.groups, append([]storage.Row(nil), rows...))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.memo[a]; m != nil && len(m.stale) == 0 && m.built == len(e.Groups) {
+	if m := e.memo[a]; m != nil && len(m.stale) == 0 && m.built == e.Groups.Len() {
 		g.current = true
-		g.masks = append(g.masks, m.masks...)
+		g.masks, g.maskBlocks = m.masks.Slice(), m.masks
 	}
 	return g
 }
@@ -100,11 +104,11 @@ func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
 // of g could see.
 func (g generation) unchanged(t *testing.T, label string, a *patternArtifact) {
 	t.Helper()
-	if len(g.e.Groups) != len(g.groups) {
-		t.Fatalf("%s: previous generation has %d clusters, had %d", label, len(g.e.Groups), len(g.groups))
+	if g.e.Groups.Len() != len(g.groups) {
+		t.Fatalf("%s: previous generation has %d clusters, had %d", label, g.e.Groups.Len(), len(g.groups))
 	}
 	for ci := range g.groups {
-		if !reflect.DeepEqual(g.e.Groups[ci], g.groups[ci]) {
+		if !reflect.DeepEqual(g.e.Groups.At(ci), g.groups[ci]) {
 			t.Fatalf("%s: cluster %d of the previous generation changed", label, ci)
 		}
 	}
@@ -117,29 +121,46 @@ func (g generation) unchanged(t *testing.T, label string, a *patternArtifact) {
 	if m == nil {
 		return // the plan left the plan cache and took its memo along
 	}
-	if !reflect.DeepEqual(m.masks, g.masks) {
+	if !reflect.DeepEqual(m.masks.Slice(), g.masks) {
 		t.Fatalf("%s: the previous generation's memo was rewritten", label)
 	}
 }
 
 // carriedOver asserts that next shares, pointer for pointer, every cluster
-// of g the refresh did not touch — rows and masks — and returns how many
-// clusters it re-sorted or added.
+// of g the refresh did not touch — rows and masks — and every block of
+// clusters and of masks that holds only such clusters, that it shares no
+// block holding a touched or new cluster, and returns how many clusters it
+// re-sorted or added.
 func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry, a *patternArtifact) (dirty int) {
 	t.Helper()
 	next.mu.Lock()
 	defer next.mu.Unlock()
 	m := next.memo[a]
-	for ci := range next.Groups {
-		if ci >= len(g.groups) || &next.Groups[ci][0] != &g.e.Groups[ci][0] {
+	n := next.Groups.Len()
+	touched := make([]bool, (n+storage.BlockLen-1)/storage.BlockLen)
+	for ci := 0; ci < n; ci++ {
+		if ci >= len(g.groups) || &next.Groups.At(ci)[0] != &g.e.Groups.At(ci)[0] {
 			dirty++
+			touched[ci/storage.BlockLen] = true
 			continue
+		}
+		if g.current && m.masks.At(ci) != g.masks[ci] {
+			t.Fatalf("%s: untouched cluster %d got new masks", label, ci)
+		}
+	}
+	for k, dirty := range touched {
+		ci := k * storage.BlockLen
+		if ci >= len(g.groups) {
+			break // a block of new clusters only
+		}
+		if shared := next.Groups.Block(ci) == g.e.Groups.Block(ci); shared == dirty {
+			t.Fatalf("%s: block %d of clusters is shared = %v, holds a touched cluster = %v", label, k, shared, dirty)
 		}
 		if !g.current {
 			continue
 		}
-		if g.masks != nil && m.masks[ci] != g.masks[ci] {
-			t.Fatalf("%s: untouched cluster %d got new masks", label, ci)
+		if shared := m.masks.Block(ci) == g.maskBlocks.Block(ci); shared == dirty {
+			t.Fatalf("%s: block %d of masks is shared = %v, holds a touched cluster = %v", label, k, shared, dirty)
 		}
 	}
 	return dirty
@@ -180,18 +201,51 @@ func (w *refreshWriter) insert(t *testing.T) {
 	}
 }
 
+// newRefreshWriter returns a writer over db's quote table seeded with
+// seed. With three clusters it starts from an empty table over three
+// names; with more, the table starts with one row in each of that many
+// clusters, so that the partition's last block of clusters is full (64),
+// nearly full (63) or holds one cluster (65, 129), and new keys land in a
+// partly filled block shared with the base.
+func newRefreshWriter(t *testing.T, db *DB, seed int64, clusters int) *refreshWriter {
+	t.Helper()
+	w := &refreshWriter{r: rand.New(rand.NewSource(seed)), db: db, names: []string{"INTC", "IBM", "ACME"}}
+	if clusters == len(w.names) {
+		return w
+	}
+	w.names = w.names[:0]
+	var rows []storage.Row
+	for i := 0; i < clusters; i++ {
+		w.names = append(w.names, fmt.Sprintf("S%03d", i))
+		rows = append(rows, storage.Row{storage.NewString(w.names[i]), storage.NewDateDays(10000), storage.NewFloat(100)})
+	}
+	if err := db.Table("quote").InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// seamCases are the refresh tests' starting points: a seed and a cluster
+// count, the block seams' counts among them.
+var seamCases = []struct {
+	seed     int64
+	clusters int
+}{{1, 3}, {2, 3}, {3, 3}, {5, 63}, {6, 64}, {7, 65}, {8, 129}}
+
 // TestPartitionRefreshDifferential interleaves random inserts and queries
 // and, after every query, holds the cached — refreshed, many times over —
 // partition against a from-scratch NoCache run: rows, matches and Stats
 // of the result; clusters and masks of the entry. The generation the
-// refresh superseded must read as it did
-// before, and everything the refresh did not touch must be the very same
-// memory.
+// refresh superseded must read as it did before, and everything the
+// refresh did not touch — clusters, masks, and blocks of either — must be
+// the very same memory. From the seam counts on, new keys must have landed
+// in a partly filled last block shared with the base.
 func TestPartitionRefreshDifferential(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
+	for _, sc := range seamCases {
+		seed := sc.seed
 		db := quoteDB(t)
-		w := &refreshWriter{r: rand.New(rand.NewSource(seed)), db: db, names: []string{"INTC", "IBM", "ACME"}}
-		refreshes := 0
+		w := newRefreshWriter(t, db, seed, sc.clusters)
+		refreshes, intoShared := 0, 0
 		for step := 0; step < 50; step++ {
 			// Several inserts may land between two queries of a statement.
 			for n := w.r.Intn(3); n >= 0; n-- {
@@ -228,11 +282,14 @@ func TestPartitionRefreshDifferential(t *testing.T) {
 					continue
 				}
 				refreshes++
+				if n := len(prev.groups); n%storage.BlockLen != 0 && cur.Groups.Len() > n {
+					intoShared++
+				}
 				prev.unchanged(t, label, k)
 				dirty := prev.carriedOver(t, label, cur, k)
-				if int(got.partition.dirty) != dirty || int(got.partition.clusters) != len(cur.Groups) {
+				if int(got.partition.dirty) != dirty || int(got.partition.clusters) != cur.Groups.Len() {
 					t.Fatalf("%s: outcome %q, but %d of %d clusters are new memory",
-						label, got.PartitionOutcome(), dirty, len(cur.Groups))
+						label, got.PartitionOutcome(), dirty, cur.Groups.Len())
 				}
 			}
 		}
@@ -243,60 +300,84 @@ func TestPartitionRefreshDifferential(t *testing.T) {
 		if cs.PartitionInvalidations != int64(refreshes) {
 			t.Errorf("seed %d: %d invalidations for %d refreshes", seed, cs.PartitionInvalidations, refreshes)
 		}
+		if sc.clusters > 3 && intoShared == 0 {
+			t.Errorf("seed %d: no refresh over %d clusters added one to a partly filled block", seed, sc.clusters)
+		}
 	}
 }
 
 // TestPartitionRefreshSameBase refreshes one stale generation from two
 // goroutines at once — what two queries arriving after one insert do —
-// and both successors, memo and all, must equal a from-scratch build.
+// and both successors, memo and all, must equal a from-scratch build. Each
+// shares the base's untouched blocks, neither shares a touched block with
+// the base or with the other, and the base reads as before. From the seam
+// counts on, both refreshes must at times have appended new keys to the
+// base's partly filled last block (meaningful under -race).
 func TestPartitionRefreshSameBase(t *testing.T) {
-	db := quoteDB(t)
-	w := &refreshWriter{r: rand.New(rand.NewSource(4)), db: db, names: []string{"INTC", "IBM", "ACME"}}
-	for i := 0; i < 20; i++ {
-		w.insert(t)
-	}
-	q, err := db.Prepare(servingSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := q.plan.art
-	for round := 0; round < 40; round++ {
-		if _, err := q.Run(); err != nil {
+	for _, sc := range seamCases[2:] {
+		db := quoteDB(t)
+		w := newRefreshWriter(t, db, sc.seed+1, sc.clusters)
+		for i := 0; i < 20; i++ {
+			w.insert(t)
+		}
+		q, err := db.Prepare(servingSQL)
+		if err != nil {
 			t.Fatal(err)
 		}
-		base := cachedPartition(q)
-		prev := snapshotGeneration(base, k)
-		w.insert(t)
-
-		var wg sync.WaitGroup
-		var next [2]*partitionEntry
-		var errs [2]error
-		for g := range next {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				c, resorted, err := base.Refresh()
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				e := &partitionEntry{key: base.key, Clustering: c}
-				db.cacheMu.Lock()
-				e.adopt(base, resorted)
-				db.cacheMu.Unlock()
-				e.memoFor(k)
-				next[g] = e
-			}(g)
-		}
-		wg.Wait()
-		want := scratchPartition(t, q)
-		for g, e := range next {
-			if errs[g] != nil {
-				t.Fatal(errs[g])
+		k := q.plan.art
+		intoShared := 0
+		for round := 0; round < 40; round++ {
+			label := fmt.Sprintf("%d clusters round %d", sc.clusters, round)
+			if _, err := q.Run(); err != nil {
+				t.Fatal(err)
 			}
-			samePartition(t, fmt.Sprintf("round %d refresher %d", round, g), e, want, k)
+			base := cachedPartition(q)
+			prev := snapshotGeneration(base, k)
+			w.insert(t)
+
+			var wg sync.WaitGroup
+			var next [2]*partitionEntry
+			var errs [2]error
+			for g := range next {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					c, resorted, err := base.Refresh()
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					e := &partitionEntry{key: base.key, Clustering: c}
+					db.cacheMu.Lock()
+					e.adopt(base, resorted)
+					db.cacheMu.Unlock()
+					e.memoFor(k)
+					next[g] = e
+				}(g)
+			}
+			wg.Wait()
+			want := scratchPartition(t, q)
+			for g, e := range next {
+				if errs[g] != nil {
+					t.Fatal(errs[g])
+				}
+				samePartition(t, fmt.Sprintf("%s refresher %d", label, g), e, want, k)
+				prev.carriedOver(t, fmt.Sprintf("%s refresher %d", label, g), e, k)
+			}
+			a, b := next[0], next[1]
+			for ci := 0; ci < a.Groups.Len(); ci += storage.BlockLen {
+				if blk := a.Groups.Block(ci); (ci >= base.Groups.Len() || blk != base.Groups.Block(ci)) && blk == b.Groups.Block(ci) {
+					t.Fatalf("%s: the two successors share a touched block at cluster %d", label, ci)
+				}
+			}
+			if n := base.Groups.Len(); n%storage.BlockLen != 0 && a.Groups.Len() > n {
+				intoShared++
+			}
+			prev.unchanged(t, label, k)
 		}
-		prev.unchanged(t, fmt.Sprintf("round %d", round), k)
+		if sc.clusters > 3 && intoShared == 0 {
+			t.Errorf("%d clusters: no round added a cluster to the base's partly filled block", sc.clusters)
+		}
 	}
 }
 
@@ -470,12 +551,12 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		defer e.mu.Unlock()
 		m := e.memo[q.plan.art]
 		if m == nil {
-			return len(e.Groups), 0, 0, nil
+			return e.Groups.Len(), 0, 0, nil
 		}
-		if len(m.masks) > 0 {
-			first = m.masks[0]
+		if m.masks.Len() > 0 {
+			first = m.masks.At(0)
 		}
-		return len(e.Groups), projectionsIn(reflect.ValueOf(e.memo)), len(m.masks), first
+		return e.Groups.Len(), projectionsIn(reflect.ValueOf(e.memo)), m.masks.Len(), first
 	}
 	run := func(q *Query, label string, opts RunOptions) *Result {
 		t.Helper()
@@ -554,5 +635,77 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		if n, projs, masks, _ := held(q); projs != 0 || masks != n {
 			t.Fatalf("a %s kernel's memo holds %d projections and %d mask sets over %d clusters, want 0 and %d", tc.label, projs, masks, n, n)
 		}
+	}
+}
+
+// TestRefreshCostsItsDelta pins what a refresh allocates to the rows it
+// takes in: eight rows appended to eight clusters, each in a block of its
+// own, are refreshed over 5,000 and over 50,000 two-row clusters — the
+// clustering's Refresh, then the next memoFor of the plan's pattern —
+// and the bytes the two allocate may differ by at most the block indexes
+// of the larger partition (its clusters' and its masks'). A refresh that
+// copied a list of clusters or of mask sets whole would allocate 45,000
+// entries more over the larger one.
+func TestRefreshCostsItsDelta(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not the program's own under the race detector")
+	}
+	cost := func(clusters int) uint64 {
+		db := quoteDB(t)
+		tbl := db.Table("quote")
+		rows := make([]storage.Row, 0, 2*clusters)
+		for day := int64(0); day < 2; day++ {
+			for c := 0; c < clusters; c++ {
+				rows = append(rows, storage.Row{storage.NewString(fmt.Sprintf("c%05d", c)), storage.NewDateDays(10000 + day), storage.NewFloat(float64(50 + c%7 + int(day)))})
+			}
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		q, err := db.Prepare(servingSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Run(); err != nil {
+			t.Fatal(err)
+		}
+		e, a := cachedPartition(q), q.plan.art
+		var least uint64
+		for rep := 0; rep < 5; rep++ {
+			delta := make([]storage.Row, 8)
+			for k := range delta {
+				c := k * 9 * storage.BlockLen
+				delta[k] = storage.Row{storage.NewString(fmt.Sprintf("c%05d", c)), storage.NewDateDays(int64(10002 + rep)), storage.NewFloat(60)}
+			}
+			if err := tbl.InsertBatch(delta); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c, resorted, err := e.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := &partitionEntry{key: e.key, Clustering: c}
+			db.cacheMu.Lock()
+			next.adopt(e, resorted)
+			db.cacheMu.Unlock()
+			next.memoFor(a)
+			runtime.ReadMemStats(&after)
+			if len(resorted) != len(delta) {
+				t.Fatalf("%d clusters: the refresh re-sorted %d clusters, want %d", clusters, len(resorted), len(delta))
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; rep == 0 || b < least {
+				least = b
+			}
+			e = next
+		}
+		return least
+	}
+	small, large := cost(5_000), cost(50_000)
+	index := uint64(2 * 8 * ((50_000 + storage.BlockLen - 1) / storage.BlockLen))
+	t.Logf("a refresh of 8 rows allocates %d B over 5,000 clusters and %d B over 50,000; the block indexes of the larger are %d B", small, large, index)
+	if large > small+index {
+		t.Errorf("a refresh of 8 rows allocates %d B over 50,000 clusters and %d B over 5,000: more than the %d B of the larger's block indexes apart", large, small, index)
 	}
 }

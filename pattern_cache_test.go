@@ -118,7 +118,7 @@ func TestPatternCacheSharesArtifact(t *testing.T) {
 		if keys := memoKeys(q); len(keys) != 1 || keys[0] != art {
 			t.Errorf("%q: the partition holds %d memos", sql, len(keys))
 		}
-		if again := cachedPartition(q).memoFor(art); &again[0] != &masks[0] {
+		if again := cachedPartition(q).memoFor(art); again.Block(0) != masks.Block(0) {
 			t.Errorf("%q: the masks were rebuilt", sql)
 		}
 	}

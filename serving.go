@@ -25,12 +25,14 @@ package sqlts
 //     bump the version, so the next query refreshes the entry: only the
 //     clusters the appended rows land in are re-sorted, and only their
 //     masks rebuilt; in-flight queries keep reading the old immutable
-//     generation (copy-on-write per cluster).
+//     generation (copy-on-write per cluster, and per 64-cluster block of
+//     the cluster and mask lists).
 
 import (
 	"container/list"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -221,10 +223,11 @@ type partitionEntry struct {
 }
 
 // kernelMemo is one kernel's per-cluster state over a partition. Its
-// masks are handed to running queries and shared with the generation the
-// memo was adopted from, so they are replaced, never written, once set.
+// masks are handed to running queries and shared, block by block, with
+// the generation the memo was adopted from, so they are replaced, never
+// written, once set.
 type kernelMemo struct {
-	masks []*pattern.MaskSet
+	masks storage.Blocks[*pattern.MaskSet]
 	// built is the number of clusters masks covers; stale lists the ones
 	// among them whose rows changed since.
 	built int
@@ -232,17 +235,13 @@ type kernelMemo struct {
 }
 
 // memoFor returns a's kernel's shared read-only mask sets for a run over
-// it, one per cluster (a nil: the interpreter, which reads none). A first
-// use builds them in one pass of the kernel's run builder; after a
-// refresh only the stale and the new clusters are rebuilt, each stale one
-// as a run of its own. The entry keeps what it built only while a cached
-// plan holds a: a run of a plan no longer (or never) cached builds masks
-// for itself alone.
-func (e *partitionEntry) memoFor(a *patternArtifact) []*pattern.MaskSet {
-	if a == nil {
-		return nil
-	}
-	k := a.kernel
+// it, one per cluster. A first use builds them in one pass of the
+// kernel's run builder; after a refresh the stale and the new clusters
+// are rebuilt in one such pass over their indexes, into a successor of
+// the memo's blocks that shares every block it does not write. The entry
+// keeps what it built only while a cached plan holds a: a run of a plan
+// no longer (or never) cached builds masks for itself alone.
+func (e *partitionEntry) memoFor(a *patternArtifact) storage.Blocks[*pattern.MaskSet] {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.memo[a]
@@ -258,23 +257,32 @@ func (e *partitionEntry) memoFor(a *patternArtifact) []*pattern.MaskSet {
 			e.memo[a] = m
 		}
 	}
-	n := len(e.Groups)
-	if m.masks == nil || len(m.stale) > 0 || m.built < n {
-		// Build a new memo, or bring an old one up to date into a copy: the
-		// old array belongs to running queries and to the previous
-		// generation.
-		m.masks = append(make([]*pattern.MaskSet, 0, n), m.masks...)[:n]
+	groups, built := e.Groups, m.built
+	if n := groups.Len(); len(m.stale) > 0 || built < n {
 		// A cluster re-sorted by several refreshes is listed once per
-		// refresh; one added after the memo was built is part of the new run.
-		stale := slices.Clone(m.stale) // adopt may have left it shared with the predecessor's
+		// refresh; one added after the memo was built is part of the new
+		// clusters. adopt may have left the list shared with the
+		// predecessor's memo, so it is sorted in a copy.
+		stale := slices.Clone(m.stale)
 		slices.Sort(stale)
-		for _, ci := range slices.Compact(stale) {
-			if ci < m.built {
-				k.BuildRun(e.Groups, ci, ci+1, m.masks)
-			}
+		stale = slices.Compact(stale)
+		stale = stale[:sort.SearchInts(stale, built)]
+		ed := m.masks.Edit(n)
+		for _, ci := range stale {
+			ed.Touch(ci)
 		}
-		k.BuildRun(e.Groups, m.built, n, m.masks)
-		m.built, m.stale = n, nil
+		// The run is the stale clusters, then the new ones.
+		cluster := func(j int) int {
+			if j < len(stale) {
+				return stale[j]
+			}
+			return built + j - len(stale)
+		}
+		sets := a.kernel.BuildRun(len(stale)+n-built, func(j int) []storage.Row { return groups.At(cluster(j)) })
+		for j := range sets {
+			ed.Set(cluster(j), &sets[j])
+		}
+		m.masks, m.built, m.stale = ed.Done(), n, nil
 	}
 	return m.masks
 }
@@ -289,7 +297,7 @@ func (e *partitionEntry) adopt(old *partitionEntry, resorted []int) {
 	old.mu.Lock()
 	defer old.mu.Unlock()
 	for a, m := range old.memo {
-		if a.refs.Load() == 0 || len(m.stale)+len(resorted) > len(e.Groups) {
+		if a.refs.Load() == 0 || len(m.stale)+len(resorted) > e.Groups.Len() {
 			continue
 		}
 		if e.memo == nil {
@@ -584,8 +592,8 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 		if c, rs, err := old.Refresh(); err == nil {
 			e.Clustering, resorted = c, rs
 			out.refreshed = true
-			out.dirty = int32(len(rs) + len(c.Groups) - len(old.Groups))
-			out.clusters = int32(len(c.Groups))
+			out.dirty = int32(len(rs) + c.Groups.Len() - old.Groups.Len())
+			out.clusters = int32(c.Groups.Len())
 		}
 	}
 	if e.Clustering == nil {

@@ -549,12 +549,13 @@ func (s *resultShape) sizes() (matches, matched int) {
 
 // masks returns part's selection bitmasks for the plan's pattern, built
 // by the first run of a plan of the pattern over part and memoized since,
-// or nil when the plan's executors interpret: there is nothing to memoize.
-func (p *Plan) masks(part *partitionEntry) []*pattern.MaskSet {
+// and whether there are any: there are none to memoize when the plan's
+// executors interpret.
+func (p *Plan) masks(part *partitionEntry) (masks storage.Blocks[*pattern.MaskSet], vectorized bool) {
 	if p.kernel == nil || p.kernel.CompiledElems() == 0 {
-		return nil
+		return masks, false
 	}
-	return part.memoFor(p.art)
+	return part.memoFor(p.art), true
 }
 
 // SQL returns the statement text the plan was compiled from.
@@ -1028,15 +1029,14 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	if err != nil {
 		return nil, 0, err
 	}
-	clusters, scanned := part.Groups, part.Rows
-	if err := rc.checkScanned(scanned); err != nil {
+	if err := rc.checkScanned(part.Rows); err != nil {
 		return nil, 0, err
 	}
 	res.partition = how
-	masks := q.plan.masks(part)
-	res.vectorized = masks != nil
-	rc.flightRef().SetClustersTotal(int64(len(clusters)))
-	if err := q.searchClusters(rc, res, clusters, masks, scanned, opts); err != nil {
+	s := search{q: q, rc: rc, opts: opts, clusters: part.Groups}
+	s.masks, res.vectorized = q.plan.masks(part)
+	rc.flightRef().SetClustersTotal(int64(part.Groups.Len()))
+	if err := s.searchClusters(res, part.Rows); err != nil {
 		return nil, 0, err
 	}
 	q.plan.art.shape.remember(res)
@@ -1046,7 +1046,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	if err := rc.check(); err != nil {
 		return nil, 0, err
 	}
-	return res, scanned, nil
+	return res, part.Rows, nil
 }
 
 // opsConfigs holds each ablation executor's OPS configuration by name (an
