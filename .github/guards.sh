@@ -218,6 +218,17 @@ guard 'A refresh costs its delta'
 absent 'a flat cluster or mask-set list is back on the serving path' \
 	-E '\[\]\[\]storage\.Row|\[\]\*pattern\.MaskSet' -- driver.go serving.go sqlts.go explain.go internal/engine/run.go
 
+guard 'One staleness rule'
+# What a refresh changed is read off the generations themselves: an
+# editor copies a block on its first write (storage.Editor), so a block a
+# successor shares with its base is the base's pointer, and memoFor finds
+# the clusters a memo must rebuild by comparing the partition's blocks and
+# row slices with those the memo was built over. A touch protocol, a list
+# of re-sorted clusters handed out of Refresh, or a memo's list of stale
+# clusters is that fact tracked by hand again.
+absent 'a touch protocol or a list of stale or re-sorted clusters is back' \
+	-E 'resorted|\bstale\b|\.Touch\(' -- serving.go internal/storage/blocks.go
+
 guard 'One of each observation primitive'
 # internal/obs holds one latency histogram (obs.Histogram: lock-free, its
 # count the sum of its buckets) behind the registry's three _seconds

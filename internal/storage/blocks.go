@@ -6,11 +6,13 @@ const BlockLen = 64
 // Blocks is an immutable list held in blocks of BlockLen elements: element
 // i is in block i/BlockLen, at i%BlockLen, and the last block may be
 // partly filled. A successor is derived with Edit, which copies the block
-// index and the blocks it writes and shares every other block with its
-// base, so a change of k elements costs n/BlockLen index entries and at
-// most k blocks, not n elements. Nothing writes a Blocks once it is built,
-// so it is safe to share read-only across goroutines. The zero value is
-// empty.
+// index, copies each block on its first write and shares every other
+// block with its base, so a change of k elements costs n/BlockLen index
+// entries and at most k blocks, not n elements. A block the successor did
+// not write is its base's, pointer for pointer (Block), so what a
+// successor changed can be read off the two lists. Nothing writes a Blocks
+// once it is built, so it is safe to share read-only across goroutines.
+// The zero value is empty.
 type Blocks[T any] struct {
 	index []*[BlockLen]T
 	n     int
@@ -48,18 +50,20 @@ func (b Blocks[T]) Slice() []T {
 // for both.
 func (b Blocks[T]) Block(i int) *[BlockLen]T { return b.index[uint(i)/BlockLen] }
 
-// Editor derives the successor of a Blocks. Touch names each element of
-// the base the successor will rewrite; then Set writes and At reads the
-// successor. The first Set or At copies the blocks of the touched elements
-// and the blocks past the base's last full one, which hold the appended
-// elements, all from one slab; every other block stays the base's. So no
-// write reaches memory the base, or another successor of it, reads.
+// Same reports whether b and o are one list: one block index over the
+// same length. Every Edit makes an index of its own.
+func (b Blocks[T]) Same(o Blocks[T]) bool {
+	return b.n == o.n && (b.n == 0 || &b.index[0] == &o.index[0])
+}
+
+// Editor derives the successor of a Blocks: Set writes and At reads it.
+// The first Set into a block still the base's copies it, and the first
+// into an appended block allocates it, each an allocation of its own that
+// lives only while a generation holds it; every other block stays the
+// base's. So no write reaches memory the base, or another successor of
+// it, reads.
 type Editor[T any] struct {
 	base, next Blocks[T]
-	// owned counts the blocks the successor gets of its own, which are nil
-	// in next's index until the first Set or At copies them.
-	owned  int
-	copied bool
 }
 
 // Edit starts the successor of b with n elements, n ≥ b.Len(): b's
@@ -67,72 +71,40 @@ type Editor[T any] struct {
 func (b Blocks[T]) Edit(n int) Editor[T] {
 	e := Editor[T]{base: b, next: Blocks[T]{index: make([]*[BlockLen]T, (n+BlockLen-1)/BlockLen), n: n}}
 	copy(e.next.index, b.index)
-	if n > b.n {
-		for k := b.n / BlockLen; k < len(e.next.index); k++ {
-			e.next.index[k] = nil
-			e.owned++
-		}
-	}
 	return e
 }
 
-// Touch names element i of the base as one the successor will write. It
-// must come before the first Set or At.
-func (e *Editor[T]) Touch(i int) {
-	if e.copied {
-		panic("storage: Editor.Touch after the blocks were copied")
-	}
-	if k := uint(i) / BlockLen; e.next.index[k] != nil {
-		e.next.index[k] = nil
-		e.owned++
-	}
-}
-
-// own gives the successor its own blocks, once: one slab for all of
-// them, each a copy of the base's block where the base has one.
-func (e *Editor[T]) own() {
-	e.copied = true
-	if e.owned == 0 {
-		return
-	}
-	slab := make([][BlockLen]T, e.owned)
-	for k, blk := range e.next.index {
-		if blk != nil {
-			continue
-		}
-		if k < len(e.base.index) {
-			slab[0] = *e.base.index[k]
-		}
-		e.next.index[k] = &slab[0]
-		slab = slab[1:]
-	}
-}
-
-// At returns element i of the successor.
+// At returns element i of the successor: the zero value in an appended
+// block that was never written.
 func (e *Editor[T]) At(i int) T {
-	if !e.copied {
-		e.own()
+	if blk := e.next.index[uint(i)/BlockLen]; blk != nil {
+		return blk[uint(i)%BlockLen]
 	}
-	return e.next.At(i)
+	var zero T
+	return zero
 }
 
-// Set writes element i of the successor, which must be touched or appended.
+// Set writes element i of the successor.
 func (e *Editor[T]) Set(i int, v T) {
-	if !e.copied {
-		e.own()
-	}
 	k := uint(i) / BlockLen
 	blk := e.next.index[k]
-	if int(k) < len(e.base.index) && blk == e.base.index[k] {
-		panic("storage: Editor.Set of an element that was not touched")
+	if blk == nil || int(k) < len(e.base.index) && blk == e.base.index[k] {
+		own := new([BlockLen]T)
+		if blk != nil {
+			*own = *blk
+		}
+		e.next.index[k], blk = own, own
 	}
 	blk[uint(i)%BlockLen] = v
 }
 
-// Done returns the successor. The editor must not be used after.
+// Done returns the successor, an appended block that was never written
+// holding zero values. The editor must not be used after.
 func (e *Editor[T]) Done() Blocks[T] {
-	if !e.copied {
-		e.own()
+	for k := len(e.base.index); k < len(e.next.index); k++ {
+		if e.next.index[k] == nil {
+			e.next.index[k] = new([BlockLen]T)
+		}
 	}
 	return e.next
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -58,9 +59,10 @@ func TestBlocksAtTheSeams(t *testing.T) {
 }
 
 // TestBlocksEdit: a successor shares exactly the blocks it does not
-// write, its own blocks come from one slab, and the base reads as before.
-// Setting an element that was not touched, or touching once the blocks
-// are copied, panics.
+// write, and no Set changes a block of the base or of a sibling successor
+// of the same base. Repeated Sets into one block copy it once, and an
+// appended element that was never written reads as the zero value, in
+// the editor and after Done.
 func TestBlocksEdit(t *testing.T) {
 	base := make([]int, 130)
 	for i := range base {
@@ -70,8 +72,6 @@ func TestBlocksEdit(t *testing.T) {
 	// Element 70 is in block 1; block 2 holds 128 and 129 and takes the
 	// appended ones.
 	e := b.Edit(140)
-	e.Touch(70)
-	e.Touch(71)
 	e.Set(70, -70)
 	for i := 130; i < 140; i++ {
 		e.Set(i, -i)
@@ -85,39 +85,90 @@ func TestBlocksEdit(t *testing.T) {
 	if !slices.Equal(next.Slice(), want) {
 		t.Fatalf("successor %v", next.Slice())
 	}
-	if !slices.Equal(b.Slice(), base) {
-		t.Fatal("the edit wrote into its base")
-	}
 	if next.Block(0) != b.Block(0) || next.Block(64) == b.Block(64) || next.Block(128) == b.Block(128) {
 		t.Fatal("the successor shares a block it wrote, or copied one it did not")
 	}
-	if next.Block(64) == next.Block(128) {
-		t.Fatal("two own blocks are one")
+
+	// A sibling of next writes every block next and the base hold, and one
+	// of its own; after each Set both read as before.
+	sib := b.Edit(200)
+	for _, i := range []int{5, 70, 71, 129, 135, 199} {
+		sib.Set(i, 1000+i)
+		if !slices.Equal(b.Slice(), base) || !slices.Equal(next.Slice(), want) {
+			t.Fatalf("a Set of element %d of a sibling wrote into the base or into next", i)
+		}
 	}
-	// The block index and one slab for every block the edit owns.
+	for k := 0; k < 3; k++ {
+		if blk := sib.next.Block(k * BlockLen); blk == b.Block(k*BlockLen) || blk == next.Block(k*BlockLen) {
+			t.Fatalf("the sibling writes block %d of the base or of next", k)
+		}
+	}
+
+	// Repeated Sets into one block copy it once.
+	rep := b.Edit(130)
+	rep.Set(64, 0)
+	own := rep.next.Block(64)
+	for i := 65; i < 128; i++ {
+		rep.Set(i, 0)
+	}
+	if rep.next.Block(64) != own {
+		t.Fatal("a second Set into a block copied it again")
+	}
+
+	// Block 2 is the base's partly filled one, block 3 is appended: no Set
+	// reaches either.
+	zero := b.Edit(260)
+	for _, i := range []int{130, 150, 191, 192, 259} {
+		if v := zero.At(i); v != 0 {
+			t.Fatalf("At(%d) of an unwritten appended element = %d", i, v)
+		}
+	}
+	if z := zero.Done(); z.At(150) != 0 || z.At(259) != 0 || z.Len() != 260 {
+		t.Fatalf("Done over unwritten appended elements: %d elements, %d and %d", z.Len(), z.At(150), z.At(259))
+	}
+
+	// The block index and one allocation per block the edit writes.
 	if n := testing.AllocsPerRun(10, func() {
 		e := b.Edit(140)
-		e.Touch(70)
-		e.Touch(5)
+		e.Set(70, 1)
+		e.Set(71, 1)
+		e.Set(5, 1)
 		e.Set(139, 1)
 		_ = e.Done()
-	}); n != 2 {
-		t.Fatalf("an edit of three blocks allocates %.0f objects, want 2", n)
+	}); n != 4 {
+		t.Fatalf("an edit of three blocks allocates %.0f objects, want 4", n)
 	}
-	for _, c := range []struct {
-		name string
-		f    func()
-	}{
-		{"a Set of an untouched element", func() { e := b.Edit(130); e.Set(5, 0) }},
-		{"a Touch after a Set", func() { e := b.Edit(130); e.Touch(5); e.Set(5, 0); e.Touch(70) }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", c.name)
-				}
-			}()
-			c.f()
-		})
+}
+
+// TestBlocksRetainOnlyTheirBlocks: a chain of edits keeps alive the
+// blocks its last successor holds, whichever edits copied them. From 64
+// full blocks, edit r writes one element in each of blocks 0 … 63-r, so
+// block k was last copied by edit 63-k. Were the blocks an edit copies
+// one allocation, block k would keep that edit's 64-(63-k) blocks alive,
+// 2,080 blocks in all.
+func TestBlocksRetainOnlyTheirBlocks(t *testing.T) {
+	type elem [4]int64
+	const blocks, blockBytes = 64, BlockLen * 4 * 8
+	heap := func() int64 {
+		runtime.GC() // twice: the first may leave the previous cycle's pools
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	b := blocksOf(make([]elem, blocks*BlockLen))
+	for r := 0; r < blocks; r++ {
+		e := b.Edit(b.Len())
+		for k := 0; k < blocks-r; k++ {
+			e.Set(k*BlockLen, elem{int64(r)})
+		}
+		b = e.Done()
+	}
+	live := heap() - before
+	runtime.KeepAlive(b)
+	t.Logf("64 blocks of %d B hold %d B live after 64 edits", blockBytes, live)
+	if live > 2*blocks*blockBytes {
+		t.Errorf("64 blocks of %d B hold %d B live after 64 edits, more than twice their %d B", blockBytes, live, blocks*blockBytes)
 	}
 }

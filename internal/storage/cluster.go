@@ -77,18 +77,18 @@ func (c *Clustering) Table() *Table { return c.table }
 // slice in a fresh block (c stays valid for its readers) and is
 // stable-sorted again, which yields exactly what sorting the whole log
 // would: c's order already breaks ties by log position, and the appended
-// rows follow in log order. New keys become new groups after c's.
-// resorted lists the carried-over groups that were rebuilt this way, in
-// first-touch order; groups at index c.Groups.Len() and up are new.
+// rows follow in log order. New keys become new groups after c's. changed
+// counts the groups re-sorted or added; which they are is read off the
+// two generations, a changed group's rows being a slice of their own.
 //
 // An error means no successor could be derived from c — the table shrank
 // or was edited in place, or the appended rows do not compare under the
 // sequence columns — and the caller should build from the empty
 // generation, which reports a sort failure as its own error.
-func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
+func (c *Clustering) Refresh() (next *Clustering, changed int, err error) {
 	rows, version := c.table.Snapshot()
 	if len(rows) < c.Rows {
-		return nil, nil, errShrunk
+		return nil, 0, errShrunk
 	}
 	next = &Clustering{
 		Groups: c.Groups, Rows: len(rows), Version: version,
@@ -96,22 +96,22 @@ func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
 	}
 	delta := rows[c.Rows:]
 	if len(delta) == 0 {
-		return next, nil, nil
+		return next, 0, nil
 	}
 	carried := c.Groups.Len()
 	var ed Editor[[]Row]
+	var resorted []int
 	if c.keys == nil {
 		ed = c.Groups.Edit(1)
-		var prev []Row
+		prev := ed.At(0)
 		if carried > 0 {
-			ed.Touch(0)
-			prev, resorted = c.Groups.At(0), []int{0}
+			resorted = []int{0}
 		}
 		g := make([]Row, 0, len(prev)+len(delta))
 		ed.Set(0, append(append(g, prev...), delta...))
 	} else {
-		// The first pass finds every appended row's group, the second
-		// appends the rows, once the editor knows which blocks change.
+		// The first pass finds every appended row's group, and a divergence
+		// before anything is written; the second appends the rows.
 		var gbuf [16]int32
 		gis, n := gbuf[:0], carried
 		// One scratch buffer serves every row's key; a key is only
@@ -134,17 +134,12 @@ func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
 				// A key this log prefix should have introduced was assigned
 				// later: the rows under c were edited, not appended to.
 				c.keys.mu.Unlock()
-				return nil, nil, errDiverged
+				return nil, 0, errDiverged
 			}
 			gis = append(gis, i)
 		}
 		c.keys.mu.Unlock()
 		ed = c.Groups.Edit(n)
-		for _, gi := range gis {
-			if int(gi) < carried {
-				ed.Touch(int(gi))
-			}
-		}
 		for k, r := range delta {
 			gi := int(gis[k])
 			g := ed.At(gi)
@@ -159,14 +154,14 @@ func (c *Clustering) Refresh() (next *Clustering, resorted []int, err error) {
 	}
 	for _, gi := range resorted {
 		if err := SortBySequence(ed.At(gi), c.sidx); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
 	next.Groups = ed.Done()
 	for gi := carried; gi < next.Groups.Len(); gi++ {
 		if err := SortBySequence(next.Groups.At(gi), c.sidx); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
-	return next, resorted, nil
+	return next, len(resorted) + next.Groups.Len() - carried, nil
 }

@@ -213,9 +213,10 @@ func (t *Table) Cluster(clusterBy, sequenceBy []string) ([][]Row, error) {
 // ClusterVersion is Cluster over an atomic Snapshot: it additionally
 // returns the data version the partition was built from, so callers can
 // pair the groups with the exact table state they reflect. It is a
-// from-scratch build — Refresh on the empty Clustering — that keeps
-// nothing for a later refresh, and it returns a flattened copy of the
-// build's blocked group list (Clustering.Groups). The groups never alias
+// from-scratch build — Refresh on the empty Clustering, so every block of
+// the build is its own — that keeps nothing for a later refresh: it
+// returns a flattened copy of the build's blocked group list
+// (Clustering.Groups), whose blocks are garbage once it returns. The groups never alias
 // mutable table storage, so they are safe to share read-only across
 // goroutines.
 func (t *Table) ClusterVersion(clusterBy, sequenceBy []string) ([][]Row, uint64, error) {

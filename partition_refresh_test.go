@@ -93,7 +93,7 @@ func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.memo[a]; m != nil && len(m.stale) == 0 && m.built == e.Groups.Len() {
+	if m := e.memo[a]; m != nil && m.groups.Same(e.Groups) {
 		g.current = true
 		g.masks, g.maskBlocks = m.masks.Slice(), m.masks
 	}
@@ -342,14 +342,14 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					c, resorted, err := base.Refresh()
+					c, _, err := base.Refresh()
 					if err != nil {
 						errs[g] = err
 						return
 					}
 					e := &partitionEntry{key: base.key, Clustering: c}
 					db.cacheMu.Lock()
-					e.adopt(base, resorted)
+					e.adopt(base)
 					db.cacheMu.Unlock()
 					e.memoFor(k)
 					next[g] = e
@@ -377,6 +377,70 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 		}
 		if sc.clusters > 3 && intoShared == 0 {
 			t.Errorf("%d clusters: no round added a cluster to the base's partly filled block", sc.clusters)
+		}
+	}
+}
+
+// TestPartitionRefreshSkippedRuns carries each statement's memo through
+// 1, 2 and 5 refreshes its plan does not run over — the partition is
+// refreshed and the memo adopted after each insert, as a run of another
+// statement over the same partition does — with and without CLUSTER BY,
+// from 3, 63, 64, 65 and 129 clusters. The run that follows must equal a
+// NoCache run and its masks a build's, and every cluster whose rows no
+// refresh changed must keep its mask set, pointer for pointer.
+func TestPartitionRefreshSkippedRuns(t *testing.T) {
+	for _, sc := range seamCases[2:] {
+		for _, sql := range refreshSQL {
+			for _, skips := range []int{1, 2, 5} {
+				db := quoteDB(t)
+				w := newRefreshWriter(t, db, sc.seed, sc.clusters)
+				q, err := db.Prepare(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, kept := q.plan.art, 0
+				for round := 0; round < 8; round++ {
+					label := fmt.Sprintf("%d clusters, %d skipped, round %d: %s", sc.clusters, skips, round, sql)
+					w.insert(t)
+					if _, err := q.Run(); err != nil {
+						t.Fatal(err)
+					}
+					built := cachedPartition(q)
+					groups, masks := built.Groups, built.memoFor(a)
+					for i := 0; i < skips; i++ {
+						w.insert(t)
+						if _, _, err := db.partition(db.Table("quote"), q.plan, false); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := q.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := q.RunWith(RunOptions{NoCache: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalResults(t, label, got, want)
+					cur := cachedPartition(q)
+					if cur == built || !got.PartitionCached() {
+						t.Fatalf("%s: the run after the refreshes found %v, refreshed %v", label, got.PartitionOutcome(), cur != built)
+					}
+					samePartition(t, label, cur, scratchPartition(t, q), a)
+					now := cur.memoFor(a)
+					for ci := 0; ci < groups.Len(); ci++ {
+						if sameRows(cur.Groups.At(ci), groups.At(ci)) {
+							kept++
+							if now.At(ci) != masks.At(ci) {
+								t.Fatalf("%s: cluster %d kept its rows but got new masks", label, ci)
+							}
+						}
+					}
+				}
+				if len(q.plan.compiled.ClusterBy) > 0 && kept == 0 {
+					t.Errorf("%d clusters, %d skipped: no cluster kept its rows across the refreshes", sc.clusters, skips)
+				}
+			}
 		}
 	}
 }
@@ -682,18 +746,18 @@ func TestRefreshCostsItsDelta(t *testing.T) {
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			c, resorted, err := e.Refresh()
+			c, changed, err := e.Refresh()
 			if err != nil {
 				t.Fatal(err)
 			}
 			next := &partitionEntry{key: e.key, Clustering: c}
 			db.cacheMu.Lock()
-			next.adopt(e, resorted)
+			next.adopt(e)
 			db.cacheMu.Unlock()
 			next.memoFor(a)
 			runtime.ReadMemStats(&after)
-			if len(resorted) != len(delta) {
-				t.Fatalf("%d clusters: the refresh re-sorted %d clusters, want %d", clusters, len(resorted), len(delta))
+			if changed != len(delta) {
+				t.Fatalf("%d clusters: the refresh re-sorted %d clusters, want %d", clusters, changed, len(delta))
 			}
 			if b := after.TotalAlloc - before.TotalAlloc; rep == 0 || b < least {
 				least = b

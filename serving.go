@@ -32,7 +32,6 @@ import (
 	"container/list"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -114,7 +113,7 @@ const (
 // normalizing is idempotent, so a text equal to some entry's key
 // normalizes to that key. Entries carry the catalog version they were
 // compiled under; get treats a version mismatch as a miss and evicts the
-// stale entry. onStore is told of every plan that enters the cache,
+// outdated entry. onStore is told of every plan that enters the cache,
 // onEvict of every plan that leaves it, after it left.
 type planCache struct {
 	capacity int
@@ -195,9 +194,9 @@ func (c *planCache) trim(n int) {
 // (table, clusterBy, sequenceBy). Each entry pins the exact *Table it
 // was built from and that table's data version, so a replaced table
 // (RegisterTable/LoadCSV under the same name) or any Insert makes it
-// stale. A stale entry over the same table is the base the next query
-// refreshes from. Entries are immutable generations shared read-only by
-// every execution that holds one.
+// outdated. An outdated entry over the same table is the base the next
+// query refreshes from. Entries are immutable generations shared
+// read-only by every execution that holds one.
 type partitionCache struct {
 	capacity int
 	order    *list.List
@@ -228,19 +227,18 @@ type partitionEntry struct {
 // written, once set.
 type kernelMemo struct {
 	masks storage.Blocks[*pattern.MaskSet]
-	// built is the number of clusters masks covers; stale lists the ones
-	// among them whose rows changed since.
-	built int
-	stale []int
+	// groups is the clustering masks was built over.
+	groups storage.Blocks[[]storage.Row]
 }
 
 // memoFor returns a's kernel's shared read-only mask sets for a run over
-// it, one per cluster. A first use builds them in one pass of the
-// kernel's run builder; after a refresh the stale and the new clusters
-// are rebuilt in one such pass over their indexes, into a successor of
-// the memo's blocks that shares every block it does not write. The entry
-// keeps what it built only while a cached plan holds a: a run of a plan
-// no longer (or never) cached builds masks for itself alone.
+// it, one per cluster. A memo built over e's clusters is returned as it
+// is; otherwise the clusters that differ from those it was built over —
+// new, or with rows that are not its slice, in a block that is not its
+// block — are rebuilt in one pass of the kernel's run builder, into a
+// successor of its blocks (on first use, every cluster). The entry keeps
+// what it built only while a cached plan holds a: a run of a plan no
+// longer (or never) cached builds masks for itself alone.
 func (e *partitionEntry) memoFor(a *patternArtifact) storage.Blocks[*pattern.MaskSet] {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -257,54 +255,53 @@ func (e *partitionEntry) memoFor(a *patternArtifact) storage.Blocks[*pattern.Mas
 			e.memo[a] = m
 		}
 	}
-	groups, built := e.Groups, m.built
-	if n := groups.Len(); len(m.stale) > 0 || built < n {
-		// A cluster re-sorted by several refreshes is listed once per
-		// refresh; one added after the memo was built is part of the new
-		// clusters. adopt may have left the list shared with the
-		// predecessor's memo, so it is sorted in a copy.
-		stale := slices.Clone(m.stale)
-		slices.Sort(stale)
-		stale = slices.Compact(stale)
-		stale = stale[:sort.SearchInts(stale, built)]
-		ed := m.masks.Edit(n)
-		for _, ci := range stale {
-			ed.Touch(ci)
-		}
-		// The run is the stale clusters, then the new ones.
-		cluster := func(j int) int {
-			if j < len(stale) {
-				return stale[j]
-			}
-			return built + j - len(stale)
-		}
-		sets := a.kernel.BuildRun(len(stale)+n-built, func(j int) []storage.Row { return groups.At(cluster(j)) })
-		for j := range sets {
-			ed.Set(cluster(j), &sets[j])
-		}
-		m.masks, m.built, m.stale = ed.Done(), n, nil
+	groups, built := e.Groups, m.groups
+	if groups.Same(built) {
+		return m.masks
 	}
+	n := groups.Len()
+	var run []int
+	for lo := 0; lo < n; lo += storage.BlockLen {
+		hi := min(lo+storage.BlockLen, n)
+		if hi <= built.Len() && groups.Block(lo) == built.Block(lo) {
+			continue
+		}
+		for ci := lo; ci < hi; ci++ {
+			if ci >= built.Len() || !sameRows(groups.At(ci), built.At(ci)) {
+				run = append(run, ci)
+			}
+		}
+	}
+	ed := m.masks.Edit(n)
+	sets := a.kernel.BuildRun(len(run), func(j int) []storage.Row { return groups.At(run[j]) })
+	for j, ci := range run {
+		ed.Set(ci, &sets[j])
+	}
+	m.masks, m.groups = ed.Done(), groups
 	return m.masks
 }
 
-// adopt seeds e, the refresh of old, with old's memos, marking the
-// clusters the refresh re-sorted as stale in each. Only the memos of
-// patterns a cached plan holds are kept, and a memo with more stale marks
-// than clusters is cheaper to rebuild than to carry. Callers hold
-// db.cacheMu, so no plan is evicted between this selection and e entering
-// the cache.
-func (e *partitionEntry) adopt(old *partitionEntry, resorted []int) {
+// sameRows reports whether two clusters' rows are one slice. A refresh
+// gives each cluster it re-sorts a slice of its own, and a memo holds the
+// clusters it compares with, so their memory is not reused.
+func sameRows(a, b []storage.Row) bool { return len(a) == len(b) && &a[0] == &b[0] }
+
+// adopt seeds e, the refresh of old, with old's memos of the patterns a
+// cached plan holds; memoFor finds what changed from the clusters each
+// was built over. So an adopted memo that has not run pins at most the
+// generation it was built over. Callers hold db.cacheMu, so no plan is
+// evicted between this selection and e entering the cache.
+func (e *partitionEntry) adopt(old *partitionEntry) {
 	old.mu.Lock()
 	defer old.mu.Unlock()
 	for a, m := range old.memo {
-		if a.refs.Load() == 0 || len(m.stale)+len(resorted) > e.Groups.Len() {
+		if a.refs.Load() == 0 {
 			continue
 		}
 		if e.memo == nil {
 			e.memo = map[*patternArtifact]*kernelMemo{}
 		}
-		stale := append(m.stale[:len(m.stale):len(m.stale)], resorted...)
-		e.memo[a] = &kernelMemo{masks: m.masks, built: m.built, stale: stale}
+		e.memo[a] = &kernelMemo{masks: m.masks, groups: m.groups}
 	}
 }
 
@@ -393,7 +390,7 @@ func partitionKey(table string, clusterBy, sequenceBy []string) string {
 	return b.String()
 }
 
-// get returns the entry stored under key, current or stale, promoting
+// get returns the entry stored under key, current or outdated, promoting
 // it. Callers hold db.cacheMu.
 func (c *partitionCache) get(key string) *partitionEntry {
 	el, ok := c.entries[key]
@@ -405,7 +402,7 @@ func (c *partitionCache) get(key string) *partitionEntry {
 }
 
 // replace stores e where the caller found old (nil: found nothing) and
-// reports whether it took a stale entry's place — an invalidation rather
+// reports whether it took an outdated entry's place — an invalidation rather
 // than a cold miss. When a concurrent run got there first the cache keeps
 // that run's entry and e serves its own run only.
 func (c *partitionCache) replace(old, e *partitionEntry) (invalidated bool) {
@@ -546,8 +543,8 @@ func (db *DB) storePlan(key string, p *Plan) {
 // partitionOutcome says how a run came by its partition.
 type partitionOutcome struct {
 	cached bool
-	// refreshed: derived from the stale cached generation by re-sorting
-	// or adding dirty of its clusters. Not a hit — rows were sorted.
+	// refreshed: derived from the outdated cached generation by
+	// re-sorting or adding dirty of its clusters. Not a hit — rows were sorted.
 	refreshed       bool
 	dirty, clusters int32
 }
@@ -561,11 +558,11 @@ func (o partitionOutcome) String() string {
 
 // partition returns the clustered partition of t for p's clusterBy and
 // sequenceBy, cached under p's partition key, serving it from the cache
-// when the table version still matches. A stale entry over the same table is refreshed —
+// when the table version still matches. An outdated entry over the same table is refreshed —
 // storage.Clustering.Refresh re-sorts only the clusters the appended rows
 // land in — and its memos carried over (see adopt); anything else is
 // built from the empty clustering. Either way it counts as a miss, and as
-// an invalidation when it replaces the stale entry. The entry's clusters (and the masks built from them) are shared
+// an invalidation when it replaces the outdated entry. The entry's clusters (and the masks built from them) are shared
 // and must be treated as read-only. A bypass run builds a transient
 // entry that is never stored, so it shares nothing.
 func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry, partitionOutcome, error) {
@@ -585,14 +582,13 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 		db.metrics.partitionCacheMisses.Inc()
 	}
 	e := &partitionEntry{key: key}
-	var resorted []int
 	if old != nil && old.Table() == t {
 		// An error here (the table shrank, or the appended rows do not
 		// sort) leaves the full build below to succeed or to report it.
-		if c, rs, err := old.Refresh(); err == nil {
-			e.Clustering, resorted = c, rs
+		if c, changed, err := old.Refresh(); err == nil {
+			e.Clustering = c
 			out.refreshed = true
-			out.dirty = int32(len(rs) + c.Groups.Len() - old.Groups.Len())
+			out.dirty = int32(changed)
 			out.clusters = int32(c.Groups.Len())
 		}
 	}
@@ -610,7 +606,7 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 	}
 	db.cacheMu.Lock()
 	if out.refreshed {
-		e.adopt(old, resorted)
+		e.adopt(old)
 	}
 	invalidated := db.parts.replace(old, e)
 	db.cacheMu.Unlock()
