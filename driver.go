@@ -15,6 +15,7 @@ import (
 
 	"sqlts/internal/engine"
 	"sqlts/internal/fault"
+	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
 	"sqlts/internal/query"
 	"sqlts/internal/storage"
@@ -244,6 +245,9 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 	if helpers == 0 {
 		return s.oneLane(res)
 	}
+	// A run that fans out is long enough to be seen: it registers here,
+	// before its lanes claim a chunk, so every lane ticks its flight.
+	s.rc.register(obs.PhaseRunning)
 	n := s.clusters.Len()
 	f := s.q.plan.fans.get(helpers + 1)
 	f.search, f.budget, f.check = s, budget, s.rc.interrupt()
@@ -555,13 +559,10 @@ func (l *lane) Found(i int, ms []engine.Match, st engine.Stats) error {
 	return nil
 }
 
-// Tick implements engine.RunSink: the run's flight, if it has one, learns
-// of the clusters searched since the last tick.
+// Tick implements engine.RunSink: the run's flight learns of the clusters
+// searched since the last tick (runControl.tick).
 func (l *lane) Tick(clusters, rows, matches int64) {
-	fl := l.rc.flightRef()
-	fl.TickClusters(clusters)
-	fl.TickRows(rows)
-	fl.TickMatches(matches)
+	l.rc.tick(clusters, rows, matches)
 }
 
 // recovered turns a recovered panic value into the run's error: an

@@ -730,39 +730,3 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 		t.Error("two one-lane runs with the same options built two executors")
 	}
 }
-
-// TestFigure5RunAllocs pins the smallest warm op, the paper's Example 4
-// over its fifteen-row Figure 5 series through db.Query (21 predicate
-// evaluations, no match): the per-chunk blocks are sized from what the
-// first match needs, so a run that finds none pays for none, and the plan
-// is found by its text, with its partition key and a kept executor.
-func TestFigure5RunAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	db := New()
-	db.RegisterTable(workload.SeriesTable("fig5", 10957, []float64{55, 50, 45, 57, 54, 50, 47, 49, 45, 42, 55, 57, 59, 60, 57}))
-	const sql = `
-		SELECT X.date AS start_date, T.price AS end_price
-		FROM fig5 SEQUENCE BY date AS (X, Y, Z, T)
-		WHERE X.price < X.previous.price
-		  AND Y.price < Y.previous.price AND Y.price > 40 AND Y.price < 50
-		  AND Z.price > Z.previous.price AND Z.price < 52
-		  AND T.price > T.previous.price`
-	res, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PredEvals != 21 {
-		t.Fatalf("Figure 5: %v; want 21 pred-evals", res.Stats)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := db.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 7 {
-		t.Errorf("warm Figure 5 db.Query allocates %.1f objects, want at most 7", allocs)
-	} else {
-		t.Logf("warm Figure 5 db.Query: %.1f objects", allocs)
-	}
-}

@@ -95,43 +95,159 @@ func classifyError(err error) obs.ErrClass {
 }
 
 // runControl carries one execution's cancellation state: the context's
-// done channel plus the run's resource budgets. A nil *runControl is
-// inert (check returns nil), so unconstrained runs pay a single nil
-// comparison per checkpoint.
+// done channel, the run's resource budgets, and its flight. A nil
+// *runControl is inert (check returns nil), so unconstrained runs pay a
+// single nil comparison per checkpoint.
+//
+// A run registers its flight lazily: only a run that lives long enough to
+// be seen or killed is entered in the active-query registry. One that
+// ends before its first engine checkpoint, its first progress flush and
+// any fan-out never touches the registry; its event still carries the id
+// it drew when it started.
 type runControl struct {
 	ctx        context.Context
 	done       <-chan struct{} // ctx.Done(), captured once
 	maxMatches int64           // 0 = unlimited
 	maxScanned int64           // 0 = unlimited
 	matches    atomic.Int64
+	// armed says check has something to look at: a context that can be
+	// canceled, a match budget or a flight.
+	armed bool
 
-	// flight is the run's active-query registration (nil with the
-	// recorder off). Checkpoints consult its kill flag, which is what
-	// makes every registered run killable — even one launched without a
-	// context.
+	// flight is the run's active-query registration once it has one.
+	// Checkpoints consult its kill flag, which is what makes every
+	// registered run killable — even one launched without a context. It is
+	// written before any other goroutine of the run reads it (register).
 	flight *obs.Flight
+
+	// What a registration reads, set when the run starts with the recorder
+	// on (db is nil otherwise, and the run never registers): the run's id,
+	// statement and executor, and its start — the admission stamp once it
+	// is admitted. pending is the progress ticked before the run registered,
+	// which the flight is seeded with.
+	db            *DB
+	id            uint64
+	key, executor string
+	start         time.Time
+	pending       obs.FlightProgress
+
+	// checkpointFn is checkpoint as a func value, made once per
+	// runControl: the interrupt every executor of the run installs.
+	checkpointFn func() error
 }
 
-// newRunControl builds the control for one run, or nil when the run has
-// no context, no budgets, and no flight registration (the common
-// uncancellable case).
+// newRunControl builds the control for a run outside the serving path (a
+// stream, EXPLAIN ANALYZE's diagnostic pass), registered as fl if it is
+// registered at all; nil when it has no context, no budgets and no
+// flight.
 func newRunControl(ctx context.Context, opts RunOptions, fl *obs.Flight) *runControl {
 	if ctx == nil && opts.MaxMatches == 0 && opts.MaxRowsScanned == 0 && fl == nil {
 		return nil
 	}
-	rc := &runControl{
-		ctx:        ctx,
-		maxMatches: opts.MaxMatches,
-		maxScanned: opts.MaxRowsScanned,
-		flight:     fl,
-	}
+	rc := newControl()
+	rc.flight = fl
+	rc.limit(ctx, opts)
+	return rc
+}
+
+// newControl allocates an empty control with its checkpoint func.
+func newControl() *runControl {
+	rc := new(runControl)
+	rc.checkpointFn = rc.checkpoint
+	return rc
+}
+
+// limit sets the run's context and budgets.
+func (rc *runControl) limit(ctx context.Context, opts RunOptions) {
+	rc.ctx, rc.done = ctx, nil
 	if ctx != nil {
 		rc.done = ctx.Done()
+	}
+	rc.maxMatches, rc.maxScanned = opts.MaxMatches, opts.MaxRowsScanned
+	rc.armed = rc.done != nil || rc.maxMatches > 0 || rc.flight != nil
+}
+
+// startRun takes the control of one run of plan p under executor, or nil
+// when the run has no context, no budgets and the flight recorder is off.
+// With the recorder on the run draws its id now and may register later
+// (register). The control is the one the plan keeps between runs, unless
+// another run holds it: then the run makes its own, and endRun keeps
+// whichever comes back first, so a warm run allocates neither a control
+// nor its checkpoint func.
+func (db *DB) startRun(ctx context.Context, p *Plan, opts RunOptions, executor string) *runControl {
+	on := !db.flight.off.Load()
+	if ctx == nil && opts.MaxMatches == 0 && opts.MaxRowsScanned == 0 && !on {
+		return nil
+	}
+	rc := p.rc.Swap(nil)
+	if rc == nil {
+		rc = newControl()
+	}
+	rc.limit(ctx, opts)
+	if on {
+		rc.db, rc.id, rc.key, rc.executor = db, db.flight.flights.NextID(), p.key, executor
 	}
 	return rc
 }
 
-// flightRef returns the run's flight registration (nil-safe).
+// endRun deregisters the run's flight, if it registered, and gives its
+// control back to plan p when p had run before this run (ran), as p keeps
+// its lane: a statement run once, as every never-seen statement is, holds
+// no control while it is cached. Nothing holds the control once the run
+// is over: its lanes have exited, and a lane p keeps installs the next
+// run's checkpoint before it searches.
+func (db *DB) endRun(p *Plan, rc *runControl, ran bool) {
+	if rc == nil {
+		return
+	}
+	db.deregisterFlight(rc.flight)
+	if ran {
+		*rc = runControl{checkpointFn: rc.checkpointFn}
+		p.rc.CompareAndSwap(nil, rc)
+	}
+}
+
+// register enters the run in the active-query registry in phase, once,
+// seeded with the progress it has ticked so far, and returns its flight:
+// nil when the run does not register (the recorder was off when it
+// started). Only the goroutine the run started on calls it, or its only
+// lane's, and a fanned-out run registers before its lanes start, so the
+// flight and pending need no synchronization.
+func (rc *runControl) register(phase obs.FlightPhase) *obs.Flight {
+	if rc == nil || rc.db == nil {
+		return nil
+	}
+	if fl := rc.flight; fl != nil {
+		return fl
+	}
+	fl := rc.db.flight.flights.Enroll(rc.id, rc.key, rc.executor, rc.start, phase, rc.pending)
+	rc.db.metrics.flightsActive.Inc()
+	rc.flight, rc.armed = fl, true
+	return fl
+}
+
+// registerQueued registers a run that is about to wait for admission,
+// started now.
+func (rc *runControl) registerQueued() *obs.Flight {
+	if rc == nil || rc.db == nil {
+		return nil
+	}
+	rc.start = time.Now()
+	return rc.register(obs.PhaseQueued)
+}
+
+// admitted records the run's admission at now: a flight it registers from
+// here on starts then, and one it registered while queued moves on to
+// running.
+func (rc *runControl) admitted(now time.Time) {
+	if rc == nil {
+		return
+	}
+	rc.start = now
+	rc.flight.SetPhase(obs.PhaseRunning)
+}
+
+// flightRef returns the run's flight, nil while it has none (nil-safe).
 func (rc *runControl) flightRef() *obs.Flight {
 	if rc == nil {
 		return nil
@@ -139,24 +255,74 @@ func (rc *runControl) flightRef() *obs.Flight {
 	return rc.flight
 }
 
+// queryID is the id the run's event carries: the one it drew at its start,
+// which its flight carries if it registers (0 with the recorder off).
+func (rc *runControl) queryID() uint64 {
+	if rc == nil {
+		return 0
+	}
+	return rc.id
+}
+
 // interrupt returns the checkpoint function executors install via
-// SetInterrupt. With a flight registered it also ticks the live
-// predicate-evaluation counter — the engine consults the checkpoint
-// once per engine.CheckpointInterval evals, so the flight's live count
-// trails the exact figure by at most one interval per worker. Batch
-// runs only: a stream's matchers each count their own evals, so Stream
-// installs the bare check and ticks the exact delta around every push.
+// SetInterrupt (nil for an inert run). Batch runs only: a stream's
+// matchers each count their own evals, so Stream installs the bare check
+// and ticks the exact delta around every push.
 func (rc *runControl) interrupt() func() error {
 	if rc == nil {
 		return nil
 	}
-	f := rc.flight
-	if f == nil {
-		return rc.check
+	return rc.checkpointFn
+}
+
+// checkpoint is the engine's interrupt, run once per
+// engine.CheckpointInterval evals: it registers the run if it has not yet
+// (its first checkpoint means it has searched for a while), ticks the live
+// predicate-evaluation counter, so the flight's count trails the exact
+// figure by at most one interval per worker, and takes the check.
+func (rc *runControl) checkpoint() error {
+	rc.register(obs.PhaseRunning).TickPredEvals(engine.CheckpointInterval)
+	return rc.check()
+}
+
+// tick hands the progress of the clusters searched since the last tick to
+// the run's flight. A run without one keeps it for the flight it may get,
+// and registers once it has kept engine.TickRows rows: a run searching
+// many clusters too small to reach an engine checkpoint is seen from its
+// first progress flush.
+func (rc *runControl) tick(clusters, rows, matches int64) {
+	if rc == nil {
+		return
 	}
-	return func() error {
-		f.TickPredEvals(engine.CheckpointInterval)
-		return rc.check()
+	fl := rc.flight
+	if fl == nil {
+		if rc.db == nil {
+			return
+		}
+		p := &rc.pending
+		p.ClustersDone += clusters
+		p.RowsScanned += rows
+		p.Matches += matches
+		if p.RowsScanned >= engine.TickRows {
+			rc.register(obs.PhaseRunning)
+		}
+		return
+	}
+	fl.TickClusters(clusters)
+	fl.TickRows(rows)
+	fl.TickMatches(matches)
+}
+
+// setClustersTotal publishes the run's cluster count once the partition
+// is known.
+func (rc *runControl) setClustersTotal(n int64) {
+	if rc == nil {
+		return
+	}
+	if fl := rc.flight; fl != nil {
+		fl.SetClustersTotal(n)
+	} else {
+		rc.pending.ClustersTotal = n
 	}
 }
 
@@ -166,9 +332,10 @@ func (rc *runControl) interrupt() func() error {
 // per-cluster run loop, per push). The
 // split keeps check itself inlinable — the select below would block
 // inlining, so unconstrained runs (nil rc, or a context that can never
-// be canceled) pay only an inlined comparison at every call site.
+// be canceled, no match budget and no flight yet) pay only an inlined
+// comparison at every call site.
 func (rc *runControl) check() error {
-	if rc == nil || (rc.done == nil && rc.maxMatches == 0 && rc.flight == nil) {
+	if rc == nil || !rc.armed {
 		return nil
 	}
 	return rc.checkSlow()

@@ -1,12 +1,16 @@
 package sqlts
 
-// The query flight recorder (live-operations layer): every Run and
-// open Stream registers a Flight in the DB's active-query registry,
-// executors tick its progress counters as they go, and each completed
-// execution emits one structured wide event. /debug/queries (debug.go)
-// lists the in-flight registrations and accepts a POST kill that lands
-// in the PR 7 cancellation path as ErrKilled; /debug/events tails the
-// retained wide-event ring.
+// The query flight recorder (live-operations layer): every open Stream,
+// and every Run that lives long enough to be seen, registers a Flight in
+// the DB's active-query registry; executors tick its progress counters as
+// they go, and each completed execution emits one structured wide event.
+// A Run registers at its first engine checkpoint (1,024 predicate
+// evaluations), its first progress flush (engine.TickRows rows) or when it
+// fans out, whichever comes first, and at once when it may block on
+// admission (runControl); one that ends sooner is only in the event ring
+// and the statement stats. /debug/queries (debug.go) lists the in-flight
+// registrations and accepts a POST kill that lands in the cancellation
+// path as ErrKilled; /debug/events tails the retained wide-event ring.
 
 import (
 	"errors"
@@ -45,9 +49,10 @@ type flightState struct {
 }
 
 // SetFlightRecorder enables or disables the active-query registry and
-// the wide-event ring (both on by default). Disabling stops new
-// registrations; flights already in the registry finish normally. The
-// event sink, when set, keeps receiving events either way.
+// the wide-event ring (both on by default). Disabling stops the
+// registration of runs and streams that start after it; flights already
+// in the registry, and runs already started, finish normally. The event
+// sink, when set, keeps receiving events either way.
 func (db *DB) SetFlightRecorder(on bool) {
 	db.flight.off.Store(!on)
 }
@@ -62,7 +67,8 @@ func (db *DB) ActiveQueries() []obs.FlightSnapshot {
 // observes ErrKilled — wrapping ErrCanceled, annotated with reason —
 // at its next cooperative checkpoint, and any registered context
 // cancel fires immediately. ErrNoSuchQuery when the id matches no
-// in-flight execution (it may have just finished).
+// in-flight execution: it may have just finished, or finished before it
+// registered (an event's QueryID of such a run names no flight).
 func (db *DB) KillQuery(id uint64, reason string) error {
 	err := ErrKilled
 	if reason != "" {
@@ -75,19 +81,20 @@ func (db *DB) KillQuery(id uint64, reason string) error {
 	return nil
 }
 
-// registerFlight registers one run in the active-query registry (nil
-// when the recorder is off). The caller deregisters via deferred
-// Deregister.
-func (db *DB) registerFlight(key, executor string, phase obs.FlightPhase) *obs.Flight {
+// registerStream registers a stream of the statement key as it opens
+// (nil when the recorder is off); Close deregisters it. A run registers
+// through its runControl.
+func (db *DB) registerStream(key string) *obs.Flight {
 	if db.flight.off.Load() {
 		return nil
 	}
-	fl := db.flight.flights.Register(key, executor, 0, phase)
+	fl := db.flight.flights.Register(key, "stream", 0, obs.PhaseStreaming)
 	db.metrics.flightsActive.Inc()
 	return fl
 }
 
-// deregisterFlight drops a finished run's registration.
+// deregisterFlight drops a finished run's or a closed stream's
+// registration (none for nil).
 func (db *DB) deregisterFlight(fl *obs.Flight) {
 	if fl == nil {
 		return

@@ -1,9 +1,10 @@
 package obs
 
-// The active-query registry: every in-flight execution (and open
-// stream) holds a Flight whose progress counters are ticked by the
-// executors with plain atomic adds, so an operator can see which
-// statement is where while it is still executing, and kill it. The
+// The active-query registry: every in-flight execution that runs long
+// enough to be seen (and every open stream) holds a Flight whose progress
+// counters are ticked by the executors with plain atomic adds, so an
+// operator can see which statement is where while it is still executing,
+// and kill it. The
 // package stays engine-agnostic: callers register with plain
 // strings/ints and hand the kill error in as a value; nothing here knows
 // the caller's typed error taxonomy.
@@ -90,7 +91,8 @@ func (f *Flight) SQL() string {
 	return f.sql
 }
 
-// Start returns the registration time.
+// Start returns when the execution started: its registration, or its
+// admission when it enrolled later.
 func (f *Flight) Start() time.Time {
 	if f == nil {
 		return time.Time{}
@@ -254,9 +256,10 @@ func (f *Flight) Snapshot() FlightSnapshot {
 // Deregister bracket each run; Snapshot and Kill serve the operator
 // surface. A nil registry is inert.
 type FlightRegistry struct {
-	seq     atomic.Uint64
-	mu      sync.RWMutex
-	flights map[uint64]*Flight
+	seq      atomic.Uint64
+	enrolled atomic.Uint64
+	mu       sync.RWMutex
+	flights  map[uint64]*Flight
 }
 
 // NewFlightRegistry creates an empty registry.
@@ -264,24 +267,63 @@ func NewFlightRegistry() *FlightRegistry {
 	return &FlightRegistry{flights: map[uint64]*Flight{}}
 }
 
-// Register creates and tracks a flight. The int64 argument is unused: it
-// carried a plan revision, and plans are no longer revised; it stays
-// until the benchmark harness, which calls Register, drops it.
+// Register creates and tracks a flight started now under a new id. The
+// int64 argument is unused: it carried a plan revision, and plans are no
+// longer revised; it stays until the benchmark harness, which calls
+// Register, drops it.
 func (r *FlightRegistry) Register(sql, executor string, _ int64, phase FlightPhase) *Flight {
+	return r.Enroll(r.NextID(), sql, executor, time.Now(), phase, FlightProgress{})
+}
+
+// NextID draws a new id from the registry's sequence (0 from a nil
+// registry). An execution draws its id when it starts and enrolls under it
+// only if it runs long enough to be seen, so ids stay unique across
+// executions that never enroll.
+func (r *FlightRegistry) NextID() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.seq.Add(1)
+}
+
+// FlightProgress is what an execution did before it enrolled: Enroll
+// seeds the flight's counters with it before any snapshot can see the
+// flight, so its progress reads as if it had been registered all along.
+type FlightProgress struct {
+	ClustersTotal, ClustersDone, RowsScanned, Matches int64
+}
+
+// Enroll tracks a flight under id, an id drawn from NextID, with its start
+// time and the progress it has made so far.
+func (r *FlightRegistry) Enroll(id uint64, sql, executor string, start time.Time, phase FlightPhase, done FlightProgress) *Flight {
 	if r == nil {
 		return nil
 	}
 	f := &Flight{
-		id:       r.seq.Add(1),
+		id:       id,
 		sql:      sql,
 		executor: executor,
-		start:    time.Now(),
+		start:    start,
 	}
 	f.phase.Store(int32(phase))
+	f.clustersTotal.Store(done.ClustersTotal)
+	f.clustersDone.Store(done.ClustersDone)
+	f.rowsScanned.Store(done.RowsScanned)
+	f.matches.Store(done.Matches)
 	r.mu.Lock()
 	r.flights[f.id] = f
 	r.mu.Unlock()
+	r.enrolled.Add(1)
 	return f
+}
+
+// Enrolled reports how many flights the registry has ever tracked, which
+// is how many of the ids NextID drew went to an execution that was seen.
+func (r *FlightRegistry) Enrolled() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.enrolled.Load()
 }
 
 // Deregister drops a flight (typically deferred at registration).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightNilSafety(t *testing.T) {
@@ -110,5 +111,36 @@ func TestFlightConcurrentTicks(t *testing.T) {
 	s := f.Snapshot()
 	if s.ClustersDone != 64 || s.RowsScanned != 640 || s.Matches != 128 {
 		t.Errorf("counters lost ticks: %+v", s)
+	}
+}
+
+// TestFlightEnrollSeedsProgress: a flight enrolled late carries the id its
+// execution drew, its start, and the progress made before it enrolled;
+// ids drawn and never enrolled stay unique and uncounted.
+func TestFlightEnrollSeedsProgress(t *testing.T) {
+	r := NewFlightRegistry()
+	skipped, id := r.NextID(), r.NextID()
+	if skipped == 0 || id == skipped {
+		t.Fatalf("NextID drew %d then %d", skipped, id)
+	}
+	start := time.Now().Add(-time.Second)
+	f := r.Enroll(id, "q", "ops", start, PhaseRunning, FlightProgress{ClustersTotal: 10, ClustersDone: 4, RowsScanned: 300, Matches: 2})
+	f.TickClusters(1)
+	s := f.Snapshot()
+	if s.ID != id || !s.StartTime.Equal(start) || s.ElapsedNs < int64(time.Second) || s.Phase != "running" {
+		t.Errorf("enrolled flight: %+v", s)
+	}
+	if s.ClustersTotal != 10 || s.ClustersDone != 5 || s.RowsScanned != 300 || s.Matches != 2 {
+		t.Errorf("progress not seeded: %+v", s)
+	}
+	if r.Get(id) != f || r.Enrolled() != 1 {
+		t.Errorf("registry holds %v, %d enrolled; want the flight, 1", r.Get(id), r.Enrolled())
+	}
+	if g := r.Register("q2", "ops", 0, PhaseQueued); g.ID() <= id || r.Enrolled() != 2 {
+		t.Errorf("Register after Enroll: id %d, %d enrolled", g.ID(), r.Enrolled())
+	}
+	var nilReg *FlightRegistry
+	if nilReg.NextID() != 0 || nilReg.Enroll(1, "q", "", start, PhaseRunning, FlightProgress{}) != nil || nilReg.Enrolled() != 0 {
+		t.Error("nil registry not inert")
 	}
 }

@@ -101,6 +101,10 @@ type QueryObs struct {
 // receiver (a disabled store hands out nil entries).
 type StmtStats struct {
 	key string
+	// overflow marks the store's shared overflow entry; dropped is set when
+	// a Reset drops the entry from its store (StmtRef).
+	overflow bool
+	dropped  atomic.Bool
 
 	calls     atomic.Int64
 	errors    atomic.Int64
@@ -478,6 +482,7 @@ func (st *StmtStore) overflowEntry() *StmtStats {
 		return e
 	}
 	e := newStmtStats(OverflowKey)
+	e.overflow = true
 	if st.overflow.CompareAndSwap(nil, e) {
 		return e
 	}
@@ -509,10 +514,15 @@ func (st *StmtStore) Reset() {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
+		for _, e := range sh.entries {
+			e.dropped.Store(true)
+		}
 		sh.entries = map[string]*StmtStats{}
 		sh.mu.Unlock()
 	}
-	st.overflow.Store(nil)
+	if e := st.overflow.Swap(nil); e != nil {
+		e.dropped.Store(true)
+	}
 	st.count.Store(0)
 }
 
@@ -549,4 +559,25 @@ func (st *StmtStore) Snapshots() []StmtSnapshot {
 		return out[i].SQL < out[j].SQL
 	})
 	return out
+}
+
+// StmtRef keeps one key's entry for a holder that records the same key
+// run after run (a plan): Entry resolves the key through Get the first
+// time, and again only once the kept entry has been dropped by a Reset or
+// is the shared overflow entry, which a larger capacity may replace with
+// an entry of the key's own. The zero value is ready.
+type StmtRef struct {
+	p atomic.Pointer[StmtStats]
+}
+
+// Entry returns key's entry in st, as Get would. An entry a concurrent
+// Reset drops after the check takes the recording in flight, as an entry
+// Get returned would; the next call resolves the key again.
+func (r *StmtRef) Entry(st *StmtStore, key string) *StmtStats {
+	if e := r.p.Load(); e != nil && !e.overflow && !e.dropped.Load() {
+		return e
+	}
+	e := st.Get(key)
+	r.p.Store(e)
+	return e
 }

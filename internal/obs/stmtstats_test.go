@@ -184,11 +184,13 @@ func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 
 // TestStmtStoreConcurrent hammers the store from many goroutines with a
 // mix of statements while another goroutine resets it, to prove the
-// serving path is race-clean (run under -race).
+// serving path is race-clean (run under -race). Half the goroutines
+// resolve their keys through StmtRefs they share, as a plan's runs do.
 func TestStmtStoreConcurrent(t *testing.T) {
 	st := NewStmtStore(8)
 	const goroutines = 8
 	const iters = 2000
+	var refs [12]StmtRef
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -196,8 +198,14 @@ func TestStmtStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				// 12 distinct keys against capacity 8 exercises overflow.
-				key := fmt.Sprintf("stmt-%d", (g+i)%12)
-				e := st.Get(key)
+				k := (g + i) % 12
+				key := fmt.Sprintf("stmt-%d", k)
+				var e *StmtStats
+				if g%2 == 1 {
+					e = refs[k].Entry(st, key)
+				} else {
+					e = st.Get(key)
+				}
 				e.RecordQuery(QueryObs{
 					DurNs:     int64(i%1000) * 1000,
 					Rows:      1,
@@ -233,5 +241,39 @@ func TestStmtStoreConcurrent(t *testing.T) {
 	e.RecordQuery(QueryObs{Rows: 1})
 	if st.Lookup("after").Snapshot().Rows != 1 {
 		t.Error("store unusable after concurrent reset")
+	}
+}
+
+// TestStmtRefFollowsTheStore: a StmtRef resolves its key once and keeps
+// the entry, and after a Reset, a capacity of 0 and a larger capacity
+// again it hands out the entry the store lists — never a dropped one —
+// and an overflow entry only while the store is at capacity.
+func TestStmtRefFollowsTheStore(t *testing.T) {
+	st := NewStmtStore(8)
+	var ref StmtRef
+	e := ref.Entry(st, "k")
+	if e == nil || e != st.Lookup("k") || ref.Entry(st, "k") != e {
+		t.Fatal("StmtRef does not keep the key's entry")
+	}
+	st.Reset()
+	if e2 := ref.Entry(st, "k"); e2 == e || e2 != st.Lookup("k") {
+		t.Error("after Reset the ref still hands out the dropped entry")
+	}
+	st.SetCapacity(0)
+	if ref.Entry(st, "k") != nil {
+		t.Error("tracking disabled, yet the ref hands out an entry")
+	}
+	st.SetCapacity(1)
+	if e3 := ref.Entry(st, "k"); e3 == nil || e3 != st.Lookup("k") {
+		t.Error("after re-enabling the ref does not resolve the live entry")
+	}
+	st.Reset()
+	st.Get("other") // takes the only slot
+	if o := ref.Entry(st, "k"); o == nil || o.Key() != OverflowKey {
+		t.Errorf("at capacity the ref hands out %q, want the overflow entry", o.Key())
+	}
+	st.SetCapacity(2)
+	if e4 := ref.Entry(st, "k"); e4 == nil || e4.Key() != "k" || e4 != st.Lookup("k") {
+		t.Error("after raising the capacity the ref keeps the overflow entry")
 	}
 }

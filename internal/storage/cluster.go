@@ -100,15 +100,21 @@ func (c *Clustering) Refresh() (next *Clustering, changed int, err error) {
 	}
 	carried := c.Groups.Len()
 	var ed Editor[[]Row]
+	// resorted are the carried groups that received rows, fresh the rows of
+	// the groups after them, each its own slice, allocated at its size.
 	var resorted []int
+	var fresh [][]Row
 	if c.keys == nil {
 		ed = c.Groups.Edit(1)
 		prev := ed.At(0)
+		g := make([]Row, 0, len(prev)+len(delta))
+		g = append(append(g, prev...), delta...)
 		if carried > 0 {
 			resorted = []int{0}
+			ed.Set(0, g)
+		} else {
+			fresh = [][]Row{g}
 		}
-		g := make([]Row, 0, len(prev)+len(delta))
-		ed.Set(0, append(append(g, prev...), delta...))
 	} else {
 		// The first pass finds every appended row's group, and a divergence
 		// before anything is written; the second appends the rows.
@@ -140,12 +146,28 @@ func (c *Clustering) Refresh() (next *Clustering, changed int, err error) {
 		}
 		c.keys.mu.Unlock()
 		ed = c.Groups.Edit(n)
+		if n > carried {
+			sizes := make([]int, n-carried)
+			for _, gi := range gis {
+				if int(gi) >= carried {
+					sizes[int(gi)-carried]++
+				}
+			}
+			fresh = make([][]Row, n-carried)
+			for i, size := range sizes {
+				fresh[i] = make([]Row, 0, size)
+			}
+		}
 		for k, r := range delta {
 			gi := int(gis[k])
+			if gi >= carried {
+				fresh[gi-carried] = append(fresh[gi-carried], r)
+				continue
+			}
 			g := ed.At(gi)
 			// A carried group still holding its base's rows is copied before
 			// its first append.
-			if gi < carried && &g[0] == &c.Groups.At(gi)[0] {
+			if &g[0] == &c.Groups.At(gi)[0] {
 				resorted = append(resorted, gi)
 				g = append(make([]Row, 0, len(g)+1), g...)
 			}
@@ -157,11 +179,12 @@ func (c *Clustering) Refresh() (next *Clustering, changed int, err error) {
 			return nil, 0, err
 		}
 	}
-	next.Groups = ed.Done()
-	for gi := carried; gi < next.Groups.Len(); gi++ {
-		if err := SortBySequence(next.Groups.At(gi), c.sidx); err != nil {
+	for i, g := range fresh {
+		if err := SortBySequence(g, c.sidx); err != nil {
 			return nil, 0, err
 		}
+		ed.Set(carried+i, g)
 	}
-	return next, len(resorted) + next.Groups.Len() - carried, nil
+	next.Groups = ed.Done()
+	return next, len(resorted) + len(fresh), nil
 }

@@ -208,7 +208,7 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration) {
 // panic stack, nothing that is counted.
 func (db *DB) observe(q *Query, ev *obs.Event, err error) {
 	m := db.metrics
-	entry := db.stmts.Get(ev.SQL) // nil = statement tracking disabled
+	entry := q.plan.stmt.Entry(db.stmts, ev.SQL) // nil = statement tracking disabled
 	panicked := false
 	if err != nil {
 		m.queryErrors.Inc()

@@ -454,13 +454,20 @@ type Plan struct {
 	trace *obs.Trace
 
 	// ran is set by the plan's first successful run: a plan keeps a
-	// one-lane run's executor from its second run on (see search.oneLane).
+	// one-lane run's executor and a run control from its second run on
+	// (see search.oneLane and DB.endRun).
 	ran atomic.Bool
 	// fans keeps the lanes of the plan's fanned-out runs between runs, and
 	// solo the lane of its one-lane runs, each with its executor; what a
 	// kept lane holds is scratch, which no result references (see lane).
 	fans fanPool
 	solo atomic.Pointer[lane]
+	// rc is the run control the plan's runs take and give back (startRun).
+	rc atomic.Pointer[runControl]
+	// stmt keeps the statement-stats entry of key, which every run of the
+	// plan records into, found again only once a Reset has dropped it or
+	// while it is the store's overflow entry (obs.StmtRef).
+	stmt obs.StmtRef
 }
 
 // patternArtifact is what a statement compiles from its pattern alone
@@ -877,23 +884,11 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		ctx, cancel = deadlineContext(ctx, opts.Deadline)
 		defer cancel()
 	}
-	// Register the run in the active-query registry (nil with the
-	// recorder off). Context runs get a derived cancel wired to the
-	// flight, so an operator kill interrupts even a blocked admission
-	// wait; context-free runs observe the kill flag at their cooperative
-	// checkpoints instead.
+	// The run's control: its context and budgets, and with the recorder on
+	// its id and what a late flight registration needs (runControl).
 	executor := opts.Executor.String()
-	fl := q.db.registerFlight(q.plan.key, executor, obs.PhaseQueued)
-	if fl != nil {
-		defer q.db.deregisterFlight(fl)
-		if ctx != nil {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithCancel(ctx)
-			defer cancel()
-			fl.SetCancel(cancel)
-		}
-	}
-	rc := newRunControl(ctx, opts, fl)
+	rc := q.db.startRun(ctx, q.plan, opts, executor)
+	defer q.db.endRun(q.plan, rc, q.plan.ran.Load()) // ran is read now, before the run sets it
 	// Entry checkpoint: an already-expired context fails deterministically
 	// before any work (or queueing) happens.
 	err := rc.check()
@@ -902,25 +897,37 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	// load per run.
 	var admWait time.Duration
 	if err == nil && (q.db.admit.on.Load() || fault.Active()) {
+		// A run that can block registers before it waits, so that it is seen
+		// while queued. A context run gets a derived cancel wired to the
+		// flight, so an operator kill interrupts even the wait; context-free
+		// runs observe the kill flag at their cooperative checkpoints.
+		if fl := rc.registerQueued(); fl != nil && ctx != nil {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			defer cancel()
+			fl.SetCancel(cancel)
+			rc.limit(ctx, opts)
+		}
 		var release func()
 		release, admWait, err = q.admitContained(ctx)
 		if err == nil {
 			defer release()
-		} else if kerr := fl.KillErr(); kerr != nil && errors.Is(err, ErrCanceled) {
+		} else if kerr := rc.flightRef().KillErr(); kerr != nil && errors.Is(err, ErrCanceled) {
 			// A kill during the queue wait surfaces as the context
 			// cancellation the flight's cancel fired; re-check the kill flag
 			// so the typed ErrKilled wins.
 			err = kerr
 		}
 	}
-	// The run's duration is the time after admission, failed or not.
+	// The run's duration is the time after admission, failed or not; a
+	// flight registered from here on starts at admission.
 	admitted := time.Now()
 	var (
 		res     *Result
 		scanned int
 	)
 	if err == nil {
-		fl.SetPhase(obs.PhaseRunning)
+		rc.admitted(admitted)
 		res, scanned, err = q.execute(rc, opts)
 	}
 	now := time.Now()
@@ -928,7 +935,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	slowNs := q.db.slowNs.Load()
 	ev := obs.Event{
 		Time:            now,
-		QueryID:         fl.ID(),
+		QueryID:         rc.queryID(),
 		SQL:             q.plan.key,
 		Executor:        executor,
 		DurationNs:      dur,
@@ -1003,7 +1010,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		if err := rc.checkScanned(len(rows)); err != nil {
 			return nil, 0, err
 		}
-		rc.flightRef().TickRows(int64(len(rows)))
+		rc.tick(0, int64(len(rows)), 0)
 		for ri, row := range rows {
 			if rc != nil && ri&1023 == 1023 {
 				if err := rc.check(); err != nil {
@@ -1035,7 +1042,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	res.partition = how
 	s := search{q: q, rc: rc, opts: opts, clusters: part.Groups}
 	s.masks, res.vectorized = q.plan.masks(part)
-	rc.flightRef().SetClustersTotal(int64(part.Groups.Len()))
+	rc.setClustersTotal(int64(part.Groups.Len()))
 	if err := s.searchClusters(res, part.Rows); err != nil {
 		return nil, 0, err
 	}

@@ -109,7 +109,7 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	if compiled.Pattern == nil {
 		return nil, fmt.Errorf("sqlts: OpenStream requires a sequence pattern query")
 	}
-	fl := q.db.registerFlight(q.plan.key, "stream", obs.PhaseStreaming)
+	fl := q.db.registerStream(q.plan.key)
 	st := &Stream{
 		q:        q,
 		m:        q.db.metrics,
