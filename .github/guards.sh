@@ -200,13 +200,16 @@ guard 'A warm statement is found by its text'
 # misses, inside the plan lookup. The partition key is computed once per
 # plan, when it is compiled, and every one-lane run of a plan takes the
 # executor the plan keeps (Plan.solo); the process-wide lane pool that
-# built an executor per run is gone.
+# built an executor per run is gone. A result lends its plan's column
+# header rather than copying it per run.
 once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
 	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
 once 'the partition key is computed outside the plan compile, or more than once:' 'partitionKey(' \
 	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string, tr *obs.Trace) (*Plan, error) {'
 absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
+absent 'a run copies its plan'"'"'s column header again' \
+	-F 'append([]string(nil), compiled.OutNames' -- sqlts.go
 
 guard 'A refresh costs its delta'
 # A partition's clusters and their memoized mask sets are held in 64-entry

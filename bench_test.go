@@ -683,7 +683,8 @@ func BenchmarkColdSharedPattern(b *testing.B) {
 // hold, which lexes, finds the pattern by its FROM … WHERE tokens, parses
 // and analyses its SELECT list, and runs over the cached partition. The
 // pin was set where the lookup before parsing put it, with a margin of
-// four objects; it must never loosen, only tighten.
+// four objects, and tightened by the two header copies a result no longer
+// makes; it must never loosen, only tighten.
 func TestColdSharedPatternAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -706,7 +707,7 @@ func TestColdSharedPatternAllocs(t *testing.T) {
 				res.PlanCached(), res.PartitionCached(), res.Stats.PredEvals)
 		}
 	})
-	const limit = 63
+	const limit = 61
 	if allocs > limit {
 		t.Errorf("a cold statement over a cached pattern allocates %.1f objects, want at most %d", allocs, limit)
 	} else {

@@ -36,6 +36,10 @@ func planResult(text string, stats engine.Stats) *Result {
 // clusters after the run (diagnose), whose counters stay out of the
 // metrics registry.
 func (q *Query) ExplainAnalyze(opts RunOptions) (string, error) {
+	q, err := q.current()
+	if err != nil {
+		return "", err
+	}
 	text, _, err := q.explainAnalyzeText(opts)
 	return text, err
 }
@@ -127,11 +131,7 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 	if compiled.Pattern == nil || compiled.AlwaysEmpty() {
 		return nil, engine.Stats{}, nil
 	}
-	t := q.db.Table(compiled.Table)
-	if t == nil {
-		return nil, engine.Stats{}, fmt.Errorf("sqlts: table %q disappeared", compiled.Table)
-	}
-	part, _, err := q.db.partition(t, q.plan, opts.NoCache)
+	part, _, err := q.db.partition(q.plan, opts.NoCache)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}

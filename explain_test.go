@@ -172,7 +172,7 @@ func TestQueryTrace(t *testing.T) {
 func clusterReference(t testing.TB, q *Query) []clusterStat {
 	t.Helper()
 	c := q.plan.compiled
-	part, _, err := q.db.partition(q.db.Table(c.Table), q.plan, true)
+	part, _, err := q.db.partition(q.plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}

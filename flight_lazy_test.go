@@ -214,11 +214,11 @@ func TestFlightLazyQueuedRunKillable(t *testing.T) {
 // over its fifteen-row Figure 5 series through db.Query (21 predicate
 // evaluations, no match): the per-chunk blocks are sized from what the
 // first match needs, so a run that finds none pays for none, and the plan
-// is found by its text, with its partition key, a kept executor and a
-// kept run control. So the op allocates its Query handle and its Result
-// with the result's column names and types, and no flight, run control or
-// interrupt closure. The plan keeps a run control from its second run on:
-// one run once keeps none, as it keeps no lane.
+// is found by its text, with its partition's slot, a kept executor and a
+// kept run control, and lends the result its column names and types. So
+// the op allocates its Query handle and its Result, and no header copy,
+// flight, run control or interrupt closure. The plan keeps a run control
+// from its second run on: one run once keeps none, as it keeps no lane.
 func TestWarmTinyQueryAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -245,8 +245,8 @@ func TestWarmTinyQueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("warm Figure 5 db.Query allocates %.1f objects, want at most 4", allocs)
+	if allocs > 2 {
+		t.Errorf("warm Figure 5 db.Query allocates %.1f objects, want at most 2", allocs)
 	} else {
 		t.Logf("warm Figure 5 db.Query: %.1f objects", allocs)
 	}

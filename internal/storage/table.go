@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Column describes one column of a table schema.
@@ -74,18 +75,21 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 // rows, stamped with a monotonic data version.
 //
 // Concurrency: Insert appends under an internal lock and bumps the
-// version; Snapshot/Version/Len/Cluster read under the same lock, and
-// the row prefix a Snapshot returns is immutable (rows are never edited
-// in place). Insert-while-query is therefore safe. The exported Rows
-// field remains for single-threaded loaders and tests; code that
-// mutates it directly forfeits both safety and version tracking.
+// version; Snapshot/Len/Cluster read under the same lock, Version reads
+// the version without it, and the row prefix a Snapshot returns is
+// immutable (rows are never edited in place). Insert-while-query is
+// therefore safe. The exported Rows field remains for single-threaded
+// loaders and tests; code that mutates it directly forfeits both safety
+// and version tracking.
 type Table struct {
 	Name   string
 	Schema *Schema
 	Rows   []Row
 
-	mu      sync.RWMutex
-	version uint64
+	mu sync.RWMutex
+	// version is written under mu, after the rows it counts, and read
+	// without it by Version.
+	version atomic.Uint64
 }
 
 // NewTable creates an empty table with the given schema.
@@ -128,7 +132,7 @@ func (t *Table) Insert(vals ...Value) error {
 	}
 	t.mu.Lock()
 	t.Rows = append(t.Rows, row)
-	t.version++
+	t.version.Add(1)
 	t.mu.Unlock()
 	return nil
 }
@@ -150,7 +154,7 @@ func (t *Table) InsertBatch(rows []Row) error {
 	}
 	t.mu.Lock()
 	t.Rows = append(t.Rows, staged...)
-	t.version++
+	t.version.Add(1)
 	t.mu.Unlock()
 	return nil
 }
@@ -172,12 +176,9 @@ func (t *Table) Len() int {
 // Version returns the table's data version: a counter bumped by every
 // Insert (and once per bulk load). Two equal versions of the same
 // *Table guarantee identical row contents, which is what the engine's
-// partition cache keys on.
-func (t *Table) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
+// partition cache keys on. It takes no lock: a version read while an
+// Insert holds the lock is the one before that Insert.
+func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Snapshot returns the current rows and the version they correspond to,
 // taken atomically. The returned slice is an immutable prefix: later
@@ -187,7 +188,7 @@ func (t *Table) Version() uint64 {
 func (t *Table) Snapshot() ([]Row, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.Rows[:len(t.Rows):len(t.Rows)], t.version
+	return t.Rows[:len(t.Rows):len(t.Rows)], t.version.Load()
 }
 
 // bump marks a bulk mutation performed directly on Rows (CSV load);
@@ -195,7 +196,7 @@ func (t *Table) Snapshot() ([]Row, uint64) {
 // locking during construction.
 func (t *Table) bump() {
 	t.mu.Lock()
-	t.version++
+	t.version.Add(1)
 	t.mu.Unlock()
 }
 

@@ -30,14 +30,15 @@ var refreshSQL = []string{
 func cachedPartition(q *Query) *partitionEntry {
 	q.db.cacheMu.Lock()
 	defer q.db.cacheMu.Unlock()
-	return q.db.parts.get(q.plan.partKey)
+	e, _ := q.db.parts.get(q.plan.partKey)
+	return e
 }
 
 // scratchPartition builds q's partition from the empty clustering, the
 // way a NoCache run does.
 func scratchPartition(t *testing.T, q *Query) *partitionEntry {
 	t.Helper()
-	e, how, err := q.db.partition(q.db.Table(q.plan.compiled.Table), q.plan, true)
+	e, how, err := q.db.partition(q.plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestPartitionRefreshSkippedRuns(t *testing.T) {
 					groups, masks := built.Groups, built.memoFor(a)
 					for i := 0; i < skips; i++ {
 						w.insert(t)
-						if _, _, err := db.partition(db.Table("quote"), q.plan, false); err != nil {
+						if _, _, err := db.partition(q.plan, false); err != nil {
 							t.Fatal(err)
 						}
 					}

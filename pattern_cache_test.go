@@ -390,7 +390,7 @@ func TestPatternCacheStress(t *testing.T) {
 		}
 	}
 	for el := db.parts.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*partitionEntry)
+		e := el.Value.(*partSlot).cur.Load()
 		e.mu.Lock()
 		for a := range e.memo {
 			if holders[a] == 0 {

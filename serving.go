@@ -26,7 +26,9 @@ package sqlts
 //     clusters the appended rows land in are re-sorted, and only their
 //     masks rebuilt; in-flight queries keep reading the old immutable
 //     generation (copy-on-write per cluster, and per 64-cluster block of
-//     the cluster and mask lists).
+//     the cluster and mask lists). A plan reaches its key's entry through
+//     the key's slot (partSlot), so a warm run takes its partition
+//     without the cache's lock or a by-name table lookup.
 
 import (
 	"container/list"
@@ -34,6 +36,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
@@ -197,15 +200,40 @@ func (c *planCache) trim(n int) {
 // outdated. An outdated entry over the same table is the base the next
 // query refreshes from. Entries are immutable generations shared
 // read-only by every execution that holds one.
+//
+// A key's entry sits in the key's slot, which outlives the generations
+// stored in it: a plan keeps a pointer to its key's slot (Plan.part), and
+// a run that finds a current entry there takes it without a lock or a map
+// lookup (cachedPartition). Such a hit does not reorder the list; it marks
+// the slot used instead, and trim passes a used slot over once.
 type partitionCache struct {
 	capacity int
-	order    *list.List
+	order    *list.List // of *partSlot, front = most recently stored or promoted
 	entries  map[string]*list.Element
+}
+
+// partSlot is the partition cache's cell for one key. cur is the key's
+// entry while the key is cached and nil once it is evicted, so a plan that
+// points at an evicted slot keeps no partition alive. used is set by a
+// lock-free hit, only when it is clear, and cleared by trim.
+type partSlot struct {
+	key  string
+	cur  atomic.Pointer[partitionEntry]
+	used atomic.Bool
 }
 
 type partitionEntry struct {
 	key string
 	*storage.Clustering
+
+	// catalog is a catalog version under which the entry's table was the
+	// one registered under its name: read before the by-name lookup that
+	// found the table, and raised, under db.cacheMu, by a locked hit that
+	// finds it again. While the DB's catalog version equals it, the table
+	// is still the one of that name. It is the entry's and not its slot's
+	// because it speaks of the entry's table: a lock-free hit reads the
+	// two together without a second check.
+	catalog atomic.Uint64
 
 	// memo holds, per pattern, what its kernel reads of every cluster,
 	// built lazily on the first execution of a plan of the pattern over
@@ -355,7 +383,7 @@ func (db *DB) forgetKernel(p *Plan) {
 		delete(db.patterns, a.key)
 	}
 	for el := db.parts.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*partitionEntry).forget(a)
+		el.Value.(*partSlot).cur.Load().forget(a)
 	}
 }
 
@@ -391,42 +419,59 @@ func partitionKey(table string, clusterBy, sequenceBy []string) string {
 }
 
 // get returns the entry stored under key, current or outdated, promoting
-// it. Callers hold db.cacheMu.
-func (c *partitionCache) get(key string) *partitionEntry {
+// it, and its slot. Callers hold db.cacheMu.
+func (c *partitionCache) get(key string) (*partitionEntry, *partSlot) {
 	el, ok := c.entries[key]
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*partitionEntry)
+	s := el.Value.(*partSlot)
+	return s.cur.Load(), s
 }
 
-// replace stores e where the caller found old (nil: found nothing) and
-// reports whether it took an outdated entry's place — an invalidation rather
-// than a cold miss. When a concurrent run got there first the cache keeps
-// that run's entry and e serves its own run only.
-func (c *partitionCache) replace(old, e *partitionEntry) (invalidated bool) {
+// replace stores e in its key's slot where the caller found old (nil:
+// found nothing) and reports whether it took an outdated entry's place —
+// an invalidation rather than a cold miss. When a concurrent run got there
+// first the cache keeps that run's entry and e serves its own run only.
+// It returns the key's slot, nil when the cache holds nothing.
+func (c *partitionCache) replace(old, e *partitionEntry) (s *partSlot, invalidated bool) {
 	if c.capacity <= 0 {
-		return false
+		return nil, false
 	}
 	if el, ok := c.entries[e.key]; ok {
-		if el.Value.(*partitionEntry) != old {
-			return false
+		s = el.Value.(*partSlot)
+		if s.cur.Load() != old {
+			return s, false
 		}
-		el.Value = e
+		s.cur.Store(e)
 		c.order.MoveToFront(el)
-		return true
+		return s, true
 	}
-	c.entries[e.key] = c.order.PushFront(e)
-	c.trim(c.capacity)
-	return false
+	c.trim(c.capacity - 1)
+	s = &partSlot{key: e.key}
+	s.cur.Store(e)
+	c.entries[e.key] = c.order.PushFront(s)
+	return s, false
 }
 
-// trim evicts least-recently-used partitions until at most n remain.
+// trim evicts partitions until at most n remain, least recently stored or
+// promoted first, except that a slot a lock-free hit has used since trim
+// last passed it over is passed over once more: its flag is cleared and it
+// moves to the front. An evicted slot lets go of its entry.
 func (c *partitionCache) trim(n int) {
-	for c.order.Len() > max(n, 0) {
-		e := c.order.Remove(c.order.Back()).(*partitionEntry)
-		delete(c.entries, e.key)
+	for chances := c.order.Len(); c.order.Len() > max(n, 0); {
+		el := c.order.Back()
+		s := el.Value.(*partSlot)
+		if n > 0 && chances > 0 && s.used.Load() {
+			chances--
+			s.used.Store(false)
+			c.order.MoveToFront(el)
+			continue
+		}
+		c.order.Remove(el)
+		delete(c.entries, s.key)
+		s.cur.Store(nil)
 	}
 }
 
@@ -556,25 +601,51 @@ func (o partitionOutcome) String() string {
 	return cachedWord(o.cached)
 }
 
-// partition returns the clustered partition of t for p's clusterBy and
-// sequenceBy, cached under p's partition key, serving it from the cache
-// when the table version still matches. An outdated entry over the same table is refreshed —
+// partition returns the clustered partition of p's table for p's
+// clusterBy and sequenceBy, cached under p's partition key, serving it
+// from the cache when the table version still matches: without a lock
+// from the slot p last reached when the catalog has not changed either
+// (cachedPartition), otherwise after looking the table up by name. An
+// outdated entry over the same table is refreshed —
 // storage.Clustering.Refresh re-sorts only the clusters the appended rows
 // land in — and its memos carried over (see adopt); anything else is
 // built from the empty clustering. Either way it counts as a miss, and as
-// an invalidation when it replaces the outdated entry. The entry's clusters (and the masks built from them) are shared
-// and must be treated as read-only. A bypass run builds a transient
-// entry that is never stored, so it shares nothing.
-func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry, partitionOutcome, error) {
+// an invalidation when it replaces the outdated entry. The entry's
+// clusters (and the masks built from them) are shared and must be treated
+// as read-only. A bypass run builds a transient entry that is never
+// stored, so it shares nothing.
+func (db *DB) partition(p *Plan, bypass bool) (*partitionEntry, partitionOutcome, error) {
 	var out partitionOutcome
+	if !bypass {
+		if e := db.cachedPartition(p); e != nil {
+			db.metrics.partitionCacheHits.Inc()
+			out.cached = true
+			return e, out, nil
+		}
+	}
+	// The catalog version is read before the lookup, so that it is one
+	// under which the table found had its name (partitionEntry.catalog).
+	catalog := db.catalog.Load()
+	t := db.Table(p.compiled.Table)
+	if t == nil {
+		return nil, out, fmt.Errorf("sqlts: table %q disappeared", p.compiled.Table)
+	}
 	var old *partitionEntry
 	var key string
 	if !bypass {
 		key = p.partKey
 		db.cacheMu.Lock()
-		old = db.parts.get(key)
+		var s *partSlot
+		old, s = db.parts.get(key)
+		hit := old != nil && old.Table() == t && old.Version == t.Version()
+		if hit {
+			if old.catalog.Load() < catalog {
+				old.catalog.Store(catalog)
+			}
+			p.reach(s)
+		}
 		db.cacheMu.Unlock()
-		if old != nil && old.Table() == t && old.Version == t.Version() {
+		if hit {
 			db.metrics.partitionCacheHits.Inc()
 			out.cached = true
 			return old, out, nil
@@ -582,6 +653,7 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 		db.metrics.partitionCacheMisses.Inc()
 	}
 	e := &partitionEntry{key: key}
+	e.catalog.Store(catalog)
 	if old != nil && old.Table() == t {
 		// An error here (the table shrank, or the appended rows do not
 		// sort) leaves the full build below to succeed or to report it.
@@ -608,7 +680,8 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 	if out.refreshed {
 		e.adopt(old)
 	}
-	invalidated := db.parts.replace(old, e)
+	s, invalidated := db.parts.replace(old, e)
+	p.reach(s)
 	db.cacheMu.Unlock()
 	if invalidated {
 		db.metrics.partitionCacheInvalidations.Inc()
@@ -617,4 +690,33 @@ func (db *DB) partition(t *storage.Table, p *Plan, bypass bool) (*partitionEntry
 		db.metrics.partitionCacheRefreshes.Inc()
 	}
 	return e, out, nil
+}
+
+// cachedPartition is the partition cache's lock-free hit: the entry in
+// the slot p last reached, when the catalog version is still the one the
+// entry's table was last found under and the table's data version still
+// the one the entry was built from; nil otherwise.
+func (db *DB) cachedPartition(p *Plan) *partitionEntry {
+	s := p.part.Load()
+	if s == nil {
+		return nil
+	}
+	e := s.cur.Load()
+	if e == nil || e.catalog.Load() != db.catalog.Load() || e.Version != e.Table().Version() {
+		return nil
+	}
+	// Written only when clear, so that clients sharing the slot do not
+	// take its cache line from one another on every hit.
+	if !s.used.Load() {
+		s.used.Store(true)
+	}
+	return e
+}
+
+// reach points p at s, its key's slot (nil: the cache holds none).
+// Callers hold db.cacheMu.
+func (p *Plan) reach(s *partSlot) {
+	if s != nil && p.part.Load() != s {
+		p.part.Store(s)
+	}
 }

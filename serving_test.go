@@ -745,7 +745,9 @@ func TestStreamViaDB(t *testing.T) {
 // to an uncached reference), then while another goroutine Inserts
 // (forcing partition-cache invalidation, served by per-cluster refreshes
 // racing one another over the same stale entries; queries must never error
-// or serve rows the reference database doesn't explain). Run under -race.
+// or serve rows the reference database doesn't explain). Between the
+// two, the static traffic runs again while PurgeCaches empties the caches
+// under it, racing the lock-free partition hits. Run under -race.
 func TestConcurrentServingStress(t *testing.T) {
 	seed := func() *DB {
 		db := quoteDB(t)
@@ -815,6 +817,57 @@ func TestConcurrentServingStress(t *testing.T) {
 	}
 	if cs := db.CacheStats(); cs.PlanHits == 0 || cs.PartitionHits == 0 {
 		t.Errorf("stress ran uncached: %+v", cs)
+	}
+
+	// Phase 1b: the same traffic while another goroutine empties the
+	// caches under it, letting a query finish between two purges. Runs
+	// that reach their partition through their plan's slot race the purge
+	// that empties the slot; every result must still be the reference.
+	var seen, left atomic.Int64
+	done := make(chan struct{})
+	var purger sync.WaitGroup
+	purger.Add(1)
+	go func() {
+		defer purger.Done()
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			db.PurgeCaches()
+			for last := seen.Load(); seen.Load() == last && left.Load() < goroutines; {
+				runtime.Gosched()
+			}
+		}
+	}()
+	errs = make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer left.Add(1)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				qi := (g + i) % len(queries)
+				res, err := db.Query(queries[qi])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(res.Rows, ref[qi].Rows) || res.Stats != ref[qi].Stats {
+					errs <- fmt.Errorf("goroutine %d iter %d under PurgeCaches: %v, want %v", g, i, res.Rows, ref[qi].Rows)
+					return
+				}
+				seen.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	purger.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
 	// Phase 2: same traffic while a writer Inserts (one row at a time,
@@ -899,5 +952,262 @@ func TestConcurrentServingStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalResults(t, fmt.Sprintf("final query %d", i), got, want)
+	}
+}
+
+// TestPreparedHandleFollowsCatalog: a handle prepared before its table
+// was replaced runs the plan its text has under the current catalog, not
+// the old plan's column indexes over the new table. Replacing
+// q(name, date, a, b) by q(name, date, b, a) made the old plan compare b
+// and return nothing; moving the VARCHAR into a REAL's position made it
+// panic. The handle itself keeps its plan.
+func TestPreparedHandleFollowsCatalog(t *testing.T) {
+	const sql = `SELECT Y.a FROM q CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.a > X.a`
+	table := func(names ...string) *storage.Table {
+		types := map[string]storage.Type{"name": storage.TypeString, "date": storage.TypeDate, "a": storage.TypeFloat, "b": storage.TypeFloat}
+		cols := make([]storage.Column, len(names))
+		for i, n := range names {
+			cols[i] = storage.Column{Name: n, Type: types[n]}
+		}
+		tbl := storage.NewTable("q", storage.MustSchema(cols...))
+		for day, vals := range []map[string]storage.Value{
+			{"name": storage.NewString("N"), "a": storage.NewFloat(1), "b": storage.NewFloat(5)},
+			{"name": storage.NewString("N"), "a": storage.NewFloat(2), "b": storage.NewFloat(3)},
+		} {
+			vals["date"] = storage.NewDateDays(int64(10000 + day))
+			row := make([]storage.Value, len(names))
+			for i, n := range names {
+				row[i] = vals[n]
+			}
+			tbl.MustInsert(row...)
+		}
+		return tbl
+	}
+	db := New()
+	db.RegisterTable(table("name", "date", "a", "b"))
+	q, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := q.plan
+	for _, cols := range [][]string{
+		{"name", "date", "a", "b"},
+		{"name", "date", "b", "a"},
+		{"a", "date", "name", "b"},
+	} {
+		db.RegisterTable(table(cols...))
+		want, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) != 1 || want.Rows[0][0].Float() != 2 {
+			t.Fatalf("q%v: a fresh query returns %v, want [[2]]", cols, want.Rows)
+		}
+		for _, run := range []func() (*Result, error){
+			q.Run,
+			func() (*Result, error) { return q.RunWith(RunOptions{NoCache: true}) },
+		} {
+			got, err := run()
+			if err != nil {
+				t.Fatalf("q%v: the prepared handle: %v", cols, err)
+			}
+			equalResults(t, fmt.Sprintf("q%v: prepared handle vs fresh query", cols), got, want)
+		}
+		if _, err := q.ExplainAnalyze(RunOptions{}); err != nil {
+			t.Fatalf("q%v: EXPLAIN ANALYZE of the prepared handle: %v", cols, err)
+		}
+		if q.plan != prepared {
+			t.Fatalf("q%v: running the handle changed its plan", cols)
+		}
+	}
+	// A table its text no longer compiles against fails the run as a
+	// fresh Prepare fails.
+	db.RegisterTable(table("name", "date", "b"))
+	_, want := db.Prepare(sql)
+	if _, err := q.Run(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("q[name date b]: the prepared handle fails with %v, a fresh Prepare with %v", err, want)
+	}
+}
+
+// TestPartitionSlot: a plan reaches its partition through its key's slot,
+// which the cache empties when it drops the partition, so a cached plan
+// keeps no dropped partition alive; a partition kept warm only by such
+// lock-free hits gets a second chance when the cache trims; and an insert
+// still refreshes what it changed.
+func TestPartitionSlot(t *testing.T) {
+	const tables = 66
+	sqlFor := func(i int) string {
+		return fmt.Sprintf(`SELECT X.name FROM p%d CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`, i)
+	}
+	newDB := func() *DB {
+		db := New()
+		schema := storage.MustSchema(
+			storage.Column{Name: "name", Type: storage.TypeString},
+			storage.Column{Name: "date", Type: storage.TypeDate},
+			storage.Column{Name: "price", Type: storage.TypeFloat},
+		)
+		for i := 0; i < tables; i++ {
+			tbl := storage.NewTable(fmt.Sprintf("p%d", i), schema)
+			for d, p := range []float64{10, 11, 9} {
+				tbl.MustInsert(storage.NewString("A"), storage.NewDateDays(int64(10000+d)), storage.NewFloat(p))
+			}
+			db.RegisterTable(tbl)
+		}
+		return db
+	}
+	outcome := func(t *testing.T, db *DB, sql string) string {
+		t.Helper()
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", sql, len(res.Rows))
+		}
+		return res.PartitionOutcome()
+	}
+	expect := func(t *testing.T, label, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: partition %q, want %q", label, got, want)
+		}
+	}
+
+	t.Run("purge", func(t *testing.T) {
+		db := newDB()
+		expect(t, "first run", outcome(t, db, sqlFor(0)), "built")
+		expect(t, "second run", outcome(t, db, sqlFor(0)), "cached")
+		q, err := db.Prepare(sqlFor(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.PurgeCaches()
+		if s := q.plan.part.Load(); s == nil || s.cur.Load() != nil {
+			t.Fatal("after PurgeCaches the plan's slot still holds a partition")
+		}
+		res, err := q.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expect(t, "run after PurgeCaches", res.PartitionOutcome(), "built")
+	})
+
+	t.Run("evicted", func(t *testing.T) {
+		db := newDB()
+		expect(t, "first run", outcome(t, db, sqlFor(0)), "built")
+		q, err := db.Prepare(sqlFor(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var collected atomic.Bool
+		e := cachedPartition(q)
+		runtime.SetFinalizer(e, func(*partitionEntry) { collected.Store(true) })
+		e = nil
+		for i := 1; i < tables; i++ {
+			expect(t, sqlFor(i), outcome(t, db, sqlFor(i)), "built")
+		}
+		if cachedPartition(q) != nil {
+			t.Fatalf("%d other partitions did not evict the first", tables-1)
+		}
+		for i := 0; i < 20 && !collected.Load(); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if !collected.Load() {
+			t.Fatal("an evicted partition is kept alive")
+		}
+		if again, err := db.Prepare(sqlFor(0)); err != nil || again.plan != q.plan {
+			t.Fatalf("the evicted partition's plan left the plan cache (%v)", err)
+		}
+		expect(t, "run after eviction", outcome(t, db, sqlFor(0)), "built")
+	})
+
+	t.Run("second chance", func(t *testing.T) {
+		db := newDB()
+		capacity := db.CacheStats().PartitionCapacity
+		for i := 0; i < capacity; i++ {
+			expect(t, sqlFor(i), outcome(t, db, sqlFor(i)), "built")
+		}
+		// p0 is the least recently stored; a lock-free hit marks it used
+		// and leaves it there.
+		expect(t, "warm p0", outcome(t, db, sqlFor(0)), "cached")
+		q, err := db.Prepare(sqlFor(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := q.plan.part.Load(); !s.used.Load() || db.parts.order.Back().Value != s {
+			t.Fatal("a lock-free hit did not mark its slot used, or moved it")
+		}
+		expect(t, sqlFor(capacity), outcome(t, db, sqlFor(capacity)), "built")
+		expect(t, "p0 after a trim", outcome(t, db, sqlFor(0)), "cached")
+		expect(t, "p1 after a trim", outcome(t, db, sqlFor(1)), "built")
+		if n := db.CacheStats().PartitionEntries; n != capacity {
+			t.Fatalf("%d partitions cached, want %d", n, capacity)
+		}
+	})
+
+	t.Run("refresh", func(t *testing.T) {
+		db := quoteDB(t)
+		insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+		insertSeries(t, db, "IBM", 10000, 81, 80.5, 84, 83)
+		q, err := db.Prepare(servingSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(label, want string) {
+			t.Helper()
+			res, err := q.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			expect(t, label, res.PartitionOutcome(), want)
+		}
+		run("first run", "built")
+		run("warm run", "cached")
+		insertSeries(t, db, "INTC", 10010, 57)
+		run("after an INTC row", "refreshed (1 of 2 clusters)")
+		run("warm run", "cached")
+		insertSeries(t, db, "ACME", 10000, 10, 12, 9, 9.5)
+		run("after a new cluster", "refreshed (1 of 3 clusters)")
+		run("warm run", "cached")
+	})
+}
+
+// TestResultHeaderShared: every result of a plan lends the plan's column
+// names and types, without a copy, and an append to one result's header
+// copies it, so neither another result nor the plan's next one sees it.
+func TestResultHeaderShared(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+	const sql = `SELECT X.name, Y.price FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`
+	q, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		t.Helper()
+		res, err := q.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if &a.Columns[0] != &b.Columns[0] || &a.Types[0] != &b.Types[0] {
+		t.Fatal("two results of one plan do not share their column header")
+	}
+	wantCols := []string{"X.name", "Y.price"}
+	wantTypes := []storage.Type{storage.TypeString, storage.TypeFloat}
+	if !reflect.DeepEqual(a.Columns, wantCols) || !reflect.DeepEqual(a.Types, wantTypes) {
+		t.Fatalf("header %v %v, want %v %v", a.Columns, a.Types, wantCols, wantTypes)
+	}
+	cols := append(a.Columns, "extra")
+	cols[0] = "changed"
+	types := append(a.Types, storage.TypeInt)
+	types[0] = storage.TypeInt
+	for label, res := range map[string]*Result{"the first result": a, "another result": b, "the next result": run()} {
+		if !reflect.DeepEqual(res.Columns, wantCols) || !reflect.DeepEqual(res.Types, wantTypes) {
+			t.Errorf("after an append to a result's header, %s reads %v %v", label, res.Columns, res.Types)
+		}
 	}
 }

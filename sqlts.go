@@ -363,6 +363,10 @@ type RunOptions struct {
 
 // Result is the outcome of a query execution.
 type Result struct {
+	// Columns and Types are the output columns' names and types. They
+	// are the plan's own, shared by every result of the plan, and must
+	// not be written; their capacity is their length, so an append
+	// copies.
 	Columns []string
 	Types   []storage.Type
 	Rows    []storage.Row
@@ -432,8 +436,11 @@ type Plan struct {
 	compiled *query.Compiled
 	explain  explainMode
 	// partKey is the partition cache's key for the plan's clustering, ""
-	// for a plain SELECT.
+	// for a plain SELECT, and part the key's slot the plan's last run that
+	// looked it up found, through which the next one reaches the key's
+	// entry (DB.cachedPartition).
 	partKey string
+	part    atomic.Pointer[partSlot]
 
 	// art is the plan's compiled pattern (nil for a plain SELECT); tables
 	// and kernel are art's, kept here for the run path. patternCached says
@@ -570,7 +577,8 @@ func (p *Plan) SQL() string { return p.sql }
 
 // Query is a prepared SQL-TS statement: a handle on an immutable shared
 // Plan. Runs leave nothing behind in it — what an execution did is its
-// obs.Event — so a Query is safe for concurrent use.
+// obs.Event — so a Query is safe for concurrent use. After a catalog
+// change its runs take the plan its text has now (Query.current).
 type Query struct {
 	db         *DB
 	plan       *Plan
@@ -841,6 +849,10 @@ func (q *Query) Run() (*Result, error) { return q.RunWith(RunOptions{}) }
 // column); EXPLAIN ANALYZE additionally executes the query and
 // annotates the plan with measured per-phase timings and counters.
 func (q *Query) RunWith(opts RunOptions) (*Result, error) {
+	q, err := q.current()
+	if err != nil {
+		return nil, err
+	}
 	switch q.plan.explain {
 	case explainPlan:
 		res := planResult(q.Explain(), engine.Stats{})
@@ -857,6 +869,23 @@ func (q *Query) RunWith(opts RunOptions) (*Result, error) {
 	}
 	res, _, err := q.runMeasured(opts)
 	return res, err
+}
+
+// current returns q when its plan is of the DB's catalog version, and
+// otherwise the query Prepare makes of the plan's text now: a plan's
+// column indexes are those of the schemas it was compiled against, so a
+// handle prepared before a table was replaced or a declaration changed
+// runs the plan its text has under the current catalog, found in or
+// compiled into the plan cache as Prepare would. q itself is not changed.
+func (q *Query) current() (*Query, error) {
+	if q.plan.catalogVersion == q.db.catalog.Load() {
+		return q, nil
+	}
+	cur, err := q.db.Prepare(q.plan.sql)
+	if err != nil {
+		q.db.metrics.queryErrors.Inc()
+	}
+	return cur, err
 }
 
 // admitContained runs the admission gate inside its own containment
@@ -993,19 +1022,18 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return nil, 0, err
 	}
 	compiled := q.plan.compiled
-	t := q.db.Table(compiled.Table)
-	if t == nil {
-		return nil, 0, fmt.Errorf("sqlts: table %q disappeared", compiled.Table)
-	}
 	res = &Result{
-		Columns: append([]string(nil), compiled.OutNames...),
-		Types:   append([]storage.Type(nil), compiled.OutTypes...),
+		Columns: compiled.OutNames[:len(compiled.OutNames):len(compiled.OutNames)],
+		Types:   compiled.OutTypes[:len(compiled.OutTypes):len(compiled.OutTypes)],
 	}
-	if compiled.AlwaysEmpty() {
-		return res, 0, nil
-	}
-
-	if compiled.Pattern == nil {
+	if compiled.Pattern == nil || compiled.AlwaysEmpty() {
+		t := q.db.Table(compiled.Table)
+		if t == nil {
+			return nil, 0, fmt.Errorf("sqlts: table %q disappeared", compiled.Table)
+		}
+		if compiled.AlwaysEmpty() {
+			return res, 0, nil
+		}
 		rows, _ := t.Snapshot()
 		if err := rc.checkScanned(len(rows)); err != nil {
 			return nil, 0, err
@@ -1032,7 +1060,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	// (built on the first execution of the plan over the partition, so warm
 	// runs skip the sort, the O(rows) decode and the mask build); NoCache
 	// runs bypass the partition cache.
-	part, how, err := q.db.partition(t, q.plan, opts.NoCache)
+	part, how, err := q.db.partition(q.plan, opts.NoCache)
 	if err != nil {
 		return nil, 0, err
 	}
