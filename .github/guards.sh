@@ -199,8 +199,10 @@ guard 'A warm statement is found by its text'
 # statement is not normalized: the normalizer runs only when that lookup
 # misses, inside the plan lookup. The partition key is computed once per
 # plan, when it is compiled, and every one-lane run of a plan takes the
-# executor the plan keeps (Plan.solo); the process-wide lane pool that
-# built an executor per run is gone. A result lends its plan's column
+# executor its pattern keeps (patternArtifact.solo, beside the fans of
+# its fanned-out runs), so a never-seen statement over a cached pattern
+# searches with a warm executor; the process-wide lane pool that built an
+# executor per run is gone. A result lends its plan's column
 # header rather than copying it per run.
 once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
 	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
@@ -210,6 +212,20 @@ absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 absent 'a run copies its plan'"'"'s column header again' \
 	-F 'append([]string(nil), compiled.OutNames' -- sqlts.go
+
+guard 'A result keeps its matches as counters'
+# A result records each match as its cluster, its first row and its
+# elements' §5 counters, in one block of int32s its caller's lane filled
+# (Result.bounds); Result.Matches builds the intervals from them on each
+# call. So an executor's match and span blocks are scratch it rewinds
+# after every cluster, and nothing hands them to a result: Executor.Adopt,
+# which copied a helper's matches into the caller's executor, and
+# Executor.Release, which gave a result the executor's blocks, are gone,
+# and neither a lane nor a Result holds intervals.
+absent 'an executor hands its match blocks to a result again' \
+	-E '\.Adopt\(|\.Release\(\)' -- '*.go' ':!benchmark/'
+absent 'a lane or a Result holds intervals again' \
+	-E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]+(\[\]ClusterMatches|engine\.Block\[ClusterMatches\])' -- driver.go sqlts.go
 
 guard 'A refresh costs its delta'
 # A partition's clusters and their memoized mask sets are held in 64-entry

@@ -70,18 +70,19 @@ type search struct {
 // appended to its own blocks across every chunk it claims, one run per
 // chunk (see engine.Block), so nothing is allocated per chunk and nothing
 // is shared between lanes but the claim counter. The caller's lane is the
-// result's: its blocks are reserved from the plan's last run and become
-// the result's memory. A helper's lane is scratch that its fan keeps in
-// the plan's pool between runs (fanPool): the stitch copies what it found
-// into the caller's lane, so a warm fanned-out run allocates what a
+// result's: its blocks are reserved from the last run of the plan's
+// pattern and become the result's memory. A helper's lane is scratch that
+// its fan keeps in the pattern's pool between runs (fanPool): the stitch
+// copies what it found, so a warm fanned-out run allocates what a
 // one-lane run does, plus the stitched slices and a goroutine per helper,
 // whether its helpers searched or not.
 //
 // A lane is also the sink its executor hands every chunk's clusters to
 // (engine.RunSink), so it lives on the heap: in its fan, or — a one-lane
-// run's — in its plan (Plan.solo) between runs. Every lane keeps its
-// executor from run to run; the caller's lets go of the blocks it filled,
-// which are the result's (keepExecutor).
+// run's — in its pattern (patternArtifact.solo) between runs. Every lane
+// keeps its executor from run to run, whose match and span blocks are
+// scratch the executor rewinds after every cluster; the caller's lets go
+// of the blocks it filled, which are the result's (keepExecutor).
 type lane struct {
 	ex       engine.Executor
 	key      executorKey // what the kept ex was built for
@@ -90,17 +91,17 @@ type lane struct {
 	clusters int32
 	chunks   int // chunks searched: a lane with none did no work
 
-	rows    engine.Block[storage.Row]
-	matches engine.Block[ClusterMatches]
-	values  engine.Block[storage.Value] // the output rows are carved from it
+	rows   engine.Block[storage.Row]
+	values engine.Block[storage.Value] // the output rows are carved from it
+	bounds engine.Block[int32]         // a record of counters per match (Result.Matches)
 
 	// What the sink reads: the run's control and compiled statement, the
-	// chunk handed to the executor, and where its runs of rows and matches
-	// start in the blocks.
-	rc                *runControl
-	compiled          *query.Compiled
-	run               engine.Run
-	rowsAt, matchesAt int
+	// chunk handed to the executor, and where its runs of rows and match
+	// records start in the blocks.
+	rc               *runControl
+	compiled         *query.Compiled
+	run              engine.Run
+	rowsAt, boundsAt int
 
 	// yielded marks a borrowed helper that left with chunks unclaimed; err
 	// is a panic contained outside any chunk.
@@ -113,14 +114,14 @@ type lane struct {
 }
 
 // mark is what one searched chunk left in its lane's blocks: the chunk's
-// runs of rows and matches, which the stitch gathers in chunk order, or
-// the error that stopped it. helper marks a chunk a helper searched, whose
-// runs are scratch until the stitch copies them.
+// runs of rows and match records, which the stitch gathers in chunk order,
+// or the error that stopped it. helper marks a chunk a helper searched,
+// whose runs are scratch until the stitch copies them.
 type mark struct {
-	rows    []storage.Row
-	matches []ClusterMatches
-	err     error
-	helper  bool
+	rows   []storage.Row
+	bounds []int32
+	err    error
+	helper bool
 }
 
 // searchClusters runs the pattern over every cluster and puts the outcome
@@ -156,14 +157,16 @@ func (s search) searchClusters(res *Result, rows int) error {
 }
 
 // oneLane searches the whole cluster list as one chunk on the calling
-// goroutine; the lane's runs are the result's. The lane is the plan's kept
-// one, with the executor its last one-lane run built, unless the plan has
-// none yet or another run holds it: then this run builds its own, and the
-// plan keeps whichever comes back first. A lane must be on the heap to be
-// its executor's sink, so a run that allocated one would cost an object
-// more than the search does, and the executor several more.
+// goroutine; the lane's runs are the result's. The lane is the one the
+// plan's pattern keeps, with the executor the last one-lane run of a plan
+// of the pattern built, unless there is none yet or another run holds it:
+// then this run builds its own, and the pattern keeps whichever comes back
+// first. So a never-seen statement over a cached pattern searches with a
+// warm executor. A lane must be on the heap to be its executor's sink, so
+// a run that allocated one would cost an object more than the search
+// does, and the executor several more.
 func (s *search) oneLane(res *Result) error {
-	solo := &s.q.plan.solo
+	solo := &s.q.plan.art.solo
 	l := solo.Swap(nil)
 	if l == nil {
 		l = new(lane)
@@ -174,26 +177,20 @@ func (s *search) oneLane(res *Result) error {
 	if m.err == nil {
 		res.workers = 1
 		res.Stats, res.clusters = l.stats, l.clusters
-		res.Rows, res.Matches = m.rows, m.matches
-		// A plan keeps the lane from its second run on, so that one run
-		// once, as every never-seen statement is, holds no executor while it
-		// is cached. A failed run's lane is not kept: its executor may have
-		// stopped anywhere.
-		if s.q.plan.ran.Load() {
-			l.keepExecutor()
-			solo.CompareAndSwap(nil, l)
-		}
+		res.Rows, res.bounds = m.rows, m.bounds
+		// A failed run's lane is not kept: its executor may have stopped
+		// anywhere.
+		l.keepExecutor()
+		solo.CompareAndSwap(nil, l)
 	}
 	return m.err
 }
 
 // keepExecutor empties the caller's lane of a successful run, whose blocks
-// and whose executor's match and span blocks are the result's, for its
-// plan's next run: the lane keeps only its executor, which lets go of
-// them, never clearing them, and of the run's clusters, masks and
-// checkpoint.
+// are the result's, for the next run: the lane keeps only its executor,
+// which lets go of the run's clusters, masks and checkpoint.
 func (l *lane) keepExecutor() {
-	l.ex.Release()
+	l.ex.Recycle()
 	*l = lane{ex: l.ex, key: l.key}
 }
 
@@ -215,8 +212,8 @@ func borrowHelpers() (helpers, budget int) {
 
 // fan is the state the lanes of one fanned-out run share: the claim
 // counter, the failure flag, the run's checkpoint, and one mark per chunk,
-// written by the lane that searched it. Between runs the plan's fanPool
-// keeps it, with its helper lanes.
+// written by the lane that searched it. Between runs the fanPool of the
+// plan's pattern keeps it, with its helper lanes.
 type fan struct {
 	search
 	chunk, budget int
@@ -236,8 +233,8 @@ type fan struct {
 // oversubscribed, their finished chunks staying in their lanes; the
 // caller's lane claims until no chunk is left. An elastic run that was
 // granted no helper is one lane that keeps its token while it searches.
-// The fan comes from the plan's pool and goes back once the run has
-// succeeded. The receiver is a copy: the fan holds it for the lanes'
+// The fan comes from the pool of the plan's pattern and goes back once the
+// run has succeeded. The receiver is a copy: the fan holds it for the lanes'
 // goroutines, and the caller's own would move to the heap on the one-lane
 // path too.
 func (s search) fanOut(res *Result, helpers, budget int) error {
@@ -249,7 +246,7 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 	// before its lanes claim a chunk, so every lane ticks its flight.
 	s.rc.register(obs.PhaseRunning)
 	n := s.clusters.Len()
-	f := s.q.plan.fans.get(helpers + 1)
+	f := s.q.plan.art.fans.get(helpers + 1)
 	f.search, f.budget, f.check = s, budget, s.rc.interrupt()
 	f.chunk = chunkSize(n, helpers+1)
 	if k := (n + f.chunk - 1) / f.chunk; cap(f.marks) >= k {
@@ -272,23 +269,23 @@ func (s search) fanOut(res *Result, helpers, budget int) error {
 	f.wg.Wait()
 	err := f.stitch(res, helpers)
 	if err == nil {
-		s.q.plan.fans.put(f, res)
+		s.q.plan.art.fans.put(f, res)
 	}
 	return err
 }
 
 // stitch puts the outcome of a fanned-out run whose lanes have all exited
 // into res: the error of the lowest-indexed failed chunk, or the chunks'
-// rows and matches in chunk order, a helper's first copied into the
-// caller's lane (lane.keep).
+// rows and match records in chunk order, a helper's row values first
+// copied into the caller's lane (lane.keep).
 func (f *fan) stitch(res *Result, helpers int) error {
-	nrows, nmatches := 0, 0
+	nrows, nbounds := 0, 0
 	for i := range f.marks {
 		if err := f.marks[i].err; err != nil {
 			return err
 		}
 		nrows += len(f.marks[i].rows)
-		nmatches += len(f.marks[i].matches)
+		nbounds += len(f.marks[i].bounds)
 	}
 	res.borrowed = int32(helpers)
 	for i := range f.lanes {
@@ -307,7 +304,7 @@ func (f *fan) stitch(res *Result, helpers int) error {
 	}
 	if nrows > 0 {
 		res.Rows = make([]storage.Row, 0, nrows)
-		res.Matches = make([]ClusterMatches, 0, nmatches)
+		res.bounds = make([]int32, 0, nbounds)
 	}
 	for i := range f.marks {
 		m := &f.marks[i]
@@ -315,30 +312,28 @@ func (f *fan) stitch(res *Result, helpers int) error {
 			f.lanes[0].keep(m)
 		}
 		res.Rows = append(res.Rows, m.rows...)
-		res.Matches = append(res.Matches, m.matches...)
+		res.bounds = append(res.bounds, m.bounds...)
 	}
 	return nil
 }
 
-// keep copies a chunk a helper searched into l, the caller's lane, and
-// points m at the copies: the output rows' values and the matches with
-// their spans. The helper's blocks are scratch that the plan's next
-// fanned-out run overwrites; l's hold the whole result when the run is
-// shaped like the last, so keeping allocates nothing.
+// keep copies the row values of a chunk a helper searched into l, the
+// caller's lane, and points m's rows at the copies. The helper's blocks
+// are scratch that the pattern's next fanned-out run overwrites; l's hold
+// the whole result when the run is shaped like the last, so keeping
+// allocates nothing.
 func (l *lane) keep(m *mark) {
 	for i, row := range m.rows {
 		v := l.values.Take(len(row))
 		copy(v, row)
 		m.rows[i] = v
 	}
-	for i := range m.matches {
-		m.matches[i].Matches = l.ex.Adopt(m.matches[i].Matches)
-	}
 }
 
-// fanPool keeps a plan's fans between its fanned-out runs, so that their
-// helper lanes' executors and scratch blocks are built once, not per run.
-// It holds at most GOMAXPROCS fans: as many as can run at once.
+// fanPool keeps a pattern's fans between the fanned-out runs of its plans,
+// so that their helper lanes' executors and scratch blocks are built once,
+// not per run. It holds at most GOMAXPROCS fans: as many as can run at
+// once.
 type fanPool struct {
 	mu   sync.Mutex
 	free []*fan
@@ -364,7 +359,7 @@ func (p *fanPool) get(lanes int) *fan {
 	return f
 }
 
-// put keeps f, whose run succeeded with res, for the plan's next
+// put keeps f, whose run succeeded with res, for the pattern's next
 // fanned-out run. It lets go of everything res holds — the caller's lane,
 // which keeps only its executor — and of the partition the run searched,
 // and readies every helper's lane for a run like this one now, searched or
@@ -374,8 +369,8 @@ func (p *fanPool) get(lanes int) *fan {
 func (p *fanPool) put(f *fan, res *Result) {
 	for i := 1; i < len(f.lanes); i++ {
 		l := &f.lanes[i]
-		f.prepare(l, len(f.lanes), res.Stats.Matches, len(res.Matches))
-		*l = lane{ex: l.ex, key: l.key, rows: l.rows, matches: l.matches, values: l.values}
+		f.prepare(l, len(f.lanes), res.Stats.Matches)
+		*l = lane{ex: l.ex, key: l.key, rows: l.rows, values: l.values, bounds: l.bounds}
 	}
 	f.lanes[0].keepExecutor()
 	f.search, f.check = search{}, nil
@@ -433,11 +428,10 @@ func (f *fan) run(l *lane, borrowed bool) {
 // in.
 func (s *search) start(l *lane, check func() error) {
 	s.executor(l)
-	if matches, matched := s.q.plan.art.shape.sizes(); matches > 0 {
-		l.ex.Reserve(matches)
+	if matches := int(s.q.plan.art.matches.Load()); matches > 0 {
 		l.rows.Reserve(matches)
 		l.values.Reserve(matches * len(s.q.plan.compiled.OutNames))
-		l.matches.Reserve(matched)
+		l.bounds.Reserve(matches * s.q.plan.art.record())
 	}
 	s.begin(l, check)
 }
@@ -446,32 +440,31 @@ func (s *search) start(l *lane, check func() error) {
 // from the last result of the plan's pattern; the fan's put has done so
 // already unless the options or the result changed since.
 func (s *search) startHelper(l *lane, lanes int, check func() error) {
-	matches, matched := s.q.plan.art.shape.sizes()
-	s.prepare(l, lanes, matches, matched)
+	s.prepare(l, lanes, int(s.q.plan.art.matches.Load()))
 	s.begin(l, check)
 }
 
 // prepare gives a helper's lane, one of lanes, an executor for this
 // search's options — the one it kept, unless they differ — and empties its
 // blocks, to be overwritten, with room for its part of a result of
-// matches output rows in matched clusters. The part is twice an equal
-// share, capped at the whole: chunks may fall unevenly without a refill,
-// and a wide fan's helpers do not each hold the whole result. A block that
-// once outgrew its room keeps what it grew to.
-func (s *search) prepare(l *lane, lanes, matches, matched int) {
+// matches output rows. The part is twice an equal share, capped at the
+// whole: chunks may fall unevenly without a refill, and a wide fan's
+// helpers do not each hold the whole result. A block that once outgrew
+// its room keeps what it grew to.
+func (s *search) prepare(l *lane, lanes, matches int) {
 	s.executor(l)
-	part := func(n int) int { return min(n, 2*((n+lanes-1)/lanes)) }
-	l.ex.Recycle(part(matches))
-	l.rows.Reset(part(matches))
-	l.matches.Reset(part(matched))
-	l.values.Reset(part(matches) * len(s.q.plan.compiled.OutNames))
+	part := min(matches, 2*((matches+lanes-1)/lanes))
+	l.ex.Recycle()
+	l.rows.Reset(part)
+	l.values.Reset(part * len(s.q.plan.compiled.OutNames))
+	l.bounds.Reset(part * s.q.plan.art.record())
 }
 
 // executor gives l an executor for this search's options: the one it
 // kept, unless it was built for others.
 func (s *search) executor(l *lane) {
 	if key := s.executorKey(); l.ex == nil || l.key != key {
-		l.ex, l.key = s.q.newExecutor(s.opts, key.policy()), key
+		l.ex, l.key = s.q.plan.art.newExecutor(key), key
 	}
 }
 
@@ -484,8 +477,8 @@ func (s *search) begin(l *lane, check func() error) {
 	l.started = true
 }
 
-// executorKey is what newExecutor builds from besides the plan; a lane's
-// kept executor serves every run that agrees on it.
+// executorKey is what newExecutor builds from besides the pattern; a
+// lane's kept executor serves every run that agrees on it.
 type executorKey struct {
 	kind    ExecutorKind
 	overlap bool
@@ -503,8 +496,8 @@ func (k executorKey) policy() engine.SkipPolicy {
 }
 
 // searchChunk searches clusters [lo, hi) on lane l and leaves the chunk's
-// mark in m: the runs of matches and projected rows it appended to the
-// lane's blocks, or the error that stopped it. It is the containment
+// mark in m: the runs of match records and projected rows it appended to
+// the lane's blocks, or the error that stopped it. It is the containment
 // boundary of the search: an engine.Interrupt unwind comes back as its
 // typed error and any other panic as a *PanicError. It takes
 // the cooperative checkpoint (cancellation, kill, MaxMatches) once, and
@@ -522,7 +515,7 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	if m.err = s.rc.check(); m.err != nil {
 		return
 	}
-	l.rowsAt, l.matchesAt = l.rows.Len(), l.matches.Len()
+	l.rowsAt, l.boundsAt = l.rows.Len(), l.bounds.Len()
 	l.run = engine.Run{Clusters: s.clusters, Masks: s.masks, Lo: lo, Hi: hi, Sink: l}
 	if m.err = l.ex.FindRun(&l.run); m.err != nil {
 		return
@@ -530,7 +523,7 @@ func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
 	l.stats.Add(l.run.Stats)
 	l.clusters += int32(hi - lo)
 	l.chunks++
-	m.rows, m.matches = l.rows.Run(l.rowsAt), l.matches.Run(l.matchesAt)
+	m.rows, m.bounds = l.rows.Run(l.rowsAt), l.bounds.Run(l.boundsAt)
 }
 
 // Enter implements engine.RunSink: before each cluster the per-cluster loop
@@ -542,18 +535,27 @@ func (l *lane) Enter(int) error {
 	return l.rc.check()
 }
 
-// Found implements engine.RunSink: the chunk's i-th cluster matched, so its
-// matches join the lane's and its output rows are evaluated into the
-// lane's blocks.
+// Found implements engine.RunSink: the chunk's i-th cluster matched, so
+// each match's output row is evaluated into the lane's blocks and the
+// match is recorded as its cluster, its start and its elements' counters
+// (Result.Matches): the executor's matches are scratch it overwrites once
+// Found returns.
 func (l *lane) Found(i int, ms []engine.Match, st engine.Stats) error {
 	seq, width := l.run.Clusters.At(i), len(l.compiled.OutNames)
-	l.matchesAt = l.matches.Append(l.matchesAt, ClusterMatches{Cluster: i, Matches: ms})
-	for _, found := range ms {
+	w := 2 + len(ms[0].Spans)
+	var recs []int32
+	l.boundsAt, recs = l.bounds.Extend(l.boundsAt, len(ms)*w)
+	for k, found := range ms {
 		row, err := l.compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
 		if err != nil {
 			return err
 		}
 		l.rowsAt = l.rows.Append(l.rowsAt, row)
+		rec := recs[k*w : (k+1)*w]
+		rec[0], rec[1] = int32(i), int32(found.Start)
+		for e, sp := range found.Spans {
+			rec[2+e] = int32(sp.End + 1 - found.Start)
+		}
 	}
 	l.rc.addMatches(st.Matches)
 	return nil

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sqlts/internal/engine"
 	"sqlts/internal/fault"
@@ -164,7 +165,7 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 						if want.Stats != got.Stats {
 							t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
 						}
-						if !reflect.DeepEqual(want.Matches, got.Matches) {
+						if !reflect.DeepEqual(want.Matches(), got.Matches()) {
 							t.Fatalf("%s: cluster matches differ", label)
 						}
 					}
@@ -456,10 +457,12 @@ func TestDriverFailureOrder(t *testing.T) {
 // planted matches — flight ticks, executor set-up and result rows, which
 // come from the lane's blocks, reserved from the last run of the plan's
 // pattern — cost not one object more, on one lane or on two. The second
-// lane costs its goroutine and the two stitched slices (rows, matches) and
-// nothing else: its executor and scratch blocks stay in
-// the plan's fan from run to run, and the caller's lane, reserved for the
-// whole result, takes in what the helper found without refilling.
+// lane costs its goroutine and the two stitched slices (rows, match
+// records) and nothing else: its executor and scratch blocks stay in the
+// fan of the plan's pattern from run to run, and the caller's lane,
+// reserved for the whole result, takes in what the helper found without
+// refilling. The executors' matches and spans are scratch that no result
+// references, so a run allocates none.
 func TestManyClusterRunAllocsFlat(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -489,8 +492,8 @@ func TestManyClusterRunAllocsFlat(t *testing.T) {
 		})
 	}
 	few, many := warmAllocs(200, 1), warmAllocs(2000, 1)
-	if many > few || many > 9 {
-		t.Errorf("a warm one-lane run over 2,000 clusters allocates %.0f objects, over 200 clusters %.0f: want the same, and at most 9", many, few)
+	if many > few || many > 5 {
+		t.Errorf("a warm one-lane run over 2,000 clusters allocates %.0f objects, over 200 clusters %.0f: want the same, and at most 5", many, few)
 	}
 	if two := warmAllocs(2000, 2); two > many+3 {
 		t.Errorf("a warm two-lane run over 2,000 clusters allocates %.0f objects, a one-lane run %.0f: want within 3", two, many)
@@ -526,8 +529,7 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shape := &q.plan.art.shape
-	var last [2]int // what the run before produced: matches and matched clusters
+	var last int // the matches the run before found
 	run := func(label string, overlap bool, wantMatches int) {
 		t.Helper()
 		want, err := ref.RunWith(RunOptions{Overlap: overlap, MaxWorkers: 1, NoCache: true})
@@ -538,19 +540,18 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 			t.Fatalf("%s: the reference finds %d matches, the test wants %d", label, want.Stats.Matches, wantMatches)
 		}
 		for _, workers := range []int{1, 2} {
-			m, c := shape.sizes()
-			if got := [2]int{m, c}; got != last {
-				t.Errorf("%s, %d lanes: the run would reserve %v, the run before produced %v", label, workers, got, last)
+			if got := int(q.plan.art.matches.Load()); got != last {
+				t.Errorf("%s, %d lanes: the run would reserve %d matches, the run before found %d", label, workers, got, last)
 			}
 			got, err := q.RunWith(RunOptions{Overlap: overlap, MaxWorkers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want.Rows, got.Rows) || want.Stats != got.Stats ||
-				!reflect.DeepEqual(want.Matches, got.Matches) {
+				!reflect.DeepEqual(want.Matches(), got.Matches()) {
 				t.Fatalf("%s, %d lanes: result differs from the NoCache run (%+v, want %+v)", label, workers, got.Stats, want.Stats)
 			}
-			last = [2]int{got.Stats.Matches, len(got.Matches)}
+			last = got.Stats.Matches
 		}
 	}
 	run("no match yet", false, 0)
@@ -569,9 +570,10 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 }
 
 // TestFannedResultsOutliveHelperScratch: a helper's lane is scratch that
-// its fan, kept in the plan's pool, empties and hands to the plan's next
-// fanned-out run, so all a result holds of what a helper found must be
-// copies in the caller's lane. Two-lane runs whose helper searched — every
+// its fan, kept in the pool of the plan's pattern, empties and hands to
+// the next fanned-out run, so all a result holds of what a helper found
+// must be copies: row values in the caller's lane, match records in the
+// stitched slice. Two-lane runs whose helper searched — every
 // cluster slowed by the sqlts.execute.cluster fault point, so the helper
 // gets chunks even on one core — alternate Overlap, so each run overwrites
 // the helper's blocks with other matches. Once all have run, every result
@@ -581,7 +583,7 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 	defer fault.Reset()
 	_, q := driverDB(t, 64, driverRows)
-	render := func(res *Result) string { return fmt.Sprint(res.Rows, res.Matches, res.Stats) }
+	render := func(res *Result) string { return fmt.Sprint(res.Rows, res.Matches(), res.Stats) }
 	var want [2]string
 	for overlap := range want {
 		res, err := q.RunWith(RunOptions{MaxWorkers: 1, NoCache: true, Overlap: overlap == 1})
@@ -628,7 +630,7 @@ func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("serial", results)
-	if n := len(q.plan.fans.free); n != 1 {
+	if n := len(q.plan.art.fans.free); n != 1 {
 		t.Errorf("the plan keeps %d fans after serial runs; want 1", n)
 	}
 
@@ -650,15 +652,16 @@ func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 		}
 		check(fmt.Sprintf("client %d", c), each[c])
 	}
-	if n := len(q.plan.fans.free); n < 1 || n > runtime.GOMAXPROCS(0) {
+	if n := len(q.plan.art.fans.free); n < 1 || n > runtime.GOMAXPROCS(0) {
 		t.Errorf("the plan keeps %d fans after %d clients; want 1 to GOMAXPROCS", n, clients)
 	}
 }
 
-// TestOneLaneResultsOutliveKeptExecutor: a plan keeps the executor of its
-// one-lane runs (Plan.solo), and a fanned-out run's caller lane keeps its
-// own, but the match and span blocks such an executor filled are the
-// result's: it must let go of them, never clear or refill them. A NoCache
+// TestOneLaneResultsOutliveKeptExecutor: a pattern keeps the executor of
+// its plans' one-lane runs (patternArtifact.solo), and a fanned-out run's
+// caller lane keeps its own, and their match and span blocks are scratch
+// they overwrite cluster after cluster: a result must hold nothing of
+// them, only its own rows and match records. A NoCache
 // run, a one-lane and a two-lane result, held across 100 later runs of
 // their plan — Overlap, naive, two lanes, and EXPLAIN ANALYZE with another
 // executor, whose naive comparison runs too, each finding other matches —
@@ -711,7 +714,7 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 		}
 	}
 	for i, got := range held {
-		if !reflect.DeepEqual(got.Rows, rows) || !reflect.DeepEqual(got.Matches, matches) || got.Stats != stats {
+		if !reflect.DeepEqual(got.Rows, rows) || !reflect.DeepEqual(got.Matches(), matches) || got.Stats != stats {
 			t.Errorf("held result %d differs from the interpreter's once 100 later runs of its plan are done", i)
 		}
 	}
@@ -720,7 +723,7 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 		if _, err := q.RunWith(RunOptions{MaxWorkers: 1}); err != nil {
 			t.Fatal(err)
 		}
-		l := q.plan.solo.Load()
+		l := q.plan.art.solo.Load()
 		if l == nil || l.ex == nil {
 			t.Fatal("the plan keeps no lane after a one-lane run")
 		}
@@ -728,5 +731,141 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 	}
 	if kept() != kept() {
 		t.Error("two one-lane runs with the same options built two executors")
+	}
+}
+
+// TestResultMatchesFromBounds: a result records each match as its
+// cluster, its first row and its elements' §5 counters, and Matches builds
+// the intervals from those on each call. They must equal what a fresh
+// executor's FindAll finds cluster by cluster over the run's partition —
+// a reference that never reads a record — for OPS, naive and OPS+skip,
+// each left-maximal and with Overlap, on one lane, two and the elastic
+// default, and on two lanes with every cluster slowed so that the helper
+// searches chunks even on one core. The table has clusters that match
+// nothing; the matrix runs over the partition as built and again after an
+// insert refreshed it. A Result is no larger than it was when it held the
+// intervals, and the executor a pattern keeps holds one cluster's matches
+// at most (keptExecutorScratch).
+func TestResultMatchesFromBounds(t *testing.T) {
+	t.Run("kept executor scratch", keptExecutorScratch)
+	defer fault.Reset()
+	if size := unsafe.Sizeof(Result{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 160 {
+		t.Errorf("a Result is %d bytes, want at most the 160 it was", size)
+	}
+	db, q := driverDB(t, 64, driverRows)
+	for c := 0; c < 4; c++ {
+		insertSeries(t, db, fmt.Sprintf("flat%d", c), 0, 50, 50, 50, 50, 50, 50) // matches nothing
+	}
+	check := func(phase string) {
+		t.Helper()
+		helped := 0
+		for _, kind := range []ExecutorKind{Auto, NaiveExec, OPSSkipExec} {
+			for _, overlap := range []bool{false, true} {
+				for _, cfg := range []struct {
+					workers int
+					slow    bool
+				}{{1, false}, {2, false}, {0, false}, {2, true}} {
+					label := fmt.Sprintf("%s %s overlap=%v workers=%d slowed=%v", phase, kind, overlap, cfg.workers, cfg.slow)
+					if cfg.slow {
+						if err := fault.Arm("sqlts.execute.cluster", fault.Action{Delay: 50 * time.Microsecond}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := q.RunWith(RunOptions{Executor: kind, Overlap: overlap, MaxWorkers: cfg.workers})
+					fault.Reset()
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if cfg.slow && got.workers == 2 {
+						helped++
+					}
+					part, _, err := db.partition(q.plan, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ex := q.plan.art.newExecutor(executorKey{kind, overlap})
+					var want []ClusterMatches
+					empty := 0
+					for i, seq := range part.Groups.Slice() {
+						if ms, _ := ex.FindAll(seq); len(ms) > 0 {
+							want = append(want, ClusterMatches{Cluster: i, Matches: ms})
+						} else {
+							empty++
+						}
+					}
+					if len(want) == 0 || empty == 0 {
+						t.Fatalf("%s: %d clusters match and %d do not; the test wants both", label, len(want), empty)
+					}
+					if ms := got.Matches(); !reflect.DeepEqual(ms, want) {
+						t.Fatalf("%s: Matches() gives %d matched clusters, FindAll %d, or their intervals differ", label, len(ms), len(want))
+					}
+					if len(got.Rows) != got.Stats.Matches {
+						t.Fatalf("%s: %d rows for %d matches", label, len(got.Rows), got.Stats.Matches)
+					}
+				}
+			}
+		}
+		if helped == 0 {
+			t.Errorf("%s: no slowed two-lane run had its helper search a chunk", phase)
+		}
+	}
+	check("built")
+	insertSeries(t, db, "s00", 1000, 100, 99, 98, 97, 99, 100) // one more dip in the first cluster
+	insertSeries(t, db, "znew", 0, 10, 11, 10.5, 10, 9, 11)    // a new cluster
+	if res, err := q.Run(); err != nil || !strings.HasPrefix(res.PartitionOutcome(), "refreshed") {
+		t.Fatalf("after the inserts the partition is %q (%v), want refreshed", res.PartitionOutcome(), err)
+	}
+	check("refreshed")
+}
+
+// keptExecutorScratch: the match and span blocks of the executor a
+// pattern keeps are scratch that its run loops rewind after
+// every cluster, so what the executor holds after a run is bounded by one
+// cluster's matches, not by the result. Overlap runs over 800 clusters of
+// 129 rising prices return 102,400 two-element matches, 128 a cluster,
+// on the pure-mask loop (OPS) and on the generic run loop (naive): the
+// kept executor holds room for at most 128 matches and 256 spans, where
+// it once held the whole result's.
+func keptExecutorScratch(t *testing.T) {
+	const clusters, rows = 800, 129
+	tbl := storage.NewTable("rise", storage.MustSchema(
+		storage.Column{Name: "name", Type: storage.TypeString},
+		storage.Column{Name: "date", Type: storage.TypeDate},
+		storage.Column{Name: "price", Type: storage.TypeFloat},
+	))
+	staged := make([]storage.Row, 0, clusters*rows)
+	for c := 0; c < clusters; c++ {
+		name := storage.NewString(fmt.Sprintf("c%03d", c))
+		for i := 0; i < rows; i++ {
+			staged = append(staged, storage.Row{name, storage.NewDateDays(int64(i)), storage.NewFloat(float64(100 + i))})
+		}
+	}
+	if err := tbl.InsertBatch(staged); err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	db.RegisterTable(tbl)
+	q, err := db.Prepare(`SELECT Y.price FROM rise CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > Y.previous.price`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []ExecutorKind{Auto, NaiveExec} {
+		res, err := q.RunWith(RunOptions{Executor: kind, Overlap: true, MaxWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Matches != clusters*(rows-1) {
+			t.Fatalf("%s: %d matches, want %d", kind, res.Stats.Matches, clusters*(rows-1))
+		}
+		l := q.plan.art.solo.Load()
+		if l == nil || l.key != (executorKey{kind, true}) {
+			t.Fatalf("%s: the pattern keeps no lane for the run's executor", kind)
+		}
+		ev := reflect.ValueOf(l.ex).Elem()
+		matches, spans := ev.FieldByName("matches").FieldByName("buf").Cap(), ev.FieldByName("spans").FieldByName("buf").Cap()
+		if matches > rows-1 || spans > 2*(rows-1) {
+			t.Errorf("%s: the kept executor holds room for %d matches and %d spans, want at most one cluster's %d and %d",
+				kind, matches, spans, rows-1, 2*(rows-1))
+		}
 	}
 }

@@ -136,10 +136,9 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 		return nil, engine.Stats{}, err
 	}
 	masks, vectorized := q.plan.masks(part)
-	policy := executorKey{opts.Executor, opts.Overlap}.policy()
-	exs := []engine.Executor{q.newExecutor(opts, policy)}
+	exs := []engine.Executor{q.plan.art.newExecutor(executorKey{opts.Executor, opts.Overlap})}
 	if opts.Executor != NaiveExec {
-		exs = append(exs, q.newExecutor(RunOptions{Executor: NaiveExec}, policy))
+		exs = append(exs, q.plan.art.newExecutor(executorKey{NaiveExec, opts.Overlap}))
 	}
 	cs = make([]clusterStat, part.Groups.Len())
 	r := engine.Run{Clusters: part.Groups, Masks: masks, Sink: diagnosticSink{rc}}

@@ -218,7 +218,7 @@ func TestFlightLazyQueuedRunKillable(t *testing.T) {
 // kept run control, and lends the result its column names and types. So
 // the op allocates its Query handle and its Result, and no header copy,
 // flight, run control or interrupt closure. The plan keeps a run control
-// from its second run on: one run once keeps none, as it keeps no lane.
+// from its second run on: one run once keeps none.
 func TestWarmTinyQueryAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")

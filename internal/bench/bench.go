@@ -225,7 +225,7 @@ func runDoubleBottomOn(prices []float64) (*DoubleBottomResult, map[string]int64,
 		OPSEvals:   evals["ops"],
 		Speedup:    float64(evals["naive"]) / float64(evals["ops"]),
 	}
-	for _, cm := range res.Matches {
+	for _, cm := range res.Matches() {
 		out.Intervals = append(out.Intervals, cm.Matches...)
 	}
 	return out, evals, nil

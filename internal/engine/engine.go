@@ -151,8 +151,10 @@ type Executor interface {
 	FindAll(seq []storage.Row) ([]Match, Stats)
 	// FindRun searches a chunk of clusters in order, as FindAll would one
 	// at a time, summing their counters and handing their matches to the
-	// run's sink (see Run). An error from the sink stops it, and an
-	// installed interrupt unwinds it the way it unwinds FindAll.
+	// run's sink (see Run), which must not keep them: the executor's blocks
+	// are scratch that the next cluster overwrites, so what it holds is
+	// bounded by one cluster's matches. An error from the sink stops it, and
+	// an installed interrupt unwinds it the way it unwinds FindAll.
 	FindRun(r *Run) error
 	// UseProjection supplies a prebuilt columnar projection of the next
 	// FindAll sequence (see evaluator.UseProjection); a no-op when no
@@ -168,23 +170,11 @@ type Executor interface {
 	// SetInterrupt installs a cooperative cancellation checkpoint,
 	// consulted once every 1024 predicate evaluations (nil disables).
 	SetInterrupt(check func() error)
-	// Reserve sizes the executor's match and span blocks for searches
-	// expected to find that many matches in all; advisory, and optional.
-	Reserve(matches int)
-	// Adopt copies matches another executor found, spans included, into
-	// this executor's blocks and returns the copy, which stays valid like
-	// this executor's own matches.
-	Adopt(ms []Match) []Match
 	// Recycle readies the executor for another run once nothing references
-	// a match it reported: its blocks are emptied, with room for that many
-	// matches, for later searches to overwrite, and it lets go of the
-	// sequence, masks and interrupt it last searched with.
-	Recycle(matches int)
-	// Release readies the executor for another run while a result still
-	// references the matches it reported: it lets go of its match and span
-	// blocks, which it neither clears nor writes again, and of the
-	// sequence, masks and interrupt it last searched with.
-	Release()
+	// a match FindAll reported: its blocks are emptied for later searches to
+	// overwrite, and it lets go of the sequence, masks and interrupt it last
+	// searched with.
+	Recycle()
 	// Name identifies the executor in benchmark output.
 	Name() string
 }
@@ -219,9 +209,10 @@ type evaluator struct {
 	slab      []uint64
 	words     int
 	// matches and spans are what FindAll reports into: blocks that are
-	// never overwritten (see Block; one search's matches are one run), so a
-	// Match stays valid after later searches and a run of searches
-	// allocates per block, not per match.
+	// not overwritten until Recycle (see Block; one search's matches are
+	// one run), so a Match stays valid after later searches and a run of
+	// searches allocates per block, not per match. FindRun uses them as
+	// scratch, rewound after every cluster.
 	matches Block[Match]
 	spans   Block[pattern.Span]
 	// The flags sit together so that they share one word, beside the
@@ -497,6 +488,16 @@ func (b *Block[T]) Append(from int, v ...T) int {
 	return from
 }
 
+// Extend adds n elements to the run that starts at from, keeping the run
+// contiguous as Append does, and returns where the run starts now and the
+// n elements, for the caller to fill.
+func (b *Block[T]) Extend(from, n int) (int, []T) {
+	from = b.room(from, n)
+	at := len(b.buf)
+	b.buf = b.buf[:at+n]
+	return from, b.buf[at : at+n : at+n]
+}
+
 // Run returns the run that starts at from, nil when it is empty; capacity
 // is clipped, so appending to the result cannot reach the block.
 func (b *Block[T]) Run(from int) []T {
@@ -518,39 +519,27 @@ func (b *Block[T]) Reset(n int) {
 	b.buf, b.step = b.buf[:0], 0
 }
 
-// Reserve sizes the blocks FindAll reports into for a run of searches
-// expected to find the given number of matches in all (see Block.Reserve).
-// Call it before the first FindAll.
-func (e *evaluator) Reserve(matches int) {
-	e.matches.Reserve(matches)
-	e.spans.Reserve(matches * e.p.Len())
-}
-
-// Adopt implements Executor.
-func (e *evaluator) Adopt(ms []Match) []Match {
-	from := e.matches.Len()
-	for _, m := range ms {
-		spans := e.spans.Take(len(m.Spans))
-		copy(spans, m.Spans)
-		m.Spans = spans
-		from = e.matches.Append(from, m)
-	}
-	return e.matches.Run(from)
-}
-
 // Recycle implements Executor. The projection and masks the evaluator
 // built for itself stay: they are its scratch, rebuilt per sequence.
-func (e *evaluator) Recycle(matches int) {
-	e.matches.Reset(matches)
-	e.spans.Reset(matches * e.p.Len())
+func (e *evaluator) Recycle() {
+	e.rewind()
 	e.letGo()
 }
 
-// Release implements Executor. Like Recycle, it keeps the evaluator's own
-// projection and masks.
-func (e *evaluator) Release() {
-	e.matches, e.spans = Block[Match]{}, Block[pattern.Span]{}
-	e.letGo()
+// scratch readies the match and span blocks for FindRun, which rewinds
+// them after each cluster's matches are handed over: blocks that hold what
+// FindAll reported, valid until Recycle, are left to those matches.
+func (e *evaluator) scratch() {
+	if e.matches.Len() > 0 || e.spans.Len() > 0 {
+		e.matches, e.spans = Block[Match]{}, Block[pattern.Span]{}
+	}
+}
+
+// rewind empties the match and span blocks for later searches to
+// overwrite.
+func (e *evaluator) rewind() {
+	e.matches.Reset(0)
+	e.spans.Reset(0)
 }
 
 // letGo drops what the evaluator's last run searched with.

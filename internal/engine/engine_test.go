@@ -552,11 +552,11 @@ func TestExecutorNames(t *testing.T) {
 }
 
 // TestMatchesOutliveLaterSearches: an executor reports into blocks it
-// never overwrites, so what one FindAll returned — the match slice and
-// every span slice in it — still reads the same after hundreds of later
-// searches on the same executor, and appending to a returned slice
-// reaches nothing another search reported. Each search is held against a
-// fresh executor's over the same sequence.
+// does not overwrite until Recycle, so what one FindAll returned — the
+// match slice and every span slice in it — still reads the same after
+// hundreds of later searches on the same executor, runs among them, and
+// appending to a returned slice reaches nothing another search reported.
+// Each search is held against a fresh executor's over the same sequence.
 func TestMatchesOutliveLaterSearches(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	b := pattern.NewBuilder(priceSchema())
@@ -570,10 +570,6 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 	pure := NewOPS(star, core.Compute(star), OPSConfig{}) // the pure-mask loop
 	pure.UseKernel(star.CompileKernel())
 	pure.SetVectorized(true)
-	// Reserved for far fewer matches than the searches find: the blocks
-	// refill by the reserved policy, which must keep the same promise.
-	reserved := NewOPS(star, core.Compute(star), OPSConfig{})
-	reserved.Reserve(7)
 	executors := []struct {
 		reused Executor
 		fresh  func() Executor
@@ -584,7 +580,6 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 			return NewOPS(plain, core.Compute(plain), OPSConfig{Policy: SkipToNextRow})
 		}},
 		{NewNaive(star, SkipPastLastRow), func() Executor { return NewNaive(star, SkipPastLastRow) }},
-		{reserved, func() Executor { return NewOPS(star, core.Compute(star), OPSConfig{}) }},
 	}
 	for _, ex := range executors {
 		var kept, want [][]Match
@@ -599,6 +594,18 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 			kept, want = append(kept, got), append(want, ref)
 			total += len(got)
 			_ = append(got, Match{Start: -1, End: -1}) // must not land in the block
+			if i%10 == 9 {
+				// A run between the searches uses the blocks as scratch: it
+				// must leave what FindAll reported alone.
+				sink := &runSink{}
+				run := chunk([][]storage.Row{seq, seq}, nil, sink)
+				if err := ex.reused.FindRun(&run); err != nil {
+					t.Fatal(err)
+				}
+				if len(ref) > 0 && (len(sink.found) != 2 || !matchesEqual(sink.found[1].ms, ref)) {
+					t.Fatalf("%s search %d: a run over the sequence twice found %d clusters", ex.reused.Name(), i, len(sink.found))
+				}
+			}
 		}
 		if total < 300 {
 			t.Fatalf("%s: only %d matches over 300 searches", ex.reused.Name(), total)

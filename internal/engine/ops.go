@@ -509,6 +509,7 @@ func (o *OPS) FindRun(r *Run) error {
 	if !o.bulkRun(r) {
 		return o.runEach(o, r)
 	}
+	o.scratch()
 	o.ranPure = true
 	pair, closed := o.pair, o.p.Len() >= 2
 	sx, sy := int(o.pureSlots[0]), 0 // X's and Y's slots
@@ -552,7 +553,9 @@ func (o *OPS) FindRun(r *Run) error {
 				ms, evals = o.searchPure(n, x, y, c, xs, evals)
 				st = o.stats
 				if len(ms) > 0 {
-					if err := r.Sink.Found(lo+k, ms, st); err != nil {
+					err := r.Sink.Found(lo+k, ms, st)
+					o.rewind()
+					if err != nil {
 						return err
 					}
 				}

@@ -34,7 +34,8 @@ type RunSink interface {
 	// OPS.FindRun).
 	Enter(i int) error
 	// Found is handed every cluster with a match, after its search: its
-	// matches and counters. An error stops the run.
+	// matches and counters. The matches are the executor's scratch, valid
+	// until Found returns. An error stops the run.
 	Found(i int, ms []Match, s Stats) error
 	// Tick is handed the flight progress of the clusters searched since the
 	// last Tick: how many, their rows and their matches.
@@ -68,9 +69,11 @@ func (p *progress) tick(sink RunSink) {
 // runEach is the generic run loop, the one every executor has: block by
 // block, before each cluster it calls the sink's Enter, then hands the
 // executor the cluster's masks, searches it with f's FindAll and hands its
-// matches to the sink's Found. The flight is ticked every TickRows rows
-// and at the end, also when the run fails.
+// matches to the sink's Found, rewinding the blocks they were carved from
+// once Found returns. The flight is ticked every TickRows rows and at the
+// end, also when the run fails.
 func (e *evaluator) runEach(f Executor, r *Run) error {
+	e.scratch()
 	var p progress
 	defer p.tick(r.Sink)
 	var total Stats
@@ -86,7 +89,9 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 			ms, st := f.FindAll(seq)
 			total.Add(st)
 			if len(ms) > 0 {
-				if err := r.Sink.Found(lo+k, ms, st); err != nil {
+				err := r.Sink.Found(lo+k, ms, st)
+				e.rewind()
+				if err != nil {
 					return err
 				}
 			}

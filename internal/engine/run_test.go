@@ -42,8 +42,14 @@ func (s *runSink) Enter(i int) error {
 	return nil
 }
 
+// Found keeps copies: the matches are the executor's scratch, which the
+// run overwrites once Found returns.
 func (s *runSink) Found(i int, ms []Match, st Stats) error {
-	s.found = append(s.found, foundCluster{i, ms, st})
+	kept := make([]Match, len(ms))
+	for k, m := range ms {
+		kept[k] = Match{Start: m.Start, End: m.End, Spans: append([]Span(nil), m.Spans...)}
+	}
+	s.found = append(s.found, foundCluster{i, kept, st})
 	return nil
 }
 

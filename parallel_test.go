@@ -58,8 +58,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if serial.Stats.PredEvals != parallel.Stats.PredEvals {
 		t.Errorf("stats differ: serial %d evals, parallel %d", serial.Stats.PredEvals, parallel.Stats.PredEvals)
 	}
-	if len(serial.Matches) != len(parallel.Matches) {
-		t.Errorf("cluster match groups differ: %d vs %d", len(serial.Matches), len(parallel.Matches))
+	if len(serial.Matches()) != len(parallel.Matches()) {
+		t.Errorf("cluster match groups differ: %d vs %d", len(serial.Matches()), len(parallel.Matches()))
 	}
 }
 
@@ -118,8 +118,8 @@ func TestParallelKernelMatchesInterpreter(t *testing.T) {
 	if len(ref.Rows) == 0 {
 		t.Fatal("workload produced no matches; adjust parameters")
 	}
-	if st, ms := interpreted(t, q); st != ref.Stats || !reflect.DeepEqual(ms, ref.Matches) {
-		t.Fatalf("the interpreter found %+v over %d matched clusters, the kernel %+v over %d", st, len(ms), ref.Stats, len(ref.Matches))
+	if st, ms := interpreted(t, q); st != ref.Stats || !reflect.DeepEqual(ms, ref.Matches()) {
+		t.Fatalf("the interpreter found %+v over %d matched clusters, the kernel %+v over %d", st, len(ms), ref.Stats, len(ref.Matches()))
 	}
 	for _, c := range []struct {
 		label string

@@ -45,7 +45,7 @@ func TestDriverPredEvalsPin(t *testing.T) {
 			t.Fatalf("%+v: pred-evals = %d, want %d", opts, got.Stats.PredEvals, pinnedPredEvals)
 		}
 		if !reflect.DeepEqual(serial.Rows, got.Rows) || serial.Stats != got.Stats ||
-			!reflect.DeepEqual(serial.Matches, got.Matches) {
+			!reflect.DeepEqual(serial.Matches(), got.Matches()) {
 			t.Fatalf("%+v: the result differs from the serial run's", opts)
 		}
 	}

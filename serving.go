@@ -12,7 +12,8 @@ package sqlts
 //     validated against the DB catalog version (DDL, table registration
 //     and positive-domain declarations invalidate plans; inserts do not).
 //     A plan also keeps what every run would otherwise re-derive: its
-//     partition key, and one executor for its one-lane runs (Plan.solo).
+//     partition key; its pattern keeps one executor for the one-lane runs
+//     of all its plans (patternArtifact.solo).
 //   - patterns: the compiled patterns of the cached plans, keyed by the
 //     catalog version and the statement's FROM … WHERE tokens, which are
 //     looked up before they are parsed (DB.parse), so a statement text
@@ -247,13 +248,18 @@ type partitionEntry struct {
 	// that changed, on the pattern's next use.
 	mu   sync.Mutex
 	memo map[*patternArtifact]*kernelMemo
+	// last is the memo memoFor last returned from the map, current for the
+	// entry's clusters, which a run of the same pattern takes without e.mu
+	// or the map. It goes with the memo (forget) and with the entry.
+	last atomic.Pointer[kernelMemo]
 }
 
-// kernelMemo is one kernel's per-cluster state over a partition. Its
+// kernelMemo is one kernel's per-cluster state over a partition. It is
+// immutable once stored: a memo brought up to date is a new one. Its
 // masks are handed to running queries and shared, block by block, with
-// the generation the memo was adopted from, so they are replaced, never
-// written, once set.
+// the generation the memo was adopted from.
 type kernelMemo struct {
+	art   *patternArtifact
 	masks storage.Blocks[*pattern.MaskSet]
 	// groups is the clustering masks was built over.
 	groups storage.Blocks[[]storage.Row]
@@ -261,30 +267,32 @@ type kernelMemo struct {
 
 // memoFor returns a's kernel's shared read-only mask sets for a run over
 // it, one per cluster. A memo built over e's clusters is returned as it
-// is; otherwise the clusters that differ from those it was built over —
-// new, or with rows that are not its slice, in a block that is not its
-// block — are rebuilt in one pass of the kernel's run builder, into a
-// successor of its blocks (on first use, every cluster). The entry keeps
-// what it built only while a cached plan holds a: a run of a plan no
-// longer (or never) cached builds masks for itself alone.
+// is — without a lock when it is the one memoFor last returned (e.last);
+// otherwise the clusters that differ from those it was built over — new,
+// or with rows that are not its slice, in a block that is not its block —
+// are rebuilt in one pass of the kernel's run builder, into a successor
+// of its blocks (on first use, every cluster). The entry keeps what it
+// built only while a cached plan holds a: a run of a plan no longer (or
+// never) cached builds masks for itself alone.
 func (e *partitionEntry) memoFor(a *patternArtifact) storage.Blocks[*pattern.MaskSet] {
+	if m := e.last.Load(); m != nil && m.art == a {
+		return m.masks
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.memo[a]
+	// Read under e.mu: an eviction that drops a's last plan after this
+	// forgets the memo stored here (forget takes e.mu), and one before it
+	// keeps it from being stored.
+	keep := a.refs.Load() > 0
 	if m == nil {
-		m = &kernelMemo{}
-		// Read under e.mu: an eviction that drops a's last plan after this
-		// forgets the memo stored here (forget takes e.mu), and one before
-		// it keeps it from being stored.
-		if a.refs.Load() > 0 {
-			if e.memo == nil {
-				e.memo = map[*patternArtifact]*kernelMemo{}
-			}
-			e.memo[a] = m
-		}
+		m = &kernelMemo{art: a}
 	}
 	groups, built := e.Groups, m.groups
 	if groups.Same(built) {
+		if keep {
+			e.last.Store(m)
+		}
 		return m.masks
 	}
 	n := groups.Len()
@@ -305,7 +313,14 @@ func (e *partitionEntry) memoFor(a *patternArtifact) storage.Blocks[*pattern.Mas
 	for j, ci := range run {
 		ed.Set(ci, &sets[j])
 	}
-	m.masks, m.groups = ed.Done(), groups
+	m = &kernelMemo{art: a, masks: ed.Done(), groups: groups}
+	if keep {
+		if e.memo == nil {
+			e.memo = map[*patternArtifact]*kernelMemo{}
+		}
+		e.memo[a] = m
+		e.last.Store(m)
+	}
 	return m.masks
 }
 
@@ -329,7 +344,7 @@ func (e *partitionEntry) adopt(old *partitionEntry) {
 		if e.memo == nil {
 			e.memo = map[*patternArtifact]*kernelMemo{}
 		}
-		e.memo[a] = &kernelMemo{masks: m.masks, groups: m.groups}
+		e.memo[a] = m // shared: memoFor brings it up to date into a new one
 	}
 }
 
@@ -337,6 +352,9 @@ func (e *partitionEntry) adopt(old *partitionEntry) {
 func (e *partitionEntry) forget(a *patternArtifact) {
 	e.mu.Lock()
 	delete(e.memo, a)
+	if m := e.last.Load(); m != nil && m.art == a {
+		e.last.Store(nil)
+	}
 	e.mu.Unlock()
 }
 

@@ -32,8 +32,8 @@ func equalResults(t *testing.T, label string, got, want *Result) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(got.Matches, want.Matches) {
-		t.Fatalf("%s: matches differ:\n%v\n%v", label, got.Matches, want.Matches)
+	if !reflect.DeepEqual(got.Matches(), want.Matches()) {
+		t.Fatalf("%s: matches differ:\n%v\n%v", label, got.Matches(), want.Matches())
 	}
 	if got.Stats != want.Stats {
 		t.Fatalf("%s: stats %v != %v", label, got.Stats, want.Stats)

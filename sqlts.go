@@ -372,8 +372,13 @@ type Result struct {
 	Rows    []storage.Row
 	// Stats aggregates runtime counters across all clusters.
 	Stats engine.Stats
-	// Matches holds the raw match intervals per cluster, for tooling.
-	Matches []ClusterMatches
+
+	// bounds records every match in cluster order as m+2 numbers: its
+	// cluster, its first row, and each element's counter — paper §5's
+	// count[k], the rows elements 1..k took — from which Matches builds
+	// the intervals. m is the pattern's length.
+	bounds []int32
+	m      int32
 
 	// clusters is how many clusters the run searched. The counts are 32
 	// bits wide to keep a Result, which every run allocates, small.
@@ -412,6 +417,37 @@ type ClusterMatches struct {
 	Matches []engine.Match
 }
 
+// Matches returns the raw match intervals per cluster, for tooling: the
+// clusters with a match in cluster order, nil when there are none. They
+// are built on each call from the counters the run recorded of each
+// match: element k covers rows count[k-1] .. count[k]-1 from the match's
+// first row (paper §5), as the executors derive its spans.
+func (r *Result) Matches() []ClusterMatches {
+	m, w := int(r.m), int(r.m)+2
+	n := len(r.bounds) / w
+	if n == 0 {
+		return nil
+	}
+	var out []ClusterMatches
+	matches, spans := make([]engine.Match, n), make([]pattern.Span, n*m)
+	first := 0 // the current cluster's first match
+	for i := range matches {
+		rec, sp := r.bounds[i*w:(i+1)*w], spans[i*m:(i+1)*m:(i+1)*m]
+		start, prev := int(rec[1]), 0
+		for k := range sp {
+			sp[k] = pattern.Span{Start: start + prev, End: start + int(rec[2+k]) - 1, Set: true}
+			prev = int(rec[2+k])
+		}
+		matches[i] = engine.Match{Start: start, End: start + prev - 1, Spans: sp}
+		if c := int(rec[0]); len(out) == 0 || out[len(out)-1].Cluster != c {
+			out = append(out, ClusterMatches{Cluster: c})
+			first = i
+		}
+		out[len(out)-1].Matches = matches[first : i+1 : i+1]
+	}
+	return out
+}
+
 // explainMode selects what Run produces for EXPLAIN statements.
 type explainMode uint8
 
@@ -426,10 +462,11 @@ const (
 // matrices distilled into shift/next tables, and the predicate kernel —
 // which it shares with every cached plan of the same FROM … WHERE (see
 // patternArtifact). Every field is read-only after compilation but the
-// run bit and the scratch its runs keep — the kept lanes, each taken by
-// one run at a time — so one Plan is shared by all
-// goroutines executing the same SQL concurrently; all per-run mutable
-// state lives in the lanes and executors a run takes or builds.
+// run bit and what its runs keep — the partition slot, the run control and
+// the statement entry — so one Plan is shared by all goroutines executing
+// the same SQL concurrently; all per-run mutable state lives in the run
+// control and in the lanes and executors a run takes from its pattern or
+// builds.
 type Plan struct {
 	sql      string // the text compiled — the plan cache's second key for it
 	key      string // normalized SQL — the plan-cache and statement-stats key
@@ -460,15 +497,9 @@ type Plan struct {
 	// pattern=cached.
 	trace *obs.Trace
 
-	// ran is set by the plan's first successful run: a plan keeps a
-	// one-lane run's executor and a run control from its second run on
-	// (see search.oneLane and DB.endRun).
+	// ran is set by the plan's first successful run: a plan keeps a run
+	// control from its second run on (see DB.endRun).
 	ran atomic.Bool
-	// fans keeps the lanes of the plan's fanned-out runs between runs, and
-	// solo the lane of its one-lane runs, each with its executor; what a
-	// kept lane holds is scratch, which no result references (see lane).
-	fans fanPool
-	solo atomic.Pointer[lane]
 	// rc is the run control the plan's runs take and give back (startRun).
 	rc atomic.Pointer[runControl]
 	// stmt keeps the statement-stats entry of key, which every run of the
@@ -494,11 +525,20 @@ type patternArtifact struct {
 	analysis *query.Compiled
 	tables   *core.Tables
 	kernel   *pattern.Kernel
-	// shape is the size of the last successful result of a plan over the
-	// artifact, which the next run's lanes reserve their buffers from:
-	// matches and their clusters depend on FROM … WHERE alone, so a new
-	// plan over a cached pattern starts from its pattern's last result.
-	shape resultShape
+	// matches is how many matches the last successful run of a plan over
+	// the artifact found, each one output row and one match record, which
+	// the next run's lanes reserve their buffers from: matches depend on
+	// FROM … WHERE alone, so a new plan over a cached pattern starts from
+	// its pattern's last result. It is advisory — a run grows past it like
+	// any other (engine.Block.Reserve) — and a run that finds it unchanged
+	// writes nothing.
+	matches atomic.Int64
+	// fans keeps the lanes of its plans' fanned-out runs between runs, and
+	// solo the lane of their one-lane runs, each with its executor, which
+	// depends on the pattern and the run's executorKey alone; what a kept
+	// lane holds is scratch, which no result references (see lane).
+	fans fanPool
+	solo atomic.Pointer[lane]
 
 	// spans are the matrices, shift/next and kernel spans of the compile
 	// that built the artifact; cachedSpans are their copies annotated
@@ -536,30 +576,8 @@ func (a *patternArtifact) hitSpans() []*obs.Span {
 	return a.cachedSpans[:]
 }
 
-// resultShape is what a pattern remembers of its last successful run: how
-// many matches it found (each is one output row) and in how many clusters.
-// It is advisory — a run reserves from it and grows past it like any
-// other (engine.Block.Reserve) — so the two numbers need not be of one
-// run, and a run that finds them unchanged writes nothing.
-type resultShape struct {
-	matches, matched atomic.Int64
-}
-
-// remember records res as the pattern's latest result.
-func (s *resultShape) remember(res *Result) {
-	set := func(at *atomic.Int64, v int) {
-		if at.Load() != int64(v) {
-			at.Store(int64(v))
-		}
-	}
-	set(&s.matches, res.Stats.Matches)
-	set(&s.matched, len(res.Matches))
-}
-
-// sizes returns the remembered shape.
-func (s *resultShape) sizes() (matches, matched int) {
-	return int(s.matches.Load()), int(s.matched.Load())
-}
+// record is the length of one match's record in a result (Result.bounds).
+func (a *patternArtifact) record() int { return a.analysis.Pattern.Len() + 2 }
 
 // masks returns part's selection bitmasks for the plan's pattern, built
 // by the first run of a plan of the pattern over part and memoized since,
@@ -1068,13 +1086,16 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return nil, 0, err
 	}
 	res.partition = how
+	res.m = int32(compiled.Pattern.Len())
 	s := search{q: q, rc: rc, opts: opts, clusters: part.Groups}
 	s.masks, res.vectorized = q.plan.masks(part)
 	rc.setClustersTotal(int64(part.Groups.Len()))
 	if err := s.searchClusters(res, part.Rows); err != nil {
 		return nil, 0, err
 	}
-	q.plan.art.shape.remember(res)
+	if a := q.plan.art; a.matches.Load() != int64(res.Stats.Matches) {
+		a.matches.Store(int64(res.Stats.Matches))
+	}
 	if !q.plan.ran.Load() {
 		q.plan.ran.Store(true)
 	}
@@ -1093,17 +1114,19 @@ var opsConfigs = map[string]engine.OPSConfig{
 	OPSSkipExec.String():       {LastRowSkip: true},
 }
 
-func (q *Query) newExecutor(opts RunOptions, policy engine.SkipPolicy) engine.Executor {
-	p, kern := q.plan.compiled.Pattern, q.plan.kernel
-	if opts.Executor == NaiveExec {
-		n := engine.NewNaive(p, policy)
-		n.UseKernel(kern)
+// newExecutor builds the executor key asks for over the artifact's
+// pattern, tables and kernel.
+func (a *patternArtifact) newExecutor(key executorKey) engine.Executor {
+	p := a.analysis.Pattern
+	if key.kind == NaiveExec {
+		n := engine.NewNaive(p, key.policy())
+		n.UseKernel(a.kernel)
 		return n
 	}
-	cfg := opsConfigs[opts.Executor.String()]
-	cfg.Policy = policy
-	o := engine.NewOPS(p, q.plan.tables, cfg)
-	o.UseKernel(kern)
+	cfg := opsConfigs[key.kind.String()]
+	cfg.Policy = key.policy()
+	o := engine.NewOPS(p, a.tables, cfg)
+	o.UseKernel(a.kernel)
 	return o
 }
 
