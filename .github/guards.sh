@@ -248,6 +248,22 @@ guard 'One staleness rule'
 absent 'a touch protocol or a list of stale or re-sorted clusters is back' \
 	-E 'resorted|\bstale\b|\.Touch\(' -- serving.go internal/storage/blocks.go
 
+guard "A block's closed clusters are booked once"
+# A partition memo books each block of its masks once, when it builds the
+# block, under the scan of its pattern's default OPS executor: the closed
+# clusters' summed counters and a mask of the open ones (engine.Booking,
+# made by Scan.Book, the one place the closed form is written).
+# OPS.FindRun takes a whole block's closed clusters as one sum and
+# searches only the open ones, so its Stats and the flight's progress are
+# summed per block. A per-cluster Stats.Add or progress.add in ops.go is
+# the per-cluster booking growing back, and a closed-form test outside
+# Scan.Book a second copy of the rule.
+absent 'the chunk-wide pure loop sums Stats or flight progress per cluster again' \
+	-E 'p\.add\(|total\.Add\(' -- internal/engine/ops.go
+only_in 'the closed form is tested outside Scan.Book' \
+	'c [!=]= n-1' internal/engine/ops.go \
+	'func (s Scan) Book(sets []*pattern.MaskSet) Booking {'
+
 guard 'One of each observation primitive'
 # internal/obs holds one latency histogram (obs.Histogram: lock-free, its
 # count the sum of its buckets) behind the registry's three _seconds

@@ -16,7 +16,6 @@ import (
 	"sqlts/internal/engine"
 	"sqlts/internal/fault"
 	"sqlts/internal/obs"
-	"sqlts/internal/pattern"
 	"sqlts/internal/query"
 	"sqlts/internal/storage"
 )
@@ -46,13 +45,19 @@ var faultDriverYield = fault.New("sqlts.driver.yield")
 
 // chunkSize is the number of consecutive clusters a lane searches per
 // claim: the whole list for one lane, otherwise an even cut into
-// chunksPerWorker chunks per lane.
+// chunksPerWorker chunks per lane, rounded up to whole blocks of the
+// partition once it is larger than one, so that every chunk but the last
+// takes whole blocks and the blocks' bookings (engine.Booking).
 func chunkSize(clusters, workers int) int {
 	if workers <= 1 {
 		return clusters
 	}
 	pieces := workers * chunksPerWorker
-	return max(1, (clusters+pieces-1)/pieces)
+	size := max(1, (clusters+pieces-1)/pieces)
+	if size > storage.BlockLen {
+		size = (size + storage.BlockLen - 1) &^ (storage.BlockLen - 1)
+	}
+	return size
 }
 
 // search is what every lane of one run reads: the query, the run's
@@ -62,8 +67,8 @@ type search struct {
 	q        *Query
 	rc       *runControl
 	opts     RunOptions
-	clusters storage.Blocks[[]storage.Row]
-	masks    storage.Blocks[*pattern.MaskSet]
+	clusters storage.Blocks[[]storage.Row, struct{}]
+	masks    engine.MaskBlocks
 }
 
 // lane is one worker's executor and output. Everything a lane finds is

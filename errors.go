@@ -170,16 +170,20 @@ func (rc *runControl) limit(ctx context.Context, opts RunOptions) {
 // startRun takes the control of one run of plan p under executor, or nil
 // when the run has no context, no budgets and the flight recorder is off.
 // With the recorder on the run draws its id now and may register later
-// (register). The control is the one the plan keeps between runs, unless
-// another run holds it: then the run makes its own, and endRun keeps
-// whichever comes back first, so a warm run allocates neither a control
-// nor its checkpoint func.
+// (register). The control is the spare the plan's pattern keeps between
+// runs, unless another run holds it or the plan has no pattern: then the
+// run makes its own, and endRun keeps whichever comes back first, so a
+// warm run — and a never-seen statement over a cached pattern — allocates
+// neither a control nor its checkpoint func.
 func (db *DB) startRun(ctx context.Context, p *Plan, opts RunOptions, executor string) *runControl {
 	on := !db.flight.off.Load()
 	if ctx == nil && opts.MaxMatches == 0 && opts.MaxRowsScanned == 0 && !on {
 		return nil
 	}
-	rc := p.rc.Swap(nil)
+	var rc *runControl
+	if p.art != nil {
+		rc = p.art.rc.Swap(nil)
+	}
 	if rc == nil {
 		rc = newControl()
 	}
@@ -191,19 +195,18 @@ func (db *DB) startRun(ctx context.Context, p *Plan, opts RunOptions, executor s
 }
 
 // endRun deregisters the run's flight, if it registered, and gives its
-// control back to plan p when p had run before this run (ran), as p keeps
-// its lane: a statement run once, as every never-seen statement is, holds
-// no control while it is cached. Nothing holds the control once the run
-// is over: its lanes have exited, and a lane p keeps installs the next
-// run's checkpoint before it searches.
-func (db *DB) endRun(p *Plan, rc *runControl, ran bool) {
+// control back to the pattern of plan p, as the pattern keeps its lanes.
+// Nothing holds the control once the run is over: its lanes have exited,
+// and a lane the pattern keeps installs the next run's checkpoint before
+// it searches.
+func (db *DB) endRun(p *Plan, rc *runControl) {
 	if rc == nil {
 		return
 	}
 	db.deregisterFlight(rc.flight)
-	if ran {
+	if p.art != nil {
 		*rc = runControl{checkpointFn: rc.checkpointFn}
-		p.rc.CompareAndSwap(nil, rc)
+		p.art.rc.CompareAndSwap(nil, rc)
 	}
 }
 

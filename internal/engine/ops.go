@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"sqlts/internal/core"
@@ -109,6 +110,8 @@ type OPS struct {
 	steps    []step
 	count    []int
 	pairRows int64
+	// booked is FindRun's booking of a span the run carries none for.
+	booked Booking
 }
 
 // closedClusters counts the clusters FindRun has booked in closed form in
@@ -128,7 +131,7 @@ func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
 		tables:    tables,
 		cfg:       cfg,
 		steps:     steps,
-		pair:      tables.M >= 2 && !tables.Star[1] && steps[2] == step{from: 1, resume: 1},
+		pair:      pairScan(tables, steps),
 		// count is written at every rollback. Its capacity fills whole
 		// cache lines, so that an executor kept from run to run, which runs
 		// on whichever core its next run does, shares no line with what
@@ -164,7 +167,7 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	o.stats = Stats{}
 	o.ranPure = o.allPure
 	if o.allPure {
-		return o.findAllStarPure(seq, o.pair)
+		return o.findAllStarPure(seq)
 	}
 	from, m := o.matches.Len(), o.p.Len()
 	star, count := o.tables.Star, o.count
@@ -383,29 +386,146 @@ func (e *evaluator) take(c *cursor, count []int, spans []pattern.Span, policy Sk
 // the checkpoint fires once per 1024-eval boundary crossed, so Stats and
 // cancellation latency are identical to the row loop's.
 //
-// With pair set (OPS.pair) a fresh attempt at row r fails in one
+// With the pair scan (OPS.pair) a fresh attempt at row r fails in one
 // of two ways: X misses r (one eval), or X holds and element 2 misses
 // r+1 (two evals), and either way the next attempt starts at r+1. So the
 // attempts before the next row where X holds and element 2 holds on the
 // row after are failed starts that cost one eval each plus one per X bit,
 // and one rollback each: storage.MaskNextPair finds that row. Without
 // pair only X's mask is scanned, which is the element-1 skip.
-func (o *OPS) findAllStarPure(seq []storage.Row, pair bool) ([]Match, Stats) {
-	x, y := o.scanMasks(o.slab, o.words, pair)
-	c, xs := storage.MaskNextPair(x, y, 0, len(seq))
+func (o *OPS) findAllStarPure(seq []storage.Row) ([]Match, Stats) {
+	sc := o.scan()
+	c, xs := sc.first(o.slab, o.words, len(seq))
+	x, y := sc.masks(o.slab, o.words)
 	ms, _ := o.searchPure(len(seq), x, y, c, xs, 0)
 	return ms, o.stats
 }
 
-// scanMasks returns element 1's mask in a slab of masks words long, and
-// element 2's with pair set (nil without): what a fresh attempt's scan
-// reads.
-func (o *OPS) scanMasks(slab []uint64, words int, pair bool) (x, y []uint64) {
-	x = slab[int(o.pureSlots[0])*words:][:words]
+// pairScan reports whether an OPS executor whose steps are steps runs the
+// pair scan (OPS.pair): element 1 is plain, and element 2's step resumes
+// at element 1 on the failed row, testing it.
+func pairScan(t *core.Tables, steps []step) bool {
+	return t.M >= 2 && !t.Star[1] && steps[2] == step{from: 1, resume: 1}
+}
+
+// Scan is the pure loop's first fresh-attempt scan of a cluster under one
+// OPS configuration: the pair scan over element 1's and element 2's masks,
+// or element 1's alone, at the mask slots of one kernel. With m ≥ 2 a
+// cluster whose scan reaches its last row is closed: it matches nothing,
+// and its counters follow from the scan alone (Book). The zero Scan books
+// nothing.
+type Scan struct {
+	x, y   int32 // element 1's mask slot, and with pair element 2's
+	pair   bool
+	closed bool // m ≥ 2
+	ok     bool // the kernel's masks answer every probe
+}
+
+// NewScan returns the scan of the default OPS executor of a pattern with
+// tables t over kernel k's masks: the one a partition memo books its
+// blocks under. It is the zero Scan when the pure loop never runs over k's
+// masks.
+func NewScan(k *pattern.Kernel, t *core.Tables) Scan {
+	if k == nil || k.CompiledElems() == 0 || !k.AllPure() {
+		return Scan{}
+	}
+	return scanOf(k.PureSlots(), pairScan(t, newSteps(t, OPSConfig{})), t.M)
+}
+
+func scanOf(slots []int32, pair bool, m int) Scan {
+	s := Scan{x: slots[0], pair: pair, closed: m >= 2, ok: true}
 	if pair {
-		y = slab[int(o.pureSlots[1])*words:][:words]
+		s.y = slots[1]
+	}
+	return s
+}
+
+// scan returns the executor's own scan over its kernel's masks.
+func (o *OPS) scan() Scan { return scanOf(o.pureSlots, o.pair, o.tables.M) }
+
+// masks returns element 1's mask in a slab of masks words long, and
+// element 2's with the pair scan (nil without): what a fresh attempt's
+// scan reads.
+func (s Scan) masks(slab []uint64, words int) (x, y []uint64) {
+	x = slab[int(s.x)*words:][:words]
+	if s.pair {
+		y = slab[int(s.y)*words:][:words]
 	}
 	return x, y
+}
+
+// first runs the first fresh attempt's scan over an n-row cluster whose
+// masks are slab, words per mask, inline when they are one word: the
+// candidate row c, 0-based, and xs, the X bits before it (see
+// storage.MaskNextPair).
+func (s Scan) first(slab []uint64, words, n int) (c, xs int) {
+	if words == 1 {
+		// The common short cluster: the scan of one word.
+		yw := ^uint64(0)
+		if s.pair {
+			yw = slab[s.y]
+		}
+		return storage.MaskPairWord(slab[s.x], yw, n)
+	}
+	x, y := s.masks(slab, words)
+	return storage.MaskNextPair(x, y, 0, n)
+}
+
+// Booking is what the pure loop spends on a span of one block's clusters
+// outside searchPure, booked once by Book: the closed clusters' summed
+// counters, every cluster's rows, and which clusters hold a candidate. A
+// partition memo books each block of its masks when it builds the block
+// (storage.Blocks' summary), so a warm run takes a block's closed
+// clusters as one sum and searches only the open ones.
+type Booking struct {
+	// open has bit k set when the span's k-th cluster has rows and is not
+	// closed: searchPure must search it.
+	open uint64
+	// The closed clusters' counters and pair-scanned rows (with the pair
+	// scan), and every cluster's rows, for the flight's progress.
+	evals, rollbacks, pairRows, rows int64
+	// closed is how many clusters are closed.
+	closed int32
+	// scan is what the booking was made under; the zero Scan for none.
+	scan Scan
+}
+
+// Book books the clusters whose masks are sets, a span of at most one
+// block's, under s. This is the closed form, the one place it is written:
+// when the scan of a cluster of n rows reaches its last row, no attempt
+// gets past element 2 (with the pair scan) or past element 1 (without),
+// so with m ≥ 2 nothing matches, and searchPure would book n-1 failed
+// starts (n-1+xs evals, n-1 rollbacks) and probe X on the last row — one
+// eval, and one more rollback when X fails there. Every other cluster
+// with rows is open.
+func (s Scan) Book(sets []*pattern.MaskSet) Booking {
+	if !s.ok {
+		return Booking{}
+	}
+	b := Booking{scan: s}
+	for k, ms := range sets {
+		n := ms.Rows()
+		b.rows += int64(n)
+		if n == 0 {
+			continue
+		}
+		slab, words := ms.Words()
+		c, xs := s.first(slab, words, n)
+		if !s.closed || c != n-1 {
+			b.open |= 1 << k
+			continue
+		}
+		b.closed++
+		b.evals += int64(n + xs)
+		b.rollbacks += int64(n - 1)
+		if slab[int(s.x)*words+c>>6]>>(c&63)&1 == 0 {
+			b.rollbacks++
+		}
+		if s.pair {
+			b.pairRows += int64(n - 1)
+		}
+	}
+	return b
 }
 
 // searchPure is findAllStarPure's loop over the current masks, nn rows
@@ -491,87 +611,71 @@ func (o *OPS) searchPure(nn int, x, y []uint64, c, xs int, evals int64) ([]Match
 
 // FindRun implements Executor. Wherever FindAll would run findAllStarPure
 // — with bulk probing allowed for the whole run — it runs the pure loop
-// across the chunk, block by block, on one eval count, so the checkpoint runs once per
-// 1024 evals of the chunk; otherwise the generic run loop. The pure loop
-// calls neither the sink's Enter nor a checkpoint per cluster, and ticks
-// the flight at the end of the cluster a checkpoint fell in and at the end
-// of the chunk.
+// across the chunk, block by block, on one eval count, so the checkpoint
+// runs once per 1024 evals of the chunk; otherwise the generic run loop.
+// The pure loop calls neither the sink's Enter nor a checkpoint per
+// cluster.
 //
-// Per cluster it runs the first fresh attempt's scan, inline when the
-// cluster's masks are one word. When the scan
-// reaches the last row, no attempt gets past element 2 (with the pair
-// scan) or past element 1 (without), so with m ≥ 2 nothing matches, and
-// the cluster's counters follow from the scan alone: searchPure would book
-// n-1 failed starts (n-1+xs evals, n-1 rollbacks) and probe X on the last
-// row — one eval, and one more rollback when X fails there. Otherwise
-// searchPure is entered at the candidate row with the scan's result.
+// Per block it takes the block's Booking: the run's own, when the run
+// covers the whole block and the masks carry one made under this
+// executor's scan (a partition memo's), otherwise one booked now into
+// scratch. The closed clusters' evals go onto the count as one sum — the
+// checkpoints they cross fire there, before any cluster of the block is
+// searched — and only the open clusters are scanned again and searched.
+// Stats and the flight's progress are summed per block, and the flight is
+// ticked at the end of every block a checkpoint fell in and at the end of
+// the chunk.
 func (o *OPS) FindRun(r *Run) error {
 	if !o.bulkRun(r) {
 		return o.runEach(o, r)
 	}
 	o.scratch()
 	o.ranPure = true
-	pair, closed := o.pair, o.p.Len() >= 2
-	sx, sy := int(o.pureSlots[0]), 0 // X's and Y's slots
-	if pair {
-		sy = int(o.pureSlots[1])
-	}
+	sc := o.scan()
 	var p progress
 	defer p.tick(r.Sink)
-	var total Stats
-	var evals, ticked, closedRun, closedPairRows int64
+	var evals, rollbacks, closed, ticked int64
+	matches := 0
 	for lo := r.Lo; lo < r.Hi; {
-		seqs, masks := r.Clusters.Span(lo, r.Hi), r.Masks.Span(lo, r.Hi)
-		for k, seq := range seqs {
-			n := len(seq)
-			slab, words := masks[k].Words()
-			var c, xs int
-			if words == 1 {
-				// The common short cluster: the scan of one word, inline.
-				yw := ^uint64(0)
-				if pair {
-					yw = slab[sy]
+		masks := r.Masks.Span(lo, r.Hi)
+		bk := r.Masks.Sum(lo)
+		if bk.scan != sc || lo%storage.BlockLen != 0 || lo+len(masks) != min(lo+storage.BlockLen, r.Masks.Len()) {
+			o.booked = sc.Book(masks)
+			bk = &o.booked
+		}
+		evals = o.addEvals(evals, bk.evals)
+		found := matches
+		for open := bk.open; open != 0; open &= open - 1 {
+			k := bits.TrailingZeros64(open)
+			n := masks[k].Rows()
+			o.slab, o.words = masks[k].Words()
+			c, xs := sc.first(o.slab, o.words, n)
+			x, y := sc.masks(o.slab, o.words)
+			var ms []Match
+			ms, evals = o.searchPure(n, x, y, c, xs, evals)
+			rollbacks += o.stats.Rollbacks
+			matches += o.stats.Matches
+			if len(ms) > 0 {
+				err := r.Sink.Found(lo+k, ms, o.stats)
+				o.rewind()
+				if err != nil {
+					return err
 				}
-				c, xs = storage.MaskPairWord(slab[sx], yw, n)
-			} else {
-				x, y := o.scanMasks(slab, words, pair)
-				c, xs = storage.MaskNextPair(x, y, 0, n)
-			}
-			var st Stats
-			if closed && c == n-1 && n > 0 {
-				evals = o.addEvals(evals, int64(n+xs))
-				st = Stats{PredEvals: int64(n + xs), Rollbacks: int64(n - 1)}
-				if slab[sx*words+c>>6]>>(c&63)&1 == 0 {
-					st.Rollbacks++
-				}
-				closedPairRows += int64(n - 1)
-				closedRun++
-			} else {
-				x, y := o.scanMasks(slab, words, pair)
-				o.slab, o.words = slab, words
-				var ms []Match
-				ms, evals = o.searchPure(n, x, y, c, xs, evals)
-				st = o.stats
-				if len(ms) > 0 {
-					err := r.Sink.Found(lo+k, ms, st)
-					o.rewind()
-					if err != nil {
-						return err
-					}
-				}
-			}
-			total.Add(st)
-			if p.add(n, st); evals>>10 != ticked>>10 {
-				p.tick(r.Sink)
-				ticked = evals
 			}
 		}
-		lo += len(seqs)
+		rollbacks += bk.rollbacks
+		o.pairRows += bk.pairRows
+		closed += int64(bk.closed)
+		p.clusters += int64(len(masks))
+		p.rows += bk.rows
+		p.matches += int64(matches - found)
+		if evals>>10 != ticked>>10 {
+			p.tick(r.Sink)
+			ticked = evals
+		}
+		lo += len(masks)
 	}
-	if pair {
-		o.pairRows += closedPairRows
-	}
-	r.Stats = total
-	closedClusters.Add(closedRun)
+	r.Stats = Stats{PredEvals: evals, Rollbacks: rollbacks, Matches: matches}
+	closedClusters.Add(closed)
 	return nil
 }

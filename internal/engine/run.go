@@ -13,9 +13,10 @@ import (
 type Run struct {
 	// Clusters holds the clusters' sequences; Masks, when not empty, each
 	// cluster's prebuilt selection bitmasks (see UseMasks), indexed like
-	// Clusters.
-	Clusters storage.Blocks[[]storage.Row]
-	Masks    storage.Blocks[*pattern.MaskSet]
+	// Clusters, and per block the Booking a partition memo made of them,
+	// if any.
+	Clusters storage.Blocks[[]storage.Row, struct{}]
+	Masks    MaskBlocks
 	Lo, Hi   int
 	// Sink is handed what the search finds.
 	Sink RunSink
@@ -24,6 +25,10 @@ type Run struct {
 	// that succeeds.
 	Stats Stats
 }
+
+// MaskBlocks is a run's masks: a cluster's mask set per element, and per
+// block the Booking of its clusters, the zero Booking when it has none.
+type MaskBlocks = storage.Blocks[*pattern.MaskSet, Booking]
 
 // RunSink is what a Run hands its clusters to. It is an interface, not a
 // set of closures, so that a caller's sink is one object that outlives its

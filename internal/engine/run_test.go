@@ -65,12 +65,16 @@ func (s *runSink) Tick(clusters, rows, matches int64) {
 // and ticked every cluster, row and match, the run's Stats are the
 // clusters', an OPS's pair scans resolved the same rows, a one-cluster
 // Run of each cluster on a third executor books the counters FindAll does,
-// and two Runs cut off the block seams find what the whole one does. Over
-// supplied masks neither executor may project a cluster: the masks answer every
-// compiled element and the interpreter the rest. It returns how many
-// clusters the run booked in closed form and whether it took the
-// chunk-wide pure loop, which calls no Enter.
-func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]storage.Row, masks []*pattern.MaskSet) (closed int64, pure bool) {
+// and Runs cut off the block seams, or at them, find what the whole one
+// does. It does so twice: over masks that carry no booking, which FindRun
+// books block by block into scratch, and over the same masks with every
+// block booked under sc, as a partition memo books them; both runs must
+// book the same clusters in closed form. Over supplied masks neither
+// executor may project a cluster: the masks answer every compiled element
+// and the interpreter the rest. It returns how many clusters the run booked in
+// closed form and whether it took the chunk-wide pure loop, which calls no
+// Enter.
+func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]storage.Row, masks []*pattern.MaskSet, sc Scan) (closed int64, pure bool) {
 	t.Helper()
 	ref := mk()
 	var want []foundCluster
@@ -90,76 +94,93 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 		rows += len(seq)
 	}
 
-	ex := mk()
-	sink := &runSink{}
-	all := chunk(clusters, masks, nil)
-	r := all
-	r.Sink = sink
-	before := ClosedClusters()
-	if err := ex.FindRun(&r); err != nil {
-		t.Fatalf("%s: FindRun: %v", label, err)
-	}
-	closed = ClosedClusters() - before
-	if r.Stats != wantStats {
-		t.Fatalf("%s: the run's stats are %+v, the clusters' %+v", label, r.Stats, wantStats)
-	}
-	one := mk()
-	for i := range clusters {
+	scratch := chunk(clusters, masks, nil)
+	booked := scratch
+	booked.Masks = bookedBlocks(masks, sc)
+	for pass, all := range []Run{scratch, booked} {
+		label := label + [...]string{" scratch-booked", " memo-booked"}[pass]
+		ex := mk()
+		sink := &runSink{}
 		r := all
-		r.Lo, r.Hi, r.Sink = i, i+1, &runSink{}
-		if err := one.FindRun(&r); err != nil {
-			t.Fatalf("%s: FindRun of cluster %d alone: %v", label, i, err)
+		r.Sink = sink
+		before := ClosedClusters()
+		if err := ex.FindRun(&r); err != nil {
+			t.Fatalf("%s: FindRun: %v", label, err)
 		}
-		if r.Stats != each[i] {
-			t.Fatalf("%s: cluster %d searched alone books %+v, FindAll %+v", label, i, r.Stats, each[i])
+		if c := ClosedClusters() - before; pass == 0 {
+			closed = c
+		} else if c != closed {
+			t.Fatalf("%s: %d clusters closed, %d booking into scratch", label, c, closed)
 		}
-	}
-	// Two runs cut off the block seams, as a driver's chunks fall, hand
-	// the sink what the whole run does, under the clusters' own indexes.
-	halves, halfStats := &runSink{}, Stats{}
-	for _, cut := range [][2]int{{0, len(clusters) / 3}, {len(clusters) / 3, len(clusters)}} {
-		r := all
-		r.Lo, r.Hi, r.Sink = cut[0], cut[1], halves
-		if err := one.FindRun(&r); err != nil {
-			t.Fatalf("%s: FindRun of clusters [%d, %d): %v", label, cut[0], cut[1], err)
+		if r.Stats != wantStats {
+			t.Fatalf("%s: the run's stats are %+v, the clusters' %+v", label, r.Stats, wantStats)
 		}
-		halfStats.Add(r.Stats)
-	}
-	if halfStats != wantStats || len(halves.found) != len(want) {
-		t.Fatalf("%s: two runs found %d clusters and booked %+v, want %d and %+v", label, len(halves.found), halfStats, len(want), wantStats)
-	}
-	for k, f := range halves.found {
-		if w := want[k]; f.i != w.i || f.st != w.st || !matchesEqual(f.ms, w.ms) {
-			t.Fatalf("%s: two runs found cluster %d %+v, want cluster %d %+v", label, f.i, f.st, w.i, w.st)
+		one := mk()
+		for i := range clusters {
+			r := all
+			r.Lo, r.Hi, r.Sink = i, i+1, &runSink{}
+			if err := one.FindRun(&r); err != nil {
+				t.Fatalf("%s: FindRun of cluster %d alone: %v", label, i, err)
+			}
+			if r.Stats != each[i] {
+				t.Fatalf("%s: cluster %d searched alone books %+v, FindAll %+v", label, i, r.Stats, each[i])
+			}
 		}
-	}
-	if len(sink.found) != len(want) {
-		t.Fatalf("%s: %d clusters found, want %d", label, len(sink.found), len(want))
-	}
-	for k, f := range sink.found {
-		if w := want[k]; f.i != w.i || f.st != w.st || !matchesEqual(f.ms, w.ms) {
-			t.Fatalf("%s: found cluster %d %+v %s, want cluster %d %+v %s", label, f.i, f.st, fmtMatches(f.ms), w.i, w.st, fmtMatches(w.ms))
+		// Runs cut off the block seams, and runs of whole blocks and a last
+		// partial one, as a driver's chunks fall, hand the sink what the
+		// whole run does, under the clusters' own indexes.
+		blockCuts := []int{0}
+		for lo := storage.BlockLen; lo < len(clusters); lo += storage.BlockLen {
+			blockCuts = append(blockCuts, lo)
 		}
+		for _, cuts := range [][]int{{0, len(clusters) / 3, len(clusters)}, append(blockCuts, len(clusters))} {
+			pieces, pieceStats := &runSink{}, Stats{}
+			for k := 1; k < len(cuts); k++ {
+				r := all
+				r.Lo, r.Hi, r.Sink = cuts[k-1], cuts[k], pieces
+				if err := one.FindRun(&r); err != nil {
+					t.Fatalf("%s: FindRun of clusters [%d, %d): %v", label, r.Lo, r.Hi, err)
+				}
+				pieceStats.Add(r.Stats)
+			}
+			if pieceStats != wantStats || len(pieces.found) != len(want) {
+				t.Fatalf("%s: runs cut at %v found %d clusters and booked %+v, want %d and %+v", label, cuts, len(pieces.found), pieceStats, len(want), wantStats)
+			}
+			for k, f := range pieces.found {
+				if w := want[k]; f.i != w.i || f.st != w.st || !matchesEqual(f.ms, w.ms) {
+					t.Fatalf("%s: runs cut at %v found cluster %d %+v, want cluster %d %+v", label, cuts, f.i, f.st, w.i, w.st)
+				}
+			}
+		}
+		if len(sink.found) != len(want) {
+			t.Fatalf("%s: %d clusters found, want %d", label, len(sink.found), len(want))
+		}
+		for k, f := range sink.found {
+			if w := want[k]; f.i != w.i || f.st != w.st || !matchesEqual(f.ms, w.ms) {
+				t.Fatalf("%s: found cluster %d %+v %s, want cluster %d %+v %s", label, f.i, f.st, fmtMatches(f.ms), w.i, w.st, fmtMatches(w.ms))
+			}
+		}
+		if wantTicks := (progress{int64(len(clusters)), int64(rows), int64(wantStats.Matches)}); sink.ticks != wantTicks {
+			t.Fatalf("%s: ticked %+v, want %+v", label, sink.ticks, wantTicks)
+		}
+		if o, ok := ex.(*OPS); ok && o.pairRows != ref.(*OPS).pairRows {
+			t.Fatalf("%s: the run's pair scans resolved %d rows, the clusters' %d", label, o.pairRows, ref.(*OPS).pairRows)
+		}
+		if sink.entered != 0 && sink.entered != len(clusters) {
+			t.Fatalf("%s: Enter called %d times over %d clusters", label, sink.entered, len(clusters))
+		}
+		if sink.entered == 0 && closed+int64(len(want)) > int64(len(clusters)) {
+			t.Fatalf("%s: %d clusters closed and %d matched of %d", label, closed, len(want), len(clusters))
+		}
+		if sink.entered != 0 && closed != 0 {
+			t.Fatalf("%s: the per-cluster loop booked %d clusters in closed form", label, closed)
+		}
+		if masks != nil && (projected(ref) || projected(ex)) {
+			t.Fatalf("%s: a search over supplied masks projected a cluster", label)
+		}
+		pure = len(clusters) > 0 && sink.entered == 0
 	}
-	if wantTicks := (progress{int64(len(clusters)), int64(rows), int64(wantStats.Matches)}); sink.ticks != wantTicks {
-		t.Fatalf("%s: ticked %+v, want %+v", label, sink.ticks, wantTicks)
-	}
-	if o, ok := ex.(*OPS); ok && o.pairRows != ref.(*OPS).pairRows {
-		t.Fatalf("%s: the run's pair scans resolved %d rows, the clusters' %d", label, o.pairRows, ref.(*OPS).pairRows)
-	}
-	if sink.entered != 0 && sink.entered != len(clusters) {
-		t.Fatalf("%s: Enter called %d times over %d clusters", label, sink.entered, len(clusters))
-	}
-	if sink.entered == 0 && closed+int64(len(want)) > int64(len(clusters)) {
-		t.Fatalf("%s: %d clusters closed and %d matched of %d", label, closed, len(want), len(clusters))
-	}
-	if sink.entered != 0 && closed != 0 {
-		t.Fatalf("%s: the per-cluster loop booked %d clusters in closed form", label, closed)
-	}
-	if masks != nil && (projected(ref) || projected(ex)) {
-		t.Fatalf("%s: a search over supplied masks projected a cluster", label)
-	}
-	return closed, len(clusters) > 0 && sink.entered == 0
+	return closed, pure
 }
 
 // projected reports whether ex, an OPS or a Naive, has decoded a sequence
@@ -175,17 +196,31 @@ func projected(ex Executor) bool {
 	return e.ownProj != nil || e.proj != nil
 }
 
-// chunk is clusters with their masks (nil: none) as one Run over them all,
-// handing its sink to sink.
+// chunk is clusters with their masks (nil: none), which carry no booking,
+// as one Run over them all, handing its sink to sink.
 func chunk(clusters [][]storage.Row, masks []*pattern.MaskSet, sink RunSink) Run {
-	return Run{Clusters: blocksOf(clusters), Masks: blocksOf(masks), Hi: len(clusters), Sink: sink}
+	return Run{Clusters: blocksOf[[]storage.Row, struct{}](clusters), Masks: blocksOf[*pattern.MaskSet, Booking](masks), Hi: len(clusters), Sink: sink}
 }
 
-// blocksOf returns a storage.Blocks of a copy of s's elements.
-func blocksOf[T any](s []T) storage.Blocks[T] {
-	e := storage.Blocks[T]{}.Edit(len(s))
+// blocksOf returns a storage.Blocks of a copy of s's elements, with zero
+// summaries.
+func blocksOf[T, S any](s []T) storage.Blocks[T, S] {
+	e := storage.Blocks[T, S]{}.Edit(len(s))
 	for i, v := range s {
 		e.Set(i, v)
+	}
+	return e.Done()
+}
+
+// bookedBlocks is masks in blocks, each block booked under sc, as a
+// partition memo books what it builds.
+func bookedBlocks(masks []*pattern.MaskSet, sc Scan) MaskBlocks {
+	e := MaskBlocks{}.Edit(len(masks))
+	for i, ms := range masks {
+		e.Set(i, ms)
+	}
+	for lo := 0; lo < len(masks); lo += storage.BlockLen {
+		e.SetSum(lo, sc.Book(masks[lo:min(lo+storage.BlockLen, len(masks))]))
 	}
 	return e.Done()
 }
@@ -223,6 +258,7 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 	t.Helper()
 	tab, k := core.Compute(p), p.CompileKernel()
 	ms := runMemo(k, clusters, refresh)
+	sc := NewScan(k, tab) // what a partition memo books under
 	for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
 		vec := func(cfg OPSConfig) func() Executor {
 			return func() Executor {
@@ -232,14 +268,14 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 				return o
 			}
 		}
-		cl, pu := runCheck(t, fmt.Sprintf("%s ops-vec %v", label, policy), vec(OPSConfig{Policy: policy}), clusters, ms)
+		cl, pu := runCheck(t, fmt.Sprintf("%s ops-vec %v", label, policy), vec(OPSConfig{Policy: policy}), clusters, ms, sc)
 		closed += cl
 		if pu {
 			pure++
 		}
 		for _, cfg := range ablations(policy) {
 			name := fmt.Sprintf("%s %s-vec %v", label, NewOPS(p, tab, cfg).Name(), policy)
-			if _, apu := runCheck(t, name, vec(cfg), clusters, ms); apu != pu {
+			if _, apu := runCheck(t, name, vec(cfg), clusters, ms, sc); apu != pu {
 				t.Fatalf("%s: took the chunk-wide pure loop = %v, the default config %v", name, apu, pu)
 			}
 		}
@@ -255,7 +291,7 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 			}},
 			{"ops", func() Executor { return NewOPS(p, tab, OPSConfig{Policy: policy}) }},
 		} {
-			if _, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ms); pu {
+			if _, pu := runCheck(t, fmt.Sprintf("%s %s %v", label, c.name, policy), c.mk, clusters, ms, sc); pu {
 				t.Fatalf("%s %s %v: took the chunk-wide pure loop", label, c.name, policy)
 			}
 		}
@@ -426,6 +462,88 @@ func TestRunLoopDifferential(t *testing.T) {
 	}
 }
 
+// TestRunBlockBooking: a run over masks whose blocks a partition memo
+// booked under the default OPS executor's scan, a run booking each block
+// into scratch, and FindAll cluster by cluster agree on matches, spans,
+// Stats, pair-scanned rows and the clusters booked in closed form
+// (runChecks), for the default executor and each ablation one, whose scan
+// may not be the memo's, on both skip policies. The clusters are empty,
+// one row, ten rows and 63, 64, 65 and 129 rows long, over 3 full blocks
+// and a partial last one, and the runs are cut at and off the block seams.
+// A run of whole blocks whose bookings were made under its scan takes them
+// and books none into scratch; a run that covers part of a block, or whose
+// scan is not the one the blocks were booked under, books into scratch.
+func TestRunBlockBooking(t *testing.T) {
+	pb := func(elems ...pattern.Element) *pattern.Pattern {
+		p, err := pattern.Compile(priceSchema(), elems, pattern.Options{})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return p
+	}
+	is := func(v float64) []pattern.Cond {
+		return []pattern.Cond{pattern.FieldConst(0, pattern.Cur, constraint.Eq, v)}
+	}
+	rise := []pattern.Cond{pattern.FieldField(0, pattern.Cur, constraint.Gt, 0, pattern.Prev, 0)}
+	lens := []int{0, 1, 10, 10, 10, 10, 63, 64, 65, 129}
+	cut := func(r *rand.Rand, seq []storage.Row, clusters int) [][]storage.Row {
+		out := make([][]storage.Row, 0, clusters)
+		for len(out) < clusters {
+			n := min(lens[r.Intn(len(lens))], len(seq))
+			out = append(out, seq[:n:n])
+			seq = seq[n:]
+		}
+		return out
+	}
+	random := func(seed int64) func(int) float64 {
+		r := rand.New(rand.NewSource(seed))
+		return func(int) float64 { return float64(r.Intn(4)) }
+	}
+	const clusters = 3*storage.BlockLen + 9
+	for _, c := range []struct {
+		name string
+		p    *pattern.Pattern
+		seq  []storage.Row
+	}{
+		{"pair scan", pb(pattern.Element{Name: "X", Local: is(1)}, pattern.Element{Name: "Y", Star: true, Local: is(2)}), codes(40*clusters, random(1))},
+		{"double bottom", doubleBottomShape(), calmWalk(rand.New(rand.NewSource(2)), 40*clusters)},
+		{"element-1 skip", pb(pattern.Element{Name: "X", Local: rise}, pattern.Element{Name: "Y", Star: true, Local: rise}, pattern.Element{Name: "Z", Local: is(1)}), walkSeq(rand.New(rand.NewSource(3)), 40*clusters)},
+		{"m = 1", pb(pattern.Element{Name: "A", Star: true, Local: is(1)}), codes(40*clusters, random(4))},
+	} {
+		for seed := int64(0); seed < 3; seed++ {
+			cl := cut(rand.New(rand.NewSource(seed)), c.seq, clusters)
+			label := fmt.Sprintf("%s seed %d", c.name, seed)
+			closed, pure := runChecks(t, label, c.p, cl, seed == 1)
+			if pure != 2 || (closed == 0) != (c.name == "m = 1") {
+				t.Fatalf("%s: the pure loop ran %d times of 2, and booked %d clusters in closed form", label, pure, closed)
+			}
+
+			// Where the run takes the blocks' bookings and where it books.
+			tab, k := core.Compute(c.p), c.p.CompileKernel()
+			masks := runMemo(k, cl, false)
+			booked := bookedBlocks(masks, NewScan(k, tab))
+			for _, cfg := range append(ablations(SkipPastLastRow), OPSConfig{}) {
+				o := NewOPS(c.p, tab, cfg)
+				o.UseKernel(k)
+				o.SetVectorized(true)
+				memo := o.scan() == NewScan(k, tab)
+				for _, span := range [][2]int{{0, clusters}, {storage.BlockLen, 3 * storage.BlockLen}, {3 * storage.BlockLen, clusters}, {1, storage.BlockLen}, {storage.BlockLen, storage.BlockLen + 1}} {
+					o.booked = Booking{}
+					r := chunk(cl, nil, &runSink{})
+					r.Masks, r.Lo, r.Hi = booked, span[0], span[1]
+					if err := o.FindRun(&r); err != nil {
+						t.Fatal(err)
+					}
+					whole := span[0]%storage.BlockLen == 0 && (span[1]%storage.BlockLen == 0 || span[1] == clusters)
+					if scratch := o.booked != (Booking{}); scratch == (memo && whole) {
+						t.Fatalf("%s %s: a run of [%d, %d) booked into scratch = %v, with the blocks booked under its scan = %v", label, o.Name(), span[0], span[1], scratch, memo)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzRunLoop cuts what the seed draws from the differential's generators
 // — purePattern over pureSeq for an even seed, repeatPattern over walkSeq
 // for an odd one, n%2048 rows long, star-free when n's top bit is set —
@@ -533,34 +651,41 @@ func tenRowChunk(t *testing.T) (*OPS, [][]storage.Row, []*pattern.MaskSet) {
 // TestRunLoopCheckpointCadence: one eval count spans the chunk, so over
 // 10,000 ten-row clusters — none of which crosses a 1,024-eval boundary by
 // itself — the interrupt is consulted exactly PredEvals>>10 times, and the
-// flight is ticked at the end of every cluster a checkpoint fell in.
+// flight is ticked at the end of every block a checkpoint fell in (no block
+// here reaches 1,024 evals), whether the run books its blocks into scratch
+// or takes them booked.
 func TestRunLoopCheckpointCadence(t *testing.T) {
 	o, clusters, masks := tenRowChunk(t)
-	calls := int64(0)
-	o.SetInterrupt(func() error { calls++; return nil })
-	sink := &tickLog{}
-	r := chunk(clusters, masks, sink)
-	before := ClosedClusters()
-	if err := o.FindRun(&r); err != nil {
-		t.Fatal(err)
-	}
-	if closed := ClosedClusters() - before; closed < 8000 || r.Stats.Matches != (10_000+6)/7 {
-		t.Fatalf("%d clusters closed, %d matches: the fixture is off", closed, r.Stats.Matches)
-	}
-	if calls != r.Stats.PredEvals>>10 {
-		t.Fatalf("interrupt consulted %d times over %d pred-evals, want %d", calls, r.Stats.PredEvals, r.Stats.PredEvals>>10)
-	}
-	if len(sink.ticks) < int(calls) || len(sink.ticks) > int(calls)+1 {
-		t.Fatalf("%d ticks for %d checkpoints", len(sink.ticks), calls)
-	}
-	done := progress{}
-	for _, tk := range sink.ticks {
-		done.clusters += tk.clusters
-		done.rows += tk.rows
-		done.matches += tk.matches
-	}
-	if done != (progress{10_000, 100_000, int64(r.Stats.Matches)}) {
-		t.Fatalf("ticked %+v in all", done)
+	for _, booked := range []bool{false, true} {
+		calls := int64(0)
+		o.SetInterrupt(func() error { calls++; return nil })
+		sink := &tickLog{}
+		r := chunk(clusters, masks, sink)
+		if booked {
+			r.Masks = bookedBlocks(masks, NewScan(o.kern, o.tables))
+		}
+		before := ClosedClusters()
+		if err := o.FindRun(&r); err != nil {
+			t.Fatal(err)
+		}
+		if closed := ClosedClusters() - before; closed < 8000 || r.Stats.Matches != (10_000+6)/7 {
+			t.Fatalf("booked=%v: %d clusters closed, %d matches: the fixture is off", booked, closed, r.Stats.Matches)
+		}
+		if calls != r.Stats.PredEvals>>10 {
+			t.Fatalf("booked=%v: interrupt consulted %d times over %d pred-evals, want %d", booked, calls, r.Stats.PredEvals, r.Stats.PredEvals>>10)
+		}
+		if len(sink.ticks) < int(calls) || len(sink.ticks) > int(calls)+1 {
+			t.Fatalf("booked=%v: %d ticks for %d checkpoints", booked, len(sink.ticks), calls)
+		}
+		done := progress{}
+		for _, tk := range sink.ticks {
+			done.clusters += tk.clusters
+			done.rows += tk.rows
+			done.matches += tk.matches
+		}
+		if done != (progress{10_000, 100_000, int64(r.Stats.Matches)}) {
+			t.Fatalf("booked=%v: ticked %+v in all", booked, done)
+		}
 	}
 }
 
@@ -575,58 +700,109 @@ func (s *tickLog) Tick(clusters, rows, matches int64) {
 }
 
 // TestRunLoopInterrupt: an error at the k-th checkpoint of the chunk-wide
-// pure loop unwinds it inside the cluster the checkpoint fell in: the
-// flight is ticked with exactly the clusters before it, and no later
-// cluster is handed to the sink.
+// pure loop unwinds it inside the block the checkpoint fell in — the first
+// block whose evals reach k*1024 on the chunk's count, the block's closed
+// clusters booked onto it before its open clusters are searched. So when
+// the closed clusters' booking crosses the boundary, no cluster of that
+// block or of a later one reaches the sink; when an open cluster's search
+// does, no cluster from that one on does. Either way the flight is ticked
+// with exactly the clusters of the blocks before it. Both hold with the
+// run booking each block into scratch and with every block booked ahead,
+// as a partition memo books them; and k covers a checkpoint in a block's
+// booking and one in an open cluster's search.
 func TestRunLoopInterrupt(t *testing.T) {
 	o, clusters, masks := tenRowChunk(t)
-	// Where each cluster's evals end on the chunk's count.
-	var ends []int64
+	sc := NewScan(o.kern, o.tables)
+	// Where each block's booking, and each open cluster's search, ends on
+	// the chunk's count: searched is the cluster searched, -1 for a
+	// booking.
+	type event struct {
+		end      int64
+		block    int
+		searched int
+	}
+	var events []event
 	var total int64
-	for i, seq := range clusters {
-		ref := NewOPS(o.p, o.tables, OPSConfig{})
-		ref.UseKernel(o.kern)
-		ref.SetVectorized(true)
-		ref.UseMasks(masks[i])
-		_, st := ref.FindAll(seq)
-		total += st.PredEvals
-		ends = append(ends, total)
+	for lo := 0; lo < len(clusters); lo += storage.BlockLen {
+		hi := min(lo+storage.BlockLen, len(clusters))
+		bk := sc.Book(masks[lo:hi])
+		total += bk.evals
+		events = append(events, event{total, lo, -1})
+		for i := lo; i < hi; i++ {
+			if bk.open>>(i-lo)&1 == 0 {
+				continue
+			}
+			ref := NewOPS(o.p, o.tables, OPSConfig{})
+			ref.UseKernel(o.kern)
+			ref.SetVectorized(true)
+			ref.UseMasks(masks[i])
+			_, st := ref.FindAll(clusters[i])
+			total += st.PredEvals
+			events = append(events, event{total, lo, i})
+		}
+	}
+	// The first k whose checkpoint falls in a booking, and the first whose
+	// falls in a search.
+	inBooking, inSearch := int64(0), int64(0)
+	for k, e := int64(1), 0; k <= total>>10 && (inBooking == 0 || inSearch == 0); k++ {
+		for events[e].end < k<<10 {
+			e++
+		}
+		if events[e].searched < 0 && inBooking == 0 {
+			inBooking = k
+		} else if events[e].searched >= 0 && inSearch == 0 {
+			inSearch = k
+		}
+	}
+	if inBooking == 0 || inSearch == 0 {
+		t.Fatalf("no checkpoint falls in a booking (%d) or in a search (%d): the fixture is off", inBooking, inSearch)
 	}
 	stop := errors.New("stop")
-	for _, k := range []int64{1, 2, 50, total >> 10} {
-		calls := int64(0)
-		o.SetInterrupt(func() error {
-			if calls++; calls == k {
-				return stop
-			}
-			return nil
-		})
-		sink := &runSink{}
-		r := chunk(clusters, masks, sink)
-		err := func() (err error) {
-			defer func() {
-				if it, ok := recover().(Interrupt); ok {
-					err = it.Err
+	for _, booked := range []bool{false, true} {
+		for _, k := range []int64{1, 2, 50, total >> 10, inBooking, inSearch} {
+			calls := int64(0)
+			o.SetInterrupt(func() error {
+				if calls++; calls == k {
+					return stop
 				}
-			}()
-			return o.FindRun(&r)
-		}()
-		if !errors.Is(err, stop) || calls != k {
-			t.Fatalf("checkpoint %d: err=%v after %d calls", k, err, calls)
-		}
-		// The k-th checkpoint falls in the first cluster whose evals reach
-		// k*1024 on the chunk's count.
-		at := 0
-		for ends[at] < k<<10 {
-			at++
-		}
-		for _, f := range sink.found {
-			if f.i >= at {
-				t.Fatalf("checkpoint %d fell in cluster %d, but cluster %d was handed to the sink", k, at, f.i)
+				return nil
+			})
+			sink := &runSink{}
+			r := chunk(clusters, masks, sink)
+			if booked {
+				r.Masks = bookedBlocks(masks, sc)
 			}
-		}
-		if sink.ticks.clusters != int64(at) {
-			t.Fatalf("checkpoint %d fell in cluster %d, but %d clusters were ticked", k, at, sink.ticks.clusters)
+			err := func() (err error) {
+				defer func() {
+					if it, ok := recover().(Interrupt); ok {
+						err = it.Err
+					}
+				}()
+				return o.FindRun(&r)
+			}()
+			if !errors.Is(err, stop) || calls != k {
+				t.Fatalf("booked=%v checkpoint %d: err=%v after %d calls", booked, k, err, calls)
+			}
+			at := 0
+			for events[at].end < k<<10 {
+				at++
+			}
+			e := events[at]
+			first := e.block // the first cluster that must not reach the sink
+			if e.searched >= 0 {
+				first = e.searched
+			}
+			for _, f := range sink.found {
+				if f.i >= first {
+					t.Fatalf("booked=%v checkpoint %d fell in block %d (searching cluster %d), but cluster %d was handed to the sink", booked, k, e.block/storage.BlockLen, e.searched, f.i)
+				}
+			}
+			if want := (first + 6) / 7; len(sink.found) != want {
+				t.Fatalf("booked=%v checkpoint %d: %d clusters reached the sink, want the %d before cluster %d", booked, k, len(sink.found), want, first)
+			}
+			if sink.ticks.clusters != int64(e.block) {
+				t.Fatalf("booked=%v checkpoint %d fell in the block from cluster %d, but %d clusters were ticked", booked, k, e.block, sink.ticks.clusters)
+			}
 		}
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // blocksOf returns a Blocks of a copy of s's elements.
-func blocksOf[T any](s []T) Blocks[T] {
-	e := Blocks[T]{}.Edit(len(s))
+func blocksOf[T any](s []T) Blocks[T, struct{}] {
+	e := Blocks[T, struct{}]{}.Edit(len(s))
 	for i, v := range s {
 		e.Set(i, v)
 	}
@@ -137,6 +138,59 @@ func TestBlocksEdit(t *testing.T) {
 		_ = e.Done()
 	}); n != 4 {
 		t.Fatalf("an edit of three blocks allocates %.0f objects, want 4", n)
+	}
+}
+
+// TestBlocksSums: a block's summary lives in the block. A successor's
+// unwritten blocks keep the base's summaries pointer for pointer; a block
+// copied for a Set carries the base's summary until SetSum writes it; a
+// SetSum copies the block on its first write as a Set does, and neither
+// the base nor a sibling sees it; one SetSum and Sets in a block cost one
+// allocation.
+func TestBlocksSums(t *testing.T) {
+	base := Blocks[int, int]{}.Edit(130)
+	for i := 0; i < 130; i++ {
+		base.Set(i, i)
+	}
+	for k := 0; k < 3; k++ {
+		base.SetSum(k*BlockLen, 100+k)
+	}
+	b := base.Done()
+	e := b.Edit(200)
+	e.Set(70, -70)    // block 1: copied, its summary carried
+	e.SetSum(129, -2) // block 2: copied by the summary's write alone
+	e.Set(199, -199)  // block 3: appended
+	e.SetSum(192, -3)
+	next := e.Done()
+	if next.Sum(0) != b.Sum(0) || next.Sum(64) == b.Sum(64) || next.Sum(128) == b.Sum(128) {
+		t.Fatal("the successor shares a summary whose block it wrote, or copied one it did not")
+	}
+	if got := []int{*next.Sum(0), *next.Sum(70), *next.Sum(128), *next.Sum(199)}; !slices.Equal(got, []int{100, 101, -2, -3}) {
+		t.Fatalf("successor's summaries %v", got)
+	}
+	if got := []int{*b.Sum(0), *b.Sum(64), *b.Sum(129)}; !slices.Equal(got, []int{100, 101, 102}) {
+		t.Fatalf("the base's summaries changed: %v", got)
+	}
+	if next.At(129) != 129 || next.At(70) != -70 || next.Block(128) == b.Block(128) {
+		t.Fatal("a summary's write lost the block's elements or wrote the base's block")
+	}
+	sib := b.Edit(130)
+	sib.SetSum(0, 7)
+	if *b.Sum(0) != 100 || *next.Sum(0) != 100 || *sib.next.Sum(0) != 7 {
+		t.Fatal("a sibling's SetSum reached the base or next")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		e := b.Edit(130)
+		e.Set(70, 1)
+		e.SetSum(70, 1)
+		e.Set(71, 1)
+		_ = e.Done()
+	}); n != 2 {
+		t.Fatalf("an edit of one block and its summary allocates %.0f objects, want 2", n)
+	}
+	// struct{} summaries take no room: a block of 64 words is 512 bytes.
+	if sz := unsafe.Sizeof(block[uint64, struct{}]{}); sz != BlockLen*8 {
+		t.Fatalf("a block of 64 words with no summary is %d bytes", sz)
 	}
 }
 

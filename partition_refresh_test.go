@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqlts/internal/engine"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
 	"sqlts/internal/testutil"
@@ -84,7 +85,7 @@ type generation struct {
 	// current at the snapshot, and its blocks.
 	current    bool
 	masks      []*pattern.MaskSet
-	maskBlocks storage.Blocks[*pattern.MaskSet]
+	maskBlocks engine.MaskBlocks
 }
 
 func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
@@ -94,7 +95,7 @@ func snapshotGeneration(e *partitionEntry, a *patternArtifact) generation {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.memo[a]; m != nil && m.groups.Same(e.Groups) {
+	if m := heldMemo(e, a); m != nil && m.groups.Same(e.Groups) {
 		g.current = true
 		g.masks, g.maskBlocks = m.masks.Slice(), m.masks
 	}
@@ -118,7 +119,7 @@ func (g generation) unchanged(t *testing.T, label string, a *patternArtifact) {
 	}
 	g.e.mu.Lock()
 	defer g.e.mu.Unlock()
-	m := g.e.memo[a]
+	m := heldMemo(g.e, a)
 	if m == nil {
 		return // the plan left the plan cache and took its memo along
 	}
@@ -136,7 +137,7 @@ func (g generation) carriedOver(t *testing.T, label string, next *partitionEntry
 	t.Helper()
 	next.mu.Lock()
 	defer next.mu.Unlock()
-	m := next.memo[a]
+	m := heldMemo(next, a)
 	n := next.Groups.Len()
 	touched := make([]bool, (n+storage.BlockLen-1)/storage.BlockLen)
 	for ci := 0; ci < n; ci++ {
@@ -348,7 +349,7 @@ func TestPartitionRefreshSameBase(t *testing.T) {
 						errs[g] = err
 						return
 					}
-					e := &partitionEntry{key: base.key, Clustering: c}
+					e := &partitionEntry{Clustering: c}
 					db.cacheMu.Lock()
 					e.adopt(base)
 					db.cacheMu.Unlock()
@@ -441,6 +442,176 @@ func TestPartitionRefreshSkippedRuns(t *testing.T) {
 				if len(q.plan.compiled.ClusterBy) > 0 && kept == 0 {
 					t.Errorf("%d clusters, %d skipped: no cluster kept its rows across the refreshes", sc.clusters, skips)
 				}
+			}
+		}
+	}
+}
+
+// bookingSQL is the pure-loop statement of TestRunBlockBookingRefreshes:
+// X is tested on its own, so a cluster without a candidate is closed.
+const bookingSQL = `
+	SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z)
+	WHERE X.price > 120 AND Y.price < Y.previous.price AND Z.price > Z.previous.price`
+
+// bookingSink records what a run hands its sink: a copy of every found
+// cluster's matches, and the ticks.
+type bookingSink struct {
+	found                   []bookedCluster
+	clusters, rows, matches int64
+}
+
+type bookedCluster struct {
+	i  int
+	ms []engine.Match
+	st engine.Stats
+}
+
+func (s *bookingSink) Enter(int) error { return nil }
+
+func (s *bookingSink) Found(i int, ms []engine.Match, st engine.Stats) error {
+	kept := make([]engine.Match, len(ms))
+	for k, m := range ms {
+		kept[k] = engine.Match{Start: m.Start, End: m.End, Spans: append([]engine.Span(nil), m.Spans...)}
+	}
+	s.found = append(s.found, bookedCluster{i, kept, st})
+	return nil
+}
+
+func (s *bookingSink) Tick(clusters, rows, matches int64) {
+	s.clusters, s.rows, s.matches = s.clusters+clusters, s.rows+rows, s.matches+matches
+}
+
+// TestRunBlockBookingRefreshes carries a pure-loop statement's memo through
+// 1, 2 and 5 refreshes between its runs, from eight blocks more than 63, 64,
+// 65 and 129 clusters, a few of them 63, 64, 65 and 129 rows long. After each, every block of
+// the memo is booked as a scratch booking of its masks under the pattern's
+// scan books it, and a block no refresh rebuilt keeps its booking pointer
+// for pointer; and FindRun over the memo's masks — as one run, in whole
+// blocks, and cut off the block seams — equals FindRun over the same masks
+// with no booking, which books into scratch, and FindAll cluster by
+// cluster: matches, spans, Stats, ticks and the clusters booked in closed
+// form, for the default executor and each ablation one on both skip
+// policies.
+func TestRunBlockBookingRefreshes(t *testing.T) {
+	kinds := []ExecutorKind{OPSExec, OPSShiftOnlyExec, OPSNoCountersExec, OPSSkipExec}
+	for _, sc := range seamCases[3:] {
+		for _, refreshes := range []int{1, 2, 5} {
+			db := quoteDB(t)
+			w := newRefreshWriter(t, db, sc.seed, sc.clusters+8*storage.BlockLen)
+			var long []storage.Row
+			for k, n := range []int{63, 64, 65, 129} {
+				for d := 1; d <= n; d++ {
+					long = append(long, storage.Row{storage.NewString(w.names[7*k]), storage.NewDateDays(int64(10000 + d)), storage.NewFloat(float64(60 + (d*37+k)%90))})
+				}
+			}
+			if err := db.Table("quote").InsertBatch(long); err != nil {
+				t.Fatal(err)
+			}
+			q, err := db.Prepare(bookingSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan := q.Explain(); !strings.Contains(plan, "search loop: pure-mask") {
+				t.Fatalf("the statement does not take the pure loop:\n%s", plan)
+			}
+			a, kept, closedAll := q.plan.art, 0, int64(0)
+			for round := 0; round < 4; round++ {
+				label := fmt.Sprintf("%d clusters, %d refreshes, round %d", sc.clusters, refreshes, round)
+				if _, err := q.Run(); err != nil {
+					t.Fatal(err)
+				}
+				before := cachedPartition(q).memoFor(a)
+				for i := 0; i < refreshes; i++ {
+					w.insert(t)
+					if _, _, err := db.partition(q.plan, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := q.Run(); err != nil {
+					t.Fatal(err)
+				}
+				e := cachedPartition(q)
+				masks, n := e.memoFor(a), e.Groups.Len()
+				for lo := 0; lo < n; lo += storage.BlockLen {
+					if want := a.scan.Book(masks.Span(lo, n)); *masks.Sum(lo) != want {
+						t.Fatalf("%s: block %d is booked %+v, its masks %+v", label, lo/storage.BlockLen, *masks.Sum(lo), want)
+					}
+					if lo < before.Len() && masks.Block(lo) == before.Block(lo) {
+						kept++
+						if masks.Sum(lo) != before.Sum(lo) {
+							t.Fatalf("%s: block %d kept its masks but not its booking", label, lo/storage.BlockLen)
+						}
+					}
+				}
+				bare := engine.MaskBlocks{}.Edit(n)
+				for ci := 0; ci < n; ci++ {
+					bare.Set(ci, masks.At(ci))
+				}
+				plain := bare.Done()
+				blockCuts := []int{0}
+				for lo := storage.BlockLen; lo < n; lo += storage.BlockLen {
+					blockCuts = append(blockCuts, lo)
+				}
+				for _, kind := range kinds {
+					for _, overlap := range []bool{false, true} {
+						mk := func() engine.Executor {
+							ex := a.newExecutor(executorKey{kind, overlap})
+							ex.SetVectorized(true)
+							return ex
+						}
+						name := fmt.Sprintf("%s %s overlap=%v", label, kind, overlap)
+						ref := mk()
+						want := &bookingSink{}
+						var wantStats engine.Stats
+						for ci := 0; ci < n; ci++ {
+							ref.UseMasks(masks.At(ci))
+							ms, st := ref.FindAll(e.Groups.At(ci))
+							if len(ms) > 0 {
+								if err := want.Found(ci, ms, st); err != nil {
+									t.Fatal(err)
+								}
+							}
+							want.Tick(1, int64(len(e.Groups.At(ci))), int64(st.Matches))
+							wantStats.Add(st)
+						}
+						var closed [2]int64
+						for pass, mb := range []engine.MaskBlocks{plain, masks} {
+							for _, cuts := range [][]int{{0, n}, append(blockCuts, n), {0, n / 3, n/3 + 1, n}} {
+								got, stats := &bookingSink{}, engine.Stats{}
+								from := engine.ClosedClusters()
+								ex := mk()
+								for k := 1; k < len(cuts); k++ {
+									r := engine.Run{Clusters: e.Groups, Masks: mb, Lo: cuts[k-1], Hi: cuts[k], Sink: got}
+									if err := ex.FindRun(&r); err != nil {
+										t.Fatal(err)
+									}
+									stats.Add(r.Stats)
+								}
+								if c := engine.ClosedClusters() - from; len(cuts) == 2 {
+									closed[pass] = c
+								} else if c != closed[pass] {
+									t.Fatalf("%s booked=%v: runs cut at %v closed %d clusters, the whole run %d", name, pass == 1, cuts, c, closed[pass])
+								}
+								if stats != wantStats || got.clusters != want.clusters || got.rows != want.rows || got.matches != want.matches || len(got.found) != len(want.found) {
+									t.Fatalf("%s booked=%v cut at %v: %+v, %d found, ticked %d/%d/%d; want %+v, %d, %d/%d/%d", name, pass == 1, cuts,
+										stats, len(got.found), got.clusters, got.rows, got.matches, wantStats, len(want.found), want.clusters, want.rows, want.matches)
+								}
+								for k, f := range got.found {
+									if w := want.found[k]; f.i != w.i || f.st != w.st || !reflect.DeepEqual(f.ms, w.ms) {
+										t.Fatalf("%s booked=%v cut at %v: found cluster %d %+v %v, want cluster %d %+v %v", name, pass == 1, cuts, f.i, f.st, f.ms, w.i, w.st, w.ms)
+									}
+								}
+							}
+						}
+						if closed[0] != closed[1] {
+							t.Fatalf("%s: %d clusters closed over the memo's bookings, %d booking into scratch", name, closed[1], closed[0])
+						}
+						closedAll += closed[1]
+					}
+				}
+			}
+			if kept == 0 || closedAll == 0 {
+				t.Errorf("%d clusters, %d refreshes: %d blocks kept their booking, %d clusters closed", sc.clusters, refreshes, kept, closedAll)
 			}
 		}
 	}
@@ -614,7 +785,7 @@ func TestPureKernelMemoHoldsNoProjections(t *testing.T) {
 		e := cachedPartition(q)
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		m := e.memo[q.plan.art]
+		m := heldMemo(e, q.plan.art)
 		if m == nil {
 			return e.Groups.Len(), 0, 0, nil
 		}
@@ -751,7 +922,7 @@ func TestRefreshCostsItsDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := &partitionEntry{key: e.key, Clustering: c}
+			next := &partitionEntry{Clustering: c}
 			db.cacheMu.Lock()
 			next.adopt(e)
 			db.cacheMu.Unlock()
@@ -773,4 +944,13 @@ func TestRefreshCostsItsDelta(t *testing.T) {
 	if large > small+index {
 		t.Errorf("a refresh of 8 rows allocates %d B over 50,000 clusters and %d B over 5,000: more than the %d B of the larger's block indexes apart", large, small, index)
 	}
+}
+
+// heldMemo returns e's memo of a, nil when it holds none. Callers hold
+// e.mu.
+func heldMemo(e *partitionEntry, a *patternArtifact) *kernelMemo {
+	if i := e.memoOf(a); i >= 0 {
+		return e.memo[i]
+	}
+	return nil
 }

@@ -24,8 +24,8 @@ func memoKeys(q *Query) []*patternArtifact {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []*patternArtifact
-	for a := range e.memo {
-		out = append(out, a)
+	for _, m := range e.memo {
+		out = append(out, m.art)
 	}
 	return out
 }
@@ -392,8 +392,8 @@ func TestPatternCacheStress(t *testing.T) {
 	for el := db.parts.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*partSlot).cur.Load()
 		e.mu.Lock()
-		for a := range e.memo {
-			if holders[a] == 0 {
+		for _, m := range e.memo {
+			if holders[m.art] == 0 {
 				t.Errorf("a partition memo is kept for a pattern no cached plan holds")
 			}
 		}

@@ -497,11 +497,6 @@ type Plan struct {
 	// pattern=cached.
 	trace *obs.Trace
 
-	// ran is set by the plan's first successful run: a plan keeps a run
-	// control from its second run on (see DB.endRun).
-	ran atomic.Bool
-	// rc is the run control the plan's runs take and give back (startRun).
-	rc atomic.Pointer[runControl]
 	// stmt keeps the statement-stats entry of key, which every run of the
 	// plan records into, found again only once a Reset has dropped it or
 	// while it is the store's overflow entry (obs.StmtRef).
@@ -525,6 +520,9 @@ type patternArtifact struct {
 	analysis *query.Compiled
 	tables   *core.Tables
 	kernel   *pattern.Kernel
+	// scan is the pure loop's scan of the pattern's default OPS executor,
+	// which a partition memo books its blocks under (engine.Booking).
+	scan engine.Scan
 	// matches is how many matches the last successful run of a plan over
 	// the artifact found, each one output row and one match record, which
 	// the next run's lanes reserve their buffers from: matches depend on
@@ -539,6 +537,9 @@ type patternArtifact struct {
 	// lane holds is scratch, which no result references (see lane).
 	fans fanPool
 	solo atomic.Pointer[lane]
+	// rc is the spare run control the runs of its plans take and give back
+	// (DB.startRun).
+	rc atomic.Pointer[runControl]
 
 	// spans are the matrices, shift/next and kernel spans of the compile
 	// that built the artifact; cachedSpans are their copies annotated
@@ -583,7 +584,7 @@ func (a *patternArtifact) record() int { return a.analysis.Pattern.Len() + 2 }
 // by the first run of a plan of the pattern over part and memoized since,
 // and whether there are any: there are none to memoize when the plan's
 // executors interpret.
-func (p *Plan) masks(part *partitionEntry) (masks storage.Blocks[*pattern.MaskSet], vectorized bool) {
+func (p *Plan) masks(part *partitionEntry) (masks engine.MaskBlocks, vectorized bool) {
 	if p.kernel == nil || p.kernel.CompiledElems() == 0 {
 		return masks, false
 	}
@@ -742,6 +743,7 @@ func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.T
 		Annotate("fallback-elements", a.kernel.FallbackElems()).
 		End()
 	a.spans[2] = sp
+	a.scan = engine.NewScan(a.kernel, a.tables)
 	db.metrics.kernelCompiled.Add(int64(a.kernel.CompiledElems()))
 	db.metrics.kernelFallback.Add(int64(a.kernel.FallbackElems()))
 	return a
@@ -935,7 +937,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	// its id and what a late flight registration needs (runControl).
 	executor := opts.Executor.String()
 	rc := q.db.startRun(ctx, q.plan, opts, executor)
-	defer q.db.endRun(q.plan, rc, q.plan.ran.Load()) // ran is read now, before the run sets it
+	defer q.db.endRun(q.plan, rc)
 	// Entry checkpoint: an already-expired context fails deterministically
 	// before any work (or queueing) happens.
 	err := rc.check()
@@ -1095,9 +1097,6 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	}
 	if a := q.plan.art; a.matches.Load() != int64(res.Stats.Matches) {
 		a.matches.Store(int64(res.Stats.Matches))
-	}
-	if !q.plan.ran.Load() {
-		q.plan.ran.Store(true)
 	}
 	if err := rc.check(); err != nil {
 		return nil, 0, err
