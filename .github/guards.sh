@@ -152,7 +152,7 @@ guard 'One compile per pattern'
 # package is a per-plan compile growing back.
 for call in 'ComputeMatrices(' 'CompileKernel('; do
 	once "$call is called outside the pattern artifact builder, or more than once:" "$call" \
-		'sqlts.go: func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.Trace) *patternArtifact {'
+		'sqlts.go: func (db *DB) compilePattern(key patternKey, analysis *query.Compiled) *patternArtifact {'
 done
 
 # A statement's pattern is looked up once, from its tokens, before its
@@ -207,7 +207,7 @@ guard 'A warm statement is found by its text'
 once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
 	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
 once 'the partition key is computed outside the plan compile, or more than once:' 'partitionKey(' \
-	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string, tr *obs.Trace) (*Plan, error) {'
+	'sqlts.go: func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string) (*Plan, error) {'
 absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 absent 'a run copies its plan'"'"'s column header again' \
@@ -263,6 +263,16 @@ absent 'the chunk-wide pure loop sums Stats or flight progress per cluster again
 only_in 'the closed form is tested outside Scan.Book' \
 	'c [!=]= n-1' internal/engine/ops.go \
 	'func (s Scan) Book(sets []*pattern.MaskSet) Booking {'
+
+guard 'A stream window holds no boxed values'
+# A stream window is typed, pointer-free column regions
+# (storage.WindowSet/Window): a push decodes its tuple once into the
+# slot's regions, a CLUSTER BY column is held once per cluster, and the
+# interpreter and SELECT read the window through storage.Seq. A slice of
+# rows or values in the stream matcher is the boxed copy of every tuple
+# growing back.
+absent 'the stream matcher holds rows or boxed values again' \
+	-E '\[\]storage\.(Row|Value)\b' -- internal/engine/stream.go
 
 guard 'One of each observation primitive'
 # internal/obs holds one latency histogram (obs.Histogram: lock-free, its

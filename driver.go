@@ -546,12 +546,12 @@ func (l *lane) Enter(int) error {
 // (Result.Matches): the executor's matches are scratch it overwrites once
 // Found returns.
 func (l *lane) Found(i int, ms []engine.Match, st engine.Stats) error {
-	seq, width := l.run.Clusters.At(i), len(l.compiled.OutNames)
+	seq, width := storage.RowSeq(l.run.Clusters.At(i)), len(l.compiled.OutNames)
 	w := 2 + len(ms[0].Spans)
 	var recs []int32
 	l.boundsAt, recs = l.bounds.Extend(l.boundsAt, len(ms)*w)
 	for k, found := range ms {
-		row, err := l.compiled.EvalSelectInto(l.values.Take(width), seq, found.Spans)
+		row, err := l.compiled.EvalSelectInto(l.values.Take(width), &seq, found.Spans)
 		if err != nil {
 			return err
 		}

@@ -679,7 +679,8 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 	var rows []storage.Row
 	for _, cm := range matches {
 		for _, m := range cm.Matches {
-			row, err := c.EvalSelectInto(make(storage.Row, len(c.OutNames)), part.Groups.At(cm.Cluster), m.Spans)
+			seq := storage.RowSeq(part.Groups.At(cm.Cluster))
+			row, err := c.EvalSelectInto(make(storage.Row, len(c.OutNames)), &seq, m.Spans)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,7 +84,7 @@ func (q *Query) reportBody(ev *obs.Event) string {
 			Annotate("stats", stats)
 	}
 	b.WriteString("\nPhases:\n")
-	b.WriteString(indent(obs.FormatSpans(append(q.plan.trace.Spans(),
+	b.WriteString(indent(obs.FormatSpans(append(q.plan.compileTrace().Spans(),
 		&obs.Span{Name: "admission", Duration: time.Duration(ev.AdmissionWaitNs)}, execute)), "  "))
 
 	if failed {

@@ -100,7 +100,7 @@ func TestMatrixEntriesSemantics(t *testing.T) {
 		m := ComputeMatrices(p)
 		eval := func(elem int, prev, cur float64) bool {
 			seq := []storage.Row{{storage.NewFloat(prev)}, {storage.NewFloat(cur)}}
-			ctx := pattern.EvalContext{Seq: seq, Pos: 1}
+			ctx := pattern.EvalContext{Seq: storage.RowSeq(seq), Pos: 1}
 			return p.EvalElem(elem, &ctx)
 		}
 		for j := 1; j <= p.Len(); j++ {

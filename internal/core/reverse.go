@@ -82,13 +82,13 @@ func ReversePattern(p *pattern.Pattern) (*pattern.Pattern, error) {
 		last.CrossConds = append(last.CrossConds, pattern.Cross(
 			"rev-head:"+c.String(),
 			func(ctx *pattern.EvalContext) bool {
-				if ctx.Pos+1 >= len(ctx.Seq) {
+				if ctx.Pos+1 >= ctx.Seq.Len() {
 					return missingPrev
 				}
 				// Evaluate the forward condition with cur = this tuple and
 				// prev = the reversed successor (forward predecessor).
-				window := []storage.Row{ctx.Seq[ctx.Pos+1], ctx.Seq[ctx.Pos]}
-				sub := pattern.EvalContext{Seq: window, Pos: 1}
+				window := []storage.Row{ctx.Seq.Row(ctx.Pos+1, nil), ctx.Seq.Row(ctx.Pos, nil)}
+				sub := pattern.EvalContext{Seq: storage.RowSeq(window), Pos: 1}
 				return single.EvalElem(0, &sub)
 			}))
 	}

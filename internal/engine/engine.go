@@ -338,7 +338,7 @@ func (e *evaluator) eval(j, i int) bool {
 // the interpreter taking the rest. Bindings are left as the last search
 // left them: the loops that read them clear them.
 func (e *evaluator) reset(seq []storage.Row) {
-	e.ctx.Seq = seq
+	e.ctx.Seq = storage.RowSeq(seq)
 	e.masks, e.fastSkip, e.allPure = nil, false, false
 	if e.kern == nil {
 		e.nextProj, e.nextMasks = nil, nil
@@ -544,7 +544,7 @@ func (e *evaluator) rewind() {
 
 // letGo drops what the evaluator's last run searched with.
 func (e *evaluator) letGo() {
-	e.ctx.Seq = nil
+	e.ctx.Seq = storage.Seq{}
 	e.proj, e.masks, e.slab = nil, nil, nil
 	e.nextProj, e.nextMasks = nil, nil
 	e.check = nil

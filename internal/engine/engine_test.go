@@ -455,7 +455,7 @@ func TestCrossConditions(t *testing.T) {
 			if !x.Set || ctx.Pos == 0 {
 				return false
 			}
-			return ctx.Seq[ctx.Pos-1][0].Float() < 0.5*ctx.Seq[x.Start][0].Float()
+			return ctx.Seq.At(ctx.Pos-1, 0).Float() < 0.5*ctx.Seq.At(x.Start, 0).Float()
 		})
 	p, err := b.Build()
 	if err != nil {
@@ -502,7 +502,7 @@ func TestCrossConditionsRandom(t *testing.T) {
 			Elem("Z", b.CmpPrev("price", constraint.Gt)).
 			CrossOn("Z.price > X.price", func(ctx *pattern.EvalContext) bool {
 				x := ctx.Bind[0]
-				return x.Set && ctx.Seq[ctx.Pos][0].Float() > ctx.Seq[x.Start][0].Float()
+				return x.Set && ctx.Seq.At(ctx.Pos, 0).Float() > ctx.Seq.At(x.Start, 0).Float()
 			})
 		p, err := b.Build()
 		if err != nil {

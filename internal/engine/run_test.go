@@ -589,11 +589,11 @@ func streamCheck(t testing.TB, label string, p *pattern.Pattern, clusters [][]st
 	tab := core.Compute(p)
 	got := make([][]Match, len(clusters))
 	var cur int32
-	a := NewStreamArena(p, StreamConfig{Tables: tab}, func(m Match) { got[cur] = append(got[cur], m) })
+	a := NewStreamArena(p, StreamConfig{Tables: tab}, nil, func(m Match) { got[cur] = append(got[cur], m) })
 	a.UseKernel(p.CompileKernel())
 	live := make([]int32, len(clusters))
 	for id := range live {
-		live[id] = a.Add()
+		live[id] = a.Add(nil)
 	}
 	for row := 0; len(live) > 0; row++ {
 		next := live[:0]

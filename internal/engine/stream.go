@@ -53,39 +53,39 @@ const streamInitRows = 4
 // A push runs batch's row loop (evaluator.advance) until it parks, and
 // Flush ends the input. What every cluster's search reads of the
 // configuration is here, once: the evaluator (pattern, kernel, interrupt,
-// counters), the steps, the StreamConfig, the emit callback, the tuple
-// width and the kernel's projected columns. A cluster is an id from Add
-// into three dense arrays: a streamRec (its cursor, its successor and its
-// window), its count[] and its bindings, the §5 machine's only other
-// state. A push to a cold cluster reads those, which a feed that cycles
-// through its clusters reads in address order, and then its window's slot
-// (through streamRec.top, not the slot's header) and projected column
-// rows, and nothing more. Counters (Stats, Pruned) are the arena's,
-// summed over its clusters.
+// counters), the steps, the StreamConfig, the emit callback and the
+// window layout (storage.WindowSet). A cluster is an id from Add into
+// three dense arrays: a streamRec (its cursor, its successor and its
+// window's header), its count[] and its bindings, the §5 machine's only
+// other state; the window set holds its CLUSTER BY values, once. A feed
+// that cycles through its clusters reads those in address order. A push
+// to a cold cluster then touches its window's regions at the slot it
+// writes, one line per element type on the double bottom (the float64
+// prices the kernel reads, the int64 dates, the null flags), and nothing
+// more. Counters (Stats, Pruned) are the arena's, summed over its
+// clusters.
 //
 // A cluster retains only the window from just before its current match
 // attempt's start, so memory is proportional to the longest live match
-// attempt, not to the stream. Slot i has a fixed header over its values;
-// Push copies the tuple's values into slot tail. The live window is slots
-// [head, tail); pruning only advances head. ctx.Pos, ctx.Bind and
-// the projected columns all index slots, so a push shifts and rebases
-// nothing. When every slot is used the live values are copied down to
-// slot 0 (compaction) if the dead prefix is at least as long as the live
-// window, and the slot count is doubled otherwise: O(1) amortized per
-// push, and a capacity below four times the longest live window held.
-// Doubling adds a block of slots beside the ones the window has and moves
-// no values — a stream's clusters are often short (the benchmark's see
-// 100 tuples and hold a median peak of 34), so growth is not amortized
-// away there and must not re-copy the window — while the headers and the
-// projected columns, 33 of a slot's 153 bytes on the double bottom, are
-// re-allocated at twice the size.
+// attempt, not to the stream. A window is typed, pointer-free columns
+// (storage.Window): Push decodes the tuple once into slot tail of its
+// column regions, and the kernel's projection is those regions, so the
+// probe reads what the push wrote. The live window is slots [head, tail);
+// pruning only advances head. ctx.Pos, ctx.Bind and the projected columns
+// all index slots, so a push shifts and rebases nothing. When every slot
+// is used the live slots are copied down to slot 0 (compaction) if the
+// dead prefix is at least as long as the live window, and otherwise into
+// regions of twice the capacity, from slot 0 too: O(1) amortized per
+// push, and a capacity below four times the longest live window held. A
+// slot is 18 bytes on the double bottom, so a growth copies little.
 //
 // Slot 0 and the "no predecessor" rule: the interpreter and the kernels
 // treat position 0 as having no previous tuple. Slot 0 is probed only
 // when it holds global tuple 0. prune retains the attempt's predecessor
 // (global tuple matchStart-2), no probe lands before the attempt's first
 // tuple, and attempts only move forward; so once head has advanced, every
-// probe lands past slot head, and a compaction moves slot head to slot 0.
+// probe lands past slot head, and a move (compaction or growth) takes
+// slot head to slot 0.
 type StreamArena struct {
 	recs []streamRec
 	// counts holds each cluster's count (m+1 from id*(m+1)) and binds
@@ -102,15 +102,12 @@ type StreamArena struct {
 	count []int
 
 	// The configuration.
-	t        *core.Tables
-	steps    []step
-	cfg      StreamConfig
-	emit     func(Match)
-	m, width int // pattern elements, tuple values
-
-	// The kernel's projected columns, in the order a window's columns
-	// hold their regions.
-	numCols, nullCols, strCols []int
+	t     *core.Tables
+	steps []step
+	cfg   StreamConfig
+	emit  func(Match)
+	m     int // pattern elements
+	set   *storage.WindowSet
 
 	spanScratch []pattern.Span // emission buffer when cfg.ReuseSpans
 }
@@ -123,86 +120,56 @@ type streamRec struct {
 	off        int   // the global 0-based index of the tuple in slot 0
 	head, tail int32 // the live window is slots [head, tail)
 	// next is the owner's routing state (Next): the rest of what routing
-	// reads of a cluster — its key values and its last SEQUENCE BY values
-	// — is the last tuple pushed, which its window always retains (Last).
+	// reads of a cluster is its held key (HoldsKey) and its last SEQUENCE
+	// BY values, which its window always retains.
 	next   int32
 	closed bool
-
-	// The window: rows[s] is slot s's header over its values, one per
-	// slot of the capacity; cols are the kernel's projected columns. top
-	// is the values of the slots from topLo to the capacity, the block the
-	// last doubling added, so that a push there copies its tuple without
-	// reading the slot's header.
-	rows  []storage.Row
-	top   []storage.Value
-	topLo int32
-	cols  windowColumns
+	win    storage.Window
 }
 
-// windowColumns is a window's projected columns: a region of capacity
-// values per column of the arena's numCols, nullCols and strCols.
-type windowColumns struct {
-	num  []float64
-	null []bool
-	strs []string
-}
-
-// NewStreamArena builds an empty arena for the pattern. emit is called
-// synchronously from Push/Flush for every completed match, with global
-// (whole-cluster-stream) coordinates; the owner knows which cluster it
-// pushed or flushed.
-func NewStreamArena(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *StreamArena {
+// NewStreamArena builds an empty arena for the pattern, whose clusters
+// are keyed by the schema columns clusterBy (none for one stream). emit
+// is called synchronously from Push/Flush for every completed match, with
+// global (whole-cluster-stream) coordinates; the owner knows which
+// cluster it pushed or flushed.
+func NewStreamArena(p *pattern.Pattern, cfg StreamConfig, clusterBy []int, emit func(Match)) *StreamArena {
 	a := new(StreamArena)
-	a.init(p, cfg, emit)
+	a.init(p, cfg, clusterBy, emit)
 	return a
 }
 
-func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) {
+func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, clusterBy []int, emit func(Match)) {
 	t := cfg.Tables
 	if t == nil {
 		t = core.Compute(p)
 	}
 	a.ev, a.t, a.cfg, a.emit = newEvaluator(p), t, cfg, emit
 	a.steps = newSteps(t, OPSConfig{LastRowSkip: cfg.LastRowSkip})
-	a.m, a.width = p.Len(), p.Schema.Len()
+	a.m = p.Len()
+	a.set = storage.NewWindowSet(p.Schema, clusterBy)
 	if cfg.ReuseSpans {
 		a.spanScratch = make([]pattern.Span, a.m)
 	}
 }
 
-// UseKernel attaches a compiled predicate kernel: pushed tuples are
-// decoded into the window's columns as they arrive and probes of
-// compiled elements read them through the kernel's conditions, row by
-// row (a disjunction included). Call before the first Push (rows already
-// buffered are projected on attach). A nil kernel, or one with no
-// compiled elements, leaves the interpreter in place.
+// UseKernel attaches a compiled predicate kernel: the windows hold the
+// kernel's projected columns as its projection reads them, and probes of
+// compiled elements read them through the kernel's conditions, row by row
+// (a disjunction included). Call before the first Push: it lays the
+// windows out again, empty. A nil kernel, or one with no compiled
+// elements, leaves the interpreter in place.
 func (a *StreamArena) UseKernel(k *pattern.Kernel) {
 	a.ev.kern, a.ev.proj = nil, nil
-	a.numCols, a.nullCols, a.strCols = nil, nil, nil
 	if k != nil && k.CompiledElems() > 0 {
-		proj := k.NewProjection()
-		a.ev.kern, a.ev.proj = k, proj
-		for c := range proj.Null {
-			if proj.Num[c] != nil {
-				a.numCols = append(a.numCols, c)
-			}
-			if proj.Null[c] != nil {
-				a.nullCols = append(a.nullCols, c)
-			}
-			if proj.Str[c] != nil {
-				a.strCols = append(a.strCols, c)
-			}
-		}
+		a.ev.kern, a.ev.proj = k, k.NewProjection()
 	}
+	a.set.Reproject(a.ev.proj)
 	for id := range a.recs {
 		r := &a.recs[id]
-		r.cols = a.newColumns(len(r.rows))
-		if a.ev.kern != nil {
-			a.enter(int32(id))
-			for t, row := range r.rows[:r.tail] {
-				a.ev.proj.SetRow(t, row)
-			}
+		if r.tail > 0 {
+			panic("engine: UseKernel after Push")
 		}
+		r.win = a.set.Empty(int32(id), r.win.Cap())
 	}
 }
 
@@ -212,9 +179,10 @@ func (a *StreamArena) UseKernel(k *pattern.Kernel) {
 // return (a mid-Flush interrupt propagates to Flush's caller).
 func (a *StreamArena) SetInterrupt(check func() error) { a.ev.check = check }
 
-// Add creates a cluster with an empty window and returns its id: ids are
-// dense, in creation order.
-func (a *StreamArena) Add() int32 {
+// Add creates a cluster with an empty window, holding key's CLUSTER BY
+// values (key is a tuple of the cluster; nil without CLUSTER BY columns),
+// and returns its id: ids are dense, in creation order.
+func (a *StreamArena) Add(key storage.Row) int32 {
 	id := int32(len(a.recs))
 	if len(a.recs) == cap(a.recs) {
 		// Double the arrays exactly: append's own growth adds a quarter at
@@ -225,12 +193,14 @@ func (a *StreamArena) Add() int32 {
 		a.counts = append(make([]int, 0, n*(a.m+1)), a.counts...)
 		a.binds = append(make([]pattern.Span, 0, n*a.m), a.binds...)
 	}
-	a.recs = append(a.recs, streamRec{cursor: cursor{i: 1, j: 1}, next: -1})
+	a.recs = append(a.recs, streamRec{cursor: cursor{i: 1, j: 1}, next: -1, win: a.set.Open(key, streamInitRows)})
 	a.counts = append(a.counts, make([]int, a.m+1)...)
 	a.binds = append(a.binds, make([]pattern.Span, a.m)...)
-	a.grow(&a.recs[id])
 	return id
 }
+
+// HoldsKey reports whether row's CLUSTER BY values are cluster id's.
+func (a *StreamArena) HoldsKey(id int32, row storage.Row) bool { return a.set.SameKey(id, row) }
 
 // Len returns the number of clusters.
 func (a *StreamArena) Len() int { return len(a.recs) }
@@ -260,38 +230,20 @@ func (a *StreamArena) BufferLen(id int32) int {
 	return int(r.tail - r.head)
 }
 
-// Window exposes cluster id's retained tuples and the global 0-based
-// index of the first one. Inside an emit callback the window still
-// covers the completed match (pruning happens after the machine
-// settles), so output expressions can be evaluated against it. The last
-// tuple pushed is always retained. The slice is the arena's own storage:
-// it is valid until the next Push.
-func (a *StreamArena) Window(id int32) ([]storage.Row, int) {
+// Window exposes cluster id's retained tuples, as a view of its typed
+// window, and the global 0-based index of the first one. Inside an emit
+// callback the window still covers the completed match (pruning happens
+// after the machine settles), so output expressions can be evaluated
+// against it. The last tuple pushed is always retained. The view reads
+// the arena's own storage: it is valid until the next Push or Add.
+func (a *StreamArena) Window(id int32) (storage.Seq, int) {
 	r := &a.recs[id]
-	return r.rows[r.head:r.tail], r.off + int(r.head)
+	return r.win.Seq(int(r.head), int(r.tail-r.head)), r.off + int(r.head)
 }
 
-// Last returns the last tuple pushed to cluster id, nil before the
-// first. It is the window's own slot: valid until the next Push.
-func (a *StreamArena) Last(id int32) storage.Row {
-	r := &a.recs[id]
-	if r.tail == 0 {
-		return nil
-	}
-	return a.slot(r, r.tail-1)
-}
-
-// slot returns slot s of r's window, from the top block when it is there.
-func (a *StreamArena) slot(r *streamRec, s int32) storage.Row {
-	if s < r.topLo {
-		return r.rows[s]
-	}
-	k := int(s-r.topLo) * a.width
-	return r.top[k : k+a.width : k+a.width]
-}
-
-// Push appends a copy of one tuple to cluster id (the caller keeps the
-// row it passed) and advances the cluster's machine as far as the input
+// Push decodes one tuple into the next slot of cluster id's window (the
+// caller keeps the row it passed; a value of another type than its
+// column's is an error) and advances the cluster's machine as far as the input
 // allows, emitting any matches that complete. An installed interrupt
 // (SetInterrupt) or armed engine fault surfaces as Push's error; a later
 // Push resumes the machine where the checkpoint stopped it.
@@ -334,21 +286,18 @@ func (a *StreamArena) PushContained(id int32, row storage.Row) error {
 	if r.closed {
 		return fmt.Errorf("engine: Push after Flush")
 	}
-	if len(row) != a.width {
-		return fmt.Errorf("engine: Push arity %d, want %d", len(row), a.width)
+	if err := a.set.Check(row); err != nil {
+		return fmt.Errorf("engine: Push: %w", err)
 	}
 	if err := faultStreamPush.Fire(); err != nil {
 		return err
 	}
-	if int(r.tail) == len(r.rows) {
+	if int(r.tail) == r.win.Cap() {
 		a.makeRoom(id)
 	}
-	copy(a.slot(r, r.tail), row)
+	r.win.Set(int(r.tail), row)
 	r.tail++
 	a.enter(id)
-	if a.ev.kern != nil {
-		a.ev.proj.SetRow(int(r.tail)-1, row)
-	}
 	for a.advance(r) {
 		a.record(r)
 	}
@@ -362,101 +311,35 @@ func (a *StreamArena) bindsOf(id int32) []pattern.Span {
 	return a.binds[o : o+a.m : o+a.m]
 }
 
-// newColumns returns zeroed projected columns for capacity slots.
-func (a *StreamArena) newColumns(capacity int) windowColumns {
-	var c windowColumns
-	if n := len(a.numCols) * capacity; n > 0 {
-		c.num = make([]float64, n)
-	}
-	if n := len(a.nullCols) * capacity; n > 0 {
-		c.null = make([]bool, n)
-	}
-	if n := len(a.strCols) * capacity; n > 0 {
-		c.strs = make([]string, n)
-	}
-	return c
-}
-
-// copyColumns copies rows [from, from+n) of every projected column of
-// src (at capacity srcCap) to rows [0, n) of dst's (at capacity dstCap):
-// a compaction when they are one window's, a growth's carry-over when
-// they are not.
-func (a *StreamArena) copyColumns(dst windowColumns, dstCap int, src windowColumns, srcCap, from, n int) {
-	copyRegions(dst.num, dstCap, src.num, srcCap, len(a.numCols), from, n)
-	copyRegions(dst.null, dstCap, src.null, srcCap, len(a.nullCols), from, n)
-	copyRegions(dst.strs, dstCap, src.strs, srcCap, len(a.strCols), from, n)
-}
-
-// copyRegions copies rows [from, from+n) of each of cols regions of src,
-// srcCap long each, to rows [0, n) of dst's, dstCap long each.
-func copyRegions[T any](dst []T, dstCap int, src []T, srcCap, cols, from, n int) {
-	for k := 0; k < cols; k++ {
-		copy(dst[k*dstCap:k*dstCap+n], src[k*srcCap+from:k*srcCap+from+n])
-	}
-}
-
 // enter points the probe view at cluster id: its count and bindings, its
-// tuples, and (with a kernel) each projected column, over the window's
-// capacity so that Projection.SetRow decodes the next tuple into its slot.
+// window and (with a kernel) the projection's columns, which are the
+// window's regions.
 func (a *StreamArena) enter(id int32) {
 	r := &a.recs[id]
 	o := int(id) * (a.m + 1)
 	a.count = a.counts[o : o+a.m+1 : o+a.m+1]
 	a.ev.ctx.Bind = a.bindsOf(id)
-	a.ev.ctx.Seq = r.rows[:r.tail]
-	proj := a.ev.proj
-	if proj == nil {
-		return
-	}
-	c := len(r.rows)
-	for k, col := range a.numCols {
-		proj.Num[col] = r.cols.num[k*c : (k+1)*c : (k+1)*c]
-	}
-	for k, col := range a.nullCols {
-		proj.Null[col] = r.cols.null[k*c : (k+1)*c : (k+1)*c]
-	}
-	for k, col := range a.strCols {
-		proj.Str[col] = r.cols.strs[k*c : (k+1)*c : (k+1)*c]
+	a.ev.ctx.Seq = r.win.Seq(0, int(r.tail))
+	if a.ev.proj != nil {
+		r.win.Project(a.ev.proj)
 	}
 }
 
-// grow doubles r's capacity (or gives a new record its first slots): a
-// block of as many slots as it has is added beside the ones it has, and
-// the headers and columns are re-allocated with the live rows copied
-// over.
-func (a *StreamArena) grow(r *streamRec) {
-	old := len(r.rows)
-	n := max(streamInitRows, 2*old)
-	rows := make([]storage.Row, n)
-	copy(rows, r.rows)
-	vals := make([]storage.Value, (n-old)*a.width)
-	for i := old; i < n; i++ {
-		k := (i - old) * a.width
-		rows[i] = vals[k : k+a.width : k+a.width]
-	}
-	cols := a.newColumns(n)
-	a.copyColumns(cols, n, r.cols, old, 0, int(r.tail))
-	r.rows, r.cols = rows, cols
-	r.top, r.topLo = vals, int32(old)
-}
-
-// makeRoom frees slots in cluster id's full window. When the dead prefix
-// is at least as long as the live window it compacts: the live values
-// and column rows move down to slot 0 (headers stay), so each copied row
-// is paid for by a push since the last move. Otherwise it doubles the
-// slot count (grow).
+// makeRoom frees slots in cluster id's full window by moving its live
+// slots down to slot 0: within the window (a compaction) when the dead
+// prefix is at least as long as the live window, so each copied slot is
+// paid for by a push since the last move, and into a window of twice the
+// capacity otherwise.
 func (a *StreamArena) makeRoom(id int32) {
 	r := &a.recs[id]
 	head, live := int(r.head), int(r.tail-r.head)
 	if head < live {
-		a.grow(r)
-		return
+		w := a.set.Empty(id, 2*r.win.Cap())
+		w.Copy(&r.win, head, live)
+		r.win = w
+	} else {
+		r.win.Copy(&r.win, head, live)
 	}
-	for k := 0; k < live; k++ {
-		copy(r.rows[k], r.rows[head+k])
-	}
-	c := len(r.rows)
-	a.copyColumns(r.cols, c, r.cols, c, head, live)
 	bind := a.bindsOf(id)
 	for k := range bind {
 		if sp := &bind[k]; sp.Set {
@@ -522,8 +405,8 @@ type Streamer struct {
 // global (whole-stream) coordinates.
 func NewStreamer(p *pattern.Pattern, cfg StreamConfig, emit func(Match)) *Streamer {
 	s := new(Streamer)
-	s.a.init(p, cfg, emit)
-	s.a.Add()
+	s.a.init(p, cfg, nil, emit)
+	s.a.Add(nil)
 	return s
 }
 
@@ -539,9 +422,9 @@ func (s *Streamer) BufferLen() int { return s.a.BufferLen(0) }
 
 // Window exposes the retained tuples and the global 0-based index of the
 // first one (StreamArena.Window).
-func (s *Streamer) Window() ([]storage.Row, int) { return s.a.Window(0) }
+func (s *Streamer) Window() (storage.Seq, int) { return s.a.Window(0) }
 
-// Push appends a copy of one tuple and advances the machine
+// Push decodes one tuple into the window and advances the machine
 // (StreamArena.Push).
 func (s *Streamer) Push(row storage.Row) error { return s.a.Push(0, row) }
 

@@ -189,7 +189,7 @@ func TestStreamCrossConditions(t *testing.T) {
 		Elem("Z", b.CmpPrev("price", constraint.Gt)).
 		CrossOn("Z.price > X.price", func(ctx *pattern.EvalContext) bool {
 			x := ctx.Bind[0]
-			return x.Set && ctx.Seq[ctx.Pos][0].Float() > ctx.Seq[x.Start][0].Float()
+			return x.Set && ctx.Seq.At(ctx.Pos, 0).Float() > ctx.Seq.At(x.Start, 0).Float()
 		})
 	p := b.MustBuild()
 

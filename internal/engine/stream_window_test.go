@@ -37,12 +37,12 @@ func runWindow(t *testing.T, label string, p *pattern.Pattern, k *pattern.Kernel
 	s.UseKernel(k)
 	peak := 0
 	for i, row := range seq {
-		capacity, origin := len(s.rec().rows), s.rec().off
+		capacity, origin := s.rec().win.Cap(), s.rec().off
 		if err := s.Push(row); err != nil {
 			t.Fatalf("%s: push %d: %v", label, i, err)
 		}
 		switch {
-		case len(s.rec().rows) != capacity:
+		case s.rec().win.Cap() != capacity:
 			out.growths++
 		case s.rec().off != origin:
 			out.compactions++
@@ -54,11 +54,11 @@ func runWindow(t *testing.T, label string, p *pattern.Pattern, k *pattern.Kernel
 		}
 		// The live window is what is left of the last push's before its
 		// prune, so the capacity is held against that.
-		if len(s.rec().rows) > max(streamInitRows, 4*(peak+1)) {
-			t.Fatalf("%s: capacity %d after push %d, longest live window %d", label, len(s.rec().rows), i, peak)
+		if s.rec().win.Cap() > max(streamInitRows, 4*(peak+1)) {
+			t.Fatalf("%s: capacity %d after push %d, longest live window %d", label, s.rec().win.Cap(), i, peak)
 		}
-		if w, base := s.Window(); len(w) != live || base+live != i+1 {
-			t.Fatalf("%s: window of %d from %d after push %d, BufferLen %d", label, len(w), base, i, live)
+		if w, base := s.Window(); w.Len() != live || base+live != i+1 {
+			t.Fatalf("%s: window of %d from %d after push %d, BufferLen %d", label, w.Len(), base, i, live)
 		}
 	}
 	s.Flush()
@@ -75,7 +75,7 @@ func firstSpanCross() pattern.Cond {
 		if !sp.Set {
 			return true
 		}
-		a, b := ctx.Seq[sp.Start][0], ctx.Seq[ctx.Pos][0]
+		a, b := ctx.Seq.At(sp.Start, 0), ctx.Seq.At(ctx.Pos, 0)
 		return a.IsNull() || b.IsNull() || a.Float() <= b.Float()
 	})
 }
@@ -227,7 +227,7 @@ func TestStreamerCopiesRows(t *testing.T) {
 		s = NewStreamer(p, StreamConfig{}, func(m Match) {
 			// The window must still hold the tuples as they were pushed.
 			w, base := s.Window()
-			firsts = append(firsts, w[m.Start-base][0].Float())
+			firsts = append(firsts, w.At(m.Start-base, 0).Float())
 			m.Spans = append([]pattern.Span(nil), m.Spans...)
 			got = append(got, m)
 		})
@@ -293,8 +293,8 @@ func TestStreamPredecessorAfterCompaction(t *testing.T) {
 					probedAtZero++
 				}
 			}
-			if w, base := s.Window(); len(w) == 0 || base+len(w) != i+1 {
-				t.Fatalf("window of %d from %d after push %d", len(w), base, i)
+			if w, base := s.Window(); w.Len() == 0 || base+w.Len() != i+1 {
+				t.Fatalf("window of %d from %d after push %d", w.Len(), base, i)
 			}
 		}
 		s.Flush()

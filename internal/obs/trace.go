@@ -36,14 +36,17 @@ func (s *Span) Annotate(key string, value any) *Span {
 	return s
 }
 
-// End records the span's duration and appends it to its trace. End is
-// idempotent; a second call is a no-op.
+// End records the span's duration and appends it to its trace, if it
+// has one. End is idempotent; a second call is a no-op.
 func (s *Span) End() {
 	if s == nil || s.done {
 		return
 	}
 	s.done = true
 	s.Duration = time.Since(s.Start)
+	if s.tr == nil {
+		return
+	}
 	s.tr.mu.Lock()
 	s.tr.spans = append(s.tr.spans, s)
 	s.tr.mu.Unlock()
@@ -68,6 +71,10 @@ func (t *Trace) Start(name string) *Span {
 	}
 	return &Span{Name: name, Start: time.Now(), tr: t}
 }
+
+// StartSpan begins a span of no trace: End times it, and a trace lists it
+// once Add lends it one.
+func StartSpan(name string) *Span { return &Span{Name: name, Start: time.Now()} }
 
 // Add appends finished spans, read-only from then on (a pattern shared by
 // several plans lends each its compile spans).

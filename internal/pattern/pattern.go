@@ -59,20 +59,39 @@ func (s Span) Len() int {
 
 // EvalContext carries everything a condition may inspect at runtime.
 type EvalContext struct {
-	Seq  []storage.Row
+	Seq  storage.Seq
 	Pos  int    // index of the tuple being tested
 	Bind []Span // per-element spans of the match in progress
+
+	// rows is scratch for the tuples an opaque condition reads whole
+	// from a sequence that has no rows of its own (a stream window),
+	// made on first use: a context stays small for the search loops it
+	// sits beside.
+	rows *[2]storage.Row
 }
 
 // Cur returns the tuple under test.
-func (c *EvalContext) Cur() storage.Row { return c.Seq[c.Pos] }
+func (c *EvalContext) Cur() storage.Row { return c.tuple(c.Pos, 0) }
 
 // Prev returns the predecessor tuple and whether one exists.
 func (c *EvalContext) Prev() (storage.Row, bool) {
 	if c.Pos == 0 {
 		return nil, false
 	}
-	return c.Seq[c.Pos-1], true
+	return c.tuple(c.Pos-1, 1), true
+}
+
+// tuple returns position i as a row: the sequence's own, or its values
+// decoded into scratch row k, valid until the next decode into it.
+func (c *EvalContext) tuple(i, k int) storage.Row {
+	if rows := c.Seq.Rows(); rows != nil {
+		return rows[i]
+	}
+	if c.rows == nil {
+		c.rows = new([2]storage.Row)
+	}
+	c.rows[k] = c.Seq.Row(i, c.rows[k])
+	return c.rows[k]
 }
 
 // CondKind discriminates the evaluable condition forms.
@@ -507,59 +526,47 @@ func (p *Pattern) EvalElem(j int, ctx *EvalContext) bool {
 }
 
 func (p *Pattern) evalCond(c *Cond, ctx *EvalContext) bool {
-	cur := ctx.Seq[ctx.Pos]
-	var prev storage.Row
-	if c.Kind != OpaqueCond && c.Kind != CrossCond && c.Kind != OrCond {
+	// A field is read at position i less its role (cur 0, prev 1).
+	seq, i := &ctx.Seq, ctx.Pos
+	if c.Kind != OpaqueCond && c.Kind != CrossCond && c.Kind != OrCond && i == 0 {
 		if c.LRole == Prev || ((c.Kind == NumFieldField || c.Kind == NumFieldScaled || c.Kind == StrFieldField) && c.RRole == Prev) {
-			if ctx.Pos == 0 {
-				return p.MissingPrevTrue
-			}
-			prev = ctx.Seq[ctx.Pos-1]
+			return p.MissingPrevTrue
 		}
-	}
-	pick := func(col int, role Role) storage.Value {
-		if role == Prev {
-			return prev[col]
-		}
-		return cur[col]
 	}
 	switch c.Kind {
 	case NumFieldConst:
-		v := pick(c.LCol, c.LRole)
+		v := seq.At(i-int(c.LRole), c.LCol)
 		if v.IsNull() {
 			return false
 		}
-		return cmpNum(numOf(v), c.C, c.Op)
+		return cmpNum(v.Num(), c.C, c.Op)
 	case NumFieldField:
-		l, r := pick(c.LCol, c.LRole), pick(c.RCol, c.RRole)
+		l, r := seq.At(i-int(c.LRole), c.LCol), seq.At(i-int(c.RRole), c.RCol)
 		if l.IsNull() || r.IsNull() {
 			return false
 		}
-		return cmpNum(numOf(l), numOf(r)+c.C, c.Op)
+		return cmpNum(l.Num(), r.Num()+c.C, c.Op)
 	case NumFieldScaled:
-		l, r := pick(c.LCol, c.LRole), pick(c.RCol, c.RRole)
+		l, r := seq.At(i-int(c.LRole), c.LCol), seq.At(i-int(c.RRole), c.RCol)
 		if l.IsNull() || r.IsNull() {
 			return false
 		}
-		return cmpNum(numOf(l), c.Coef*numOf(r), c.Op)
+		return cmpNum(l.Num(), c.Coef*r.Num(), c.Op)
 	case StrFieldLit:
-		v := pick(c.LCol, c.LRole)
+		v := seq.At(i-int(c.LRole), c.LCol)
 		if v.IsNull() {
 			return false
 		}
 		return cmpStr(v.Str(), c.Lit, c.Op)
 	case StrFieldField:
-		l, r := pick(c.LCol, c.LRole), pick(c.RCol, c.RRole)
+		l, r := seq.At(i-int(c.LRole), c.LCol), seq.At(i-int(c.RRole), c.RCol)
 		if l.IsNull() || r.IsNull() {
 			return false
 		}
 		return cmpStr(l.Str(), r.Str(), c.Op)
 	case OpaqueCond:
-		var pr storage.Row
-		if ctx.Pos > 0 {
-			pr = ctx.Seq[ctx.Pos-1]
-		}
-		return c.Fn(cur, pr)
+		prev, _ := ctx.Prev()
+		return c.Fn(ctx.Cur(), prev)
 	case CrossCond:
 		return c.CtxFn(ctx)
 	case OrCond:
@@ -579,14 +586,6 @@ func (p *Pattern) evalCond(c *Cond, ctx *EvalContext) bool {
 	default:
 		return false
 	}
-}
-
-// numOf widens a numeric or date value to float64 for comparison.
-func numOf(v storage.Value) float64 {
-	if v.Type() == storage.TypeDate {
-		return float64(v.DateDays())
-	}
-	return v.Float()
 }
 
 func cmpNum(a, b float64, op constraint.Op) bool {

@@ -22,7 +22,7 @@ func ctxFor(prices []float64, pos int) *EvalContext {
 	for i, p := range prices {
 		seq[i] = storage.Row{storage.NewString("IBM"), storage.NewDateDays(int64(i)), storage.NewFloat(p)}
 	}
-	return &EvalContext{Seq: seq, Pos: pos, Bind: make([]Span, 4)}
+	return &EvalContext{Seq: storage.RowSeq(seq), Pos: pos, Bind: make([]Span, 4)}
 }
 
 func TestCompileValidation(t *testing.T) {
@@ -105,7 +105,7 @@ func TestNullValuesFailConditions(t *testing.T) {
 	b := NewBuilder(s)
 	p := b.Elem("X", b.CmpConst("price", Cur, constraint.Gt, 0)).MustBuild()
 	seq := []storage.Row{{storage.NewString("IBM"), storage.NewDateDays(0), storage.Null}}
-	if p.EvalElem(0, &EvalContext{Seq: seq, Pos: 0}) {
+	if p.EvalElem(0, &EvalContext{Seq: storage.RowSeq(seq), Pos: 0}) {
 		t.Error("NULL price satisfied price > 0")
 	}
 }
@@ -159,7 +159,7 @@ func TestCrossCondition(t *testing.T) {
 	b := NewBuilder(s)
 	b.Elem("X").Elem("Y").CrossOn("Y > 2*X", func(ctx *EvalContext) bool {
 		x := ctx.Bind[0]
-		return x.Set && ctx.Seq[ctx.Pos][2].Float() > 2*ctx.Seq[x.Start][2].Float()
+		return x.Set && ctx.Seq.At(ctx.Pos, 2).Float() > 2*ctx.Seq.At(x.Start, 2).Float()
 	})
 	p := b.MustBuild()
 	if !p.Elems[1].HasCross() || p.Elems[0].HasCross() {

@@ -65,7 +65,7 @@ func checkMasks(t *testing.T, label string, p *Pattern, k *Kernel, rows []storag
 			}
 		}
 	}
-	ctx := &EvalContext{Seq: rows, Bind: make([]Span, p.Len())}
+	ctx := &EvalContext{Seq: storage.RowSeq(rows), Bind: make([]Span, p.Len())}
 	for j := range p.Elems {
 		m := ms.Elem(j)
 		if !k.ElemCompiled(j) {

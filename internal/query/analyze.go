@@ -687,10 +687,10 @@ func (c *Compiled) crossCond(conj Expr, refs []refInfo, attach int) (pattern.Con
 					}
 				}
 			}
-			if idx < 0 || idx >= len(ctx.Seq) {
+			if idx < 0 || idx >= ctx.Seq.Len() {
 				return storage.Null, false
 			}
-			return ctx.Seq[idx][p.col], true
+			return ctx.Seq.At(idx, p.col), true
 		})
 		return err == nil && truthy(v)
 	}
@@ -844,13 +844,15 @@ func (c *Compiled) AlwaysEmpty() bool { return c.alwaysEmpty }
 
 // EvalSelect produces the output row for one completed match.
 func (c *Compiled) EvalSelect(seq []storage.Row, spans []pattern.Span) (storage.Row, error) {
-	return c.EvalSelectInto(nil, seq, spans)
+	view := storage.RowSeq(seq)
+	return c.EvalSelectInto(nil, &view, spans)
 }
 
-// EvalSelectInto is EvalSelect writing into dst when its capacity
-// allows, for callers that recycle the output row between matches (the
-// streaming path). The returned row aliases dst on reuse.
-func (c *Compiled) EvalSelectInto(dst storage.Row, seq []storage.Row, spans []pattern.Span) (storage.Row, error) {
+// EvalSelectInto is EvalSelect over any sequence view (a cluster's rows
+// or a stream window), writing into dst when its capacity allows, for
+// callers that recycle the output row between matches. The returned row
+// aliases dst on reuse.
+func (c *Compiled) EvalSelectInto(dst storage.Row, seq *storage.Seq, spans []pattern.Span) (storage.Row, error) {
 	out := dst
 	if cap(out) >= len(c.outExprs) {
 		out = out[:len(c.outExprs)]
@@ -877,7 +879,7 @@ func (c *Compiled) EvalSelectInto(dst storage.Row, seq []storage.Row, spans []pa
 // matchAgg evaluates a span aggregate over a completed match. NULLs are
 // ignored (SQL semantics); an all-NULL span yields NULL, COUNT counts
 // tuples regardless.
-func (c *Compiled) matchAgg(a *AggExpr, seq []storage.Row, spans []pattern.Span) (storage.Value, error) {
+func (c *Compiled) matchAgg(a *AggExpr, seq *storage.Seq, spans []pattern.Span) (storage.Value, error) {
 	span := spans[a.elem]
 	if !span.Set {
 		return storage.Null, nil
@@ -892,8 +894,8 @@ func (c *Compiled) matchAgg(a *AggExpr, seq []storage.Row, spans []pattern.Span)
 		best  storage.Value
 		isInt = c.Schema.Columns[col].Type == storage.TypeInt
 	)
-	for i := span.Start; i <= span.End && i < len(seq); i++ {
-		v := seq[i][col]
+	for i := span.Start; i <= span.End && i < seq.Len(); i++ {
+		v := seq.At(i, col)
 		if v.IsNull() {
 			continue
 		}
@@ -938,7 +940,7 @@ func (c *Compiled) matchAgg(a *AggExpr, seq []storage.Row, spans []pattern.Span)
 // FIRST/LAST pin span endpoints; the first previous step from a bare
 // variable moves before the span, the first next step moves after it.
 // Out of range (or an unset span) is not ok and reads as NULL.
-func matchRef(f *FieldRef, seq []storage.Row, spans []pattern.Span) (storage.Value, bool) {
+func matchRef(f *FieldRef, seq *storage.Seq, spans []pattern.Span) (storage.Value, bool) {
 	span := spans[f.elem]
 	if !span.Set {
 		return storage.Null, false
@@ -969,10 +971,10 @@ func matchRef(f *FieldRef, seq []storage.Row, spans []pattern.Span) (storage.Val
 			idx++
 		}
 	}
-	if idx < 0 || idx >= len(seq) {
+	if idx < 0 || idx >= seq.Len() {
 		return storage.Null, false
 	}
-	return seq[idx][f.col], true
+	return seq.At(idx, f.col), true
 }
 
 // EvalPlainRow evaluates the WHERE filter and output row for a plain

@@ -217,7 +217,7 @@ func TestAnalyzeCrossWithSpanFunctions(t *testing.T) {
 		{storage.NewString("A"), storage.NewDateDays(2), storage.NewFloat(6), storage.NewInt(0)},
 		{storage.NewString("A"), storage.NewDateDays(3), storage.NewFloat(9), storage.NewInt(0)},
 	}
-	ctx := &pattern.EvalContext{Seq: seq, Pos: 3, Bind: make([]pattern.Span, 3)}
+	ctx := &pattern.EvalContext{Seq: storage.RowSeq(seq), Pos: 3, Bind: make([]pattern.Span, 3)}
 	ctx.Bind[0] = pattern.Span{Start: 0, End: 0, Set: true}
 	ctx.Bind[1] = pattern.Span{Start: 1, End: 2, Set: true}
 	if !c.Pattern.EvalElem(2, ctx) {

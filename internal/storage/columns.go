@@ -14,8 +14,8 @@ import (
 // its time.
 //
 // A Projection covers one cluster (or one streaming window, whose
-// columns the stream points at its window's own and decodes a row at a
-// time with SetRow). Arrays are indexed by schema column number; columns
+// columns the stream points at its window's own typed regions:
+// Window.Project). Arrays are indexed by schema column number; columns
 // that were not requested stay nil. Reset retains capacity so executors
 // can reuse one Projection across clusters; Reserve sizes every column at
 // once from one slab per element type.
@@ -38,8 +38,8 @@ type Projection struct {
 // NewProjection prepares a projection over a width-column schema that
 // will decode numCols numerically and strCols as strings. A column may
 // appear in both lists. Column indexes must be in [0, width). The lists
-// are retained, not copied (a stream builds one projection per cluster
-// from its kernel's lists); the caller must not modify them afterwards.
+// are retained, not copied (every projection of a kernel shares the
+// kernel's lists); the caller must not modify them afterwards.
 func NewProjection(width int, numCols, strCols []int) *Projection {
 	p := &Projection{
 		Num:     make([][]float64, width),
@@ -128,23 +128,6 @@ func (p *Projection) Reset() {
 	p.n = 0
 }
 
-// SetRow decodes row r into row i of every projected column, which
-// must be at least i+1 long; Len is unchanged. It is SetRows for one row
-// of columns a caller points at storage of its own (a streaming window's
-// columns, one row per push).
-func (p *Projection) SetRow(i int, r Row) {
-	for _, c := range p.numCols {
-		v := &r[c]
-		p.Num[c][i] = numOf(v)
-		p.Null[c][i] = v.typ == TypeNull
-	}
-	for _, c := range p.strCols {
-		v := &r[c]
-		p.Str[c][i] = strOf(v)
-		p.Null[c][i] = v.typ == TypeNull
-	}
-}
-
 // numOf is *v as a numeric column holds it: a number widened to float64,
 // a date as its days since the epoch, NULL as 0 (its null flag says
 // which). It takes a pointer so that the type tag is read in place: a
@@ -159,6 +142,12 @@ func numOf(v *Value) float64 {
 	}
 	return notProjected(v.typ)
 }
+
+// Num returns the value as a numeric projected column holds it: a number
+// widened to float64, a date as its days since the epoch, NULL as 0. It
+// panics on other types. It inlines, so the interpreter's numeric reads
+// cost what the projection's decode does.
+func (v Value) Num() float64 { return numOf(&v) }
 
 // strOf is *v as a string column holds it: NULL as "".
 func strOf(v *Value) string {

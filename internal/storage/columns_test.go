@@ -56,14 +56,6 @@ func TestProjectionDecode(t *testing.T) {
 	if p.Str[0] != nil || p.Num[2] != nil {
 		t.Error("unreferenced columns were materialized")
 	}
-	// SetRow decodes one row in place, as SetRows decodes it, and leaves
-	// Len alone.
-	p.SetRow(1, rows[2])
-	p.SetRow(2, rows[1])
-	if p.Len() != 3 || p.Num[0][1] != 3 || !p.Null[1][1] || p.Str[2][1] != "b" ||
-		p.Num[1][2] != -2 || !p.Null[0][2] || p.Str[2][2] != "" || !p.Null[2][2] || p.Num[0][0] != 1.5 {
-		t.Errorf("after SetRow: num0=%v num1=%v null0=%v null1=%v str2=%v", p.Num[0], p.Num[1], p.Null[0], p.Null[1], p.Str[2])
-	}
 }
 
 // TestProjectionSetRowsReuse: SetRows resets in place, and capacity is

@@ -211,23 +211,6 @@ func (v Value) Equal(w Value) bool {
 	return err == nil && c == 0
 }
 
-// SameKey reports whether v and w are one value to AppendKey and
-// AppendRowKey: the same type and the same payload. It may report false
-// for values whose keys agree (two NaNs of different bits), never true
-// for values whose keys differ (-0 and +0 are two keys).
-func (v Value) SameKey(w Value) bool {
-	if v.typ != w.typ {
-		return false
-	}
-	switch v.typ {
-	case TypeFloat:
-		return math.Float64bits(v.f) == math.Float64bits(w.f)
-	case TypeString:
-		return v.s == w.s
-	}
-	return v.i == w.i
-}
-
 // String formats the value for display and CSV export.
 func (v Value) String() string {
 	switch v.typ {

@@ -253,7 +253,7 @@ func TestPatternCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := db.compilePlan(sel, hit, sql, obs.NewTrace())
+	p, err := db.compilePlan(sel, hit, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

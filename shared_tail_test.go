@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"sqlts/internal/obs"
 	"sqlts/internal/query"
 	"sqlts/internal/storage"
 	"sqlts/internal/testutil"
@@ -169,7 +168,7 @@ func TestSharedTailMatchesFullParse(t *testing.T) {
 			t.Fatalf("statement %d: the lookup missed (%v)", i, err)
 		}
 		shared.MustExec(fmt.Sprintf("CREATE TABLE raced%d (a INTEGER)", i))
-		p, err := shared.compilePlan(sel, hit, v, obs.NewTrace())
+		p, err := shared.compilePlan(sel, hit, v)
 		if err != nil {
 			t.Fatal(err)
 		}

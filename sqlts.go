@@ -490,12 +490,17 @@ type Plan struct {
 	// catalogVersion is the DB catalog version the plan was compiled
 	// under; the plan cache revalidates it on every hit.
 	catalogVersion uint64
-	// trace holds the compile-phase spans (parse … kernel), recorded once
-	// when the plan was compiled and read-only since: every Query the plan
-	// serves shares it. A plan that found its pattern shared lists the
-	// pattern's phases as they were timed when it was built, annotated
-	// pattern=cached.
-	trace *obs.Trace
+	// The phases the plan's compile timed itself, parse and analyze: when
+	// each started and how long it took, and the pattern's elements and
+	// predicates as analyze counted them. The compile records nothing
+	// else; the trace (compileTrace) is built from these and the pattern's
+	// spans when it is first read, and is read-only since: every Query the
+	// plan serves shares it.
+	parseAt, analyzeAt   time.Time
+	parseDur, analyzeDur time.Duration
+	elements, predicates int
+	traceOnce            sync.Once
+	trace                *obs.Trace
 
 	// stmt keeps the statement-stats entry of key, which every run of the
 	// plan records into, found again only once a Reset has dropped it or
@@ -616,20 +621,19 @@ func (db *DB) Prepare(sql string) (*Query, error) {
 	if p != nil {
 		return &Query{db: db, plan: p, planCached: true}, nil
 	}
-	tr := obs.NewTrace()
-	sp := tr.Start("parse")
+	parseAt := time.Now()
 	sel, mode, hit, err := db.parse(sql)
-	sp.End()
+	parseDur := time.Since(parseAt)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := db.compilePlan(sel, hit, sql, tr)
+	plan, err := db.compilePlan(sel, hit, sql)
 	if err != nil {
 		return nil, err
 	}
 	plan.explain = mode
 	plan.key = key
-	plan.trace = tr
+	plan.parseAt, plan.parseDur = parseAt, parseDur
 	db.storePlan(key, plan)
 	return &Query{db: db, plan: plan}, nil
 }
@@ -665,11 +669,11 @@ func (db *DB) parse(sql string) (sel *query.SelectStmt, mode explainMode, hit *p
 
 // compilePlan runs semantic analysis and, unless hit — the artifact
 // parse found for the statement's pattern — is of the catalog version
-// the compile reads, the OPS compile-time pipeline, recording one trace
-// span per phase. A statement whose pattern is cached analyses its
-// SELECT list only. A hit of another catalog version is a miss: sel is a
-// whole statement either way.
-func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string, tr *obs.Trace) (*Plan, error) {
+// the compile reads, the OPS compile-time pipeline, timing each phase. A
+// statement whose pattern is cached analyses its SELECT list only. A hit
+// of another catalog version is a miss: sel is a whole statement either
+// way.
+func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql string) (*Plan, error) {
 	// The catalog version is read with the schema it stamps: DDL landing
 	// after this compiles a plan that is stale on its next lookup.
 	db.mu.RLock()
@@ -687,31 +691,28 @@ func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql strin
 	if hit != nil {
 		opts.Shared = hit.analysis
 	}
-	sp := tr.Start("analyze")
+	analyzeAt := time.Now()
 	compiled, err := query.Analyze(sel, t.Schema, opts)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
+	plan := &Plan{sql: sql, compiled: compiled, catalogVersion: catalog, analyzeAt: analyzeAt}
 	if p := compiled.Pattern; p != nil {
-		atoms := 0
+		plan.elements = p.Len()
 		for i := range p.Elems {
 			for _, d := range p.Elems[i].Sys.Ds {
-				atoms += d.Len()
+				plan.predicates += d.Len()
 			}
-			atoms += len(p.Elems[i].CrossConds)
+			plan.predicates += len(p.Elems[i].CrossConds)
 		}
-		sp.Annotate("elements", p.Len()).Annotate("predicates", atoms)
 	}
-	sp.End()
-	plan := &Plan{sql: sql, compiled: compiled, catalogVersion: catalog}
+	plan.analyzeDur = time.Since(analyzeAt)
 	if compiled.Pattern != nil {
 		a := hit
 		if a != nil {
 			plan.patternCached = true
-			tr.Add(a.hitSpans()...)
 		} else {
-			a = db.compilePattern(patternKey{catalog: catalog, tokens: sel.PatternKey}, compiled, tr)
+			a = db.compilePattern(patternKey{catalog: catalog, tokens: sel.PatternKey}, compiled)
 		}
 		plan.art, plan.tables, plan.kernel = a, a.tables, a.kernel
 		plan.partKey = partitionKey(t.Name, compiled.ClusterBy, compiled.SequenceBy)
@@ -720,24 +721,25 @@ func (db *DB) compilePlan(sel *query.SelectStmt, hit *patternArtifact, sql strin
 }
 
 // compilePattern builds the artifact of an analysed pattern statement:
-// θ/φ matrices, shift/next tables and kernel, one trace span each.
-func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.Trace) *patternArtifact {
+// θ/φ matrices, shift/next tables and kernel, one span each, which the
+// trace of every plan over the artifact lists.
+func (db *DB) compilePattern(key patternKey, analysis *query.Compiled) *patternArtifact {
 	p := analysis.Pattern
 	a := &patternArtifact{key: key, analysis: analysis}
 	q0 := constraint.Queries()
-	sp := tr.Start("matrices")
+	sp := obs.StartSpan("matrices")
 	m := core.ComputeMatrices(p)
 	sp.Annotate("dim", fmt.Sprintf("%dx%d", p.Len(), p.Len())).
 		Annotate("implication-checks", constraint.Queries()-q0).
 		End()
 	a.spans[0] = sp
-	sp = tr.Start("shift/next")
+	sp = obs.StartSpan("shift/next")
 	a.tables = core.TablesFrom(p, m)
 	sp.Annotate("avg-shift", fmt.Sprintf("%.2f", a.tables.AvgShift())).
 		Annotate("avg-next", fmt.Sprintf("%.2f", a.tables.AvgNext())).
 		End()
 	a.spans[1] = sp
-	sp = tr.Start("kernel")
+	sp = obs.StartSpan("kernel")
 	a.kernel = p.CompileKernel()
 	sp.Annotate("compiled-elements", a.kernel.CompiledElems()).
 		Annotate("fallback-elements", a.kernel.FallbackElems()).
@@ -754,7 +756,31 @@ func (db *DB) compilePattern(key patternKey, analysis *query.Compiled, tr *obs.T
 // compiled. The trace belongs to the shared Plan and is read-only: a
 // cache-hit Prepare returns the same one, and running the query adds
 // nothing to it — an execution's record is its obs.Event.
-func (q *Query) Trace() *obs.Trace { return q.plan.trace }
+func (q *Query) Trace() *obs.Trace { return q.plan.compileTrace() }
+
+// compileTrace returns the plan's compile trace, built on its first read
+// from the phases the compile timed: parse, analyze (annotated with the
+// pattern's elements and predicates), then the pattern's matrices,
+// shift/next and kernel spans, annotated pattern=cached when the plan
+// found the pattern shared.
+func (p *Plan) compileTrace() *obs.Trace {
+	p.traceOnce.Do(func() {
+		tr := obs.NewTrace()
+		analyze := &obs.Span{Name: "analyze", Start: p.analyzeAt, Duration: p.analyzeDur}
+		if p.compiled.Pattern != nil {
+			analyze.Annotate("elements", p.elements).Annotate("predicates", p.predicates)
+		}
+		tr.Add(&obs.Span{Name: "parse", Start: p.parseAt, Duration: p.parseDur}, analyze)
+		switch {
+		case p.patternCached:
+			tr.Add(p.art.hitSpans()...)
+		case p.art != nil:
+			tr.Add(p.art.spans[:]...)
+		}
+		p.trace = tr
+	})
+	return p.trace
+}
 
 // PlanCached reports whether this Query was served a cached plan.
 func (q *Query) PlanCached() bool { return q.planCached }

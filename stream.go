@@ -88,8 +88,9 @@ type Stream struct {
 	evals int64
 
 	// Scratch reused by every push and emission, so a steady-state push
-	// allocates nothing: the coerced tuple (the matcher copies out of
-	// it), the routing key, and the output row handed to the sink.
+	// allocates nothing: the coerced tuple when a value needs coercing
+	// (the matcher decodes it into its window), the routing key, and the
+	// output row handed to the sink.
 	row    storage.Row
 	keyBuf []byte
 	outRow storage.Row
@@ -134,14 +135,6 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	if opts.Overlap {
 		cfg.Policy = engine.SkipToNextRow
 	}
-	st.arena = engine.NewStreamArena(compiled.Pattern, cfg, st.emitMatch)
-	st.arena.UseKernel(q.plan.kernel)
-	if st.rc != nil {
-		// The bare check, not rc.interrupt(): Push ticks the flight by
-		// the exact delta of the arena's evals instead of by checkpoint
-		// intervals.
-		st.arena.SetInterrupt(st.rc.check)
-	}
 	for _, col := range compiled.SequenceBy {
 		i, _ := compiled.Schema.ColumnIndex(col)
 		st.seqIdx = append(st.seqIdx, i)
@@ -149,6 +142,14 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 	for _, col := range compiled.ClusterBy {
 		i, _ := compiled.Schema.ColumnIndex(col)
 		st.cluIdx = append(st.cluIdx, i)
+	}
+	st.arena = engine.NewStreamArena(compiled.Pattern, cfg, st.cluIdx, st.emitMatch)
+	st.arena.UseKernel(q.plan.kernel)
+	if st.rc != nil {
+		// The bare check, not rc.interrupt(): Push ticks the flight by
+		// the exact delta of the arena's evals instead of by checkpoint
+		// intervals.
+		st.arena.SetInterrupt(st.rc.check)
 	}
 	st.m.streamsOpen.Inc()
 	st.entry.StreamOpened()
@@ -219,16 +220,16 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	if len(vals) != schema.Len() {
 		return fmt.Errorf("sqlts: Push arity %d, want %d", len(vals), schema.Len())
 	}
-	row := st.row
-	for i, v := range vals {
-		if !v.IsNull() && v.Type() != schema.Columns[i].Type {
-			cv, err := v.Coerce(schema.Columns[i].Type)
-			if err != nil {
-				return fmt.Errorf("sqlts: Push column %s: %w", schema.Columns[i].Name, err)
+	// The tuple is read in place unless a value needs coercing: the
+	// matcher decodes it before any sink runs, and nothing keeps it.
+	row := storage.Row(vals)
+	for i := range vals {
+		if t := vals[i].Type(); t != storage.TypeNull && t != schema.Columns[i].Type {
+			if row, err = st.coerce(vals, schema); err != nil {
+				return err
 			}
-			v = cv
+			break
 		}
-		row[i] = v
 	}
 
 	// Per-push latency is sampled 1 push in 16: pushes are ~µs-scale, so
@@ -241,30 +242,29 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 		pushStart = time.Now()
 	}
 	// Route to the previous push's cluster's successor when the tuple's
-	// CLUSTER BY values are those of that cluster's last tuple, and
-	// through the map otherwise.
-	id, prev := int32(-1), storage.Row(nil)
+	// CLUSTER BY values are the key that cluster holds, and through the
+	// map otherwise.
+	id := int32(-1)
 	if st.last >= 0 {
-		if id = st.arena.Next(st.last); id >= 0 {
-			prev = st.arena.Last(id)
-		}
+		id = st.arena.Next(st.last)
 	}
-	if prev == nil || !st.sameCluster(prev, row) {
+	if id < 0 || !st.arena.HoldsKey(id, row) {
 		id = st.route(row)
-		prev = st.arena.Last(id)
 	}
 	st.last = id
 	// Enforce SEQUENCE BY arrival order within the cluster, against the
 	// last tuple its window retains (none for a new cluster).
-	if prev != nil {
+	if win, _ := st.arena.Window(id); win.Len() > 0 {
+		last := win.Len() - 1
 		for _, si := range st.seqIdx {
-			c, err := prev[si].Compare(row[si])
+			prev := win.At(last, si)
+			c, err := prev.Compare(row[si])
 			if err != nil {
 				return fmt.Errorf("sqlts: sequence-by comparison: %w", err)
 			}
 			if c > 0 {
 				return fmt.Errorf("sqlts: out-of-order tuple for cluster %q: %s after %s",
-					st.clusterLabel(row), row[si], prev[si])
+					st.clusterLabel(row), row[si], prev)
 			}
 			if c < 0 {
 				break
@@ -297,15 +297,20 @@ func (st *Stream) Push(vals ...storage.Value) (err error) {
 	return st.sinkErr
 }
 
-// sameCluster reports whether row's CLUSTER BY values are prev's, as the
-// routing key compares them.
-func (st *Stream) sameCluster(prev, row storage.Row) bool {
-	for _, c := range st.cluIdx {
-		if !prev[c].SameKey(row[c]) {
-			return false
+// coerce copies vals into the stream's scratch row, each value coerced
+// to its column's type.
+func (st *Stream) coerce(vals []storage.Value, schema *storage.Schema) (storage.Row, error) {
+	for i, v := range vals {
+		if !v.IsNull() && v.Type() != schema.Columns[i].Type {
+			cv, err := v.Coerce(schema.Columns[i].Type)
+			if err != nil {
+				return nil, fmt.Errorf("sqlts: Push column %s: %w", schema.Columns[i].Name, err)
+			}
+			v = cv
 		}
+		st.row[i] = v
 	}
-	return true
+	return st.row, nil
 }
 
 // route finds row's cluster through the map, by the type-tagged key
@@ -316,7 +321,7 @@ func (st *Stream) route(row storage.Row) int32 {
 	st.keyBuf = storage.AppendRowKey(st.keyBuf[:0], row, st.cluIdx)
 	id, ok := st.clusters[string(st.keyBuf)] // does not allocate
 	if !ok {
-		id = st.arena.Add()
+		id = st.arena.Add(row)
 		st.clusters[string(st.keyBuf)] = id
 		st.m.streamClusters.Inc()
 	}
@@ -335,12 +340,12 @@ func (st *Stream) emitMatch(m engine.Match) {
 	st.m.streamMatches.Inc()
 	st.entry.RecordPushMatch()
 	st.flight.TickMatches(1)
-	// Evaluate output expressions against the matcher's retained
-	// window (still covering the match during emission). References
-	// past the match end (e.g. a trailing X.next) resolve to NULL if
-	// that tuple has not arrived yet — streaming emits eagerly. The
-	// spans are the matcher's recycled buffer (ReuseSpans), rebased onto
-	// the window in place.
+	// Evaluate output expressions through the view of the matcher's
+	// retained window (still covering the match during emission).
+	// References past the match end (e.g. a trailing X.next) resolve to
+	// NULL if that tuple has not arrived yet — streaming emits eagerly.
+	// The spans are the matcher's recycled buffer (ReuseSpans), rebased
+	// onto the window in place.
 	window, base := st.arena.Window(st.cur)
 	spans := m.Spans
 	for k := range spans {
@@ -349,7 +354,7 @@ func (st *Stream) emitMatch(m engine.Match) {
 			spans[k].End -= base
 		}
 	}
-	row, err := st.q.plan.compiled.EvalSelectInto(st.outRow, window, spans)
+	row, err := st.q.plan.compiled.EvalSelectInto(st.outRow, &window, spans)
 	if err != nil {
 		st.sinkErr = err
 		return

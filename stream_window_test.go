@@ -7,9 +7,11 @@ package sqlts
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sqlts/internal/obs"
@@ -365,7 +367,10 @@ func TestStreamInterleavingInvariant(t *testing.T) {
 // TestStreamClusterFootprint pins what an open stream holds per cluster:
 // 10,000 clusters of one tuple each, measured as live heap after a
 // collection. A cluster is a record in the stream's dense array, its
-// count[] and bindings, a four-slot window and a map entry.
+// count[] and bindings, its held key, a four-slot typed window (a float64,
+// an int64 and a null-flag region) and a map entry. The pin was set at
+// the typed window's reading (514 B) plus a tenth; it must never loosen,
+// only tighten.
 func TestStreamClusterFootprint(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -392,11 +397,176 @@ func TestStreamClusterFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCluster := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clusters
 	t.Logf("%.0f B of live heap per cluster", perCluster)
-	if perCluster > 1100 {
-		t.Errorf("%.0f B of live heap per one-tuple cluster, want at most 1,100", perCluster)
+	if perCluster > 565 {
+		t.Errorf("%.0f B of live heap per one-tuple cluster, want at most 565", perCluster)
 	}
 	runtime.KeepAlive(names)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamTypedWindowDifferential: a stream window holds each column in
+// a region of its own type and a CLUSTER BY column once per cluster, and
+// the interpreter, cross conditions and SELECT read it through one view.
+// The feed has a column of every kind (INT, DATE, REAL, BOOL, a non-key
+// STRING; some REALs pushed as INTs, which Push coerces), a two-column CLUSTER BY whose second column is REAL (-0 and +0
+// are two clusters; NaNs of two payloads are one, each row keeping its
+// own), and NULLs in key and non-key columns. One statement holds its
+// string key once and has an element with an opaque condition (the
+// interpreter reads the window) and a cross condition; the other projects
+// its string key and its INT and DATE columns into the kernel. Both
+// SELECT every column kind, previous and next, FIRST/LAST and aggregates.
+// Under both skip policies the stream's rows equal the batch query's
+// value for value, float bits included, and so do pred-evals, rollbacks
+// and matches. The windows grow and compact on the way: some cluster's
+// window holds more than 16 tuples, so it grew from four slots at least
+// twice, and each cluster's pushes outnumber four times its longest live
+// window, the most its capacity can reach, so it compacted.
+func TestStreamTypedWindowDifferential(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002)
+	keys := []struct {
+		sym storage.Value
+		lvl []float64 // the lvl of successive tuples (cycled); nil for NULL
+	}{
+		{storage.NewString("A"), []float64{1.5}},
+		{storage.NewString("A"), []float64{math.Copysign(0, -1)}},
+		{storage.NewString("A"), []float64{0}},
+		{storage.NewString("B"), []float64{1.5}},
+		{storage.NewString("B"), []float64{nan1, nan1, nan2}},
+		{storage.NewString("A"), nil},
+		{storage.Null, []float64{1.5}},
+		{storage.Null, nil},
+		{storage.NewString("NULL"), []float64{1.5}},
+	}
+	const perCluster = 400
+	r := rand.New(rand.NewSource(45))
+	var feed []storage.Row // round-robin by day
+	clusters := make([][]storage.Row, len(keys))
+	for c, k := range keys {
+		px := 100.0
+		for i := 0; i < perCluster; i++ {
+			// Falls run long now and then, so the star's window grows.
+			if i%97 < 40 {
+				px *= 1 - 0.02*r.Float64()
+			} else {
+				px *= 1 + 0.05*(r.Float64()-0.45)
+			}
+			row := storage.Row{k.sym, storage.Null, storage.NewDateDays(int64(i / 2)),
+				storage.NewInt(int64(r.Intn(40) - 5)), storage.NewFloat(px),
+				storage.NewBool(r.Intn(3) == 0), storage.NewString(fmt.Sprintf("n%d", r.Intn(6)))}
+			if k.lvl != nil {
+				row[1] = storage.NewFloat(k.lvl[i%len(k.lvl)])
+			}
+			for col := 3; col < len(row); col++ {
+				if r.Intn(23) == 0 {
+					row[col] = storage.Null
+				}
+			}
+			// Some values arrive as the other numeric type: Push and
+			// Insert coerce them alike.
+			if i%31 == 7 {
+				row[4] = storage.NewInt(int64(px))
+			}
+			clusters[c] = append(clusters[c], row)
+		}
+	}
+	for i := 0; i < perCluster; i++ {
+		for c := range clusters {
+			feed = append(feed, clusters[c][i])
+		}
+	}
+
+	db := New()
+	db.MustExec(`CREATE TABLE feed (sym VARCHAR(8), lvl REAL, day DATE, qty INTEGER, px REAL, up BOOLEAN, note VARCHAR(4))`)
+	for _, row := range feed {
+		db.Table("feed").MustInsert(row...)
+	}
+	// rowBytes renders a row value for value: its type, then a REAL's
+	// bits or any other value's text. A stream emits a match as soon as
+	// it completes, so SELECT reads no tuple past the match (where a
+	// stream reads NULL and batch the next tuple): next steps from X only.
+	rowBytes := func(row storage.Row) string {
+		var b []byte
+		for _, v := range row {
+			if v.Type() == storage.TypeFloat {
+				b = fmt.Appendf(b, "%d:%016x|", v.Type(), math.Float64bits(v.Float()))
+			} else {
+				b = fmt.Appendf(b, "%d:%s|", v.Type(), v)
+			}
+		}
+		return string(b)
+	}
+	statements := []string{`
+		SELECT X.sym, X.lvl, X.day, X.qty, X.px, X.up, X.note,
+		       X.previous.px AS before_px, X.previous.note AS before_note, X.previous.lvl AS before_lvl,
+		       X.next.day AS after_day, X.next.up AS after_up, X.next.sym AS after_sym,
+		       FIRST(Y).qty AS y_qty, LAST(Y).note AS y_note, LAST(Y).lvl AS y_lvl,
+		       SUM(Y.qty) AS qty_sum, AVG(Y.px) AS px_avg, MIN(Y.note) AS note_min,
+		       MAX(Y.day) AS day_max, MIN(Y.lvl) AS lvl_min, COUNT(Y) AS n
+		FROM feed CLUSTER BY sym, lvl SEQUENCE BY day AS (X, *Y, Z)
+		WHERE X.px >= X.previous.px
+		  AND Y.px < Y.previous.px
+		  AND Z.px > Z.previous.px
+		  AND Z.px < 1.5 * X.px
+		  AND (Z.up = TRUE OR Z.qty * Z.px > 500 OR Z.previous.note = 'n1')`, `
+		SELECT X.sym, X.lvl, Z.day, Z.qty, Z.note, Z.up, Z.px,
+		       Z.previous.qty AS before_qty, X.next.px AS after_px, X.next.sym AS after_sym,
+		       LAST(Y).qty AS y_qty, MAX(Y.note) AS note_max, SUM(Y.px) AS px_sum
+		FROM feed CLUSTER BY sym, lvl SEQUENCE BY day AS (X, *Y, Z)
+		WHERE X.sym <> 'Q' AND X.day >= '1970-01-05'
+		  AND Y.px < Y.previous.px AND Y.note <> 'n9'
+		  AND Z.qty > Z.previous.qty AND Z.lvl < 100 AND Z.qty <= X.qty + 30`,
+	}
+	for si, sql := range statements {
+		q, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, overlap := range []bool{false, true} {
+			label := fmt.Sprintf("statement %d, overlap %v", si+1, overlap)
+			res, err := q.RunWith(RunOptions{Overlap: overlap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got []string
+			for _, row := range res.Rows {
+				want = append(want, rowBytes(row))
+			}
+			st, err := q.OpenStream(StreamOptions{Overlap: overlap}, func(row storage.Row) error {
+				got = append(got, rowBytes(row))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := make([]int, st.arena.Len()+len(keys))
+			for i, row := range feed {
+				if err := st.Push(row...); err != nil {
+					t.Fatalf("%s: push %d: %v", label, i, err)
+				}
+				peak[st.cur] = max(peak[st.cur], st.arena.BufferLen(st.cur))
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.arena.Len(); n != len(keys) {
+				t.Fatalf("%s: %d clusters, want %d", label, n, len(keys))
+			}
+			slices.Sort(want)
+			slices.Sort(got)
+			if len(want) == 0 || !slices.Equal(want, got) {
+				t.Fatalf("%s: stream %d rows, batch %d, or they differ\nstream: %.300q\nbatch:  %.300q", label, len(got), len(want), got, want)
+			}
+			s, b := st.Stats(), res.Stats
+			if s.PredEvals != b.PredEvals || s.Rollbacks != b.Rollbacks || s.Matches != b.Matches {
+				t.Errorf("%s: stream %d pred-evals, %d rollbacks, %d matches; batch %d, %d, %d",
+					label, s.PredEvals, s.Rollbacks, s.Matches, b.PredEvals, b.Rollbacks, b.Matches)
+			}
+			longest := slices.Max(peak)
+			if longest <= 16 || perCluster <= 4*(longest+1) {
+				t.Errorf("%s: the longest live window held %d tuples: the windows must grow past 16 slots and compact", label, longest)
+			}
+		}
 	}
 }
