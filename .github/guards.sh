@@ -138,12 +138,12 @@ only_in 'step.rollback is called outside the row loop and the pure-mask loop: a 
 guard 'GOMAXPROCS is read in the elastic branch only'
 # runtime.GOMAXPROCS(0) takes the scheduler lock. The driver may call it in
 # borrowHelpers, which only a default-option run over the elastic
-# threshold reaches, and in the fan pool's put, which only a fanned-out run
-# reaches; a call anywhere else in driver.go puts it on the path of every
-# small query.
-only_in 'runtime.GOMAXPROCS(0) in driver.go outside borrowHelpers and fanPool.put:' \
+# threshold reaches, and in the run pool's get when it finds no run to
+# lend, a miss that allocates one anyway; a call anywhere else in
+# driver.go puts it on the path of every small query.
+only_in 'runtime.GOMAXPROCS(0) in driver.go outside borrowHelpers and runPool.get:' \
 	'runtime\.GOMAXPROCS\(0\)' driver.go \
-	'func borrowHelpers() (helpers, budget int) {' 'func (p *fanPool) put(f *fan, res *Result) {'
+	'func borrowHelpers() (helpers, budget int) {' 'func (p *runPool) get() *batchRun {'
 
 guard 'One compile per pattern'
 # θ/φ matrices, shift/next tables and the kernel are functions of the
@@ -198,11 +198,11 @@ guard 'A warm statement is found by its text'
 # A cached plan is found under the text it was compiled from, so a warm
 # statement is not normalized: the normalizer runs only when that lookup
 # misses, inside the plan lookup. The partition key is computed once per
-# plan, when it is compiled, and every one-lane run of a plan takes the
-# executor its pattern keeps (patternArtifact.solo, beside the fans of
-# its fanned-out runs), so a never-seen statement over a cached pattern
-# searches with a warm executor; the process-wide lane pool that built an
-# executor per run is gone. A result lends its plan's column
+# plan, when it is compiled, and every run of a plan takes a batch run
+# its pattern keeps, with its lanes' executors (patternArtifact.runs), so
+# a never-seen statement over a cached pattern searches with a warm
+# executor; the process-wide lane pool that built an executor per run is
+# gone. A result lends its plan's column
 # header rather than copying it per run.
 once 'the normalizer is called outside the plan lookup, or more than once:' 'normalizeSQL(' \
 	'serving.go: func (db *DB) lookupPlan(sql string) (p *Plan, key string) {'
@@ -212,6 +212,16 @@ absent 'the process-wide pool of one-lane run lanes is back' \
 	'soloLanes' -- '*.go'
 absent 'a run copies its plan'"'"'s column header again' \
 	-F 'append([]string(nil), compiled.OutNames' -- sqlts.go
+
+guard 'One run state per pattern'
+# What one batch run borrows and learns — its control, its lanes with
+# their executors and blocks, its chunk marks and what the driver found —
+# is one object (batchRun) that the plan's pattern lends from one
+# mutex-guarded pool (runPool) and takes back once the run has succeeded.
+# A lane or a run control kept in a lock-free word is a second protocol
+# for the same state growing back.
+absent 'run state is kept in a lock-free word again: the pattern lends it from its pool' \
+	-E 'atomic\.Pointer\[(lane|runControl)\]' -- ':(glob)*.go' ':!*_test.go'
 
 guard 'A result keeps its matches as counters'
 # A result records each match as its cluster, its first row and its

@@ -10,6 +10,7 @@ package sqlts_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -759,6 +760,7 @@ func TestWarmDoubleBottomAllocs(t *testing.T) {
 // — another alias — costs the same objects but for the few blocks the
 // 10,000 are carved from, where growing them from nothing would cost a
 // dozen refills each.
+// Each side is the fewest objects of three 20-run batches.
 func TestColdStatementReservesItsPatternsResult(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -776,17 +778,22 @@ func TestColdStatementReservesItsPatternsResult(t *testing.T) {
 		if _, err := db.Query(sql(-1)); err != nil { // the pattern's first run
 			t.Fatal(err)
 		}
-		i := 0
-		return testing.AllocsPerRun(20, func() {
-			res, err := db.Query(sql(i))
-			i++
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.PlanCached() || len(res.Rows) != wantMatches {
-				t.Fatalf("a cold statement: plan cached %v, %d rows, want %d", res.PlanCached(), len(res.Rows), wantMatches)
-			}
-		})
+		// The fewest of three batches: an object a pool or the collector
+		// adds to one batch under load is not the statement's.
+		i, fewest := 0, math.Inf(1)
+		for range 3 {
+			fewest = min(fewest, testing.AllocsPerRun(20, func() {
+				res, err := db.Query(sql(i))
+				i++
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PlanCached() || len(res.Rows) != wantMatches {
+					t.Fatalf("a cold statement: plan cached %v, %d rows, want %d", res.PlanCached(), len(res.Rows), wantMatches)
+				}
+			}))
+		}
+		return fewest
 	}
 	many, none := cold(0, 10000), cold(5, 0)
 	if many > none+4 {

@@ -60,15 +60,47 @@ func chunkSize(clusters, workers int) int {
 	return size
 }
 
-// search is what every lane of one run reads: the query, the run's
-// control and options, and the ordered clusters with their memoized mask
-// sets (empty when the run has none), in the partition's blocks.
-type search struct {
+// batchRun is everything one batch run borrows and learns: its control,
+// its lanes, each with its kept executor and blocks, the chunks' marks,
+// claim counter and wait group, and what the driver found, which the
+// run's event reports. The plan's pattern lends it from its pool when the
+// run starts (DB.startRun) and takes it back when the run has succeeded
+// (DB.endRun), so a warm run allocates none of it. A one-lane run is a
+// fan of one: its only lane searches the whole list as one chunk on the
+// calling goroutine, and its blocks are the result's.
+type batchRun struct {
+	rc runControl
+
+	// What every lane reads: the query, the executor the run's options ask
+	// for, and the ordered clusters with their memoized mask sets (empty
+	// when the run has none), in the partition's blocks.
 	q        *Query
-	rc       *runControl
-	opts     RunOptions
+	key      executorKey
 	clusters storage.Blocks[[]storage.Row, struct{}]
 	masks    engine.MaskBlocks
+
+	// What the lanes share: the chunk length, the helpers' budget (0 when
+	// they are not borrowed), the run's checkpoint, one mark per chunk,
+	// written by the lane that searched it, the claim counter and the
+	// failure flag.
+	chunk, budget int
+	check         func() error
+	lanes         []lane
+	marks         []mark
+	next          atomic.Int64
+	failed        atomic.Bool
+	wg            sync.WaitGroup
+
+	found findings
+}
+
+// findings is what the driver found of one run, which the run's event
+// reports: the clusters searched, the lanes that searched at least one
+// chunk, the helper goroutines started, how many more an elastic run
+// would have taken had cores been idle, and how many borrowed helpers left
+// early because the process became oversubscribed.
+type findings struct {
+	clusters, workers, borrowed, denied, yielded int
 }
 
 // lane is one worker's executor and output. Everything a lane finds is
@@ -77,17 +109,16 @@ type search struct {
 // is shared between lanes but the claim counter. The caller's lane is the
 // result's: its blocks are reserved from the last run of the plan's
 // pattern and become the result's memory. A helper's lane is scratch that
-// its fan keeps in the pattern's pool between runs (fanPool): the stitch
-// copies what it found, so a warm fanned-out run allocates what a
-// one-lane run does, plus the stitched slices and a goroutine per helper,
-// whether its helpers searched or not.
+// its run keeps in the pattern's pool between runs: the stitch copies what
+// it found, so a warm fanned-out run allocates what a one-lane run does,
+// plus the stitched slices and a goroutine per helper, whether its helpers
+// searched or not.
 //
 // A lane is also the sink its executor hands every chunk's clusters to
-// (engine.RunSink), so it lives on the heap: in its fan, or — a one-lane
-// run's — in its pattern (patternArtifact.solo) between runs. Every lane
-// keeps its executor from run to run, whose match and span blocks are
-// scratch the executor rewinds after every cluster; the caller's lets go
-// of the blocks it filled, which are the result's (keepExecutor).
+// (engine.RunSink), so it lives on the heap, in its run. Every lane keeps
+// its executor from run to run, whose match and span blocks are scratch
+// the executor rewinds after every cluster; the caller's lets go of the
+// blocks it filled, which are the result's (keepExecutor).
 type lane struct {
 	ex       engine.Executor
 	key      executorKey // what the kept ex was built for
@@ -132,63 +163,68 @@ type mark struct {
 // searchClusters runs the pattern over every cluster and puts the outcome
 // in res in cluster order. rows is the input's row count.
 //
-// How many lanes search is RunOptions.MaxWorkers: 1 is one lane, N > 1 is
-// N, and 0 is elastic — one lane, plus as many helpers as the process has
-// idle cores for (borrowHelpers) when the input is large enough to repay
-// them. The calling goroutine is always a lane, so N lanes start N-1
-// goroutines; all have exited when searchClusters returns.
+// How many lanes search is workers, the run's RunOptions.MaxWorkers: 1 is
+// one lane, N > 1 is N, and 0 is elastic — one lane, plus as many helpers
+// as the process has idle cores for (borrowHelpers) when the input is
+// large enough to repay them. The calling goroutine is always a lane, so
+// N lanes start N-1 goroutines; all have exited when searchClusters
+// returns. A run that could fan out enters every lane in the searcher
+// count while it searches.
 //
-// One lane searches the whole list as one chunk straight into res.
-// Several claim chunks of consecutive clusters off an atomic counter, and
-// once every lane has exited the chunks' marks are stitched in chunk
-// order. The first failure stops further claims; claimed chunks run out,
-// and the error of the lowest-indexed failed cluster is returned, never a
-// partial result.
-func (s search) searchClusters(res *Result, rows int) error {
-	n, opts := s.clusters.Len(), s.opts
+// The lanes claim chunks of consecutive clusters off an atomic counter,
+// and once every lane has exited the chunks' marks are stitched in chunk
+// order; one lane searches the whole list as one chunk, whose runs are the
+// result's. The first failure stops further claims; claimed chunks run
+// out, and the error of the lowest-indexed failed cluster is returned,
+// never a partial result.
+func (b *batchRun) searchClusters(res *Result, rows, workers int) error {
+	n, helpers := b.clusters.Len(), 0
 	switch {
-	case opts.MaxWorkers > 1:
-		if chunk := chunkSize(n, opts.MaxWorkers); chunk < n {
-			helpers := min(opts.MaxWorkers, (n+chunk-1)/chunk) - 1
+	case workers > 1:
+		if chunk := chunkSize(n, workers); chunk < n {
+			helpers = min(workers, (n+chunk-1)/chunk) - 1
 			searchers.Add(int64(helpers) + 1)
-			return s.fanOut(res, helpers, 0)
+			defer searchers.Add(-1)
 		}
-	case opts.MaxWorkers == 0 && n >= 2*chunksPerWorker && rows >= elasticMinRows:
-		helpers, budget := borrowHelpers()
-		res.denied = int32(budget - 1 - helpers)
-		return s.fanOut(res, helpers, budget)
+	case workers == 0 && n >= 2*chunksPerWorker && rows >= elasticMinRows:
+		// An elastic run that was granted no helper is one lane that keeps
+		// its token while it searches.
+		helpers, b.budget = borrowHelpers()
+		b.found.denied = b.budget - 1 - helpers
+		defer searchers.Add(-1)
 	}
-	return s.oneLane(res)
-}
-
-// oneLane searches the whole cluster list as one chunk on the calling
-// goroutine; the lane's runs are the result's. The lane is the one the
-// plan's pattern keeps, with the executor the last one-lane run of a plan
-// of the pattern built, unless there is none yet or another run holds it:
-// then this run builds its own, and the pattern keeps whichever comes back
-// first. So a never-seen statement over a cached pattern searches with a
-// warm executor. A lane must be on the heap to be its executor's sink, so
-// a run that allocated one would cost an object more than the search
-// does, and the executor several more.
-func (s *search) oneLane(res *Result) error {
-	solo := &s.q.plan.art.solo
-	l := solo.Swap(nil)
-	if l == nil {
-		l = new(lane)
+	if helpers > 0 {
+		// A run that fans out is long enough to be seen: it registers here,
+		// before its lanes claim a chunk, so every lane ticks its flight.
+		b.rc.register(obs.PhaseRunning)
 	}
-	var m mark
-	s.start(l, s.rc.interrupt())
-	s.searchChunk(l, &m, 0, s.clusters.Len())
-	if m.err == nil {
-		res.workers = 1
-		res.Stats, res.clusters = l.stats, l.clusters
-		res.Rows, res.bounds = m.rows, m.bounds
-		// A failed run's lane is not kept: its executor may have stopped
-		// anywhere.
-		l.keepExecutor()
-		solo.CompareAndSwap(nil, l)
+	b.check = b.rc.interrupt()
+	b.chunk = max(1, chunkSize(n, helpers+1))
+	if c := cap(b.lanes); c <= helpers {
+		b.lanes = append(b.lanes[:c], make([]lane, helpers+1-c)...)
 	}
-	return m.err
+	b.lanes = b.lanes[:helpers+1]
+	// Even an empty list is one chunk, searched by the caller's lane.
+	if k := max(1, (n+b.chunk-1)/b.chunk); cap(b.marks) >= k {
+		b.marks = b.marks[:k]
+	} else {
+		b.marks = make([]mark, k)
+	}
+	// The caller's lane is set up before any helper can claim: whoever
+	// searches, the stitch gathers the result in its blocks.
+	b.start(&b.lanes[0])
+	for i := 1; i <= helpers; i++ {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			defer searchers.Add(-1)
+			b.claim(&b.lanes[i], b.budget > 0)
+		}()
+	}
+	b.claim(&b.lanes[0], false)
+	b.wg.Wait()
+	b.found.borrowed = helpers
+	return b.stitch(res)
 }
 
 // keepExecutor empties the caller's lane of a successful run, whose blocks
@@ -215,106 +251,46 @@ func borrowHelpers() (helpers, budget int) {
 	return helpers, budget
 }
 
-// fan is the state the lanes of one fanned-out run share: the claim
-// counter, the failure flag, the run's checkpoint, and one mark per chunk,
-// written by the lane that searched it. Between runs the fanPool of the
-// plan's pattern keeps it, with its helper lanes.
-type fan struct {
-	search
-	chunk, budget int
-	check         func() error
-	lanes         []lane
-	marks         []mark
-	next          atomic.Int64
-	failed        atomic.Bool
-	wg            sync.WaitGroup
-}
-
-// fanOut searches the clusters on helpers+1 lanes, the caller's included,
-// and stitches their marks into res. Each lane holds a token of the
-// searcher count, taken by the caller of fanOut, and gives it back when it
-// is done. budget > 0 marks the helpers as borrowed: they re-read the
-// searcher count before every claim and leave once the process is
-// oversubscribed, their finished chunks staying in their lanes; the
-// caller's lane claims until no chunk is left. An elastic run that was
-// granted no helper is one lane that keeps its token while it searches.
-// The fan comes from the pool of the plan's pattern and goes back once the
-// run has succeeded. The receiver is a copy: the fan holds it for the lanes'
-// goroutines, and the caller's own would move to the heap on the one-lane
-// path too.
-func (s search) fanOut(res *Result, helpers, budget int) error {
-	defer searchers.Add(-1)
-	if helpers == 0 {
-		return s.oneLane(res)
-	}
-	// A run that fans out is long enough to be seen: it registers here,
-	// before its lanes claim a chunk, so every lane ticks its flight.
-	s.rc.register(obs.PhaseRunning)
-	n := s.clusters.Len()
-	f := s.q.plan.art.fans.get(helpers + 1)
-	f.search, f.budget, f.check = s, budget, s.rc.interrupt()
-	f.chunk = chunkSize(n, helpers+1)
-	if k := (n + f.chunk - 1) / f.chunk; cap(f.marks) >= k {
-		f.marks = f.marks[:k]
-	} else {
-		f.marks = make([]mark, k)
-	}
-	// The caller's lane is set up before any helper can claim: whoever
-	// searches, the stitch gathers the result in its blocks.
-	f.start(&f.lanes[0], f.check)
-	f.wg.Add(helpers)
-	for i := 1; i <= helpers; i++ {
-		go func() {
-			defer f.wg.Done()
-			defer searchers.Add(-1)
-			f.run(&f.lanes[i], budget > 0)
-		}()
-	}
-	f.run(&f.lanes[0], false)
-	f.wg.Wait()
-	err := f.stitch(res, helpers)
-	if err == nil {
-		s.q.plan.art.fans.put(f, res)
-	}
-	return err
-}
-
-// stitch puts the outcome of a fanned-out run whose lanes have all exited
-// into res: the error of the lowest-indexed failed chunk, or the chunks'
-// rows and match records in chunk order, a helper's row values first
-// copied into the caller's lane (lane.keep).
-func (f *fan) stitch(res *Result, helpers int) error {
+// stitch puts the outcome of a run whose lanes have all exited into res:
+// the error of the lowest-indexed failed chunk, or the chunks' rows and
+// match records in chunk order. The runs of a single chunk the caller's
+// lane searched are the result's; otherwise they are gathered, a helper's
+// row values first copied into the caller's lane (lane.keep).
+func (b *batchRun) stitch(res *Result) error {
 	nrows, nbounds := 0, 0
-	for i := range f.marks {
-		if err := f.marks[i].err; err != nil {
+	for i := range b.marks {
+		if err := b.marks[i].err; err != nil {
 			return err
 		}
-		nrows += len(f.marks[i].rows)
-		nbounds += len(f.marks[i].bounds)
+		nrows += len(b.marks[i].rows)
+		nbounds += len(b.marks[i].bounds)
 	}
-	res.borrowed = int32(helpers)
-	for i := range f.lanes {
-		l := &f.lanes[i]
+	for i := range b.lanes {
+		l := &b.lanes[i]
 		if l.err != nil {
 			return l.err
 		}
 		res.Stats.Add(l.stats)
-		res.clusters += l.clusters
+		b.found.clusters += int(l.clusters)
 		if l.chunks > 0 {
-			res.workers++
+			b.found.workers++
 		}
 		if l.yielded {
-			res.yielded++
+			b.found.yielded++
 		}
+	}
+	if m := &b.marks[0]; len(b.marks) == 1 && !m.helper {
+		res.Rows, res.bounds = m.rows, m.bounds
+		return nil
 	}
 	if nrows > 0 {
 		res.Rows = make([]storage.Row, 0, nrows)
 		res.bounds = make([]int32, 0, nbounds)
 	}
-	for i := range f.marks {
-		m := &f.marks[i]
+	for i := range b.marks {
+		m := &b.marks[i]
 		if m.helper {
-			f.lanes[0].keep(m)
+			b.lanes[0].keep(m)
 		}
 		res.Rows = append(res.Rows, m.rows...)
 		res.bounds = append(res.bounds, m.bounds...)
@@ -335,150 +311,153 @@ func (l *lane) keep(m *mark) {
 	}
 }
 
-// fanPool keeps a pattern's fans between the fanned-out runs of its plans,
-// so that their helper lanes' executors and scratch blocks are built once,
-// not per run. It holds at most GOMAXPROCS fans: as many as can run at
-// once.
-type fanPool struct {
-	mu   sync.Mutex
-	free []*fan
+// runPool keeps a pattern's batch runs between the runs of its plans, so
+// that their lanes' executors and scratch blocks are built once, not per
+// run. It holds at most GOMAXPROCS runs, as read at its last miss: as many
+// as can search at once. Only a miss reads GOMAXPROCS, which takes the
+// scheduler's lock, so a warm run never does.
+type runPool struct {
+	mu    sync.Mutex
+	free  []*batchRun
+	limit int
 }
 
-// get returns a kept fan, or a new one, with lanes lanes.
-func (p *fanPool) get(lanes int) *fan {
-	var f *fan
+// get lends a kept run, or a new one.
+func (p *runPool) get() *batchRun {
 	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		f = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	n := len(p.free)
+	if n == 0 {
+		p.limit = runtime.GOMAXPROCS(0)
+		p.mu.Unlock()
+		return new(batchRun)
 	}
+	b := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
 	p.mu.Unlock()
-	if f == nil {
-		f = new(fan)
-	}
-	if c := cap(f.lanes); c < lanes {
-		f.lanes = append(f.lanes[:c], make([]lane, lanes-c)...)
-	}
-	f.lanes = f.lanes[:lanes]
-	return f
+	return b
 }
 
-// put keeps f, whose run succeeded with res, for the pattern's next
-// fanned-out run. It lets go of everything res holds — the caller's lane,
-// which keeps only its executor — and of the partition the run searched,
-// and readies every helper's lane for a run like this one now, searched or
+// put keeps b, a run that succeeded, for the pattern's next run. It lets
+// go of everything the run's result holds — the caller's lane keeps only
+// its executor — and of the partition and context the run searched, and
+// readies every helper's lane for a run like this one now, searched or
 // not, so that what a helper needs is allocated by this run and not by
-// whichever later run it first gets a core in. A failed run's fan is not kept: its lanes may have
-// stopped anywhere.
-func (p *fanPool) put(f *fan, res *Result) {
-	for i := 1; i < len(f.lanes); i++ {
-		l := &f.lanes[i]
-		f.prepare(l, len(f.lanes), res.Stats.Matches)
-		*l = lane{ex: l.ex, key: l.key, rows: l.rows, values: l.values, bounds: l.bounds}
+// whichever later run it first gets a core in. A failed run is not kept:
+// its lanes may have stopped anywhere.
+func (p *runPool) put(b *batchRun) {
+	if b.found.workers > 0 { // the run searched
+		matches := int(b.q.plan.art.matches.Load())
+		for i := 1; i < len(b.lanes); i++ {
+			l := &b.lanes[i]
+			b.prepare(l, len(b.lanes), matches)
+			*l = lane{ex: l.ex, key: l.key, rows: l.rows, values: l.values, bounds: l.bounds}
+		}
+		b.lanes[0].keepExecutor()
 	}
-	f.lanes[0].keepExecutor()
-	f.search, f.check = search{}, nil
-	clear(f.marks)
-	f.next.Store(0)
+	clear(b.marks)
+	b.rc = runControl{checkpointFn: b.rc.checkpointFn}
+	b.q, b.check = nil, nil
+	b.clusters, b.masks = storage.Blocks[[]storage.Row, struct{}]{}, engine.MaskBlocks{}
+	b.budget, b.found = 0, findings{}
+	b.next.Store(0)
 	p.mu.Lock()
-	if len(p.free) < runtime.GOMAXPROCS(0) {
-		p.free = append(p.free, f)
+	if len(p.free) < p.limit {
+		p.free = append(p.free, b)
 	}
 	p.mu.Unlock()
 }
 
-// run is one lane's life: claim chunks until none is left or the run has
+// claim is one lane's life: claim chunks until none is left or the run has
 // failed — or, a borrowed helper, until the process is oversubscribed. A
 // panic outside any chunk is contained here and fails the run.
-func (f *fan) run(l *lane, borrowed bool) {
+func (b *batchRun) claim(l *lane, borrowed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			l.err = f.q.recovered(r)
-			f.failed.Store(true)
+			l.err = b.q.recovered(r)
+			b.failed.Store(true)
 		}
 	}()
 	// failed is read before the claim, so every claimed chunk is searched:
 	// the chunks that ran are always a prefix, and the lowest failed
 	// cluster does not depend on scheduling.
-	for !f.failed.Load() {
-		if borrowed && (faultDriverYield.Fire() != nil || searchers.Load() > int64(f.budget)) {
-			l.yielded = int(f.next.Load()) < len(f.marks)
+	for !b.failed.Load() {
+		if borrowed && (faultDriverYield.Fire() != nil || searchers.Load() > int64(b.budget)) {
+			l.yielded = int(b.next.Load()) < len(b.marks)
 			return
 		}
-		c := int(f.next.Add(1)) - 1
-		if c >= len(f.marks) {
+		// A load first: the lane that finds the chunks gone leaves without
+		// an atomic add, so a one-lane run makes a single claim.
+		if int(b.next.Load()) >= len(b.marks) {
+			return
+		}
+		c := int(b.next.Add(1)) - 1
+		if c >= len(b.marks) {
 			return
 		}
 		if !l.started {
-			// Set up by its first chunk: a helper that finds the process
-			// oversubscribed, or the chunks gone, has cost a goroutine and
-			// nothing else.
-			f.startHelper(l, len(f.lanes), f.check)
+			// A helper's lane is set up by its first chunk, so a helper that
+			// finds the process oversubscribed, or the chunks gone, has cost
+			// a goroutine and nothing else. The pool's put has readied it
+			// already unless the options or the result changed since.
+			b.prepare(l, len(b.lanes), int(b.q.plan.art.matches.Load()))
+			b.begin(l)
 		}
-		lo := c * f.chunk
-		f.marks[c].helper = l != &f.lanes[0]
-		f.searchChunk(l, &f.marks[c], lo, min(lo+f.chunk, f.clusters.Len()))
-		if f.marks[c].err != nil {
-			f.failed.Store(true)
+		lo := c * b.chunk
+		b.marks[c].helper = l != &b.lanes[0]
+		b.searchChunk(l, &b.marks[c], lo, min(lo+b.chunk, b.clusters.Len()))
+		if b.marks[c].err != nil {
+			b.failed.Store(true)
 		}
 	}
 }
 
-// start gives the caller's lane an executor for this search's options —
-// the one it kept, unless they differ — and reserves the result the last
-// run of the plan's pattern produced, so that a run shaped like the last
+// start gives the caller's lane an executor for this run's options — the
+// one it kept, unless they differ — and reserves the result the last run
+// of the plan's pattern produced, so that a run shaped like the last
 // allocates each of the lane's buffers once, however many lanes search:
 // they are the result's, and a fanned-out run's helpers' finds are copied
 // in.
-func (s *search) start(l *lane, check func() error) {
-	s.executor(l)
-	if matches := int(s.q.plan.art.matches.Load()); matches > 0 {
+func (b *batchRun) start(l *lane) {
+	b.executor(l)
+	if matches := int(b.q.plan.art.matches.Load()); matches > 0 {
 		l.rows.Reserve(matches)
-		l.values.Reserve(matches * len(s.q.plan.compiled.OutNames))
-		l.bounds.Reserve(matches * s.q.plan.art.record())
+		l.values.Reserve(matches * len(b.q.plan.compiled.OutNames))
+		l.bounds.Reserve(matches * b.q.plan.art.record())
 	}
-	s.begin(l, check)
+	b.begin(l)
 }
 
-// startHelper readies a helper's kept lane, one of lanes, for this run
-// from the last result of the plan's pattern; the fan's put has done so
-// already unless the options or the result changed since.
-func (s *search) startHelper(l *lane, lanes int, check func() error) {
-	s.prepare(l, lanes, int(s.q.plan.art.matches.Load()))
-	s.begin(l, check)
-}
-
-// prepare gives a helper's lane, one of lanes, an executor for this
-// search's options — the one it kept, unless they differ — and empties its
-// blocks, to be overwritten, with room for its part of a result of
-// matches output rows. The part is twice an equal share, capped at the
-// whole: chunks may fall unevenly without a refill, and a wide fan's
-// helpers do not each hold the whole result. A block that once outgrew
-// its room keeps what it grew to.
-func (s *search) prepare(l *lane, lanes, matches int) {
-	s.executor(l)
+// prepare gives a helper's lane, one of lanes, an executor for this run's
+// options — the one it kept, unless they differ — and empties its blocks,
+// to be overwritten, with room for its part of a result of matches output
+// rows. The part is twice an equal share, capped at the whole: chunks may
+// fall unevenly without a refill, and a wide fan's helpers do not each
+// hold the whole result. A block that once outgrew its room keeps what it
+// grew to.
+func (b *batchRun) prepare(l *lane, lanes, matches int) {
+	b.executor(l)
 	part := min(matches, 2*((matches+lanes-1)/lanes))
 	l.ex.Recycle()
 	l.rows.Reset(part)
-	l.values.Reset(part * len(s.q.plan.compiled.OutNames))
-	l.bounds.Reset(part * s.q.plan.art.record())
+	l.values.Reset(part * len(b.q.plan.compiled.OutNames))
+	l.bounds.Reset(part * b.q.plan.art.record())
 }
 
-// executor gives l an executor for this search's options: the one it
-// kept, unless it was built for others.
-func (s *search) executor(l *lane) {
-	if key := s.executorKey(); l.ex == nil || l.key != key {
-		l.ex, l.key = s.q.plan.art.newExecutor(key), key
+// executor gives l an executor for this run's options: the one it kept,
+// unless it was built for others.
+func (b *batchRun) executor(l *lane) {
+	if l.ex == nil || l.key != b.key {
+		l.ex, l.key = b.q.plan.art.newExecutor(b.key), b.key
 	}
 }
 
 // begin points a set-up lane at this run: its checkpoint, its masks, and
 // what its sink reads.
-func (s *search) begin(l *lane, check func() error) {
-	l.ex.SetInterrupt(check)
-	l.ex.SetVectorized(s.masks.Len() > 0)
-	l.rc, l.compiled = s.rc, s.q.plan.compiled
+func (b *batchRun) begin(l *lane) {
+	l.ex.SetInterrupt(b.check)
+	l.ex.SetVectorized(b.masks.Len() > 0)
+	l.rc, l.compiled = &b.rc, b.q.plan.compiled
 	l.started = true
 }
 
@@ -487,10 +466,6 @@ func (s *search) begin(l *lane, check func() error) {
 type executorKey struct {
 	kind    ExecutorKind
 	overlap bool
-}
-
-func (s *search) executorKey() executorKey {
-	return executorKey{s.opts.Executor, s.opts.Overlap}
 }
 
 func (k executorKey) policy() engine.SkipPolicy {
@@ -511,17 +486,17 @@ func (k executorKey) policy() engine.SkipPolicy {
 // fault point and takes the checkpoint again before every cluster, when it
 // searches cluster by cluster (lane.Enter), and the lane evaluates SELECT
 // over every cluster's matches as they are found (lane.Found).
-func (s *search) searchChunk(l *lane, m *mark, lo, hi int) {
+func (b *batchRun) searchChunk(l *lane, m *mark, lo, hi int) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.err = s.q.recovered(r)
+			m.err = b.q.recovered(r)
 		}
 	}()
-	if m.err = s.rc.check(); m.err != nil {
+	if m.err = b.rc.check(); m.err != nil {
 		return
 	}
 	l.rowsAt, l.boundsAt = l.rows.Len(), l.bounds.Len()
-	l.run = engine.Run{Clusters: s.clusters, Masks: s.masks, Lo: lo, Hi: hi, Sink: l}
+	l.run = engine.Run{Clusters: b.clusters, Masks: b.masks, Lo: lo, Hi: hi, Sink: l}
 	if m.err = l.ex.FindRun(&l.run); m.err != nil {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,6 +66,14 @@ func driverDB(t testing.TB, n, rowsPer int) (*DB, *Query) {
 		t.Fatal(err)
 	}
 	return db, q
+}
+
+// keptRuns returns the batch runs the pool of q's pattern keeps.
+func keptRuns(q *Query) []*batchRun {
+	p := &q.plan.art.runs
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.free)
 }
 
 // assertNoSearchers fails when the process-wide searcher count has not
@@ -133,12 +142,12 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 				noCache bool
 			}{{"flat", flat, false}, {"nocache", flat, true}}
 			for _, ex := range executors {
-				want, err := flat.RunWith(RunOptions{Executor: ex, MaxWorkers: 1, NoCache: true})
+				want, wantEv, err := flat.runMeasured(RunOptions{Executor: ex, MaxWorkers: 1, NoCache: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if int(want.clusters) != n || want.workers != 1 {
-					t.Fatalf("n=%d: reference searched %d clusters on %d lanes", n, want.clusters, want.workers)
+				if int(wantEv.Clusters) != n || wantEv.Workers != 1 {
+					t.Fatalf("n=%d: reference searched %d clusters on %d lanes", n, wantEv.Clusters, wantEv.Workers)
 				}
 				matched = matched || len(want.Rows) > 0
 				for _, src := range sources {
@@ -149,14 +158,14 @@ func checkDriverDifferential(t *testing.T, stmts []int, ns []int, rowsPer int, e
 						if cfg.procs > 0 {
 							prev = runtime.GOMAXPROCS(cfg.procs)
 						}
-						got, err := src.q.RunWith(opts)
+						got, ev, err := src.q.runMeasured(opts)
 						if cfg.procs > 0 {
 							runtime.GOMAXPROCS(prev)
 						}
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if got.borrowed > 0 {
+						if ev.HelpersBorrowed > 0 {
 							fanned++
 						}
 						if !reflect.DeepEqual(want.Rows, got.Rows) {
@@ -261,12 +270,12 @@ func TestDriverElasticYield(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, q := driverDB(t, 64, tallRows)
-	res, err := q.Run()
+	_, ev, err := q.runMeasured(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.workers != 1 || res.borrowed != 1 || res.yielded != 1 || res.denied != 0 {
-		t.Errorf("workers=%d borrowed=%d yielded=%d denied=%d; want 1, 1, 1, 0", res.workers, res.borrowed, res.yielded, res.denied)
+	if ev.Workers != 1 || ev.HelpersBorrowed != 1 || ev.HelpersYielded != 1 || ev.HelpersDenied != 0 {
+		t.Errorf("workers=%d borrowed=%d yielded=%d denied=%d; want 1, 1, 1, 0", ev.Workers, ev.HelpersBorrowed, ev.HelpersYielded, ev.HelpersDenied)
 	}
 }
 
@@ -312,12 +321,12 @@ func TestDriverBudgetReturns(t *testing.T) {
 			}
 			opts := tc.opts
 			opts.MaxWorkers = workers
-			res, err := q.RunWith(opts)
+			res, ev, err := q.runMeasured(opts)
 			fault.Reset()
 			if !tc.ok(err) || (err != nil && res != nil) {
 				t.Errorf("%s, MaxWorkers %d: err = %v, result %v", tc.name, workers, err, res != nil)
 			}
-			if err == nil && res.borrowed == 0 {
+			if err == nil && ev.HelpersBorrowed == 0 {
 				t.Errorf("%s, MaxWorkers %d: the run did not fan out", tc.name, workers)
 			}
 			assertNoSearchers(t)
@@ -352,13 +361,13 @@ func TestDriverBudgetRespected(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := q.Run()
+				_, ev, err := q.runMeasured(RunOptions{})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				borrowed.Add(int64(res.borrowed))
-				denied.Add(int64(res.denied))
+				borrowed.Add(int64(ev.HelpersBorrowed))
+				denied.Add(int64(ev.HelpersDenied))
 			}
 		}()
 	}
@@ -452,6 +461,68 @@ func TestDriverFailureOrder(t *testing.T) {
 	}
 }
 
+// TestDriverFailedRunKeepsNothing: a run that fails — a cluster's error
+// or a panicking predicate, on one lane and fanned out over three — gives
+// its batch run nothing back to the pool of its plan's pattern, since its
+// lanes may have stopped anywhere: the run it took from the pool is gone
+// with it. The plan's next one-lane and fanned-out runs equal a NoCache
+// run, and the pool keeps one run again.
+func TestDriverFailedRunKeepsNothing(t *testing.T) {
+	defer fault.Reset()
+	defer testutil.LeakCheck(t)()
+	_, q := driverDB(t, 64, driverRows)
+	render := func(res *Result) string { return fmt.Sprint(res.Rows, res.Matches(), res.Stats) }
+	ref, err := q.RunWith(RunOptions{MaxWorkers: 1, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Rows) == 0 {
+		t.Fatal("the statement finds nothing; the runs would agree on nothing")
+	}
+	want := render(ref)
+	errBoom := errors.New("cluster failed")
+	for _, tc := range []struct {
+		name string
+		act  fault.Action
+		ok   func(error) bool
+	}{
+		{"failing cluster", fault.Action{Err: errBoom, After: 20}, func(err error) bool { return errors.Is(err, errBoom) }},
+		{"panicking predicate", fault.Action{Panic: "predicate bug", After: 20}, func(err error) bool {
+			var pe *PanicError
+			return errors.As(err, &pe)
+		}},
+	} {
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("%s, MaxWorkers %d", tc.name, workers)
+			if n := len(keptRuns(q)); n != 1 {
+				t.Fatalf("%s: the pool keeps %d runs before the failing run; want 1", label, n)
+			}
+			if err := fault.Arm("sqlts.execute.cluster", tc.act); err != nil {
+				t.Fatal(err)
+			}
+			res, err := q.RunWith(RunOptions{MaxWorkers: workers})
+			fault.Reset()
+			if !tc.ok(err) || res != nil {
+				t.Fatalf("%s: err = %v, result %v", label, err, res != nil)
+			}
+			if n := len(keptRuns(q)); n != 0 {
+				t.Errorf("%s: the pool keeps %d runs after the failed run; want 0", label, n)
+			}
+			for _, next := range []int{1, 3} {
+				res, ev, err := q.runMeasured(RunOptions{MaxWorkers: next})
+				if err != nil {
+					t.Fatalf("%s, then MaxWorkers %d: %v", label, next, err)
+				}
+				if render(res) != want || ev.HelpersBorrowed != next-1 {
+					t.Errorf("%s, then MaxWorkers %d: %d helpers, and the result differs from the NoCache run's: %v",
+						label, next, ev.HelpersBorrowed, render(res) != want)
+				}
+			}
+		}
+	}
+	assertNoSearchers(t)
+}
+
 // TestManyClusterRunAllocsFlat: what a warm run allocates does not grow
 // with its cluster count. Ten times the clusters around the same four
 // planted matches — flight ticks, executor set-up and result rows, which
@@ -459,7 +530,7 @@ func TestDriverFailureOrder(t *testing.T) {
 // pattern — cost not one object more, on one lane or on two. The second
 // lane costs its goroutine and the two stitched slices (rows, match
 // records) and nothing else: its executor and scratch blocks stay in the
-// fan of the plan's pattern from run to run, and the caller's lane,
+// batch run the plan's pattern keeps from run to run, and the caller's lane,
 // reserved for the whole result, takes in what the helper found without
 // refilling. The executors' matches and spans are scratch that no result
 // references, so a run allocates none.
@@ -478,12 +549,12 @@ func TestManyClusterRunAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := RunOptions{MaxWorkers: workers}
-		res, err := q.RunWith(opts)
+		res, ev, err := q.runMeasured(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(res.clusters) != clusters || res.Stats.Matches != 4 || int(res.borrowed) != workers-1 {
-			t.Fatalf("%d clusters searched on %d lanes, %d matches; want %d, %d and 4", res.clusters, res.borrowed+1, res.Stats.Matches, clusters, workers)
+		if int(ev.Clusters) != clusters || res.Stats.Matches != 4 || ev.HelpersBorrowed != workers-1 {
+			t.Fatalf("%d clusters searched on %d lanes, %d matches; want %d, %d and 4", ev.Clusters, ev.HelpersBorrowed+1, res.Stats.Matches, clusters, workers)
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := q.RunWith(opts); err != nil {
@@ -570,16 +641,16 @@ func TestResultShapeIsAdvisory(t *testing.T) {
 }
 
 // TestFannedResultsOutliveHelperScratch: a helper's lane is scratch that
-// its fan, kept in the pool of the plan's pattern, empties and hands to
-// the next fanned-out run, so all a result holds of what a helper found
+// its batch run, kept in the pool of the plan's pattern, empties and hands
+// to the next fanned-out run, so all a result holds of what a helper found
 // must be copies: row values in the caller's lane, match records in the
 // stitched slice. Two-lane runs whose helper searched — every
 // cluster slowed by the sqlts.execute.cluster fault point, so the helper
 // gets chunks even on one core — alternate Overlap, so each run overwrites
 // the helper's blocks with other matches. Once all have run, every result
-// still reads as a one-lane run's, and the serial runs shared one fan.
-// Then four clients do the same at once, so the pool hands fans back and
-// forth between goroutines, and keeps no more than GOMAXPROCS of them.
+// still reads as a one-lane run's, and the serial runs shared one batch
+// run. Then four clients do the same at once, so the pool hands runs back
+// and forth between goroutines, and keeps no more than GOMAXPROCS of them.
 func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 	defer fault.Reset()
 	_, q := driverDB(t, 64, driverRows)
@@ -604,11 +675,11 @@ func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 		var results []*Result
 		helped := 0
 		for i := 0; i < n; i++ {
-			res, err := q.RunWith(RunOptions{MaxWorkers: 2, Overlap: i%2 == 1})
+			res, ev, err := q.runMeasured(RunOptions{MaxWorkers: 2, Overlap: i%2 == 1})
 			if err != nil {
 				return nil, err
 			}
-			if res.workers == 2 {
+			if ev.Workers == 2 {
 				helped++
 			}
 			results = append(results, res)
@@ -630,8 +701,8 @@ func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("serial", results)
-	if n := len(q.plan.art.fans.free); n != 1 {
-		t.Errorf("the plan keeps %d fans after serial runs; want 1", n)
+	if n := len(keptRuns(q)); n != 1 {
+		t.Errorf("the plan keeps %d runs after serial runs; want 1", n)
 	}
 
 	const clients = 4
@@ -652,16 +723,15 @@ func TestFannedResultsOutliveHelperScratch(t *testing.T) {
 		}
 		check(fmt.Sprintf("client %d", c), each[c])
 	}
-	if n := len(q.plan.art.fans.free); n < 1 || n > runtime.GOMAXPROCS(0) {
-		t.Errorf("the plan keeps %d fans after %d clients; want 1 to GOMAXPROCS", n, clients)
+	if n := len(keptRuns(q)); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("the plan keeps %d runs after %d clients; want 1 to GOMAXPROCS", n, clients)
 	}
 }
 
-// TestOneLaneResultsOutliveKeptExecutor: a pattern keeps the executor of
-// its plans' one-lane runs (patternArtifact.solo), and a fanned-out run's
-// caller lane keeps its own, and their match and span blocks are scratch
-// they overwrite cluster after cluster: a result must hold nothing of
-// them, only its own rows and match records. A NoCache
+// TestOneLaneResultsOutliveKeptExecutor: a pattern keeps the executors of
+// its plans' runs in the batch runs of its pool, one per lane, and their
+// match and span blocks are scratch they overwrite cluster after cluster:
+// a result must hold nothing of them, only its own rows and match records. A NoCache
 // run, a one-lane and a two-lane result, held across 100 later runs of
 // their plan — Overlap, naive, two lanes, and EXPLAIN ANALYZE with another
 // executor, whose naive comparison runs too, each finding other matches —
@@ -724,11 +794,11 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 		if _, err := q.RunWith(RunOptions{MaxWorkers: 1}); err != nil {
 			t.Fatal(err)
 		}
-		l := q.plan.art.solo.Load()
-		if l == nil || l.ex == nil {
-			t.Fatal("the plan keeps no lane after a one-lane run")
+		kept := keptRuns(q)
+		if len(kept) != 1 || len(kept[0].lanes) != 1 || kept[0].lanes[0].ex == nil {
+			t.Fatal("the plan keeps no one-lane run after a one-lane run")
 		}
-		return l.ex
+		return kept[0].lanes[0].ex
 	}
 	if kept() != kept() {
 		t.Error("two one-lane runs with the same options built two executors")
@@ -744,14 +814,15 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 // default, and on two lanes with every cluster slowed so that the helper
 // searches chunks even on one core. The table has clusters that match
 // nothing; the matrix runs over the partition as built and again after an
-// insert refreshed it. A Result is no larger than it was when it held the
-// intervals, and the executor a pattern keeps holds one cluster's matches
-// at most (keptExecutorScratch).
+// insert refreshed it. A Result holds what its accessors read and no
+// more (144 bytes: what the driver found is the run's event's), and the
+// executor a pattern keeps holds one cluster's matches at most
+// (keptExecutorScratch).
 func TestResultMatchesFromBounds(t *testing.T) {
 	t.Run("kept executor scratch", keptExecutorScratch)
 	defer fault.Reset()
-	if size := unsafe.Sizeof(Result{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 160 {
-		t.Errorf("a Result is %d bytes, want at most the 160 it was", size)
+	if size := unsafe.Sizeof(Result{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 144 {
+		t.Errorf("a Result is %d bytes, want at most the 144 it is", size)
 	}
 	db, q := driverDB(t, 64, driverRows)
 	for c := 0; c < 4; c++ {
@@ -772,12 +843,12 @@ func TestResultMatchesFromBounds(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					got, err := q.RunWith(RunOptions{Executor: kind, Overlap: overlap, MaxWorkers: cfg.workers})
+					got, ev, err := q.runMeasured(RunOptions{Executor: kind, Overlap: overlap, MaxWorkers: cfg.workers})
 					fault.Reset()
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if cfg.slow && got.workers == 2 {
+					if cfg.slow && ev.Workers == 2 {
 						helped++
 					}
 					part, _, err := db.partition(q.plan, false)
@@ -858,11 +929,11 @@ func keptExecutorScratch(t *testing.T) {
 		if res.Stats.Matches != clusters*(rows-1) {
 			t.Fatalf("%s: %d matches, want %d", kind, res.Stats.Matches, clusters*(rows-1))
 		}
-		l := q.plan.art.solo.Load()
-		if l == nil || l.key != (executorKey{kind, true}) {
-			t.Fatalf("%s: the pattern keeps no lane for the run's executor", kind)
+		kept := keptRuns(q)
+		if len(kept) != 1 || len(kept[0].lanes) != 1 || kept[0].lanes[0].key != (executorKey{kind, true}) {
+			t.Fatalf("%s: the pattern keeps no one-lane run for the run's executor", kind)
 		}
-		ev := reflect.ValueOf(l.ex).Elem()
+		ev := reflect.ValueOf(kept[0].lanes[0].ex).Elem()
 		matches, spans := ev.FieldByName("matches").FieldByName("buf").Cap(), ev.FieldByName("spans").FieldByName("buf").Cap()
 		if matches > rows-1 || spans > 2*(rows-1) {
 			t.Errorf("%s: the kept executor holds room for %d matches and %d spans, want at most one cluster's %d and %d",

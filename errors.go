@@ -95,9 +95,10 @@ func classifyError(err error) obs.ErrClass {
 }
 
 // runControl carries one execution's cancellation state: the context's
-// done channel, the run's resource budgets, and its flight. A nil
-// *runControl is inert (check returns nil), so unconstrained runs pay a
-// single nil comparison per checkpoint.
+// done channel, the run's resource budgets, and its flight. A nil or
+// unarmed *runControl is inert (check returns nil), so unconstrained runs
+// pay an inlined comparison per checkpoint. A batch run's control is part
+// of its batchRun, which the plan's pattern lends with it (DB.startRun).
 //
 // A run registers its flight lazily: only a run that lives long enough to
 // be seen or killed is entered in the active-query registry. One that
@@ -132,11 +133,12 @@ type runControl struct {
 	pending       obs.FlightProgress
 
 	// checkpointFn is checkpoint as a func value, made once per
-	// runControl: the interrupt every executor of the run installs.
+	// runControl by its first interrupt: what every executor of the run
+	// installs.
 	checkpointFn func() error
 }
 
-// newRunControl builds the control for a run outside the serving path (a
+// newRunControl builds the control for a run outside the batch path (a
 // stream, EXPLAIN ANALYZE's diagnostic pass), registered as fl if it is
 // registered at all; nil when it has no context, no budgets and no
 // flight.
@@ -144,16 +146,8 @@ func newRunControl(ctx context.Context, opts RunOptions, fl *obs.Flight) *runCon
 	if ctx == nil && opts.MaxMatches == 0 && opts.MaxRowsScanned == 0 && fl == nil {
 		return nil
 	}
-	rc := newControl()
-	rc.flight = fl
+	rc := &runControl{flight: fl}
 	rc.limit(ctx, opts)
-	return rc
-}
-
-// newControl allocates an empty control with its checkpoint func.
-func newControl() *runControl {
-	rc := new(runControl)
-	rc.checkpointFn = rc.checkpoint
 	return rc
 }
 
@@ -167,46 +161,33 @@ func (rc *runControl) limit(ctx context.Context, opts RunOptions) {
 	rc.armed = rc.done != nil || rc.maxMatches > 0 || rc.flight != nil
 }
 
-// startRun takes the control of one run of plan p under executor, or nil
-// when the run has no context, no budgets and the flight recorder is off.
-// With the recorder on the run draws its id now and may register later
-// (register). The control is the spare the plan's pattern keeps between
-// runs, unless another run holds it or the plan has no pattern: then the
-// run makes its own, and endRun keeps whichever comes back first, so a
-// warm run — and a never-seen statement over a cached pattern — allocates
-// neither a control nor its checkpoint func.
-func (db *DB) startRun(ctx context.Context, p *Plan, opts RunOptions, executor string) *runControl {
-	on := !db.flight.off.Load()
-	if ctx == nil && opts.MaxMatches == 0 && opts.MaxRowsScanned == 0 && !on {
-		return nil
-	}
-	var rc *runControl
+// startRun lends the batch run of one run of plan p under executor: the
+// one the plan's pattern keeps (runPool), or a new one when none is free
+// or the plan has no pattern. Its control takes the run's context and
+// budgets, and with the flight recorder on the run draws its id now and
+// may register later (register).
+func (db *DB) startRun(ctx context.Context, p *Plan, opts RunOptions, executor string) *batchRun {
+	var b *batchRun
 	if p.art != nil {
-		rc = p.art.rc.Swap(nil)
+		b = p.art.runs.get()
+	} else {
+		b = new(batchRun)
 	}
-	if rc == nil {
-		rc = newControl()
+	b.rc.limit(ctx, opts)
+	if !db.flight.off.Load() {
+		b.rc.db, b.rc.id, b.rc.key, b.rc.executor = db, db.flight.flights.NextID(), p.key, executor
 	}
-	rc.limit(ctx, opts)
-	if on {
-		rc.db, rc.id, rc.key, rc.executor = db, db.flight.flights.NextID(), p.key, executor
-	}
-	return rc
+	return b
 }
 
-// endRun deregisters the run's flight, if it registered, and gives its
-// control back to the pattern of plan p, as the pattern keeps its lanes.
-// Nothing holds the control once the run is over: its lanes have exited,
-// and a lane the pattern keeps installs the next run's checkpoint before
-// it searches.
-func (db *DB) endRun(p *Plan, rc *runControl) {
-	if rc == nil {
-		return
-	}
-	db.deregisterFlight(rc.flight)
-	if p.art != nil {
-		*rc = runControl{checkpointFn: rc.checkpointFn}
-		p.art.rc.CompareAndSwap(nil, rc)
+// endRun deregisters the run's flight, if it registered, and gives a run
+// that succeeded back to the pattern of plan p. Nothing holds the run once
+// it is over: its lanes have exited, and a lane the pattern keeps installs
+// the next run's checkpoint before it searches.
+func (db *DB) endRun(p *Plan, b *batchRun, err error) {
+	db.deregisterFlight(b.rc.flight)
+	if err == nil && p.art != nil {
+		p.art.runs.put(b)
 	}
 }
 
@@ -268,12 +249,16 @@ func (rc *runControl) queryID() uint64 {
 }
 
 // interrupt returns the checkpoint function executors install via
-// SetInterrupt (nil for an inert run). Batch runs only: a stream's
-// matchers each count their own evals, so Stream installs the bare check
-// and ticks the exact delta around every push.
+// SetInterrupt: nil for an inert run, which has nothing to check and no
+// flight to register. Batch runs only: a stream's matchers each count
+// their own evals, so Stream installs the bare check and ticks the exact
+// delta around every push.
 func (rc *runControl) interrupt() func() error {
-	if rc == nil {
+	if rc == nil || !rc.armed && rc.db == nil {
 		return nil
+	}
+	if rc.checkpointFn == nil {
+		rc.checkpointFn = rc.checkpoint
 	}
 	return rc.checkpointFn
 }

@@ -135,7 +135,7 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	masks, vectorized := q.plan.masks(part)
+	masks := q.plan.masks(part)
 	exs := []engine.Executor{q.plan.art.newExecutor(executorKey{opts.Executor, opts.Overlap})}
 	if opts.Executor != NaiveExec {
 		exs = append(exs, q.plan.art.newExecutor(executorKey{NaiveExec, opts.Overlap}))
@@ -144,7 +144,7 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 	r := engine.Run{Clusters: part.Groups, Masks: masks, Sink: diagnosticSink{rc}}
 	for k, ex := range exs {
 		ex.SetInterrupt(rc.interrupt())
-		ex.SetVectorized(vectorized)
+		ex.SetVectorized(masks.Len() > 0)
 		for i := range cs {
 			r.Lo, r.Hi = i, i+1
 			if err := ex.FindRun(&r); err != nil {

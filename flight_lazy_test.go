@@ -214,12 +214,12 @@ func TestFlightLazyQueuedRunKillable(t *testing.T) {
 // over its fifteen-row Figure 5 series through db.Query (21 predicate
 // evaluations, no match): the per-chunk blocks are sized from what the
 // first match needs, so a run that finds none pays for none, and the plan
-// is found by its text, with its partition's slot, a kept executor and a
-// kept run control, and lends the result its column names and types. So
-// the op allocates its Query handle and its Result, and no header copy,
-// flight, run control or interrupt closure. The plan's pattern keeps a
-// spare run control from its first run on, as it keeps its lanes, so a
-// never-seen statement over a cached pattern takes it too.
+// is found by its text, with its partition's slot and a batch run its
+// pattern keeps (its control, its lane and the lane's executor), and lends
+// the result its column names and types. So the op allocates its Query
+// handle and its Result, and no header copy, flight, run control or
+// interrupt closure. The plan's pattern keeps the batch run from its first
+// run on, so a never-seen statement over a cached pattern takes it too.
 func TestWarmTinyQueryAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -237,8 +237,8 @@ func TestWarmTinyQueryAllocs(t *testing.T) {
 		if res.Stats.PredEvals != 21 {
 			t.Fatalf("Figure 5: %v; want 21 pred-evals", res.Stats)
 		}
-		if q.plan.art.rc.Load() == nil {
-			t.Fatalf("after run %d the plan's pattern keeps no run control", i+1)
+		if len(keptRuns(q)) != 1 {
+			t.Fatalf("after run %d the plan's pattern keeps no batch run", i+1)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {

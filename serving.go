@@ -12,8 +12,9 @@ package sqlts
 //     validated against the DB catalog version (DDL, table registration
 //     and positive-domain declarations invalidate plans; inserts do not).
 //     A plan also keeps what every run would otherwise re-derive: its
-//     partition key; its pattern keeps one executor for the one-lane runs
-//     of all its plans (patternArtifact.solo).
+//     partition key; its pattern lends every run of its plans a batch run
+//     — control, lanes and their executors — from one pool
+//     (patternArtifact.runs).
 //   - patterns: the compiled patterns of the cached plans, keyed by the
 //     catalog version and the statement's FROM … WHERE tokens, which are
 //     looked up before they are parsed (DB.parse), so a statement text

@@ -380,18 +380,8 @@ type Result struct {
 	bounds []int32
 	m      int32
 
-	// clusters is how many clusters the run searched. The counts are 32
-	// bits wide to keep a Result, which every run allocates, small.
-	clusters int32
-	// workers is how many lanes searched at least one chunk; borrowed how
-	// many helper goroutines the run started, denied how many more an
-	// elastic run would have taken had cores been idle, and yielded how
-	// many borrowed helpers left early because the process became
-	// oversubscribed.
-	workers, borrowed, denied, yielded int32
-	partition                          partitionOutcome
-	planCached                         bool
-	vectorized                         bool
+	partition  partitionOutcome
+	planCached bool
 }
 
 // PlanCached reports whether the execution served a plan from the plan
@@ -536,15 +526,11 @@ type patternArtifact struct {
 	// any other (engine.Block.Reserve) — and a run that finds it unchanged
 	// writes nothing.
 	matches atomic.Int64
-	// fans keeps the lanes of its plans' fanned-out runs between runs, and
-	// solo the lane of their one-lane runs, each with its executor, which
-	// depends on the pattern and the run's executorKey alone; what a kept
-	// lane holds is scratch, which no result references (see lane).
-	fans fanPool
-	solo atomic.Pointer[lane]
-	// rc is the spare run control the runs of its plans take and give back
-	// (DB.startRun).
-	rc atomic.Pointer[runControl]
+	// runs keeps the batch runs of its plans between runs, each with its
+	// lanes and their executors, which depend on the pattern and the run's
+	// executorKey alone; what a kept lane holds is scratch, which no result
+	// references (see lane).
+	runs runPool
 
 	// spans are the matrices, shift/next and kernel spans of the compile
 	// that built the artifact; cachedSpans are their copies annotated
@@ -586,15 +572,18 @@ func (a *patternArtifact) hitSpans() []*obs.Span {
 func (a *patternArtifact) record() int { return a.analysis.Pattern.Len() + 2 }
 
 // masks returns part's selection bitmasks for the plan's pattern, built
-// by the first run of a plan of the pattern over part and memoized since,
-// and whether there are any: there are none to memoize when the plan's
-// executors interpret.
-func (p *Plan) masks(part *partitionEntry) (masks engine.MaskBlocks, vectorized bool) {
-	if p.kernel == nil || p.kernel.CompiledElems() == 0 {
-		return masks, false
+// by the first run of a plan of the pattern over part and memoized since:
+// none when the plan's executors interpret (vectorized).
+func (p *Plan) masks(part *partitionEntry) engine.MaskBlocks {
+	if !p.vectorized() {
+		return engine.MaskBlocks{}
 	}
-	return part.memoFor(p.art), true
+	return part.memoFor(p.art)
 }
+
+// vectorized says the plan's kernel compiled an element to selection
+// masks, so its runs probe masks.
+func (p *Plan) vectorized() bool { return p.kernel != nil && p.kernel.CompiledElems() > 0 }
 
 // SQL returns the statement text the plan was compiled from.
 func (p *Plan) SQL() string { return p.sql }
@@ -952,21 +941,23 @@ func (q *Query) admitContained(ctx context.Context) (release func(), wait time.D
 // one record, its obs.Event, whatever the outcome (success, cancellation,
 // deadline, budget, contained panic, admission rejection, plain error).
 // DB.observe feeds every view from that value.
-func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
+func (q *Query) runMeasured(opts RunOptions) (res *Result, ev obs.Event, err error) {
 	ctx := opts.Context
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = deadlineContext(ctx, opts.Deadline)
 		defer cancel()
 	}
-	// The run's control: its context and budgets, and with the recorder on
-	// its id and what a late flight registration needs (runControl).
+	// The run's batch run: its control — its context and budgets, and with
+	// the recorder on its id and what a late flight registration needs
+	// (runControl) — its lanes, and what the driver finds.
 	executor := opts.Executor.String()
-	rc := q.db.startRun(ctx, q.plan, opts, executor)
-	defer q.db.endRun(q.plan, rc)
+	b := q.db.startRun(ctx, q.plan, opts, executor)
+	defer func() { q.db.endRun(q.plan, b, err) }()
+	rc := &b.rc
 	// Entry checkpoint: an already-expired context fails deterministically
 	// before any work (or queueing) happens.
-	err := rc.check()
+	err = rc.check()
 	// The admission gate is taken only when a bound is configured or the
 	// sqlts.admission fault point is armed: an unlimited DB pays one atomic
 	// load per run.
@@ -997,18 +988,15 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 	// The run's duration is the time after admission, failed or not; a
 	// flight registered from here on starts at admission.
 	admitted := time.Now()
-	var (
-		res     *Result
-		scanned int
-	)
+	var scanned int
 	if err == nil {
 		rc.admitted(admitted)
-		res, scanned, err = q.execute(rc, opts)
+		res, scanned, err = q.execute(b, opts)
 	}
 	now := time.Now()
 	dur := now.Sub(admitted).Nanoseconds()
 	slowNs := q.db.slowNs.Load()
-	ev := obs.Event{
+	ev = obs.Event{
 		Time:            now,
 		QueryID:         rc.queryID(),
 		SQL:             q.plan.key,
@@ -1017,7 +1005,7 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		AdmissionWaitNs: admWait.Nanoseconds(),
 		PlanCached:      q.planCached,
 		PatternCached:   !q.planCached && q.plan.patternCached,
-		Kernel:          q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
+		Kernel:          q.plan.vectorized(),
 		Slow:            slowNs > 0 && dur >= slowNs,
 	}
 	if err != nil {
@@ -1027,17 +1015,19 @@ func (q *Query) runMeasured(opts RunOptions) (*Result, obs.Event, error) {
 		res.planCached = q.planCached
 		ev.Rows = int64(len(res.Rows))
 		ev.RowsScanned = int64(scanned)
-		ev.Clusters = int64(res.clusters)
+		ev.Clusters = int64(b.found.clusters)
 		ev.PredEvals = res.Stats.PredEvals
 		ev.Rollbacks = res.Stats.Rollbacks
 		ev.Matches = int64(res.Stats.Matches)
 		ev.PartitionCached = res.partition.cached
 		ev.Partition = res.partition.String()
-		ev.Vectorized = res.vectorized
-		ev.Workers = int(res.workers)
-		ev.HelpersBorrowed = int(res.borrowed)
-		ev.HelpersDenied = int(res.denied)
-		ev.HelpersYielded = int(res.yielded)
+		// A run that searched has a lane that did; a plain SELECT and an
+		// always-empty pattern search nothing, vectorized or not.
+		ev.Vectorized = ev.Kernel && b.found.workers > 0
+		ev.Workers = b.found.workers
+		ev.HelpersBorrowed = b.found.borrowed
+		ev.HelpersDenied = b.found.denied
+		ev.HelpersYielded = b.found.yielded
 	}
 	q.db.observe(q, &ev, err)
 	return res, ev, err
@@ -1052,13 +1042,14 @@ func cachedWord(hit bool) string {
 	return "built"
 }
 
-// execute is the raw execution path: no event, no metrics. EXPLAIN
-// ANALYZE uses it directly for the naive-comparison run so diagnostics
-// don't inflate the serving counters. It is also a panic-containment
-// boundary (see Query.recovered) for everything around the cluster
-// search, which contains its own: a failed run returns its typed error,
-// never a partial Result. rc may be nil (an unconstrained run).
-func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned int, err error) {
+// execute is the raw execution path under runMeasured: no event, no
+// metrics. It is also a panic-containment boundary (see Query.recovered)
+// for everything around the cluster search, which contains its own: a
+// failed run returns its typed error, never a partial Result. b is the
+// run's batch run, whose lanes search the clusters and keep what the
+// driver found.
+func (q *Query) execute(b *batchRun, opts RunOptions) (res *Result, scanned int, err error) {
+	rc := &b.rc
 	defer func() {
 		if r := recover(); r != nil {
 			res, scanned, err = nil, 0, q.recovered(r)
@@ -1086,7 +1077,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		}
 		rc.tick(0, int64(len(rows)), 0)
 		for ri, row := range rows {
-			if rc != nil && ri&1023 == 1023 {
+			if ri&1023 == 1023 {
 				if err := rc.check(); err != nil {
 					return nil, 0, err
 				}
@@ -1115,10 +1106,9 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	}
 	res.partition = how
 	res.m = int32(compiled.Pattern.Len())
-	s := search{q: q, rc: rc, opts: opts, clusters: part.Groups}
-	s.masks, res.vectorized = q.plan.masks(part)
+	b.q, b.key, b.clusters, b.masks = q, executorKey{opts.Executor, opts.Overlap}, part.Groups, q.plan.masks(part)
 	rc.setClustersTotal(int64(part.Groups.Len()))
-	if err := s.searchClusters(res, part.Rows); err != nil {
+	if err := b.searchClusters(res, part.Rows, opts.MaxWorkers); err != nil {
 		return nil, 0, err
 	}
 	if a := q.plan.art; a.matches.Load() != int64(res.Stats.Matches) {
