@@ -35,7 +35,8 @@ absent() {
 
 # only_in MESSAGE REGEX FILES ALLOWED...: every line of FILES (a
 # space-separated list) that matches the awk regular expression REGEX lies
-# in a function whose declaration line is one of ALLOWED.
+# in a function, or a const, var or type declaration, whose first line is
+# one of ALLOWED.
 only_in() {
 	local msg=$1 re=$2 files=$3
 	shift 3
@@ -48,7 +49,7 @@ only_in() {
 		allowed+=(-e "$fn")
 	done
 	# shellcheck disable=SC2086 # files is a word list
-	where=$(RE=$re awk '/^func /{fn=$0} $0 ~ ENVIRON["RE"]{print fn}' $files |
+	where=$(RE=$re awk 'FNR==1{fn=""} /^(func|const|var|type) /{fn=$0} $0 ~ ENVIRON["RE"]{print fn}' $files |
 		grep -vxF "${allowed[@]}" || true)
 	if [ -n "$where" ]; then
 		fail "$msg"
@@ -104,11 +105,12 @@ absent "a plan's configuration is being changed after compile again" \
 	-E 'NoVectorize|SetAdaptive|derivePlan|replacePlan|preferNaive|adaptiveReplans|OPSSavingsObserved|\.Memoize\(' -- '*.go' ':!benchmark/'
 
 guard 'One predicate compiler'
-# A condition compiles once, to the kernel's atoms, which the row path
-# (streams, SetVectorized off) and the mask builders both read: the
-# closure compiler (condFn and its four factories) is gone, and a batch
-# probe reads only masks, so no engine.Run, driver search or memo carries
-# projections. The unused setters and the per-Query trace went with it.
+# A condition compiles once, to the kernel's atoms, which a stream's row
+# path and the mask builders both read: the closure compiler (condFn and
+# its four factories) is gone, and a batch probe reads the masks it is
+# handed or the interpreter, so no engine.Run, driver search or memo
+# carries projections. The unused setters and the per-Query trace went
+# with it.
 absent 'a second predicate compiler or a deleted API is back' \
 	-E 'condFn|numConstKernel|numFieldKernel|strLitKernel|strFieldKernel|SetEventSampleRate|SetEventRingCapacity|SetPartitionCacheCapacity|LastPath' -- '*.go' ':!benchmark/'
 absent 'the batch path carries projections again' \
@@ -165,23 +167,39 @@ once 'the pattern lookup is made outside the statement parse, or more than once:
 guard 'One memo builder'
 # The partition memos are built by the kernel's run builder
 # (pattern.Kernel.BuildRun). Its one-cluster case, BuildMasks, is for the
-# engine's own masks (and the benchmark's replay): a call anywhere else is
-# a hand-rolled per-cluster memo loop growing back.
-absent 'BuildMasks called outside internal/pattern and internal/engine' \
-	'BuildMasks(' -- '*.go' ':!*_test.go' ':!benchmark/' ':!internal/pattern/' ':!internal/engine/'
+# tests' masks (testutil.Masks) and the benchmark's replay: a batch search
+# is handed its masks, so a call anywhere else — the engine's own mask
+# build included — is a hand-rolled per-cluster memo loop growing back.
+absent 'BuildMasks called outside internal/pattern, internal/testutil and the benchmark harness' \
+	'BuildMasks(' -- '*.go' ':!*_test.go' ':!benchmark/' ':!internal/pattern/' ':!internal/testutil/'
 
 guard 'One rollback, decided once per table entry'
 # §5 mismatch rule 2 is derived in one place, the step builder newSteps,
-# from the tables and the executor's fixed configuration; the row loop
-# and the pure loop read only the steps, and every OPS configuration
-# takes the pure loops (Name only prints the configuration). A line whose
-# first character other than a blank is a slash (a comment) is exempt.
-only_in 'the rollback rule or an ablation config is read outside the step builder' \
-	'^[[:space:]]*[^[:space:]/].*(\.(SkipOK|ShiftOnly|NoCounters)([^A-Za-z0-9_]|$)|j-sh\+1|j - sh \+ 1)' \
+# from the tables and the executor's variant; the row loop and the pure
+# loop read only the steps, and every variant takes the pure loops
+# (Variant.String only names it, and a const block declares them). A line
+# whose first character other than a blank is a slash (a comment) is
+# exempt.
+only_in 'the rollback rule or an ablation variant is read outside the step builder' \
+	'^[[:space:]]*[^[:space:]/].*(\.SkipOK([^A-Za-z0-9_]|$)|ShiftOnly|NoCounters|LastRowSkip|j-sh\+1|j - sh \+ 1)' \
 	"$(git ls-files ':(glob)internal/engine/*.go' ':(exclude,glob)internal/engine/*_test.go' | tr '\n' ' ')" \
-	'func newSteps(t *core.Tables, cfg OPSConfig) []step {' 'func (o *OPS) Name() string {'
+	'const (' 'func newSteps(t *core.Tables, v Variant) []step {' 'func (v Variant) String() string {'
 absent 'the pure loops are gated on the OPS configuration again' \
 	-E '[!=]=[[:space:]]*(engine\.)?OPSConfig\{' -- '*.go' ':!*_test.go'
+
+guard 'Two serving executors'
+# The serving path runs OPS, the paper's system, or naive, its §7
+# baseline. Shift-only, no-counters and last-row-skip are OPS variants
+# for the experiments (engine.Variant, internal/bench): a run option, an
+# ExecutorKind, a stream option or an EXPLAIN line for one in the root
+# package is an ablation back on the serving path. And a batch search
+# probes the masks it is handed or interprets: SetVectorized and
+# UseProjection do nothing, and only the benchmark harness still calls
+# them.
+absent 'an OPS ablation is back on the serving path' \
+	-E 'ShiftOnly|NoCounters|LastRowSkip|shift-only|no-counters|ops\+skip' -- ':(glob)*.go' ':!*_test.go'
+absent 'SetVectorized or UseProjection is called outside the benchmark harness' \
+	-E '\.(SetVectorized|UseProjection)\(' -- '*.go' ':!*_test.go' ':!benchmark/'
 
 guard 'One partition cache'
 # Pattern queries take their clusters and masks from one cache, the
@@ -301,6 +319,24 @@ if [ -n "$locked" ]; then
 	echo "$locked" >&2
 	fail 'obs.Histogram holds a mutex: an observation must stay lock-free'
 fi
+
+guard 'Every -run alternative in CI names a test'
+# A test that a change renames or deletes drops silently out of every CI
+# step whose -run list names it. So every alternative of every -run list
+# in ci.yml (its |-separated parts; '^$', which names none on purpose, is
+# skipped) must match a test that go test -list finds in the packages the
+# same command lists.
+while IFS=$'\t' read -r run pkgs; do
+	[ "$run" = '^$' ] && continue
+	# shellcheck disable=SC2086 # pkgs is a word list
+	tests=$(go test -list '.*' $pkgs | grep -E '^(Test|Benchmark|Fuzz|Example)')
+	IFS='|' read -ra alts <<<"$run"
+	for alt in "${alts[@]}"; do
+		if ! grep -qE -- "$alt" <<<"$tests"; then
+			fail "ci.yml: the -run alternative $alt matches no test in $pkgs"
+		fi
+	done
+done < <(sed -nE "s/.*go test .*-run '([^']*)' (.*)$/\1\t\2/p" .github/workflows/ci.yml)
 
 if [ -n "$failed" ]; then
 	echo "failed guards:$failed" >&2

@@ -46,11 +46,21 @@ func runExecutor(b *testing.B, ex engine.Executor, seq []storage.Row) int64 {
 	return evals
 }
 
-// runPerEval is runExecutor that also reports the engine layer's figure
-// of merit: wall time per predicate evaluation.
-func runPerEval(b *testing.B, ex engine.Executor, seq []storage.Row) {
+// runPerEval is runExecutor over kernel k's masks of seq, handed to ex
+// before every search as a run hands a cluster's, that also reports the
+// engine layer's figure of merit: wall time per predicate evaluation.
+func runPerEval(b *testing.B, ex engine.Executor, k *pattern.Kernel, seq []storage.Row) {
 	b.Helper()
-	if evals := runExecutor(b, ex, seq); evals > 0 {
+	ms := testutil.Masks(k, seq)
+	var evals int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex.UseMasks(ms)
+		_, stats := ex.FindAll(seq)
+		evals = stats.PredEvals
+	}
+	b.ReportMetric(float64(evals), "pred-evals")
+	if evals > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(evals), "ns/eval")
 	}
 }
@@ -144,14 +154,9 @@ func BenchmarkDoubleBottom(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		runExecutor(b, engine.NewNaive(p, engine.SkipPastLastRow), seq)
 	})
-	// "ops" is the production configuration: compiled columnar kernels,
-	// as attached by Query.RunWith. "ops-interp" is the same algorithm
-	// through the condition interpreter; pred-evals are identical.
-	b.Run("ops", func(b *testing.B) {
-		ex := engine.NewOPS(p, t, engine.OPSConfig{})
-		ex.UseKernel(kern)
-		runExecutor(b, ex, seq)
-	})
+	// "ops-interp" is OPS through the condition interpreter, as a search
+	// handed no masks runs; "ops-vec" below is the production
+	// configuration. Pred-evals are identical.
 	b.Run("ops-interp", func(b *testing.B) {
 		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{}), seq)
 	})
@@ -166,14 +171,12 @@ func BenchmarkDoubleBottom(b *testing.B) {
 	b.Run("ops-vec", func(b *testing.B) {
 		ex := engine.NewOPS(p, t, engine.OPSConfig{})
 		ex.UseKernel(kern)
-		ex.SetVectorized(true)
-		runPerEval(b, ex, seq)
+		runPerEval(b, ex, kern, seq)
 	})
 	b.Run("naive-vec", func(b *testing.B) {
 		ex := engine.NewNaive(p, engine.SkipPastLastRow)
 		ex.UseKernel(kern)
-		ex.SetVectorized(true)
-		runPerEval(b, ex, seq)
+		runPerEval(b, ex, kern, seq)
 	})
 	// "ops-vec-dense" is the pair scan's worst case: X holds everywhere and
 	// *Y (a rise) on about half the rows, so most scans stop at once.
@@ -183,10 +186,10 @@ func BenchmarkDoubleBottom(b *testing.B) {
 		return db.MustBuild()
 	}()
 	b.Run("ops-vec-dense", func(b *testing.B) {
+		dk := dense.CompileKernel()
 		ex := engine.NewOPS(dense, core.Compute(dense), engine.OPSConfig{})
-		ex.UseKernel(dense.CompileKernel())
-		ex.SetVectorized(true)
-		runPerEval(b, ex, seq)
+		ex.UseKernel(dk)
+		runPerEval(b, ex, dk, seq)
 	})
 }
 
@@ -235,21 +238,16 @@ func TestVectorizedWarmProbeZeroAlloc(t *testing.T) {
 	p := bench.DoubleBottomPattern()
 	tbl := core.Compute(p)
 	kern := p.CompileKernel()
-	proj := kern.NewProjection()
-	proj.SetRows(seq)
-	masks := kern.BuildMasks(proj, nil)
+	masks := testutil.Masks(kern, seq)
 
 	ex := engine.NewOPS(p, tbl, engine.OPSConfig{})
 	ex.UseKernel(kern)
-	ex.SetVectorized(true)
 	// Prime once so lazily-grown executor scratch reaches steady state.
-	ex.UseProjection(proj)
 	ex.UseMasks(masks)
 	if ms, _ := ex.FindAll(seq); len(ms) != 0 {
 		t.Fatalf("flat series unexpectedly matched %d times", len(ms))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		ex.UseProjection(proj)
 		ex.UseMasks(masks)
 		ex.FindAll(seq)
 	})
@@ -305,7 +303,7 @@ func BenchmarkAblationShiftOnly(b *testing.B) {
 		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{}), seq)
 	})
 	b.Run("shift-only", func(b *testing.B) {
-		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{ShiftOnly: true}), seq)
+		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{Variant: engine.ShiftOnly}), seq)
 	})
 }
 
@@ -326,7 +324,7 @@ func BenchmarkAblationNoCounters(b *testing.B) {
 		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{}), seq)
 	})
 	b.Run("no-counters", func(b *testing.B) {
-		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{NoCounters: true}), seq)
+		runExecutor(b, engine.NewOPS(p, t, engine.OPSConfig{Variant: engine.NoCounters}), seq)
 	})
 }
 
@@ -495,7 +493,7 @@ func BenchmarkTAPatterns(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var evals int64
 			for i := 0; i < b.N; i++ {
-				res, err := q.RunWith(sqlts.RunOptions{Executor: sqlts.OPSSkipExec})
+				res, err := q.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

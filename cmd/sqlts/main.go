@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sqlts -q script.sql [-load table=data.csv ...] [-positive table.col ...]
-//	      [-exec ops|naive|ops-shift-only|ops-no-counters] [-overlap]
+//	      [-exec ops|naive] [-overlap]
 //	      [-explain] [-stats]
 //	sqlts -c "SELECT ... FROM t SEQUENCE BY d AS (X, *Y) WHERE ..." ...
 //
@@ -49,7 +49,7 @@ func run() error {
 	flag.Var(&scripts, "c", "statement(s) to execute (repeatable)")
 	flag.Var(&loads, "load", "table=file.csv: load CSV into a declared table (repeatable)")
 	flag.Var(&positives, "positive", "table.column: declare a positive-domain column (repeatable)")
-	execKind := flag.String("exec", "ops", "executor: ops, naive, ops+skip, ops-shift-only, ops-no-counters")
+	execKind := flag.String("exec", "ops", "executor: ops (the optimized search) or naive (the baseline)")
 	overlap := flag.Bool("overlap", false, "report overlapping matches (skip-to-next-row)")
 	explain := flag.Bool("explain", false, "print the compiled plan before running each SELECT")
 	stats := flag.Bool("stats", false, "print predicate-evaluation statistics after each SELECT")
@@ -161,18 +161,12 @@ func run() error {
 
 func parseExec(s string) (sqlts.ExecutorKind, error) {
 	switch s {
-	case "ops", "auto", "":
+	case "ops":
 		return sqlts.OPSExec, nil
 	case "naive":
 		return sqlts.NaiveExec, nil
-	case "ops-shift-only":
-		return sqlts.OPSShiftOnlyExec, nil
-	case "ops-no-counters":
-		return sqlts.OPSNoCountersExec, nil
-	case "ops+skip", "ops-skip":
-		return sqlts.OPSSkipExec, nil
 	default:
-		return 0, fmt.Errorf("unknown executor %q", s)
+		return 0, fmt.Errorf("unknown executor %q (want ops or naive)", s)
 	}
 }
 

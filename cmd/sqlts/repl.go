@@ -23,7 +23,7 @@ import (
 //	\q            quit
 //	\tables       list tables
 //	\explain      toggle plan printing
-//	\exec NAME    switch executor (ops, naive, ops+skip, ...)
+//	\exec NAME    switch executor (ops or naive)
 //	\workers [n]  search each statement's clusters on n goroutines
 //	              (0 = elastic, the default: borrow the cores no other
 //	              query is searching on; 1 = serially)
@@ -269,7 +269,7 @@ func cacheNote(res *sqlts.Result) string {
 	if res.PlanCached() {
 		notes = append(notes, "plan: cached")
 	}
-	if how := res.PartitionOutcome(); how != "built" {
+	if how := res.PartitionOutcome(); how != "built" && how != "" {
 		notes = append(notes, "partition: "+how)
 	}
 	if len(notes) == 0 {

@@ -133,13 +133,16 @@ func TestREPLMultilineStatement(t *testing.T) {
 }
 
 func TestParseExecKinds(t *testing.T) {
-	for _, s := range []string{"ops", "naive", "ops+skip", "ops-skip", "ops-shift-only", "ops-no-counters", "auto", ""} {
-		if _, err := parseExec(s); err != nil {
-			t.Errorf("parseExec(%q): %v", s, err)
-		}
+	ops, err1 := parseExec("ops")
+	naive, err2 := parseExec("naive")
+	if err1 != nil || err2 != nil || ops != sqlts.OPSExec || naive != sqlts.NaiveExec {
+		t.Errorf("parseExec: ops %v %v, naive %v %v", ops, err1, naive, err2)
 	}
-	if _, err := parseExec("nope"); err == nil {
-		t.Error("bad executor accepted")
+	// The ablations are the experiments' (internal/bench).
+	for _, s := range []string{"nope", "ops+skip", "ops-shift-only", "ops-no-counters", "auto", ""} {
+		if _, err := parseExec(s); err == nil {
+			t.Errorf("parseExec(%q) accepted", s)
+		}
 	}
 }
 

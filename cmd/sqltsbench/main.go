@@ -23,24 +23,14 @@ func main() {
 	n := flag.Int("n", 50000, "sequence length for sweep/text experiments")
 	flag.Parse()
 
-	run := func(name string, f func() *bench.Report) {
-		if *exp != "all" && *exp != name {
-			return
+	known := *exp == "all"
+	for _, e := range bench.Experiments(*seed, *years, *n) {
+		if *exp == "all" || *exp == e.Name {
+			known = true
+			fmt.Println(e.Run().Format())
 		}
-		fmt.Println(f().Format())
 	}
-
-	run("kmp", func() *bench.Report { return bench.KMPTrace(*seed, *n) })
-	run("matrices", bench.Matrices)
-	run("fig5", bench.Figure5)
-	run("doublebottom", func() *bench.Report { return bench.DoubleBottom(*seed, *years) })
-	run("matches", func() *bench.Report { return bench.Matches(*seed, *years) })
-	run("sweep", func() *bench.Report { return bench.Sweep(*seed, *n) })
-	run("reverse", func() *bench.Report { return bench.ReverseHeuristic(*seed, *n) })
-
-	switch *exp {
-	case "all", "kmp", "matrices", "fig5", "doublebottom", "matches", "sweep", "reverse":
-	default:
+	if !known {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

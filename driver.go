@@ -452,11 +452,10 @@ func (b *batchRun) executor(l *lane) {
 	}
 }
 
-// begin points a set-up lane at this run: its checkpoint, its masks, and
-// what its sink reads.
+// begin points a set-up lane at this run: its checkpoint and what its
+// sink reads.
 func (b *batchRun) begin(l *lane) {
 	l.ex.SetInterrupt(b.check)
-	l.ex.SetVectorized(b.masks.Len() > 0)
 	l.rc, l.compiled = &b.rc, b.q.plan.compiled
 	l.started = true
 }

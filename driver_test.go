@@ -201,13 +201,13 @@ var elasticConfigs = []driverConfig{{0, 1}, {0, 2}, {0, 4}}
 // varies both.
 func checkElasticDifferential(t *testing.T, ns ...int) (fanned int) {
 	t.Helper()
-	return checkDriverDifferential(t, []int{0}, ns, tallRows, []ExecutorKind{Auto}, elasticConfigs)
+	return checkDriverDifferential(t, []int{0}, ns, tallRows, []ExecutorKind{OPSExec}, elasticConfigs)
 }
 
 // TestDriverDifferential: whatever the lane count — explicit, or the
 // elastic default at GOMAXPROCS 1, 2 and 4 — the partition source, the
-// evaluation mode, the executor and whether masks answer every element or
-// leave one to the row path, the cluster driver returns rows, Stats and
+// executor and whether masks answer every element or leave one to the
+// interpreter, the cluster driver returns rows, Stats and
 // Matches deep-equal to a one-lane NoCache run.
 // Cluster counts straddle the seams of chunkSize for every lane count
 // tried. The explicit counts run over short clusters, where the default
@@ -216,7 +216,7 @@ func checkElasticDifferential(t *testing.T, ns ...int) (fanned int) {
 // clusters up.
 func TestDriverDifferential(t *testing.T) {
 	explicit := []driverConfig{{1, 0}, {2, 0}, {3, 0}, {8, 0}}
-	checkDriverDifferential(t, []int{0, 1}, seamCounts(2, 3, 8), driverRows, []ExecutorKind{Auto, NaiveExec, OPSSkipExec}, append(explicit, elasticConfigs...))
+	checkDriverDifferential(t, []int{0, 1}, seamCounts(2, 3, 8), driverRows, []ExecutorKind{OPSExec, NaiveExec}, append(explicit, elasticConfigs...))
 	if checkElasticDifferential(t, 1, 7, 8, 9, 15, 16, 17, 25) == 0 {
 		t.Error("the elastic default never borrowed a helper")
 	}
@@ -776,7 +776,7 @@ func TestOneLaneResultsOutliveKeptExecutor(t *testing.T) {
 		case 2:
 			_, err = q.RunWith(RunOptions{MaxWorkers: 2, Overlap: true})
 		case 3:
-			_, err = q.ExplainAnalyze(RunOptions{MaxWorkers: 1, Executor: OPSSkipExec, Overlap: true})
+			_, err = q.ExplainAnalyze(RunOptions{MaxWorkers: 1, Executor: NaiveExec, Overlap: true})
 		default:
 			_, err = q.RunWith(RunOptions{MaxWorkers: 1})
 		}
@@ -831,7 +831,7 @@ func TestResultMatchesFromBounds(t *testing.T) {
 	check := func(phase string) {
 		t.Helper()
 		helped := 0
-		for _, kind := range []ExecutorKind{Auto, NaiveExec, OPSSkipExec} {
+		for _, kind := range []ExecutorKind{OPSExec, NaiveExec} {
 			for _, overlap := range []bool{false, true} {
 				for _, cfg := range []struct {
 					workers int
@@ -921,7 +921,7 @@ func keptExecutorScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []ExecutorKind{Auto, NaiveExec} {
+	for _, kind := range []ExecutorKind{OPSExec, NaiveExec} {
 		res, err := q.RunWith(RunOptions{Executor: kind, Overlap: true, MaxWorkers: 1})
 		if err != nil {
 			t.Fatal(err)

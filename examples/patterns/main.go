@@ -51,7 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", s.name, err)
 		}
-		ops, err := q.RunWith(sqlts.RunOptions{Executor: sqlts.OPSSkipExec})
+		ops, err := q.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

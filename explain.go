@@ -68,20 +68,21 @@ func (q *Query) reportBody(ev *obs.Event) string {
 	if failed {
 		execute.Annotate("error", ev.ErrorKind)
 	} else {
-		// "denied" is the answer to "why did it run on one core": the
-		// others were busy.
-		workers := fmt.Sprintf("%d (%d borrowed, %d yielded", ev.Workers, ev.HelpersBorrowed, ev.HelpersYielded)
-		if ev.HelpersDenied > 0 {
-			workers += fmt.Sprintf(", %d denied: no idle core", ev.HelpersDenied)
-		}
-		workers += ")"
 		execute.Annotate("clusters", ev.Clusters).
 			Annotate("rows-scanned", ev.RowsScanned).
 			Annotate("rows", ev.Rows).
-			Annotate("plan", cachedWord(ev.PlanCached)).
-			Annotate("partition", ev.Partition).
-			Annotate("workers", workers).
-			Annotate("stats", stats)
+			Annotate("plan", cachedWord(ev.PlanCached))
+		if ev.Partition != "" { // a run that read no partition searched nothing
+			// "denied" is the answer to "why did it run on one core": the
+			// others were busy.
+			workers := fmt.Sprintf("%d (%d borrowed, %d yielded", ev.Workers, ev.HelpersBorrowed, ev.HelpersYielded)
+			if ev.HelpersDenied > 0 {
+				workers += fmt.Sprintf(", %d denied: no idle core", ev.HelpersDenied)
+			}
+			execute.Annotate("partition", ev.Partition).
+				Annotate("workers", workers+")")
+		}
+		execute.Annotate("stats", stats)
 	}
 	b.WriteString("\nPhases:\n")
 	b.WriteString(indent(obs.FormatSpans(append(q.plan.compileTrace().Spans(),
@@ -144,7 +145,6 @@ func (q *Query) diagnose(opts RunOptions) (cs []clusterStat, naive engine.Stats,
 	r := engine.Run{Clusters: part.Groups, Masks: masks, Sink: diagnosticSink{rc}}
 	for k, ex := range exs {
 		ex.SetInterrupt(rc.interrupt())
-		ex.SetVectorized(masks.Len() > 0)
 		for i := range cs {
 			r.Lo, r.Hi = i, i+1
 			if err := ex.FindRun(&r); err != nil {

@@ -70,11 +70,8 @@ func TestExplainAnalyzeDoubleBottom(t *testing.T) {
 		t.Errorf("EXPLAIN has no line %q:\n%s", pair, q.Explain())
 	}
 	for kind, want := range map[ExecutorKind]string{
-		NaiveExec:         "search loop: naive, element-1 skip\n",
-		OPSExec:           pair,
-		OPSShiftOnlyExec:  pair,
-		OPSNoCountersExec: "search loop: pure-mask, element-1 skip (element 2 restarts without counters)\n",
-		OPSSkipExec:       "search loop: pure-mask, element-1 skip (element 2's failed tuple is consumed)\n",
+		NaiveExec: "search loop: naive, element-1 skip\n",
+		OPSExec:   pair,
 	} {
 		text, err := q.ExplainAnalyze(RunOptions{Executor: kind})
 		if err != nil {
@@ -415,4 +412,32 @@ func TestExplainAnalyzeClusterTableBounded(t *testing.T) {
 		t.Fatalf("the inserts did not refresh one cluster:\n%s", text)
 	}
 	check("after a refresh", "2000 clusters: rows min/median/max 8/8/64")
+}
+
+// TestPlainSelectReportsNoPartition: a plain SELECT reads the table's
+// snapshot and searches nothing, so its event names no partition and
+// EXPLAIN ANALYZE's execute row prints neither a partition nor workers; a
+// pattern statement over the same table keeps both.
+func TestPlainSelectReportsNoPartition(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "IBM", 0, 90, 120, 80, 130, 110)
+	for sql, pattern := range map[string]bool{
+		`SELECT name, price FROM quote WHERE price > 100`:                                             false,
+		`SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`: true,
+	} {
+		q, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ev, err := q.runMeasured(RunOptions{})
+		text, err2 := q.ExplainAnalyze(RunOptions{})
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		_, row, _ := strings.Cut(text, "execute ")
+		row, _, _ = strings.Cut(row, "\n")
+		if (ev.Partition != "") != pattern || strings.Contains(row, "partition=") != pattern || strings.Contains(row, "workers=") != pattern {
+			t.Errorf("%s: the event's partition is %q, and the execute row reads\n%s", sql, ev.Partition, row)
+		}
+	}
 }

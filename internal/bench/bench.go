@@ -67,6 +67,27 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
+// Experiment is one experiment by its sqltsbench name.
+type Experiment struct {
+	Name string
+	Run  func() *Report
+}
+
+// Experiments lists every experiment in the order sqltsbench -exp all
+// prints them, over the given workload seed, years of simulated DJIA data
+// and sequence length for the sweep and text experiments.
+func Experiments(seed int64, years, n int) []Experiment {
+	return []Experiment{
+		{"kmp", func() *Report { return KMPTrace(seed, n) }},
+		{"matrices", Matrices},
+		{"fig5", Figure5},
+		{"doublebottom", func() *Report { return DoubleBottom(seed, years) }},
+		{"matches", func() *Report { return Matches(seed, years) }},
+		{"sweep", func() *Report { return Sweep(seed, n) }},
+		{"reverse", func() *Report { return ReverseHeuristic(seed, n) }},
+	}
+}
+
 func f64(v float64) string { return fmt.Sprintf("%.2f", v) }
 func i64(v int64) string   { return fmt.Sprintf("%d", v) }
 
@@ -184,7 +205,9 @@ type DoubleBottomResult struct {
 }
 
 // RunDoubleBottom executes the Example 10 query on a simulated DJIA
-// series with every executor.
+// series with both serving executors, and the OPS ablations over the same
+// series at the engine level (ablationEvals). The map holds each one's
+// pred-evals by executor name.
 func RunDoubleBottom(seed int64, years int, planted int) (*DoubleBottomResult, map[string]int64, error) {
 	prices := workload.GeometricWalk(workload.WalkConfig{
 		Seed: seed, N: years * workload.TradingDaysPerYear, Start: 1000, Drift: 0.0003, Vol: 0.011,
@@ -198,7 +221,8 @@ func RunDoubleBottom(seed int64, years int, planted int) (*DoubleBottomResult, m
 
 func runDoubleBottomOn(prices []float64) (*DoubleBottomResult, map[string]int64, error) {
 	db := sqlts.New()
-	db.RegisterTable(workload.SeriesTable("djia", 2557, prices)) // 1977-01-03
+	tbl := workload.SeriesTable("djia", 2557, prices) // 1977-01-03
+	db.RegisterTable(tbl)
 	if err := db.DeclarePositive("djia", "price"); err != nil {
 		return nil, nil, err
 	}
@@ -206,9 +230,11 @@ func runDoubleBottomOn(prices []float64) (*DoubleBottomResult, map[string]int64,
 	if err != nil {
 		return nil, nil, err
 	}
-	evals := map[string]int64{}
+	// The series is one cluster, inserted in date order.
+	rows, _ := tbl.Snapshot()
+	evals := ablationEvals(q.Pattern(), q.Tables(), rows)
 	var res *sqlts.Result
-	for _, kind := range []sqlts.ExecutorKind{sqlts.NaiveExec, sqlts.OPSExec, sqlts.OPSSkipExec, sqlts.OPSShiftOnlyExec, sqlts.OPSNoCountersExec} {
+	for _, kind := range []sqlts.ExecutorKind{sqlts.NaiveExec, sqlts.OPSExec} {
 		r, err := q.RunWith(sqlts.RunOptions{Executor: kind})
 		if err != nil {
 			return nil, nil, err
@@ -425,9 +451,7 @@ func Sweep(seed int64, n int) *Report {
 
 		nm, ns := engine.NewNaive(c.Pattern, engine.SkipPastLastRow).FindAll(seq)
 		om, os := engine.NewOPS(c.Pattern, tables, engine.OPSConfig{Policy: engine.SkipPastLastRow}).FindAll(seq)
-		_, sk := engine.NewOPS(c.Pattern, tables, engine.OPSConfig{Policy: engine.SkipPastLastRow, LastRowSkip: true}).FindAll(seq)
-		_, sh := engine.NewOPS(c.Pattern, tables, engine.OPSConfig{Policy: engine.SkipPastLastRow, ShiftOnly: true}).FindAll(seq)
-		_, nc := engine.NewOPS(c.Pattern, tables, engine.OPSConfig{Policy: engine.SkipPastLastRow, NoCounters: true}).FindAll(seq)
+		ab := ablationEvals(c.Pattern, tables, seq)
 		if len(nm) != len(om) {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("MISMATCH in %s: naive %d vs ops %d", c.Name, len(nm), len(om)))
 		}
@@ -435,10 +459,23 @@ func Sweep(seed int64, n int) *Report {
 			c.Name, fmt.Sprintf("%d", len(om)),
 			i64(ns.PredEvals), i64(os.PredEvals),
 			f64(float64(ns.PredEvals) / float64(os.PredEvals)),
-			i64(sk.PredEvals), i64(sh.PredEvals), i64(nc.PredEvals),
+			i64(ab["ops+skip"]), i64(ab["ops-shift-only"]), i64(ab["ops-no-counters"]),
 		})
 	}
 	return rep
+}
+
+// ablationEvals runs each ablation of OPS (engine.Variant) over seq, left
+// maximal, and returns its pred-evals by executor name. The ablations are
+// the experiments' instruments: the serving path runs OPS or naive.
+func ablationEvals(p *pattern.Pattern, t *core.Tables, seq []storage.Row) map[string]int64 {
+	evals := map[string]int64{}
+	for _, v := range []engine.Variant{engine.LastRowSkip, engine.ShiftOnly, engine.NoCounters} {
+		o := engine.NewOPS(p, t, engine.OPSConfig{Policy: engine.SkipPastLastRow, Variant: v})
+		_, st := o.FindAll(seq)
+		evals[o.Name()] = st.PredEvals
+	}
+	return evals
 }
 
 // --- E8: forward vs reverse ----------------------------------------------------

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sqlts/internal/core"
 	"sqlts/internal/engine"
+	"sqlts/internal/testutil"
 )
 
 func TestReportFormat(t *testing.T) {
@@ -32,30 +35,6 @@ func TestKMPTraceReport(t *testing.T) {
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "MISMATCH") {
 			t.Errorf("kmp/naive disagreement: %s", n)
-		}
-	}
-}
-
-func TestFigure5Report(t *testing.T) {
-	rep := Figure5()
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	// Paper facts: naive path is longer than the OPS path.
-	if rep.Rows[0][1] <= rep.Rows[1][1] && len(rep.Rows[0][1]) == len(rep.Rows[1][1]) {
-		t.Errorf("naive path %s should exceed ops path %s", rep.Rows[0][1], rep.Rows[1][1])
-	}
-}
-
-func TestMatricesReport(t *testing.T) {
-	rep := Matrices()
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	joined := strings.Join(rep.Notes, "\n")
-	for _, want := range []string{"example4 tables:", "example9 tables:", "theta ="} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("notes missing %q", want)
 		}
 	}
 }
@@ -109,18 +88,6 @@ func TestSweepCasesAgree(t *testing.T) {
 	}
 }
 
-func TestReverseHeuristicReport(t *testing.T) {
-	rep := ReverseHeuristic(1, 2000)
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row[3] != "forward" && row[3] != "reverse" {
-			t.Errorf("chosen = %q", row[3])
-		}
-	}
-}
-
 func TestPaperPatternsCompile(t *testing.T) {
 	for _, p := range []interface{ Len() int }{
 		Example4Pattern(), Example4Mirrored(), Example9Pattern(), DoubleBottomPattern(),
@@ -131,5 +98,41 @@ func TestPaperPatternsCompile(t *testing.T) {
 	}
 	if Example9Pattern().Len() != 7 || DoubleBottomPattern().Len() != 9 {
 		t.Error("paper pattern lengths wrong")
+	}
+}
+
+// TestExperimentsGolden pins the paper reproduction: every report at
+// sqltsbench's defaults (seed 1, 25 years, n 50,000), as `sqltsbench -exp
+// all` prints it, equals testdata/experiments.golden byte for byte, so a
+// change of one predicate evaluation in any experiment fails it. The
+// golden is that command's output; regenerate it with
+//
+//	go run ./cmd/sqltsbench -exp all > internal/bench/testdata/experiments.golden
+//
+// only when an experiment is meant to change.
+func TestExperimentsGolden(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the experiments search on one goroutine; under the race detector this pin takes minutes")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "experiments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range Experiments(1, 25, 50_000) {
+		b.WriteString(e.Run().Format())
+		b.WriteByte('\n')
+	}
+	got, golden := strings.SplitAfter(b.String(), "\n"), strings.SplitAfter(string(want), "\n")
+	for len(got) < len(golden) {
+		got = append(got, "(no line)\n")
+	}
+	for len(golden) < len(got) {
+		golden = append(golden, "(no line)\n")
+	}
+	for i := range got {
+		if got[i] != golden[i] {
+			t.Fatalf("line %d differs from the golden\ngolden: %sgot:    %s", i+1, golden[i], got[i])
+		}
 	}
 }

@@ -134,7 +134,7 @@ func (g *starGraph) preds(t node) []node {
 // plain, the failed input tuple is known to satisfy that element, so the
 // runtime may consume it without re-testing and resume at the following
 // element. The paper's star runtime always re-tests (next = j-shift);
-// enable the skip with engine.OPSConfig.LastRowSkip.
+// enable the skip with the engine.LastRowSkip variant.
 func starShiftNext(j int, m *Matrices, star []bool) (shift, next int, skipOK bool) {
 	if j == 1 {
 		return 1, 0, false

@@ -156,16 +156,14 @@ type Executor interface {
 	// bounded by one cluster's matches. An error from the sink stops it, and
 	// an installed interrupt unwinds it the way it unwinds FindAll.
 	FindRun(r *Run) error
-	// UseProjection supplies a prebuilt columnar projection of the next
-	// FindAll sequence (see evaluator.UseProjection); a no-op when no
-	// kernel is attached.
+	// UseProjection and SetVectorized do nothing: a batch search probes the
+	// masks it is handed and interprets otherwise (see evaluator.reset).
+	// They stay only for the benchmark harness's replay, which calls them,
+	// and go with its next change (ROADMAP item 4).
 	UseProjection(*storage.Projection)
-	// SetVectorized enables mask-based probing: searches build (or adopt
-	// via UseMasks) per-element selection bitmasks and answer probes with
-	// bit tests. Results and statistics are identical either way.
 	SetVectorized(on bool)
 	// UseMasks supplies prebuilt selection bitmasks for the next FindAll
-	// sequence (see evaluator.UseMasks); ignored unless SetVectorized.
+	// sequence (see evaluator.UseMasks).
 	UseMasks(*pattern.MaskSet)
 	// SetInterrupt installs a cooperative cancellation checkpoint,
 	// consulted once every 1024 predicate evaluations (nil disables).
@@ -181,24 +179,20 @@ type Executor interface {
 
 // evaluator wraps shared evaluation machinery: predicate dispatch,
 // statistics, optional path tracing, and cross-condition binding setup.
-// When a kernel is attached (UseKernel), probes read its compiled
-// conditions — row by row, or as selection bitmasks; otherwise they
-// interpret the pattern directly. All paths produce identical matches and
-// identical Stats.
+// A batch search probes the selection bitmasks it is handed (UseMasks, or
+// a Run's Masks) when a kernel is attached (UseKernel), and interprets the
+// pattern otherwise; a stream's probes read the kernel's row form over its
+// window (proj). All paths produce identical matches and identical Stats.
 type evaluator struct {
 	p    *pattern.Pattern
 	kern *pattern.Kernel
-	// proj is the projection row probes read from: either ownProj (built by
-	// reset) or a caller-supplied shared projection (UseProjection); nil
-	// when supplied masks answer the probes.
-	proj     *storage.Projection
-	ownProj  *storage.Projection
-	nextProj *storage.Projection
-	// Vectorized probing (SetVectorized): masks holds the per-element
-	// selection bitmasks of the current sequence — either ownMasks (built
-	// by reset) or a caller-supplied shared set (UseMasks).
+	// proj is the projection a stream's row probes read, its window's
+	// columns (StreamArena.UseKernel); nil in batch.
+	proj *storage.Projection
+	// masks holds the per-element selection bitmasks of the current
+	// sequence, the ones nextMasks handed it (UseMasks); nil when the
+	// search interprets.
 	masks     *pattern.MaskSet
-	ownMasks  *pattern.MaskSet
 	nextMasks *pattern.MaskSet
 	// pureSlots is the kernel's static table: element j's slot in a mask
 	// set's slab when a bit test alone answers the probe (compiled, no
@@ -216,16 +210,16 @@ type evaluator struct {
 	matches Block[Match]
 	spans   Block[pattern.Span]
 	// The flags sit together so that they share one word, beside the
-	// counters every probe touches. vec is SetVectorized's switch and doTrc
-	// path tracing's. fastSkip is set when element 1's mask alone decides
-	// failed starts, letting the search loops skip runs of zero bits in
-	// bulk (see skipEvals); allPure extends that condition to every
-	// element: each one's mask alone decides its probes, so OPS may run its
-	// pure-mask star loop (findAllStarPure).
-	vec, doTrc, fastSkip, allPure bool
-	stats                         Stats
-	trace                         []PathPoint
-	ctx                           pattern.EvalContext
+	// counters every probe touches. doTrc is path tracing's switch.
+	// fastSkip is set when element 1's mask alone decides failed starts,
+	// letting the search loops skip runs of zero bits in bulk (see
+	// skipEvals); allPure extends that condition to every element: each
+	// one's mask alone decides its probes, so OPS may run its pure-mask
+	// star loop (findAllStarPure).
+	doTrc, fastSkip, allPure bool
+	stats                    Stats
+	trace                    []PathPoint
+	ctx                      pattern.EvalContext
 	// check is the cooperative cancellation checkpoint, consulted every
 	// checkpointMask+1 predicate evaluations; nil when no cancellation
 	// is configured (the default, so uncancellable runs pay only the
@@ -245,43 +239,30 @@ func (e *evaluator) bindings() []pattern.Span {
 	return e.ctx.Bind
 }
 
-// UseKernel attaches a compiled predicate kernel: subsequent searches
-// decode each sequence into a columnar projection once and evaluate
-// compiled elements from the kernel's conditions. A nil kernel (or one
-// with no compiled elements) leaves the interpreter in place.
+// UseKernel attaches a compiled predicate kernel, whose masks later
+// searches may be handed (UseMasks). A nil kernel (or one with no compiled
+// elements) leaves the interpreter in place.
 func (e *evaluator) UseKernel(k *pattern.Kernel) {
 	if k == nil || k.CompiledElems() == 0 {
-		e.kern, e.proj, e.ownProj = nil, nil, nil
-		e.masks, e.ownMasks, e.nextMasks = nil, nil, nil
+		e.kern, e.masks, e.nextMasks = nil, nil, nil
 		return
 	}
 	e.kern, e.pureSlots = k, k.PureSlots()
 }
 
-// SetVectorized enables mask-based probing for subsequent searches: each
-// sequence's per-element selection bitmasks are built once (or adopted
-// from UseMasks) and probes of vectorized elements become bit tests.
-// Matches and Stats are identical to row-at-a-time evaluation — the
-// paper's pred-eval metric counts probes, not how they are answered. A
-// no-op without a kernel attached.
-func (e *evaluator) SetVectorized(on bool) { e.vec = on }
+// SetVectorized does nothing (see Executor).
+func (e *evaluator) SetVectorized(bool) {}
+
+// UseProjection does nothing (see Executor).
+func (e *evaluator) UseProjection(*storage.Projection) {}
 
 // UseMasks supplies prebuilt selection bitmasks covering the next
-// FindAll sequence, sparing the per-search mask build the way
-// UseProjection spares the columnar decode. The masks must have been
-// built by this evaluator's kernel over exactly that sequence and may be
-// shared read-only between executors. One-shot, like UseProjection.
+// FindAll sequence: its probes of compiled elements become bit tests. The
+// masks must have been built by this evaluator's kernel over exactly that
+// sequence (masks over another number of rows are ignored, and the search
+// interprets) and may be shared read-only between executors. It applies to
+// one FindAll.
 func (e *evaluator) UseMasks(ms *pattern.MaskSet) { e.nextMasks = ms }
-
-// UseProjection supplies a prebuilt columnar projection of the next
-// sequence passed to FindAll, letting callers that cache partitions skip
-// the per-search re-projection. The projection must cover exactly that
-// sequence (same rows, same order) and may be shared between executors —
-// searches only read it. It applies to one FindAll; call again before
-// each search that should reuse a cached projection.
-func (e *evaluator) UseProjection(proj *storage.Projection) {
-	e.nextProj = proj
-}
 
 // SetInterrupt installs a cooperative cancellation checkpoint: check is
 // consulted once every 1024 predicate evaluations, and a non-nil error
@@ -318,54 +299,32 @@ func (e *evaluator) eval(j, i int) bool {
 		e.trace = append(e.trace, PathPoint{I: i, J: j})
 	}
 	e.ctx.Pos = i - 1
-	if e.kern != nil {
-		if e.masks != nil {
-			if s := e.pureSlots[j-1]; s >= 0 {
-				r := uint(i - 1)
-				return e.slab[int(s)*e.words+int(r>>6)]>>(r&63)&1 != 0
-			}
-			return e.kern.EvalElemMasked(j-1, e.masks, &e.ctx)
+	switch {
+	case e.masks != nil:
+		if s := e.pureSlots[j-1]; s >= 0 {
+			r := uint(i - 1)
+			return e.slab[int(s)*e.words+int(r>>6)]>>(r&63)&1 != 0
 		}
+		return e.kern.EvalElemMasked(j-1, e.masks, &e.ctx)
+	case e.proj != nil:
 		return e.kern.EvalElem(j-1, e.proj, &e.ctx)
 	}
 	return e.p.EvalElem(j-1, &e.ctx)
 }
 
-// reset prepares for a new sequence: in vectorized mode it adopts or
-// builds the selection bitmasks, and it projects the sequence (the
-// projection buffers are reused across sequences) unless nothing will read
-// the projection — supplied masks, which answer every compiled element,
-// the interpreter taking the rest. Bindings are left as the last search
-// left them: the loops that read them clear them.
+// reset prepares a batch search for a new sequence: it adopts the masks
+// it was handed when they cover the sequence, and otherwise interprets.
+// Bindings are left as the last search left them: the loops that read them
+// clear them.
 func (e *evaluator) reset(seq []storage.Row) {
 	e.ctx.Seq = storage.RowSeq(seq)
 	e.masks, e.fastSkip, e.allPure = nil, false, false
-	if e.kern == nil {
-		e.nextProj, e.nextMasks = nil, nil
-		return
-	}
-	if e.vec && e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
+	if e.kern != nil && e.nextMasks != nil && e.nextMasks.Rows() == len(seq) {
 		e.masks = e.nextMasks
 	}
-	switch {
-	case e.masks != nil:
-		e.proj = nil // the supplied masks answer every compiled element
-	case e.nextProj != nil && e.nextProj.Len() == len(seq):
-		e.proj = e.nextProj
-	default:
-		if e.ownProj == nil {
-			e.ownProj = e.kern.NewProjection()
-		}
-		e.ownProj.SetRows(seq)
-		e.proj = e.ownProj
-	}
-	e.nextProj, e.nextMasks = nil, nil
-	if !e.vec {
-		return
-	}
+	e.nextMasks = nil
 	if e.masks == nil {
-		e.ownMasks = e.kern.BuildMasks(e.proj, e.ownMasks)
-		e.masks = e.ownMasks
+		return
 	}
 	e.slab, e.words = e.masks.Words()
 	// Probes a mask alone decides can be answered in bulk when nothing
@@ -519,8 +478,7 @@ func (b *Block[T]) Reset(n int) {
 	b.buf, b.step = b.buf[:0], 0
 }
 
-// Recycle implements Executor. The projection and masks the evaluator
-// built for itself stay: they are its scratch, rebuilt per sequence.
+// Recycle implements Executor.
 func (e *evaluator) Recycle() {
 	e.rewind()
 	e.letGo()
@@ -545,8 +503,7 @@ func (e *evaluator) rewind() {
 // letGo drops what the evaluator's last run searched with.
 func (e *evaluator) letGo() {
 	e.ctx.Seq = storage.Seq{}
-	e.proj, e.masks, e.slab = nil, nil, nil
-	e.nextProj, e.nextMasks = nil, nil
+	e.masks, e.nextMasks, e.slab = nil, nil, nil
 	e.check = nil
 }
 

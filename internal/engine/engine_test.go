@@ -10,6 +10,7 @@ import (
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 // priceSchema is a single-column numeric schema for synthetic sequences.
@@ -263,11 +264,7 @@ func TestOPSAblationsEquivalence(t *testing.T) {
 		tables := core.Compute(p)
 		seq := randSeq(r, 10+r.Intn(50))
 		nm, _ := NewNaive(p, SkipPastLastRow).FindAll(seq)
-		for _, cfg := range []OPSConfig{
-			{Policy: SkipPastLastRow, ShiftOnly: true},
-			{Policy: SkipPastLastRow, NoCounters: true},
-			{Policy: SkipPastLastRow, ShiftOnly: true, NoCounters: true},
-		} {
+		for _, cfg := range ablations(SkipPastLastRow) {
 			om, _ := NewOPS(p, tables, cfg).FindAll(seq)
 			if !matchesEqual(nm, om) {
 				t.Fatalf("trial %d cfg %+v: matches differ\npattern %s\nnaive: %s\nops: %s\nseq: %v",
@@ -280,7 +277,7 @@ func TestOPSAblationsEquivalence(t *testing.T) {
 // TestRollbackSteps pins the step table newSteps derives for the paper's
 // Examples 1, 4, 8 and 10 under the default config and each ablation —
 // the ops, ops-shift-only, ops-no-counters and ops+skip executors' — and
-// checks that a stream reads the batch executor's steps and that rollback
+// checks that a stream reads the default executor's steps and that rollback
 // re-bases count[] by a step as §5 does. A step is {from, resume, back,
 // consume}; entry 0 is unused.
 func TestRollbackSteps(t *testing.T) {
@@ -326,11 +323,9 @@ func TestRollbackSteps(t *testing.T) {
 				t.Errorf("%s %s: steps\n%v, want\n%v", ex.golden, o.Name(), o.steps, w)
 			}
 		}
-		for _, cfg := range []OPSConfig{{}, {LastRowSkip: true}} {
-			s := NewStreamer(ex.p, StreamConfig{Tables: tab, LastRowSkip: cfg.LastRowSkip}, func(Match) {})
-			if o := NewOPS(ex.p, tab, cfg); !slices.Equal(s.a.steps, o.steps) {
-				t.Errorf("%s: the stream's steps %v, %s's %v", ex.golden, s.a.steps, o.Name(), o.steps)
-			}
+		s := NewStreamer(ex.p, StreamConfig{Tables: tab}, func(Match) {})
+		if o := NewOPS(ex.p, tab, OPSConfig{}); !slices.Equal(s.a.steps, o.steps) {
+			t.Errorf("%s: the stream's steps %v, %s's %v", ex.golden, s.a.steps, o.Name(), o.steps)
 		}
 	}
 
@@ -530,7 +525,8 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestExecutorNames pins the names used in benchmark output.
+// TestExecutorNames pins the names used in benchmark output (the OPS
+// variants' are TestRollbackSteps' keys).
 func TestExecutorNames(t *testing.T) {
 	p := example4(t, pattern.Options{})
 	tables := core.Compute(p)
@@ -539,12 +535,6 @@ func TestExecutorNames(t *testing.T) {
 	}
 	if NewOPS(p, tables, OPSConfig{}).Name() != "ops" {
 		t.Error("ops name")
-	}
-	if NewOPS(p, tables, OPSConfig{ShiftOnly: true}).Name() != "ops-shift-only" {
-		t.Error("shift-only name")
-	}
-	if NewOPS(p, tables, OPSConfig{NoCounters: true}).Name() != "ops-no-counters" {
-		t.Error("no-counters name")
 	}
 	if SkipPastLastRow.String() == SkipToNextRow.String() {
 		t.Error("policy names collide")
@@ -567,9 +557,9 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	star := example8(t, pattern.Options{})
-	pure := NewOPS(star, core.Compute(star), OPSConfig{}) // the pure-mask loop
-	pure.UseKernel(star.CompileKernel())
-	pure.SetVectorized(true)
+	starK := star.CompileKernel()
+	pure := NewOPS(star, core.Compute(star), OPSConfig{}) // the pure-mask loop over its masks
+	pure.UseKernel(starK)
 	executors := []struct {
 		reused Executor
 		fresh  func() Executor
@@ -586,6 +576,12 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 		total := 0
 		for i := 0; i < 300; i++ {
 			seq := randSeq(r, r.Intn(60))
+			var masks []*pattern.MaskSet // the pure executor's, for FindAll and the run
+			if ex.reused == Executor(pure) {
+				ms := testutil.Masks(starK, seq)
+				masks = []*pattern.MaskSet{ms, ms}
+				pure.UseMasks(ms)
+			}
 			got, _ := ex.reused.FindAll(seq)
 			ref, _ := ex.fresh().FindAll(seq)
 			if !matchesEqual(got, ref) {
@@ -598,7 +594,7 @@ func TestMatchesOutliveLaterSearches(t *testing.T) {
 				// A run between the searches uses the blocks as scratch: it
 				// must leave what FindAll reported alone.
 				sink := &runSink{}
-				run := chunk([][]storage.Row{seq, seq}, nil, sink)
+				run := chunk([][]storage.Row{seq, seq}, masks, sink)
 				if err := ex.reused.FindRun(&run); err != nil {
 					t.Fatal(err)
 				}

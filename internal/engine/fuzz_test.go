@@ -113,7 +113,7 @@ func TestOPSEquivalenceStructured(t *testing.T) {
 			}
 			// The last-row-skip extension must also be exact, and must
 			// never evaluate more than stock OPS.
-			sm, ss := NewOPS(p, tables, OPSConfig{Policy: policy, LastRowSkip: true}).FindAll(seq)
+			sm, ss := NewOPS(p, tables, OPSConfig{Policy: policy, Variant: LastRowSkip}).FindAll(seq)
 			if !matchesEqual(nm, sm) {
 				t.Fatalf("trial %d (%s, policy %s): LastRowSkip diverged\npattern %s\ntables:\n%s\nnaive: %s\nskip:  %s\nseq: %v",
 					trial, p, policy, explain(p), tables.Explain(), fmtMatches(nm), fmtMatches(sm), seqVals(seq))

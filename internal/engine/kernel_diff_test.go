@@ -3,11 +3,11 @@ package engine
 // Differential tests for the compiled predicate kernels: every executor
 // must produce byte-identical matches AND identical Stats — pred-evals in
 // particular, since they are the paper's reported metric — whether probes
-// run through the condition interpreter, through the kernel's row path or
-// through its masks. Random patterns cover the tricky corners: prev-roles
-// probed at position 0, NULLs in the data, disjunctive conditions, opaque
-// conditions (interpreter fallback), string columns, dates, and star
-// elements.
+// run through the condition interpreter, through the kernel's masks (a
+// batch search) or through its row path (a stream). Random patterns cover
+// the tricky corners: prev-roles probed at position 0, NULLs in the data,
+// disjunctive conditions, opaque conditions (interpreter fallback), string
+// columns, dates, and star elements.
 
 import (
 	"fmt"
@@ -19,6 +19,7 @@ import (
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 // diffSchema exercises every column shape the projection decodes:
@@ -181,40 +182,23 @@ func TestKernelDifferential(t *testing.T) {
 		tab := core.Compute(p)
 		pat := explain(p)
 
+		ms := testutil.Masks(k, seq)
 		for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
+			// Probes resolve against the selection bitmasks and zero-runs of
+			// element 1 bulk-skip, yet matches and Stats — pred-evals above
+			// all — must stay bit-identical to the interpreter's.
 			ni := NewNaive(p, policy)
-			nk := NewNaive(p, policy)
-			nk.UseKernel(k)
-			diffCheck(t, fmt.Sprintf("seed %d naive/%v", seed, policy), pat, ni, nk, seq)
-
-			oi := NewOPS(p, tab, OPSConfig{Policy: policy})
-			ok := NewOPS(p, tab, OPSConfig{Policy: policy})
-			ok.UseKernel(k)
-			diffCheck(t, fmt.Sprintf("seed %d ops/%v", seed, policy), pat, oi, ok, seq)
-
-			// Vectorized mode: probes resolve against precomputed selection
-			// bitmasks and zero-runs of element 1 bulk-skip, yet matches and
-			// Stats — pred-evals above all — must stay bit-identical.
 			nv := NewNaive(p, policy)
 			nv.UseKernel(k)
-			nv.SetVectorized(true)
+			nv.UseMasks(ms)
 			diffCheck(t, fmt.Sprintf("seed %d naive-vec/%v", seed, policy), pat, ni, nv, seq)
 
+			oi := NewOPS(p, tab, OPSConfig{Policy: policy})
 			ov := NewOPS(p, tab, OPSConfig{Policy: policy})
 			ov.UseKernel(k)
-			ov.SetVectorized(true)
+			ov.UseMasks(ms)
 			diffCheck(t, fmt.Sprintf("seed %d ops-vec/%v", seed, policy), pat, oi, ov, seq)
 		}
-
-		// Executor reuse across clusters: the projection must be rebuilt
-		// per FindAll, so a second run over different rows stays equal.
-		seq2 := diffSeq(r, 30)
-		oi := NewOPS(p, tab, OPSConfig{})
-		ok := NewOPS(p, tab, OPSConfig{})
-		ok.UseKernel(k)
-		oi.FindAll(seq)
-		ok.FindAll(seq)
-		diffCheck(t, fmt.Sprintf("seed %d ops/reuse", seed), pat, oi, ok, seq2)
 	}
 }
 
@@ -338,7 +322,7 @@ func TestKernelRowFormIffMask(t *testing.T) {
 var vecSeedCorpus = []int64{0, 3, 7, 11, 19, 42, 101, 137}
 
 // TestVectorDifferentialSeeds is the seed-corpus differential: fixed
-// seeds, all three executors (interpreter, row kernel, vectorized), one
+// seeds, naive and OPS over masks against the interpreter, and one
 // streaming kernel pass. Fast enough for `-race` in CI's bench-smoke job.
 func TestVectorDifferentialSeeds(t *testing.T) {
 	for _, seed := range vecSeedCorpus {
@@ -350,15 +334,16 @@ func TestVectorDifferentialSeeds(t *testing.T) {
 		pat := explain(p)
 
 		ni := NewNaive(p, SkipPastLastRow)
+		ms := testutil.Masks(k, seq)
 		nv := NewNaive(p, SkipPastLastRow)
 		nv.UseKernel(k)
-		nv.SetVectorized(true)
+		nv.UseMasks(ms)
 		diffCheck(t, fmt.Sprintf("corpus %d naive-vec", seed), pat, ni, nv, seq)
 
 		oi := NewOPS(p, tab, OPSConfig{})
 		ov := NewOPS(p, tab, OPSConfig{})
 		ov.UseKernel(k)
-		ov.SetVectorized(true)
+		ov.UseMasks(ms)
 		diffCheck(t, fmt.Sprintf("corpus %d ops-vec", seed), pat, oi, ov, seq)
 
 		var im, vm []Match

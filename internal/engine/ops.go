@@ -14,21 +14,46 @@ import (
 // OPSConfig configures an OPS executor.
 type OPSConfig struct {
 	Policy SkipPolicy
-	// ShiftOnly disables the next() table (every resumption re-checks from
-	// pattern element 1) while keeping shift(); it measures how much of
-	// the win comes from not re-checking known-true prefixes (ablation).
-	ShiftOnly bool
-	// NoCounters disables the §5 count[] rollback for star patterns and
-	// restarts naively one past the failed attempt's start (ablation). A
-	// star-free pattern's tables are §4.2's, which it leaves in force.
-	NoCounters bool
-	// LastRowSkip enables the reproduction's extension to the star
-	// runtime: when the compile-time walk proves the failed tuple
-	// satisfies the plain element it rolls back to (core.Tables.SkipOK),
-	// consume it without re-testing — the star analogue of the plain
-	// pattern's next = j-shift+1 case, which star-free tables encode
-	// already.
-	LastRowSkip bool
+	// Variant selects the §5 runtime or one of the reproduction's
+	// ablations of it (the experiments' instruments, not the serving
+	// path's); the zero value is the paper's OPS.
+	Variant Variant
+}
+
+// Variant is an OPS executor's rollback rule: the paper's, or one
+// ablation of it.
+type Variant uint8
+
+// Variants. Default is the paper's OPS. ShiftOnly disables the next()
+// table (every resumption re-checks from pattern element 1) while keeping
+// shift(): it measures how much of the win comes from not re-checking
+// known-true prefixes. NoCounters disables the §5 count[] rollback for
+// star patterns and restarts naively one past the failed attempt's start;
+// a star-free pattern's tables are §4.2's, which it leaves in force.
+// LastRowSkip is the reproduction's extension to the star runtime: when
+// the compile-time walk proves the failed tuple satisfies the plain
+// element it rolls back to (core.Tables.SkipOK), it consumes it without
+// re-testing — the star analogue of the plain pattern's next = j-shift+1
+// case, which star-free tables encode already.
+const (
+	Default Variant = iota
+	ShiftOnly
+	NoCounters
+	LastRowSkip
+)
+
+// String names the variant as the executor's Name does.
+func (v Variant) String() string {
+	switch v {
+	case ShiftOnly:
+		return "ops-shift-only"
+	case NoCounters:
+		return "ops-no-counters"
+	case LastRowSkip:
+		return "ops+skip"
+	default:
+		return "ops"
+	}
 }
 
 // step is §5 mismatch rule 2 for element j under one executor
@@ -37,29 +62,28 @@ type OPSConfig struct {
 // depends on the run (rollback).
 type step struct {
 	from, resume int  // shift(j); the element to resume at, 0 for a fresh attempt
-	back         bool // a fresh attempt starts one past the failed attempt's start (NoCounters)
+	back         bool // a fresh attempt starts one past the failed attempt's start (no counters)
 	consume      bool // the failed tuple is taken as element resume, unexamined
 }
 
-// newSteps derives each element's step from t under cfg, in the order the
-// §5 runtime has always applied them: the ShiftOnly clamp before the rule
-// on core.Tables.Next (this is the one place it is applied), LastRowSkip
-// off under ShiftOnly, and NoCounters on star patterns only.
-func newSteps(t *core.Tables, cfg OPSConfig) []step {
+// newSteps derives each element's step from t under variant v: the
+// ShiftOnly clamp before the rule on core.Tables.Next (this is the one
+// place it is applied), and NoCounters on star patterns only.
+func newSteps(t *core.Tables, v Variant) []step {
 	steps := make([]step, t.M+1)
 	for j := 1; j <= t.M; j++ {
 		sh, nx := t.Shift[j], t.Next[j]
-		if cfg.ShiftOnly {
+		if v == ShiftOnly {
 			nx = min(nx, 1)
 		}
 		s := step{from: sh, resume: nx}
 		switch {
-		case cfg.NoCounters && t.HasStar:
+		case v == NoCounters && t.HasStar:
 			s.resume, s.back = 0, true
 		case nx == j-sh+1:
 			s.resume, s.consume = j-sh, true
 		case nx > 0:
-			s.consume = cfg.LastRowSkip && !cfg.ShiftOnly && t.SkipOK != nil && t.SkipOK[j]
+			s.consume = v == LastRowSkip && t.SkipOK != nil && t.SkipOK[j]
 		}
 		steps[j] = s
 	}
@@ -125,7 +149,7 @@ func ClosedClusters() int64 { return closedClusters.Load() }
 
 // NewOPS builds an OPS executor for a pattern and its computed tables.
 func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
-	steps := newSteps(tables, cfg)
+	steps := newSteps(tables, cfg.Variant)
 	return &OPS{
 		evaluator: newEvaluator(p),
 		tables:    tables,
@@ -141,18 +165,7 @@ func NewOPS(p *pattern.Pattern, tables *core.Tables, cfg OPSConfig) *OPS {
 }
 
 // Name implements Executor.
-func (o *OPS) Name() string {
-	switch {
-	case o.cfg.ShiftOnly:
-		return "ops-shift-only"
-	case o.cfg.NoCounters:
-		return "ops-no-counters"
-	case o.cfg.LastRowSkip:
-		return "ops+skip"
-	default:
-		return "ops"
-	}
-}
+func (o *OPS) Name() string { return o.cfg.Variant.String() }
 
 // Trace enables path recording (Figure 5); call before FindAll.
 func (o *OPS) Trace() { o.doTrc = true }
@@ -180,13 +193,12 @@ func (o *OPS) FindAll(seq []storage.Row) ([]Match, Stats) {
 	return o.matches.Run(from), o.stats
 }
 
-// SearchLoop names the loop a vectorized run over kernel k of an OPS
-// executor configured by cfg takes for pattern p with tables t, and why
-// when it is not the fastest one: EXPLAIN prints it for the default
-// configuration and EXPLAIN ANALYZE for the run's. It reads FindAll's own
-// selection.
-func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel, cfg OPSConfig) string {
-	o := NewOPS(p, t, cfg)
+// SearchLoop names the loop a run of the default OPS executor over kernel
+// k's masks takes for pattern p with tables t, and why when it is not the
+// fastest one: EXPLAIN and EXPLAIN ANALYZE print it. It reads FindAll's
+// own selection.
+func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel) string {
+	o := NewOPS(p, t, OPSConfig{})
 	switch {
 	case k == nil || k.CompiledElems() == 0 || !k.AllPure(): // generic: why, below
 	case o.pair:
@@ -195,8 +207,6 @@ func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel, cfg OPSCo
 		return "pure-mask, element-1 skip (m = 1)"
 	case t.Star[1]:
 		return "pure-mask, element-1 skip (element 1 is a star)"
-	case o.steps[2].back:
-		return "pure-mask, element-1 skip (element 2 restarts without counters)"
 	case t.Next[2] != 1:
 		return fmt.Sprintf("pure-mask, element-1 skip (next(2) = %d)", t.Next[2])
 	default: // element 2's step resumes at element 1, consuming the failed row
@@ -218,7 +228,7 @@ func SearchLoop(p *pattern.Pattern, t *core.Tables, k *pattern.Kernel, cfg OPSCo
 	return "generic"
 }
 
-// NaiveSearchLoop names the loop a vectorized naive run over kernel k
+// NaiveSearchLoop names the loop a naive run over kernel k's masks
 // takes, as SearchLoop does for OPS: it resolves runs of failed starts
 // from element 1's mask when that mask alone decides them, and otherwise
 // tries every start.
@@ -429,7 +439,7 @@ func NewScan(k *pattern.Kernel, t *core.Tables) Scan {
 	if k == nil || k.CompiledElems() == 0 || !k.AllPure() {
 		return Scan{}
 	}
-	return scanOf(k.PureSlots(), pairScan(t, newSteps(t, OPSConfig{})), t.M)
+	return scanOf(k.PureSlots(), pairScan(t, newSteps(t, Default)), t.M)
 }
 
 func scanOf(slots []int32, pair bool, m int) Scan {

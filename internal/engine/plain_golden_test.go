@@ -3,9 +3,9 @@ package engine
 // TestPlainCountsGolden pins what OPS spends on star-free patterns. The
 // golden was written by the §4.2.1 search loop that star-free patterns ran
 // before the §5 loops served every pattern, so it holds that loop's
-// counters, matches and search paths; every loop and evaluation mode that
-// now serves such a pattern — and the incremental matcher — must reproduce
-// them to the digit. Regenerate with
+// counters, matches and search paths; every loop that now serves such a
+// pattern, over the kernel's masks, and the incremental matcher must
+// reproduce them to the digit. Regenerate with
 //
 //	go test ./internal/engine -run PlainCountsGolden -update-plain-counts
 //
@@ -26,6 +26,7 @@ import (
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 var updatePlainCounts = flag.Bool("update-plain-counts", false, "rewrite testdata/plain_counts.golden")
@@ -65,9 +66,9 @@ var plainConfigs = []struct {
 	cfg  OPSConfig
 }{
 	{"default", OPSConfig{}},
-	{"shift-only", OPSConfig{ShiftOnly: true}},
-	{"no-counters", OPSConfig{NoCounters: true}},
-	{"skip", OPSConfig{LastRowSkip: true}},
+	{"shift-only", OPSConfig{Variant: ShiftOnly}},
+	{"no-counters", OPSConfig{Variant: NoCounters}},
+	{"skip", OPSConfig{Variant: LastRowSkip}},
 }
 
 // matchHash digests matches and their spans.
@@ -113,6 +114,7 @@ func TestPlainCountsGolden(t *testing.T) {
 	for d := 0; d < draws; d++ {
 		p, seq := plainDraw(t, d)
 		tab, k := core.Compute(p), p.CompileKernel()
+		ms := testutil.Masks(k, seq)
 		if tab.HasStar {
 			t.Fatalf("draw %d: starFree left a star", d)
 		}
@@ -129,23 +131,17 @@ func TestPlainCountsGolden(t *testing.T) {
 				if int64(len(ref.Path())) != rs.PredEvals {
 					t.Fatalf("draw %d %s: %d path points for %d pred-evals", d, c.name, len(ref.Path()), rs.PredEvals)
 				}
-				modes := []struct {
-					name string
-					vec  bool
-				}{{"row kernel", false}, {"masks", true}}
-				for _, mode := range modes {
-					o := NewOPS(p, tab, cfg)
-					o.UseKernel(k)
-					o.SetVectorized(mode.vec)
-					ms, st := o.FindAll(seq)
-					check(fmt.Sprintf("draw %d %s %s", d, c.name, mode.name), line,
-						plainLine(d, policy, c.name, st, matchHash(ms), pathHash(ref.Path())))
-				}
-				if cfg.ShiftOnly || cfg.NoCounters {
-					continue // the incremental matcher has no such ablation
+				o := NewOPS(p, tab, cfg)
+				o.UseKernel(k)
+				o.UseMasks(ms)
+				om, st := o.FindAll(seq)
+				check(fmt.Sprintf("draw %d %s masks", d, c.name), line,
+					plainLine(d, policy, c.name, st, matchHash(om), pathHash(ref.Path())))
+				if cfg.Variant != Default {
+					continue // the incremental matcher runs the default rule
 				}
 				var sm []Match
-				s := NewStreamer(p, StreamConfig{Policy: policy, LastRowSkip: cfg.LastRowSkip}, func(m Match) {
+				s := NewStreamer(p, StreamConfig{Policy: policy}, func(m Match) {
 					m.Spans = slices.Clone(m.Spans)
 					sm = append(sm, m)
 				})

@@ -4,8 +4,7 @@ package engine
 // patterns whose every element a selection mask decides, the default
 // vectorized OPS executor takes the specialised loop, and must report
 // the matches, spans, PredEvals and Rollbacks of the generic loop —
-// reached here through the interpreter and the row kernel — to the
-// digit. The sequence lengths sit on the mask's word seams, where the
+// reached here through the interpreter — to the digit. The sequence lengths sit on the mask's word seams, where the
 // run scans change words.
 
 import (
@@ -23,6 +22,7 @@ import (
 	"sqlts/internal/pattern"
 	"sqlts/internal/query"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 var pureLens = []int{1, 2, 63, 64, 65, 127, 128, 129, 200, 500}
@@ -111,28 +111,26 @@ var pairRowsSeen int64
 // ablations are the OPS configurations other than the default one under
 // policy: the three ablation executors'.
 func ablations(policy SkipPolicy) []OPSConfig {
-	return []OPSConfig{{Policy: policy, ShiftOnly: true}, {Policy: policy, NoCounters: true}, {Policy: policy, LastRowSkip: true}}
+	return []OPSConfig{{Policy: policy, Variant: ShiftOnly}, {Policy: policy, Variant: NoCounters}, {Policy: policy, Variant: LastRowSkip}}
 }
 
-// pureCheck runs one (pattern, sequence, policy) through the three OPS
-// evaluation modes and naive, and each ablation config vectorized against
-// interpreted, and reports whether the vectorized executor took the pure
+// pureCheck runs one (pattern, sequence, policy) through OPS interpreted
+// and over masks, and naive, and each ablation config over masks against
+// interpreted, and reports whether the executor over masks took the pure
 // loop — which it must, under every config, exactly when every element
 // has a mask, star or none (UseKernel declines a kernel with no compiled
-// row chain, which leaves the interpreter in place) — and ran no pair
-// scan unless its steps open the pair gate.
+// element, which leaves the interpreter in place) — and ran no pair scan
+// unless its steps open the pair gate.
 func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row, policy SkipPolicy) bool {
 	t.Helper()
 	tab := core.Compute(p)
 	pat := explain(p)
 	k := p.CompileKernel()
+	ms := testutil.Masks(k, seq)
 	oi := NewOPS(p, tab, OPSConfig{Policy: policy})
-	ok := NewOPS(p, tab, OPSConfig{Policy: policy})
-	ok.UseKernel(k)
 	ov := NewOPS(p, tab, OPSConfig{Policy: policy})
 	ov.UseKernel(k)
-	ov.SetVectorized(true)
-	diffCheck(t, label+" ops-kernel", pat, oi, ok, seq)
+	ov.UseMasks(ms)
 	diffCheck(t, label+" ops-vec", pat, oi, ov, seq)
 	om, os := oi.FindAll(seq)
 	nm, ns := NewNaive(p, policy).FindAll(seq)
@@ -142,8 +140,8 @@ func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row
 	if os.PredEvals > ns.PredEvals {
 		t.Fatalf("%s: OPS used %d pred-evals, naive %d\npattern: %s", label, os.PredEvals, ns.PredEvals, pat)
 	}
-	if oi.ranPure || ok.ranPure {
-		t.Fatalf("%s: a non-vectorized executor took the pure loop", label)
+	if oi.ranPure {
+		t.Fatalf("%s: an interpreting executor took the pure loop", label)
 	}
 	if want := k.VecElems() == p.Len() && k.CompiledElems() > 0; ov.ranPure != want {
 		t.Fatalf("%s: pure loop taken = %v, want %v (%d of %d elements vectorized, %d compiled)\npattern: %s",
@@ -156,7 +154,7 @@ func pureCheck(t *testing.T, label string, p *pattern.Pattern, seq []storage.Row
 		ai := NewOPS(p, tab, cfg)
 		av := NewOPS(p, tab, cfg)
 		av.UseKernel(k)
-		av.SetVectorized(true)
+		av.UseMasks(ms)
 		diffCheck(t, label+" "+av.Name()+"-vec", pat, ai, av, seq)
 		if av.ranPure != ov.ranPure {
 			t.Fatalf("%s: %s took the pure loop = %v, the default config %v\npattern: %s", label, av.Name(), av.ranPure, ov.ranPure, pat)
@@ -362,10 +360,12 @@ func TestPureLoopFallsBack(t *testing.T) {
 	p := example8(t, pattern.Options{MissingPrevTrue: true})
 	tab := core.Compute(p)
 	seq := rows(20, 21, 23, 24, 22, 20, 18, 15, 14, 18, 21, 19, 22, 25, 21, 20, 23)
-	vec := func(cfg OPSConfig) *OPS {
+	k := p.CompileKernel()
+	ms := testutil.Masks(k, seq)
+	vec := func(cfg OPSConfig) *OPS { // one search over the masks
 		o := NewOPS(p, tab, cfg)
-		o.UseKernel(p.CompileKernel())
-		o.SetVectorized(true)
+		o.UseKernel(k)
+		o.UseMasks(ms)
 		return o
 	}
 
@@ -496,16 +496,14 @@ func paperExamples(t *testing.T) []paperExample {
 
 // TestSearchLoopLineAgreesWithRun: for each statement of the root
 // package's EXPLAIN goldens, the golden's "search loop:" line is
-// SearchLoop's for the default config, and under every OPS config — the
-// ops, ops-shift-only, ops-no-counters and ops+skip executors' — a
-// vectorized run of the statement takes the loop SearchLoop names for
-// that config: the pure loop exactly for "pure-mask", pair scans exactly
-// for "pair scan".
+// SearchLoop's, and a run of the statement over its masks takes the loop
+// SearchLoop names: the pure loop exactly for "pure-mask", pair scans
+// exactly for "pair scan".
 func TestSearchLoopLineAgreesWithRun(t *testing.T) {
 	for _, ex := range paperExamples(t) {
 		p := ex.p
 		tab, k := core.Compute(p), p.CompileKernel()
-		line := "search loop: " + SearchLoop(p, tab, k, OPSConfig{})
+		line := "search loop: " + SearchLoop(p, tab, k)
 		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "explain_"+ex.golden+".golden"))
 		if err != nil {
 			t.Fatal(err)
@@ -524,21 +522,15 @@ func TestSearchLoopLineAgreesWithRun(t *testing.T) {
 				seq[i] = storage.Row{storage.NewDateDays(int64(i)), w[0]}
 			}
 		}
-		for _, cfg := range append([]OPSConfig{{}}, ablations(SkipPastLastRow)...) {
-			o := NewOPS(p, tab, cfg)
-			o.UseKernel(k)
-			o.SetVectorized(true)
-			o.FindAll(seq)
-			line := "search loop: " + SearchLoop(p, tab, k, cfg)
-			if pure := strings.HasPrefix(line, "search loop: pure-mask"); o.ranPure != pure {
-				t.Fatalf("%s %s: %q, but the pure loop ran = %v", ex.golden, o.Name(), line, o.ranPure)
-			}
-			if pair := strings.HasSuffix(line, "pair scan"); (o.pairRows > 0) != pair {
-				t.Fatalf("%s %s: %q, but the pair scans resolved %d rows", ex.golden, o.Name(), line, o.pairRows)
-			}
-			if want := "search loop: pure-mask, element-1 skip (element 2's failed tuple is consumed)"; ex.golden == "example10" && cfg.LastRowSkip && line != want {
-				t.Fatalf("%s %s: %q, want %q", ex.golden, o.Name(), line, want)
-			}
+		o := NewOPS(p, tab, OPSConfig{})
+		o.UseKernel(k)
+		o.UseMasks(testutil.Masks(k, seq))
+		o.FindAll(seq)
+		if pure := strings.HasPrefix(line, "search loop: pure-mask"); o.ranPure != pure {
+			t.Fatalf("%s: %q, but the pure loop ran = %v", ex.golden, line, o.ranPure)
+		}
+		if pair := strings.HasSuffix(line, "pair scan"); (o.pairRows > 0) != pair {
+			t.Fatalf("%s: %q, but the pair scans resolved %d rows", ex.golden, line, o.pairRows)
 		}
 	}
 }
@@ -603,11 +595,12 @@ func TestPureLoopCheckpointCadence(t *testing.T) {
 		p := fx.p
 		tab := core.Compute(p)
 		k := p.CompileKernel()
+		ms := testutil.Masks(k, fx.seq)
 
 		vecOPS := func(cfg OPSConfig) *OPS {
 			o := NewOPS(p, tab, cfg)
 			o.UseKernel(k)
-			o.SetVectorized(true)
+			o.UseMasks(ms)
 			return o
 		}
 		pureOPS := vecOPS(OPSConfig{})
@@ -615,7 +608,7 @@ func TestPureLoopCheckpointCadence(t *testing.T) {
 		genericOPS.Trace() // path tracing keeps the generic loop
 		naive := NewNaive(p, SkipPastLastRow)
 		naive.UseKernel(k)
-		naive.SetVectorized(true)
+		naive.UseMasks(ms)
 		for _, c := range []struct {
 			name string
 			ex   Executor
@@ -665,9 +658,10 @@ func TestPureLoopInterrupt(t *testing.T) {
 		{"star run", sp, sseq, []int64{1, 2, 500, 976}, 1_000_000, 1_000_001},
 		{"pair scan", pp, pseq, []int64{1, 2, 9}, 5000, 10000},
 	} {
+		k := fx.p.CompileKernel()
+		ms := testutil.Masks(k, fx.seq)
 		o := NewOPS(fx.p, core.Compute(fx.p), OPSConfig{})
-		o.UseKernel(fx.p.CompileKernel())
-		o.SetVectorized(true)
+		o.UseKernel(k)
 		stop := errors.New("stop")
 		for _, at := range fx.at {
 			calls := int64(0)
@@ -684,6 +678,7 @@ func TestPureLoopInterrupt(t *testing.T) {
 						err = it.Err
 					}
 				}()
+				o.UseMasks(ms)
 				o.FindAll(fx.seq)
 				return nil
 			}()
@@ -695,9 +690,10 @@ func TestPureLoopInterrupt(t *testing.T) {
 			}
 		}
 		o.SetInterrupt(nil)
-		ms, st := o.FindAll(fx.seq)
-		if len(ms) != 1 || ms[0].End != fx.end || st.PredEvals != fx.evals {
-			t.Fatalf("%s: uninterrupted rerun: %s %+v", fx.name, fmtMatches(ms), st)
+		o.UseMasks(ms)
+		found, st := o.FindAll(fx.seq)
+		if len(found) != 1 || found[0].End != fx.end || st.PredEvals != fx.evals {
+			t.Fatalf("%s: uninterrupted rerun: %s %+v", fx.name, fmtMatches(found), st)
 		}
 	}
 }

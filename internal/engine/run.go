@@ -14,7 +14,7 @@ type Run struct {
 	// Clusters holds the clusters' sequences; Masks, when not empty, each
 	// cluster's prebuilt selection bitmasks (see UseMasks), indexed like
 	// Clusters, and per block the Booking a partition memo made of them,
-	// if any.
+	// if any. A run without masks interprets.
 	Clusters storage.Blocks[[]storage.Row, struct{}]
 	Masks    MaskBlocks
 	Lo, Hi   int
@@ -114,5 +114,5 @@ func (e *evaluator) runEach(f Executor, r *Run) error {
 // answered by a mask alone and nothing observes probes one at a time: the
 // condition reset sets allPure on, read once for the whole run.
 func (e *evaluator) bulkRun(r *Run) bool {
-	return r.Masks.Len() > 0 && e.kern != nil && e.vec && e.kern.AllPure() && !e.doTrc && !fault.Active()
+	return r.Masks.Len() > 0 && e.kern != nil && e.kern.AllPure() && !e.doTrc && !fault.Active()
 }

@@ -11,12 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sqlts/internal/constraint"
 	"sqlts/internal/core"
 	"sqlts/internal/pattern"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 // runSink records what a run hands its sink; enter, when set, is what
@@ -69,11 +71,9 @@ func (s *runSink) Tick(clusters, rows, matches int64) {
 // does. It does so twice: over masks that carry no booking, which FindRun
 // books block by block into scratch, and over the same masks with every
 // block booked under sc, as a partition memo books them; both runs must
-// book the same clusters in closed form. Over supplied masks neither
-// executor may project a cluster: the masks answer every compiled element
-// and the interpreter the rest. It returns how many clusters the run booked in
-// closed form and whether it took the chunk-wide pure loop, which calls no
-// Enter.
+// book the same clusters in closed form. It returns how many clusters the
+// run booked in closed form and whether it took the chunk-wide pure loop,
+// which calls no Enter.
 func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]storage.Row, masks []*pattern.MaskSet, sc Scan) (closed int64, pure bool) {
 	t.Helper()
 	ref := mk()
@@ -175,25 +175,9 @@ func runCheck(t testing.TB, label string, mk func() Executor, clusters [][]stora
 		if sink.entered != 0 && closed != 0 {
 			t.Fatalf("%s: the per-cluster loop booked %d clusters in closed form", label, closed)
 		}
-		if masks != nil && (projected(ref) || projected(ex)) {
-			t.Fatalf("%s: a search over supplied masks projected a cluster", label)
-		}
 		pure = len(clusters) > 0 && sink.entered == 0
 	}
 	return closed, pure
-}
-
-// projected reports whether ex, an OPS or a Naive, has decoded a sequence
-// into a projection of its own or been handed one.
-func projected(ex Executor) bool {
-	var e *evaluator
-	switch x := ex.(type) {
-	case *OPS:
-		e = &x.evaluator
-	case *Naive:
-		e = &x.evaluator
-	}
-	return e.ownProj != nil || e.proj != nil
 }
 
 // chunk is clusters with their masks (nil: none), which carry no booking,
@@ -248,12 +232,11 @@ func runMemo(k *pattern.Kernel, clusters [][]storage.Row, refresh bool) []*patte
 }
 
 // runChecks runs runCheck for pattern p over clusters on both skip
-// policies: the default vectorized OPS, each ablation config vectorized
-// and naive over the same masks, and OPS interpreting. Every vectorized
-// OPS config takes the chunk-wide pure loop exactly when the default one
-// does, and the others never do. It returns the clusters the default
-// vectorized runs booked in closed form and how many of them took the
-// pure loop.
+// policies: the default OPS, each ablation config and naive over the same
+// masks, and OPS interpreting. Every OPS config over the masks takes the
+// chunk-wide pure loop exactly when the default one does, and the others
+// never do. It returns the clusters the default runs over the masks
+// booked in closed form and how many of them took the pure loop.
 func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]storage.Row, refresh bool) (closed int64, pure int) {
 	t.Helper()
 	tab, k := core.Compute(p), p.CompileKernel()
@@ -264,7 +247,6 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 			return func() Executor {
 				o := NewOPS(p, tab, cfg)
 				o.UseKernel(k)
-				o.SetVectorized(true)
 				return o
 			}
 		}
@@ -286,7 +268,6 @@ func runChecks(t testing.TB, label string, p *pattern.Pattern, clusters [][]stor
 			{"naive-vec", func() Executor {
 				n := NewNaive(p, policy)
 				n.UseKernel(k)
-				n.SetVectorized(true)
 				return n
 			}},
 			{"ops", func() Executor { return NewOPS(p, tab, OPSConfig{Policy: policy}) }},
@@ -354,6 +335,40 @@ func split(seq []storage.Row, n int) [][]storage.Row {
 		seq = seq[k:]
 	}
 	return out
+}
+
+// TestKernelWithoutMasksInterprets: a batch search probes the masks it is
+// handed or interprets. With a kernel attached and no masks — none, or a
+// set over another number of rows — it holds no masks or projection and
+// takes no pure loop, and by FindAll and by a Run (one cluster at a time)
+// its matches and counters equal a search's over the kernel's masks.
+func TestKernelWithoutMasksInterprets(t *testing.T) {
+	p := doubleBottomShape()
+	tab, k := core.Compute(p), p.CompileKernel()
+	clusters := split(calmWalk(rand.New(rand.NewSource(9)), 40*200), 40)
+	masks := runMemo(k, clusters, false)
+	masked, bare := NewOPS(p, tab, OPSConfig{}), NewOPS(p, tab, OPSConfig{})
+	masked.UseKernel(k)
+	bare.UseKernel(k)
+	for i, seq := range clusters {
+		masked.UseMasks(masks[i])
+		if i%2 == 1 {
+			bare.UseMasks(testutil.Masks(k, seq[1:]))
+		}
+		diffCheck(t, fmt.Sprintf("cluster %d", i), explain(p), bare, masked, seq)
+		if bare.masks != nil || bare.proj != nil || bare.ranPure || !masked.ranPure {
+			t.Fatalf("cluster %d: a search without masks probed masks or a projection", i)
+		}
+	}
+	want, got := &runSink{}, &runSink{}
+	wr, gr := chunk(clusters, masks, want), chunk(clusters, nil, got)
+	if masked.FindRun(&wr) != nil || bare.FindRun(&gr) != nil {
+		t.Fatal("FindRun failed")
+	}
+	if gr.Stats != wr.Stats || !reflect.DeepEqual(got.found, want.found) || got.entered != len(clusters) {
+		t.Fatalf("a run without masks: %+v, %d clusters matched, %d entered; over masks %+v, %d",
+			gr.Stats, len(got.found), got.entered, wr.Stats, len(want.found))
+	}
 }
 
 func TestRunLoopDifferential(t *testing.T) {
@@ -525,7 +540,6 @@ func TestRunBlockBooking(t *testing.T) {
 			for _, cfg := range append(ablations(SkipPastLastRow), OPSConfig{}) {
 				o := NewOPS(c.p, tab, cfg)
 				o.UseKernel(k)
-				o.SetVectorized(true)
 				memo := o.scan() == NewScan(k, tab)
 				for _, span := range [][2]int{{0, clusters}, {storage.BlockLen, 3 * storage.BlockLen}, {3 * storage.BlockLen, clusters}, {1, storage.BlockLen}, {storage.BlockLen, storage.BlockLen + 1}} {
 					o.booked = Booking{}
@@ -644,7 +658,6 @@ func tenRowChunk(t *testing.T) (*OPS, [][]storage.Row, []*pattern.MaskSet) {
 	masks := runMemo(k, clusters, false)
 	o := NewOPS(p, core.Compute(p), OPSConfig{})
 	o.UseKernel(k)
-	o.SetVectorized(true)
 	return o, clusters, masks
 }
 
@@ -734,7 +747,6 @@ func TestRunLoopInterrupt(t *testing.T) {
 			}
 			ref := NewOPS(o.p, o.tables, OPSConfig{})
 			ref.UseKernel(o.kern)
-			ref.SetVectorized(true)
 			ref.UseMasks(masks[i])
 			_, st := ref.FindAll(clusters[i])
 			total += st.PredEvals

@@ -12,8 +12,6 @@ import (
 // StreamConfig configures an incremental matcher.
 type StreamConfig struct {
 	Policy SkipPolicy
-	// LastRowSkip enables the last-row-skip extension (see OPSConfig).
-	LastRowSkip bool
 	// MaxBuffer bounds the retained window (0 = unbounded). When an
 	// in-progress match would exceed it, the attempt is abandoned and
 	// the search restarts past the window — a safety valve for patterns
@@ -144,7 +142,7 @@ func (a *StreamArena) init(p *pattern.Pattern, cfg StreamConfig, clusterBy []int
 		t = core.Compute(p)
 	}
 	a.ev, a.t, a.cfg, a.emit = newEvaluator(p), t, cfg, emit
-	a.steps = newSteps(t, OPSConfig{LastRowSkip: cfg.LastRowSkip})
+	a.steps = newSteps(t, Default)
 	a.m = p.Len()
 	a.set = storage.NewWindowSet(p.Schema, clusterBy)
 	if cfg.ReuseSpans {

@@ -50,12 +50,6 @@ func TestStreamEquivalenceRandom(t *testing.T) {
 				t.Fatalf("trial %d (policy %s): stream diverged\npattern %s\nnaive:  %s\nstream: %s\nseq: %v",
 					trial, policy, explain(p), fmtMatches(nm), fmtMatches(sm), seqVals(seq))
 			}
-			// With the skip extension too.
-			km, _ := collectStream(t, p, StreamConfig{Policy: policy, LastRowSkip: true}, seq)
-			if !matchesEqual(nm, km) {
-				t.Fatalf("trial %d (policy %s): stream+skip diverged\npattern %s\nnaive:  %s\nstream: %s",
-					trial, policy, explain(p), fmtMatches(nm), fmtMatches(km))
-			}
 		}
 	}
 }
@@ -63,8 +57,7 @@ func TestStreamEquivalenceRandom(t *testing.T) {
 // TestStreamEvalCountMatchesBatch: the incremental machine reads the
 // batch executor's tables and steps and reports the same matches and
 // performs the same predicate evaluations and rollbacks, on every
-// pattern, star-free ones included, under both policies with the
-// last-row skip off and on.
+// pattern, star-free ones included, under both policies.
 func TestStreamEvalCountMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	plain := 0
@@ -79,20 +72,18 @@ func TestStreamEvalCountMatchesBatch(t *testing.T) {
 		}
 		seq := walkSeq(r, 50+r.Intn(100))
 		for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
-			for _, skip := range []bool{false, true} {
-				bm, bs := NewOPS(p, tab, OPSConfig{Policy: policy, LastRowSkip: skip}).FindAll(seq)
-				var ms []Match
-				sm := NewStreamer(p, StreamConfig{Policy: policy, LastRowSkip: skip, Tables: tab}, func(m Match) { ms = append(ms, m) })
-				for _, row := range seq {
-					if err := sm.Push(row); err != nil {
-						t.Fatal(err)
-					}
+			bm, bs := NewOPS(p, tab, OPSConfig{Policy: policy}).FindAll(seq)
+			var ms []Match
+			sm := NewStreamer(p, StreamConfig{Policy: policy, Tables: tab}, func(m Match) { ms = append(ms, m) })
+			for _, row := range seq {
+				if err := sm.Push(row); err != nil {
+					t.Fatal(err)
 				}
-				sm.Flush()
-				if !matchesEqual(ms, bm) || sm.Stats() != bs {
-					t.Fatalf("trial %d (%v, last-row skip %v): stream %+v %s != batch %+v %s\npattern %s",
-						trial, policy, skip, sm.Stats(), fmtMatches(ms), bs, fmtMatches(bm), explain(p))
-				}
+			}
+			sm.Flush()
+			if !matchesEqual(ms, bm) || sm.Stats() != bs {
+				t.Fatalf("trial %d (%v): stream %+v %s != batch %+v %s\npattern %s",
+					trial, policy, sm.Stats(), fmtMatches(ms), bs, fmtMatches(bm), explain(p))
 			}
 		}
 	}

@@ -173,33 +173,31 @@ func TestStreamWindowDifferential(t *testing.T) {
 		k := f.p.CompileKernel()
 		tab := core.Compute(f.p)
 		for _, policy := range []SkipPolicy{SkipPastLastRow, SkipToNextRow} {
-			for _, skip := range []bool{false, true} {
-				for _, maxBuf := range []int{0, 8, 24} {
-					label := fmt.Sprintf("%s %v skip=%v MaxBuffer=%d", f.name, policy, skip, maxBuf)
-					cfg := StreamConfig{Policy: policy, LastRowSkip: skip, MaxBuffer: maxBuf, Tables: tab}
-					ki := runWindow(t, label+" kernel", f.p, k, cfg, f.seq)
-					in := runWindow(t, label+" interp", f.p, nil, cfg, f.seq)
-					if !matchesEqual(in.matches, ki.matches) || in.stats != ki.stats {
-						t.Fatalf("%s: kernel and interpreter diverge\npattern: %s\ninterp: %+v %s\nkernel: %+v %s",
-							label, explain(f.p), in.stats, fmtMatches(in.matches), ki.stats, fmtMatches(ki.matches))
-					}
-					if ki.compactions != in.compactions || ki.growths != in.growths {
-						t.Fatalf("%s: window moved %d+%d times with the kernel, %d+%d without",
-							label, ki.compactions, ki.growths, in.compactions, in.growths)
-					}
-					compactions += ki.compactions
-					growths += ki.growths
-					if maxBuf != 0 {
-						continue
-					}
-					if f.sawtooth && (ki.compactions < 3 || ki.growths < 2) {
-						t.Fatalf("%s: %d compactions and %d growths, want at least 3 and 2", label, ki.compactions, ki.growths)
-					}
-					bm, bs := NewOPS(f.p, tab, OPSConfig{Policy: policy, LastRowSkip: skip}).FindAll(f.seq)
-					if !matchesEqual(bm, ki.matches) || bs != ki.stats {
-						t.Fatalf("%s: stream and batch diverge\npattern: %s\nbatch:  %+v %s\nstream: %+v %s",
-							label, explain(f.p), bs, fmtMatches(bm), ki.stats, fmtMatches(ki.matches))
-					}
+			for _, maxBuf := range []int{0, 8, 24} {
+				label := fmt.Sprintf("%s %v MaxBuffer=%d", f.name, policy, maxBuf)
+				cfg := StreamConfig{Policy: policy, MaxBuffer: maxBuf, Tables: tab}
+				ki := runWindow(t, label+" kernel", f.p, k, cfg, f.seq)
+				in := runWindow(t, label+" interp", f.p, nil, cfg, f.seq)
+				if !matchesEqual(in.matches, ki.matches) || in.stats != ki.stats {
+					t.Fatalf("%s: kernel and interpreter diverge\npattern: %s\ninterp: %+v %s\nkernel: %+v %s",
+						label, explain(f.p), in.stats, fmtMatches(in.matches), ki.stats, fmtMatches(ki.matches))
+				}
+				if ki.compactions != in.compactions || ki.growths != in.growths {
+					t.Fatalf("%s: window moved %d+%d times with the kernel, %d+%d without",
+						label, ki.compactions, ki.growths, in.compactions, in.growths)
+				}
+				compactions += ki.compactions
+				growths += ki.growths
+				if maxBuf != 0 {
+					continue
+				}
+				if f.sawtooth && (ki.compactions < 3 || ki.growths < 2) {
+					t.Fatalf("%s: %d compactions and %d growths, want at least 3 and 2", label, ki.compactions, ki.growths)
+				}
+				bm, bs := NewOPS(f.p, tab, OPSConfig{Policy: policy}).FindAll(f.seq)
+				if !matchesEqual(bm, ki.matches) || bs != ki.stats {
+					t.Fatalf("%s: stream and batch diverge\npattern: %s\nbatch:  %+v %s\nstream: %+v %s",
+						label, explain(f.p), bs, fmtMatches(bm), ki.stats, fmtMatches(ki.matches))
 				}
 			}
 		}

@@ -50,8 +50,8 @@ type Event struct {
 	// padding after the other cache flags, so an event is no larger for it.
 	PatternCached bool `json:"pattern_cached,omitempty"`
 	// Partition names how a batch run came by its clusters: "cached",
-	// "built" or "refreshed (k of n clusters)". Empty on failures and
-	// streams.
+	// "built" or "refreshed (k of n clusters)". Empty on failures, on
+	// streams and on runs that read no partition (a plain SELECT).
 	Partition  string `json:"partition,omitempty"`
 	Kernel     bool   `json:"kernel"`
 	Vectorized bool   `json:"vectorized"`

@@ -3,10 +3,10 @@
 // data naming the columns, row offsets, operator and constants of each
 // comparison. The atoms are the kernel's only compiled form of a
 // condition, and two evaluators read them: the batch builders turn them
-// into one selection bitmask per element (BuildMasks, BuildRun), and the
-// row path (EvalElem) answers one probe at a time against a columnar
-// projection of the cluster (storage.Projection) — no boxed Values, no
-// per-probe numeric widening. Both test the missing predecessor first,
+// into one selection bitmask per element (BuildMasks, BuildRun), which a
+// batch search probes, and the row path (EvalElem), a stream's, answers
+// one probe at a time against a columnar projection of its window
+// (storage.Projection) — no boxed Values, no per-probe numeric widening. Both test the missing predecessor first,
 // then nulls, then the comparison, over the same expression, so a row's
 // verdict is its mask bit. Elements holding an opaque predicate have no
 // atoms and fall back to the interpreter (Pattern.EvalElem) as a whole, so

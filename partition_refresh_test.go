@@ -490,10 +490,10 @@ func (s *bookingSink) Tick(clusters, rows, matches int64) {
 // blocks, and cut off the block seams — equals FindRun over the same masks
 // with no booking, which books into scratch, and FindAll cluster by
 // cluster: matches, spans, Stats, ticks and the clusters booked in closed
-// form, for the default executor and each ablation one on both skip
-// policies.
+// form, for the OPS executor on both skip policies (each ablation's runs
+// over booked and unbooked blocks are TestRunBlockBooking's, in
+// internal/engine).
 func TestRunBlockBookingRefreshes(t *testing.T) {
-	kinds := []ExecutorKind{OPSExec, OPSShiftOnlyExec, OPSNoCountersExec, OPSSkipExec}
 	for _, sc := range seamCases[3:] {
 		for _, refreshes := range []int{1, 2, 5} {
 			db := quoteDB(t)
@@ -552,62 +552,56 @@ func TestRunBlockBookingRefreshes(t *testing.T) {
 				for lo := storage.BlockLen; lo < n; lo += storage.BlockLen {
 					blockCuts = append(blockCuts, lo)
 				}
-				for _, kind := range kinds {
-					for _, overlap := range []bool{false, true} {
-						mk := func() engine.Executor {
-							ex := a.newExecutor(executorKey{kind, overlap})
-							ex.SetVectorized(true)
-							return ex
+				for _, overlap := range []bool{false, true} {
+					mk := func() engine.Executor { return a.newExecutor(executorKey{OPSExec, overlap}) }
+					name := fmt.Sprintf("%s overlap=%v", label, overlap)
+					ref := mk()
+					want := &bookingSink{}
+					var wantStats engine.Stats
+					for ci := 0; ci < n; ci++ {
+						ref.UseMasks(masks.At(ci))
+						ms, st := ref.FindAll(e.Groups.At(ci))
+						if len(ms) > 0 {
+							if err := want.Found(ci, ms, st); err != nil {
+								t.Fatal(err)
+							}
 						}
-						name := fmt.Sprintf("%s %s overlap=%v", label, kind, overlap)
-						ref := mk()
-						want := &bookingSink{}
-						var wantStats engine.Stats
-						for ci := 0; ci < n; ci++ {
-							ref.UseMasks(masks.At(ci))
-							ms, st := ref.FindAll(e.Groups.At(ci))
-							if len(ms) > 0 {
-								if err := want.Found(ci, ms, st); err != nil {
+						want.Tick(1, int64(len(e.Groups.At(ci))), int64(st.Matches))
+						wantStats.Add(st)
+					}
+					var closed [2]int64
+					for pass, mb := range []engine.MaskBlocks{plain, masks} {
+						for _, cuts := range [][]int{{0, n}, append(blockCuts, n), {0, n / 3, n/3 + 1, n}} {
+							got, stats := &bookingSink{}, engine.Stats{}
+							from := engine.ClosedClusters()
+							ex := mk()
+							for k := 1; k < len(cuts); k++ {
+								r := engine.Run{Clusters: e.Groups, Masks: mb, Lo: cuts[k-1], Hi: cuts[k], Sink: got}
+								if err := ex.FindRun(&r); err != nil {
 									t.Fatal(err)
 								}
+								stats.Add(r.Stats)
 							}
-							want.Tick(1, int64(len(e.Groups.At(ci))), int64(st.Matches))
-							wantStats.Add(st)
-						}
-						var closed [2]int64
-						for pass, mb := range []engine.MaskBlocks{plain, masks} {
-							for _, cuts := range [][]int{{0, n}, append(blockCuts, n), {0, n / 3, n/3 + 1, n}} {
-								got, stats := &bookingSink{}, engine.Stats{}
-								from := engine.ClosedClusters()
-								ex := mk()
-								for k := 1; k < len(cuts); k++ {
-									r := engine.Run{Clusters: e.Groups, Masks: mb, Lo: cuts[k-1], Hi: cuts[k], Sink: got}
-									if err := ex.FindRun(&r); err != nil {
-										t.Fatal(err)
-									}
-									stats.Add(r.Stats)
-								}
-								if c := engine.ClosedClusters() - from; len(cuts) == 2 {
-									closed[pass] = c
-								} else if c != closed[pass] {
-									t.Fatalf("%s booked=%v: runs cut at %v closed %d clusters, the whole run %d", name, pass == 1, cuts, c, closed[pass])
-								}
-								if stats != wantStats || got.clusters != want.clusters || got.rows != want.rows || got.matches != want.matches || len(got.found) != len(want.found) {
-									t.Fatalf("%s booked=%v cut at %v: %+v, %d found, ticked %d/%d/%d; want %+v, %d, %d/%d/%d", name, pass == 1, cuts,
-										stats, len(got.found), got.clusters, got.rows, got.matches, wantStats, len(want.found), want.clusters, want.rows, want.matches)
-								}
-								for k, f := range got.found {
-									if w := want.found[k]; f.i != w.i || f.st != w.st || !reflect.DeepEqual(f.ms, w.ms) {
-										t.Fatalf("%s booked=%v cut at %v: found cluster %d %+v %v, want cluster %d %+v %v", name, pass == 1, cuts, f.i, f.st, f.ms, w.i, w.st, w.ms)
-									}
+							if c := engine.ClosedClusters() - from; len(cuts) == 2 {
+								closed[pass] = c
+							} else if c != closed[pass] {
+								t.Fatalf("%s booked=%v: runs cut at %v closed %d clusters, the whole run %d", name, pass == 1, cuts, c, closed[pass])
+							}
+							if stats != wantStats || got.clusters != want.clusters || got.rows != want.rows || got.matches != want.matches || len(got.found) != len(want.found) {
+								t.Fatalf("%s booked=%v cut at %v: %+v, %d found, ticked %d/%d/%d; want %+v, %d, %d/%d/%d", name, pass == 1, cuts,
+									stats, len(got.found), got.clusters, got.rows, got.matches, wantStats, len(want.found), want.clusters, want.rows, want.matches)
+							}
+							for k, f := range got.found {
+								if w := want.found[k]; f.i != w.i || f.st != w.st || !reflect.DeepEqual(f.ms, w.ms) {
+									t.Fatalf("%s booked=%v cut at %v: found cluster %d %+v %v, want cluster %d %+v %v", name, pass == 1, cuts, f.i, f.st, f.ms, w.i, w.st, w.ms)
 								}
 							}
 						}
-						if closed[0] != closed[1] {
-							t.Fatalf("%s: %d clusters closed over the memo's bookings, %d booking into scratch", name, closed[1], closed[0])
-						}
-						closedAll += closed[1]
 					}
+					if closed[0] != closed[1] {
+						t.Fatalf("%s: %d clusters closed over the memo's bookings, %d booking into scratch", name, closed[1], closed[0])
+					}
+					closedAll += closed[1]
 				}
 			}
 			if kept == 0 || closedAll == 0 {

@@ -642,9 +642,11 @@ func (db *DB) storePlan(key string, p *Plan) {
 	db.cacheMu.Unlock()
 }
 
-// partitionOutcome says how a run came by its partition.
+// partitionOutcome says how a run came by its partition; the zero value
+// is a run that read none (a plain SELECT, or a pattern that matches
+// nothing by its constraints alone).
 type partitionOutcome struct {
-	cached bool
+	cached, built bool
 	// refreshed: derived from the outdated cached generation by
 	// re-sorting or adding dirty of its clusters. Not a hit — rows were sorted.
 	refreshed       bool
@@ -652,10 +654,13 @@ type partitionOutcome struct {
 }
 
 func (o partitionOutcome) String() string {
-	if o.refreshed {
+	switch {
+	case o.refreshed:
 		return fmt.Sprintf("refreshed (%d of %d clusters)", o.dirty, o.clusters)
+	case o.cached, o.built:
+		return cachedWord(o.cached)
 	}
-	return cachedWord(o.cached)
+	return ""
 }
 
 // partition returns the clustered partition of p's table for p's
@@ -722,6 +727,7 @@ func (db *DB) partition(p *Plan, bypass bool) (*partitionEntry, partitionOutcome
 		}
 	}
 	if e.Clustering == nil {
+		out.built = true
 		c, err := t.NewClustering(p.compiled.ClusterBy, p.compiled.SequenceBy)
 		if err != nil {
 			return nil, out, err

@@ -438,12 +438,13 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestAutoKeepsOPSAfterTableGrowth: a plan runs as it was compiled, so
+// TestDefaultKeepsOPSAfterTableGrowth: a plan runs as it was compiled, so
 // what earlier runs over another version of the table cost never changes
-// which executor Auto means. One naive run over the first 40 days of the
-// walk (89 evals), then the other 6,260 days inserted: every Auto run
-// after that costs exactly what an explicit OPS run costs.
-func TestAutoKeepsOPSAfterTableGrowth(t *testing.T) {
+// which executor a run with default options takes. One naive run over the
+// first 40 days of the walk (89 evals), then the other 6,260 days
+// inserted: every default run after that costs exactly what an explicit
+// OPS run costs.
+func TestDefaultKeepsOPSAfterTableGrowth(t *testing.T) {
 	const prefix = 40
 	prices := workload.DJIA25Years(1)
 	tbl := workload.SeriesTable("djia", 2557, prices[:prefix])
@@ -482,10 +483,10 @@ func TestAutoKeepsOPSAfterTableGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Stats != want.Stats {
-			t.Fatalf("Auto run %d (call %d of the statement): %v, explicit OPS %v", run, run+2, got.Stats, want.Stats)
+			t.Fatalf("default run %d (call %d of the statement): %v, explicit OPS %v", run, run+2, got.Stats, want.Stats)
 		}
 		if strings.Contains(q.Explain(), "adaptive:") {
-			t.Fatalf("Auto run %d: EXPLAIN reports an adaptive revision:\n%s", run, q.Explain())
+			t.Fatalf("default run %d: EXPLAIN reports an adaptive revision:\n%s", run, q.Explain())
 		}
 	}
 }

@@ -283,35 +283,20 @@ func (db *DB) DeclarePositive(table string, cols ...string) error {
 // ExecutorKind selects the runtime algorithm for a prepared query.
 type ExecutorKind uint8
 
-// Executor kinds. Auto and OPSExec are the same executor, OPS (the
-// optimized one): a plan's shift/next tables follow from its pattern
-// alone, and nothing a run observes changes which executor Auto means.
-// The others are for experiments and benchmarks.
+// Executor kinds: OPS, the paper's optimized pattern search and the
+// default, and naive search, the baseline of its experiments (§7).
 const (
-	Auto ExecutorKind = iota
+	OPSExec ExecutorKind = iota
 	NaiveExec
-	OPSExec
-	OPSShiftOnlyExec
-	OPSNoCountersExec
-	// OPSSkipExec is OPS plus the last-row-skip extension (consume a
-	// failed tuple without re-testing when the optimizer proved it
-	// satisfies the resumed element; see core.Tables.SkipOK).
-	OPSSkipExec
 )
 
 // String names the executor kind.
 func (k ExecutorKind) String() string {
 	switch k {
+	case OPSExec:
+		return "ops"
 	case NaiveExec:
 		return "naive"
-	case OPSExec, Auto:
-		return "ops"
-	case OPSShiftOnlyExec:
-		return "ops-shift-only"
-	case OPSNoCountersExec:
-		return "ops-no-counters"
-	case OPSSkipExec:
-		return "ops+skip"
 	default:
 		return fmt.Sprintf("ExecutorKind(%d)", uint8(k))
 	}
@@ -397,7 +382,8 @@ func (r *Result) PartitionCached() bool { return r.partition.cached }
 // PartitionOutcome names how the execution came by its cluster partition:
 // "cached", "built", or "refreshed (k of n clusters)" when the stale
 // cached partition was brought up to date by re-sorting or adding k of
-// its n clusters.
+// its n clusters. It is empty for an execution that read no partition: a
+// plain SELECT reads the table's snapshot.
 func (r *Result) PartitionOutcome() string { return r.partition.String() }
 
 // ClusterMatches are the matches found within one cluster.
@@ -856,7 +842,7 @@ func (q *Query) explain(executor string) string {
 	}
 	loop := engine.NaiveSearchLoop(kernel)
 	if executor != NaiveExec.String() {
-		loop = engine.SearchLoop(p, q.plan.tables, kernel, opsConfigs[executor])
+		loop = engine.SearchLoop(p, q.plan.tables, kernel)
 	}
 	fmt.Fprintf(&b, "search loop: %s\n", loop)
 	b.WriteByte('\n')
@@ -1120,15 +1106,6 @@ func (q *Query) execute(b *batchRun, opts RunOptions) (res *Result, scanned int,
 	return res, part.Rows, nil
 }
 
-// opsConfigs holds each ablation executor's OPS configuration by name (an
-// ExecutorKind's String, an event's Executor); every other executor but
-// naive runs the default one.
-var opsConfigs = map[string]engine.OPSConfig{
-	OPSShiftOnlyExec.String():  {ShiftOnly: true},
-	OPSNoCountersExec.String(): {NoCounters: true},
-	OPSSkipExec.String():       {LastRowSkip: true},
-}
-
 // newExecutor builds the executor key asks for over the artifact's
 // pattern, tables and kernel.
 func (a *patternArtifact) newExecutor(key executorKey) engine.Executor {
@@ -1138,9 +1115,7 @@ func (a *patternArtifact) newExecutor(key executorKey) engine.Executor {
 		n.UseKernel(a.kernel)
 		return n
 	}
-	cfg := opsConfigs[key.kind.String()]
-	cfg.Policy = key.policy()
-	o := engine.NewOPS(p, a.tables, cfg)
+	o := engine.NewOPS(p, a.tables, engine.OPSConfig{Policy: key.policy()})
 	o.UseKernel(a.kernel)
 	return o
 }

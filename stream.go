@@ -16,8 +16,6 @@ import (
 type StreamOptions struct {
 	// Overlap reports overlapping occurrences (engine.SkipToNextRow).
 	Overlap bool
-	// LastRowSkip enables the last-row-skip runtime extension.
-	LastRowSkip bool
 	// MaxBuffer bounds the per-cluster retained window (0 = unbounded);
 	// matches longer than the bound are abandoned.
 	MaxBuffer int
@@ -124,10 +122,9 @@ func (q *Query) OpenStream(opts StreamOptions, sink func(storage.Row) error) (*S
 		row:      make(storage.Row, compiled.Schema.Len()),
 	}
 	cfg := engine.StreamConfig{
-		Policy:      engine.SkipPastLastRow,
-		LastRowSkip: opts.LastRowSkip,
-		MaxBuffer:   opts.MaxBuffer,
-		Tables:      q.plan.tables,
+		Policy:    engine.SkipPastLastRow,
+		MaxBuffer: opts.MaxBuffer,
+		Tables:    q.plan.tables,
 		// emitMatch consumes Spans synchronously, so the matcher may
 		// recycle them between emissions.
 		ReuseSpans: true,

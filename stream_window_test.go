@@ -211,9 +211,9 @@ const interleavingSQL = `
 // and clusters whose first tuple arrives mid-stream) are pushed
 // round-robin by date, in seeded random runs, and cluster after cluster.
 // Under each option the three orders emit the same rows (as a multiset)
-// and the same pred-evals, rollbacks and matches; without MaxBuffer or
-// LastRowSkip, which batch has no counterpart of, they equal the batch
-// query's rows and pred-evals too.
+// and the same pred-evals, rollbacks and matches; without MaxBuffer, which
+// batch has no counterpart of, they equal the batch query's rows and
+// pred-evals too.
 func TestStreamInterleavingInvariant(t *testing.T) {
 	type tuple struct {
 		name storage.Value
@@ -309,7 +309,6 @@ func TestStreamInterleavingInvariant(t *testing.T) {
 	}{
 		{"default", StreamOptions{}, &RunOptions{}},
 		{"overlap", StreamOptions{Overlap: true}, &RunOptions{Overlap: true}},
-		{"last-row-skip", StreamOptions{LastRowSkip: true}, nil},
 		{"max-buffer-8", StreamOptions{MaxBuffer: 8}, nil},
 	} {
 		var ref map[string]int
